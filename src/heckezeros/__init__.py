@@ -18,7 +18,7 @@ exposes all of it.
 """
 
 from . import dh, oracles, optimizer, p4, tables, trial_functions, zero_density, zfr
-from ._kernels import NUMBA_ENABLED, backend
+from ._kernels import backend
 from .dh import (BoundResult, CASES, PHI, SolverCase, cos_bound,
                  piecewise_log_constant, solve_poly, solve_smoothed,
                  very_small_dh, very_small_inverse)

@@ -1,13 +1,13 @@
-"""Hot numeric kernels, numba-compiled with a pure NumPy/Python fallback.
+"""Scalar numeric kernels in plain Python and NumPy.
 
-The inner loops that dominate runtime are (a) grid minima of the quartic
-positivity combination and (b) bisection root finding for the smoothed and
-polynomial repulsion solvers.  When numba is importable (and the environment
-variable ``HECKEZEROS_DISABLE_NUMBA`` is unset) these are JIT-compiled;
-otherwise the same code runs as plain Python and the grid kernel switches to
-a vectorized NumPy implementation.  Both paths agree to float precision;
-``benchmarks/bench_kernels.py`` measures the speed gap by re-running itself
-under the flag.
+Every bound ends in a monotone root solve, and every solve here goes through
+one bracketed bisection, ``_bisect``.  The named root kernels
+(``smoothed_root``, ``poly_root``, ``zfr_root``) only build the case's
+increasing function ``h`` and hand it to ``_bisect``; they return
+``(root, h(lo), h(hi))`` with a NaN root when ``h`` has no sign change, so
+callers can tell which way the inequality failed.  ``f_real_scalar`` is the
+closed-form transform ``F(r)`` at one real point, and ``p4_combo_min`` the
+grid minimum of the quartic positivity combination.
 
 Trial functions are passed to the kernels in a flattened "family code"
 (see ``trial_functions``): the triangle needs only its support endpoint, the
@@ -19,26 +19,13 @@ the series carry enough terms to stay at ~1e-15 relative error there.
 
 import cmath
 import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("HECKEZEROS_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _FLAG not in ("", "0", "false", "no")
-
-NUMBA_ENABLED = False
-if not _DISABLED:
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
 
 def backend():
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend; there is one, plain NumPy/Python."""
+    return "numpy"
 
 
 KIND_TRIANGLE = 0
@@ -51,34 +38,12 @@ SMALL_W = 1e-2
 N_MOMENTS = 7
 
 
-# ---------------------------------------------------------------------------
-# scalar kernels (plain definitions; jitted below when numba is enabled)
-# ---------------------------------------------------------------------------
-
-def _p4_combo_min_loop(A, B, C, a, b, c, ts):
-    """Min over the grid of Re{C P(a/(c+it)) + B P(a/(b+it)) - A P(a/(a+it))}."""
-    best = 1e300
-    best_t = ts[0]
-    for i in range(ts.shape[0]):
-        t = ts[i]
-        u1 = a / complex(c, t)
-        u2 = a / complex(b, t)
-        u3 = a / complex(a, t)
-        v = (C * (u1 * (1.0 + u1 * (1.0 + u1 * (0.8 + 0.4 * u1))))
-             + B * (u2 * (1.0 + u2 * (1.0 + u2 * (0.8 + 0.4 * u2))))
-             - A * (u3 * (1.0 + u3 * (1.0 + u3 * (0.8 + 0.4 * u3))))).real
-        if v < best:
-            best = v
-            best_t = t
-    return best, best_t
-
-
 def _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, r):
     """F(r) for real r, matching the vectorized closed forms exactly.
 
     Arguments past the exp overflow range return +inf (F(r) ~ e^{-r x0} for
-    very negative r); Python's math.exp would raise where numba returns inf,
-    and the solvers' bracket-shrinking relies on a value coming back.
+    very negative r) instead of letting math.exp raise: the solvers'
+    bracket-shrinking relies on a value coming back.
     """
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
@@ -116,47 +81,56 @@ def _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, r):
     return acc
 
 
-def _smoothed_root(kind, x0, f0, F0, coef, gj, gk, K, M,
-                   form, c1, psi, b, lo, hi, iters):
-    """Bisection root of the smoothed repulsion function.
+def _bisect(h, lo, hi, iters):
+    """Bisection root of an increasing h on [lo, hi].
+
+    Returns (root, h(lo), h(hi)); root is NaN when h has no sign change on
+    the bracket or an endpoint value is NaN.  Halves at most ``iters`` times
+    and stops early once the midpoint no longer splits the bracket.
+    """
+    hlo = h(lo)
+    hhi = h(hi)
+    if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
+        return math.nan, hlo, hhi
+    a, b = lo, hi
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if h(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), hlo, hhi
+
+
+def smoothed_root(code, form, c1, psi, b, lo, hi, iters):
+    """Root of the smoothed repulsion function for a family code.
 
     form 0: h(x) = c1 (F(-x) - F(b-x)) - F(0) + psi f(0)
     form 1: h(x) = F(-b) - F(0) - F(x-b) + psi f(0)
-    Both increase in x.  Returns (root, h(lo), h(hi)); root is NaN when there
-    is no sign change on [lo, hi].
+    Both increase in x.
     """
-    base = _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, -b) - F0 + psi * f0
-
-    def _h(x):
-        if form == 0:
-            return c1 * (_f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, -x)
-                         - _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, b - x)) \
+    f0, F0 = code[2], code[3]
+    if form == 0:
+        def h(x):
+            return c1 * (_f_real_scalar(*code, -x) - _f_real_scalar(*code, b - x)) \
                 - F0 + psi * f0
-        return base - _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, x - b)
+    else:
+        base = _f_real_scalar(*code, -b) - F0 + psi * f0
 
-    hlo = _h(lo)
-    hhi = _h(hi)
-    if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
-        return math.nan, hlo, hhi
-    a_, b_ = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a_ + b_)
-        if mid == a_ or mid == b_:
-            break
-        if _h(mid) < 0.0:
-            a_ = mid
-        else:
-            b_ = mid
-    return 0.5 * (a_ + b_), hlo, hhi
+        def h(x):
+            return base - _f_real_scalar(*code, x - b)
+    return _bisect(h, lo, hi, iters)
 
 
-def _poly_root(slot, lam, J, b, psi, lo, hi, iters):
-    """Bisection root of the quartic-method repulsion function (NaN if none).
+def poly_root(slot, lam, J, b, psi, lo, hi, iters):
+    """Root of the quartic-method repulsion function.
 
     slot 0: known value on the (J^2 + 1/2) term, unknown on the 2J term;
     slot 1: the reverse.
     """
-    def _h(x):
+    def h(x):
         if slot == 0:
             u1 = lam / (lam + b)
             u2 = lam / (lam + x)
@@ -167,81 +141,37 @@ def _poly_root(slot, lam, J, b, psi, lo, hi, iters):
         p2 = u2 * (1.0 + u2 * (1.0 + u2 * (0.8 + 0.4 * u2)))
         return (J * J + 0.5) * (3.2 - p1) - 2.0 * J * p2 + psi * (J + 1.0) ** 2 * lam
 
-    hlo = _h(lo)
-    hhi = _h(hi)
-    if hlo > 0.0 or hhi < 0.0:
-        return math.nan, hlo, hhi
-    a_, b_ = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a_ + b_)
-        if mid == a_ or mid == b_:
-            break
-        if _h(mid) < 0.0:
-            a_ = mid
-        else:
-            b_ = mid
-    return 0.5 * (a_ + b_), hlo, hhi
+    return _bisect(h, lo, hi, iters)
 
 
-def _zfr_root(c0, c1, B, lam, phi, lo, hi, iters):
-    """Bisection root of c0 P(1) - c1 P(lam/(lam+x)) + B phi lam (NaN if none)."""
+def zfr_root(c0, c1, B, lam, phi, lo, hi, iters):
+    """Root of c0 P(1) - c1 P(lam/(lam+x)) + B phi lam."""
     const = c0 * 3.2 + B * phi * lam
 
-    def _h(x):
+    def h(x):
         u = lam / (lam + x)
         return const - c1 * (u * (1.0 + u * (1.0 + u * (0.8 + 0.4 * u))))
 
-    hlo = _h(lo)
-    hhi = _h(hi)
-    if hlo > 0.0 or hhi < 0.0:
-        return math.nan, hlo, hhi
-    a_, b_ = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a_ + b_)
-        if mid == a_ or mid == b_:
-            break
-        if _h(mid) < 0.0:
-            a_ = mid
-        else:
-            b_ = mid
-    return 0.5 * (a_ + b_), hlo, hhi
+    return _bisect(h, lo, hi, iters)
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
+def p4_combo_min(A, B, C, a, b, c, ts):
+    """Min over the grid ts of Re{C P(a/(c+it)) + B P(a/(b+it)) - A P(a/(a+it))}.
 
-def _p4_combo_min_numpy(A, B, C, a, b, c, ts):
+    Returns (minimum, t at the first minimum).
+    """
     def p4(u):
         return u * (1.0 + u * (1.0 + u * (0.8 + 0.4 * u)))
+    ts = np.asarray(ts, dtype=np.float64)
     w = (C * p4(a / (c + 1j * ts)) + B * p4(a / (b + 1j * ts))
          - A * p4(a / (a + 1j * ts))).real
     i = int(np.argmin(w))
     return float(w[i]), float(ts[i])
 
 
-if NUMBA_ENABLED:
-    _f_real_scalar = numba.njit(cache=True)(_f_real_scalar)
-    _smoothed_root = numba.njit(cache=True)(_smoothed_root)
-    _poly_root = numba.njit(cache=True)(_poly_root)
-    _zfr_root = numba.njit(cache=True)(_zfr_root)
-    _p4_combo_min_loop = numba.njit(cache=True)(_p4_combo_min_loop)
-
-    def p4_combo_min(A, B, C, a, b, c, ts):
-        return _p4_combo_min_loop(float(A), float(B), float(C), float(a),
-                                  float(b), float(c),
-                                  np.asarray(ts, dtype=np.float64))
-else:
-    def p4_combo_min(A, B, C, a, b, c, ts):
-        return _p4_combo_min_numpy(float(A), float(B), float(C), float(a),
-                                   float(b), float(c),
-                                   np.asarray(ts, dtype=np.float64))
-
-
+#: public name of F(r); the root kernels above call the private one, so a
+#: profiler that replaces this attribute sees only calls from outside
 f_real_scalar = _f_real_scalar
-smoothed_root = _smoothed_root
-poly_root = _poly_root
-zfr_root = _zfr_root
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
 _EMPTY_C = np.empty(0, dtype=np.complex128)

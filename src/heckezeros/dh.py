@@ -149,6 +149,13 @@ def get_case(name):
             f"unknown solver case {name!r}; available: {sorted(CASES)}") from None
 
 
+def require_finite(**values):
+    """Raise InvalidParameterError naming the first NaN or infinite value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # smoothed solver
 # ---------------------------------------------------------------------------
@@ -188,6 +195,7 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "smoothed":
         raise InvalidParameterError(f"case {case.name} is not a smoothed case")
+    require_finite(b=b, phi=phi)
     if b < 0:
         raise InvalidParameterError(f"width hypothesis b must be >= 0, got {b}")
     psi = case.psi_over_phi * phi
@@ -215,9 +223,9 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
         hi = 0.5 * hi
     if code is not None:
         root, hlo, hhi = _kernels.smoothed_root(
-            *code, form, float(case.c1), psi, float(b), 0.0, hi, iters)
+            code, form, float(case.c1), psi, float(b), 0.0, hi, iters)
     else:
-        root, hlo, hhi = _bisect_generic(h, 0.0, hi, iters)
+        root, hlo, hhi = _kernels._bisect(h, 0.0, hi, iters)
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(
@@ -233,23 +241,6 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
     params = {"family": f.family, **f.params}
     return BoundResult(case.name, float(b), float(root), params, True, residual,
                        root=float(root))
-
-
-def _bisect_generic(h, lo, hi, iters):
-    hlo = float(h(lo))
-    hhi = float(h(hi))
-    if hlo > 0 or hhi < 0 or math.isnan(hlo) or math.isnan(hhi):
-        return math.nan, hlo, hhi
-    a_, b_ = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a_ + b_)
-        if mid == a_ or mid == b_:
-            break
-        if float(h(mid)) < 0:
-            a_ = mid
-        else:
-            b_ = mid
-    return 0.5 * (a_ + b_), hlo, hhi
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +334,7 @@ def solve_poly(case, b, lam, J, phi=PHI, hi=1e3, iters=200):
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "poly":
         raise InvalidParameterError(f"case {case.name} is not a polynomial case")
+    require_finite(b=b, lam=lam, J=J, phi=phi)
     if lam <= 0 or J <= 0:
         raise InvalidParameterError(f"need lambda > 0 and J > 0, got {lam}, {J}")
     if J < case.j_min:
@@ -366,7 +358,7 @@ def solve_poly(case, b, lam, J, phi=PHI, hi=1e3, iters=200):
     if limit == -math.inf:
         raise SideConditionError(
             f"{case.name}: side condition fails for every width at "
-            f"(b={b}, lambda={lam}, J={J}); no valid bound", salvage=None)
+            f"(b={b}, lambda={lam}, J={J}); no valid bound")
     if root <= limit:
         return BoundResult(case.name, float(b), float(root), params, True,
                            residual, root=float(root), side_margin=margin)

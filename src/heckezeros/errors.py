@@ -36,15 +36,7 @@ class NoBoundError(HeckeZerosError):
 
 
 class SideConditionError(HeckeZerosError):
-    """The side condition fails at the computed root.
-
-    ``salvage`` carries the weaker bound at the largest point of the bracket
-    where the side condition still holds, when one exists.
-    """
-
-    def __init__(self, message, salvage=None):
-        super().__init__(message)
-        self.salvage = salvage
+    """The side condition fails at every width, so no valid bound exists."""
 
 
 class BoundUnavailableError(HeckeZerosError):

@@ -189,7 +189,7 @@ def reference_column_check(table, slack=5e-4):
     """Check the reference column equals factor * log(1/b) per row.
 
     The stored values keep the printed precision, so the per-row tolerance is
-    the половина-ulp of the printed form plus the uniform slack.
+    the half-ulp of the printed form plus the uniform slack.
     """
     if table.reference_factor is None:
         raise InvalidParameterError(f"table {table.key} has no reference column")

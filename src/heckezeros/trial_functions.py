@@ -156,22 +156,6 @@ def triangle(x0):
 # autocorrelation family
 # ---------------------------------------------------------------------------
 
-def _exp_moment(a, s, n):
-    """M_n = int_0^s v^n e^{a v} dv for complex a, scalar and stable."""
-    w = a * s
-    if abs(w) < _SMALL_W:
-        total = 0.0 + 0.0j
-        term = 1.0 + 0.0j
-        for m in range(30):
-            total += term * s ** (n + m + 1) / (n + m + 1)
-            term *= a / (m + 1)
-        return total
-    vals = [(np.exp(w) - 1.0) / a]
-    for k in range(1, n + 1):
-        vals.append((s ** k * np.exp(w) - k * vals[-1]) / a)
-    return complex(vals[n])
-
-
 def _exp_moments_vec(a, s, nmax):
     """All moments M_0..M_nmax at once for a complex array of exponents."""
     a = np.asarray(a, dtype=complex)

@@ -14,7 +14,7 @@ and 1/12.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BoundUnavailableError, InvalidParameterError
 from .dh import PHI
@@ -103,12 +103,3 @@ def recipe_theta(lam, b):
     substitute-family search (support scale ~ 2 theta-hat / lambda).
     """
     return 1.63 + 1.28 * b - 4.35 * lam
-
-
-@dataclass(frozen=True)
-class ZdTableEntry:
-    lam: float
-    b: float
-    bound: float            # math.inf when no admissible weight was found
-    n: float                # integer bound, or math.inf
-    params: dict = field(default_factory=dict)

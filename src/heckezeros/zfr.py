@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .dh import PHI, cos_bound
+from . import _kernels, optimizer
+from .dh import PHI, cos_bound, require_finite
 from .errors import InvalidParameterError, NoBoundError
 from .p4 import p4_eval
 from .trial_functions import K_FAMILY_PAIRS
@@ -159,6 +159,7 @@ def zfr_solve(case, lam, phi=PHI, hi=10.0, iters=200):
     records when the cap was the binding constraint.
     """
     case = get_case(case) if isinstance(case, str) else case
+    require_finite(lam=lam, phi=phi)
     if lam <= 0:
         raise InvalidParameterError(f"lambda must be positive, got {lam}")
     c0, c1 = case.coeffs[0], case.coeffs[1]
@@ -206,15 +207,15 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI, iters=200):
     for x in [0, lam_star].  The published constant uses an externally
     defined weight, so results here are flagged approximate.
     """
+    require_finite(lam_star=lam_star, phi=phi)
     F_star = float(f.laplace(-lam_star).real)
     const = 14379.0 * F_star + 62174.0 * phi * f.content.f0
 
     def h(x):
         x = np.asarray(x, dtype=float)
-        return const - 24480.0 * f.laplace(x - lam_star).real
+        return float(const - 24480.0 * f.laplace(x - lam_star).real)
 
-    lo, hi = 0.0, lam_star
-    hlo, hhi = float(h(lo)), float(h(hi))
+    root, hlo, hhi = _kernels._bisect(h, 0.0, lam_star, iters)
     if hlo > 0:
         raise NoBoundError(
             f"order>=6 inequality already positive at width 0 for {f!r}", sign="positive")
@@ -222,17 +223,11 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI, iters=200):
         # inequality still negative at lam_star: the full floor is provable
         return ZfrResult("order-ge6", float(lam_star), float(lam_star), True,
                          False, float(lam_star), 0.0, approximate=True)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if float(h(mid)) < 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    if math.isnan(root):
+        raise NoBoundError(
+            f"order>=6 inequality is NaN at an end of [0, {lam_star}] for {f!r}")
     return ZfrResult("order-ge6", float(lam_star), float(root), True, False,
-                     float(root), abs(float(h(root))), approximate=True)
+                     float(root), abs(h(root)), approximate=True)
 
 
 def zfr_optimize(case, phi=PHI, lam_lo=0.05, lam_hi=3.0, scan=241, tol=1e-6):
@@ -251,25 +246,9 @@ def zfr_optimize(case, phi=PHI, lam_lo=0.05, lam_hi=3.0, scan=241, tol=1e-6):
         except NoBoundError:
             return -math.inf
 
-    lams = np.linspace(lam_lo, lam_hi, scan)
-    vals = [value(l) for l in lams]
-    k = int(np.argmax(vals))
-    if not math.isfinite(vals[k]):
+    lam_opt, width = optimizer._golden_max(value, lam_lo, lam_hi,
+                                           optimizer._Budget(math.inf), coarse=scan,
+                                           xtol_frac=tol / (lam_hi - lam_lo))
+    if not math.isfinite(width):
         raise NoBoundError(f"zfr {case.name}: no feasible lambda in [{lam_lo}, {lam_hi}]")
-    lo = lams[max(k - 1, 0)]
-    hi = lams[min(k + 1, scan - 1)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv * (hi - lo)
-    x2 = lo + inv * (hi - lo)
-    f1, f2 = value(x1), value(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv * (hi - lo)
-            f2 = value(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv * (hi - lo)
-            f1 = value(x1)
-    lam_opt = 0.5 * (lo + hi)
-    return lam_opt, value(lam_opt)
+    return lam_opt, width

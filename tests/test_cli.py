@@ -72,6 +72,14 @@ class TestDh:
             cli.main(["dh", "--case", "not-a-case", "--b", "0.1"])
         assert exc.value.code == 2
 
+    def test_non_finite_phi_prints_no_bound(self, capsys):
+        code, out, err = run(["dh", "--case", "cc-lp-nonprincipal", "--b", "0.1227",
+                              "--lambda", "1.097", "--J", "0.7788", "--phi", "nan"],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert "InvalidParameterError" in err
+
 
 class TestZd:
     def test_direct_family(self, capsys):

@@ -88,6 +88,13 @@ class TestSolveSmoothed:
                 for b in (0.01, 0.05, 0.1, 0.2)]
         assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("arg", ["b", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, arg, bad):
+        kwargs = {"b": 0.05, "phi": dh.PHI, arg: bad}
+        with pytest.raises(InvalidParameterError, match=arg):
+            dh.solve_smoothed("sz-lp-principal", tf.triangle(1.5), **kwargs)
+
     def test_wide_support_does_not_overflow(self):
         # e^{x0 hi} overflows at the default bracket end; the solver shrinks it
         res = dh.solve_smoothed("sz-lp-quadratic", tf.triangle(14.0), 0.01)
@@ -137,6 +144,13 @@ class TestSolvePoly:
     def test_no_root_raises(self):
         with pytest.raises(NoBoundError):
             dh.solve_poly("sz-lp-quadratic-medium", 0.0, 4.0, 4.9)
+
+    @pytest.mark.parametrize("arg", ["b", "lam", "J", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, arg, bad):
+        kwargs = {"b": 0.1227, "lam": 1.097, "J": 0.7788, "phi": dh.PHI, arg: bad}
+        with pytest.raises(InvalidParameterError, match=arg):
+            dh.solve_poly("cc-lp-nonprincipal", **kwargs)
 
     def test_j_minimum_for_cc_nonprincipal(self):
         with pytest.raises(InvalidParameterError):

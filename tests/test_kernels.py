@@ -1,17 +1,15 @@
-"""Compiled kernels against the vectorized reference path, and the env flag."""
+"""Scalar kernels against the vectorized reference paths, and the bisection contract."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
-from heckezeros import _kernels, dh, trial_functions as tf
+from heckezeros import _kernels, dh, p4, trial_functions as tf, zfr
 
 
 def test_backend_reports():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"
 
 
 def test_scalar_transform_matches_vectorized_path():
@@ -27,11 +25,11 @@ def test_scalar_transform_matches_vectorized_path():
 
 def test_grid_kernel_matches_numpy_implementation():
     ts = np.linspace(-50.0, 50.0, 4001)
-    args = (0.5, 0.5, 1.7408, 1.316, 1.4387, 1.7825)
-    mn1, at1 = _kernels.p4_combo_min(*args, ts)
-    mn2, at2 = _kernels._p4_combo_min_numpy(*args, ts)
-    assert mn1 == pytest.approx(mn2, abs=1e-13)
-    assert at1 == at2
+    q = p4.PositivityQuery(0.5, 0.5, 1.7408, 1.316, 1.4387, 1.7825)
+    mn, at = _kernels.p4_combo_min(q.A, q.B, q.C, q.a, q.b, q.c, ts)
+    ref = p4.p4_combo(q, ts)
+    assert mn == pytest.approx(ref.min(), abs=1e-13)
+    assert at == ts[int(np.argmin(ref))]
 
 
 def test_smoothed_root_matches_generic_bisection():
@@ -43,32 +41,42 @@ def test_smoothed_root_matches_generic_bisection():
     assert via_kernel == pytest.approx(via_python, abs=1e-10)
 
 
-_FLAG_SNIPPET = """
-import json
-from heckezeros import _kernels, dh, trial_functions as tf, zfr
-f = tf.autocorrelation(alpha=-0.5, c0=1.0, c1=0.8, beta=1.5, s=2.0)
-out = {
-    "backend": _kernels.backend(),
-    "smoothed": dh.solve_smoothed("sz-lp-principal", f, 0.05).lambda_star,
-    "poly": dh.solve_poly("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788).lambda_star,
-    "zfr": zfr.zfr_solve("order234", 0.9421).lambda1,
+# Each root kernel as (solve(phi, lo, hi), independent vectorized h at phi = 1/4).
+_TRIANGLE = tf.triangle(2.5)
+_ORDER234 = zfr.CASES["order234"]
+ROOT_KERNELS = {
+    "smoothed_root": (
+        lambda phi, lo, hi: _kernels.smoothed_root(
+            _TRIANGLE.kernel_code(), 0, 2.0, 4.0 * phi, 0.01, lo, hi, 200),
+        dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
+    "plugin": (
+        lambda phi, lo, hi: _kernels._bisect(
+            lambda x: float(dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01, phi)(x)),
+            lo, hi, 200),
+        dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
+    "poly_root": (
+        lambda phi, lo, hi: _kernels.poly_root(1, 1.097, 0.7788, 0.1227, 2.0 * phi,
+                                               lo, hi, 200),
+        dh.poly_h("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788)),
+    "zfr_root": (
+        lambda phi, lo, hi: _kernels.zfr_root(
+            float(_ORDER234.coeffs[0]), float(_ORDER234.coeffs[1]), float(_ORDER234.B),
+            0.9421, phi, lo, hi, 200),
+        zfr.zfr_h("order234", 0.9421)),
 }
-print(json.dumps(out))
-"""
 
 
-@pytest.mark.slow
-def test_disable_flag_selects_numpy_backend_with_matching_results():
-    import json
-    env = dict(os.environ)
-    env["HECKEZEROS_DISABLE_NUMBA"] = "1"
-    proc = subprocess.run([sys.executable, "-c", _FLAG_SNIPPET], env=env,
-                          capture_output=True, text=True, check=True)
-    disabled = json.loads(proc.stdout)
-    assert disabled["backend"] == "numpy"
-    env.pop("HECKEZEROS_DISABLE_NUMBA")
-    proc = subprocess.run([sys.executable, "-c", _FLAG_SNIPPET], env=env,
-                          capture_output=True, text=True, check=True)
-    default = json.loads(proc.stdout)
-    for key in ("smoothed", "poly", "zfr"):
-        assert abs(default[key] - disabled[key]) <= 1e-11 * (1 + abs(default[key]))
+@pytest.mark.parametrize("name", list(ROOT_KERNELS))
+def test_bisection_contract(name):
+    solve, h = ROOT_KERNELS[name]
+    root, hlo, hhi = solve(0.25, 0.0, 10.0)
+    assert hlo < 0 < hhi
+    assert float(h(root - 1e-6)) < 0 < float(h(root + 1e-6))
+    # no sign change: NaN root plus both endpoint values
+    lo, hi = root + 0.5, root + 1.0
+    root2, hlo2, hhi2 = solve(0.25, lo, hi)
+    assert math.isnan(root2)
+    assert hlo2 == pytest.approx(float(h(lo)), rel=1e-9)
+    assert hhi2 == pytest.approx(float(h(hi)), rel=1e-9)
+    # a NaN endpoint value is not a sign change
+    assert math.isnan(solve(math.nan, 0.0, 10.0)[0])

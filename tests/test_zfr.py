@@ -87,6 +87,13 @@ class TestSolve:
         with pytest.raises(InvalidParameterError):
             zfr.zfr_solve("order234", 0.0)
 
+    @pytest.mark.parametrize("arg", ["lam", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, arg, bad):
+        kwargs = {"lam": 0.9421, "phi": 0.25, arg: bad}
+        with pytest.raises(InvalidParameterError, match=arg):
+            zfr.zfr_solve("order234", **kwargs)
+
 
 class TestOrder5:
     def test_reference_value(self):
@@ -116,6 +123,24 @@ class TestOrderGe6:
     def test_useless_weight_raises(self):
         with pytest.raises(NoBoundError):
             zfr.zfr_order_ge6(tf.triangle(0.05))
+
+    def test_floor_when_inequality_negative_on_whole_bracket(self):
+        res = zfr.zfr_order_ge6(tf.triangle(4.0), lam_star=0.1)
+        assert res.lambda1 == 0.1 and res.root == 0.1
+
+    def test_nan_transform_raises(self):
+        f = tf.triangle(4.0)
+        broken = tf.TrialFunction("plugin", {}, f.content, f,
+                                  lambda z: np.full(np.shape(z), np.nan))
+        with pytest.raises(NoBoundError):
+            zfr.zfr_order_ge6(broken)
+
+    @pytest.mark.parametrize("arg", ["lam_star", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, arg, bad):
+        kwargs = {"lam_star": zfr.ORDER_GE6_LAMBDA_STAR, "phi": 0.25, arg: bad}
+        with pytest.raises(InvalidParameterError, match=arg):
+            zfr.zfr_order_ge6(tf.triangle(4.0), **kwargs)
 
 
 class TestOptimize:
