@@ -41,9 +41,9 @@ N_MOMENTS = 7
 def _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, r):
     """F(r) for real r, matching the vectorized closed forms exactly.
 
-    Arguments past the exp overflow range return +inf (F(r) ~ e^{-r x0} for
-    very negative r) instead of letting math.exp raise: the solvers'
-    bracket-shrinking relies on a value coming back.
+    Arguments past the exp overflow range (-r x0 > 690, or a pair's
+    e^{(g_k - r) x0} overflowing) return +inf, as f >= 0, instead of letting
+    exp raise: the solvers' bracket-shrinking relies on a value coming back.
     """
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
@@ -75,7 +75,10 @@ def _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, r):
                           + wc ** 4 / 120.0 + wc ** 5 / 720.0 + wc ** 6 / 5040.0
                           + wc ** 7 / 40320.0 + wc ** 8 / 362880.0)
             else:
-                E = (cmath.exp(wc) - 1.0) / cc
+                try:
+                    E = (cmath.exp(wc) - 1.0) / cc
+                except OverflowError:
+                    return math.inf
             phi = (K[i] - E) / bb
         acc += coef[i] * phi.real
     return acc

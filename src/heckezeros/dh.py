@@ -161,22 +161,28 @@ def require_finite(**values):
 # ---------------------------------------------------------------------------
 
 def smoothed_h(case, f, b, phi=PHI):
-    """The case's monotone bracketing function, vectorized over x."""
+    """The case's monotone bracketing function, vectorized over x.
+
+    It uses only the array path of ``f.laplace``, never the solver's scalar
+    kernel, so the scan oracle that checks the solver stays independent.
+    """
     case = get_case(case) if isinstance(case, str) else case
     psi = case.psi_over_phi * phi
-    F0 = float(f.laplace(0.0).real)
+
+    def F(r):   # through a 1-d array even for a scalar r
+        return f.laplace(r.reshape(-1)).real.reshape(r.shape)
+    F0 = float(F(np.array(0.0)))
     f0 = f.content.f0
     if case.form == "sz":
         def h(x):
             x = np.asarray(x, dtype=float)
-            return (case.c1 * (f.laplace(-x).real - f.laplace(b - x).real)
-                    - F0 + psi * f0)
+            return case.c1 * (F(-x) - F(b - x)) - F0 + psi * f0
     else:
-        base = float(f.laplace(-b).real) - F0 + psi * f0
+        base = float(F(np.array(-b))) - F0 + psi * f0
 
         def h(x):
             x = np.asarray(x, dtype=float)
-            return base - f.laplace(x - b).real
+            return base - F(x - b)
     return h
 
 
@@ -201,12 +207,9 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
     psi = case.psi_over_phi * phi
     form = 0 if case.form == "sz" else 1
     code = f.kernel_code()
-    if code is not None:
-        def F(r):
-            return _kernels.f_real_scalar(*code, float(r))
-    else:
-        def F(r):
-            return float(f.laplace(float(r)).real)
+
+    def F(r):
+        return float(f.laplace(float(r)).real)
     F0 = F(0.0)
     f0 = f.content.f0
 
@@ -216,9 +219,11 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
         return F(-b) - F0 + psi * f0 - F(x - b)
 
     hi = float(hi)
-    # keep the bracket inside the overflow range of e^{x0 x}
+    # keep the 'sz' bracket inside the overflow range of e^{x0 x}: F(-hi) = inf
+    # makes h(hi) infinite (or NaN as inf - inf).  The 'cc' shape reads F at
+    # x - b >= -b only, where a smaller bracket cannot help
     for _ in range(60):
-        if hi <= 1.0 or math.isfinite(h(hi)):
+        if form == 1 or hi <= 1.0 or not math.isinf(F(-hi)):
             break
         hi = 0.5 * hi
     if code is not None:
@@ -226,6 +231,9 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
             code, form, float(case.c1), psi, float(b), 0.0, hi, iters)
     else:
         root, hlo, hhi = _kernels._bisect(h, 0.0, hi, iters)
+    if math.isnan(hlo) or math.isnan(hhi):
+        raise NoBoundError(
+            f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(

@@ -267,10 +267,10 @@ def maximize_bound(spec):
 SMOOTHED_PROFILES = ((0.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (0.5, 1.0))
 
 
-def _gen_family(alpha, s, c1=0.0, mult=0.0, grid=3):
+def _gen_family(alpha, s, c1=0.0, mult=0.0):
     beta = mult * math.pi / s if c1 else 0.0
     return trial_functions.autocorrelation(alpha=alpha, c0=1.0, c1=c1,
-                                           beta=beta, s=s, _grid=grid)
+                                           beta=beta, s=s)
 
 
 def optimize_family_smoothed(case, b, budget=400, seed_params=None, boxes=None,
@@ -306,7 +306,7 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, boxes=None,
     if best is None:
         return None
     _, point, c1, mult = best
-    f = _gen_family(point["alpha"], point["s"], c1, mult, grid=2001)
+    f = _gen_family(point["alpha"], point["s"], c1, mult)
     res = dh.solve_smoothed(case, f, b, phi=phi)
     res.params["profile_c1"] = c1
     res.params["profile_mult"] = mult
@@ -348,7 +348,7 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300, boxes=None):
     if best is None:
         return math.inf, {}
     _, point, c1, mult = best
-    f = _gen_family(point["alpha"], point["s"], c1, mult, grid=2001)
+    f = _gen_family(point["alpha"], point["s"], c1, mult)
     q = zero_density.ZdQuery(f, lam, b, vartheta, phi)
     return zero_density.n_lambda_int(q), {"alpha": point["alpha"], "s": point["s"],
                                           "c1": c1, "beta_mult": mult,

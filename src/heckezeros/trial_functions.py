@@ -19,10 +19,11 @@ families satisfy this:
 
 Closed forms switch to series near their removable singularities, where the
 direct expressions lose half their digits to cancellation; thresholds and
-term counts live in ``_kernels`` so the compiled scalar path stays in exact
-agreement with the vectorized one.
+term counts live in ``_kernels`` so the scalar kernel stays in agreement with
+the vectorized path here (autocorrelation to the bit, triangle to one ulp).
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -48,18 +49,33 @@ _INV_FACT2 = tuple(1.0 / math.factorial(m + 2) for m in range(9))
 _INV_FACT1 = tuple(1.0 / math.factorial(m + 1) for m in range(9))
 
 
+class _OnFirstAccess:
+    """``Content.B``: a zero-argument callable given for it runs on first access."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("B")       # so the dataclass field has no default
+        if callable(obj.__dict__["_B"]):
+            obj.__dict__["_B"] = obj.__dict__["_B"]()
+        return obj.__dict__["_B"]
+
+    def __set__(self, obj, value):
+        obj.__dict__["_B"] = value
+
+
 @dataclass(frozen=True)
 class Content:
     """Summary data (x0, M, B, f0) of a trial weight.
 
     x0 bounds the support, M = sup |f|, B = sup |f''| on (0, x0), f0 = f(0).
     ``remainder_constant`` is the constant A = 3 B x0 + 2 f0 / x0 controlling
-    the |F(z) - f(0)/z| <= A/|z|^2 remainder bound on Re z > 0.
+    the |F(z) - f(0)/z| <= A/|z|^2 remainder bound on Re z > 0.  B may be given
+    as a zero-argument callable, which runs on first access; its value is kept.
     """
 
     x0: float
     M: float
-    B: float
+    B: float = _OnFirstAccess()
     f0: float
 
     def __post_init__(self):
@@ -67,7 +83,7 @@ class Content:
             raise InvalidParameterError(f"support endpoint must be positive, got {self.x0}")
         if not (self.M >= self.f0 >= 0):
             raise InvalidParameterError(f"need M >= f0 >= 0, got M={self.M}, f0={self.f0}")
-        if self.B < 0:
+        if not callable(self.__dict__["_B"]) and self.B < 0:
             raise InvalidParameterError(f"second-derivative bound must be >= 0, got {self.B}")
 
     @property
@@ -79,9 +95,9 @@ class TrialFunction:
     """A trial weight with pointwise and Laplace-transform evaluators.
 
     Instances are immutable after construction; the evaluators are pure and
-    safe for concurrent use.  ``code`` is the flattened representation the
-    compiled solvers consume; plug-in families may pass ``code=None``, in
-    which case solvers fall back to the generic evaluator path.
+    safe for concurrent use.  ``code`` is the flattened family code the
+    scalar kernels in ``_kernels`` consume; plug-in families may pass
+    ``code=None``, in which case every transform goes through ``laplace_fn``.
     """
 
     __slots__ = ("family", "params", "content", "_eval", "_laplace", "_code")
@@ -99,7 +115,13 @@ class TrialFunction:
         return self._eval(np.asarray(t, dtype=float))
 
     def laplace(self, z):
-        """F(z); accepts real/complex scalars or arrays, entire in z."""
+        """F(z); accepts real/complex scalars or arrays, entire in z.
+
+        Real scalars (int, float, NumPy floating) of a weight with a code go
+        through the scalar kernel, which gives +inf past the exp overflow range.
+        """
+        if self._code is not None and isinstance(z, (int, float, np.floating)):
+            return complex(_kernels._f_real_scalar(*self._code, float(z)))
         return self._laplace(z)
 
     def kernel_code(self):
@@ -169,11 +191,13 @@ def _exp_moments_vec(a, s, nmax):
         for n in range(1, nmax + 1):
             out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
     if small.any():
+        # M_n = sum_m a^m/m! s^(n+m+1)/(n+m+1), every n at once, bit for bit
+        k = np.arange(1, nmax + 31, dtype=float)[:, None]
+        s_pow = np.array([s ** j for j in range(1, nmax + 31)])[:, None]
         series = np.zeros((nmax + 1, a.size), dtype=complex)
         term = np.ones(a.size, dtype=complex)
         for m in range(30):
-            for n in range(nmax + 1):
-                series[n] += term * s ** (n + m + 1) / (n + m + 1)
+            series += term * s_pow[m:m + nmax + 1] / k[m:m + nmax + 1]
             term *= a / (m + 1)
         out = np.where(small[None, :], series, out)
     return out
@@ -211,17 +235,7 @@ def _E_vec_a(x, a):
     return np.where(small, x * _phi1_series(w), direct)
 
 
-@dataclass(frozen=True)
-class _Pair:
-    coef: float
-    gj: complex
-    gk: complex
-    a: complex            # gj + gk, independent of z
-    K: complex            # int_0^s e^{a v} dv
-    M: tuple              # moments M_1 .. M_7 at a
-
-
-def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0, _grid=2001):
+def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     """Autocorrelation weight f(t) = int g(u) g(u+t) du of a truncated generator.
 
     g(u) = e^{alpha u} (c0 + c1 cos(beta u)) on [0, s].  The generator must be
@@ -244,7 +258,7 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0, _grid=2001):
 
     # c0 >= |c1| forces g >= 0 outright; otherwise check on a grid
     if c0 < abs(c1):
-        us = np.linspace(0.0, s, _grid)
+        us = np.linspace(0.0, s, 2001)
         g = np.exp(alpha * us) * (c0 + c1 * np.cos(beta * us))
         if g.min() < -1e-12 * max(1.0, float(np.abs(g).max())):
             raise InvalidGeneratorError(
@@ -260,14 +274,17 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0, _grid=2001):
     if not terms:
         raise InvalidGeneratorError("generator is identically zero")
 
-    combos = [(cj * ck, gjv, gkv) for cj, gjv in terms for ck, gkv in terms]
-    a_all = np.array([gjv + gkv for _, gjv, gkv in combos], dtype=complex)
+    # per (j, k) pair: c_j c_k, g_j, g_k, K_{jk} and M_1 .. M_7 at a = g_j + g_k
+    coef = np.array([cj * ck for cj, _ in terms for ck, _ in terms])
+    gj = np.array([gjv for _, gjv in terms for _ in terms])
+    gk = np.array([gkv for _ in terms for _, gkv in terms])
+    a_all = gj + gk
     moments = _exp_moments_vec(a_all, s, _N_MOM)
-    pairs = [_Pair(c, gjv, gkv, complex(a), complex(moments[0, i]),
-                   tuple(complex(moments[n, i]) for n in range(1, _N_MOM + 1)))
-             for i, ((c, gjv, gkv), a) in enumerate(zip(combos, a_all))]
+    K, M = moments[0], moments[1:].T
+    pairs = list(zip(coef.tolist(), gj.tolist(), gk.tolist(), a_all.tolist(),
+                     K.tolist(), M.tolist()))
 
-    f0 = float(sum(p.coef * p.K for p in pairs).real)
+    f0 = float(sum(c * k for c, k in zip(coef.tolist(), K.tolist())).real)
 
     def _eval(t):
         t = np.asarray(t, dtype=float)
@@ -276,8 +293,8 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0, _grid=2001):
         inside = (t >= 0) & (t < s)
         tc = np.where(inside, t, 0.0)
         acc = np.zeros(t.shape, dtype=complex)
-        for p in pairs:
-            acc += p.coef * np.exp(p.gk * tc) * _E_vec(s - tc, p.a)
+        for c, _, g_k, a, _, _ in pairs:
+            acc += c * np.exp(g_k * tc) * _E_vec(s - tc, a)
         out = np.where(inside, acc.real, 0.0)
         return float(out[0]) if scalar else out
 
@@ -286,45 +303,40 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0, _grid=2001):
         scalar = z.ndim == 0
         z = np.atleast_1d(z.astype(complex))
         acc = np.zeros(z.shape, dtype=complex)
-        for p in pairs:
-            b = p.gj + z
+        for c, g_j, g_k, _, k_jk, m_jk in pairs:
+            b = g_j + z
             small = np.abs(b) * s < _SMALL_W
             b_safe = np.where(small, 1.0, b)
             with np.errstate(over="ignore", invalid="ignore"):
-                exact = (p.K - _E_vec_a(s, p.gk - z)) / b_safe
+                exact = (k_jk - _E_vec_a(s, g_k - z)) / b_safe
             taylor = np.zeros_like(b)
             bp = np.ones_like(b)
             fact = 1.0
             for n in range(_N_MOM):
-                taylor += ((-1) ** n / fact) * bp * p.M[n]
+                taylor += ((-1) ** n / fact) * bp * m_jk[n]
                 bp *= b
                 fact *= n + 2.0
-            acc += p.coef * np.where(small, taylor, exact)
+            acc += c * np.where(small, taylor, exact)
         return complex(acc[0]) if scalar else acc
 
-    # sup |f''| from the exact second derivative on a grid (vectorized over
-    # pairs x points); 5% headroom keeps the remainder constant an upper
-    # bound despite gridding
-    coef = np.array([p.coef for p in pairs], dtype=np.float64)
-    gj = np.array([p.gj for p in pairs], dtype=np.complex128)
-    gk = np.array([p.gk for p in pairs], dtype=np.complex128)
-    K = np.array([p.K for p in pairs], dtype=np.complex128)
-    M = np.array([p.M for p in pairs], dtype=np.complex128).reshape(len(pairs), _N_MOM)
+    def sup_f2():
+        # sup |f''| from the exact second derivative on a grid (vectorized
+        # over pairs x points); 5% headroom keeps the remainder constant an
+        # upper bound despite gridding
+        ts = np.linspace(0.0, s, 2001, endpoint=False)
+        w = a_all[:, None] * (s - ts)[None, :]
+        small = np.abs(w) < _SMALL_W
+        a_safe = np.where(small, 1.0, np.broadcast_to(a_all[:, None], w.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            E2 = np.where(small, (s - ts)[None, :] * _phi1_series(w),
+                          (np.exp(w) - 1.0) / a_safe)
+            egk = np.exp(gk[:, None] * ts[None, :])
+            f2 = (coef[:, None] * (gk[:, None] ** 2 * egk * E2
+                                   + (a_all - 2.0 * gk)[:, None] * egk * np.exp(w))
+                  ).sum(axis=0)
+        return 1.05 * float(np.abs(f2.real).max())
 
-    ts = np.linspace(0.0, s, _grid, endpoint=False)
-    w = a_all[:, None] * (s - ts)[None, :]
-    small = np.abs(w) < _SMALL_W
-    a_safe = np.where(small, 1.0, np.broadcast_to(a_all[:, None], w.shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        E2 = np.where(small, (s - ts)[None, :] * _phi1_series(w),
-                      (np.exp(w) - 1.0) / a_safe)
-        egk = np.exp(gk[:, None] * ts[None, :])
-        f2 = (coef[:, None] * (gk[:, None] ** 2 * egk * E2
-                               + (a_all - 2.0 * gk)[:, None] * egk * np.exp(w))
-              ).sum(axis=0)
-    B = 1.05 * float(np.abs(f2.real).max())
-
-    content = Content(x0=s, M=f0, B=B, f0=f0)
+    content = Content(x0=s, M=f0, B=sup_f2, f0=f0)
     params = {"alpha": alpha, "c0": c0, "c1": c1, "beta": beta, "s": s}
 
     code = (_kernels.KIND_AUTOCORR, s, f0, math.nan, coef, gj, gk, K, M)
@@ -343,6 +355,10 @@ def build_family(name, **params):
     except KeyError:
         raise InvalidParameterError(
             f"unknown family {name!r}; available: {sorted(FAMILY_BUILDERS)}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise InvalidParameterError(f"family {name!r}: {exc}") from None
     return builder(**params)
 
 

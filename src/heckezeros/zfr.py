@@ -212,7 +212,6 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI, iters=200):
     const = 14379.0 * F_star + 62174.0 * phi * f.content.f0
 
     def h(x):
-        x = np.asarray(x, dtype=float)
         return float(const - 24480.0 * f.laplace(x - lam_star).real)
 
     root, hlo, hhi = _kernels._bisect(h, 0.0, lam_star, iters)

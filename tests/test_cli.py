@@ -33,6 +33,14 @@ class TestZfr:
         assert code == 0
         assert "0.148882" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--params", "bogus=1"]])
+    def test_order_ge6_bad_family_params(self, capsys, extra):
+        code, out, err = run(["zfr", "--case", "order-ge6", *extra], capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("InvalidParameterError: family 'triangle'")
+
     def test_missing_lambda_is_computation_error(self, capsys):
         code, _, err = run(["zfr", "--case", "order234"], capsys)
         assert code == 1

@@ -95,6 +95,17 @@ class TestSolveSmoothed:
         with pytest.raises(InvalidParameterError, match=arg):
             dh.solve_smoothed("sz-lp-principal", tf.triangle(1.5), **kwargs)
 
+    def test_nan_transform_is_reported_as_nan(self):
+        # a NaN is the weight's fault, not an overflow: no bracket halving and
+        # no "degenerate" sign
+        f = tf.triangle(1.5)
+        broken = tf.TrialFunction("plugin", {}, f.content, f,
+                                  lambda z: np.full(np.shape(z), np.nan) + 0j)
+        with pytest.raises(NoBoundError, match="NaN") as err:
+            dh.solve_smoothed("sz-lp-principal", broken, 0.05)
+        assert err.value.sign is None
+        assert "[0, 60.0]" in str(err.value)
+
     def test_wide_support_does_not_overflow(self):
         # e^{x0 hi} overflows at the default bracket end; the solver shrinks it
         res = dh.solve_smoothed("sz-lp-quadratic", tf.triangle(14.0), 0.01)

@@ -12,15 +12,43 @@ def test_backend_reports():
     assert _kernels.backend() == "numpy"
 
 
+def _real_points(f):
+    """A grid, 0, both sides of each series switch, and moderate negatives."""
+    code = f.kernel_code()
+    edge = _kernels.SMALL_W / code[1]
+    pts = list(np.linspace(-8.0, 8.0, 161)) + [0.0, -0.25, -3.0, -20.0 / code[1]]
+    pts += [c * (1.0 + d) for c in (edge, -edge) for d in (-1e-6, 1e-6)]
+    # the pair series switch at |g_j + r| x0 = 1e-2, the E series at |g_k - r| x0 = 1e-2
+    for centre in [-g.real for g in code[5]] + [g.real for g in code[6]]:
+        pts += [centre + d * edge for d in (0.0, -0.5, 0.5, -0.999, 0.999, -1.001, 1.001, -3.0, 3.0)]
+    return pts
+
+
 def test_scalar_transform_matches_vectorized_path():
-    fams = [tf.triangle(2.0),
-            tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)]
-    rs = np.linspace(-8.0, 8.0, 161)
+    # the autocorrelation kernel repeats the array path's arithmetic exactly;
+    # the triangle's series is summed in another order, so one ulp may differ
+    fams = [tf.triangle(2.0), tf.triangle(0.7), tf.triangle(14.0),
+            tf.autocorrelation(alpha=0.5, s=1.0),
+            tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5),
+            tf.autocorrelation(alpha=-0.3, c0=0.0, c1=1.0, beta=0.5, s=3.0),
+            tf.autocorrelation(alpha=1.5, c0=1.0, c1=1.0, beta=0.3, s=9.0)]
     for f in fams:
-        code = f.kernel_code()
-        scalar = np.array([_kernels.f_real_scalar(*code, float(r)) for r in rs])
-        vector = f.laplace(rs).real
-        assert np.abs(scalar - vector).max() <= 1e-12 * (1 + np.abs(vector).max())
+        rs = _real_points(f)
+        vector = f.laplace(np.array(rs)).real
+        for r, v in zip(rs, vector):
+            for scalar in (_kernels.f_real_scalar(*f.kernel_code(), float(r)), f.laplace(r)):
+                assert complex(scalar).imag == 0.0
+                if f.family == "autocorrelation":
+                    assert complex(scalar).real == v, (f, r)
+                else:
+                    assert abs(complex(scalar).real - v) <= np.spacing(abs(v)), (f, r)
+
+
+def test_overflowing_pair_gives_plus_infinity():
+    # (alpha - r) s = 760 overflows e^{(g_k - r) x0} while -r x0 = 680 <= 690
+    f = tf.autocorrelation(alpha=4.0, s=20.0)
+    assert _kernels.f_real_scalar(*f.kernel_code(), -34.0) == math.inf
+    assert f.laplace(-34.0) == complex(math.inf, 0.0)
 
 
 def test_grid_kernel_matches_numpy_implementation():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from heckezeros import dh, optimizer, tables
+from heckezeros import dh, optimizer, tables, trial_functions
 from heckezeros.errors import InfeasibleSearchError
 from heckezeros.optimizer import SearchSpec, maximize_bound
 
@@ -85,3 +85,33 @@ class TestZdSearch:
         n, params = optimizer.optimize_zd(0.9, 0.0, budget=120)
         assert math.isinf(n)
         assert params == {}
+
+
+def test_density_search_uses_only_the_scalar_kernel(monkeypatch):
+    """The density objective needs F at two real points and f(0): no array
+    transform and no sup |f''| scan may run, not even for the final weight."""
+    counts = {"builds": 0, "array": 0, "scan": 0}
+    build = trial_functions.autocorrelation
+
+    def counted(**params):
+        f = build(**params)
+        array_laplace, scan = f._laplace, f.content._B
+
+        def laplace(z):
+            counts["array"] += 1
+            return array_laplace(z)
+
+        def sup_f2():
+            counts["scan"] += 1
+            return scan()
+
+        f._laplace = laplace
+        object.__setattr__(f.content, "_B", sup_f2)
+        counts["builds"] += 1
+        return f
+
+    monkeypatch.setattr(trial_functions, "autocorrelation", counted)
+    n, params = optimizer.optimize_zd(0.2, 0.0, budget=60)
+    assert n == 4 and params["bound"] == pytest.approx(4.6257, abs=1e-4)
+    assert counts["builds"] > 60
+    assert counts["array"] == counts["scan"] == 0

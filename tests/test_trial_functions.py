@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezeros import oracles, trial_functions as tf
+from heckezeros import _kernels, oracles, trial_functions as tf, verify
 from heckezeros.errors import DomainError, InvalidGeneratorError, InvalidParameterError
 
 E = math.e
@@ -48,6 +48,10 @@ class TestTriangle:
         c = tf.triangle(2.0).content
         assert (c.x0, c.M, c.B, c.f0) == (2.0, 2.0, 0.0, 2.0)
         assert c.remainder_constant == pytest.approx(2.0)
+        assert c == tf.Content(x0=2.0, M=2.0, B=0.0, f0=2.0)
+        assert c != tf.Content(x0=2.0, M=2.0, B=0.5, f0=2.0)
+        with pytest.raises(InvalidParameterError):
+            tf.Content(x0=2.0, M=2.0, B=-0.1, f0=2.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_support(self, bad):
@@ -104,6 +108,90 @@ class TestAutocorrelation:
     def test_zero_generator_rejected(self):
         with pytest.raises(InvalidGeneratorError):
             tf.autocorrelation(alpha=0.0, c0=0.0, c1=0.0, beta=0.0, s=1.0)
+
+    # (B, remainder constant) of verify's sample families: the values of the
+    # 2001-point sup |f''| scan, whenever it runs
+    @pytest.mark.parametrize("index,B,A", [
+        (0, 0.0, 2.0), (1, 0.0, 2.0), (2, 0.0, 2.0),
+        (3, 0.45104897997049936, 4.789710596829588),
+        (4, 1.9939642595236442, 16.013713769277825),
+        (5, 0.23110886568574251, 2.7205442427788675),
+    ])
+    def test_lazy_content_values_pinned(self, index, B, A):
+        c = verify._sample_families()[index].content
+        assert (c.B, c.remainder_constant) == (B, A)
+
+    def test_lazy_b_computed_once_on_first_access(self):
+        calls = []
+        c = tf.Content(x0=1.0, M=1.0, B=lambda: calls.append(1) or 0.25, f0=1.0)
+        assert calls == []
+        assert c.B == c.B == 0.25 and calls == [1]
+        assert c == tf.Content(x0=1.0, M=1.0, B=0.25, f0=1.0)
+        assert repr(c) == "Content(x0=1.0, M=1.0, B=0.25, f0=1.0)"
+
+
+def _moments_loop(a, s, nmax):
+    """The element-by-element small-|a s| moment series, kept as the reference."""
+    a = np.asarray(a, dtype=complex)
+    series = np.zeros((nmax + 1, a.size), dtype=complex)
+    term = np.ones(a.size, dtype=complex)
+    for m in range(30):
+        for n in range(nmax + 1):
+            series[n] += term * s ** (n + m + 1) / (n + m + 1)
+        term *= a / (m + 1)
+    return series
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_moment_series_matches_element_loop(seed):
+    rng = np.random.default_rng(seed)
+    size = (1, 4, 9, 17, 2, 33)[seed]
+    s = float(rng.uniform(0.2, 40.0))
+    scale = 0.7 * _kernels.SMALL_W / s     # |a s| < SMALL_W: every entry on the series
+    a = scale * (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+    a[::3] = a[::3].real        # pure reals
+    a[::4] = 0.0
+    got = tf._exp_moments_vec(a, s, _kernels.N_MOMENTS)
+    assert np.array_equal(got, _moments_loop(a, s, _kernels.N_MOMENTS))
+
+
+class TestScalarRoute:
+    F = tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
+
+    def test_real_scalars_take_the_kernel(self, monkeypatch):
+        kernel, seen = _kernels._f_real_scalar, []
+        monkeypatch.setattr(_kernels, "_f_real_scalar",
+                            lambda *args: seen.append(args[-1]) or kernel(*args))
+        for z in (0, -1, 0.5, np.float64(-0.25), np.float32(0.75)):
+            v = self.F.laplace(z)
+            assert type(v) is complex and v.imag == 0.0
+            assert v == self.F.laplace(np.array([z], dtype=float))[0].real
+        assert seen == [0.0, -1.0, 0.5, -0.25, 0.75]
+        for z in (0.5 + 0j, np.complex128(0.5), np.array(0.5), np.array([0.5])):
+            self.F.laplace(z)
+        assert len(seen) == 5
+
+    def test_plugin_without_code_uses_its_own_laplace(self):
+        clone = tf.TrialFunction("custom", {}, self.F.content, self.F,
+                                 lambda z: complex(42.0, 1.0))
+        assert clone.laplace(0.5) == complex(42.0, 1.0)
+        assert clone.laplace(np.float64(-1.0)) == complex(42.0, 1.0)
+
+
+class TestBuildFamily:
+    def test_builds_with_valid_keys(self):
+        assert tf.build_family("triangle", x0=2.0).content.x0 == 2.0
+
+    @pytest.mark.parametrize("name,params,words", [
+        ("triangle", {}, ["missing", "x0"]),
+        ("triangle", {"x0": 2.0, "bogus": 1.0}, ["unexpected", "bogus"]),
+        ("autocorrelation", {"alpha": 0.1, "x0": 1.0}, ["unexpected", "x0"]),
+        ("nope", {}, ["unknown family"]),
+    ])
+    def test_bad_keys_name_the_problem(self, name, params, words):
+        with pytest.raises(InvalidParameterError) as err:
+            tf.build_family(name, **params)
+        assert all(w in str(err.value) for w in words)
 
 
 class TestConditionTwo:
