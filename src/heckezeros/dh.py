@@ -186,7 +186,7 @@ def smoothed_h(case, f, b, phi=PHI):
     return h
 
 
-def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
+def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     """Root of the smoothed repulsion function; the bound is root - epsilon.
 
     Brackets on [0, hi]: h is increasing on the whole line, and near the ends
@@ -213,10 +213,14 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
     F0 = F(0.0)
     f0 = f.content.f0
 
-    def h(x):
-        if form == 0:
+    if form == 0:
+        def h(x):
             return case.c1 * (F(-x) - F(b - x)) - F0 + psi * f0
-        return F(-b) - F0 + psi * f0 - F(x - b)
+    else:
+        base = F(-b) - F0 + psi * f0
+
+        def h(x):
+            return base - F(x - b)
 
     hi = float(hi)
     # keep the 'sz' bracket inside the overflow range of e^{x0 x}: F(-hi) = inf
@@ -228,9 +232,9 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
         hi = 0.5 * hi
     if code is not None:
         root, hlo, hhi = _kernels.smoothed_root(
-            code, form, float(case.c1), psi, float(b), 0.0, hi, iters)
+            code, form, float(case.c1), psi, float(b), 0.0, hi)
     else:
-        root, hlo, hhi = _kernels._bisect(h, 0.0, hi, iters)
+        root, hlo, hhi = _kernels._bisect(h, 0.0, hi)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")
@@ -244,8 +248,10 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, iters=200):
     # residual is measured relative to the evaluated transform terms: at tiny
     # widths they reach e^{x0 x} ~ 1e10 and an absolute figure would only
     # report float cancellation noise, not root quality
-    scale = 1.0 + abs(F(-root)) + abs(F(b - root))
-    residual = abs(h(root)) / scale
+    F_neg, F_b = F(-root), F(b - root)
+    scale = 1.0 + abs(F_neg) + abs(F_b)
+    h_root = case.c1 * (F_neg - F_b) - F0 + psi * f0 if form == 0 else h(root)
+    residual = abs(h_root) / scale
     params = {"family": f.family, **f.params}
     return BoundResult(case.name, float(b), float(root), params, True, residual,
                        root=float(root))
@@ -331,7 +337,7 @@ def side_limit(case, b, lam, J, x_cap=1e6):
     return min(lim, x_cap)
 
 
-def solve_poly(case, b, lam, J, phi=PHI, hi=1e3, iters=200):
+def solve_poly(case, b, lam, J, phi=PHI, hi=1e3):
     """Quartic-method repulsion bound with side-condition enforcement.
 
     The returned lambda* is min(equation root, side-condition limit), which
@@ -352,7 +358,7 @@ def solve_poly(case, b, lam, J, phi=PHI, hi=1e3, iters=200):
     psi = case.psi_over_phi * phi
     slot = 0 if case.unknown_slot == "known-on-square" else 1
     root, hlo, hhi = _kernels.poly_root(slot, float(lam), float(J), float(b),
-                                        psi, 0.0, float(hi), iters)
+                                        psi, 0.0, float(hi))
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(

@@ -285,6 +285,10 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
                      K.tolist(), M.tolist()))
 
     f0 = float(sum(c * k for c, k in zip(coef.tolist(), K.tolist())).real)
+    if not math.isfinite(f0):
+        raise InvalidParameterError(
+            f"f(0) = int g^2 overflows for the generator alpha={alpha}, s={s}"
+            f" (got {f0})")
 
     def _eval(t):
         t = np.asarray(t, dtype=float)

@@ -149,7 +149,7 @@ def side_condition_limit(case, lam):
     return lam * (ratio ** 0.25 - 1.0)
 
 
-def zfr_solve(case, lam, phi=PHI, hi=10.0, iters=200):
+def zfr_solve(case, lam, phi=PHI, hi=10.0):
     """Zero-free-region width for a chosen lambda.
 
     Returns the smaller of the inequality root and the side-condition limit:
@@ -164,7 +164,7 @@ def zfr_solve(case, lam, phi=PHI, hi=10.0, iters=200):
         raise InvalidParameterError(f"lambda must be positive, got {lam}")
     c0, c1 = case.coeffs[0], case.coeffs[1]
     root, hlo, hhi = _kernels.zfr_root(float(c0), float(c1), float(case.B),
-                                       float(lam), float(phi), 0.0, float(hi), iters)
+                                       float(lam), float(phi), 0.0, float(hi))
     if math.isnan(root):
         if hlo > 0:
             raise NoBoundError(
@@ -200,7 +200,7 @@ def zfr_order5(phi=PHI):
     return cos_bound(theta, 2.0 * B_over_c0 * phi)
 
 
-def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI, iters=200):
+def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
     """Width for order >= 6 via the smoothed inequality, substitute weight.
 
     Solves 14379 F(-lam_star) - 24480 F(x - lam_star) + 62174 phi f(0) = 0
@@ -214,7 +214,7 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI, iters=200):
     def h(x):
         return float(const - 24480.0 * f.laplace(x - lam_star).real)
 
-    root, hlo, hhi = _kernels._bisect(h, 0.0, lam_star, iters)
+    root, hlo, hhi = _kernels._bisect(h, 0.0, lam_star)
     if hlo > 0:
         raise NoBoundError(
             f"order>=6 inequality already positive at width 0 for {f!r}", sign="positive")

@@ -1,11 +1,13 @@
-"""Scalar kernels against the vectorized reference paths, and the bisection contract."""
+"""Scalar kernels against the vectorized reference paths, and the root solver's
+contract and agreement with plain bisection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from heckezeros import _kernels, dh, p4, trial_functions as tf, zfr
+from heckezeros import _kernels, dh, p4, tables, trial_functions as tf, zfr
+from heckezeros.errors import NoBoundError
 
 
 def test_backend_reports():
@@ -75,21 +77,21 @@ _ORDER234 = zfr.CASES["order234"]
 ROOT_KERNELS = {
     "smoothed_root": (
         lambda phi, lo, hi: _kernels.smoothed_root(
-            _TRIANGLE.kernel_code(), 0, 2.0, 4.0 * phi, 0.01, lo, hi, 200),
+            _TRIANGLE.kernel_code(), 0, 2.0, 4.0 * phi, 0.01, lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "plugin": (
         lambda phi, lo, hi: _kernels._bisect(
             lambda x: float(dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01, phi)(x)),
-            lo, hi, 200),
+            lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "poly_root": (
         lambda phi, lo, hi: _kernels.poly_root(1, 1.097, 0.7788, 0.1227, 2.0 * phi,
-                                               lo, hi, 200),
+                                               lo, hi),
         dh.poly_h("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788)),
     "zfr_root": (
         lambda phi, lo, hi: _kernels.zfr_root(
             float(_ORDER234.coeffs[0]), float(_ORDER234.coeffs[1]), float(_ORDER234.B),
-            0.9421, phi, lo, hi, 200),
+            0.9421, phi, lo, hi),
         zfr.zfr_h("order234", 0.9421)),
 }
 
@@ -108,3 +110,163 @@ def test_bisection_contract(name):
     assert hhi2 == pytest.approx(float(h(hi)), rel=1e-9)
     # a NaN endpoint value is not a sign change
     assert math.isnan(solve(math.nan, 0.0, 10.0)[0])
+
+
+def _reference_bisect(h, lo, hi):
+    """The plain bisection the ITP solver replaced, kept as the reference."""
+    hlo = h(lo)
+    hhi = h(hi)
+    if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
+        return math.nan, hlo, hhi
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if h(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), hlo, hhi
+
+
+class _Counted:
+    """A root solver that counts the evaluations of h it makes."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.evals = 0
+
+    def __call__(self, h, lo, hi):
+        def counted(x):
+            self.evals += 1
+            return h(x)
+        return self.solver(counted, lo, hi)
+
+
+def _step(x):
+    return -1.0 if x < 0.3 else (x > 0.6) * 1.0
+
+
+@pytest.mark.parametrize("h,lo,want", [
+    (lambda x: 0.0, 0.0, 0.0),        # zero everywhere: lo, as bisection gave
+    (_step, 0.4, 0.4),                # zero at lo
+    (lambda x: x - 0.25, 0.0, 0.25),  # an exact zero inside
+])
+def test_exact_zeros_of_h(h, lo, want):
+    # h = 0 on the whole bracket is the b = 0 degenerate case of a weight with
+    # F(0) = psi f(0), e.g. sz-lp-quadratic with autocorrelation(alpha=0, s=2)
+    root, hlo, hhi = _kernels._bisect(h, lo, 1.0)
+    assert root == want and (hlo, hhi) == (h(lo), h(1.0))
+    assert _step(_kernels._bisect(_step, 0.0, 1.0)[0]) == 0.0
+
+
+# the smoothed set: the triangle and verify's two cosine-modulated weights, the
+# search's plain starting weight, and the T2:principal search optimum at b=1e-5
+SMOOTHED_WEIGHTS = (
+    tf.triangle(2.5),
+    tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5),
+    tf.autocorrelation(alpha=-0.3, c0=0.0, c1=1.0, beta=0.5, s=3.0),
+    tf.autocorrelation(alpha=0.0, s=2.0),
+    tf.autocorrelation(alpha=0.5552, c0=1.0, c1=1.0, beta=1.309, s=1.2),
+)
+SMOOTHED_WIDTHS = (0.0, 1e-6, 1e-5, 1e-3, 0.05, 0.2, 0.4)
+
+
+def _solve_smoothed_set(solver):
+    """Roots (or NoBoundError signs) over the smoothed set, and h evaluations."""
+    counted = _Counted(solver)
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_bisect", counted)
+        for case in dh.SMOOTHED_CASES:
+            for i, f in enumerate(SMOOTHED_WEIGHTS):
+                for b in SMOOTHED_WIDTHS:
+                    try:
+                        out[case, i, b] = dh.solve_smoothed(case, f, b).root
+                    except NoBoundError as exc:
+                        out[case, i, b] = exc.sign
+    return out, counted.evals
+
+
+@pytest.fixture(scope="module")
+def smoothed_runs():
+    return {"itp": _solve_smoothed_set(_kernels._bisect),
+            "reference": _solve_smoothed_set(_reference_bisect)}
+
+
+def test_smoothed_roots_agree_with_bisection(smoothed_runs):
+    itp, _ = smoothed_runs["itp"]
+    ref, _ = smoothed_runs["reference"]
+    assert itp.keys() == ref.keys()
+    assert sum(isinstance(v, float) for v in ref.values()) >= 150
+    for key, want in ref.items():
+        got = itp[key]
+        if isinstance(want, str):
+            assert got == want, key
+            continue
+        # h is flat near the root at tiny widths: float noise moves the root
+        tol = 1e-9 if key[2] <= 1e-5 else 1e-12
+        assert abs(got - want) <= tol * max(1.0, abs(want)), key
+
+
+def test_flat_principal_case_pinned():
+    # sz-lp-principal at b = 1e-6: h is flat around the root, where the
+    # interpolating solver and bisection land on different float-noise zeros
+    f = SMOOTHED_WEIGHTS[4]
+    got = dh.solve_smoothed("sz-lp-principal", f, 1e-6).root
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_bisect", _reference_bisect)
+        want = dh.solve_smoothed("sz-lp-principal", f, 1e-6).root
+    assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+
+POLY_KEYS = ("T3:quadratic", "T3:principal", "T4", "T5", "T9", "T10")
+
+
+def _quartic_problems():
+    """(solve() -> root, independent h in x, hi) for every bundled poly row
+    and the zero-free-region roots at ten lambdas and three phis."""
+    out = []
+    for key in POLY_KEYS:
+        t = tables.load_table(key)
+        for r in t.rows:
+            out.append((lambda c=t.case_name, r=r: dh.solve_poly(c, r.b, r.lam, r.J).root,
+                        dh.poly_h(t.case_name, r.b, r.lam, r.J), 1e3))
+    for case in ("order234", "principal"):
+        for lam in np.linspace(0.3, 2.55, 10):
+            for phi in (0.2, 0.25, 0.3):
+                out.append((lambda c=case, lam=lam, phi=phi: zfr.zfr_solve(c, lam, phi).root,
+                            zfr.zfr_h(case, lam, phi), 10.0))
+    return out
+
+
+def test_quartic_roots_agree_with_bisection():
+    problems = _quartic_problems()
+    assert len(problems) == 221 + 60
+    solved = 0
+    for solve, h, hi in problems:
+        want = _reference_bisect(lambda x: float(h(x)), 0.0, hi)[0]
+        try:
+            got = solve()
+        except NoBoundError:
+            assert math.isnan(want)
+            continue
+        assert abs(got - want) <= 2e-15 * max(1.0, abs(want)), (got, want)
+        solved += 1
+    assert solved >= 221 + 30
+
+
+def test_itp_evaluates_h_far_less_than_bisection(smoothed_runs, monkeypatch):
+    # evaluation counts, so the guard does not depend on the machine
+    assert smoothed_runs["itp"][1] <= 0.60 * smoothed_runs["reference"][1]
+    itp = _Counted(_kernels._bisect)
+    monkeypatch.setattr(_kernels, "_bisect", itp)
+    reference = _Counted(_reference_bisect)
+    for key in POLY_KEYS:
+        t = tables.load_table(key)
+        for r in t.rows:
+            dh.solve_poly(t.case_name, r.b, r.lam, r.J)
+            reference(lambda x, h=dh.poly_h(t.case_name, r.b, r.lam, r.J): float(h(x)),
+                      0.0, 1e3)
+    assert itp.evals <= 0.25 * reference.evals

@@ -109,6 +109,12 @@ class TestAutocorrelation:
         with pytest.raises(InvalidGeneratorError):
             tf.autocorrelation(alpha=0.0, c0=0.0, c1=0.0, beta=0.0, s=1.0)
 
+    @pytest.mark.parametrize("alpha", [20.0, 9.0])
+    def test_overflowing_generator_is_named(self, alpha):
+        # e^{2 alpha s} overflows, so f(0) = int g^2 is not finite
+        with pytest.raises(InvalidParameterError, match=f"alpha={alpha}, s=40.0"):
+            tf.autocorrelation(alpha=alpha, s=40.0)
+
     # (B, remainder constant) of verify's sample families: the values of the
     # 2001-point sup |f''| scan, whenever it runs
     @pytest.mark.parametrize("index,B,A", [
