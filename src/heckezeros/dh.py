@@ -26,6 +26,7 @@ regime (conductor-discriminant quantity sufficiently large); the solvers
 report the exact root, and the asserted bound is root - epsilon.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -196,7 +197,9 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     repulsion is provable with this weight, staying negative means the
     inequality degenerates (possible for the 'cc' shape when
     F(-b) - F(0) + psi f(0) <= 0, a regime the source lemmas do not address);
-    both raise NoBoundError with the sign recorded.
+    both raise NoBoundError with the sign recorded.  An h that is 0 at both
+    ends (the 'sz' shape at b = 0 when F(0) = psi f(0)) bounds nothing either
+    and raises NoBoundError with sign None.
     """
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "smoothed":
@@ -207,20 +210,12 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     psi = case.psi_over_phi * phi
     form = 0 if case.form == "sz" else 1
     code = f.kernel_code()
-
-    def F(r):
-        return float(f.laplace(float(r)).real)
-    F0 = F(0.0)
-    f0 = f.content.f0
-
-    if form == 0:
-        def h(x):
-            return case.c1 * (F(-x) - F(b - x)) - F0 + psi * f0
+    if code is not None:
+        F = functools.partial(_kernels._f_real_scalar, *code)
     else:
-        base = F(-b) - F0 + psi * f0
-
-        def h(x):
-            return base - F(x - b)
+        def F(r):
+            return float(f.laplace(r).real)
+    f0 = f.content.f0
 
     hi = float(hi)
     # keep the 'sz' bracket inside the overflow range of e^{x0 x}: F(-hi) = inf
@@ -230,14 +225,15 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
         if form == 1 or hi <= 1.0 or not math.isinf(F(-hi)):
             break
         hi = 0.5 * hi
-    if code is not None:
-        root, hlo, hhi = _kernels.smoothed_root(
-            code, form, float(case.c1), psi, float(b), 0.0, hi)
-    else:
-        root, hlo, hhi = _kernels._bisect(h, 0.0, hi)
+    root, hlo, hhi = _kernels.smoothed_root(
+        F, form, float(case.c1), psi, float(b), f0, 0.0, hi)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")
+    if hlo == 0.0 and hhi == 0.0:
+        raise NoBoundError(
+            f"{case.name}: h is 0 at both ends of [0, {hi}] for {f!r}"
+            " (degenerate / unbounded, flagged for review)")
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(
@@ -248,9 +244,12 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     # residual is measured relative to the evaluated transform terms: at tiny
     # widths they reach e^{x0 x} ~ 1e10 and an absolute figure would only
     # report float cancellation noise, not root quality
-    F_neg, F_b = F(-root), F(b - root)
+    F0, F_neg, F_b = F(0.0), F(-root), F(b - root)
     scale = 1.0 + abs(F_neg) + abs(F_b)
-    h_root = case.c1 * (F_neg - F_b) - F0 + psi * f0 if form == 0 else h(root)
+    if form == 0:
+        h_root = case.c1 * (F_neg - F_b) - F0 + psi * f0
+    else:
+        h_root = F(-b) - F0 + psi * f0 - F(root - b)
     residual = abs(h_root) / scale
     params = {"family": f.family, **f.params}
     return BoundResult(case.name, float(b), float(root), params, True, residual,
@@ -284,7 +283,7 @@ def poly_h(case, b, lam, J, phi=PHI):
         x = np.asarray(x, dtype=float)
         u1 = lam / (lam + (b if slot == 0 else x))
         u2 = lam / (lam + (x if slot == 0 else b))
-        p4 = lambda u: u * (1.0 + u * (1.0 + u * (0.8 + 0.4 * u)))
+        p4 = _kernels._p4
         return ((J * J + 0.5) * (3.2 - p4(u1)) - 2.0 * J * p4(u2)
                 + psi * (J + 1.0) ** 2 * lam)
     return h

@@ -53,6 +53,11 @@ def equality_report(check, deviations, locations, tolerance):
                         bool(deviations[i] <= tolerance))
 
 
+def _simpson(vals, h):
+    """Composite Simpson rule over an odd number of equally spaced values."""
+    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
+
+
 def quadrature_laplace(f, z, abs_tol=1e-13, max_level=15):
     """F(z) by composite Simpson on [0, x0], refined dyadically.
 
@@ -68,9 +73,7 @@ def quadrature_laplace(f, z, abs_tol=1e-13, max_level=15):
 
     def simpson(n):
         ts = np.linspace(0.0, x0, 2 * n + 1)
-        vals = f(ts) * np.exp(-z * ts)
-        h = x0 / (2 * n)
-        return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
+        return _simpson(f(ts) * np.exp(-z * ts), x0 / (2 * n))
 
     prev = simpson(1)
     for level in range(1, max_level + 1):
@@ -84,11 +87,7 @@ def quadrature_laplace(f, z, abs_tol=1e-13, max_level=15):
 
 def simpson_selftest():
     """Composite Simpson is exact for cubics; check int_0^1 t^3 dt = 1/4."""
-    ts = np.linspace(0.0, 1.0, 9)
-    vals = ts ** 3
-    h = 1.0 / 8.0
-    s = h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
-    return abs(s - 0.25)
+    return abs(_simpson(np.linspace(0.0, 1.0, 9) ** 3, 1.0 / 8.0) - 0.25)
 
 
 def scan_root(h, lo, hi, step, refine_tol=1e-12, coarse=None):

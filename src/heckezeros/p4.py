@@ -21,9 +21,8 @@ from .errors import DomainError, InvalidParameterError
 P4_COEFFS = (1.0, 1.0, 0.8, 0.4)
 
 
-def p4_eval(x):
-    """Evaluate the quartic at a real or complex point (or array)."""
-    return x * (1.0 + x * (1.0 + x * (0.8 + 0.4 * x)))
+#: The quartic at a real or complex point (or array), shared with the kernels.
+p4_eval = _kernels._p4
 
 
 def re_p4_identity(a, b, t):

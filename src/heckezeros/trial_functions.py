@@ -17,12 +17,14 @@ families satisfy this:
   ``TrialFunction`` constructor doubles as a plug-in point for adding such
   families later without touching the solvers.
 
-Closed forms switch to series near their removable singularities, where the
-direct expressions lose half their digits to cancellation; thresholds and
-term counts live in ``_kernels`` so the scalar kernel stays in agreement with
-the vectorized path here (autocorrelation to the bit, triangle to one ulp).
+Each built-in weight carries a family code, and its transform is evaluated
+by ``_kernels`` from that code alone: real scalars by ``f_real_scalar``,
+complex or array arguments by ``f_array`` (they agree, autocorrelation to the
+bit, triangle to one ulp).  ``_kernels.E`` also serves the weight f(t) and
+its second derivative here.
 """
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -33,7 +35,6 @@ from . import _kernels
 from .errors import DomainError, InvalidGeneratorError, InvalidParameterError
 
 _SMALL_W = _kernels.SMALL_W
-_N_MOM = _kernels.N_MOMENTS
 
 #: (k, theta) data pairs of the externally defined cosine-type weights used by
 #: the fixed-ratio bounds.  The defining relation theta(k) is not derivable
@@ -43,10 +44,6 @@ K_FAMILY_PAIRS = (
     (1.5, 1.2729),
     (24480.0 / 14379.0, 1.1580),
 )
-
-# 1/(m+2)! for m = 0..8: series of (w - 1 + e^{-w})/w^2 and of (e^w - 1)/w
-_INV_FACT2 = tuple(1.0 / math.factorial(m + 2) for m in range(9))
-_INV_FACT1 = tuple(1.0 / math.factorial(m + 1) for m in range(9))
 
 
 class _OnFirstAccess:
@@ -96,7 +93,7 @@ class TrialFunction:
 
     Instances are immutable after construction; the evaluators are pure and
     safe for concurrent use.  ``code`` is the flattened family code the
-    scalar kernels in ``_kernels`` consume; plug-in families may pass
+    kernels in ``_kernels`` consume; plug-in families may pass
     ``code=None``, in which case every transform goes through ``laplace_fn``.
     """
 
@@ -151,27 +148,10 @@ def triangle(x0):
         out = np.where((t >= 0) & (t < x0), x0 - t, 0.0)
         return out if out.ndim else float(out)
 
-    def _laplace(z):
-        z = np.asarray(z)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z.astype(complex))
-        w = x0 * z
-        small = np.abs(w) < _SMALL_W
-        zs = np.where(small, 1.0, z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = (w - 1.0 + np.exp(-w)) / (zs * zs)
-        series = np.zeros_like(w)
-        wp = np.ones_like(w)
-        for m in range(9):
-            series += ((-1) ** m * _INV_FACT2[m]) * wp
-            wp *= w
-        series *= x0 * x0
-        out = np.where(small, series, direct)
-        return complex(out[0]) if scalar else out
-
     content = Content(x0=x0, M=x0, B=0.0, f0=x0)
-    return TrialFunction("triangle", {"x0": x0}, content, _eval, _laplace,
-                         code=_kernels.triangle_code(x0))
+    code = _kernels.triangle_code(x0)
+    return TrialFunction("triangle", {"x0": x0}, content, _eval,
+                         functools.partial(_kernels.f_array, code), code=code)
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +181,6 @@ def _exp_moments_vec(a, s, nmax):
             term *= a / (m + 1)
         out = np.where(small[None, :], series, out)
     return out
-
-
-def _phi1_series(w):
-    """sum_m w^m/(m+1)! for m = 0..8, i.e. (e^w - 1)/w to ~1e-25 for |w| < 0.01."""
-    out = np.zeros_like(w)
-    wp = np.ones_like(w)
-    for m in range(9):
-        out += _INV_FACT1[m] * wp
-        wp *= w
-    return out
-
-
-def _E_vec(x, a):
-    """(e^{a x} - 1)/a for scalar complex a and real array x >= 0."""
-    x = np.asarray(x, dtype=float)
-    w = a * x
-    small = np.abs(w) < _SMALL_W
-    a_safe = a if a != 0 else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = (np.exp(w) - 1.0) / a_safe
-    return np.where(small, x * _phi1_series(w.astype(complex)), direct)
-
-
-def _E_vec_a(x, a):
-    """(e^{a x} - 1)/a for real scalar x and complex array a."""
-    a = np.asarray(a, dtype=complex)
-    w = a * x
-    small = np.abs(w) < _SMALL_W
-    a_safe = np.where(small, 1.0, a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = (np.exp(w) - 1.0) / a_safe
-    return np.where(small, x * _phi1_series(w), direct)
 
 
 def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
@@ -279,10 +227,9 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     gj = np.array([gjv for _, gjv in terms for _ in terms])
     gk = np.array([gkv for _ in terms for _, gkv in terms])
     a_all = gj + gk
-    moments = _exp_moments_vec(a_all, s, _N_MOM)
+    moments = _exp_moments_vec(a_all, s, _kernels.N_MOMENTS)
     K, M = moments[0], moments[1:].T
-    pairs = list(zip(coef.tolist(), gj.tolist(), gk.tolist(), a_all.tolist(),
-                     K.tolist(), M.tolist()))
+    pairs = list(zip(coef.tolist(), gk.tolist(), a_all.tolist()))
 
     f0 = float(sum(c * k for c, k in zip(coef.tolist(), K.tolist())).real)
     if not math.isfinite(f0):
@@ -297,47 +244,23 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
         inside = (t >= 0) & (t < s)
         tc = np.where(inside, t, 0.0)
         acc = np.zeros(t.shape, dtype=complex)
-        for c, _, g_k, a, _, _ in pairs:
-            acc += c * np.exp(g_k * tc) * _E_vec(s - tc, a)
+        for c, g_k, a in pairs:
+            acc += c * np.exp(g_k * tc) * _kernels.E(s - tc, a)
         out = np.where(inside, acc.real, 0.0)
         return float(out[0]) if scalar else out
-
-    def _laplace(z):
-        z = np.asarray(z)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z.astype(complex))
-        acc = np.zeros(z.shape, dtype=complex)
-        for c, g_j, g_k, _, k_jk, m_jk in pairs:
-            b = g_j + z
-            small = np.abs(b) * s < _SMALL_W
-            b_safe = np.where(small, 1.0, b)
-            with np.errstate(over="ignore", invalid="ignore"):
-                exact = (k_jk - _E_vec_a(s, g_k - z)) / b_safe
-            taylor = np.zeros_like(b)
-            bp = np.ones_like(b)
-            fact = 1.0
-            for n in range(_N_MOM):
-                taylor += ((-1) ** n / fact) * bp * m_jk[n]
-                bp *= b
-                fact *= n + 2.0
-            acc += c * np.where(small, taylor, exact)
-        return complex(acc[0]) if scalar else acc
 
     def sup_f2():
         # sup |f''| from the exact second derivative on a grid (vectorized
         # over pairs x points); 5% headroom keeps the remainder constant an
         # upper bound despite gridding
         ts = np.linspace(0.0, s, 2001, endpoint=False)
-        w = a_all[:, None] * (s - ts)[None, :]
-        small = np.abs(w) < _SMALL_W
-        a_safe = np.where(small, 1.0, np.broadcast_to(a_all[:, None], w.shape))
+        rest = (s - ts)[None, :]
+        E2 = _kernels.E(rest, a_all[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
-            E2 = np.where(small, (s - ts)[None, :] * _phi1_series(w),
-                          (np.exp(w) - 1.0) / a_safe)
             egk = np.exp(gk[:, None] * ts[None, :])
+            ew = np.exp(a_all[:, None] * rest)
             f2 = (coef[:, None] * (gk[:, None] ** 2 * egk * E2
-                                   + (a_all - 2.0 * gk)[:, None] * egk * np.exp(w))
-                  ).sum(axis=0)
+                                   + (a_all - 2.0 * gk)[:, None] * egk * ew)).sum(axis=0)
         return 1.05 * float(np.abs(f2.real).max())
 
     content = Content(x0=s, M=f0, B=sup_f2, f0=f0)
@@ -346,7 +269,8 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     code = (_kernels.KIND_AUTOCORR, s, f0, math.nan, coef, gj, gk, K, M)
     F0 = float(_kernels.f_real_scalar(*code, 0.0))
     code = (_kernels.KIND_AUTOCORR, s, f0, F0, coef, gj, gk, K, M)
-    return TrialFunction("autocorrelation", params, content, _eval, _laplace, code=code)
+    return TrialFunction("autocorrelation", params, content, _eval,
+                         functools.partial(_kernels.f_array, code), code=code)
 
 
 FAMILY_BUILDERS = {"triangle": triangle, "autocorrelation": autocorrelation}

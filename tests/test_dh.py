@@ -56,6 +56,16 @@ class TestSolveSmoothed:
             dh.solve_smoothed("sz-lp-quadratic", tf.triangle(2.0), 0.01)
         assert err.value.sign == "positive"
 
+    @pytest.mark.parametrize("case", ["sz-lp-quadratic", "sz-l2-nonprincipal",
+                                      "sz-l2-chi2-principal"])
+    @pytest.mark.parametrize("f", [tf.triangle(2.0), tf.autocorrelation(alpha=0.0, s=2.0)],
+                             ids=["triangle", "autocorrelation"])
+    def test_vanishing_h_is_degenerate(self, case, f):
+        # at b = 0 the 'sz' h is the constant psi f(0) - F(0), exactly 0 here
+        with pytest.raises(NoBoundError, match="degenerate") as err:
+            dh.solve_smoothed(case, f, 0.0)
+        assert err.value.sign is None
+
     def test_small_weight_no_bound(self):
         with pytest.raises(NoBoundError) as err:
             dh.solve_smoothed("sz-lp-principal", tf.triangle(0.9), 0.05)
