@@ -13,16 +13,18 @@ inequality failed.  The quartic kernels solve in ``u = lam/(lam+x)``, where
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
 Trial functions reach this module, its one reader, as a flattened "family
-code" (see ``trial_functions``): the triangle's support endpoint, or the
-per-pair complex constants of the autocorrelation transform.  The transform
-``F`` is ``f_real_scalar`` at one real point and ``f_array`` at real or
-complex points, scalar or array; ``E`` is the ``(e^{ax} - 1)/a`` they and
-the weight are built from.  Closed forms switch to series below ``SMALL_W``
-= 1e-2, where the direct expressions would lose more than half their digits
-to cancellation; the series stay at ~1e-15 relative error.  Just above the
+code" (see ``trial_functions``): the support endpoint and the per-pair
+complex constants of the autocorrelation transform, ``(x0, coef, gj, gk, K,
+M)``.  Every built-in weight, the triangle included, is an autocorrelation,
+so neither evaluator branches on the family.  The transform ``F`` is
+``f_real_scalar`` at one real point and ``f_array`` at real or complex
+points, scalar or array; ``E`` is the ``(e^{ax} - 1)/a`` they and the weight
+are built from.  Closed forms switch to series below ``SMALL_W`` = 1e-2,
+where the direct expressions would lose more than half their digits to
+cancellation; the series stay at ~1e-15 relative error.  Just above the
 switch the direct forms lose some digits: against a 50-digit reference the
-triangle's is off by up to 3.8e-12 relative on the real axis (``x0 = 0.7``,
-``r = -0.0146``) and 5.0e-12 off it, the autocorrelation sums 3.9e-12.
+pair sums are off by up to 4.3e-12 relative (the box of ``x0 = 0.7``, just
+off the real axis).
 """
 
 import cmath
@@ -36,9 +38,6 @@ def backend():
     return "numpy"
 
 
-KIND_TRIANGLE = 0
-KIND_AUTOCORR = 1
-
 #: series-switch threshold for the removable singularities of the closed forms
 SMALL_W = 1e-2
 
@@ -46,7 +45,7 @@ SMALL_W = 1e-2
 N_MOMENTS = 7
 
 
-def _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, r):
+def _f_real_scalar(x0, coef, gj, gk, K, M, r):
     """F(r) for real r, matching the vectorized closed forms exactly.
 
     Arguments past the exp overflow range (-r x0 > 690, or a pair's
@@ -57,13 +56,6 @@ def _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, r):
     """
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
-    if kind == KIND_TRIANGLE:
-        w = x0 * r
-        if abs(w) < SMALL_W:
-            return x0 * x0 * (1.0 / 2.0 - w / 6.0 + w * w / 24.0 - w ** 3 / 120.0
-                              + w ** 4 / 720.0 - w ** 5 / 5040.0 + w ** 6 / 40320.0
-                              - w ** 7 / 362880.0 + w ** 8 / 3628800.0)
-        return (w - 1.0 + math.exp(-w)) / (r * r)
     acc = 0.0
     for i in range(coef.shape[0]):
         bb = gj[i] + r
@@ -94,27 +86,29 @@ def _f_real_scalar(kind, x0, f0, F0, coef, gj, gk, K, M, r):
     return float(acc)
 
 
-#: 1/(m+2)! for m = 0..8: the series of the triangle's (w - 1 + e^{-w})/w^2
-_INV_FACT2 = tuple(1.0 / math.factorial(m + 2) for m in range(9))
-
-
 def E(x, a):
     """(e^{a x} - 1)/a elementwise, for real x and complex a broadcast together.
 
     Where |a x| < SMALL_W it is x times the 9-term series of (e^w - 1)/w in
-    w = a x, summed only when some element needs it.
+    w = a x, summed only on those elements; where w = 0 it is x, which is
+    also what the series gives there.
     """
-    w = a * x
+    w = np.asarray(a * x)
     small = np.abs(w) < SMALL_W
     with np.errstate(over="ignore", invalid="ignore"):
         out = (np.exp(w) - 1.0) / np.where(small, 1.0, a)
     if small.any():
-        series = np.zeros_like(w)
-        wp = np.ones_like(w)
+        zero = w == 0
+        out = np.where(zero, x, out)
+        small &= ~zero
+    if small.any():
+        ws = w[small]
+        series = np.zeros_like(ws)
+        wp = np.ones_like(ws)
         for m in range(9):
             series += (1.0 / math.factorial(m + 1)) * wp
-            wp *= w
-        out = np.where(small, x * series, out)
+            wp *= ws
+        out[small] = np.broadcast_to(x, w.shape)[small] * series
     return out
 
 
@@ -125,41 +119,26 @@ def f_array(code, z):
     an array a complex array of its shape.  Each series branch runs only
     when some point needs it.
     """
-    kind, x0, _, _, coef, gj, gk, K, M = code
+    x0, coef, gj, gk, K, M = code
     z = np.asarray(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z.astype(complex))
-    if kind == KIND_TRIANGLE:
-        w = x0 * z
-        small = np.abs(w) < SMALL_W
-        zs = np.where(small, 1.0, z)
+    out = np.zeros(z.shape, dtype=complex)
+    for i in range(coef.shape[0]):
+        b = gj[i] + z
+        small = np.abs(b) * x0 < SMALL_W
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (w - 1.0 + np.exp(-w)) / (zs * zs)
+            phi = (K[i] - E(x0, gk[i] - z)) / np.where(small, 1.0, b)
         if small.any():
-            series = np.zeros_like(w)
-            wp = np.ones_like(w)
-            for m in range(9):
-                series += ((-1) ** m * _INV_FACT2[m]) * wp
-                wp *= w
-            series *= x0 * x0
-            out = np.where(small, series, out)
-    else:
-        out = np.zeros(z.shape, dtype=complex)
-        for i in range(coef.shape[0]):
-            b = gj[i] + z
-            small = np.abs(b) * x0 < SMALL_W
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi = (K[i] - E(x0, gk[i] - z)) / np.where(small, 1.0, b)
-            if small.any():
-                taylor = np.zeros_like(b)
-                bp = np.ones_like(b)
-                fact = 1.0
-                for n in range(N_MOMENTS):
-                    taylor += ((-1) ** n / fact) * bp * M[i, n]
-                    bp *= b
-                    fact *= n + 2.0
-                phi = np.where(small, taylor, phi)
-            out += coef[i] * phi
+            taylor = np.zeros_like(b)
+            bp = np.ones_like(b)
+            fact = 1.0
+            for n in range(N_MOMENTS):
+                taylor += ((-1) ** n / fact) * bp * M[i, n]
+                bp *= b
+                fact *= n + 2.0
+            phi = np.where(small, taylor, phi)
+        out += coef[i] * phi
     return complex(out[0]) if scalar else out
 
 
@@ -314,14 +293,3 @@ def p4_combo_min(A, B, C, a, b, c, ts):
 #: public name of F(r); the root kernels above call the private one, so a
 #: profiler that replaces this attribute sees only calls from outside
 f_real_scalar = _f_real_scalar
-
-_EMPTY_F = np.empty(0, dtype=np.float64)
-_EMPTY_C = np.empty(0, dtype=np.complex128)
-_EMPTY_M = np.empty((0, N_MOMENTS), dtype=np.complex128)
-
-
-def triangle_code(x0):
-    """Family code of the triangle weight max(x0 - t, 0)."""
-    x0 = float(x0)
-    return (KIND_TRIANGLE, x0, x0, x0 * x0 / 2.0,
-            _EMPTY_F, _EMPTY_C, _EMPTY_C, _EMPTY_C, _EMPTY_M)

@@ -6,7 +6,9 @@ must have non-negative real part on the closed right half-plane.  Two built-in
 families satisfy this:
 
 * ``triangle(x0)``: f(t) = max(x0 - t, 0), with the classical closed form
-  F(z) = (x0 z - 1 + e^{-x0 z}) / z^2.
+  F(z) = (x0 z - 1 + e^{-x0 z}) / z^2.  It is the autocorrelation of the box
+  1_[0, x0] and is built as one: ``autocorrelation(s=x0)`` under the
+  triangle's name and parameter.
 
 * ``autocorrelation(...)``: f = correlation of a non-negative generator
   g(u) = e^{alpha u} (c0 + c1 cos(beta u)) truncated to [0, s] with itself.
@@ -19,9 +21,8 @@ families satisfy this:
 
 Each built-in weight carries a family code, and its transform is evaluated
 by ``_kernels`` from that code alone: real scalars by ``f_real_scalar``,
-complex or array arguments by ``f_array`` (they agree, autocorrelation to the
-bit, triangle to one ulp).  ``_kernels.E`` also serves the weight f(t) and
-its second derivative here.
+complex or array arguments by ``f_array`` (they agree to the bit).
+``_kernels.E`` also serves the weight f(t) and its second derivative here.
 """
 
 import functools
@@ -139,19 +140,13 @@ def laplace(f, z):
 # ---------------------------------------------------------------------------
 
 def triangle(x0):
-    """The triangle weight f(t) = max(x0 - t, 0)."""
+    """The triangle weight f(t) = max(x0 - t, 0), the autocorrelation of the box 1_[0, x0]."""
     if not (isinstance(x0, (int, float)) and math.isfinite(x0) and x0 > 0):
         raise InvalidParameterError(f"triangle support endpoint must be positive, got {x0!r}")
     x0 = float(x0)
-
-    def _eval(t):
-        out = np.where((t >= 0) & (t < x0), x0 - t, 0.0)
-        return out if out.ndim else float(out)
-
-    content = Content(x0=x0, M=x0, B=0.0, f0=x0)
-    code = _kernels.triangle_code(x0)
-    return TrialFunction("triangle", {"x0": x0}, content, _eval,
-                         functools.partial(_kernels.f_array, code), code=code)
+    box = autocorrelation(s=x0)
+    return TrialFunction("triangle", {"x0": x0}, box.content, box._eval, box._laplace,
+                         code=box.kernel_code())
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +154,8 @@ def triangle(x0):
 # ---------------------------------------------------------------------------
 
 def _exp_moments_vec(a, s, nmax):
-    """All moments M_0..M_nmax at once for a complex array of exponents."""
+    """All moments M_n = int_0^s u^n e^{au} du, n = 0..nmax, at once for a
+    complex array of exponents."""
     a = np.asarray(a, dtype=complex)
     w = a * s
     small = np.abs(w) < _SMALL_W
@@ -171,15 +167,22 @@ def _exp_moments_vec(a, s, nmax):
         for n in range(1, nmax + 1):
             out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
     if small.any():
-        # M_n = sum_m a^m/m! s^(n+m+1)/(n+m+1), every n at once, bit for bit
         k = np.arange(1, nmax + 31, dtype=float)[:, None]
         s_pow = np.array([s ** j for j in range(1, nmax + 31)])[:, None]
-        series = np.zeros((nmax + 1, a.size), dtype=complex)
-        term = np.ones(a.size, dtype=complex)
+        # at a = 0 only the series' first term is nonzero, M_n = s^(n+1)/(n+1);
+        # it is formed in the same complex arithmetic, so bit for bit
+        zero = a == 0
+        out[:, zero] = np.ones(1, dtype=complex) * s_pow[:nmax + 1] / k[:nmax + 1]
+        small &= ~zero
+    if small.any():
+        # M_n = sum_m a^m/m! s^(n+m+1)/(n+m+1), every n at once, bit for bit
+        a_s = a[small]
+        series = np.zeros((nmax + 1, a_s.size), dtype=complex)
+        term = np.ones(a_s.size, dtype=complex)
         for m in range(30):
             series += term * s_pow[m:m + nmax + 1] / k[m:m + nmax + 1]
-            term *= a / (m + 1)
-        out = np.where(small[None, :], series, out)
+            term *= a_s / (m + 1)
+        out[:, small] = series
     return out
 
 
@@ -266,9 +269,7 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     content = Content(x0=s, M=f0, B=sup_f2, f0=f0)
     params = {"alpha": alpha, "c0": c0, "c1": c1, "beta": beta, "s": s}
 
-    code = (_kernels.KIND_AUTOCORR, s, f0, math.nan, coef, gj, gk, K, M)
-    F0 = float(_kernels.f_real_scalar(*code, 0.0))
-    code = (_kernels.KIND_AUTOCORR, s, f0, F0, coef, gj, gk, K, M)
+    code = (s, coef, gj, gk, K, M)
     return TrialFunction("autocorrelation", params, content, _eval,
                          functools.partial(_kernels.f_array, code), code=code)
 

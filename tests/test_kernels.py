@@ -17,19 +17,19 @@ def test_backend_reports():
 
 def _real_points(f):
     """A grid, 0, both sides of each series switch, and moderate negatives."""
-    code = f.kernel_code()
-    edge = _kernels.SMALL_W / code[1]
-    pts = list(np.linspace(-8.0, 8.0, 161)) + [0.0, -0.25, -3.0, -20.0 / code[1]]
+    x0, _, gj, gk, _, _ = f.kernel_code()
+    edge = _kernels.SMALL_W / x0
+    pts = list(np.linspace(-8.0, 8.0, 161)) + [0.0, -0.25, -3.0, -20.0 / x0]
     pts += [c * (1.0 + d) for c in (edge, -edge) for d in (-1e-6, 1e-6)]
     # the pair series switch at |g_j + r| x0 = 1e-2, the E series at |g_k - r| x0 = 1e-2
-    for centre in [-g.real for g in code[5]] + [g.real for g in code[6]]:
+    for centre in [-g.real for g in gj] + [g.real for g in gk]:
         pts += [centre + d * edge for d in (0.0, -0.5, 0.5, -0.999, 0.999, -1.001, 1.001, -3.0, 3.0)]
     return pts
 
 
 def test_scalar_transform_matches_vectorized_path():
-    # the autocorrelation kernel repeats the array path's arithmetic exactly;
-    # the triangle's series is summed in another order, so one ulp may differ
+    # the scalar kernel repeats the array path's arithmetic exactly, for every
+    # built-in weight (the triangle is the autocorrelation of a box)
     fams = [tf.triangle(2.0), tf.triangle(0.7), tf.triangle(14.0),
             tf.autocorrelation(alpha=0.5, s=1.0),
             tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5),
@@ -41,10 +41,12 @@ def test_scalar_transform_matches_vectorized_path():
         for r, v in zip(rs, vector):
             for scalar in (_kernels.f_real_scalar(*f.kernel_code(), float(r)), f.laplace(r)):
                 assert complex(scalar).imag == 0.0
-                if f.family == "autocorrelation":
-                    assert complex(scalar).real == v, (f, r)
-                else:
-                    assert abs(complex(scalar).real - v) <= np.spacing(abs(v)), (f, r)
+                assert complex(scalar).real == v, (f, r)
+
+
+def _mp_triangle(x0, z, mp):
+    """The triangle's classical closed form (x0 z - 1 + e^{-x0 z}) / z^2."""
+    return x0 * x0 / 2 if z == 0 else (x0 * z - 1 + mp.exp(-x0 * z)) / (z * z)
 
 
 def _mp_reference(f, z, mp):
@@ -52,8 +54,7 @@ def _mp_reference(f, z, mp):
     from the weight's parameters rather than read from its family code."""
     z = mp.mpc(z)
     if f.family == "triangle":
-        x0 = mp.mpf(f.params["x0"])
-        return x0 * x0 / 2 if z == 0 else (x0 * z - 1 + mp.exp(-x0 * z)) / (z * z)
+        return _mp_triangle(mp.mpf(f.params["x0"]), z, mp)
     a, c0, c1, beta, s = (mp.mpf(f.params[k]) for k in ("alpha", "c0", "c1", "beta", "s"))
     terms = [(c0, mp.mpc(a, 0)), (c1 / 2, mp.mpc(a, beta)), (c1 / 2, mp.mpc(a, -beta))]
 
@@ -74,24 +75,60 @@ def test_array_transform_matches_mpmath():
             tf.autocorrelation(alpha=1.5, c0=1.0, c1=1.0, beta=0.3, s=9.0),
             tf.autocorrelation(alpha=0.0, c0=1.0, c1=1.0, beta=0.6, s=5.0)]
     for f in fams:
-        code = f.kernel_code()
-        edge = _kernels.SMALL_W / code[1]
+        x0, _, gj, gk, _, _ = f.kernel_code()
+        edge = _kernels.SMALL_W / x0
         zs = [complex(a, b) for a in np.linspace(-3.0, 3.0, 7) for b in np.linspace(-10.0, 10.0, 9)]
         zs += [0.0, -0.25, 1.5, -0.01607]
-        # both sides of each series switch: |x0 z| (triangle), |g_j + z| x0 and
-        # |g_k - z| x0 (autocorrelation pairs) at SMALL_W, on and off the real axis
-        for centre in [0.0] + [-complex(g) for g in code[5]] + [complex(g) for g in code[6]]:
+        # both sides of each series switch, |g_j + z| x0 and |g_k - z| x0 at
+        # SMALL_W (|x0 z| for the triangle), on and off the real axis
+        for centre in dict.fromkeys([-complex(g) for g in gj] + [complex(g) for g in gk]):
             for d in (0.5, 0.999, 0.9999, 1.0001, 1.001, 1.1, 1.6, 3.0):
                 zs += [centre + d * edge * np.exp(1j * np.pi * th)
                        for th in (0.0, 0.25, 0.5, 1.0, 1.3)]
-        poles = [-complex(g) for g in code[5]]
+        # the pair closed forms divide by g_j + z; the triangle's has its own z = 0
+        poles = [-complex(g) for g in gj] if f.family == "autocorrelation" else []
         zs = [z for z in zs if min((abs(z - p) for p in poles), default=1.0) >= 1e-3]
         got = f.laplace(np.array(zs))
         with mpmath.workdps(50):
             for z, v in zip(zs, got):
                 want = _mp_reference(f, z, mpmath)
-                # the direct forms just above the switch lose up to 5.0e-12 (triangle)
+                # the direct forms just above the switch lose up to 4.3e-12
                 assert abs(mpmath.mpc(v) - want) <= 2e-11 * abs(want), (f, z)
+
+
+@pytest.mark.parametrize("x0", [0.7, 2.5, 14.0])
+def test_triangle_smoothed_roots_match_mpmath(x0):
+    # the triangle runs through the box's pair arithmetic; its roots must stay
+    # on those of the classical closed form.  x0 = 14 halves the 'sz' bracket
+    mp = pytest.importorskip("mpmath")
+    f = tf.triangle(x0)
+    solved = {"sz": 0, "cc": 0}
+    with mp.workdps(40):
+        X0 = mp.mpf(x0)
+
+        def F(r):
+            return _mp_triangle(X0, mp.mpf(r), mp)
+
+        for name in dh.SMOOTHED_CASES:
+            case = dh.CASES[name]
+            for phi in (0.125, 0.25):
+                psi = case.psi_over_phi * mp.mpf(phi)
+                for b in (1e-3, 0.05, 0.4):
+                    if case.form == "sz":
+                        def h(x):
+                            return case.c1 * (F(-x) - F(b - x)) - F(0) + psi * X0
+                    else:
+                        def h(x):
+                            return F(-b) - F(0) - F(x - b) + psi * X0
+                    try:
+                        got = dh.solve_smoothed(name, f, b, phi=phi).root
+                    except NoBoundError as exc:
+                        assert exc.sign == "positive" and h(0) > 0, (name, phi, b)
+                        continue
+                    want = mp.findroot(h, mp.mpf(got))
+                    assert abs(got - want) <= 1e-10 * want, (name, phi, b, got, want)
+                    solved[case.form] += 1
+    assert min(solved.values()) >= 3
 
 
 def test_overflowing_pair_gives_plus_infinity():
