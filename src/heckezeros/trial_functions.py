@@ -119,7 +119,7 @@ class TrialFunction:
         through the scalar kernel, which gives +inf past the exp overflow range.
         """
         if self._code is not None and isinstance(z, (int, float, np.floating)):
-            return complex(_kernels._f_real_scalar(*self._code, float(z)))
+            return complex(_kernels.f_real_scalar(*self._code, float(z)))
         return self._laplace(z)
 
     def kernel_code(self):
@@ -155,27 +155,31 @@ def triangle(x0):
 
 def _exp_moments_vec(a, s, nmax):
     """All moments M_n = int_0^s u^n e^{au} du, n = 0..nmax, at once for a
-    complex array of exponents."""
+    complex array of exponents.  Raises OverflowError when a power s^j
+    overflows."""
     a = np.asarray(a, dtype=complex)
     w = a * s
     small = np.abs(w) < _SMALL_W
-    a_safe = np.where(small, 1.0, a)
     out = np.empty((nmax + 1, a.size), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ew = np.exp(w)
-        out[0] = (ew - 1.0) / a_safe
-        for n in range(1, nmax + 1):
-            out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
-    if small.any():
-        k = np.arange(1, nmax + 31, dtype=float)[:, None]
-        s_pow = np.array([s ** j for j in range(1, nmax + 31)])[:, None]
+    if not small.all():
+        a_safe = np.where(small, 1.0, a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ew = np.exp(w)
+            out[0] = (ew - 1.0) / a_safe
+            for n in range(1, nmax + 1):
+                out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
+    zero = a == 0
+    if zero.any():
         # at a = 0 only the series' first term is nonzero, M_n = s^(n+1)/(n+1);
         # it is formed in the same complex arithmetic, so bit for bit
-        zero = a == 0
-        out[:, zero] = np.ones(1, dtype=complex) * s_pow[:nmax + 1] / k[:nmax + 1]
+        k = np.arange(1, nmax + 2, dtype=float)[:, None]
+        s_pow = np.array([s ** j for j in range(1, nmax + 2)])[:, None]
+        out[:, zero] = np.ones(1, dtype=complex) * s_pow / k
         small &= ~zero
     if small.any():
         # M_n = sum_m a^m/m! s^(n+m+1)/(n+m+1), every n at once, bit for bit
+        k = np.arange(1, nmax + 31, dtype=float)[:, None]
+        s_pow = np.array([s ** j for j in range(1, nmax + 31)])[:, None]
         a_s = a[small]
         series = np.zeros((nmax + 1, a_s.size), dtype=complex)
         term = np.ones(a_s.size, dtype=complex)
@@ -230,7 +234,11 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     gj = np.array([gjv for _, gjv in terms for _ in terms])
     gk = np.array([gkv for _ in terms for _, gkv in terms])
     a_all = gj + gk
-    moments = _exp_moments_vec(a_all, s, _kernels.N_MOMENTS)
+    try:
+        moments = _exp_moments_vec(a_all, s, _kernels.N_MOMENTS)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"the moments of the generator overflow: s^n is out of range for s={s}") from None
     K, M = moments[0], moments[1:].T
     pairs = list(zip(coef.tolist(), gk.tolist(), a_all.tolist()))
 

@@ -80,8 +80,8 @@ def test_array_transform_matches_mpmath():
         zs = [complex(a, b) for a in np.linspace(-3.0, 3.0, 7) for b in np.linspace(-10.0, 10.0, 9)]
         zs += [0.0, -0.25, 1.5, -0.01607]
         # both sides of each series switch, |g_j + z| x0 and |g_k - z| x0 at
-        # SMALL_W (|x0 z| for the triangle), on and off the real axis
-        for centre in dict.fromkeys([-complex(g) for g in gj] + [complex(g) for g in gk]):
+        # SMALL_W, on and off the real axis, and around z = 0
+        for centre in dict.fromkeys([0.0] + [-complex(g) for g in gj] + [complex(g) for g in gk]):
             for d in (0.5, 0.999, 0.9999, 1.0001, 1.001, 1.1, 1.6, 3.0):
                 zs += [centre + d * edge * np.exp(1j * np.pi * th)
                        for th in (0.0, 0.25, 0.5, 1.0, 1.3)]

@@ -53,6 +53,21 @@ class TestTriangle:
         with pytest.raises(InvalidParameterError):
             tf.Content(x0=2.0, M=2.0, B=-0.1, f0=2.0)
 
+    def test_large_support_builds(self):
+        # the box's a = 0 moments need only x0^8; the closed form at 50 digits
+        f = tf.triangle(1e9)
+        assert (f.content.f0, f.content.B) == (1e9, 0.0)
+        assert f.laplace(0.0) == 5e17 and f.laplace(1.0) == 1e9 - 1.0
+        zs = np.array([1e-12, 3e-9, 1e-8 + 1e-8j, -1e-9])
+        want = [4.9983337499166803e+17, 2.2775411870754045e+17,
+                5.000012349260112e+16 - 4.499980953105757e+16j, 7.182818284590452e+17]
+        assert np.abs(f.laplace(zs) - want).max() <= 1e-12 * 5e17
+
+    def test_overflowing_moments_are_named(self):
+        # x0^8 overflows, so the moments of the box do too
+        with pytest.raises(InvalidParameterError, match=r"s=1e\+39"):
+            tf.triangle(1e39)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_support(self, bad):
         with pytest.raises(InvalidParameterError):
@@ -115,6 +130,11 @@ class TestAutocorrelation:
         with pytest.raises(InvalidParameterError, match=f"alpha={alpha}, s=40.0"):
             tf.autocorrelation(alpha=alpha, s=40.0)
 
+    def test_overflowing_moment_series_is_named(self):
+        # |2 alpha s| < 1e-2 sends the pair to the series, whose s^37 overflows
+        with pytest.raises(InvalidParameterError, match=r"s=1000000000\.0"):
+            tf.autocorrelation(alpha=1e-12, s=1e9)
+
     # (B, remainder constant) of verify's sample families: the values of the
     # 2001-point sup |f''| scan, whenever it runs
     @pytest.mark.parametrize("index,B,A", [
@@ -165,8 +185,8 @@ class TestScalarRoute:
     F = tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
 
     def test_real_scalars_take_the_kernel(self, monkeypatch):
-        kernel, seen = _kernels._f_real_scalar, []
-        monkeypatch.setattr(_kernels, "_f_real_scalar",
+        kernel, seen = _kernels.f_real_scalar, []
+        monkeypatch.setattr(_kernels, "f_real_scalar",
                             lambda *args: seen.append(args[-1]) or kernel(*args))
         for z in (0, -1, 0.5, np.float64(-0.25), np.float32(0.75)):
             v = self.F.laplace(z)
