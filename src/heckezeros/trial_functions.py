@@ -254,10 +254,15 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
         t = np.atleast_1d(t)
         inside = (t >= 0) & (t < s)
         tc = np.where(inside, t, 0.0)
-        acc = np.zeros(t.shape, dtype=complex)
+        # only real parts are summed, which complex addition keeps apart
+        acc = np.zeros(t.shape)
         for c, g_k, a in pairs:
-            acc += c * np.exp(g_k * tc) * _kernels.E(s - tc, a)
-        out = np.where(inside, acc.real, 0.0)
+            if g_k == 0 and a == 0:
+                # e^0 = 1 and E(x, 0) = x exactly: the same real part, no exps
+                acc += c * (s - tc)
+            else:
+                acc += (c * np.exp(g_k * tc) * _kernels.E(s - tc, a)).real
+        out = np.where(inside, acc, 0.0)
         return float(out[0]) if scalar else out
 
     def sup_f2():
