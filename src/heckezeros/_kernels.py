@@ -290,6 +290,7 @@ def p4_combo_min(A, B, C, a, b, c, ts):
     return float(w[i]), float(ts[i])
 
 
-#: public name of F(r); the root kernels above call the private one, so a
-#: profiler that replaces this attribute sees only calls from outside
+#: public name of F(r), the one ``TrialFunction.laplace`` calls; the root
+#: kernels above call the private one, so a profiler that replaces this
+#: attribute sees only calls from outside
 f_real_scalar = _f_real_scalar
