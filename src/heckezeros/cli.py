@@ -72,6 +72,24 @@ def _family_from_args(args):
     return trial_functions.build_family(name, **params)
 
 
+def _bound_lines(res, p):
+    """Text lines of a BoundResult: the bound, then its parameters."""
+    return [f"{res.case}: b={_fmt(res.b, p)} -> lambda* = {_fmt(res.lambda_star, p)}"
+            f" (residual {res.residual:.1e})"
+            + (" [side-condition limited]" if res.side_limited else ""),
+            "  parameters: " + ", ".join(f"{k}={_fmt(v, p)}" for k, v in res.params.items())]
+
+
+def _zfr_line(res, p):
+    """Text line of a ZfrResult, with its side-limit and approximation notes."""
+    notes = [note for note, on in (("side-condition limited", res.side_limited),
+                                   ("approximate (substitute weight)", res.approximate))
+             if on]
+    return (f"zfr {res.case}: lambda = {_fmt(res.lam, p)} -> lambda_1 >= "
+            f"{_fmt(res.lambda1, p)} (side condition {'OK' if res.side_ok else 'FAILED'})"
+            + (f" [{', '.join(notes)}]" if notes else ""))
+
+
 def _emit(payload, lines, args):
     """payload -> stdout as json, or the prepared text lines otherwise."""
     if args.format == "json":
@@ -97,26 +115,23 @@ def _cmd_zfr(args):
         res = zfr.zfr_order_ge6(f, phi=args.phi)
         _emit({"case": "order-ge6", "lambda1": res.lambda1, "approximate": True,
                "lambda_star": res.lam, "family": f.params},
-              [str(res)], args)
+              [_zfr_line(res, p)], args)
         return 0
     if args.optimize:
         lam_opt, l1 = zfr.zfr_optimize(args.case, phi=args.phi)
         res = zfr.zfr_solve(args.case, lam_opt, phi=args.phi)
         _emit({"case": args.case, "lambda_opt": lam_opt, "lambda1": res.lambda1,
                "side_ok": res.side_ok, "side_limited": res.side_limited},
-              [f"zfr {args.case}: best lambda = {_fmt(lam_opt, p)}", str(res)], args)
+              [f"zfr {args.case}: best lambda = {_fmt(lam_opt, p)}", _zfr_line(res, p)],
+              args)
         return 0
     if args.lam is None:
         raise HeckeZerosError(f"zfr {args.case} needs --lambda (or --optimize)")
     res = zfr.zfr_solve(args.case, args.lam, phi=args.phi)
-    line = (f"zfr {args.case}: lambda = {_fmt(res.lam, p)} -> lambda_1 >= "
-            f"{_fmt(res.lambda1, p)} (side condition "
-            f"{'OK' if res.side_ok else 'FAILED'})"
-            + (" [side-condition limited]" if res.side_limited else ""))
     _emit({"case": args.case, "lambda": res.lam, "lambda1": res.lambda1,
            "side_ok": res.side_ok, "side_limited": res.side_limited,
            "root": res.root, "residual": res.residual},
-          [line], args)
+          [_zfr_line(res, p)], args)
     return 0
 
 
@@ -130,15 +145,10 @@ def _cmd_dh(args):
     else:
         f = _family_from_args(args)
         res = dh.solve_smoothed(case, f, args.b, phi=args.phi)
-    line = (f"{res.case}: b={_fmt(res.b, p)} -> lambda* = "
-            f"{_fmt(res.lambda_star, p)} (residual {res.residual:.1e})"
-            + (" [side-condition limited]" if res.side_limited else ""))
     _emit({"case": res.case, "b": res.b, "lambda_star": res.lambda_star,
            "params": res.params, "side_ok": res.side_ok,
            "side_limited": res.side_limited, "residual": res.residual},
-          [line,
-           "  parameters: " + ", ".join(f"{k}={_fmt(v, p)}" for k, v in res.params.items())],
-          args)
+          _bound_lines(res, p), args)
     return 0
 
 
@@ -200,15 +210,12 @@ def _cmd_table(args):
 
 
 def _cmd_optimize(args):
-    p = args.precision
     spec = optimizer.SearchSpec(args.case, args.b, max_evals=args.budget,
                                 phi=args.phi)
     res = optimizer.maximize_bound(spec)
     _emit({"case": res.case, "b": res.b, "lambda_star": res.lambda_star,
            "params": res.params, "side_limited": res.side_limited},
-          [str(res),
-           "  parameters: " + ", ".join(f"{k}={_fmt(v, p)}" for k, v in res.params.items())],
-          args)
+          _bound_lines(res, args.precision), args)
     return 0
 
 

@@ -19,7 +19,7 @@ table is data so the wiring can be audited line by line.
 
 Statements whose raw form carries oscillatory terms Re F(. + i mu) are used
 here only through their reduced real forms (``trial_functions.repel_reduce``);
-the unreduced transforms remain available via ``trial_functions.laplace``.
+the unreduced transforms remain available via ``TrialFunction.laplace``.
 
 All bounds hold up to an arbitrarily small epsilon coming from the asymptotic
 regime (conductor-discriminant quantity sufficiently large); the solvers
@@ -135,11 +135,6 @@ class BoundResult:
     side_limited: bool = False
     root: float = math.nan
     side_margin: float = math.nan
-
-    def __str__(self):
-        flag = " [side-condition limited]" if self.side_limited else ""
-        return (f"{self.case}: b={self.b:g} -> lambda* = {self.lambda_star:.6g}"
-                f" (residual {self.residual:.1e}){flag}")
 
 
 def get_case(name):
@@ -307,11 +302,12 @@ def side_condition(case, b, lam, J, x):
     return margin > 0.0, margin
 
 
-def side_limit(case, b, lam, J, x_cap=1e6):
+def side_limit(case, b, lam, J):
     """Largest x >= 0 where the side condition(s) hold (margin decreasing in x).
 
     Closed form: each condition J0/(lam+ln)^4 + 1/(lam+sq)^4 > 1/lam^4 pins
-    whichever of ln, sq equals x.  Returns -inf when even x = 0 fails.
+    whichever of ln, sq equals x.  The limit is capped at 1e6.  Returns -inf
+    when even x = 0 fails.
     """
     case = get_case(case) if isinstance(case, str) else case
     if not side_condition(case, b, lam, J, 0.0)[0]:
@@ -333,16 +329,17 @@ def side_limit(case, b, lam, J, x_cap=1e6):
     lim = one_limit(j0_value(case, J), 1.0)
     if case.extra_j1:
         lim = min(lim, one_limit(j1_value(J), 2.0))
-    return min(lim, x_cap)
+    return min(lim, 1e6)
 
 
-def solve_poly(case, b, lam, J, phi=PHI, hi=1e3):
+def solve_poly(case, b, lam, J, phi=PHI):
     """Quartic-method repulsion bound with side-condition enforcement.
 
-    The returned lambda* is min(equation root, side-condition limit), which
-    is always a valid bound; ``side_limited`` marks capped results and
-    ``root`` keeps the uncapped value.  SideConditionError is raised only
-    when the condition fails even at width 0, so no valid point exists.
+    The equation root is bracketed on [0, 1000].  The returned lambda* is
+    min(equation root, side-condition limit), which is always a valid bound;
+    ``side_limited`` marks capped results and ``root`` keeps the uncapped
+    value.  SideConditionError is raised only when the condition fails even
+    at width 0, so no valid point exists.
     """
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "poly":
@@ -357,11 +354,11 @@ def solve_poly(case, b, lam, J, phi=PHI, hi=1e3):
     psi = case.psi_over_phi * phi
     slot = 0 if case.unknown_slot == "known-on-square" else 1
     root, hlo, hhi = _kernels.poly_root(slot, float(lam), float(J), float(b),
-                                        psi, 0.0, float(hi))
+                                        psi, 0.0, 1e3)
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(
-            f"{case.name}: no root in [0, {hi}] at (b={b}, lambda={lam}, J={J});"
+            f"{case.name}: no root in [0, 1000.0] at (b={b}, lambda={lam}, J={J});"
             f" h stays {sign}", sign=sign)
     scale = 1.0 + (J * J + 0.5) * 3.2 + 2.0 * J * 3.2 + psi * (J + 1.0) ** 2 * lam
     residual = abs(float(poly_h(case, b, lam, J, phi)(root))) / scale

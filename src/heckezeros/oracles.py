@@ -58,11 +58,11 @@ def _simpson(vals, h):
     return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
 
 
-def quadrature_laplace(f, z, abs_tol=1e-13, max_level=15):
+def quadrature_laplace(f, z, abs_tol=1e-13):
     """F(z) by composite Simpson on [0, x0], refined dyadically.
 
     The panel count doubles until two successive rules agree to ``abs_tol``
-    (relative 1e-12 for large values) or the 2**max_level cap is hit.  The
+    (relative 1e-12 for large values) or the 2**15 cap is hit.  The
     integrand is smooth on the compact support, so convergence is quartic;
     oscillatory z just needs enough panels.  The default 1e-13 target is
     attainable for |z| x0 up to a few hundred; beyond that pass a looser
@@ -76,13 +76,13 @@ def quadrature_laplace(f, z, abs_tol=1e-13, max_level=15):
         return _simpson(f(ts) * np.exp(-z * ts), x0 / (2 * n))
 
     prev = simpson(1)
-    for level in range(1, max_level + 1):
+    for level in range(1, 16):
         cur = simpson(2 ** level)
         if abs(cur - prev) <= abs_tol + 1e-12 * abs(cur):
             return cur
         prev = cur
     raise OracleFailureError(
-        f"Simpson rule did not converge for z={z} within 2^{max_level} panels")
+        f"Simpson rule did not converge for z={z} within 2^15 panels")
 
 
 def simpson_selftest():
@@ -90,19 +90,19 @@ def simpson_selftest():
     return abs(_simpson(np.linspace(0.0, 1.0, 9) ** 3, 1.0 / 8.0) - 0.25)
 
 
-def scan_root(h, lo, hi, step, refine_tol=1e-12, coarse=None):
+def scan_root(h, lo, hi, step):
     """Leftmost sign change of ``h`` on [lo, hi], located by linear scan.
 
-    ``h`` must accept NumPy arrays.  A coarse pass (default step 1e-2, never
-    finer than ``step``) brackets the first change, a fine pass at ``step``
-    pins it to one cell, and bisection polishes to ``refine_tol``.  For
-    continuous h this matches a flat scan at ``step`` whenever h does not
-    change sign twice inside one coarse cell (true for the monotone solver
-    functions this oracle checks).
+    ``h`` must accept NumPy arrays.  A coarse pass (step 1e-2, or a hundredth
+    of the interval if smaller, never finer than ``step``) brackets the first
+    change, a fine pass at ``step`` pins it to one cell, and bisection polishes
+    to 1e-12.  For continuous h this matches a flat scan at ``step`` whenever
+    h does not change sign twice inside one coarse cell (true for the
+    monotone solver functions this oracle checks).
     """
     if hi <= lo:
         raise NoRootError(f"empty bracket [{lo}, {hi}]")
-    coarse = max(step, min(1e-2, (hi - lo) / 100.0)) if coarse is None else coarse
+    coarse = max(step, min(1e-2, (hi - lo) / 100.0))
 
     def first_change(a, b, dx):
         xs = np.arange(a, b + dx, dx)
@@ -125,7 +125,7 @@ def scan_root(h, lo, hi, step, refine_tol=1e-12, coarse=None):
     a, b = float(cell[0]), float(cell[1])
     fa = float(h(np.array([a]))[0])
     for _ in range(200):
-        if b - a <= refine_tol:
+        if b - a <= 1e-12:
             break
         mid = 0.5 * (a + b)
         fm = float(h(np.array([mid]))[0])

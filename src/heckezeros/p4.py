@@ -99,16 +99,16 @@ def p4_combo(q, t):
             - q.A * p4_eval(q.a / (q.a + 1j * t))).real
 
 
-def pm_positivity(q, points=4001, half_width=50.0):
+def pm_positivity(q):
     """Check the quartic positivity combination on a symmetric t grid.
 
     ``guaranteed`` is the sufficient condition C/c^4 + B/b^4 >= A/a^4; the
     empirical grid minimum is reported either way so callers can distinguish
     "guaranteed by the lemma" from "numerically positive but unproven".  The
-    grid spans [-half_width*a, half_width*a]; outside it every term is
-    O(1/t) with the same sign structure, so the minimum is interior.
+    grid has 4001 points on [-50 a, 50 a]; outside it every term is O(1/t)
+    with the same sign structure, so the minimum is interior.
     """
-    ts = np.linspace(-half_width * q.a, half_width * q.a, points)
+    ts = np.linspace(-50.0 * q.a, 50.0 * q.a, 4001)
     mn, arg = _kernels.p4_combo_min(q.A, q.B, q.C, q.a, q.b, q.c, ts)
     guaranteed = bool(q.C / q.c ** 4 + q.B / q.b ** 4 >= q.A / q.a ** 4)
     return PositivityResult(guaranteed, float(mn), float(arg))

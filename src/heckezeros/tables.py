@@ -69,8 +69,6 @@ class ZdTable:
     def key(self):
         return self.id
 
-    method = "zero-density"
-
 
 def _data_dir():
     override = os.environ.get(_ENV_DATA_DIR)
@@ -79,37 +77,45 @@ def _data_dir():
     return str(resources.files("heckezeros").joinpath("data"))
 
 
-def _read_text(name, data_dir=None):
-    path = os.path.join(data_dir or _data_dir(), name)
+def _read_text(name):
+    path = os.path.join(_data_dir(), name)
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def manifest(data_dir=None):
-    return json.loads(_read_text("manifest.json", data_dir))["tables"]
+def manifest():
+    return json.loads(_read_text("manifest.json"))["tables"]
 
 
-def available_tables(data_dir=None):
+def available_tables():
     """Keys of every bundled dataset, e.g. 'T4' or 'T2:quadratic'."""
     out = []
-    for entry in manifest(data_dir):
+    for entry in manifest():
         out.append(entry["id"] if entry["variant"] is None
                    else f"{entry['id']}:{entry['variant']}")
     return out
 
 
+def _row_from_record(rec):
+    """A TableRow from one record (a CSV or JSON row); ``raw`` keeps it as text."""
+    raw = {k: "" if v is None else str(v) for k, v in rec.items()}
+    return TableRow(
+        b=float(raw["b"]),
+        reference_col=float(raw["ref"]) if raw.get("ref") else None,
+        lambda_star=float(raw["lambda_star"]),
+        lam=float(raw["lambda"]) if raw.get("lambda") else None,
+        J=float(raw["J"]) if raw.get("J") else None,
+        raw=raw)
+
+
 def _parse_bound_rows(text):
-    rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        raw = {k: (v or "") for k, v in rec.items()}
-        rows.append(TableRow(
-            b=float(rec["b"]),
-            reference_col=float(rec["ref"]) if rec.get("ref") else None,
-            lambda_star=float(rec["lambda_star"]),
-            lam=float(rec["lambda"]) if rec.get("lambda") else None,
-            J=float(rec["J"]) if rec.get("J") else None,
-            raw=raw))
-    return tuple(rows)
+    return tuple(_row_from_record(rec) for rec in csv.DictReader(io.StringIO(text)))
+
+
+def _bound_columns(table):
+    """The bound-table columns, in file order, that some row fills."""
+    return [c for c in ("b", "ref", "lambda_star", "lambda", "J")
+            if any(r.raw.get(c) for r in table.rows)]
 
 
 def _parse_zd(text, caption):
@@ -132,27 +138,27 @@ def _parse_zd(text, caption):
     return ZdTable("T1", caption, tuple(lambdas), b_values, tuple(cells))
 
 
-def load_table(key, data_dir=None):
+def load_table(key):
     """Load a bundled table by key ('T4', 'T2:quadratic', ...)."""
     tid, _, variant = key.partition(":")
     variant = variant or None
-    for entry in manifest(data_dir):
+    for entry in manifest():
         if entry["id"] == tid and (variant is None or entry["variant"] == variant):
             if variant is None and entry["variant"] is not None and tid != "T1":
                 raise InvalidParameterError(
                     f"table {tid} has variants; use one of "
-                    f"{[e['id'] + ':' + e['variant'] for e in manifest(data_dir) if e['id'] == tid]}")
-            text = _read_text(entry["file"], data_dir)
+                    f"{[e['id'] + ':' + e['variant'] for e in manifest() if e['id'] == tid]}")
+            text = _read_text(entry["file"])
             if entry["method"] == "zero-density":
                 return _parse_zd(text, entry["caption"])
             return BoundTable(entry["id"], entry["variant"], entry["caption"],
                               entry["method"], entry["case"],
                               entry["reference_factor"], _parse_bound_rows(text))
-    raise InvalidParameterError(f"no bundled table {key!r}; available: {available_tables(data_dir)}")
+    raise InvalidParameterError(f"no bundled table {key!r}; available: {available_tables()}")
 
 
-def load_all(data_dir=None):
-    return [load_table(k, data_dir) for k in available_tables(data_dir)]
+def load_all():
+    return [load_table(k) for k in available_tables()]
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +191,11 @@ class RefCheckRow:
     passed: bool
 
 
-def reference_column_check(table, slack=5e-4):
+def reference_column_check(table):
     """Check the reference column equals factor * log(1/b) per row.
 
     The stored values keep the printed precision, so the per-row tolerance is
-    the half-ulp of the printed form plus the uniform slack.
+    the half-ulp of the printed form plus a uniform slack of 5e-4.
     """
     if table.reference_factor is None:
         raise InvalidParameterError(f"table {table.key} has no reference column")
@@ -197,7 +203,7 @@ def reference_column_check(table, slack=5e-4):
     for r in table.rows:
         computed = table.reference_factor * math.log(1.0 / r.b)
         dec = _printed_decimals(r.raw.get("ref", ""))
-        tol = 0.51 * 10.0 ** (-dec) + slack if dec else slack
+        tol = 0.51 * 10.0 ** (-dec) + 5e-4 if dec else 5e-4
         dev = abs(computed - r.reference_col)
         out.append(RefCheckRow(r.b, r.reference_col, computed, dev, tol, dev <= tol))
     return out
@@ -241,7 +247,7 @@ SMOOTHED_BAND = (0.80, 1.05)
 SMOOTHED_FRACTION = 0.90
 
 
-def regress(table, tolerance=2e-4, budget=120, data_dir=None):
+def regress(table, tolerance=2e-4, budget=120):
     """Recompute every row of a bound table.
 
     Polynomial tables rerun the exact solver with the row's (lambda, J); every
@@ -251,7 +257,7 @@ def regress(table, tolerance=2e-4, budget=120, data_dir=None):
     rows land in the 0.80..1.05 ratio band; out-of-band rows are flagged.
     """
     if isinstance(table, str):
-        table = load_table(table, data_dir)
+        table = load_table(table)
     if isinstance(table, ZdTable):
         return regress_zero_density(table, budget=budget)
     if table.method == "poly":
@@ -362,22 +368,22 @@ def regress_zero_density(table, budget=60, lambdas=None):
 # summary chains
 # ---------------------------------------------------------------------------
 
-def quadratic_chain(data_dir=None):
+def quadratic_chain():
     """(rows, b_min) feeding the uniform-constant reducer, quadratic case.
 
     Small-width rows above the very-small regime (widths > 1e-10) chained
     with the medium-width rows up to 0.1227.
     """
-    t2 = load_table("T2:quadratic", data_dir)
-    t3 = load_table("T3:quadratic", data_dir)
+    t2 = load_table("T2:quadratic")
+    t3 = load_table("T3:quadratic")
     rows = [(r.b, r.lambda_star) for r in t2.rows if r.b > 1e-10]
     rows += [(r.b, r.lambda_star) for r in t3.rows if r.b <= 0.1227]
     return sorted(rows), 1e-10
 
 
-def principal_chain(data_dir=None):
+def principal_chain():
     """(rows, b_min) for the principal case: small-width rows up to 0.0875."""
-    t2 = load_table("T2:principal", data_dir)
+    t2 = load_table("T2:principal")
     rows = [(r.b, r.lambda_star) for r in t2.rows if 1e-5 < r.b <= 0.0875]
     return sorted(rows), 1e-5
 
@@ -408,16 +414,9 @@ def from_json(text):
                       for row in payload["cells"])
         return ZdTable(payload["id"], payload["caption"],
                        tuple(payload["lambdas"]), tuple(payload["b_values"]), cells)
-    fields = ["b", "ref", "lambda_star", "lambda", "J"]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    cols = [f for f in fields if any(r.get(f) for r in payload["rows"])]
-    writer.writerow(cols)
-    for r in payload["rows"]:
-        writer.writerow([r.get(c, "") for c in cols])
     return BoundTable(payload["id"], payload["variant"], payload["caption"],
-                      payload["method"], payload["case"],
-                      payload["reference_factor"], _parse_bound_rows(buf.getvalue()))
+                      payload["method"], payload["case"], payload["reference_factor"],
+                      tuple(_row_from_record(rec) for rec in payload["rows"]))
 
 
 def to_markdown(table):
@@ -429,8 +428,7 @@ def to_markdown(table):
             cells = ["" if v is None else ("inf" if math.isinf(v) else str(v)) for v in row]
             lines.append("| " + f"{lam:g} | " + " | ".join(cells) + " |")
         return "\n".join(lines)
-    cols = [c for c in ("b", "ref", "lambda_star", "lambda", "J")
-            if any(r.raw.get(c) for r in table.rows)]
+    cols = _bound_columns(table)
     lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
     for r in table.rows:
         lines.append("| " + " | ".join(r.raw.get(c, "") for c in cols) + " |")
@@ -447,8 +445,7 @@ def to_csv(table):
             w.writerow([f"{lam:g}"] + ["" if v is None else ("inf" if math.isinf(v) else v)
                                        for v in row])
         return buf.getvalue()
-    cols = [c for c in ("b", "ref", "lambda_star", "lambda", "J")
-            if any(r.raw.get(c) for r in table.rows)]
+    cols = _bound_columns(table)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(cols)

@@ -130,11 +130,6 @@ class TrialFunction:
         return f"TrialFunction({self.family}, {ps})"
 
 
-def laplace(f, z):
-    """F(z) = int_0^infty e^{-zt} f(t) dt for a trial function."""
-    return f.laplace(z)
-
-
 # ---------------------------------------------------------------------------
 # triangle family
 # ---------------------------------------------------------------------------
@@ -334,13 +329,13 @@ def repel_reduce(f, a, b):
     return float((f.laplace(-a) - f.laplace(b - a)).real)
 
 
-def condition2_min(f, y_max=100.0, points=2001):
-    """Minimum of Re F(iy) over the verification grid on the imaginary axis.
+def condition2_min(f):
+    """Minimum of Re F(iy) over 2001 points y in [-100, 100].
 
     The grid spacing resolves the transform's oscillation (period bounded
     below by 2 pi / x0) for x0 <= 30; the half-plane condition reduces to the
     boundary by the minimum principle since F decays at infinity.
     """
-    ys = np.linspace(-y_max, y_max, points)
+    ys = np.linspace(-100.0, 100.0, 2001)
     vals = f.laplace(1j * ys).real
     return float(vals.min())

@@ -71,16 +71,6 @@ class ZfrResult:
     residual: float
     approximate: bool = False
 
-    def __str__(self):
-        notes = []
-        if self.side_limited:
-            notes.append("side-condition limited")
-        if self.approximate:
-            notes.append("approximate (substitute weight)")
-        tail = f" [{', '.join(notes)}]" if notes else ""
-        return (f"zfr {self.case}: lambda = {self.lam:g} -> lambda_1 >= "
-                f"{self.lambda1:.6g} (side condition {'OK' if self.side_ok else 'FAILED'}){tail}")
-
 
 def get_case(name):
     try:
@@ -149,10 +139,11 @@ def side_condition_limit(case, lam):
     return lam * (ratio ** 0.25 - 1.0)
 
 
-def zfr_solve(case, lam, phi=PHI, hi=10.0):
+def zfr_solve(case, lam, phi=PHI):
     """Zero-free-region width for a chosen lambda.
 
-    Returns the smaller of the inequality root and the side-condition limit:
+    Returns the smaller of the inequality root, bracketed on [0, 10], and the
+    side-condition limit:
     the argument proves the region only while the side condition holds, and
     for the principal case the published width is exactly the (near-tight)
     side limit.  ``side_ok`` refers to the returned width; ``side_limited``
@@ -164,14 +155,14 @@ def zfr_solve(case, lam, phi=PHI, hi=10.0):
         raise InvalidParameterError(f"lambda must be positive, got {lam}")
     c0, c1 = case.coeffs[0], case.coeffs[1]
     root, hlo, hhi = _kernels.zfr_root(float(c0), float(c1), float(case.B),
-                                       float(lam), float(phi), 0.0, float(hi))
+                                       float(lam), float(phi), 0.0, 10.0)
     if math.isnan(root):
         if hlo > 0:
             raise NoBoundError(
                 f"zfr {case.name}: inequality already positive at width 0 "
                 f"(lambda={lam}); no region provable", sign="positive")
         raise NoBoundError(
-            f"zfr {case.name}: no root below {hi} at lambda={lam}", sign="negative")
+            f"zfr {case.name}: no root below 10.0 at lambda={lam}", sign="negative")
     # relative to the ~1e5-sized terms of the inequality
     scale = 1.0 + c0 * 3.2 + case.B * phi * lam
     residual = abs(float(zfr_h(case, lam, phi)(root))) / scale
@@ -229,13 +220,13 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
                      float(root), abs(h(root)), approximate=True)
 
 
-def zfr_optimize(case, phi=PHI, lam_lo=0.05, lam_hi=3.0, scan=241, tol=1e-6):
+def zfr_optimize(case, phi=PHI):
     """Best lambda for a polynomial case: maximize the returned width.
 
-    Coarse scan then golden-section refinement; infeasible lambdas (no root)
-    score -inf.  Deterministic.  The width profile is continuous and unimodal
-    on the feasible region (the root falls and the side limit rises in
-    lambda), so this finds the global optimum.
+    A 241-point scan of lambda in [0.05, 3] then golden-section refinement to
+    1e-6; infeasible lambdas (no root) score -inf.  Deterministic.  The width
+    profile is continuous and unimodal on the feasible region (the root falls
+    and the side limit rises in lambda), so this finds the global optimum.
     """
     case = get_case(case) if isinstance(case, str) else case
 
@@ -245,9 +236,9 @@ def zfr_optimize(case, phi=PHI, lam_lo=0.05, lam_hi=3.0, scan=241, tol=1e-6):
         except NoBoundError:
             return -math.inf
 
-    lam_opt, width = optimizer._golden_max(value, lam_lo, lam_hi,
-                                           optimizer._Budget(math.inf), coarse=scan,
-                                           xtol_frac=tol / (lam_hi - lam_lo))
+    lam_opt, width = optimizer._golden_max(value, 0.05, 3.0,
+                                           optimizer._Budget(math.inf), coarse=241,
+                                           xtol_frac=1e-6 / (3.0 - 0.05))
     if not math.isfinite(width):
-        raise NoBoundError(f"zfr {case.name}: no feasible lambda in [{lam_lo}, {lam_hi}]")
+        raise NoBoundError(f"zfr {case.name}: no feasible lambda in [0.05, 3.0]")
     return lam_opt, width

@@ -1,6 +1,9 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +153,60 @@ class TestDeterminism:
         _, out, _ = run(["zfr", "--case", "order234", "--lambda", "0.9421",
                          "--precision", "10"], capsys)
         assert "0.1227420581" in out
+
+    def test_precision_flag_on_optimize(self, capsys):
+        _, out, _ = run(["optimize", "--case", "cc-lp-nonprincipal", "--b", "0.1227",
+                         "--precision", "10"], capsys)
+        assert out.splitlines() == [
+            "cc-lp-nonprincipal: b=0.1227 -> lambda* = 0.7391211676 (residual 5.9e-17)",
+            "  parameters: lambda=1.096804324, J=0.7788368315"]
+
+    def test_precision_flag_on_zfr_optimize(self, capsys):
+        _, out, _ = run(["zfr", "--case", "principal", "--optimize",
+                         "--precision", "10"], capsys)
+        assert out.splitlines()[1] == (
+            "zfr principal: lambda = 1.291742328 -> lambda_1 >= 0.0875671767"
+            " (side condition OK) [side-condition limited]")
+
+    @pytest.mark.parametrize("precision, width", [("6", "0.166568"), ("10", "0.1665681236")])
+    def test_precision_flag_on_zfr_order_ge6(self, capsys, precision, width):
+        _, out, _ = run(["zfr", "--case", "order-ge6", "--family", "triangle",
+                         "--params", "x0=4", "--precision", precision], capsys)
+        assert out == (f"zfr order-ge6: lambda = 0.3916 -> lambda_1 >= {width}"
+                       " (side condition OK) [approximate (substitute weight)]\n")
+
+
+#: ``$ heckezeros <args>`` lines, each followed by that command's exact stdout
+TRANSCRIPT = Path(__file__).with_name("cli_transcript.txt")
+README = Path(__file__).parents[1] / "README.md"
+#: the weight file of the README's ``--family-file`` example
+WEIGHT_CFG = "# weight.cfg\nfamily = autocorrelation\nalpha = -0.5\ns = 1.4\n"
+
+
+#: (arguments, expected stdout) per transcript entry
+GOLDEN = [tuple(block.split("\n", 1)) for block in
+          re.split(r"(?m)^\$ heckezeros ", TRANSCRIPT.read_text(encoding="utf-8"))[1:]]
+
+
+class TestGoldenOutput:
+    """Every README CLI example prints exactly its pinned stdout.
+
+    ``verify --suite all`` is left out: the acceptance gate runs it.
+    """
+
+    @pytest.mark.parametrize("command, expected", GOLDEN, ids=[c for c, _ in GOLDEN])
+    def test_stdout_is_pinned(self, command, expected, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "weight.cfg").write_text(WEIGHT_CFG)
+        code, out, _ = run(shlex.split(command), capsys)
+        assert code == 0
+        assert out == expected
+
+    def test_transcript_covers_readme_examples(self):
+        readme = README.read_text(encoding="utf-8")
+        examples = re.findall(r"(?m)^heckezeros ([^#\n]*)", readme)
+        examples += re.findall(r"`heckezeros ([^`]*)`", readme)
+        commands = {c for c, _ in GOLDEN}
+        missing = [e.strip() for e in examples
+                   if e.strip() not in commands and e.strip() != "verify --suite all"]
+        assert len(examples) >= 12 and not missing

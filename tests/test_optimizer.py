@@ -74,6 +74,35 @@ class TestSmoothedSearch:
         assert warm.lambda_star >= cold.lambda_star - 1e-9
 
 
+class TestCompassStage:
+    """The compass stage crosses a kinked diagonal ridge that stalls descent.
+
+    On the ridge u = v (box-normalized coordinates) every coordinate move
+    costs more at the kink than it gains along the ridge, so coordinate
+    descent started on it cannot move; diagonal compass moves climb the ridge
+    to its top at u = v = 0.8.
+    """
+
+    BOXES = {"x": (-1.0, 1.0), "y": (0.0, 4.0)}
+    START = {"x": -0.6, "y": 0.8}           # u = v = 0.2, value -0.36
+
+    @staticmethod
+    def ridge(x, y):
+        u, v = (x + 1.0) / 2.0, y / 4.0
+        return -2.0 * abs(u - v) - ((u + v) / 2.0 - 0.8) ** 2
+
+    def test_restarts_beat_a_single_descent(self):
+        names = ("x", "y")
+        _, descent = optimizer._coordinate_descent(
+            self.ridge, names, self.BOXES, self.START, optimizer._Budget(5000))
+        point, refined = optimizer._run_restarts(
+            self.ridge, names, self.BOXES, [self.START], 5000, 1e-7)
+        assert descent == pytest.approx(-0.36, abs=1e-12)
+        assert refined >= descent + 0.35
+        assert point["x"] == pytest.approx(0.6, abs=1e-3)
+        assert point["y"] == pytest.approx(3.2, abs=2e-3)
+
+
 class TestZdSearch:
     def test_reference_heights(self):
         for lam, listed in ((0.1, 2), (0.2, 4), (0.3, 7)):

@@ -1,5 +1,6 @@
 """Bundled datasets: integrity, regression, chains, serialization."""
 
+import json
 import math
 
 import pytest
@@ -167,6 +168,15 @@ class TestSerialization:
         rep1 = tables.regress(t)
         rep2 = tables.regress(tables.from_json(tables.to_json(t)))
         assert rep1 == rep2
+
+    def test_json_numbers_read_as_printed_text(self):
+        t = tables.load_table("T4")
+        payload = json.loads(tables.to_json(t))
+        payload["rows"] = [{k: float(v) for k, v in r.items()} for r in payload["rows"]]
+        clone = tables.from_json(json.dumps(payload))
+        assert clone == t
+        assert clone.rows[0].raw["lambda_star"] == "0.7391"
+        assert tables.regress(clone).passed
 
     def test_markdown_and_csv_render(self):
         t = tables.load_table("T4")
