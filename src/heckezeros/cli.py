@@ -287,7 +287,8 @@ def build_parser():
     y.add_argument("--vartheta", type=float, default=0.75)
     y.add_argument("--optimize", action="store_true",
                    help="optimize the substitute weight family")
-    y.add_argument("--budget", type=int, default=300)
+    y.add_argument("--budget", type=int, default=300,
+                   help="weights --optimize scores, split over the profiles")
     _add_family(y)
     _add_common(y)
     y.set_defaults(fn=_cmd_zd)
@@ -297,14 +298,16 @@ def build_parser():
     t.add_argument("--regress", default=None, metavar="NAME",
                    help="recompute a table and report deviations")
     t.add_argument("--tolerance", type=float, default=2e-4)
-    t.add_argument("--budget", type=int, default=120)
+    t.add_argument("--budget", type=int, default=120,
+                   help="weights a search --regress scores per row (T1: per cell)")
     _add_common(t)
     t.set_defaults(fn=_cmd_table)
 
     o = sp.add_parser("optimize", help="parameter search for a repulsion case")
     o.add_argument("--case", required=True, choices=sorted(dh.CASES))
     o.add_argument("--b", type=float, required=True)
-    o.add_argument("--budget", type=int, default=6000)
+    o.add_argument("--budget", type=int, default=6000,
+                   help="evaluations of the search: (lambda, J) solves or weights")
     _add_common(o)
     o.set_defaults(fn=_cmd_optimize)
 

@@ -2,7 +2,8 @@
 
 Polynomial cases search the (lambda, J) tuning box by a nested golden-section
 search.  Smoothed cases and the density bound search the substitute weight
-family (exponentially tilted box generator, parameters alpha and s) by
+family (the autocorrelation of the generator e^{alpha u} (1 + cos(beta u)) on
+[0, s], over alpha and s at each fixed beta s / pi in ``PROFILES``) by
 coordinate descent, a coarse scan plus golden-section line search per
 coordinate, restarted from a fixed grid and refined by compass moves while
 budget is left.  No randomness, fixed iteration counts, lexicographic
@@ -136,13 +137,14 @@ def _compass_refine(objective, names, boxes, point, best, budget,
     On a kinked diagonal ridge every coordinate move loses at the kink, so
     coordinate descent stalls while diagonal moves climb the ridge
     (``TestCompassStage`` in the optimizer tests).  It runs only when a
-    descent leaves budget: never in the smoothed searches at budgets <= 400
-    nor in the density search at budget 60, which covers the benchmark, the
-    acceptance gate and the ``table --regress`` default.  The density search
-    at budgets 250 and 300 runs it on 3 of the 189 (lambda, b) cells of the
-    T1 grid, all unlisted ones.  At ``optimize``'s default budget of 6000 it
-    does run: with its re-descent, it lifts sz-lp-principal at b = 1e-3 from
-    6.864062 (descent alone) to 6.873875.
+    descent leaves budget: never in the smoothed searches at budgets <= 250
+    nor in the density search at budgets 60 and 250, which covers the
+    benchmark, the acceptance gate and the ``table --regress`` default.  At
+    budget 400 it runs on 1 of the 258 bundled smoothed rows, and the density
+    search at budget 300 runs it on 2 of the 189 cells of the T1 grid.  At
+    ``optimize``'s default budget of 6000 it does run: with its re-descent,
+    it lifts sz-lp-principal at b = 1e-3 from 6.864062 (descent alone) to
+    6.873875.
     """
     scale = {n: boxes[n][1] - boxes[n][0] for n in names}
     dirs = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
@@ -237,18 +239,18 @@ def maximize_bound(spec):
         # the inner search needs a tight tolerance because at fixed lambda the
         # J-maximum sits on the root/side-limit kink, where value error is
         # first order in J; the outer maximum is smooth, so 1e-4 suffices
+        J_at = {}
+
         def inner(lam):
-            _, v = _golden_max(lambda j: objective(lam, j), *POLY_BOXES["J"], budget,
-                               xtol_frac=2e-6)
+            J_at[lam], v = _golden_max(lambda j: objective(lam, j), *POLY_BOXES["J"],
+                                       budget, xtol_frac=2e-6)
             return v
 
         lam_opt, v = _golden_max(inner, *POLY_BOXES["lambda"], budget, coarse=25)
         if not math.isfinite(v):
             raise InfeasibleSearchError(
                 f"no feasible (lambda, J) for {case.name} at b={spec.b}")
-        J_opt, v = _golden_max(lambda j: objective(lam_opt, j), *POLY_BOXES["J"],
-                               _Budget(200), xtol_frac=2e-6)
-        return dh.solve_poly(case, spec.b, lam_opt, J_opt, phi=spec.phi)
+        return dh.solve_poly(case, spec.b, lam_opt, J_at[lam_opt], phi=spec.phi)
 
     res = optimize_family_smoothed(case.name, spec.b, budget=spec.max_evals,
                                    phi=spec.phi, sweep_tol=1e-6)
@@ -258,61 +260,69 @@ def maximize_bound(spec):
     return res
 
 
-#: generator modulation profiles (c1, beta * s / pi) for the smoothed search;
-#: the plain exponential box is the first entry, the cosine-modulated ones
-#: carry the far end of the bound tables where the box family falls short
-SMOOTHED_PROFILES = ((0.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (0.5, 1.0))
+#: cosine multipliers beta * s / pi of the substitute generator
+#: e^{alpha u} (1 + cos(beta u)); over every bundled smoothed row and every T1
+#: cell these two are the only profiles that win
+PROFILES = (1.0, 0.5)
 
 
-def _gen_family(alpha, s, c1=0.0, mult=0.0):
-    beta = mult * math.pi / s if c1 else 0.0
-    return trial_functions.autocorrelation(alpha=alpha, c0=1.0, c1=c1,
-                                           beta=beta, s=s)
+def _gen_family(alpha, s, mult):
+    return trial_functions.autocorrelation(alpha=alpha, c0=1.0, c1=1.0,
+                                           beta=mult * math.pi / s, s=s)
+
+
+def _search_profiles(score, boxes, seeds, budget, sweep_tol):
+    """Maximize ``score(weight)`` over (alpha, s) for each profile.
+
+    Each profile gets ``budget // len(PROFILES)`` evaluations, at least 40,
+    and the earlier profile wins a tie.  A weight that cannot be built or
+    scored counts as -inf.  Returns (weight, mult) of the best profile, or
+    None when no weight in the box scores finite.
+    """
+    per_profile = max(budget // len(PROFILES), 40)
+    best = None
+    for mult in PROFILES:
+
+        def objective(alpha, s, _mult=mult):
+            try:
+                return score(_gen_family(alpha, s, _mult))
+            except HeckeZerosError:
+                return -math.inf
+
+        point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
+                                     per_profile, sweep_tol)
+        if point is not None and (best is None or value > best[0]):
+            best = (value, point, mult)
+    if best is None:
+        return None
+    _, point, mult = best
+    return _gen_family(point["alpha"], point["s"], mult), mult
 
 
 def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
                              sweep_tol=1e-7):
     """Optimize the substitute family for one smoothed case and width.
 
-    Runs an (alpha, s) search for each modulation profile and keeps the best;
-    returns a BoundResult or None when no weight in the box yields a bound.
-    ``seed_params`` (alpha, s and c1, which defaults to 0) warm-starts every
-    profile with that c1: the plain profile when c1 = 0, and 3 of the 5
-    profiles when c1 = 1.  That is useful along a table, where optima drift
-    slowly.
+    Runs an (alpha, s) search for each profile and keeps the best; returns a
+    BoundResult or None when no weight in the box yields a bound.
+    ``seed_params`` (alpha and s) warm-starts every profile, which is useful
+    along a table, where optima drift slowly.
     """
     case = dh.get_case(case)
-    per_profile = max(budget // len(SMOOTHED_PROFILES), 40)
-    best = None
-    for c1, mult in SMOOTHED_PROFILES:
-
-        def objective(alpha, s, _c1=c1, _mult=mult):
-            try:
-                f = _gen_family(alpha, s, _c1, _mult)
-                return dh.solve_smoothed(case, f, b, phi=phi).lambda_star
-            except HeckeZerosError:
-                return -math.inf
-
-        seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
-                 for s_ in FAMILY_GRID["s"]]
-        if seed_params is not None and seed_params.get("c1", 0.0) == c1:
-            seeds = [{"alpha": seed_params["alpha"], "s": seed_params["s"]}] + seeds
-        point, value = _run_restarts(objective, ("alpha", "s"), FAMILY_BOXES, seeds,
-                                     per_profile, sweep_tol)
-        if point is not None and (best is None or value > best[0]):
-            best = (value, point, c1, mult)
-    if best is None:
+    seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
+             for s_ in FAMILY_GRID["s"]]
+    if seed_params is not None:
+        seeds = [{"alpha": seed_params["alpha"], "s": seed_params["s"]}] + seeds
+    found = _search_profiles(
+        lambda f: dh.solve_smoothed(case, f, b, phi=phi).lambda_star,
+        FAMILY_BOXES, seeds, budget, sweep_tol)
+    if found is None:
         return None
-    _, point, c1, mult = best
-    f = _gen_family(point["alpha"], point["s"], c1, mult)
+    f, mult = found
     res = dh.solve_smoothed(case, f, b, phi=phi)
-    res.params["profile_c1"] = c1
+    res.params["profile_c1"] = 1.0
     res.params["profile_mult"] = mult
     return res
-
-
-#: modulation profiles for the density search
-ZD_PROFILES = ((0.0, 0.0), (1.0, 1.0), (1.0, 0.5))
 
 
 def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
@@ -322,32 +332,20 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
     tuning recipe (scale 2 theta-hat / lambda) before the descent refines it.
     """
     boxes = {**FAMILY_BOXES, "s": (0.2, 40.0)}
-    per_profile = max(budget // len(ZD_PROFILES), 40)
-    best = None
     theta = zero_density.recipe_theta(lam, b)
     seed_s = min(max(2.0 * theta / lam, 1.0), boxes["s"][1]) if lam > 0 else 5.0
-    for c1, mult in ZD_PROFILES:
-
-        def objective(alpha, s, _c1=c1, _mult=mult):
-            try:
-                f = _gen_family(alpha, s, _c1, _mult)
-                q = zero_density.ZdQuery(f, lam, b, vartheta, phi)
-                return -zero_density.n_lambda_bound(q)
-            except HeckeZerosError:
-                return -math.inf
-
-        seeds = [{"alpha": 0.0, "s": seed_s}]
-        seeds += [{"alpha": a, "s": s_} for a in (-0.5, 0.0)
-                  for s_ in (3.0, 6.0, 10.0, 18.0, 30.0)]
-        point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
-                                     per_profile, 1e-7)
-        if point is not None and (best is None or value > best[0]):
-            best = (value, point, c1, mult)
-    if best is None:
+    seeds = [{"alpha": 0.0, "s": seed_s}]
+    seeds += [{"alpha": a, "s": s_} for a in (-0.5, 0.0)
+              for s_ in (3.0, 6.0, 10.0, 18.0, 30.0)]
+    found = _search_profiles(
+        lambda f: -zero_density.n_lambda_bound(
+            zero_density.ZdQuery(f, lam, b, vartheta, phi)),
+        boxes, seeds, budget, 1e-7)
+    if found is None:
         return math.inf, {}
-    _, point, c1, mult = best
-    f = _gen_family(point["alpha"], point["s"], c1, mult)
+    f, mult = found
     q = zero_density.ZdQuery(f, lam, b, vartheta, phi)
-    return zero_density.n_lambda_int(q), {"alpha": point["alpha"], "s": point["s"],
-                                          "c1": c1, "beta_mult": mult,
+    return zero_density.n_lambda_int(q), {"alpha": f.params["alpha"],
+                                          "s": f.params["s"], "c1": 1.0,
+                                          "beta_mult": mult,
                                           "bound": zero_density.n_lambda_bound(q)}

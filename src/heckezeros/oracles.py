@@ -1,8 +1,8 @@
 """Independent brute-force verification backends.
 
 These deliberately use different algorithms from the primary code paths
-(composite Simpson vs closed forms, scan-then-bisect vs pure bisection) so
-that agreement between the two is evidence rather than tautology.
+(composite Simpson vs closed forms, scan-then-bisect vs the ITP root solver)
+so that agreement between the two is evidence rather than tautology.
 """
 
 from dataclasses import dataclass

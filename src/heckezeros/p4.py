@@ -91,14 +91,6 @@ class PositivityResult:
     argmin_t: float
 
 
-def p4_combo(q, t):
-    """Re{C P(a/(c+it)) + B P(a/(b+it)) - A P(a/(a+it))} on a t array."""
-    t = np.asarray(t, dtype=float)
-    return (q.C * p4_eval(q.a / (q.c + 1j * t))
-            + q.B * p4_eval(q.a / (q.b + 1j * t))
-            - q.A * p4_eval(q.a / (q.a + 1j * t))).real
-
-
 def pm_positivity(q):
     """Check the quartic positivity combination on a symmetric t grid.
 

@@ -253,8 +253,10 @@ def regress(table, tolerance=2e-4, budget=120):
     Polynomial tables rerun the exact solver with the row's (lambda, J); every
     row must match to ``tolerance`` with the side condition holding.  Smoothed
     tables re-derive each row with the substitute family optimized per row
-    (``budget`` objective evaluations per sweep) and pass when at least 90% of
-    rows land in the 0.80..1.05 ratio band; out-of-band rows are flagged.
+    (``budget`` objective evaluations per row, split evenly over the generator
+    profiles with at least 40 each) and pass when at least 90% of rows land in
+    the 0.80..1.05 ratio band; out-of-band rows are flagged.  Density tables
+    take the same per-cell budget.
     """
     if isinstance(table, str):
         table = load_table(table)
@@ -315,7 +317,7 @@ def _regress_smoothed(table, budget):
                                   False, False, "no admissible weight found"))
             warm = None
             continue
-        warm = {k: res.params[k] for k in ("alpha", "s", "c1")}
+        warm = {k: res.params[k] for k in ("alpha", "s")}
         ratio = res.lambda_star / r.lambda_star
         in_band = SMOOTHED_BAND[0] <= ratio <= SMOOTHED_BAND[1]
         note = "" if in_band else "out of band (flagged, substitute family)"

@@ -3,7 +3,7 @@
 Each suite returns a list of OracleReport; the CLI prints them and the test
 suite asserts they all pass.  The oracles deliberately use different
 algorithms from the primary paths (Simpson quadrature vs closed forms,
-scan-plus-bisection vs pure bisection) so agreement is evidence.
+scan-plus-bisection vs the ITP solver) so agreement is evidence.
 """
 
 import math
@@ -183,7 +183,7 @@ def suite_positivity():
 def suite_roots():
     rng = np.random.default_rng(_SEED + 2)
     reports = []
-    # bisection vs scan oracle on random polynomial instances
+    # ITP solver vs scan oracle on random polynomial instances
     worst, arg = 0.0, None
     cases = [c for c in dh.POLY_CASES]
     for _ in range(20):
@@ -203,14 +203,14 @@ def suite_roots():
             f"poly root bracketing h(x -+ 1e-6) at {name} b={b:.3f}",
             [max(float(h(res.root - 1e-6)), 0.0),
              max(-float(h(res.root + 1e-6)), 0.0)], None, 0.0))
-    reports.append(equality_report("bisection vs 1e-6 scan oracle on random "
+    reports.append(equality_report("ITP root vs 1e-6 scan oracle on random "
                                    "polynomial instances", [worst], [arg], 2e-6))
     # smoothed solver vs scan
     f = trial_functions.triangle(2.5)
     res = dh.solve_smoothed("sz-lp-quadratic", f, 0.01)
     h = dh.smoothed_h("sz-lp-quadratic", f, 0.01)
     scanned = oracles.scan_root(h, 0.01, 60.0, 1e-6)
-    reports.append(equality_report("smoothed bisection vs scan oracle",
+    reports.append(equality_report("smoothed ITP root vs scan oracle",
                                    [abs(scanned - res.lambda_star)], None, 2e-6))
     # residuals across every bundled polynomial row
     worst_res = 0.0

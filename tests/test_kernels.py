@@ -139,12 +139,22 @@ def test_overflowing_pair_gives_plus_infinity():
 
 
 def test_grid_kernel_matches_numpy_implementation():
-    ts = np.linspace(-50.0, 50.0, 4001)
-    q = p4.PositivityQuery(0.5, 0.5, 1.7408, 1.316, 1.4387, 1.7825)
-    mn, at = _kernels.p4_combo_min(q.A, q.B, q.C, q.a, q.b, q.c, ts)
-    ref = p4.p4_combo(q, ts)
-    assert mn == pytest.approx(ref.min(), abs=1e-13)
-    assert at == ts[int(np.argmin(ref))]
+    """The grid minimum against the closed form of the same combination,
+    C Re P(a/(c+it)) + B Re P(a/(b+it)) - A Re P(a/(a+it)), which
+    ``p4.re_p4_identity`` gives for a <= b <= c."""
+    rng = np.random.default_rng(7)
+    queries = [(0.5, 0.5, 1.7408, 1.316, 1.4387, 1.7825)]
+    queries += [(*rng.uniform(0.1, 2.0, 3), *np.sort(rng.uniform(0.2, 3.0, 3)))
+                for _ in range(50)]
+    for A, B, C, a, b, c in queries:
+        ts = np.linspace(-50.0 * a, 50.0 * a, 4001)
+        mn, at = _kernels.p4_combo_min(A, B, C, a, b, c, ts)
+        ref = (C * p4.re_p4_identity(a, c, ts) + B * p4.re_p4_identity(a, b, ts)
+               - A * p4.re_p4_identity(a, a, ts))
+        tol = 1e-13 * (A + B + C)
+        assert mn == pytest.approx(ref.min(), abs=tol)
+        # near-ties may pick another grid point, but never a worse one
+        assert ref[np.flatnonzero(ts == at)[0]] <= ref.min() + tol
 
 
 def test_smoothed_root_matches_generic_bisection():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from heckezeros import dh, optimizer, tables, trial_functions
+from heckezeros import dh, optimizer, tables, trial_functions, zero_density
 from heckezeros.errors import InfeasibleSearchError
 from heckezeros.optimizer import SearchSpec, maximize_bound
 
@@ -67,11 +67,14 @@ class TestSmoothedSearch:
         assert 0.80 * 1.836 <= res.lambda_star <= 1.05 * 1.836
 
     def test_warm_seed_used(self):
-        cold = optimizer.optimize_family_smoothed("sz-lp-quadratic", 0.05, budget=250)
-        warm = optimizer.optimize_family_smoothed(
-            "sz-lp-quadratic", 0.05, budget=250,
-            seed_params={"alpha": cold.params["alpha"], "s": cold.params["s"]})
-        assert warm.lambda_star >= cold.lambda_star - 1e-9
+        """A seed at a larger budget's optimum carries a starved search there:
+        every profile, the winning one included, starts from it."""
+        best = optimizer.optimize_family_smoothed("sz-lp-quadratic", 0.05, budget=400)
+        seed = {"alpha": best.params["alpha"], "s": best.params["s"]}
+        cold = optimizer.optimize_family_smoothed("sz-lp-quadratic", 0.05, budget=80)
+        warm = optimizer.optimize_family_smoothed("sz-lp-quadratic", 0.05, budget=80,
+                                                  seed_params=seed)
+        assert warm.lambda_star >= best.lambda_star > cold.lambda_star
 
 
 class TestCompassStage:
@@ -101,6 +104,38 @@ class TestCompassStage:
         assert refined >= descent + 0.35
         assert point["x"] == pytest.approx(0.6, abs=1e-3)
         assert point["y"] == pytest.approx(3.2, abs=2e-3)
+
+
+class TestBudget:
+    """Each search makes at most its budget of objective evaluations, plus the
+    final solve (and, for the density search, the final bound)."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_smoothed_search(self, monkeypatch):
+        calls = self.counted(monkeypatch, dh, "solve_smoothed")
+        optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=120)
+        assert len(calls) <= 121
+
+    def test_density_search(self, monkeypatch):
+        calls = self.counted(monkeypatch, zero_density, "n_lambda_bound")
+        optimizer.optimize_zd(0.2, 0.0, budget=60)
+        assert len(calls) <= 82
+
+    def test_poly_search(self, monkeypatch):
+        calls = self.counted(monkeypatch, dh, "solve_poly")
+        maximize_bound(SearchSpec("cc-lp-nonprincipal", 0.1227, max_evals=300))
+        assert len(calls) <= 301
 
 
 class TestZdSearch:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezeros import p4
+from heckezeros import _kernels, p4
 from heckezeros.errors import DomainError, InvalidParameterError
 
 
@@ -91,8 +91,8 @@ class TestPmPositivity:
         assert res.guaranteed
         assert res.min_over_t >= -1e-12
         # at t = 0 the combination is 3.2 + 3.2 - 3.2
-        ts = np.array([0.0])
-        assert p4.p4_combo(p4.PositivityQuery(1, 1, 1, 1, 1, 1), ts)[0] == pytest.approx(3.2)
+        mn, at = _kernels.p4_combo_min(1, 1, 1, 1, 1, 1, np.array([0.0]))
+        assert mn == pytest.approx(3.2) and at == 0.0
 
     def test_unguaranteed_query_still_reports_minimum(self):
         q = p4.PositivityQuery(1.0, 0.0, 1.0, 1.0, 1.0, 1.1)
