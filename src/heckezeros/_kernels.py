@@ -4,12 +4,16 @@ Every bound ends in a monotone root solve, and every solve here goes through
 one bracketed ITP solver (interpolate, truncate, project; Oliveira &
 Takahashi 2021), ``_bisect``: 11.8 evaluations of ``h`` per bundled quartic
 row where bisection took 65.6, and never more steps than the halvings down
-to its tolerance plus one.  The named root kernels (``smoothed_root``,
-``poly_root``, ``zfr_root``) only build the case's increasing function ``h``
-and hand it to the solver; they return ``(root, h(lo), h(hi))`` with a NaN
-root when ``h`` has no sign change, so callers can tell which way the
-inequality failed.  The quartic kernels solve in ``u = lam/(lam+x)``, where
-``h`` is the polynomial ``P(u)`` itself (``_quartic_root``).
+to its tolerance plus one.  Each inequality's bracketing function is
+written once, by a builder whose arithmetic works on floats and on arrays:
+``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and ``zfr_fn``
+return the quartic ones as ``g(u)``, ``u = lam/(lam+x)``.  The named root
+kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) hand the builder's
+function to the solver; they return ``(root, h(lo), h(hi))`` with a NaN root
+when ``h`` has no sign change, so callers can tell which way the inequality
+failed.  The quartic kernels solve in ``u``, where ``h`` is the polynomial
+itself (``_quartic_root``); the vectorized ``h`` of the solver modules and
+the solvers' residuals come from the same builders.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
 Trial functions reach this module, its one reader, as a flattened "family
@@ -220,10 +224,10 @@ def _quartic_root(g, lam, lo, hi):
     return lam / u - lam, -glo, -ghi
 
 
-def smoothed_root(F, form, c1, psi, b, f0, lo, hi):
-    """Root of the smoothed repulsion function of a weight with transform F.
+def smoothed_fn(F, form, c1, psi, b, f0):
+    """The smoothed repulsion function h of a weight with transform F.
 
-    F is F(r) at one real point as a float; f0 = f(0).
+    F maps real r to F(r); h works on floats or arrays as F does.  f0 = f(0).
     form 0: h(x) = c1 (F(-x) - F(b-x)) - F(0) + psi f(0)
     form 1: h(x) = F(-b) - F(0) - F(x-b) + psi f(0)
     Both increase in x.
@@ -237,7 +241,12 @@ def smoothed_root(F, form, c1, psi, b, f0, lo, hi):
 
         def h(x):
             return base - F(x - b)
-    return _bisect(h, lo, hi)
+    return h
+
+
+def smoothed_root(F, form, c1, psi, b, f0, lo, hi):
+    """Root of ``smoothed_fn``; F is F(r) at one real point as a float."""
+    return _bisect(smoothed_fn(F, form, c1, psi, b, f0), lo, hi)
 
 
 def _p4(u):
@@ -245,11 +254,11 @@ def _p4(u):
     return u * (1.0 + u * (1.0 + u * (0.8 + 0.4 * u)))
 
 
-def poly_root(slot, lam, J, b, psi, lo, hi):
-    """Root of the quartic-method repulsion function.
+def poly_fn(slot, lam, J, b, psi):
+    """The quartic-method repulsion function as g(u), u = lam/(lam+x).
 
     slot 0: known value on the (J^2 + 1/2) term, unknown on the 2J term;
-    slot 1: the reverse.
+    slot 1: the reverse.  g decreases in u, so g(lam/(lam+x)) increases in x.
     """
     sq = J * J + 0.5
     known = _p4(lam / (lam + b))
@@ -265,17 +274,27 @@ def poly_root(slot, lam, J, b, psi, lo, hi):
 
         def g(u):
             return sq * (3.2 - _p4(u)) - second + tail
-    return _quartic_root(g, lam, lo, hi)
+    return g
 
 
-def zfr_root(c0, c1, B, lam, phi, lo, hi):
-    """Root of c0 P(1) - c1 P(lam/(lam+x)) + B phi lam."""
+def poly_root(slot, lam, J, b, psi, lo, hi):
+    """Root in x of ``poly_fn``."""
+    return _quartic_root(poly_fn(slot, lam, J, b, psi), lam, lo, hi)
+
+
+def zfr_fn(c0, c1, B, lam, phi):
+    """The zero-free-region function c0 P(1) - c1 P(u) + B phi lam as g(u)."""
     const = c0 * 3.2 + B * phi * lam
 
     def g(u):
         return const - c1 * _p4(u)
 
-    return _quartic_root(g, lam, lo, hi)
+    return g
+
+
+def zfr_root(c0, c1, B, lam, phi, lo, hi):
+    """Root in x of ``zfr_fn``."""
+    return _quartic_root(zfr_fn(c0, c1, B, lam, phi), lam, lo, hi)
 
 
 def p4_combo_min(A, B, C, a, b, c, ts):

@@ -152,6 +152,16 @@ def require_finite(**values):
             raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
+def check_width(b, phi):
+    """Raise InvalidParameterError unless b >= 0 and b and phi are finite.
+
+    The solvers and the searches over them check these before any work.
+    """
+    require_finite(b=b, phi=phi)
+    if b < 0:
+        raise InvalidParameterError(f"width hypothesis b must be >= 0, got {b}")
+
+
 # ---------------------------------------------------------------------------
 # smoothed solver
 # ---------------------------------------------------------------------------
@@ -163,23 +173,12 @@ def smoothed_h(case, f, b, phi=PHI):
     kernel, so the scan oracle that checks the solver stays independent.
     """
     case = get_case(case) if isinstance(case, str) else case
-    psi = case.psi_over_phi * phi
 
     def F(r):   # through a 1-d array even for a scalar r
+        r = np.asarray(r, dtype=float)
         return f.laplace(r.reshape(-1)).real.reshape(r.shape)
-    F0 = float(F(np.array(0.0)))
-    f0 = f.content.f0
-    if case.form == "sz":
-        def h(x):
-            x = np.asarray(x, dtype=float)
-            return case.c1 * (F(-x) - F(b - x)) - F0 + psi * f0
-    else:
-        base = float(F(np.array(-b))) - F0 + psi * f0
-
-        def h(x):
-            x = np.asarray(x, dtype=float)
-            return base - F(x - b)
-    return h
+    return _kernels.smoothed_fn(F, 0 if case.form == "sz" else 1, case.c1,
+                                case.psi_over_phi * phi, b, f.content.f0)
 
 
 def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
@@ -199,9 +198,7 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "smoothed":
         raise InvalidParameterError(f"case {case.name} is not a smoothed case")
-    require_finite(b=b, phi=phi)
-    if b < 0:
-        raise InvalidParameterError(f"width hypothesis b must be >= 0, got {b}")
+    check_width(b, phi)
     psi = case.psi_over_phi * phi
     form = 0 if case.form == "sz" else 1
     code = f.kernel_code()
@@ -220,8 +217,8 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
         if form == 1 or hi <= 1.0 or not math.isinf(F(-hi)):
             break
         hi = 0.5 * hi
-    root, hlo, hhi = _kernels.smoothed_root(
-        F, form, float(case.c1), psi, float(b), f0, 0.0, hi)
+    c1, b = float(case.c1), float(b)
+    root, hlo, hhi = _kernels.smoothed_root(F, form, c1, psi, b, f0, 0.0, hi)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")
@@ -239,15 +236,10 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     # residual is measured relative to the evaluated transform terms: at tiny
     # widths they reach e^{x0 x} ~ 1e10 and an absolute figure would only
     # report float cancellation noise, not root quality
-    F0, F_neg, F_b = F(0.0), F(-root), F(b - root)
-    scale = 1.0 + abs(F_neg) + abs(F_b)
-    if form == 0:
-        h_root = case.c1 * (F_neg - F_b) - F0 + psi * f0
-    else:
-        h_root = F(-b) - F0 + psi * f0 - F(root - b)
-    residual = abs(h_root) / scale
+    h_root = _kernels.smoothed_fn(F, form, c1, psi, b, f0)(root)
+    residual = abs(h_root) / (1.0 + abs(F(-root)) + abs(F(b - root)))
     params = {"family": f.family, **f.params}
-    return BoundResult(case.name, float(b), float(root), params, True, residual,
+    return BoundResult(case.name, b, float(root), params, True, residual,
                        root=float(root))
 
 
@@ -271,16 +263,11 @@ def j1_value(J):
 def poly_h(case, b, lam, J, phi=PHI):
     """The case's monotone bracketing function, vectorized over x."""
     case = get_case(case) if isinstance(case, str) else case
-    psi = case.psi_over_phi * phi
     slot = 0 if case.unknown_slot == "known-on-square" else 1
+    g = _kernels.poly_fn(slot, lam, J, b, case.psi_over_phi * phi)
 
     def h(x):
-        x = np.asarray(x, dtype=float)
-        u1 = lam / (lam + (b if slot == 0 else x))
-        u2 = lam / (lam + (x if slot == 0 else b))
-        p4 = _kernels._p4
-        return ((J * J + 0.5) * (3.2 - p4(u1)) - 2.0 * J * p4(u2)
-                + psi * (J + 1.0) ** 2 * lam)
+        return g(lam / (lam + np.asarray(x, dtype=float)))
     return h
 
 
@@ -344,25 +331,24 @@ def solve_poly(case, b, lam, J, phi=PHI):
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "poly":
         raise InvalidParameterError(f"case {case.name} is not a polynomial case")
-    require_finite(b=b, lam=lam, J=J, phi=phi)
+    check_width(b, phi)
+    require_finite(lam=lam, J=J)
     if lam <= 0 or J <= 0:
         raise InvalidParameterError(f"need lambda > 0 and J > 0, got {lam}, {J}")
     if J < case.j_min:
         raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
-    if b < 0:
-        raise InvalidParameterError(f"width hypothesis b must be >= 0, got {b}")
     psi = case.psi_over_phi * phi
     slot = 0 if case.unknown_slot == "known-on-square" else 1
-    root, hlo, hhi = _kernels.poly_root(slot, float(lam), float(J), float(b),
-                                        psi, 0.0, 1e3)
+    lam, J, b = float(lam), float(J), float(b)
+    root, hlo, hhi = _kernels.poly_root(slot, lam, J, b, psi, 0.0, 1e3)
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(
             f"{case.name}: no root in [0, 1000.0] at (b={b}, lambda={lam}, J={J});"
             f" h stays {sign}", sign=sign)
     scale = 1.0 + (J * J + 0.5) * 3.2 + 2.0 * J * 3.2 + psi * (J + 1.0) ** 2 * lam
-    residual = abs(float(poly_h(case, b, lam, J, phi)(root))) / scale
-    params = {"lambda": float(lam), "J": float(J)}
+    residual = abs(_kernels.poly_fn(slot, lam, J, b, psi)(lam / (lam + root))) / scale
+    params = {"lambda": lam, "J": J}
     _, margin = side_condition(case, b, lam, J, root)
     limit = side_limit(case, b, lam, J)
     if limit == -math.inf:
@@ -370,9 +356,9 @@ def solve_poly(case, b, lam, J, phi=PHI):
             f"{case.name}: side condition fails for every width at "
             f"(b={b}, lambda={lam}, J={J}); no valid bound")
     if root <= limit:
-        return BoundResult(case.name, float(b), float(root), params, True,
+        return BoundResult(case.name, b, float(root), params, True,
                            residual, root=float(root), side_margin=margin)
-    return BoundResult(case.name, float(b), float(limit), params, True,
+    return BoundResult(case.name, b, float(limit), params, True,
                        residual, side_limited=True, root=float(root),
                        side_margin=margin)
 

@@ -5,12 +5,12 @@ search.  Smoothed cases and the density bound search the substitute weight
 family (the autocorrelation of the generator e^{alpha u} (1 + cos(beta u)) on
 [0, s], over alpha and s at each fixed beta s / pi in ``PROFILES``) by
 coordinate descent, a coarse scan plus golden-section line search per
-coordinate, restarted from a fixed grid and refined by compass moves while
-budget is left.  No randomness, fixed iteration counts, lexicographic
-tie-breaks, so identical specs give identical results.  Side conditions and
-solver failures are hard constraints handled by rejection (score -inf); the
-optimum may sit on the feasible boundary, which the in-bracket golden section
-finds.
+coordinate, restarted from a fixed grid; the three best starts are each
+re-descended from their incumbent while that gains and budget is left.  No
+randomness, fixed iteration counts, lexicographic tie-breaks, so identical
+specs give identical results.  Side conditions and solver failures are hard
+constraints handled by rejection (score -inf); the optimum may sit on the
+feasible boundary, which the in-bracket golden section finds.
 """
 
 import math
@@ -130,47 +130,6 @@ def _coordinate_descent(objective, names, boxes, start, budget, sweep_tol=1e-7,
     return point, best
 
 
-def _compass_refine(objective, names, boxes, point, best, budget,
-                    step0=0.02, step_min=2e-7):
-    """Pattern search around the incumbent, with diagonal moves.
-
-    On a kinked diagonal ridge every coordinate move loses at the kink, so
-    coordinate descent stalls while diagonal moves climb the ridge
-    (``TestCompassStage`` in the optimizer tests).  It runs only when a
-    descent leaves budget: never in the smoothed searches at budgets <= 250
-    nor in the density search at budgets 60 and 250, which covers the
-    benchmark, the acceptance gate and the ``table --regress`` default.  At
-    budget 400 it runs on 1 of the 258 bundled smoothed rows, and the density
-    search at budget 300 runs it on 2 of the 189 cells of the T1 grid.  At
-    ``optimize``'s default budget of 6000 it does run: with its re-descent,
-    it lifts sz-lp-principal at b = 1e-3 from 6.864062 (descent alone) to
-    6.873875.
-    """
-    scale = {n: boxes[n][1] - boxes[n][0] for n in names}
-    dirs = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
-    step = step0
-    point = dict(point)
-    while step > step_min and budget.left > 0:
-        moved = False
-        for dx, dy in dirs:
-            trial = dict(point)
-            trial[names[0]] = min(max(point[names[0]] + dx * step * scale[names[0]],
-                                      boxes[names[0]][0]), boxes[names[0]][1])
-            if len(names) > 1:
-                trial[names[1]] = min(max(point[names[1]] + dy * step * scale[names[1]],
-                                          boxes[names[1]][0]), boxes[names[1]][1])
-            if not budget.spend():
-                return point, best
-            v = objective(**trial)
-            if v > best:
-                point, best = trial, v
-                moved = True
-                break
-        if not moved:
-            step *= 0.5
-    return point, best
-
-
 def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
     budget = _Budget(budget_n)
     scored = []
@@ -187,20 +146,20 @@ def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
             continue
         point, value = _coordinate_descent(objective, names, boxes, seed, budget,
                                            sweep_tol)
-        # alternate refinement stages: the compass crosses ridges the descent
-        # stalls on, and a re-descent from the compass point keeps tracking
-        # until neither improves
+        # re-descend from the incumbent while it gains: the first sweep scans
+        # the whole box again, along lines through a point the first descent
+        # never started from, so it can reach a peak that descent missed.  At
+        # optimize's default budget of 6000 this lifts sz-lp-principal at
+        # b = 1e-3 from 6.864062 (descent alone) to 6.873875
         for _ in range(3):
             if not math.isfinite(value) or budget.left <= 0:
                 break
-            point, v2 = _compass_refine(objective, names, boxes, point, value,
-                                        budget)
-            point, v3 = _coordinate_descent(objective, names, boxes, point,
-                                            budget, sweep_tol, max_sweeps=3)
-            if v3 <= value + sweep_tol:
-                value = max(value, v3)
+            point, v = _coordinate_descent(objective, names, boxes, point,
+                                           budget, sweep_tol, max_sweeps=3)
+            if v <= value + sweep_tol:
+                value = max(value, v)
                 break
-            value = v3
+            value = v
         results.append((point, value))
     results = [(p, v) for p, v in results if math.isfinite(v)]
     if not results:
@@ -221,10 +180,13 @@ def maximize_bound(spec):
     these landscapes: at the constrained optima the equation root meets the
     side-condition limit along a curve in (lambda, J), and every point of
     that curve is a coordinatewise local maximum.  Smoothed cases tune the
-    substitute weight family with descent plus compass refinement.  Raises
-    InfeasibleSearchError when nothing admissible was found within budget.
+    substitute weight family by coordinate descent and re-descent.  Raises
+    InvalidParameterError for a negative or non-finite width or a non-finite
+    phi before any evaluation, and InfeasibleSearchError when nothing
+    admissible was found within budget.
     """
     case = dh.get_case(spec.case)
+    dh.check_width(spec.b, spec.phi)
     if case.method == "poly":
         budget = _Budget(spec.max_evals)
 
@@ -306,9 +268,11 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     Runs an (alpha, s) search for each profile and keeps the best; returns a
     BoundResult or None when no weight in the box yields a bound.
     ``seed_params`` (alpha and s) warm-starts every profile, which is useful
-    along a table, where optima drift slowly.
+    along a table, where optima drift slowly.  Inputs are checked as in
+    ``maximize_bound``.
     """
     case = dh.get_case(case)
+    dh.check_width(b, phi)
     seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
              for s_ in FAMILY_GRID["s"]]
     if seed_params is not None:
@@ -330,7 +294,9 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
 
     Returns (integer bound or inf, params).  The support seed follows the
     tuning recipe (scale 2 theta-hat / lambda) before the descent refines it.
+    Inadmissible inputs raise InvalidParameterError before any evaluation.
     """
+    zero_density.check_inputs(lam, b, vartheta, phi)
     boxes = {**FAMILY_BOXES, "s": (0.2, 40.0)}
     theta = zero_density.recipe_theta(lam, b)
     seed_s = min(max(2.0 * theta / lam, 1.0), boxes["s"][1]) if lam > 0 else 5.0

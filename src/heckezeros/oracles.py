@@ -135,11 +135,3 @@ def scan_root(h, lo, hi, step):
             a, fa = mid, fm
     return 0.5 * (a + b)
 
-
-def grid_min(expr, lo, hi, points, tol=1e-12, check="grid positivity"):
-    """Positivity report for ``expr`` sampled on a uniform grid."""
-    if points < 2:
-        raise NoRootError("grid needs at least 2 points")
-    xs = np.linspace(lo, hi, points)
-    vals = np.asarray(expr(xs), dtype=float)
-    return positivity_report(check, vals, xs, tolerance=tol)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundUnavailableError, InvalidParameterError
-from .dh import PHI
+from .dh import PHI, check_width, require_finite
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,19 @@ class ZdQuery:
     phi: float = PHI
 
     def __post_init__(self):
-        if not (0.75 <= self.vartheta <= 1.0):
-            raise InvalidParameterError(
-                f"vartheta must lie in [3/4, 1], got {self.vartheta}")
-        if self.lam < 0 or self.b < 0:
-            raise InvalidParameterError(
-                f"lambda and b must be >= 0, got {self.lam}, {self.b}")
-        if self.phi <= 0:
-            raise InvalidParameterError(f"phi must be positive, got {self.phi}")
+        check_inputs(self.lam, self.b, self.vartheta, self.phi)
+
+
+def check_inputs(lam, b, vartheta, phi):
+    """Raise InvalidParameterError unless (lam, b, vartheta, phi) is admissible."""
+    if not (0.75 <= vartheta <= 1.0):
+        raise InvalidParameterError(f"vartheta must lie in [3/4, 1], got {vartheta}")
+    require_finite(lam=lam)
+    check_width(b, phi)
+    if lam < 0:
+        raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
+    if phi <= 0:
+        raise InvalidParameterError(f"phi must be positive, got {phi}")
 
 
 def _values(q):

@@ -27,7 +27,6 @@ import numpy as np
 from . import _kernels, optimizer
 from .dh import PHI, cos_bound, require_finite
 from .errors import InvalidParameterError, NoBoundError
-from .p4 import p4_eval
 from .trial_functions import K_FAMILY_PAIRS
 
 #: lambda* floor for the order>=6 case, from the complex-case repulsion tables
@@ -121,11 +120,10 @@ def combine_L_coefficients(a, b, vartheta=0.75):
 def zfr_h(case, lam, phi=PHI):
     """The increasing function of lambda_1 whose root gives the region width."""
     case = get_case(case) if isinstance(case, str) else case
-    c0, c1 = case.coeffs[0], case.coeffs[1]
+    g = _kernels.zfr_fn(case.coeffs[0], case.coeffs[1], case.B, lam, phi)
 
     def h(x):
-        x = np.asarray(x, dtype=float)
-        return c0 * 3.2 - c1 * p4_eval(lam / (lam + x)).real + case.B * phi * lam
+        return g(lam / (lam + np.asarray(x, dtype=float)))
     return h
 
 
@@ -153,9 +151,9 @@ def zfr_solve(case, lam, phi=PHI):
     require_finite(lam=lam, phi=phi)
     if lam <= 0:
         raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    c0, c1 = case.coeffs[0], case.coeffs[1]
-    root, hlo, hhi = _kernels.zfr_root(float(c0), float(c1), float(case.B),
-                                       float(lam), float(phi), 0.0, 10.0)
+    c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
+    lam, phi = float(lam), float(phi)
+    root, hlo, hhi = _kernels.zfr_root(c0, c1, B, lam, phi, 0.0, 10.0)
     if math.isnan(root):
         if hlo > 0:
             raise NoBoundError(
@@ -164,15 +162,15 @@ def zfr_solve(case, lam, phi=PHI):
         raise NoBoundError(
             f"zfr {case.name}: no root below 10.0 at lambda={lam}", sign="negative")
     # relative to the ~1e5-sized terms of the inequality
-    scale = 1.0 + c0 * 3.2 + case.B * phi * lam
-    residual = abs(float(zfr_h(case, lam, phi)(root))) / scale
+    scale = 1.0 + c0 * 3.2 + B * phi * lam
+    residual = abs(_kernels.zfr_fn(c0, c1, B, lam, phi)(lam / (lam + root))) / scale
     limit = side_condition_limit(case, lam)
     if limit < 0:
-        return ZfrResult(case.name, float(lam), 0.0, False, True, float(root), residual)
+        return ZfrResult(case.name, lam, 0.0, False, True, float(root), residual)
     if root <= limit:
-        return ZfrResult(case.name, float(lam), float(root), True, False,
+        return ZfrResult(case.name, lam, float(root), True, False,
                          float(root), residual)
-    return ZfrResult(case.name, float(lam), float(limit), True, True,
+    return ZfrResult(case.name, lam, float(limit), True, True,
                      float(root), residual)
 
 

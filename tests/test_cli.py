@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,27 @@ class TestZd:
                             "--params", "x0=0.2"], capsys)
         assert code == 1
         assert "BoundUnavailableError" in err
+
+
+class TestInvalidInput:
+    """Inadmissible input is a usage error reported before any search runs."""
+
+    @pytest.mark.parametrize("args", [
+        "zd --lambda 0.2 --vartheta 0.5 --optimize",
+        "zd --lambda -0.1 --optimize",
+        "zd --lambda nan --family triangle --params x0=8",
+        "optimize --case sz-lp-principal --b nan",
+        "optimize --case sz-lp-principal --b -1",
+        "optimize --case cc-lp-nonprincipal --b nan",
+    ])
+    def test_one_error_line_and_no_output(self, args, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(shlex.split(args), capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("InvalidParameterError: ")
 
 
 class TestTable:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from heckezeros import dh, optimizer, tables, trial_functions, zero_density
-from heckezeros.errors import InfeasibleSearchError
+from heckezeros.errors import InfeasibleSearchError, InvalidParameterError
 from heckezeros.optimizer import SearchSpec, maximize_bound
 
 
@@ -77,33 +77,36 @@ class TestSmoothedSearch:
         assert warm.lambda_star >= best.lambda_star > cold.lambda_star
 
 
-class TestCompassStage:
-    """The compass stage crosses a kinked diagonal ridge that stalls descent.
+class TestRedescent:
+    """A re-descent reaches a peak that the first descent converged past.
 
-    On the ridge u = v (box-normalized coordinates) every coordinate move
-    costs more at the kink than it gains along the ridge, so coordinate
-    descent started on it cannot move; diagonal compass moves climb the ridge
-    to its top at u = v = 0.8.
+    The low bump at x = 0.25 is wide in y, so the first descent's x scan at
+    the start's y finds it and the descent settles on it; the high bump at
+    x = 0.75 is narrow in y and invisible from the start's y.  The
+    re-descent's first sweep scans x across the whole box again, now at the
+    low peak's y, which is also the high peak's.
     """
 
-    BOXES = {"x": (-1.0, 1.0), "y": (0.0, 4.0)}
-    START = {"x": -0.6, "y": 0.8}           # u = v = 0.2, value -0.36
+    BOXES = {"x": (0.0, 1.0), "y": (0.0, 1.0)}
+    START = {"x": 0.5, "y": 0.1}
 
     @staticmethod
-    def ridge(x, y):
-        u, v = (x + 1.0) / 2.0, y / 4.0
-        return -2.0 * abs(u - v) - ((u + v) / 2.0 - 0.8) ** 2
+    def two_peaks(x, y):
+        low = math.exp(-((x - 0.25) ** 2 / 0.02 + (y - 0.5) ** 2 / 0.5))
+        high = 2.0 * math.exp(-((x - 0.75) ** 2 / 0.02 + (y - 0.5) ** 2 / 8e-4))
+        return low + high
 
-    def test_restarts_beat_a_single_descent(self):
+    def test_restarts_reach_the_higher_peak(self):
         names = ("x", "y")
-        _, descent = optimizer._coordinate_descent(
-            self.ridge, names, self.BOXES, self.START, optimizer._Budget(5000))
+        point, descent = optimizer._coordinate_descent(
+            self.two_peaks, names, self.BOXES, self.START, optimizer._Budget(2000))
+        assert point["x"] == pytest.approx(0.25, abs=1e-3)
+        assert descent < 1.01
         point, refined = optimizer._run_restarts(
-            self.ridge, names, self.BOXES, [self.START], 5000, 1e-7)
-        assert descent == pytest.approx(-0.36, abs=1e-12)
-        assert refined >= descent + 0.35
-        assert point["x"] == pytest.approx(0.6, abs=1e-3)
-        assert point["y"] == pytest.approx(3.2, abs=2e-3)
+            self.two_peaks, names, self.BOXES, [self.START], 2000, 1e-7)
+        assert refined > 1.99
+        assert point["x"] == pytest.approx(0.75, abs=1e-3)
+        assert point["y"] == pytest.approx(0.5, abs=1e-3)
 
 
 class TestBudget:
@@ -136,6 +139,39 @@ class TestBudget:
         calls = self.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec("cc-lp-nonprincipal", 0.1227, max_evals=300))
         assert len(calls) <= 301
+
+
+class TestInvalidInput:
+    """The searches reject inadmissible input before their first evaluation."""
+
+    counted = staticmethod(TestBudget.counted)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"vartheta": 0.5}, {"lam": -0.1}, {"lam": math.nan}, {"b": math.nan},
+        {"b": -1.0}, {"phi": math.inf}, {"phi": 0.0}])
+    def test_density_search(self, monkeypatch, kwargs):
+        builds = self.counted(monkeypatch, optimizer, "_gen_family")
+        with pytest.raises(InvalidParameterError):
+            optimizer.optimize_zd(**{"lam": 0.2, "b": 0.0, **kwargs})
+        assert builds == []
+
+    @pytest.mark.parametrize("b, phi", [(math.nan, dh.PHI), (-1.0, dh.PHI),
+                                        (0.05, math.nan)])
+    def test_smoothed_search(self, monkeypatch, b, phi):
+        builds = self.counted(monkeypatch, optimizer, "_gen_family")
+        with pytest.raises(InvalidParameterError):
+            optimizer.optimize_family_smoothed("sz-lp-principal", b, phi=phi)
+        with pytest.raises(InvalidParameterError):
+            maximize_bound(SearchSpec("sz-lp-principal", b, phi=phi))
+        assert builds == []
+
+    @pytest.mark.parametrize("b, phi", [(math.nan, dh.PHI), (-1.0, dh.PHI),
+                                        (0.1227, math.inf)])
+    def test_poly_search(self, monkeypatch, b, phi):
+        solves = self.counted(monkeypatch, dh, "solve_poly")
+        with pytest.raises(InvalidParameterError):
+            maximize_bound(SearchSpec("cc-lp-nonprincipal", b, phi=phi))
+        assert solves == []
 
 
 class TestZdSearch:

@@ -41,11 +41,3 @@ def test_scan_root_no_change():
     with pytest.raises(NoRootError):
         oracles.scan_root(lambda x: x + 1.0, 0.0, 2.0, 1e-3)
 
-
-def test_grid_min_report():
-    rep = oracles.grid_min(lambda x: x**2, -1.0, 1.0, 201)
-    assert rep.passed
-    assert rep.worst_violation == pytest.approx(0.0, abs=1e-12)
-    rep = oracles.grid_min(lambda x: x, -1.0, 1.0, 201)
-    assert not rep.passed
-    assert rep.location == (-1.0,)

@@ -33,6 +33,13 @@ class TestPreconditions:
         with pytest.raises(InvalidParameterError):
             zd.ZdQuery(tf.triangle(1.0), lam=0.2, vartheta=0.5)
 
+    @pytest.mark.parametrize("arg", ["lam", "b", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, arg, bad):
+        kwargs = {"lam": 0.2, "b": 0.0, "phi": 0.25, arg: bad}
+        with pytest.raises(InvalidParameterError, match=arg):
+            zd.ZdQuery(tf.triangle(8.0), **kwargs)
+
 
 class TestBound:
     @given(f0=st.floats(0.5, 5.0), r1=st.floats(1.0, 10.0), r2=st.floats(0.4, 0.99))

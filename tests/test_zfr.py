@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heckezeros import oracles, trial_functions as tf, zfr
+from heckezeros import oracles, p4, trial_functions as tf, zfr
 from heckezeros.errors import InvalidParameterError, NoBoundError
 
 
@@ -71,7 +71,7 @@ class TestSolve:
         # phi = 0 removes the width term: 14379 P(1) = 24480 P(u) exactly
         res = zfr.zfr_solve("order234", 0.9421, phi=0.0)
         u = 0.9421 / (0.9421 + res.root)
-        assert 24480 * float(np.real(zfr.p4_eval(u))) == pytest.approx(
+        assert 24480 * float(np.real(p4.p4_eval(u))) == pytest.approx(
             14379 * 3.2, rel=1e-12)
 
     def test_root_matches_scan_oracle(self):
