@@ -16,19 +16,26 @@ itself (``_quartic_root``); the vectorized ``h`` of the solver modules and
 the solvers' residuals come from the same builders.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
-Trial functions reach this module, its one reader, as a flattened "family
-code" (see ``trial_functions``): the support endpoint and the per-pair
-complex constants of the autocorrelation transform, ``(x0, coef, gj, gk, K,
-M)``.  Every built-in weight, the triangle included, is an autocorrelation,
-so neither evaluator branches on the family.  The transform ``F`` is
-``f_real_scalar`` at one real point and ``f_array`` at real or complex
-points, scalar or array; ``E`` is the ``(e^{ax} - 1)/a`` they and the weight
-are built from.  Closed forms switch to series below ``SMALL_W`` = 1e-2,
-where the direct expressions would lose more than half their digits to
-cancellation; the series stay at ~1e-15 relative error.  Just above the
-switch the direct forms lose some digits: against a 50-digit reference the
-pair sums are off by up to 4.3e-12 relative (the box of ``x0 = 0.7``, just
-off the real axis).
+Trial functions reach this module, its one reader, as a "family code" (see
+``trial_functions``) ``(x0, pairs, folded)``: the support endpoint and two
+tuples of per-pair constants of the autocorrelation transform, each pair
+``(c, g_j, g_k, K, (M_1 .. M_7))`` in plain Python floats and complexes.
+``pairs`` has every (j, k) pair of generator exponents; ``folded`` keeps one
+of each conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with its
+coefficient doubled, which is exact for the real part at a real argument:
+a cosine-modulated generator has 5 folded pairs of 9, one with ``c0 = 0`` 2
+of 4, and a plain one its 1.  Every built-in weight, the triangle included,
+is an autocorrelation, so neither evaluator branches on the family.  The
+transform ``F`` is ``f_real_scalar`` over the folded pairs at one real point
+and ``f_array`` over every pair at real or complex points, scalar or array;
+``E`` is the ``(e^{ax} - 1)/a`` they and the weight are built from.  The
+two transforms agree to 2e-13 relative, not to the bit, as Python and NumPy
+complex arithmetic differ in the last bits.  Closed forms switch to series
+below ``SMALL_W`` = 1e-2, where the direct expressions would lose more than
+half their digits to cancellation; the series stay at ~1e-15 relative error.
+Just above the switch the direct forms lose some digits: against a 50-digit
+reference the pair sums are off by up to 4.3e-12 relative (the box of
+``x0 = 0.7``, just off the real axis).
 """
 
 import cmath
@@ -48,46 +55,54 @@ SMALL_W = 1e-2
 #: number of moment constants (M_1 .. M_7) carried per autocorrelation pair
 N_MOMENTS = 7
 
+#: coefficients 1/(m+1)!, m = 0..8, of the series of (e^w - 1)/w
+_E_SERIES = tuple(1.0 / math.factorial(m + 1) for m in range(9))
 
-def _f_real_scalar(x0, coef, gj, gk, K, M, r):
-    """F(r) for real r, matching the vectorized closed forms exactly.
 
-    Arguments past the exp overflow range (-r x0 > 690, or a pair's
-    e^{(g_k - r) x0} overflowing) return +inf, as f >= 0, instead of letting
-    exp raise: the solvers' bracket-shrinking relies on a value coming back.
-    The value is a Python float, so the root solver's arithmetic stays on
-    Python floats rather than NumPy scalars.
+def _f_real_scalar(code, r):
+    """F(r) at one real r, from the folded conjugate pairs of the family code.
+
+    For real r the terms of a pair and of its conjugate pair are complex
+    conjugates, so each folded pair stands for both with a doubled
+    coefficient and only its real part is summed.  The constants are plain
+    Python numbers, so the loop never creates a NumPy scalar.  Arguments past
+    the exp overflow range (-r x0 > 690, or a pair's e^{(g_k - r) x0}
+    overflowing) return +inf, as f >= 0, instead of letting exp raise: the
+    solvers' bracket-shrinking relies on a value coming back.  The value is a
+    Python float, so the root solver's arithmetic stays on Python floats.
     """
+    x0, _, folded = code
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
     acc = 0.0
-    for i in range(coef.shape[0]):
-        bb = gj[i] + r
-        if abs(bb) * x0 < SMALL_W:
-            bp = 1.0 + 0.0j
-            phi = 0.0 + 0.0j
-            sign = 1.0
+    for c, gj, gk, K, M in folded:
+        b = gj + r
+        if abs(b) * x0 < SMALL_W:
+            phi = 0.0
+            bp = 1.0
             fact = 1.0
             for n in range(N_MOMENTS):
-                phi += sign * bp * M[i, n] / fact
-                bp *= bb
-                sign = -sign
+                phi += bp * M[n] / fact
+                bp *= -b
                 fact *= n + 2.0
         else:
-            cc = gk[i] - r
-            wc = cc * x0
-            if abs(wc) < SMALL_W:
-                E = x0 * (1.0 + wc / 2.0 + wc ** 2 / 6.0 + wc ** 3 / 24.0
-                          + wc ** 4 / 120.0 + wc ** 5 / 720.0 + wc ** 6 / 5040.0
-                          + wc ** 7 / 40320.0 + wc ** 8 / 362880.0)
+            a = gk - r
+            w = a * x0
+            if abs(w) < SMALL_W:
+                e = 0.0
+                wp = 1.0
+                for coeff in _E_SERIES:
+                    e += coeff * wp
+                    wp *= w
+                e *= x0
             else:
                 try:
-                    E = (cmath.exp(wc) - 1.0) / cc
+                    e = (cmath.exp(w) - 1.0) / a
                 except OverflowError:
                     return math.inf
-            phi = (K[i] - E) / bb
-        acc += coef[i] * phi.real
-    return float(acc)
+            phi = (K - e) / b
+        acc += c * phi.real
+    return acc
 
 
 def E(x, a):
@@ -109,8 +124,8 @@ def E(x, a):
         ws = w[small]
         series = np.zeros_like(ws)
         wp = np.ones_like(ws)
-        for m in range(9):
-            series += (1.0 / math.factorial(m + 1)) * wp
+        for coeff in _E_SERIES:
+            series += coeff * wp
             wp *= ws
         out[small] = np.broadcast_to(x, w.shape)[small] * series
     return out
@@ -119,30 +134,31 @@ def E(x, a):
 def f_array(code, z):
     """F(z) of a family code at real or complex z, scalar or array.
 
-    The array counterpart of ``f_real_scalar``: a scalar z gives a complex,
-    an array a complex array of its shape.  Each series branch runs only
-    when some point needs it.
+    Sums every unfolded pair: off the real axis a pair's term and its
+    conjugate pair's are not conjugates.  A scalar z gives a complex, an
+    array a complex array of its shape.  Each series branch runs only when
+    some point needs it.
     """
-    x0, coef, gj, gk, K, M = code
+    x0, pairs, _ = code
     z = np.asarray(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z.astype(complex))
     out = np.zeros(z.shape, dtype=complex)
-    for i in range(coef.shape[0]):
-        b = gj[i] + z
+    for c, gj, gk, K, M in pairs:
+        b = gj + z
         small = np.abs(b) * x0 < SMALL_W
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = (K[i] - E(x0, gk[i] - z)) / np.where(small, 1.0, b)
+            phi = (K - E(x0, gk - z)) / np.where(small, 1.0, b)
         if small.any():
             taylor = np.zeros_like(b)
             bp = np.ones_like(b)
             fact = 1.0
             for n in range(N_MOMENTS):
-                taylor += ((-1) ** n / fact) * bp * M[i, n]
+                taylor += ((-1) ** n / fact) * bp * M[n]
                 bp *= b
                 fact *= n + 2.0
             phi = np.where(small, taylor, phi)
-        out += coef[i] * phi
+        out += c * phi
     return complex(out[0]) if scalar else out
 
 

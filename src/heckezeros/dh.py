@@ -153,13 +153,16 @@ def require_finite(**values):
 
 
 def check_width(b, phi):
-    """Raise InvalidParameterError unless b >= 0 and b and phi are finite.
+    """Raise InvalidParameterError unless b and phi are finite and >= 0.
 
-    The solvers and the searches over them check these before any work.
+    The solvers and the searches over them check these before any work.  A
+    negative phi would flip the sign of the psi f(0) term and of the bound.
     """
     require_finite(b=b, phi=phi)
     if b < 0:
         raise InvalidParameterError(f"width hypothesis b must be >= 0, got {b}")
+    if phi < 0:
+        raise InvalidParameterError(f"phi must be >= 0, got {phi}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,7 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     form = 0 if case.form == "sz" else 1
     code = f.kernel_code()
     if code is not None:
-        F = functools.partial(_kernels._f_real_scalar, *code)
+        F = functools.partial(_kernels._f_real_scalar, code)
     else:
         def F(r):
             return float(f.laplace(r).real)

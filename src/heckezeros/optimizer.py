@@ -41,6 +41,12 @@ class SearchSpec:
     phi: float = dh.PHI
 
 
+def _check_budget(budget):
+    """Raise InvalidParameterError unless the search may make an evaluation."""
+    if not budget >= 1:
+        raise InvalidParameterError(f"search budget must be >= 1, got {budget}")
+
+
 class _Budget:
     def __init__(self, n):
         self.left = n
@@ -181,12 +187,13 @@ def maximize_bound(spec):
     side-condition limit along a curve in (lambda, J), and every point of
     that curve is a coordinatewise local maximum.  Smoothed cases tune the
     substitute weight family by coordinate descent and re-descent.  Raises
-    InvalidParameterError for a negative or non-finite width or a non-finite
-    phi before any evaluation, and InfeasibleSearchError when nothing
-    admissible was found within budget.
+    InvalidParameterError for a negative or non-finite width or phi, or a
+    budget below 1, before any evaluation, and InfeasibleSearchError when
+    nothing admissible was found within budget.
     """
     case = dh.get_case(spec.case)
     dh.check_width(spec.b, spec.phi)
+    _check_budget(spec.max_evals)
     if case.method == "poly":
         budget = _Budget(spec.max_evals)
 
@@ -273,6 +280,7 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     """
     case = dh.get_case(case)
     dh.check_width(b, phi)
+    _check_budget(budget)
     seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
              for s_ in FAMILY_GRID["s"]]
     if seed_params is not None:
@@ -294,9 +302,11 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
 
     Returns (integer bound or inf, params).  The support seed follows the
     tuning recipe (scale 2 theta-hat / lambda) before the descent refines it.
-    Inadmissible inputs raise InvalidParameterError before any evaluation.
+    Inadmissible inputs and a budget below 1 raise InvalidParameterError
+    before any evaluation.
     """
     zero_density.check_inputs(lam, b, vartheta, phi)
+    _check_budget(budget)
     boxes = {**FAMILY_BOXES, "s": (0.2, 40.0)}
     theta = zero_density.recipe_theta(lam, b)
     seed_s = min(max(2.0 * theta / lam, 1.0), boxes["s"][1]) if lam > 0 else 5.0

@@ -21,8 +21,11 @@ families satisfy this:
 
 Each built-in weight carries a family code, and its transform is evaluated
 by ``_kernels`` from that code alone: real scalars by ``f_real_scalar``,
-complex or array arguments by ``f_array`` (they agree to the bit).
-``_kernels.E`` also serves the weight f(t) and its second derivative here.
+which sums the conjugate pairs folded once per weight, complex or array
+arguments by ``f_array``, which sums every pair.  The two agree to 2e-13
+relative, not to the bit: Python and NumPy complex arithmetic differ in the
+last bits.  The weight f(t) reads the same folded pairs, and
+``_kernels.E`` serves f(t) and its second derivative here.
 """
 
 import functools
@@ -119,7 +122,7 @@ class TrialFunction:
         through the scalar kernel, which gives +inf past the exp overflow range.
         """
         if self._code is not None and isinstance(z, (int, float, np.floating)):
-            return complex(_kernels.f_real_scalar(*self._code, float(z)))
+            return complex(_kernels.f_real_scalar(self._code, float(z)))
         return self._laplace(z)
 
     def kernel_code(self):
@@ -234,14 +237,35 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     except OverflowError:
         raise InvalidParameterError(
             f"the moments of the generator overflow: s^n is out of range for s={s}") from None
-    K, M = moments[0], moments[1:].T
-    pairs = list(zip(coef.tolist(), gk.tolist(), a_all.tolist()))
+    pairs = tuple(zip(coef.tolist(), gj.tolist(), gk.tolist(), moments[0].tolist(),
+                      map(tuple, moments[1:].T.tolist())))
 
-    f0 = float(sum(c * k for c, k in zip(coef.tolist(), K.tolist())).real)
+    # at real r (or t) the terms of pair (j, k) and of its conjugate pair are
+    # complex conjugates: keep the first of the two and double its coefficient
+    gs = [g_ for _, g_ in terms]
+    conj = [gs.index(g_.conjugate()) for g_ in gs]
+    n = len(terms)
+    folded = []
+    for p, (c, *rest) in enumerate(pairs):
+        q = conj[p // n] * n + conj[p % n]
+        if q >= p:
+            folded.append((c if q == p else 2.0 * c, *rest))
+    folded = tuple(folded)
+
+    f0 = float(sum(c * K for c, _, _, K, _ in pairs).real)
     if not math.isfinite(f0):
         raise InvalidParameterError(
             f"f(0) = int g^2 overflows for the generator alpha={alpha}, s={s}"
             f" (got {f0})")
+
+    # f(t) = sum Re c e^{g_k t} E(s - t; g_j + g_k) over the folded pairs, in
+    # real arithmetic for a pair whose g_k and g_j + g_k are real
+    t_terms = []
+    for c, g_j, g_k, _, _ in folded:
+        a = g_j + g_k
+        if g_k.imag == 0.0 and a.imag == 0.0:
+            g_k, a = g_k.real, a.real
+        t_terms.append((c, g_k, a))
 
     def _eval(t):
         t = np.asarray(t, dtype=float)
@@ -249,11 +273,10 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
         t = np.atleast_1d(t)
         inside = (t >= 0) & (t < s)
         tc = np.where(inside, t, 0.0)
-        # only real parts are summed, which complex addition keeps apart
         acc = np.zeros(t.shape)
-        for c, g_k, a in pairs:
+        for c, g_k, a in t_terms:
             if g_k == 0 and a == 0:
-                # e^0 = 1 and E(x, 0) = x exactly: the same real part, no exps
+                # e^0 = 1 and E(x, 0) = x exactly: no exps
                 acc += c * (s - tc)
             else:
                 acc += (c * np.exp(g_k * tc) * _kernels.E(s - tc, a)).real
@@ -277,7 +300,7 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     content = Content(x0=s, M=f0, B=sup_f2, f0=f0)
     params = {"alpha": alpha, "c0": c0, "c1": c1, "beta": beta, "s": s}
 
-    code = (s, coef, gj, gk, K, M)
+    code = (s, pairs, folded)
     return TrialFunction("autocorrelation", params, content, _eval,
                          functools.partial(_kernels.f_array, code), code=code)
 

@@ -105,6 +105,14 @@ class TestSolveSmoothed:
         with pytest.raises(InvalidParameterError, match=arg):
             dh.solve_smoothed("sz-lp-principal", tf.triangle(1.5), **kwargs)
 
+    def test_negative_phi_rejected(self):
+        # a negative phi flips the sign of the psi f(0) term; phi = 0 is allowed
+        with pytest.raises(InvalidParameterError, match="phi"):
+            dh.solve_smoothed("sz-lp-principal", tf.triangle(1.5), 0.05, phi=-0.25)
+        with pytest.raises(InvalidParameterError, match="phi"):
+            dh.solve_poly("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788, phi=-0.25)
+        dh.check_width(0.05, 0.0)
+
     def test_nan_transform_is_reported_as_nan(self):
         # a NaN is the weight's fault, not an overflow: no bracket halving and
         # no "degenerate" sign

@@ -3,6 +3,7 @@ contract and agreement with plain bisection."""
 
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ def test_backend_reports():
     assert _kernels.backend() == "numpy"
 
 
+def _exponents(f):
+    """The support endpoint and the g_j and g_k of every unfolded pair."""
+    x0, pairs, _ = f.kernel_code()
+    return x0, [p[1] for p in pairs], [p[2] for p in pairs]
+
+
 def _real_points(f):
     """A grid, 0, both sides of each series switch, and moderate negatives."""
-    x0, _, gj, gk, _, _ = f.kernel_code()
+    x0, gj, gk = _exponents(f)
     edge = _kernels.SMALL_W / x0
     pts = list(np.linspace(-8.0, 8.0, 161)) + [0.0, -0.25, -3.0, -20.0 / x0]
     pts += [c * (1.0 + d) for c in (edge, -edge) for d in (-1e-6, 1e-6)]
@@ -27,21 +34,64 @@ def _real_points(f):
     return pts
 
 
+#: the scalar kernel's folded Python arithmetic against the array path; its
+#: worst case at _real_points is 5.7e-14, next to a series switch
+SCALAR_REL = 2e-13
+
+SCALAR_WEIGHTS = (
+    tf.triangle(2.0), tf.triangle(0.7), tf.triangle(14.0),
+    tf.autocorrelation(alpha=0.5, s=1.0),
+    tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5),
+    tf.autocorrelation(alpha=-0.3, c0=0.0, c1=1.0, beta=0.5, s=3.0),
+    tf.autocorrelation(alpha=1.5, c0=1.0, c1=1.0, beta=0.3, s=9.0),
+)
+
+
 def test_scalar_transform_matches_vectorized_path():
-    # the scalar kernel repeats the array path's arithmetic exactly, for every
-    # built-in weight (the triangle is the autocorrelation of a box)
-    fams = [tf.triangle(2.0), tf.triangle(0.7), tf.triangle(14.0),
-            tf.autocorrelation(alpha=0.5, s=1.0),
-            tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5),
-            tf.autocorrelation(alpha=-0.3, c0=0.0, c1=1.0, beta=0.5, s=3.0),
-            tf.autocorrelation(alpha=1.5, c0=1.0, c1=1.0, beta=0.3, s=9.0)]
-    for f in fams:
+    # Python and NumPy complex arithmetic differ in the last bits, and the
+    # scalar kernel sums folded pairs, so the two agree to a stated bound
+    for f in SCALAR_WEIGHTS:
         rs = _real_points(f)
         vector = f.laplace(np.array(rs)).real
         for r, v in zip(rs, vector):
-            for scalar in (_kernels.f_real_scalar(*f.kernel_code(), float(r)), f.laplace(r)):
+            for scalar in (_kernels.f_real_scalar(f.kernel_code(), float(r)), f.laplace(r)):
                 assert complex(scalar).imag == 0.0
-                assert complex(scalar).real == v, (f, r)
+                assert abs(complex(scalar).real - v) <= SCALAR_REL * abs(v), (f, r)
+
+
+def test_scalar_transform_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for f in SCALAR_WEIGHTS:
+        x0, gj, _ = _exponents(f)
+        # the pair closed forms divide by g_j + r; stay off their poles
+        poles = [-g.real for g in gj if g.imag == 0.0] if f.family == "autocorrelation" else []
+        rs = [r for r in _real_points(f) if min((abs(r - p) for p in poles), default=1.0) >= 1e-3]
+        with mpmath.workdps(50):
+            for r in rs:
+                got = _kernels.f_real_scalar(f.kernel_code(), float(r))
+                want = _mp_reference(f, float(r), mpmath).real
+                # the direct forms just above the switch lose up to 4.3e-12
+                assert abs(got - want) <= 2e-11 * abs(want), (f, r)
+
+
+@pytest.mark.parametrize("params, unfolded, folded", [
+    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 9, 5),   # cosine
+    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 4, 2),   # c0 = 0
+    ({"alpha": 0.5, "s": 1.0}, 1, 1),                                       # plain
+])
+def test_conjugate_pairs_fold_to_one_exp_each(params, unfolded, folded, monkeypatch):
+    f = tf.autocorrelation(**params)
+    x0, pairs, fold = f.kernel_code()
+    assert (len(pairs), len(fold)) == (unfolded, folded)
+    calls = []
+    exp = _kernels.cmath.exp
+    monkeypatch.setattr(_kernels, "cmath",
+                        types.SimpleNamespace(exp=lambda w: calls.append(w) or exp(w)))
+    # r = 0.37 is off every series branch of these weights
+    assert all(abs(g + 0.37) * x0 >= 0.1 and abs(h - 0.37) * x0 >= 0.1
+               for _, g, h, _, _ in fold)
+    _kernels.f_real_scalar(f.kernel_code(), 0.37)
+    assert len(calls) == folded
 
 
 def _mp_triangle(x0, z, mp):
@@ -75,7 +125,7 @@ def test_array_transform_matches_mpmath():
             tf.autocorrelation(alpha=1.5, c0=1.0, c1=1.0, beta=0.3, s=9.0),
             tf.autocorrelation(alpha=0.0, c0=1.0, c1=1.0, beta=0.6, s=5.0)]
     for f in fams:
-        x0, _, gj, gk, _, _ = f.kernel_code()
+        x0, gj, gk = _exponents(f)
         edge = _kernels.SMALL_W / x0
         zs = [complex(a, b) for a in np.linspace(-3.0, 3.0, 7) for b in np.linspace(-10.0, 10.0, 9)]
         zs += [0.0, -0.25, 1.5, -0.01607]
@@ -134,7 +184,7 @@ def test_triangle_smoothed_roots_match_mpmath(x0):
 def test_overflowing_pair_gives_plus_infinity():
     # (alpha - r) s = 760 overflows e^{(g_k - r) x0} while -r x0 = 680 <= 690
     f = tf.autocorrelation(alpha=4.0, s=20.0)
-    assert _kernels.f_real_scalar(*f.kernel_code(), -34.0) == math.inf
+    assert _kernels.f_real_scalar(f.kernel_code(), -34.0) == math.inf
     assert f.laplace(-34.0) == complex(math.inf, 0.0)
 
 
@@ -172,7 +222,7 @@ _ORDER234 = zfr.CASES["order234"]
 ROOT_KERNELS = {
     "smoothed_root": (
         lambda phi, lo, hi: _kernels.smoothed_root(
-            functools.partial(_kernels.f_real_scalar, *_TRIANGLE.kernel_code()),
+            functools.partial(_kernels.f_real_scalar, _TRIANGLE.kernel_code()),
             0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.content.f0, lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "plugin": (

@@ -173,6 +173,27 @@ class TestInvalidInput:
             maximize_bound(SearchSpec("cc-lp-nonprincipal", b, phi=phi))
         assert solves == []
 
+    @pytest.mark.parametrize("search", [
+        lambda budget, phi: maximize_bound(
+            SearchSpec("cc-lp-nonprincipal", 0.1227, max_evals=budget, phi=phi)),
+        lambda budget, phi: maximize_bound(
+            SearchSpec("sz-lp-principal", 0.1, max_evals=budget, phi=phi)),
+        lambda budget, phi: optimizer.optimize_family_smoothed(
+            "sz-lp-principal", 0.1, budget=budget, phi=phi),
+        lambda budget, phi: optimizer.optimize_zd(0.2, phi=phi, budget=budget),
+    ], ids=["poly", "smoothed", "family", "density"])
+    @pytest.mark.parametrize("budget, phi, word", [
+        (0, dh.PHI, "budget"), (-1, dh.PHI, "budget"), (10, -0.25, "phi")])
+    def test_budget_and_phi(self, monkeypatch, search, budget, phi, word):
+        # a budget below 1 and a negative phi are rejected alike by every
+        # search, before its first evaluation
+        calls = [self.counted(monkeypatch, dh, "solve_smoothed"),
+                 self.counted(monkeypatch, dh, "solve_poly"),
+                 self.counted(monkeypatch, zero_density, "n_lambda_bound")]
+        with pytest.raises(InvalidParameterError, match=word):
+            search(budget, phi)
+        assert calls == [[], [], []]
+
 
 class TestZdSearch:
     def test_reference_heights(self):
