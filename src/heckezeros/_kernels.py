@@ -24,18 +24,19 @@ tuples of per-pair constants of the autocorrelation transform, each pair
 of each conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with its
 coefficient doubled, which is exact for the real part at a real argument:
 a cosine-modulated generator has 5 folded pairs of 9, one with ``c0 = 0`` 2
-of 4, and a plain one its 1.  Every built-in weight, the triangle included,
-is an autocorrelation, so neither evaluator branches on the family.  The
-transform ``F`` is ``f_real_scalar`` over the folded pairs at one real point
-and ``f_array`` over every pair at real or complex points, scalar or array;
-``E`` is the ``(e^{ax} - 1)/a`` they and the weight are built from.  The
-two transforms agree to 2e-13 relative, not to the bit, as Python and NumPy
-complex arithmetic differ in the last bits.  Closed forms switch to series
-below ``SMALL_W`` = 1e-2, where the direct expressions would lose more than
-half their digits to cancellation; the series stay at ~1e-15 relative error.
-Just above the switch the direct forms lose some digits: against a 50-digit
-reference the pair sums are off by up to 4.3e-12 relative (the box of
-``x0 = 0.7``, just off the real axis).
+of 4, and a plain one its 1.  Each folded pair ends in a flag ``far``: both
+|Im g_j| x0 and |Im g_k| x0 are at least ``SMALL_W``.  Every built-in
+weight, the triangle included, is an autocorrelation, so neither evaluator
+branches on the family.  The transform ``F`` is ``f_real_scalar`` over the
+folded pairs at one real point and ``f_array`` over every pair at real or
+complex points, scalar or array; ``E`` is the ``(e^{ax} - 1)/a`` they and
+the weight are built from.  The two transforms agree to 2e-13 relative, not
+to the bit, as Python and NumPy complex arithmetic differ in the last bits.
+Closed forms switch to series below ``SMALL_W`` = 1e-2, where the direct
+expressions would lose more than half their digits to cancellation; the
+series stay at ~1e-15 relative error.  Just above the switch the direct
+forms lose some digits: against a 50-digit reference the pair sums are off
+by up to 4.3e-12 relative (the box of ``x0 = 0.7``, just off the real axis).
 """
 
 import cmath
@@ -70,14 +71,17 @@ def _f_real_scalar(code, r):
     overflowing) return +inf, as f >= 0, instead of letting exp raise: the
     solvers' bracket-shrinking relies on a value coming back.  The value is a
     Python float, so the root solver's arithmetic stays on Python floats.
+    A pair flagged ``far`` skips both series tests: at real r, |g_j + r| and
+    |g_k - r| are at least the imaginary parts that the flag bounds, so the
+    tests would fail there anyway and the branches match ``f_array``'s.
     """
     x0, _, folded = code
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
     acc = 0.0
-    for c, gj, gk, K, M in folded:
+    for c, gj, gk, K, M, far in folded:
         b = gj + r
-        if abs(b) * x0 < SMALL_W:
+        if not far and abs(b) * x0 < SMALL_W:
             phi = 0.0
             bp = 1.0
             fact = 1.0
@@ -88,7 +92,7 @@ def _f_real_scalar(code, r):
         else:
             a = gk - r
             w = a * x0
-            if abs(w) < SMALL_W:
+            if not far and abs(w) < SMALL_W:
                 e = 0.0
                 wp = 1.0
                 for coeff in _E_SERIES:
@@ -291,6 +295,30 @@ def poly_fn(slot, lam, J, b, psi):
         def g(u):
             return sq * (3.2 - _p4(u)) - second + tail
     return g
+
+
+def _poly_j_stationary(slot, lam, b, psi):
+    """The J > 0 where the root of ``poly_fn`` is stationary, at fixed lam, b.
+
+    With A = 3.2 - P_b, P_b = P(lam/(lam+b)), slot 0 puts the root at
+    P(u) = [(J^2 + 1/2) A + psi lam (J+1)^2]/(2J), convex in J with its
+    minimum (the largest root) at J^2 = (A/2 + psi lam)/(A + psi lam).
+    Slot 1 puts it at P(u) = 3.2 - (2J P_b - psi lam (J+1)^2)/(J^2 + 1/2),
+    stationary where (psi lam - P_b) J^2 + (psi lam/2) J + (P_b - psi lam)/2
+    = 0; the roots' product is -1/2, so one is positive (none when the
+    leading coefficient vanishes: the linear root is J = 0).  Between the
+    returned points the root is monotone in J wherever it exists.
+    """
+    known = _p4(lam / (lam + b))
+    if slot == 0:
+        A = 3.2 - known
+        den = A + psi * lam
+        return (math.sqrt((0.5 * A + psi * lam) / den),) if den > 0.0 else ()
+    c2, c1 = psi * lam - known, 0.5 * psi * lam
+    if c2 == 0.0:
+        return ()
+    q = c1 + math.sqrt(c1 * c1 + 2.0 * c2 * c2)
+    return (c2 / q if c2 > 0.0 else -q / (2.0 * c2),)
 
 
 def poly_root(slot, lam, J, b, psi, lo, hi):

@@ -288,7 +288,8 @@ def build_parser():
     y.add_argument("--optimize", action="store_true",
                    help="optimize the substitute weight family")
     y.add_argument("--budget", type=int, default=300,
-                   help="weights --optimize scores, split over the profiles")
+                   help="weights --optimize scores, split over the two profiles "
+                        "with at least 40 each (so about 80 at any budget below 80)")
     _add_family(y)
     _add_common(y)
     y.set_defaults(fn=_cmd_zd)
@@ -299,7 +300,8 @@ def build_parser():
                    help="recompute a table and report deviations")
     t.add_argument("--tolerance", type=float, default=2e-4)
     t.add_argument("--budget", type=int, default=120,
-                   help="weights a search --regress scores per row (T1: per cell)")
+                   help="weights a search --regress scores per row (T1: per cell), "
+                        "at least 40 per profile")
     _add_common(t)
     t.set_defaults(fn=_cmd_table)
 
@@ -307,7 +309,8 @@ def build_parser():
     o.add_argument("--case", required=True, choices=sorted(dh.CASES))
     o.add_argument("--b", type=float, required=True)
     o.add_argument("--budget", type=int, default=6000,
-                   help="evaluations of the search: (lambda, J) solves or weights")
+                   help="evaluations of the search: (lambda, J) solves, or weights "
+                        "(at least 40 per profile, so about 80 at any budget below 80)")
     _add_common(o)
     o.set_defaults(fn=_cmd_optimize)
 

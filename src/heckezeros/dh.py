@@ -250,12 +250,15 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
 # polynomial solver
 # ---------------------------------------------------------------------------
 
+#: the side-condition coefficient j0 = min(c J + d/J, 4 J) as (c, d) per form
+_J0_FORMS = {"sz": (0.5, 0.5), "cc": (1.0, 0.75)}
+
+
 def j0_value(case, J):
     """Side-condition coefficient on the 2J-slot term."""
     case = get_case(case) if isinstance(case, str) else case
-    if case.j0 == "sz":
-        return min(J / 2.0 + 1.0 / (2.0 * J), 4.0 * J)
-    return min(J + 3.0 / (4.0 * J), 4.0 * J)
+    c, d = _J0_FORMS[case.j0]
+    return min(c * J + d / J, 4.0 * J)
 
 
 def j1_value(J):
@@ -302,16 +305,26 @@ def side_limit(case, b, lam, J):
     case = get_case(case) if isinstance(case, str) else case
     if not side_condition(case, b, lam, J, 0.0)[0]:
         return -math.inf
-    known_on_square = case.unknown_slot == "known-on-square"
+    return min(_side_x(case, b, lam, J), 1e6)
 
+
+def _side_rest(b, lam, coef_known):
+    """1/lam^4 - coef_known/(lam+b)^4: what a condition leaves for its x term."""
+    return 1.0 / lam ** 4 - coef_known / (lam + b) ** 4
+
+
+def _side_x(case, b, lam, J):
+    """The x where the first of the side conditions fails (inf if none does).
+
+    ``side_limit`` without its cap and its check at x = 0: continuous in J,
+    and negative where even x = 0 fails.
+    """
     def one_limit(coef_ln, coef_sq):
         # x sits on the linear slot when the known value is on the square one
-        if known_on_square:
-            rest = 1.0 / lam ** 4 - coef_sq / (lam + b) ** 4
-            coef_x = coef_ln
+        if case.unknown_slot == "known-on-square":
+            rest, coef_x = _side_rest(b, lam, coef_sq), coef_ln
         else:
-            rest = 1.0 / lam ** 4 - coef_ln / (lam + b) ** 4
-            coef_x = coef_sq
+            rest, coef_x = _side_rest(b, lam, coef_ln), coef_sq
         if rest <= 0:
             return math.inf
         return (coef_x / rest) ** 0.25 - lam
@@ -319,7 +332,38 @@ def side_limit(case, b, lam, J):
     lim = one_limit(j0_value(case, J), 1.0)
     if case.extra_j1:
         lim = min(lim, one_limit(j1_value(J), 2.0))
-    return min(lim, 1e6)
+    return lim
+
+
+def _side_turns(case, b, lam):
+    """(peaks, troughs): the J where the side limit may turn, at fixed b, lam.
+
+    Each condition's limit increases with its coefficient.  j0 = min(c J + d/J,
+    4 J) peaks at its kink J^2 = d/(4 - c) (1/7 for 'sz', 1/4 for 'cc') and
+    has its one trough at J^2 = d/c; j1 = 4J/(J^2+1) peaks at J = 1.  With
+    the known value on the square slot (the one extra_j1 case) the two limits
+    cross where j0/j1 = rest_0/rest_1 =: rho: on the 4J branch at
+    J^2 = rho - 1, on the other at the roots y = J^2 of
+    c y^2 + (c + d - 4 rho) y + d = 0; their minimum peaks there or goes on
+    monotone.  Between these points the limit is monotone in J.
+    """
+    c, d = _J0_FORMS[case.j0]
+    kink = math.sqrt(d / (4.0 - c))
+    turns = [kink]
+    if case.extra_j1:
+        turns.append(1.0)
+        rest0 = _side_rest(b, lam, 1.0)
+        rest1 = _side_rest(b, lam, 2.0)
+        if rest1 > 0.0:
+            rho = rest0 / rest1
+            if rho - 1.0 <= kink * kink:
+                turns.append(math.sqrt(rho - 1.0))
+            B = c + d - 4.0 * rho   # < 0, as rho > 1 > (c + d)/4
+            disc = B * B - 4.0 * c * d
+            if disc >= 0.0:
+                q = 0.5 * (math.sqrt(disc) - B)
+                turns += [math.sqrt(y) for y in (q / c, d / q) if y >= kink * kink]
+    return turns, [math.sqrt(d / c)]
 
 
 def solve_poly(case, b, lam, J, phi=PHI):

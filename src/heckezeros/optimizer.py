@@ -1,22 +1,25 @@
 """Deterministic parameter search for the repulsion and density bounds.
 
-Polynomial cases search the (lambda, J) tuning box by a nested golden-section
-search.  Smoothed cases and the density bound search the substitute weight
-family (the autocorrelation of the generator e^{alpha u} (1 + cos(beta u)) on
-[0, s], over alpha and s at each fixed beta s / pi in ``PROFILES``) by
-coordinate descent, a coarse scan plus golden-section line search per
-coordinate, restarted from a fixed grid; the three best starts are each
-re-descended from their incumbent while that gains and budget is left.  No
-randomness, fixed iteration counts, lexicographic tie-breaks, so identical
-specs give identical results.  Side conditions and solver failures are hard
-constraints handled by rejection (score -inf); the optimum may sit on the
-feasible boundary, which the in-bracket golden section finds.
+Polynomial cases search the (lambda, J) tuning box by a golden section over
+lambda whose objective is the exact J-maximum at that lambda, taken over a
+finite candidate set of J (``_j_candidates``): closed forms and crossings,
+each scored by one solve.  Smoothed cases and the density bound search the
+substitute weight family (the autocorrelation of the generator
+e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each fixed
+beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
+golden-section line search per coordinate, restarted from a fixed grid; the
+three best starts are each re-descended from their incumbent while that
+gains and budget is left.  No randomness, fixed iteration counts,
+lexicographic tie-breaks, so identical specs give identical results.  Side
+conditions and solver failures are hard constraints handled by rejection
+(score -inf); the optimum may sit on the feasible boundary, which the
+in-bracket golden section finds.
 """
 
 import math
 from dataclasses import dataclass
 
-from . import dh, trial_functions, zero_density
+from . import _kernels, dh, trial_functions, zero_density
 from .errors import (HeckeZerosError, InfeasibleSearchError,
                      InvalidParameterError, NoBoundError, SideConditionError)
 
@@ -26,8 +29,7 @@ _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 POLY_BOXES = {"lambda": (1e-3, 5.0), "J": (1e-3, 5.0)}
 FAMILY_BOXES = {"alpha": (-4.0, 4.0), "s": (0.2, 10.0)}
 
-#: fixed restart grids
-POLY_GRID = {"lambda": (0.3, 0.75, 1.3, 2.2, 3.5), "J": (0.3, 0.6, 0.9, 1.5, 3.0)}
+#: fixed restart grid of the family searches
 FAMILY_GRID = {"alpha": (-1.0, 0.0, 1.0), "s": (0.6, 1.2, 2.0, 3.2, 5.0, 8.0)}
 
 
@@ -174,6 +176,45 @@ def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
     return results[0]
 
 
+def _j_candidates(case, b, lam, phi):
+    """The J where min(root, side limit) can peak at fixed lambda, with limits.
+
+    Between the box ends, the root's stationary points
+    (``_kernels._poly_j_stationary``) and the side limit's turns
+    (``dh._side_turns``), both the root and the limit are monotone in J, so
+    their minimum peaks at a box end, where the two cross, at a stationary
+    point of the root where the side condition is slack, or at a peak of the
+    limit where it binds.  A trough of the limit is never such a peak.  The
+    sign of h at the side limit tells slack from binding, and a crossing is
+    a sign change of it, bisected on its piece without a root solve.
+    Returns (uncapped side limit, J) pairs, highest limit first.
+    """
+    b, psi = float(b), case.psi_over_phi * phi
+    slot = 0 if case.unknown_slot == "known-on-square" else 1
+    j_lo, j_hi = max(POLY_BOXES["J"][0], case.j_min), POLY_BOXES["J"][1]
+
+    def gap(J):   # h at the side limit: > 0 where the root lies below it
+        x = dh._side_x(case, b, lam, J)
+        return _kernels.poly_fn(slot, lam, J, b, psi)(lam / (lam + x))
+
+    def inside(Js):
+        return {J for J in Js if j_lo < J < j_hi}
+
+    stationary = inside(_kernels._poly_j_stationary(slot, lam, b, psi))
+    peaks, troughs = map(inside, dh._side_turns(case, b, lam))
+    turns = sorted({j_lo, j_hi} | stationary | peaks | troughs)
+    gaps = [gap(J) for J in turns]
+    candidates = [J for J, g in zip(turns, gaps)
+                  if J in (j_lo, j_hi) or (J in stationary and g >= 0.0)
+                  or (J in peaks and g <= 0.0)]
+    for lo, hi, g_lo, g_hi in zip(turns, turns[1:], gaps, gaps[1:]):
+        if g_lo * g_hi < 0.0:
+            sign = 1.0 if g_lo < 0.0 else -1.0
+            candidates.append(_kernels._bisect(lambda J: sign * gap(J), lo, hi)[0])
+    return sorted(((dh._side_x(case, b, lam, J), J) for J in candidates),
+                  key=lambda t: -t[0])
+
+
 # ---------------------------------------------------------------------------
 # public searches
 # ---------------------------------------------------------------------------
@@ -181,12 +222,14 @@ def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
 def maximize_bound(spec):
     """Best repulsion bound for the spec's case at its width hypothesis.
 
-    Polynomial cases tune (lambda, J) by nested golden-section search (outer
-    over lambda of the inner J-maximum).  Plain coordinate descent stalls on
-    these landscapes: at the constrained optima the equation root meets the
-    side-condition limit along a curve in (lambda, J), and every point of
-    that curve is a coordinatewise local maximum.  Smoothed cases tune the
-    substitute weight family by coordinate descent and re-descent.  Raises
+    Polynomial cases tune (lambda, J) by a golden section over lambda of the
+    J-maximum at each lambda, which the finite candidate set of
+    ``_j_candidates`` gives exactly; the budget counts the solves that score
+    the candidates.  Plain coordinate descent stalls on these landscapes: at
+    the constrained optima the equation root meets the side-condition limit
+    along a curve in (lambda, J), and every point of that curve is a
+    coordinatewise local maximum.  Smoothed cases tune the substitute weight
+    family by coordinate descent and re-descent.  Raises
     InvalidParameterError for a negative or non-finite width or phi, or a
     budget below 1, before any evaluation, and InfeasibleSearchError when
     nothing admissible was found within budget.
@@ -196,30 +239,34 @@ def maximize_bound(spec):
     _check_budget(spec.max_evals)
     if case.method == "poly":
         budget = _Budget(spec.max_evals)
-
-        def objective(lam, J):
-            if J < case.j_min or lam <= 0 or J <= 0:
-                return -math.inf
-            try:
-                return dh.solve_poly(case, spec.b, lam, J, phi=spec.phi).lambda_star
-            except (NoBoundError, SideConditionError, InvalidParameterError):
-                return -math.inf
-
-        # the inner search needs a tight tolerance because at fixed lambda the
-        # J-maximum sits on the root/side-limit kink, where value error is
-        # first order in J; the outer maximum is smooth, so 1e-4 suffices
-        J_at = {}
+        best = (-math.inf, None, None)
 
         def inner(lam):
-            J_at[lam], v = _golden_max(lambda j: objective(lam, j), *POLY_BOXES["J"],
-                                       budget, xtol_frac=2e-6)
-            return v
+            nonlocal best
+            v_lam = -math.inf
+            if budget.left <= 0:
+                return v_lam
+            for limit, J in _j_candidates(case, spec.b, lam, spec.phi):
+                # v <= limit: no later candidate can beat v_lam
+                if limit <= v_lam or not budget.spend():
+                    break
+                try:
+                    v = dh.solve_poly(case, spec.b, lam, J, phi=spec.phi).lambda_star
+                except (NoBoundError, SideConditionError, InvalidParameterError):
+                    continue
+                v_lam = max(v_lam, v)
+                if v > best[0]:
+                    best = (v, lam, J)
+            return v_lam
 
-        lam_opt, v = _golden_max(inner, *POLY_BOXES["lambda"], budget, coarse=25)
+        # the budget counts solve_poly calls only, so the lambda section is
+        # bounded by its tolerance alone
+        _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf), coarse=25)
+        v, lam_opt, J_opt = best
         if not math.isfinite(v):
             raise InfeasibleSearchError(
                 f"no feasible (lambda, J) for {case.name} at b={spec.b}")
-        return dh.solve_poly(case, spec.b, lam_opt, J_at[lam_opt], phi=spec.phi)
+        return dh.solve_poly(case, spec.b, lam_opt, J_opt, phi=spec.phi)
 
     res = optimize_family_smoothed(case.name, spec.b, budget=spec.max_evals,
                                    phi=spec.phi, sweep_tol=1e-6)
@@ -244,9 +291,11 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
     """Maximize ``score(weight)`` over (alpha, s) for each profile.
 
     Each profile gets ``budget // len(PROFILES)`` evaluations, at least 40,
-    and the earlier profile wins a tie.  A weight that cannot be built or
-    scored counts as -inf.  Returns (weight, mult) of the best profile, or
-    None when no weight in the box scores finite.
+    so any budget below 80 runs about 80.  The floor stays: without it a T1
+    cell's budget of 60 would give each profile 30 evaluations and worse
+    bounds.  The earlier profile wins a tie.  A weight that cannot be built
+    or scored counts as -inf.  Returns (weight, mult) of the best profile,
+    or None when no weight in the box scores finite.
     """
     per_profile = max(budget // len(PROFILES), 40)
     best = None
@@ -275,8 +324,9 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     Runs an (alpha, s) search for each profile and keeps the best; returns a
     BoundResult or None when no weight in the box yields a bound.
     ``seed_params`` (alpha and s) warm-starts every profile, which is useful
-    along a table, where optima drift slowly.  Inputs are checked as in
-    ``maximize_bound``.
+    along a table, where optima drift slowly.  Each profile scores at least
+    40 weights (``_search_profiles``), so a budget below 80 makes about 80
+    solves.  Inputs are checked as in ``maximize_bound``.
     """
     case = dh.get_case(case)
     dh.check_width(b, phi)
@@ -302,8 +352,9 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
 
     Returns (integer bound or inf, params).  The support seed follows the
     tuning recipe (scale 2 theta-hat / lambda) before the descent refines it.
-    Inadmissible inputs and a budget below 1 raise InvalidParameterError
-    before any evaluation.
+    Each profile scores at least 40 weights (``_search_profiles``), so a
+    budget below 80 makes about 80 evaluations.  Inadmissible inputs and a
+    budget below 1 raise InvalidParameterError before any evaluation.
     """
     zero_density.check_inputs(lam, b, vartheta, phi)
     _check_budget(budget)

@@ -241,15 +241,20 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
                       map(tuple, moments[1:].T.tolist())))
 
     # at real r (or t) the terms of pair (j, k) and of its conjugate pair are
-    # complex conjugates: keep the first of the two and double its coefficient
+    # complex conjugates: keep the first of the two and double its coefficient.
+    # A pair of two exponents with |Im g| s >= SMALL_W never takes a series
+    # branch at real r, which the last entry records
     gs = [g_ for _, g_ in terms]
     conj = [gs.index(g_.conjugate()) for g_ in gs]
+    off_axis = [abs(g_.imag) * s >= _kernels.SMALL_W for g_ in gs]
     n = len(terms)
     folded = []
-    for p, (c, *rest) in enumerate(pairs):
-        q = conj[p // n] * n + conj[p % n]
+    for p, (c, g_j, g_k, K, M) in enumerate(pairs):
+        j, k = p // n, p % n
+        q = conj[j] * n + conj[k]
         if q >= p:
-            folded.append((c if q == p else 2.0 * c, *rest))
+            folded.append((c if q == p else 2.0 * c, g_j, g_k, K, M,
+                           off_axis[j] and off_axis[k]))
     folded = tuple(folded)
 
     f0 = float(sum(c * K for c, _, _, K, _ in pairs).real)
@@ -261,7 +266,7 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     # f(t) = sum Re c e^{g_k t} E(s - t; g_j + g_k) over the folded pairs, in
     # real arithmetic for a pair whose g_k and g_j + g_k are real
     t_terms = []
-    for c, g_j, g_k, _, _ in folded:
+    for c, g_j, g_k, *_ in folded:
         a = g_j + g_k
         if g_k.imag == 0.0 and a.imag == 0.0:
             g_k, a = g_k.real, a.real

@@ -186,8 +186,8 @@ class TestDeterminism:
         _, out, _ = run(["optimize", "--case", "cc-lp-nonprincipal", "--b", "0.1227",
                          "--precision", "10"], capsys)
         assert out.splitlines() == [
-            "cc-lp-nonprincipal: b=0.1227 -> lambda* = 0.7391211676 (residual 5.9e-17)",
-            "  parameters: lambda=1.096804324, J=0.7788368315"]
+            "cc-lp-nonprincipal: b=0.1227 -> lambda* = 0.7391211676 (residual 0.0e+00)",
+            "  parameters: lambda=1.096804324, J=0.7788367712"]
 
     def test_precision_flag_on_zfr_optimize(self, capsys):
         _, out, _ = run(["zfr", "--case", "principal", "--optimize",

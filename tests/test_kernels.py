@@ -89,9 +89,30 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, unfolded, folded, monkeypa
                         types.SimpleNamespace(exp=lambda w: calls.append(w) or exp(w)))
     # r = 0.37 is off every series branch of these weights
     assert all(abs(g + 0.37) * x0 >= 0.1 and abs(h - 0.37) * x0 >= 0.1
-               for _, g, h, _, _ in fold)
+               for _, g, h, *_ in fold)
     _kernels.f_real_scalar(f.kernel_code(), 0.37)
     assert len(calls) == folded
+
+
+@pytest.mark.parametrize("params, n_far", [
+    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 2),   # cosine
+    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 2),   # c0 = 0
+    ({"alpha": 0.5, "c0": 1.0, "c1": 1.0, "beta": 0.003, "s": 3.0}, 0),  # beta s < SMALL_W
+    ({"alpha": 0.5, "s": 1.0}, 0),                                       # plain
+])
+def test_far_pairs_skip_the_series_tests(params, n_far):
+    """A pair whose exponents both sit SMALL_W / x0 off the real axis skips the
+    series tests, and F keeps the branches of the array path there: at the
+    centres where an unflagged pair would switch, the two still agree."""
+    f = tf.autocorrelation(**params)
+    x0, _, fold = f.kernel_code()
+    assert sum(p[-1] for p in fold) == n_far
+    for _, g_j, g_k, *_, far in fold:
+        if far:
+            assert min(abs(g_j.imag), abs(g_k.imag)) * x0 >= _kernels.SMALL_W
+    for r in [-g.real for _, g, *_ in fold] + [g.real for _, _, g, *_ in fold]:
+        v = f.laplace(np.array([r])).real[0]
+        assert abs(_kernels.f_real_scalar(f.kernel_code(), r) - v) <= SCALAR_REL * abs(v)
 
 
 def _mp_triangle(x0, z, mp):

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from heckezeros import dh, optimizer, tables, trial_functions, zero_density
-from heckezeros.errors import InfeasibleSearchError, InvalidParameterError
+from heckezeros import dh, optimizer, p4, tables, trial_functions, zero_density
+from heckezeros.errors import (HeckeZerosError, InfeasibleSearchError,
+                               InvalidParameterError)
 from heckezeros.optimizer import SearchSpec, maximize_bound
 
 
@@ -61,6 +63,78 @@ class TestPolySearch:
             assert res.lambda_star >= r.lambda_star - gate, (key, r.b)
 
 
+POLY_TABLES = ("T3:quadratic", "T3:principal", "T4", "T5", "T9", "T10")
+
+
+def _dense_inner(case, b, lam, phi, n=20001):
+    """min(root, side limit) on n points of the J box, -inf where either fails.
+
+    Written from the inequalities, vectorized over J, independently of the
+    solver: the root of P(u) = target by bisection in u on
+    [lam/(lam+1000), 1], and each side condition's largest x.
+    """
+    J = np.linspace(max(optimizer.POLY_BOXES["J"][0], case.j_min),
+                    optimizer.POLY_BOXES["J"][1], n)
+    psi, pb = case.psi_over_phi * phi, p4.p4_eval(lam / (lam + b))
+    on_square = case.unknown_slot == "known-on-square"
+    if on_square:
+        target = ((J * J + 0.5) * (3.2 - pb) + psi * lam * (J + 1) ** 2) / (2 * J)
+    else:
+        target = 3.2 - (2 * J * pb - psi * lam * (J + 1) ** 2) / (J * J + 0.5)
+    u_min = lam / (lam + 1000.0)
+    lo, hi = np.full(n, u_min), np.ones(n)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = p4.p4_eval(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    root = np.where((p4.p4_eval(u_min) <= target) & (target <= 3.2),
+                    lam / (0.5 * (lo + hi)) - lam, -np.inf)
+    j0 = (np.minimum(J / 2 + 1 / (2 * J), 4 * J) if case.j0 == "sz"
+          else np.minimum(J + 3 / (4 * J), 4 * J))
+    conditions = [(j0, 1.0)]
+    if case.extra_j1:
+        conditions.append((4 * J / (J * J + 1), 2.0))
+    limit = np.full(n, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for coef_ln, coef_sq in conditions:
+            # x sits on the linear slot when the known value is on the square one
+            rest = lam ** -4.0 - (coef_sq if on_square else coef_ln) / (lam + b) ** 4
+            coef_x = coef_ln if on_square else coef_sq
+            limit = np.minimum(limit, np.where(rest > 0, (coef_x / rest) ** 0.25 - lam,
+                                               np.inf))
+    limit = np.where(limit >= 0, np.minimum(limit, 1e6), -np.inf)
+    return float(np.minimum(root, limit).max())
+
+
+class TestInnerJ:
+    """At fixed lambda the candidate set holds the exact J-maximum."""
+
+    @pytest.mark.parametrize("phi", [dh.PHI, 0.3])
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_candidates_reach_the_dense_grid_maximum(self, key, phi):
+        t = tables.load_table(key)
+        case = dh.get_case(t.case_name)
+        b = t.rows[len(t.rows) // 2].b
+        for lam in (0.3, 0.7, 1.0, 1.5, 2.0):
+            got = -math.inf
+            for _, J in optimizer._j_candidates(case, b, lam, phi):
+                try:
+                    got = max(got, dh.solve_poly(case, b, lam, J, phi=phi).lambda_star)
+                except HeckeZerosError:
+                    pass
+            want = _dense_inner(case, b, lam, phi)
+            assert math.isfinite(want)
+            assert got >= want - 1e-12 * abs(want), (key, lam)
+
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_middle_row_solves_at_most_300(self, monkeypatch, key):
+        # the nested golden section it replaced made 1,246-1,600 solves a row
+        t = tables.load_table(key)
+        calls = TestBudget.counted(monkeypatch, dh, "solve_poly")
+        maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
+        assert len(calls) <= 300
+
+
 class TestSmoothedSearch:
     def test_band_on_reference_row(self):
         res = optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=250)
@@ -111,7 +185,9 @@ class TestRedescent:
 
 class TestBudget:
     """Each search makes at most its budget of objective evaluations, plus the
-    final solve (and, for the density search, the final bound)."""
+    final solve (and, for the density search, the final bound).  The family
+    searches give each of their two profiles at least 40 evaluations, so a
+    budget below 80 runs about 80."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -134,6 +210,15 @@ class TestBudget:
         calls = self.counted(monkeypatch, zero_density, "n_lambda_bound")
         optimizer.optimize_zd(0.2, 0.0, budget=60)
         assert len(calls) <= 82
+
+    def test_family_floor(self, monkeypatch):
+        # budget 1 still runs 40 evaluations per profile
+        solves = self.counted(monkeypatch, dh, "solve_smoothed")
+        optimizer.optimize_family_smoothed("sz-lp-principal", 0.1, budget=1)
+        assert len(solves) <= 81
+        bounds = self.counted(monkeypatch, zero_density, "n_lambda_bound")
+        optimizer.optimize_zd(0.2, budget=1)
+        assert len(bounds) <= 82
 
     def test_poly_search(self, monkeypatch):
         calls = self.counted(monkeypatch, dh, "solve_poly")
