@@ -17,21 +17,21 @@ the solvers' residuals come from the same builders.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
 Trial functions reach this module, its one reader, as a "family code" (see
-``trial_functions``) ``(x0, pairs, folded)``: the support endpoint and two
-tuples of per-pair constants of the autocorrelation transform, each pair
-``(c, g_j, g_k, K, (M_1 .. M_7))`` in plain Python floats and complexes.
-``pairs`` has every (j, k) pair of generator exponents; ``folded`` keeps one
-of each conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with its
-coefficient doubled, which is exact for the real part at a real argument:
-a cosine-modulated generator has 5 folded pairs of 9, one with ``c0 = 0`` 2
-of 4, and a plain one its 1.  Each folded pair ends in a flag ``far``: both
-|Im g_j| x0 and |Im g_k| x0 are at least ``SMALL_W``.  Every built-in
-weight, the triangle included, is an autocorrelation, so neither evaluator
-branches on the family.  The transform ``F`` is ``f_real_scalar`` over the
-folded pairs at one real point and ``f_array`` over every pair at real or
-complex points, scalar or array; ``E`` is the ``(e^{ax} - 1)/a`` they and
-the weight are built from.  The two transforms agree to 2e-13 relative, not
-to the bit, as Python and NumPy complex arithmetic differ in the last bits.
+``trial_functions``) ``(x0, folded)``: the support endpoint and one tuple
+``(c, g_j, g_k, K, (M_1 .. M_7), far)`` of plain Python numbers per pair of
+generator exponents, kept once per conjugate pair ``(g_j, g_k)``,
+``(conj g_j, conj g_k)`` with ``c`` doubled when the two differ: a
+cosine-modulated generator has 5 folded pairs of 9, one with ``c0 = 0`` 2
+of 4, and a plain one its 1.  ``far`` says both |Im g_j| x0 and |Im g_k| x0
+are at least ``SMALL_W``.  Every built-in weight, the triangle included, is
+an autocorrelation, so neither evaluator branches on the family.  The
+transform ``F`` is ``f_real_scalar`` at one real point and ``f_array`` at
+real or complex points, scalar or array; at a real point the terms of two
+conjugate pairs are conjugates, and off the real axis ``f_array`` evaluates
+the dropped one as ``conj T(conj z)``.  ``E`` is the ``(e^{ax} - 1)/a``
+they and the weight are built from.  The two transforms agree to 2e-13
+relative, not to the bit, as Python and NumPy complex arithmetic differ in
+the last bits.
 Closed forms switch to series below ``SMALL_W`` = 1e-2, where the direct
 expressions would lose more than half their digits to cancellation; the
 series stay at ~1e-15 relative error.  Just above the switch the direct
@@ -75,7 +75,7 @@ def _f_real_scalar(code, r):
     |g_k - r| are at least the imaginary parts that the flag bounds, so the
     tests would fail there anyway and the branches match ``f_array``'s.
     """
-    x0, _, folded = code
+    x0, folded = code
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
     acc = 0.0
@@ -138,21 +138,25 @@ def E(x, a):
 def f_array(code, z):
     """F(z) of a family code at real or complex z, scalar or array.
 
-    Sums every unfolded pair: off the real axis a pair's term and its
-    conjugate pair's are not conjugates.  A scalar z gives a complex, an
-    array a complex array of its shape.  Each series branch runs only when
-    some point needs it.
+    At real z each folded pair adds c Re T(z), T its term.  Off the real axis
+    a pair with a complex exponent adds c/2 (T(z) + conj T(conj z)), both in
+    one stacked evaluation, and a pair of real exponents, its own conjugate,
+    adds c T(z).  A scalar z gives a complex, an array a complex array of its
+    shape.  Each series branch runs only when some point needs it.
     """
-    x0, pairs, _ = code
+    x0, folded = code
     z = np.asarray(z)
     scalar = z.ndim == 0
+    real = not np.iscomplexobj(z) or not z.imag.any()
     z = np.atleast_1d(z.astype(complex))
     out = np.zeros(z.shape, dtype=complex)
-    for c, gj, gk, K, M in pairs:
-        b = gj + z
+    for c, gj, gk, K, M, _ in folded:
+        own = real or (gj.imag == 0.0 and gk.imag == 0.0)
+        zs = z if own else np.stack([z, z.conj()])
+        b = gj + zs
         small = np.abs(b) * x0 < SMALL_W
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = (K - E(x0, gk - z)) / np.where(small, 1.0, b)
+            phi = (K - E(x0, gk - zs)) / np.where(small, 1.0, b)
         if small.any():
             taylor = np.zeros_like(b)
             bp = np.ones_like(b)
@@ -162,7 +166,9 @@ def f_array(code, z):
                 bp *= b
                 fact *= n + 2.0
             phi = np.where(small, taylor, phi)
-        out += c * phi
+        if not own:
+            phi = 0.5 * (phi[0] + phi[1].conj())
+        out += c * (phi.real if real else phi)
     return complex(out[0]) if scalar else out
 
 

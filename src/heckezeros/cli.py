@@ -19,8 +19,6 @@ from . import dh, optimizer, tables, trial_functions, verify, zero_density, zfr
 from ._kernels import backend
 from .errors import HeckeZerosError
 
-_FORMATS = ("text", "md", "csv", "json")
-
 
 def _fmt(x, precision):
     if isinstance(x, float):
@@ -235,16 +233,18 @@ def _cmd_verify(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, formats=("text", "json"), phi=True):
     sub.add_argument("--precision", type=int, default=6,
                      help="significant digits for numeric output (default 6)")
-    sub.add_argument("--format", choices=_FORMATS, default="text")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--json", dest="format", action="store_const", const="json",
                      help="shorthand for --format json")
-    sub.add_argument("--csv", dest="format", action="store_const", const="csv",
-                     help="shorthand for --format csv")
-    sub.add_argument("--phi", type=float, default=dh.PHI,
-                     help="critical-strip growth constant (default 1/4)")
+    if "csv" in formats:
+        sub.add_argument("--csv", dest="format", action="store_const", const="csv",
+                         help="shorthand for --format csv")
+    if phi:
+        sub.add_argument("--phi", type=float, default=dh.PHI,
+                         help="critical-strip growth constant (default 1/4)")
 
 
 def _add_family(sub):
@@ -302,7 +302,7 @@ def build_parser():
     t.add_argument("--budget", type=int, default=120,
                    help="weights a search --regress scores per row (T1: per cell), "
                         "at least 40 per profile")
-    _add_common(t)
+    _add_common(t, formats=("text", "md", "csv", "json"), phi=False)
     t.set_defaults(fn=_cmd_table)
 
     o = sp.add_parser("optimize", help="parameter search for a repulsion case")
@@ -318,7 +318,7 @@ def build_parser():
     v.add_argument("--suite", default="all",
                    choices=sorted(verify.SUITES) + ["all"])
     v.add_argument("--verbose", action="store_true", help="print passing checks too")
-    _add_common(v)
+    _add_common(v, phi=False)
     v.set_defaults(fn=_cmd_verify)
     return ap
 
@@ -326,6 +326,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.precision < 0:
+        ap.error(f"argument --precision: must be >= 0, got {args.precision}")
     try:
         return args.fn(args)
     except HeckeZerosError as exc:

@@ -19,13 +19,14 @@ families satisfy this:
   ``TrialFunction`` constructor doubles as a plug-in point for adding such
   families later without touching the solvers.
 
-Each built-in weight carries a family code, and its transform is evaluated
-by ``_kernels`` from that code alone: real scalars by ``f_real_scalar``,
-which sums the conjugate pairs folded once per weight, complex or array
-arguments by ``f_array``, which sums every pair.  The two agree to 2e-13
-relative, not to the bit: Python and NumPy complex arithmetic differ in the
-last bits.  The weight f(t) reads the same folded pairs, and
-``_kernels.E`` serves f(t) and its second derivative here.
+Each built-in weight carries a family code ``(x0, folded)``, one of each
+conjugate pair of generator-exponent pairs with its coefficient doubled, and
+its transform is evaluated by ``_kernels`` from that code alone: real
+scalars by ``f_real_scalar``, complex or array arguments by ``f_array``.
+The two agree to 2e-13 relative, not to the bit: Python and NumPy complex
+arithmetic differ in the last bits.  The weight f(t), f(0) and sup |f''|
+read the same folded pairs, and ``_kernels.E`` serves f(t) and its second
+derivative here.
 """
 
 import functools
@@ -227,37 +228,25 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     if not terms:
         raise InvalidGeneratorError("generator is identically zero")
 
-    # per (j, k) pair: c_j c_k, g_j, g_k, K_{jk} and M_1 .. M_7 at a = g_j + g_k
-    coef = np.array([cj * ck for cj, _ in terms for ck, _ in terms])
-    gj = np.array([gjv for _, gjv in terms for _ in terms])
-    gk = np.array([gkv for _ in terms for _, gkv in terms])
-    a_all = gj + gk
+    # at real r (or t) the terms of pair (j, k) and of its conjugate pair are
+    # conjugates: keep the first, c_j c_k doubled when they differ, with its
+    # g_j, g_k, K_{jk} and M_1 .. M_7 at a = g_j + g_k.  A pair of exponents
+    # with |Im g| s >= SMALL_W never takes a series branch at real r: ``far``
+    gs = [g_ for _, g_ in terms]
+    conj = [gs.index(g_.conjugate()) for g_ in gs]
+    keep = [(j, k) for j in range(len(gs)) for k in range(len(gs))
+            if (conj[j], conj[k]) >= (j, k)]
     try:
-        moments = _exp_moments_vec(a_all, s, _kernels.N_MOMENTS)
+        moments = _exp_moments_vec([gs[j] + gs[k] for j, k in keep], s, _kernels.N_MOMENTS)
     except OverflowError:
         raise InvalidParameterError(
             f"the moments of the generator overflow: s^n is out of range for s={s}") from None
-    pairs = tuple(zip(coef.tolist(), gj.tolist(), gk.tolist(), moments[0].tolist(),
-                      map(tuple, moments[1:].T.tolist())))
+    folded = tuple(
+        (terms[j][0] * terms[k][0] * (1.0 if (conj[j], conj[k]) == (j, k) else 2.0),
+         gs[j], gs[k], K, tuple(M), min(abs(gs[j].imag), abs(gs[k].imag)) * s >= _SMALL_W)
+        for (j, k), K, M in zip(keep, moments[0].tolist(), moments[1:].T.tolist()))
 
-    # at real r (or t) the terms of pair (j, k) and of its conjugate pair are
-    # complex conjugates: keep the first of the two and double its coefficient.
-    # A pair of two exponents with |Im g| s >= SMALL_W never takes a series
-    # branch at real r, which the last entry records
-    gs = [g_ for _, g_ in terms]
-    conj = [gs.index(g_.conjugate()) for g_ in gs]
-    off_axis = [abs(g_.imag) * s >= _kernels.SMALL_W for g_ in gs]
-    n = len(terms)
-    folded = []
-    for p, (c, g_j, g_k, K, M) in enumerate(pairs):
-        j, k = p // n, p % n
-        q = conj[j] * n + conj[k]
-        if q >= p:
-            folded.append((c if q == p else 2.0 * c, g_j, g_k, K, M,
-                           off_axis[j] and off_axis[k]))
-    folded = tuple(folded)
-
-    f0 = float(sum(c * K for c, _, _, K, _ in pairs).real)
+    f0 = float(sum(c * K for c, _, _, K, *_ in folded).real)
     if not math.isfinite(f0):
         raise InvalidParameterError(
             f"f(0) = int g^2 overflows for the generator alpha={alpha}, s={s}"
@@ -289,23 +278,22 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
         return float(out[0]) if scalar else out
 
     def sup_f2():
-        # sup |f''| from the exact second derivative on a grid (vectorized
-        # over pairs x points); 5% headroom keeps the remainder constant an
+        # sup |f''| from the exact second derivative on a grid, summed over
+        # the folded pairs; 5% headroom keeps the remainder constant an
         # upper bound despite gridding
         ts = np.linspace(0.0, s, 2001, endpoint=False)
-        rest = (s - ts)[None, :]
-        E2 = _kernels.E(rest, a_all[:, None])
-        with np.errstate(over="ignore", invalid="ignore"):
-            egk = np.exp(gk[:, None] * ts[None, :])
-            ew = np.exp(a_all[:, None] * rest)
-            f2 = (coef[:, None] * (gk[:, None] ** 2 * egk * E2
-                                   + (a_all - 2.0 * gk)[:, None] * egk * ew)).sum(axis=0)
-        return 1.05 * float(np.abs(f2.real).max())
+        f2 = 0.0
+        for c, g_k, a in t_terms:
+            with np.errstate(over="ignore", invalid="ignore"):
+                egk = np.exp(g_k * ts)
+                f2 += (c * (g_k ** 2 * egk * _kernels.E(s - ts, a)
+                            + (a - 2.0 * g_k) * egk * np.exp(a * (s - ts)))).real
+        return 1.05 * float(np.abs(f2).max())
 
     content = Content(x0=s, M=f0, B=sup_f2, f0=f0)
     params = {"alpha": alpha, "c0": c0, "c1": c1, "beta": beta, "s": s}
 
-    code = (s, pairs, folded)
+    code = (s, folded)
     return TrialFunction("autocorrelation", params, content, _eval,
                          functools.partial(_kernels.f_array, code), code=code)
 

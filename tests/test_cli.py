@@ -84,6 +84,19 @@ class TestDh:
             cli.main(["dh", "--case", "not-a-case", "--b", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [
+        "verify --suite laplace --phi 7",           # --phi only where it is read
+        "table --name T4 --phi 0.3",
+        "dh --case sz-lp-principal --b 0.1 --csv",  # md and csv only on table
+        "dh --case sz-lp-principal --b 0.1 --format md",
+        "zfr --case order5 --precision -1",
+    ])
+    def test_unread_or_invalid_option_is_a_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(shlex.split(args))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_non_finite_phi_prints_no_bound(self, capsys):
         code, out, err = run(["dh", "--case", "cc-lp-nonprincipal", "--b", "0.1227",
                               "--lambda", "1.097", "--J", "0.7788", "--phi", "nan"],

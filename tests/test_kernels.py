@@ -17,9 +17,11 @@ def test_backend_reports():
 
 
 def _exponents(f):
-    """The support endpoint and the g_j and g_k of every unfolded pair."""
-    x0, pairs, _ = f.kernel_code()
-    return x0, [p[1] for p in pairs], [p[2] for p in pairs]
+    """The support endpoint and the g_j and g_k of every folded pair and of
+    its conjugate pair."""
+    x0, folded = f.kernel_code()
+    return (x0, [g for p in folded for g in (p[1], p[1].conjugate())],
+            [g for p in folded for g in (p[2], p[2].conjugate())])
 
 
 def _real_points(f):
@@ -74,15 +76,22 @@ def test_scalar_transform_matches_mpmath():
                 assert abs(got - want) <= 2e-11 * abs(want), (f, r)
 
 
-@pytest.mark.parametrize("params, unfolded, folded", [
+@pytest.mark.parametrize("params, off_axis, folded", [
     ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 9, 5),   # cosine
     ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 4, 2),   # c0 = 0
     ({"alpha": 0.5, "s": 1.0}, 1, 1),                                       # plain
 ])
-def test_conjugate_pairs_fold_to_one_exp_each(params, unfolded, folded, monkeypatch):
+def test_conjugate_pairs_fold_to_one_exp_each(params, off_axis, folded, monkeypatch):
+    """The code keeps one pair of each conjugate pair.  At a real point F
+    takes one exp, and f_array one evaluation, per folded pair; off the real
+    axis f_array also evaluates each dropped pair's term, stacked with the
+    kept one's, so it evaluates off_axis pair terms in all."""
     f = tf.autocorrelation(**params)
-    x0, pairs, fold = f.kernel_code()
-    assert (len(pairs), len(fold)) == (unfolded, folded)
+    x0, fold = f.kernel_code()
+    assert len(fold) == folded
+    # doubled coefficients: the folded ones still sum to (sum_j c_j)^2
+    c_sum = params.get("c0", 1.0) + params.get("c1", 0.0)
+    assert sum(p[0] for p in fold) == pytest.approx(c_sum ** 2, rel=1e-15)
     calls = []
     exp = _kernels.cmath.exp
     monkeypatch.setattr(_kernels, "cmath",
@@ -92,6 +101,17 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, unfolded, folded, monkeypa
                for _, g, h, *_ in fold)
     _kernels.f_real_scalar(f.kernel_code(), 0.37)
     assert len(calls) == folded
+    # the shape of each g_k - z that f_array hands to E, one per pair term
+    shapes = []
+    E = _kernels.E
+    monkeypatch.setattr(_kernels, "E", lambda x, a: shapes.append(np.shape(a)) or E(x, a))
+    f.laplace(np.linspace(-2.0, 2.0, 7))
+    f.laplace(0.37 + 0j)       # a complex scalar on the real axis
+    assert shapes == [(7,)] * folded + [(1,)] * folded
+    shapes.clear()
+    f.laplace(np.array([0.37 + 1j, -0.5 - 2j, 3j]))
+    assert len(shapes) == folded
+    assert shapes.count((3,)) + 2 * shapes.count((2, 3)) == off_axis
 
 
 @pytest.mark.parametrize("params, n_far", [
@@ -105,7 +125,7 @@ def test_far_pairs_skip_the_series_tests(params, n_far):
     series tests, and F keeps the branches of the array path there: at the
     centres where an unflagged pair would switch, the two still agree."""
     f = tf.autocorrelation(**params)
-    x0, _, fold = f.kernel_code()
+    x0, fold = f.kernel_code()
     assert sum(p[-1] for p in fold) == n_far
     for _, g_j, g_k, *_, far in fold:
         if far:
@@ -200,6 +220,64 @@ def test_triangle_smoothed_roots_match_mpmath(x0):
                     assert abs(got - want) <= 1e-10 * want, (name, phi, b, got, want)
                     solved[case.form] += 1
     assert min(solved.values()) >= 3
+
+
+#: (case, b, phi) at the edges of the smoothed solver: widths down to 1e-12
+#: and phi != 1/4, for both shapes
+SMOOTHED_EDGES = [
+    ("sz-lp-principal", 1e-12, 0.25),
+    ("sz-lp-principal", 1e-10, 0.25),
+    ("sz-lp-principal", 1e-6, 0.25),
+    ("sz-lp-principal", 1e-3, 0.25),
+    ("sz-lp-quadratic", 1e-10, 0.25),
+    ("sz-lp-principal", 1e-6, 0.3),
+    ("sz-lp-principal", 1e-3, 0.3),
+    ("cc-l2-nonprincipal", 1e-6, 0.3),
+    ("cc-l2-nonprincipal", 1e-3, 0.3),
+    ("cc-l2-chi2-principal-real", 1e-3, 0.25),
+]
+
+
+@pytest.mark.parametrize("name, b, phi", SMOOTHED_EDGES)
+def test_smoothed_root_at_edges_matches_mpmath_bisection(name, b, phi):
+    """The root of triangle(14) against an 80-digit bisection of the same h
+    from the triangle's closed form.  F(-60) overflows at x0 = 14, so the 'sz'
+    bracket is halved before the solve."""
+    mp = pytest.importorskip("mpmath")
+    f, case = tf.triangle(14.0), dh.CASES[name]
+    assert f.laplace(-60.0).real == math.inf
+    got = dh.solve_smoothed(name, f, b, phi=phi).root
+    with mp.workdps(80):
+        X0, B = mp.mpf(14), mp.mpf(b)
+        psi = case.psi_over_phi * mp.mpf(phi)
+
+        def F(r):
+            return _mp_triangle(X0, mp.mpf(r), mp)
+
+        if case.form == "sz":
+            def h(x):
+                return case.c1 * (F(-x) - F(B - x)) - F(0) + psi * X0
+        else:
+            def h(x):
+                return F(-B) - F(0) - F(x - B) + psi * X0
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        assert h(lo) < 0
+        while h(hi) < 0:
+            hi *= 2
+        for _ in range(300):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if h(mid) < 0 else (lo, mid)
+        want = (lo + hi) / 2
+        err = abs(got - want) / want
+    if case.form == "sz":
+        # F(-x) - F(b-x) cancels to ~b |F'|: its float rounding, relative
+        # to the difference, grows like 1/b (-3.3e-6 at 1e-12, -4.1e-9 at 1e-10)
+        assert err <= 2e-17 / b + 1e-13, (got, want)
+    else:
+        # 'cc' reads F at r >= -b, so nothing cancels in b; at b = 1e-3,
+        # |b x0| = 0.014 is just above SMALL_W, where the direct closed form
+        # of F(-b) loses up to 4.3e-12 relative (1.1e-11 on the root)
+        assert err <= 2e-11, (got, want)
 
 
 def test_overflowing_pair_gives_plus_infinity():

@@ -140,7 +140,7 @@ class TestAutocorrelation:
     @pytest.mark.parametrize("index,B,A", [
         (0, 0.0, 2.0), (1, 0.0, 2.0), (2, 0.0, 2.0),
         (3, 0.45104897997049936, 4.789710596829588),
-        (4, 1.9939642595236442, 16.013713769277825),
+        (4, 1.993964259523644, 16.013713769277825),
         (5, 0.23110886568574251, 2.7205442427788675),
     ])
     def test_lazy_content_values_pinned(self, index, B, A):

@@ -168,3 +168,24 @@ class TestOptimize:
         k = int(np.argmax(vals))
         assert np.all(np.diff(vals[: k + 1]) >= -1e-12)
         assert np.all(np.diff(vals[k:]) <= 1e-12)
+
+
+def test_root_at_phi_03_matches_mpmath():
+    """phi != 1/4: the order234 root against a 60-digit root of the same
+    quartic, P's coefficients 4/5 and 2/5 as exact rationals."""
+    mp = pytest.importorskip("mpmath")
+    res = zfr.zfr_solve("order234", 0.9421, phi=0.3)
+    assert res.root == pytest.approx(0.0991535619128535, rel=1e-14)
+    case = zfr.CASES["order234"]
+    with mp.workdps(60):
+        c0, c1, B = (mp.mpf(float(v)) for v in (case.coeffs[0], case.coeffs[1], case.B))
+        lam, phi = mp.mpf(0.9421), mp.mpf(0.3)
+
+        def P(u):
+            return u + u ** 2 + mp.mpf(4) / 5 * u ** 3 + mp.mpf(2) / 5 * u ** 4
+
+        u = mp.findroot(lambda u: c0 * P(1) - c1 * P(u) + B * phi * lam,
+                        lam / (lam + mp.mpf(res.root)))
+        want = lam / u - lam
+    # the float root is a few ulp off the exact one (2.2e-15 relative here)
+    assert abs(res.root - want) <= 1e-14 * want
