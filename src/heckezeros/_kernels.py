@@ -2,18 +2,23 @@
 
 Every bound ends in a monotone root solve, and every solve here goes through
 one bracketed ITP solver (interpolate, truncate, project; Oliveira &
-Takahashi 2021), ``_bisect``: 11.8 evaluations of ``h`` per bundled quartic
-row where bisection took 65.6, and never more steps than the halvings down
-to its tolerance plus one.  Each inequality's bracketing function is
-written once, by a builder whose arithmetic works on floats and on arrays:
-``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and ``zfr_fn``
-return the quartic ones as ``g(u)``, ``u = lam/(lam+x)``.  The named root
-kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) hand the builder's
-function to the solver; they return ``(root, h(lo), h(hi))`` with a NaN root
-when ``h`` has no sign change, so callers can tell which way the inequality
-failed.  The quartic kernels solve in ``u``, where ``h`` is the polynomial
-itself (``_quartic_root``); the vectorized ``h`` of the solver modules and
-the solvers' residuals come from the same builders.
+Takahashi 2021), ``_bisect``: 11.7 evaluations of ``h`` per bundled quartic
+row where bisection took 65.6, 42% of bisection's over a set of 280 smoothed
+solves, and never more steps than the halvings down to its tolerance plus
+n0 = 8.  Given a guess near the root (the family search passes its last
+root), it starts from a bracket around the guess, which saves evaluations
+and never changes whether or how a solve fails.  Each inequality's
+bracketing function is written once, by a builder whose arithmetic works on
+floats and on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and
+``poly_fn`` and ``zfr_fn`` return the quartic ones as ``g(u)``,
+``u = lam/(lam+x)``.  The named root kernels (``smoothed_root``,
+``poly_root``, ``zfr_root``) hand the builder's function to the solver
+(``smoothed_root`` takes the built ``h``, which its caller keeps for the
+residual); they return ``(root, h(lo), h(hi))`` with a NaN root when ``h``
+has no sign change, so callers can tell which way the inequality failed.
+The quartic kernels solve in ``u``, where ``h`` is the polynomial itself
+(``_quartic_root``); the vectorized ``h`` of the solver modules and the
+solvers' residuals come from the same builders.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
 Trial functions reach this module, its one reader, as a "family code" (see
@@ -173,34 +178,79 @@ def f_array(code, z):
 
 
 #: ITP constants (Oliveira & Takahashi 2021): truncation scale k1 = _ITP_K1/(hi-lo),
-#: truncation exponent k2 = 2 (written w*w below), and n0 extra halvings of slack
+#: truncation exponent k2 = 2 (written w*w below), and n0 extra halvings of
+#: slack.  n0 = 8 leaves the interpolation room where h spans many orders of
+#: magnitude (the 'sz' smoothed shape reaches 1e100 on [0, 60]); with n0 = 1 the
+#: slack was spent within the first steps and the rest were bisections
 _ITP_K1 = 0.2
-_ITP_N0 = 1
+_ITP_N0 = 8
 #: the tolerance is _ITP_REL max(|lo|, |hi|), far below one float spacing, so
 #: the loop normally stops once the bracket is two adjacent floats
 _ITP_REL = 2.0 ** -62
 
 
-def _bisect(h, lo, hi):
+def _guess_bracket(h, lo, hi, guess):
+    """The bracket (a, b, h(a), h(b)) grown around guess inside [lo, hi].
+
+    Starts at guess -+ 10% of |guess| and widens the side the root lies
+    beyond 16-fold per step, keeping the other end as the new inner end,
+    until h changes sign, that side reaches lo or hi, or a value is NaN.
+    """
+    step = 0.1 * abs(guess)
+    a, b = max(lo, guess - step), min(hi, guess + step)
+    ya, yb = h(a), h(b)
+    while ya > 0.0 and a > lo or yb < 0.0 and b < hi:
+        step *= 16.0
+        if ya > 0.0:   # the root lies below a
+            b, yb = a, ya
+            a = max(lo, guess - step)
+            ya = h(a)
+        else:   # the root lies above b
+            a, ya = b, yb
+            b = min(hi, guess + step)
+            yb = h(b)
+    return a, b, ya, yb
+
+
+def _bisect(h, lo, hi, guess=None):
     """ITP root of an increasing h on [lo, hi] (interpolate, truncate, project).
 
     Returns (root, h(lo), h(hi)); root is NaN when h has no sign change on
     the bracket or an endpoint value is NaN.  Each step takes the regula
     falsi point, moves it towards the midpoint by k1 w^2, and projects it
     onto the interval around the midpoint that keeps the step count within
-    n0 of the halvings bisection needs to reach the tolerance.  A NaN
+    n0 = 8 of the halvings bisection needs to reach the tolerance.  A NaN
     interpolant falls back to the midpoint, and a NaN value of h counts as
     positive.  Stops once the bracket is below the tolerance or the midpoint
     no longer splits it, and at an exact zero of h (lo itself when h(lo) = 0,
     so an h that vanishes everywhere gives lo, as bisection did); the root is
     the midpoint of the final bracket.
+
+    ``guess``, a point near the root (the last root of a search, say),
+    changes how many evaluations the solve takes, and the root only within
+    the float noise of h near it (the loop takes another path through the
+    points where the sign of h flickers).  The solver first grows a bracket
+    around it (``_guess_bracket``); when h changes sign there it runs the
+    same loop on that bracket and returns h at its ends in place of h(lo)
+    and h(hi).  Otherwise (no sign change on [lo, hi], a NaN value, h = 0 at
+    both ends) it solves on [lo, hi] as without a guess, reusing an end
+    value the growth found, so the failure modes are the same; only a NaN
+    at lo or hi goes unseen when the bracket around the guess holds the
+    sign change.  A guess outside [lo, hi], 0 or NaN is ignored.
     """
-    hlo = h(lo)
-    hhi = h(hi)
-    if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
-        return math.nan, hlo, hhi
-    a, b, ya, yb = lo, hi, hlo, hhi
-    if hlo == 0.0:   # bisection converges to lo; also keeps ya < 0 below
+    if guess is not None and lo <= guess <= hi and guess != 0.0:
+        a, b, ya, yb = _guess_bracket(h, lo, hi, guess)
+        if ya <= 0.0 <= yb and ya != yb:   # a sign change, not a flat zero
+            lo, hi, ylo, yhi = a, b, ya, yb
+        else:
+            ylo = ya if a == lo else h(lo)
+            yhi = yb if b == hi else h(hi)
+    else:
+        ylo, yhi = h(lo), h(hi)
+    if ylo > 0.0 or yhi < 0.0 or ylo != ylo or yhi != yhi:
+        return math.nan, ylo, yhi
+    a, b, ya, yb = lo, hi, ylo, yhi
+    if ylo == 0.0:   # bisection converges to lo; also keeps ya < 0 below
         b = lo
     tol2 = 2.0 * _ITP_REL * max(abs(lo), abs(hi))
     if b - a > tol2:
@@ -236,7 +286,7 @@ def _bisect(h, lo, hi):
                 a = b = x
             else:   # positive or NaN, as in bisection
                 b, yb = x, y
-    return 0.5 * (a + b), hlo, hhi
+    return 0.5 * (a + b), ylo, yhi
 
 
 def _quartic_root(g, lam, lo, hi):
@@ -270,9 +320,13 @@ def smoothed_fn(F, form, c1, psi, b, f0):
     return h
 
 
-def smoothed_root(F, form, c1, psi, b, f0, lo, hi):
-    """Root of ``smoothed_fn``; F is F(r) at one real point as a float."""
-    return _bisect(smoothed_fn(F, form, c1, psi, b, f0), lo, hi)
+def smoothed_root(h, lo, hi, guess=None):
+    """Root of an h built by ``smoothed_fn`` from a scalar F, as ``_bisect``.
+
+    The caller builds h, so it can reuse it (for the residual at the root)
+    without evaluating F(0) again.
+    """
+    return _bisect(h, lo, hi, guess)
 
 
 def _p4(u):

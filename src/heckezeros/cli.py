@@ -6,7 +6,8 @@ Verbs: ``zfr`` (zero-free-region widths), ``dh`` (repulsion solvers),
 
 Exit codes: 0 success, 1 computation error (no provable bound, failed
 preconditions), 2 usage error.  All numeric output uses 6 significant digits
-unless ``--precision`` overrides it; ``--json`` output is schema-stable.
+unless ``--precision`` overrides it (every verb but ``verify``, whose check
+reports fix their own format); ``--json`` output is schema-stable.
 Runs are deterministic: byte-identical output for identical invocations.
 """
 
@@ -233,9 +234,10 @@ def _cmd_verify(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, formats=("text", "json"), phi=True):
-    sub.add_argument("--precision", type=int, default=6,
-                     help="significant digits for numeric output (default 6)")
+def _add_common(sub, formats=("text", "json"), phi=True, precision=True):
+    if precision:
+        sub.add_argument("--precision", type=int, default=6,
+                         help="significant digits for numeric output (default 6)")
     sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--json", dest="format", action="store_const", const="json",
                      help="shorthand for --format json")
@@ -318,7 +320,7 @@ def build_parser():
     v.add_argument("--suite", default="all",
                    choices=sorted(verify.SUITES) + ["all"])
     v.add_argument("--verbose", action="store_true", help="print passing checks too")
-    _add_common(v, phi=False)
+    _add_common(v, phi=False, precision=False)
     v.set_defaults(fn=_cmd_verify)
     return ap
 
@@ -326,7 +328,7 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.precision < 0:
+    if getattr(args, "precision", 0) < 0:   # verify offers no --precision
         ap.error(f"argument --precision: must be >= 0, got {args.precision}")
     try:
         return args.fn(args)

@@ -184,7 +184,7 @@ def smoothed_h(case, f, b, phi=PHI):
                                 case.psi_over_phi * phi, b, f.content.f0)
 
 
-def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
+def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
     """Root of the smoothed repulsion function; the bound is root - epsilon.
 
     Brackets on [0, hi]: h is increasing on the whole line, and near the ends
@@ -197,6 +197,12 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     both raise NoBoundError with the sign recorded.  An h that is 0 at both
     ends (the 'sz' shape at b = 0 when F(0) = psi f(0)) bounds nothing either
     and raises NoBoundError with sign None.
+
+    ``guess``, a point near the root such as the root of a nearby weight,
+    goes to the root solver (``_kernels._bisect``): it changes only how many
+    evaluations of F the solve makes, never which error is raised.  The
+    root itself may move within float noise, as the solver takes another
+    path to it.
     """
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "smoothed":
@@ -221,7 +227,8 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
             break
         hi = 0.5 * hi
     c1, b = float(case.c1), float(b)
-    root, hlo, hhi = _kernels.smoothed_root(F, form, c1, psi, b, f0, 0.0, hi)
+    h = _kernels.smoothed_fn(F, form, c1, psi, b, f0)
+    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi, guess)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")
@@ -239,8 +246,7 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     # residual is measured relative to the evaluated transform terms: at tiny
     # widths they reach e^{x0 x} ~ 1e10 and an absolute figure would only
     # report float cancellation noise, not root quality
-    h_root = _kernels.smoothed_fn(F, form, c1, psi, b, f0)(root)
-    residual = abs(h_root) / (1.0 + abs(F(-root)) + abs(F(b - root)))
+    residual = abs(h(root)) / (1.0 + abs(F(-root)) + abs(F(b - root)))
     params = {"family": f.family, **f.params}
     return BoundResult(case.name, b, float(root), params, True, residual,
                        root=float(root))

@@ -335,9 +335,24 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
              for s_ in FAMILY_GRID["s"]]
     if seed_params is not None:
         seeds = [{"alpha": seed_params["alpha"], "s": seed_params["s"]}] + seeds
-    found = _search_profiles(
-        lambda f: dh.solve_smoothed(case, f, b, phi=phi).lambda_star,
-        FAMILY_BOXES, seeds, budget, sweep_tol)
+    # each solve starts from a bracket around the latest root, as the search
+    # scores nearby weights one after another.  A root then depends on that
+    # guess within float noise, so a weight is solved once per search and
+    # scores the same every time, and the winner is solved again without a
+    # guess: the result is its cold root, what ``dh.solve_smoothed`` gives
+    # for that weight anywhere, as at the first solve of a search seeded there
+    scores = {}
+    last = None
+
+    def score(f):
+        nonlocal last
+        key = tuple(f.params.values())
+        if key not in scores:
+            last = scores[key] = dh.solve_smoothed(case, f, b, phi=phi,
+                                                   guess=last).lambda_star
+        return scores[key]
+
+    found = _search_profiles(score, FAMILY_BOXES, seeds, budget, sweep_tol)
     if found is None:
         return None
     f, mult = found

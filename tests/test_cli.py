@@ -90,6 +90,7 @@ class TestDh:
         "dh --case sz-lp-principal --b 0.1 --csv",  # md and csv only on table
         "dh --case sz-lp-principal --b 0.1 --format md",
         "zfr --case order5 --precision -1",
+        "verify --suite laplace --precision 2",     # its reports fix their own format
     ])
     def test_unread_or_invalid_option_is_a_usage_error(self, args, capsys):
         with pytest.raises(SystemExit) as exc:

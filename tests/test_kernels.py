@@ -1,6 +1,7 @@
 """Scalar kernels against the vectorized reference paths, and the root solver's
 contract and agreement with plain bisection."""
 
+import dataclasses
 import functools
 import math
 import types
@@ -320,9 +321,9 @@ _TRIANGLE = tf.triangle(2.5)
 _ORDER234 = zfr.CASES["order234"]
 ROOT_KERNELS = {
     "smoothed_root": (
-        lambda phi, lo, hi: _kernels.smoothed_root(
+        lambda phi, lo, hi: _kernels.smoothed_root(_kernels.smoothed_fn(
             functools.partial(_kernels.f_real_scalar, _TRIANGLE.kernel_code()),
-            0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.content.f0, lo, hi),
+            0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.content.f0), lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "plugin": (
         lambda phi, lo, hi: _kernels._bisect(
@@ -357,8 +358,10 @@ def test_bisection_contract(name):
     assert math.isnan(solve(math.nan, 0.0, 10.0)[0])
 
 
-def _reference_bisect(h, lo, hi):
-    """The plain bisection the ITP solver replaced, kept as the reference."""
+def _reference_bisect(h, lo, hi, guess=None):
+    """The plain bisection the ITP solver replaced, kept as the reference.
+
+    It ignores ``guess``: the reference always solves on [lo, hi]."""
     hlo = h(lo)
     hhi = h(hi)
     if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
@@ -382,11 +385,11 @@ class _Counted:
         self.solver = solver
         self.evals = 0
 
-    def __call__(self, h, lo, hi):
+    def __call__(self, h, lo, hi, guess=None):
         def counted(x):
             self.evals += 1
             return h(x)
-        return self.solver(counted, lo, hi)
+        return self.solver(counted, lo, hi, guess)
 
 
 def _step(x):
@@ -405,6 +408,13 @@ def test_exact_zeros_of_h(h, lo, want):
     root, hlo, hhi = _kernels._bisect(h, lo, 1.0)
     assert root == want and (hlo, hhi) == (h(lo), h(1.0))
     assert _step(_kernels._bisect(_step, 0.0, 1.0)[0]) == 0.0
+
+
+def test_guess_in_a_flat_zero_solves_on_the_whole_bracket():
+    # h = 0 at both ends of the bracket around the guess is no degenerate h
+    # here: the solver falls back to [lo, hi] and reports its end values
+    root, hlo, hhi = _kernels._bisect(_step, 0.0, 1.0, guess=0.45)
+    assert _step(root) == 0.0 and (hlo, hhi) == (-1.0, 1.0)
 
 
 # the smoothed set: the triangle and verify's two cosine-modulated weights, the
@@ -454,6 +464,29 @@ def test_smoothed_roots_agree_with_bisection(smoothed_runs):
         # h is flat near the root at tiny widths: float noise moves the root
         tol = 1e-9 if key[2] <= 1e-5 else 1e-12
         assert abs(got - want) <= tol * max(1.0, abs(want)), key
+
+
+def test_guess_changes_no_root_and_no_failure(smoothed_runs):
+    # a guess only changes how the solver gets to the root: below, near, above
+    # and far above it, at the bracket end and NaN (ignored).  Failures give
+    # the same sign, and keys with no root take the guesses around 1
+    unguided, _ = smoothed_runs["itp"]
+    assert None in unguided.values()   # h = 0 at both ends: sz-lp-quadratic, b = 0
+    for (case, i, b), want in unguided.items():
+        centre = want if isinstance(want, float) else 1.0
+        for guess in (0.5 * centre, 0.999 * centre, 1.001 * centre, 3.0 * centre,
+                      60.0, math.nan):
+            try:
+                got = dh.solve_smoothed(case, SMOOTHED_WEIGHTS[i], b, guess=guess).root
+            except NoBoundError as exc:
+                got = exc.sign
+            key = (case, i, b, guess)
+            if not isinstance(want, float):
+                assert got == want, key
+                continue
+            assert isinstance(got, float), key
+            tol = 1e-9 if b <= 1e-5 else 1e-12
+            assert abs(got - want) <= tol * max(1.0, abs(want)), key
 
 
 def test_flat_principal_case_pinned():
@@ -516,3 +549,27 @@ def test_itp_evaluates_h_far_less_than_bisection(smoothed_runs, monkeypatch):
             reference(lambda x, h=dh.poly_h(t.case_name, r.b, r.lam, r.J): float(h(x)),
                       0.0, 1e3)
     assert itp.evals <= 0.25 * reference.evals
+
+
+#: the count below when every root solve started cold on [0, 60] with ITP
+#: slack n0 = 1 (T2:principal 50,095, T8:chi2-principal-real 22,327)
+PARENT_F_CALLS = 72_422
+
+
+def test_warm_chained_regress_makes_fewer_f_calls(monkeypatch):
+    # machine-independent: the scalar F calls of the root solves in two
+    # warm-chained five-row regressions at the benchmark's budget
+    calls = 0
+    f_real = _kernels._f_real_scalar
+
+    def counted(code, r):
+        nonlocal calls
+        calls += 1
+        return f_real(code, r)
+
+    monkeypatch.setattr(_kernels, "_f_real_scalar", counted)
+    for key in ("T2:principal", "T8:chi2-principal-real"):
+        t = tables.load_table(key)
+        rep = tables.regress(dataclasses.replace(t, rows=t.rows[:5]), budget=120)
+        assert rep.n_pass == 5
+    assert calls <= 0.70 * PARENT_F_CALLS
