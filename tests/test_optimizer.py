@@ -150,6 +150,17 @@ class TestSmoothedSearch:
                                                   seed_params=seed)
         assert warm.lambda_star >= best.lambda_star > cold.lambda_star
 
+    @pytest.mark.parametrize("case, b", [("sz-lp-principal", 1e-5),
+                                         ("cc-l2-chi2-principal-real", 0.35)])
+    def test_result_is_the_winning_weights_own_root(self, case, b):
+        # the search solves from guesses; its result is the winner's root
+        # without one, the same bits as a solve of that weight by itself
+        res = optimizer.optimize_family_smoothed(case, b, budget=80)
+        f = trial_functions.autocorrelation(
+            **{k: res.params[k] for k in ("alpha", "c0", "c1", "beta", "s")})
+        alone = dh.solve_smoothed(case, f, b)
+        assert (alone.lambda_star, alone.residual) == (res.lambda_star, res.residual)
+
 
 class TestRedescent:
     """A re-descent reaches a peak that the first descent converged past.
