@@ -180,8 +180,8 @@ def f_array(code, z):
 #: ITP constants (Oliveira & Takahashi 2021): truncation scale k1 = _ITP_K1/(hi-lo),
 #: truncation exponent k2 = 2 (written w*w below), and n0 extra halvings of
 #: slack.  n0 = 8 leaves the interpolation room where h spans many orders of
-#: magnitude (the 'sz' smoothed shape reaches 1e100 on [0, 60]); with n0 = 1 the
-#: slack was spent within the first steps and the rest were bisections
+#: magnitude (the 'sz' smoothed shape reaches 1e100 on [0, 60]): there ITP
+#: spends a slack of one halving in its first steps and bisects the rest
 _ITP_K1 = 0.2
 _ITP_N0 = 8
 #: the tolerance is _ITP_REL max(|lo|, |hi|), far below one float spacing, so
