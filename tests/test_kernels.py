@@ -553,7 +553,7 @@ def test_itp_evaluates_h_far_less_than_bisection(smoothed_runs, monkeypatch):
 
 #: the count below when every root solve started cold on [0, 60] with ITP
 #: slack n0 = 1 (T2:principal 50,095, T8:chi2-principal-real 22,327)
-PARENT_F_CALLS = 72_422
+COLD_F_CALLS = 72_422
 
 
 def test_warm_chained_regress_makes_fewer_f_calls(monkeypatch):
@@ -572,4 +572,4 @@ def test_warm_chained_regress_makes_fewer_f_calls(monkeypatch):
         t = tables.load_table(key)
         rep = tables.regress(dataclasses.replace(t, rows=t.rows[:5]), budget=120)
         assert rep.n_pass == 5
-    assert calls <= 0.70 * PARENT_F_CALLS
+    assert calls <= 0.70 * COLD_F_CALLS
