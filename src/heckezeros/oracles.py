@@ -1,10 +1,18 @@
 """Independent brute-force verification backends.
 
 These deliberately use different algorithms from the primary code paths
-(composite Simpson vs closed forms, scan-then-bisect vs the ITP root solver)
+(Romberg quadrature vs closed forms, scan-then-bisect vs the ITP root solver)
 so that agreement between the two is evidence rather than tautology.
+
+The quadrature oracle integrates ``f(t) e^{-zt}`` over the weight's support
+by Romberg extrapolation of the nested trapezoid rule: each level halves the
+step, evaluates the integrand only at the new midpoints, and adds one
+Richardson row.  A level is accepted only once the step resolves the
+oscillation of ``e^{-zt}`` (four nodes per period), so coarse rules whose
+nodes all alias to one phase cannot "agree" on a wrong value.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,41 +61,62 @@ def equality_report(check, deviations, locations, tolerance):
                         bool(deviations[i] <= tolerance))
 
 
-def _simpson(vals, h):
-    """Composite Simpson rule over an odd number of equally spaced values."""
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
+#: 2**_MAX_LEVEL trapezoid panels is the finest rule the quadrature tries
+_MAX_LEVEL = 15
+
+
+def _romberg(g, x0, abs_tol, h_max=math.inf):
+    """Romberg integral of ``g`` over [0, x0], or None past 2**15 panels.
+
+    ``g`` maps an array of nodes to an array of values.  Level k halves the
+    step to ``h = x0 / 2**k``, refines the trapezoid sum with the new
+    midpoints only (``T_k = T_{k-1} / 2 + h * sum(new)``) and extends the
+    Richardson row ``R[j] = R[j-1] + (R[j-1] - prev[j-1]) / (4**j - 1)``.
+    It returns the diagonal ``R_k`` once ``|R_k - R_{k-1}| <= abs_tol +
+    1e-12 |R_k|`` at a step ``h <= h_max``.  ``R_k`` is exact for
+    polynomials of degree up to ``2k + 1``.
+    """
+    h = x0
+    trap = 0.5 * h * g(np.array([0.0, x0])).sum()
+    row = [trap]
+    for level in range(1, _MAX_LEVEL + 1):
+        h *= 0.5
+        trap = 0.5 * trap + h * g(h * np.arange(1.0, 2.0 ** level, 2.0)).sum()
+        new = [trap]
+        for j in range(1, level + 1):
+            new.append(new[-1] + (new[-1] - row[j - 1]) / (4.0 ** j - 1.0))
+        if h <= h_max and abs(new[-1] - row[-1]) <= abs_tol + 1e-12 * abs(new[-1]):
+            return new[-1]
+        row = new
+    return None
 
 
 def quadrature_laplace(f, z, abs_tol=1e-13):
-    """F(z) by composite Simpson on [0, x0], refined dyadically.
+    """F(z) by Romberg quadrature of ``f(t) e^{-zt}`` on [0, x0].
 
-    The panel count doubles until two successive rules agree to ``abs_tol``
-    (relative 1e-12 for large values) or the 2**15 cap is hit.  The
-    integrand is smooth on the compact support, so convergence is quartic;
-    oscillatory z just needs enough panels.  The default 1e-13 target is
-    attainable for |z| x0 up to a few hundred; beyond that pass a looser
-    target (error scales like (|z| x0 / panels)^4).
+    The step halves, reusing every node already evaluated, until two
+    successive diagonal entries agree to ``abs_tol`` (relative 1e-12 for
+    large values) or the 2**15 panel cap is hit.  The integrand is analytic
+    on the compact support, so the extrapolated rules converge fast.  No
+    level is accepted before ``h |Im z| <= pi/2`` (four nodes per period of
+    ``e^{-zt}``): coarser nodes can all sit at one phase, where two
+    under-resolved rules agree on a wrong value.  The default 1e-13 target
+    is attainable for |z| x0 up to a few hundred; beyond that pass a looser
+    target.  Past the cap it raises ``OracleFailureError``.
     """
     z = complex(z)
-    x0 = f.content.x0
-
-    def simpson(n):
-        ts = np.linspace(0.0, x0, 2 * n + 1)
-        return _simpson(f(ts) * np.exp(-z * ts), x0 / (2 * n))
-
-    prev = simpson(1)
-    for level in range(1, 16):
-        cur = simpson(2 ** level)
-        if abs(cur - prev) <= abs_tol + 1e-12 * abs(cur):
-            return cur
-        prev = cur
-    raise OracleFailureError(
-        f"Simpson rule did not converge for z={z} within 2^15 panels")
+    h_max = math.pi / (2.0 * abs(z.imag)) if z.imag else math.inf
+    val = _romberg(lambda ts: f(ts) * np.exp(-z * ts), f.content.x0, abs_tol, h_max)
+    if val is None:
+        raise OracleFailureError(
+            f"Romberg quadrature did not converge for z={z} within 2^{_MAX_LEVEL} panels")
+    return val
 
 
-def simpson_selftest():
-    """Composite Simpson is exact for cubics; check int_0^1 t^3 dt = 1/4."""
-    return abs(_simpson(np.linspace(0.0, 1.0, 9) ** 3, 1.0 / 8.0) - 0.25)
+def romberg_selftest():
+    """The diagonal entry ``R_3`` is exact for degree 7, so the rule
+    returns int_0^1 t^7 dt = 1/8 at level 4; give its error."""
+    return abs(_romberg(lambda ts: ts ** 7, 1.0, 1e-13) - 0.125)
 
 
 def scan_root(h, lo, hi, step):

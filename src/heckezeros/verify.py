@@ -2,7 +2,7 @@
 
 Each suite returns a list of OracleReport; the CLI prints them and the test
 suite asserts they all pass.  The oracles deliberately use different
-algorithms from the primary paths (Simpson quadrature vs closed forms,
+algorithms from the primary paths (Romberg quadrature vs closed forms,
 scan-plus-bisection vs the ITP solver) so agreement is evidence.
 """
 
@@ -35,8 +35,8 @@ def _z_grid():
 
 
 def suite_laplace():
-    reports = [equality_report("simpson self-test on int t^3",
-                               [oracles.simpson_selftest()], [(0.25,)], 1e-15)]
+    reports = [equality_report("romberg self-test on int t^7",
+                               [oracles.romberg_selftest()], [(0.125,)], 1e-15)]
     zs = _z_grid()
     for f in _sample_families():
         tag = repr(f)
