@@ -1,5 +1,13 @@
 """Numeric kernels in plain Python and NumPy.
 
+The scalar transform and the root solver are plain Python floats; NumPy
+serves the array transform ``f_array``, ``E`` and the grid minimum
+``p4_combo_min``.  The family codes they read are built in Python too
+(``trial_functions``): a weight's moments are NumPy's values to the bit,
+formed by NumPy's complex-division formula written out, and only the
+moment series inside 0 < |a x0| < ``SMALL_W`` runs in NumPy, whose complex
+multiply uses fused multiply-add there.
+
 Every bound ends in a monotone root solve, and every solve here goes through
 one bracketed ITP solver (interpolate, truncate, project; Oliveira &
 Takahashi 2021), ``_bisect``: 11.7 evaluations of ``h`` per bundled quartic

@@ -295,17 +295,22 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
     cell's budget of 60 would give each profile 30 evaluations and worse
     bounds.  The earlier profile wins a tie.  A weight that cannot be built
     or scored counts as -inf.  Returns (weight, mult) of the best profile,
-    or None when no weight in the box scores finite.
+    or None when no weight in the box scores finite.  Each profile keeps the
+    score of every (alpha, s) it saw, so a point the search visits again
+    costs neither a build nor a score.
     """
     per_profile = max(budget // len(PROFILES), 40)
     best = None
     for mult in PROFILES:
+        seen = {}
 
-        def objective(alpha, s, _mult=mult):
-            try:
-                return score(_gen_family(alpha, s, _mult))
-            except HeckeZerosError:
-                return -math.inf
+        def objective(alpha, s, _mult=mult, _seen=seen):
+            if (alpha, s) not in _seen:
+                try:
+                    _seen[alpha, s] = score(_gen_family(alpha, s, _mult))
+                except HeckeZerosError:
+                    _seen[alpha, s] = -math.inf
+            return _seen[alpha, s]
 
         point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
                                      per_profile, sweep_tol)
@@ -337,20 +342,17 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
         seeds = [{"alpha": seed_params["alpha"], "s": seed_params["s"]}] + seeds
     # each solve starts from a bracket around the latest root, as the search
     # scores nearby weights one after another.  A root then depends on that
-    # guess within float noise, so a weight is solved once per search and
-    # scores the same every time, and the winner is solved again without a
-    # guess: the result is its cold root, what ``dh.solve_smoothed`` gives
-    # for that weight anywhere, as at the first solve of a search seeded there
-    scores = {}
+    # guess within float noise, so a weight is solved once per search (each
+    # profile's objective keeps its scores) and scores the same every time,
+    # and the winner is solved again without a guess: the result is its cold
+    # root, what ``dh.solve_smoothed`` gives for that weight anywhere, as at
+    # the first solve of a search seeded there
     last = None
 
     def score(f):
         nonlocal last
-        key = tuple(f.params.values())
-        if key not in scores:
-            last = scores[key] = dh.solve_smoothed(case, f, b, phi=phi,
-                                                   guess=last).lambda_star
-        return scores[key]
+        last = dh.solve_smoothed(case, f, b, phi=phi, guess=last).lambda_star
+        return last
 
     found = _search_profiles(score, FAMILY_BOXES, seeds, budget, sweep_tol)
     if found is None:

@@ -27,8 +27,20 @@ The two agree to 2e-13 relative, not to the bit: Python and NumPy complex
 arithmetic differ in the last bits.  The weight f(t), f(0) and sup |f''|
 read the same folded pairs, and ``_kernels.E`` serves f(t) and its second
 derivative here.
+
+A build is plain Python: its moments M_n = int_0^s u^n e^{au} du, one set
+per distinct exponent a = g_j + g_k (three for a cosine weight's five
+folded pairs), come from a scalar recurrence (``_moment_recurrence``) or,
+at a = 0, from s^(n+1)/(n+1).  They equal what NumPy arrays gave to the
+bit, because each complex quotient is written out as NumPy forms it; only
+the moment series inside |a s| < SMALL_W stays in NumPy
+(``_exp_moments_vec``), because there NumPy's complex multiply uses fused
+multiply-add, which Python's does not.  A search weight takes that series
+only when 0 < |2 alpha s| < SMALL_W.  NumPy also evaluates f(t) and
+sup |f''| on grids, and the generator's sign when c0 < |c1|.
 """
 
+import cmath
 import functools
 import inspect
 import math
@@ -51,18 +63,28 @@ K_FAMILY_PAIRS = (
 )
 
 
+def _checked_b(B):
+    if not B >= 0:   # NaN too
+        raise InvalidParameterError(f"second-derivative bound must be >= 0, got {B}")
+    return B
+
+
 class _OnFirstAccess:
-    """``Content.B``: a zero-argument callable given for it runs on first access."""
+    """``Content.B``: a zero-argument callable given for it runs on first access.
+
+    A value is checked (>= 0, not NaN) when it is given, and a callable's when
+    it runs; a callable whose value fails stays, so every access raises.
+    """
 
     def __get__(self, obj, owner=None):
         if obj is None:
             raise AttributeError("B")       # so the dataclass field has no default
         if callable(obj.__dict__["_B"]):
-            obj.__dict__["_B"] = obj.__dict__["_B"]()
+            obj.__dict__["_B"] = _checked_b(obj.__dict__["_B"]())
         return obj.__dict__["_B"]
 
     def __set__(self, obj, value):
-        obj.__dict__["_B"] = value
+        obj.__dict__["_B"] = value if callable(value) else _checked_b(value)
 
 
 @dataclass(frozen=True)
@@ -85,8 +107,6 @@ class Content:
             raise InvalidParameterError(f"support endpoint must be positive, got {self.x0}")
         if not (self.M >= self.f0 >= 0):
             raise InvalidParameterError(f"need M >= f0 >= 0, got M={self.M}, f0={self.f0}")
-        if not callable(self.__dict__["_B"]) and self.B < 0:
-            raise InvalidParameterError(f"second-derivative bound must be >= 0, got {self.B}")
 
     @property
     def remainder_constant(self):
@@ -153,40 +173,128 @@ def triangle(x0):
 # ---------------------------------------------------------------------------
 
 def _exp_moments_vec(a, s, nmax):
-    """All moments M_n = int_0^s u^n e^{au} du, n = 0..nmax, at once for a
-    complex array of exponents.  Raises OverflowError when a power s^j
-    overflows."""
+    """The moments M_n = int_0^s u^n e^{au} du, n = 0..nmax, of a complex array
+    of exponents inside the series disc |a s| < SMALL_W, every n at once, by
+    M_n = sum_m a^m/m! s^(n+m+1)/(n+m+1).  They stay in NumPy, whose complex
+    multiply uses fused multiply-add: Python's differs in the last bit, and
+    ``test_moment_series_matches_element_loop`` pins these sums.  Raises
+    OverflowError when a power s^j overflows."""
     a = np.asarray(a, dtype=complex)
-    w = a * s
-    small = np.abs(w) < _SMALL_W
-    out = np.empty((nmax + 1, a.size), dtype=complex)
-    if not small.all():
-        a_safe = np.where(small, 1.0, a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ew = np.exp(w)
-            out[0] = (ew - 1.0) / a_safe
-            for n in range(1, nmax + 1):
-                out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
-    zero = a == 0
-    if zero.any():
-        # at a = 0 only the series' first term is nonzero, M_n = s^(n+1)/(n+1);
-        # it is formed in the same complex arithmetic, so bit for bit
-        k = np.arange(1, nmax + 2, dtype=float)[:, None]
-        s_pow = np.array([s ** j for j in range(1, nmax + 2)])[:, None]
-        out[:, zero] = np.ones(1, dtype=complex) * s_pow / k
-        small &= ~zero
-    if small.any():
-        # M_n = sum_m a^m/m! s^(n+m+1)/(n+m+1), every n at once, bit for bit
-        k = np.arange(1, nmax + 31, dtype=float)[:, None]
-        s_pow = np.array([s ** j for j in range(1, nmax + 31)])[:, None]
-        a_s = a[small]
-        series = np.zeros((nmax + 1, a_s.size), dtype=complex)
-        term = np.ones(a_s.size, dtype=complex)
-        for m in range(30):
-            series += term * s_pow[m:m + nmax + 1] / k[m:m + nmax + 1]
-            term *= a_s / (m + 1)
-        out[:, small] = series
+    k = np.arange(1, nmax + 31, dtype=float)[:, None]
+    s_pow = np.array([s ** j for j in range(1, nmax + 31)])[:, None]
+    series = np.zeros((nmax + 1, a.size), dtype=complex)
+    term = np.ones(a.size, dtype=complex)
+    for m in range(30):
+        series += term * s_pow[m:m + nmax + 1] / k[m:m + nmax + 1]
+        term *= a / (m + 1)
+    return series
+
+
+def _moment_recurrence(a, s):
+    """(M_0, (M_1, .., M_7)) at one exponent outside the series disc, |a s| >= SMALL_W.
+
+    M_0 = (e^{as} - 1)/a and M_n = (s^n e^{as} - n M_{n-1})/a, in Python
+    floats.  Each quotient x/a is formed as NumPy forms it, by Smith's method:
+    with (p, q) = (1, Im a/Re a) where |Re a| >= |Im a|, else (Re a/Im a, 1),
+    it is ((Re x p + Im x q) scl, (Im x p - Re x q) scl), scl one over the
+    denominator (the factor 1 is exact).  So the moments equal those of the
+    array recurrence to the bit, where Python's own complex ``/`` differs in
+    the last bit.  Raises OverflowError when e^{as} or a moment is not
+    finite: a moment that is not finite makes every later one so, so M_7
+    tells.
+    """
+    ar, ai = a.real, a.imag
+    if abs(ar) >= abs(ai):
+        p, q = 1.0, ai / ar
+        scl = 1.0 / (ar + ai * q)
+    else:
+        p, q = ar / ai, 1.0
+        scl = 1.0 / (ai + ar * p)
+    e = cmath.exp(a * s)
+    er, ei = e.real, e.imag
+    xr, xi = er - 1.0, ei
+    out = []
+    for n in range(_kernels.N_MOMENTS + 1):
+        if n:
+            sn = s ** n
+            xr, xi = sn * er - n * mr, sn * ei - n * mi
+        mr, mi = (xr * p + xi * q) * scl, (xi * p - xr * q) * scl
+        out.append(complex(mr, mi))
+    if not (math.isfinite(mr) and math.isfinite(mi)):
+        raise OverflowError
+    return out[0], tuple(out[1:])
+
+
+def _exp_moments(exps, s):
+    """{a: (M_0, (M_1, .., M_7))} for each distinct exponent a in exps.
+
+    M_n = s^(n+1)/(n+1) at a = 0 (times 1/(n+1), as NumPy's complex division
+    forms it), the series of ``_exp_moments_vec`` inside the disc
+    0 < |a s| < SMALL_W, ``_moment_recurrence`` outside it.  Raises
+    OverflowError when a moment overflows.
+    """
+    out, series = {}, []
+    for a in exps:
+        if a in out:
+            continue
+        if a == 0:
+            out[a] = complex(s), tuple(complex(s ** (n + 1) * (1.0 / (n + 1)))
+                                       for n in range(1, _kernels.N_MOMENTS + 1))
+        elif abs(a * s) < _SMALL_W:
+            out[a] = None
+            series.append(a)
+        else:
+            out[a] = _moment_recurrence(a, s)
+    if series:
+        for a, M in zip(series, _exp_moments_vec(series, s, _kernels.N_MOMENTS).T.tolist()):
+            out[a] = M[0], tuple(M[1:])
     return out
+
+
+def _t_terms(folded):
+    """(c, g_k, g_j + g_k) of each folded pair, real where g_k and g_j + g_k are."""
+    out = []
+    for c, g_j, g_k, *_ in folded:
+        a = g_j + g_k
+        if g_k.imag == 0.0 and a.imag == 0.0:
+            g_k, a = g_k.real, a.real
+        out.append((c, g_k, a))
+    return out
+
+
+def _weight(code, t):
+    """f(t) = sum Re c e^{g_k t} E(s - t; g_j + g_k) over the folded pairs of
+    the code (s, folded); zero outside [0, s)."""
+    s, folded = code
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    inside = (t >= 0) & (t < s)
+    tc = np.where(inside, t, 0.0)
+    acc = np.zeros(t.shape)
+    for c, g_k, a in _t_terms(folded):
+        if g_k == 0 and a == 0:
+            # e^0 = 1 and E(x, 0) = x exactly: no exps
+            acc += c * (s - tc)
+        else:
+            acc += (c * np.exp(g_k * tc) * _kernels.E(s - tc, a)).real
+    out = np.where(inside, acc, 0.0)
+    return float(out[0]) if scalar else out
+
+
+def _sup_f2(code):
+    """sup |f''| from the exact second derivative on a grid, summed over the
+    folded pairs; 5% headroom keeps the remainder constant an upper bound
+    despite gridding."""
+    s, folded = code
+    ts = np.linspace(0.0, s, 2001, endpoint=False)
+    f2 = 0.0
+    for c, g_k, a in _t_terms(folded):
+        with np.errstate(over="ignore", invalid="ignore"):
+            egk = np.exp(g_k * ts)
+            f2 += (c * (g_k ** 2 * egk * _kernels.E(s - ts, a)
+                        + (a - 2.0 * g_k) * egk * np.exp(a * (s - ts)))).real
+    return 1.05 * float(np.abs(f2).max())
 
 
 def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
@@ -201,7 +309,8 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
 
     with E(s; a) = (e^{as} - 1)/a and K_{jk} = E(s; g_j + g_k) independent of
     z; Taylor fallbacks cover the removable singularities.  The quadrature
-    oracle cross-checks all of it.
+    oracle cross-checks all of it.  Raises InvalidParameterError naming alpha
+    and s when a moment int_0^s u^n e^{(g_j + g_k) u} du or f(0) overflows.
     """
     for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta), ("s", s)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -234,67 +343,25 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     # with |Im g| s >= SMALL_W never takes a series branch at real r: ``far``
     gs = [g_ for _, g_ in terms]
     conj = [gs.index(g_.conjugate()) for g_ in gs]
+    far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
     keep = [(j, k) for j in range(len(gs)) for k in range(len(gs))
             if (conj[j], conj[k]) >= (j, k)]
     try:
-        moments = _exp_moments_vec([gs[j] + gs[k] for j, k in keep], s, _kernels.N_MOMENTS)
+        moments = _exp_moments([gs[j] + gs[k] for j, k in keep], s)
+        folded = tuple(
+            (terms[j][0] * terms[k][0] * (1.0 if (conj[j], conj[k]) == (j, k) else 2.0),
+             gs[j], gs[k], *moments[gs[j] + gs[k]], far[j] and far[k]) for j, k in keep)
+        f0 = sum(c * K for c, _, _, K, *_ in folded).real
+        if not math.isfinite(f0):
+            raise OverflowError
     except OverflowError:
         raise InvalidParameterError(
-            f"the moments of the generator overflow: s^n is out of range for s={s}") from None
-    folded = tuple(
-        (terms[j][0] * terms[k][0] * (1.0 if (conj[j], conj[k]) == (j, k) else 2.0),
-         gs[j], gs[k], K, tuple(M), min(abs(gs[j].imag), abs(gs[k].imag)) * s >= _SMALL_W)
-        for (j, k), K, M in zip(keep, moments[0].tolist(), moments[1:].T.tolist()))
-
-    f0 = float(sum(c * K for c, _, _, K, *_ in folded).real)
-    if not math.isfinite(f0):
-        raise InvalidParameterError(
-            f"f(0) = int g^2 overflows for the generator alpha={alpha}, s={s}"
-            f" (got {f0})")
-
-    # f(t) = sum Re c e^{g_k t} E(s - t; g_j + g_k) over the folded pairs, in
-    # real arithmetic for a pair whose g_k and g_j + g_k are real
-    t_terms = []
-    for c, g_j, g_k, *_ in folded:
-        a = g_j + g_k
-        if g_k.imag == 0.0 and a.imag == 0.0:
-            g_k, a = g_k.real, a.real
-        t_terms.append((c, g_k, a))
-
-    def _eval(t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        inside = (t >= 0) & (t < s)
-        tc = np.where(inside, t, 0.0)
-        acc = np.zeros(t.shape)
-        for c, g_k, a in t_terms:
-            if g_k == 0 and a == 0:
-                # e^0 = 1 and E(x, 0) = x exactly: no exps
-                acc += c * (s - tc)
-            else:
-                acc += (c * np.exp(g_k * tc) * _kernels.E(s - tc, a)).real
-        out = np.where(inside, acc, 0.0)
-        return float(out[0]) if scalar else out
-
-    def sup_f2():
-        # sup |f''| from the exact second derivative on a grid, summed over
-        # the folded pairs; 5% headroom keeps the remainder constant an
-        # upper bound despite gridding
-        ts = np.linspace(0.0, s, 2001, endpoint=False)
-        f2 = 0.0
-        for c, g_k, a in t_terms:
-            with np.errstate(over="ignore", invalid="ignore"):
-                egk = np.exp(g_k * ts)
-                f2 += (c * (g_k ** 2 * egk * _kernels.E(s - ts, a)
-                            + (a - 2.0 * g_k) * egk * np.exp(a * (s - ts)))).real
-        return 1.05 * float(np.abs(f2).max())
-
-    content = Content(x0=s, M=f0, B=sup_f2, f0=f0)
-    params = {"alpha": alpha, "c0": c0, "c1": c1, "beta": beta, "s": s}
+            f"the moments of the generator overflow for alpha={alpha}, s={s}") from None
 
     code = (s, folded)
-    return TrialFunction("autocorrelation", params, content, _eval,
+    params = {"alpha": alpha, "c0": c0, "c1": c1, "beta": beta, "s": s}
+    content = Content(x0=s, M=f0, B=functools.partial(_sup_f2, code), f0=f0)
+    return TrialFunction("autocorrelation", params, content, functools.partial(_weight, code),
                          functools.partial(_kernels.f_array, code), code=code)
 
 

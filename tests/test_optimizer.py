@@ -222,6 +222,21 @@ class TestBudget:
         optimizer.optimize_zd(0.2, 0.0, budget=60)
         assert len(calls) <= 82
 
+    @pytest.mark.parametrize("search", [
+        lambda: optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=120),
+        lambda: optimizer.optimize_zd(0.2, 0.0, budget=60),
+    ], ids=["smoothed", "density"])
+    def test_repeated_points_are_not_rebuilt(self, monkeypatch, search):
+        # the searches revisit points (a seed the coarse scan also hits, a
+        # re-descent's start); only the winner is built a second time, after
+        # the search, for the result
+        builds, build = [], optimizer._gen_family
+        monkeypatch.setattr(optimizer, "_gen_family",
+                            lambda *args: builds.append(args) or build(*args))
+        search()
+        assert len(builds) > 60
+        assert len(builds) - len(set(builds)) == 1 and builds[-1] in builds[:-1]
+
     def test_family_floor(self, monkeypatch):
         # budget 1 still runs 40 evaluations per profile
         solves = self.counted(monkeypatch, dh, "solve_smoothed")

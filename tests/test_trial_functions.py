@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezeros import _kernels, oracles, trial_functions as tf, verify
+from heckezeros import _kernels, optimizer, oracles, trial_functions as tf, verify
 from heckezeros.errors import DomainError, InvalidGeneratorError, InvalidParameterError
 
 E = math.e
@@ -126,7 +126,7 @@ class TestAutocorrelation:
 
     @pytest.mark.parametrize("alpha", [20.0, 9.0])
     def test_overflowing_generator_is_named(self, alpha):
-        # e^{2 alpha s} overflows, so f(0) = int g^2 is not finite
+        # e^{2 alpha s} overflows (cmath.exp raises), so f(0) = int g^2 is not finite
         with pytest.raises(InvalidParameterError, match=f"alpha={alpha}, s=40.0"):
             tf.autocorrelation(alpha=alpha, s=40.0)
 
@@ -155,6 +155,26 @@ class TestAutocorrelation:
         assert c == tf.Content(x0=1.0, M=1.0, B=0.25, f0=1.0)
         assert repr(c) == "Content(x0=1.0, M=1.0, B=0.25, f0=1.0)"
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_bad_b_rejected_when_given(self, bad):
+        with pytest.raises(InvalidParameterError, match="second-derivative bound"):
+            tf.Content(x0=1.0, M=1.0, B=bad, f0=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_bad_lazy_b_rejected_on_every_access(self, bad):
+        c = tf.Content(x0=1.0, M=1.0, B=lambda: bad, f0=1.0)
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="second-derivative bound"):
+                c.B
+
+    def test_non_finite_moments_rejected(self):
+        # e^{2 alpha s} = 1.3e308 is finite and so is f(0) = 7.05e306, but
+        # s e^{2 alpha s} overflows, so M_1 .. M_7 are not finite
+        with pytest.raises(InvalidParameterError,
+                           match=r"alpha=24\.304496406728624, s=14\.596110908568308"):
+            tf.autocorrelation(alpha=24.304496406728624, c0=1, c1=1,
+                               beta=0.0645704737365128, s=14.596110908568308)
+
 
 def _moments_loop(a, s, nmax):
     """The element-by-element small-|a s| moment series, kept as the reference."""
@@ -179,6 +199,79 @@ def test_moment_series_matches_element_loop(seed):
     a[::4] = 0.0
     got = tf._exp_moments_vec(a, s, _kernels.N_MOMENTS)
     assert np.array_equal(got, _moments_loop(a, s, _kernels.N_MOMENTS))
+
+
+def _moments_array(a, s, nmax):
+    """Every moment in NumPy arrays, kept as the reference for the Python
+    build: the recurrence outside the series disc, s^(n+1)/(n+1) in complex
+    arithmetic at a = 0, the series inside."""
+    a = np.asarray(a, dtype=complex)
+    w = a * s
+    small = np.abs(w) < _kernels.SMALL_W
+    out = np.empty((nmax + 1, a.size), dtype=complex)
+    a_safe = np.where(small, 1.0, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ew = np.exp(w)
+        out[0] = (ew - 1.0) / a_safe
+        for n in range(1, nmax + 1):
+            out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
+    zero = a == 0
+    if zero.any():
+        k = np.arange(1, nmax + 2, dtype=float)[:, None]
+        s_pow = np.array([s ** j for j in range(1, nmax + 2)])[:, None]
+        out[:, zero] = np.ones(1, dtype=complex) * s_pow / k
+    small &= ~zero
+    if small.any():
+        out[:, small] = tf._exp_moments_vec(a[small], s, nmax)
+    return out
+
+
+def _seeded_weights(seed, n=60):
+    """Seeded generator parameters: search weights of both profiles with s up
+    to 40, alpha = 0, a tiny real 2 alpha s (the series), c0 = 0 (with
+    beta s < pi/2, so g >= 0) and c1 = 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        s = float(rng.uniform(0.2, 40.0))
+        alpha = float(rng.uniform(-4.0, 4.0)) / (1.0, s)[i % 2]
+        beta = (1.0, 0.5)[i % 2] * math.pi / s
+        yield {"alpha": alpha, "c0": 1.0, "c1": 1.0, "beta": beta, "s": s}
+        yield {"alpha": 0.0, "c0": 1.0, "c1": 1.0, "beta": beta, "s": s}
+        yield {"alpha": float(rng.uniform(-0.4, 0.4)) * _kernels.SMALL_W / s,
+               "c0": 1.0, "c1": float(rng.uniform(-1.0, 1.0)), "beta": 3.0 * beta, "s": s}
+        yield {"alpha": alpha, "c0": 0.0, "c1": 1.0, "beta": 0.45 * beta, "s": s}
+        yield {"alpha": alpha, "c0": 1.0, "c1": 0.0, "beta": beta, "s": s}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_python_moments_equal_numpy_arrays(seed):
+    """The family code built in Python floats is the one NumPy arrays give."""
+    taken = {"zero": 0, "series": 0, "re": 0, "im": 0}
+    for params in _seeded_weights(seed):
+        s, folded = tf.autocorrelation(**params).kernel_code()
+        exps = [g_j + g_k for _, g_j, g_k, *_ in folded]
+        ref = _moments_array(exps, s, _kernels.N_MOMENTS).T.tolist()
+        assert (s, folded) == (s, tuple((c, g_j, g_k, M[0], tuple(M[1:]), far)
+                                        for (c, g_j, g_k, _, _, far), M in zip(folded, ref)))
+        for a in exps:
+            branch = ("zero" if a == 0 else "series" if abs(a * s) < _kernels.SMALL_W
+                      else "re" if abs(a.real) >= abs(a.imag) else "im")
+            taken[branch] += 1
+    assert min(taken.values()) > 0, taken
+
+
+def test_search_weights_build_without_numpy(monkeypatch):
+    """Weights of the family search, at its seed grid and its coarse scans'
+    alphas, take no moment series."""
+    def no_series(*args):
+        raise AssertionError("_exp_moments_vec called")
+
+    monkeypatch.setattr(tf, "_exp_moments_vec", no_series)
+    alphas = set(optimizer.FAMILY_GRID["alpha"]) | {-4.0 + 8.0 * i / 12 for i in range(13)}
+    for alpha in sorted(alphas | {-3.9, -0.37, 0.05, 2.6}):
+        for s in optimizer.FAMILY_GRID["s"] + (0.2, 10.0, 23.7, 40.0):
+            for mult in optimizer.PROFILES:
+                optimizer._gen_family(alpha, s, mult)
 
 
 class TestScalarRoute:
