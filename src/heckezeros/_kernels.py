@@ -3,10 +3,10 @@
 The scalar transform and the root solver are plain Python floats; NumPy
 serves the array transform ``f_array``, ``E`` and the grid minimum
 ``p4_combo_min``.  The family codes they read are built in Python too
-(``trial_functions``): a weight's moments are NumPy's values to the bit,
-formed by NumPy's complex-division formula written out, and only the
-moment series inside 0 < |a x0| < ``SMALL_W`` runs in NumPy, whose complex
-multiply uses fused multiply-add there.
+(``trial_functions.autocorrelation_code``): a weight's moments are NumPy's
+values to the bit, formed by NumPy's complex-division formula written out,
+and only the moment series inside 0 < |a x0| < ``SMALL_W`` runs in NumPy,
+whose complex multiply uses fused multiply-add there.
 
 Every bound ends in a monotone root solve, and every solve here goes through
 one bracketed ITP solver (interpolate, truncate, project; Oliveira &
@@ -31,11 +31,13 @@ solvers' residuals come from the same builders.
 
 Trial functions reach this module, its one reader, as a "family code" (see
 ``trial_functions``) ``(x0, folded)``: the support endpoint and one tuple
-``(c, g_j, g_k, K, (M_1 .. M_7), far)`` of plain Python numbers per pair of
-generator exponents, kept once per conjugate pair ``(g_j, g_k)``,
-``(conj g_j, conj g_k)`` with ``c`` doubled when the two differ: a
-cosine-modulated generator has 5 folded pairs of 9, one with ``c0 = 0`` 2
-of 4, and a plain one its 1.  ``far`` says both |Im g_j| x0 and |Im g_k| x0
+``(c, g_j, g_k, K, M, far)`` per pair of generator exponents, kept once
+per conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with ``c``
+doubled when the two differ: a cosine-modulated generator has 5 folded
+pairs of 9, one with ``c0 = 0`` 2 of 4, and a plain one its 1.  All are
+plain Python numbers but ``M``, the moments M_1 .. M_7 (indexed 0 .. 6)
+that only the pair series reads: a build leaves them to be formed on that
+first read, and the pairs of one exponent share them.  ``far`` says both |Im g_j| x0 and |Im g_k| x0
 are at least ``SMALL_W``.  Every built-in weight, the triangle included, is
 an autocorrelation, so neither evaluator branches on the family.  The
 transform ``F`` is ``f_real_scalar`` at one real point and ``f_array`` at

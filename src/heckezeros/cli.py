@@ -170,7 +170,7 @@ def _cmd_zd(args):
     q = zero_density.ZdQuery(f, args.lam, args.b, args.vartheta, args.phi)
     c1, c2 = zero_density.zd_preconditions(q)
     bound = zero_density.n_lambda_bound(q)
-    n = zero_density.n_lambda_int(q)
+    n = zero_density.int_bound(bound)
     _emit({"lambda": args.lam, "b": args.b, "vartheta": args.vartheta,
            "cond1": c1, "cond2": c2, "bound": bound, "n": n},
           [f"zd lambda={_fmt(args.lam, p)} b={_fmt(args.b, p)}: "

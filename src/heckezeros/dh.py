@@ -17,6 +17,10 @@ critical-strip constant phi, the multiplier c1, which slot carries the
 unknown, and which side-condition coefficient formula applies.  The case
 table is data so the wiring can be audited line by line.
 
+``solve_smoothed`` is a thin wrapper over ``_smoothed_root``, the root
+alone, which the family search calls for every weight it scores; the
+solver adds the failure reports, the residual and the ``BoundResult``.
+
 Statements whose raw form carries oscillatory terms Re F(. + i mu) are used
 here only through their reduced real forms (``trial_functions.repel_reduce``);
 the unreduced transforms remain available via ``TrialFunction.laplace``.
@@ -184,6 +188,32 @@ def smoothed_h(case, f, b, phi=PHI):
                                 case.psi_over_phi * phi, b, f.content.f0)
 
 
+def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None):
+    """(root, h(0), h(hi), hi, h) of a smoothed case's h for the transform F.
+
+    F maps real r to F(r) as a float and f0 = f(0); ``case`` is a smoothed
+    SolverCase and b, phi are checked.  The root is NaN wherever
+    ``solve_smoothed`` raises NoBoundError: h has no sign change on [0, hi]
+    (or is NaN at an end), or is 0 at both ends.  ``hi`` is the bracket end
+    the solve used.  The family search scores weights by this root alone;
+    ``solve_smoothed`` adds the checks, the residual and the result.
+    """
+    hi = float(hi)
+    form = 0 if case.form == "sz" else 1
+    # keep the 'sz' bracket inside the overflow range of e^{x0 x}: F(-hi) = inf
+    # makes h(hi) infinite (or NaN as inf - inf).  The 'cc' shape reads F at
+    # x - b >= -b only, where a smaller bracket cannot help
+    for _ in range(60):
+        if form == 1 or hi <= 1.0 or not math.isinf(F(-hi)):
+            break
+        hi = 0.5 * hi
+    h = _kernels.smoothed_fn(F, form, float(case.c1), case.psi_over_phi * phi, b, f0)
+    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi, guess)
+    if hlo == 0.0 and hhi == 0.0:
+        root = math.nan
+    return root, hlo, hhi, hi, h
+
+
 def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
     """Root of the smoothed repulsion function; the bound is root - epsilon.
 
@@ -202,33 +232,21 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
     goes to the root solver (``_kernels._bisect``): it changes only how many
     evaluations of F the solve makes, never which error is raised.  The
     root itself may move within float noise, as the solver takes another
-    path to it.
+    path to it.  The root is ``_smoothed_root``'s, which the family search
+    calls for each weight it scores.
     """
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "smoothed":
         raise InvalidParameterError(f"case {case.name} is not a smoothed case")
     check_width(b, phi)
-    psi = case.psi_over_phi * phi
-    form = 0 if case.form == "sz" else 1
     code = f.kernel_code()
     if code is not None:
         F = functools.partial(_kernels._f_real_scalar, code)
     else:
         def F(r):
             return float(f.laplace(r).real)
-    f0 = f.content.f0
-
-    hi = float(hi)
-    # keep the 'sz' bracket inside the overflow range of e^{x0 x}: F(-hi) = inf
-    # makes h(hi) infinite (or NaN as inf - inf).  The 'cc' shape reads F at
-    # x - b >= -b only, where a smaller bracket cannot help
-    for _ in range(60):
-        if form == 1 or hi <= 1.0 or not math.isinf(F(-hi)):
-            break
-        hi = 0.5 * hi
-    c1, b = float(case.c1), float(b)
-    h = _kernels.smoothed_fn(F, form, c1, psi, b, f0)
-    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi, guess)
+    b = float(b)
+    root, hlo, hhi, hi, h = _smoothed_root(case, F, f.content.f0, b, phi, hi, guess)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")

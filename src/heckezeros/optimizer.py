@@ -9,13 +9,19 @@ e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each fixed
 beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
 golden-section line search per coordinate, restarted from a fixed grid; the
 three best starts are each re-descended from their incumbent while that
-gains and budget is left.  No randomness, fixed iteration counts,
+gains and budget is left.  A family search scores each weight from its
+family code and f(0) alone (``_search_profiles``): by its root
+(``dh._smoothed_root``) or its density bound from three transform values
+(``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
+or error message; only the winner is built as a weight and handed to the
+public solver or bound.  No randomness, fixed iteration counts,
 lexicographic tie-breaks, so identical specs give identical results.  Side
 conditions and solver failures are hard constraints handled by rejection
 (score -inf); the optimum may sit on the feasible boundary, which the
 in-bracket golden section finds.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -282,22 +288,25 @@ def maximize_bound(spec):
 PROFILES = (1.0, 0.5)
 
 
-def _gen_family(alpha, s, mult):
-    return trial_functions.autocorrelation(alpha=alpha, c0=1.0, c1=1.0,
-                                           beta=mult * math.pi / s, s=s)
+def _generator(alpha, s, mult):
+    """(alpha, c0, c1, beta, s) of the substitute generator at (alpha, s) of
+    the profile beta s / pi = mult."""
+    return alpha, 1.0, 1.0, mult * math.pi / s, s
 
 
 def _search_profiles(score, boxes, seeds, budget, sweep_tol):
-    """Maximize ``score(weight)`` over (alpha, s) for each profile.
+    """Maximize ``score(code, f0)`` over (alpha, s) for each profile.
 
     Each profile gets ``budget // len(PROFILES)`` evaluations, at least 40,
     so any budget below 80 runs about 80.  The floor stays: without it a T1
     cell's budget of 60 would give each profile 30 evaluations and worse
-    bounds.  The earlier profile wins a tie.  A weight that cannot be built
-    or scored counts as -inf.  Returns (weight, mult) of the best profile,
-    or None when no weight in the box scores finite.  Each profile keeps the
-    score of every (alpha, s) it saw, so a point the search visits again
-    costs neither a build nor a score.
+    bounds.  The earlier profile wins a tie.  A weight is scored from its
+    family code and f(0) (``trial_functions.autocorrelation_code``); one
+    that cannot be built counts as -inf, and the score returns -inf for one
+    that bounds nothing.  Returns (weight, mult) of the best profile, the
+    winner built as a ``TrialFunction``, or None when no weight in the box
+    scores finite.  Each profile keeps the score of every (alpha, s) it saw,
+    so a point the search visits again costs neither a build nor a score.
     """
     per_profile = max(budget // len(PROFILES), 40)
     best = None
@@ -307,9 +316,11 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
         def objective(alpha, s, _mult=mult, _seen=seen):
             if (alpha, s) not in _seen:
                 try:
-                    _seen[alpha, s] = score(_gen_family(alpha, s, _mult))
+                    code, f0 = trial_functions.autocorrelation_code(*_generator(alpha, s, _mult))
                 except HeckeZerosError:
                     _seen[alpha, s] = -math.inf
+                else:
+                    _seen[alpha, s] = score(code, f0)
             return _seen[alpha, s]
 
         point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
@@ -319,7 +330,7 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
     if best is None:
         return None
     _, point, mult = best
-    return _gen_family(point["alpha"], point["s"], mult), mult
+    return trial_functions.autocorrelation(*_generator(point["alpha"], point["s"], mult)), mult
 
 
 def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
@@ -331,9 +342,14 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     ``seed_params`` (alpha and s) warm-starts every profile, which is useful
     along a table, where optima drift slowly.  Each profile scores at least
     40 weights (``_search_profiles``), so a budget below 80 makes about 80
-    solves.  Inputs are checked as in ``maximize_bound``.
+    root solves.  A weight scores its root (``dh._smoothed_root``); only the
+    winner is solved by ``dh.solve_smoothed``, for its residual and result.
+    Inputs are checked as in ``maximize_bound``, and a case that is not
+    smoothed raises InvalidParameterError.
     """
     case = dh.get_case(case)
+    if case.method != "smoothed":
+        raise InvalidParameterError(f"case {case.name} is not a smoothed case")
     dh.check_width(b, phi)
     _check_budget(budget)
     seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
@@ -348,11 +364,16 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     # root, what ``dh.solve_smoothed`` gives for that weight anywhere, as at
     # the first solve of a search seeded there
     last = None
+    b = float(b)   # as solve_smoothed reads it
 
-    def score(f):
+    def score(code, f0):
         nonlocal last
-        last = dh.solve_smoothed(case, f, b, phi=phi, guess=last).lambda_star
-        return last
+        root = dh._smoothed_root(case, functools.partial(_kernels._f_real_scalar, code),
+                                 f0, b, phi, guess=last)[0]
+        if math.isnan(root):
+            return -math.inf
+        last = root
+        return root
 
     found = _search_profiles(score, FAMILY_BOXES, seeds, budget, sweep_tol)
     if found is None:
@@ -370,8 +391,11 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
     Returns (integer bound or inf, params).  The support seed follows the
     tuning recipe (scale 2 theta-hat / lambda) before the descent refines it.
     Each profile scores at least 40 weights (``_search_profiles``), so a
-    budget below 80 makes about 80 evaluations.  Inadmissible inputs and a
-    budget below 1 raise InvalidParameterError before any evaluation.
+    budget below 80 makes about 80 evaluations.  A weight scores minus its
+    bound from f(0), F(-b) and F(lambda - b) by the scalar kernel
+    (``zero_density.bound_if_admissible``); only the winner's bound comes
+    from ``zero_density.n_lambda_bound``.  Inadmissible inputs and a budget
+    below 1 raise InvalidParameterError before any evaluation.
     """
     zero_density.check_inputs(lam, b, vartheta, phi)
     _check_budget(budget)
@@ -381,15 +405,21 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
     seeds = [{"alpha": 0.0, "s": seed_s}]
     seeds += [{"alpha": a, "s": s_} for a in (-0.5, 0.0)
               for s_ in (3.0, 6.0, 10.0, 18.0, 30.0)]
-    found = _search_profiles(
-        lambda f: -zero_density.n_lambda_bound(
-            zero_density.ZdQuery(f, lam, b, vartheta, phi)),
-        boxes, seeds, budget, 1e-7)
+    # the points F(-b) and F(lambda - b) as ``TrialFunction.laplace`` passes
+    # them to the kernel
+    r_minus_b, r_gap = float(-b), float(lam - b)
+
+    def score(code, f0):
+        bound = zero_density.bound_if_admissible(
+            f0, _kernels.f_real_scalar(code, r_minus_b), _kernels.f_real_scalar(code, r_gap),
+            vartheta, phi)
+        return -math.inf if bound is None else -bound
+
+    found = _search_profiles(score, boxes, seeds, budget, 1e-7)
     if found is None:
         return math.inf, {}
     f, mult = found
-    q = zero_density.ZdQuery(f, lam, b, vartheta, phi)
-    return zero_density.n_lambda_int(q), {"alpha": f.params["alpha"],
-                                          "s": f.params["s"], "c1": 1.0,
-                                          "beta_mult": mult,
-                                          "bound": zero_density.n_lambda_bound(q)}
+    bound = zero_density.n_lambda_bound(zero_density.ZdQuery(f, lam, b, vartheta, phi))
+    return zero_density.int_bound(bound), {"alpha": f.params["alpha"],
+                                           "s": f.params["s"], "c1": 1.0,
+                                           "beta_mult": mult, "bound": bound}

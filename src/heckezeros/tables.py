@@ -351,7 +351,7 @@ def regress_zero_density(table, budget=60, lambdas=None):
             if math.isinf(listed):
                 ok = True
                 note = "" if math.isinf(n) else "finite where listed inf (flagged)"
-                rows.append(RowReport(b, math.inf, n, math.nan, math.nan, ok, True, note))
+                rows.append(RowReport(b, math.inf, float(n), math.nan, math.nan, ok, True, note))
                 continue
             if math.isinf(n):
                 rows.append(RowReport(b, listed, math.inf, math.nan, math.nan,

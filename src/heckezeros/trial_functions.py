@@ -28,16 +28,24 @@ arithmetic differ in the last bits.  The weight f(t), f(0) and sup |f''|
 read the same folded pairs, and ``_kernels.E`` serves f(t) and its second
 derivative here.
 
-A build is plain Python: its moments M_n = int_0^s u^n e^{au} du, one set
-per distinct exponent a = g_j + g_k (three for a cosine weight's five
-folded pairs), come from a scalar recurrence (``_moment_recurrence``) or,
-at a = 0, from s^(n+1)/(n+1).  They equal what NumPy arrays gave to the
-bit, because each complex quotient is written out as NumPy forms it; only
-the moment series inside |a s| < SMALL_W stays in NumPy
-(``_exp_moments_vec``), because there NumPy's complex multiply uses fused
-multiply-add, which Python's does not.  A search weight takes that series
-only when 0 < |2 alpha s| < SMALL_W.  NumPy also evaluates f(t) and
-sup |f''| on grids, and the generator's sign when c0 < |c1|.
+A build is plain Python, ``autocorrelation_code``, which gives the family
+code and f(0); ``autocorrelation`` wraps them in a ``TrialFunction``, and
+the family search scores the code alone.  Per distinct exponent
+a = g_j + g_k (three for a cosine weight's five folded pairs) a build forms
+only K = M_0, where M_n = int_0^s u^n e^{au} du: s at a = 0, else the first
+step of a scalar recurrence (``_moment_recurrence``).  M_1 .. M_7, which
+only the kernels' series at a removable singularity read, are formed on
+first read (``_Moments``) by the same recurrence or s^(n+1)/(n+1), so
+their bits are those of an eager build; a build forms them at once only
+near the overflow edge, where ``_higher_moments_finite`` cannot vouch that
+they are finite, so builds reject exactly the parameters whose moments
+overflow.  The moments equal what NumPy arrays gave to the bit, because
+each complex quotient is written out as NumPy forms it; only the moment
+series inside |a s| < SMALL_W stays in NumPy (``_exp_moments_vec``, every
+moment at once, at build time), because there NumPy's complex multiply
+uses fused multiply-add, which Python's does not.  A search weight takes
+that series only when 0 < |2 alpha s| < SMALL_W.  NumPy also evaluates
+f(t) and sup |f''| on grids, and the generator's sign when c0 < |c1|.
 """
 
 import cmath
@@ -117,8 +125,11 @@ class TrialFunction:
     """A trial weight with pointwise and Laplace-transform evaluators.
 
     Instances are immutable after construction; the evaluators are pure and
-    safe for concurrent use.  ``code`` is the flattened family code the
-    kernels in ``_kernels`` consume; plug-in families may pass
+    safe for concurrent use.  The one state a built-in weight changes after
+    construction, the moments M_1 .. M_7 that its code forms on first read
+    (``_Moments``), is filled idempotently: concurrent first reads each form
+    the same tuple and store it whole.  ``code`` is the flattened family
+    code the kernels in ``_kernels`` consume; plug-in families may pass
     ``code=None``, in which case every transform goes through ``laplace_fn``.
     """
 
@@ -190,8 +201,8 @@ def _exp_moments_vec(a, s, nmax):
     return series
 
 
-def _moment_recurrence(a, s):
-    """(M_0, (M_1, .., M_7)) at one exponent outside the series disc, |a s| >= SMALL_W.
+def _moment_recurrence(a, s, nmax):
+    """[M_0, .., M_nmax] at one exponent outside the series disc, |a s| >= SMALL_W.
 
     M_0 = (e^{as} - 1)/a and M_n = (s^n e^{as} - n M_{n-1})/a, in Python
     floats.  Each quotient x/a is formed as NumPy forms it, by Smith's method:
@@ -199,9 +210,9 @@ def _moment_recurrence(a, s):
     it is ((Re x p + Im x q) scl, (Im x p - Re x q) scl), scl one over the
     denominator (the factor 1 is exact).  So the moments equal those of the
     array recurrence to the bit, where Python's own complex ``/`` differs in
-    the last bit.  Raises OverflowError when e^{as} or a moment is not
-    finite: a moment that is not finite makes every later one so, so M_7
-    tells.
+    the last bit, and M_0 does not depend on nmax.  Raises OverflowError when
+    e^{as} or M_nmax is not finite: a moment that is not finite makes every
+    later one so, so the last tells.
     """
     ar, ai = a.real, a.imag
     if abs(ar) >= abs(ai):
@@ -214,7 +225,7 @@ def _moment_recurrence(a, s):
     er, ei = e.real, e.imag
     xr, xi = er - 1.0, ei
     out = []
-    for n in range(_kernels.N_MOMENTS + 1):
+    for n in range(nmax + 1):
         if n:
             sn = s ** n
             xr, xi = sn * er - n * mr, sn * ei - n * mi
@@ -222,32 +233,81 @@ def _moment_recurrence(a, s):
         out.append(complex(mr, mi))
     if not (math.isfinite(mr) and math.isfinite(mi)):
         raise OverflowError
-    return out[0], tuple(out[1:])
+    return out
+
+
+def _higher_moments(a, s):
+    """(M_1, .., M_7) at one exponent outside the series disc: s^(n+1)/(n+1)
+    at a = 0 (times 1/(n+1), as NumPy's complex division forms it), else
+    ``_moment_recurrence``.  Raises OverflowError when one overflows."""
+    if a == 0:
+        return tuple(complex(s ** (n + 1) * (1.0 / (n + 1)))
+                     for n in range(1, _kernels.N_MOMENTS + 1))
+    return tuple(_moment_recurrence(a, s, _kernels.N_MOMENTS)[1:])
+
+
+def _higher_moments_finite(a, s):
+    """True when M_1 .. M_7 at a, and every step of their recurrence, are
+    surely finite, for a = 0 or |a s| >= SMALL_W.
+
+    A Smith quotient's component is at most twice the larger component of
+    x over |a|, so with t = max(1, s) and L = max(1, 14/|a|) no step
+    exceeds 128 (|e^{as}| + 1) t^7 L^8 <= 256 e^{max(Re a s, 0)} t^7 L^8,
+    and L <= 1400 t as |a| >= SMALL_W / s.  With s <= 1e4 and
+    Re a s <= 480 that is below e^682, far enough from the float range for
+    rounding; at a = 0 the largest is s^8 <= 1e32.  False (the build then
+    forms them at once) only for larger supports or growth.
+    """
+    return s <= 1e4 and a.real * s <= 480.0
+
+
+class _Moments:
+    """M_1 .. M_7 at one exponent a of a family code, indexed 0 .. 6.
+
+    Only the pair series of ``_kernels`` (near r = -g_j) reads them, so
+    outside the series disc they are formed on first read by
+    ``_higher_moments``, to the bit what an eager build gives.  The fill is
+    idempotent: readers racing on the first read each form the same tuple
+    and store it whole, so every reader sees the same bits.
+    """
+
+    __slots__ = ("_a", "_s", "_m")
+
+    def __init__(self, a, s, m=None):
+        self._a, self._s, self._m = a, s, m
+
+    def __getitem__(self, n):
+        m = self._m
+        if m is None:
+            m = self._m = _higher_moments(self._a, self._s)
+        return m[n]
 
 
 def _exp_moments(exps, s):
-    """{a: (M_0, (M_1, .., M_7))} for each distinct exponent a in exps.
+    """{a: (K = M_0, M_1 .. M_7 as ``_Moments``)} for each distinct exponent a.
 
-    M_n = s^(n+1)/(n+1) at a = 0 (times 1/(n+1), as NumPy's complex division
-    forms it), the series of ``_exp_moments_vec`` inside the disc
-    0 < |a s| < SMALL_W, ``_moment_recurrence`` outside it.  Raises
-    OverflowError when a moment overflows.
+    K is s at a = 0 and ``_moment_recurrence`` to n = 0 outside the series
+    disc; M_1 .. M_7 there wait for their first read, unless
+    ``_higher_moments_finite`` cannot vouch for them: then they are formed
+    now, so a build fails exactly where forming every moment fails.  Inside
+    the disc 0 < |a s| < SMALL_W every moment comes from the series of
+    ``_exp_moments_vec`` at once.  Raises OverflowError when a moment
+    overflows.
     """
     out, series = {}, []
     for a in exps:
         if a in out:
             continue
-        if a == 0:
-            out[a] = complex(s), tuple(complex(s ** (n + 1) * (1.0 / (n + 1)))
-                                       for n in range(1, _kernels.N_MOMENTS + 1))
-        elif abs(a * s) < _SMALL_W:
+        if a != 0 and abs(a * s) < _SMALL_W:
             out[a] = None
             series.append(a)
-        else:
-            out[a] = _moment_recurrence(a, s)
+            continue
+        K = complex(s) if a == 0 else _moment_recurrence(a, s, 0)[0]
+        M = None if _higher_moments_finite(a, s) else _higher_moments(a, s)
+        out[a] = K, _Moments(a, s, M)
     if series:
         for a, M in zip(series, _exp_moments_vec(series, s, _kernels.N_MOMENTS).T.tolist()):
-            out[a] = M[0], tuple(M[1:])
+            out[a] = M[0], _Moments(a, s, tuple(M[1:]))
     return out
 
 
@@ -297,20 +357,14 @@ def _sup_f2(code):
     return 1.05 * float(np.abs(f2).max())
 
 
-def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
-    """Autocorrelation weight f(t) = int g(u) g(u+t) du of a truncated generator.
+def autocorrelation_code(alpha, c0, c1, beta, s):
+    """(family code, f(0)) of ``autocorrelation(alpha, c0, c1, beta, s)``.
 
-    g(u) = e^{alpha u} (c0 + c1 cos(beta u)) on [0, s].  The generator must be
-    non-negative there (checked on a grid); f is then supported in [0, s) with
-    f(0) = int g^2 and sup f = f(0) by Cauchy-Schwarz.  The transform is a sum
-    over exponential components of g,
-
-        F(z) = sum_{j,k} c_j c_k (K_{jk} - E(s; g_k - z)) / (g_j + z),
-
-    with E(s; a) = (e^{as} - 1)/a and K_{jk} = E(s; g_j + g_k) independent of
-    z; Taylor fallbacks cover the removable singularities.  The quadrature
-    oracle cross-checks all of it.  Raises InvalidParameterError naming alpha
-    and s when a moment int_0^s u^n e^{(g_j + g_k) u} du or f(0) overflows.
+    The build the family search scores, and the one ``autocorrelation``
+    wraps: it checks the parameters and the generator's sign, folds the
+    conjugate pairs and forms K = M_0 per distinct exponent; M_1 .. M_7
+    wait for their first read (``_Moments``).  Raises what
+    ``autocorrelation`` raises.
     """
     for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta), ("s", s)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -357,10 +411,28 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     except OverflowError:
         raise InvalidParameterError(
             f"the moments of the generator overflow for alpha={alpha}, s={s}") from None
+    return (s, folded), f0
 
-    code = (s, folded)
-    params = {"alpha": alpha, "c0": c0, "c1": c1, "beta": beta, "s": s}
-    content = Content(x0=s, M=f0, B=functools.partial(_sup_f2, code), f0=f0)
+
+def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
+    """Autocorrelation weight f(t) = int g(u) g(u+t) du of a truncated generator.
+
+    g(u) = e^{alpha u} (c0 + c1 cos(beta u)) on [0, s].  The generator must be
+    non-negative there (checked on a grid); f is then supported in [0, s) with
+    f(0) = int g^2 and sup f = f(0) by Cauchy-Schwarz.  The transform is a sum
+    over exponential components of g,
+
+        F(z) = sum_{j,k} c_j c_k (K_{jk} - E(s; g_k - z)) / (g_j + z),
+
+    with E(s; a) = (e^{as} - 1)/a and K_{jk} = E(s; g_j + g_k) independent of
+    z; Taylor fallbacks cover the removable singularities.  The quadrature
+    oracle cross-checks all of it.  Raises InvalidParameterError naming alpha
+    and s when a moment int_0^s u^n e^{(g_j + g_k) u} du or f(0) overflows.
+    The code comes from ``autocorrelation_code``.
+    """
+    code, f0 = autocorrelation_code(alpha, c0, c1, beta, s)
+    params = dict(zip(("alpha", "c0", "c1", "beta", "s"), map(float, (alpha, c0, c1, beta, s))))
+    content = Content(x0=code[0], M=f0, B=functools.partial(_sup_f2, code), f0=f0)
     return TrialFunction("autocorrelation", params, content, functools.partial(_weight, code),
                          functools.partial(_kernels.f_array, code), code=code)
 

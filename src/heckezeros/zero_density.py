@@ -75,6 +75,17 @@ def mt_bound_from_values(f0, F0, F_lam):
     return num / den
 
 
+def bound_if_admissible(f0, F_minus_b, F_gap, vartheta, phi):
+    """The bound from raw values, or None where a precondition fails.
+
+    The density search scores each weight by it, from f(0) and the scalar
+    kernel's F(-b) and F(lambda-b); ``n_lambda_bound`` wraps it.
+    """
+    if not all(preconditions_from_values(f0, F_minus_b, F_gap, vartheta, phi)):
+        return None
+    return bound_from_values(f0, F_minus_b, F_gap, vartheta, phi)
+
+
 def zd_preconditions(q):
     """(cond1, cond2): transform-size and denominator-positivity conditions."""
     return preconditions_from_values(*_values(q), q.vartheta, q.phi)
@@ -82,23 +93,29 @@ def zd_preconditions(q):
 
 def n_lambda_bound(q):
     """The real-valued density bound; requires both preconditions."""
-    f0, F_minus_b, F_gap = _values(q)
-    c1, c2 = preconditions_from_values(f0, F_minus_b, F_gap, q.vartheta, q.phi)
-    if not (c1 and c2):
+    values = _values(q)
+    bound = bound_if_admissible(*values, q.vartheta, q.phi)
+    if bound is None:
+        c1, c2 = preconditions_from_values(*values, q.vartheta, q.phi)
         raise BoundUnavailableError(
             f"density preconditions fail at lambda={q.lam}, b={q.b} "
             f"(cond1={c1}, cond2={c2}) for {q.f!r}")
-    return bound_from_values(f0, F_minus_b, F_gap, q.vartheta, q.phi)
+    return bound
 
 
-def n_lambda_int(q):
-    """Integer form of the bound.
+def int_bound(bound):
+    """Integer form of a bound value.
 
     The epsilon in the statement is arbitrary, so the integer claim is the
     floor of the value plus a 1e-6 guard against spurious increments from
     rounding right below an integer.
     """
-    return int(math.floor(n_lambda_bound(q) + 1e-6))
+    return int(math.floor(bound + 1e-6))
+
+
+def n_lambda_int(q):
+    """Integer form of the bound (``int_bound``)."""
+    return int_bound(n_lambda_bound(q))
 
 
 def recipe_theta(lam, b):

@@ -1,8 +1,11 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -252,3 +255,18 @@ class TestGoldenOutput:
         missing = [e.strip() for e in examples
                    if e.strip() not in commands and e.strip() != "verify --suite all"]
         assert len(examples) >= 12 and not missing
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m heckezeros`` is the ``heckezeros`` command: same stdout and
+    # exit code as cli.main, the first transcript entry's here
+    command, expected = GOLDEN[0]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "heckezeros", *shlex.split(command)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+    proc = subprocess.run([sys.executable, "-m", "heckezeros", "zfr"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and "usage" in proc.stderr

@@ -489,6 +489,29 @@ def test_guess_changes_no_root_and_no_failure(smoothed_runs):
             assert abs(got - want) <= tol * max(1.0, abs(want)), key
 
 
+def test_root_helper_is_the_solvers_root(smoothed_runs):
+    # the family search scores a weight by dh._smoothed_root alone: over the
+    # smoothed set, cold and from guesses, its root is solve_smoothed's to the
+    # bit, and NaN exactly where solve_smoothed raises NoBoundError
+    unguided, _ = smoothed_runs["itp"]
+    failed = 0
+    for (case, i, b), want in unguided.items():
+        f = SMOOTHED_WEIGHTS[i]
+        F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
+        centre = want if isinstance(want, float) else 1.0
+        for guess in (None, 0.999 * centre, 3.0 * centre, 60.0):
+            root = dh._smoothed_root(dh.CASES[case], F, f.content.f0, b, dh.PHI,
+                                     guess=guess)[0]
+            try:
+                solved = dh.solve_smoothed(case, f, b, guess=guess).lambda_star
+            except NoBoundError:
+                assert math.isnan(root), (case, i, b, guess)
+                failed += 1
+                continue
+            assert root == solved, (case, i, b, guess)
+    assert 0 < failed < 2 * len(unguided)   # some, and under half of 4 per key
+
+
 def test_flat_principal_case_pinned():
     # sz-lp-principal at b = 1e-6: h is flat around the root, where the
     # interpolating solver and bisection land on different float-noise zeros

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from heckezeros import dh, optimizer, p4, tables, trial_functions, zero_density
-from heckezeros.errors import (HeckeZerosError, InfeasibleSearchError,
-                               InvalidParameterError)
+from heckezeros import _kernels, dh, optimizer, p4, tables, trial_functions, zero_density
+from heckezeros.errors import (BoundUnavailableError, HeckeZerosError,
+                               InfeasibleSearchError, InvalidParameterError)
 from heckezeros.optimizer import SearchSpec, maximize_bound
 
 
@@ -198,7 +198,10 @@ class TestBudget:
     """Each search makes at most its budget of objective evaluations, plus the
     final solve (and, for the density search, the final bound).  The family
     searches give each of their two profiles at least 40 evaluations, so a
-    budget below 80 runs about 80."""
+    budget below 80 runs about 80.  A family search scores a weight through
+    its per-weight entry point (``dh._smoothed_root``,
+    ``zero_density.bound_if_admissible``), which the public solver or bound
+    also calls; the public one runs once, for the winner."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -213,14 +216,18 @@ class TestBudget:
         return calls
 
     def test_smoothed_search(self, monkeypatch):
-        calls = self.counted(monkeypatch, dh, "solve_smoothed")
+        roots = self.counted(monkeypatch, dh, "_smoothed_root")
+        solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=120)
-        assert len(calls) <= 121
+        assert 80 <= len(roots) <= 121
+        assert len(solves) == 1
 
     def test_density_search(self, monkeypatch):
-        calls = self.counted(monkeypatch, zero_density, "n_lambda_bound")
+        scores = self.counted(monkeypatch, zero_density, "bound_if_admissible")
+        bounds = self.counted(monkeypatch, zero_density, "n_lambda_bound")
         optimizer.optimize_zd(0.2, 0.0, budget=60)
-        assert len(calls) <= 82
+        assert 60 <= len(scores) <= 82
+        assert len(bounds) == 1
 
     @pytest.mark.parametrize("search", [
         lambda: optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=120),
@@ -229,9 +236,9 @@ class TestBudget:
     def test_repeated_points_are_not_rebuilt(self, monkeypatch, search):
         # the searches revisit points (a seed the coarse scan also hits, a
         # re-descent's start); only the winner is built a second time, after
-        # the search, for the result
-        builds, build = [], optimizer._gen_family
-        monkeypatch.setattr(optimizer, "_gen_family",
+        # the search, as a TrialFunction for the result
+        builds, build = [], trial_functions.autocorrelation_code
+        monkeypatch.setattr(trial_functions, "autocorrelation_code",
                             lambda *args: builds.append(args) or build(*args))
         search()
         assert len(builds) > 60
@@ -239,12 +246,14 @@ class TestBudget:
 
     def test_family_floor(self, monkeypatch):
         # budget 1 still runs 40 evaluations per profile
+        roots = self.counted(monkeypatch, dh, "_smoothed_root")
         solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.1, budget=1)
-        assert len(solves) <= 81
+        assert 60 <= len(roots) <= 81 and len(solves) == 1
+        scores = self.counted(monkeypatch, zero_density, "bound_if_admissible")
         bounds = self.counted(monkeypatch, zero_density, "n_lambda_bound")
         optimizer.optimize_zd(0.2, budget=1)
-        assert len(bounds) <= 82
+        assert 60 <= len(scores) <= 82 and len(bounds) == 1
 
     def test_poly_search(self, monkeypatch):
         calls = self.counted(monkeypatch, dh, "solve_poly")
@@ -261,7 +270,7 @@ class TestInvalidInput:
         {"vartheta": 0.5}, {"lam": -0.1}, {"lam": math.nan}, {"b": math.nan},
         {"b": -1.0}, {"phi": math.inf}, {"phi": 0.0}])
     def test_density_search(self, monkeypatch, kwargs):
-        builds = self.counted(monkeypatch, optimizer, "_gen_family")
+        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
         with pytest.raises(InvalidParameterError):
             optimizer.optimize_zd(**{"lam": 0.2, "b": 0.0, **kwargs})
         assert builds == []
@@ -269,7 +278,7 @@ class TestInvalidInput:
     @pytest.mark.parametrize("b, phi", [(math.nan, dh.PHI), (-1.0, dh.PHI),
                                         (0.05, math.nan)])
     def test_smoothed_search(self, monkeypatch, b, phi):
-        builds = self.counted(monkeypatch, optimizer, "_gen_family")
+        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
         with pytest.raises(InvalidParameterError):
             optimizer.optimize_family_smoothed("sz-lp-principal", b, phi=phi)
         with pytest.raises(InvalidParameterError):
@@ -298,9 +307,9 @@ class TestInvalidInput:
     def test_budget_and_phi(self, monkeypatch, search, budget, phi, word):
         # a budget below 1 and a negative phi are rejected alike by every
         # search, before its first evaluation
-        calls = [self.counted(monkeypatch, dh, "solve_smoothed"),
+        calls = [self.counted(monkeypatch, dh, "_smoothed_root"),
                  self.counted(monkeypatch, dh, "solve_poly"),
-                 self.counted(monkeypatch, zero_density, "n_lambda_bound")]
+                 self.counted(monkeypatch, zero_density, "bound_if_admissible")]
         with pytest.raises(InvalidParameterError, match=word):
             search(budget, phi)
         assert calls == [[], [], []]
@@ -319,30 +328,53 @@ class TestZdSearch:
         assert params == {}
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
+def test_density_score_is_minus_the_bound(monkeypatch, lam):
+    """Over the weights T1's searches at lambda score, the search's score is
+    -n_lambda_bound to the bit, and -inf exactly where that raises."""
+    t1 = tables.load_table("T1")
+    row = t1.cells[t1.lambdas.index(lam)]
+    builds, scores = set(), []
+    build, search = trial_functions.autocorrelation_code, optimizer._search_profiles
+    monkeypatch.setattr(trial_functions, "autocorrelation_code",
+                        lambda *args: builds.add(args) or build(*args))
+    monkeypatch.setattr(optimizer, "_search_profiles",
+                        lambda score, *rest: scores.append(score) or search(score, *rest))
+    for b, listed in zip(t1.b_values, row):
+        if listed is None:
+            continue
+        builds.clear()
+        optimizer.optimize_zd(lam, b, budget=60)
+        failed = 0
+        for args in sorted(builds):
+            got = scores[-1](*build(*args))
+            q = zero_density.ZdQuery(trial_functions.autocorrelation(*args), lam, b)
+            try:
+                want = -zero_density.n_lambda_bound(q)
+            except BoundUnavailableError:
+                assert got == -math.inf, (b, args)
+                failed += 1
+                continue
+            assert got == want, (b, args)
+        assert len(builds) > 60 and 0 < failed < len(builds)
+
+
 def test_density_search_uses_only_the_scalar_kernel(monkeypatch):
     """The density objective needs F at two real points and f(0): no array
     transform and no sup |f''| scan may run, not even for the final weight."""
     counts = {"builds": 0, "array": 0, "scan": 0}
-    build = trial_functions.autocorrelation
+    build, array, scan = (trial_functions.autocorrelation_code, _kernels.f_array,
+                          trial_functions._sup_f2)
 
-    def counted(**params):
-        f = build(**params)
-        array_laplace, scan = f._laplace, f.content._B
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
 
-        def laplace(z):
-            counts["array"] += 1
-            return array_laplace(z)
-
-        def sup_f2():
-            counts["scan"] += 1
-            return scan()
-
-        f._laplace = laplace
-        object.__setattr__(f.content, "_B", sup_f2)
-        counts["builds"] += 1
-        return f
-
-    monkeypatch.setattr(trial_functions, "autocorrelation", counted)
+    monkeypatch.setattr(trial_functions, "autocorrelation_code", counted("builds", build))
+    monkeypatch.setattr(_kernels, "f_array", counted("array", array))
+    monkeypatch.setattr(trial_functions, "_sup_f2", counted("scan", scan))
     n, params = optimizer.optimize_zd(0.2, 0.0, budget=60)
     assert n == 4 and params["bound"] == pytest.approx(4.6257, abs=1e-4)
     assert counts["builds"] > 60

@@ -125,6 +125,13 @@ class TestZdRegression:
         assert rep.passed
         assert rep.n_rows == 9   # 2 + 7 populated cells on those heights
 
+    def test_computed_is_a_float_on_every_row(self):
+        # the listed-inf cells where a finite N is flagged included
+        rep = tables.regress_zero_density("T1", budget=60)
+        assert all(type(r.computed) is float for r in rep.rows)
+        flagged = [r for r in rep.rows if math.isinf(r.listed) and math.isfinite(r.computed)]
+        assert len(flagged) == 9
+
     @pytest.mark.slow
     def test_full_grid_soft(self):
         rep = tables.regress_zero_density("T1", budget=120)

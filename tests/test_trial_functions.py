@@ -1,6 +1,9 @@
 """Trial weights: closed forms, contents, half-plane positivity."""
 
+import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -245,19 +248,135 @@ def _seeded_weights(seed, n=60):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_python_moments_equal_numpy_arrays(seed):
-    """The family code built in Python floats is the one NumPy arrays give."""
+    """The family code built in Python floats is the one NumPy arrays give,
+    M_1 .. M_7 as read after the build."""
     taken = {"zero": 0, "series": 0, "re": 0, "im": 0}
     for params in _seeded_weights(seed):
         s, folded = tf.autocorrelation(**params).kernel_code()
         exps = [g_j + g_k for _, g_j, g_k, *_ in folded]
         ref = _moments_array(exps, s, _kernels.N_MOMENTS).T.tolist()
-        assert (s, folded) == (s, tuple((c, g_j, g_k, M[0], tuple(M[1:]), far)
-                                        for (c, g_j, g_k, _, _, far), M in zip(folded, ref)))
+        assert ([(c, g_j, g_k, K, tuple(M), far) for c, g_j, g_k, K, M, far in folded]
+                == [(c, g_j, g_k, M[0], tuple(M[1:]), far)
+                    for (c, g_j, g_k, _, _, far), M in zip(folded, ref)])
         for a in exps:
             branch = ("zero" if a == 0 else "series" if abs(a * s) < _kernels.SMALL_W
                       else "re" if abs(a.real) >= abs(a.imag) else "im")
             taken[branch] += 1
     assert min(taken.values()) > 0, taken
+
+
+def _eager(f):
+    """The family code of f with M_1 .. M_7 of every pair as plain tuples from
+    the NumPy reference, the moments an eager build formed."""
+    s, folded = f.kernel_code()
+    ref = _moments_array([g_j + g_k for _, g_j, g_k, *_ in folded], s,
+                         _kernels.N_MOMENTS).T.tolist()
+    return s, tuple((c, g_j, g_k, K, tuple(M[1:]), far)
+                    for (c, g_j, g_k, K, _, far), M in zip(folded, ref))
+
+
+def _unread(f):
+    return all(M._m is None for *_, M, _ in f.kernel_code()[1])
+
+
+class TestLazyMoments:
+    """A build forms K = M_0 only; M_1 .. M_7 are formed on first read."""
+
+    def test_search_builds_leave_them_unread(self):
+        code, f0 = tf.autocorrelation_code(*optimizer._generator(0.7, 3.2, 1.0))
+        assert all(M._m is None for *_, M, _ in code[1])
+        assert f0 == tf.autocorrelation(*optimizer._generator(0.7, 3.2, 1.0)).content.f0
+
+    @pytest.mark.parametrize("alpha", [0.5, -1.3, 0.0])
+    def test_plain_weight_at_minus_alpha(self, alpha):
+        # r = -alpha puts the pair's g_j + r at 0: the scalar kernel and the
+        # array path both take the series that reads M_1 .. M_7
+        f = tf.autocorrelation(alpha=alpha, s=2.0)
+        assert _unread(f)
+        got = _kernels.f_real_scalar(f.kernel_code(), -alpha)
+        assert not _unread(f)
+        assert got == _kernels.f_real_scalar(_eager(f), -alpha)
+        f = tf.autocorrelation(alpha=alpha, s=2.0)
+        got = f.laplace(np.array([-alpha, 0.3]))
+        assert np.array_equal(got, _kernels.f_array(_eager(f), np.array([-alpha, 0.3])))
+
+    def test_f_array_near_minus_g_j(self):
+        f = tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
+        g_j = [g for _, g_j, *_ in f.kernel_code()[1] for g in (g_j, g_j.conjugate())]
+        edge = _kernels.SMALL_W / 2.5
+        zs = np.array([-g + d * edge * np.exp(0.7j) for g in g_j for d in (0.0, 0.3, 0.9)])
+        got = f.laplace(zs)
+        assert not _unread(f)
+        assert np.array_equal(got, _kernels.f_array(_eager(f), zs))
+
+    def test_fill_is_idempotent_across_threads(self):
+        # readers racing on the first read all see the eager build's bits
+        f = tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
+        want = [M for *_, M, _ in _eager(f)[1]]
+        barrier = threading.Barrier(8, timeout=30)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append([tuple(M) for *_, M, _ in f.kernel_code()[1]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [want] * 8
+        assert [tuple(M) for *_, M, _ in f.kernel_code()[1]] == want
+
+    @pytest.mark.parametrize("s", [14.596110908568308, 40.0, 3.0])
+    def test_builds_fail_exactly_where_eager_moments_overflow(self, s):
+        # across the overflow edge of s^7 e^{2 alpha s}, a cosine weight
+        # builds exactly where every reference moment and f(0) is finite,
+        # and then reads those moments
+        built, eager, refused = 0, 0, 0
+        for two_alpha_s in np.linspace(460.0, 709.9, 101):
+            alpha = float(two_alpha_s / (2.0 * s))
+            beta = 0.0645704737365128
+            exps = [2.0 * alpha + k * 1j * beta for k in (0, 1, 1, 2, 0)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = _moments_array(exps, s, _kernels.N_MOMENTS)
+            f0 = sum(c * K for c, K in zip((1.0, 1.0, 1.0, 0.5, 0.5), ref[0].tolist())).real
+            finite = bool(np.isfinite(ref).all()) and math.isfinite(f0)
+            try:
+                f = tf.autocorrelation(alpha=alpha, c0=1.0, c1=1.0, beta=beta, s=s)
+            except InvalidParameterError:
+                refused += 1
+                assert not finite, alpha
+                continue
+            built += 1
+            eager += not _unread(f)   # formed at build time, near the edge
+            assert finite and f.content.f0 == f0, alpha
+            assert [tuple(M) for *_, M, _ in f.kernel_code()[1]] == [
+                tuple(M) for *_, M, _ in _eager(f)[1]]
+        assert built > eager > 0 and refused > 0
+
+    def test_finite_test_never_vouches_for_an_overflow(self):
+        # where the cheap test vouches, the recurrence forms every moment;
+        # seeded exponents up to its limits s = 1e4 and Re a s = 480
+        rng = np.random.default_rng(11)
+        vouched = 0
+        for _ in range(3000):
+            s = float(10.0 ** rng.uniform(-1.0, 4.0))
+            a = complex(rng.uniform(-900.0, 480.0) * 10.0 ** rng.uniform(-6.0, 0.0) / s,
+                        rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0))
+            if abs(a * s) < _kernels.SMALL_W or not tf._higher_moments_finite(a, s):
+                continue
+            vouched += 1
+            assert all(map(cmath.isfinite, tf._higher_moments(a, s))), (a, s)
+        assert not tf._higher_moments_finite(1.0 + 0j, 481.0)
+        assert not tf._higher_moments_finite(0j, 1e5)
+        assert vouched > 2000
 
 
 def test_search_weights_build_without_numpy(monkeypatch):
@@ -271,7 +390,7 @@ def test_search_weights_build_without_numpy(monkeypatch):
     for alpha in sorted(alphas | {-3.9, -0.37, 0.05, 2.6}):
         for s in optimizer.FAMILY_GRID["s"] + (0.2, 10.0, 23.7, 40.0):
             for mult in optimizer.PROFILES:
-                optimizer._gen_family(alpha, s, mult)
+                tf.autocorrelation_code(*optimizer._generator(alpha, s, mult))
 
 
 class TestScalarRoute:
