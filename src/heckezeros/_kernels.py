@@ -8,24 +8,27 @@ values to the bit, formed by NumPy's complex-division formula written out,
 and only the moment series inside 0 < |a x0| < ``SMALL_W`` runs in NumPy,
 whose complex multiply uses fused multiply-add there.
 
-Every bound ends in a monotone root solve, and every solve here goes through
-one bracketed ITP solver (interpolate, truncate, project; Oliveira &
-Takahashi 2021), ``_bisect``: 11.7 evaluations of ``h`` per bundled quartic
-row where bisection took 65.6, 42% of bisection's over a set of 280 smoothed
-solves, and never more steps than the halvings down to its tolerance plus
-n0 = 8.  Given a guess near the root (the family search passes its last
-root), it starts from a bracket around the guess, which saves evaluations
-and never changes whether or how a solve fails.  Each inequality's
-bracketing function is written once, by a builder whose arithmetic works on
-floats and on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and
-``poly_fn`` and ``zfr_fn`` return the quartic ones as ``g(u)``,
-``u = lam/(lam+x)``.  The named root kernels (``smoothed_root``,
-``poly_root``, ``zfr_root``) hand the builder's function to the solver
-(``smoothed_root`` takes the built ``h``, which its caller keeps for the
-residual); they return ``(root, h(lo), h(hi))`` with a NaN root when ``h``
-has no sign change, so callers can tell which way the inequality failed.
-The quartic kernels solve in ``u``, where ``h`` is the polynomial itself
-(``_quartic_root``); the vectorized ``h`` of the solver modules and the
+Every bound ends in a monotone root solve.  The smoothed roots, and the
+crossings in J of the quartic search, go through one bracketed ITP solver
+(interpolate, truncate, project; Oliveira & Takahashi 2021), ``_bisect``:
+42% of bisection's evaluations of ``h`` over a set of 280 smoothed solves,
+and never more steps than the halvings down to its tolerance plus n0 = 8.
+Given a guess near the root (the family search passes its last root), it
+starts from a bracket around the guess, which saves evaluations and never
+changes whether or how a solve fails.  The quartic roots need no bracket
+search: each is P(u) = t for the fixed convex quartic P in
+u = lam/(lam+x), which ``_p4_root`` inverts by Newton's method from above,
+in at most 9 steps (about 6 evaluations of P per bundled quartic row,
+where bisection in x took 65.6 of ``h``).  Each inequality's bracketing
+function is written once, by a builder whose arithmetic works on floats and
+on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and
+``zfr_fn`` return the quartic ones as functions of u, with the value t of
+P at their root; ``poly_fn`` builds at fixed lam and b, for every J.  The
+named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
+build those functions (``smoothed_root`` and ``poly_root`` take them built,
+so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
+root when ``h`` has no sign change, so callers can tell which way the
+inequality failed.  The vectorized ``h`` of the solver modules and the
 solvers' residuals come from the same builders.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
@@ -299,15 +302,32 @@ def _bisect(h, lo, hi, guess=None):
     return 0.5 * (a + b), ylo, yhi
 
 
-def _quartic_root(g, lam, lo, hi):
-    """Root in x of an increasing h(x) = g(lam/(lam+x)), solved in u.
+#: cap on the Newton steps of ``_p4_root``; from u = 1 no quartic root of the
+#: bundled rows or of a dense (b, lambda, J, phi) grid of every case takes more
+#: than 9
+_NEWTON_CAP = 40
 
-    g is a polynomial in u = lam/(lam+x) and decreasing there, so the
-    solver sees -g on [lam/(lam+hi), lam/(lam+lo)]; returns
-    (lam/u - lam, h(lo), h(hi)) like ``_bisect``.
+
+def _p4_root(hlo, hhi, target, lam, lo, hi):
+    """Root in x of an increasing h(x) = g(lam/(lam+x)) whose g vanishes where
+    P(u) = target, from h(lo) = hlo and h(hi) = hhi; returns (root, hlo, hhi).
+
+    The root is NaN when h has no sign change on [lo, hi] or an end value is
+    NaN, as in ``_bisect``.  Otherwise it inverts P by Newton's method in u,
+    started from u = lam/(lam+lo), above the root: P is increasing and convex
+    for u >= 0, so every step decreases u and none passes the root but by
+    rounding, and the loop stops when a step no longer decreases u (or after
+    ``_NEWTON_CAP`` steps).
     """
-    u, ghi, glo = _bisect(lambda u: -g(u), lam / (lam + hi), lam / (lam + lo))
-    return lam / u - lam, -glo, -ghi
+    if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
+        return math.nan, hlo, hhi
+    u = lam / (lam + lo)
+    for _ in range(_NEWTON_CAP):
+        v = u - (_p4(u) - target) / (1.0 + u * (2.0 + u * (2.4 + 1.6 * u)))
+        if not v < u:
+            break
+        u = v
+    return lam / u - lam, hlo, hhi
 
 
 def smoothed_fn(F, form, c1, psi, b, f0):
@@ -344,27 +364,32 @@ def _p4(u):
     return u * (1.0 + u * (1.0 + u * (0.8 + 0.4 * u)))
 
 
-def poly_fn(slot, lam, J, b, psi):
-    """The quartic-method repulsion function as g(u), u = lam/(lam+x).
+def poly_fn(slot, lam, b, psi):
+    """The quartic-method repulsion function at fixed lam, b, for every J.
 
-    slot 0: known value on the (J^2 + 1/2) term, unknown on the 2J term;
-    slot 1: the reverse.  g decreases in u, so g(lam/(lam+x)) increases in x.
+    Returns (g, target): g(J, u) is the function of u = lam/(lam+x), and
+    target(J) the value of P where g(J, .) vanishes.  slot 0: known value on
+    the (J^2 + 1/2) term, unknown on the 2J term; slot 1: the reverse.  g
+    decreases in u, so g(J, lam/(lam+x)) increases in x.  P(lam/(lam+b)) is
+    formed once here, for all J.
     """
-    sq = J * J + 0.5
     known = _p4(lam / (lam + b))
-    tail = psi * (J + 1.0) ** 2 * lam
     if slot == 0:
-        first = sq * (3.2 - known)
-        twoJ = 2.0 * J
+        A = 3.2 - known
 
-        def g(u):
-            return first - twoJ * _p4(u) + tail
+        def g(J, u):
+            return (J * J + 0.5) * A - 2.0 * J * _p4(u) + psi * (J + 1.0) ** 2 * lam
+
+        def target(J):
+            return ((J * J + 0.5) * A + psi * (J + 1.0) ** 2 * lam) / (2.0 * J)
     else:
-        second = 2.0 * J * known
+        def g(J, u):
+            return ((J * J + 0.5) * (3.2 - _p4(u)) - 2.0 * J * known
+                    + psi * (J + 1.0) ** 2 * lam)
 
-        def g(u):
-            return sq * (3.2 - _p4(u)) - second + tail
-    return g
+        def target(J):
+            return 3.2 - (2.0 * J * known - psi * (J + 1.0) ** 2 * lam) / (J * J + 0.5)
+    return g, target
 
 
 def _poly_j_stationary(slot, lam, b, psi):
@@ -391,24 +416,27 @@ def _poly_j_stationary(slot, lam, b, psi):
     return (c2 / q if c2 > 0.0 else -q / (2.0 * c2),)
 
 
-def poly_root(slot, lam, J, b, psi, lo, hi):
-    """Root in x of ``poly_fn``."""
-    return _quartic_root(poly_fn(slot, lam, J, b, psi), lam, lo, hi)
+def poly_root(g, target, J, lam, lo, hi):
+    """Root in x of g(J, lam/(lam+x)) for (g, target) built by ``poly_fn``,
+    as ``_p4_root``."""
+    return _p4_root(g(J, lam / (lam + lo)), g(J, lam / (lam + hi)), target(J), lam, lo, hi)
 
 
 def zfr_fn(c0, c1, B, lam, phi):
-    """The zero-free-region function c0 P(1) - c1 P(u) + B phi lam as g(u)."""
+    """The zero-free-region function c0 P(1) - c1 P(u) + B phi lam as g(u),
+    and the value of P where it vanishes, as (g, target)."""
     const = c0 * 3.2 + B * phi * lam
 
     def g(u):
         return const - c1 * _p4(u)
 
-    return g
+    return g, const / c1
 
 
 def zfr_root(c0, c1, B, lam, phi, lo, hi):
-    """Root in x of ``zfr_fn``."""
-    return _quartic_root(zfr_fn(c0, c1, B, lam, phi), lam, lo, hi)
+    """Root in x of ``zfr_fn``'s g(lam/(lam+x)), as ``_p4_root``."""
+    g, target = zfr_fn(c0, c1, B, lam, phi)
+    return _p4_root(g(lam / (lam + lo)), g(lam / (lam + hi)), target, lam, lo, hi)
 
 
 def p4_combo_min(A, B, C, a, b, c, ts):

@@ -20,6 +20,9 @@ table is data so the wiring can be audited line by line.
 ``solve_smoothed`` is a thin wrapper over ``_smoothed_root``, the root
 alone, which the family search calls for every weight it scores; the
 solver adds the failure reports, the residual and the ``BoundResult``.
+``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
+quartic search calls for every candidate J with the constants of its
+lambda built once (``_poly_at``).
 
 Statements whose raw form carries oscillatory terms Re F(. + i mu) are used
 here only through their reduced real forms (``trial_functions.repel_reduce``);
@@ -156,17 +159,26 @@ def require_finite(**values):
             raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
+def check_phi(phi):
+    """Raise InvalidParameterError unless phi is finite and >= 0.
+
+    A negative phi would flip the sign of the phi term of every inequality,
+    and with it the bound; phi = 0 drops the term.
+    """
+    require_finite(phi=phi)
+    if phi < 0:
+        raise InvalidParameterError(f"phi must be >= 0, got {phi}")
+
+
 def check_width(b, phi):
     """Raise InvalidParameterError unless b and phi are finite and >= 0.
 
-    The solvers and the searches over them check these before any work.  A
-    negative phi would flip the sign of the psi f(0) term and of the bound.
+    The solvers and the searches over them check these before any work.
     """
     require_finite(b=b, phi=phi)
     if b < 0:
         raise InvalidParameterError(f"width hypothesis b must be >= 0, got {b}")
-    if phi < 0:
-        raise InvalidParameterError(f"phi must be >= 0, got {phi}")
+    check_phi(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +290,14 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
 _J0_FORMS = {"sz": (0.5, 0.5), "cc": (1.0, 0.75)}
 
 
+def _j0(c, d, J):
+    return min(c * J + d / J, 4.0 * J)
+
+
 def j0_value(case, J):
     """Side-condition coefficient on the 2J-slot term."""
     case = get_case(case) if isinstance(case, str) else case
-    c, d = _J0_FORMS[case.j0]
-    return min(c * J + d / J, 4.0 * J)
+    return _j0(*_J0_FORMS[case.j0], J)
 
 
 def j1_value(J):
@@ -293,11 +308,10 @@ def j1_value(J):
 def poly_h(case, b, lam, J, phi=PHI):
     """The case's monotone bracketing function, vectorized over x."""
     case = get_case(case) if isinstance(case, str) else case
-    slot = 0 if case.unknown_slot == "known-on-square" else 1
-    g = _kernels.poly_fn(slot, lam, J, b, case.psi_over_phi * phi)
+    g = _poly_at(case, b, lam, phi)[0]
 
     def h(x):
-        return g(lam / (lam + np.asarray(x, dtype=float)))
+        return g(J, lam / (lam + np.asarray(x, dtype=float)))
     return h
 
 
@@ -327,36 +341,43 @@ def side_limit(case, b, lam, J):
     when even x = 0 fails.
     """
     case = get_case(case) if isinstance(case, str) else case
-    if not side_condition(case, b, lam, J, 0.0)[0]:
-        return -math.inf
-    return min(_side_x(case, b, lam, J), 1e6)
+    x = _side_fn(case, b, lam)(J)
+    return -math.inf if x < 0.0 else min(x, 1e6)
 
 
-def _side_rest(b, lam, coef_known):
-    """1/lam^4 - coef_known/(lam+b)^4: what a condition leaves for its x term."""
-    return 1.0 / lam ** 4 - coef_known / (lam + b) ** 4
+def _side_rest(b, lam):
+    """coef -> 1/lam^4 - coef/(lam+b)^4: what a condition with coef on the
+    known value leaves for its x term, at fixed b and lam."""
+    inv4, lb4 = 1.0 / lam ** 4, (lam + b) ** 4
+    return lambda coef: inv4 - coef / lb4
 
 
-def _side_x(case, b, lam, J):
-    """The x where the first of the side conditions fails (inf if none does).
+def _side_fn(case, b, lam):
+    """J -> the x where the first of the side conditions fails (inf if none does).
 
-    ``side_limit`` without its cap and its check at x = 0: continuous in J,
-    and negative where even x = 0 fails.
+    ``side_limit`` without its cap, at fixed b and lam: continuous in J, and
+    negative where even x = 0 fails.  What does not depend on J is formed
+    once, here.
     """
-    def one_limit(coef_ln, coef_sq):
-        # x sits on the linear slot when the known value is on the square one
-        if case.unknown_slot == "known-on-square":
-            rest, coef_x = _side_rest(b, lam, coef_sq), coef_ln
-        else:
-            rest, coef_x = _side_rest(b, lam, coef_ln), coef_sq
-        if rest <= 0:
-            return math.inf
-        return (coef_x / rest) ** 0.25 - lam
+    c, d = _J0_FORMS[case.j0]
+    rest, extra = _side_rest(b, lam), case.extra_j1
 
-    lim = one_limit(j0_value(case, J), 1.0)
-    if case.extra_j1:
-        lim = min(lim, one_limit(j1_value(J), 2.0))
-    return lim
+    def limit(coef_x, r):   # the x where coef_x/(lam+x)^4 falls to r
+        return (coef_x / r) ** 0.25 - lam if r > 0 else math.inf
+
+    # x sits on the linear slot when the known value is on the square one, and
+    # then each condition's rest is the same for every J
+    if case.unknown_slot == "known-on-square":
+        rest0, rest1 = rest(1.0), rest(2.0)
+
+        def side_x(J):
+            x = limit(_j0(c, d, J), rest0)
+            return min(x, limit(j1_value(J), rest1)) if extra else x
+    else:
+        def side_x(J):
+            x = limit(1.0, rest(_j0(c, d, J)))
+            return min(x, limit(2.0, rest(j1_value(J)))) if extra else x
+    return side_x
 
 
 def _side_turns(case, b, lam):
@@ -364,20 +385,23 @@ def _side_turns(case, b, lam):
 
     Each condition's limit increases with its coefficient.  j0 = min(c J + d/J,
     4 J) peaks at its kink J^2 = d/(4 - c) (1/7 for 'sz', 1/4 for 'cc') and
-    has its one trough at J^2 = d/c; j1 = 4J/(J^2+1) peaks at J = 1.  With
-    the known value on the square slot (the one extra_j1 case) the two limits
-    cross where j0/j1 = rest_0/rest_1 =: rho: on the 4J branch at
-    J^2 = rho - 1, on the other at the roots y = J^2 of
-    c y^2 + (c + d - 4 rho) y + d = 0; their minimum peaks there or goes on
-    monotone.  Between these points the limit is monotone in J.
+    has its one trough at J^2 = d/c.  With the known value on the square slot
+    (the one extra_j1 case) the two limits cross where j0/j1 = rest_0/rest_1
+    =: rho: on the 4J branch at J^2 = rho - 1, on the other at the roots
+    y = J^2 of c y^2 + (c + d - 4 rho) y + d = 0; their minimum peaks there
+    or goes on monotone.  j1 = 4J/(J^2+1) peaks at J = 1, but the minimum
+    never turns there: at J = 1 ('cc': c = 1, d = 3/4) j1 = 2 > j0 = 7/4,
+    and rest_1 < rest_0 (the j1 condition carries 2, not 1, on the known
+    value), so the j1 limit (j1/rest_1)^(1/4) - lam lies strictly above the
+    j0 limit and the minimum follows j0 near J = 1.  Between these points the
+    limit is monotone in J.
     """
     c, d = _J0_FORMS[case.j0]
     kink = math.sqrt(d / (4.0 - c))
     turns = [kink]
     if case.extra_j1:
-        turns.append(1.0)
-        rest0 = _side_rest(b, lam, 1.0)
-        rest1 = _side_rest(b, lam, 2.0)
+        rest = _side_rest(b, lam)
+        rest0, rest1 = rest(1.0), rest(2.0)
         if rest1 > 0.0:
             rho = rest0 / rest1
             if rho - 1.0 <= kink * kink:
@@ -390,6 +414,35 @@ def _side_turns(case, b, lam):
     return turns, [math.sqrt(d / c)]
 
 
+def _poly_at(case, b, lam, phi):
+    """(g, target, side_x) of a poly case at fixed b, lambda and phi, for every J.
+
+    g and target are ``_kernels.poly_fn``'s, side_x is ``_side_fn``'s: a
+    search scores many J at one lambda, and what they share is formed once.
+    """
+    slot = 0 if case.unknown_slot == "known-on-square" else 1
+    g, target = _kernels.poly_fn(slot, lam, b, case.psi_over_phi * phi)
+    return g, target, _side_fn(case, b, lam)
+
+
+def _poly_bound(at, lam, J):
+    """(value, root, h(0), h(1000), x_side) of a poly case at J.
+
+    ``at`` is ``_poly_at``'s for the case at b, lambda, phi, all checked, and
+    x_side the uncapped side limit.  value is min(root, x_side),
+    ``solve_poly``'s lambda*, and NaN wherever ``solve_poly`` raises: h has
+    no sign change on [0, 1000] (root NaN) or the side condition fails at
+    width 0 (x_side < 0).  The search scores
+    each candidate J by this value alone; ``solve_poly`` adds the checks,
+    the residual and the result.
+    """
+    g, target, side_x = at
+    root, hlo, hhi = _kernels.poly_root(g, target, J, lam, 0.0, 1e3)
+    x_side = side_x(J)
+    value = math.nan if root != root or x_side < 0.0 else min(root, x_side)
+    return value, root, hlo, hhi, x_side
+
+
 def solve_poly(case, b, lam, J, phi=PHI):
     """Quartic-method repulsion bound with side-condition enforcement.
 
@@ -397,7 +450,8 @@ def solve_poly(case, b, lam, J, phi=PHI):
     min(equation root, side-condition limit), which is always a valid bound;
     ``side_limited`` marks capped results and ``root`` keeps the uncapped
     value.  SideConditionError is raised only when the condition fails even
-    at width 0, so no valid point exists.
+    at width 0, so no valid point exists.  The bound is ``_poly_bound``'s,
+    which the search calls for each candidate it scores.
     """
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "poly":
@@ -409,29 +463,23 @@ def solve_poly(case, b, lam, J, phi=PHI):
     if J < case.j_min:
         raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
     psi = case.psi_over_phi * phi
-    slot = 0 if case.unknown_slot == "known-on-square" else 1
     lam, J, b = float(lam), float(J), float(b)
-    root, hlo, hhi = _kernels.poly_root(slot, lam, J, b, psi, 0.0, 1e3)
+    at = _poly_at(case, b, lam, phi)
+    value, root, hlo, hhi, x_side = _poly_bound(at, lam, J)
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(
             f"{case.name}: no root in [0, 1000.0] at (b={b}, lambda={lam}, J={J});"
             f" h stays {sign}", sign=sign)
-    scale = 1.0 + (J * J + 0.5) * 3.2 + 2.0 * J * 3.2 + psi * (J + 1.0) ** 2 * lam
-    residual = abs(_kernels.poly_fn(slot, lam, J, b, psi)(lam / (lam + root))) / scale
-    params = {"lambda": lam, "J": J}
-    _, margin = side_condition(case, b, lam, J, root)
-    limit = side_limit(case, b, lam, J)
-    if limit == -math.inf:
+    if x_side < 0.0:
         raise SideConditionError(
             f"{case.name}: side condition fails for every width at "
             f"(b={b}, lambda={lam}, J={J}); no valid bound")
-    if root <= limit:
-        return BoundResult(case.name, b, float(root), params, True,
-                           residual, root=float(root), side_margin=margin)
-    return BoundResult(case.name, b, float(limit), params, True,
-                       residual, side_limited=True, root=float(root),
-                       side_margin=margin)
+    scale = 1.0 + (J * J + 0.5) * 3.2 + 2.0 * J * 3.2 + psi * (J + 1.0) ** 2 * lam
+    residual = abs(at[0](J, lam / (lam + root))) / scale
+    _, margin = side_condition(case, b, lam, J, root)
+    return BoundResult(case.name, b, value, {"lambda": lam, "J": J}, True, residual,
+                       side_limited=value != root, root=root, side_margin=margin)
 
 
 # ---------------------------------------------------------------------------

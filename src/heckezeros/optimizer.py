@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels, dh, trial_functions, zero_density
-from .errors import (HeckeZerosError, InfeasibleSearchError,
-                     InvalidParameterError, NoBoundError, SideConditionError)
+from .errors import HeckeZerosError, InfeasibleSearchError, InvalidParameterError
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -182,7 +181,7 @@ def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
     return results[0]
 
 
-def _j_candidates(case, b, lam, phi):
+def _j_candidates(case, b, lam, phi, at):
     """The J where min(root, side limit) can peak at fixed lambda, with limits.
 
     Between the box ends, the root's stationary points
@@ -192,16 +191,17 @@ def _j_candidates(case, b, lam, phi):
     point of the root where the side condition is slack, or at a peak of the
     limit where it binds.  A trough of the limit is never such a peak.  The
     sign of h at the side limit tells slack from binding, and a crossing is
-    a sign change of it, bisected on its piece without a root solve.
-    Returns (uncapped side limit, J) pairs, highest limit first.
+    a sign change of it, bisected on its piece without a root solve.  ``at``
+    is ``dh._poly_at(case, b, lam, phi)``, built once per lambda.  Returns
+    (uncapped side limit, J) pairs, highest limit first.
     """
-    b, psi = float(b), case.psi_over_phi * phi
+    psi = case.psi_over_phi * phi
     slot = 0 if case.unknown_slot == "known-on-square" else 1
     j_lo, j_hi = max(POLY_BOXES["J"][0], case.j_min), POLY_BOXES["J"][1]
+    g, _, side_x = at
 
     def gap(J):   # h at the side limit: > 0 where the root lies below it
-        x = dh._side_x(case, b, lam, J)
-        return _kernels.poly_fn(slot, lam, J, b, psi)(lam / (lam + x))
+        return g(J, lam / (lam + side_x(J)))
 
     def inside(Js):
         return {J for J in Js if j_lo < J < j_hi}
@@ -217,8 +217,7 @@ def _j_candidates(case, b, lam, phi):
         if g_lo * g_hi < 0.0:
             sign = 1.0 if g_lo < 0.0 else -1.0
             candidates.append(_kernels._bisect(lambda J: sign * gap(J), lo, hi)[0])
-    return sorted(((dh._side_x(case, b, lam, J), J) for J in candidates),
-                  key=lambda t: -t[0])
+    return sorted(((side_x(J), J) for J in candidates), key=lambda t: -t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +229,14 @@ def maximize_bound(spec):
 
     Polynomial cases tune (lambda, J) by a golden section over lambda of the
     J-maximum at each lambda, which the finite candidate set of
-    ``_j_candidates`` gives exactly; the budget counts the solves that score
-    the candidates.  Plain coordinate descent stalls on these landscapes: at
-    the constrained optima the equation root meets the side-condition limit
-    along a curve in (lambda, J), and every point of that curve is a
-    coordinatewise local maximum.  Smoothed cases tune the substitute weight
-    family by coordinate descent and re-descent.  Raises
+    ``_j_candidates`` gives exactly; the budget counts the candidates scored.
+    A candidate scores its bound (``dh._poly_bound``), with no checks,
+    residual or error message; only the winner is solved by
+    ``dh.solve_poly``, for its result.  Plain coordinate descent stalls on
+    these landscapes: at the constrained optima the equation root meets the
+    side-condition limit along a curve in (lambda, J), and every point of
+    that curve is a coordinatewise local maximum.  Smoothed cases tune the
+    substitute weight family by coordinate descent and re-descent.  Raises
     InvalidParameterError for a negative or non-finite width or phi, or a
     budget below 1, before any evaluation, and InfeasibleSearchError when
     nothing admissible was found within budget.
@@ -246,26 +247,27 @@ def maximize_bound(spec):
     if case.method == "poly":
         budget = _Budget(spec.max_evals)
         best = (-math.inf, None, None)
+        b = float(spec.b)   # as solve_poly reads it
 
         def inner(lam):
             nonlocal best
             v_lam = -math.inf
             if budget.left <= 0:
                 return v_lam
-            for limit, J in _j_candidates(case, spec.b, lam, spec.phi):
+            at = dh._poly_at(case, b, lam, spec.phi)
+            for limit, J in _j_candidates(case, b, lam, spec.phi, at):
                 # v <= limit: no later candidate can beat v_lam
                 if limit <= v_lam or not budget.spend():
                     break
-                try:
-                    v = dh.solve_poly(case, spec.b, lam, J, phi=spec.phi).lambda_star
-                except (NoBoundError, SideConditionError, InvalidParameterError):
+                v = dh._poly_bound(at, lam, J)[0]
+                if math.isnan(v):
                     continue
                 v_lam = max(v_lam, v)
                 if v > best[0]:
                     best = (v, lam, J)
             return v_lam
 
-        # the budget counts solve_poly calls only, so the lambda section is
+        # the budget counts candidate scores only, so the lambda section is
         # bounded by its tolerance alone
         _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf), coarse=25)
         v, lam_opt, J_opt = best

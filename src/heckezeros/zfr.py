@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, optimizer
-from .dh import PHI, cos_bound, require_finite
+from .dh import PHI, check_phi, cos_bound, require_finite
 from .errors import InvalidParameterError, NoBoundError
 from .trial_functions import K_FAMILY_PAIRS
 
@@ -120,7 +120,7 @@ def combine_L_coefficients(a, b, vartheta=0.75):
 def zfr_h(case, lam, phi=PHI):
     """The increasing function of lambda_1 whose root gives the region width."""
     case = get_case(case) if isinstance(case, str) else case
-    g = _kernels.zfr_fn(case.coeffs[0], case.coeffs[1], case.B, lam, phi)
+    g = _kernels.zfr_fn(case.coeffs[0], case.coeffs[1], case.B, lam, phi)[0]
 
     def h(x):
         return g(lam / (lam + np.asarray(x, dtype=float)))
@@ -137,6 +137,25 @@ def side_condition_limit(case, lam):
     return lam * (ratio ** 0.25 - 1.0)
 
 
+def _zfr_bound(case, lam, phi):
+    """(value, root, h(0), h(10), side limit) of a case at lambda.
+
+    ``case`` is a ZfrCase and lam > 0, phi >= 0 are checked floats.  value is
+    the width ``zfr_solve`` returns, NaN wherever it raises NoBoundError (h
+    has no sign change on [0, 10]).  The scan of ``zfr_optimize`` scores each
+    lambda by this value alone; ``zfr_solve`` adds the checks, the residual
+    and the result.
+    """
+    root, hlo, hhi = _kernels.zfr_root(float(case.coeffs[0]), float(case.coeffs[1]),
+                                       float(case.B), lam, phi, 0.0, 10.0)
+    limit = side_condition_limit(case, lam)
+    if root != root:
+        value = math.nan
+    else:
+        value = 0.0 if limit < 0 else min(root, limit)
+    return value, root, hlo, hhi, limit
+
+
 def zfr_solve(case, lam, phi=PHI):
     """Zero-free-region width for a chosen lambda.
 
@@ -145,15 +164,16 @@ def zfr_solve(case, lam, phi=PHI):
     the argument proves the region only while the side condition holds, and
     for the principal case the published width is exactly the (near-tight)
     side limit.  ``side_ok`` refers to the returned width; ``side_limited``
-    records when the cap was the binding constraint.
+    records when the cap was the binding constraint.  A negative phi is
+    rejected; phi = 0 drops the width term.
     """
     case = get_case(case) if isinstance(case, str) else case
-    require_finite(lam=lam, phi=phi)
+    require_finite(lam=lam)
+    check_phi(phi)
     if lam <= 0:
         raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
     lam, phi = float(lam), float(phi)
-    root, hlo, hhi = _kernels.zfr_root(c0, c1, B, lam, phi, 0.0, 10.0)
+    value, root, hlo, hhi, limit = _zfr_bound(case, lam, phi)
     if math.isnan(root):
         if hlo > 0:
             raise NoBoundError(
@@ -162,16 +182,11 @@ def zfr_solve(case, lam, phi=PHI):
         raise NoBoundError(
             f"zfr {case.name}: no root below 10.0 at lambda={lam}", sign="negative")
     # relative to the ~1e5-sized terms of the inequality
+    c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
     scale = 1.0 + c0 * 3.2 + B * phi * lam
-    residual = abs(_kernels.zfr_fn(c0, c1, B, lam, phi)(lam / (lam + root))) / scale
-    limit = side_condition_limit(case, lam)
-    if limit < 0:
-        return ZfrResult(case.name, lam, 0.0, False, True, float(root), residual)
-    if root <= limit:
-        return ZfrResult(case.name, lam, float(root), True, False,
-                         float(root), residual)
-    return ZfrResult(case.name, lam, float(limit), True, True,
-                     float(root), residual)
+    residual = abs(_kernels.zfr_fn(c0, c1, B, lam, phi)[0](lam / (lam + root))) / scale
+    return ZfrResult(case.name, lam, value, limit >= 0, value != root or limit < 0,
+                     root, residual)
 
 
 def zfr_order5(phi=PHI):
@@ -194,9 +209,11 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
 
     Solves 14379 F(-lam_star) - 24480 F(x - lam_star) + 62174 phi f(0) = 0
     for x in [0, lam_star].  The published constant uses an externally
-    defined weight, so results here are flagged approximate.
+    defined weight, so results here are flagged approximate.  A negative phi
+    is rejected.
     """
-    require_finite(lam_star=lam_star, phi=phi)
+    require_finite(lam_star=lam_star)
+    check_phi(phi)
     F_star = float(f.laplace(-lam_star).real)
     const = 14379.0 * F_star + 62174.0 * phi * f.content.f0
 
@@ -225,14 +242,16 @@ def zfr_optimize(case, phi=PHI):
     1e-6; infeasible lambdas (no root) score -inf.  Deterministic.  The width
     profile is continuous and unimodal on the feasible region (the root falls
     and the side limit rises in lambda), so this finds the global optimum.
+    phi is checked once, before the scan, which scores each lambda by the
+    width ``zfr_solve`` would return (``_zfr_bound``) without calling it.
     """
     case = get_case(case) if isinstance(case, str) else case
+    check_phi(phi)
+    phi = float(phi)
 
     def value(lam):
-        try:
-            return zfr_solve(case, lam, phi).lambda1
-        except NoBoundError:
-            return -math.inf
+        v = _zfr_bound(case, lam, phi)[0]
+        return -math.inf if math.isnan(v) else v
 
     lam_opt, width = optimizer._golden_max(value, 0.05, 3.0,
                                            optimizer._Budget(math.inf), coarse=241,

@@ -137,6 +137,9 @@ class TestInvalidInput:
         "optimize --case sz-lp-principal --b 0.1 --phi -0.25 --budget 10",
         "dh --case sz-lp-principal --b 0.1 --family triangle --params x0=2 --phi -0.25",
         "dh --case cc-lp-nonprincipal --b 0.1227 --lambda 1.097 --J 0.7788 --phi -0.25",
+        "zfr --case order234 --lambda 0.9421 --phi -0.25",
+        "zfr --case principal --optimize --phi -0.25",
+        "zfr --case order-ge6 --params x0=2 --phi -0.25",
         "optimize --case sz-lp-principal --b 0.1 --budget 0",
         "optimize --case cc-lp-nonprincipal --b 0.1227 --budget 0",
         "zd --lambda 0.2 --optimize --budget -1",

@@ -185,6 +185,32 @@ class TestSolvePoly:
         with pytest.raises(InvalidParameterError):
             dh.solve_poly("cc-lp-nonprincipal", 0.2, 1.0, 0.2)
 
+    @pytest.mark.parametrize("name", dh.POLY_CASES)
+    def test_search_score_is_the_solvers_bound(self, name):
+        # maximize_bound scores each candidate J by dh._poly_bound alone: over
+        # a (lambda, J) grid its value is solve_poly's lambda* to the bit, and
+        # NaN exactly where solve_poly raises
+        case = dh.CASES[name]
+        kinds = dict.fromkeys(("root", "side", "no root", "side fails"), 0)
+        for b in (0.012, 0.2):
+            for phi in (dh.PHI, 0.3):
+                for lam in map(float, np.geomspace(0.05, 4.0, 15)):
+                    at = dh._poly_at(case, b, lam, phi)
+                    for J in map(float, np.geomspace(max(0.01, case.j_min), 4.0, 15)):
+                        value = dh._poly_bound(at, lam, J)[0]
+                        try:
+                            res = dh.solve_poly(case, b, lam, J, phi=phi)
+                        except (NoBoundError, SideConditionError) as exc:
+                            assert math.isnan(value), (b, phi, lam, J)
+                            kinds["no root" if isinstance(exc, NoBoundError)
+                                  else "side fails"] += 1
+                            continue
+                        assert value == res.lambda_star, (b, phi, lam, J)
+                        kinds["side" if res.side_limited else "root"] += 1
+        assert min(kinds["root"], kinds["side"], kinds["no root"]) >= 50, kinds
+        # with x on the linear slot the side condition always holds at x = 0
+        assert (kinds["side fails"] > 0) == (case.unknown_slot == "known-on-square")
+
     def test_random_instances_match_scan(self):
         rng = np.random.default_rng(5)
         names = list(dh.POLY_CASES)

@@ -117,7 +117,8 @@ class TestInnerJ:
         b = t.rows[len(t.rows) // 2].b
         for lam in (0.3, 0.7, 1.0, 1.5, 2.0):
             got = -math.inf
-            for _, J in optimizer._j_candidates(case, b, lam, phi):
+            at = dh._poly_at(case, b, lam, phi)
+            for _, J in optimizer._j_candidates(case, b, lam, phi, at):
                 try:
                     got = max(got, dh.solve_poly(case, b, lam, J, phi=phi).lambda_star)
                 except HeckeZerosError:
@@ -128,11 +129,50 @@ class TestInnerJ:
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_middle_row_solves_at_most_300(self, monkeypatch, key):
-        # the nested golden section it replaced made 1,246-1,600 solves a row
+        # the nested golden section it replaced made 1,246-1,600 solves a row;
+        # a candidate is scored by dh._poly_bound, which the one solve_poly
+        # of the winner also calls
         t = tables.load_table(key)
-        calls = TestBudget.counted(monkeypatch, dh, "solve_poly")
+        scores = TestBudget.counted(monkeypatch, dh, "_poly_bound")
+        solves = TestBudget.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
-        assert len(calls) <= 300
+        assert 40 <= len(scores) <= 300
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("phi", [dh.PHI, 0.3])
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_root_and_side_limit_are_monotone_between_turns(self, key, phi):
+        # _j_candidates takes the root and the side limit as monotone in J
+        # between the box ends, the root's stationary points and the side
+        # limit's turns (dh._side_turns); a missing turn would show as a
+        # change of direction inside a piece.  The side limit does not read
+        # phi, the root's stationary points do
+        t = tables.load_table(key)
+        case = dh.get_case(t.case_name)
+        slot = 0 if case.unknown_slot == "known-on-square" else 1
+        psi = case.psi_over_phi * phi
+        j_lo = max(optimizer.POLY_BOXES["J"][0], case.j_min)
+        j_hi = optimizer.POLY_BOXES["J"][1]
+
+        def monotone(values):   # arctan maps an infinite side limit to pi/2
+            d = np.diff(np.arctan(values[~np.isnan(values)]))
+            return bool(np.all(d >= -1e-12) or np.all(d <= 1e-12))
+
+        pieces = 0
+        for b in (t.rows[0].b, t.rows[len(t.rows) // 2].b, t.rows[-1].b):
+            for lam in (0.3, 1.0, 2.0, 3.5):
+                at = dh._poly_at(case, b, lam, phi)
+                peaks, troughs = dh._side_turns(case, b, lam)
+                turns = [*_kernels._poly_j_stationary(slot, lam, b, psi), *peaks, *troughs]
+                edges = sorted({j_lo, j_hi} | {J for J in turns if j_lo < J < j_hi})
+                for lo, hi in zip(edges, edges[1:]):
+                    Js = np.linspace(lo, hi, 150)
+                    side = np.array([at[2](J) for J in Js])
+                    root = np.array([dh._poly_bound(at, lam, J)[1] for J in Js])
+                    assert monotone(side), (b, lam, lo, hi)
+                    assert monotone(root), (b, lam, lo, hi)
+                    pieces += 1
+        assert pieces >= 3 * 12
 
 
 class TestSmoothedSearch:
@@ -256,9 +296,11 @@ class TestBudget:
         assert 60 <= len(scores) <= 82 and len(bounds) == 1
 
     def test_poly_search(self, monkeypatch):
-        calls = self.counted(monkeypatch, dh, "solve_poly")
+        scores = self.counted(monkeypatch, dh, "_poly_bound")
+        solves = self.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec("cc-lp-nonprincipal", 0.1227, max_evals=300))
-        assert len(calls) <= 301
+        assert 40 <= len(scores) <= 301
+        assert len(solves) == 1
 
 
 class TestInvalidInput:
@@ -288,10 +330,11 @@ class TestInvalidInput:
     @pytest.mark.parametrize("b, phi", [(math.nan, dh.PHI), (-1.0, dh.PHI),
                                         (0.1227, math.inf)])
     def test_poly_search(self, monkeypatch, b, phi):
+        scores = self.counted(monkeypatch, dh, "_poly_bound")
         solves = self.counted(monkeypatch, dh, "solve_poly")
         with pytest.raises(InvalidParameterError):
             maximize_bound(SearchSpec("cc-lp-nonprincipal", b, phi=phi))
-        assert solves == []
+        assert scores == solves == []
 
     @pytest.mark.parametrize("search", [
         lambda budget, phi: maximize_bound(
@@ -308,11 +351,12 @@ class TestInvalidInput:
         # a budget below 1 and a negative phi are rejected alike by every
         # search, before its first evaluation
         calls = [self.counted(monkeypatch, dh, "_smoothed_root"),
+                 self.counted(monkeypatch, dh, "_poly_bound"),
                  self.counted(monkeypatch, dh, "solve_poly"),
                  self.counted(monkeypatch, zero_density, "bound_if_admissible")]
         with pytest.raises(InvalidParameterError, match=word):
             search(budget, phi)
-        assert calls == [[], [], []]
+        assert calls == [[], [], [], []]
 
 
 class TestZdSearch:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heckezeros import oracles, p4, trial_functions as tf, zfr
+from heckezeros import _kernels, oracles, p4, trial_functions as tf, zfr
 from heckezeros.errors import InvalidParameterError, NoBoundError
 
 
@@ -93,6 +93,55 @@ class TestSolve:
         kwargs = {"lam": 0.9421, "phi": 0.25, arg: bad}
         with pytest.raises(InvalidParameterError, match=arg):
             zfr.zfr_solve("order234", **kwargs)
+
+
+class TestNegativePhi:
+    """A negative phi flips the sign of the width term and inflates the bound:
+    at phi = -1/4, order234 at lambda 0.9421 gave 0.1846 (0.1227 at 1/4),
+    its optimum 0.510, and order>=6 with triangle(2) the full floor 0.3916,
+    where phi = 1/4 proves nothing.  phi = 0 stays allowed."""
+
+    def test_solve(self):
+        with pytest.raises(InvalidParameterError, match="phi must be >= 0"):
+            zfr.zfr_solve("order234", 0.9421, phi=-0.25)
+
+    def test_optimize_checks_before_its_scan(self, monkeypatch):
+        roots = []
+        monkeypatch.setattr(_kernels, "zfr_root", lambda *args: roots.append(args))
+        with pytest.raises(InvalidParameterError, match="phi must be >= 0"):
+            zfr.zfr_optimize("order234", phi=-0.25)
+        assert roots == []
+
+    def test_order_ge6(self):
+        with pytest.raises(NoBoundError):
+            zfr.zfr_order_ge6(tf.triangle(2.0))
+        with pytest.raises(InvalidParameterError, match="phi must be >= 0"):
+            zfr.zfr_order_ge6(tf.triangle(2.0), phi=-0.25)
+
+    def test_zero_phi_allowed(self):
+        assert zfr.zfr_order_ge6(tf.triangle(2.0), phi=0.0).lambda1 > 0.0
+        lam, width = zfr.zfr_optimize("order234", phi=0.0)
+        assert width == zfr.zfr_solve("order234", lam, phi=0.0).lambda1 > 0.0
+
+
+@pytest.mark.parametrize("case", ["order234", "principal"])
+def test_scan_score_is_the_solvers_width(case):
+    # zfr_optimize scores each lambda by zfr._zfr_bound alone: over its scan
+    # range its value is zfr_solve's width to the bit, and NaN exactly where
+    # zfr_solve raises NoBoundError
+    kinds = {"root": 0, "side": 0, "fails": 0}
+    for phi in (0.0, 0.25, 0.3):
+        for lam in np.linspace(0.05, 3.0, 119):
+            value = zfr._zfr_bound(zfr.CASES[case], float(lam), phi)[0]
+            try:
+                res = zfr.zfr_solve(case, lam, phi)
+            except NoBoundError:
+                assert math.isnan(value), (phi, lam)
+                kinds["fails"] += 1
+                continue
+            assert value == res.lambda1, (phi, lam)
+            kinds["side" if res.side_limited else "root"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 class TestOrder5:
