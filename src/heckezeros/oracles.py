@@ -1,23 +1,32 @@
 """Independent brute-force verification backends.
 
 These deliberately use different algorithms from the primary code paths
-(Romberg quadrature vs closed forms, scan-then-bisect vs the ITP root solver)
-so that agreement between the two is evidence rather than tautology.
+(Romberg quadrature vs closed forms, scan-and-subdivide vs the ITP root
+solver) so that agreement between the two is evidence rather than tautology.
 
 The quadrature oracle integrates ``f(t) e^{-zt}`` over the weight's support
 by Romberg extrapolation of the nested trapezoid rule: each level halves the
 step, evaluates the integrand only at the new midpoints, and adds one
 Richardson row.  A level is accepted only once the step resolves the
 oscillation of ``e^{-zt}`` (four nodes per period), so coarse rules whose
-nodes all alias to one phase cannot "agree" on a wrong value.
+nodes all alias to one phase cannot "agree" on a wrong value.  The nodes do
+not depend on ``z``, so the samples of ``f`` are memoized per (weight,
+level) for the last ``_MAX_LEVEL + 1`` pairs (``_samples``): checking one
+weight at many points evaluates it once per node.  The memo holds at most 16
+pairs of read-only arrays of at most 2**14 floats each (4 MiB), and keeps
+those weights alive until they are evicted.
+
+The root oracle scans at a coarse step for the leftmost sign change, then
+narrows that cell by 64-way subdivisions to 1e-12.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRootError, OracleFailureError
+from .errors import DomainError, InvalidParameterError, NoRootError, OracleFailureError
 
 
 @dataclass(frozen=True)
@@ -65,11 +74,20 @@ def equality_report(check, deviations, locations, tolerance):
 _MAX_LEVEL = 15
 
 
-def _romberg(g, x0, abs_tol, h_max=math.inf):
-    """Romberg integral of ``g`` over [0, x0], or None past 2**15 panels.
+def _nodes(x0, level):
+    """The nodes level ``level`` of the nested trapezoid rule on [0, x0] adds:
+    both ends at level 0, the ``2**(level-1)`` new midpoints after that."""
+    if level == 0:
+        return np.array([0.0, x0])
+    return (x0 * 0.5 ** level) * np.arange(1.0, 2.0 ** level, 2.0)
 
-    ``g`` maps an array of nodes to an array of values.  Level k halves the
-    step to ``h = x0 / 2**k``, refines the trapezoid sum with the new
+
+def _romberg(g, x0, abs_tol, h_max=math.inf):
+    """Romberg integral over [0, x0] of the integrand ``g`` samples, or None
+    past 2**15 panels.
+
+    ``g(level)`` gives the integrand at ``_nodes(x0, level)``.  Level k halves
+    the step to ``h = x0 / 2**k``, refines the trapezoid sum with the new
     midpoints only (``T_k = T_{k-1} / 2 + h * sum(new)``) and extends the
     Richardson row ``R[j] = R[j-1] + (R[j-1] - prev[j-1]) / (4**j - 1)``.
     It returns the diagonal ``R_k`` once ``|R_k - R_{k-1}| <= abs_tol +
@@ -77,11 +95,11 @@ def _romberg(g, x0, abs_tol, h_max=math.inf):
     polynomials of degree up to ``2k + 1``.
     """
     h = x0
-    trap = 0.5 * h * g(np.array([0.0, x0])).sum()
+    trap = 0.5 * h * g(0).sum()
     row = [trap]
     for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
-        trap = 0.5 * trap + h * g(h * np.arange(1.0, 2.0 ** level, 2.0)).sum()
+        trap = 0.5 * trap + h * g(level).sum()
         new = [trap]
         for j in range(1, level + 1):
             new.append(new[-1] + (new[-1] - row[j - 1]) / (4.0 ** j - 1.0))
@@ -89,6 +107,16 @@ def _romberg(g, x0, abs_tol, h_max=math.inf):
             return new[-1]
         row = new
     return None
+
+
+@functools.lru_cache(maxsize=_MAX_LEVEL + 1)
+def _samples(f, level):
+    """Read-only ``(t, f(t))`` at ``_nodes(f.content.x0, level)``, memoized
+    for the last ``_MAX_LEVEL + 1`` (weight, level) pairs."""
+    ts = _nodes(f.content.x0, level)
+    fs = np.array(f(ts))        # a copy: freezing it leaves f's own arrays writable
+    ts.flags.writeable = fs.flags.writeable = False
+    return ts, fs
 
 
 def quadrature_laplace(f, z, abs_tol=1e-13):
@@ -102,11 +130,24 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
     ``e^{-zt}``): coarser nodes can all sit at one phase, where two
     under-resolved rules agree on a wrong value.  The default 1e-13 target
     is attainable for |z| x0 up to a few hundred; beyond that pass a looser
-    target.  Past the cap it raises ``OracleFailureError``.
+    target.  Past the cap it raises ``OracleFailureError``; a non-finite
+    ``z`` raises ``DomainError`` before any sampling.
+
+    The samples of ``f`` come from ``_samples``, so calls at many ``z`` for
+    one weight evaluate ``f`` once per node.  ``f`` is hashed by identity
+    (``TrialFunction`` defines no ``__eq__``) and must not change its values
+    after construction.
     """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"quadrature needs a finite z, got z={z}")
     h_max = math.pi / (2.0 * abs(z.imag)) if z.imag else math.inf
-    val = _romberg(lambda ts: f(ts) * np.exp(-z * ts), f.content.x0, abs_tol, h_max)
+
+    def g(level):
+        ts, fs = _samples(f, level)
+        return fs * np.exp(-z * ts)
+
+    val = _romberg(g, f.content.x0, abs_tol, h_max)
     if val is None:
         raise OracleFailureError(
             f"Romberg quadrature did not converge for z={z} within 2^{_MAX_LEVEL} panels")
@@ -116,7 +157,7 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
 def romberg_selftest():
     """The diagonal entry ``R_3`` is exact for degree 7, so the rule
     returns int_0^1 t^7 dt = 1/8 at level 4; give its error."""
-    return abs(_romberg(lambda ts: ts ** 7, 1.0, 1e-13) - 0.125)
+    return abs(_romberg(lambda level: _nodes(1.0, level) ** 7, 1.0, 1e-13) - 0.125)
 
 
 def scan_root(h, lo, hi, step):
@@ -124,43 +165,40 @@ def scan_root(h, lo, hi, step):
 
     ``h`` must accept NumPy arrays.  A coarse pass (step 1e-2, or a hundredth
     of the interval if smaller, never finer than ``step``) brackets the first
-    change, a fine pass at ``step`` pins it to one cell, and bisection polishes
-    to 1e-12.  For continuous h this matches a flat scan at ``step`` whenever
-    h does not change sign twice inside one coarse cell (true for the
-    monotone solver functions this oracle checks).
+    change.  Then passes of 64 equal subcells each keep the leftmost subcell
+    with a change, until the cell is at most 1e-12 wide or stops shrinking
+    (its ends are adjacent floats), and the cell midpoint is returned: one
+    ``h`` call per pass, six after a coarse cell of 1e-2.  For continuous h
+    this matches a flat scan at ``step`` followed by bisection whenever h
+    does not change sign twice inside one coarse cell (true for the
+    monotone solver functions this oracle checks).  Non-finite bounds or a
+    ``step`` that is not a positive finite number raise
+    ``InvalidParameterError``.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameterError(f"scan bounds must be finite, got [{lo}, {hi}]")
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidParameterError(f"scan step must be positive and finite, got {step}")
     if hi <= lo:
         raise NoRootError(f"empty bracket [{lo}, {hi}]")
     coarse = max(step, min(1e-2, (hi - lo) / 100.0))
 
-    def first_change(a, b, dx):
-        xs = np.arange(a, b + dx, dx)
-        xs[-1] = min(xs[-1], b)
-        vals = np.asarray(h(xs), dtype=float)
-        sign = np.sign(vals)
+    def first_change(xs):
+        sign = np.sign(np.asarray(h(xs), dtype=float))
         idx = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
         if idx.size == 0:
             return None
         i = int(idx[0])
-        return xs[i], xs[i + 1]
+        return float(xs[i]), float(xs[i + 1])
 
-    cell = first_change(lo, hi, coarse)
+    xs = np.arange(lo, hi + coarse, coarse)
+    xs[-1] = min(xs[-1], hi)
+    cell = first_change(xs)
     if cell is None:
         raise NoRootError(f"no sign change of oracle target on [{lo}, {hi}]")
-    if coarse > step:
-        fine = first_change(cell[0], cell[1], step)
-        if fine is not None:
-            cell = fine
-    a, b = float(cell[0]), float(cell[1])
-    fa = float(h(np.array([a]))[0])
-    for _ in range(200):
-        if b - a <= 1e-12:
+    while cell[1] - cell[0] > 1e-12:
+        sub = first_change(np.linspace(cell[0], cell[1], 65))
+        if sub is None or sub == cell:
             break
-        mid = 0.5 * (a + b)
-        fm = float(h(np.array([mid]))[0])
-        if fa * fm <= 0 and fm != 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
+        cell = sub
+    return 0.5 * (cell[0] + cell[1])

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckezeros import oracles, trial_functions as tf
-from heckezeros.errors import NoRootError, OracleFailureError
+from heckezeros.errors import (DomainError, InvalidParameterError, NoRootError,
+                               OracleFailureError)
 
 #: transform points like those the oracle benchmark checks (|z| x0 <= ~50)
 _ZS = [complex(a, b) for a in (-2.0, 0.5, 2.5) for b in (-7.0, 1.0, 9.0)
@@ -18,14 +20,32 @@ def _cosine_weight():
 
 
 class _CountingWeight:
-    """Stand-in weight that counts the integrand nodes it is asked for."""
+    """Stand-in weight that records the integrand nodes it is asked for."""
 
     def __init__(self, f):
-        self.f, self.content, self.nodes = f, f.content, 0
+        self.f, self.content, self.nodes, self.seen = f, f.content, 0, []
 
     def __call__(self, ts):
         self.nodes += len(ts)
+        self.seen.append(np.array(ts))
         return self.f(ts)
+
+
+_WEIGHTS = [tf.triangle(2.0),
+            tf.autocorrelation(alpha=0.5, c0=1.0, c1=0.0, beta=0.0, s=1.0),
+            _cosine_weight()]
+
+
+def _uncached_quadrature(f, z):
+    """The quadrature oracle's rule with ``f`` sampled afresh at every call."""
+    x0 = f.content.x0
+    h_max = math.pi / (2.0 * abs(z.imag)) if z.imag else math.inf
+
+    def g(level):
+        ts = oracles._nodes(x0, level)
+        return f(ts) * np.exp(-z * ts)
+
+    return oracles._romberg(g, x0, 1e-13, h_max)
 
 
 def test_romberg_exact_on_septic():
@@ -72,6 +92,54 @@ def test_quadrature_node_count(z):
     assert abs(val - f.f.laplace(z)) < 1e-10 * (1.0 + abs(val))
 
 
+@pytest.mark.parametrize("f", _WEIGHTS, ids=repr)
+def test_shared_samples_match_uncached_rule_bitwise(f):
+    oracles._samples.cache_clear()
+    for z in _ZS + [complex(0.5, 1.0), 4j * math.pi]:
+        assert oracles.quadrature_laplace(f, z) == _uncached_quadrature(f, z)
+
+
+def test_shared_samples_evaluate_each_node_once():
+    # the nodes do not depend on z, so the 8 points of one weight read f
+    # once per level reached (about 11 calls) instead of once per level per
+    # point (about 83)
+    oracles._samples.cache_clear()
+    f = _CountingWeight(_cosine_weight())
+    for z in _ZS:
+        oracles.quadrature_laplace(f, z)
+    nodes = np.concatenate(f.seen)
+    assert len(f.seen) <= 12
+    assert np.unique(nodes).size == nodes.size == f.nodes
+
+
+def test_failure_at_cap_leaves_later_calls_correct():
+    f, g = tf.triangle(2.0), _cosine_weight()
+    oracles.quadrature_laplace(g, 0.5 + 2.0j)
+    with pytest.raises(OracleFailureError):
+        oracles.quadrature_laplace(f, 1e5j)
+    for w in (f, g):
+        for z in (0.5 + 2.0j, -2.0 + 9.0j, 4j * math.pi):
+            val = oracles.quadrature_laplace(w, z)
+            assert val == _uncached_quadrature(w, z)
+            assert abs(val - w.laplace(z)) < 1e-10
+
+
+def test_shared_samples_are_read_only():
+    ts, fs = oracles._samples(tf.triangle(2.0), 3)
+    assert not ts.flags.writeable and not fs.flags.writeable
+    with pytest.raises(ValueError):
+        fs[0] = 1.0
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                               complex(1.0, math.nan)], ids=str)
+def test_quadrature_rejects_non_finite_z(z):
+    f = _CountingWeight(tf.triangle(2.0))
+    with pytest.raises(DomainError, match="z="):
+        oracles.quadrature_laplace(f, z)
+    assert f.nodes == 0
+
+
 def test_quadrature_cap_raises():
     # h |Im z| <= pi/2 needs 2**17 panels on [0, 2] here, past the 2**15 cap
     with pytest.raises(OracleFailureError):
@@ -92,3 +160,73 @@ def test_scan_root_no_change():
     with pytest.raises(NoRootError):
         oracles.scan_root(lambda x: x + 1.0, 0.0, 2.0, 1e-3)
 
+
+
+@pytest.mark.parametrize("lo, hi, step", [
+    (0.0, math.nan, 1e-3), (math.nan, 2.0, 1e-3), (0.0, math.inf, 1e-3),
+    (-math.inf, 2.0, 1e-3), (0.0, 2.0, 0.0), (0.0, 2.0, -1e-3),
+    (0.0, 2.0, math.nan), (0.0, 2.0, math.inf)], ids=str)
+def test_scan_root_rejects_bad_inputs(lo, hi, step):
+    calls = []
+    with pytest.raises(InvalidParameterError):
+        oracles.scan_root(lambda x: calls.append(x) or x - 1.0, lo, hi, step)
+    assert not calls
+
+
+def test_scan_root_polishes_in_few_calls():
+    # one coarse pass at 1e-2, then 64-way subdivisions: 1e-2 / 64**6 < 1e-12
+    calls = []
+
+    def h(x):
+        calls.append(len(x))
+        return x - 17.3
+
+    root = oracles.scan_root(h, 0.0, 60.0, 1e-6)
+    assert abs(root - 17.3) <= 1e-12
+    assert len(calls) <= 8
+
+
+def test_scan_root_stops_at_adjacent_floats():
+    # float spacing near 1e5 is 1.5e-11, so the cell never gets 1e-12 wide
+    # (h gives up after 20 calls, so a scan that keeps subdividing fails
+    # here instead of hanging)
+    r, calls = 1e5 + 0.3, []
+
+    def h(x):
+        calls.append(len(x))
+        if len(calls) > 20:
+            raise RuntimeError("scan did not stop")
+        return x - r
+
+    root = oracles.scan_root(h, 1e5 - 1.0, 1e5 + 1.0, 1e-6)
+    assert abs(root - r) <= 2.0 * math.ulp(r)
+
+
+def _flat_scan_then_bisect(h, lo, hi, step):
+    """Reference: leftmost sign change of a flat scan at ``step``, then
+    bisection of that cell to 1e-12."""
+    xs = np.arange(lo, hi + step, step)
+    xs[-1] = min(xs[-1], hi)
+    sign = np.sign(h(xs))
+    i = int(np.nonzero(sign[:-1] * sign[1:] <= 0)[0][0])
+    a, b = float(xs[i]), float(xs[i + 1])
+    fa = float(h(np.array([a]))[0])
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        fm = float(h(np.array([mid]))[0])
+        if fa * fm <= 0 and fm != 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+@given(r=st.floats(0.01, 1.99), k=st.floats(1e-3, 1e3),
+       sense=st.sampled_from([1.0, -1.0]), shape=st.sampled_from(["linear", "cubic", "tanh"]),
+       step=st.sampled_from([1e-3, 1e-4]))
+@settings(max_examples=60, deadline=None)
+def test_scan_root_matches_flat_scan_on_monotone_functions(r, k, sense, shape, step):
+    outer = {"linear": lambda u: u, "cubic": lambda u: u ** 3, "tanh": np.tanh}[shape]
+    h = lambda x: sense * outer(k * (x - r))
+    ref = _flat_scan_then_bisect(h, 0.0, 2.0, step)
+    assert abs(oracles.scan_root(h, 0.0, 2.0, step) - ref) <= 1e-12 + 2.0 * math.ulp(ref)
