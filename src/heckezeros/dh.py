@@ -273,10 +273,14 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
             + (" (no repulsion provable)" if sign == "positive"
                else " (degenerate / unbounded, flagged for review)"),
             sign=sign)
-    # residual is measured relative to the evaluated transform terms: at tiny
-    # widths they reach e^{x0 x} ~ 1e10 and an absolute figure would only
-    # report float cancellation noise, not root quality
-    residual = abs(h(root)) / (1.0 + abs(F(-root)) + abs(F(b - root)))
+    # residual is measured relative to the transform terms h evaluates at the
+    # root: at tiny widths they reach e^{x0 x} ~ 1e10 and an absolute figure
+    # would only report float cancellation noise, not root quality
+    if case.form == "sz":
+        scale = 1.0 + abs(F(-root)) + abs(F(b - root))
+    else:
+        scale = 1.0 + abs(F(-b)) + abs(F(0.0)) + abs(F(root - b))
+    residual = abs(h(root)) / scale
     params = {"family": f.family, **f.params}
     return BoundResult(case.name, b, float(root), params, True, residual,
                        root=float(root))

@@ -14,8 +14,11 @@ family code and f(0) alone (``_search_profiles``): by its root
 (``dh._smoothed_root``) or its density bound from three transform values
 (``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
 or error message; only the winner is built as a weight and handed to the
-public solver or bound.  No randomness, fixed iteration counts,
-lexicographic tie-breaks, so identical specs give identical results.  Side
+public solver or bound.  Every search starts from the same seeds and scans
+the same first lines, so most weights it asks for were built before, by an
+earlier row or cell: the codes come from the process-wide build cache of
+``trial_functions.autocorrelation_code``.  No randomness, fixed iteration
+counts, lexicographic tie-breaks, so identical specs give identical results.  Side
 conditions and solver failures are hard constraints handled by rejection
 (score -inf); the optimum may sit on the feasible boundary, which the
 in-bracket golden section finds.
@@ -307,8 +310,10 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
     that cannot be built counts as -inf, and the score returns -inf for one
     that bounds nothing.  Returns (weight, mult) of the best profile, the
     winner built as a ``TrialFunction``, or None when no weight in the box
-    scores finite.  Each profile keeps the score of every (alpha, s) it saw,
-    so a point the search visits again costs neither a build nor a score.
+    scores finite.  Each profile keeps the score of every (alpha, s) it saw
+    (``seen``), so a point the search visits again costs nothing; a point
+    new to this search but built before in the process costs a score and no
+    build, as ``autocorrelation_code`` memoizes builds process-wide.
     """
     per_profile = max(budget // len(PROFILES), 40)
     best = None

@@ -1,2 +1,14 @@
+import pytest
+
+from heckezeros import trial_functions
+
+
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running end-to-end checks")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_build_cache():
+    """Each test starts from an empty family-build cache, so no test sees
+    codes (or lazily filled moments) an earlier test built."""
+    trial_functions._cached_build.cache_clear()

@@ -1,12 +1,13 @@
 """Repulsion solvers: case wiring, roots, side conditions, closed forms."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezeros import dh, oracles, trial_functions as tf
+from heckezeros import _kernels, dh, oracles, trial_functions as tf
 from heckezeros.errors import InvalidParameterError, NoBoundError, SideConditionError
 
 E = math.e
@@ -129,6 +130,28 @@ class TestSolveSmoothed:
         res = dh.solve_smoothed("sz-lp-quadratic", tf.triangle(14.0), 0.01)
         assert math.isfinite(res.lambda_star)
         assert res.residual <= 1e-9
+
+    @pytest.mark.parametrize("name,b", [("cc-l2-chi2-principal-real", 0.2),
+                                        ("cc-l2-nonprincipal", 0.05),
+                                        ("sz-lp-principal", 0.05)])
+    def test_residual_scales_by_the_terms_h_reads(self, name, b):
+        # 'sz' h reads F(-x) and F(b - x); 'cc' h reads F(-b), F(0) and
+        # F(x - b), never F(-x), which at triangle(8) and b = 0.2 is 61.8
+        f, case = tf.triangle(8.0), dh.get_case(name)
+        res = dh.solve_smoothed(case, f, b)
+        F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
+        form = 0 if case.form == "sz" else 1
+        h = _kernels.smoothed_fn(F, form, float(case.c1), case.psi_over_phi * dh.PHI,
+                                 b, f.content.f0)
+        x = res.root
+        terms = (F(-x), F(b - x)) if form == 0 else (F(-b), F(0.0), F(x - b))
+        scale = 1.0
+        for term in terms:
+            scale += abs(term)
+        assert res.residual == abs(h(x)) / scale
+        assert res.residual <= 1e-9
+        if form == 1 and h(x) != 0.0:   # the 'sz' terms give another figure
+            assert res.residual != abs(h(x)) / (1.0 + abs(F(-x)) + abs(F(b - x)))
 
 
 class TestSolvePoly:

@@ -279,29 +279,43 @@ def _unread(f):
     return all(M._m is None for *_, M, _ in f.kernel_code()[1])
 
 
+def _fresh(**params):
+    """``tf.autocorrelation(**params)`` built now, not taken from the build
+    cache, whose code an earlier build may have read."""
+    tf._cached_build.cache_clear()
+    return tf.autocorrelation(**params)
+
+
 class TestLazyMoments:
-    """A build forms K = M_0 only; M_1 .. M_7 are formed on first read."""
+    """A build forms K = M_0 only; M_1 .. M_7 are formed on first read.
+
+    Each test asserts facts about a fresh build, so it builds through the
+    uncached ``tf._build`` or clears the build cache first (``_fresh``)."""
 
     def test_search_builds_leave_them_unread(self):
-        code, f0 = tf.autocorrelation_code(*optimizer._generator(0.7, 3.2, 1.0))
+        params = optimizer._generator(0.7, 3.2, 1.0)
+        code, f0 = tf._build(*map(float, params))
         assert all(M._m is None for *_, M, _ in code[1])
-        assert f0 == tf.autocorrelation(*optimizer._generator(0.7, 3.2, 1.0)).content.f0
+        assert f0 == tf.autocorrelation(*params).content.f0
 
     @pytest.mark.parametrize("alpha", [0.5, -1.3, 0.0])
     def test_plain_weight_at_minus_alpha(self, alpha):
         # r = -alpha puts the pair's g_j + r at 0: the scalar kernel and the
         # array path both take the series that reads M_1 .. M_7
-        f = tf.autocorrelation(alpha=alpha, s=2.0)
+        f = _fresh(alpha=alpha, s=2.0)
         assert _unread(f)
         got = _kernels.f_real_scalar(f.kernel_code(), -alpha)
         assert not _unread(f)
         assert got == _kernels.f_real_scalar(_eager(f), -alpha)
-        f = tf.autocorrelation(alpha=alpha, s=2.0)
+        f = _fresh(alpha=alpha, s=2.0)
+        assert _unread(f)
         got = f.laplace(np.array([-alpha, 0.3]))
+        assert not _unread(f)
         assert np.array_equal(got, _kernels.f_array(_eager(f), np.array([-alpha, 0.3])))
 
     def test_f_array_near_minus_g_j(self):
-        f = tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
+        f = _fresh(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
+        assert _unread(f)
         g_j = [g for _, g_j, *_ in f.kernel_code()[1] for g in (g_j, g_j.conjugate())]
         edge = _kernels.SMALL_W / 2.5
         zs = np.array([-g + d * edge * np.exp(0.7j) for g in g_j for d in (0.0, 0.3, 0.9)])
@@ -311,7 +325,8 @@ class TestLazyMoments:
 
     def test_fill_is_idempotent_across_threads(self):
         # readers racing on the first read all see the eager build's bits
-        f = tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
+        f = _fresh(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
+        assert _unread(f)
         want = [M for *_, M, _ in _eager(f)[1]]
         barrier = threading.Barrier(8, timeout=30)
         seen = []
@@ -349,7 +364,7 @@ class TestLazyMoments:
             f0 = sum(c * K for c, K in zip((1.0, 1.0, 1.0, 0.5, 0.5), ref[0].tolist())).real
             finite = bool(np.isfinite(ref).all()) and math.isfinite(f0)
             try:
-                f = tf.autocorrelation(alpha=alpha, c0=1.0, c1=1.0, beta=beta, s=s)
+                f = _fresh(alpha=alpha, c0=1.0, c1=1.0, beta=beta, s=s)
             except InvalidParameterError:
                 refused += 1
                 assert not finite, alpha
