@@ -18,8 +18,10 @@ unknown, and which side-condition coefficient formula applies.  The case
 table is data so the wiring can be audited line by line.
 
 ``solve_smoothed`` is a thin wrapper over ``_smoothed_root``, the root
-alone, which the family search calls for every weight it scores; the
-solver adds the failure reports, the residual and the ``BoundResult``.
+alone, which the family search calls for every weight it scores (on a
+snapped h, whose root stops at h's rounding floor); the solver adds the
+failure reports, the residual and the ``BoundResult``, and its roots, on the
+exact h, resolve to adjacent floats.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
 lambda built once (``_poly_at``).
@@ -200,7 +202,7 @@ def smoothed_h(case, f, b, phi=PHI):
                                 case.psi_over_phi * phi, b, f.content.f0)
 
 
-def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None):
+def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False):
     """(root, h(0), h(hi), hi, h) of a smoothed case's h for the transform F.
 
     F maps real r to F(r) as a float and f0 = f(0); ``case`` is a smoothed
@@ -209,6 +211,14 @@ def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None):
     (or is NaN at an end), or is 0 at both ends.  ``hi`` is the bracket end
     the solve used.  The family search scores weights by this root alone;
     ``solve_smoothed`` adds the checks, the residual and the result.
+
+    ``snap`` is the family search's: h is ``smoothed_fn``'s snapped h, 0.0
+    below its rounding floor, so the root stops where the sign of h turns to
+    rounding noise instead of at adjacent floats (a search root, which only
+    ranks weights; ``solve_smoothed`` never snaps).  A 'cc' h that is positive
+    at 0, where it costs no transform call, bounds nothing, as h increases: it
+    returns at once, with a NaN root and h(hi) not evaluated (NaN).  A snapped
+    h that is 0 at the top end of the bracket its solve used gives a NaN root.
     """
     hi = float(hi)
     form = 0 if case.form == "sz" else 1
@@ -219,9 +229,18 @@ def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None):
         if form == 1 or hi <= 1.0 or not math.isinf(F(-hi)):
             break
         hi = 0.5 * hi
-    h = _kernels.smoothed_fn(F, form, float(case.c1), case.psi_over_phi * phi, b, f0)
+    h = _kernels.smoothed_fn(F, form, float(case.c1), case.psi_over_phi * phi, b, f0,
+                             snap)
+    if snap and form == 1:
+        hlo = h(0.0)
+        if hlo > 0.0:
+            return math.nan, hlo, math.nan, hi, h
     root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi, guess)
-    if hlo == 0.0 and hhi == 0.0:
+    # a snapped h that is 0 at the top of its bracket shows no point clearly
+    # above its root: its sign is noise up there, as for the 'sz' h at b = 0,
+    # the constant psi f(0) - F(0) that the floor of its F(-x) terms exceeds
+    # at large x
+    if hhi == 0.0 and (snap or hlo == 0.0):
         root = math.nan
     return root, hlo, hhi, hi, h
 

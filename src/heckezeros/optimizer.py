@@ -14,9 +14,12 @@ family code and f(0) alone (``_search_profiles``): by its root
 (``dh._smoothed_root``) or its density bound from three transform values
 (``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
 or error message; only the winner is built as a weight and handed to the
-public solver or bound.  Every search starts from the same seeds and scans
-the same first lines, so most weights it asks for were built before, by an
-earlier row or cell: the codes come from the process-wide build cache of
+public solver or bound.  A search root stops at h's rounding floor (a
+snapped h, ``_kernels.smoothed_fn``), as it only ranks weights; the
+returned bound, the winner's cold ``dh.solve_smoothed``, does not.  Every
+search starts from the same seeds and scans the same first lines, so most
+weights it asks for were built before, by an earlier row or cell: the codes
+come from the process-wide build cache of
 ``trial_functions.autocorrelation_code``.  No randomness, fixed iteration
 counts, lexicographic tie-breaks, so identical specs give identical results.  Side
 conditions and solver failures are hard constraints handled by rejection
@@ -349,8 +352,12 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     ``seed_params`` (alpha and s) warm-starts every profile, which is useful
     along a table, where optima drift slowly.  Each profile scores at least
     40 weights (``_search_profiles``), so a budget below 80 makes about 80
-    root solves.  A weight scores its root (``dh._smoothed_root``); only the
-    winner is solved by ``dh.solve_smoothed``, for its residual and result.
+    root solves.  A weight scores its root (``dh._smoothed_root``) on the
+    snapped h, which stops at h's rounding floor instead of adjacent floats,
+    and a 'cc' weight whose h is positive at 0 scores -inf from the two
+    transform values of h's constant; only the winner is solved by
+    ``dh.solve_smoothed``, on the exact h, for its residual and result, so
+    the returned bound resolves to adjacent floats.
     Inputs are checked as in ``maximize_bound``, and a case that is not
     smoothed raises InvalidParameterError.
     """
@@ -365,18 +372,18 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
         seeds = [{"alpha": seed_params["alpha"], "s": seed_params["s"]}] + seeds
     # each solve starts from a bracket around the latest root, as the search
     # scores nearby weights one after another.  A root then depends on that
-    # guess within float noise, so a weight is solved once per search (each
-    # profile's objective keeps its scores) and scores the same every time,
-    # and the winner is solved again without a guess: the result is its cold
-    # root, what ``dh.solve_smoothed`` gives for that weight anywhere, as at
-    # the first solve of a search seeded there
+    # guess, and on the snap, within float noise, so a weight is solved once
+    # per search (each profile's objective keeps its scores) and scores the
+    # same every time, and the winner is solved again without a guess or a
+    # snap: the result is its cold root, what ``dh.solve_smoothed`` gives for
+    # that weight anywhere, as at the first solve of a search seeded there
     last = None
     b = float(b)   # as solve_smoothed reads it
 
     def score(code, f0):
         nonlocal last
         root = dh._smoothed_root(case, functools.partial(_kernels._f_real_scalar, code),
-                                 f0, b, phi, guess=last)[0]
+                                 f0, b, phi, guess=last, snap=True)[0]
         if math.isnan(root):
             return -math.inf
         last = root

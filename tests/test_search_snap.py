@@ -1,0 +1,157 @@
+"""The family search's snapped smoothed h: exactly 0 below h's rounding
+floor, the exact h elsewhere.  Search roots stop at that floor; the returned
+bound (the winner's cold ``solve_smoothed``, never snapped) does not, so the
+search returns what it returns without the snap, with fewer transforms."""
+
+import functools
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heckezeros import _kernels, dh, optimizer, trial_functions as tf
+from heckezeros.errors import NoBoundError
+
+WEIGHTS = (
+    tf.triangle(2.5),
+    tf.triangle(14.0),
+    tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5),
+    tf.autocorrelation(alpha=0.0, c0=1.0, c1=1.0, beta=math.pi / 2.0, s=2.0),
+    tf.autocorrelation(alpha=1.0, c0=1.0, c1=1.0, beta=math.pi / 5.0, s=5.0),
+)
+
+
+def _parts(case, f, b):
+    """(F, form, the builder arguments after F) of a case's h for weight f."""
+    F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
+    form = 0 if case.form == "sz" else 1
+    return F, form, (form, float(case.c1), case.psi_over_phi * dh.PHI, b, f.content.f0)
+
+
+def _floor(F, form, c1, psi, b, f0, x):
+    """SNAP_EPS times the magnitudes of the terms h adds at x."""
+    if form == 0:
+        terms = abs(c1) * (abs(F(-x)) + abs(F(b - x)))
+    else:
+        terms = abs(F(-b)) + abs(F(x - b))
+    return _kernels.SNAP_EPS * (terms + abs(F(0.0)) + abs(psi * f0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(dh.SMOOTHED_CASES), i=st.integers(0, len(WEIGHTS) - 1),
+       log_b=st.floats(-10.0, -0.3), t=st.floats(-1.0, 1.0), near=st.integers(-16, 0))
+def test_snapped_h_is_zero_or_exact(name, i, log_b, t, near):
+    # both shapes, widths 1e-10 .. 0.5; x near the exact root (relative offsets
+    # 1e-16 .. 1, where the snap fires) or anywhere on the solve's bracket
+    case, b = dh.get_case(name), 10.0 ** log_b
+    F, form, args = _parts(case, WEIGHTS[i], b)
+    root, _, _, hi, _ = dh._smoothed_root(case, F, args[-1], b, dh.PHI)
+    x = root * (1.0 + t * 10.0 ** near) if math.isfinite(root) else 0.5 * hi * (1.0 + t)
+    x = min(max(x, 0.0), hi)
+    exact = _kernels.smoothed_fn(F, *args)(x)
+    snapped = _kernels.smoothed_fn(F, *args, snap=True)(x)
+    floor = _floor(F, *args, x)
+    assert snapped == exact or (snapped == 0.0 and abs(exact) < floor), (x, exact, floor)
+    if abs(exact) >= floor:   # never 0.0 outside the floor
+        assert snapped == exact
+
+
+def test_snap_fires_near_the_root_and_nowhere_else():
+    # at a flat 'sz' root (b = 1e-6) a band of points snaps to 0; the same h
+    # away from the root keeps every value
+    case = dh.get_case("sz-lp-principal")
+    F, _, args = _parts(case, WEIGHTS[2], 1e-6)
+    root = dh._smoothed_root(case, F, args[-1], 1e-6, dh.PHI)[0]
+    exact = _kernels.smoothed_fn(F, *args)
+    snapped = _kernels.smoothed_fn(F, *args, snap=True)
+    near = [root * (1.0 + k * 1e-12) for k in range(-50, 51)]
+    assert sum(snapped(x) == 0.0 != exact(x) for x in near) >= 10
+    far = [root * k / 10.0 for k in range(1, 8)] + [root * (1.0 + k / 10.0) for k in range(1, 8)]
+    assert all(snapped(x) == exact(x) != 0.0 for x in far)
+
+
+@pytest.mark.parametrize("name", dh.SMOOTHED_CASES)
+def test_snapped_roots_fail_where_the_solver_fails(name):
+    # over both shapes and widths 0 .. 0.4, a snapped search root is NaN
+    # exactly where solve_smoothed raises NoBoundError, and otherwise within
+    # h's rounding floor of its root, cold and from a guess
+    case = dh.get_case(name)
+    for f in WEIGHTS:
+        for b in (0.0, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.4):
+            F, _, _ = _parts(case, f, b)
+            try:
+                want = dh.solve_smoothed(case, f, b).root
+            except NoBoundError:
+                want = math.nan
+            for guess in (None, 0.9 * want if math.isfinite(want) else 1.0):
+                got = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, guess=guess,
+                                        snap=True)[0]
+                if math.isnan(want):
+                    assert math.isnan(got), (f, b, guess)
+                    continue
+                # the band where the snapped h is 0 is about eps |F| / h' wide,
+                # and the 'sz' h' falls with b: 1.8e-6 at b = 1e-10, 5e-13 at
+                # 1e-3, at most 6e-14 at b >= 0.05 and for 'cc' at b = 0
+                tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0)
+                assert abs(got - want) <= tol * max(1.0, want), (f, b, guess)
+
+
+def test_cc_weight_positive_at_zero_costs_two_transforms():
+    # a 'cc' h is h(0) = F(-b) - F(0) + psi f(0) - F(-b) at 0, read from its
+    # constant: positive there, the weight bounds nothing, and the search's
+    # root returns NaN after F(0) and F(-b) alone, guess or not.  The solver's
+    # error and message are unchanged
+    f, case, b = tf.triangle(0.7), dh.get_case("cc-l2-chi2-principal-real"), 0.2
+    with pytest.raises(NoBoundError, match=r"h stays positive on \[0, 60\.0\] for .*"
+                                           r" \(no repulsion provable\)") as err:
+        dh.solve_smoothed(case, f, b)
+    assert err.value.sign == "positive"
+    code = f.kernel_code()
+    for guess in (None, 1.0):
+        calls = []
+
+        def F(r):
+            calls.append(r)
+            return _kernels._f_real_scalar(code, r)
+
+        root, hlo = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, guess=guess,
+                                      snap=True)[:2]
+        assert math.isnan(root) and hlo > 0.0
+        assert calls == [0.0, -b]
+
+
+#: rows of both shapes at small, medium and large widths, and at b = 0, where
+#: the 'sz' h is a constant and no weight bounds anything
+SEARCH_ROWS = [("sz-lp-quadratic", 0.0), ("sz-lp-quadratic", 1e-7),
+               ("sz-lp-principal", 0.05), ("sz-lp-principal", 0.17),
+               ("cc-l2-chi2-principal-real", 0.1227), ("cc-l2-chi2-principal-real", 0.35),
+               ("cc-l2-nonprincipal", 0.6)]
+
+
+@pytest.mark.parametrize("name, b", SEARCH_ROWS)
+def test_search_result_does_not_depend_on_the_snap(monkeypatch, name, b):
+    snapped = optimizer.optimize_family_smoothed(name, b, budget=120)
+    root = dh._smoothed_root
+    monkeypatch.setattr(dh, "_smoothed_root", lambda *args, **kwargs: root(
+        *args, **{**kwargs, "snap": False}))
+    assert repr(optimizer.optimize_family_smoothed(name, b, budget=120)) == repr(snapped)
+
+
+@pytest.mark.parametrize("name, b, most", [
+    # transforms per scored weight at budget 120, rounding floor / adjacent
+    # floats: 19.1 / 27.2 ('sz') and 9.5 / 12.8 ('cc')
+    ("sz-lp-principal", 0.05, 23.0),
+    ("cc-l2-chi2-principal-real", 0.35, 11.0),
+])
+def test_transform_calls_per_scored_weight(monkeypatch, name, b, most):
+    # one T2:principal row and one T8:chi2-principal-real row: a count that
+    # does not depend on the machine
+    calls, scored = [], []
+    F, root = _kernels._f_real_scalar, dh._smoothed_root
+    monkeypatch.setattr(_kernels, "_f_real_scalar",
+                        lambda code, r: calls.append(r) or F(code, r))
+    monkeypatch.setattr(dh, "_smoothed_root",
+                        lambda *args, **kwargs: scored.append(1) or root(*args, **kwargs))
+    optimizer.optimize_family_smoothed(name, b, budget=120)
+    assert len(scored) >= 100
+    assert len(calls) / len(scored) <= most
