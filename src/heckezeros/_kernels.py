@@ -1,12 +1,9 @@
 """Numeric kernels in plain Python and NumPy.
 
-The scalar transform and the root solver are plain Python floats; NumPy
-serves the array transform ``f_array``, ``E`` and the grid minimum
-``p4_combo_min``.  The family codes they read are built in Python too
-(``trial_functions.autocorrelation_code``): a weight's moments are NumPy's
-values to the bit, formed by NumPy's complex-division formula written out,
-and only the moment series inside 0 < |a x0| < ``SMALL_W`` runs in NumPy,
-whose complex multiply uses fused multiply-add there.
+The scalar transform, the moments and the root solver are plain Python
+floats; NumPy serves the array transform ``f_array``, ``E`` and the grid
+minimum ``p4_combo_min``.  The family codes they read are built in Python
+too (``trial_functions.autocorrelation_code``).
 
 Every bound ends in a monotone root solve.  The smoothed roots, and the
 crossings in J of the quartic search, go through one bracketed ITP solver
@@ -39,15 +36,16 @@ solvers' residuals come from the same builders.
 
 Trial functions reach this module, its one reader, as a "family code" (see
 ``trial_functions``) ``(x0, folded)``: the support endpoint and one tuple
-``(c, g_j, g_k, K, M, far)`` per pair of generator exponents, kept once
+``(c, g_j, g_k, K, far)`` per pair of generator exponents, kept once
 per conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with ``c``
 doubled when the two differ: a cosine-modulated generator has 5 folded
 pairs of 9, one with ``c0 = 0`` 2 of 4, and a plain one its 1.  All are
-plain Python numbers but ``M``, the moments M_1 .. M_7 (indexed 0 .. 6)
-that only the pair series reads: a build leaves them to be formed on that
-first read, and the pairs of one exponent share them.  ``far`` says both |Im g_j| x0 and |Im g_k| x0
-are at least ``SMALL_W``.  Every built-in weight, the triangle included, is
-an autocorrelation, so neither evaluator branches on the family.  The
+plain Python numbers and bools, and a code never changes.  ``K`` is the
+moment M_0 of a = g_j + g_k (``moments``); the pair series near
+r = -g_j, the one reader of M_1 .. M_7, forms them when it runs.  ``far``
+says both |Im g_j| x0 and |Im g_k| x0 are at least ``SMALL_W``.  Every
+built-in weight, the triangle included, is an autocorrelation, so neither
+evaluator branches on the family.  The
 transform ``F`` is ``f_real_scalar`` at one real point and ``f_array`` at
 real or complex points, scalar or array; at a real point the terms of two
 conjugate pairs are conjugates, and off the real axis ``f_array`` evaluates
@@ -76,11 +74,78 @@ def backend():
 #: series-switch threshold for the removable singularities of the closed forms
 SMALL_W = 1e-2
 
-#: number of moment constants (M_1 .. M_7) carried per autocorrelation pair
+#: the highest moment M_n (``moments``) that the pair series read
 N_MOMENTS = 7
 
 #: coefficients 1/(m+1)!, m = 0..8, of the series of (e^w - 1)/w
 _E_SERIES = tuple(1.0 / math.factorial(m + 1) for m in range(9))
+
+
+def _moment_recurrence(a, s, nmax):
+    """[M_0, .., M_nmax] at one exponent outside the series disc, |a s| >= SMALL_W.
+
+    M_0 = (e^{as} - 1)/a and M_n = (s^n e^{as} - n M_{n-1})/a, in Python
+    floats.  Each quotient x/a is written out by Smith's method: with
+    (p, q) = (1, Im a/Re a) where |Re a| >= |Im a|, else (Re a/Im a, 1), it
+    is ((Re x p + Im x q) scl, (Im x p - Re x q) scl), scl one over the
+    denominator (the factor 1 is exact).  Python's own complex ``/`` rounds
+    differently in the last bit on 42% of random quotients, and one ulp of
+    K moves what the family searches find (the alpha of a searched
+    T2:quadratic weight at b = 1e-7, say), so the written-out quotient keeps
+    every code, and so every bound, as it has been.  M_0 does not depend on
+    nmax.  Raises OverflowError when e^{as} or M_nmax is not finite: a
+    moment that is not finite makes every later one so, so the last tells.
+    """
+    ar, ai = a.real, a.imag
+    if abs(ar) >= abs(ai):
+        p, q = 1.0, ai / ar
+        scl = 1.0 / (ar + ai * q)
+    else:
+        p, q = ar / ai, 1.0
+        scl = 1.0 / (ai + ar * p)
+    e = cmath.exp(a * s)
+    er, ei = e.real, e.imag
+    xr, xi = er - 1.0, ei
+    out = []
+    for n in range(nmax + 1):
+        if n:
+            sn = s ** n
+            xr, xi = sn * er - n * mr, sn * ei - n * mi
+        mr, mi = (xr * p + xi * q) * scl, (xi * p - xr * q) * scl
+        out.append(complex(mr, mi))
+    if not (math.isfinite(mr) and math.isfinite(mi)):
+        raise OverflowError
+    return out
+
+
+def moments(a, x0, nmax=N_MOMENTS):
+    """[M_0, .., M_nmax] of M_n = int_0^x0 u^n e^{au} du at one complex a.
+
+    x0^(n+1)/(n+1) at a = 0; inside the series disc 0 < |a x0| < SMALL_W,
+    nine terms of the scaled series x0^(n+1) sum_m (a x0)^m/m!/(n+m+1)
+    (x0 times the series of ``E`` at n = 0), whose one power of x0 is the
+    x0^(n+1) that sets the size of M_n; elsewhere ``_moment_recurrence``.
+    The M_n are the derivatives of E(x0; a) in a (McCurdy, Ng & Parlett
+    1984), so the pair series below are Taylor series in them.  M_0 does
+    not depend on nmax.  Raises OverflowError when a moment, or x0^(n+1),
+    is not finite.
+    """
+    if a == 0:
+        return [complex(x0 ** (n + 1) * (1.0 / (n + 1))) for n in range(nmax + 1)]
+    w = a * x0
+    if abs(w) >= SMALL_W:
+        return _moment_recurrence(a, x0, nmax)
+    terms, t = [], 1.0
+    for m in range(len(_E_SERIES)):
+        terms.append(t)
+        t = t * w / (m + 1)
+    out = []
+    for n in range(nmax + 1):
+        acc = 0j
+        for m in reversed(range(len(terms))):
+            acc += terms[m] / (n + m + 1)
+        out.append(x0 ** (n + 1) * acc)
+    return out
 
 
 def _f_real_scalar(code, r):
@@ -102,14 +167,15 @@ def _f_real_scalar(code, r):
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
     acc = 0.0
-    for c, gj, gk, K, M, far in folded:
+    for c, gj, gk, K, far in folded:
         b = gj + r
         if not far and abs(b) * x0 < SMALL_W:
+            M = moments(gj + gk, x0)
             phi = 0.0
             bp = 1.0
             fact = 1.0
             for n in range(N_MOMENTS):
-                phi += bp * M[n] / fact
+                phi += bp * M[n + 1] / fact
                 bp *= -b
                 fact *= n + 2.0
         else:
@@ -173,7 +239,7 @@ def f_array(code, z):
     real = not np.iscomplexobj(z) or not z.imag.any()
     z = np.atleast_1d(z.astype(complex))
     out = np.zeros(z.shape, dtype=complex)
-    for c, gj, gk, K, M, _ in folded:
+    for c, gj, gk, K, _ in folded:
         own = real or (gj.imag == 0.0 and gk.imag == 0.0)
         zs = z if own else np.stack([z, z.conj()])
         b = gj + zs
@@ -181,11 +247,12 @@ def f_array(code, z):
         with np.errstate(over="ignore", invalid="ignore"):
             phi = (K - E(x0, gk - zs)) / np.where(small, 1.0, b)
         if small.any():
+            M = moments(gj + gk, x0)
             taylor = np.zeros_like(b)
             bp = np.ones_like(b)
             fact = 1.0
             for n in range(N_MOMENTS):
-                taylor += ((-1) ** n / fact) * bp * M[n]
+                taylor += ((-1) ** n / fact) * bp * M[n + 1]
                 bp *= b
                 fact *= n + 2.0
             phi = np.where(small, taylor, phi)

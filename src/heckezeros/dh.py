@@ -509,6 +509,13 @@ def solve_poly(case, b, lam, J, phi=PHI):
 # closed-form small-width bounds
 # ---------------------------------------------------------------------------
 
+def _check_psi(psi):
+    """Raise InvalidParameterError unless psi is finite and positive."""
+    require_finite(psi=psi)
+    if psi <= 0:
+        raise InvalidParameterError(f"psi must be positive, got {psi}")
+
+
 def very_small_dh(psi, lambda_prime, c1=2):
     """Width threshold (lambda'/(2 c1 e)) exp(-2 psi lambda').
 
@@ -516,8 +523,11 @@ def very_small_dh(psi, lambda_prime, c1=2):
     below this threshold.  c1 matches the F-difference multiplier of the
     driving inequality (2 for the same-character shapes, 1 for the
     second-character ones); the bound is non-trivial for lambda' >= 2 c1 e.
-    The epsilon slack of the asymptotic regime is omitted.
+    The epsilon slack of the asymptotic regime is omitted.  psi must be
+    finite and positive, lambda' finite.
     """
+    _check_psi(psi)
+    require_finite(lambda_prime=lambda_prime)
     if lambda_prime <= 0:
         raise InvalidParameterError(f"lambda' must be positive, got {lambda_prime}")
     if c1 not in (1, 2):
@@ -531,7 +541,9 @@ def very_small_threshold(c1=2):
 
 
 def very_small_inverse(psi, lambda1):
-    """Inverse form: repulsion distance (1/(2 psi)) log(1/lambda1)."""
+    """Inverse form: repulsion distance (1/(2 psi)) log(1/lambda1), for a
+    finite psi > 0."""
+    _check_psi(psi)
     if not (0 < lambda1 < 1):
         raise InvalidParameterError(f"lambda1 must be in (0, 1), got {lambda1}")
     return math.log(1.0 / lambda1) / (2.0 * psi)
@@ -541,12 +553,11 @@ def cos_bound(theta, psi):
     """Repulsion bound 2 cos^2(theta) / psi from a cosine-type weight pair.
 
     theta is the angle data of the weight (see K_FAMILY_PAIRS); psi is the
-    case's multiple of phi.
+    case's multiple of phi, finite and positive.
     """
     if not (0 < theta < math.pi / 2):
         raise InvalidParameterError(f"theta must be in (0, pi/2), got {theta}")
-    if psi <= 0:
-        raise InvalidParameterError(f"psi must be positive, got {psi}")
+    _check_psi(psi)
     return 2.0 * math.cos(theta) ** 2 / psi
 
 

@@ -34,24 +34,16 @@ the family search scores the code alone.  Builds are memoized process-wide
 in one bounded LRU cache (``BUILD_CACHE_SIZE`` entries), so each distinct
 weight is built once per process, not once per table row or cell.  Per
 distinct exponent a = g_j + g_k (three for a cosine weight's five folded
-pairs) a build forms only K = M_0, where M_n = int_0^s u^n e^{au} du: s at
-a = 0, else the first step of a scalar recurrence
-(``_moment_recurrence``).  M_1 .. M_7, which
-only the kernels' series at a removable singularity read, are formed on
-first read (``_Moments``) by the same recurrence or s^(n+1)/(n+1), so
-their bits are those of an eager build; a build forms them at once only
-near the overflow edge, where ``_higher_moments_finite`` cannot vouch that
-they are finite, so builds reject exactly the parameters whose moments
-overflow.  The moments equal what NumPy arrays gave to the bit, because
-each complex quotient is written out as NumPy forms it; only the moment
-series inside |a s| < SMALL_W stays in NumPy (``_exp_moments_vec``, every
-moment at once, at build time), because there NumPy's complex multiply
-uses fused multiply-add, which Python's does not.  A search weight takes
-that series only when 0 < |2 alpha s| < SMALL_W.  NumPy also evaluates
+pairs) a build forms only K = M_0, where M_n = int_0^s u^n e^{au} du
+(``_kernels.moments``), and a code is a tuple of plain Python numbers and
+bools that never changes after its build.  M_1 .. M_7, which only the
+kernels' series at a removable singularity read, are formed there, when a
+series runs.  Where ``_higher_moments_finite`` cannot vouch that they are
+finite, a build forms them once and discards them, so builds reject
+exactly the parameters whose moments overflow.  NumPy evaluates
 f(t) and sup |f''| on grids, and the generator's sign when c0 < |c1|.
 """
 
-import cmath
 import functools
 import inspect
 import math
@@ -128,13 +120,11 @@ class Content:
 class TrialFunction:
     """A trial weight with pointwise and Laplace-transform evaluators.
 
-    Instances are immutable after construction; the evaluators are pure and
-    safe for concurrent use.  The one state a built-in weight changes after
-    construction, the moments M_1 .. M_7 that its code forms on first read
-    (``_Moments``), is filled idempotently: concurrent first reads each form
-    the same tuple and store it whole.  ``code`` is the flattened family
-    code the kernels in ``_kernels`` consume; plug-in families may pass
-    ``code=None``, in which case every transform goes through ``laplace_fn``.
+    Instances are immutable after construction, and no state changes after
+    it; the evaluators are pure and safe for concurrent use.  ``code`` is
+    the family code the kernels in ``_kernels`` consume, a tuple of plain
+    numbers; plug-in families may pass ``code=None``, in which case every
+    transform goes through ``laplace_fn``.
     """
 
     __slots__ = ("family", "params", "content", "_eval", "_laplace", "_code")
@@ -187,132 +177,21 @@ def triangle(x0):
 # autocorrelation family
 # ---------------------------------------------------------------------------
 
-def _exp_moments_vec(a, s, nmax):
-    """The moments M_n = int_0^s u^n e^{au} du, n = 0..nmax, of a complex array
-    of exponents inside the series disc |a s| < SMALL_W, every n at once, by
-    M_n = sum_m a^m/m! s^(n+m+1)/(n+m+1).  They stay in NumPy, whose complex
-    multiply uses fused multiply-add: Python's differs in the last bit, and
-    ``test_moment_series_matches_element_loop`` pins these sums.  Raises
-    OverflowError when a power s^j overflows."""
-    a = np.asarray(a, dtype=complex)
-    k = np.arange(1, nmax + 31, dtype=float)[:, None]
-    s_pow = np.array([s ** j for j in range(1, nmax + 31)])[:, None]
-    series = np.zeros((nmax + 1, a.size), dtype=complex)
-    term = np.ones(a.size, dtype=complex)
-    for m in range(30):
-        series += term * s_pow[m:m + nmax + 1] / k[m:m + nmax + 1]
-        term *= a / (m + 1)
-    return series
-
-
-def _moment_recurrence(a, s, nmax):
-    """[M_0, .., M_nmax] at one exponent outside the series disc, |a s| >= SMALL_W.
-
-    M_0 = (e^{as} - 1)/a and M_n = (s^n e^{as} - n M_{n-1})/a, in Python
-    floats.  Each quotient x/a is formed as NumPy forms it, by Smith's method:
-    with (p, q) = (1, Im a/Re a) where |Re a| >= |Im a|, else (Re a/Im a, 1),
-    it is ((Re x p + Im x q) scl, (Im x p - Re x q) scl), scl one over the
-    denominator (the factor 1 is exact).  So the moments equal those of the
-    array recurrence to the bit, where Python's own complex ``/`` differs in
-    the last bit, and M_0 does not depend on nmax.  Raises OverflowError when
-    e^{as} or M_nmax is not finite: a moment that is not finite makes every
-    later one so, so the last tells.
-    """
-    ar, ai = a.real, a.imag
-    if abs(ar) >= abs(ai):
-        p, q = 1.0, ai / ar
-        scl = 1.0 / (ar + ai * q)
-    else:
-        p, q = ar / ai, 1.0
-        scl = 1.0 / (ai + ar * p)
-    e = cmath.exp(a * s)
-    er, ei = e.real, e.imag
-    xr, xi = er - 1.0, ei
-    out = []
-    for n in range(nmax + 1):
-        if n:
-            sn = s ** n
-            xr, xi = sn * er - n * mr, sn * ei - n * mi
-        mr, mi = (xr * p + xi * q) * scl, (xi * p - xr * q) * scl
-        out.append(complex(mr, mi))
-    if not (math.isfinite(mr) and math.isfinite(mi)):
-        raise OverflowError
-    return out
-
-
-def _higher_moments(a, s):
-    """(M_1, .., M_7) at one exponent outside the series disc: s^(n+1)/(n+1)
-    at a = 0 (times 1/(n+1), as NumPy's complex division forms it), else
-    ``_moment_recurrence``.  Raises OverflowError when one overflows."""
-    if a == 0:
-        return tuple(complex(s ** (n + 1) * (1.0 / (n + 1)))
-                     for n in range(1, _kernels.N_MOMENTS + 1))
-    return tuple(_moment_recurrence(a, s, _kernels.N_MOMENTS)[1:])
-
-
 def _higher_moments_finite(a, s):
-    """True when M_1 .. M_7 at a, and every step of their recurrence, are
-    surely finite, for a = 0 or |a s| >= SMALL_W.
+    """True when every moment M_0 .. M_7 at a, and every step that forms
+    them, is surely finite.
 
     A Smith quotient's component is at most twice the larger component of
-    x over |a|, so with t = max(1, s) and L = max(1, 14/|a|) no step
-    exceeds 128 (|e^{as}| + 1) t^7 L^8 <= 256 e^{max(Re a s, 0)} t^7 L^8,
-    and L <= 1400 t as |a| >= SMALL_W / s.  With s <= 1e4 and
-    Re a s <= 480 that is below e^682, far enough from the float range for
-    rounding; at a = 0 the largest is s^8 <= 1e32.  False (the build then
-    forms them at once) only for larger supports or growth.
+    x over |a|, so outside the series disc, with t = max(1, s) and
+    L = max(1, 14/|a|), no step of the recurrence exceeds
+    128 (|e^{as}| + 1) t^7 L^8 <= 256 e^{max(Re a s, 0)} t^7 L^8, and
+    L <= 1400 t as |a| >= SMALL_W / s.  With s <= 1e4 and Re a s <= 480
+    that is below e^682, far enough from the float range for rounding; at
+    a = 0 and inside the series disc the largest is s^8 <= 1e32 (times
+    e^{SMALL_W}).  False (the build then forms them once) only for larger
+    supports or growth.
     """
     return s <= 1e4 and a.real * s <= 480.0
-
-
-class _Moments:
-    """M_1 .. M_7 at one exponent a of a family code, indexed 0 .. 6.
-
-    Only the pair series of ``_kernels`` (near r = -g_j) reads them, so
-    outside the series disc they are formed on first read by
-    ``_higher_moments``, to the bit what an eager build gives.  The fill is
-    idempotent: readers racing on the first read each form the same tuple
-    and store it whole, so every reader sees the same bits.
-    """
-
-    __slots__ = ("_a", "_s", "_m")
-
-    def __init__(self, a, s, m=None):
-        self._a, self._s, self._m = a, s, m
-
-    def __getitem__(self, n):
-        m = self._m
-        if m is None:
-            m = self._m = _higher_moments(self._a, self._s)
-        return m[n]
-
-
-def _exp_moments(exps, s):
-    """{a: (K = M_0, M_1 .. M_7 as ``_Moments``)} for each distinct exponent a.
-
-    K is s at a = 0 and ``_moment_recurrence`` to n = 0 outside the series
-    disc; M_1 .. M_7 there wait for their first read, unless
-    ``_higher_moments_finite`` cannot vouch for them: then they are formed
-    now, so a build fails exactly where forming every moment fails.  Inside
-    the disc 0 < |a s| < SMALL_W every moment comes from the series of
-    ``_exp_moments_vec`` at once.  Raises OverflowError when a moment
-    overflows.
-    """
-    out, series = {}, []
-    for a in exps:
-        if a in out:
-            continue
-        if a != 0 and abs(a * s) < _SMALL_W:
-            out[a] = None
-            series.append(a)
-            continue
-        K = complex(s) if a == 0 else _moment_recurrence(a, s, 0)[0]
-        M = None if _higher_moments_finite(a, s) else _higher_moments(a, s)
-        out[a] = K, _Moments(a, s, M)
-    if series:
-        for a, M in zip(series, _exp_moments_vec(series, s, _kernels.N_MOMENTS).T.tolist()):
-            out[a] = M[0], _Moments(a, s, tuple(M[1:]))
-    return out
 
 
 def _t_terms(folded):
@@ -376,8 +255,7 @@ def autocorrelation_code(alpha, c0, c1, beta, s):
 
     The build the family search scores, and the one ``autocorrelation``
     wraps: it checks the parameters and the generator's sign, folds the
-    conjugate pairs and forms K = M_0 per distinct exponent; M_1 .. M_7
-    wait for their first read (``_Moments``).  Raises what
+    conjugate pairs and forms K = M_0 per distinct exponent.  Raises what
     ``autocorrelation`` raises.
 
     Builds are memoized process-wide in one LRU cache of
@@ -386,9 +264,9 @@ def autocorrelation_code(alpha, c0, c1, beta, s):
     weight: the family searches of a table regression ask for the same
     weights row after row (80-88% of their builds repeat one).  The
     parameters are checked on every call, before the lookup, and a build
-    that raises is not cached.  Sharing is sound because a code is never
-    changed after its build except by the idempotent fill of ``_Moments``.
-    ``_cached_build`` is the cache and ``_build`` the uncached build.
+    that raises is not cached.  Sharing is sound because a code is an
+    immutable tuple of plain numbers.  ``_cached_build`` is the cache and
+    ``_build`` the uncached build.
     """
     for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta), ("s", s)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -425,19 +303,27 @@ def _build(alpha, c0, c1, beta, s):
 
     # at real r (or t) the terms of pair (j, k) and of its conjugate pair are
     # conjugates: keep the first, c_j c_k doubled when they differ, with its
-    # g_j, g_k, K_{jk} and M_1 .. M_7 at a = g_j + g_k.  A pair of exponents
+    # g_j, g_k and K_{jk} = M_0 at a = g_j + g_k.  A pair of exponents
     # with |Im g| s >= SMALL_W never takes a series branch at real r: ``far``
     gs = [g_ for _, g_ in terms]
     conj = [gs.index(g_.conjugate()) for g_ in gs]
     far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
     keep = [(j, k) for j in range(len(gs)) for k in range(len(gs))
             if (conj[j], conj[k]) >= (j, k)]
+    # M_1 .. M_7, which only the pair series reads, are formed there; where
+    # ``_higher_moments_finite`` cannot vouch for them they are formed once
+    # here and discarded, so a build fails exactly where one overflows
     try:
-        moments = _exp_moments([gs[j] + gs[k] for j, k in keep], s)
+        K0 = {}
+        for a in (gs[j] + gs[k] for j, k in keep):
+            if a not in K0:
+                K0[a] = _kernels.moments(a, s, 0)[0]
+                if not _higher_moments_finite(a, s):
+                    _kernels.moments(a, s)
         folded = tuple(
             (terms[j][0] * terms[k][0] * (1.0 if (conj[j], conj[k]) == (j, k) else 2.0),
-             gs[j], gs[k], *moments[gs[j] + gs[k]], far[j] and far[k]) for j, k in keep)
-        f0 = sum(c * K for c, _, _, K, *_ in folded).real
+             gs[j], gs[k], K0[gs[j] + gs[k]], far[j] and far[k]) for j, k in keep)
+        f0 = sum(c * K for c, _, _, K, _ in folded).real
         if not math.isfinite(f0):
             raise OverflowError
     except OverflowError:

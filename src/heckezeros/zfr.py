@@ -195,8 +195,10 @@ def zfr_order5(phi=PHI):
     The driving inequality, normalized by its leading coefficient, reads
     F(-lambda_1) - (c1/c0) F(0) + (B/c0) phi f(0) >= 0 with c1/c0 =
     24480/14379; the matching cosine-type weight has the bundled angle
-    theta = 1.1580, giving lambda_1 >= cos^2(theta) c0 / (B phi).
+    theta = 1.1580, giving lambda_1 >= cos^2(theta) c0 / (B phi).  phi must
+    be finite and positive.
     """
+    require_finite(phi=phi)
     if phi <= 0:
         raise InvalidParameterError(f"phi must be positive, got {phi}")
     theta = K_FAMILY_PAIRS[2][1]
@@ -209,11 +211,13 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
 
     Solves 14379 F(-lam_star) - 24480 F(x - lam_star) + 62174 phi f(0) = 0
     for x in [0, lam_star].  The published constant uses an externally
-    defined weight, so results here are flagged approximate.  A negative phi
-    is rejected.
+    defined weight, so results here are flagged approximate.  lam_star must
+    be positive; a negative phi is rejected.
     """
     require_finite(lam_star=lam_star)
     check_phi(phi)
+    if lam_star <= 0:
+        raise InvalidParameterError(f"lam_star must be positive, got {lam_star}")
     F_star = float(f.laplace(-lam_star).real)
     const = 14379.0 * F_star + 62174.0 * phi * f.content.f0
 

@@ -10,5 +10,5 @@ def pytest_configure(config):
 @pytest.fixture(autouse=True)
 def _fresh_build_cache():
     """Each test starts from an empty family-build cache, so no test sees
-    codes (or lazily filled moments) an earlier test built."""
+    codes an earlier test built, and cache counts start from zero."""
     trial_functions._cached_build.cache_clear()

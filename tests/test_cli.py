@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from heckezeros import cli, tables
+from heckezeros import _kernels, cli, tables
 
 
 def run(args, capsys):
@@ -123,6 +123,20 @@ class TestZd:
         assert code == 1
         assert "BoundUnavailableError" in err
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_one_transform_per_value(self, capsys, monkeypatch, fmt):
+        # F(-b) and F(lambda - b), each once, for text and json alike
+        kernel, calls = _kernels.f_real_scalar, []
+        monkeypatch.setattr(_kernels, "f_real_scalar",
+                            lambda *args: calls.append(args[-1]) or kernel(*args))
+        code, out, _ = run(["zd", "--lambda", "0.2", "--family", "triangle",
+                            "--params", "x0=6", *fmt], capsys)
+        assert code == 0 and calls == [-0.0, 0.2]
+        if fmt:
+            assert json.loads(out)["cond1"] is json.loads(out)["cond2"] is True
+        else:
+            assert "preconditions True, True" in out
+
 
 class TestInvalidInput:
     """Inadmissible input is a usage error reported before any search runs."""
@@ -140,6 +154,8 @@ class TestInvalidInput:
         "zfr --case order234 --lambda 0.9421 --phi -0.25",
         "zfr --case principal --optimize --phi -0.25",
         "zfr --case order-ge6 --params x0=2 --phi -0.25",
+        "zfr --case order5 --phi nan",
+        "zfr --case order5 --phi inf",
         "optimize --case sz-lp-principal --b 0.1 --budget 0",
         "optimize --case cc-lp-nonprincipal --b 0.1227 --budget 0",
         "zd --lambda 0.2 --optimize --budget -1",

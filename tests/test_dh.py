@@ -288,6 +288,21 @@ class TestClosedForms:
         with pytest.raises(InvalidParameterError):
             dh.cos_bound(2.0, 1.0)
 
+    @pytest.mark.parametrize("psi,match", [
+        (math.nan, "psi must be finite"), (math.inf, "psi must be finite"),
+        (0.0, "psi must be positive"), (-1.0, "psi must be positive")])
+    def test_closed_forms_need_a_finite_positive_psi(self, psi, match):
+        # psi = 0 divided by zero, psi < 0 gave a negative distance, NaN gave NaN
+        for call in (lambda: dh.very_small_dh(psi, 20.0), lambda: dh.very_small_inverse(psi, 0.5),
+                     lambda: dh.cos_bound(0.9873, psi)):
+            with pytest.raises(InvalidParameterError, match=match):
+                call()
+
+    @pytest.mark.parametrize("lambda_prime", [math.nan, math.inf])
+    def test_very_small_dh_needs_a_finite_distance(self, lambda_prime):
+        with pytest.raises(InvalidParameterError, match="lambda_prime must be finite"):
+            dh.very_small_dh(1.0, lambda_prime)
+
 
 class TestPiecewiseLogConstant:
     def test_single_interval(self):

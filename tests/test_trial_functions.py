@@ -2,8 +2,6 @@
 
 import cmath
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -134,9 +132,34 @@ class TestAutocorrelation:
             tf.autocorrelation(alpha=alpha, s=40.0)
 
     def test_overflowing_moment_series_is_named(self):
-        # |2 alpha s| < 1e-2 sends the pair to the series, whose s^37 overflows
-        with pytest.raises(InvalidParameterError, match=r"s=1000000000\.0"):
-            tf.autocorrelation(alpha=1e-12, s=1e9)
+        # |2 alpha s| = 2e-3 sends the pair to the series, whose s^8 overflows
+        with pytest.raises(InvalidParameterError, match=r"s=1e\+39"):
+            tf.autocorrelation(alpha=1e-42, s=1e39)
+
+    def test_large_support_series_weight_builds(self):
+        # |2 alpha s| = 2e-3: the series moments stay finite up to s^8 = 1e72
+        alpha, s = 1e-12, 1e9
+        f = tf.autocorrelation(alpha=alpha, s=s)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a, S = mpmath.mpf(alpha), mpmath.mpf(s)
+
+            def E(w):
+                return (mpmath.exp(w * S) - 1) / w
+
+            def F(z):   # (K - E(s; alpha - z))/(alpha + z), K = E(s; 2 alpha)
+                z = mpmath.mpf(z)
+                if z == -a:   # the removable singularity: M_1 at 2 alpha
+                    return S * mpmath.exp(2 * a * S) / (2 * a) - E(2 * a) / (2 * a)
+                return (E(2 * a) - E(a - z)) / (a + z)
+
+            eps4 = 4.0 * 2.0 ** -52
+            assert abs(f.content.f0 - float(E(2 * a))) <= eps4 * f.content.f0
+            # -alpha and -1.5e-12 take the pair series, which reads M_1 .. M_7
+            for z in (0.0, -alpha, -1.5e-12, 1e-9, 3e-9, -2e-9):
+                want = float(F(z))
+                assert abs(f.laplace(z).real - want) <= eps4 * abs(want), z
+                assert abs(f.laplace(np.array([z]))[0].real - want) <= eps4 * abs(want), z
 
     # (B, remainder constant) of verify's sample families: the values of the
     # 2001-point sup |f''| scan, whenever it runs
@@ -179,54 +202,49 @@ class TestAutocorrelation:
                                beta=0.0645704737365128, s=14.596110908568308)
 
 
-def _moments_loop(a, s, nmax):
-    """The element-by-element small-|a s| moment series, kept as the reference."""
-    a = np.asarray(a, dtype=complex)
-    series = np.zeros((nmax + 1, a.size), dtype=complex)
-    term = np.ones(a.size, dtype=complex)
-    for m in range(30):
-        for n in range(nmax + 1):
-            series[n] += term * s ** (n + m + 1) / (n + m + 1)
-        term *= a / (m + 1)
-    return series
-
-
 @pytest.mark.parametrize("seed", range(6))
-def test_moment_series_matches_element_loop(seed):
+def test_moment_series_matches_mpmath(seed):
+    """The series-disc moments, 0 < |a s| < SMALL_W, against Kummer's
+    function at 50 digits: M_n = s^(n+1)/(n+1) 1F1(n+1; n+2; a s)."""
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(seed)
-    size = (1, 4, 9, 17, 2, 33)[seed]
-    s = float(rng.uniform(0.2, 40.0))
-    scale = 0.7 * _kernels.SMALL_W / s     # |a s| < SMALL_W: every entry on the series
-    a = scale * (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
-    a[::3] = a[::3].real        # pure reals
-    a[::4] = 0.0
-    got = tf._exp_moments_vec(a, s, _kernels.N_MOMENTS)
-    assert np.array_equal(got, _moments_loop(a, s, _kernels.N_MOMENTS))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for i in range(40):
+            s = float(rng.uniform(0.2, 40.0))
+            w = 10.0 ** rng.uniform(-14.0, math.log10(0.99 * _kernels.SMALL_W))
+            w *= (1.0, -1.0, cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]
+            a = complex(w / s)
+            got = _kernels.moments(a, s)
+            for n, m in enumerate(got):
+                want = (mpmath.mpf(s) ** (n + 1) / (n + 1)
+                        * mpmath.hyp1f1(n + 1, n + 2, mpmath.mpc(a) * s))
+                worst = max(worst, float(abs(mpmath.mpc(m) - want) / abs(want)))
+    assert worst <= 4.0 * 2.0 ** -52, worst
 
 
 def _moments_array(a, s, nmax):
-    """Every moment in NumPy arrays, kept as the reference for the Python
-    build: the recurrence outside the series disc, s^(n+1)/(n+1) in complex
-    arithmetic at a = 0, the series inside."""
+    """The moments outside the series disc in NumPy arrays, kept as the
+    reference for ``_kernels.moments``: the recurrence, and s^(n+1)/(n+1) in
+    complex arithmetic at a = 0."""
     a = np.asarray(a, dtype=complex)
-    w = a * s
-    small = np.abs(w) < _kernels.SMALL_W
     out = np.empty((nmax + 1, a.size), dtype=complex)
-    a_safe = np.where(small, 1.0, a)
+    zero = a == 0
+    a_safe = np.where(zero, 1.0, a)
     with np.errstate(over="ignore", invalid="ignore"):
-        ew = np.exp(w)
+        ew = np.exp(a * s)
         out[0] = (ew - 1.0) / a_safe
         for n in range(1, nmax + 1):
             out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
-    zero = a == 0
     if zero.any():
         k = np.arange(1, nmax + 2, dtype=float)[:, None]
         s_pow = np.array([s ** j for j in range(1, nmax + 2)])[:, None]
         out[:, zero] = np.ones(1, dtype=complex) * s_pow / k
-    small &= ~zero
-    if small.any():
-        out[:, small] = tf._exp_moments_vec(a[small], s, nmax)
     return out
+
+
+def _in_series_disc(a, s):
+    return a != 0 and abs(a * s) < _kernels.SMALL_W
 
 
 def _seeded_weights(seed, n=60):
@@ -248,112 +266,96 @@ def _seeded_weights(seed, n=60):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_python_moments_equal_numpy_arrays(seed):
-    """The family code built in Python floats is the one NumPy arrays give,
-    M_1 .. M_7 as read after the build."""
+    """``_kernels.moments`` is what NumPy arrays give, to the bit, at a = 0
+    and outside the series disc, and every code's K is its M_0."""
     taken = {"zero": 0, "series": 0, "re": 0, "im": 0}
     for params in _seeded_weights(seed):
         s, folded = tf.autocorrelation(**params).kernel_code()
-        exps = [g_j + g_k for _, g_j, g_k, *_ in folded]
-        ref = _moments_array(exps, s, _kernels.N_MOMENTS).T.tolist()
-        assert ([(c, g_j, g_k, K, tuple(M), far) for c, g_j, g_k, K, M, far in folded]
-                == [(c, g_j, g_k, M[0], tuple(M[1:]), far)
-                    for (c, g_j, g_k, _, _, far), M in zip(folded, ref)])
-        for a in exps:
-            branch = ("zero" if a == 0 else "series" if abs(a * s) < _kernels.SMALL_W
-                      else "re" if abs(a.real) >= abs(a.imag) else "im")
-            taken[branch] += 1
+        for _, g_j, g_k, K, _ in folded:
+            a = g_j + g_k
+            got = _kernels.moments(a, s)
+            assert repr(K) == repr(got[0]), (params, a)
+            if _in_series_disc(a, s):
+                taken["series"] += 1
+                continue
+            assert got == _moments_array([a], s, _kernels.N_MOMENTS)[:, 0].tolist(), (params, a)
+            taken["zero" if a == 0 else "re" if abs(a.real) >= abs(a.imag) else "im"] += 1
     assert min(taken.values()) > 0, taken
 
 
-def _eager(f):
-    """The family code of f with M_1 .. M_7 of every pair as plain tuples from
-    the NumPy reference, the moments an eager build formed."""
-    s, folded = f.kernel_code()
-    ref = _moments_array([g_j + g_k for _, g_j, g_k, *_ in folded], s,
-                         _kernels.N_MOMENTS).T.tolist()
-    return s, tuple((c, g_j, g_k, K, tuple(M[1:]), far)
-                    for (c, g_j, g_k, K, _, far), M in zip(folded, ref))
+def _series_points(code):
+    """The real r = -Re g_j of every folded pair whose pair series runs there."""
+    x0, folded = code
+    return [-g_j.real for _, g_j, *_, far in folded
+            if not far and abs(g_j.imag) * x0 < _kernels.SMALL_W]
 
 
-def _unread(f):
-    return all(M._m is None for *_, M, _ in f.kernel_code()[1])
-
-
-def _fresh(**params):
-    """``tf.autocorrelation(**params)`` built now, not taken from the build
-    cache, whose code an earlier build may have read."""
-    tf._cached_build.cache_clear()
-    return tf.autocorrelation(**params)
+def test_codes_are_immutable():
+    """A code is hashable and stays equal to an uncached build of the same
+    parameters after F has run its pair series: the seed grid of the family
+    search over both profiles, and three plain weights."""
+    params = [optimizer._generator(alpha, s, mult) for alpha in optimizer.FAMILY_GRID["alpha"]
+              for s in optimizer.FAMILY_GRID["s"] for mult in optimizer.PROFILES]
+    params += [(alpha, 1.0, 0.0, 0.0, 2.0) for alpha in (0.5, -1.3, 0.0)]
+    series = 0
+    for p in params:
+        code, f0 = tf.autocorrelation_code(*p)
+        h = hash((code, f0))
+        for r in _series_points(code):
+            series += 1
+            _kernels.f_real_scalar(code, r)
+            _kernels.f_array(code, np.array([r, r + 0.5j]))
+        assert hash((code, f0)) == h
+        assert (code, f0) == tf._build(*map(float, p)), p
+    assert series >= len(params)
 
 
 class TestLazyMoments:
-    """A build forms K = M_0 only; M_1 .. M_7 are formed on first read.
+    """A build forms K = M_0 only; M_1 .. M_7 are formed where the pair
+    series reads them, and the code never holds them."""
 
-    Each test asserts facts about a fresh build, so it builds through the
-    uncached ``tf._build`` or clears the build cache first (``_fresh``)."""
+    def test_search_builds_leave_them_unread(self, monkeypatch):
+        # a search weight's build forms M_0 of its three exponents, no more
+        moments, asked = _kernels.moments, []
 
-    def test_search_builds_leave_them_unread(self):
+        def recorded(a, s, nmax=_kernels.N_MOMENTS):
+            asked.append(nmax)
+            return moments(a, s, nmax)
+
+        monkeypatch.setattr(_kernels, "moments", recorded)
         params = optimizer._generator(0.7, 3.2, 1.0)
         code, f0 = tf._build(*map(float, params))
-        assert all(M._m is None for *_, M, _ in code[1])
+        assert asked == [0, 0, 0]
+        assert all(len(pair) == 5 for pair in code[1])
         assert f0 == tf.autocorrelation(*params).content.f0
 
     @pytest.mark.parametrize("alpha", [0.5, -1.3, 0.0])
     def test_plain_weight_at_minus_alpha(self, alpha):
         # r = -alpha puts the pair's g_j + r at 0: the scalar kernel and the
-        # array path both take the series that reads M_1 .. M_7
-        f = _fresh(alpha=alpha, s=2.0)
-        assert _unread(f)
-        got = _kernels.f_real_scalar(f.kernel_code(), -alpha)
-        assert not _unread(f)
-        assert got == _kernels.f_real_scalar(_eager(f), -alpha)
-        f = _fresh(alpha=alpha, s=2.0)
-        assert _unread(f)
-        got = f.laplace(np.array([-alpha, 0.3]))
-        assert not _unread(f)
-        assert np.array_equal(got, _kernels.f_array(_eager(f), np.array([-alpha, 0.3])))
+        # array path both take the series, whose value there is M_1 at 2 alpha
+        mpmath = pytest.importorskip("mpmath")
+        f = tf.autocorrelation(alpha=alpha, s=2.0)
+        with mpmath.workdps(50):
+            a = 2 * mpmath.mpf(alpha)
+            want = float(2 if a == 0 else (2 * mpmath.exp(2 * a) - mpmath.expm1(2 * a) / a) / a)
+        got = (_kernels.f_real_scalar(f.kernel_code(), -alpha),
+               f.laplace(np.array([-alpha, 0.3]))[0].real)
+        assert max(abs(g - want) for g in got) <= 4.0 * 2.0 ** -52 * abs(want), (got, want)
 
     def test_f_array_near_minus_g_j(self):
-        f = _fresh(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
-        assert _unread(f)
+        # every point is inside a pair's series disc, off the real axis too
+        f = tf.autocorrelation(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
         g_j = [g for _, g_j, *_ in f.kernel_code()[1] for g in (g_j, g_j.conjugate())]
         edge = _kernels.SMALL_W / 2.5
         zs = np.array([-g + d * edge * np.exp(0.7j) for g in g_j for d in (0.0, 0.3, 0.9)])
-        got = f.laplace(zs)
-        assert not _unread(f)
-        assert np.array_equal(got, _kernels.f_array(_eager(f), zs))
-
-    def test_fill_is_idempotent_across_threads(self):
-        # readers racing on the first read all see the eager build's bits
-        f = _fresh(alpha=-0.8, c0=1.0, c1=0.9, beta=2.0, s=2.5)
-        assert _unread(f)
-        want = [M for *_, M, _ in _eager(f)[1]]
-        barrier = threading.Barrier(8, timeout=30)
-        seen = []
-
-        def read():
-            barrier.wait()
-            seen.append([tuple(M) for *_, M, _ in f.kernel_code()[1]])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert seen == [want] * 8
-        assert [tuple(M) for *_, M, _ in f.kernel_code()[1]] == want
+        for z, v in zip(zs, f.laplace(zs)):
+            assert abs(v - oracles.quadrature_laplace(f, z)) < 1e-10 * (1 + abs(v)), z
 
     @pytest.mark.parametrize("s", [14.596110908568308, 40.0, 3.0])
     def test_builds_fail_exactly_where_eager_moments_overflow(self, s):
         # across the overflow edge of s^7 e^{2 alpha s}, a cosine weight
         # builds exactly where every reference moment and f(0) is finite,
-        # and then reads those moments
+        # and its moments are then those references
         built, eager, refused = 0, 0, 0
         for two_alpha_s in np.linspace(460.0, 709.9, 101):
             alpha = float(two_alpha_s / (2.0 * s))
@@ -364,31 +366,35 @@ class TestLazyMoments:
             f0 = sum(c * K for c, K in zip((1.0, 1.0, 1.0, 0.5, 0.5), ref[0].tolist())).real
             finite = bool(np.isfinite(ref).all()) and math.isfinite(f0)
             try:
-                f = _fresh(alpha=alpha, c0=1.0, c1=1.0, beta=beta, s=s)
+                f = tf.autocorrelation(alpha=alpha, c0=1.0, c1=1.0, beta=beta, s=s)
             except InvalidParameterError:
                 refused += 1
                 assert not finite, alpha
                 continue
             built += 1
-            eager += not _unread(f)   # formed at build time, near the edge
+            _, folded = f.kernel_code()
+            # formed at build time, near the edge
+            eager += not all(tf._higher_moments_finite(g_j + g_k, s)
+                             for _, g_j, g_k, *_ in folded)
             assert finite and f.content.f0 == f0, alpha
-            assert [tuple(M) for *_, M, _ in f.kernel_code()[1]] == [
-                tuple(M) for *_, M, _ in _eager(f)[1]]
+            assert [_kernels.moments(g_j + g_k, s) for _, g_j, g_k, *_ in folded] == [
+                _moments_array([g_j + g_k], s, _kernels.N_MOMENTS)[:, 0].tolist()
+                for _, g_j, g_k, *_ in folded]
         assert built > eager > 0 and refused > 0
 
     def test_finite_test_never_vouches_for_an_overflow(self):
-        # where the cheap test vouches, the recurrence forms every moment;
-        # seeded exponents up to its limits s = 1e4 and Re a s = 480
+        # where the cheap test vouches, every moment is finite; seeded
+        # exponents up to its limits s = 1e4 and Re a s = 480
         rng = np.random.default_rng(11)
         vouched = 0
         for _ in range(3000):
             s = float(10.0 ** rng.uniform(-1.0, 4.0))
             a = complex(rng.uniform(-900.0, 480.0) * 10.0 ** rng.uniform(-6.0, 0.0) / s,
                         rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0))
-            if abs(a * s) < _kernels.SMALL_W or not tf._higher_moments_finite(a, s):
+            if not tf._higher_moments_finite(a, s):
                 continue
             vouched += 1
-            assert all(map(cmath.isfinite, tf._higher_moments(a, s))), (a, s)
+            assert all(map(cmath.isfinite, _kernels.moments(a, s))), (a, s)
         assert not tf._higher_moments_finite(1.0 + 0j, 481.0)
         assert not tf._higher_moments_finite(0j, 1e5)
         assert vouched > 2000
@@ -396,16 +402,14 @@ class TestLazyMoments:
 
 def test_search_weights_build_without_numpy(monkeypatch):
     """Weights of the family search, at its seed grid and its coarse scans'
-    alphas, take no moment series."""
-    def no_series(*args):
-        raise AssertionError("_exp_moments_vec called")
-
-    monkeypatch.setattr(tf, "_exp_moments_vec", no_series)
+    alphas, build in plain Python and have no exponent in the series disc."""
+    monkeypatch.setattr(tf, "np", None)     # any NumPy call raises
     alphas = set(optimizer.FAMILY_GRID["alpha"]) | {-4.0 + 8.0 * i / 12 for i in range(13)}
     for alpha in sorted(alphas | {-3.9, -0.37, 0.05, 2.6}):
         for s in optimizer.FAMILY_GRID["s"] + (0.2, 10.0, 23.7, 40.0):
             for mult in optimizer.PROFILES:
-                tf.autocorrelation_code(*optimizer._generator(alpha, s, mult))
+                s_, folded = tf._build(*map(float, optimizer._generator(alpha, s, mult)))[0]
+                assert not any(_in_series_disc(g_j + g_k, s_) for _, g_j, g_k, *_ in folded)
 
 
 class TestScalarRoute:

@@ -148,6 +148,14 @@ class TestOrder5:
     def test_reference_value(self):
         assert zfr.zfr_order5() == pytest.approx(0.1489, abs=5e-4)
 
+    @pytest.mark.parametrize("phi,match", [
+        (math.nan, "phi must be finite"), (math.inf, "phi must be finite"),
+        (0.0, "phi must be positive"), (-0.25, "phi must be positive")])
+    def test_phi_must_be_finite_and_positive(self, phi, match):
+        # NaN gave lambda_1 >= nan and inf gave lambda_1 >= 0
+        with pytest.raises(InvalidParameterError, match=match):
+            zfr.zfr_order5(phi=phi)
+
     def test_scales_inversely_with_phi(self):
         assert zfr.zfr_order5(phi=0.125) == pytest.approx(2 * zfr.zfr_order5(), rel=1e-12)
 
@@ -183,6 +191,12 @@ class TestOrderGe6:
                                   lambda z: np.full(np.shape(z), np.nan))
         with pytest.raises(NoBoundError):
             zfr.zfr_order_ge6(broken)
+
+    @pytest.mark.parametrize("lam_star", [0.0, -0.5])
+    def test_non_positive_lam_star_rejected(self, lam_star):
+        # 0 gave a width-0 result and -0.5 a misleading NoBoundError
+        with pytest.raises(InvalidParameterError, match="lam_star must be positive"):
+            zfr.zfr_order_ge6(tf.triangle(4.0), lam_star=lam_star)
 
     @pytest.mark.parametrize("arg", ["lam_star", "phi"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
