@@ -1,9 +1,9 @@
 """Numeric kernels in plain Python and NumPy.
 
-The scalar transform, the moments and the root solver are plain Python
-floats; NumPy serves the array transform ``f_array``, ``E`` and the grid
-minimum ``p4_combo_min``.  The family codes they read are built in Python
-too (``trial_functions.autocorrelation_code``).
+The scalar transform, the pair constants and the root solver are plain
+Python floats; NumPy serves the array transform ``f_array``, ``E`` and the
+grid minimum ``p4_combo_min``.  The family codes they read are built in
+Python too (``trial_functions.autocorrelation_code``).
 
 Every bound ends in a monotone root solve.  The smoothed roots, and the
 crossings in J of the quartic search, go through one bracketed ITP solver
@@ -40,24 +40,27 @@ Trial functions reach this module, its one reader, as a "family code" (see
 per conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with ``c``
 doubled when the two differ: a cosine-modulated generator has 5 folded
 pairs of 9, one with ``c0 = 0`` 2 of 4, and a plain one its 1.  All are
-plain Python numbers and bools, and a code never changes.  ``K`` is the
-moment M_0 of a = g_j + g_k (``moments``); the pair series near
-r = -g_j, the one reader of M_1 .. M_7, forms them when it runs.  ``far``
-says both |Im g_j| x0 and |Im g_k| x0 are at least ``SMALL_W``.  Every
-built-in weight, the triangle included, is an autocorrelation, so neither
-evaluator branches on the family.  The
-transform ``F`` is ``f_real_scalar`` at one real point and ``f_array`` at
-real or complex points, scalar or array; at a real point the terms of two
-conjugate pairs are conjugates, and off the real axis ``f_array`` evaluates
-the dropped one as ``conj T(conj z)``.  ``E`` is the ``(e^{ax} - 1)/a``
-they and the weight are built from.  The two transforms agree to 2e-13
-relative, not to the bit, as Python and NumPy complex arithmetic differ in
-the last bits.
-Closed forms switch to series below ``SMALL_W`` = 1e-2, where the direct
-expressions would lose more than half their digits to cancellation; the
-series stay at ~1e-15 relative error.  Just above the switch the direct
-forms lose some digits: against a 50-digit reference the pair sums are off
-by up to 4.3e-12 relative (the box of ``x0 = 0.7``, just off the real axis).
+plain Python numbers and bools, and a code never changes.  ``K`` is
+E(x0; g_j + g_k) (``exp_quotient``), and ``far`` says both |Im g_j| x0 and
+|Im g_k| x0 are at least ``SMALL_W``.  Every built-in weight, the triangle
+included, is an autocorrelation, so neither evaluator branches on the
+family.  The transform ``F`` is ``f_real_scalar`` at one real point and
+``f_array`` at real or complex points, scalar or array; at a real point the
+terms of two conjugate pairs are conjugates, and off the real axis
+``f_array`` evaluates the dropped one as ``conj T(conj z)``.  Each pair term
+T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
+|g_j + z| x0 or |g_k - z| x0 is below ``SMALL_W`` = 1e-2, near coincident
+nodes of the divided difference it is, where the direct form would lose
+more than half its digits; both evaluators hand those few terms (0.7-0.8%
+of the scalar pair evaluations of the benchmark's smoothed and density
+items) to one routine, ``pair_near``, within 2.2 eps (1 + |u|) |T| of 50
+digits at the tests' real points, u = (g_j + g_k) x0.
+``E`` is the array ``(e^{ax} - 1)/a`` the weight is built from.  The two
+transforms agree to 2e-13 relative, not to the bit, as Python and NumPy
+complex arithmetic differ in the last bits.  Just above the switch the
+direct form loses some digits: against a 50-digit reference the pair sums
+are off by up to 4.3e-12 relative (the box of ``x0 = 0.7``, just off the
+real axis).
 """
 
 import cmath
@@ -74,28 +77,53 @@ def backend():
 #: series-switch threshold for the removable singularities of the closed forms
 SMALL_W = 1e-2
 
-#: the highest moment M_n (``moments``) that the pair series read
-N_MOMENTS = 7
+#: radius in u and v inside which ``pair_near`` sums its three-node series
+RHO = 1.0
 
 #: coefficients 1/(m+1)!, m = 0..8, of the series of (e^w - 1)/w
 _E_SERIES = tuple(1.0 / math.factorial(m + 1) for m in range(9))
 
+#: coefficients 1/(k+2)!, k = 1..17, of the three-node series of ``pair_near``;
+#: at |u|, |v| < RHO the omitted tail is below eps/5 of the sum
+_DD_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(1, 18))
 
-def _moment_recurrence(a, s, nmax):
-    """[M_0, .., M_nmax] at one exponent outside the series disc, |a s| >= SMALL_W.
 
-    M_0 = (e^{as} - 1)/a and M_n = (s^n e^{as} - n M_{n-1})/a, in Python
-    floats.  Each quotient x/a is written out by Smith's method: with
-    (p, q) = (1, Im a/Re a) where |Re a| >= |Im a|, else (Re a/Im a, 1), it
-    is ((Re x p + Im x q) scl, (Im x p - Re x q) scl), scl one over the
-    denominator (the factor 1 is exact).  Python's own complex ``/`` rounds
-    differently in the last bit on 42% of random quotients, and one ulp of
-    K moves what the family searches find (the alpha of a searched
+def _e1(w):
+    """(e^w - 1)/w for |w| < SMALL_W: its 9-term series, by Horner's rule."""
+    e = 0.0
+    for coeff in reversed(_E_SERIES):
+        e = e * w + coeff
+    return e
+
+
+def exp_quotient(a, s):
+    """K = E(s; a) = (e^{as} - 1)/a at one complex a, in Python floats.
+
+    s at a = 0; inside the disc |a s| < SMALL_W, s times nine terms of the
+    series of (e^w - 1)/w, w = a s, each w^m/m! over m + 1, summed smallest
+    first, the order that has always formed K (``_e1`` sums the same series
+    faster, to other bits); elsewhere the quotient written out by Smith's
+    method: with (p, q) = (1, Im a/Re a) where |Re a| >= |Im a|, else
+    (Re a/Im a, 1), it is ((Re x p + Im x q) scl, (Im x p - Re x q) scl),
+    x = e^{as} - 1 and scl one over the denominator.  Python's own complex
+    ``/`` rounds differently in the last bit on 42% of random quotients, and
+    one ulp of K moves what the family searches find (the alpha of a searched
     T2:quadratic weight at b = 1e-7, say), so the written-out quotient keeps
-    every code, and so every bound, as it has been.  M_0 does not depend on
-    nmax.  Raises OverflowError when e^{as} or M_nmax is not finite: a
-    moment that is not finite makes every later one so, so the last tells.
+    every code, and so every bound, as it has been.  Raises OverflowError
+    when e^{as} or K is not finite.
     """
+    if a == 0:
+        return complex(s)
+    w = a * s
+    if abs(w) < SMALL_W:   # w^m/m! over m + 1, smallest first
+        terms, t = [], 1.0
+        for m in range(9):
+            terms.append(t)
+            t = t * w / (m + 1)
+        acc = 0j
+        for m in reversed(range(9)):
+            acc += terms[m] / (m + 1)
+        return s * acc
     ar, ai = a.real, a.imag
     if abs(ar) >= abs(ai):
         p, q = 1.0, ai / ar
@@ -103,49 +131,40 @@ def _moment_recurrence(a, s, nmax):
     else:
         p, q = ar / ai, 1.0
         scl = 1.0 / (ai + ar * p)
-    e = cmath.exp(a * s)
-    er, ei = e.real, e.imag
-    xr, xi = er - 1.0, ei
-    out = []
-    for n in range(nmax + 1):
-        if n:
-            sn = s ** n
-            xr, xi = sn * er - n * mr, sn * ei - n * mi
-        mr, mi = (xr * p + xi * q) * scl, (xi * p - xr * q) * scl
-        out.append(complex(mr, mi))
-    if not (math.isfinite(mr) and math.isfinite(mi)):
+    e = cmath.exp(w)
+    xr, xi = e.real - 1.0, e.imag
+    K = complex((xr * p + xi * q) * scl, (xi * p - xr * q) * scl)
+    if not cmath.isfinite(K):
         raise OverflowError
-    return out
+    return K
 
 
-def moments(a, x0, nmax=N_MOMENTS):
-    """[M_0, .., M_nmax] of M_n = int_0^x0 u^n e^{au} du at one complex a.
+def pair_near(K, g_j, g_k, z, x0):
+    """The pair term (K - E(x0; A))/b, A = g_k - z and b = g_j + z, where
+    |b| x0 or |A| x0 is below SMALL_W; K = E(x0; g_j + g_k).
 
-    x0^(n+1)/(n+1) at a = 0; inside the series disc 0 < |a x0| < SMALL_W,
-    nine terms of the scaled series x0^(n+1) sum_m (a x0)^m/m!/(n+m+1)
-    (x0 times the series of ``E`` at n = 0), whose one power of x0 is the
-    x0^(n+1) that sets the size of M_n; elsewhere ``_moment_recurrence``.
-    The M_n are the derivatives of E(x0; a) in a (McCurdy, Ng & Parlett
-    1984), so the pair series below are Taylor series in them.  M_0 does
-    not depend on nmax.  Raises OverflowError when a moment, or x0^(n+1),
-    is not finite.
+    The term is x0^2 exp[0, u, v], the second divided difference of exp at
+    the nodes 0, u = (g_j + g_k) x0 and v = A x0 (McCurdy, Ng & Parlett 1984;
+    Higham 2008).  Where |u| and |v| are below ``RHO`` it is the
+    three-node series x0^2 sum_k h_k(u, v)/(k+2)!, h_k = u h_{k-1} + v^k.
+    Elsewhere it divides by the widest node gap: by v where u ~ v (|b| x0
+    small), as (x0 e^u E1(v - u) - K)/A, and by u - v where v ~ 0, as
+    (K - x0 E1(v))/b, with E1(w) = (e^w - 1)/w from ``_e1``.  The operations
+    are ordered so that none overflows where the term is finite.
     """
-    if a == 0:
-        return [complex(x0 ** (n + 1) * (1.0 / (n + 1))) for n in range(nmax + 1)]
-    w = a * x0
-    if abs(w) >= SMALL_W:
-        return _moment_recurrence(a, x0, nmax)
-    terms, t = [], 1.0
-    for m in range(len(_E_SERIES)):
-        terms.append(t)
-        t = t * w / (m + 1)
-    out = []
-    for n in range(nmax + 1):
-        acc = 0j
-        for m in reversed(range(len(terms))):
-            acc += terms[m] / (n + m + 1)
-        out.append(x0 ** (n + 1) * acc)
-    return out
+    b, A = g_j + z, g_k - z
+    u, v = (g_j + g_k) * x0, A * x0
+    if abs(u) < RHO and abs(v) < RHO:
+        h = vk = 1.0
+        acc = 0.5
+        for coeff in _DD_SERIES:
+            vk *= v
+            h = u * h + vk
+            acc += coeff * h
+        return x0 * (x0 * acc)
+    if abs(b) * x0 < SMALL_W:
+        return cmath.exp(u) * (x0 * _e1(-b * x0) / A) - K / A
+    return (K - x0 * _e1(v)) / b
 
 
 def _f_real_scalar(code, r):
@@ -159,9 +178,11 @@ def _f_real_scalar(code, r):
     overflowing) return +inf, as f >= 0, instead of letting exp raise: the
     solvers' bracket-shrinking relies on a value coming back.  The value is a
     Python float, so the root solver's arithmetic stays on Python floats.
-    A pair flagged ``far`` skips both series tests: at real r, |g_j + r| and
-    |g_k - r| are at least the imaginary parts that the flag bounds, so the
-    tests would fail there anyway and the branches match ``f_array``'s.
+    A pair term near coincident nodes, |g_j + r| x0 or |g_k - r| x0 below
+    SMALL_W, comes from ``pair_near``, and every other one from the direct
+    form (K - (e^w - 1)/A)/b.  A pair flagged ``far`` skips both tests: at
+    real r, |g_j + r| and |g_k - r| are at least the imaginary parts that the
+    flag bounds, so the tests would fail there anyway.
     """
     x0, folded = code
     if r < 0.0 and -r * x0 > 690.0:
@@ -169,30 +190,15 @@ def _f_real_scalar(code, r):
     acc = 0.0
     for c, gj, gk, K, far in folded:
         b = gj + r
-        if not far and abs(b) * x0 < SMALL_W:
-            M = moments(gj + gk, x0)
-            phi = 0.0
-            bp = 1.0
-            fact = 1.0
-            for n in range(N_MOMENTS):
-                phi += bp * M[n + 1] / fact
-                bp *= -b
-                fact *= n + 2.0
+        a = gk - r
+        w = a * x0
+        if not far and (abs(b) * x0 < SMALL_W or abs(w) < SMALL_W):
+            phi = pair_near(K, gj, gk, r, x0)
         else:
-            a = gk - r
-            w = a * x0
-            if not far and abs(w) < SMALL_W:
-                e = 0.0
-                wp = 1.0
-                for coeff in _E_SERIES:
-                    e += coeff * wp
-                    wp *= w
-                e *= x0
-            else:
-                try:
-                    e = (cmath.exp(w) - 1.0) / a
-                except OverflowError:
-                    return math.inf
+            try:
+                e = (cmath.exp(w) - 1.0) / a
+            except OverflowError:
+                return math.inf
             phi = (K - e) / b
         acc += c * phi.real
     return acc
@@ -231,7 +237,10 @@ def f_array(code, z):
     a pair with a complex exponent adds c/2 (T(z) + conj T(conj z)), both in
     one stacked evaluation, and a pair of real exponents, its own conjugate,
     adds c T(z).  A scalar z gives a complex, an array a complex array of its
-    shape.  Each series branch runs only when some point needs it.
+    shape.  Each term is the direct form (K - (e^w - 1)/A)/b, w = A x0, and
+    ``pair_near`` overwrites the few elements near coincident nodes, where
+    |b| x0 or |w| is below SMALL_W.  A value past the float range is inf,
+    with no warning, as in ``f_real_scalar``.
     """
     x0, folded = code
     z = np.asarray(z)
@@ -239,26 +248,19 @@ def f_array(code, z):
     real = not np.iscomplexobj(z) or not z.imag.any()
     z = np.atleast_1d(z.astype(complex))
     out = np.zeros(z.shape, dtype=complex)
-    for c, gj, gk, K, _ in folded:
-        own = real or (gj.imag == 0.0 and gk.imag == 0.0)
-        zs = z if own else np.stack([z, z.conj()])
-        b = gj + zs
-        small = np.abs(b) * x0 < SMALL_W
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = (K - E(x0, gk - zs)) / np.where(small, 1.0, b)
-        if small.any():
-            M = moments(gj + gk, x0)
-            taylor = np.zeros_like(b)
-            bp = np.ones_like(b)
-            fact = 1.0
-            for n in range(N_MOMENTS):
-                taylor += ((-1) ** n / fact) * bp * M[n + 1]
-                bp *= b
-                fact *= n + 2.0
-            phi = np.where(small, taylor, phi)
-        if not own:
-            phi = 0.5 * (phi[0] + phi[1].conj())
-        out += c * (phi.real if real else phi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for c, gj, gk, K, _ in folded:
+            own = real or (gj.imag == 0.0 and gk.imag == 0.0)
+            zs = z if own else np.stack([z, z.conj()])
+            b = gj + zs
+            A = gk - zs
+            w = A * x0
+            phi = (K - (np.exp(w) - 1.0) / A) / b
+            for i in np.flatnonzero((np.abs(b) * x0 < SMALL_W) | (np.abs(w) < SMALL_W)):
+                phi.flat[i] = pair_near(K, gj, gk, complex(zs.flat[i]), x0)
+            if not own:
+                phi = 0.5 * (phi[0] + phi[1].conj())
+            out += c * (phi.real if real else phi)
     return complex(out[0]) if scalar else out
 
 

@@ -567,11 +567,15 @@ def piecewise_log_constant(rows, b_min):
     ``rows`` are (b_i, lambda*_i) sorted ascending in b_i with b_min strictly
     below the first b.  On each subinterval [b_{i-1}, b_i] the chain gives
     lambda* >= lambda*_i while log(1/width) <= log(1/b_{i-1}), so the uniform
-    constant is the minimum of lambda*_i / log(1/b_{i-1}).
+    constant is the minimum of lambda*_i / log(1/b_{i-1}).  Each lambda*_i
+    must be finite and > 0.
     """
     rows = [(float(b), float(ls)) for b, ls in rows]
     if not rows:
         raise InvalidParameterError("empty bound chain")
+    for _, ls in rows:
+        if not (math.isfinite(ls) and ls > 0):
+            raise InvalidParameterError(f"chain bounds lambda* must be finite and > 0, got {ls}")
     bs = [b_min] + [b for b, _ in rows]
     for b in bs:
         if not (0.0 < b < 1.0):

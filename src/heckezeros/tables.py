@@ -256,8 +256,10 @@ def regress(table, tolerance=2e-4, budget=120):
     (``budget`` objective evaluations per row, split evenly over the generator
     profiles with at least 40 each) and pass when at least 90% of rows land in
     the 0.80..1.05 ratio band; out-of-band rows are flagged.  Density tables
-    take the same per-cell budget.
+    take the same per-cell budget.  The tolerance must be finite and >= 0.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
     if isinstance(table, str):
         table = load_table(table)
     if isinstance(table, ZdTable):

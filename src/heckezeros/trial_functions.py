@@ -34,16 +34,16 @@ the family search scores the code alone.  Builds are memoized process-wide
 in one bounded LRU cache (``BUILD_CACHE_SIZE`` entries), so each distinct
 weight is built once per process, not once per table row or cell.  Per
 distinct exponent a = g_j + g_k (three for a cosine weight's five folded
-pairs) a build forms only K = M_0, where M_n = int_0^s u^n e^{au} du
-(``_kernels.moments``), and a code is a tuple of plain Python numbers and
-bools that never changes after its build.  M_1 .. M_7, which only the
-kernels' series at a removable singularity read, are formed there, when a
-series runs.  Where ``_higher_moments_finite`` cannot vouch that they are
-finite, a build forms them once and discards them, so builds reject
-exactly the parameters whose moments overflow.  NumPy evaluates
-f(t) and sup |f''| on grids, and the generator's sign when c0 < |c1|.
+pairs) a build forms K = E(s; a) = int_0^s e^{au} du
+(``_kernels.exp_quotient``) and the pair term at its coincidence point
+z = -g_j, int_0^s u e^{au} du (``_kernels.pair_near``; for real a at most
+s K).  A build is refused exactly where K, f(0) or one of those pair terms
+is not a finite float, and a code is a tuple of plain Python numbers and
+bools that never changes after its build.  NumPy evaluates f(t) and
+sup |f''| on grids, and the generator's sign when c0 < |c1|.
 """
 
+import cmath
 import functools
 import inspect
 import math
@@ -177,23 +177,6 @@ def triangle(x0):
 # autocorrelation family
 # ---------------------------------------------------------------------------
 
-def _higher_moments_finite(a, s):
-    """True when every moment M_0 .. M_7 at a, and every step that forms
-    them, is surely finite.
-
-    A Smith quotient's component is at most twice the larger component of
-    x over |a|, so outside the series disc, with t = max(1, s) and
-    L = max(1, 14/|a|), no step of the recurrence exceeds
-    128 (|e^{as}| + 1) t^7 L^8 <= 256 e^{max(Re a s, 0)} t^7 L^8, and
-    L <= 1400 t as |a| >= SMALL_W / s.  With s <= 1e4 and Re a s <= 480
-    that is below e^682, far enough from the float range for rounding; at
-    a = 0 and inside the series disc the largest is s^8 <= 1e32 (times
-    e^{SMALL_W}).  False (the build then forms them once) only for larger
-    supports or growth.
-    """
-    return s <= 1e4 and a.real * s <= 480.0
-
-
 def _t_terms(folded):
     """(c, g_k, g_j + g_k) of each folded pair, real where g_k and g_j + g_k are."""
     out = []
@@ -255,7 +238,7 @@ def autocorrelation_code(alpha, c0, c1, beta, s):
 
     The build the family search scores, and the one ``autocorrelation``
     wraps: it checks the parameters and the generator's sign, folds the
-    conjugate pairs and forms K = M_0 per distinct exponent.  Raises what
+    conjugate pairs and forms K per distinct exponent.  Raises what
     ``autocorrelation`` raises.
 
     Builds are memoized process-wide in one LRU cache of
@@ -303,23 +286,23 @@ def _build(alpha, c0, c1, beta, s):
 
     # at real r (or t) the terms of pair (j, k) and of its conjugate pair are
     # conjugates: keep the first, c_j c_k doubled when they differ, with its
-    # g_j, g_k and K_{jk} = M_0 at a = g_j + g_k.  A pair of exponents
-    # with |Im g| s >= SMALL_W never takes a series branch at real r: ``far``
+    # g_j, g_k and K_{jk} = E(s; g_j + g_k).  A pair of exponents
+    # with |Im g| s >= SMALL_W never takes ``pair_near`` at real r: ``far``
     gs = [g_ for _, g_ in terms]
     conj = [gs.index(g_.conjugate()) for g_ in gs]
     far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
     keep = [(j, k) for j in range(len(gs)) for k in range(len(gs))
             if (conj[j], conj[k]) >= (j, k)]
-    # M_1 .. M_7, which only the pair series reads, are formed there; where
-    # ``_higher_moments_finite`` cannot vouch for them they are formed once
-    # here and discarded, so a build fails exactly where one overflows
+    # a build fails where K, f(0) or a pair term at its coincidence point
+    # z = -g_j (for real a at most s K) is not a finite float
     try:
         K0 = {}
-        for a in (gs[j] + gs[k] for j, k in keep):
+        for j, k in keep:
+            a = gs[j] + gs[k]
             if a not in K0:
-                K0[a] = _kernels.moments(a, s, 0)[0]
-                if not _higher_moments_finite(a, s):
-                    _kernels.moments(a, s)
+                K0[a] = _kernels.exp_quotient(a, s)
+                if not cmath.isfinite(_kernels.pair_near(K0[a], gs[j], gs[k], -gs[j], s)):
+                    raise OverflowError
         folded = tuple(
             (terms[j][0] * terms[k][0] * (1.0 if (conj[j], conj[k]) == (j, k) else 2.0),
              gs[j], gs[k], K0[gs[j] + gs[k]], far[j] and far[k]) for j, k in keep)
@@ -328,7 +311,7 @@ def _build(alpha, c0, c1, beta, s):
             raise OverflowError
     except OverflowError:
         raise InvalidParameterError(
-            f"the moments of the generator overflow for alpha={alpha}, s={s}") from None
+            f"the transform of the generator overflows for alpha={alpha}, s={s}") from None
     return (s, folded), f0
 
 
@@ -343,10 +326,10 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
         F(z) = sum_{j,k} c_j c_k (K_{jk} - E(s; g_k - z)) / (g_j + z),
 
     with E(s; a) = (e^{as} - 1)/a and K_{jk} = E(s; g_j + g_k) independent of
-    z; Taylor fallbacks cover the removable singularities.  The quadrature
-    oracle cross-checks all of it.  Raises InvalidParameterError naming alpha
-    and s when a moment int_0^s u^n e^{(g_j + g_k) u} du or f(0) overflows.
-    The code comes from ``autocorrelation_code``.
+    z; ``_kernels.pair_near`` covers the removable singularities.  The
+    quadrature oracle cross-checks all of it.  Raises InvalidParameterError
+    naming alpha and s when f(0), a K_{jk} or a pair term at its coincidence
+    point z = -g_j overflows.  The code comes from ``autocorrelation_code``.
     """
     code, f0 = autocorrelation_code(alpha, c0, c1, beta, s)
     params = dict(zip(("alpha", "c0", "c1", "beta", "s"), map(float, (alpha, c0, c1, beta, s))))

@@ -72,15 +72,15 @@ def test_minus_zero_alpha_gets_its_own_code():
     ([0.5], 1.0, 1.0, 1.0, 2.0),
     (0.0, 1.0, 1.0, np.array([1.0, 2.0]), 2.0),
     (0.0, 1.0, 1.0, 1.0, np.array(2.0)),
-    # the pinned overflows: e^{2 alpha s}, x0^8, the series' s^8, and
-    # M_1 .. M_7 where f(0) is finite
+    # the pinned overflows: e^{2 alpha s}, the pair term at coincidence of the
+    # box and of the three-node series (about s^2/2), and M_1 where f(0) is finite
     (20.0, 1.0, 0.0, 0.0, 40.0),
     (9.0, 1.0, 0.0, 0.0, 40.0),
-    (0.0, 1.0, 0.0, 0.0, 1e39),
-    (1e-42, 1.0, 0.0, 0.0, 1e39),
-    (24.304496406728624, 1, 1, 0.0645704737365128, 14.596110908568308),
+    (0.0, 1.0, 0.0, 0.0, 1e200),
+    (1e-203, 1.0, 0.0, 0.0, 1e200),
+    (3.545, 1.0, 0.0, 0.0, 100.0),
 ], ids=["nan", "inf", "s-zero", "s-negative", "list", "ndarray", "0d-ndarray",
-        "exp-20", "exp-9", "box-1e39", "series-1e39", "higher-moments"])
+        "exp-20", "exp-9", "box-1e200", "series-1e200", "higher-moments"])
 def test_bad_inputs_raise_on_every_call(params):
     for _ in range(3):
         with pytest.raises(InvalidParameterError):

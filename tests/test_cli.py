@@ -159,6 +159,9 @@ class TestInvalidInput:
         "optimize --case sz-lp-principal --b 0.1 --budget 0",
         "optimize --case cc-lp-nonprincipal --b 0.1227 --budget 0",
         "zd --lambda 0.2 --optimize --budget -1",
+        "table --regress T4 --tolerance inf",
+        "table --regress T4 --tolerance nan",
+        "table --regress T4 --tolerance -1",
     ])
     def test_one_error_line_and_no_output(self, args, capsys):
         with warnings.catch_warnings():

@@ -325,3 +325,9 @@ class TestPiecewiseLogConstant:
             dh.piecewise_log_constant([(1.5, 1.0)], 0.1)
         with pytest.raises(InvalidParameterError):
             dh.piecewise_log_constant([(0.2, 1.0), (0.1, 2.0)], 0.05)
+        # a NaN bound made the minimum depend on the order of the rows
+        for rows in ([(0.01, math.nan), (0.05, 3.0)], [(0.01, 3.0), (0.05, math.nan)],
+                     [(0.01, math.inf), (0.05, 3.0)], [(0.01, 3.0), (0.05, -1.0)],
+                     [(0.01, 0.0)]):
+            with pytest.raises(InvalidParameterError, match="lambda"):
+                dh.piecewise_log_constant(rows, 0.005)

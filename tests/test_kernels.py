@@ -1,6 +1,7 @@
 """Scalar kernels against the vectorized reference paths, and the root solver's
 contract and agreement with plain bisection."""
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -9,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from heckezeros import _kernels, dh, p4, tables, trial_functions as tf, zfr
+from heckezeros import _kernels, dh, optimizer, p4, tables, trial_functions as tf, zfr
 from heckezeros.errors import NoBoundError
 
 
@@ -31,7 +32,7 @@ def _real_points(f):
     edge = _kernels.SMALL_W / x0
     pts = list(np.linspace(-8.0, 8.0, 161)) + [0.0, -0.25, -3.0, -20.0 / x0]
     pts += [c * (1.0 + d) for c in (edge, -edge) for d in (-1e-6, 1e-6)]
-    # the pair series switch at |g_j + r| x0 = 1e-2, the E series at |g_k - r| x0 = 1e-2
+    # pair_near takes a pair term over where |g_j + r| x0 or |g_k - r| x0 is below 1e-2
     for centre in [-g.real for g in gj] + [g.real for g in gk]:
         pts += [centre + d * edge for d in (0.0, -0.5, 0.5, -0.999, 0.999, -1.001, 1.001, -3.0, 3.0)]
     return pts
@@ -77,6 +78,20 @@ def test_scalar_transform_matches_mpmath():
                 assert abs(got - want) <= 2e-11 * abs(want), (f, r)
 
 
+class _CountedExp:
+    """NumPy, with the shape of each ``exp`` argument recorded."""
+
+    def __init__(self, shapes):
+        self.shapes = shapes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.shapes.append(np.shape(x))
+        return np.exp(x)
+
+
 @pytest.mark.parametrize("params, off_axis, folded", [
     ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 9, 5),   # cosine
     ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 4, 2),   # c0 = 0
@@ -84,7 +99,7 @@ def test_scalar_transform_matches_mpmath():
 ])
 def test_conjugate_pairs_fold_to_one_exp_each(params, off_axis, folded, monkeypatch):
     """The code keeps one pair of each conjugate pair.  At a real point F
-    takes one exp, and f_array one evaluation, per folded pair; off the real
+    takes one exp, and f_array one array exp, per folded pair; off the real
     axis f_array also evaluates each dropped pair's term, stacked with the
     kept one's, so it evaluates off_axis pair terms in all."""
     f = tf.autocorrelation(**params)
@@ -102,10 +117,10 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, off_axis, folded, monkeypa
                for _, g, h, *_ in fold)
     _kernels.f_real_scalar(f.kernel_code(), 0.37)
     assert len(calls) == folded
-    # the shape of each g_k - z that f_array hands to E, one per pair term
+    # the shape of each w = (g_k - z) x0 that f_array exponentiates, one per
+    # pair term
     shapes = []
-    E = _kernels.E
-    monkeypatch.setattr(_kernels, "E", lambda x, a: shapes.append(np.shape(a)) or E(x, a))
+    monkeypatch.setattr(_kernels, "np", _CountedExp(shapes))
     f.laplace(np.linspace(-2.0, 2.0, 7))
     f.laplace(0.37 + 0j)       # a complex scalar on the real axis
     assert shapes == [(7,)] * folded + [(1,)] * folded
@@ -149,12 +164,23 @@ def _mp_reference(f, z, mp):
         return _mp_triangle(mp.mpf(f.params["x0"]), z, mp)
     a, c0, c1, beta, s = (mp.mpf(f.params[k]) for k in ("alpha", "c0", "c1", "beta", "s"))
     terms = [(c0, mp.mpc(a, 0)), (c1 / 2, mp.mpc(a, beta)), (c1 / 2, mp.mpc(a, -beta))]
+    return sum(cj * ck * _mp_pair(gj, gk, z, s, mp)
+               for cj, gj in terms for ck, gk in terms if cj * ck != 0)
 
-    def E(w):   # (e^{w s} - 1)/w
+
+def _mp_pair(gj, gk, z, s, mp):
+    """The pair term (E(s; g_j + g_k) - E(s; g_k - z))/(g_j + z) in mpmath,
+    E(s; w) = (e^{w s} - 1)/w; at z = -g_j its limit, the first moment
+    int_0^s u e^{(g_j + g_k) u} du."""
+    gj, gk, z, s = mp.mpc(gj), mp.mpc(gk), mp.mpc(z), mp.mpf(s)
+
+    def E(w):
         return s if w == 0 else mp.expm1(w * s) / w
 
-    return sum(cj * ck * (E(gj + gk) - E(gk - z)) / (gj + z)
-               for cj, gj in terms for ck, gk in terms if cj * ck != 0)
+    a = gj + gk
+    if gj + z == 0:
+        return s * s / 2 if a == 0 else (s * mp.exp(a * s) - E(a)) / a
+    return (E(a) - E(gk - z)) / (gj + z)
 
 
 def test_array_transform_matches_mpmath():
@@ -180,12 +206,89 @@ def test_array_transform_matches_mpmath():
         # the pair closed forms divide by g_j + z; the triangle's has its own z = 0
         poles = [-complex(g) for g in gj] if f.family == "autocorrelation" else []
         zs = [z for z in zs if min((abs(z - p) for p in poles), default=1.0) >= 1e-3]
+        # and the coincidence points themselves, where pair_near gives the limit
+        zs += list(dict.fromkeys([-complex(g) for g in gj] + [complex(g) for g in gk]))
         got = f.laplace(np.array(zs))
         with mpmath.workdps(50):
             for z, v in zip(zs, got):
                 want = _mp_reference(f, z, mpmath)
                 # the direct forms just above the switch lose up to 4.3e-12
                 assert abs(mpmath.mpc(v) - want) <= 2e-11 * abs(want), (f, z)
+                if complex(z).imag == 0.0:
+                    # the scalar kernel at the same real points
+                    v = _kernels.f_real_scalar(f.kernel_code(), complex(z).real)
+                    assert abs(v - want.real) <= 2e-11 * abs(want), (f, z)
+
+
+def _single_pair_codes(seed, n=40):
+    """Seeded one-pair family codes of search-like weights: s in [0.2, 40],
+    both profiles, and alpha in [-4, 4] scaled by 1, 1/s and 1/(100 s); each
+    folded pair becomes a code of its own with c = 1."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        s = float(rng.uniform(0.2, 40.0))
+        alpha = float(rng.uniform(-4.0, 4.0)) / (1.0, s, 100.0 * s)[i % 3]
+        params = optimizer._generator(alpha, s, optimizer.PROFILES[i % 2])
+        x0, folded = tf.autocorrelation_code(*params)[0]
+        for _, g_j, g_k, K, far in folded:
+            yield x0, ((1.0, g_j, g_k, K, far),)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_terms_near_coincident_nodes_match_mpmath(seed):
+    """Pair terms T where |g_j + z| x0 or |g_k - z| x0 lies in
+    (1e-12, 0.99) SMALL_W, pair_near's reach, against 50 digits, with
+    u = (g_j + g_k) x0: at real points through the scalar kernel within
+    4 eps (1 + |u|) |T|, at complex ones through f_array, which adds
+    (T(z) + conj T(conj z))/2 for a complex exponent, within
+    32 eps (1 + |u|) max(|T(z)|, |T(conj z)|)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(100 + seed)
+    eps, small = 2.0 ** -52, _kernels.SMALL_W
+    taken = {"real": 0, "complex": 0}
+
+    def near(g_j, g_k, z, x0):
+        return any(1e-12 * small < q * x0 < 0.99 * small for q in (abs(g_j + z), abs(g_k - z)))
+
+    with mpmath.workdps(50):
+        for code in _single_pair_codes(seed):
+            x0, ((_, g_j, g_k, _, _),) = code
+            scale = eps * (1.0 + abs((g_j + g_k) * x0))
+            own = g_j.imag == 0.0 and g_k.imag == 0.0
+            for centre in (-g_j, g_k):
+                for _ in range(3):
+                    d = 10.0 ** rng.uniform(-12.0, math.log10(0.99)) * small / x0
+                    r = centre.real + d * rng.choice((-1.0, 1.0))
+                    if near(g_j, g_k, r, x0):
+                        taken["real"] += 1
+                        T = _mp_pair(g_j, g_k, r, x0, mpmath)
+                        got = _kernels.f_real_scalar(code, r)
+                        assert abs(got - T.real) <= 4.0 * scale * abs(T), (code, r)
+                    z = centre + d * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                    if near(g_j, g_k, z, x0):
+                        taken["complex"] += 1
+                        T = _mp_pair(g_j, g_k, z, x0, mpmath)
+                        Tc = _mp_pair(g_j, g_k, z.conjugate(), x0, mpmath)
+                        want = T if own else (T + mpmath.conj(Tc)) / 2
+                        got = mpmath.mpc(_kernels.f_array(code, z))
+                        assert abs(got - want) <= 32.0 * scale * max(abs(T), abs(Tc)), (code, z)
+    assert min(taken.values()) >= 200, taken
+
+
+def test_near_points_take_pair_near(monkeypatch):
+    """Both evaluators hand a pair term near coincident nodes to pair_near, and
+    no other: the plain weight's one pair at r = -alpha and next to it."""
+    f = tf.autocorrelation(alpha=0.5, s=1.0)
+    calls = []
+    near = _kernels.pair_near
+    monkeypatch.setattr(_kernels, "pair_near", lambda *args: calls.append(args[3]) or near(*args))
+    _kernels.f_real_scalar(f.kernel_code(), 0.37)
+    f.laplace(np.array([0.37, 1.2 + 1j]))
+    assert calls == []
+    _kernels.f_real_scalar(f.kernel_code(), -0.5)
+    assert calls == [-0.5]
+    f.laplace(np.array([0.37, -0.5, -0.5 + 1e-3j]))
+    assert calls == [-0.5, -0.5, -0.5 + 1e-3j]
 
 
 @pytest.mark.parametrize("x0", [0.7, 2.5, 14.0])
@@ -286,6 +389,16 @@ def test_overflowing_pair_gives_plus_infinity():
     f = tf.autocorrelation(alpha=4.0, s=20.0)
     assert _kernels.f_real_scalar(f.kernel_code(), -34.0) == math.inf
     assert f.laplace(-34.0) == complex(math.inf, 0.0)
+
+
+def test_overflowing_sum_gives_plus_infinity():
+    # every pair term is finite at r = -alpha - 3e-4, but their sum is not:
+    # both evaluators give +inf, and f_array warns of nothing
+    f = tf.autocorrelation(alpha=3.532043859649123, c0=1.0, c1=1.0,
+                           beta=0.0645704737365128, s=100.0)
+    r = -3.532343859649123
+    assert _kernels.f_real_scalar(f.kernel_code(), r) == math.inf
+    assert f.laplace(np.array([r]))[0].real == math.inf
 
 
 def test_grid_kernel_matches_numpy_implementation():

@@ -91,6 +91,16 @@ class TestPolyRegression:
             if row.listed < 1.0:
                 assert row.deviation <= 2e-4
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0])
+    def test_bad_tolerance_rejected_before_any_solve(self, tolerance, monkeypatch):
+        # inf passed every row, nan failed every row and -1 acted as 0
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(tables.dh, "solve_poly", no_solve)
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            tables.regress("T4", tolerance=tolerance)
+
     def test_spot_row(self):
         rep = tables.regress("T3:quadratic")
         row = next(r for r in rep.rows if r.b == 0.2866)

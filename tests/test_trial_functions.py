@@ -55,7 +55,7 @@ class TestTriangle:
             tf.Content(x0=2.0, M=2.0, B=-0.1, f0=2.0)
 
     def test_large_support_builds(self):
-        # the box's a = 0 moments need only x0^8; the closed form at 50 digits
+        # the box's pair term needs only x0^2/2; the closed form at 50 digits
         f = tf.triangle(1e9)
         assert (f.content.f0, f.content.B) == (1e9, 0.0)
         assert f.laplace(0.0) == 5e17 and f.laplace(1.0) == 1e9 - 1.0
@@ -65,9 +65,10 @@ class TestTriangle:
         assert np.abs(f.laplace(zs) - want).max() <= 1e-12 * 5e17
 
     def test_overflowing_moments_are_named(self):
-        # x0^8 overflows, so the moments of the box do too
-        with pytest.raises(InvalidParameterError, match=r"s=1e\+39"):
-            tf.triangle(1e39)
+        # f(0) = x0 is finite, but the box's pair term at r = 0, its first
+        # moment x0^2/2, overflows
+        with pytest.raises(InvalidParameterError, match=r"s=1e\+200"):
+            tf.triangle(1e200)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_support(self, bad):
@@ -132,9 +133,10 @@ class TestAutocorrelation:
             tf.autocorrelation(alpha=alpha, s=40.0)
 
     def test_overflowing_moment_series_is_named(self):
-        # |2 alpha s| = 2e-3 sends the pair to the series, whose s^8 overflows
-        with pytest.raises(InvalidParameterError, match=r"s=1e\+39"):
-            tf.autocorrelation(alpha=1e-42, s=1e39)
+        # |2 alpha s| = 2e-3: f(0) is about s, but the three-node series of the
+        # pair term at r = -alpha, about s^2/2, overflows
+        with pytest.raises(InvalidParameterError, match=r"s=1e\+200"):
+            tf.autocorrelation(alpha=1e-203, s=1e200)
 
     def test_large_support_series_weight_builds(self):
         # |2 alpha s| = 2e-3: the series moments stay finite up to s^8 = 1e72
@@ -155,7 +157,7 @@ class TestAutocorrelation:
 
             eps4 = 4.0 * 2.0 ** -52
             assert abs(f.content.f0 - float(E(2 * a))) <= eps4 * f.content.f0
-            # -alpha and -1.5e-12 take the pair series, which reads M_1 .. M_7
+            # -alpha and -1.5e-12 take pair_near's three-node series
             for z in (0.0, -alpha, -1.5e-12, 1e-9, 3e-9, -2e-9):
                 want = float(F(z))
                 assert abs(f.laplace(z).real - want) <= eps4 * abs(want), z
@@ -194,18 +196,19 @@ class TestAutocorrelation:
                 c.B
 
     def test_non_finite_moments_rejected(self):
-        # e^{2 alpha s} = 1.3e308 is finite and so is f(0) = 7.05e306, but
-        # s e^{2 alpha s} overflows, so M_1 .. M_7 are not finite
-        with pytest.raises(InvalidParameterError,
-                           match=r"alpha=24\.304496406728624, s=14\.596110908568308"):
-            tf.autocorrelation(alpha=24.304496406728624, c0=1, c1=1,
-                               beta=0.0645704737365128, s=14.596110908568308)
+        # 2 alpha s = 709: f(0) = K = 1.2e307 is finite, but the pair term at
+        # r = -alpha, the first moment (s e^{2 alpha s} - K)/(2 alpha) = 1.2e309,
+        # is not
+        with pytest.raises(InvalidParameterError, match=r"alpha=3\.545, s=100\.0"):
+            tf.autocorrelation(alpha=3.545, s=100.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_moment_series_matches_mpmath(seed):
-    """The series-disc moments, 0 < |a s| < SMALL_W, against Kummer's
-    function at 50 digits: M_n = s^(n+1)/(n+1) 1F1(n+1; n+2; a s)."""
+    """The two moments the kernels form inside the series disc
+    0 < |a s| < SMALL_W, against Kummer's function at 50 digits,
+    M_n = s^(n+1)/(n+1) 1F1(n+1; n+2; a s): K = M_0 (``exp_quotient``) and
+    M_1, the pair term at its coincidence point z = -g_j (``pair_near``)."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -215,32 +218,35 @@ def test_moment_series_matches_mpmath(seed):
             w = 10.0 ** rng.uniform(-14.0, math.log10(0.99 * _kernels.SMALL_W))
             w *= (1.0, -1.0, cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]
             a = complex(w / s)
-            got = _kernels.moments(a, s)
-            for n, m in enumerate(got):
+            K = _kernels.exp_quotient(a, s)
+            for n, m in enumerate((K, _kernels.pair_near(K, a / 2, a / 2, -a / 2, s))):
                 want = (mpmath.mpf(s) ** (n + 1) / (n + 1)
                         * mpmath.hyp1f1(n + 1, n + 2, mpmath.mpc(a) * s))
                 worst = max(worst, float(abs(mpmath.mpc(m) - want) / abs(want)))
     assert worst <= 4.0 * 2.0 ** -52, worst
 
 
-def _moments_array(a, s, nmax):
-    """The moments outside the series disc in NumPy arrays, kept as the
-    reference for ``_kernels.moments``: the recurrence, and s^(n+1)/(n+1) in
-    complex arithmetic at a = 0."""
+def _k_array(a, s):
+    """K = (e^{as} - 1)/a in NumPy arrays, s at a = 0, kept as the reference
+    for ``_kernels.exp_quotient`` outside the series disc."""
     a = np.asarray(a, dtype=complex)
-    out = np.empty((nmax + 1, a.size), dtype=complex)
     zero = a == 0
-    a_safe = np.where(zero, 1.0, a)
     with np.errstate(over="ignore", invalid="ignore"):
-        ew = np.exp(a * s)
-        out[0] = (ew - 1.0) / a_safe
-        for n in range(1, nmax + 1):
-            out[n] = (s ** n * ew - n * out[n - 1]) / a_safe
-    if zero.any():
-        k = np.arange(1, nmax + 2, dtype=float)[:, None]
-        s_pow = np.array([s ** j for j in range(1, nmax + 2)])[:, None]
-        out[:, zero] = np.ones(1, dtype=complex) * s_pow / k
-    return out
+        return np.where(zero, s, (np.exp(a * s) - 1.0) / np.where(zero, 1.0, a))
+
+
+def _mp_pair(g_j, g_k, z, s, mp):
+    """The pair term (E(s; g_j + g_k) - E(s; g_k - z))/(g_j + z) in mpmath,
+    E(s; w) = (e^{w s} - 1)/w, and its limit M_1 at z = -g_j."""
+    g_j, g_k, z, s = mp.mpc(g_j), mp.mpc(g_k), mp.mpc(z), mp.mpf(s)
+
+    def E(w):
+        return s if w == 0 else mp.expm1(w * s) / w
+
+    a = g_j + g_k
+    if g_j + z == 0:
+        return s * s / 2 if a == 0 else (s * mp.exp(a * s) - E(a)) / a
+    return (E(a) - E(g_k - z)) / (g_j + z)
 
 
 def _in_series_disc(a, s):
@@ -266,19 +272,19 @@ def _seeded_weights(seed, n=60):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_python_moments_equal_numpy_arrays(seed):
-    """``_kernels.moments`` is what NumPy arrays give, to the bit, at a = 0
-    and outside the series disc, and every code's K is its M_0."""
+    """The moment a code holds, K = M_0 from ``_kernels.exp_quotient``, is
+    what NumPy arrays give, to the bit, at a = 0 and outside the series
+    disc."""
     taken = {"zero": 0, "series": 0, "re": 0, "im": 0}
     for params in _seeded_weights(seed):
         s, folded = tf.autocorrelation(**params).kernel_code()
         for _, g_j, g_k, K, _ in folded:
             a = g_j + g_k
-            got = _kernels.moments(a, s)
-            assert repr(K) == repr(got[0]), (params, a)
+            assert repr(K) == repr(_kernels.exp_quotient(a, s)), (params, a)
             if _in_series_disc(a, s):
                 taken["series"] += 1
                 continue
-            assert got == _moments_array([a], s, _kernels.N_MOMENTS)[:, 0].tolist(), (params, a)
+            assert K == complex(_k_array(a, s)), (params, a)
             taken["zero" if a == 0 else "re" if abs(a.real) >= abs(a.imag) else "im"] += 1
     assert min(taken.values()) > 0, taken
 
@@ -311,21 +317,20 @@ def test_codes_are_immutable():
 
 
 class TestLazyMoments:
-    """A build forms K = M_0 only; M_1 .. M_7 are formed where the pair
-    series reads them, and the code never holds them."""
+    """A build forms K = M_0 and checks M_1, the pair term at its coincidence
+    point; no code holds a higher moment, and the kernels form none."""
 
     def test_search_builds_leave_them_unread(self, monkeypatch):
-        # a search weight's build forms M_0 of its three exponents, no more
-        moments, asked = _kernels.moments, []
-
-        def recorded(a, s, nmax=_kernels.N_MOMENTS):
-            asked.append(nmax)
-            return moments(a, s, nmax)
-
-        monkeypatch.setattr(_kernels, "moments", recorded)
+        # a search weight's build forms K of its three exponents and checks
+        # their pair terms at coincidence, no more
+        asked = []
+        for name in ("exp_quotient", "pair_near"):
+            fn = getattr(_kernels, name)
+            monkeypatch.setattr(_kernels, name,
+                                lambda *args, _fn=fn, _name=name: asked.append(_name) or _fn(*args))
         params = optimizer._generator(0.7, 3.2, 1.0)
         code, f0 = tf._build(*map(float, params))
-        assert asked == [0, 0, 0]
+        assert asked == ["exp_quotient", "pair_near"] * 3
         assert all(len(pair) == 5 for pair in code[1])
         assert f0 == tf.autocorrelation(*params).content.f0
 
@@ -351,53 +356,45 @@ class TestLazyMoments:
         for z, v in zip(zs, f.laplace(zs)):
             assert abs(v - oracles.quadrature_laplace(f, z)) < 1e-10 * (1 + abs(v)), z
 
-    @pytest.mark.parametrize("s", [14.596110908568308, 40.0, 3.0])
+    @pytest.mark.parametrize("s", [14.596110908568308, 40.0, 3.0, 100.0])
     def test_builds_fail_exactly_where_eager_moments_overflow(self, s):
-        # across the overflow edge of s^7 e^{2 alpha s}, a cosine weight
-        # builds exactly where every reference moment and f(0) is finite,
-        # and its moments are then those references
-        built, eager, refused = 0, 0, 0
-        for two_alpha_s in np.linspace(460.0, 709.9, 101):
-            alpha = float(two_alpha_s / (2.0 * s))
-            beta = 0.0645704737365128
-            exps = [2.0 * alpha + k * 1j * beta for k in (0, 1, 1, 2, 0)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                ref = _moments_array(exps, s, _kernels.N_MOMENTS)
-            f0 = sum(c * K for c, K in zip((1.0, 1.0, 1.0, 0.5, 0.5), ref[0].tolist())).real
-            finite = bool(np.isfinite(ref).all()) and math.isfinite(f0)
-            try:
-                f = tf.autocorrelation(alpha=alpha, c0=1.0, c1=1.0, beta=beta, s=s)
-            except InvalidParameterError:
-                refused += 1
-                assert not finite, alpha
-                continue
-            built += 1
-            _, folded = f.kernel_code()
-            # formed at build time, near the edge
-            eager += not all(tf._higher_moments_finite(g_j + g_k, s)
-                             for _, g_j, g_k, *_ in folded)
-            assert finite and f.content.f0 == f0, alpha
-            assert [_kernels.moments(g_j + g_k, s) for _, g_j, g_k, *_ in folded] == [
-                _moments_array([g_j + g_k], s, _kernels.N_MOMENTS)[:, 0].tolist()
-                for _, g_j, g_k, *_ in folded]
-        assert built > eager > 0 and refused > 0
+        # across the overflow edge of e^{2 alpha s}, a cosine weight that
+        # builds has a finite F within 4 eps (1 + |u|) of each pair term's
+        # size of 50 digits at r = 0 and at r = -alpha, the real -g_j, and a
+        # refused one has f(0) or a pair term at its coincidence point (M_0
+        # and M_1 of some exponent) above 1e306; s = 100 refuses on M_1
+        mpmath = pytest.importorskip("mpmath")
+        beta, eps = 0.0645704737365128, 2.0 ** -52
+        built = refused = 0
+        with mpmath.workdps(50):
+            S = mpmath.mpf(s)
 
-    def test_finite_test_never_vouches_for_an_overflow(self):
-        # where the cheap test vouches, every moment is finite; seeded
-        # exponents up to its limits s = 1e4 and Re a s = 480
-        rng = np.random.default_rng(11)
-        vouched = 0
-        for _ in range(3000):
-            s = float(10.0 ** rng.uniform(-1.0, 4.0))
-            a = complex(rng.uniform(-900.0, 480.0) * 10.0 ** rng.uniform(-6.0, 0.0) / s,
-                        rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0))
-            if not tf._higher_moments_finite(a, s):
-                continue
-            vouched += 1
-            assert all(map(cmath.isfinite, _kernels.moments(a, s))), (a, s)
-        assert not tf._higher_moments_finite(1.0 + 0j, 481.0)
-        assert not tf._higher_moments_finite(0j, 1e5)
-        assert vouched > 2000
+            def E(w):
+                return S if w == 0 else mpmath.expm1(w * S) / w
+
+            for two_alpha_s in np.linspace(460.0, 709.9, 101):
+                alpha = float(two_alpha_s / (2.0 * s))
+                gs = [(mpmath.mpf(c), mpmath.mpc(alpha, k * beta))
+                      for c, k in ((1.0, 0), (0.5, 1), (0.5, -1))]
+                pairs = [(c_j * c_k, g_j, g_k) for c_j, g_j in gs for c_k, g_k in gs]
+                try:
+                    f = tf.autocorrelation(alpha=alpha, c0=1.0, c1=1.0, beta=beta, s=s)
+                except InvalidParameterError:
+                    refused += 1
+                    f0 = sum(c * E(g_j + g_k) for c, g_j, g_k in pairs).real
+                    m1 = max(abs((S * mpmath.exp((g_j + g_k) * S) - E(g_j + g_k)) / (g_j + g_k))
+                             for _, g_j, g_k in pairs)
+                    assert max(f0, m1) > 1e306, alpha
+                    continue
+                built += 1
+                for r in (0.0, -alpha):
+                    terms = [(c * _mp_pair(g_j, g_k, r, S, mpmath), abs((g_j + g_k) * S))
+                             for c, g_j, g_k in pairs]
+                    want = sum(t for t, _ in terms).real
+                    tol = 4.0 * eps * sum(abs(t) * (1.0 + u) for t, u in terms)
+                    for got in (f.laplace(r).real, f.laplace(np.array([r]))[0].real):
+                        assert math.isfinite(got) and abs(got - want) <= tol, (alpha, r)
+        assert built > 0 and refused > 0
 
 
 def test_search_weights_build_without_numpy(monkeypatch):
