@@ -19,9 +19,11 @@ table is data so the wiring can be audited line by line.
 
 ``solve_smoothed`` is a thin wrapper over ``_smoothed_root``, the root
 alone, which the family search calls for every weight it scores (on a
-snapped h, whose root stops at h's rounding floor); the solver adds the
-failure reports, the residual and the ``BoundResult``, and its roots, on the
-exact h, resolve to adjacent floats.
+snapped h, whose root stops at h's rounding floor, by Newton steps from the
+last root, with F(0) from the weight's build and no overflow probe where
+its code rules one out); the solver adds the failure reports, the residual
+and the ``BoundResult``, and its roots, by ITP on the exact h, resolve to
+adjacent floats.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
 lambda built once (``_poly_at``).
@@ -202,7 +204,8 @@ def smoothed_h(case, f, b, phi=PHI):
                                 case.psi_over_phi * phi, b, f.content.f0)
 
 
-def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False):
+def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False, code=None,
+                   F0=None):
     """(root, h(0), h(hi), hi, h) of a smoothed case's h for the transform F.
 
     F maps real r to F(r) as a float and f0 = f(0); ``case`` is a smoothed
@@ -211,14 +214,21 @@ def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False):
     (or is NaN at an end), or is 0 at both ends.  ``hi`` is the bracket end
     the solve used.  The family search scores weights by this root alone;
     ``solve_smoothed`` adds the checks, the residual and the result.
+    ``code``, the weight's family code when F is its scalar kernel, decides
+    the 'sz' bracket's overflow halving (``_kernels.surely_finite``), and
+    F0 = F(0) is the one its build stored; without them F(-hi) and F(0) are
+    evaluated.
 
     ``snap`` is the family search's: h is ``smoothed_fn``'s snapped h, 0.0
     below its rounding floor, so the root stops where the sign of h turns to
     rounding noise instead of at adjacent floats (a search root, which only
-    ranks weights; ``solve_smoothed`` never snaps).  A 'cc' h that is positive
-    at 0, where it costs no transform call, bounds nothing, as h increases: it
-    returns at once, with a NaN root and h(hi) not evaluated (NaN).  A snapped
-    h that is 0 at the top end of the bracket its solve used gives a NaN root.
+    ranks weights; ``solve_smoothed`` never snaps).  A snapped solve of a
+    coded weight from a guess takes ``_kernels.smoothed_root``'s Newton path
+    on the derivative kernel ``_kernels._f_real_scalar_d``, and ITP where
+    that declines.  A 'cc' h that is positive at 0, where it costs no
+    transform call, bounds nothing, as h increases: it returns at once, with
+    a NaN root and h(hi) not evaluated (NaN).  A snapped h that is 0 at the
+    top end of the bracket its solve used gives a NaN root.
     """
     hi = float(hi)
     form = 0 if case.form == "sz" else 1
@@ -226,16 +236,21 @@ def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False):
     # makes h(hi) infinite (or NaN as inf - inf).  The 'cc' shape reads F at
     # x - b >= -b only, where a smaller bracket cannot help
     for _ in range(60):
-        if form == 1 or hi <= 1.0 or not math.isinf(F(-hi)):
+        if (form == 1 or hi <= 1.0 or code is not None and _kernels.surely_finite(code, -hi)
+                or not math.isinf(F(-hi))):
             break
         hi = 0.5 * hi
-    h = _kernels.smoothed_fn(F, form, float(case.c1), case.psi_over_phi * phi, b, f0,
-                             snap)
+    args = (F, form, float(case.c1), case.psi_over_phi * phi, b, f0, snap, F0)
+    if snap and code is not None and guess is not None:
+        h, hd = _kernels.smoothed_fn(
+            *args, functools.partial(_kernels._f_real_scalar_d, code))
+    else:
+        h, hd = _kernels.smoothed_fn(*args), None
     if snap and form == 1:
         hlo = h(0.0)
         if hlo > 0.0:
             return math.nan, hlo, math.nan, hi, h
-    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi, guess)
+    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi, guess, hd)
     # a snapped h that is 0 at the top of its bracket shows no point clearly
     # above its root: its sign is noise up there, as for the 'sz' h at b = 0,
     # the constant psi f(0) - F(0) that the floor of its F(-x) terms exceeds
@@ -277,7 +292,8 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
         def F(r):
             return float(f.laplace(r).real)
     b = float(b)
-    root, hlo, hhi, hi, h = _smoothed_root(case, F, f.content.f0, b, phi, hi, guess)
+    root, hlo, hhi, hi, h = _smoothed_root(case, F, f.content.f0, b, phi, hi, guess,
+                                           code=code)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")

@@ -10,13 +10,14 @@ beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
 golden-section line search per coordinate, restarted from a fixed grid; the
 three best starts are each re-descended from their incumbent while that
 gains and budget is left.  A family search scores each weight from its
-family code and f(0) alone (``_search_profiles``): by its root
+family code, f(0) and F(0) alone (``_search_profiles``): by its root
 (``dh._smoothed_root``) or its density bound from three transform values
 (``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
 or error message; only the winner is built as a weight and handed to the
 public solver or bound.  A search root stops at h's rounding floor (a
-snapped h, ``_kernels.smoothed_fn``), as it only ranks weights; the
-returned bound, the winner's cold ``dh.solve_smoothed``, does not.  Every
+snapped h, ``_kernels.smoothed_fn``), as it only ranks weights, and is
+found by Newton steps from the last root (``_kernels.smoothed_root``); the
+returned bound, the winner's cold ``dh.solve_smoothed``, does neither.  Every
 search starts from the same seeds and scans the same first lines, so most
 weights it asks for were built before, by an earlier row or cell: the codes
 come from the process-wide build cache of
@@ -303,13 +304,13 @@ def _generator(alpha, s, mult):
 
 
 def _search_profiles(score, boxes, seeds, budget, sweep_tol):
-    """Maximize ``score(code, f0)`` over (alpha, s) for each profile.
+    """Maximize ``score(code, f0, F0)`` over (alpha, s) for each profile.
 
     Each profile gets ``budget // len(PROFILES)`` evaluations, at least 40,
     so any budget below 80 runs about 80.  The floor stays: without it a T1
     cell's budget of 60 would give each profile 30 evaluations and worse
     bounds.  The earlier profile wins a tie.  A weight is scored from its
-    family code and f(0) (``trial_functions.autocorrelation_code``); one
+    family code, f(0) and F(0) (``trial_functions.autocorrelation_code``); one
     that cannot be built counts as -inf, and the score returns -inf for one
     that bounds nothing.  Returns (weight, mult) of the best profile, the
     winner built as a ``TrialFunction``, or None when no weight in the box
@@ -326,11 +327,11 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
         def objective(alpha, s, _mult=mult, _seen=seen):
             if (alpha, s) not in _seen:
                 try:
-                    code, f0 = trial_functions.autocorrelation_code(*_generator(alpha, s, _mult))
+                    built = trial_functions.autocorrelation_code(*_generator(alpha, s, _mult))
                 except HeckeZerosError:
                     _seen[alpha, s] = -math.inf
                 else:
-                    _seen[alpha, s] = score(code, f0)
+                    _seen[alpha, s] = score(*built)
             return _seen[alpha, s]
 
         point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
@@ -354,10 +355,13 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     40 weights (``_search_profiles``), so a budget below 80 makes about 80
     root solves.  A weight scores its root (``dh._smoothed_root``) on the
     snapped h, which stops at h's rounding floor instead of adjacent floats,
-    and a 'cc' weight whose h is positive at 0 scores -inf from the two
-    transform values of h's constant; only the winner is solved by
-    ``dh.solve_smoothed``, on the exact h, for its residual and result, so
-    the returned bound resolves to adjacent floats.
+    by Newton steps on the derivative kernel from the last root, with the
+    F(0) its build stored; a 'cc' weight whose h is positive at 0 scores
+    -inf from the two transform values of h's constant, and an 'sz' one
+    typically from h and h' at the guess and h(0), which takes F(b) alone.
+    Only the winner is solved by ``dh.solve_smoothed``, on the exact h, for
+    its residual and result, so the returned bound resolves to adjacent
+    floats.
     Inputs are checked as in ``maximize_bound``, and a case that is not
     smoothed raises InvalidParameterError.
     """
@@ -380,10 +384,10 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     last = None
     b = float(b)   # as solve_smoothed reads it
 
-    def score(code, f0):
+    def score(code, f0, F0):
         nonlocal last
         root = dh._smoothed_root(case, functools.partial(_kernels._f_real_scalar, code),
-                                 f0, b, phi, guess=last, snap=True)[0]
+                                 f0, b, phi, guess=last, snap=True, code=code, F0=F0)[0]
         if math.isnan(root):
             return -math.inf
         last = root
@@ -406,8 +410,9 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
     tuning recipe (scale 2 theta-hat / lambda) before the descent refines it.
     Each profile scores at least 40 weights (``_search_profiles``), so a
     budget below 80 makes about 80 evaluations.  A weight scores minus its
-    bound from f(0), F(-b) and F(lambda - b) by the scalar kernel
-    (``zero_density.bound_if_admissible``); only the winner's bound comes
+    bound from f(0), F(-b) and F(lambda - b) by the scalar kernel, F(-b)
+    at b = 0 being the build's F(0) (``zero_density.bound_if_admissible``);
+    only the winner's bound comes
     from ``zero_density.n_lambda_bound``.  Inadmissible inputs and a budget
     below 1 raise InvalidParameterError before any evaluation.
     """
@@ -423,10 +428,11 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
     # them to the kernel
     r_minus_b, r_gap = float(-b), float(lam - b)
 
-    def score(code, f0):
+    def score(code, f0, F0):
+        # at b = 0, F(-b) is F(-0.0), which has the bits of the stored F(0)
+        Fmb = F0 if r_minus_b == 0.0 else _kernels.f_real_scalar(code, r_minus_b)
         bound = zero_density.bound_if_admissible(
-            f0, _kernels.f_real_scalar(code, r_minus_b), _kernels.f_real_scalar(code, r_gap),
-            vartheta, phi)
+            f0, Fmb, _kernels.f_real_scalar(code, r_gap), vartheta, phi)
         return -math.inf if bound is None else -bound
 
     found = _search_profiles(score, boxes, seeds, budget, 1e-7)

@@ -29,9 +29,10 @@ read the same folded pairs, and ``_kernels.E`` serves f(t) and its second
 derivative here.
 
 A build is plain Python, ``autocorrelation_code``, which gives the family
-code and f(0); ``autocorrelation`` wraps them in a ``TrialFunction``, and
-the family search scores the code alone.  Builds are memoized process-wide
-in one bounded LRU cache (``BUILD_CACHE_SIZE`` entries), so each distinct
+code, f(0) and F(0); ``autocorrelation`` wraps the first two in a
+``TrialFunction``, and the family searches score the three alone.  Builds
+are memoized process-wide in one bounded LRU cache (``BUILD_CACHE_SIZE``
+entries), so each distinct
 weight is built once per process, not once per table row or cell.  Per
 distinct exponent a = g_j + g_k (three for a cosine weight's five folded
 pairs) a build forms K = E(s; a) = int_0^s e^{au} du
@@ -234,12 +235,14 @@ _KEY = struct.Struct("<5d")
 
 
 def autocorrelation_code(alpha, c0, c1, beta, s):
-    """(family code, f(0)) of ``autocorrelation(alpha, c0, c1, beta, s)``.
+    """(family code, f(0), F(0)) of ``autocorrelation(alpha, c0, c1, beta, s)``.
 
     The build the family search scores, and the one ``autocorrelation``
     wraps: it checks the parameters and the generator's sign, folds the
-    conjugate pairs and forms K per distinct exponent.  Raises what
-    ``autocorrelation`` raises.
+    conjugate pairs and forms K per distinct exponent.  F(0) is
+    ``_kernels.f_real_scalar(code, 0.0)``, to the bit, which every smoothed
+    solve of the weight reads, so a cached build serves it to every row.
+    Raises what ``autocorrelation`` raises.
 
     Builds are memoized process-wide in one LRU cache of
     ``BUILD_CACHE_SIZE`` entries, keyed by the bits of the checked float
@@ -312,7 +315,8 @@ def _build(alpha, c0, c1, beta, s):
     except OverflowError:
         raise InvalidParameterError(
             f"the transform of the generator overflows for alpha={alpha}, s={s}") from None
-    return (s, folded), f0
+    code = (s, folded)
+    return code, f0, _kernels._f_real_scalar(code, 0.0)
 
 
 def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
@@ -331,7 +335,7 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     naming alpha and s when f(0), a K_{jk} or a pair term at its coincidence
     point z = -g_j overflows.  The code comes from ``autocorrelation_code``.
     """
-    code, f0 = autocorrelation_code(alpha, c0, c1, beta, s)
+    code, f0, _ = autocorrelation_code(alpha, c0, c1, beta, s)
     params = dict(zip(("alpha", "c0", "c1", "beta", "s"), map(float, (alpha, c0, c1, beta, s))))
     content = Content(x0=code[0], M=f0, B=functools.partial(_sup_f2, code), f0=f0)
     return TrialFunction("autocorrelation", params, content, functools.partial(_weight, code),

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from heckezeros import optimizer, tables, trial_functions as tf
+from heckezeros import _kernels, optimizer, tables, trial_functions as tf
 from heckezeros.errors import InvalidParameterError
 
 
@@ -124,3 +124,21 @@ def test_table_regressions_build_few_weights(run, most):
     run()
     info = tf._cached_build.cache_info()
     assert info.misses <= most * (info.hits + info.misses)
+
+
+def test_stored_f0_is_the_kernels_f_at_zero():
+    # the build's F(0) is f_real_scalar(code, 0.0) to the bit, and so is
+    # F(-0.0), which the snapped 'sz' h reads from it: the search's seed grid
+    # and coarse-scan alphas over both profiles and the density box's s = 40,
+    # plain weights (alpha = -0.0 too) and one with c0 = 0
+    alphas = set(optimizer.FAMILY_GRID["alpha"]) | {-4.0 + 8.0 * i / 12 for i in range(13)}
+    params = [optimizer._generator(alpha, s, mult) for alpha in sorted(alphas)
+              for s in optimizer.FAMILY_GRID["s"] + (0.2, 10.0, 40.0)
+              for mult in optimizer.PROFILES if abs(alpha) * s < 8.0]
+    params += [(alpha, 1.0, 0.0, 0.0, 2.0) for alpha in (0.5, -1.3, 0.0, -0.0)]
+    params += [(-0.3, 0.0, 1.0, 0.5, 3.0)]
+    for p in params:
+        code, _, F0 = tf.autocorrelation_code(*p)
+        assert (repr(F0) == repr(_kernels._f_real_scalar(code, 0.0))
+                == repr(_kernels._f_real_scalar(code, -0.0))), p
+    assert len(params) >= 150

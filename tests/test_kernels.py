@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from heckezeros import _kernels, dh, optimizer, p4, tables, trial_functions as tf, zfr
-from heckezeros.errors import NoBoundError
+from heckezeros.errors import InvalidParameterError, NoBoundError
 
 
 def test_backend_reports():
@@ -220,6 +220,94 @@ def test_array_transform_matches_mpmath():
                     assert abs(v - want.real) <= 2e-11 * abs(want), (f, z)
 
 
+#: the search's seed grid over both profiles, and the scalar set with each
+#: triangle built as the box autocorrelation it is, for the parameters of
+#: ``_mp_slope``
+SLOPE_WEIGHTS = tuple(
+    [tf.autocorrelation(*optimizer._generator(alpha, s, mult))
+     for alpha in optimizer.FAMILY_GRID["alpha"] for s in optimizer.FAMILY_GRID["s"]
+     for mult in optimizer.PROFILES]
+    + [tf.autocorrelation(s=f.params["x0"]) if f.family == "triangle" else f
+       for f in SCALAR_WEIGHTS])
+
+
+def _mp_slope(f, rs, mp):
+    """F'(r) at each r of rs for an autocorrelation weight, from the closed
+    forms at 50 digits: the pair term T = (K - E(A))/b, A = g_k - r and
+    b = g_j + r, has T' = (E'(A) - T)/b with E'(A) = (s e^{As} - E(A))/A
+    (s^2/2 at A = 0), the generator's terms rebuilt from the weight's
+    parameters."""
+    a, c0, c1, beta, s = (mp.mpf(f.params[k]) for k in ("alpha", "c0", "c1", "beta", "s"))
+    terms = [(c0, mp.mpc(a, 0)), (c1 / 2, mp.mpc(a, beta)), (c1 / 2, mp.mpc(a, -beta))]
+    pairs = []
+    for cj, gj in terms:
+        for ck, gk in terms:
+            if cj * ck != 0:
+                w = gj + gk
+                pairs.append((cj * ck, gj, gk, s if w == 0 else mp.expm1(w * s) / w))
+    out = []
+    for r in map(mp.mpf, rs):
+        acc = 0
+        for c, gj, gk, K in pairs:
+            A, b = gk - r, gj + r
+            if A == 0:
+                EA, dEA = s, s * s / 2
+            else:
+                e = mp.exp(A * s)
+                EA = (e - 1) / A
+                dEA = (s * e - EA) / A
+            acc += c * (dEA - (K - EA) / b) / b
+        out.append(acc.real)
+    return out
+
+
+#: F' of the derivative kernel against 50 digits, relative to |F'| (F' < 0
+#: for every weight, as f >= 0): the worst of the points below is 1.4e-9,
+#: just past a series switch, where T' divides a difference twice by
+#: |b| or |A| >= SMALL_W / x0; the median is 4.7e-16
+SLOPE_REL = 4e-9
+
+
+def test_derivative_kernel_f_is_the_scalar_kernels():
+    # at every real test point of the seed grid and the scalar set: the
+    # kernel's F is f_real_scalar's to the bit, and it declines exactly where
+    # a pair takes pair_near or F overflows to +inf
+    declined = 0
+    for f in SLOPE_WEIGHTS:
+        code = f.kernel_code()
+        for r in map(float, _real_points(f) + [-60.0, -120.0]):
+            with pytest.MonkeyPatch.context() as mp:
+                near = []
+                pair_near = _kernels.pair_near
+                mp.setattr(_kernels, "pair_near", lambda *args: near.append(1) or pair_near(*args))
+                want = _kernels._f_real_scalar(code, r)
+            got = _kernels._f_real_scalar_d(code, r)
+            if got is None:
+                declined += 1
+                assert near or want == math.inf, (f, r)
+                continue
+            assert not near and math.isfinite(want), (f, r)
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, want)
+            assert got[0] == want, (f, r)
+    assert declined >= 1000
+
+
+def test_derivative_kernel_slope_matches_mpmath():
+    # every 8th point of the grid and every point by a series switch or 0
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    with mpmath.workdps(50):
+        for f in SLOPE_WEIGHTS:
+            pts = _real_points(f)
+            got = {r: _kernels._f_real_scalar_d(f.kernel_code(), r)
+                   for r in map(float, pts[:161:8] + pts[161:])}
+            rs = [r for r, v in got.items() if v is not None]
+            for r, want in zip(rs, map(float, _mp_slope(f, rs, mpmath))):
+                assert want < 0.0 and abs(got[r][1] - want) <= SLOPE_REL * -want, (f, r)
+                checked += 1
+    assert checked >= 1000
+
+
 def _single_pair_codes(seed, n=40):
     """Seeded one-pair family codes of search-like weights: s in [0.2, 40],
     both profiles, and alpha in [-4, 4] scaled by 1, 1/s and 1/(100 s); each
@@ -399,6 +487,53 @@ def test_overflowing_sum_gives_plus_infinity():
     r = -3.532343859649123
     assert _kernels.f_real_scalar(f.kernel_code(), r) == math.inf
     assert f.laplace(np.array([r]))[0].real == math.inf
+
+
+def _verdict_codes():
+    """Codes of cosine and plain weights at the corners of the family search's
+    box, the density box's s = 40, alphas past the box up to alpha = hi, and
+    large coefficients: every one of them that builds.  The last passes an
+    exponent test, x0 hi <= 690 and (Re g_k + hi) x0 <= 700, and its F(-60)
+    is inf all the same."""
+    codes = [tf.autocorrelation_code(0.0, 1e153, 0.0, 0.0, 1.0)]
+    for alpha in (-4.0, -1.0, 0.0, 1.0, 4.0, 6.0, 10.0, 20.0, 35.0):
+        for s in (0.2, 1.0, 3.2, 10.0, 14.0, 40.0):
+            for params in [optimizer._generator(alpha, s, mult) for mult in optimizer.PROFILES] + [
+                    (alpha, 1.0, 0.0, 0.0, s), (alpha, 1e3, 0.0, 0.0, s)]:
+                try:
+                    codes.append(tf.autocorrelation_code(*params))
+                except InvalidParameterError:
+                    pass
+    return codes
+
+
+def test_overflow_verdict_never_skips_an_infinite_probe():
+    # surely_finite(code, -hi) is True only where F(-hi) is finite, at the
+    # 'sz' bracket's hi = 60 and each of its halvings; the verdict rules the
+    # probe out at 60 for every weight in the search's box, some probes are
+    # infinite, and the smoothed root's bracket is the one the probes give
+    ruled_out = infinite = 0
+    codes = _verdict_codes()
+    assert _kernels._f_real_scalar(codes[0][0], -60.0) == math.inf
+    case = dh.get_case("sz-lp-principal")
+    for code, f0, F0 in codes:
+        hi = 60.0
+        while hi > 1.0:
+            value = _kernels._f_real_scalar(code, -hi)
+            if _kernels.surely_finite(code, -hi):
+                ruled_out += 1
+                assert math.isfinite(value), (code, hi)
+            infinite += value == math.inf
+            hi *= 0.5
+        F = functools.partial(_kernels._f_real_scalar, code)
+        assert (dh._smoothed_root(case, F, f0, 0.05, dh.PHI, code=code, F0=F0)[3]
+                == dh._smoothed_root(case, F, f0, 0.05, dh.PHI)[3]), code
+    assert len(codes) >= 150 and ruled_out >= 400 and infinite >= 50
+    for alpha in (-4.0, 4.0):
+        for s in (0.2, 10.0):
+            for mult in optimizer.PROFILES:
+                code = tf.autocorrelation_code(*optimizer._generator(alpha, s, mult))[0]
+                assert _kernels.surely_finite(code, -60.0), (alpha, s, mult)
 
 
 def test_grid_kernel_matches_numpy_implementation():

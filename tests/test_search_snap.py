@@ -1,7 +1,9 @@
 """The family search's snapped smoothed h: exactly 0 below h's rounding
 floor, the exact h elsewhere.  Search roots stop at that floor; the returned
 bound (the winner's cold ``solve_smoothed``, never snapped) does not, so the
-search returns what it returns without the snap, with fewer transforms."""
+search returns what it returns without the snap, with fewer transforms.  Its
+warm solves take Newton steps on the derivative kernel, which changes the
+transform count and not the result."""
 
 import functools
 import math
@@ -120,6 +122,63 @@ def test_cc_weight_positive_at_zero_costs_two_transforms():
         assert calls == [0.0, -b]
 
 
+@pytest.mark.parametrize("name", dh.SMOOTHED_CASES)
+def test_newton_roots_fail_where_the_solver_fails(name):
+    # the search's warm solve of a coded weight takes the Newton path on the
+    # derivative kernel: NaN exactly where solve_smoothed raises NoBoundError,
+    # and otherwise within h's rounding floor of its root, as the ITP path is
+    case = dh.get_case(name)
+    newton = []
+    for f in WEIGHTS:
+        code = f.kernel_code()
+        F0 = _kernels._f_real_scalar(code, 0.0)
+        for b in (0.0, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.4):
+            F, _, _ = _parts(case, f, b)
+            try:
+                want = dh.solve_smoothed(case, f, b).root
+            except NoBoundError:
+                want = math.nan
+            centre = want if math.isfinite(want) else 1.0
+            for guess in (0.5 * centre, 0.9 * centre, 1.1 * centre, 3.0 * centre):
+                with pytest.MonkeyPatch.context() as mp:
+                    newton_ = _kernels._newton
+                    mp.setattr(_kernels, "_newton",
+                               lambda *args: newton.append(1) or newton_(*args))
+                    got = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, guess=guess,
+                                            snap=True, code=code, F0=F0)[0]
+                if math.isnan(want):
+                    assert math.isnan(got), (f, b, guess)
+                    continue
+                tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0)
+                assert abs(got - want) <= tol * max(1.0, want), (f, b, guess)
+    assert len(newton) >= 50
+
+
+def test_sz_weight_positive_at_zero_costs_three_passes(monkeypatch):
+    # an 'sz' h positive at 0 bounds nothing.  Scored from a guess, the Newton
+    # path evaluates h at the guess (two F/F' passes) and heads past 0, where
+    # h(0) = c1 (F(0) - F(b)) - F(0) + psi f(0) takes F(b) alone, the stored
+    # F(0) standing in for F(-0); the bracket's overflow probe F(-hi) is
+    # ruled out from the code
+    f, case, b = tf.triangle(0.7), dh.get_case("sz-lp-principal"), 0.05
+    with pytest.raises(NoBoundError, match="no repulsion provable") as err:
+        dh.solve_smoothed(case, f, b)
+    assert err.value.sign == "positive"
+    code = f.kernel_code()
+    F0 = _kernels._f_real_scalar(code, 0.0)
+    passes = []
+    F, FD = _kernels._f_real_scalar, _kernels._f_real_scalar_d
+    monkeypatch.setattr(_kernels, "_f_real_scalar",
+                        lambda code, r: passes.append(("F", r)) or F(code, r))
+    monkeypatch.setattr(_kernels, "_f_real_scalar_d",
+                        lambda code, r: passes.append(("F/F'", r)) or FD(code, r))
+    root, hlo = dh._smoothed_root(case, functools.partial(_kernels._f_real_scalar, code),
+                                  f.content.f0, b, dh.PHI, guess=1.0, snap=True, code=code,
+                                  F0=F0)[:2]
+    assert math.isnan(root) and hlo > 0.0
+    assert len(passes) <= 3 and ("F", b) in passes, passes
+
+
 #: rows of both shapes at small, medium and large widths, and at b = 0, where
 #: the 'sz' h is a constant and no weight bounds anything
 SEARCH_ROWS = [("sz-lp-quadratic", 0.0), ("sz-lp-quadratic", 1e-7),
@@ -137,21 +196,50 @@ def test_search_result_does_not_depend_on_the_snap(monkeypatch, name, b):
     assert repr(optimizer.optimize_family_smoothed(name, b, budget=120)) == repr(snapped)
 
 
+@pytest.mark.parametrize("name, b", SEARCH_ROWS)
+def test_search_result_does_not_depend_on_newton(monkeypatch, name, b):
+    # with the derivative kernel declining everywhere, every warm solve goes
+    # to ITP on the snapped h from its guess, as before the Newton path
+    newton = optimizer.optimize_family_smoothed(name, b, budget=120)
+    monkeypatch.setattr(_kernels, "_f_real_scalar_d", lambda code, r: None)
+    assert repr(optimizer.optimize_family_smoothed(name, b, budget=120)) == repr(newton)
+
+
+def _passes_per_scored_weight(monkeypatch, name, b):
+    """Transform passes, F and F/F' alike, per weight a search at budget 120
+    scores, builds included (each stores its F(0))."""
+    calls, scored = [], []
+    F, FD, root = _kernels._f_real_scalar, _kernels._f_real_scalar_d, dh._smoothed_root
+    monkeypatch.setattr(_kernels, "_f_real_scalar",
+                        lambda code, r: calls.append(r) or F(code, r))
+    monkeypatch.setattr(_kernels, "_f_real_scalar_d",
+                        lambda code, r: calls.append(r) or FD(code, r))
+    monkeypatch.setattr(dh, "_smoothed_root",
+                        lambda *args, **kwargs: scored.append(1) or root(*args, **kwargs))
+    optimizer.optimize_family_smoothed(name, b, budget=120)
+    assert len(scored) >= 100
+    return len(calls) / len(scored)
+
+
 @pytest.mark.parametrize("name, b, most", [
-    # transforms per scored weight at budget 120, rounding floor / adjacent
-    # floats: 19.1 / 27.2 ('sz') and 9.5 / 12.8 ('cc')
+    # transforms per scored weight at budget 120, Newton / ITP on the snapped
+    # h / ITP to adjacent floats: 8.2 / 19.1 / 27.2 ('sz') and 6.2 / 9.5 /
+    # 12.8 ('cc')
     ("sz-lp-principal", 0.05, 23.0),
     ("cc-l2-chi2-principal-real", 0.35, 11.0),
 ])
 def test_transform_calls_per_scored_weight(monkeypatch, name, b, most):
     # one T2:principal row and one T8:chi2-principal-real row: a count that
     # does not depend on the machine
-    calls, scored = [], []
-    F, root = _kernels._f_real_scalar, dh._smoothed_root
-    monkeypatch.setattr(_kernels, "_f_real_scalar",
-                        lambda code, r: calls.append(r) or F(code, r))
-    monkeypatch.setattr(dh, "_smoothed_root",
-                        lambda *args, **kwargs: scored.append(1) or root(*args, **kwargs))
-    optimizer.optimize_family_smoothed(name, b, budget=120)
-    assert len(scored) >= 100
-    assert len(calls) / len(scored) <= most
+    assert _passes_per_scored_weight(monkeypatch, name, b) <= most
+
+
+@pytest.mark.parametrize("name, b, most", [
+    ("sz-lp-principal", 0.05, 12.0),
+    ("cc-l2-chi2-principal-real", 0.35, 7.5),
+])
+def test_newton_cuts_transform_passes(monkeypatch, name, b, most):
+    # the same rows, within what ITP on the snapped h (19.1 and 9.5) cannot
+    # reach: Newton steps on the derivative kernel, F(0) from the build and
+    # no overflow probe
+    assert _passes_per_scored_weight(monkeypatch, name, b) <= most
