@@ -10,9 +10,7 @@ crossings in J of the quartic search, go through one bracketed ITP solver
 (interpolate, truncate, project; Oliveira & Takahashi 2021), ``_bisect``:
 42% of bisection's evaluations of ``h`` over a set of 280 smoothed solves,
 and never more steps than the halvings down to its tolerance plus n0 = 8.
-Given a guess near the root (the family search passes its last root), it
-starts from a bracket around the guess, which saves evaluations and never
-changes whether or how a solve fails.  It stops at an exact zero of h, so
+It stops at an exact zero of h, so
 the family search, which only ranks its roots, hands it a snapped h
 (``smoothed_fn(snap=True)``) that is exactly 0 below h's rounding floor
 (``SNAP_EPS``): a search root stops there, 8.8 evaluations of h per scored
@@ -21,8 +19,9 @@ search's warm solves of coded weights take safeguarded Newton steps
 instead (``_newton``, rtsafe) on the same snapped h, with steps from the
 derivative kernel ``_f_real_scalar_d`` (F and F' in one pass over the
 pairs, about 1.43 times an F pass): 4.2 evaluations of h per warm root
-where ITP took 9.3, and ITP where that kernel declines or the steps run
-out.  Returned bounds
+where ITP took 9.3.  Where that kernel declines or the steps run out
+(1.3% of scored solves), ITP takes over on the bracket the steps have
+seen, after a look at an end of [lo, hi] they have not.  Returned bounds
 are solved by ITP on the exact h and still resolve to adjacent floats.
 The quartic roots need no bracket search: each is P(u) = t for the fixed
 convex quartic P in u = lam/(lam+x), which ``_p4_root`` inverts by Newton's method from above,
@@ -63,7 +62,9 @@ more than half its digits; both evaluators hand those few terms (0.7-0.8%
 of the scalar pair evaluations of the benchmark's smoothed and density
 items) to one routine, ``pair_near``, within 2.2 eps (1 + |u|) |T| of 50
 digits at the tests' real points, u = (g_j + g_k) x0.
-``E`` is the array ``(e^{ax} - 1)/a`` the weight is built from.  The two
+``E`` is the array ``(e^{ax} - 1)/a`` the weight is built from.  It,
+``exp_quotient`` and ``pair_near`` take the series of (e^w - 1)/w near
+w = 0 from one routine, ``_e1``.  The two
 transforms agree to 2e-13 relative, not to the bit, as Python and NumPy
 complex arithmetic differ in the last bits.  Just above the switch the
 direct form loses some digits: against a 50-digit reference the pair sums
@@ -97,7 +98,8 @@ _DD_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(1, 18))
 
 
 def _e1(w):
-    """(e^w - 1)/w for |w| < SMALL_W: its 9-term series, by Horner's rule."""
+    """(e^w - 1)/w for |w| < SMALL_W, at a number or an array: its 9-term
+    series, by Horner's rule; 1 at w = 0."""
     e = 0.0
     for coeff in reversed(_E_SERIES):
         e = e * w + coeff
@@ -107,31 +109,20 @@ def _e1(w):
 def exp_quotient(a, s):
     """K = E(s; a) = (e^{as} - 1)/a at one complex a, in Python floats.
 
-    s at a = 0; inside the disc |a s| < SMALL_W, s times nine terms of the
-    series of (e^w - 1)/w, w = a s, each w^m/m! over m + 1, summed smallest
-    first, the order that has always formed K (``_e1`` sums the same series
-    faster, to other bits); elsewhere the quotient written out by Smith's
-    method: with (p, q) = (1, Im a/Re a) where |Re a| >= |Im a|, else
-    (Re a/Im a, 1), it is ((Re x p + Im x q) scl, (Im x p - Re x q) scl),
-    x = e^{as} - 1 and scl one over the denominator.  Python's own complex
-    ``/`` rounds differently in the last bit on 42% of random quotients, and
-    one ulp of K moves what the family searches find (the alpha of a searched
-    T2:quadratic weight at b = 1e-7, say), so the written-out quotient keeps
-    every code, and so every bound, as it has been.  Raises OverflowError
-    when e^{as} or K is not finite.
+    Inside the disc |a s| < SMALL_W (a = 0 included) it is s times ``_e1`` of
+    w = a s; elsewhere the quotient written out by Smith's method: with
+    (p, q) = (1, Im a/Re a) where |Re a| >= |Im a|, else (Re a/Im a, 1), it
+    is ((Re x p + Im x q) scl, (Im x p - Re x q) scl), x = e^{as} - 1 and scl
+    one over the denominator.  Python's own complex ``/`` rounds differently
+    in the last bit on 42% of random quotients, and one ulp of K moves what
+    the family searches find (the alpha of a searched T2:quadratic weight at
+    b = 1e-7, say), so the written-out quotient keeps every code, and so
+    every bound, as it has been.  Raises OverflowError when e^{as} or K is
+    not finite.
     """
-    if a == 0:
-        return complex(s)
     w = a * s
-    if abs(w) < SMALL_W:   # w^m/m! over m + 1, smallest first
-        terms, t = [], 1.0
-        for m in range(9):
-            terms.append(t)
-            t = t * w / (m + 1)
-        acc = 0j
-        for m in reversed(range(9)):
-            acc += terms[m] / (m + 1)
-        return s * acc
+    if abs(w) < SMALL_W:
+        return s * _e1(w)
     ar, ai = a.real, a.imag
     if abs(ar) >= abs(ai):
         p, q = 1.0, ai / ar
@@ -265,28 +256,18 @@ def surely_finite(code, r):
 
 
 def E(x, a):
-    """(e^{a x} - 1)/a elementwise, for real x and complex a broadcast together.
+    """(e^{a x} - 1)/a elementwise, for real x and complex a broadcast together
+    to an array (of at least one dimension).
 
-    Where |a x| < SMALL_W it is x times the 9-term series of (e^w - 1)/w in
-    w = a x, summed only on those elements; where w = 0 it is x, which is
-    also what the series gives there.
+    Where |a x| < SMALL_W it is x times ``_e1`` of w = a x, summed only on
+    those elements; where w = 0 that is x exactly.
     """
     w = np.asarray(a * x)
     small = np.abs(w) < SMALL_W
     with np.errstate(over="ignore", invalid="ignore"):
         out = (np.exp(w) - 1.0) / np.where(small, 1.0, a)
     if small.any():
-        zero = w == 0
-        out = np.where(zero, x, out)
-        small &= ~zero
-    if small.any():
-        ws = w[small]
-        series = np.zeros_like(ws)
-        wp = np.ones_like(ws)
-        for coeff in _E_SERIES:
-            series += coeff * wp
-            wp *= ws
-        out[small] = np.broadcast_to(x, w.shape)[small] * series
+        out[small] = np.broadcast_to(x, w.shape)[small] * _e1(w[small])
     return out
 
 
@@ -336,32 +317,11 @@ _ITP_N0 = 8
 _ITP_REL = 2.0 ** -62
 
 
-def _guess_bracket(h, lo, hi, guess):
-    """The bracket (a, b, h(a), h(b)) grown around guess inside [lo, hi].
-
-    Starts at guess -+ 10% of |guess| and widens the side the root lies
-    beyond 16-fold per step, keeping the other end as the new inner end,
-    until h changes sign, that side reaches lo or hi, or a value is NaN.
-    """
-    step = 0.1 * abs(guess)
-    a, b = max(lo, guess - step), min(hi, guess + step)
-    ya, yb = h(a), h(b)
-    while ya > 0.0 and a > lo or yb < 0.0 and b < hi:
-        step *= 16.0
-        if ya > 0.0:   # the root lies below a
-            b, yb = a, ya
-            a = max(lo, guess - step)
-            ya = h(a)
-        else:   # the root lies above b
-            a, ya = b, yb
-            b = min(hi, guess + step)
-            yb = h(b)
-    return a, b, ya, yb
-
-
-def _bisect(h, lo, hi, guess=None):
+def _bisect(h, lo, hi, ylo=None, yhi=None):
     """ITP root of an increasing h on [lo, hi] (interpolate, truncate, project).
 
+    ylo and yhi are h(lo) and h(hi) where the caller has them (``_newton``
+    hands over the bracket it has seen); an end value not given is evaluated.
     Returns (root, h(lo), h(hi)); root is NaN when h has no sign change on
     the bracket or an endpoint value is NaN.  Each step takes the regula
     falsi point, moves it towards the midpoint by k1 w^2, and projects it
@@ -371,36 +331,15 @@ def _bisect(h, lo, hi, guess=None):
     positive.  Stops once the bracket is below the tolerance or the midpoint
     no longer splits it, and at an exact zero of h (lo itself when h(lo) = 0,
     so an h that vanishes everywhere gives lo, as bisection did); the root is
-    the midpoint of the final bracket.
-
-    ``guess``, a point near the root (the last root of a search, say),
-    changes how many evaluations the solve takes, and the root only within
-    the float noise of h near it (the loop takes another path through the
-    points where the sign of h flickers).  The solver first grows a bracket
-    around it (``_guess_bracket``); when h changes sign there it runs the
-    same loop on that bracket and returns h at its ends in place of h(lo)
-    and h(hi).  Otherwise (no sign change on [lo, hi], a NaN value, h = 0 at
-    both ends) it solves on [lo, hi] as without a guess, reusing an end
-    value the growth found, so the failure modes are the same; only a NaN
-    at lo or hi goes unseen when the bracket around the guess holds the
-    sign change.  A guess outside [lo, hi], 0 or NaN is ignored.
+    the midpoint of the final bracket.  h is evaluated only inside (lo, hi)
+    after the ends.
     """
-    if guess is not None and lo <= guess <= hi and guess != 0.0:
-        a, b, ya, yb = _guess_bracket(h, lo, hi, guess)
-        if ya <= 0.0 <= yb and ya != yb:   # a sign change, not a flat zero
-            lo, hi, ylo, yhi = a, b, ya, yb
-        else:
-            ylo = ya if a == lo else h(lo)
-            yhi = yb if b == hi else h(hi)
-    else:
-        ylo, yhi = h(lo), h(hi)
+    if ylo is None:
+        ylo = h(lo)
+    if yhi is None:
+        yhi = h(hi)
     if ylo > 0.0 or yhi < 0.0 or ylo != ylo or yhi != yhi:
         return math.nan, ylo, yhi
-    return _itp(h, lo, hi, ylo, yhi), ylo, yhi
-
-
-def _itp(h, lo, hi, ylo, yhi):
-    """``_bisect``'s ITP loop on a bracket with h(lo) = ylo <= 0 <= h(hi) = yhi."""
     a, b, ya, yb = lo, hi, ylo, yhi
     if ylo == 0.0:   # bisection converges to lo; also keeps ya < 0 below
         b = lo
@@ -438,7 +377,7 @@ def _itp(h, lo, hi, ylo, yhi):
                 a = b = x
             else:   # positive or NaN, as in bisection
                 b, yb = x, y
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), ylo, yhi
 
 
 #: cap on the Newton steps of ``_p4_root``; from u = 1 no quartic root of the
@@ -595,8 +534,10 @@ def _newton(h, hd, lo, hi, x):
     unless h(a) <= 0 < h(b), so a zero needs a point above it seen positive
     (h(hi) is looked at if none is), as ``_bisect`` needs its top end.
     Where hd declines, a value is not finite, or after ``_NEWTON_STEPS``
-    steps, the solve goes to ITP: ``_itp`` on [a, b] once both ends are
-    seen, else ``_bisect`` from the latest point.
+    steps, the solve goes to ITP on [a, b]: ``_bisect`` looks at an end it
+    has not seen, lo or hi, and fails where h(lo) > 0 or h(hi) < 0 as on
+    [lo, hi].  h is evaluated at no point twice, except where a value was not
+    finite (ITP may land on that point again).
     """
     a, b, ya, yb = lo, hi, None, None
     dx = hi - lo
@@ -629,9 +570,7 @@ def _newton(h, hd, lo, hi, x):
         dx, x = xn - x, xn
         if abs(dx) <= _NEWTON_REL * abs(x) and ya is not None and yb is not None:
             return x, ya, yb
-    if ya is not None and yb is not None:
-        return _itp(h, a, b, ya, yb), ya, yb
-    return _bisect(h, lo, hi, x)
+    return _bisect(h, a, b, ya, yb)
 
 
 def _bracketed(root, ya, yb):
@@ -645,11 +584,11 @@ def smoothed_root(h, lo, hi, guess=None, hd=None):
     The caller builds h, so it can reuse it (for the residual at the root)
     without evaluating F(0) again.  Given hd, ``smoothed_fn``'s Newton steps
     of a snapped h, and a guess inside (lo, hi), the solve is ``_newton``'s
-    from the guess.
+    from the guess; otherwise it is ITP on [lo, hi] and the guess is unused.
     """
     if hd is not None and guess is not None and lo < guess < hi:
         return _newton(h, hd, lo, hi, guess)
-    return _bisect(h, lo, hi, guess)
+    return _bisect(h, lo, hi)
 
 
 def _p4(u):

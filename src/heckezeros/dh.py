@@ -20,10 +20,10 @@ table is data so the wiring can be audited line by line.
 ``solve_smoothed`` is a thin wrapper over ``_smoothed_root``, the root
 alone, which the family search calls for every weight it scores (on a
 snapped h, whose root stops at h's rounding floor, by Newton steps from the
-last root, with F(0) from the weight's build and no overflow probe where
-its code rules one out); the solver adds the failure reports, the residual
-and the ``BoundResult``, and its roots, by ITP on the exact h, resolve to
-adjacent floats.
+last root, handed to ITP where they fail, with F(0) from the weight's build
+and no overflow probe where its code rules one out); the solver adds the
+failure reports, the residual and the ``BoundResult``, and its roots, by
+ITP on the exact h, resolve to adjacent floats.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
 lambda built once (``_poly_at``).
@@ -223,9 +223,11 @@ def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False, code=No
     below its rounding floor, so the root stops where the sign of h turns to
     rounding noise instead of at adjacent floats (a search root, which only
     ranks weights; ``solve_smoothed`` never snaps).  A snapped solve of a
-    coded weight from a guess takes ``_kernels.smoothed_root``'s Newton path
-    on the derivative kernel ``_kernels._f_real_scalar_d``, and ITP where
-    that declines.  A 'cc' h that is positive at 0, where it costs no
+    coded weight from a guess (the search's last root) takes
+    ``_kernels.smoothed_root``'s Newton path on the derivative kernel
+    ``_kernels._f_real_scalar_d``, and ITP on the bracket it has seen where
+    that declines; every other solve is ITP on [0, hi], and the guess is
+    unused.  A 'cc' h that is positive at 0, where it costs no
     transform call, bounds nothing, as h increases: it returns at once, with
     a NaN root and h(hi) not evaluated (NaN).  A snapped h that is 0 at the
     top end of the bracket its solve used gives a NaN root.
@@ -260,7 +262,7 @@ def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False, code=No
     return root, hlo, hhi, hi, h
 
 
-def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
+def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
     """Root of the smoothed repulsion function; the bound is root - epsilon.
 
     Brackets on [0, hi]: h is increasing on the whole line, and near the ends
@@ -272,19 +274,19 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
     F(-b) - F(0) + psi f(0) <= 0, a regime the source lemmas do not address);
     both raise NoBoundError with the sign recorded.  An h that is 0 at both
     ends (the 'sz' shape at b = 0 when F(0) = psi f(0)) bounds nothing either
-    and raises NoBoundError with sign None.
+    and raises NoBoundError with sign None.  The bracket end ``hi`` must be
+    finite and > 0 (InvalidParameterError).
 
-    ``guess``, a point near the root such as the root of a nearby weight,
-    goes to the root solver (``_kernels._bisect``): it changes only how many
-    evaluations of F the solve makes, never which error is raised.  The
-    root itself may move within float noise, as the solver takes another
-    path to it.  The root is ``_smoothed_root``'s, which the family search
-    calls for each weight it scores.
+    The root is ``_smoothed_root``'s, by ITP on [0, hi]; the family search
+    calls that for each weight it scores.
     """
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "smoothed":
         raise InvalidParameterError(f"case {case.name} is not a smoothed case")
     check_width(b, phi)
+    require_finite(hi=hi)
+    if not hi > 0:
+        raise InvalidParameterError(f"bracket end hi must be > 0, got {hi}")
     code = f.kernel_code()
     if code is not None:
         F = functools.partial(_kernels._f_real_scalar, code)
@@ -292,8 +294,7 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0, guess=None):
         def F(r):
             return float(f.laplace(r).real)
     b = float(b)
-    root, hlo, hhi, hi, h = _smoothed_root(case, F, f.content.f0, b, phi, hi, guess,
-                                           code=code)
+    root, hlo, hhi, hi, h = _smoothed_root(case, F, f.content.f0, b, phi, hi, code=code)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")

@@ -16,11 +16,12 @@ family code, f(0) and F(0) alone (``_search_profiles``): by its root
 or error message; only the winner is built as a weight and handed to the
 public solver or bound.  A search root stops at h's rounding floor (a
 snapped h, ``_kernels.smoothed_fn``), as it only ranks weights, and is
-found by Newton steps from the last root (``_kernels.smoothed_root``); the
-returned bound, the winner's cold ``dh.solve_smoothed``, does neither.  Every
-search starts from the same seeds and scans the same first lines, so most
-weights it asks for were built before, by an earlier row or cell: the codes
-come from the process-wide build cache of
+found by Newton steps from the last root, which hand over to ITP where
+they fail (``_kernels.smoothed_root``); the returned bound, the winner's
+cold ``dh.solve_smoothed``, does neither.  Every search starts from the
+same seeds and scans the same first lines, so most weights it asks for were
+built before, by an earlier row or cell: the codes come from the
+process-wide build cache of
 ``trial_functions.autocorrelation_code``.  No randomness, fixed iteration
 counts, lexicographic tie-breaks, so identical specs give identical results.  Side
 conditions and solver failures are hard constraints handled by rejection
@@ -374,7 +375,7 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
              for s_ in FAMILY_GRID["s"]]
     if seed_params is not None:
         seeds = [{"alpha": seed_params["alpha"], "s": seed_params["s"]}] + seeds
-    # each solve starts from a bracket around the latest root, as the search
+    # each solve takes Newton steps from the latest root, as the search
     # scores nearby weights one after another.  A root then depends on that
     # guess, and on the snap, within float noise, so a weight is solved once
     # per search (each profile's objective keeps its scores) and scores the

@@ -332,7 +332,7 @@ def _regress_smoothed(table, budget):
                             passed, n_pass, len(rows))
 
 
-def regress_zero_density(table, budget=60, lambdas=None):
+def regress_zero_density(table, budget=60):
     """Soft regression of the density grid with the substitute family.
 
     A cell passes when the recomputed integer bound lies in [1, listed + 3];
@@ -343,8 +343,6 @@ def regress_zero_density(table, budget=60, lambdas=None):
         table = load_table(table)
     rows = []
     for i, lam in enumerate(table.lambdas):
-        if lambdas is not None and lam not in lambdas:
-            continue
         for j, b in enumerate(table.b_values):
             listed = table.cells[i][j]
             if listed is None:

@@ -379,6 +379,37 @@ def test_near_points_take_pair_near(monkeypatch):
     assert calls == [-0.5, -0.5, -0.5 + 1e-3j]
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_array_e_series_matches_mpmath(kind):
+    """E(x, a) = (e^{ax} - 1)/a inside the series disc 0 < |a x| < SMALL_W,
+    against 50 digits; where a x = 0 (a = 0 or x = 0) it is x exactly, and
+    outside the disc, in the same array, the quotient itself."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    n = 400
+    x = rng.uniform(0.05, 40.0, n)
+    w = 10.0 ** rng.uniform(-14.0, math.log10(0.99 * _kernels.SMALL_W), n)
+    if kind == "real":
+        a = w * rng.choice([-1.0, 1.0], n) / x
+    else:
+        a = w * np.exp(1j * rng.uniform(-math.pi, math.pi, n)) / x
+    a[::7] *= 1.0 / w[::7]   # |a x| = 1, outside the disc
+    a[1::7] = 0.0
+    x[2::7] = 0.0
+    got = _kernels.E(x, a)
+    assert got.dtype == a.dtype
+    zero = a * x == 0
+    assert np.array_equal(got[zero], x[zero]) and zero.sum() >= 2 * (n // 7)
+    out = np.abs(a * x) >= _kernels.SMALL_W
+    assert np.array_equal(got[out], (np.exp(a[out] * x[out]) - 1.0) / a[out])
+    inside = ~zero & ~out
+    assert inside.sum() >= n // 2
+    with mpmath.workdps(50):
+        for xi, ai, gi in zip(x[inside], a[inside], got[inside]):
+            want = (mpmath.exp(mpmath.mpc(ai) * xi) - 1) / mpmath.mpc(ai)
+            assert abs(mpmath.mpc(gi) - want) <= 4.0 * 2.0 ** -52 * abs(want), (xi, ai)
+
+
 @pytest.mark.parametrize("x0", [0.7, 2.5, 14.0])
 def test_triangle_smoothed_roots_match_mpmath(x0):
     # the triangle runs through the box's pair arithmetic; its roots must stay
@@ -606,10 +637,8 @@ def test_bisection_contract(name):
     assert math.isnan(solve(math.nan, 0.0, 10.0)[0])
 
 
-def _reference_bisect(h, lo, hi, guess=None):
-    """The plain bisection the ITP solver replaced, kept as the reference.
-
-    It ignores ``guess``: the reference always solves on [lo, hi]."""
+def _reference_bisect(h, lo, hi):
+    """The plain bisection the ITP solver replaced, kept as the reference."""
     hlo = h(lo)
     hhi = h(hi)
     if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
@@ -633,11 +662,11 @@ class _Counted:
         self.solver = solver
         self.evals = 0
 
-    def __call__(self, h, lo, hi, guess=None):
+    def __call__(self, h, lo, hi):
         def counted(x):
             self.evals += 1
             return h(x)
-        return self.solver(counted, lo, hi, guess)
+        return self.solver(counted, lo, hi)
 
 
 def _step(x):
@@ -656,13 +685,6 @@ def test_exact_zeros_of_h(h, lo, want):
     root, hlo, hhi = _kernels._bisect(h, lo, 1.0)
     assert root == want and (hlo, hhi) == (h(lo), h(1.0))
     assert _step(_kernels._bisect(_step, 0.0, 1.0)[0]) == 0.0
-
-
-def test_guess_in_a_flat_zero_solves_on_the_whole_bracket():
-    # h = 0 at both ends of the bracket around the guess is no degenerate h
-    # here: the solver falls back to [lo, hi] and reports its end values
-    root, hlo, hhi = _kernels._bisect(_step, 0.0, 1.0, guess=0.45)
-    assert _step(root) == 0.0 and (hlo, hhi) == (-1.0, 1.0)
 
 
 # the smoothed set: the triangle and verify's two cosine-modulated weights, the
@@ -714,50 +736,80 @@ def test_smoothed_roots_agree_with_bisection(smoothed_runs):
         assert abs(got - want) <= tol * max(1.0, abs(want)), key
 
 
-def test_guess_changes_no_root_and_no_failure(smoothed_runs):
-    # a guess only changes how the solver gets to the root: below, near, above
-    # and far above it, at the bracket end and NaN (ignored).  Failures give
-    # the same sign, and keys with no root take the guesses around 1
-    unguided, _ = smoothed_runs["itp"]
-    assert None in unguided.values()   # h = 0 at both ends: sz-lp-quadratic, b = 0
-    for (case, i, b), want in unguided.items():
-        centre = want if isinstance(want, float) else 1.0
-        for guess in (0.5 * centre, 0.999 * centre, 1.001 * centre, 3.0 * centre,
-                      60.0, math.nan):
-            try:
-                got = dh.solve_smoothed(case, SMOOTHED_WEIGHTS[i], b, guess=guess).root
-            except NoBoundError as exc:
-                got = exc.sign
-            key = (case, i, b, guess)
-            if not isinstance(want, float):
-                assert got == want, key
-                continue
-            assert isinstance(got, float), key
-            tol = 1e-9 if b <= 1e-5 else 1e-12
-            assert abs(got - want) <= tol * max(1.0, abs(want)), key
-
-
 def test_root_helper_is_the_solvers_root(smoothed_runs):
     # the family search scores a weight by dh._smoothed_root alone: over the
-    # smoothed set, cold and from guesses, its root is solve_smoothed's to the
-    # bit, and NaN exactly where solve_smoothed raises NoBoundError
-    unguided, _ = smoothed_runs["itp"]
+    # smoothed set its root is solve_smoothed's to the bit, and NaN exactly
+    # where solve_smoothed raises NoBoundError
+    roots, _ = smoothed_runs["itp"]
+    assert None in roots.values()   # h = 0 at both ends: sz-lp-quadratic, b = 0
     failed = 0
-    for (case, i, b), want in unguided.items():
+    for (case, i, b), want in roots.items():
         f = SMOOTHED_WEIGHTS[i]
         F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
-        centre = want if isinstance(want, float) else 1.0
-        for guess in (None, 0.999 * centre, 3.0 * centre, 60.0):
-            root = dh._smoothed_root(dh.CASES[case], F, f.content.f0, b, dh.PHI,
-                                     guess=guess)[0]
-            try:
-                solved = dh.solve_smoothed(case, f, b, guess=guess).lambda_star
-            except NoBoundError:
-                assert math.isnan(root), (case, i, b, guess)
-                failed += 1
-                continue
-            assert root == solved, (case, i, b, guess)
-    assert 0 < failed < 2 * len(unguided)   # some, and under half of 4 per key
+        root = dh._smoothed_root(dh.CASES[case], F, f.content.f0, b, dh.PHI)[0]
+        if not isinstance(want, float):   # NoBoundError's sign
+            assert math.isnan(root), (case, i, b)
+            failed += 1
+            continue
+        assert root == want, (case, i, b)
+    assert 0 < 2 * failed < len(roots)   # some, and under half
+
+
+def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
+    # the derivative kernel declines at the first Newton step or after k,
+    # from guesses below and above the root, so ITP takes over with both, one
+    # or no end of [0, hi] seen.  The root is NaN exactly where ITP on [0, hi]
+    # fails (a snapped h that is 0 at hi bounds nothing, as in
+    # dh._smoothed_root), otherwise within the snap band of ITP's root or
+    # Newton's relative stop step of it, and h is never evaluated twice at
+    # one point
+    handed = set()
+    bisect = _kernels._bisect
+    monkeypatch.setattr(_kernels, "_bisect", lambda h, lo, hi, ylo=None, yhi=None: (
+        handed.add((ylo is None, yhi is None)) or bisect(h, lo, hi, ylo, yhi)))
+    for name in dh.SMOOTHED_CASES:
+        case = dh.CASES[name]
+        for f in SMOOTHED_WEIGHTS:
+            code = f.kernel_code()
+            F = functools.partial(_kernels._f_real_scalar, code)
+            dF = functools.partial(_kernels._f_real_scalar_d, code)
+            for b in (0.0, 1e-6, 1e-3, 0.05, 0.4):
+                hi = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, code=code)[3]
+                h, hd = _kernels.smoothed_fn(
+                    F, 0 if case.form == "sz" else 1, float(case.c1),
+                    case.psi_over_phi * dh.PHI, b, f.content.f0, snap=True, dF=dF)
+                want, _, yhi = bisect(h, 0.0, hi)
+                if yhi == 0.0:
+                    want = math.nan
+                centre = want if math.isfinite(want) else 1.0
+                for guess in (0.5 * centre, 0.9 * centre, 1.1 * centre, 3.0 * centre):
+                    if not 0.0 < guess < hi:
+                        continue
+                    for k in (0, 1, 2, 4):
+                        seen = []
+
+                        def counted(x):
+                            seen.append(x)
+                            return h(x)
+
+                        def declining(x):
+                            if len(seen) >= k or (got := hd(x)) is None:
+                                return None
+                            seen.append(x)
+                            return got
+
+                        root, _, yb = _kernels._newton(counted, declining, 0.0, hi, guess)
+                        if yb == 0.0:
+                            root = math.nan
+                        key = (name, f, b, guess, k)
+                        assert len(set(seen)) == len(seen), key
+                        if math.isnan(want):
+                            assert math.isnan(root), key
+                            continue
+                        # the snap band of test_search_snap, and Newton's stop
+                        tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0) + _kernels._NEWTON_REL
+                        assert abs(root - want) <= tol * max(1.0, want), key
+    assert handed >= {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_flat_principal_case_pinned():

@@ -131,7 +131,11 @@ class TestZdTable:
 
 class TestZdRegression:
     def test_spot_heights_soft(self):
-        rep = tables.regress_zero_density("T1", budget=200, lambdas=(0.1, 0.3))
+        t1 = tables.load_table("T1")
+        rows = [t1.lambdas.index(lam) for lam in (0.1, 0.3)]
+        spots = tables.ZdTable(t1.id, t1.caption, tuple(t1.lambdas[i] for i in rows),
+                               t1.b_values, tuple(t1.cells[i] for i in rows))
+        rep = tables.regress_zero_density(spots, budget=200)
         assert rep.passed
         assert rep.n_rows == 9   # 2 + 7 populated cells on those heights
 
