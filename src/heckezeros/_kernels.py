@@ -10,12 +10,11 @@ crossings in J of the quartic search, go through one bracketed ITP solver
 (interpolate, truncate, project; Oliveira & Takahashi 2021), ``_bisect``:
 42% of bisection's evaluations of ``h`` over a set of 280 smoothed solves,
 and never more steps than the halvings down to its tolerance plus n0 = 8.
-It stops at an exact zero of h, so
-the family search, which only ranks its roots, hands it a snapped h
-(``smoothed_fn(snap=True)``) that is exactly 0 below h's rounding floor
-(``SNAP_EPS``): a search root stops there, 8.8 evaluations of h per scored
-root on seed-1 smoothed-regress where adjacent floats took 12.1.  The
-search's warm solves of coded weights take safeguarded Newton steps
+It stops at an exact zero of h, so the family search, which only ranks its
+roots, hands it a snapped h (``snapped_fn``) that is exactly 0 below h's
+rounding floor (``SNAP_EPS``): a search root stops there, 8.8 evaluations
+of h per scored root on seed-1 smoothed-regress where adjacent floats took
+12.1.  The search's warm solves of coded weights take safeguarded Newton steps
 instead (``_newton``, rtsafe) on the same snapped h, with steps from the
 derivative kernel ``_f_real_scalar_d`` (F and F' in one pass over the
 pairs, about 1.43 times an F pass): 4.2 evaluations of h per warm root
@@ -31,7 +30,8 @@ function is written once, by a builder whose arithmetic works on floats and
 on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and
 ``zfr_fn`` return the quartic ones as functions of u, with the value t of
 P at their root; ``poly_fn`` builds at fixed lam and b, for every J.  The
-named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
+search's snapped h and its Newton steps, on floats, are ``snapped_fn``'s.
+The named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
 build those functions (``smoothed_root`` and ``poly_root`` take them built,
 so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
 root when ``h`` has no sign change, so callers can tell which way the
@@ -51,10 +51,8 @@ E(x0; g_j + g_k) (``exp_quotient``), and ``far`` says both |Im g_j| x0 and
 included, is an autocorrelation, so neither evaluator branches on the
 family.  The transform ``F`` is ``f_real_scalar`` at one real point (with
 F' from ``_f_real_scalar_d``) and ``f_array`` at real or complex points,
-scalar or array; ``surely_finite`` tells from the code alone where F at a
-real point cannot overflow.  At a real point the
-terms of two conjugate pairs are conjugates, and off the real axis
-``f_array`` evaluates the dropped one as ``conj T(conj z)``.  Each pair term
+scalar or array.  At a real point the terms of two conjugate pairs are
+conjugates, and off the real axis ``f_array`` evaluates the dropped one as ``conj T(conj z)``.  Each pair term
 T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
 |g_j + z| x0 or |g_k - z| x0 is below ``SMALL_W`` = 1e-2, near coincident
 nodes of the divided difference it is, where the direct form would lose
@@ -235,26 +233,6 @@ def _f_real_scalar_d(code, r):
     return acc, dacc
 
 
-def surely_finite(code, r):
-    """True where F(r), real r <= 0, is finite for certain, from the code
-    alone; False only says that F(r) must be looked at.
-
-    It asks -r x0 <= 690, and of every pair (Re g_k - r) x0 <= 700,
-    Re A = Re g_k - r >= 1 and Re b = Re g_j + r <= -1, and that the |c|
-    sum to at most 1e3.  Then |E(x0; A)| <= (e^700 + 1)/|A| and
-    |K| <= x0 e^{700 - x0} <= e^700, so with |b| >= 1 each pair term is
-    below 2.1e304; one near coincident nodes has x0 < SMALL_W and is less.
-    The exponents alone do not suffice: autocorrelation(c0=1e153, s=1) has
-    F(-60) = inf.  Every weight of the family search's box passes at
-    r = -60, so its 'sz' solves need no overflow probe.
-    """
-    x0, folded = code
-    if -r * x0 > 690.0 or sum(abs(c) for c, *_ in folded) > 1e3:
-        return False
-    return all(gk.real - r >= 1.0 and (gk.real - r) * x0 <= 700.0 and gj.real + r <= -1.0
-               for _, gj, gk, _, _ in folded)
-
-
 def E(x, a):
     """(e^{a x} - 1)/a elementwise, for real x and complex a broadcast together
     to an array (of at least one dimension).
@@ -408,7 +386,7 @@ def _p4_root(hlo, hhi, target, lam, lo, hi):
     return lam / u - lam, hlo, hhi
 
 
-#: the rounding floor of the snapped smoothed h (``smoothed_fn(snap=True)``),
+#: the rounding floor of the snapped smoothed h (``snapped_fn``),
 #: relative to the summed magnitudes of the terms h adds.  h's own arithmetic
 #: (three sums and psi f(0)) rounds by at most 2 eps of them; the rest is the
 #: error of each F, a few ulps of its size at most points.  Against a 90-digit
@@ -422,46 +400,56 @@ def _p4_root(hlo, hhi, target, lam, lo, hi):
 SNAP_EPS = 16.0 * 2.0 ** -52
 
 
-def smoothed_fn(F, form, c1, psi, b, f0, snap=False, F0=None, dF=None):
+def smoothed_fn(F, form, c1, psi, b, f0):
     """The smoothed repulsion function h of a weight with transform F.
 
-    F maps real r to F(r); h works on floats or arrays as F does.  f0 = f(0),
-    and F0 = F(0) where the caller has it (a family build stores it), else
-    F(0) is evaluated here.
+    F maps real r to F(r); h works on floats or arrays as F does, and
+    f0 = f(0).
     form 0: h(x) = c1 (F(-x) - F(b-x)) - F(0) + psi f(0)
     form 1: h(x) = F(-b) - F(0) - F(x-b) + psi f(0)
-    Both increase in x.
-
-    With ``snap`` (float x only; the family search's scores), h(x) is exactly
-    0.0 wherever |h(x)| is below its rounding floor, ``SNAP_EPS`` times the
-    magnitudes of the terms it adds (form 0: |c1| (|F(-x)| + |F(b-x)|) + |F(0)|
-    + |psi f(0)|; form 1: |F(-b)| + |F(0)| + |psi f(0)| + |F(x-b)|), and the
-    exact h(x), bit for bit, elsewhere.  The sign of h is rounding noise
-    there, so a root solver that stops at an exact zero no longer halves the
-    bracket through it: a search root stops at h's rounding floor, where a
-    returned bound (solved without the snap) resolves to adjacent floats.
-    The snapped h(0) needs at most one transform: form 0 reads F(-0) from
-    F(0), which has the same bits, and form 1 reads F(-b) of its constant.
-    An infinite term makes the floor infinite, and h then keeps its value.
-
-    With ``dF`` (snap only), r -> (F(r), F'(r)) or None as from
-    ``_f_real_scalar_d``, it returns (h, hd) for ``_newton``: hd(x) is None
-    where dF declines, else (h(x), Newton's step at x), h(x) snapped by the
-    same rule and the step taken from the unsnapped value.  Form 1 steps by
-    h/h'.  Form 0 steps on log P = log C, P = c1 (F(-x) - F(b-x)) = h + C,
-    C = F(0) - psi f(0), where both are positive, by log(1 + h/C) P/h',
-    which is h/h' to first order at the root: P grows about like e^{x0 x},
-    and plain Newton on it overshoots from below and crawls down from above
-    by about 1/x0 a step.
+    Both increase in x.  The family search scores weights on
+    ``snapped_fn``'s h instead.
     """
-    if F0 is None:
-        F0 = F(0.0)
+    F0 = F(0.0)
     pf0 = psi * f0
     if form == 0:
-        if not snap:
-            def h(x):
-                return c1 * (F(-x) - F(b - x)) - F0 + pf0
-            return h
+        def h(x):
+            return c1 * (F(-x) - F(b - x)) - F0 + pf0
+        return h
+    base = F(-b) - F0 + pf0
+
+    def h(x):
+        return base - F(x - b)
+    return h
+
+
+def snapped_fn(F, dF, form, c1, psi, b, f0, F0):
+    """The family search's snapped h of ``smoothed_fn``'s h, with its Newton
+    steps, as (h, hd); F is a scalar transform and F0 = F(0), from the build.
+
+    h(x), float x, is exactly 0.0 wherever |h(x)| is below its rounding
+    floor, ``SNAP_EPS`` times the magnitudes of the terms it adds (form 0:
+    |c1| (|F(-x)| + |F(b-x)|) + |F(0)| + |psi f(0)|; form 1: |F(-b)| + |F(0)|
+    + |psi f(0)| + |F(x-b)|), and the exact h(x), bit for bit, elsewhere.
+    The sign of h is rounding noise there, so a root solver that stops at an
+    exact zero no longer halves the bracket through it: a search root stops
+    at h's rounding floor, where a returned bound (solved on the exact h)
+    resolves to adjacent floats.  h(0) needs at most one transform: form 0
+    reads F(-0) from F(0), which has the same bits, and form 1 reads F(-b) of
+    its constant.  An infinite term makes the floor infinite, and h then
+    keeps its value.
+
+    dF maps r to (F(r), F'(r)) or None, as ``_f_real_scalar_d`` does, and
+    hd(x) is None where dF declines, else (h(x), Newton's step at x) for
+    ``_newton``, h(x) snapped by the same rule and the step taken from the
+    unsnapped value.  Form 1 steps by h/h'.  Form 0 steps on log P = log C,
+    P = c1 (F(-x) - F(b-x)) = h + C, C = F(0) - psi f(0), where both are
+    positive, by log(1 + h/C) P/h', which is h/h' to first order at the
+    root: P grows about like e^{x0 x}, and plain Newton on it overshoots from
+    below and crawls down from above by about 1/x0 a step.
+    """
+    pf0 = psi * f0
+    if form == 0:
         m1, rest = abs(c1), abs(F0) + abs(pf0)
 
         def value(Fm, Fp):
@@ -484,30 +472,26 @@ def smoothed_fn(F, form, c1, psi, b, f0, snap=False, F0=None, dF=None):
                 return y, math.nan
             P = v + C
             return y, (math.log1p(v / C) * P if C > 0.0 and P > 0.0 else v) / d
-    else:
-        Fmb = F(-b)
-        base = Fmb - F0 + pf0
-        if not snap:
-            def h(x):
-                return base - F(x - b)
-            return h
-        rest = abs(Fmb) + abs(F0) + abs(pf0)
+        return h, hd
+    Fmb = F(-b)
+    base = Fmb - F0 + pf0
+    rest = abs(Fmb) + abs(F0) + abs(pf0)
 
-        def value(Fx):
-            v = base - Fx
-            return 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v, v
+    def value(Fx):
+        v = base - Fx
+        return 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v, v
 
-        def h(x):
-            return value(Fmb if x == 0.0 else F(x - b))[0]
+    def h(x):
+        return value(Fmb if x == 0.0 else F(x - b))[0]
 
-        def hd(x):
-            got = dF(x - b)
-            if got is None:
-                return None
-            y, v = value(got[0])
-            d = -got[1]
-            return y, v / d if 0.0 < d < math.inf else math.nan
-    return h if dF is None else (h, hd)
+    def hd(x):
+        got = dF(x - b)
+        if got is None:
+            return None
+        y, v = value(got[0])
+        d = -got[1]
+        return y, v / d if 0.0 < d < math.inf else math.nan
+    return h, hd
 
 
 #: Newton steps ``_newton`` takes before it hands the solve to ITP
@@ -579,12 +563,13 @@ def _bracketed(root, ya, yb):
 
 
 def smoothed_root(h, lo, hi, guess=None, hd=None):
-    """Root of an h built by ``smoothed_fn`` from a scalar F, as ``_bisect``.
+    """Root of an h built by ``smoothed_fn`` or ``snapped_fn`` from a scalar
+    F, as ``_bisect``.
 
     The caller builds h, so it can reuse it (for the residual at the root)
-    without evaluating F(0) again.  Given hd, ``smoothed_fn``'s Newton steps
-    of a snapped h, and a guess inside (lo, hi), the solve is ``_newton``'s
-    from the guess; otherwise it is ITP on [lo, hi] and the guess is unused.
+    without evaluating F(0) again.  Given hd, ``snapped_fn``'s Newton steps,
+    and a guess inside (lo, hi), the solve is ``_newton``'s from the guess;
+    otherwise it is ITP on [lo, hi] and the guess is unused.
     """
     if hd is not None and guess is not None and lo < guess < hi:
         return _newton(h, hd, lo, hi, guess)

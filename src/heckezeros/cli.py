@@ -4,9 +4,11 @@ Verbs: ``zfr`` (zero-free-region widths), ``dh`` (repulsion solvers),
 ``zd`` (zero-density bounds), ``table`` (bundled datasets and regression),
 ``optimize`` (parameter search), ``verify`` (oracle property suites).
 
-Exit codes: 0 success, 1 computation error (no provable bound, failed
-preconditions), 2 usage error.  All numeric output uses 6 significant digits
-unless ``--precision`` overrides it (every verb but ``verify``, whose check
+Exit codes: 0 success (also when the reader closes stdout early, as
+``| head`` does; the rest of the output is dropped without a message),
+1 computation error (no provable bound, failed preconditions), 2 usage
+error.  All numeric output uses 6 significant digits unless
+``--precision`` overrides it (every verb but ``verify``, whose check
 reports fix their own format); ``--json`` output is schema-stable.
 Runs are deterministic: byte-identical output for identical invocations.
 """
@@ -14,6 +16,7 @@ Runs are deterministic: byte-identical output for identical invocations.
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import dh, optimizer, tables, trial_functions, verify, zero_density, zfr
@@ -331,7 +334,16 @@ def main(argv=None):
     if getattr(args, "precision", 0) < 0:   # verify offers no --precision
         ap.error(f"argument --precision: must be >= 0, got {args.precision}")
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()   # a reader gone away shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): stop quietly, with what is
+        # still buffered sent to devnull, so the flush at exit fails on nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except HeckeZerosError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

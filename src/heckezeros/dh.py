@@ -17,13 +17,14 @@ critical-strip constant phi, the multiplier c1, which slot carries the
 unknown, and which side-condition coefficient formula applies.  The case
 table is data so the wiring can be audited line by line.
 
-``solve_smoothed`` is a thin wrapper over ``_smoothed_root``, the root
-alone, which the family search calls for every weight it scores (on a
-snapped h, whose root stops at h's rounding floor, by Newton steps from the
-last root, handed to ITP where they fail, with F(0) from the weight's build
-and no overflow probe where its code rules one out); the solver adds the
-failure reports, the residual and the ``BoundResult``, and its roots, by
-ITP on the exact h, resolve to adjacent floats.
+A smoothed root has two callers, each with its own path.
+``solve_smoothed``, behind every returned bound, solves the exact h by ITP,
+so its roots resolve to adjacent floats, and adds the failure reports, the
+residual and the ``BoundResult``.  ``_search_root``, which the family search
+calls for every weight it scores, solves a snapped h, whose root stops at
+h's rounding floor, by Newton steps from the last root, handed to ITP where
+they fail, with F(0) from the weight's build and no overflow probe, and
+returns the root alone.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
 lambda built once (``_poly_at``).
@@ -49,6 +50,9 @@ from .errors import (DomainError, InvalidParameterError, NoBoundError,
 
 #: Critical-strip growth constant; the convexity bound fixes it at 1/4.
 PHI = 0.25
+
+#: right end of the smoothed solves' bracket [0, HI]
+HI = 60.0
 
 E = math.e
 
@@ -204,89 +208,58 @@ def smoothed_h(case, f, b, phi=PHI):
                                 case.psi_over_phi * phi, b, f.content.f0)
 
 
-def _smoothed_root(case, F, f0, b, phi, hi=60.0, guess=None, snap=False, code=None,
-                   F0=None):
-    """(root, h(0), h(hi), hi, h) of a smoothed case's h for the transform F.
+def _search_root(case, code, f0, F0, b, phi, guess):
+    """The family search's root of a smoothed case's h for a coded weight, or
+    NaN where the weight bounds nothing.
 
-    F maps real r to F(r) as a float and f0 = f(0); ``case`` is a smoothed
-    SolverCase and b, phi are checked.  The root is NaN wherever
-    ``solve_smoothed`` raises NoBoundError: h has no sign change on [0, hi]
-    (or is NaN at an end), or is 0 at both ends.  ``hi`` is the bracket end
-    the solve used.  The family search scores weights by this root alone;
-    ``solve_smoothed`` adds the checks, the residual and the result.
-    ``code``, the weight's family code when F is its scalar kernel, decides
-    the 'sz' bracket's overflow halving (``_kernels.surely_finite``), and
-    F0 = F(0) is the one its build stored; without them F(-hi) and F(0) are
-    evaluated.
-
-    ``snap`` is the family search's: h is ``smoothed_fn``'s snapped h, 0.0
-    below its rounding floor, so the root stops where the sign of h turns to
-    rounding noise instead of at adjacent floats (a search root, which only
-    ranks weights; ``solve_smoothed`` never snaps).  A snapped solve of a
-    coded weight from a guess (the search's last root) takes
-    ``_kernels.smoothed_root``'s Newton path on the derivative kernel
-    ``_kernels._f_real_scalar_d``, and ITP on the bracket it has seen where
-    that declines; every other solve is ITP on [0, hi], and the guess is
-    unused.  A 'cc' h that is positive at 0, where it costs no
-    transform call, bounds nothing, as h increases: it returns at once, with
-    a NaN root and h(hi) not evaluated (NaN).  A snapped h that is 0 at the
-    top end of the bracket its solve used gives a NaN root.
+    ``code`` is the weight's family code, f0 = f(0) and F0 = F(0) the ones
+    its build stored; ``case`` is a smoothed SolverCase, and b, phi are
+    checked.  h is ``_kernels.snapped_fn``'s, 0.0 below its rounding floor,
+    so the root stops where the sign of h turns to rounding noise instead of
+    at adjacent floats: it only ranks weights.  From a guess (the search's
+    last root) the solve takes ``_kernels.smoothed_root``'s Newton path on
+    the derivative kernel ``_kernels._f_real_scalar_d``, and ITP on the
+    bracket it has seen where that declines; with no guess it is ITP on
+    [0, HI].  The bracket is never shrunk: every weight of the search's box
+    has a finite F(-HI).  A 'cc' h that is positive at 0, where it costs no
+    transform call, bounds nothing, as h increases: the root is NaN at once.
+    So is one whose h is 0 at the top end of the bracket its solve used:
+    its sign is noise up there, as for the 'sz' h at b = 0, the constant
+    psi f(0) - F(0) that the floor of its F(-x) terms exceeds at large x.
     """
-    hi = float(hi)
     form = 0 if case.form == "sz" else 1
-    # keep the 'sz' bracket inside the overflow range of e^{x0 x}: F(-hi) = inf
-    # makes h(hi) infinite (or NaN as inf - inf).  The 'cc' shape reads F at
-    # x - b >= -b only, where a smaller bracket cannot help
-    for _ in range(60):
-        if (form == 1 or hi <= 1.0 or code is not None and _kernels.surely_finite(code, -hi)
-                or not math.isinf(F(-hi))):
-            break
-        hi = 0.5 * hi
-    args = (F, form, float(case.c1), case.psi_over_phi * phi, b, f0, snap, F0)
-    if snap and code is not None and guess is not None:
-        h, hd = _kernels.smoothed_fn(
-            *args, functools.partial(_kernels._f_real_scalar_d, code))
-    else:
-        h, hd = _kernels.smoothed_fn(*args), None
-    if snap and form == 1:
-        hlo = h(0.0)
-        if hlo > 0.0:
-            return math.nan, hlo, math.nan, hi, h
-    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi, guess, hd)
-    # a snapped h that is 0 at the top of its bracket shows no point clearly
-    # above its root: its sign is noise up there, as for the 'sz' h at b = 0,
-    # the constant psi f(0) - F(0) that the floor of its F(-x) terms exceeds
-    # at large x
-    if hhi == 0.0 and (snap or hlo == 0.0):
-        root = math.nan
-    return root, hlo, hhi, hi, h
+    h, hd = _kernels.snapped_fn(
+        functools.partial(_kernels._f_real_scalar, code),
+        functools.partial(_kernels._f_real_scalar_d, code),
+        form, float(case.c1), case.psi_over_phi * phi, b, f0, F0)
+    if form == 1 and h(0.0) > 0.0:
+        return math.nan
+    root, _, hhi = _kernels.smoothed_root(h, 0.0, HI, guess, hd)
+    return math.nan if hhi == 0.0 else root
 
 
-def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
+def solve_smoothed(case, f, b, phi=PHI):
     """Root of the smoothed repulsion function; the bound is root - epsilon.
 
-    Brackets on [0, hi]: h is increasing on the whole line, and near the ends
+    Brackets on [0, HI]: h is increasing on the whole line, and near the ends
     of the bound tables the provable bound sits barely above (or, for a
-    slightly weaker weight, below) the width hypothesis itself.  When h never
-    changes sign the failure mode matters: staying positive means no
-    repulsion is provable with this weight, staying negative means the
-    inequality degenerates (possible for the 'cc' shape when
-    F(-b) - F(0) + psi f(0) <= 0, a regime the source lemmas do not address);
-    both raise NoBoundError with the sign recorded.  An h that is 0 at both
-    ends (the 'sz' shape at b = 0 when F(0) = psi f(0)) bounds nothing either
-    and raises NoBoundError with sign None.  The bracket end ``hi`` must be
-    finite and > 0 (InvalidParameterError).
-
-    The root is ``_smoothed_root``'s, by ITP on [0, hi]; the family search
-    calls that for each weight it scores.
+    slightly weaker weight, below) the width hypothesis itself.  The 'sz'
+    bracket is halved while F(-HI) is infinite, which makes h(HI) infinite
+    (or NaN as inf - inf); the 'cc' shape reads F at x - b >= -b only, where
+    a smaller bracket cannot help.  The root is ITP's on the exact h
+    (``_kernels.smoothed_fn``).  When h never changes sign the failure mode
+    matters: staying positive means no repulsion is provable with this
+    weight, staying negative means the inequality degenerates (possible for
+    the 'cc' shape when F(-b) - F(0) + psi f(0) <= 0, a regime the source
+    lemmas do not address); both raise NoBoundError with the sign recorded.
+    An h that is 0 at both ends (the 'sz' shape at b = 0 when
+    F(0) = psi f(0)) bounds nothing either and raises NoBoundError with sign
+    None.  The family search scores its weights by ``_search_root`` instead.
     """
     case = get_case(case) if isinstance(case, str) else case
     if case.method != "smoothed":
         raise InvalidParameterError(f"case {case.name} is not a smoothed case")
     check_width(b, phi)
-    require_finite(hi=hi)
-    if not hi > 0:
-        raise InvalidParameterError(f"bracket end hi must be > 0, got {hi}")
     code = f.kernel_code()
     if code is not None:
         F = functools.partial(_kernels._f_real_scalar, code)
@@ -294,7 +267,13 @@ def solve_smoothed(case, f, b, phi=PHI, hi=60.0):
         def F(r):
             return float(f.laplace(r).real)
     b = float(b)
-    root, hlo, hhi, hi, h = _smoothed_root(case, F, f.content.f0, b, phi, hi, code=code)
+    hi = HI
+    if case.form == "sz":
+        while hi > 1.0 and math.isinf(F(-hi)):
+            hi = 0.5 * hi
+    h = _kernels.smoothed_fn(F, 0 if case.form == "sz" else 1, float(case.c1),
+                             case.psi_over_phi * phi, b, f.content.f0)
+    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
             f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")

@@ -11,11 +11,11 @@ golden-section line search per coordinate, restarted from a fixed grid; the
 three best starts are each re-descended from their incumbent while that
 gains and budget is left.  A family search scores each weight from its
 family code, f(0) and F(0) alone (``_search_profiles``): by its root
-(``dh._smoothed_root``) or its density bound from three transform values
+(``dh._search_root``) or its density bound from three transform values
 (``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
 or error message; only the winner is built as a weight and handed to the
 public solver or bound.  A search root stops at h's rounding floor (a
-snapped h, ``_kernels.smoothed_fn``), as it only ranks weights, and is
+snapped h, ``_kernels.snapped_fn``), as it only ranks weights, and is
 found by Newton steps from the last root, which hand over to ITP where
 they fail (``_kernels.smoothed_root``); the returned bound, the winner's
 cold ``dh.solve_smoothed``, does neither.  Every search starts from the
@@ -29,7 +29,6 @@ conditions and solver failures are hard constraints handled by rejection
 in-bracket golden section finds.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -352,9 +351,11 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     Runs an (alpha, s) search for each profile and keeps the best; returns a
     BoundResult or None when no weight in the box yields a bound.
     ``seed_params`` (alpha and s) warm-starts every profile, which is useful
-    along a table, where optima drift slowly.  Each profile scores at least
-    40 weights (``_search_profiles``), so a budget below 80 makes about 80
-    root solves.  A weight scores its root (``dh._smoothed_root``) on the
+    along a table, where optima drift slowly; a seed outside
+    ``FAMILY_BOXES`` is scored on the box's bracket [0, ``dh.HI``] too, so
+    one whose F(-HI) overflows (s > 11.5, say) scores -inf.  Each profile
+    scores at least 40 weights (``_search_profiles``), so a budget below 80
+    makes about 80 root solves.  A weight scores its root (``dh._search_root``) on the
     snapped h, which stops at h's rounding floor instead of adjacent floats,
     by Newton steps on the derivative kernel from the last root, with the
     F(0) its build stored; a 'cc' weight whose h is positive at 0 scores
@@ -387,8 +388,7 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
 
     def score(code, f0, F0):
         nonlocal last
-        root = dh._smoothed_root(case, functools.partial(_kernels._f_real_scalar, code),
-                                 f0, b, phi, guess=last, snap=True, code=code, F0=F0)[0]
+        root = dh._search_root(case, code, f0, F0, b, phi, last)
         if math.isnan(root):
             return -math.inf
         last = root

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from heckezeros import _kernels, cli, tables
+from heckezeros.optimizer import SearchSpec, maximize_bound
 
 
 def run(args, capsys):
@@ -279,16 +280,43 @@ class TestGoldenOutput:
         assert len(examples) >= 12 and not missing
 
 
+def _env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
 def test_python_dash_m_runs_the_cli():
     # ``python -m heckezeros`` is the ``heckezeros`` command: same stdout and
     # exit code as cli.main, the first transcript entry's here
     command, expected = GOLDEN[0]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    env = _env()
     proc = subprocess.run([sys.executable, "-m", "heckezeros", *shlex.split(command)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
     proc = subprocess.run([sys.executable, "-m", "heckezeros", "zfr"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2 and "usage" in proc.stderr
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops early, as in ``heckezeros table --name T1 | head -1``,
+    # closes the pipe: the command exits 0 and writes nothing to stderr, no
+    # error line and no failed flush at exit.  Here the pipe is closed before
+    # the command writes
+    proc = subprocess.Popen([sys.executable, "-m", "heckezeros", "table", "--name", "T1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_smoothed_optimize(capsys):
+    # ``optimize`` on a smoothed case runs maximize_bound's family search
+    res = maximize_bound(SearchSpec("sz-lp-principal", 0.05, max_evals=80))
+    code, out, err = run(["optimize", "--case", "sz-lp-principal", "--b", "0.05",
+                          "--budget", "80"], capsys)
+    assert (code, err) == (0, "")
+    assert f"{res.lambda_star:.6g}" in out

@@ -81,9 +81,13 @@ class TestSolveSmoothed:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_root_past_bracket_reported_as_stays_negative(self):
-        # the distinct unbounded-side outcome: the sign change lies beyond hi
-        with pytest.raises(NoBoundError) as err:
-            dh.solve_smoothed("cc-l2-nonprincipal", tf.triangle(4.0), 0.1227, hi=0.3)
+        # the distinct unbounded-side outcome: at b = 0 and phi = 0 the 'cc'
+        # h is -F(x), negative on all of [0, HI], so no sign change lies in it
+        f = tf.triangle(4.0)
+        h = dh.smoothed_h("cc-l2-nonprincipal", f, 0.0, phi=0.0)
+        assert (h(np.linspace(0.0, dh.HI, 61)) < 0.0).all()
+        with pytest.raises(NoBoundError, match=r"h stays negative on \[0, 60\.0\]") as err:
+            dh.solve_smoothed("cc-l2-nonprincipal", f, 0.0, phi=0.0)
         assert err.value.sign == "negative"
 
     def test_heavy_weight_cc_form_is_degenerate(self):
@@ -113,27 +117,6 @@ class TestSolveSmoothed:
         with pytest.raises(InvalidParameterError, match="phi"):
             dh.solve_poly("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788, phi=-0.25)
         dh.check_width(0.05, 0.0)
-
-    @pytest.mark.parametrize("hi", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    def test_bad_bracket_end_rejected_before_any_transform(self, monkeypatch, hi):
-        # an infinite hi once came back as lambda* = inf, and a NaN, zero or
-        # negative one as NoBoundError ("NaN at an end", "stays negative")
-        f, calls = tf.triangle(4.0), []
-        f_real = _kernels._f_real_scalar
-        monkeypatch.setattr(_kernels, "_f_real_scalar",
-                            lambda code, r: calls.append(r) or f_real(code, r))
-        with pytest.raises(InvalidParameterError, match="hi"):
-            dh.solve_smoothed("cc-l2-nonprincipal", f, 0.1227, hi=hi)
-        assert calls == []
-
-    def test_small_bracket_end_is_solved_on(self):
-        # any finite hi > 0 is a bracket: below the root h stays negative
-        f = tf.triangle(4.0)
-        root = dh.solve_smoothed("cc-l2-nonprincipal", f, 0.1227).root
-        assert dh.solve_smoothed("cc-l2-nonprincipal", f, 0.1227, hi=2.0 * root).root == root
-        with pytest.raises(NoBoundError) as err:
-            dh.solve_smoothed("cc-l2-nonprincipal", f, 0.1227, hi=0.5 * root)
-        assert err.value.sign == "negative"
 
     def test_nan_transform_is_reported_as_nan(self):
         # a NaN is the weight's fault, not an overflow: no bracket halving and

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from heckezeros import _kernels, dh, optimizer, p4, tables, trial_functions as tf, zfr
-from heckezeros.errors import InvalidParameterError, NoBoundError
+from heckezeros.errors import NoBoundError
 
 
 def test_backend_reports():
@@ -520,51 +520,24 @@ def test_overflowing_sum_gives_plus_infinity():
     assert f.laplace(np.array([r]))[0].real == math.inf
 
 
-def _verdict_codes():
-    """Codes of cosine and plain weights at the corners of the family search's
-    box, the density box's s = 40, alphas past the box up to alpha = hi, and
-    large coefficients: every one of them that builds.  The last passes an
-    exponent test, x0 hi <= 690 and (Re g_k + hi) x0 <= 700, and its F(-60)
-    is inf all the same."""
-    codes = [tf.autocorrelation_code(0.0, 1e153, 0.0, 0.0, 1.0)]
-    for alpha in (-4.0, -1.0, 0.0, 1.0, 4.0, 6.0, 10.0, 20.0, 35.0):
-        for s in (0.2, 1.0, 3.2, 10.0, 14.0, 40.0):
-            for params in [optimizer._generator(alpha, s, mult) for mult in optimizer.PROFILES] + [
-                    (alpha, 1.0, 0.0, 0.0, s), (alpha, 1e3, 0.0, 0.0, s)]:
-                try:
-                    codes.append(tf.autocorrelation_code(*params))
-                except InvalidParameterError:
-                    pass
-    return codes
-
-
 def test_overflow_verdict_never_skips_an_infinite_probe():
-    # surely_finite(code, -hi) is True only where F(-hi) is finite, at the
-    # 'sz' bracket's hi = 60 and each of its halvings; the verdict rules the
-    # probe out at 60 for every weight in the search's box, some probes are
-    # infinite, and the smoothed root's bracket is the one the probes give
-    ruled_out = infinite = 0
-    codes = _verdict_codes()
-    assert _kernels._f_real_scalar(codes[0][0], -60.0) == math.inf
-    case = dh.get_case("sz-lp-principal")
-    for code, f0, F0 in codes:
-        hi = 60.0
-        while hi > 1.0:
-            value = _kernels._f_real_scalar(code, -hi)
-            if _kernels.surely_finite(code, -hi):
-                ruled_out += 1
-                assert math.isfinite(value), (code, hi)
-            infinite += value == math.inf
-            hi *= 0.5
-        F = functools.partial(_kernels._f_real_scalar, code)
-        assert (dh._smoothed_root(case, F, f0, 0.05, dh.PHI, code=code, F0=F0)[3]
-                == dh._smoothed_root(case, F, f0, 0.05, dh.PHI)[3]), code
-    assert len(codes) >= 150 and ruled_out >= 400 and infinite >= 50
-    for alpha in (-4.0, 4.0):
-        for s in (0.2, 10.0):
+    # the search's root takes no overflow probe: its bracket is [0, dh.HI]
+    # for every weight of the search's box, as F(-HI) is finite there.  A
+    # weight's x0 is s <= 10, so x0 HI <= 600, and each pair's exponent has
+    # Re g_k <= |alpha| <= 4, so (Re g_k + HI) x0 <= 640 < 709; both grow
+    # with |alpha| and s, and the coefficients are the profile's, |c| <= 1
+    checked = 0
+    for alpha in optimizer.FAMILY_BOXES["alpha"]:
+        for s in optimizer.FAMILY_BOXES["s"]:
             for mult in optimizer.PROFILES:
                 code = tf.autocorrelation_code(*optimizer._generator(alpha, s, mult))[0]
-                assert _kernels.surely_finite(code, -60.0), (alpha, s, mult)
+                x0, folded = code
+                assert x0 == s and x0 * dh.HI <= 600.0, (alpha, s, mult)
+                for c, _, gk, _, _ in folded:
+                    assert (gk.real + dh.HI) * x0 <= 640.0 and abs(c) <= 1.0, (alpha, s, mult)
+                assert math.isfinite(_kernels._f_real_scalar(code, -dh.HI)), (alpha, s, mult)
+                checked += 1
+    assert checked == 8
 
 
 def test_grid_kernel_matches_numpy_implementation():
@@ -737,21 +710,29 @@ def test_smoothed_roots_agree_with_bisection(smoothed_runs):
 
 
 def test_root_helper_is_the_solvers_root(smoothed_runs):
-    # the family search scores a weight by dh._smoothed_root alone: over the
-    # smoothed set its root is solve_smoothed's to the bit, and NaN exactly
-    # where solve_smoothed raises NoBoundError
+    # over the smoothed set, solve_smoothed's root is ITP's on [0, dh.HI] of
+    # smoothed_fn's exact h to the bit; the family search scores a weight by
+    # dh._search_root alone, whose root (from no guess) is NaN exactly where
+    # solve_smoothed raises NoBoundError, and within the snap band of its
+    # root elsewhere (test_search_snap)
     roots, _ = smoothed_runs["itp"]
     assert None in roots.values()   # h = 0 at both ends: sz-lp-quadratic, b = 0
     failed = 0
     for (case, i, b), want in roots.items():
-        f = SMOOTHED_WEIGHTS[i]
-        F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
-        root = dh._smoothed_root(dh.CASES[case], F, f.content.f0, b, dh.PHI)[0]
+        f, case_ = SMOOTHED_WEIGHTS[i], dh.CASES[case]
+        code = f.kernel_code()
+        F = functools.partial(_kernels._f_real_scalar, code)
+        assert math.isfinite(F(-dh.HI))   # no bracket halving
+        root = dh._search_root(case_, code, f.content.f0, F(0.0), b, dh.PHI, None)
         if not isinstance(want, float):   # NoBoundError's sign
             assert math.isnan(root), (case, i, b)
             failed += 1
             continue
-        assert root == want, (case, i, b)
+        h = _kernels.smoothed_fn(F, 0 if case_.form == "sz" else 1, float(case_.c1),
+                                 case_.psi_over_phi * dh.PHI, b, f.content.f0)
+        assert _kernels.smoothed_root(h, 0.0, dh.HI)[0] == want, (case, i, b)
+        tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0)
+        assert abs(root - want) <= tol * max(1.0, want), (case, i, b)
     assert 0 < 2 * failed < len(roots)   # some, and under half
 
 
@@ -760,7 +741,7 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
     # from guesses below and above the root, so ITP takes over with both, one
     # or no end of [0, hi] seen.  The root is NaN exactly where ITP on [0, hi]
     # fails (a snapped h that is 0 at hi bounds nothing, as in
-    # dh._smoothed_root), otherwise within the snap band of ITP's root or
+    # dh._search_root), otherwise within the snap band of ITP's root or
     # Newton's relative stop step of it, and h is never evaluated twice at
     # one point
     handed = set()
@@ -773,11 +754,12 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
             code = f.kernel_code()
             F = functools.partial(_kernels._f_real_scalar, code)
             dF = functools.partial(_kernels._f_real_scalar_d, code)
+            hi = dh.HI
+            assert math.isfinite(F(-hi))   # the search's bracket, never halved
             for b in (0.0, 1e-6, 1e-3, 0.05, 0.4):
-                hi = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, code=code)[3]
-                h, hd = _kernels.smoothed_fn(
-                    F, 0 if case.form == "sz" else 1, float(case.c1),
-                    case.psi_over_phi * dh.PHI, b, f.content.f0, snap=True, dF=dF)
+                h, hd = _kernels.snapped_fn(
+                    F, dF, 0 if case.form == "sz" else 1, float(case.c1),
+                    case.psi_over_phi * dh.PHI, b, f.content.f0, F(0.0))
                 want, _, yhi = bisect(h, 0.0, hi)
                 if yhi == 0.0:
                     want = math.nan
@@ -810,6 +792,47 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
                         tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0) + _kernels._NEWTON_REL
                         assert abs(root - want) <= tol * max(1.0, want), key
     assert handed >= {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_derivative_kernel_declines_where_exp_overflows():
+    # at r = -45 the weight's x0 = 10 passes the kernel's first test
+    # (-r x0 = 450 <= 690) and no pair is near coincident nodes, but its pair
+    # of Re g_k = 30 has (30 + 45) 10 = 750: cmath.exp overflows, F is +inf,
+    # and the kernel declines
+    code, r = tf.autocorrelation_code(30.0, 1.0, 0.0, 0.0, 10.0)[0], -45.0
+    x0, folded = code
+    assert -r * x0 <= 690.0
+    assert all(abs(gj + r) * x0 >= _kernels.SMALL_W and abs(gk - r) * x0 >= _kernels.SMALL_W
+               for _, gj, gk, _, _ in folded)
+    assert max((gk.real - r) * x0 for _, _, gk, _, _ in folded) > 710.0
+    assert _kernels._f_real_scalar(code, r) == math.inf
+    assert _kernels._f_real_scalar_d(code, r) is None
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("k, bracket", [(0, (0.0, 4.0, None, None)),
+                                        (1, (0.0, 3.0, None, 2.0)),
+                                        (2, (0.0, 2.0, None, 1.0))])
+def test_newton_hands_a_non_finite_value_to_itp(monkeypatch, bad, k, bracket):
+    # h(x) = x - 1 on [0, 4] from x = 3, by half Newton steps (2, 1.5, ...)
+    # until hd's value turns non-finite at its (k+1)-th call: ITP takes over
+    # on the bracket the steps have seen, with the end values they read
+    handed, seen = [], []
+    bisect = _kernels._bisect
+    monkeypatch.setattr(_kernels, "_bisect", lambda h, lo, hi, ylo=None, yhi=None: (
+        handed.append((lo, hi, ylo, yhi)) or bisect(h, lo, hi, ylo, yhi)))
+
+    def h(x):
+        return x - 1.0
+
+    def hd(x):
+        seen.append(x)
+        return (bad, 0.0) if len(seen) > k else (h(x), 0.5 * h(x))
+
+    root, ya, yb = _kernels._newton(h, hd, 0.0, 4.0, 3.0)
+    assert handed == [bracket]
+    assert (root, ya, yb) == bisect(h, *bracket)
+    assert abs(root - 1.0) <= 1e-15
 
 
 def test_flat_principal_case_pinned():

@@ -201,6 +201,22 @@ class TestSmoothedSearch:
         alone = dh.solve_smoothed(case, f, b)
         assert (alone.lambda_star, alone.residual) == (res.lambda_star, res.residual)
 
+    @pytest.mark.parametrize("case, b", [("sz-lp-principal", 0.05),
+                                         ("cc-l2-chi2-principal-real", 0.35)])
+    def test_maximize_bound_runs_the_family_search(self, case, b):
+        # a smoothed spec is the family search at its budget and phi, with a
+        # sweep tolerance of 1e-6
+        got = maximize_bound(SearchSpec(case, b, max_evals=120))
+        want = optimizer.optimize_family_smoothed(case, b, budget=120, sweep_tol=1e-6)
+        assert repr(got) == repr(want)
+
+    def test_maximize_bound_raises_where_no_weight_bounds(self):
+        # at b = 0 the 'sz' h is the constant psi f(0) - F(0): the family
+        # search finds no weight, and maximize_bound says so
+        assert optimizer.optimize_family_smoothed("sz-lp-quadratic", 0.0, budget=80) is None
+        with pytest.raises(InfeasibleSearchError, match="no admissible substitute weight"):
+            maximize_bound(SearchSpec("sz-lp-quadratic", 0.0, max_evals=80))
+
 
 class TestRedescent:
     """A re-descent reaches a peak that the first descent converged past.
@@ -239,9 +255,9 @@ class TestBudget:
     final solve (and, for the density search, the final bound).  The family
     searches give each of their two profiles at least 40 evaluations, so a
     budget below 80 runs about 80.  A family search scores a weight through
-    its per-weight entry point (``dh._smoothed_root``,
-    ``zero_density.bound_if_admissible``), which the public solver or bound
-    also calls; the public one runs once, for the winner."""
+    its per-weight entry point (``dh._search_root``,
+    ``zero_density.bound_if_admissible``); the public solver or bound runs
+    once, for the winner."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -256,7 +272,7 @@ class TestBudget:
         return calls
 
     def test_smoothed_search(self, monkeypatch):
-        roots = self.counted(monkeypatch, dh, "_smoothed_root")
+        roots = self.counted(monkeypatch, dh, "_search_root")
         solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=120)
         assert 80 <= len(roots) <= 121
@@ -286,7 +302,7 @@ class TestBudget:
 
     def test_family_floor(self, monkeypatch):
         # budget 1 still runs 40 evaluations per profile
-        roots = self.counted(monkeypatch, dh, "_smoothed_root")
+        roots = self.counted(monkeypatch, dh, "_search_root")
         solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.1, budget=1)
         assert 60 <= len(roots) <= 81 and len(solves) == 1
@@ -350,7 +366,7 @@ class TestInvalidInput:
     def test_budget_and_phi(self, monkeypatch, search, budget, phi, word):
         # a budget below 1 and a negative phi are rejected alike by every
         # search, before its first evaluation
-        calls = [self.counted(monkeypatch, dh, "_smoothed_root"),
+        calls = [self.counted(monkeypatch, dh, "_search_root"),
                  self.counted(monkeypatch, dh, "_poly_bound"),
                  self.counted(monkeypatch, dh, "solve_poly"),
                  self.counted(monkeypatch, zero_density, "bound_if_admissible")]

@@ -30,6 +30,36 @@ def _parts(case, f, b):
     return F, form, (form, float(case.c1), case.psi_over_phi * dh.PHI, b, f.content.f0)
 
 
+def _snapped(F, args):
+    """The snapped h of ``_parts``' F and builder arguments, F(0) evaluated."""
+    return _kernels.snapped_fn(F, None, *args, F(0.0))[0]
+
+
+def _bracket_end(case, F):
+    """The end of ``solve_smoothed``'s bracket [0, hi]: dh.HI, halved for the
+    'sz' shape while F(-hi) is infinite."""
+    hi = dh.HI
+    while case.form == "sz" and hi > 1.0 and math.isinf(F(-hi)):
+        hi *= 0.5
+    return hi
+
+
+def _search_like(case):
+    """The weights of WEIGHTS whose bracket for the case is [0, dh.HI], as
+    for every weight the search scores."""
+    return [f for f in WEIGHTS
+            if _bracket_end(case, functools.partial(_kernels._f_real_scalar,
+                                                    f.kernel_code())) == dh.HI]
+
+
+def _solved_root(case, f, b):
+    """``solve_smoothed``'s root, NaN where it raises NoBoundError."""
+    try:
+        return dh.solve_smoothed(case, f, b).root
+    except NoBoundError:
+        return math.nan
+
+
 def _floor(F, form, c1, psi, b, f0, x):
     """SNAP_EPS times the magnitudes of the terms h adds at x."""
     if form == 0:
@@ -47,11 +77,11 @@ def test_snapped_h_is_zero_or_exact(name, i, log_b, t, near):
     # 1e-16 .. 1, where the snap fires) or anywhere on the solve's bracket
     case, b = dh.get_case(name), 10.0 ** log_b
     F, form, args = _parts(case, WEIGHTS[i], b)
-    root, _, _, hi, _ = dh._smoothed_root(case, F, args[-1], b, dh.PHI)
+    root, hi = _solved_root(case, WEIGHTS[i], b), _bracket_end(case, F)
     x = root * (1.0 + t * 10.0 ** near) if math.isfinite(root) else 0.5 * hi * (1.0 + t)
     x = min(max(x, 0.0), hi)
     exact = _kernels.smoothed_fn(F, *args)(x)
-    snapped = _kernels.smoothed_fn(F, *args, snap=True)(x)
+    snapped = _snapped(F, args)(x)
     floor = _floor(F, *args, x)
     assert snapped == exact or (snapped == 0.0 and abs(exact) < floor), (x, exact, floor)
     if abs(exact) >= floor:   # never 0.0 outside the floor
@@ -63,9 +93,9 @@ def test_snap_fires_near_the_root_and_nowhere_else():
     # away from the root keeps every value
     case = dh.get_case("sz-lp-principal")
     F, _, args = _parts(case, WEIGHTS[2], 1e-6)
-    root = dh._smoothed_root(case, F, args[-1], 1e-6, dh.PHI)[0]
+    root = dh.solve_smoothed(case, WEIGHTS[2], 1e-6).root
     exact = _kernels.smoothed_fn(F, *args)
-    snapped = _kernels.smoothed_fn(F, *args, snap=True)
+    snapped = _snapped(F, args)
     near = [root * (1.0 + k * 1e-12) for k in range(-50, 51)]
     assert sum(snapped(x) == 0.0 != exact(x) for x in near) >= 10
     far = [root * k / 10.0 for k in range(1, 8)] + [root * (1.0 + k / 10.0) for k in range(1, 8)]
@@ -77,16 +107,17 @@ def test_snapped_roots_fail_where_the_solver_fails(name):
     # over both shapes and widths 0 .. 0.4, a snapped search root is NaN
     # exactly where solve_smoothed raises NoBoundError, and otherwise within
     # h's rounding floor of its root.  Solved from a guess, a snapped root
-    # takes Newton steps (test_newton_roots_fail_where_the_solver_fails)
+    # takes Newton steps (test_newton_roots_fail_where_the_solver_fails).
+    # A search root keeps its bracket [0, dh.HI], as no weight of the search's
+    # box makes F(-HI) overflow, so a weight that does ('sz' at triangle(14))
+    # is not one the search scores
     case = dh.get_case(name)
-    for f in WEIGHTS:
+    for f in _search_like(case):
+        code = f.kernel_code()
+        F0 = _kernels._f_real_scalar(code, 0.0)
         for b in (0.0, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.4):
-            F, _, _ = _parts(case, f, b)
-            try:
-                want = dh.solve_smoothed(case, f, b).root
-            except NoBoundError:
-                want = math.nan
-            got = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, snap=True)[0]
+            want = _solved_root(case, f, b)
+            got = dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, None)
             if math.isnan(want):
                 assert math.isnan(got), (f, b)
                 continue
@@ -97,27 +128,26 @@ def test_snapped_roots_fail_where_the_solver_fails(name):
             assert abs(got - want) <= tol * max(1.0, want), (f, b)
 
 
-def test_cc_weight_positive_at_zero_costs_two_transforms():
+def test_cc_weight_positive_at_zero_costs_two_transforms(monkeypatch):
     # a 'cc' h is h(0) = F(-b) - F(0) + psi f(0) - F(-b) at 0, read from its
     # constant: positive there, the weight bounds nothing, and the search's
-    # root returns NaN after F(0) and F(-b) alone, guess or not.  The solver's
-    # error and message are unchanged
+    # root returns NaN after F(0) (the build's) and F(-b) alone, guess or
+    # not.  The solver's error and message are unchanged
     f, case, b = tf.triangle(0.7), dh.get_case("cc-l2-chi2-principal-real"), 0.2
     with pytest.raises(NoBoundError, match=r"h stays positive on \[0, 60\.0\] for .*"
                                            r" \(no repulsion provable\)") as err:
         dh.solve_smoothed(case, f, b)
     assert err.value.sign == "positive"
-    code = f.kernel_code()
+    code, F, calls = f.kernel_code(), _kernels._f_real_scalar, []
+    hlo = _kernels.snapped_fn(functools.partial(F, code), None, 1, float(case.c1),
+                              case.psi_over_phi * dh.PHI, b, f.content.f0, F(code, 0.0))[0](0.0)
+    assert hlo > 0.0
+    monkeypatch.setattr(_kernels, "_f_real_scalar",
+                        lambda code, r: calls.append(r) or F(code, r))
     for guess in (None, 1.0):
-        calls = []
-
-        def F(r):
-            calls.append(r)
-            return _kernels._f_real_scalar(code, r)
-
-        root, hlo = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, guess=guess,
-                                      snap=True, code=code)[:2]
-        assert math.isnan(root) and hlo > 0.0
+        calls.clear()
+        F0 = _kernels._f_real_scalar(code, 0.0)   # the build's
+        assert math.isnan(dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, guess))
         assert calls == [0.0, -b]
 
 
@@ -125,26 +155,22 @@ def test_cc_weight_positive_at_zero_costs_two_transforms():
 def test_newton_roots_fail_where_the_solver_fails(name):
     # the search's warm solve of a coded weight takes the Newton path on the
     # derivative kernel: NaN exactly where solve_smoothed raises NoBoundError,
-    # and otherwise within h's rounding floor of its root, as the ITP path is
+    # and otherwise within h's rounding floor of its root, as the ITP path is,
+    # over the weights the search could score
     case = dh.get_case(name)
     newton = []
-    for f in WEIGHTS:
+    for f in _search_like(case):
         code = f.kernel_code()
         F0 = _kernels._f_real_scalar(code, 0.0)
         for b in (0.0, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.4):
-            F, _, _ = _parts(case, f, b)
-            try:
-                want = dh.solve_smoothed(case, f, b).root
-            except NoBoundError:
-                want = math.nan
+            want = _solved_root(case, f, b)
             centre = want if math.isfinite(want) else 1.0
             for guess in (0.5 * centre, 0.9 * centre, 1.1 * centre, 3.0 * centre):
                 with pytest.MonkeyPatch.context() as mp:
                     newton_ = _kernels._newton
                     mp.setattr(_kernels, "_newton",
                                lambda *args: newton.append(1) or newton_(*args))
-                    got = dh._smoothed_root(case, F, f.content.f0, b, dh.PHI, guess=guess,
-                                            snap=True, code=code, F0=F0)[0]
+                    got = dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, guess)
                 if math.isnan(want):
                     assert math.isnan(got), (f, b, guess)
                     continue
@@ -157,24 +183,25 @@ def test_sz_weight_positive_at_zero_costs_three_passes(monkeypatch):
     # an 'sz' h positive at 0 bounds nothing.  Scored from a guess, the Newton
     # path evaluates h at the guess (two F/F' passes) and heads past 0, where
     # h(0) = c1 (F(0) - F(b)) - F(0) + psi f(0) takes F(b) alone, the stored
-    # F(0) standing in for F(-0); the bracket's overflow probe F(-hi) is
-    # ruled out from the code
+    # F(0) standing in for F(-0); the search's bracket takes no overflow
+    # probe F(-hi)
     f, case, b = tf.triangle(0.7), dh.get_case("sz-lp-principal"), 0.05
     with pytest.raises(NoBoundError, match="no repulsion provable") as err:
         dh.solve_smoothed(case, f, b)
     assert err.value.sign == "positive"
     code = f.kernel_code()
-    F0 = _kernels._f_real_scalar(code, 0.0)
-    passes = []
     F, FD = _kernels._f_real_scalar, _kernels._f_real_scalar_d
+    F0 = F(code, 0.0)
+    hlo = _kernels.snapped_fn(functools.partial(F, code), None, 0, float(case.c1),
+                              case.psi_over_phi * dh.PHI, b, f.content.f0, F0)[0](0.0)
+    assert hlo > 0.0
+    passes = []
     monkeypatch.setattr(_kernels, "_f_real_scalar",
                         lambda code, r: passes.append(("F", r)) or F(code, r))
     monkeypatch.setattr(_kernels, "_f_real_scalar_d",
                         lambda code, r: passes.append(("F/F'", r)) or FD(code, r))
-    root, hlo = dh._smoothed_root(case, functools.partial(_kernels._f_real_scalar, code),
-                                  f.content.f0, b, dh.PHI, guess=1.0, snap=True, code=code,
-                                  F0=F0)[:2]
-    assert math.isnan(root) and hlo > 0.0
+    root = dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, 1.0)
+    assert math.isnan(root)
     assert len(passes) <= 3 and ("F", b) in passes, passes
 
 
@@ -186,12 +213,20 @@ SEARCH_ROWS = [("sz-lp-quadratic", 0.0), ("sz-lp-quadratic", 1e-7),
                ("cc-l2-nonprincipal", 0.6)]
 
 
+def _exact_search_root(case, code, f0, F0, b, phi, guess):
+    """A search scorer without the snap: ITP on the exact h on [0, dh.HI],
+    the guess unused, NaN where h has no sign change or is 0 at both ends."""
+    h = _kernels.smoothed_fn(functools.partial(_kernels._f_real_scalar, code),
+                             0 if case.form == "sz" else 1, float(case.c1),
+                             case.psi_over_phi * phi, b, f0)
+    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, dh.HI)
+    return math.nan if hlo == hhi == 0.0 else root
+
+
 @pytest.mark.parametrize("name, b", SEARCH_ROWS)
 def test_search_result_does_not_depend_on_the_snap(monkeypatch, name, b):
     snapped = optimizer.optimize_family_smoothed(name, b, budget=120)
-    root = dh._smoothed_root
-    monkeypatch.setattr(dh, "_smoothed_root", lambda *args, **kwargs: root(
-        *args, **{**kwargs, "snap": False}))
+    monkeypatch.setattr(dh, "_search_root", _exact_search_root)
     assert repr(optimizer.optimize_family_smoothed(name, b, budget=120)) == repr(snapped)
 
 
@@ -262,13 +297,13 @@ def _passes_per_scored_weight(monkeypatch, name, b):
     """Transform passes, F and F/F' alike, per weight a search at budget 120
     scores, builds included (each stores its F(0))."""
     calls, scored = [], []
-    F, FD, root = _kernels._f_real_scalar, _kernels._f_real_scalar_d, dh._smoothed_root
+    F, FD, root = _kernels._f_real_scalar, _kernels._f_real_scalar_d, dh._search_root
     monkeypatch.setattr(_kernels, "_f_real_scalar",
                         lambda code, r: calls.append(r) or F(code, r))
     monkeypatch.setattr(_kernels, "_f_real_scalar_d",
                         lambda code, r: calls.append(r) or FD(code, r))
-    monkeypatch.setattr(dh, "_smoothed_root",
-                        lambda *args, **kwargs: scored.append(1) or root(*args, **kwargs))
+    monkeypatch.setattr(dh, "_search_root",
+                        lambda *args: scored.append(1) or root(*args))
     optimizer.optimize_family_smoothed(name, b, budget=120)
     assert len(scored) >= 100
     return len(calls) / len(scored)
