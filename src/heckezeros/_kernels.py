@@ -16,9 +16,9 @@ rounding floor (``SNAP_EPS``): a search root stops there, 8.8 evaluations
 of h per scored root on seed-1 smoothed-regress where adjacent floats took
 12.1.  The search's warm solves of coded weights take safeguarded Newton steps
 instead (``_newton``, rtsafe) on the same snapped h, with steps from the
-derivative kernel ``_f_real_scalar_d`` (F and F' in one pass over the
-pairs, about 1.43 times an F pass): 4.2 evaluations of h per warm root
-where ITP took 9.3.  Where that kernel declines or the steps run out
+derivative kernel ``_f_real_scalar_d`` (F and F' with one exp per
+generator exponent, about 0.83 of an F pass): 4.2 evaluations of h per
+warm root where ITP took 9.3.  Where that kernel declines or the steps run out
 (1.3% of scored solves), ITP takes over on the bracket the steps have
 seen, after a look at an end of [lo, hi] they have not.  Returned bounds
 are solved by ITP on the exact h and still resolve to adjacent floats.
@@ -202,35 +202,97 @@ def _f_real_scalar(code, r):
 
 
 def _f_real_scalar_d(code, r):
-    """(F(r), F'(r)) at one real r in one pass over the folded pairs, or None.
+    """(F(r), F'(r)) at one real r, or None; F has ``_f_real_scalar``'s bits.
 
-    F is ``_f_real_scalar``'s, bit for bit, operation for operation.  F'
-    sums c Re T', T' = ((x0 e^w - E)/A - T)/b the r-derivative of
-    T = (K - E)/b, E = (e^w - 1)/A, from the pair's own e^w.  It declines
-    (None) wherever ``_f_real_scalar`` would take ``pair_near`` or return
-    +inf.  Just past a series switch T' loses digits to its divisions by
-    |A| or |b| >= SMALL_W / x0 (1.4e-9 relative at worst in the tests),
-    which a Newton step tolerates.
+    A pair term is T = (K - E_k)/b_j, with r-derivative T' = (D_k - T)/b_j.
+    Here b = g + r, A = g - r, E = (e^{A x0} - 1)/A and
+    D = (x0 e^{A x0} - E)/A depend on one exponent g, so each is formed
+    once per exponent, by the operations the terms of a pair took, and the
+    terms add in the order of the code.  ``trial_functions`` builds three
+    layouts: one pair (any g_j and g_k, as in a hand-built code); the pairs
+    (g, g), (g, conj g) of a c0 = 0 generator, g = alpha + i beta, where
+    conj g's E and D are the conjugates of g's, so one exp serves both; and
+    (alpha, alpha), (alpha, g), (g, alpha) before those two.  The real
+    exponent alpha runs in float arithmetic, with ``cmath.exp``'s bits
+    (``math.exp``'s differ where cmath scales e^w).  Where a pair divided a
+    complex value, so does this: by complex(alpha + r), as Python 3.14
+    divides by a float part by part, and where x0 e^{A x0} - E of alpha is
+    not finite, from a NaN imaginary part that the division keeps (or, on
+    3.14, turns into an infinity).  With one exp per exponent, a pass costs
+    about 0.83 of an F pass on the search's codes.
+
+    It declines (None) wherever ``_f_real_scalar`` would take ``pair_near``
+    or return +inf: where |b| x0 or |A x0| of an exponent is below SMALL_W
+    (the exponent of a ``far`` pair skips the tests, which it fails anyway)
+    or an exp overflows.  Just past a series switch T' loses digits to its
+    divisions by |A| or |b| >= SMALL_W / x0 (1.4e-9 relative at worst in
+    the tests), which a Newton step tolerates.
     """
     x0, folded = code
     if r < 0.0 and -r * x0 > 690.0:
         return None
-    acc = dacc = 0.0
-    for c, gj, gk, K, far in folded:
-        b = gj + r
-        a = gk - r
-        w = a * x0
+    if len(folded) == 1:
+        ((c, gj, gk, K, far),) = folded
+        b, A = gj + r, gk - r
+        w = A * x0
         if not far and (abs(b) * x0 < SMALL_W or abs(w) < SMALL_W):
             return None
         try:
             ew = cmath.exp(w)
         except OverflowError:
             return None
-        e = (ew - 1.0) / a
-        phi = (K - e) / b
-        acc += c * phi.real
-        dacc += c * (((x0 * ew - e) / a - phi) / b).real
-    return acc, dacc
+        E = (ew - 1.0) / A
+        T = (K - E) / b
+        return 0.0 + c * T.real, 0.0 + c * (((x0 * ew - E) / A - T) / b).real
+    # the code ends with the pairs (g, g) and (g, conj g)
+    c3, g, _, K3, far = folded[-2]
+    c4, _, _, K4, _ = folded[-1]
+    b, A = g + r, g - r
+    w = A * x0
+    # far: |Im g| x0 >= SMALL_W, so g fails both tests in every pair
+    if not far and (abs(b) * x0 < SMALL_W or abs(w) < SMALL_W):
+        return None
+    try:
+        ew = cmath.exp(w)
+    except OverflowError:
+        return None
+    E = (ew - 1.0) / A
+    D = (x0 * ew - E) / A
+    Dc = D.conjugate()
+    T3 = (K3 - E) / b
+    T4 = (K4 - E.conjugate()) / b
+    if len(folded) == 2:
+        return (0.0 + c3 * T3.real + c4 * T4.real,
+                0.0 + c3 * ((D - T3) / b).real + c4 * ((Dc - T4) / b).real)
+    c0, a, _, K0, _ = folded[0]
+    c1, _, _, K1, _ = folded[1]
+    c2, _, _, K2, _ = folded[2]
+    a = a.real
+    ba, Aa = a + r, a - r
+    wa = Aa * x0
+    if abs(ba) * x0 < SMALL_W or abs(wa) < SMALL_W:
+        return None
+    try:
+        ea = cmath.exp(wa).real
+    except OverflowError:
+        return None
+    Ea = (ea - 1.0) / Aa
+    m = x0 * ea - Ea
+    Da = m / Aa
+    bc = complex(ba)
+    T0 = (K0.real - Ea) / ba
+    T1 = (K1 - E) / bc
+    T2 = (K2 - Ea) / b
+    if math.isfinite(m):
+        d0, d2 = (Da - T0) / ba, ((Da - T2) / b).real
+    else:
+        # the pairs' complex D had 0 inf = NaN for its imaginary part, which
+        # a complex division keeps, or (Python 3.14) turns into an infinity
+        d0 = (complex(Da - T0, math.nan) / bc).real
+        d2 = (complex(Da - T2.real, math.nan) / b).real
+    return (0.0 + c0 * T0 + c1 * T1.real + c2 * T2.real + c3 * T3.real + c4 * T4.real,
+            0.0 + c0 * d0 + c1 * ((D - T1) / bc).real + c2 * d2
+            + c3 * ((D - T3) / b).real + c4 * ((Dc - T4) / b).real)
 
 
 def E(x, a):

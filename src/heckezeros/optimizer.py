@@ -198,7 +198,8 @@ def _j_candidates(case, b, lam, phi, at):
     point of the root where the side condition is slack, or at a peak of the
     limit where it binds.  A trough of the limit is never such a peak.  The
     sign of h at the side limit tells slack from binding, and a crossing is
-    a sign change of it, bisected on its piece without a root solve.  ``at``
+    a sign change of it, bisected on its piece without a root solve, from
+    the values at the piece's ends that it already has.  ``at``
     is ``dh._poly_at(case, b, lam, phi)``, built once per lambda.  Returns
     (uncapped side limit, J) pairs, highest limit first.
     """
@@ -223,7 +224,8 @@ def _j_candidates(case, b, lam, phi, at):
     for lo, hi, g_lo, g_hi in zip(turns, turns[1:], gaps, gaps[1:]):
         if g_lo * g_hi < 0.0:
             sign = 1.0 if g_lo < 0.0 else -1.0
-            candidates.append(_kernels._bisect(lambda J: sign * gap(J), lo, hi)[0])
+            candidates.append(_kernels._bisect(lambda J: sign * gap(J), lo, hi,
+                                               sign * g_lo, sign * g_hi)[0])
     return sorted(((side_x(J), J) for J in candidates), key=lambda t: -t[0])
 
 
@@ -351,9 +353,9 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     Runs an (alpha, s) search for each profile and keeps the best; returns a
     BoundResult or None when no weight in the box yields a bound.
     ``seed_params`` (alpha and s) warm-starts every profile, which is useful
-    along a table, where optima drift slowly; a seed outside
-    ``FAMILY_BOXES`` is scored on the box's bracket [0, ``dh.HI``] too, so
-    one whose F(-HI) overflows (s > 11.5, say) scores -inf.  Each profile
+    along a table, where optima drift slowly; it must lie in
+    ``FAMILY_BOXES``, where every weight has a finite F(-``dh.HI``) on its
+    bracket [0, ``dh.HI``].  Each profile
     scores at least 40 weights (``_search_profiles``), so a budget below 80
     makes about 80 root solves.  A weight scores its root (``dh._search_root``) on the
     snapped h, which stops at h's rounding floor instead of adjacent floats,
@@ -365,7 +367,8 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     its residual and result, so the returned bound resolves to adjacent
     floats.
     Inputs are checked as in ``maximize_bound``, and a case that is not
-    smoothed raises InvalidParameterError.
+    smoothed, or a seed whose alpha or s is not finite or lies outside
+    ``FAMILY_BOXES``, raises InvalidParameterError before any evaluation.
     """
     case = dh.get_case(case)
     if case.method != "smoothed":
@@ -375,7 +378,13 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
              for s_ in FAMILY_GRID["s"]]
     if seed_params is not None:
-        seeds = [{"alpha": seed_params["alpha"], "s": seed_params["s"]}] + seeds
+        seed = {n: seed_params[n] for n in ("alpha", "s")}
+        for n, v in seed.items():
+            lo, hi = FAMILY_BOXES[n]
+            if not (isinstance(v, (int, float)) and lo <= v <= hi):
+                raise InvalidParameterError(
+                    f"seed {n} must be a number in [{lo}, {hi}], got {v!r}")
+        seeds = [seed] + seeds
     # each solve takes Newton steps from the latest root, as the search
     # scores nearby weights one after another.  A root then depends on that
     # guess, and on the snap, within float noise, so a weight is solved once

@@ -294,6 +294,8 @@ def _build(alpha, c0, c1, beta, s):
     gs = [g_ for _, g_ in terms]
     conj = [gs.index(g_.conjugate()) for g_ in gs]
     far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
+    # _kernels._f_real_scalar_d reads the kept pairs in this order: (a, a),
+    # (a, g), (g, a), (g, g), (g, conj g) for terms a, g, conj g
     keep = [(j, k) for j in range(len(gs)) for k in range(len(gs))
             if (conj[j], conj[k]) >= (j, k)]
     # a build fails where K, f(0) or a pair term at its coincidence point

@@ -308,6 +308,104 @@ def test_derivative_kernel_slope_matches_mpmath():
     assert checked >= 1000
 
 
+def _pair_loop_d(code, r):
+    """(F(r), F'(r)) by the derivative kernel's former pass over the folded
+    pairs, one exp and four quotients per pair, or None: the reference whose
+    bits ``_kernels._f_real_scalar_d`` keeps."""
+    x0, folded = code
+    if r < 0.0 and -r * x0 > 690.0:
+        return None
+    acc = dacc = 0.0
+    for c, gj, gk, K, far in folded:
+        b = gj + r
+        a = gk - r
+        w = a * x0
+        if not far and (abs(b) * x0 < _kernels.SMALL_W or abs(w) < _kernels.SMALL_W):
+            return None
+        try:
+            ew = cmath.exp(w)
+        except OverflowError:
+            return None
+        e = (ew - 1.0) / a
+        phi = (K - e) / b
+        acc += c * phi.real
+        dacc += c * (((x0 * ew - e) / a - phi) / b).real
+    return acc, dacc
+
+
+#: weights of every code layout: SLOPE_WEIGHTS (one pair, the c0 = 0 pairs
+#: and the cosine five, all with beta s above SMALL_W), both multi-pair
+#: layouts with beta s below it, and weights whose exponents reach
+#: cmath.exp's scaled band at -r x0 <= 690; at beta s = pi/4 the complex
+#: exponent's e^w, x0 e^w stay finite a little past the real one's
+LAYOUT_WEIGHTS = SLOPE_WEIGHTS + (
+    tf.autocorrelation(alpha=0.5, c0=1.0, c1=1.0, beta=0.003, s=3.0),
+    tf.autocorrelation(alpha=-0.3, c0=0.0, c1=1.0, beta=0.002, s=3.0),
+    tf.autocorrelation(alpha=3.0, c0=1.0, c1=1.0, beta=math.pi / 40.0, s=10.0),
+    tf.autocorrelation(alpha=3.0, c0=0.0, c1=1.0, beta=math.pi / 20.0, s=10.0),
+    tf.autocorrelation(alpha=30.0, s=10.0),
+)
+
+#: log(DBL_MAX): e^w overflows past it
+_LOG_MAX = math.log(np.finfo(float).max)
+#: log(DBL_MAX/4): past it cmath.exp forms e^w as e^{w-1} e, whose bits
+#: differ from math.exp's
+_LOG_LARGE = math.log(np.finfo(float).max / 4.0)
+
+
+def _layout_points(code):
+    """Real points of a code: a grid, r = +-0.0, both sides of each series
+    switch, -r x0 about 690, and the real parts w of each exponent's
+    (g_k - r) x0 across [707, 709.79]: x0 e^w overflows there for x0 = 10,
+    and past 708.40 cmath.exp scales e^w, which overflows past 709.78."""
+    x0, folded = code
+    edge = _kernels.SMALL_W / x0
+    pts = list(np.linspace(-8.0, 8.0, 41)) + [0.0, -0.0, -0.25, -3.0]
+    for e in (-690.0 / x0, -689.99 / x0, -690.01 / x0):
+        pts += [e, math.nextafter(e, 0.0), math.nextafter(e, -math.inf)]
+    centres = {-p[1].real for p in folded} | {p[2].real for p in folded}
+    for centre in centres:
+        pts += [centre + d * edge for d in (0.0, -0.5, 0.5, -0.999, 0.999, -1.001, 1.001, -3.0, 3.0)]
+        pts += [math.nextafter(centre + d * edge, t) for d in (-1.0, 1.0) for t in (-math.inf, math.inf)]
+    for g in {p[2].real for p in folded}:
+        ws = list(np.linspace(707.0, 709.79, 57)) + [_LOG_LARGE, _LOG_MAX]
+        pts += [g - w / x0 for w in ws]
+        pts += [math.nextafter(g - w / x0, t) for w in ws[-2:] for t in (-math.inf, math.inf)]
+    return [float(r) for r in pts]
+
+
+def _bits(v):
+    return None if v is None else tuple(x.hex() for x in v)
+
+
+def test_derivative_kernel_keeps_the_pair_loops_bits():
+    # per exponent, F and F' have the bits of the pair loop (NaN where it has
+    # NaN), and the kernel declines exactly where the loop does; hand-built
+    # one-pair codes keep the generic term
+    codes = [f.kernel_code() for f in LAYOUT_WEIGHTS] + list(_single_pair_codes(0, n=12))
+    seen = {"layouts": set(), "declined": 0, "scaled": 0, "values": 0, "non_finite": 0}
+    for code in codes:
+        x0, folded = code
+        seen["layouts"].add((len(folded), folded[-1][-1]))
+        for r in _layout_points(code):
+            want, got = _pair_loop_d(code, r), _kernels._f_real_scalar_d(code, r)
+            assert _bits(got) == _bits(want), (code, r)
+            if want is None:
+                seen["declined"] += 1
+                continue
+            seen["values"] += 1
+            seen["non_finite"] += math.isfinite(want[0]) and not math.isfinite(want[1])
+            ws = [(p[2].real - r) * x0 for p in folded if p[2].imag == 0.0]
+            seen["scaled"] += any(_LOG_LARGE < w and math.exp(w) != cmath.exp(w).real
+                                  for w in ws)
+    assert seen["layouts"] == {(1, False), (1, True), (2, False), (2, True), (5, False), (5, True)}
+    assert seen["declined"] >= 7000 and seen["values"] >= 7000
+    # points where math.exp's bits would differ from cmath.exp's, and where
+    # F is finite but F' not (NaN, or an infinity on Python 3.14), as
+    # x0 e^w of the real exponent overflows
+    assert seen["scaled"] >= 40 and seen["non_finite"] >= 100
+
+
 def _single_pair_codes(seed, n=40):
     """Seeded one-pair family codes of search-like weights: s in [0.2, 40],
     both profiles, and alpha in [-4, 4] scaled by 1, 1/s and 1/(100 s); each

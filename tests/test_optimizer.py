@@ -139,6 +139,27 @@ class TestInnerJ:
         assert 40 <= len(scores) <= 300
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_crossings_take_the_gaps_at_their_ends(self, monkeypatch, key):
+        # a crossing is bisected from the gap values _j_candidates has at
+        # its piece's ends: each evaluation of gap per crossing is an ITP
+        # step inside the piece, none is at an end
+        t = tables.load_table(key)
+        crossings, bisect = [], _kernels._bisect
+
+        def counted(h, lo, hi, *ends):
+            xs = []
+            got = bisect(lambda x: xs.append(x) or h(x), lo, hi, *ends)
+            crossings.append((lo, hi, ends, (h(lo), h(hi)), xs))
+            return got
+
+        monkeypatch.setattr(_kernels, "_bisect", counted)
+        maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
+        assert crossings
+        for lo, hi, ends, at_ends, xs in crossings:
+            assert ends == at_ends and ends[0] < 0.0 < ends[1]
+            assert xs and all(lo < x < hi for x in xs), (key, lo, hi)
+
     @pytest.mark.parametrize("phi", [dh.PHI, 0.3])
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_root_and_side_limit_are_monotone_between_turns(self, key, phi):
@@ -342,6 +363,30 @@ class TestInvalidInput:
         with pytest.raises(InvalidParameterError):
             maximize_bound(SearchSpec("sz-lp-principal", b, phi=phi))
         assert builds == []
+
+    @pytest.mark.parametrize("seed", [
+        {"alpha": 0.0, "s": 12.0}, {"alpha": 0.0, "s": 0.1}, {"alpha": 4.5, "s": 1.0},
+        {"alpha": -4.5, "s": 1.0}, {"alpha": math.nan, "s": 1.0},
+        {"alpha": 0.0, "s": math.inf}, {"alpha": "0", "s": 1.0}])
+    def test_smoothed_seed_outside_the_box(self, monkeypatch, seed):
+        # (alpha, s) = (0, 12) has F(-60) = inf: scored on [0, 60] it would
+        # give no root and silently score -inf
+        if seed["s"] == 12.0:
+            code = trial_functions.autocorrelation_code(*optimizer._generator(0.0, 12.0, 1.0))[0]
+            assert _kernels._f_real_scalar(code, -dh.HI) == math.inf
+        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
+        roots = self.counted(monkeypatch, dh, "_search_root")
+        with pytest.raises(InvalidParameterError, match="seed"):
+            optimizer.optimize_family_smoothed("sz-lp-principal", 0.05, seed_params=seed)
+        assert builds == roots == []
+
+    def test_smoothed_seed_on_the_box_corner_is_scored_first(self, monkeypatch):
+        builds, build = [], trial_functions.autocorrelation_code
+        monkeypatch.setattr(trial_functions, "autocorrelation_code",
+                            lambda *args: builds.append(args) or build(*args))
+        optimizer.optimize_family_smoothed("sz-lp-principal", 0.05, budget=1,
+                                           seed_params={"alpha": 4.0, "s": 10.0})
+        assert builds[0] == optimizer._generator(4.0, 10.0, optimizer.PROFILES[0])
 
     @pytest.mark.parametrize("b, phi", [(math.nan, dh.PHI), (-1.0, dh.PHI),
                                         (0.1227, math.inf)])
