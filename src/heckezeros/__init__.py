@@ -28,9 +28,8 @@ from .errors import (BoundUnavailableError, DomainError, HeckeZerosError,
                      OracleFailureError, SideConditionError)
 from .optimizer import SearchSpec, maximize_bound
 from .p4 import PositivityQuery, gm_check, p4_eval, pm_positivity, re_p4_identity
-from .trial_functions import (Content, K_FAMILY_PAIRS, TrialFunction,
-                              autocorrelation, f0_remainder_bound, repel_reduce,
-                              triangle)
+from .trial_functions import (K_FAMILY_PAIRS, TrialFunction, autocorrelation,
+                              repel_reduce, triangle)
 from .zero_density import ZdQuery, n_lambda_bound, n_lambda_int, zd_preconditions
 from .zfr import (ZfrCase, combine_L_coefficients, expand_trig_square_product,
                   zfr_optimize, zfr_order5, zfr_order_ge6, zfr_solve)

@@ -205,7 +205,7 @@ def smoothed_h(case, f, b, phi=PHI):
         r = np.asarray(r, dtype=float)
         return f.laplace(r.reshape(-1)).real.reshape(r.shape)
     return _kernels.smoothed_fn(F, 0 if case.form == "sz" else 1, case.c1,
-                                case.psi_over_phi * phi, b, f.content.f0)
+                                case.psi_over_phi * phi, b, f.f0)
 
 
 def _search_root(case, code, f0, F0, b, phi, guess):
@@ -272,7 +272,7 @@ def solve_smoothed(case, f, b, phi=PHI):
         while hi > 1.0 and math.isinf(F(-hi)):
             hi = 0.5 * hi
     h = _kernels.smoothed_fn(F, 0 if case.form == "sz" else 1, float(case.c1),
-                             case.psi_over_phi * phi, b, f.content.f0)
+                             case.psi_over_phi * phi, b, f.f0)
     root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(

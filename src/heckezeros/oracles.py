@@ -111,9 +111,9 @@ def _romberg(g, x0, abs_tol, h_max=math.inf):
 
 @functools.lru_cache(maxsize=_MAX_LEVEL + 1)
 def _samples(f, level):
-    """Read-only ``(t, f(t))`` at ``_nodes(f.content.x0, level)``, memoized
+    """Read-only ``(t, f(t))`` at ``_nodes(f.x0, level)``, memoized
     for the last ``_MAX_LEVEL + 1`` (weight, level) pairs."""
-    ts = _nodes(f.content.x0, level)
+    ts = _nodes(f.x0, level)
     fs = np.array(f(ts))        # a copy: freezing it leaves f's own arrays writable
     ts.flags.writeable = fs.flags.writeable = False
     return ts, fs
@@ -147,7 +147,7 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
         ts, fs = _samples(f, level)
         return fs * np.exp(-z * ts)
 
-    val = _romberg(g, f.content.x0, abs_tol, h_max)
+    val = _romberg(g, f.x0, abs_tol, h_max)
     if val is None:
         raise OracleFailureError(
             f"Romberg quadrature did not converge for z={z} within 2^{_MAX_LEVEL} panels")

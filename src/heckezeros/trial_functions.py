@@ -24,9 +24,8 @@ conjugate pair of generator-exponent pairs with its coefficient doubled, and
 its transform is evaluated by ``_kernels`` from that code alone: real
 scalars by ``f_real_scalar``, complex or array arguments by ``f_array``.
 The two agree to 2e-13 relative, not to the bit: Python and NumPy complex
-arithmetic differ in the last bits.  The weight f(t), f(0) and sup |f''|
-read the same folded pairs, and ``_kernels.E`` serves f(t) and its second
-derivative here.
+arithmetic differ in the last bits.  The weight f(t) and f(0) read the
+same folded pairs, and ``_kernels.E`` serves f(t) here.
 
 A build is plain Python, ``autocorrelation_code``, which gives the family
 code, f(0) and F(0); ``autocorrelation`` wraps the first two in a
@@ -40,8 +39,8 @@ pairs) a build forms K = E(s; a) = int_0^s e^{au} du
 z = -g_j, int_0^s u e^{au} du (``_kernels.pair_near``; for real a at most
 s K).  A build is refused exactly where K, f(0) or one of those pair terms
 is not a finite float, and a code is a tuple of plain Python numbers and
-bools that never changes after its build.  NumPy evaluates f(t) and
-sup |f''| on grids, and the generator's sign when c0 < |c1|.
+bools that never changes after its build.  NumPy evaluates f(t) on grids,
+and the generator's sign when c0 < |c1|.
 """
 
 import cmath
@@ -49,7 +48,6 @@ import functools
 import inspect
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,56 +66,6 @@ K_FAMILY_PAIRS = (
 )
 
 
-def _checked_b(B):
-    if not B >= 0:   # NaN too
-        raise InvalidParameterError(f"second-derivative bound must be >= 0, got {B}")
-    return B
-
-
-class _OnFirstAccess:
-    """``Content.B``: a zero-argument callable given for it runs on first access.
-
-    A value is checked (>= 0, not NaN) when it is given, and a callable's when
-    it runs; a callable whose value fails stays, so every access raises.
-    """
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError("B")       # so the dataclass field has no default
-        if callable(obj.__dict__["_B"]):
-            obj.__dict__["_B"] = _checked_b(obj.__dict__["_B"]())
-        return obj.__dict__["_B"]
-
-    def __set__(self, obj, value):
-        obj.__dict__["_B"] = value if callable(value) else _checked_b(value)
-
-
-@dataclass(frozen=True)
-class Content:
-    """Summary data (x0, M, B, f0) of a trial weight.
-
-    x0 bounds the support, M = sup |f|, B = sup |f''| on (0, x0), f0 = f(0).
-    ``remainder_constant`` is the constant A = 3 B x0 + 2 f0 / x0 controlling
-    the |F(z) - f(0)/z| <= A/|z|^2 remainder bound on Re z > 0.  B may be given
-    as a zero-argument callable, which runs on first access; its value is kept.
-    """
-
-    x0: float
-    M: float
-    B: float = _OnFirstAccess()
-    f0: float
-
-    def __post_init__(self):
-        if not (self.x0 > 0):
-            raise InvalidParameterError(f"support endpoint must be positive, got {self.x0}")
-        if not (self.M >= self.f0 >= 0):
-            raise InvalidParameterError(f"need M >= f0 >= 0, got M={self.M}, f0={self.f0}")
-
-    @property
-    def remainder_constant(self):
-        return 3.0 * self.B * self.x0 + 2.0 * self.f0 / self.x0
-
-
 class TrialFunction:
     """A trial weight with pointwise and Laplace-transform evaluators.
 
@@ -125,15 +73,22 @@ class TrialFunction:
     it; the evaluators are pure and safe for concurrent use.  ``code`` is
     the family code the kernels in ``_kernels`` consume, a tuple of plain
     numbers; plug-in families may pass ``code=None``, in which case every
-    transform goes through ``laplace_fn``.
+    transform goes through ``laplace_fn``.  ``x0`` is the end of the support
+    [0, x0) and ``f0`` = f(0), the two numbers of the weight every bound
+    reads besides its transform.
     """
 
-    __slots__ = ("family", "params", "content", "_eval", "_laplace", "_code")
+    __slots__ = ("family", "params", "x0", "f0", "_eval", "_laplace", "_code")
 
-    def __init__(self, family, params, content, eval_fn, laplace_fn, code=None):
+    def __init__(self, family, params, x0, f0, eval_fn, laplace_fn, code=None):
+        if not (isinstance(x0, (int, float)) and math.isfinite(x0) and x0 > 0):
+            raise InvalidParameterError(f"support end x0 must be a finite number > 0, got {x0!r}")
+        if not (isinstance(f0, (int, float)) and math.isfinite(f0) and f0 >= 0):
+            raise InvalidParameterError(f"f(0) must be a finite number >= 0, got {f0!r}")
         self.family = family
         self.params = dict(params)
-        self.content = content
+        self.x0 = x0
+        self.f0 = f0
         self._eval = eval_fn
         self._laplace = laplace_fn
         self._code = code
@@ -170,7 +125,7 @@ def triangle(x0):
         raise InvalidParameterError(f"triangle support endpoint must be positive, got {x0!r}")
     x0 = float(x0)
     box = autocorrelation(s=x0)
-    return TrialFunction("triangle", {"x0": x0}, box.content, box._eval, box._laplace,
+    return TrialFunction("triangle", {"x0": x0}, box.x0, box.f0, box._eval, box._laplace,
                          code=box.kernel_code())
 
 
@@ -207,21 +162,6 @@ def _weight(code, t):
             acc += (c * np.exp(g_k * tc) * _kernels.E(s - tc, a)).real
     out = np.where(inside, acc, 0.0)
     return float(out[0]) if scalar else out
-
-
-def _sup_f2(code):
-    """sup |f''| from the exact second derivative on a grid, summed over the
-    folded pairs; 5% headroom keeps the remainder constant an upper bound
-    despite gridding."""
-    s, folded = code
-    ts = np.linspace(0.0, s, 2001, endpoint=False)
-    f2 = 0.0
-    for c, g_k, a in _t_terms(folded):
-        with np.errstate(over="ignore", invalid="ignore"):
-            egk = np.exp(g_k * ts)
-            f2 += (c * (g_k ** 2 * egk * _kernels.E(s - ts, a)
-                        + (a - 2.0 * g_k) * egk * np.exp(a * (s - ts)))).real
-    return 1.05 * float(np.abs(f2).max())
 
 
 #: entries of the process-wide cache of family builds (``autocorrelation_code``):
@@ -339,8 +279,7 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     """
     code, f0, _ = autocorrelation_code(alpha, c0, c1, beta, s)
     params = dict(zip(("alpha", "c0", "c1", "beta", "s"), map(float, (alpha, c0, c1, beta, s))))
-    content = Content(x0=code[0], M=f0, B=functools.partial(_sup_f2, code), f0=f0)
-    return TrialFunction("autocorrelation", params, content, functools.partial(_weight, code),
+    return TrialFunction("autocorrelation", params, code[0], f0, functools.partial(_weight, code),
                          functools.partial(_kernels.f_array, code), code=code)
 
 
@@ -364,19 +303,6 @@ def build_family(name, **params):
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
-
-def f0_remainder_bound(f, z):
-    """Split F(z) = f(0)/z + F_0(z) and check |F_0| <= A/|z|^2 on Re z > 0.
-
-    Returns (F_0(z), bound_ok).  A is the content's remainder constant.
-    """
-    z = complex(z)
-    if z.real <= 0:
-        raise DomainError(f"remainder split requires Re z > 0, got {z}")
-    F0 = f.laplace(z) - f.content.f0 / z
-    ok = abs(F0) <= f.content.remainder_constant / abs(z) ** 2 + 1e-12
-    return F0, bool(ok)
-
 
 def repel_reduce(f, a, b):
     """Upper bound for Re{F(-a+iy) - F(iy) - F(b-a+iy)} uniform in y.

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from . import dh, oracles, p4, tables, trial_functions, zero_density, zfr
+from . import _kernels, dh, oracles, p4, tables, trial_functions, zero_density, zfr
+from .errors import DomainError
 from .oracles import equality_report, positivity_report
 
 _SEED = 20260808
@@ -34,6 +35,44 @@ def _z_grid():
     return np.array([complex(a, b) for a in res for b in ims])
 
 
+def _f2_bound(f):
+    """A proved upper bound on sup |f''| over [0, s] for a coded weight.
+
+    Over the folded pairs (c, g, a) of ``trial_functions._t_terms``, with
+    x = s - t and E(x; a) = (e^{ax} - 1)/a,
+
+        f''(t)  = sum Re c e^{gt} [g^2 E(x; a) + (a - 2g) e^{ax}],
+        f'''(t) = sum Re c e^{gt} [g^3 E(x; a) + ((a - 2g)(g - a) - g^2) e^{ax}].
+
+    Every t in [0, s] lies within h/2 of one of n = 2001 nodes spaced
+    h = s/(n - 1), both ends included, so sup |f''| is at most the nodes'
+    maximum of |f''| plus h/2 times a bound on |f'''|.  That bound is
+    termwise, from
+    |e^{gt}| <= e^{s max(0, Re g)}, |E(x; a)| <= x e^{x max(0, Re a)} and
+    |e^{gt + ax}| <= e^{s max(Re g, Re a)} on [0, s].
+    """
+    s, folded = f.kernel_code()
+    n = 2001
+    ts = np.linspace(0.0, s, n)
+    f2, f3 = 0.0, 0.0
+    for c, g, a in trial_functions._t_terms(folded):
+        f2 += (c * np.exp(g * ts) * (g ** 2 * _kernels.E(s - ts, a)
+                                     + (a - 2.0 * g) * np.exp(a * (s - ts)))).real
+        f3 += abs(c) * (abs(g) ** 3 * s * math.exp(s * (max(0.0, g.real) + max(0.0, a.real)))
+                        + abs((a - 2.0 * g) * (g - a) - g ** 2) * math.exp(s * max(g.real, a.real)))
+    return float(np.abs(f2).max()) + 0.5 * s / (n - 1) * f3
+
+
+def _remainder_split(f, z, B):
+    """(F_0(z), ok) for F(z) = f(0)/z + F_0(z) on Re z > 0: ok tells whether
+    |F_0(z)| <= (3 B x0 + 2 f(0)/x0)/|z|^2 + 1e-12, for B >= sup |f''|."""
+    z = complex(z)
+    if z.real <= 0:
+        raise DomainError(f"remainder split requires Re z > 0, got {z}")
+    F0 = f.laplace(z) - f.f0 / z
+    return F0, bool(abs(F0) <= (3.0 * B * f.x0 + 2.0 * f.f0 / f.x0) / abs(z) ** 2 + 1e-12)
+
+
 def suite_laplace():
     reports = [equality_report("romberg self-test on int t^7",
                                [oracles.romberg_selftest()], [(0.125,)], 1e-15)]
@@ -54,18 +93,16 @@ def suite_laplace():
                                          vals, ts, 0.0))
         reports.append(positivity_report(f"F nonincreasing on the real axis: {tag}",
                                          -(np.diff(vals)), ts[1:], 1e-12))
-        grid_t = np.linspace(-1.0, f.content.x0 * 1.5, 301)
+        grid_t = np.linspace(-1.0, f.x0 * 1.5, 301)
         fv = f(grid_t)
         reports.append(positivity_report(f"f non-negative: {tag}", fv, grid_t, 0.0))
-        outside = fv[grid_t >= f.content.x0]
+        outside = fv[grid_t >= f.x0]
         reports.append(equality_report(f"f vanishes past its support: {tag}",
                                        np.abs(outside), None, 0.0))
-        oks = []
+        B = _f2_bound(f)
         pts = [complex(a, b) for a in np.linspace(0.25, 10.0, 8)
                for b in np.linspace(-20.0, 20.0, 9)]
-        for z in pts:
-            _, ok = trial_functions.f0_remainder_bound(f, z)
-            oks.append(1.0 if ok else -1.0)
+        oks = [1.0 if _remainder_split(f, z, B)[1] else -1.0 for z in pts]
         reports.append(positivity_report(
             f"remainder bound |F - f(0)/z| <= A/|z|^2 on Re z > 0: {tag}",
             oks, pts, 0.0))
@@ -274,8 +311,8 @@ def suite_zero_density():
     for lam in lams:
         q = zero_density.ZdQuery(f, float(lam))
         c1, c2 = zero_density.zd_preconditions(q)
-        den_pos = ((float(f.laplace(lam).real) - f.content.f0 / 3.0) ** 2
-                   - f.content.f0 / 3.0 * (f.content.f0 / 4.0
+        den_pos = ((float(f.laplace(lam).real) - f.f0 / 3.0) ** 2
+                   - f.f0 / 3.0 * (f.f0 / 4.0
                                            + float(f.laplace(0.0).real))) > 0
         if c2 != den_pos:
             vals.append(-1.0)

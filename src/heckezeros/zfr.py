@@ -219,7 +219,7 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
     if lam_star <= 0:
         raise InvalidParameterError(f"lam_star must be positive, got {lam_star}")
     F_star = float(f.laplace(-lam_star).real)
-    const = 14379.0 * F_star + 62174.0 * phi * f.content.f0
+    const = 14379.0 * F_star + 62174.0 * phi * f.f0
 
     def h(x):
         return float(const - 24480.0 * f.laplace(x - lam_star).real)

@@ -122,7 +122,7 @@ class TestSolveSmoothed:
         # a NaN is the weight's fault, not an overflow: no bracket halving and
         # no "degenerate" sign
         f = tf.triangle(1.5)
-        broken = tf.TrialFunction("plugin", {}, f.content, f,
+        broken = tf.TrialFunction("plugin", {}, f.x0, f.f0, f,
                                   lambda z: np.full(np.shape(z), np.nan) + 0j)
         with pytest.raises(NoBoundError, match="NaN") as err:
             dh.solve_smoothed("sz-lp-principal", broken, 0.05)
@@ -146,7 +146,7 @@ class TestSolveSmoothed:
         F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
         form = 0 if case.form == "sz" else 1
         h = _kernels.smoothed_fn(F, form, float(case.c1), case.psi_over_phi * dh.PHI,
-                                 b, f.content.f0)
+                                 b, f.f0)
         x = res.root
         terms = (F(-x), F(b - x)) if form == 0 else (F(-b), F(0.0), F(x - b))
         scale = 1.0

@@ -660,7 +660,7 @@ def test_grid_kernel_matches_numpy_implementation():
 def test_smoothed_root_matches_generic_bisection():
     f = tf.triangle(2.5)
     via_kernel = dh.solve_smoothed("sz-lp-quadratic", f, 0.01).lambda_star
-    clone = tf.TrialFunction("plugin", {}, f.content, lambda t: f(t),
+    clone = tf.TrialFunction("plugin", {}, f.x0, f.f0, lambda t: f(t),
                              lambda z: f.laplace(z))
     via_python = dh.solve_smoothed("sz-lp-quadratic", clone, 0.01).lambda_star
     assert via_kernel == pytest.approx(via_python, abs=1e-10)
@@ -673,7 +673,7 @@ ROOT_KERNELS = {
     "smoothed_root": (
         lambda phi, lo, hi: _kernels.smoothed_root(_kernels.smoothed_fn(
             functools.partial(_kernels.f_real_scalar, _TRIANGLE.kernel_code()),
-            0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.content.f0), lo, hi),
+            0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.f0), lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "plugin": (
         lambda phi, lo, hi: _kernels._bisect(
@@ -821,13 +821,13 @@ def test_root_helper_is_the_solvers_root(smoothed_runs):
         code = f.kernel_code()
         F = functools.partial(_kernels._f_real_scalar, code)
         assert math.isfinite(F(-dh.HI))   # no bracket halving
-        root = dh._search_root(case_, code, f.content.f0, F(0.0), b, dh.PHI, None)
+        root = dh._search_root(case_, code, f.f0, F(0.0), b, dh.PHI, None)
         if not isinstance(want, float):   # NoBoundError's sign
             assert math.isnan(root), (case, i, b)
             failed += 1
             continue
         h = _kernels.smoothed_fn(F, 0 if case_.form == "sz" else 1, float(case_.c1),
-                                 case_.psi_over_phi * dh.PHI, b, f.content.f0)
+                                 case_.psi_over_phi * dh.PHI, b, f.f0)
         assert _kernels.smoothed_root(h, 0.0, dh.HI)[0] == want, (case, i, b)
         tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0)
         assert abs(root - want) <= tol * max(1.0, want), (case, i, b)
@@ -857,7 +857,7 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
             for b in (0.0, 1e-6, 1e-3, 0.05, 0.4):
                 h, hd = _kernels.snapped_fn(
                     F, dF, 0 if case.form == "sz" else 1, float(case.c1),
-                    case.psi_over_phi * dh.PHI, b, f.content.f0, F(0.0))
+                    case.psi_over_phi * dh.PHI, b, f.f0, F(0.0))
                 want, _, yhi = bisect(h, 0.0, hi)
                 if yhi == 0.0:
                     want = math.nan

@@ -466,10 +466,9 @@ def test_density_score_is_minus_the_bound(monkeypatch, lam):
 
 def test_density_search_uses_only_the_scalar_kernel(monkeypatch):
     """The density objective needs F at two real points and f(0): no array
-    transform and no sup |f''| scan may run, not even for the final weight."""
-    counts = {"builds": 0, "array": 0, "scan": 0}
-    build, array, scan = (trial_functions.autocorrelation_code, _kernels.f_array,
-                          trial_functions._sup_f2)
+    transform may run, not even for the final weight."""
+    counts = {"builds": 0, "array": 0}
+    build, array = trial_functions.autocorrelation_code, _kernels.f_array
 
     def counted(key, fn):
         def wrapper(*args):
@@ -479,8 +478,7 @@ def test_density_search_uses_only_the_scalar_kernel(monkeypatch):
 
     monkeypatch.setattr(trial_functions, "autocorrelation_code", counted("builds", build))
     monkeypatch.setattr(_kernels, "f_array", counted("array", array))
-    monkeypatch.setattr(trial_functions, "_sup_f2", counted("scan", scan))
     n, params = optimizer.optimize_zd(0.2, 0.0, budget=60)
     assert n == 4 and params["bound"] == pytest.approx(4.6257, abs=1e-4)
     assert counts["builds"] > 60
-    assert counts["array"] == counts["scan"] == 0
+    assert counts["array"] == 0

@@ -23,7 +23,7 @@ class _CountingWeight:
     """Stand-in weight that records the integrand nodes it is asked for."""
 
     def __init__(self, f):
-        self.f, self.content, self.nodes, self.seen = f, f.content, 0, []
+        self.f, self.x0, self.nodes, self.seen = f, f.x0, 0, []
 
     def __call__(self, ts):
         self.nodes += len(ts)
@@ -38,7 +38,7 @@ _WEIGHTS = [tf.triangle(2.0),
 
 def _uncached_quadrature(f, z):
     """The quadrature oracle's rule with ``f`` sampled afresh at every call."""
-    x0 = f.content.x0
+    x0 = f.x0
     h_max = math.pi / (2.0 * abs(z.imag)) if z.imag else math.inf
 
     def g(level):
@@ -73,7 +73,7 @@ def test_quadrature_highly_oscillatory():
 def test_quadrature_not_fooled_by_aliased_nodes(f, k):
     # at z = 2 pi i k / x0 every node of the first levels sits at
     # e^{-zt} = 1, where two coarse rules agree on int f instead of F(z)
-    z = 2j * math.pi * k / f.content.x0
+    z = 2j * math.pi * k / f.x0
     assert abs(oracles.quadrature_laplace(f, z) - f.laplace(z)) < 1e-10
 
 

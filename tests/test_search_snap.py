@@ -27,7 +27,7 @@ def _parts(case, f, b):
     """(F, form, the builder arguments after F) of a case's h for weight f."""
     F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
     form = 0 if case.form == "sz" else 1
-    return F, form, (form, float(case.c1), case.psi_over_phi * dh.PHI, b, f.content.f0)
+    return F, form, (form, float(case.c1), case.psi_over_phi * dh.PHI, b, f.f0)
 
 
 def _snapped(F, args):
@@ -117,7 +117,7 @@ def test_snapped_roots_fail_where_the_solver_fails(name):
         F0 = _kernels._f_real_scalar(code, 0.0)
         for b in (0.0, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.4):
             want = _solved_root(case, f, b)
-            got = dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, None)
+            got = dh._search_root(case, code, f.f0, F0, b, dh.PHI, None)
             if math.isnan(want):
                 assert math.isnan(got), (f, b)
                 continue
@@ -140,14 +140,14 @@ def test_cc_weight_positive_at_zero_costs_two_transforms(monkeypatch):
     assert err.value.sign == "positive"
     code, F, calls = f.kernel_code(), _kernels._f_real_scalar, []
     hlo = _kernels.snapped_fn(functools.partial(F, code), None, 1, float(case.c1),
-                              case.psi_over_phi * dh.PHI, b, f.content.f0, F(code, 0.0))[0](0.0)
+                              case.psi_over_phi * dh.PHI, b, f.f0, F(code, 0.0))[0](0.0)
     assert hlo > 0.0
     monkeypatch.setattr(_kernels, "_f_real_scalar",
                         lambda code, r: calls.append(r) or F(code, r))
     for guess in (None, 1.0):
         calls.clear()
         F0 = _kernels._f_real_scalar(code, 0.0)   # the build's
-        assert math.isnan(dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, guess))
+        assert math.isnan(dh._search_root(case, code, f.f0, F0, b, dh.PHI, guess))
         assert calls == [0.0, -b]
 
 
@@ -170,7 +170,7 @@ def test_newton_roots_fail_where_the_solver_fails(name):
                     newton_ = _kernels._newton
                     mp.setattr(_kernels, "_newton",
                                lambda *args: newton.append(1) or newton_(*args))
-                    got = dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, guess)
+                    got = dh._search_root(case, code, f.f0, F0, b, dh.PHI, guess)
                 if math.isnan(want):
                     assert math.isnan(got), (f, b, guess)
                     continue
@@ -193,14 +193,14 @@ def test_sz_weight_positive_at_zero_costs_three_passes(monkeypatch):
     F, FD = _kernels._f_real_scalar, _kernels._f_real_scalar_d
     F0 = F(code, 0.0)
     hlo = _kernels.snapped_fn(functools.partial(F, code), None, 0, float(case.c1),
-                              case.psi_over_phi * dh.PHI, b, f.content.f0, F0)[0](0.0)
+                              case.psi_over_phi * dh.PHI, b, f.f0, F0)[0](0.0)
     assert hlo > 0.0
     passes = []
     monkeypatch.setattr(_kernels, "_f_real_scalar",
                         lambda code, r: passes.append(("F", r)) or F(code, r))
     monkeypatch.setattr(_kernels, "_f_real_scalar_d",
                         lambda code, r: passes.append(("F/F'", r)) or FD(code, r))
-    root = dh._search_root(case, code, f.content.f0, F0, b, dh.PHI, 1.0)
+    root = dh._search_root(case, code, f.f0, F0, b, dh.PHI, 1.0)
     assert math.isnan(root)
     assert len(passes) <= 3 and ("F", b) in passes, passes
 

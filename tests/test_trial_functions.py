@@ -1,13 +1,15 @@
-"""Trial weights: closed forms, contents, half-plane positivity."""
+"""Trial weights: closed forms, support and f(0), half-plane positivity."""
 
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezeros import _kernels, optimizer, oracles, trial_functions as tf, verify
+from heckezeros import (_kernels, dh, optimizer, oracles, trial_functions as tf, verify,
+                        zero_density, zfr)
 from heckezeros.errors import DomainError, InvalidGeneratorError, InvalidParameterError
 
 E = math.e
@@ -45,19 +47,10 @@ class TestTriangle:
         quad = np.array([oracles.quadrature_laplace(f, z) for z in zs])
         assert np.abs(f.laplace(zs) - quad).max() < 1e-11
 
-    def test_content(self):
-        c = tf.triangle(2.0).content
-        assert (c.x0, c.M, c.B, c.f0) == (2.0, 2.0, 0.0, 2.0)
-        assert c.remainder_constant == pytest.approx(2.0)
-        assert c == tf.Content(x0=2.0, M=2.0, B=0.0, f0=2.0)
-        assert c != tf.Content(x0=2.0, M=2.0, B=0.5, f0=2.0)
-        with pytest.raises(InvalidParameterError):
-            tf.Content(x0=2.0, M=2.0, B=-0.1, f0=2.0)
-
     def test_large_support_builds(self):
         # the box's pair term needs only x0^2/2; the closed form at 50 digits
         f = tf.triangle(1e9)
-        assert (f.content.f0, f.content.B) == (1e9, 0.0)
+        assert (f.x0, f.f0, verify._f2_bound(f)) == (1e9, 1e9, 0.0)
         assert f.laplace(0.0) == 5e17 and f.laplace(1.0) == 1e9 - 1.0
         zs = np.array([1e-12, 3e-9, 1e-8 + 1e-8j, -1e-9])
         want = [4.9983337499166803e+17, 2.2775411870754045e+17,
@@ -80,7 +73,7 @@ class TestAutocorrelation:
     def test_box_generator_gives_triangle(self):
         box = tf.autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0)
         tri = tf.triangle(1.0)
-        assert box.content == tri.content
+        assert (box.x0, box.f0) == (tri.x0, tri.f0) == (1.0, 1.0)
         assert box.laplace(0.0).real == pytest.approx(0.5, abs=1e-14)
         ts = np.linspace(-0.5, 1.5, 101)
         assert np.abs(box(ts) - tri(ts)).max() < 1e-13
@@ -110,13 +103,12 @@ class TestAutocorrelation:
         f = tf.autocorrelation(alpha=-0.4, c0=1.0, c1=0.5, beta=1.0, s=2.0)
         us = np.linspace(0, 2.0, 200_001)
         g = np.exp(-0.4 * us) * (1.0 + 0.5 * np.cos(us))
-        assert f.content.f0 == pytest.approx(np.trapezoid(g * g, us), rel=1e-8)
+        assert f.f0 == pytest.approx(np.trapezoid(g * g, us), rel=1e-8)
 
     def test_sup_equals_f0(self):
         f = tf.autocorrelation(alpha=-0.4, c0=1.0, c1=0.5, beta=1.0, s=2.0)
         ts = np.linspace(0, 2.0, 2001)
-        assert f(ts).max() <= f.content.f0 + 1e-12
-        assert f.content.M == f.content.f0
+        assert f(ts).max() <= f.f0 + 1e-12
 
     def test_negative_generator_rejected(self):
         with pytest.raises(InvalidGeneratorError):
@@ -156,44 +148,12 @@ class TestAutocorrelation:
                 return (E(2 * a) - E(a - z)) / (a + z)
 
             eps4 = 4.0 * 2.0 ** -52
-            assert abs(f.content.f0 - float(E(2 * a))) <= eps4 * f.content.f0
+            assert abs(f.f0 - float(E(2 * a))) <= eps4 * f.f0
             # -alpha and -1.5e-12 take pair_near's three-node series
             for z in (0.0, -alpha, -1.5e-12, 1e-9, 3e-9, -2e-9):
                 want = float(F(z))
                 assert abs(f.laplace(z).real - want) <= eps4 * abs(want), z
                 assert abs(f.laplace(np.array([z]))[0].real - want) <= eps4 * abs(want), z
-
-    # (B, remainder constant) of verify's sample families: the values of the
-    # 2001-point sup |f''| scan, whenever it runs
-    @pytest.mark.parametrize("index,B,A", [
-        (0, 0.0, 2.0), (1, 0.0, 2.0), (2, 0.0, 2.0),
-        (3, 0.45104897997049936, 4.789710596829588),
-        (4, 1.993964259523644, 16.013713769277825),
-        (5, 0.23110886568574251, 2.7205442427788675),
-    ])
-    def test_lazy_content_values_pinned(self, index, B, A):
-        c = verify._sample_families()[index].content
-        assert (c.B, c.remainder_constant) == (B, A)
-
-    def test_lazy_b_computed_once_on_first_access(self):
-        calls = []
-        c = tf.Content(x0=1.0, M=1.0, B=lambda: calls.append(1) or 0.25, f0=1.0)
-        assert calls == []
-        assert c.B == c.B == 0.25 and calls == [1]
-        assert c == tf.Content(x0=1.0, M=1.0, B=0.25, f0=1.0)
-        assert repr(c) == "Content(x0=1.0, M=1.0, B=0.25, f0=1.0)"
-
-    @pytest.mark.parametrize("bad", [math.nan, -1.0])
-    def test_bad_b_rejected_when_given(self, bad):
-        with pytest.raises(InvalidParameterError, match="second-derivative bound"):
-            tf.Content(x0=1.0, M=1.0, B=bad, f0=1.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, -1.0])
-    def test_bad_lazy_b_rejected_on_every_access(self, bad):
-        c = tf.Content(x0=1.0, M=1.0, B=lambda: bad, f0=1.0)
-        for _ in range(2):
-            with pytest.raises(InvalidParameterError, match="second-derivative bound"):
-                c.B
 
     def test_non_finite_moments_rejected(self):
         # 2 alpha s = 709: f(0) = K = 1.2e307 is finite, but the pair term at
@@ -332,7 +292,7 @@ class TestLazyMoments:
         code, f0, _ = tf._build(*map(float, params))
         assert asked == ["exp_quotient", "pair_near"] * 3
         assert all(len(pair) == 5 for pair in code[1])
-        assert f0 == tf.autocorrelation(*params).content.f0
+        assert f0 == tf.autocorrelation(*params).f0
 
     @pytest.mark.parametrize("alpha", [0.5, -1.3, 0.0])
     def test_plain_weight_at_minus_alpha(self, alpha):
@@ -428,7 +388,7 @@ class TestScalarRoute:
         assert len(seen) == 5
 
     def test_plugin_without_code_uses_its_own_laplace(self):
-        clone = tf.TrialFunction("custom", {}, self.F.content, self.F,
+        clone = tf.TrialFunction("custom", {}, self.F.x0, self.F.f0, self.F,
                                  lambda z: complex(42.0, 1.0))
         assert clone.laplace(0.5) == complex(42.0, 1.0)
         assert clone.laplace(np.float64(-1.0)) == complex(42.0, 1.0)
@@ -436,7 +396,7 @@ class TestScalarRoute:
 
 class TestBuildFamily:
     def test_builds_with_valid_keys(self):
-        assert tf.build_family("triangle", x0=2.0).content.x0 == 2.0
+        assert tf.build_family("triangle", x0=2.0).x0 == 2.0
 
     @pytest.mark.parametrize("name,params,words", [
         ("triangle", {}, ["missing", "x0"]),
@@ -471,29 +431,61 @@ class TestConditionTwo:
         assert min(abs(y_min / math.pi - round(y_min / math.pi)), 1.0) < 0.05
 
 
+def _f2_on_grid(f, n):
+    """f'' at n points of [0, s], both ends included, summed over the folded
+    pairs (c, g, a): Re c e^{gt} [g^2 E(s - t; a) + (a - 2g) e^{a(s - t)}]."""
+    s, folded = f.kernel_code()
+    ts = np.linspace(0.0, s, n)
+    out = np.zeros(n)
+    for c, g, a in tf._t_terms(folded):
+        x = s - ts
+        out += (c * np.exp(g * ts) * (g * g * _kernels.E(x, a) + (a - 2.0 * g) * np.exp(a * x))).real
+    return ts, out
+
+
 class TestRemainderBound:
+    """The split F(z) = f(0)/z + F_0(z) of verify's remainder suite, with
+    verify's own bound on sup |f''|."""
+
+    @staticmethod
+    def split(f, z):
+        return verify._remainder_split(f, z, verify._f2_bound(f))
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_f2_bound_is_proved(self, index):
+        # verify's B bounds |f''| on a 100x finer grid, is no looser than the
+        # 2001-point maximum plus the 5% the weights once added, and is 0 for
+        # the triangles and the box
+        f = verify._sample_families()[index]
+        B = verify._f2_bound(f)
+        ts, f2 = _f2_on_grid(f, 2001)
+        assert np.abs(_f2_on_grid(f, 200_001)[1]).max() <= B <= 1.05 * np.abs(f2).max()
+        assert (B == 0.0) == (index <= 2)
+        # the f'' summed here is f'': central second differences of f agree
+        d = 1e-4
+        t = ts[2:-2]
+        fd = (f(t + d) - 2.0 * f(t) + f(t - d)) / (d * d)
+        assert np.abs(fd - f2[2:-2]).max() <= 1e-6 * (1.0 + B)
+
     def test_triangle_at_ten(self):
-        f = tf.triangle(2.0)
-        F0, ok = tf.f0_remainder_bound(f, 10.0)
+        F0, ok = self.split(tf.triangle(2.0), 10.0)
         assert ok
         assert abs(F0) <= 0.02 + 1e-12     # A = 2, |z|^2 = 100
 
     def test_triangle_unit_values(self):
-        f = tf.triangle(1.0)
-        F0, ok = tf.f0_remainder_bound(f, 1.0)
+        F0, ok = self.split(tf.triangle(1.0), 1.0)
         assert F0.real == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-13)
         assert ok
 
     def test_autocorrelation_grid(self):
-        f = tf.autocorrelation(alpha=0.0, s=1.0)
-        _, ok = tf.f0_remainder_bound(f, 5.0 + 5.0j)
+        _, ok = self.split(tf.autocorrelation(alpha=0.0, s=1.0), 5.0 + 5.0j)
         assert ok
 
     def test_left_half_plane_rejected(self):
         with pytest.raises(DomainError):
-            tf.f0_remainder_bound(tf.triangle(1.0), -1.0)
+            self.split(tf.triangle(1.0), -1.0)
         with pytest.raises(DomainError):
-            tf.f0_remainder_bound(tf.triangle(1.0), 1j)
+            self.split(tf.triangle(1.0), 1j)
 
 
 class TestRepelReduce:
@@ -521,12 +513,39 @@ class TestRepelReduce:
 
 
 def test_plugin_interface_round_trip():
-    """A custom family built from raw callables runs through the solvers."""
+    """A custom family built from raw callables runs through every reader of
+    x0 and f(0) as the built-in weight it copies does."""
     base = tf.triangle(1.5)
-    clone = tf.TrialFunction("custom", {"note": 1.0}, base.content,
+    clone = tf.TrialFunction("custom", {"note": 1.0}, base.x0, base.f0,
                              lambda t: base(t), lambda z: base.laplace(z))
     assert clone.kernel_code() is None
-    from heckezeros import dh
-    r1 = dh.solve_smoothed("sz-lp-principal", clone, 0.02)
-    r2 = dh.solve_smoothed("sz-lp-principal", base, 0.02)
-    assert r1.lambda_star == pytest.approx(r2.lambda_star, abs=1e-10)
+    xs = np.linspace(0.0, 5.0, 11)
+    readers = {
+        "solve_smoothed": lambda f: dh.solve_smoothed("sz-lp-principal", f, 0.02).lambda_star,
+        "n_lambda_bound": lambda f: zero_density.n_lambda_bound(
+            zero_density.ZdQuery(f, 0.2, 0.05, phi=0.1)),
+        "zfr_order_ge6": lambda f: zfr.zfr_order_ge6(f, lam_star=2.0).lambda1,
+        "quadrature_laplace": lambda f: oracles.quadrature_laplace(f, 0.7 - 2.0j),
+        "smoothed_h": lambda f: dh.smoothed_h("sz-lp-principal", f, 0.02)(xs),
+    }
+    for name, read in readers.items():
+        assert np.abs(read(clone) - read(base)).max() <= 1e-10, name
+
+
+class TestPluginConstructor:
+    """A plug-in weight is its support end x0, f(0) and two callables."""
+
+    @pytest.mark.parametrize("x0,f0,named", [
+        (math.inf, 1.0, "x0"), (math.nan, 1.0, "x0"), (0.0, 1.0, "x0"), (-1.0, 1.0, "x0"),
+        ("1.5", 1.0, "x0"), (1j, 1.0, "x0"), (types.SimpleNamespace(x0=1.5, f0=1.5), 1.0, "x0"),
+        (1.5, math.inf, "f(0)"), (1.5, math.nan, "f(0)"), (1.5, -0.5, "f(0)"),
+        (1.5, "1", "f(0)"), (1.5, None, "f(0)"),
+    ])
+    def test_rejects_bad_support_or_f0(self, x0, f0, named):
+        # x0 = inf gave a finite repulsion and density bound, and f0 = inf a
+        # misleading "no repulsion provable"; a summary object in the x0 slot
+        # is what a call in the old (family, params, content, ...) order passes
+        base = tf.triangle(1.5)
+        with pytest.raises(InvalidParameterError) as err:
+            tf.TrialFunction("custom", {}, x0, f0, base, base.laplace)
+        assert str(err.value).startswith({"x0": "support end x0", "f(0)": "f(0)"}[named])

@@ -27,7 +27,7 @@ class TestPreconditions:
         f = tf.triangle(5.0)
         q = zd.ZdQuery(f, lam=0.3)
         c1, _ = zd.zd_preconditions(q)
-        assert c1 == (float(f.laplace(0.3).real) > f.content.f0 / 3.0)
+        assert c1 == (float(f.laplace(0.3).real) > f.f0 / 3.0)
 
     def test_vartheta_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -56,9 +56,9 @@ class TestBound:
         for lam in np.linspace(0.05, 0.6, 40):
             q = zd.ZdQuery(f, float(lam))
             _, c2 = zd.zd_preconditions(q)
-            t = q.phi * f.content.f0 / q.vartheta
+            t = q.phi * f.f0 / q.vartheta
             den = ((float(f.laplace(lam).real) - t) ** 2
-                   - t * (q.phi * f.content.f0 + float(f.laplace(0.0).real)))
+                   - t * (q.phi * f.f0 + float(f.laplace(0.0).real)))
             assert c2 == (den > 0)
 
     def test_failure_raises(self):

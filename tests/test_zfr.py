@@ -187,7 +187,7 @@ class TestOrderGe6:
 
     def test_nan_transform_raises(self):
         f = tf.triangle(4.0)
-        broken = tf.TrialFunction("plugin", {}, f.content, f,
+        broken = tf.TrialFunction("plugin", {}, f.x0, f.f0, f,
                                   lambda z: np.full(np.shape(z), np.nan))
         with pytest.raises(NoBoundError):
             zfr.zfr_order_ge6(broken)
