@@ -13,15 +13,16 @@ and never more steps than the halvings down to its tolerance plus n0 = 8.
 It stops at an exact zero of h, so the family search, which only ranks its
 roots, hands it a snapped h (``snapped_fn``) that is exactly 0 below h's
 rounding floor (``SNAP_EPS``): a search root stops there, 8.8 evaluations
-of h per scored root on seed-1 smoothed-regress where adjacent floats took
-12.1.  The search's warm solves of coded weights take safeguarded Newton steps
-instead (``_newton``, rtsafe) on the same snapped h, with steps from the
-derivative kernel ``_f_real_scalar_d`` (F and F' with one exp per
-generator exponent, about 0.83 of an F pass): 4.2 evaluations of h per
-warm root where ITP took 9.3.  Where that kernel declines or the steps run out
-(1.3% of scored solves), ITP takes over on the bracket the steps have
-seen, after a look at an end of [lo, hi] they have not.  Returned bounds
-are solved by ITP on the exact h and still resolve to adjacent floats.
+of h per scored root on seed-1 smoothed-regress against 12.1 to adjacent
+floats.  The search's warm solves take safeguarded Newton steps instead
+(``_newton``, rtsafe) on the same snapped h, with steps from the
+derivative kernel ``_f_real_scalar_d``: F and F' of the one code layout
+the search builds, with one exp per generator exponent, about 0.83 of an
+F pass.  That is 4.2 evaluations of h per warm root against 9.3 for ITP.
+Where the kernel declines or the steps run out (1.3% of scored solves),
+ITP takes over on the bracket the steps have seen, after a look at an end
+of [lo, hi] they have not.  Returned bounds are solved by ITP on the exact
+h and still resolve to adjacent floats.
 The quartic roots need no bracket search: each is P(u) = t for the fixed
 convex quartic P in u = lam/(lam+x), which ``_p4_root`` inverts by Newton's method from above,
 in at most 9 steps (about 6 evaluations of P per bundled quartic row,
@@ -49,10 +50,12 @@ plain Python numbers and bools, and a code never changes.  ``K`` is
 E(x0; g_j + g_k) (``exp_quotient``), and ``far`` says both |Im g_j| x0 and
 |Im g_k| x0 are at least ``SMALL_W``.  Every built-in weight, the triangle
 included, is an autocorrelation, so neither evaluator branches on the
-family.  The transform ``F`` is ``f_real_scalar`` at one real point (with
-F' from ``_f_real_scalar_d``) and ``f_array`` at real or complex points,
-scalar or array.  At a real point the terms of two conjugate pairs are
-conjugates, and off the real axis ``f_array`` evaluates the dropped one as ``conj T(conj z)``.  Each pair term
+family.  The transform ``F`` is ``f_real_scalar`` at one real point and
+``f_array`` at real or complex points, scalar or array.  F' comes from
+``_f_real_scalar_d`` for the search's five-pair codes alone, and it
+declines (None) for every other code.  At a real point the terms of two
+conjugate pairs are conjugates, and off the real axis ``f_array``
+evaluates the dropped one as ``conj T(conj z)``.  Each pair term
 T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
 |g_j + z| x0 or |g_k - z| x0 is below ``SMALL_W`` = 1e-2, near coincident
 nodes of the divided difference it is, where the direct form would lose
@@ -202,97 +205,62 @@ def _f_real_scalar(code, r):
 
 
 def _f_real_scalar_d(code, r):
-    """(F(r), F'(r)) at one real r, or None; F has ``_f_real_scalar``'s bits.
+    """(F(r), F'(r)) at one real r of a search weight's code, or None; F has
+    ``_f_real_scalar``'s bits.
 
-    A pair term is T = (K - E_k)/b_j, with r-derivative T' = (D_k - T)/b_j.
-    Here b = g + r, A = g - r, E = (e^{A x0} - 1)/A and
-    D = (x0 e^{A x0} - E)/A depend on one exponent g, so each is formed
-    once per exponent, by the operations the terms of a pair took, and the
-    terms add in the order of the code.  ``trial_functions`` builds three
-    layouts: one pair (any g_j and g_k, as in a hand-built code); the pairs
-    (g, g), (g, conj g) of a c0 = 0 generator, g = alpha + i beta, where
-    conj g's E and D are the conjugates of g's, so one exp serves both; and
-    (alpha, alpha), (alpha, g), (g, alpha) before those two.  The real
-    exponent alpha runs in float arithmetic, with ``cmath.exp``'s bits
-    (``math.exp``'s differ where cmath scales e^w).  Where a pair divided a
-    complex value, so does this: by complex(alpha + r), as Python 3.14
-    divides by a float part by part, and where x0 e^{A x0} - E of alpha is
-    not finite, from a NaN imaginary part that the division keeps (or, on
-    3.14, turns into an infinity).  With one exp per exponent, a pass costs
-    about 0.83 of an F pass on the search's codes.
+    The code has the layout the family search builds: the five folded pairs
+    (alpha, alpha), (alpha, g), (g, alpha), (g, g), (g, conj g) of a
+    three-term generator, g = alpha + i beta, with g's pairs ``far``.  A pair
+    term T = (K - E_k)/b_j has r-derivative T' = (D_k - T)/b_j, where b = g + r,
+    A = g - r, E = (e^{A x0} - 1)/A and D = (x0 e^{A x0} - E)/A depend on one
+    exponent: each is formed once per exponent (conj g's as the conjugates of
+    g's), by the operations the pair terms take, and the terms add in the
+    order of the code.  alpha runs in float arithmetic with ``cmath.exp``'s
+    bits (``math.exp``'s differ where cmath scales e^w), and divides a complex
+    value by complex(alpha + r), as Python 3.14 divides by a float part by
+    part.  A pass costs about 0.83 of an F pass.
 
-    It declines (None) wherever ``_f_real_scalar`` would take ``pair_near``
-    or return +inf: where |b| x0 or |A x0| of an exponent is below SMALL_W
-    (the exponent of a ``far`` pair skips the tests, which it fails anyway)
-    or an exp overflows.  Just past a series switch T' loses digits to its
-    divisions by |A| or |b| >= SMALL_W / x0 (1.4e-9 relative at worst in
-    the tests), which a Newton step tolerates.
+    It declines (None) for any other layout, and where ``_f_real_scalar``
+    would take ``pair_near`` or return +inf: |alpha + r| x0 or |alpha - r| x0
+    below SMALL_W (g's ``far`` pairs fail both tests) or an exp overflowing.
+    It declines where x0 e^{(alpha - r) x0} - E of alpha is not finite too,
+    which the search's box, with (alpha - r) x0 <= 640, never reaches.  Just
+    past a series switch T' loses digits to its divisions by |A| or |b| >=
+    SMALL_W / x0 (1.4e-9 relative at worst in the tests), which a Newton step
+    tolerates.
     """
     x0, folded = code
-    if r < 0.0 and -r * x0 > 690.0:
+    if len(folded) != 5 or not folded[3][4] or (r < 0.0 and -r * x0 > 690.0):
         return None
-    if len(folded) == 1:
-        ((c, gj, gk, K, far),) = folded
-        b, A = gj + r, gk - r
-        w = A * x0
-        if not far and (abs(b) * x0 < SMALL_W or abs(w) < SMALL_W):
-            return None
-        try:
-            ew = cmath.exp(w)
-        except OverflowError:
-            return None
-        E = (ew - 1.0) / A
-        T = (K - E) / b
-        return 0.0 + c * T.real, 0.0 + c * (((x0 * ew - E) / A - T) / b).real
-    # the code ends with the pairs (g, g) and (g, conj g)
-    c3, g, _, K3, far = folded[-2]
-    c4, _, _, K4, _ = folded[-1]
-    b, A = g + r, g - r
-    w = A * x0
-    # far: |Im g| x0 >= SMALL_W, so g fails both tests in every pair
-    if not far and (abs(b) * x0 < SMALL_W or abs(w) < SMALL_W):
-        return None
-    try:
-        ew = cmath.exp(w)
-    except OverflowError:
-        return None
-    E = (ew - 1.0) / A
-    D = (x0 * ew - E) / A
-    Dc = D.conjugate()
-    T3 = (K3 - E) / b
-    T4 = (K4 - E.conjugate()) / b
-    if len(folded) == 2:
-        return (0.0 + c3 * T3.real + c4 * T4.real,
-                0.0 + c3 * ((D - T3) / b).real + c4 * ((Dc - T4) / b).real)
-    c0, a, _, K0, _ = folded[0]
-    c1, _, _, K1, _ = folded[1]
-    c2, _, _, K2, _ = folded[2]
+    ((c0, a, _, K0, _), (c1, _, _, K1, _), (c2, _, _, K2, _),
+     (c3, g, _, K3, _), (c4, _, _, K4, _)) = folded
     a = a.real
     ba, Aa = a + r, a - r
     wa = Aa * x0
     if abs(ba) * x0 < SMALL_W or abs(wa) < SMALL_W:
         return None
+    b, A = g + r, g - r
     try:
+        ew = cmath.exp(A * x0)
         ea = cmath.exp(wa).real
     except OverflowError:
         return None
     Ea = (ea - 1.0) / Aa
     m = x0 * ea - Ea
+    if not math.isfinite(m):
+        return None
+    E = (ew - 1.0) / A
+    D = (x0 * ew - E) / A
     Da = m / Aa
     bc = complex(ba)
     T0 = (K0.real - Ea) / ba
     T1 = (K1 - E) / bc
     T2 = (K2 - Ea) / b
-    if math.isfinite(m):
-        d0, d2 = (Da - T0) / ba, ((Da - T2) / b).real
-    else:
-        # the pairs' complex D had 0 inf = NaN for its imaginary part, which
-        # a complex division keeps, or (Python 3.14) turns into an infinity
-        d0 = (complex(Da - T0, math.nan) / bc).real
-        d2 = (complex(Da - T2.real, math.nan) / b).real
+    T3 = (K3 - E) / b
+    T4 = (K4 - E.conjugate()) / b
     return (0.0 + c0 * T0 + c1 * T1.real + c2 * T2.real + c3 * T3.real + c4 * T4.real,
-            0.0 + c0 * d0 + c1 * ((D - T1) / bc).real + c2 * d2
-            + c3 * ((D - T3) / b).real + c4 * ((Dc - T4) / b).real)
+            0.0 + c0 * ((Da - T0) / ba) + c1 * ((D - T1) / bc).real + c2 * ((Da - T2) / b).real
+            + c3 * ((D - T3) / b).real + c4 * ((D.conjugate() - T4) / b).real)
 
 
 def E(x, a):

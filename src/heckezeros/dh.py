@@ -178,6 +178,22 @@ def check_phi(phi):
         raise InvalidParameterError(f"phi must be >= 0, got {phi}")
 
 
+def check_quartic(lam, b, J=0.0, x=0.0):
+    """Raise InvalidParameterError, naming the arguments, where a power of the
+    quartic method leaves the float range: Python's float ** raises where *
+    gives inf, past about 1.2e77 for (lam + b)^4 and (lam + x)^4 and 1.3e154
+    for (J + 1)^2, and 1/lam^4 divides by zero where lam^4 underflows to 0."""
+    for name, base, power in (("lambda + b", lam + b, 4), ("lambda + x", lam + x, 4),
+                              ("J + 1", J + 1.0, 2)):
+        try:
+            float(base) ** power
+        except OverflowError:
+            raise InvalidParameterError(
+                f"{name} = {base} is too large: its power {power} overflows") from None
+    if float(lam) ** 4 == 0.0:
+        raise InvalidParameterError(f"lambda = {lam} is too small: lambda^4 underflows to 0")
+
+
 def check_width(b, phi):
     """Raise InvalidParameterError unless b and phi are finite and >= 0.
 
@@ -327,6 +343,7 @@ def j1_value(J):
 def poly_h(case, b, lam, J, phi=PHI):
     """The case's monotone bracketing function, vectorized over x."""
     case = get_case(case) if isinstance(case, str) else case
+    check_quartic(lam, b, J)
     g = _poly_at(case, b, lam, phi)[0]
 
     def h(x):
@@ -341,6 +358,7 @@ def side_condition(case, b, lam, J, x):
     Returns (ok, margin) with margin the smallest slack across conditions.
     """
     case = get_case(case) if isinstance(case, str) else case
+    check_quartic(lam, b, x=x)
     sq = b if case.unknown_slot == "known-on-square" else x
     ln = x if case.unknown_slot == "known-on-square" else b
     margin = (j0_value(case, J) / (lam + ln) ** 4
@@ -360,6 +378,7 @@ def side_limit(case, b, lam, J):
     when even x = 0 fails.
     """
     case = get_case(case) if isinstance(case, str) else case
+    check_quartic(lam, b)
     x = _side_fn(case, b, lam)(J)
     return -math.inf if x < 0.0 else min(x, 1e6)
 
@@ -481,6 +500,7 @@ def solve_poly(case, b, lam, J, phi=PHI):
         raise InvalidParameterError(f"need lambda > 0 and J > 0, got {lam}, {J}")
     if J < case.j_min:
         raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
+    check_quartic(lam, b, J)
     psi = case.psi_over_phi * phi
     lam, J, b = float(lam), float(J), float(b)
     at = _poly_at(case, b, lam, phi)

@@ -246,14 +246,16 @@ def maximize_bound(spec):
     side-condition limit along a curve in (lambda, J), and every point of
     that curve is a coordinatewise local maximum.  Smoothed cases tune the
     substitute weight family by coordinate descent and re-descent.  Raises
-    InvalidParameterError for a negative or non-finite width or phi, or a
-    budget below 1, before any evaluation, and InfeasibleSearchError when
-    nothing admissible was found within budget.
+    InvalidParameterError for a negative or non-finite width or phi, a
+    budget below 1, or (polynomial cases) a width whose (lambda + b)^4
+    overflows at the top of the lambda box, before any evaluation, and
+    InfeasibleSearchError when nothing admissible was found within budget.
     """
     case = dh.get_case(spec.case)
     dh.check_width(spec.b, spec.phi)
     _check_budget(spec.max_evals)
     if case.method == "poly":
+        dh.check_quartic(POLY_BOXES["lambda"][1], spec.b)
         budget = _Budget(spec.max_evals)
         best = (-math.inf, None, None)
         b = float(spec.b)   # as solve_poly reads it

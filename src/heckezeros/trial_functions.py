@@ -209,6 +209,11 @@ def _cached_build(key):
 
 def _build(alpha, c0, c1, beta, s):
     """``autocorrelation_code`` of checked float parameters, uncached."""
+    # the pair (g, g) of g = alpha + i beta has the phase 2 beta s, where
+    # cmath.exp raises ValueError once it is not finite
+    if c1 != 0.0 and not math.isfinite(2.0 * beta * s):
+        raise InvalidParameterError(
+            f"the generator's phase 2 beta s overflows for beta={beta}, s={s}")
     # c0 >= |c1| forces g >= 0 outright; otherwise check on a grid
     if c0 < abs(c1):
         us = np.linspace(0.0, s, 2001)

@@ -3,7 +3,8 @@
 Each suite returns a list of OracleReport; the CLI prints them and the test
 suite asserts they all pass.  The oracles deliberately use different
 algorithms from the primary paths (Romberg quadrature vs closed forms,
-scan-plus-bisection vs the ITP solver) so agreement is evidence.
+scan-plus-bisection vs the ITP solver and the quartic roots' Newton
+inverse) so agreement is evidence.
 """
 
 import math
@@ -220,7 +221,7 @@ def suite_positivity():
 def suite_roots():
     rng = np.random.default_rng(_SEED + 2)
     reports = []
-    # ITP solver vs scan oracle on random polynomial instances
+    # quartic Newton roots (``_kernels._p4_root``) vs scan oracle on random polynomial instances
     worst, arg = 0.0, None
     cases = [c for c in dh.POLY_CASES]
     for _ in range(20):
@@ -240,8 +241,8 @@ def suite_roots():
             f"poly root bracketing h(x -+ 1e-6) at {name} b={b:.3f}",
             [max(float(h(res.root - 1e-6)), 0.0),
              max(-float(h(res.root + 1e-6)), 0.0)], None, 0.0))
-    reports.append(equality_report("ITP root vs 1e-6 scan oracle on random "
-                                   "polynomial instances", [worst], [arg], 2e-6))
+    reports.append(equality_report("quartic Newton root vs 1e-6 scan oracle on "
+                                   "random polynomial instances", [worst], [arg], 2e-6))
     # smoothed solver vs scan
     f = trial_functions.triangle(2.5)
     res = dh.solve_smoothed("sz-lp-quadratic", f, 0.01)

@@ -220,15 +220,21 @@ def test_array_transform_matches_mpmath():
                     assert abs(v - want.real) <= 2e-11 * abs(want), (f, z)
 
 
-#: the search's seed grid over both profiles, and the scalar set with each
-#: triangle built as the box autocorrelation it is, for the parameters of
-#: ``_mp_slope``
+def _search_layout(code):
+    """Whether a code has the layout of the search's weights, the one the
+    derivative kernel serves: the five folded pairs of a three-term
+    generator, its complex exponent's pairs ``far``."""
+    folded = code[1]
+    return len(folded) == 5 and folded[3][4]
+
+
+#: weights of the search's code layout: its seed grid over both profiles, and
+#: the cosine weights of the scalar set
 SLOPE_WEIGHTS = tuple(
     [tf.autocorrelation(*optimizer._generator(alpha, s, mult))
      for alpha in optimizer.FAMILY_GRID["alpha"] for s in optimizer.FAMILY_GRID["s"]
      for mult in optimizer.PROFILES]
-    + [tf.autocorrelation(s=f.params["x0"]) if f.family == "triangle" else f
-       for f in SCALAR_WEIGHTS])
+    + [f for f in SCALAR_WEIGHTS if _search_layout(f.kernel_code())])
 
 
 def _mp_slope(f, rs, mp):
@@ -264,12 +270,12 @@ def _mp_slope(f, rs, mp):
 #: F' of the derivative kernel against 50 digits, relative to |F'| (F' < 0
 #: for every weight, as f >= 0): the worst of the points below is 1.4e-9,
 #: just past a series switch, where T' divides a difference twice by
-#: |b| or |A| >= SMALL_W / x0; the median is 4.7e-16
+#: |b| or |A| >= SMALL_W / x0; the median is 5.4e-16
 SLOPE_REL = 4e-9
 
 
 def test_derivative_kernel_f_is_the_scalar_kernels():
-    # at every real test point of the seed grid and the scalar set: the
+    # at every real test point of the seed grid and the cosine scalar set: the
     # kernel's F is f_real_scalar's to the bit, and it declines exactly where
     # a pair takes pair_near or F overflows to +inf
     declined = 0
@@ -309,9 +315,9 @@ def test_derivative_kernel_slope_matches_mpmath():
 
 
 def _pair_loop_d(code, r):
-    """(F(r), F'(r)) by the derivative kernel's former pass over the folded
-    pairs, one exp and four quotients per pair, or None: the reference whose
-    bits ``_kernels._f_real_scalar_d`` keeps."""
+    """(F(r), F'(r)) by a pass over the folded pairs, one exp and four
+    quotients per pair, or None: the reference whose bits
+    ``_kernels._f_real_scalar_d`` keeps."""
     x0, folded = code
     if r < 0.0 and -r * x0 > 690.0:
         return None
@@ -333,15 +339,22 @@ def _pair_loop_d(code, r):
     return acc, dacc
 
 
-#: weights of every code layout: SLOPE_WEIGHTS (one pair, the c0 = 0 pairs
-#: and the cosine five, all with beta s above SMALL_W), both multi-pair
-#: layouts with beta s below it, and weights whose exponents reach
-#: cmath.exp's scaled band at -r x0 <= 690; at beta s = pi/4 the complex
+#: weights of every code layout: SLOPE_WEIGHTS (the search's five pairs),
+#: the rest of the scalar set (one pair, and the c0 = 0 pairs with beta s
+#: above SMALL_W), both multi-pair layouts with beta s below it, and weights
+#: whose exponents reach cmath.exp's scaled band at -r x0 <= 690, five-pair
+#: ones past the search's box among them: at x0 <= 2, x0 e^w of the real
+#: exponent stays finite into the band, and at beta s = pi/4 the complex
 #: exponent's e^w, x0 e^w stay finite a little past the real one's
-LAYOUT_WEIGHTS = SLOPE_WEIGHTS + (
+LAYOUT_WEIGHTS = SLOPE_WEIGHTS + tuple(f for f in SCALAR_WEIGHTS if f not in SLOPE_WEIGHTS) + (
     tf.autocorrelation(alpha=0.5, c0=1.0, c1=1.0, beta=0.003, s=3.0),
     tf.autocorrelation(alpha=-0.3, c0=0.0, c1=1.0, beta=0.002, s=3.0),
     tf.autocorrelation(alpha=3.0, c0=1.0, c1=1.0, beta=math.pi / 40.0, s=10.0),
+    tf.autocorrelation(alpha=4.0, c0=1.0, c1=1.0, beta=math.pi / 32.0, s=8.0),
+    tf.autocorrelation(alpha=12.5, c0=1.0, c1=1.0, beta=math.pi / 8.0, s=2.0),
+    tf.autocorrelation(alpha=25.0, c0=1.0, c1=1.0, beta=math.pi / 4.0, s=1.0),
+    tf.autocorrelation(alpha=50.0, c0=1.0, c1=1.0, beta=math.pi / 2.0, s=0.5),
+    tf.autocorrelation(alpha=100.0, c0=1.0, c1=1.0, beta=2.0 * math.pi, s=0.25),
     tf.autocorrelation(alpha=3.0, c0=0.0, c1=1.0, beta=math.pi / 20.0, s=10.0),
     tf.autocorrelation(alpha=30.0, s=10.0),
 )
@@ -379,9 +392,10 @@ def _bits(v):
 
 
 def test_derivative_kernel_keeps_the_pair_loops_bits():
-    # per exponent, F and F' have the bits of the pair loop (NaN where it has
-    # NaN), and the kernel declines exactly where the loop does; hand-built
-    # one-pair codes keep the generic term
+    # on the search's layout, per exponent, F and F' have the bits of the
+    # pair loop, and the kernel declines exactly where the loop does or gives
+    # a non-finite F' (x0 e^w of the real exponent overflows); it declines
+    # every code of another layout, hand-built one-pair codes included
     codes = [f.kernel_code() for f in LAYOUT_WEIGHTS] + list(_single_pair_codes(0, n=12))
     seen = {"layouts": set(), "declined": 0, "scaled": 0, "values": 0, "non_finite": 0}
     for code in codes:
@@ -389,20 +403,25 @@ def test_derivative_kernel_keeps_the_pair_loops_bits():
         seen["layouts"].add((len(folded), folded[-1][-1]))
         for r in _layout_points(code):
             want, got = _pair_loop_d(code, r), _kernels._f_real_scalar_d(code, r)
+            if not _search_layout(code):
+                assert got is None, (code, r)
+                continue
+            if want is not None and not math.isfinite(want[1]):
+                seen["non_finite"] += math.isfinite(want[0])
+                want = None
             assert _bits(got) == _bits(want), (code, r)
             if want is None:
                 seen["declined"] += 1
                 continue
             seen["values"] += 1
-            seen["non_finite"] += math.isfinite(want[0]) and not math.isfinite(want[1])
             ws = [(p[2].real - r) * x0 for p in folded if p[2].imag == 0.0]
             seen["scaled"] += any(_LOG_LARGE < w and math.exp(w) != cmath.exp(w).real
                                   for w in ws)
     assert seen["layouts"] == {(1, False), (1, True), (2, False), (2, True), (5, False), (5, True)}
-    assert seen["declined"] >= 7000 and seen["values"] >= 7000
+    assert seen["declined"] >= 3000 and seen["values"] >= 2500
     # points where math.exp's bits would differ from cmath.exp's, and where
-    # F is finite but F' not (NaN, or an infinity on Python 3.14), as
-    # x0 e^w of the real exponent overflows
+    # F is finite but the loop's F' not (NaN, or an infinity on Python
+    # 3.14), as x0 e^w of the real exponent overflows
     assert seen["scaled"] >= 40 and seen["non_finite"] >= 100
 
 
@@ -623,19 +642,29 @@ def test_overflow_verdict_never_skips_an_infinite_probe():
     # for every weight of the search's box, as F(-HI) is finite there.  A
     # weight's x0 is s <= 10, so x0 HI <= 600, and each pair's exponent has
     # Re g_k <= |alpha| <= 4, so (Re g_k + HI) x0 <= 640 < 709; both grow
-    # with |alpha| and s, and the coefficients are the profile's, |c| <= 1
+    # with |alpha| and s, and the coefficients are the profile's, |c| <= 1.
+    # At the box's corners and the search's seeds the code has the layout
+    # the derivative kernel serves, which gives a finite (F, F') at -HI: a
+    # wider box could make it decline there
+    points = [(alpha, s) for alpha in optimizer.FAMILY_BOXES["alpha"]
+              for s in optimizer.FAMILY_BOXES["s"]]
+    points += [(alpha, s) for alpha in optimizer.FAMILY_GRID["alpha"]
+               for s in optimizer.FAMILY_GRID["s"]]
     checked = 0
-    for alpha in optimizer.FAMILY_BOXES["alpha"]:
-        for s in optimizer.FAMILY_BOXES["s"]:
-            for mult in optimizer.PROFILES:
-                code = tf.autocorrelation_code(*optimizer._generator(alpha, s, mult))[0]
-                x0, folded = code
-                assert x0 == s and x0 * dh.HI <= 600.0, (alpha, s, mult)
-                for c, _, gk, _, _ in folded:
-                    assert (gk.real + dh.HI) * x0 <= 640.0 and abs(c) <= 1.0, (alpha, s, mult)
-                assert math.isfinite(_kernels._f_real_scalar(code, -dh.HI)), (alpha, s, mult)
-                checked += 1
-    assert checked == 8
+    for alpha, s in points:
+        for mult in optimizer.PROFILES:
+            key = (alpha, s, mult)
+            code = tf.autocorrelation_code(*optimizer._generator(alpha, s, mult))[0]
+            x0, folded = code
+            assert x0 == s and x0 * dh.HI <= 600.0, key
+            for c, _, gk, _, _ in folded:
+                assert (gk.real + dh.HI) * x0 <= 640.0 and abs(c) <= 1.0, key
+            assert math.isfinite(_kernels._f_real_scalar(code, -dh.HI)), key
+            assert _search_layout(code), key
+            got = _kernels._f_real_scalar_d(code, -dh.HI)
+            assert got is not None and all(map(math.isfinite, got)), key
+            checked += 1
+    assert checked == 8 + 36
 
 
 def test_grid_kernel_matches_numpy_implementation():
@@ -893,18 +922,23 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
 
 
 def test_derivative_kernel_declines_where_exp_overflows():
-    # at r = -45 the weight's x0 = 10 passes the kernel's first test
-    # (-r x0 = 450 <= 690) and no pair is near coincident nodes, but its pair
-    # of Re g_k = 30 has (30 + 45) 10 = 750: cmath.exp overflows, F is +inf,
-    # and the kernel declines
-    code, r = tf.autocorrelation_code(30.0, 1.0, 0.0, 0.0, 10.0)[0], -45.0
+    # a search-layout weight past the search's box, x0 = 10 and alpha = 30.
+    # At r = -45 it passes the kernel's first test (-r x0 = 450 <= 690) and
+    # no pair is near coincident nodes, but (30 + 45) 10 = 750: cmath.exp
+    # overflows, F is +inf, and the kernel declines.  At r = -40.85,
+    # e^{708.5} is finite and so is F, but x0 e^{708.5} of alpha is not:
+    # the kernel declines too
+    code = tf.autocorrelation_code(*optimizer._generator(30.0, 10.0, 1.0))[0]
     x0, folded = code
-    assert -r * x0 <= 690.0
-    assert all(abs(gj + r) * x0 >= _kernels.SMALL_W and abs(gk - r) * x0 >= _kernels.SMALL_W
-               for _, gj, gk, _, _ in folded)
-    assert max((gk.real - r) * x0 for _, _, gk, _, _ in folded) > 710.0
-    assert _kernels._f_real_scalar(code, r) == math.inf
-    assert _kernels._f_real_scalar_d(code, r) is None
+    assert _search_layout(code)
+    for r in (-45.0, -40.85):
+        assert -r * x0 <= 690.0
+        assert all(abs(gj + r) * x0 >= _kernels.SMALL_W and abs(gk - r) * x0 >= _kernels.SMALL_W
+                   for _, gj, gk, _, _ in folded)
+        assert _kernels._f_real_scalar_d(code, r) is None
+    assert (30.0 + 45.0) * x0 > 710.0 and _kernels._f_real_scalar(code, -45.0) == math.inf
+    assert math.isfinite(_kernels._f_real_scalar(code, -40.85))
+    assert x0 * math.exp((30.0 + 40.85) * x0) == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -389,7 +389,9 @@ class TestInvalidInput:
         assert builds[0] == optimizer._generator(4.0, 10.0, optimizer.PROFILES[0])
 
     @pytest.mark.parametrize("b, phi", [(math.nan, dh.PHI), (-1.0, dh.PHI),
-                                        (0.1227, math.inf)])
+                                        (0.1227, math.inf),
+                                        # (5 + b)^4 overflows at the lambda box's top
+                                        (1e78, dh.PHI)])
     def test_poly_search(self, monkeypatch, b, phi):
         scores = self.counted(monkeypatch, dh, "_poly_bound")
         solves = self.counted(monkeypatch, dh, "solve_poly")

@@ -184,8 +184,10 @@ def test_sz_weight_positive_at_zero_costs_three_passes(monkeypatch):
     # path evaluates h at the guess (two F/F' passes) and heads past 0, where
     # h(0) = c1 (F(0) - F(b)) - F(0) + psi f(0) takes F(b) alone, the stored
     # F(0) standing in for F(-0); the search's bracket takes no overflow
-    # probe F(-hi)
-    f, case, b = tf.triangle(0.7), dh.get_case("sz-lp-principal"), 0.05
+    # probe F(-hi).  The weight is a seed of the search, whose code layout
+    # the derivative kernel serves
+    f = tf.autocorrelation(*optimizer._generator(0.0, 1.2, 1.0))
+    case, b = dh.get_case("sz-lp-principal"), 0.05
     with pytest.raises(NoBoundError, match="no repulsion provable") as err:
         dh.solve_smoothed(case, f, b)
     assert err.value.sign == "positive"

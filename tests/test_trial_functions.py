@@ -118,11 +118,14 @@ class TestAutocorrelation:
         with pytest.raises(InvalidGeneratorError):
             tf.autocorrelation(alpha=0.0, c0=0.0, c1=0.0, beta=0.0, s=1.0)
 
-    @pytest.mark.parametrize("alpha", [20.0, 9.0])
-    def test_overflowing_generator_is_named(self, alpha):
+    @pytest.mark.parametrize("params, named", [
         # e^{2 alpha s} overflows (cmath.exp raises), so f(0) = int g^2 is not finite
-        with pytest.raises(InvalidParameterError, match=f"alpha={alpha}, s=40.0"):
-            tf.autocorrelation(alpha=alpha, s=40.0)
+        ({"alpha": 20.0}, "alpha=20.0, s=40.0"), ({"alpha": 9.0}, "alpha=9.0, s=40.0"),
+        # the phase 2 beta s of the pair (g, g) overflows (cmath.exp: ValueError)
+        ({"c1": 1.0, "beta": 1e307}, r"beta=1e\+307, s=40.0")], ids=["20.0", "9.0", "beta"])
+    def test_overflowing_generator_is_named(self, params, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            tf.autocorrelation(s=40.0, **params)
 
     def test_overflowing_moment_series_is_named(self):
         # |2 alpha s| = 2e-3: f(0) is about s, but the three-node series of the
