@@ -14,15 +14,18 @@ It stops at an exact zero of h, so the family search, which only ranks its
 roots, hands it a snapped h (``snapped_fn``) that is exactly 0 below h's
 rounding floor (``SNAP_EPS``): a search root stops there, 8.8 evaluations
 of h per scored root on seed-1 smoothed-regress against 12.1 to adjacent
-floats.  The search's warm solves take safeguarded Newton steps instead
-(``_newton``, rtsafe) on the same snapped h, with steps from the
-derivative kernel ``_f_real_scalar_d``: F and F' of the one code layout
-the search builds, with one exp per generator exponent, about 0.83 of an
-F pass.  That is 4.2 evaluations of h per warm root against 9.3 for ITP.
-Where the kernel declines or the steps run out (1.3% of scored solves),
-ITP takes over on the bracket the steps have seen, after a look at an end
-of [lo, hi] they have not.  Returned bounds are solved by ITP on the exact
-h and still resolve to adjacent floats.
+floats.  The search scores a weight by ``search_root``, one flat function:
+from the last root it takes safeguarded Newton steps (rtsafe) on the same
+snapped h, each value and step computed in its loop from the derivative
+kernel ``_f_real_scalar_d``, F and F' of the one code layout the search
+builds (``_search_pass``, one exp per generator exponent, about 1.34 of an
+F pass of that layout).  That is 3.8 evaluations of h per warm solve on
+seed-1 smoothed-regress (26,809 Newton points and 3,591 other values over
+8,064 warm solves), against 9.3 for ITP.  Where the kernel declines or the
+steps run out (125 of 8,352 scored solves), ITP takes over on the bracket
+the steps have seen, after a look at an end of [lo, hi] they have not.
+Returned bounds are solved by ITP on the exact h and still resolve to
+adjacent floats.
 The quartic roots need no bracket search: each is P(u) = t for the fixed
 convex quartic P in u = lam/(lam+x), which ``_p4_root`` inverts by Newton's method from above,
 in at most 9 steps (about 6 evaluations of P per bundled quartic row,
@@ -31,7 +34,7 @@ function is written once, by a builder whose arithmetic works on floats and
 on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and
 ``zfr_fn`` return the quartic ones as functions of u, with the value t of
 P at their root; ``poly_fn`` builds at fixed lam and b, for every J.  The
-search's snapped h and its Newton steps, on floats, are ``snapped_fn``'s.
+search's snapped h, on floats, is ``snapped_fn``'s.
 The named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
 build those functions (``smoothed_root`` and ``poly_root`` take them built,
 so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
@@ -51,9 +54,12 @@ E(x0; g_j + g_k) (``exp_quotient``), and ``far`` says both |Im g_j| x0 and
 |Im g_k| x0 are at least ``SMALL_W``.  Every built-in weight, the triangle
 included, is an autocorrelation, so neither evaluator branches on the
 family.  The transform ``F`` is ``f_real_scalar`` at one real point and
-``f_array`` at real or complex points, scalar or array.  F' comes from
-``_f_real_scalar_d`` for the search's five-pair codes alone, and it
-declines (None) for every other code.  At a real point the terms of two
+``f_array`` at real or complex points, scalar or array.  On the search's
+five-pair codes ``f_real_scalar`` takes one exp per generator exponent
+(``_search_pass``, 0.67 of the time of its pass over the pairs, on the F
+calls of seed-1 smoothed-regress, with the same bits), and F' comes from
+``_f_real_scalar_d`` for those codes alone; it declines (None) for every
+other code.  At a real point the terms of two
 conjugate pairs are conjugates, and off the real axis ``f_array``
 evaluates the dropped one as ``conj T(conj z)``.  Each pair term
 T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
@@ -178,12 +184,18 @@ def _f_real_scalar(code, r):
     overflowing) return +inf, as f >= 0, instead of letting exp raise: the
     solvers' bracket-shrinking relies on a value coming back.  The value is a
     Python float, so the root solver's arithmetic stays on Python floats.
+    The search's code layout takes ``_search_pass``, one exp per generator
+    exponent, wherever it serves; every other code and point takes the pass
+    over the pairs below, whose bits ``_search_pass`` keeps.
     A pair term near coincident nodes, |g_j + r| x0 or |g_k - r| x0 below
     SMALL_W, comes from ``pair_near``, and every other one from the direct
     form (K - (e^w - 1)/A)/b.  A pair flagged ``far`` skips both tests: at
     real r, |g_j + r| and |g_k - r| are at least the imaginary parts that the
     flag bounds, so the tests would fail there anyway.
     """
+    acc = _search_pass(code, r, False)
+    if acc is not None:
+        return acc
     x0, folded = code
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
@@ -204,30 +216,32 @@ def _f_real_scalar(code, r):
     return acc
 
 
-def _f_real_scalar_d(code, r):
-    """(F(r), F'(r)) at one real r of a search weight's code, or None; F has
-    ``_f_real_scalar``'s bits.
+def _search_pass(code, r, slope=True):
+    """F(r) at one real r of a search weight's code, one exp per generator
+    exponent, or with ``slope`` (F(r), F'(r)); None where it does not serve.
 
     The code has the layout the family search builds: the five folded pairs
     (alpha, alpha), (alpha, g), (g, alpha), (g, g), (g, conj g) of a
     three-term generator, g = alpha + i beta, with g's pairs ``far``.  A pair
-    term T = (K - E_k)/b_j has r-derivative T' = (D_k - T)/b_j, where b = g + r,
-    A = g - r, E = (e^{A x0} - 1)/A and D = (x0 e^{A x0} - E)/A depend on one
-    exponent: each is formed once per exponent (conj g's as the conjugates of
-    g's), by the operations the pair terms take, and the terms add in the
-    order of the code.  alpha runs in float arithmetic with ``cmath.exp``'s
-    bits (``math.exp``'s differ where cmath scales e^w), and divides a complex
+    term T = (K - E_k)/b_j has r-derivative T' = (D_k - T)/b_j, where b = g +
+    r, A = g - r, E = (e^{A x0} - 1)/A and D = (x0 e^{A x0} - E)/A depend on
+    one exponent: each is formed once per exponent (conj g's as the
+    conjugates of g's), by the operations the pair terms take, and the terms
+    add in the order of the code, so F and F' have the bits of the pass over
+    the pairs.  alpha runs in float arithmetic with ``cmath.exp``'s bits
+    (``math.exp``'s differ where cmath scales e^w), and divides a complex
     value by complex(alpha + r), as Python 3.14 divides by a float part by
-    part.  A pass costs about 0.83 of an F pass.
+    part.  F takes 2 exps and 7 quotients where the pass over the pairs
+    takes 5 and 10; F' adds 7 quotients more.
 
-    It declines (None) for any other layout, and where ``_f_real_scalar``
-    would take ``pair_near`` or return +inf: |alpha + r| x0 or |alpha - r| x0
-    below SMALL_W (g's ``far`` pairs fail both tests) or an exp overflowing.
-    It declines where x0 e^{(alpha - r) x0} - E of alpha is not finite too,
-    which the search's box, with (alpha - r) x0 <= 640, never reaches.  Just
-    past a series switch T' loses digits to its divisions by |A| or |b| >=
-    SMALL_W / x0 (1.4e-9 relative at worst in the tests), which a Newton step
-    tolerates.
+    None for any other layout, and where the pass over the pairs would take
+    ``pair_near`` or return +inf: |alpha + r| x0 or |alpha - r| x0 below
+    SMALL_W (g's ``far`` pairs fail both tests) or an exp overflowing.  With
+    ``slope``, None too where x0 e^{(alpha - r) x0} - E of alpha is not
+    finite, which the search's box, with (alpha - r) x0 <= 640, never
+    reaches.  Just past a series switch T' loses digits to its divisions by
+    |A| or |b| >= SMALL_W / x0 (1.4e-9 relative at worst in the tests),
+    which a Newton step tolerates.
     """
     x0, folded = code
     if len(folded) != 5 or not folded[3][4] or (r < 0.0 and -r * x0 > 690.0):
@@ -246,21 +260,31 @@ def _f_real_scalar_d(code, r):
     except OverflowError:
         return None
     Ea = (ea - 1.0) / Aa
-    m = x0 * ea - Ea
-    if not math.isfinite(m):
-        return None
     E = (ew - 1.0) / A
-    D = (x0 * ew - E) / A
-    Da = m / Aa
     bc = complex(ba)
     T0 = (K0.real - Ea) / ba
     T1 = (K1 - E) / bc
     T2 = (K2 - Ea) / b
     T3 = (K3 - E) / b
     T4 = (K4 - E.conjugate()) / b
-    return (0.0 + c0 * T0 + c1 * T1.real + c2 * T2.real + c3 * T3.real + c4 * T4.real,
-            0.0 + c0 * ((Da - T0) / ba) + c1 * ((D - T1) / bc).real + c2 * ((Da - T2) / b).real
+    F = 0.0 + c0 * T0 + c1 * T1.real + c2 * T2.real + c3 * T3.real + c4 * T4.real
+    if not slope:
+        return F
+    m = x0 * ea - Ea
+    if not math.isfinite(m):
+        return None
+    D = (x0 * ew - E) / A
+    Da = m / Aa
+    return (F, 0.0 + c0 * ((Da - T0) / ba) + c1 * ((D - T1) / bc).real + c2 * ((Da - T2) / b).real
             + c3 * ((D - T3) / b).real + c4 * ((D.conjugate() - T4) / b).real)
+
+
+#: (F(r), F'(r)) at one real r of a search weight's code, or None:
+#: ``_search_pass`` with its slope, F with ``_f_real_scalar``'s bits, and a
+#: decline for every other code layout.  The search's Newton steps call it by
+#: this name and ``_f_real_scalar`` calls ``_search_pass``, so a counter that
+#: replaces this attribute sees the F/F' passes alone
+_f_real_scalar_d = _search_pass
 
 
 def E(x, a):
@@ -328,7 +352,7 @@ _ITP_REL = 2.0 ** -62
 def _bisect(h, lo, hi, ylo=None, yhi=None):
     """ITP root of an increasing h on [lo, hi] (interpolate, truncate, project).
 
-    ylo and yhi are h(lo) and h(hi) where the caller has them (``_newton``
+    ylo and yhi are h(lo) and h(hi) where the caller has them (``search_root``
     hands over the bracket it has seen); an end value not given is evaluated.
     Returns (root, h(lo), h(hi)); root is NaN when h has no sign change on
     the bracket or an endpoint value is NaN.  Each step takes the regula
@@ -453,9 +477,10 @@ def smoothed_fn(F, form, c1, psi, b, f0):
     return h
 
 
-def snapped_fn(F, dF, form, c1, psi, b, f0, F0):
-    """The family search's snapped h of ``smoothed_fn``'s h, with its Newton
-    steps, as (h, hd); F is a scalar transform and F0 = F(0), from the build.
+def snapped_fn(code, form, c1, psi, b, f0, F0, Fmb=None):
+    """The family search's snapped h of ``smoothed_fn``'s h, for a family
+    code; F0 = F(0), from the build, and Fmb = F(-b) where the caller has it
+    (form 1 evaluates it here otherwise).
 
     h(x), float x, is exactly 0.0 wherever |h(x)| is below its rounding
     floor, ``SNAP_EPS`` times the magnitudes of the terms it adds (form 0:
@@ -467,142 +492,146 @@ def snapped_fn(F, dF, form, c1, psi, b, f0, F0):
     resolves to adjacent floats.  h(0) needs at most one transform: form 0
     reads F(-0) from F(0), which has the same bits, and form 1 reads F(-b) of
     its constant.  An infinite term makes the floor infinite, and h then
-    keeps its value.
-
-    dF maps r to (F(r), F'(r)) or None, as ``_f_real_scalar_d`` does, and
-    hd(x) is None where dF declines, else (h(x), Newton's step at x) for
-    ``_newton``, h(x) snapped by the same rule and the step taken from the
-    unsnapped value.  Form 1 steps by h/h'.  Form 0 steps on log P = log C,
-    P = c1 (F(-x) - F(b-x)) = h + C, C = F(0) - psi f(0), where both are
-    positive, by log(1 + h/C) P/h', which is h/h' to first order at the
-    root: P grows about like e^{x0 x}, and plain Newton on it overshoots from
-    below and crawls down from above by about 1/x0 a step.
+    keeps its value.  ``search_root`` computes the same values inline for
+    its Newton steps.
     """
     pf0 = psi * f0
     if form == 0:
         m1, rest = abs(c1), abs(F0) + abs(pf0)
 
-        def value(Fm, Fp):
-            v = c1 * (Fm - Fp) - F0 + pf0
-            return 0.0 if abs(v) < SNAP_EPS * (m1 * (abs(Fm) + abs(Fp)) + rest) else v, v
-
         def h(x):
-            return value(F0 if x == 0.0 else F(-x), F(b - x))[0]
-
-        C = F0 - pf0
-
-        def hd(x):
-            m = dF(-x)
-            p = None if m is None else dF(b - x)
-            if p is None:
-                return None
-            y, v = value(m[0], p[0])
-            d = c1 * (p[1] - m[1])
-            if not 0.0 < d < math.inf:
-                return y, math.nan
-            P = v + C
-            return y, (math.log1p(v / C) * P if C > 0.0 and P > 0.0 else v) / d
-        return h, hd
-    Fmb = F(-b)
+            Fm = F0 if x == 0.0 else _f_real_scalar(code, -x)
+            Fp = _f_real_scalar(code, b - x)
+            v = c1 * (Fm - Fp) - F0 + pf0
+            return 0.0 if abs(v) < SNAP_EPS * (m1 * (abs(Fm) + abs(Fp)) + rest) else v
+        return h
+    if Fmb is None:
+        Fmb = _f_real_scalar(code, -b)
     base = Fmb - F0 + pf0
     rest = abs(Fmb) + abs(F0) + abs(pf0)
 
-    def value(Fx):
-        v = base - Fx
-        return 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v, v
-
     def h(x):
-        return value(Fmb if x == 0.0 else F(x - b))[0]
-
-    def hd(x):
-        got = dF(x - b)
-        if got is None:
-            return None
-        y, v = value(got[0])
-        d = -got[1]
-        return y, v / d if 0.0 < d < math.inf else math.nan
-    return h, hd
+        Fx = Fmb if x == 0.0 else _f_real_scalar(code, x - b)
+        v = base - Fx
+        return 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v
+    return h
 
 
-#: Newton steps ``_newton`` takes before it hands the solve to ITP
+#: Newton steps ``search_root`` takes before it hands the solve to ITP
 _NEWTON_STEPS = 8
-#: a Newton step below this fraction of x ends ``_newton`` once h was seen on
-#: both sides of the root.  Where h's rounding noise exceeds the snap floor
-#: (search weights with alpha > 1.3, whose pair terms cancel in F) the steps
-#: circle the root at 450-2800 ulps, so a stop at a few ulps never comes
+#: a Newton step below this fraction of x ends ``search_root``'s steps once h
+#: was seen on both sides of the root.  Where h's rounding noise exceeds the
+#: snap floor (search weights with alpha > 1.3, whose pair terms cancel in F)
+#: the steps circle the root at 450-2800 ulps, so a stop at a few ulps never
+#: comes
 _NEWTON_REL = 2.0 ** -40
 
 
-def _newton(h, hd, lo, hi, x):
-    """Safeguarded Newton root of an increasing h on [lo, hi] from x.
+def search_root(code, form, c1, psi, b, f0, F0, hi, guess):
+    """The family search's root on [0, hi] of ``snapped_fn``'s h for a
+    family code, or NaN where the weight bounds nothing.
 
-    rtsafe (Press et al., Numerical Recipes, section 9.4) on a snapped h,
-    with hd(x) = (h(x), Newton's step at x): each value narrows the bracket
-    [a, b], whose ends lo and hi start unseen.  A step that leaves the
-    bracket, or does not halve the step before it, becomes a bisection
-    step, after a look at the end it heads past if that is unseen: h(lo) > 0
-    or h(hi) <= 0 there means no root.  The solve stops at an exact zero of
-    h, moved by the step from the unsnapped value if that stays in the
-    bracket, or at a step below ``_NEWTON_REL`` of x once both ends are
-    seen.  Returns (root, h(a), h(b)) as ``_bisect`` does, the root NaN
-    unless h(a) <= 0 < h(b), so a zero needs a point above it seen positive
-    (h(hi) is looked at if none is), as ``_bisect`` needs its top end.
-    Where hd declines, a value is not finite, or after ``_NEWTON_STEPS``
-    steps, the solve goes to ITP on [a, b]: ``_bisect`` looks at an end it
-    has not seen, lo or hi, and fails where h(lo) > 0 or h(hi) < 0 as on
-    [lo, hi].  h is evaluated at no point twice, except where a value was not
-    finite (ITP may land on that point again).
+    With no guess in (0, hi) it is ITP's (``_bisect``) on [0, hi].  From a
+    guess it takes safeguarded Newton steps (rtsafe, Press et al., Numerical
+    Recipes, section 9.4), each from the snapped value h(x) and its step at
+    x, computed here from the derivative kernel ``_f_real_scalar_d``: form 1
+    steps by h/h'; form 0 on log P = log C, P = c1 (F(-x) - F(b-x)) = h + C,
+    C = F(0) - psi f(0), where both are positive, by log(1 + h/C) P/h',
+    which is h/h' to first order at the root: P grows about like e^{x0 x},
+    and plain Newton on it overshoots from below and crawls down from above
+    by about 1/x0 a step.  Each value narrows the bracket, whose ends 0 and
+    hi start unseen.  A step that leaves the bracket, or does not halve the
+    step before it, becomes a bisection step, after a look at the end it
+    heads past if that is unseen: h(0) > 0 or h(hi) <= 0 there means no
+    root.  The solve stops at an exact zero of h, moved by the step from the
+    unsnapped value if that stays in the bracket, or at a step below
+    ``_NEWTON_REL`` of x once both ends are seen.  Where the kernel
+    declines, a value is not finite, or after ``_NEWTON_STEPS`` steps, the
+    solve goes to ITP on the bracket seen, which looks at an end it has not
+    seen, 0 or hi, and fails where h(0) > 0 or h(hi) < 0 as on [0, hi].  No
+    point costs transforms twice, except where a value was not finite (ITP
+    may land on that point again); form 1's h(0) reads its constant.
+
+    A 'cc' h (form 1) that is positive at 0, read from its constant F(-b),
+    bounds nothing, as h increases: the root is NaN at once.  So is one
+    whose h is 0 at the top end of the bracket its solve used: its sign is
+    noise up there, as for the 'sz' h at b = 0, the constant psi f(0) -
+    F(0) that the floor of its F(-x) terms exceeds at large x.  Otherwise
+    the root is NaN unless h(lo) <= 0 < h(hi) at the ends of the final
+    bracket, as for ``_bisect``.
     """
-    a, b, ya, yb = lo, hi, None, None
-    dx = hi - lo
-    for _ in range(_NEWTON_STEPS):
-        got = hd(x)
-        if got is None:
-            break
-        y, step = got
-        if y == 0.0:
-            if a < x - step < b:
-                x -= step
-            return _bracketed(x, 0.0, h(hi) if yb is None else yb)
-        if not abs(y) < math.inf:
-            break
-        if y < 0.0:
-            a, ya = x, y
-        else:
-            b, yb = x, y
-        xn = x - step
-        if not a < xn < b or abs(step) > 0.5 * abs(dx):
-            if y > 0.0 and ya is None:
-                ya = h(lo)
-                if not ya < 0.0:
-                    return _bracketed(lo, ya, yb)
-            elif y < 0.0 and yb is None:
-                yb = h(hi)
-                if not yb > 0.0:
-                    return _bracketed(x, ya, yb)
-            xn = 0.5 * (a + b)
-        dx, x = xn - x, xn
-        if abs(dx) <= _NEWTON_REL * abs(x) and ya is not None and yb is not None:
-            return x, ya, yb
-    return _bisect(h, a, b, ya, yb)
+    pf0 = psi * f0
+    if form == 0:
+        m1, rest, C = abs(c1), abs(F0) + abs(pf0), F0 - pf0
+        h = snapped_fn(code, 0, c1, psi, b, f0, F0)
+    else:
+        Fmb = _f_real_scalar(code, -b)
+        base, rest = Fmb - F0 + pf0, abs(Fmb) + abs(F0) + abs(pf0)
+        h = snapped_fn(code, 1, c1, psi, b, f0, F0, Fmb)
+        if h(0.0) > 0.0:
+            return math.nan
+    lo, ylo, yhi = 0.0, None, None
+    if guess is not None and lo < guess < hi:
+        x, dx = guess, hi - lo
+        for _ in range(_NEWTON_STEPS):
+            if form == 0:
+                m = _f_real_scalar_d(code, -x)
+                p = None if m is None else _f_real_scalar_d(code, b - x)
+                if p is None:
+                    break
+                Fm, dFm = m
+                Fp, dFp = p
+                v = c1 * (Fm - Fp) - F0 + pf0
+                y = 0.0 if abs(v) < SNAP_EPS * (m1 * (abs(Fm) + abs(Fp)) + rest) else v
+                d = c1 * (dFp - dFm)
+                if 0.0 < d < math.inf:
+                    P = v + C
+                    step = (math.log1p(v / C) * P if C > 0.0 and P > 0.0 else v) / d
+                else:
+                    step = math.nan
+            else:
+                got = _f_real_scalar_d(code, x - b)
+                if got is None:
+                    break
+                Fx, dFx = got
+                v = base - Fx
+                y = 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v
+                d = -dFx
+                step = v / d if 0.0 < d < math.inf else math.nan
+            if y == 0.0:
+                if lo < x - step < hi:
+                    x -= step
+                return x if (h(hi) if yhi is None else yhi) > 0.0 else math.nan
+            if not abs(y) < math.inf:
+                break
+            if y < 0.0:
+                lo, ylo = x, y
+            else:
+                hi, yhi = x, y
+            xn = x - step
+            if not lo < xn < hi or abs(step) > 0.5 * abs(dx):
+                if y > 0.0 and ylo is None:
+                    ylo = h(lo)
+                    if not ylo < 0.0:
+                        return lo if ylo == 0.0 else math.nan
+                elif y < 0.0 and yhi is None:
+                    yhi = h(hi)
+                    if not yhi > 0.0:
+                        return math.nan
+                xn = 0.5 * (lo + hi)
+            dx, x = xn - x, xn
+            if abs(dx) <= _NEWTON_REL * abs(x) and ylo is not None and yhi is not None:
+                return x
+    root, _, yhi = _bisect(h, lo, hi, ylo, yhi)
+    return math.nan if yhi == 0.0 else root
 
 
-def _bracketed(root, ya, yb):
-    """(root, ya, yb), the root NaN unless ya <= 0 < yb (NaN fails too)."""
-    return (root if ya <= 0.0 < yb else math.nan), ya, yb
-
-
-def smoothed_root(h, lo, hi, guess=None, hd=None):
-    """Root of an h built by ``smoothed_fn`` or ``snapped_fn`` from a scalar
-    F, as ``_bisect``.
+def smoothed_root(h, lo, hi):
+    """Root of an h built by ``smoothed_fn`` from a scalar F, as ``_bisect``.
 
     The caller builds h, so it can reuse it (for the residual at the root)
-    without evaluating F(0) again.  Given hd, ``snapped_fn``'s Newton steps,
-    and a guess inside (lo, hi), the solve is ``_newton``'s from the guess;
-    otherwise it is ITP on [lo, hi] and the guess is unused.
+    without evaluating F(0) again.
     """
-    if hd is not None and guess is not None and lo < guess < hi:
-        return _newton(h, hd, lo, hi, guess)
     return _bisect(h, lo, hi)
 
 

@@ -69,9 +69,25 @@ def _family_from_args(args):
     if getattr(args, "family_file", None):
         name, params = _read_family_file(args.family_file)
     else:
-        name = args.family
+        name = "triangle" if args.family is None else args.family
         params = _parse_params(getattr(args, "params", None))
     return trial_functions.build_family(name, **params)
+
+
+def _zfr_unread(args):
+    """The options given to ``zfr`` that its case never reads: order5 reads
+    none of these, order-ge6 only its weight, and order234 and principal
+    never a weight, nor --lambda with --optimize."""
+    given = {"--lambda": args.lam is not None, "--optimize": args.optimize,
+             "--family": args.family is not None, "--params": args.params is not None,
+             "--family-file": args.family_file is not None}
+    if args.case == "order5":
+        read = ()
+    elif args.case == "order-ge6":
+        read = ("--family", "--params", "--family-file")
+    else:
+        read = ("--optimize",) if args.optimize else ("--lambda",)
+    return [flag for flag, on in given.items() if on and flag not in read]
 
 
 def _bound_lines(res, p):
@@ -253,9 +269,11 @@ def _add_common(sub, formats=("text", "json"), phi=True, precision=True):
 
 
 def _add_family(sub):
-    sub.add_argument("--family", default="triangle",
-                     help="trial weight family (triangle | autocorrelation)")
-    sub.add_argument("--params", default="",
+    # None where not given (the triangle, no parameters), so that a verb can
+    # refuse them where it does not read them
+    sub.add_argument("--family", default=None,
+                     help="trial weight family (triangle | autocorrelation; default triangle)")
+    sub.add_argument("--params", default=None,
                      help="family parameters, e.g. 'x0=2' or 'alpha=0.5,s=1.2'")
     sub.add_argument("--family-file", default=None,
                      help="key=value text file defining the family")
@@ -333,6 +351,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if getattr(args, "precision", 0) < 0:   # verify offers no --precision
         ap.error(f"argument --precision: must be >= 0, got {args.precision}")
+    if args.verb == "zfr" and (unread := _zfr_unread(args)):
+        ap.error(f"zfr --case {args.case} does not read {', '.join(unread)}")
     try:
         status = args.fn(args)
         sys.stdout.flush()   # a reader gone away shows here, not at exit

@@ -226,32 +226,21 @@ def smoothed_h(case, f, b, phi=PHI):
 
 def _search_root(case, code, f0, F0, b, phi, guess):
     """The family search's root of a smoothed case's h for a coded weight, or
-    NaN where the weight bounds nothing.
+    NaN where the weight bounds nothing: ``_kernels.search_root``'s on
+    [0, HI].
 
     ``code`` is the weight's family code, f0 = f(0) and F0 = F(0) the ones
     its build stored; ``case`` is a smoothed SolverCase, and b, phi are
     checked.  h is ``_kernels.snapped_fn``'s, 0.0 below its rounding floor,
     so the root stops where the sign of h turns to rounding noise instead of
     at adjacent floats: it only ranks weights.  From a guess (the search's
-    last root) the solve takes ``_kernels.smoothed_root``'s Newton path on
-    the derivative kernel ``_kernels._f_real_scalar_d``, and ITP on the
-    bracket it has seen where that declines; with no guess it is ITP on
-    [0, HI].  The bracket is never shrunk: every weight of the search's box
-    has a finite F(-HI).  A 'cc' h that is positive at 0, where it costs no
-    transform call, bounds nothing, as h increases: the root is NaN at once.
-    So is one whose h is 0 at the top end of the bracket its solve used:
-    its sign is noise up there, as for the 'sz' h at b = 0, the constant
-    psi f(0) - F(0) that the floor of its F(-x) terms exceeds at large x.
+    last root) the solve takes Newton steps on the derivative kernel
+    ``_kernels._f_real_scalar_d``, and ITP on the bracket they have seen
+    where that declines; with no guess it is ITP on [0, HI].  The bracket is
+    never shrunk: every weight of the search's box has a finite F(-HI).
     """
-    form = 0 if case.form == "sz" else 1
-    h, hd = _kernels.snapped_fn(
-        functools.partial(_kernels._f_real_scalar, code),
-        functools.partial(_kernels._f_real_scalar_d, code),
-        form, float(case.c1), case.psi_over_phi * phi, b, f0, F0)
-    if form == 1 and h(0.0) > 0.0:
-        return math.nan
-    root, _, hhi = _kernels.smoothed_root(h, 0.0, HI, guess, hd)
-    return math.nan if hhi == 0.0 else root
+    return _kernels.search_root(code, 0 if case.form == "sz" else 1, float(case.c1),
+                                case.psi_over_phi * phi, b, f0, F0, HI, guess)
 
 
 def solve_smoothed(case, f, b, phi=PHI):

@@ -17,7 +17,7 @@ or error message; only the winner is built as a weight and handed to the
 public solver or bound.  A search root stops at h's rounding floor (a
 snapped h, ``_kernels.snapped_fn``), as it only ranks weights, and is
 found by Newton steps from the last root, which hand over to ITP where
-they fail (``_kernels.smoothed_root``); the returned bound, the winner's
+they fail (``_kernels.search_root``); the returned bound, the winner's
 cold ``dh.solve_smoothed``, does neither.  Every search starts from the
 same seeds and scans the same first lines, so most weights it asks for were
 built before, by an earlier row or cell: the codes come from the
@@ -359,10 +359,10 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
     ``FAMILY_BOXES``, where every weight has a finite F(-``dh.HI``) on its
     bracket [0, ``dh.HI``].  Each profile
     scores at least 40 weights (``_search_profiles``), so a budget below 80
-    makes about 80 root solves.  A weight scores its root (``dh._search_root``) on the
-    snapped h, which stops at h's rounding floor instead of adjacent floats,
-    by Newton steps on the derivative kernel from the last root, with the
-    F(0) its build stored; a 'cc' weight whose h is positive at 0 scores
+    makes about 80 root solves.  A weight scores its root (``dh._search_root``,
+    ``_kernels.search_root``) on the snapped h, which stops at h's rounding
+    floor instead of adjacent floats, by Newton steps on the derivative
+    kernel from the last root, with the F(0) its build stored; a 'cc' weight whose h is positive at 0 scores
     -inf from the two transform values of h's constant, and an 'sz' one
     typically from h and h' at the guess and h(0), which takes F(b) alone.
     Only the winner is solved by ``dh.solve_smoothed``, on the exact h, for

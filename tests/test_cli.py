@@ -54,6 +54,40 @@ class TestZfr:
         assert code == 1
         assert "needs --lambda" in err
 
+    @pytest.mark.parametrize("args, unread", [
+        ("--case order5 --lambda 1e-320", "--lambda"),
+        ("--case order5 --optimize", "--optimize"),
+        ("--case order5 --family triangle --params x0=2", "--family, --params"),
+        ("--case order5 --family-file weight.cfg", "--family-file"),
+        ("--case order-ge6 --params x0=2 --lambda 0.5", "--lambda"),
+        ("--case order-ge6 --params x0=2 --optimize", "--optimize"),
+        ("--case order234 --lambda 0.9421 --family triangle", "--family"),
+        ("--case principal --lambda 1.291 --params x0=2", "--params"),
+        ("--case principal --optimize --family-file weight.cfg", "--family-file"),
+        ("--case order234 --optimize --lambda 0.9421", "--lambda"),
+        ("--case principal --optimize --lambda 1.291 --json", "--lambda"),
+    ])
+    def test_option_the_case_never_reads_is_a_usage_error(self, args, unread, capsys):
+        # refused before any work (weight.cfg does not exist): nothing on
+        # stdout, the unread options named on stderr
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zfr", *shlex.split(args)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"error: zfr --case {args.split()[1]} does not read {unread}")
+
+    @pytest.mark.parametrize("args", [
+        "--case order5 --phi 0.3",
+        "--case order-ge6 --family triangle --params x0=4",
+        "--case order234 --lambda 0.9421 --phi 0.3",
+        "--case principal --optimize",
+    ])
+    def test_options_the_case_reads_are_accepted(self, args, capsys):
+        code, out, _ = run(["zfr", *shlex.split(args)], capsys)
+        assert code == 0 and out.startswith("zfr ")
+
 
 class TestDh:
     def test_poly_case(self, capsys):

@@ -99,9 +99,11 @@ class _CountedExp:
 ])
 def test_conjugate_pairs_fold_to_one_exp_each(params, off_axis, folded, monkeypatch):
     """The code keeps one pair of each conjugate pair.  At a real point F
-    takes one exp, and f_array one array exp, per folded pair; off the real
-    axis f_array also evaluates each dropped pair's term, stacked with the
-    kept one's, so it evaluates off_axis pair terms in all."""
+    takes one exp per folded pair, except on the search's five-pair layout
+    (the cosine weight), where it takes one per generator exponent, alpha's
+    and g's; f_array takes one array exp per folded pair, and off the real
+    axis also evaluates each dropped pair's term, stacked with the kept
+    one's, so it evaluates off_axis pair terms in all."""
     f = tf.autocorrelation(**params)
     x0, fold = f.kernel_code()
     assert len(fold) == folded
@@ -116,7 +118,7 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, off_axis, folded, monkeypa
     assert all(abs(g + 0.37) * x0 >= 0.1 and abs(h - 0.37) * x0 >= 0.1
                for _, g, h, *_ in fold)
     _kernels.f_real_scalar(f.kernel_code(), 0.37)
-    assert len(calls) == folded
+    assert len(calls) == (2 if folded == 5 else folded)
     # the shape of each w = (g_k - z) x0 that f_array exponentiates, one per
     # pair term
     shapes = []
@@ -422,6 +424,61 @@ def test_derivative_kernel_keeps_the_pair_loops_bits():
     # points where math.exp's bits would differ from cmath.exp's, and where
     # F is finite but the loop's F' not (NaN, or an infinity on Python
     # 3.14), as x0 e^w of the real exponent overflows
+    assert seen["scaled"] >= 40 and seen["non_finite"] >= 100
+
+
+def _pair_loop_f(code, r):
+    """F(r) by the pass over the folded pairs, one exp per pair, pair_near
+    near coincident nodes and +inf past the exp range: the reference whose
+    bits ``_kernels._f_real_scalar`` keeps on every code."""
+    x0, folded = code
+    if r < 0.0 and -r * x0 > 690.0:
+        return math.inf
+    acc = 0.0
+    for c, gj, gk, K, far in folded:
+        b = gj + r
+        a = gk - r
+        w = a * x0
+        if not far and (abs(b) * x0 < _kernels.SMALL_W or abs(w) < _kernels.SMALL_W):
+            phi = _kernels.pair_near(K, gj, gk, r, x0)
+        else:
+            try:
+                e = (cmath.exp(w) - 1.0) / a
+            except OverflowError:
+                return math.inf
+            phi = (K - e) / b
+        acc += c * phi.real
+    return acc
+
+
+def test_per_exponent_f_keeps_the_pair_loops_bits():
+    # at the points of test_derivative_kernel_keeps_the_pair_loops_bits, on
+    # every code layout: F has the pair loop's bits.  The per-exponent pass
+    # serves the search's layout exactly where the pair loop takes no
+    # pair_near and no exp overflows, which includes the points where only
+    # F' is not finite; the pair loop serves every other point and code
+    codes = [f.kernel_code() for f in LAYOUT_WEIGHTS] + list(_single_pair_codes(0, n=12))
+    seen = {"layouts": set(), "served": 0, "loop": 0, "scaled": 0, "non_finite": 0, "inf": 0}
+    for code in codes:
+        x0, folded = code
+        seen["layouts"].add((len(folded), folded[-1][-1]))
+        for r in _layout_points(code):
+            want, got = _pair_loop_f(code, r), _kernels._f_real_scalar(code, r)
+            assert got.hex() == want.hex(), (code, r)
+            ref_d = _pair_loop_d(code, r)
+            served = _kernels._search_pass(code, r, False) is not None
+            assert served == (_search_layout(code) and ref_d is not None), (code, r)
+            seen["inf"] += got == math.inf
+            if not served:
+                seen["loop"] += 1
+                continue
+            seen["served"] += 1
+            seen["non_finite"] += not math.isfinite(ref_d[1])
+            ws = [(p[2].real - r) * x0 for p in folded if p[2].imag == 0.0]
+            seen["scaled"] += any(_LOG_LARGE < w and math.exp(w) != cmath.exp(w).real
+                                  for w in ws)
+    assert seen["layouts"] == {(1, False), (1, True), (2, False), (2, True), (5, False), (5, True)}
+    assert seen["served"] >= 2800 and seen["loop"] >= 10000 and seen["inf"] >= 5000
     assert seen["scaled"] >= 40 and seen["non_finite"] >= 100
 
 
@@ -867,27 +924,28 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
     # the derivative kernel declines at the first Newton step or after k,
     # from guesses below and above the root, so ITP takes over with both, one
     # or no end of [0, hi] seen.  The root is NaN exactly where ITP on [0, hi]
-    # fails (a snapped h that is 0 at hi bounds nothing, as in
-    # dh._search_root), otherwise within the snap band of ITP's root or
-    # Newton's relative stop step of it, and h is never evaluated twice at
-    # one point
+    # fails (a snapped h that is 0 at hi bounds nothing), otherwise within
+    # the snap band of ITP's root or Newton's relative stop step of it, and
+    # no point costs transforms twice: a point x is -x for 'sz', whose F/F'
+    # passes come in pairs at -x and b - x, and x - b for 'cc' (its h(0)
+    # reads F(-b) of its constant)
     handed = set()
-    bisect = _kernels._bisect
+    bisect, build = _kernels._bisect, _kernels.snapped_fn
+    FD = _kernels._f_real_scalar_d
     monkeypatch.setattr(_kernels, "_bisect", lambda h, lo, hi, ylo=None, yhi=None: (
         handed.add((ylo is None, yhi is None)) or bisect(h, lo, hi, ylo, yhi)))
     for name in dh.SMOOTHED_CASES:
         case = dh.CASES[name]
+        form = 0 if case.form == "sz" else 1
+        per_point = 2 - form
         for f in SMOOTHED_WEIGHTS:
             code = f.kernel_code()
-            F = functools.partial(_kernels._f_real_scalar, code)
-            dF = functools.partial(_kernels._f_real_scalar_d, code)
             hi = dh.HI
-            assert math.isfinite(F(-hi))   # the search's bracket, never halved
+            assert math.isfinite(_kernels._f_real_scalar(code, -hi))   # never halved
             for b in (0.0, 1e-6, 1e-3, 0.05, 0.4):
-                h, hd = _kernels.snapped_fn(
-                    F, dF, 0 if case.form == "sz" else 1, float(case.c1),
-                    case.psi_over_phi * dh.PHI, b, f.f0, F(0.0))
-                want, _, yhi = bisect(h, 0.0, hi)
+                args = (form, float(case.c1), case.psi_over_phi * dh.PHI, b, f.f0,
+                        _kernels._f_real_scalar(code, 0.0))
+                want, _, yhi = bisect(build(code, *args), 0.0, hi)
                 if yhi == 0.0:
                     want = math.nan
                 centre = want if math.isfinite(want) else 1.0
@@ -895,23 +953,31 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
                     if not 0.0 < guess < hi:
                         continue
                     for k in (0, 1, 2, 4):
-                        seen = []
+                        points, passes = [], []
 
-                        def counted(x):
-                            seen.append(x)
-                            return h(x)
-
-                        def declining(x):
-                            if len(seen) >= k or (got := hd(x)) is None:
+                        def declining(code, r):
+                            if len(passes) >= k * per_point:
                                 return None
-                            seen.append(x)
-                            return got
+                            if len(passes) % per_point == 0:
+                                points.append(r)
+                            passes.append(r)
+                            return FD(code, r)
 
-                        root, _, yb = _kernels._newton(counted, declining, 0.0, hi, guess)
-                        if yb == 0.0:
-                            root = math.nan
+                        def counted_build(*a):
+                            h = build(*a)
+
+                            def counted(x):
+                                if form == 0 or x != 0.0:
+                                    points.append(-x if form == 0 else x - b)
+                                return h(x)
+                            return counted
+
+                        with pytest.MonkeyPatch.context() as mp:
+                            mp.setattr(_kernels, "_f_real_scalar_d", declining)
+                            mp.setattr(_kernels, "snapped_fn", counted_build)
+                            root = _kernels.search_root(code, *args, hi, guess)
                         key = (name, f, b, guess, k)
-                        assert len(set(seen)) == len(seen), key
+                        assert len(set(points)) == len(points), key
                         if math.isnan(want):
                             assert math.isnan(root), key
                             continue
@@ -946,25 +1012,32 @@ def test_derivative_kernel_declines_where_exp_overflows():
                                         (1, (0.0, 3.0, None, 2.0)),
                                         (2, (0.0, 2.0, None, 1.0))])
 def test_newton_hands_a_non_finite_value_to_itp(monkeypatch, bad, k, bracket):
-    # h(x) = x - 1 on [0, 4] from x = 3, by half Newton steps (2, 1.5, ...)
-    # until hd's value turns non-finite at its (k+1)-th call: ITP takes over
-    # on the bracket the steps have seen, with the end values they read
+    # a 'cc' h(x) = F(-b) - F(0) - F(x - b) + psi f(0) = x - 1 on [0, 4], from
+    # F(r) = 1 - r, b = 0 and psi f(0) = 0, by half Newton steps from x = 3
+    # (F' = -2: 3, 2, 1.5, ...) until the F/F' pass turns F non-finite at its
+    # (k+1)-th call: ITP takes over on the bracket the steps have seen, with
+    # the end values they read
     handed, seen = [], []
     bisect = _kernels._bisect
     monkeypatch.setattr(_kernels, "_bisect", lambda h, lo, hi, ylo=None, yhi=None: (
         handed.append((lo, hi, ylo, yhi)) or bisect(h, lo, hi, ylo, yhi)))
 
-    def h(x):
-        return x - 1.0
+    def F(code, r):
+        return 1.0 - r
 
-    def hd(x):
-        seen.append(x)
-        return (bad, 0.0) if len(seen) > k else (h(x), 0.5 * h(x))
+    def FD(code, r):
+        seen.append(r)
+        return (bad, -2.0) if len(seen) > k else (F(code, r), -2.0)
 
-    root, ya, yb = _kernels._newton(h, hd, 0.0, 4.0, 3.0)
+    monkeypatch.setattr(_kernels, "_f_real_scalar", F)
+    monkeypatch.setattr(_kernels, "_f_real_scalar_d", FD)
+    args = (None, 1, 1.0, 1.0, 0.0, 0.0, 1.0)   # code, form, c1, psi, b, f0, F0
+    h = _kernels.snapped_fn(*args)
+    assert [h(x) for x in (0.0, 2.0, 3.0)] == [-1.0, 1.0, 2.0]
+    root = _kernels.search_root(*args, 4.0, 3.0)
     assert handed == [bracket]
-    assert (root, ya, yb) == bisect(h, *bracket)
-    assert abs(root - 1.0) <= 1e-15
+    assert root == bisect(h, *bracket)[0]
+    assert abs(root - 1.0) <= 1e-13
 
 
 def test_flat_principal_case_pinned():

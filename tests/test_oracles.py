@@ -174,7 +174,9 @@ def test_scan_root_rejects_bad_inputs(lo, hi, step):
 
 
 def test_scan_root_polishes_in_few_calls():
-    # one coarse pass at 1e-2, then 64-way subdivisions: 1e-2 / 64**6 < 1e-12
+    # a coarse scan at 1e-2 in chunks of 64, 128, ... points up to the one
+    # holding the change (grid point 1730 lies in the fifth, points 956 to
+    # 1979), then 64-way subdivisions: 1e-2 / 64**6 < 1e-12
     calls = []
 
     def h(x):
@@ -183,7 +185,8 @@ def test_scan_root_polishes_in_few_calls():
 
     root = oracles.scan_root(h, 0.0, 60.0, 1e-6)
     assert abs(root - 17.3) <= 1e-12
-    assert len(calls) <= 8
+    assert calls[:5] == [64, 128, 256, 512, 1024]
+    assert calls[5:] == [65] * len(calls[5:]) and len(calls) <= 5 + 6
 
 
 def test_scan_root_stops_at_adjacent_floats():
@@ -200,6 +203,79 @@ def test_scan_root_stops_at_adjacent_floats():
 
     root = oracles.scan_root(h, 1e5 - 1.0, 1e5 + 1.0, 1e-6)
     assert abs(root - r) <= 2.0 * math.ulp(r)
+
+
+def _flat_scan_root(h, lo, hi, step):
+    """Reference: ``oracles.scan_root`` with its coarse grid evaluated in one
+    flat pass, as it was before the chunked scan."""
+    coarse = max(step, min(1e-2, (hi - lo) / 100.0))
+
+    def first_change(xs):
+        sign = np.sign(np.asarray(h(xs), dtype=float))
+        idx = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
+        if idx.size == 0:
+            return None
+        i = int(idx[0])
+        return float(xs[i]), float(xs[i + 1])
+
+    xs = np.arange(lo, hi + coarse, coarse)
+    xs[-1] = min(xs[-1], hi)
+    cell = first_change(xs)
+    if cell is None:
+        raise NoRootError("no sign change")
+    while cell[1] - cell[0] > 1e-12:
+        sub = first_change(np.linspace(cell[0], cell[1], 65))
+        if sub is None or sub == cell:
+            break
+        cell = sub
+    return 0.5 * (cell[0] + cell[1])
+
+
+#: the coarse grid of a scan on [0, 60] at step 1e-6: 6,001 points 1e-2
+#: apart, scanned in chunks of points 0-63, 63-190, 190-445, 445-956,
+#: 956-1979, 1979-4026 and the short last one, 4026-6000
+_GRID = np.arange(0.0, 60.0 + 1e-2, 1e-2)
+
+
+@pytest.mark.parametrize("h, lo, hi, step, grid_points", [
+    (lambda x: x - 0.5, 0.0, 60.0, 1e-6, 64),                          # first chunk
+    (lambda x: x - 0.5 * (_GRID[62] + _GRID[63]), 0.0, 60.0, 1e-6, 64),  # its last cell
+    (lambda x: x - _GRID[63], 0.0, 60.0, 1e-6, 64),      # exact zero on the shared point
+    (lambda x: x - 0.5 * (_GRID[63] + _GRID[64]), 0.0, 60.0, 1e-6, 191),  # next one's first
+    (lambda x: _GRID[190] - x, 0.0, 60.0, 1e-6, 191),            # a zero at its end, falling
+    (lambda x: x - 55.0, 0.0, 60.0, 1e-6, 6001),                 # the short last chunk
+    (lambda x: x - 59.995, 0.0, 60.0, 1e-6, 6001),               # its last cell
+    (lambda x: x - 1.23, 0.0, 2.0, 0.1, 21),                     # a grid of 21 points
+    (lambda x: np.tanh(40.0 * (x - 3.3)), 1.0, 4.0, 1e-6, 301),  # 301, the third chunk short
+], ids=["first", "first-last-cell", "zero-shared", "second-first-cell", "zero-second-end",
+        "last", "last-cell", "short-bracket", "tanh"])
+def test_scan_root_chunks_keep_the_flat_scans_cell(h, lo, hi, step, grid_points):
+    # the chunked coarse scan stops at the chunk with the first change and
+    # gives the flat scan's root to the bit, after grid_points points of the
+    # coarse grid, each chunk after the first repeating the end point of the
+    # one before; the subdivision passes after it take 65 points each
+    chunks = []
+
+    def counted(x):
+        if len(x) > 1 and x[1] - x[0] > 5e-3:   # grid steps 1e-2, 0.1; subdivisions 64 times finer
+            chunks.append(len(x))
+        return h(x)
+
+    root = oracles.scan_root(counted, lo, hi, step)
+    assert root == _flat_scan_root(h, lo, hi, step)
+    assert chunks[:-1] == [64 * 2 ** k for k in range(len(chunks) - 1)]
+    assert sum(chunks) - (len(chunks) - 1) == grid_points
+
+
+def test_scan_root_chunks_find_no_change_where_the_flat_scan_finds_none():
+    for lo, hi, step in ((0.0, 60.0, 1e-6), (0.0, 2.0, 0.1)):
+        points = []
+        with pytest.raises(NoRootError):
+            _flat_scan_root(lambda x: x + 1.0, lo, hi, step)
+        with pytest.raises(NoRootError):
+            oracles.scan_root(lambda x: points.append(len(x)) or x + 1.0, lo, hi, step)
+        # every grid point, the shared ends twice
+        assert sum(points) - (len(points) - 1) == (6001 if hi == 60.0 else 21)
 
 
 def _flat_scan_then_bisect(h, lo, hi, step):

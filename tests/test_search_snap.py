@@ -30,9 +30,11 @@ def _parts(case, f, b):
     return F, form, (form, float(case.c1), case.psi_over_phi * dh.PHI, b, f.f0)
 
 
-def _snapped(F, args):
-    """The snapped h of ``_parts``' F and builder arguments, F(0) evaluated."""
-    return _kernels.snapped_fn(F, None, *args, F(0.0))[0]
+def _snapped(f, args):
+    """The snapped h of weight f and ``_parts``' builder arguments, F(0)
+    evaluated."""
+    code = f.kernel_code()
+    return _kernels.snapped_fn(code, *args, _kernels._f_real_scalar(code, 0.0))
 
 
 def _bracket_end(case, F):
@@ -81,7 +83,7 @@ def test_snapped_h_is_zero_or_exact(name, i, log_b, t, near):
     x = root * (1.0 + t * 10.0 ** near) if math.isfinite(root) else 0.5 * hi * (1.0 + t)
     x = min(max(x, 0.0), hi)
     exact = _kernels.smoothed_fn(F, *args)(x)
-    snapped = _snapped(F, args)(x)
+    snapped = _snapped(WEIGHTS[i], args)(x)
     floor = _floor(F, *args, x)
     assert snapped == exact or (snapped == 0.0 and abs(exact) < floor), (x, exact, floor)
     if abs(exact) >= floor:   # never 0.0 outside the floor
@@ -95,7 +97,7 @@ def test_snap_fires_near_the_root_and_nowhere_else():
     F, _, args = _parts(case, WEIGHTS[2], 1e-6)
     root = dh.solve_smoothed(case, WEIGHTS[2], 1e-6).root
     exact = _kernels.smoothed_fn(F, *args)
-    snapped = _snapped(F, args)
+    snapped = _snapped(WEIGHTS[2], args)
     near = [root * (1.0 + k * 1e-12) for k in range(-50, 51)]
     assert sum(snapped(x) == 0.0 != exact(x) for x in near) >= 10
     far = [root * k / 10.0 for k in range(1, 8)] + [root * (1.0 + k / 10.0) for k in range(1, 8)]
@@ -139,8 +141,8 @@ def test_cc_weight_positive_at_zero_costs_two_transforms(monkeypatch):
         dh.solve_smoothed(case, f, b)
     assert err.value.sign == "positive"
     code, F, calls = f.kernel_code(), _kernels._f_real_scalar, []
-    hlo = _kernels.snapped_fn(functools.partial(F, code), None, 1, float(case.c1),
-                              case.psi_over_phi * dh.PHI, b, f.f0, F(code, 0.0))[0](0.0)
+    hlo = _kernels.snapped_fn(code, 1, float(case.c1), case.psi_over_phi * dh.PHI, b, f.f0,
+                              F(code, 0.0))(0.0)
     assert hlo > 0.0
     monkeypatch.setattr(_kernels, "_f_real_scalar",
                         lambda code, r: calls.append(r) or F(code, r))
@@ -156,9 +158,10 @@ def test_newton_roots_fail_where_the_solver_fails(name):
     # the search's warm solve of a coded weight takes the Newton path on the
     # derivative kernel: NaN exactly where solve_smoothed raises NoBoundError,
     # and otherwise within h's rounding floor of its root, as the ITP path is,
-    # over the weights the search could score
+    # over the weights the search could score.  A solve took the Newton path
+    # where it called the derivative kernel, which nothing else calls
     case = dh.get_case(name)
-    newton = []
+    newton = 0
     for f in _search_like(case):
         code = f.kernel_code()
         F0 = _kernels._f_real_scalar(code, 0.0)
@@ -167,16 +170,17 @@ def test_newton_roots_fail_where_the_solver_fails(name):
             centre = want if math.isfinite(want) else 1.0
             for guess in (0.5 * centre, 0.9 * centre, 1.1 * centre, 3.0 * centre):
                 with pytest.MonkeyPatch.context() as mp:
-                    newton_ = _kernels._newton
-                    mp.setattr(_kernels, "_newton",
-                               lambda *args: newton.append(1) or newton_(*args))
+                    FD, passes = _kernels._f_real_scalar_d, []
+                    mp.setattr(_kernels, "_f_real_scalar_d",
+                               lambda code, r: passes.append(r) or FD(code, r))
                     got = dh._search_root(case, code, f.f0, F0, b, dh.PHI, guess)
+                newton += bool(passes)
                 if math.isnan(want):
                     assert math.isnan(got), (f, b, guess)
                     continue
                 tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0)
                 assert abs(got - want) <= tol * max(1.0, want), (f, b, guess)
-    assert len(newton) >= 50
+    assert newton >= 50
 
 
 def test_sz_weight_positive_at_zero_costs_three_passes(monkeypatch):
@@ -194,8 +198,8 @@ def test_sz_weight_positive_at_zero_costs_three_passes(monkeypatch):
     code = f.kernel_code()
     F, FD = _kernels._f_real_scalar, _kernels._f_real_scalar_d
     F0 = F(code, 0.0)
-    hlo = _kernels.snapped_fn(functools.partial(F, code), None, 0, float(case.c1),
-                              case.psi_over_phi * dh.PHI, b, f.f0, F0)[0](0.0)
+    hlo = _kernels.snapped_fn(code, 0, float(case.c1), case.psi_over_phi * dh.PHI, b, f.f0,
+                              F0)(0.0)
     assert hlo > 0.0
     passes = []
     monkeypatch.setattr(_kernels, "_f_real_scalar",
