@@ -7,7 +7,10 @@ Verbs: ``zfr`` (zero-free-region widths), ``dh`` (repulsion solvers),
 Exit codes: 0 success (also when the reader closes stdout early, as
 ``| head`` does; the rest of the output is dropped without a message),
 1 computation error (no provable bound, failed preconditions), 2 usage
-error.  All numeric output uses 6 significant digits unless
+error, which includes an input option that the chosen path of the verb
+does not read (``_path``), refused before any work.  A command takes its
+weight from one source: ``--family-file`` or ``--family``/``--params``,
+not both.  All numeric output uses 6 significant digits unless
 ``--precision`` overrides it (every verb but ``verify``, whose check
 reports fix their own format); ``--json`` output is schema-stable.
 Runs are deterministic: byte-identical output for identical invocations.
@@ -66,28 +69,72 @@ def _read_family_file(path):
 
 
 def _family_from_args(args):
-    if getattr(args, "family_file", None):
+    if args.family_file is not None:
         name, params = _read_family_file(args.family_file)
     else:
         name = "triangle" if args.family is None else args.family
-        params = _parse_params(getattr(args, "params", None))
+        params = _parse_params(args.params)
     return trial_functions.build_family(name, **params)
 
 
-def _zfr_unread(args):
-    """The options given to ``zfr`` that its case never reads: order5 reads
-    none of these, order-ge6 only its weight, and order234 and principal
-    never a weight, nor --lambda with --optimize."""
-    given = {"--lambda": args.lam is not None, "--optimize": args.optimize,
-             "--family": args.family is not None, "--params": args.params is not None,
-             "--family-file": args.family_file is not None}
-    if args.case == "order5":
-        read = ()
-    elif args.case == "order-ge6":
-        read = ("--family", "--params", "--family-file")
-    else:
-        read = ("--optimize",) if args.optimize else ("--lambda",)
-    return [flag for flag, on in given.items() if on and flag not in read]
+#: the input options, by dest, that a path of some verb does not read.  A
+#: verb with such a path leaves each None unless it is given, so that a given
+#: one can be refused
+_PATH_OPTIONS = {"--lambda": "lam", "--J": "J", "--optimize": "optimize",
+                 "--family": "family", "--params": "params",
+                 "--family-file": "family_file", "--name": "name",
+                 "--regress": "regress", "--tolerance": "tolerance",
+                 "--budget": "budget"}
+
+
+def _weight_path(name, args):
+    """(name, options read) of a path that reads a weight: the family file
+    alone where one is given, else --family and --params."""
+    if args.family_file is not None:
+        return f"{name} --family-file", ("--family-file",)
+    return name, ("--family", "--params")
+
+
+def _path(args):
+    """(name, options read) of the path that ``args`` take through their
+    verb: the options of ``_PATH_OPTIONS`` that it reads.
+
+    - zfr: order5 none, order-ge6 a weight, order234 and principal
+      --optimize where given, else --lambda;
+    - dh: a poly case --lambda and --J, a smoothed case a weight;
+    - zd: --lambda, and --optimize with --budget, or else a weight;
+    - table: --regress with --tolerance and --budget, or else --name;
+    - optimize: --budget; verify: none of them.
+    """
+    if args.verb == "zfr":
+        name = f"zfr --case {args.case}"
+        if args.case == "order5":
+            return name, ()
+        if args.case == "order-ge6":
+            return _weight_path(name, args)
+        return name, ("--optimize",) if args.optimize else ("--lambda",)
+    if args.verb == "dh":
+        name = f"dh --case {args.case}"
+        if dh.get_case(args.case).method == "poly":
+            return name, ("--lambda", "--J")
+        return _weight_path(name, args)
+    if args.verb == "zd":   # either path reads --lambda, which zd requires
+        if args.optimize:
+            return "zd --optimize", ("--lambda", "--optimize", "--budget")
+        name, read = _weight_path("zd", args)
+        return name, ("--lambda",) + read
+    if args.verb == "table":
+        if args.regress is not None:
+            return "table --regress", ("--regress", "--tolerance", "--budget")
+        return "table", ("--name",)
+    return args.verb, ("--budget",)   # optimize and verify: one path each
+
+
+def _given(args, *dests):
+    """The given ones of these options, as keyword arguments, so that an
+    omitted one takes the default of the function that reads it."""
+    return {dest: getattr(args, dest) for dest in dests
+            if getattr(args, dest) is not None}
 
 
 def _bound_lines(res, p):
@@ -174,7 +221,7 @@ def _cmd_zd(args):
     p = args.precision
     if args.optimize:
         n, params = optimizer.optimize_zd(args.lam, args.b, vartheta=args.vartheta,
-                                          phi=args.phi, budget=args.budget)
+                                          phi=args.phi, **_given(args, "budget"))
         if math.isinf(n):
             _emit({"lambda": args.lam, "b": args.b, "n": "inf"},
                   [f"zd lambda={_fmt(args.lam, p)} b={_fmt(args.b, p)}: "
@@ -200,8 +247,7 @@ def _cmd_zd(args):
 def _cmd_table(args):
     p = args.precision
     if args.regress:
-        rep = tables.regress(args.regress, tolerance=args.tolerance,
-                             budget=args.budget)
+        rep = tables.regress(args.regress, **_given(args, "tolerance", "budget"))
         lines = [rep.summary()]
         for row in rep.rows:
             if not row.in_band or row.note:
@@ -269,8 +315,7 @@ def _add_common(sub, formats=("text", "json"), phi=True, precision=True):
 
 
 def _add_family(sub):
-    # None where not given (the triangle, no parameters), so that a verb can
-    # refuse them where it does not read them
+    # None where not given (the triangle, no parameters): see _PATH_OPTIONS
     sub.add_argument("--family", default=None,
                      help="trial weight family (triangle | autocorrelation; default triangle)")
     sub.add_argument("--params", default=None,
@@ -289,7 +334,7 @@ def build_parser():
     z.add_argument("--case", required=True,
                    choices=("order-ge6", "order5", "order234", "principal"))
     z.add_argument("--lambda", dest="lam", type=float, default=None)
-    z.add_argument("--optimize", action="store_true")
+    z.add_argument("--optimize", action="store_true", default=None)
     _add_family(z)
     _add_common(z)
     z.set_defaults(fn=_cmd_zfr)
@@ -308,11 +353,12 @@ def build_parser():
     y.add_argument("--lambda", dest="lam", type=float, required=True)
     y.add_argument("--b", type=float, default=0.0)
     y.add_argument("--vartheta", type=float, default=0.75)
-    y.add_argument("--optimize", action="store_true",
+    y.add_argument("--optimize", action="store_true", default=None,
                    help="optimize the substitute weight family")
-    y.add_argument("--budget", type=int, default=300,
-                   help="weights --optimize scores, split over the two profiles "
-                        "with at least 40 each (so about 80 at any budget below 80)")
+    y.add_argument("--budget", type=int, default=None,
+                   help="read with --optimize: weights the search scores (default "
+                        "300), split over the two profiles with at least 40 each "
+                        "(so about 80 at any budget below 80)")
     _add_family(y)
     _add_common(y)
     y.set_defaults(fn=_cmd_zd)
@@ -321,10 +367,12 @@ def build_parser():
     t.add_argument("--name", default=None, help="table key, e.g. T4 or T2:quadratic")
     t.add_argument("--regress", default=None, metavar="NAME",
                    help="recompute a table and report deviations")
-    t.add_argument("--tolerance", type=float, default=2e-4)
-    t.add_argument("--budget", type=int, default=120,
-                   help="weights a search --regress scores per row (T1: per cell), "
-                        "at least 40 per profile")
+    t.add_argument("--tolerance", type=float, default=None,
+                   help="read with --regress: the deviation a polynomial table's "
+                        "row may show (default 2e-4)")
+    t.add_argument("--budget", type=int, default=None,
+                   help="read with --regress: weights a search scores per row "
+                        "(T1: per cell; default 120), at least 40 per profile")
     _add_common(t, formats=("text", "md", "csv", "json"), phi=False)
     t.set_defaults(fn=_cmd_table)
 
@@ -351,8 +399,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if getattr(args, "precision", 0) < 0:   # verify offers no --precision
         ap.error(f"argument --precision: must be >= 0, got {args.precision}")
-    if args.verb == "zfr" and (unread := _zfr_unread(args)):
-        ap.error(f"zfr --case {args.case} does not read {', '.join(unread)}")
+    path, read = _path(args)
+    unread = [flag for flag, dest in _PATH_OPTIONS.items()
+              if getattr(args, dest, None) is not None and flag not in read]
+    if unread:   # one line: no usage, as the command parsed
+        ap.exit(2, f"{ap.prog}: error: {path} does not read {', '.join(unread)}\n")
     try:
         status = args.fn(args)
         sys.stdout.flush()   # a reader gone away shows here, not at exit

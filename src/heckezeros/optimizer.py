@@ -44,6 +44,10 @@ FAMILY_BOXES = {"alpha": (-4.0, 4.0), "s": (0.2, 10.0)}
 #: fixed restart grid of the family searches
 FAMILY_GRID = {"alpha": (-1.0, 0.0, 1.0), "s": (0.6, 1.2, 2.0, 3.2, 5.0, 8.0)}
 
+#: least gain of a sweep, or of a re-descent, that the family search goes on
+#: after
+SWEEP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -110,12 +114,13 @@ def _golden_max(fn, lo, hi, budget, coarse=13, xtol_frac=1e-4):
     return best_x, best_v
 
 
-def _coordinate_descent(objective, names, boxes, start, budget, sweep_tol=1e-7,
-                        max_sweeps=10):
+def _coordinate_descent(objective, names, boxes, start, budget, max_sweeps=10):
     """Maximize over the box from one start; returns (params dict, value).
 
     After the first sweep each line search shrinks to a window around the
     incumbent, a quarter of the previous one (at least 1e-4 of the box).
+    Stops after a sweep that gains less than ``SWEEP_TOL``, after
+    ``max_sweeps`` sweeps, or where the budget runs out.
     """
     point = dict(start)
     best = objective(**point)
@@ -145,12 +150,12 @@ def _coordinate_descent(objective, names, boxes, start, budget, sweep_tol=1e-7,
             window[name] = max((hi - lo) * 0.25, 1e-4 * (hi_box - lo_box))
             if budget.left <= 0:
                 return point, best
-        if improved < sweep_tol:
+        if improved < SWEEP_TOL:
             break
     return point, best
 
 
-def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
+def _run_restarts(objective, names, boxes, seeds, budget_n):
     budget = _Budget(budget_n)
     scored = []
     for seed in seeds:
@@ -164,8 +169,7 @@ def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
             break
         if not math.isfinite(v0) and rank > 0:
             continue
-        point, value = _coordinate_descent(objective, names, boxes, seed, budget,
-                                           sweep_tol)
+        point, value = _coordinate_descent(objective, names, boxes, seed, budget)
         # re-descend from the incumbent while it gains: the first sweep scans
         # the whole box again, along lines through a point the first descent
         # never started from, so it can reach a peak that descent missed.  At
@@ -175,8 +179,8 @@ def _run_restarts(objective, names, boxes, seeds, budget_n, sweep_tol):
             if not math.isfinite(value) or budget.left <= 0:
                 break
             point, v = _coordinate_descent(objective, names, boxes, point,
-                                           budget, sweep_tol, max_sweeps=3)
-            if v <= value + sweep_tol:
+                                           budget, max_sweeps=3)
+            if v <= value + SWEEP_TOL:
                 value = max(value, v)
                 break
             value = v
@@ -288,7 +292,7 @@ def maximize_bound(spec):
         return dh.solve_poly(case, spec.b, lam_opt, J_opt, phi=spec.phi)
 
     res = optimize_family_smoothed(case.name, spec.b, budget=spec.max_evals,
-                                   phi=spec.phi, sweep_tol=1e-6)
+                                   phi=spec.phi)
     if res is None:
         raise InfeasibleSearchError(
             f"no admissible substitute weight for {case.name} at b={spec.b}")
@@ -307,7 +311,7 @@ def _generator(alpha, s, mult):
     return alpha, 1.0, 1.0, mult * math.pi / s, s
 
 
-def _search_profiles(score, boxes, seeds, budget, sweep_tol):
+def _search_profiles(score, boxes, seeds, budget):
     """Maximize ``score(code, f0, F0)`` over (alpha, s) for each profile.
 
     Each profile gets ``budget // len(PROFILES)`` evaluations, at least 40,
@@ -339,7 +343,7 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
             return _seen[alpha, s]
 
         point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
-                                     per_profile, sweep_tol)
+                                     per_profile)
         if point is not None and (best is None or value > best[0]):
             best = (value, point, mult)
     if best is None:
@@ -348,8 +352,7 @@ def _search_profiles(score, boxes, seeds, budget, sweep_tol):
     return trial_functions.autocorrelation(*_generator(point["alpha"], point["s"], mult)), mult
 
 
-def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
-                             sweep_tol=1e-7):
+def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI):
     """Optimize the substitute family for one smoothed case and width.
 
     Runs an (alpha, s) search for each profile and keeps the best; returns a
@@ -405,7 +408,7 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI,
         last = root
         return root
 
-    found = _search_profiles(score, FAMILY_BOXES, seeds, budget, sweep_tol)
+    found = _search_profiles(score, FAMILY_BOXES, seeds, budget)
     if found is None:
         return None
     f, mult = found
@@ -447,7 +450,7 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
             f0, Fmb, _kernels.f_real_scalar(code, r_gap), vartheta, phi)
         return -math.inf if bound is None else -bound
 
-    found = _search_profiles(score, boxes, seeds, budget, 1e-7)
+    found = _search_profiles(score, boxes, seeds, budget)
     if found is None:
         return math.inf, {}
     f, mult = found

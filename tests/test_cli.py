@@ -1,5 +1,7 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import argparse
+import inspect
 import json
 import os
 import re
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from heckezeros import _kernels, cli, tables
+from heckezeros import _kernels, cli, dh, optimizer, tables, trial_functions
+from heckezeros.errors import HeckeZerosError
 from heckezeros.optimizer import SearchSpec, maximize_bound
 
 
@@ -87,6 +90,110 @@ class TestZfr:
     def test_options_the_case_reads_are_accepted(self, args, capsys):
         code, out, _ = run(["zfr", *shlex.split(args)], capsys)
         assert code == 0 and out.startswith("zfr ")
+
+
+class TestPathOptions:
+    """Each verb's path reads its own input options (``cli._path``); any other
+    given option is a usage error before any work, and an omitted one takes
+    the default of the function that reads it."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # a refused command builds, solves, searches and loads nothing
+        def fail(*args, **kwargs):
+            raise AssertionError("a refused command did work")
+        for module, name in [(dh, "solve_poly"), (dh, "solve_smoothed"),
+                             (optimizer, "optimize_zd"), (tables, "regress"),
+                             (tables, "load_table"), (trial_functions, "build_family")]:
+            monkeypatch.setattr(module, name, fail)
+
+    @pytest.mark.parametrize("args, path, unread", [
+        ("dh --case sz-lp-principal --b 0.05 --lambda 3 --J 9 --params x0=1.5",
+         "dh --case sz-lp-principal", "--lambda, --J"),
+        ("dh --case cc-lp-nonprincipal --b 0.1227 --lambda 1.097 --J 0.7788 --family triangle",
+         "dh --case cc-lp-nonprincipal", "--family"),
+        ("dh --case cc-lp-nonprincipal --b 0.1 --lambda 1 --J 0.5 --family-file weight.cfg",
+         "dh --case cc-lp-nonprincipal", "--family-file"),
+        ("zd --lambda 0.2 --optimize --family triangle --params x0=99",
+         "zd --optimize", "--family, --params"),
+        ("zd --lambda 0.2 --optimize --budget 60 --family-file weight.cfg",
+         "zd --optimize", "--family-file"),
+        ("zd --lambda 0.2 --budget 60", "zd", "--budget"),
+        ("zd --lambda 0.2 --family triangle --params x0=6 --budget 0", "zd", "--budget"),
+        ("table --name T4 --budget 5 --tolerance 3", "table", "--tolerance, --budget"),
+        ("table --tolerance 3", "table", "--tolerance"),
+        ("table --regress T4 --name T4 --json", "table --regress", "--name"),
+        ("dh --case sz-lp-principal --b 0.05 --family-file weight.cfg --family "
+         "autocorrelation --params x0=7", "dh --case sz-lp-principal --family-file",
+         "--family, --params"),
+        ("zd --lambda 0.2 --family-file weight.cfg --params x0=6",
+         "zd --family-file", "--params"),
+        ("zfr --case order-ge6 --family-file weight.cfg --family triangle",
+         "zfr --case order-ge6 --family-file", "--family"),
+    ])
+    def test_option_the_path_does_not_read_is_a_usage_error(self, args, path, unread,
+                                                             capsys, no_work):
+        # weight.cfg does not exist: it is never opened
+        with pytest.raises(SystemExit) as exc:
+            cli.main(shlex.split(args))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"heckezeros: error: {path} does not read {unread}\n"
+
+    @pytest.mark.parametrize("args", [
+        "dh --case cc-lp-nonprincipal --b 0.1227 --lambda 1.097 --J 0.7788",
+        "dh --case sz-lp-principal --b 0.05 --family triangle --params x0=1.5",
+        "dh --case sz-lp-principal --b 0.05 --family-file weight.cfg",
+        "zd --lambda 0.2 --family triangle --params x0=6",
+        "zd --lambda 0.2 --family-file triangle.cfg",
+        "zd --lambda 0.2 --optimize --budget 60",
+        "zfr --case order-ge6 --family-file triangle.cfg",
+        "table --regress T4 --tolerance 3e-4 --budget 60",
+        "table --name T4 --csv",
+        "table",
+    ])
+    def test_options_the_path_reads_are_accepted(self, args, capsys, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "weight.cfg").write_text(WEIGHT_CFG)
+        (tmp_path / "triangle.cfg").write_text("family = triangle\nx0 = 6\n")
+        code, out, err = run(shlex.split(args), capsys)
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("args, module, fn, given", [
+        ("zd --lambda 0.2 --optimize", optimizer, "optimize_zd", {}),
+        ("zd --lambda 0.2 --optimize --budget 60", optimizer, "optimize_zd", {"budget": 60}),
+        ("table --regress T4", tables, "regress", {}),
+        ("table --regress T4 --tolerance 3e-4", tables, "regress", {"tolerance": 3e-4}),
+        ("table --regress T4 --budget 0", tables, "regress", {"budget": 0}),
+    ])
+    def test_omitted_option_takes_the_readers_default(self, args, module, fn, given,
+                                                      monkeypatch):
+        calls = []
+
+        def stop(*args, **kwargs):
+            calls.append(kwargs)
+            raise HeckeZerosError("stop")
+        monkeypatch.setattr(module, fn, stop)
+        assert cli.main(shlex.split(args)) == 1
+        assert [{k: v for k, v in kw.items() if k in ("budget", "tolerance")}
+                for kw in calls] == [given]
+
+    @pytest.mark.parametrize("verb, option, fn, name", [
+        ("zd", "--budget", optimizer.optimize_zd, "budget"),
+        ("table", "--budget", tables.regress, "budget"),
+        ("table", "--tolerance", tables.regress, "tolerance"),
+    ])
+    def test_help_gives_the_readers_default(self, verb, option, fn, name):
+        # the function that reads the option keeps its default, which the
+        # option's help names
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[verb]
+        text = next(a.help for a in sub._actions if option in a.option_strings)
+        assert text.startswith("read with --")
+        default = float(re.search(r"default ([0-9.e-]+)", text).group(1))
+        assert default == inspect.signature(fn).parameters[name].default
 
 
 class TestDh:

@@ -225,10 +225,9 @@ class TestSmoothedSearch:
     @pytest.mark.parametrize("case, b", [("sz-lp-principal", 0.05),
                                          ("cc-l2-chi2-principal-real", 0.35)])
     def test_maximize_bound_runs_the_family_search(self, case, b):
-        # a smoothed spec is the family search at its budget and phi, with a
-        # sweep tolerance of 1e-6
+        # a smoothed spec is the family search at its budget and phi
         got = maximize_bound(SearchSpec(case, b, max_evals=120))
-        want = optimizer.optimize_family_smoothed(case, b, budget=120, sweep_tol=1e-6)
+        want = optimizer.optimize_family_smoothed(case, b, budget=120)
         assert repr(got) == repr(want)
 
     def test_maximize_bound_raises_where_no_weight_bounds(self):
@@ -265,7 +264,7 @@ class TestRedescent:
         assert point["x"] == pytest.approx(0.25, abs=1e-3)
         assert descent < 1.01
         point, refined = optimizer._run_restarts(
-            self.two_peaks, names, self.BOXES, [self.START], 2000, 1e-7)
+            self.two_peaks, names, self.BOXES, [self.START], 2000)
         assert refined > 1.99
         assert point["x"] == pytest.approx(0.75, abs=1e-3)
         assert point["y"] == pytest.approx(0.5, abs=1e-3)
