@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from heckezeros import _kernels, cli, dh, optimizer, tables, trial_functions
+from heckezeros import _kernels, cli, dh, optimizer, tables, trial_functions, verify, zfr
 from heckezeros.errors import HeckeZerosError
 from heckezeros.optimizer import SearchSpec, maximize_bound
 
@@ -44,13 +44,23 @@ class TestZfr:
         assert code == 0
         assert "0.148882" in out
 
-    @pytest.mark.parametrize("extra", [[], ["--params", "bogus=1"]])
-    def test_order_ge6_bad_family_params(self, capsys, extra):
+    @pytest.mark.parametrize("extra, error", [
+        ([], "InvalidParameterError: family 'triangle'"),
+        (["--params", "bogus=1"], "InvalidParameterError: family 'triangle'"),
+        # a key given twice, on the command line or in a family file
+        (["--params", "x0=2,x0=3"], "error: key 'x0' is given twice"),
+        (["--family-file", "family.cfg"], "error: key 'family' is given twice"),
+        (["--family-file", "x0.cfg"], "error: key 'x0' is given twice"),
+    ])
+    def test_order_ge6_bad_family_params(self, capsys, tmp_path, monkeypatch, extra, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "family.cfg").write_text("family = triangle\nfamily = autocorrelation\n")
+        (tmp_path / "x0.cfg").write_text("family = triangle\nx0 = 2\nx0 = 3\n")
         code, out, err = run(["zfr", "--case", "order-ge6", *extra], capsys)
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("InvalidParameterError: family 'triangle'")
+        assert err.startswith(error)
 
     def test_missing_lambda_is_computation_error(self, capsys):
         code, _, err = run(["zfr", "--case", "order234"], capsys)
@@ -72,14 +82,15 @@ class TestZfr:
     ])
     def test_option_the_case_never_reads_is_a_usage_error(self, args, unread, capsys):
         # refused before any work (weight.cfg does not exist): nothing on
-        # stdout, the unread options named on stderr
+        # stdout, the unread options named on stderr, after the path, which
+        # names json output
         with pytest.raises(SystemExit) as exc:
             cli.main(["zfr", *shlex.split(args)])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1].endswith(
-            f"error: zfr --case {args.split()[1]} does not read {unread}")
+        path = f"zfr --case {args.split()[1]}" + (" --json" if "--json" in args else "")
+        assert err.splitlines()[-1].endswith(f"error: {path} does not read {unread}")
 
     @pytest.mark.parametrize("args", [
         "--case order5 --phi 0.3",
@@ -104,7 +115,8 @@ class TestPathOptions:
             raise AssertionError("a refused command did work")
         for module, name in [(dh, "solve_poly"), (dh, "solve_smoothed"),
                              (optimizer, "optimize_zd"), (tables, "regress"),
-                             (tables, "load_table"), (trial_functions, "build_family")]:
+                             (tables, "load_table"), (trial_functions, "build_family"),
+                             (zfr, "zfr_order5"), (verify, "run_suite")]:
             monkeypatch.setattr(module, name, fail)
 
     @pytest.mark.parametrize("args, path, unread", [
@@ -120,9 +132,22 @@ class TestPathOptions:
          "zd --optimize", "--family-file"),
         ("zd --lambda 0.2 --budget 60", "zd", "--budget"),
         ("zd --lambda 0.2 --family triangle --params x0=6 --budget 0", "zd", "--budget"),
-        ("table --name T4 --budget 5 --tolerance 3", "table", "--tolerance, --budget"),
+        ("table --name T4 --budget 5 --tolerance 3", "table --name", "--tolerance, --budget"),
         ("table --tolerance 3", "table", "--tolerance"),
-        ("table --regress T4 --name T4 --json", "table --regress", "--name"),
+        ("table --regress T4 --name T4 --json", "table --regress T4 --json", "--name"),
+        # a polynomial table's regression reads --tolerance, a smoothed one's
+        # and T1's --budget
+        ("table --regress T4 --budget 5", "table --regress T4", "--budget"),
+        ("table --regress T2:principal --tolerance 0.5", "table --regress T2:principal",
+         "--tolerance"),
+        ("table --regress T1 --tolerance 0.5", "table --regress T1", "--tolerance"),
+        # text output alone reads --precision and --verbose; table --name
+        # alone reads --format md|csv, and prints no computed numbers
+        ("zfr --case order5 --json --precision 3", "zfr --case order5 --json", "--precision"),
+        ("verify --suite p4 --verbose --json", "verify --json", "--verbose"),
+        ("table --format md", "table", "--format md"),
+        ("table --regress T4 --csv", "table --regress T4", "--format csv"),
+        ("table --name T4 --precision 3", "table --name", "--precision"),
         ("dh --case sz-lp-principal --b 0.05 --family-file weight.cfg --family "
          "autocorrelation --params x0=7", "dh --case sz-lp-principal --family-file",
          "--family, --params"),
@@ -149,9 +174,13 @@ class TestPathOptions:
         "zd --lambda 0.2 --family-file triangle.cfg",
         "zd --lambda 0.2 --optimize --budget 60",
         "zfr --case order-ge6 --family-file triangle.cfg",
-        "table --regress T4 --tolerance 3e-4 --budget 60",
+        "table --regress T4 --tolerance 3e-4 --precision 3",
+        "table --regress T6 --budget 1",
         "table --name T4 --csv",
+        "table --name T4 --format md --json",
         "table",
+        "zfr --case order5 --json",
+        "verify --suite p4 --verbose",
     ])
     def test_options_the_path_reads_are_accepted(self, args, capsys, tmp_path,
                                                  monkeypatch):
@@ -166,7 +195,8 @@ class TestPathOptions:
         ("zd --lambda 0.2 --optimize --budget 60", optimizer, "optimize_zd", {"budget": 60}),
         ("table --regress T4", tables, "regress", {}),
         ("table --regress T4 --tolerance 3e-4", tables, "regress", {"tolerance": 3e-4}),
-        ("table --regress T4 --budget 0", tables, "regress", {"budget": 0}),
+        ("table --regress T1 --budget 0", tables, "regress", {"budget": 0}),
+        ("table --regress T2:principal --budget 60", tables, "regress", {"budget": 60}),
     ])
     def test_omitted_option_takes_the_readers_default(self, args, module, fn, given,
                                                       monkeypatch):
@@ -304,6 +334,12 @@ class TestInvalidInput:
         "table --regress T4 --tolerance inf",
         "table --regress T4 --tolerance nan",
         "table --regress T4 --tolerance -1",
+        # a name that no bundled table has reads both --budget and
+        # --tolerance, so the regression reports the name
+        "table --regress NOPE",
+        "table --regress NOPE --budget 5",
+        "table --regress NOPE --tolerance 0.5",
+        "table --regress T2 --budget 5",
     ])
     def test_one_error_line_and_no_output(self, args, capsys):
         with warnings.catch_warnings():
