@@ -412,7 +412,7 @@ def _bisect(h, lo, hi, ylo=None, yhi=None):
     return 0.5 * (a + b), ylo, yhi
 
 
-#: cap on the Newton steps of ``_p4_root``; from u = 1 no quartic root of the
+#: cap on the Newton steps of ``_p4_newton``; from u = 1 no quartic root of the
 #: bundled rows or of a dense (b, lambda, J, phi) grid of every case takes more
 #: than 9
 _NEWTON_CAP = 40
@@ -423,21 +423,28 @@ def _p4_root(hlo, hhi, target, lam, lo, hi):
     P(u) = target, from h(lo) = hlo and h(hi) = hhi; returns (root, hlo, hhi).
 
     The root is NaN when h has no sign change on [lo, hi] or an end value is
-    NaN, as in ``_bisect``.  Otherwise it inverts P by Newton's method in u,
-    started from u = lam/(lam+lo), above the root: P is increasing and convex
-    for u >= 0, so every step decreases u and none passes the root but by
-    rounding, and the loop stops when a step no longer decreases u (or after
-    ``_NEWTON_CAP`` steps).
+    NaN, as in ``_bisect``.  Otherwise it inverts P by ``_p4_newton`` from
+    u = lam/(lam+lo), above the root.
     """
     if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
         return math.nan, hlo, hhi
-    u = lam / (lam + lo)
+    return lam / _p4_newton(target, lam / (lam + lo)) - lam, hlo, hhi
+
+
+def _p4_newton(target, u):
+    """The u where P(u) = target, by Newton's method from a u above it.
+
+    P is increasing and convex for u >= 0, so every step decreases u and none
+    passes the root but by rounding; the loop stops when a step no longer
+    decreases u (or after ``_NEWTON_CAP`` steps).  Each step's u grows with
+    the target, so the result does too, up to rounding.
+    """
     for _ in range(_NEWTON_CAP):
         v = u - (_p4(u) - target) / (1.0 + u * (2.0 + u * (2.4 + 1.6 * u)))
         if not v < u:
             break
         u = v
-    return lam / u - lam, hlo, hhi
+    return u
 
 
 #: the rounding floor of the snapped smoothed h (``snapped_fn``),

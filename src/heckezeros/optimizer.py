@@ -3,7 +3,11 @@
 Polynomial cases search the (lambda, J) tuning box by a golden section over
 lambda whose objective is the exact J-maximum at that lambda, taken over a
 finite candidate set of J (``_j_candidates``): closed forms and crossings,
-each scored by one solve.  Smoothed cases and the density bound search the
+each scored by one solve.  A closed-form ceiling on that maximum
+(``_j_ceiling``: the smaller of the largest root and the largest side
+limit over the J box) lets the section skip every lambda that cannot
+change its outcome, so most lambda it visits cost no candidate score and
+the result is the same to the bit.  Smoothed cases and the density bound search the
 substitute weight family (the autocorrelation of the generator
 e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each fixed
 beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
@@ -74,40 +78,66 @@ class _Budget:
         return self.left >= 0
 
 
-def _golden_max(fn, lo, hi, budget, coarse=13, xtol_frac=1e-4):
-    """Deterministic 1-d maximization on [lo, hi] with rejection plateaus."""
+def _golden_max(fn, lo, hi, budget, coarse=13, xtol_frac=1e-4, bound=None):
+    """Deterministic 1-d maximization on [lo, hi] with rejection plateaus.
+
+    A coarse scan of ``coarse`` evenly spaced points, the earlier point
+    winning a tie, then a golden section between the best one's neighbours
+    until the bracket is below ``xtol_frac`` of [lo, hi].  Returns (x, fn(x))
+    of the best point evaluated, or (nan, -inf) where no coarse value is
+    finite.  ``budget`` counts the evaluations of fn.
+
+    ``bound`` is an optional ceiling, bound(x) >= fn(x), that spares the
+    evaluations that cannot change the result; a spared point spends no
+    budget.  The coarse scan takes its points in decreasing order of the
+    ceiling (by position on a tie) and stops at the first one whose ceiling
+    is below the best value found: the points it skips can only lose, and
+    count as -inf.  A golden step evaluates its new point only where the
+    ceiling is not below the value it is compared with; where it is, the
+    point loses that comparison, and the ceiling stands in for its value,
+    which is never read again.  So where the budget does not run out,
+    (x, v) are those of the same search without a bound.
+    """
     xs = [lo + (hi - lo) * i / (coarse - 1) for i in range(coarse)]
-    vals = []
-    for x in xs:
-        if not budget.spend():
+    ceil = [math.inf] * coarse if bound is None else [bound(x) for x in xs]
+    vals = [-math.inf] * coarse
+    top = -math.inf
+    # highest ceiling first; a stable sort keeps ties, and every point
+    # without a bound, in order
+    for i in sorted(range(coarse), key=ceil.__getitem__, reverse=True):
+        if ceil[i] < top or not budget.spend():
             break
-        vals.append(fn(x))
-    if not vals:
-        return math.nan, -math.inf
-    k = max(range(len(vals)), key=lambda i: vals[i])
+        vals[i] = v = fn(xs[i])
+        if v > top:
+            top = v
+    k = max(range(coarse), key=vals.__getitem__)
     best_x, best_v = xs[k], vals[k]
     if not math.isfinite(best_v):
         return math.nan, -math.inf
+
+    def value(x, rival):   # fn(x), or a ceiling below rival
+        if bound is not None:
+            u = bound(x)
+            if u < rival:
+                return u
+        return fn(x) if budget.spend() else -math.inf
+
     a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(vals) - 1)]
+    b = xs[min(k + 1, coarse - 1)]
     xtol = (hi - lo) * xtol_frac
     x1 = b - _INV_GOLD * (b - a)
     x2 = a + _INV_GOLD * (b - a)
     f1 = fn(x1) if budget.spend() else -math.inf
-    f2 = fn(x2) if budget.spend() else -math.inf
+    f2 = value(x2, f1)
     while b - a > xtol and budget.left > 0:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLD * (b - a)
-            if not budget.spend():
-                break
-            f2 = fn(x2)
+            f2 = value(x2, f1)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLD * (b - a)
-            if not budget.spend():
-                break
-            f1 = fn(x1)
+            f1 = value(x1, f2)
         for x, v in ((x1, f1), (x2, f2)):
             if v > best_v:
                 best_x, best_v = x, v
@@ -192,38 +222,49 @@ def _run_restarts(objective, names, boxes, seeds, budget_n):
     return results[0]
 
 
-def _j_candidates(case, b, lam, phi, at):
-    """The J where min(root, side limit) can peak at fixed lambda, with limits.
+def _j_turns(case, b, lam, phi):
+    """(ends, stationary, peaks, troughs) of the J box at fixed lambda.
 
-    Between the box ends, the root's stationary points
-    (``_kernels._poly_j_stationary``) and the side limit's turns
-    (``dh._side_turns``), both the root and the limit are monotone in J, so
-    their minimum peaks at a box end, where the two cross, at a stationary
-    point of the root where the side condition is slack, or at a peak of the
-    limit where it binds.  A trough of the limit is never such a peak.  The
-    sign of h at the side limit tells slack from binding, and a crossing is
-    a sign change of it, bisected on its piece without a root solve, from
-    the values at the piece's ends that it already has.  ``at``
-    is ``dh._poly_at(case, b, lam, phi)``, built once per lambda.  Returns
-    (uncapped side limit, J) pairs, highest limit first.
+    ends are the box's ends; the rest are the J inside it where the root is
+    stationary (``_kernels._poly_j_stationary``) and where the side limit
+    peaks and troughs (``dh._side_turns``).  Between these points both the
+    root and the limit are monotone in J.
     """
     psi = case.psi_over_phi * phi
     slot = 0 if case.unknown_slot == "known-on-square" else 1
     j_lo, j_hi = max(POLY_BOXES["J"][0], case.j_min), POLY_BOXES["J"][1]
+
+    def inside(Js):
+        return [J for J in Js if j_lo < J < j_hi]
+
+    peaks, troughs = dh._side_turns(case, b, lam)
+    return ([j_lo, j_hi], inside(_kernels._poly_j_stationary(slot, lam, b, psi)),
+            inside(peaks), inside(troughs))
+
+
+def _j_candidates(case, b, lam, phi, at):
+    """The J where min(root, side limit) can peak at fixed lambda, with limits.
+
+    Between the points of ``_j_turns`` both the root and the limit are
+    monotone in J, so their minimum peaks at a box end, where the two cross,
+    at a stationary point of the root where the side condition is slack, or
+    at a peak of the limit where it binds.  A trough of the limit is never
+    such a peak.  The sign of h at the side limit tells slack from binding,
+    and a crossing is a sign change of it, bisected on its piece without a
+    root solve, from the values at the piece's ends that it already has.
+    ``at`` is ``dh._poly_at(case, b, lam, phi)``, built once per lambda.
+    Returns (uncapped side limit, J) pairs, highest limit first.
+    """
     g, _, side_x = at
 
     def gap(J):   # h at the side limit: > 0 where the root lies below it
         return g(J, lam / (lam + side_x(J)))
 
-    def inside(Js):
-        return {J for J in Js if j_lo < J < j_hi}
-
-    stationary = inside(_kernels._poly_j_stationary(slot, lam, b, psi))
-    peaks, troughs = map(inside, dh._side_turns(case, b, lam))
-    turns = sorted({j_lo, j_hi} | stationary | peaks | troughs)
+    ends, stationary, peaks, troughs = _j_turns(case, b, lam, phi)
+    turns = sorted({*ends, *stationary, *peaks, *troughs})
     gaps = [gap(J) for J in turns]
     candidates = [J for J, g in zip(turns, gaps)
-                  if J in (j_lo, j_hi) or (J in stationary and g >= 0.0)
+                  if J in ends or (J in stationary and g >= 0.0)
                   or (J in peaks and g <= 0.0)]
     for lo, hi, g_lo, g_hi in zip(turns, turns[1:], gaps, gaps[1:]):
         if g_lo * g_hi < 0.0:
@@ -231,6 +272,40 @@ def _j_candidates(case, b, lam, phi, at):
             candidates.append(_kernels._bisect(lambda J: sign * gap(J), lo, hi,
                                                sign * g_lo, sign * g_hi)[0])
     return sorted(((side_x(J), J) for J in candidates), key=lambda t: -t[0])
+
+
+def _j_ceiling(case, b, lam, phi):
+    """A ceiling on the J-maximum at fixed lambda, in closed form.
+
+    Each candidate's value min(root, side limit) is at most the smaller of
+    the largest root and the largest side limit over the J box; both are
+    taken at the points of ``_j_turns``, between which each is monotone.
+    The side limit's largest is at an end or a peak.  The root solves
+    P(lam/(lam+x)) = target(J) (``_kernels.poly_fn``, whose g is a positive
+    multiple of target - P(u)), so it falls as the target rises: the largest
+    is x at the smallest target, at an end or a stationary point.  It is 0
+    where that target is at least P(1) = 3.2 (no J has a root above 0), and
+    the bracket top 1000 where it lies below P at x = 1000.  The ceiling is
+    raised by 1e-12 of lam + |ceiling|: both the root lam/u - lam and the
+    side limit (coef/rest)^(1/4) - lam round by a few ulps of lam + x, so
+    no candidate J, however its value rounds, scores above the ceiling.  It
+    is +inf where any part is NaN.
+    """
+    _, target, side_x = dh._poly_at(case, b, lam, phi)
+    ends, stationary, peaks, _ = _j_turns(case, b, lam, phi)
+    sides = [side_x(J) for J in ends + peaks]
+    targets = [target(J) for J in ends + stationary]
+    if math.isnan(sum(sides) + sum(targets)):   # a NaN part (or inf - inf)
+        return math.inf
+    t = min(targets)
+    if t >= 3.2:
+        root = 0.0
+    elif t <= _kernels._p4(lam / (lam + 1e3)):
+        root = 1e3
+    else:
+        root = lam / _kernels._p4_newton(t, 1.0) - lam
+    top = min(max(sides), root)
+    return top + 1e-12 * (lam + abs(top))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +317,15 @@ def maximize_bound(spec):
 
     Polynomial cases tune (lambda, J) by a golden section over lambda of the
     J-maximum at each lambda, which the finite candidate set of
-    ``_j_candidates`` gives exactly; the budget counts the candidates scored.
-    A candidate scores its bound (``dh._poly_bound``), with no checks,
-    residual or error message; only the winner is solved by
+    ``_j_candidates`` gives exactly.  The section reads the ceiling
+    ``_j_ceiling`` first (``_golden_max``'s ``bound``): a coarse point whose
+    ceiling is below the best value found, and a golden point whose ceiling
+    is below the value it is compared with, is not scored at all.  Such a
+    lambda cannot win, so where the budget does not run out the result is
+    that of the search without the ceiling, to the bit; the earlier lambda
+    of the coarse scan still wins a tie.  The budget counts the candidates
+    scored, and a pruned lambda spends none of it.  A candidate scores its bound (``dh._poly_bound``),
+    with no checks, residual or error message; only the winner is solved by
     ``dh.solve_poly``, for its result.  Plain coordinate descent stalls on
     these landscapes: at the constrained optima the equation root meets the
     side-condition limit along a curve in (lambda, J), and every point of
@@ -261,11 +342,10 @@ def maximize_bound(spec):
     if case.method == "poly":
         dh.check_quartic(POLY_BOXES["lambda"][1], spec.b)
         budget = _Budget(spec.max_evals)
-        best = (-math.inf, None, None)
         b = float(spec.b)   # as solve_poly reads it
+        best_j = {}   # lambda -> the first candidate J that scores its maximum
 
         def inner(lam):
-            nonlocal best
             v_lam = -math.inf
             if budget.left <= 0:
                 return v_lam
@@ -275,21 +355,21 @@ def maximize_bound(spec):
                 if limit <= v_lam or not budget.spend():
                     break
                 v = dh._poly_bound(at, lam, J)[0]
-                if math.isnan(v):
-                    continue
-                v_lam = max(v_lam, v)
-                if v > best[0]:
-                    best = (v, lam, J)
+                if v > v_lam:   # False for NaN
+                    v_lam, best_j[lam] = v, J
             return v_lam
+
+        def ceiling(lam):
+            return _j_ceiling(case, b, lam, spec.phi)
 
         # the budget counts candidate scores only, so the lambda section is
         # bounded by its tolerance alone
-        _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf), coarse=25)
-        v, lam_opt, J_opt = best
+        lam_opt, v = _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf),
+                                 coarse=25, bound=ceiling)
         if not math.isfinite(v):
             raise InfeasibleSearchError(
                 f"no feasible (lambda, J) for {case.name} at b={spec.b}")
-        return dh.solve_poly(case, spec.b, lam_opt, J_opt, phi=spec.phi)
+        return dh.solve_poly(case, spec.b, lam_opt, best_j[lam_opt], phi=spec.phi)
 
     res = optimize_family_smoothed(case.name, spec.b, budget=spec.max_evals,
                                    phi=spec.phi)

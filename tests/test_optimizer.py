@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heckezeros import _kernels, dh, optimizer, p4, tables, trial_functions, zero_density
 from heckezeros.errors import (BoundUnavailableError, HeckeZerosError,
@@ -129,22 +130,29 @@ class TestInnerJ:
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_middle_row_solves_at_most_300(self, monkeypatch, key):
-        # the nested golden section it replaced made 1,246-1,600 solves a row;
         # a candidate is scored by dh._poly_bound, which the one solve_poly
-        # of the winner also calls
+        # of the winner also calls.  Scoring the exact J-maximum at every
+        # lambda the section visits took 83-99 calls on these rows; the
+        # section's ceiling (_j_ceiling) spares the lambda that cannot win,
+        # which leaves 9-35
         t = tables.load_table(key)
         scores = TestBudget.counted(monkeypatch, dh, "_poly_bound")
         solves = TestBudget.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
-        assert 40 <= len(scores) <= 300
+        assert len(scores) <= 300
+        assert len(scores) <= {"T3:quadratic": 29, "T3:principal": 35, "T4": 13,
+                               "T5": 15, "T9": 9, "T10": 13}[key]
         assert len(solves) == 1
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_crossings_take_the_gaps_at_their_ends(self, monkeypatch, key):
         # a crossing is bisected from the gap values _j_candidates has at
         # its piece's ends: each evaluation of gap per crossing is an ITP
-        # step inside the piece, none is at an end
+        # step inside the piece, none is at an end.  The search runs with a
+        # ceiling of +inf, which prunes no lambda: with the ceiling, T4's
+        # middle row scores no lambda that has a crossing
         t = tables.load_table(key)
+        monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: math.inf)
         crossings, bisect = [], _kernels._bisect
 
         def counted(h, lo, hi, *ends):
@@ -194,6 +202,183 @@ class TestInnerJ:
                     assert monotone(root), (b, lam, lo, hi)
                     pieces += 1
         assert pieces >= 3 * 12
+
+
+def _full_inner(case, b, lam, phi):
+    """The J-maximum at lambda over every candidate, with no early stop or
+    budget: what the lambda section's ceiling must not fall below."""
+    at = dh._poly_at(case, b, lam, phi)
+    values = [dh._poly_bound(at, lam, J)[0]
+              for _, J in optimizer._j_candidates(case, b, lam, phi, at)]
+    return max((v for v in values if not math.isnan(v)), default=-math.inf)
+
+
+def _regimes(case, b, lam, phi):
+    """(some J has h(0) > 0, some J has its root past 1000) over the turns."""
+    at = dh._poly_at(case, b, lam, phi)
+    ends, stationary, peaks, _ = optimizer._j_turns(case, b, lam, phi)
+    h = [dh._poly_bound(at, lam, J)[2:4] for J in ends + stationary + peaks]
+    return any(h0 > 0.0 for h0, _ in h), any(h1000 < 0.0 for _, h1000 in h)
+
+
+#: (lambda, b, phi) that reach the ceiling's edges: h(0) > 0 at some J while
+#: others bound, roots past the bracket, and no root at all
+CEILING_EXAMPLES = tuple({"lam": lam, "b": b, "phi": phi} for lam, b, phi in (
+    (0.1, 0.0, 0.25), (0.1, 0.3, 0.8), (0.1, 0.0, 0.0), (1.0, 1e-4, 0.0),
+    (5.0, 0.1227, 1.0)))
+
+
+class TestCeiling:
+    """The lambda section spares the lambda whose ceiling shows they cannot
+    win; the ceiling is an upper bound, and the pruning changes no bit."""
+
+    @staticmethod
+    def outcome(case, b, phi):
+        try:
+            return repr(maximize_bound(SearchSpec(case, b, phi=phi)))
+        except HeckeZerosError as e:
+            return type(e)
+
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_pruning_changes_no_table_result(self, monkeypatch, key):
+        # one row per width band; a ceiling of +inf prunes nothing
+        t = tables.load_table(key)
+        n = len(t.rows)
+        specs = [(t.case_name, t.rows[(2 * k + 1) * n // 6].b, dh.PHI) for k in range(3)]
+        pruned = [self.outcome(*spec) for spec in specs]
+        monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: math.inf)
+        assert [self.outcome(*spec) for spec in specs] == pruned
+
+    @pytest.mark.parametrize("case", dh.POLY_CASES)
+    def test_pruning_changes_no_grid_result(self, monkeypatch, case):
+        specs = [(case, b, phi) for b in (0.0, 1e-4, 0.05, 0.3, 1.0, 3.0)
+                 for phi in (0.0, 0.25, 0.6)]
+        pruned = [self.outcome(*spec) for spec in specs]
+        # every case has specs that bound and specs that are infeasible
+        assert InfeasibleSearchError in pruned
+        assert any(isinstance(r, str) for r in pruned)
+        monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: math.inf)
+        assert [self.outcome(*spec) for spec in specs] == pruned
+
+    @pytest.mark.parametrize("case", dh.POLY_CASES)
+    @settings(max_examples=150, deadline=None)
+    @given(lam=st.floats(*optimizer.POLY_BOXES["lambda"]),
+           b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           phi=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    @example(**CEILING_EXAMPLES[0])
+    @example(**CEILING_EXAMPLES[1])
+    @example(**CEILING_EXAMPLES[2])
+    @example(**CEILING_EXAMPLES[3])
+    @example(**CEILING_EXAMPLES[4])
+    def test_ceiling_is_at_least_the_j_maximum(self, case, lam, b, phi):
+        case = dh.get_case(case)
+        ceiling = optimizer._j_ceiling(case, b, lam, phi)
+        assert math.isfinite(ceiling)
+        assert ceiling >= _full_inner(case, b, lam, phi)
+
+    def test_examples_reach_each_regime(self):
+        finite = {"h(0) > 0": set(), "past 1000": set()}
+        no_root = set()
+        for name in dh.POLY_CASES:
+            case = dh.get_case(name)
+            for ex in CEILING_EXAMPLES:
+                lam, b, phi = ex["lam"], ex["b"], ex["phi"]
+                positive, past = _regimes(case, b, lam, phi)
+                v = _full_inner(case, b, lam, phi)
+                if math.isfinite(v):
+                    finite["h(0) > 0"].update([name] if positive else [])
+                    finite["past 1000"].update([name] if past else [])
+                elif positive and not past:
+                    no_root.add(name)
+        # cc-lp-nonprincipal is the case whose J box starts at j_min = 0.25
+        assert all("cc-lp-nonprincipal" in names for names in finite.values())
+        assert "cc-lp-nonprincipal" in no_root
+
+
+def _cliff(x):   # -inf left of 0.4, one peak at 0.7
+    return -math.inf if x < 0.4 else 1.0 - (x - 0.7) ** 2
+
+
+def _shelf(x):   # exact ties on [0.5, 1]
+    return min(x, 0.5)
+
+
+def _stairs(x):   # plateaus with exact ties, two of them at the top, and -inf
+    return -math.inf if x > 0.95 else math.floor(4.0 * math.sin(9.0 * x)) / 4.0
+
+
+def _void(x):
+    return -math.inf
+
+
+class TestGoldenMax:
+    """``_golden_max`` with a valid ceiling returns what it returns without."""
+
+    @pytest.mark.parametrize("fn", [_cliff, _shelf, _stairs, _void])
+    @pytest.mark.parametrize("lift", [
+        lambda v: v,                                 # the ceiling is fn itself
+        lambda v: v + 0.1,
+        lambda v: math.ceil(8.0 * v) / 8.0 if math.isfinite(v) else v,
+        lambda v: math.inf,
+    ], ids=["exact", "above", "steps", "inf"])
+    @pytest.mark.parametrize("coarse", [13, 25])
+    def test_bound_changes_no_result(self, fn, lift, coarse):
+        calls = {"plain": 0, "bound": 0}
+
+        def counted(key):
+            def f(x):
+                calls[key] += 1
+                return fn(x)
+            return f
+
+        plain = optimizer._golden_max(counted("plain"), 0.0, 1.0,
+                                      optimizer._Budget(math.inf), coarse=coarse)
+        bound = optimizer._golden_max(counted("bound"), 0.0, 1.0,
+                                      optimizer._Budget(math.inf), coarse=coarse,
+                                      bound=lambda x: lift(fn(x)))
+        assert repr(bound) == repr(plain)
+        assert calls["bound"] <= calls["plain"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(levels=st.lists(st.sampled_from([-math.inf, 0.0, 0.25, 0.5]),
+                           min_size=1, max_size=40),
+           lifts=st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=1, max_size=40))
+    def test_bound_changes_no_result_on_steps(self, levels, lifts):
+        # step functions tie at many points, and a ceiling that lifts some
+        # steps and not others can equal the value it is compared with
+        def piece(values, x):
+            return values[min(int(x * len(values)), len(values) - 1)]
+
+        def fn(x):
+            return piece(levels, x)
+
+        got = optimizer._golden_max(fn, 0.0, 1.0, optimizer._Budget(math.inf), coarse=25,
+                                    bound=lambda x: fn(x) + piece(lifts, x))
+        want = optimizer._golden_max(fn, 0.0, 1.0, optimizer._Budget(math.inf), coarse=25)
+        assert repr(got) == repr(want)
+
+    def test_a_ceiling_equal_to_its_rival_is_evaluated(self):
+        # the coarse best is 1 at x = 0.5; the section's third point, x =
+        # 0.4780, has value 0.5 but ceiling 1, equal to the value it is
+        # compared with.  Its value, not its ceiling, sends the section to
+        # the step of 2 at x = 0.4977
+        def fn(x):
+            if 0.495 < x < 0.4995:
+                return 2.0
+            if 0.48 <= x < 0.515:
+                return 1.0
+            return 0.5 if 0.4584 <= x < 0.48 else 0.0
+
+        got = optimizer._golden_max(fn, 0.0, 1.0, optimizer._Budget(math.inf), coarse=25,
+                                    bound=lambda x: 1.0 if 0.47 <= x < 0.48 else fn(x))
+        want = optimizer._golden_max(fn, 0.0, 1.0, optimizer._Budget(math.inf), coarse=25)
+        assert want[1] == 2.0 and repr(got) == repr(want)
+
+    def test_exact_ceiling_spares_most_evaluations(self):
+        calls = []
+        optimizer._golden_max(lambda x: calls.append(x) or _cliff(x), 0.0, 1.0,
+                              optimizer._Budget(math.inf), coarse=25, bound=_cliff)
+        assert 0 < len(calls) < 25
 
 
 class TestSmoothedSearch:
@@ -335,7 +520,10 @@ class TestBudget:
         scores = self.counted(monkeypatch, dh, "_poly_bound")
         solves = self.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec("cc-lp-nonprincipal", 0.1227, max_evals=300))
-        assert 40 <= len(scores) <= 301
+        assert len(scores) <= 301
+        # the lambda section's ceiling spares most lambda their candidates:
+        # 99 scores without it
+        assert len(scores) <= 13
         assert len(solves) == 1
 
 
