@@ -33,8 +33,9 @@ where bisection in x took 65.6 of ``h``).  Each inequality's bracketing
 function is written once, by a builder whose arithmetic works on floats and
 on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and
 ``zfr_fn`` return the quartic ones as functions of u, with the value t of
-P at their root; ``poly_fn`` builds at fixed lam and b, for every J.  The
-search's snapped h, on floats, is ``snapped_fn``'s.
+P at their root; ``poly_fn`` builds at fixed lam and b, for every J, and
+returns the J where the root is stationary too, all from one
+P(lam/(lam+b)).  The search's snapped h, on floats, is ``snapped_fn``'s.
 The named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
 build those functions (``smoothed_root`` and ``poly_root`` take them built,
 so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
@@ -650,15 +651,27 @@ def _p4(u):
 def poly_fn(slot, lam, b, psi):
     """The quartic-method repulsion function at fixed lam, b, for every J.
 
-    Returns (g, target): g(J, u) is the function of u = lam/(lam+x), and
-    target(J) the value of P where g(J, .) vanishes.  slot 0: known value on
-    the (J^2 + 1/2) term, unknown on the 2J term; slot 1: the reverse.  g
-    decreases in u, so g(J, lam/(lam+x)) increases in x.  P(lam/(lam+b)) is
-    formed once here, for all J.
+    Returns (g, target, stationary): g(J, u) is the function of
+    u = lam/(lam+x), target(J) the value of P where g(J, .) vanishes, and
+    stationary the J > 0 where that root is stationary in J.  slot 0: known
+    value on the (J^2 + 1/2) term, unknown on the 2J term; slot 1: the
+    reverse.  g decreases in u, so g(J, lam/(lam+x)) increases in x.
+    P_b = P(lam/(lam+b)) is formed once here, for all three.
+
+    With A = 3.2 - P_b, slot 0 puts the root at
+    P(u) = [(J^2 + 1/2) A + psi lam (J+1)^2]/(2J), convex in J with its
+    minimum (the largest root) at J^2 = (A/2 + psi lam)/(A + psi lam).
+    Slot 1 puts it at P(u) = 3.2 - (2J P_b - psi lam (J+1)^2)/(J^2 + 1/2),
+    stationary where (psi lam - P_b) J^2 + (psi lam/2) J + (P_b - psi lam)/2
+    = 0; the roots' product is -1/2, so one is positive (none when the
+    leading coefficient vanishes: the linear root is J = 0).  Between the
+    stationary points the root is monotone in J wherever it exists.
     """
     known = _p4(lam / (lam + b))
     if slot == 0:
         A = 3.2 - known
+        den = A + psi * lam
+        stationary = (math.sqrt((0.5 * A + psi * lam) / den),) if den > 0.0 else ()
 
         def g(J, u):
             return (J * J + 0.5) * A - 2.0 * J * _p4(u) + psi * (J + 1.0) ** 2 * lam
@@ -666,37 +679,17 @@ def poly_fn(slot, lam, b, psi):
         def target(J):
             return ((J * J + 0.5) * A + psi * (J + 1.0) ** 2 * lam) / (2.0 * J)
     else:
+        c2, c1 = psi * lam - known, 0.5 * psi * lam
+        q = c1 + math.sqrt(c1 * c1 + 2.0 * c2 * c2)
+        stationary = () if c2 == 0.0 else (c2 / q if c2 > 0.0 else -q / (2.0 * c2),)
+
         def g(J, u):
             return ((J * J + 0.5) * (3.2 - _p4(u)) - 2.0 * J * known
                     + psi * (J + 1.0) ** 2 * lam)
 
         def target(J):
             return 3.2 - (2.0 * J * known - psi * (J + 1.0) ** 2 * lam) / (J * J + 0.5)
-    return g, target
-
-
-def _poly_j_stationary(slot, lam, b, psi):
-    """The J > 0 where the root of ``poly_fn`` is stationary, at fixed lam, b.
-
-    With A = 3.2 - P_b, P_b = P(lam/(lam+b)), slot 0 puts the root at
-    P(u) = [(J^2 + 1/2) A + psi lam (J+1)^2]/(2J), convex in J with its
-    minimum (the largest root) at J^2 = (A/2 + psi lam)/(A + psi lam).
-    Slot 1 puts it at P(u) = 3.2 - (2J P_b - psi lam (J+1)^2)/(J^2 + 1/2),
-    stationary where (psi lam - P_b) J^2 + (psi lam/2) J + (P_b - psi lam)/2
-    = 0; the roots' product is -1/2, so one is positive (none when the
-    leading coefficient vanishes: the linear root is J = 0).  Between the
-    returned points the root is monotone in J wherever it exists.
-    """
-    known = _p4(lam / (lam + b))
-    if slot == 0:
-        A = 3.2 - known
-        den = A + psi * lam
-        return (math.sqrt((0.5 * A + psi * lam) / den),) if den > 0.0 else ()
-    c2, c1 = psi * lam - known, 0.5 * psi * lam
-    if c2 == 0.0:
-        return ()
-    q = c1 + math.sqrt(c1 * c1 + 2.0 * c2 * c2)
-    return (c2 / q if c2 > 0.0 else -q / (2.0 * c2),)
+    return g, target, stationary
 
 
 def poly_root(g, target, J, lam, lo, hi):

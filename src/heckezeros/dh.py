@@ -329,10 +329,28 @@ def j1_value(J):
     return 4.0 * J / (J * J + 1.0)
 
 
-def poly_h(case, b, lam, J, phi=PHI):
-    """The case's monotone bracketing function, vectorized over x."""
+def _check_poly(case, b, lam, J, phi=PHI, x=0.0):
+    """The poly SolverCase of ``case``, a name or a record; raises
+    InvalidParameterError naming the argument unless b, phi >= 0, lambda,
+    J > 0 and J >= j_min are finite and the quartic powers (``check_quartic``,
+    with the width x) stay in the float range."""
     case = get_case(case) if isinstance(case, str) else case
-    check_quartic(lam, b, J)
+    if case.method != "poly":
+        raise InvalidParameterError(f"case {case.name} is not a polynomial case")
+    check_width(b, phi)
+    for name, value in (("lambda", lam), ("J", J)):
+        if not 0 < value < math.inf:   # NaN too
+            raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+    if J < case.j_min:
+        raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
+    check_quartic(lam, b, J, x)
+    return case
+
+
+def poly_h(case, b, lam, J, phi=PHI):
+    """The case's monotone bracketing function, vectorized over x; inputs
+    are checked as in ``solve_poly``."""
+    case = _check_poly(case, b, lam, J, phi)
     g = _poly_at(case, b, lam, phi)[0]
 
     def h(x):
@@ -345,9 +363,9 @@ def side_condition(case, b, lam, J, x):
 
     The J0 coefficient always multiplies the value sitting on the 2J slot.
     Returns (ok, margin) with margin the smallest slack across conditions.
+    Inputs are checked as in ``solve_poly``, and x's power with them.
     """
-    case = get_case(case) if isinstance(case, str) else case
-    check_quartic(lam, b, x=x)
+    case = _check_poly(case, b, lam, J, x=x)
     sq = b if case.unknown_slot == "known-on-square" else x
     ln = x if case.unknown_slot == "known-on-square" else b
     margin = (j0_value(case, J) / (lam + ln) ** 4
@@ -364,10 +382,9 @@ def side_limit(case, b, lam, J):
 
     Closed form: each condition J0/(lam+ln)^4 + 1/(lam+sq)^4 > 1/lam^4 pins
     whichever of ln, sq equals x.  The limit is capped at 1e6.  Returns -inf
-    when even x = 0 fails.
+    when even x = 0 fails.  Inputs are checked as in ``solve_poly``.
     """
-    case = get_case(case) if isinstance(case, str) else case
-    check_quartic(lam, b)
+    case = _check_poly(case, b, lam, J)
     x = _side_fn(case, b, lam)(J)
     return -math.inf if x < 0.0 else min(x, 1e6)
 
@@ -442,14 +459,14 @@ def _side_turns(case, b, lam):
 
 
 def _poly_at(case, b, lam, phi):
-    """(g, target, side_x) of a poly case at fixed b, lambda and phi, for every J.
+    """(g, target, stationary, side_x) of a poly case at fixed b, lambda, phi.
 
-    g and target are ``_kernels.poly_fn``'s, side_x is ``_side_fn``'s: a
-    search scores many J at one lambda, and what they share is formed once.
+    The first three are ``_kernels.poly_fn``'s, side_x is ``_side_fn``'s: the
+    search reads a lambda's ceiling and scores many J at it from one build.
     """
     slot = 0 if case.unknown_slot == "known-on-square" else 1
-    g, target = _kernels.poly_fn(slot, lam, b, case.psi_over_phi * phi)
-    return g, target, _side_fn(case, b, lam)
+    return (*_kernels.poly_fn(slot, lam, b, case.psi_over_phi * phi),
+            _side_fn(case, b, lam))
 
 
 def _poly_bound(at, lam, J):
@@ -463,7 +480,7 @@ def _poly_bound(at, lam, J):
     each candidate J by this value alone; ``solve_poly`` adds the checks,
     the residual and the result.
     """
-    g, target, side_x = at
+    g, target, _, side_x = at
     root, hlo, hhi = _kernels.poly_root(g, target, J, lam, 0.0, 1e3)
     x_side = side_x(J)
     value = math.nan if root != root or x_side < 0.0 else min(root, x_side)
@@ -478,18 +495,10 @@ def solve_poly(case, b, lam, J, phi=PHI):
     ``side_limited`` marks capped results and ``root`` keeps the uncapped
     value.  SideConditionError is raised only when the condition fails even
     at width 0, so no valid point exists.  The bound is ``_poly_bound``'s,
-    which the search calls for each candidate it scores.
+    which the search calls for each candidate it scores.  The inputs are
+    checked first (``_check_poly``).
     """
-    case = get_case(case) if isinstance(case, str) else case
-    if case.method != "poly":
-        raise InvalidParameterError(f"case {case.name} is not a polynomial case")
-    check_width(b, phi)
-    require_finite(lam=lam, J=J)
-    if lam <= 0 or J <= 0:
-        raise InvalidParameterError(f"need lambda > 0 and J > 0, got {lam}, {J}")
-    if J < case.j_min:
-        raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
-    check_quartic(lam, b, J)
+    case = _check_poly(case, b, lam, J, phi)
     psi = case.psi_over_phi * phi
     lam, J, b = float(lam), float(J), float(b)
     at = _poly_at(case, b, lam, phi)

@@ -4,10 +4,11 @@ Polynomial cases search the (lambda, J) tuning box by a golden section over
 lambda whose objective is the exact J-maximum at that lambda, taken over a
 finite candidate set of J (``_j_candidates``): closed forms and crossings,
 each scored by one solve.  A closed-form ceiling on that maximum
-(``_j_ceiling``: the smaller of the largest root and the largest side
-limit over the J box) lets the section skip every lambda that cannot
-change its outcome, so most lambda it visits cost no candidate score and
-the result is the same to the bit.  Smoothed cases and the density bound search the
+(``_j_ceiling``: the largest equation root over the J box, with the side
+condition ignored) lets the section skip every lambda that cannot change
+its outcome, so most lambda it visits cost no candidate score and the
+result is the same to the bit.  Each lambda is built once
+(``dh._poly_at``), for its ceiling and its J-maximum alike.  Smoothed cases and the density bound search the
 substitute weight family (the autocorrelation of the generator
 e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each fixed
 beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
@@ -33,6 +34,7 @@ conditions and solver failures are hard constraints handled by rejection
 in-bracket golden section finds.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,9 +66,9 @@ class SearchSpec:
 
 
 def _check_budget(budget):
-    """Raise InvalidParameterError unless the search may make an evaluation."""
-    if not budget >= 1:
-        raise InvalidParameterError(f"search budget must be >= 1, got {budget}")
+    """Raise InvalidParameterError unless the budget is a finite number >= 1."""
+    if not 1 <= budget < math.inf:   # NaN too, which an infinite budget // 2 is
+        raise InvalidParameterError(f"search budget must be a finite number >= 1, got {budget}")
 
 
 class _Budget:
@@ -222,45 +224,34 @@ def _run_restarts(objective, names, boxes, seeds, budget_n):
     return results[0]
 
 
-def _j_turns(case, b, lam, phi):
-    """(ends, stationary, peaks, troughs) of the J box at fixed lambda.
-
-    ends are the box's ends; the rest are the J inside it where the root is
-    stationary (``_kernels._poly_j_stationary``) and where the side limit
-    peaks and troughs (``dh._side_turns``).  Between these points both the
-    root and the limit are monotone in J.
-    """
-    psi = case.psi_over_phi * phi
-    slot = 0 if case.unknown_slot == "known-on-square" else 1
-    j_lo, j_hi = max(POLY_BOXES["J"][0], case.j_min), POLY_BOXES["J"][1]
-
-    def inside(Js):
-        return [J for J in Js if j_lo < J < j_hi]
-
-    peaks, troughs = dh._side_turns(case, b, lam)
-    return ([j_lo, j_hi], inside(_kernels._poly_j_stationary(slot, lam, b, psi)),
-            inside(peaks), inside(troughs))
+def _j_box(case):
+    """(lo, hi) of the J box of a poly case, which starts at its j_min."""
+    return max(POLY_BOXES["J"][0], case.j_min), POLY_BOXES["J"][1]
 
 
-def _j_candidates(case, b, lam, phi, at):
+def _j_candidates(case, b, lam, at):
     """The J where min(root, side limit) can peak at fixed lambda, with limits.
 
-    Between the points of ``_j_turns`` both the root and the limit are
-    monotone in J, so their minimum peaks at a box end, where the two cross,
-    at a stationary point of the root where the side condition is slack, or
-    at a peak of the limit where it binds.  A trough of the limit is never
-    such a peak.  The sign of h at the side limit tells slack from binding,
-    and a crossing is a sign change of it, bisected on its piece without a
-    root solve, from the values at the piece's ends that it already has.
-    ``at`` is ``dh._poly_at(case, b, lam, phi)``, built once per lambda.
-    Returns (uncapped side limit, J) pairs, highest limit first.
+    ``at`` is the lambda's one build, ``dh._poly_at``'s.  Between the box
+    ends and the J inside the box where the root is stationary (from ``at``)
+    or the side limit peaks or troughs (``dh._side_turns``), both the root
+    and the limit are monotone in J, so their minimum peaks at a box end,
+    where the two cross, at a stationary point of the root where the side
+    condition is slack, or at a peak of the limit where it binds.  A trough
+    of the limit is never such a peak.  The sign of h at the side limit tells
+    slack from binding, and a crossing is a sign change of it, bisected on
+    its piece without a root solve, from the values at the piece's ends that
+    it already has.  Returns (uncapped side limit, J) pairs, highest first.
     """
-    g, _, side_x = at
+    g, _, stationary, side_x = at
+    j_lo, j_hi = _j_box(case)
 
     def gap(J):   # h at the side limit: > 0 where the root lies below it
         return g(J, lam / (lam + side_x(J)))
 
-    ends, stationary, peaks, troughs = _j_turns(case, b, lam, phi)
+    ends = [j_lo, j_hi]
+    stationary, peaks, troughs = ([J for J in Js if j_lo < J < j_hi]
+                                  for Js in (stationary, *dh._side_turns(case, b, lam)))
     turns = sorted({*ends, *stationary, *peaks, *troughs})
     gaps = [gap(J) for J in turns]
     candidates = [J for J, g in zip(turns, gaps)
@@ -274,38 +265,35 @@ def _j_candidates(case, b, lam, phi, at):
     return sorted(((side_x(J), J) for J in candidates), key=lambda t: -t[0])
 
 
-def _j_ceiling(case, b, lam, phi):
-    """A ceiling on the J-maximum at fixed lambda, in closed form.
+def _j_ceiling(case, lam, at):
+    """A ceiling on the J-maximum at fixed lambda, in closed form: the largest
+    equation root over the J box, with the side condition ignored.
 
-    Each candidate's value min(root, side limit) is at most the smaller of
-    the largest root and the largest side limit over the J box; both are
-    taken at the points of ``_j_turns``, between which each is monotone.
-    The side limit's largest is at an end or a peak.  The root solves
+    ``at`` is ``dh._poly_at``'s build of the lambda.  Each candidate's value
+    min(root, side limit) is at most its root.  The root solves
     P(lam/(lam+x)) = target(J) (``_kernels.poly_fn``, whose g is a positive
     multiple of target - P(u)), so it falls as the target rises: the largest
-    is x at the smallest target, at an end or a stationary point.  It is 0
-    where that target is at least P(1) = 3.2 (no J has a root above 0), and
-    the bracket top 1000 where it lies below P at x = 1000.  The ceiling is
-    raised by 1e-12 of lam + |ceiling|: both the root lam/u - lam and the
-    side limit (coef/rest)^(1/4) - lam round by a few ulps of lam + x, so
-    no candidate J, however its value rounds, scores above the ceiling.  It
-    is +inf where any part is NaN.
+    is x at the smallest target, at a box end or a stationary J inside the
+    box, between which the root is monotone.  It is 0 where that target is
+    at least P(1) = 3.2 (no J has a root above 0), and the bracket top 1000
+    where it lies below P at x = 1000.  The ceiling is raised by 1e-12 of
+    lam + x: the root lam/u - lam rounds by a few ulps of lam + x, so no
+    candidate J, however its value rounds, scores above the ceiling.  It is
+    +inf where a target is NaN.
     """
-    _, target, side_x = dh._poly_at(case, b, lam, phi)
-    ends, stationary, peaks, _ = _j_turns(case, b, lam, phi)
-    sides = [side_x(J) for J in ends + peaks]
-    targets = [target(J) for J in ends + stationary]
-    if math.isnan(sum(sides) + sum(targets)):   # a NaN part (or inf - inf)
+    _, target, stationary, _ = at
+    j_lo, j_hi = _j_box(case)
+    targets = [target(J) for J in (j_lo, j_hi, *stationary) if j_lo <= J <= j_hi]
+    if any(map(math.isnan, targets)):
         return math.inf
     t = min(targets)
     if t >= 3.2:
-        root = 0.0
+        x = 0.0
     elif t <= _kernels._p4(lam / (lam + 1e3)):
-        root = 1e3
+        x = 1e3
     else:
-        root = lam / _kernels._p4_newton(t, 1.0) - lam
-    top = min(max(sides), root)
-    return top + 1e-12 * (lam + abs(top))
+        x = lam / _kernels._p4_newton(t, 1.0) - lam
+    return x + 1e-12 * (lam + x)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +305,9 @@ def maximize_bound(spec):
 
     Polynomial cases tune (lambda, J) by a golden section over lambda of the
     J-maximum at each lambda, which the finite candidate set of
-    ``_j_candidates`` gives exactly.  The section reads the ceiling
+    ``_j_candidates`` gives exactly.  Each lambda the section reads is built
+    once (``dh._poly_at``, kept for the call), and its ceiling and its
+    J-maximum both read that build.  The section reads the ceiling
     ``_j_ceiling`` first (``_golden_max``'s ``bound``): a coarse point whose
     ceiling is below the best value found, and a golden point whose ceiling
     is below the value it is compared with, is not scored at all.  Such a
@@ -332,9 +322,10 @@ def maximize_bound(spec):
     that curve is a coordinatewise local maximum.  Smoothed cases tune the
     substitute weight family by coordinate descent and re-descent.  Raises
     InvalidParameterError for a negative or non-finite width or phi, a
-    budget below 1, or (polynomial cases) a width whose (lambda + b)^4
-    overflows at the top of the lambda box, before any evaluation, and
-    InfeasibleSearchError when nothing admissible was found within budget.
+    budget that is not a finite number >= 1, or (polynomial cases) a width
+    whose (lambda + b)^4 overflows at the top of the lambda box, before any
+    evaluation, and InfeasibleSearchError when nothing admissible was found
+    within budget.
     """
     case = dh.get_case(spec.case)
     dh.check_width(spec.b, spec.phi)
@@ -345,12 +336,16 @@ def maximize_bound(spec):
         b = float(spec.b)   # as solve_poly reads it
         best_j = {}   # lambda -> the first candidate J that scores its maximum
 
+        @functools.cache
+        def build(lam):
+            return dh._poly_at(case, b, lam, spec.phi)
+
         def inner(lam):
             v_lam = -math.inf
             if budget.left <= 0:
                 return v_lam
-            at = dh._poly_at(case, b, lam, spec.phi)
-            for limit, J in _j_candidates(case, b, lam, spec.phi, at):
+            at = build(lam)
+            for limit, J in _j_candidates(case, b, lam, at):
                 # v <= limit: no later candidate can beat v_lam
                 if limit <= v_lam or not budget.spend():
                     break
@@ -359,13 +354,11 @@ def maximize_bound(spec):
                     v_lam, best_j[lam] = v, J
             return v_lam
 
-        def ceiling(lam):
-            return _j_ceiling(case, b, lam, spec.phi)
-
         # the budget counts candidate scores only, so the lambda section is
         # bounded by its tolerance alone
         lam_opt, v = _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf),
-                                 coarse=25, bound=ceiling)
+                                 coarse=25,
+                                 bound=lambda lam: _j_ceiling(case, lam, build(lam)))
         if not math.isfinite(v):
             raise InfeasibleSearchError(
                 f"no feasible (lambda, J) for {case.name} at b={spec.b}")
@@ -509,7 +502,8 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
     at b = 0 being the build's F(0) (``zero_density.bound_if_admissible``);
     only the winner's bound comes
     from ``zero_density.n_lambda_bound``.  Inadmissible inputs and a budget
-    below 1 raise InvalidParameterError before any evaluation.
+    that is not a finite number >= 1 raise InvalidParameterError before any
+    evaluation.
     """
     zero_density.check_inputs(lam, b, vartheta, phi)
     _check_budget(budget)

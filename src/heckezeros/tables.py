@@ -337,10 +337,13 @@ def regress_zero_density(table, budget=60):
 
     A cell passes when the recomputed integer bound lies in [1, listed + 3];
     'inf' cells pass when no admissible weight is found either, and are
-    flagged (not failed) otherwise.
+    flagged (not failed) otherwise.  A table that is not a density table
+    raises InvalidParameterError naming it.
     """
     if isinstance(table, str):
         table = load_table(table)
+    if not isinstance(table, ZdTable):
+        raise InvalidParameterError(f"table {table.key} is not a zero-density table")
     rows = []
     for i, lam in enumerate(table.lambdas):
         for j, b in enumerate(table.b_values):

@@ -203,23 +203,24 @@ class TestSolvePoly:
 
     @pytest.mark.parametrize("bad, arg", [
         *((bad, arg) for bad in (math.nan, math.inf) for arg in ("b", "lam", "J", "phi")),
+        (0.0, "J"), (-1.0, "lam"), (-1.0, "b"), ("sz-lp-principal", "case"),
         # finite, but (lam + b)^4 or (J + 1)^2 overflows, or lam^4 underflows
         # to 0, where Python's float ** raises
         (1e78, "b"), (1e78, "lam"), (1e-82, "lam"), (1e155, "J")])
     def test_non_finite_input_rejected(self, arg, bad):
-        kwargs = {"b": 0.1227, "lam": 1.097, "J": 0.7788, "phi": dh.PHI, arg: bad}
-        with pytest.raises(InvalidParameterError, match=arg):
-            dh.solve_poly("cc-lp-nonprincipal", **kwargs)
-        if math.isfinite(bad):
-            # so does every other entry point that forms the power
-            b, lam, J = kwargs["b"], kwargs["lam"], kwargs["J"]
-            calls = [lambda: dh.poly_h("cc-lp-nonprincipal", b, lam, J)]
-            if arg != "J":
-                calls += [lambda: dh.side_limit("cc-lp-nonprincipal", b, lam, J),
-                          lambda: dh.side_condition("cc-lp-nonprincipal", b, lam, J, 0.5)]
-            for call in calls:
-                with pytest.raises(InvalidParameterError, match=arg):
-                    call()
+        # every poly entry point checks its inputs alike (dh._check_poly),
+        # before any arithmetic
+        kwargs = {"case": "cc-lp-nonprincipal", "b": 0.1227, "lam": 1.097,
+                  "J": 0.7788, "phi": dh.PHI, arg: bad}
+        case, b, lam, J, phi = kwargs.values()
+        calls = [lambda: dh.solve_poly(case, b, lam, J, phi=phi),
+                 lambda: dh.poly_h(case, b, lam, J, phi=phi)]
+        if arg != "phi":   # the side condition does not read phi
+            calls += [lambda: dh.side_limit(case, b, lam, J),
+                      lambda: dh.side_condition(case, b, lam, J, 0.5)]
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match=arg):
+                call()
 
     def test_j_minimum_for_cc_nonprincipal(self):
         with pytest.raises(InvalidParameterError):

@@ -768,7 +768,7 @@ ROOT_KERNELS = {
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "poly_root": (
         lambda phi, lo, hi: _kernels.poly_root(
-            *_kernels.poly_fn(1, 1.097, 0.1227, 2.0 * phi), 0.7788, 1.097, lo, hi),
+            *_kernels.poly_fn(1, 1.097, 0.1227, 2.0 * phi)[:2], 0.7788, 1.097, lo, hi),
         dh.poly_h("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788)),
     "zfr_root": (
         lambda phi, lo, hi: _kernels.zfr_root(

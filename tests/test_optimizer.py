@@ -119,7 +119,7 @@ class TestInnerJ:
         for lam in (0.3, 0.7, 1.0, 1.5, 2.0):
             got = -math.inf
             at = dh._poly_at(case, b, lam, phi)
-            for _, J in optimizer._j_candidates(case, b, lam, phi, at):
+            for _, J in optimizer._j_candidates(case, b, lam, at):
                 try:
                     got = max(got, dh.solve_poly(case, b, lam, J, phi=phi).lambda_star)
                 except HeckeZerosError:
@@ -143,6 +143,22 @@ class TestInnerJ:
         assert len(scores) <= {"T3:quadratic": 29, "T3:principal": 35, "T4": 13,
                                "T5": 15, "T9": 9, "T10": 13}[key]
         assert len(solves) == 1
+
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_each_lambda_is_built_once(self, monkeypatch, key):
+        # the ceiling and the J-maximum of a lambda read one dh._poly_at
+        # build, and the winner's solve_poly makes one more
+        t = tables.load_table(key)
+        builds = TestBudget.counted(monkeypatch, dh, "_poly_at")
+        read = []
+        for name in ("_j_ceiling", "_j_candidates"):
+            def spy(*args, _fn=getattr(optimizer, name)):   # lambda is args[-2]
+                read.append(args[-2])
+                return _fn(*args)
+            monkeypatch.setattr(optimizer, name, spy)
+        maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
+        assert len(set(read)) >= 25   # the coarse scan's ceilings
+        assert len(builds) == len(set(read)) + 1
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_crossings_take_the_gaps_at_their_ends(self, monkeypatch, key):
@@ -178,10 +194,7 @@ class TestInnerJ:
         # phi, the root's stationary points do
         t = tables.load_table(key)
         case = dh.get_case(t.case_name)
-        slot = 0 if case.unknown_slot == "known-on-square" else 1
-        psi = case.psi_over_phi * phi
-        j_lo = max(optimizer.POLY_BOXES["J"][0], case.j_min)
-        j_hi = optimizer.POLY_BOXES["J"][1]
+        j_lo, j_hi = optimizer._j_box(case)
 
         def monotone(values):   # arctan maps an infinite side limit to pi/2
             d = np.diff(np.arctan(values[~np.isnan(values)]))
@@ -192,11 +205,11 @@ class TestInnerJ:
             for lam in (0.3, 1.0, 2.0, 3.5):
                 at = dh._poly_at(case, b, lam, phi)
                 peaks, troughs = dh._side_turns(case, b, lam)
-                turns = [*_kernels._poly_j_stationary(slot, lam, b, psi), *peaks, *troughs]
+                turns = [*at[2], *peaks, *troughs]
                 edges = sorted({j_lo, j_hi} | {J for J in turns if j_lo < J < j_hi})
                 for lo, hi in zip(edges, edges[1:]):
                     Js = np.linspace(lo, hi, 150)
-                    side = np.array([at[2](J) for J in Js])
+                    side = np.array([at[3](J) for J in Js])
                     root = np.array([dh._poly_bound(at, lam, J)[1] for J in Js])
                     assert monotone(side), (b, lam, lo, hi)
                     assert monotone(root), (b, lam, lo, hi)
@@ -209,15 +222,17 @@ def _full_inner(case, b, lam, phi):
     budget: what the lambda section's ceiling must not fall below."""
     at = dh._poly_at(case, b, lam, phi)
     values = [dh._poly_bound(at, lam, J)[0]
-              for _, J in optimizer._j_candidates(case, b, lam, phi, at)]
+              for _, J in optimizer._j_candidates(case, b, lam, at)]
     return max((v for v in values if not math.isnan(v)), default=-math.inf)
 
 
 def _regimes(case, b, lam, phi):
     """(some J has h(0) > 0, some J has its root past 1000) over the turns."""
     at = dh._poly_at(case, b, lam, phi)
-    ends, stationary, peaks, _ = optimizer._j_turns(case, b, lam, phi)
-    h = [dh._poly_bound(at, lam, J)[2:4] for J in ends + stationary + peaks]
+    j_lo, j_hi = optimizer._j_box(case)
+    turns = [at[2], dh._side_turns(case, b, lam)[0]]   # stationary J, peaks
+    Js = [j_lo, j_hi, *(J for group in turns for J in group if j_lo < J < j_hi)]
+    h = [dh._poly_bound(at, lam, J)[2:4] for J in Js]
     return any(h0 > 0.0 for h0, _ in h), any(h1000 < 0.0 for _, h1000 in h)
 
 
@@ -272,7 +287,7 @@ class TestCeiling:
     @example(**CEILING_EXAMPLES[4])
     def test_ceiling_is_at_least_the_j_maximum(self, case, lam, b, phi):
         case = dh.get_case(case)
-        ceiling = optimizer._j_ceiling(case, b, lam, phi)
+        ceiling = optimizer._j_ceiling(case, lam, dh._poly_at(case, b, lam, phi))
         assert math.isfinite(ceiling)
         assert ceiling >= _full_inner(case, b, lam, phi)
 
@@ -596,10 +611,11 @@ class TestInvalidInput:
         lambda budget, phi: optimizer.optimize_zd(0.2, phi=phi, budget=budget),
     ], ids=["poly", "smoothed", "family", "density"])
     @pytest.mark.parametrize("budget, phi, word", [
-        (0, dh.PHI, "budget"), (-1, dh.PHI, "budget"), (10, -0.25, "phi")])
+        (0, dh.PHI, "budget"), (-1, dh.PHI, "budget"), (math.inf, dh.PHI, "budget"),
+        (10, -0.25, "phi")])
     def test_budget_and_phi(self, monkeypatch, search, budget, phi, word):
-        # a budget below 1 and a negative phi are rejected alike by every
-        # search, before its first evaluation
+        # a budget below 1 or infinite and a negative phi are rejected alike
+        # by every search, before its first evaluation
         calls = [self.counted(monkeypatch, dh, "_search_root"),
                  self.counted(monkeypatch, dh, "_poly_bound"),
                  self.counted(monkeypatch, dh, "solve_poly"),

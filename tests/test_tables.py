@@ -146,6 +146,11 @@ class TestZdRegression:
         flagged = [r for r in rep.rows if math.isinf(r.listed) and math.isfinite(r.computed)]
         assert len(flagged) == 9
 
+    @pytest.mark.parametrize("key", ["T4", "T2:principal"])
+    def test_bound_table_rejected(self, key):
+        with pytest.raises(InvalidParameterError, match=f"table {key} is not"):
+            tables.regress_zero_density(key, budget=5)
+
     @pytest.mark.slow
     def test_full_grid_soft(self):
         rep = tables.regress_zero_density("T1", budget=120)
