@@ -44,13 +44,16 @@ inequality failed.  The vectorized ``h`` of the solver modules and the
 solvers' residuals come from the same builders.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
-Trial functions reach this module, its one reader, as a "family code" (see
+Trial functions reach this module as a "family code" (see
 ``trial_functions``) ``(x0, folded)``: the support endpoint and one tuple
 ``(c, g_j, g_k, K, far)`` per pair of generator exponents, kept once
 per conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with ``c``
 doubled when the two differ: a cosine-modulated generator has 5 folded
 pairs of 9, one with ``c0 = 0`` 2 of 4, and a plain one its 1.  All are
-plain Python numbers and bools, and a code never changes.  ``K`` is
+plain Python numbers and bools, and a code never changes.  Besides the
+transforms here, only f(t) (``trial_functions._weight``, through
+``_t_terms``), f(0) (``trial_functions._build``) and sup |f''|
+(``verify._f2_bound``, through ``_t_terms``) read a code.  ``K`` is
 E(x0; g_j + g_k) (``exp_quotient``), and ``far`` says both |Im g_j| x0 and
 |Im g_k| x0 are at least ``SMALL_W``.  Every built-in weight, the triangle
 included, is an autocorrelation, so neither evaluator branches on the
@@ -643,8 +646,12 @@ def smoothed_root(h, lo, hi):
     return _bisect(h, lo, hi)
 
 
+#: P(1) of the quartic ``_p4``, the value every quartic-method inequality reads
+P1 = 3.2
+
+
 def _p4(u):
-    """The quartic P(u) = u + u^2 + 0.8 u^3 + 0.4 u^4, P(1) = 3.2, at any u or array."""
+    """The quartic P(u) = u + u^2 + 0.8 u^3 + 0.4 u^4, P(1) = ``P1``, at any u or array."""
     return u * (1.0 + u * (1.0 + u * (0.8 + 0.4 * u)))
 
 
@@ -658,10 +665,10 @@ def poly_fn(slot, lam, b, psi):
     reverse.  g decreases in u, so g(J, lam/(lam+x)) increases in x.
     P_b = P(lam/(lam+b)) is formed once here, for all three.
 
-    With A = 3.2 - P_b, slot 0 puts the root at
+    With A = P(1) - P_b, slot 0 puts the root at
     P(u) = [(J^2 + 1/2) A + psi lam (J+1)^2]/(2J), convex in J with its
     minimum (the largest root) at J^2 = (A/2 + psi lam)/(A + psi lam).
-    Slot 1 puts it at P(u) = 3.2 - (2J P_b - psi lam (J+1)^2)/(J^2 + 1/2),
+    Slot 1 puts it at P(u) = P(1) - (2J P_b - psi lam (J+1)^2)/(J^2 + 1/2),
     stationary where (psi lam - P_b) J^2 + (psi lam/2) J + (P_b - psi lam)/2
     = 0; the roots' product is -1/2, so one is positive (none when the
     leading coefficient vanishes: the linear root is J = 0).  Between the
@@ -669,7 +676,7 @@ def poly_fn(slot, lam, b, psi):
     """
     known = _p4(lam / (lam + b))
     if slot == 0:
-        A = 3.2 - known
+        A = P1 - known
         den = A + psi * lam
         stationary = (math.sqrt((0.5 * A + psi * lam) / den),) if den > 0.0 else ()
 
@@ -684,11 +691,11 @@ def poly_fn(slot, lam, b, psi):
         stationary = () if c2 == 0.0 else (c2 / q if c2 > 0.0 else -q / (2.0 * c2),)
 
         def g(J, u):
-            return ((J * J + 0.5) * (3.2 - _p4(u)) - 2.0 * J * known
+            return ((J * J + 0.5) * (P1 - _p4(u)) - 2.0 * J * known
                     + psi * (J + 1.0) ** 2 * lam)
 
         def target(J):
-            return 3.2 - (2.0 * J * known - psi * (J + 1.0) ** 2 * lam) / (J * J + 0.5)
+            return P1 - (2.0 * J * known - psi * (J + 1.0) ** 2 * lam) / (J * J + 0.5)
     return g, target, stationary
 
 
@@ -701,7 +708,7 @@ def poly_root(g, target, J, lam, lo, hi):
 def zfr_fn(c0, c1, B, lam, phi):
     """The zero-free-region function c0 P(1) - c1 P(u) + B phi lam as g(u),
     and the value of P where it vanishes, as (g, target)."""
-    const = c0 * 3.2 + B * phi * lam
+    const = c0 * P1 + B * phi * lam
 
     def g(u):
         return const - c1 * _p4(u)
@@ -727,7 +734,7 @@ def p4_combo_min(A, B, C, a, b, c, ts):
     return float(w[i]), float(ts[i])
 
 
-#: public name of F(r), the one ``TrialFunction.laplace`` calls; the root
+#: public name of F(r), the one ``TrialFunction.laplace_real`` calls; the root
 #: kernels above call the private one, so a profiler that replaces this
 #: attribute sees only calls from outside
 f_real_scalar = _f_real_scalar

@@ -134,13 +134,12 @@ def _bound(res, p):
 def _dh_poly(args, p):
     if args.lam is None or args.J is None:
         raise HeckeZerosError(f"polynomial case {args.case} needs --lambda and --J")
-    return _bound(dh.solve_poly(dh.get_case(args.case), args.b, args.lam, args.J,
-                                phi=args.phi), p)
+    return _bound(dh.solve_poly(args.case, args.b, args.lam, args.J, phi=args.phi), p)
 
 
 def _dh_smoothed(args, p):
     f = _family_from_args(args)
-    return _bound(dh.solve_smoothed(dh.get_case(args.case), f, args.b, phi=args.phi), p)
+    return _bound(dh.solve_smoothed(args.case, f, args.b, phi=args.phi), p)
 
 
 def _optimize(args, p):
@@ -365,14 +364,14 @@ def build_parser():
                         "a row may show (default 2e-4)")
     t.add_argument("--budget", type=int, default=None,
                    help="read with --regress of a smoothed table or T1: weights a "
-                        "search scores per row (T1: per cell; default 120), at "
-                        "least 40 per profile")
+                        "search scores per row (T1: per cell; default "
+                        f"{tables.REGRESS_BUDGET}), at least 40 per profile")
     _add_common(t, formats=("text", "md", "csv", "json"), phi=False)
 
     o = sp.add_parser("optimize", help="parameter search for a repulsion case")
     o.add_argument("--case", required=True, choices=sorted(dh.CASES))
     o.add_argument("--b", type=float, required=True)
-    o.add_argument("--budget", type=int, default=6000,
+    o.add_argument("--budget", type=int, default=optimizer.SearchSpec.max_evals,
                    help="evaluations of the search: (lambda, J) solves, or weights "
                         "(at least 40 per profile, so about 80 at any budget below 80)")
     _add_common(o)

@@ -38,9 +38,8 @@ regime (conductor-discriminant quantity sufficiently large); the solvers
 report the exact root, and the asserted bound is root - epsilon.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +52,9 @@ PHI = 0.25
 
 #: right end of the smoothed solves' bracket [0, HI]
 HI = 60.0
+
+#: right end of the quartic solves' bracket [0, POLY_HI]
+POLY_HI = 1e3
 
 E = math.e
 
@@ -71,59 +73,53 @@ class SolverCase:
     j0: str = ""                # poly side-condition coefficient: 'sz' | 'cc'
     extra_j1: bool = False      # poly: second side condition with J1 = 4J/(J^2+1)
     j_min: float = 0.0
-    tables: tuple = field(default=())
 
 
 CASES = {c.name: c for c in (
     # -- smoothed, worst character and worst zero real -----------------------
     SolverCase("sz-lp-quadratic", "smoothed", 4.0,
-               "second zero of a quadratic worst character", c1=2,
-               tables=("T2:quadratic",)),
+               "second zero of a quadratic worst character", c1=2),
     SolverCase("sz-lp-principal", "smoothed", 2.0,
-               "second zero, worst character principal", c1=2,
-               tables=("T2:principal",)),
+               "second zero, worst character principal", c1=2),
     SolverCase("sz-l2-nonprincipal", "smoothed", 4.0,
-               "second-worst character's zero, both characters non-principal", c1=1,
-               tables=("T7:nonprincipal",)),
+               "second-worst character's zero, both characters non-principal", c1=1),
     SolverCase("sz-l2-chi1-principal", "smoothed", 2.0,
-               "second-worst character's zero, worst character principal", c1=1,
-               tables=("T7:principal",)),
+               "second-worst character's zero, worst character principal", c1=1),
     SolverCase("sz-l2-chi2-principal", "smoothed", 4.0,
-               "second-worst character's zero, that character principal", c1=2,
-               tables=("T2:quadratic",)),
+               "second-worst character's zero, that character principal", c1=2),
     # -- smoothed, complex case ----------------------------------------------
     SolverCase("cc-lp-principal-real", "smoothed", 2.0,
                "second zero real, worst character principal with complex worst zero",
-               c1=2, tables=("T6",)),
+               c1=2),
     SolverCase("cc-l2-nonprincipal", "smoothed", 4.0,
                "second-worst character's zero, complex case, both non-principal",
-               c1=1, form="cc", tables=("T8:nonprincipal",)),
+               c1=1, form="cc"),
     SolverCase("cc-l2-chi2-principal-real", "smoothed", 2.0,
                "second-worst character's zero real, that character principal, complex case",
-               c1=1, form="cc", tables=("T8:chi2-principal-real",)),
+               c1=1, form="cc"),
     # -- polynomial, worst character and worst zero real ---------------------
     SolverCase("sz-lp-quadratic-medium", "poly", 2.0,
                "second zero complex, quadratic worst character, medium widths",
-               unknown_slot="known-on-square", j0="sz", tables=("T3:quadratic",)),
+               unknown_slot="known-on-square", j0="sz"),
     SolverCase("sz-lp-principal-medium", "poly", 1.0,
                "second zero complex, worst character principal, medium widths",
-               unknown_slot="known-on-square", j0="sz", tables=("T3:principal",)),
+               unknown_slot="known-on-square", j0="sz"),
     SolverCase("sz-l2-chi2-principal-medium", "poly", 2.0,
                "second-worst character's complex zero, that character principal",
-               unknown_slot="known-on-square", j0="sz", tables=("T3:quadratic",)),
+               unknown_slot="known-on-square", j0="sz"),
     # -- polynomial, complex case --------------------------------------------
     SolverCase("cc-lp-nonprincipal", "poly", 2.0,
                "second zero, complex case, worst character non-principal",
-               unknown_slot="known-on-linear", j0="cc", j_min=0.25, tables=("T4",)),
+               unknown_slot="known-on-linear", j0="cc", j_min=0.25),
     SolverCase("cc-lp-principal", "poly", 2.0,
                "second zero complex, worst character principal, complex case",
-               unknown_slot="known-on-square", j0="cc", extra_j1=True, tables=("T5",)),
+               unknown_slot="known-on-square", j0="cc", extra_j1=True),
     SolverCase("cc-l2-chi1-principal", "poly", 2.0,
                "second-worst character's zero, complex case, worst character principal",
-               unknown_slot="known-on-linear", j0="cc", tables=("T9",)),
+               unknown_slot="known-on-linear", j0="cc"),
     SolverCase("cc-l2-chi2-principal-complex", "poly", 2.0,
                "second-worst character's complex zero, that character principal, complex case",
-               unknown_slot="known-on-square", j0="cc", tables=("T10",)),
+               unknown_slot="known-on-square", j0="cc"),
 )}
 
 SMOOTHED_CASES = tuple(n for n, c in CASES.items() if c.method == "smoothed")
@@ -152,12 +148,15 @@ class BoundResult:
     side_margin: float = math.nan
 
 
-def get_case(name):
+def get_case(case):
+    """The SolverCase of ``case``, a name or a record."""
+    if isinstance(case, SolverCase):
+        return case
     try:
-        return CASES[name]
+        return CASES[case]
     except KeyError:
         raise InvalidParameterError(
-            f"unknown solver case {name!r}; available: {sorted(CASES)}") from None
+            f"unknown solver case {case!r}; available: {sorted(CASES)}") from None
 
 
 def require_finite(**values):
@@ -209,13 +208,25 @@ def check_width(b, phi):
 # smoothed solver
 # ---------------------------------------------------------------------------
 
+def _check_smoothed(case, b, phi):
+    """The smoothed SolverCase of ``case``, a name or a record; raises
+    InvalidParameterError unless it is smoothed and b, phi are finite and
+    >= 0 (``check_width``)."""
+    case = get_case(case)
+    if case.method != "smoothed":
+        raise InvalidParameterError(f"case {case.name} is not a smoothed case")
+    check_width(b, phi)
+    return case
+
+
 def smoothed_h(case, f, b, phi=PHI):
-    """The case's monotone bracketing function, vectorized over x.
+    """The case's monotone bracketing function, vectorized over x; inputs
+    are checked as in ``solve_smoothed``.
 
     It uses only the array path of ``f.laplace``, never the solver's scalar
     kernel, so the scan oracle that checks the solver stays independent.
     """
-    case = get_case(case) if isinstance(case, str) else case
+    case = _check_smoothed(case, b, phi)
 
     def F(r):   # through a 1-d array even for a scalar r
         r = np.asarray(r, dtype=float)
@@ -261,16 +272,8 @@ def solve_smoothed(case, f, b, phi=PHI):
     F(0) = psi f(0)) bounds nothing either and raises NoBoundError with sign
     None.  The family search scores its weights by ``_search_root`` instead.
     """
-    case = get_case(case) if isinstance(case, str) else case
-    if case.method != "smoothed":
-        raise InvalidParameterError(f"case {case.name} is not a smoothed case")
-    check_width(b, phi)
-    code = f.kernel_code()
-    if code is not None:
-        F = functools.partial(_kernels._f_real_scalar, code)
-    else:
-        def F(r):
-            return float(f.laplace(r).real)
+    case = _check_smoothed(case, b, phi)
+    F = f.laplace_real
     b = float(b)
     hi = HI
     if case.form == "sz":
@@ -320,7 +323,7 @@ def _j0(c, d, J):
 
 def j0_value(case, J):
     """Side-condition coefficient on the 2J-slot term."""
-    case = get_case(case) if isinstance(case, str) else case
+    case = get_case(case)
     return _j0(*_J0_FORMS[case.j0], J)
 
 
@@ -331,16 +334,18 @@ def j1_value(J):
 
 def _check_poly(case, b, lam, J, phi=PHI, x=0.0):
     """The poly SolverCase of ``case``, a name or a record; raises
-    InvalidParameterError naming the argument unless b, phi >= 0, lambda,
+    InvalidParameterError naming the argument unless b, phi, x >= 0, lambda,
     J > 0 and J >= j_min are finite and the quartic powers (``check_quartic``,
     with the width x) stay in the float range."""
-    case = get_case(case) if isinstance(case, str) else case
+    case = get_case(case)
     if case.method != "poly":
         raise InvalidParameterError(f"case {case.name} is not a polynomial case")
     check_width(b, phi)
     for name, value in (("lambda", lam), ("J", J)):
         if not 0 < value < math.inf:   # NaN too
             raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+    if not 0 <= x < math.inf:
+        raise InvalidParameterError(f"width x must be finite and >= 0, got {x}")
     if J < case.j_min:
         raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
     check_quartic(lam, b, J, x)
@@ -470,18 +475,18 @@ def _poly_at(case, b, lam, phi):
 
 
 def _poly_bound(at, lam, J):
-    """(value, root, h(0), h(1000), x_side) of a poly case at J.
+    """(value, root, h(0), h(POLY_HI), x_side) of a poly case at J.
 
     ``at`` is ``_poly_at``'s for the case at b, lambda, phi, all checked, and
     x_side the uncapped side limit.  value is min(root, x_side),
     ``solve_poly``'s lambda*, and NaN wherever ``solve_poly`` raises: h has
-    no sign change on [0, 1000] (root NaN) or the side condition fails at
+    no sign change on [0, POLY_HI] (root NaN) or the side condition fails at
     width 0 (x_side < 0).  The search scores
     each candidate J by this value alone; ``solve_poly`` adds the checks,
     the residual and the result.
     """
     g, target, _, side_x = at
-    root, hlo, hhi = _kernels.poly_root(g, target, J, lam, 0.0, 1e3)
+    root, hlo, hhi = _kernels.poly_root(g, target, J, lam, 0.0, POLY_HI)
     x_side = side_x(J)
     value = math.nan if root != root or x_side < 0.0 else min(root, x_side)
     return value, root, hlo, hhi, x_side
@@ -490,7 +495,7 @@ def _poly_bound(at, lam, J):
 def solve_poly(case, b, lam, J, phi=PHI):
     """Quartic-method repulsion bound with side-condition enforcement.
 
-    The equation root is bracketed on [0, 1000].  The returned lambda* is
+    The equation root is bracketed on [0, POLY_HI].  The returned lambda* is
     min(equation root, side-condition limit), which is always a valid bound;
     ``side_limited`` marks capped results and ``root`` keeps the uncapped
     value.  SideConditionError is raised only when the condition fails even
@@ -506,13 +511,14 @@ def solve_poly(case, b, lam, J, phi=PHI):
     if math.isnan(root):
         sign = "positive" if hlo > 0 else "negative"
         raise NoBoundError(
-            f"{case.name}: no root in [0, 1000.0] at (b={b}, lambda={lam}, J={J});"
+            f"{case.name}: no root in [0, {POLY_HI}] at (b={b}, lambda={lam}, J={J});"
             f" h stays {sign}", sign=sign)
     if x_side < 0.0:
         raise SideConditionError(
             f"{case.name}: side condition fails for every width at "
             f"(b={b}, lambda={lam}, J={J}); no valid bound")
-    scale = 1.0 + (J * J + 0.5) * 3.2 + 2.0 * J * 3.2 + psi * (J + 1.0) ** 2 * lam
+    scale = (1.0 + (J * J + 0.5) * _kernels.P1 + 2.0 * J * _kernels.P1
+             + psi * (J + 1.0) ** 2 * lam)
     residual = abs(at[0](J, lam / (lam + root))) / scale
     _, margin = side_condition(case, b, lam, J, root)
     return BoundResult(case.name, b, value, {"lambda": lam, "J": J}, True, residual,

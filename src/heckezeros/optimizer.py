@@ -57,7 +57,11 @@ SWEEP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Target case plus budget for maximize_bound."""
+    """Target case plus budget for maximize_bound.
+
+    The default budget is also ``optimize_family_smoothed``'s and that of
+    ``heckezeros optimize``.
+    """
 
     case: str
     b: float
@@ -275,11 +279,11 @@ def _j_ceiling(case, lam, at):
     multiple of target - P(u)), so it falls as the target rises: the largest
     is x at the smallest target, at a box end or a stationary J inside the
     box, between which the root is monotone.  It is 0 where that target is
-    at least P(1) = 3.2 (no J has a root above 0), and the bracket top 1000
-    where it lies below P at x = 1000.  The ceiling is raised by 1e-12 of
-    lam + x: the root lam/u - lam rounds by a few ulps of lam + x, so no
-    candidate J, however its value rounds, scores above the ceiling.  It is
-    +inf where a target is NaN.
+    at least P(1) (``_kernels.P1``; no J has a root above 0), and the
+    bracket top ``dh.POLY_HI`` of every root where it lies below P there.
+    The ceiling is raised by 1e-12 of lam + x: the root lam/u - lam rounds
+    by a few ulps of lam + x, so no candidate J, however its value rounds,
+    scores above the ceiling.  It is +inf where a target is NaN.
     """
     _, target, stationary, _ = at
     j_lo, j_hi = _j_box(case)
@@ -287,10 +291,10 @@ def _j_ceiling(case, lam, at):
     if any(map(math.isnan, targets)):
         return math.inf
     t = min(targets)
-    if t >= 3.2:
+    if t >= _kernels.P1:
         x = 0.0
-    elif t <= _kernels._p4(lam / (lam + 1e3)):
-        x = 1e3
+    elif t <= _kernels._p4(lam / (lam + dh.POLY_HI)):
+        x = dh.POLY_HI
     else:
         x = lam / _kernels._p4_newton(t, 1.0) - lam
     return x + 1e-12 * (lam + x)
@@ -364,8 +368,7 @@ def maximize_bound(spec):
                 f"no feasible (lambda, J) for {case.name} at b={spec.b}")
         return dh.solve_poly(case, spec.b, lam_opt, best_j[lam_opt], phi=spec.phi)
 
-    res = optimize_family_smoothed(case.name, spec.b, budget=spec.max_evals,
-                                   phi=spec.phi)
+    res = optimize_family_smoothed(case, spec.b, budget=spec.max_evals, phi=spec.phi)
     if res is None:
         raise InfeasibleSearchError(
             f"no admissible substitute weight for {case.name} at b={spec.b}")
@@ -425,7 +428,8 @@ def _search_profiles(score, boxes, seeds, budget):
     return trial_functions.autocorrelation(*_generator(point["alpha"], point["s"], mult)), mult
 
 
-def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI):
+def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=None,
+                             phi=dh.PHI):
     """Optimize the substitute family for one smoothed case and width.
 
     Runs an (alpha, s) search for each profile and keeps the best; returns a
@@ -448,10 +452,7 @@ def optimize_family_smoothed(case, b, budget=400, seed_params=None, phi=dh.PHI):
     smoothed, or a seed whose alpha or s is not finite or lies outside
     ``FAMILY_BOXES``, raises InvalidParameterError before any evaluation.
     """
-    case = dh.get_case(case)
-    if case.method != "smoothed":
-        raise InvalidParameterError(f"case {case.name} is not a smoothed case")
-    dh.check_width(b, phi)
+    case = dh._check_smoothed(case, b, phi)
     _check_budget(budget)
     seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
              for s_ in FAMILY_GRID["s"]]

@@ -241,13 +241,17 @@ class RegressionReport:
                 f" ({'PASS' if self.passed else 'FAIL'})")
 
 
+#: objective evaluations per row (T1: per cell) of a regression's searches,
+#: the default of ``regress`` and ``regress_zero_density``
+REGRESS_BUDGET = 120
+
 #: soft acceptance band for substitute-family reproduction of smoothed rows
 SMOOTHED_BAND = (0.80, 1.05)
 #: required in-band fraction for a smoothed regression to pass
 SMOOTHED_FRACTION = 0.90
 
 
-def regress(table, tolerance=2e-4, budget=120):
+def regress(table, tolerance=2e-4, budget=REGRESS_BUDGET):
     """Recompute every row of a bound table.
 
     Polynomial tables rerun the exact solver with the row's (lambda, J); every
@@ -332,7 +336,7 @@ def _regress_smoothed(table, budget):
                             passed, n_pass, len(rows))
 
 
-def regress_zero_density(table, budget=60):
+def regress_zero_density(table, budget=REGRESS_BUDGET):
     """Soft regression of the density grid with the substitute family.
 
     A cell passes when the recomputed integer bound lies in [1, listed + 3];

@@ -22,7 +22,9 @@ families satisfy this:
 Each built-in weight carries a family code ``(x0, folded)``, one of each
 conjugate pair of generator-exponent pairs with its coefficient doubled, and
 its transform is evaluated by ``_kernels`` from that code alone: real
-scalars by ``f_real_scalar``, complex or array arguments by ``f_array``.
+scalars by ``f_real_scalar`` (through ``TrialFunction.laplace_real``, the
+one route of every solver to F at a real point), complex or array arguments
+by ``f_array``.
 The two agree to 2e-13 relative, not to the bit: Python and NumPy complex
 arithmetic differ in the last bits.  The weight f(t) and f(0) read the
 same folded pairs, and ``_kernels.E`` serves f(t) here.
@@ -101,11 +103,22 @@ class TrialFunction:
         """F(z); accepts real/complex scalars or arrays, entire in z.
 
         Real scalars (int, float, NumPy floating) of a weight with a code go
-        through the scalar kernel, which gives +inf past the exp overflow range.
+        through ``laplace_real``, as a complex.
         """
         if self._code is not None and isinstance(z, (int, float, np.floating)):
-            return complex(_kernels.f_real_scalar(self._code, float(z)))
+            return complex(self.laplace_real(z))
         return self._laplace(z)
+
+    def laplace_real(self, r):
+        """F(r) at one real r, as a float.
+
+        A weight with a code takes the scalar kernel ``_kernels.f_real_scalar``,
+        which gives +inf past the exp overflow range; a plug-in weight the real
+        part of its transform.
+        """
+        if self._code is None:
+            return float(self._laplace(r).real)
+        return _kernels.f_real_scalar(self._code, float(r))
 
     def kernel_code(self):
         return self._code
@@ -315,11 +328,9 @@ def repel_reduce(f, a, b):
     Equals F(-a) - F(0) when b >= a, else F(-a) - F(b-a); both follow from
     the non-negativity of f and of Re F on the imaginary axis.
     """
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):   # NaN too
         raise DomainError(f"repel_reduce requires a, b >= 0, got a={a}, b={b}")
-    if b >= a:
-        return float((f.laplace(-a) - f.laplace(0.0)).real)
-    return float((f.laplace(-a) - f.laplace(b - a)).real)
+    return f.laplace_real(-a) - f.laplace_real(0.0 if b >= a else b - a)
 
 
 def condition2_min(f):

@@ -312,9 +312,8 @@ def suite_zero_density():
     for lam in lams:
         q = zero_density.ZdQuery(f, float(lam))
         c1, c2 = zero_density.zd_preconditions(q)
-        den_pos = ((float(f.laplace(lam).real) - f.f0 / 3.0) ** 2
-                   - f.f0 / 3.0 * (f.f0 / 4.0
-                                           + float(f.laplace(0.0).real))) > 0
+        den_pos = ((f.laplace_real(lam) - f.f0 / 3.0) ** 2
+                   - f.f0 / 3.0 * (f.f0 / 4.0 + f.laplace_real(0.0))) > 0
         if c2 != den_pos:
             vals.append(-1.0)
         elif c1 and c2:

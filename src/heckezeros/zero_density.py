@@ -47,10 +47,7 @@ def check_inputs(lam, b, vartheta, phi):
 
 
 def _values(q):
-    f0 = q.f.f0
-    F_minus_b = float(q.f.laplace(-q.b).real)
-    F_gap = float(q.f.laplace(q.lam - q.b).real)
-    return f0, F_minus_b, F_gap
+    return q.f.f0, q.f.laplace_real(-q.b), q.f.laplace_real(q.lam - q.b)
 
 
 def preconditions_from_values(f0, F_minus_b, F_gap, vartheta, phi):

@@ -29,6 +29,10 @@ from .dh import PHI, check_phi, cos_bound, require_finite
 from .errors import InvalidParameterError, NoBoundError
 from .trial_functions import K_FAMILY_PAIRS
 
+#: combined normalization coefficient B of the smoothed inequality of the
+#: order-5 and order>=6 cases, whose c0, c1 are those of 'order234'
+SMOOTHED_B = 62174.0
+
 #: lambda* floor for the order>=6 case, from the complex-case repulsion tables
 #: at width 0.180 (min over the second-zero and second-character bounds).
 ORDER_GE6_LAMBDA_STAR = 0.3916
@@ -71,12 +75,26 @@ class ZfrResult:
     approximate: bool = False
 
 
-def get_case(name):
+def get_case(case):
+    """The ZfrCase of ``case``, a name or a record."""
+    if isinstance(case, ZfrCase):
+        return case
     try:
-        return CASES[name]
+        return CASES[case]
     except KeyError:
         raise InvalidParameterError(
-            f"unknown zero-free-region case {name!r}; available: {sorted(CASES)}") from None
+            f"unknown zero-free-region case {case!r}; available: {sorted(CASES)}") from None
+
+
+def _check(case, lam, phi):
+    """(ZfrCase, lam, phi) as floats; raises InvalidParameterError unless lam
+    is finite and positive and phi finite and >= 0."""
+    case = get_case(case)
+    require_finite(lam=lam)
+    check_phi(phi)
+    if lam <= 0:
+        raise InvalidParameterError(f"lambda must be positive, got {lam}")
+    return case, float(lam), float(phi)
 
 
 def expand_trig_square_product(a1, b1, a2, b2):
@@ -118,8 +136,9 @@ def combine_L_coefficients(a, b, vartheta=0.75):
 
 
 def zfr_h(case, lam, phi=PHI):
-    """The increasing function of lambda_1 whose root gives the region width."""
-    case = get_case(case) if isinstance(case, str) else case
+    """The increasing function of lambda_1 whose root gives the region width;
+    inputs are checked as in ``zfr_solve``."""
+    case, lam, phi = _check(case, lam, phi)
     g = _kernels.zfr_fn(case.coeffs[0], case.coeffs[1], case.B, lam, phi)[0]
 
     def h(x):
@@ -129,7 +148,7 @@ def zfr_h(case, lam, phi=PHI):
 
 def side_condition_limit(case, lam):
     """Largest x >= 0 with p/lam^4 <= q/(lam+x)^4, or -inf if none, inf if all."""
-    case = get_case(case) if isinstance(case, str) else case
+    case = get_case(case)
     p, q = case.side
     ratio = q / p
     if ratio < 1.0:
@@ -167,12 +186,7 @@ def zfr_solve(case, lam, phi=PHI):
     records when the cap was the binding constraint.  A negative phi is
     rejected; phi = 0 drops the width term.
     """
-    case = get_case(case) if isinstance(case, str) else case
-    require_finite(lam=lam)
-    check_phi(phi)
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    lam, phi = float(lam), float(phi)
+    case, lam, phi = _check(case, lam, phi)
     value, root, hlo, hhi, limit = _zfr_bound(case, lam, phi)
     if math.isnan(root):
         if hlo > 0:
@@ -183,7 +197,7 @@ def zfr_solve(case, lam, phi=PHI):
             f"zfr {case.name}: no root below 10.0 at lambda={lam}", sign="negative")
     # relative to the ~1e5-sized terms of the inequality
     c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
-    scale = 1.0 + c0 * 3.2 + B * phi * lam
+    scale = 1.0 + c0 * _kernels.P1 + B * phi * lam
     residual = abs(_kernels.zfr_fn(c0, c1, B, lam, phi)[0](lam / (lam + root))) / scale
     return ZfrResult(case.name, lam, value, limit >= 0, value != root or limit < 0,
                      root, residual)
@@ -193,24 +207,25 @@ def zfr_order5(phi=PHI):
     """Width for order-5 characters via the fixed-ratio cosine bound.
 
     The driving inequality, normalized by its leading coefficient, reads
-    F(-lambda_1) - (c1/c0) F(0) + (B/c0) phi f(0) >= 0 with c1/c0 =
-    24480/14379; the matching cosine-type weight has the bundled angle
-    theta = 1.1580, giving lambda_1 >= cos^2(theta) c0 / (B phi).  phi must
-    be finite and positive.
+    F(-lambda_1) - (c1/c0) F(0) + (B/c0) phi f(0) >= 0 with c0, c1 of
+    'order234' (c1/c0 = 24480/14379) and B = ``SMOOTHED_B``; the matching
+    cosine-type weight has the bundled angle theta = 1.1580, giving
+    lambda_1 >= cos^2(theta) c0 / (B phi).  phi must be finite and positive.
     """
     require_finite(phi=phi)
     if phi <= 0:
         raise InvalidParameterError(f"phi must be positive, got {phi}")
     theta = K_FAMILY_PAIRS[2][1]
-    B_over_c0 = 62174.0 / 14379.0
+    B_over_c0 = SMOOTHED_B / CASES["order234"].coeffs[0]
     return cos_bound(theta, 2.0 * B_over_c0 * phi)
 
 
 def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
     """Width for order >= 6 via the smoothed inequality, substitute weight.
 
-    Solves 14379 F(-lam_star) - 24480 F(x - lam_star) + 62174 phi f(0) = 0
-    for x in [0, lam_star].  The published constant uses an externally
+    Solves c0 F(-lam_star) - c1 F(x - lam_star) + B phi f(0) = 0 for x in
+    [0, lam_star], with c0 = 14379 and c1 = 24480 of 'order234' and
+    B = ``SMOOTHED_B`` = 62174.  The published constant uses an externally
     defined weight, so results here are flagged approximate.  lam_star must
     be positive; a negative phi is rejected.
     """
@@ -218,11 +233,11 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
     check_phi(phi)
     if lam_star <= 0:
         raise InvalidParameterError(f"lam_star must be positive, got {lam_star}")
-    F_star = float(f.laplace(-lam_star).real)
-    const = 14379.0 * F_star + 62174.0 * phi * f.f0
+    c0, c1 = CASES["order234"].coeffs[:2]
+    const = c0 * f.laplace_real(-lam_star) + SMOOTHED_B * phi * f.f0
 
     def h(x):
-        return float(const - 24480.0 * f.laplace(x - lam_star).real)
+        return const - c1 * f.laplace_real(x - lam_star)
 
     root, hlo, hhi = _kernels._bisect(h, 0.0, lam_star)
     if hlo > 0:
@@ -244,12 +259,17 @@ def zfr_optimize(case, phi=PHI):
 
     A 241-point scan of lambda in [0.05, 3] then golden-section refinement to
     1e-6; infeasible lambdas (no root) score -inf.  Deterministic.  The width
-    profile is continuous and unimodal on the feasible region (the root falls
-    and the side limit rises in lambda), so this finds the global optimum.
+    profile is continuous and unimodal on the feasible region, so this finds
+    the global optimum.  Along P(u) = (P(1) c0 + B phi lambda)/c1, where
+    u = lambda/(lambda + x) grows with lambda for phi > 0, the root x rises
+    while c1 (0.4 u^3 + 1.2 u^4 + 1.6 u^5) < P(1) c0 and falls after, so it
+    peaks once (order234: u = 0.8847 at lambda = 0.94214); the side limit
+    lambda ((q/p)^(1/4) - 1) rises; and the smaller of the two rises, then
+    falls.
     phi is checked once, before the scan, which scores each lambda by the
     width ``zfr_solve`` would return (``_zfr_bound``) without calling it.
     """
-    case = get_case(case) if isinstance(case, str) else case
+    case = get_case(case)
     check_phi(phi)
     phi = float(phi)
 

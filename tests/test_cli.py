@@ -210,6 +210,16 @@ class TestPathOptions:
         assert [{k: v for k, v in kw.items() if k in ("budget", "tolerance")}
                 for kw in calls] == [given]
 
+    def test_optimize_budget_defaults_to_the_search_spec(self, monkeypatch):
+        specs = []
+
+        def stop(spec):
+            specs.append(spec)
+            raise HeckeZerosError("stop")
+        monkeypatch.setattr(optimizer, "maximize_bound", stop)
+        assert cli.main(shlex.split("optimize --case sz-lp-principal --b 0.1")) == 1
+        assert [spec.max_evals for spec in specs] == [SearchSpec.max_evals]
+
     @pytest.mark.parametrize("verb, option, fn, name", [
         ("zd", "--budget", optimizer.optimize_zd, "budget"),
         ("table", "--budget", tables.regress, "budget"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckezeros import _kernels, dh, oracles, trial_functions as tf
 from heckezeros.errors import InvalidParameterError, NoBoundError, SideConditionError
+from heckezeros.optimizer import SearchSpec, maximize_bound
 
 E = math.e
 
@@ -39,6 +40,13 @@ class TestCaseTable:
     def test_unknown_case(self):
         with pytest.raises(InvalidParameterError):
             dh.get_case("nope")
+
+    def test_case_by_name_or_record(self):
+        # every entry point takes either; the searches took names only
+        record = dh.CASES["cc-lp-nonprincipal"]
+        assert dh.get_case(record) is record is dh.get_case("cc-lp-nonprincipal")
+        assert (maximize_bound(SearchSpec(record, 0.1227))
+                == maximize_bound(SearchSpec("cc-lp-nonprincipal", 0.1227)))
 
 
 class TestSolveSmoothed:
@@ -109,6 +117,17 @@ class TestSolveSmoothed:
         kwargs = {"b": 0.05, "phi": dh.PHI, arg: bad}
         with pytest.raises(InvalidParameterError, match=arg):
             dh.solve_smoothed("sz-lp-principal", tf.triangle(1.5), **kwargs)
+
+    @pytest.mark.parametrize("case, b, phi, named", [
+        ("cc-lp-nonprincipal", 0.1, dh.PHI, "not a smoothed case"),
+        ("sz-lp-principal", math.nan, dh.PHI, "b"), ("sz-lp-principal", -0.1, dh.PHI, "b"),
+        ("sz-lp-principal", 0.1, -0.25, "phi")])
+    def test_smoothed_h_checks_as_the_solver(self, case, b, phi, named):
+        # smoothed_h built an 'sz' h for a poly case (-0.6229 at x = 1 for
+        # cc-lp-nonprincipal) and took a NaN or negative b
+        for call in (dh.smoothed_h, dh.solve_smoothed):
+            with pytest.raises(InvalidParameterError, match=named):
+                call(case, tf.triangle(2.0), b, phi)
 
     def test_negative_phi_rejected(self):
         # a negative phi flips the sign of the psi f(0) term; phi = 0 is allowed
@@ -221,6 +240,13 @@ class TestSolvePoly:
         for call in calls:
             with pytest.raises(InvalidParameterError, match=arg):
                 call()
+
+    @pytest.mark.parametrize("x", [-1.097, -5.0, math.nan, math.inf])
+    def test_side_condition_needs_a_finite_width(self, x):
+        # -1.097 divided by lambda + x = 0, -5 held with margin 0.1008, NaN
+        # failed and inf held with margin 0.0965
+        with pytest.raises(InvalidParameterError, match="width x"):
+            dh.side_condition("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788, x)
 
     def test_j_minimum_for_cc_nonprincipal(self):
         with pytest.raises(InvalidParameterError):

@@ -761,10 +761,10 @@ ROOT_KERNELS = {
             functools.partial(_kernels.f_real_scalar, _TRIANGLE.kernel_code()),
             0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.f0), lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
-    "plugin": (
-        lambda phi, lo, hi: _kernels._bisect(
-            lambda x: float(dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01, phi)(x)),
-            lo, hi),
+    "plugin": (   # smoothed_h's h, through the array transform, at any phi
+        lambda phi, lo, hi: _kernels._bisect(_kernels.smoothed_fn(
+            lambda r: float(_TRIANGLE.laplace(np.array([r]))[0].real),
+            0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.f0), lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "poly_root": (
         lambda phi, lo, hi: _kernels.poly_root(

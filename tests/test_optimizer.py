@@ -531,6 +531,17 @@ class TestBudget:
         optimizer.optimize_zd(0.2, budget=1)
         assert 60 <= len(scores) <= 82 and len(bounds) == 1
 
+    def test_family_search_default_is_search_spec_default(self, monkeypatch):
+        # 6000 for maximize_bound and optimize_family_smoothed alike (the
+        # latter's own default was 400)
+        budgets = []
+        monkeypatch.setattr(optimizer, "_search_profiles",
+                            lambda score, boxes, seeds, budget: budgets.append(budget))
+        assert optimizer.optimize_family_smoothed("sz-lp-principal", 0.1) is None
+        with pytest.raises(InfeasibleSearchError):
+            maximize_bound(SearchSpec("sz-lp-principal", 0.1))
+        assert budgets == [SearchSpec.max_evals] * 2 == [6000] * 2
+
     def test_poly_search(self, monkeypatch):
         scores = self.counted(monkeypatch, dh, "_poly_bound")
         solves = self.counted(monkeypatch, dh, "solve_poly")
@@ -564,6 +575,12 @@ class TestInvalidInput:
             optimizer.optimize_family_smoothed("sz-lp-principal", b, phi=phi)
         with pytest.raises(InvalidParameterError):
             maximize_bound(SearchSpec("sz-lp-principal", b, phi=phi))
+        assert builds == []
+
+    def test_smoothed_search_needs_a_smoothed_case(self, monkeypatch):
+        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
+        with pytest.raises(InvalidParameterError, match="not a smoothed case"):
+            optimizer.optimize_family_smoothed("cc-lp-nonprincipal", 0.1)
         assert builds == []
 
     @pytest.mark.parametrize("seed", [

@@ -161,6 +161,14 @@ def test_scan_root_no_change():
         oracles.scan_root(lambda x: x + 1.0, 0.0, 2.0, 1e-3)
 
 
+@pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (2.0, 1.0)])
+def test_scan_root_empty_bracket(lo, hi):
+    calls = []
+    with pytest.raises(NoRootError, match="empty bracket"):
+        oracles.scan_root(lambda x: calls.append(x) or x - 1.0, lo, hi, 1e-3)
+    assert not calls
+
+
 
 @pytest.mark.parametrize("lo, hi, step", [
     (0.0, math.nan, 1e-3), (math.nan, 2.0, 1e-3), (0.0, math.inf, 1e-3),

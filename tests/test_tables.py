@@ -101,6 +101,20 @@ class TestPolyRegression:
         with pytest.raises(InvalidParameterError, match="tolerance"):
             tables.regress("T4", tolerance=tolerance)
 
+    def test_skipped_row_and_suspect(self):
+        # a row without (lambda, J) fails unsolved; a row 10 tolerances off
+        # its listed value is a transcription suspect
+        payload = json.loads(tables.to_json(tables.load_table("T4")))
+        del payload["rows"][0]["lambda"], payload["rows"][0]["J"]
+        payload["rows"][1]["lambda_star"] = "0.7000"
+        rep = tables.regress(tables.from_json(json.dumps(payload)))
+        skipped, off = rep.rows[:2]
+        assert skipped.note == "skipped: missing (lambda, J)" and not skipped.in_band
+        assert math.isnan(skipped.computed)
+        assert not off.in_band
+        assert rep.suspects == (off.b,) and not rep.passed
+        assert rep.n_pass == rep.n_rows - 2
+
     def test_spot_row(self):
         rep = tables.regress("T3:quadratic")
         row = next(r for r in rep.rows if r.b == 0.2866)
@@ -150,6 +164,34 @@ class TestZdRegression:
     def test_bound_table_rejected(self, key):
         with pytest.raises(InvalidParameterError, match=f"table {key} is not"):
             tables.regress_zero_density(key, budget=5)
+
+    @staticmethod
+    def one_cell(lam, b, listed):
+        return tables.ZdTable("T1", "", (lam,), (b,), ((listed,),))
+
+    def test_default_budget_is_regress_budget(self):
+        # 120 weights per cell, as through regress (it was 60 here): at
+        # lambda = 0.25, b = 0 a budget of 60 finds N = 6 and 120 the listed 5
+        cell = self.one_cell(0.25, 0.0, 5)
+        rep = tables.regress_zero_density(cell)
+        assert tables.REGRESS_BUDGET == 120
+        assert rep == tables.regress_zero_density(cell, budget=120)
+        assert rep.rows[0].computed == 5.0
+        assert tables.regress_zero_density(cell, budget=60).rows[0].computed == 6.0
+
+    def test_regress_takes_a_density_table(self):
+        # the path of ``table --regress T1``
+        cell = self.one_cell(0.25, 0.0, 5)
+        assert tables.regress(cell, budget=80) == tables.regress_zero_density(cell, budget=80)
+        assert tables.regress(cell) == tables.regress_zero_density(cell)
+
+    def test_no_bound_found_fails_the_cell(self):
+        # no weight of the family meets the preconditions at lambda = 0.5,
+        # b = 0, where a finite N is listed here
+        rep = tables.regress_zero_density(self.one_cell(0.5, 0.0, 7), budget=60)
+        (row,) = rep.rows
+        assert math.isinf(row.computed) and not row.in_band and not rep.passed
+        assert row.note == "no bound found at lambda=0.5"
 
     @pytest.mark.slow
     def test_full_grid_soft(self):
@@ -213,6 +255,14 @@ class TestSerialization:
         assert csv_text.splitlines()[0] == "b,lambda_star,lambda,J"
         t1 = tables.load_table("T1")
         assert "inf" in tables.to_csv(t1)
+        # the text of ``table --name T1``: a blank for a cell not shown
+        md = tables.to_markdown(t1).splitlines()
+        assert md[0] == ("| lambda | b>=0 | b>=0.0875 | b>=0.1 | b>=0.1227 | b>=0.15"
+                         " | b>=0.2 | b>=0.25 | b>=0.3 | b>=0.35 |")
+        assert md[1] == "|" + "---|" * 10
+        assert md[2] == "| 0.1 | 2 | 2 |  |  |  |  |  |  |  |"
+        assert len(md) == 2 + len(t1.lambdas)
+        assert "| inf |" in tables.to_markdown(t1)
 
     def test_unknown_table(self):
         with pytest.raises(InvalidParameterError):

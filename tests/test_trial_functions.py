@@ -127,6 +127,11 @@ class TestAutocorrelation:
         with pytest.raises(InvalidParameterError, match=named):
             tf.autocorrelation(s=40.0, **params)
 
+    def test_overflowing_quotient_is_named(self):
+        # e^{2 alpha s} = e^700 is finite, K = (e^700 - 1)/(2 alpha) is not
+        with pytest.raises(InvalidParameterError, match=r"alpha=3.5e-08, s=10000000000.0"):
+            tf.autocorrelation(alpha=3.5e-8, s=1e10)
+
     def test_overflowing_moment_series_is_named(self):
         # |2 alpha s| = 2e-3: f(0) is about s, but the three-node series of the
         # pair term at r = -alpha, about s^2/2, overflows
@@ -395,6 +400,32 @@ class TestScalarRoute:
                                  lambda z: complex(42.0, 1.0))
         assert clone.laplace(0.5) == complex(42.0, 1.0)
         assert clone.laplace(np.float64(-1.0)) == complex(42.0, 1.0)
+        assert clone.laplace_real(0.5) == 42.0 and type(clone.laplace_real(0.5)) is float
+
+    def test_laplace_real_is_the_kernels_float(self):
+        for z in (0, -1, 0.5, np.float64(-0.25), -100.0):
+            v = self.F.laplace_real(z)
+            assert type(v) is float
+            assert v == _kernels.f_real_scalar(self.F.kernel_code(), float(z))
+            assert v == self.F.laplace(z).real
+
+    def test_solvers_read_real_points_through_laplace_real(self, monkeypatch):
+        # one route to F at a real point: no solver calls laplace there, for
+        # a coded weight or a plug-in
+        clone = tf.TrialFunction("custom", {}, self.F.x0, self.F.f0, self.F,
+                                 self.F._laplace)
+        readers = (
+            lambda f: dh.solve_smoothed("sz-lp-principal", f, 0.02),
+            lambda f: dh.solve_smoothed("cc-l2-chi2-principal-real", f, 0.1),
+            lambda f: zero_density.zd_preconditions(zero_density.ZdQuery(f, 0.2, 0.05)),
+            lambda f: zfr.zfr_order_ge6(f, lam_star=2.0),
+            lambda f: tf.repel_reduce(f, 1.0, 0.5))
+        want = [[read(f) for read in readers] for f in (self.F, clone)]
+
+        def no_laplace(f, z):
+            raise AssertionError("laplace was called")
+        monkeypatch.setattr(tf.TrialFunction, "laplace", no_laplace)
+        assert [[read(f) for read in readers] for f in (self.F, clone)] == want
 
 
 class TestBuildFamily:
@@ -499,6 +530,12 @@ class TestRepelReduce:
         f = tf.triangle(2.0)
         expect = (f.laplace(-1.0) - f.laplace(-0.5)).real
         assert tf.repel_reduce(f, 1.0, 0.5) == pytest.approx(expect, abs=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1)])
+    def test_bad_shift_rejected(self, a, b):
+        # a NaN shift returned NaN
+        with pytest.raises(DomainError):
+            tf.repel_reduce(tf.triangle(2.0), a, b)
 
     def test_boundary_case_agrees(self):
         f = tf.triangle(1.0)

@@ -87,6 +87,31 @@ class TestSolve:
         with pytest.raises(InvalidParameterError):
             zfr.zfr_solve("order234", 0.0)
 
+    def test_no_root_below_the_bracket_top(self):
+        # phi = 0 drops the width term; at lambda = 50 the root lies past 10
+        with pytest.raises(NoBoundError, match="no root below 10.0") as err:
+            zfr.zfr_solve("order234", 50.0, phi=0.0)
+        assert err.value.sign == "negative"
+
+    @pytest.mark.parametrize("lam, phi, named", [
+        (-1.0, 0.25, "lam"), (0.0, 0.25, "lam"), (math.nan, 0.25, "lam"),
+        (0.9421, -1.0, "phi"), (0.9421, math.nan, "phi")])
+    def test_h_checks_as_the_solver(self, lam, phi, named):
+        # zfr_h("order234", -1.0)(0.5) was -429463.45
+        for call in (zfr.zfr_h, zfr.zfr_solve):
+            with pytest.raises(InvalidParameterError, match=named):
+                call("order234", lam, phi)
+
+    def test_case_by_name_or_record(self):
+        record = zfr.CASES["principal"]
+        assert zfr.get_case(record) is record is zfr.get_case("principal")
+        assert zfr.zfr_solve(record, 1.291) == zfr.zfr_solve("principal", 1.291)
+
+    def test_side_limit_when_q_is_below_p(self):
+        # p/lam^4 <= q/(lam + x)^4 holds for no x >= 0
+        case = zfr.ZfrCase("x", (3, 1, 0, 0, 0), 1, (2, 1), "")
+        assert zfr.side_condition_limit(case, 0.5) == -math.inf
+
     @pytest.mark.parametrize("arg", ["lam", "phi"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, arg, bad):
@@ -219,18 +244,43 @@ class TestOptimize:
         assert l1 >= fixed - 1e-9
         assert zfr.zfr_solve("principal", lam_opt).side_limited
 
-    def test_profile_unimodal_on_scan(self):
+    @pytest.mark.parametrize("case", ["order234", "principal"])
+    def test_profile_unimodal_on_scan(self, case):
+        # the root x of P(u) = (P(1) c0 + B phi lambda)/c1, u = lambda/(lambda
+        # + x), rises, then falls, peaking where c1 (0.4 u^3 + 1.2 u^4 +
+        # 1.6 u^5) = P(1) c0; the side limit rises; so the width, the smaller
+        # of the two, rises, then falls
         lams = np.linspace(0.5, 1.6, 200)
-        vals = []
+        widths, roots = [], []
         for lam in lams:
             try:
-                vals.append(zfr.zfr_solve("order234", float(lam)).lambda1)
+                res = zfr.zfr_solve(case, float(lam))
             except NoBoundError:
-                vals.append(-1.0)
-        vals = np.array(vals)
-        k = int(np.argmax(vals))
-        assert np.all(np.diff(vals[: k + 1]) >= -1e-12)
-        assert np.all(np.diff(vals[k:]) <= 1e-12)
+                widths.append(-1.0)
+                roots.append(-1.0)
+            else:
+                widths.append(res.lambda1)
+                roots.append(res.root)
+        for vals in (np.array(widths), np.array(roots)):
+            k = int(np.argmax(vals))
+            assert 0 < k < len(vals) - 1
+            assert np.all(np.diff(vals[: k + 1]) >= -1e-12)
+            assert np.all(np.diff(vals[k:]) <= 1e-12)
+        c = zfr.CASES[case]
+        (u,) = [r.real for r in np.roots([1.6, 1.2, 0.4, 0.0, 0.0,
+                                          -_kernels.P1 * c.coeffs[0] / c.coeffs[1]])
+                if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
+        peak = (c.coeffs[1] * _kernels._p4(u) - _kernels.P1 * c.coeffs[0]) / (c.B * zfr.PHI)
+        assert abs(lams[int(np.argmax(roots))] - peak) <= lams[1] - lams[0]
+        if case == "order234":   # the root binds: the optimum is its peak
+            assert u == pytest.approx(0.8847, abs=1e-4)
+            assert zfr.zfr_optimize(case)[0] == pytest.approx(peak, abs=1e-5)
+
+    def test_no_feasible_lambda(self):
+        # c0 = 3 c1 keeps c0 P(1) - c1 P(u) + B phi lambda > 0 at every u <= 1
+        case = zfr.ZfrCase("x", (3, 1, 0, 0, 0), 1, (1, 2), "")
+        with pytest.raises(NoBoundError, match="no feasible lambda"):
+            zfr.zfr_optimize(case)
 
 
 def test_root_at_phi_03_matches_mpmath():
