@@ -14,16 +14,18 @@ It stops at an exact zero of h, so the family search, which only ranks its
 roots, hands it a snapped h (``snapped_fn``) that is exactly 0 below h's
 rounding floor (``SNAP_EPS``): a search root stops there, 8.8 evaluations
 of h per scored root on seed-1 smoothed-regress against 12.1 to adjacent
-floats.  The search scores a weight by ``search_root``, one flat function:
-from the last root it takes safeguarded Newton steps (rtsafe) on the same
-snapped h, each value and step computed in its loop from the derivative
-kernel ``_f_real_scalar_d``, F and F' of the one code layout the search
-builds (``_search_pass``, one exp per generator exponent, about 1.34 of an
-F pass of that layout).  That is 3.8 evaluations of h per warm solve on
-seed-1 smoothed-regress (26,809 Newton points and 3,591 other values over
-8,064 warm solves), against 9.3 for ITP.  Where the kernel declines or the
-steps run out (125 of 8,352 scored solves), ITP takes over on the bracket
-the steps have seen, after a look at an end of [lo, hi] they have not.
+floats.  The same h carries its Newton step: h(x, True) is (h(x), step),
+read from the derivative kernel ``_f_real_scalar_d``, F and F' of the one
+code layout the search builds (``_search_pass``, one exp per generator
+exponent, about 1.34 of an F pass of that layout), so each shape's value,
+floor and step rule are written once.  The search scores a weight by
+``search_root`` on that h, which reads no transform: from the last root it
+takes safeguarded Newton steps (rtsafe).  That is 3.8 evaluations of h per
+warm solve on seed-1 smoothed-regress (26,809 Newton points and 3,591
+other values over 8,064 warm solves), against 9.3 for ITP.  Where the
+kernel declines or the steps run out (125 of 8,352 scored solves), ITP
+takes over on the bracket the steps have seen, after a look at an end of
+[lo, hi] they have not.
 Returned bounds are solved by ITP on the exact h and still resolve to
 adjacent floats.
 The quartic roots need no bracket search: each is P(u) = t for the fixed
@@ -35,7 +37,8 @@ on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and
 ``zfr_fn`` return the quartic ones as functions of u, with the value t of
 P at their root; ``poly_fn`` builds at fixed lam and b, for every J, and
 returns the J where the root is stationary too, all from one
-P(lam/(lam+b)).  The search's snapped h, on floats, is ``snapped_fn``'s.
+P(lam/(lam+b)).  The search's snapped h, on floats, is ``snapped_fn``'s;
+the smoothed builders take the case's shape, 'sz' or 'cc', by its name.
 The named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
 build those functions (``smoothed_root`` and ``poly_root`` take them built,
 so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
@@ -469,15 +472,15 @@ def smoothed_fn(F, form, c1, psi, b, f0):
     """The smoothed repulsion function h of a weight with transform F.
 
     F maps real r to F(r); h works on floats or arrays as F does, and
-    f0 = f(0).
-    form 0: h(x) = c1 (F(-x) - F(b-x)) - F(0) + psi f(0)
-    form 1: h(x) = F(-b) - F(0) - F(x-b) + psi f(0)
+    f0 = f(0).  ``form`` is the case's shape:
+    'sz': h(x) = c1 (F(-x) - F(b-x)) - F(0) + psi f(0)
+    'cc': h(x) = F(-b) - F(0) - F(x-b) + psi f(0)
     Both increase in x.  The family search scores weights on
     ``snapped_fn``'s h instead.
     """
     F0 = F(0.0)
     pf0 = psi * f0
-    if form == 0:
+    if form == "sz":
         def h(x):
             return c1 * (F(-x) - F(b - x)) - F0 + pf0
         return h
@@ -488,43 +491,72 @@ def smoothed_fn(F, form, c1, psi, b, f0):
     return h
 
 
-def snapped_fn(code, form, c1, psi, b, f0, F0, Fmb=None):
+def snapped_fn(code, form, c1, psi, b, f0, F0):
     """The family search's snapped h of ``smoothed_fn``'s h, for a family
-    code; F0 = F(0), from the build, and Fmb = F(-b) where the caller has it
-    (form 1 evaluates it here otherwise).
+    code and the case's shape ``form``; F0 = F(0), from the build.
 
     h(x), float x, is exactly 0.0 wherever |h(x)| is below its rounding
-    floor, ``SNAP_EPS`` times the magnitudes of the terms it adds (form 0:
-    |c1| (|F(-x)| + |F(b-x)|) + |F(0)| + |psi f(0)|; form 1: |F(-b)| + |F(0)|
+    floor, ``SNAP_EPS`` times the magnitudes of the terms it adds ('sz':
+    |c1| (|F(-x)| + |F(b-x)|) + |F(0)| + |psi f(0)|; 'cc': |F(-b)| + |F(0)|
     + |psi f(0)| + |F(x-b)|), and the exact h(x), bit for bit, elsewhere.
     The sign of h is rounding noise there, so a root solver that stops at an
     exact zero no longer halves the bracket through it: a search root stops
     at h's rounding floor, where a returned bound (solved on the exact h)
-    resolves to adjacent floats.  h(0) needs at most one transform: form 0
-    reads F(-0) from F(0), which has the same bits, and form 1 reads F(-b) of
-    its constant.  An infinite term makes the floor infinite, and h then
-    keeps its value.  ``search_root`` computes the same values inline for
-    its Newton steps.
+    resolves to adjacent floats.  h(0) needs at most one transform: 'sz'
+    reads F(-0) from F(0), which has the same bits, and 'cc' reads F(-b) of
+    its constant, evaluated here.  An infinite term makes the floor
+    infinite, and h then keeps its value.
+
+    h(x, True) is (h(x), the Newton step at x), read from the derivative
+    kernel ``_f_real_scalar_d``, or None where that kernel declines; its
+    value has the bits of h(x).  'cc' steps by v/h', v the unsnapped value;
+    'sz' steps on log P = log C, P = c1 (F(-x) - F(b-x)) = v + C,
+    C = F(0) - psi f(0), where both are positive, by log(1 + v/C) P/h',
+    which is v/h' to first order at the root: P grows about like e^{x0 x},
+    and plain Newton on it overshoots from below and crawls down from above
+    by about 1/x0 a step.  The step is NaN where h' is not finite and > 0.
     """
     pf0 = psi * f0
-    if form == 0:
-        m1, rest = abs(c1), abs(F0) + abs(pf0)
+    if form == "sz":
+        m1, rest, C = abs(c1), abs(F0) + abs(pf0), F0 - pf0
 
-        def h(x):
-            Fm = F0 if x == 0.0 else _f_real_scalar(code, -x)
-            Fp = _f_real_scalar(code, b - x)
+        def h(x, slope=False):
+            if slope:
+                m = _f_real_scalar_d(code, -x)
+                p = None if m is None else _f_real_scalar_d(code, b - x)
+                if p is None:
+                    return None
+                (Fm, dFm), (Fp, dFp) = m, p
+            else:
+                Fm = F0 if x == 0.0 else _f_real_scalar(code, -x)
+                Fp = _f_real_scalar(code, b - x)
             v = c1 * (Fm - Fp) - F0 + pf0
-            return 0.0 if abs(v) < SNAP_EPS * (m1 * (abs(Fm) + abs(Fp)) + rest) else v
+            y = 0.0 if abs(v) < SNAP_EPS * (m1 * (abs(Fm) + abs(Fp)) + rest) else v
+            if not slope:
+                return y
+            d, P = c1 * (dFp - dFm), v + C
+            if not 0.0 < d < math.inf:
+                return y, math.nan
+            return y, (math.log1p(v / C) * P if C > 0.0 and P > 0.0 else v) / d
         return h
-    if Fmb is None:
-        Fmb = _f_real_scalar(code, -b)
+    Fmb = _f_real_scalar(code, -b)
     base = Fmb - F0 + pf0
     rest = abs(Fmb) + abs(F0) + abs(pf0)
 
-    def h(x):
-        Fx = Fmb if x == 0.0 else _f_real_scalar(code, x - b)
+    def h(x, slope=False):
+        if slope:
+            got = _f_real_scalar_d(code, x - b)
+            if got is None:
+                return None
+            Fx, dFx = got
+        else:
+            Fx = Fmb if x == 0.0 else _f_real_scalar(code, x - b)
         v = base - Fx
-        return 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v
+        y = 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v
+        if not slope:
+            return y
+        d = -dFx
+        return y, (v / d if 0.0 < d < math.inf else math.nan)
     return h
 
 
@@ -538,77 +570,40 @@ _NEWTON_STEPS = 8
 _NEWTON_REL = 2.0 ** -40
 
 
-def search_root(code, form, c1, psi, b, f0, F0, hi, guess):
-    """The family search's root on [0, hi] of ``snapped_fn``'s h for a
-    family code, or NaN where the weight bounds nothing.
+def search_root(h, hi, guess):
+    """The family search's root on [0, hi] of an increasing snapped h with
+    the two modes of ``snapped_fn``'s, or NaN where the weight bounds
+    nothing.
 
     With no guess in (0, hi) it is ITP's (``_bisect``) on [0, hi].  From a
     guess it takes safeguarded Newton steps (rtsafe, Press et al., Numerical
-    Recipes, section 9.4), each from the snapped value h(x) and its step at
-    x, computed here from the derivative kernel ``_f_real_scalar_d``: form 1
-    steps by h/h'; form 0 on log P = log C, P = c1 (F(-x) - F(b-x)) = h + C,
-    C = F(0) - psi f(0), where both are positive, by log(1 + h/C) P/h',
-    which is h/h' to first order at the root: P grows about like e^{x0 x},
-    and plain Newton on it overshoots from below and crawls down from above
-    by about 1/x0 a step.  Each value narrows the bracket, whose ends 0 and
-    hi start unseen.  A step that leaves the bracket, or does not halve the
-    step before it, becomes a bisection step, after a look at the end it
-    heads past if that is unseen: h(0) > 0 or h(hi) <= 0 there means no
-    root.  The solve stops at an exact zero of h, moved by the step from the
-    unsnapped value if that stays in the bracket, or at a step below
-    ``_NEWTON_REL`` of x once both ends are seen.  Where the kernel
-    declines, a value is not finite, or after ``_NEWTON_STEPS`` steps, the
-    solve goes to ITP on the bracket seen, which looks at an end it has not
-    seen, 0 or hi, and fails where h(0) > 0 or h(hi) < 0 as on [0, hi].  No
-    point costs transforms twice, except where a value was not finite (ITP
-    may land on that point again); form 1's h(0) reads its constant.
+    Recipes, section 9.4), each from h(x, True), the snapped value and its
+    step.  Each value narrows the bracket, whose ends 0 and hi start unseen.
+    A step that leaves the bracket, or does not halve the step before it,
+    becomes a bisection step, after a look at the end it heads past if that
+    is unseen: h(0) > 0 or h(hi) <= 0 there means no root.  The solve stops
+    at an exact zero of h, moved by the step from the unsnapped value if
+    that stays in the bracket, or at a step below ``_NEWTON_REL`` of x once
+    both ends are seen.  Where h(x, True) is None, a value is not finite, or
+    after ``_NEWTON_STEPS`` steps, the solve goes to ITP on the bracket
+    seen, which looks at an end it has not seen, 0 or hi, and fails where
+    h(0) > 0 or h(hi) < 0 as on [0, hi].  No point is evaluated twice,
+    except where a value was not finite (ITP may land on that point again).
 
-    A 'cc' h (form 1) that is positive at 0, read from its constant F(-b),
-    bounds nothing, as h increases: the root is NaN at once.  So is one
-    whose h is 0 at the top end of the bracket its solve used: its sign is
-    noise up there, as for the 'sz' h at b = 0, the constant psi f(0) -
-    F(0) that the floor of its F(-x) terms exceeds at large x.  Otherwise
-    the root is NaN unless h(lo) <= 0 < h(hi) at the ends of the final
-    bracket, as for ``_bisect``.
+    A root whose h is 0 at the top end of the bracket its solve used is NaN:
+    the sign of h is noise up there, as for the 'sz' h at b = 0, the
+    constant psi f(0) - F(0) that the floor of its F(-x) terms exceeds at
+    large x.  Otherwise the root is NaN unless h(lo) <= 0 < h(hi) at the
+    ends of the final bracket, as for ``_bisect``.
     """
-    pf0 = psi * f0
-    if form == 0:
-        m1, rest, C = abs(c1), abs(F0) + abs(pf0), F0 - pf0
-        h = snapped_fn(code, 0, c1, psi, b, f0, F0)
-    else:
-        Fmb = _f_real_scalar(code, -b)
-        base, rest = Fmb - F0 + pf0, abs(Fmb) + abs(F0) + abs(pf0)
-        h = snapped_fn(code, 1, c1, psi, b, f0, F0, Fmb)
-        if h(0.0) > 0.0:
-            return math.nan
     lo, ylo, yhi = 0.0, None, None
     if guess is not None and lo < guess < hi:
         x, dx = guess, hi - lo
         for _ in range(_NEWTON_STEPS):
-            if form == 0:
-                m = _f_real_scalar_d(code, -x)
-                p = None if m is None else _f_real_scalar_d(code, b - x)
-                if p is None:
-                    break
-                Fm, dFm = m
-                Fp, dFp = p
-                v = c1 * (Fm - Fp) - F0 + pf0
-                y = 0.0 if abs(v) < SNAP_EPS * (m1 * (abs(Fm) + abs(Fp)) + rest) else v
-                d = c1 * (dFp - dFm)
-                if 0.0 < d < math.inf:
-                    P = v + C
-                    step = (math.log1p(v / C) * P if C > 0.0 and P > 0.0 else v) / d
-                else:
-                    step = math.nan
-            else:
-                got = _f_real_scalar_d(code, x - b)
-                if got is None:
-                    break
-                Fx, dFx = got
-                v = base - Fx
-                y = 0.0 if abs(v) < SNAP_EPS * (rest + abs(Fx)) else v
-                d = -dFx
-                step = v / d if 0.0 < d < math.inf else math.nan
+            got = h(x, True)
+            if got is None:
+                break
+            y, step = got
             if y == 0.0:
                 if lo < x - step < hi:
                     x -= step

@@ -21,10 +21,11 @@ A smoothed root has two callers, each with its own path.
 ``solve_smoothed``, behind every returned bound, solves the exact h by ITP,
 so its roots resolve to adjacent floats, and adds the failure reports, the
 residual and the ``BoundResult``.  ``_search_root``, which the family search
-calls for every weight it scores, solves a snapped h, whose root stops at
-h's rounding floor, by Newton steps from the last root, handed to ITP where
-they fail, with F(0) from the weight's build and no overflow probe, and
-returns the root alone.
+calls for every weight it scores, builds a snapped h
+(``_kernels.snapped_fn``), whose root stops at h's rounding floor and which
+gives its Newton step too, with F(0) from the weight's build and no
+overflow probe.  ``_kernels.search_root`` solves it by Newton steps from the
+last root, handed to ITP where they fail, and returns the root alone.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
 lambda built once (``_poly_at``).
@@ -231,8 +232,7 @@ def smoothed_h(case, f, b, phi=PHI):
     def F(r):   # through a 1-d array even for a scalar r
         r = np.asarray(r, dtype=float)
         return f.laplace(r.reshape(-1)).real.reshape(r.shape)
-    return _kernels.smoothed_fn(F, 0 if case.form == "sz" else 1, case.c1,
-                                case.psi_over_phi * phi, b, f.f0)
+    return _kernels.smoothed_fn(F, case.form, case.c1, case.psi_over_phi * phi, b, f.f0)
 
 
 def _search_root(case, code, f0, F0, b, phi, guess):
@@ -245,13 +245,19 @@ def _search_root(case, code, f0, F0, b, phi, guess):
     checked.  h is ``_kernels.snapped_fn``'s, 0.0 below its rounding floor,
     so the root stops where the sign of h turns to rounding noise instead of
     at adjacent floats: it only ranks weights.  From a guess (the search's
-    last root) the solve takes Newton steps on the derivative kernel
-    ``_kernels._f_real_scalar_d``, and ITP on the bracket they have seen
-    where that declines; with no guess it is ITP on [0, HI].  The bracket is
-    never shrunk: every weight of the search's box has a finite F(-HI).
+    last root) the solve takes Newton steps on h's derivative mode, and ITP
+    on the bracket they have seen where that declines; with no guess it is
+    ITP on [0, HI].  The bracket is never shrunk: every weight of the
+    search's box has a finite F(-HI).  A 'cc' h that is positive at 0, read
+    from its constant F(-b), bounds nothing, as h increases: the root is NaN
+    with no solve.  The 'sz' h(0) costs a transform, F(b), so the solve
+    finds out there only if its steps head past 0.
     """
-    return _kernels.search_root(code, 0 if case.form == "sz" else 1, float(case.c1),
-                                case.psi_over_phi * phi, b, f0, F0, HI, guess)
+    h = _kernels.snapped_fn(code, case.form, float(case.c1), case.psi_over_phi * phi,
+                            b, f0, F0)
+    if case.form == "cc" and h(0.0) > 0.0:
+        return math.nan
+    return _kernels.search_root(h, HI, guess)
 
 
 def solve_smoothed(case, f, b, phi=PHI):
@@ -279,8 +285,7 @@ def solve_smoothed(case, f, b, phi=PHI):
     if case.form == "sz":
         while hi > 1.0 and math.isinf(F(-hi)):
             hi = 0.5 * hi
-    h = _kernels.smoothed_fn(F, 0 if case.form == "sz" else 1, float(case.c1),
-                             case.psi_over_phi * phi, b, f.f0)
+    h = _kernels.smoothed_fn(F, case.form, float(case.c1), case.psi_over_phi * phi, b, f.f0)
     root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi)
     if math.isnan(hlo) or math.isnan(hhi):
         raise NoBoundError(
@@ -321,15 +326,38 @@ def _j0(c, d, J):
     return min(c * J + d / J, 4.0 * J)
 
 
-def j0_value(case, J):
-    """Side-condition coefficient on the 2J-slot term."""
+def _j1(J):
+    return 4.0 * J / (J * J + 1.0)
+
+
+def _poly_case(case):
+    """The poly SolverCase of ``case``, a name or a record; raises
+    InvalidParameterError for any other case."""
     case = get_case(case)
+    if case.method != "poly":
+        raise InvalidParameterError(f"case {case.name} is not a polynomial case")
+    return case
+
+
+def _check_positive(name, value):
+    """Raise InvalidParameterError naming the value unless it is finite and > 0."""
+    if not 0 < value < math.inf:   # NaN too
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def j0_value(case, J):
+    """Side-condition coefficient on the 2J-slot term, for a poly case and a
+    finite J > 0."""
+    case = _poly_case(case)
+    _check_positive("J", J)
     return _j0(*_J0_FORMS[case.j0], J)
 
 
 def j1_value(J):
-    """Coefficient of the second side condition in the fully principal case."""
-    return 4.0 * J / (J * J + 1.0)
+    """Coefficient of the second side condition in the fully principal case,
+    for a finite J > 0."""
+    _check_positive("J", J)
+    return _j1(J)
 
 
 def _check_poly(case, b, lam, J, phi=PHI, x=0.0):
@@ -337,13 +365,10 @@ def _check_poly(case, b, lam, J, phi=PHI, x=0.0):
     InvalidParameterError naming the argument unless b, phi, x >= 0, lambda,
     J > 0 and J >= j_min are finite and the quartic powers (``check_quartic``,
     with the width x) stay in the float range."""
-    case = get_case(case)
-    if case.method != "poly":
-        raise InvalidParameterError(f"case {case.name} is not a polynomial case")
+    case = _poly_case(case)
     check_width(b, phi)
-    for name, value in (("lambda", lam), ("J", J)):
-        if not 0 < value < math.inf:   # NaN too
-            raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+    _check_positive("lambda", lam)
+    _check_positive("J", J)
     if not 0 <= x < math.inf:
         raise InvalidParameterError(f"width x must be finite and >= 0, got {x}")
     if J < case.j_min:
@@ -373,11 +398,11 @@ def side_condition(case, b, lam, J, x):
     case = _check_poly(case, b, lam, J, x=x)
     sq = b if case.unknown_slot == "known-on-square" else x
     ln = x if case.unknown_slot == "known-on-square" else b
-    margin = (j0_value(case, J) / (lam + ln) ** 4
+    margin = (_j0(*_J0_FORMS[case.j0], J) / (lam + ln) ** 4
               + 1.0 / (lam + sq) ** 4 - 1.0 / lam ** 4)
     if case.extra_j1:
         margin2 = (2.0 / (lam + sq) ** 4
-                   + j1_value(J) / (lam + ln) ** 4 - 1.0 / lam ** 4)
+                   + _j1(J) / (lam + ln) ** 4 - 1.0 / lam ** 4)
         margin = min(margin, margin2)
     return margin > 0.0, margin
 
@@ -421,11 +446,11 @@ def _side_fn(case, b, lam):
 
         def side_x(J):
             x = limit(_j0(c, d, J), rest0)
-            return min(x, limit(j1_value(J), rest1)) if extra else x
+            return min(x, limit(_j1(J), rest1)) if extra else x
     else:
         def side_x(J):
             x = limit(1.0, rest(_j0(c, d, J)))
-            return min(x, limit(2.0, rest(j1_value(J)))) if extra else x
+            return min(x, limit(2.0, rest(_j1(J)))) if extra else x
     return side_x
 
 

@@ -20,10 +20,11 @@ family code, f(0) and F(0) alone (``_search_profiles``): by its root
 (``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
 or error message; only the winner is built as a weight and handed to the
 public solver or bound.  A search root stops at h's rounding floor (a
-snapped h, ``_kernels.snapped_fn``), as it only ranks weights, and is
-found by Newton steps from the last root, which hand over to ITP where
-they fail (``_kernels.search_root``); the returned bound, the winner's
-cold ``dh.solve_smoothed``, does neither.  Every search starts from the
+snapped h, ``_kernels.snapped_fn``, which also gives the Newton step at a
+point), as it only ranks weights, and is found by Newton steps from the
+last root, which hand over to ITP where they fail (``_kernels.search_root``,
+which solves any such h); the returned bound, the winner's cold
+``dh.solve_smoothed``, does neither.  Every search starts from the
 same seeds and scans the same first lines, so most weights it asks for were
 built before, by an earlier row or cell: the codes come from the
 process-wide build cache of
@@ -441,8 +442,9 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     scores at least 40 weights (``_search_profiles``), so a budget below 80
     makes about 80 root solves.  A weight scores its root (``dh._search_root``,
     ``_kernels.search_root``) on the snapped h, which stops at h's rounding
-    floor instead of adjacent floats, by Newton steps on the derivative
-    kernel from the last root, with the F(0) its build stored; a 'cc' weight whose h is positive at 0 scores
+    floor instead of adjacent floats, by Newton steps from the last root,
+    which h gives from the derivative kernel, with the F(0) its build
+    stored; a 'cc' weight whose h is positive at 0 scores
     -inf from the two transform values of h's constant, and an 'sz' one
     typically from h and h' at the guess and h(0), which takes F(b) alone.
     Only the winner is solved by ``dh.solve_smoothed``, on the exact h, for

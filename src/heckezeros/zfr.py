@@ -86,7 +86,7 @@ def get_case(case):
             f"unknown zero-free-region case {case!r}; available: {sorted(CASES)}") from None
 
 
-def _check(case, lam, phi):
+def _check(case, lam, phi=PHI):
     """(ZfrCase, lam, phi) as floats; raises InvalidParameterError unless lam
     is finite and positive and phi finite and >= 0."""
     case = get_case(case)
@@ -147,8 +147,14 @@ def zfr_h(case, lam, phi=PHI):
 
 
 def side_condition_limit(case, lam):
-    """Largest x >= 0 with p/lam^4 <= q/(lam+x)^4, or -inf if none, inf if all."""
-    case = get_case(case)
+    """Largest x >= 0 with p/lam^4 <= q/(lam+x)^4, or -inf if none, inf if
+    all; lambda must be finite and positive, as in ``zfr_solve``."""
+    case, lam, _ = _check(case, lam)
+    return _side_limit(case, lam)
+
+
+def _side_limit(case, lam):
+    """``side_condition_limit`` of a ZfrCase at a checked lambda."""
     p, q = case.side
     ratio = q / p
     if ratio < 1.0:
@@ -167,7 +173,7 @@ def _zfr_bound(case, lam, phi):
     """
     root, hlo, hhi = _kernels.zfr_root(float(case.coeffs[0]), float(case.coeffs[1]),
                                        float(case.B), lam, phi, 0.0, 10.0)
-    limit = side_condition_limit(case, lam)
+    limit = _side_limit(case, lam)
     if root != root:
         value = math.nan
     else:

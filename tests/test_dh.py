@@ -37,6 +37,34 @@ class TestCaseTable:
             min(J + 3 / (4 * J), 4 * J))
         assert dh.j1_value(J) == pytest.approx(4 * J / (J * J + 1))
 
+    @pytest.mark.parametrize("J", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_j_coefficients_check_j(self, J):
+        # j0_value("cc-lp-nonprincipal", 0.0) raised ZeroDivisionError, J = -1
+        # gave -4.0, NaN gave NaN, j1_value(-1.0) -2.0 and j1_value(inf) NaN
+        with pytest.raises(InvalidParameterError, match="J must be finite and > 0"):
+            dh.j0_value("cc-lp-nonprincipal", J)
+        with pytest.raises(InvalidParameterError, match="J must be finite and > 0"):
+            dh.j1_value(J)
+
+    def test_j0_needs_a_poly_case(self):
+        # a smoothed case has no side condition: this raised KeyError: ''
+        with pytest.raises(InvalidParameterError,
+                           match="case sz-lp-quadratic is not a polynomial case"):
+            dh.j0_value("sz-lp-quadratic", 0.5)
+
+    def test_poly_search_reads_the_unchecked_coefficients(self, monkeypatch):
+        # the quartic search's side limits and side_condition, whose inputs are
+        # already checked, read the coefficients without the public checks
+        want = (maximize_bound(SearchSpec("cc-lp-principal", 0.1227, 300)),
+                dh.side_condition("cc-lp-principal", 0.1227, 1.1, 0.8, 0.5))
+
+        def refused(*args):
+            raise AssertionError("checked coefficient read")
+        monkeypatch.setattr(dh, "j0_value", refused)
+        monkeypatch.setattr(dh, "j1_value", refused)
+        assert (maximize_bound(SearchSpec("cc-lp-principal", 0.1227, 300)),
+                dh.side_condition("cc-lp-principal", 0.1227, 1.1, 0.8, 0.5)) == want
+
     def test_unknown_case(self):
         with pytest.raises(InvalidParameterError):
             dh.get_case("nope")
@@ -163,17 +191,16 @@ class TestSolveSmoothed:
         f, case = tf.triangle(8.0), dh.get_case(name)
         res = dh.solve_smoothed(case, f, b)
         F = functools.partial(_kernels._f_real_scalar, f.kernel_code())
-        form = 0 if case.form == "sz" else 1
-        h = _kernels.smoothed_fn(F, form, float(case.c1), case.psi_over_phi * dh.PHI,
+        h = _kernels.smoothed_fn(F, case.form, float(case.c1), case.psi_over_phi * dh.PHI,
                                  b, f.f0)
         x = res.root
-        terms = (F(-x), F(b - x)) if form == 0 else (F(-b), F(0.0), F(x - b))
+        terms = (F(-x), F(b - x)) if case.form == "sz" else (F(-b), F(0.0), F(x - b))
         scale = 1.0
         for term in terms:
             scale += abs(term)
         assert res.residual == abs(h(x)) / scale
         assert res.residual <= 1e-9
-        if form == 1 and h(x) != 0.0:   # the 'sz' terms give another figure
+        if case.form == "cc" and h(x) != 0.0:   # the 'sz' terms give another figure
             assert res.residual != abs(h(x)) / (1.0 + abs(F(-x)) + abs(F(b - x)))
 
 

@@ -759,12 +759,12 @@ ROOT_KERNELS = {
     "smoothed_root": (
         lambda phi, lo, hi: _kernels.smoothed_root(_kernels.smoothed_fn(
             functools.partial(_kernels.f_real_scalar, _TRIANGLE.kernel_code()),
-            0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.f0), lo, hi),
+            "sz", 2.0, 4.0 * phi, 0.01, _TRIANGLE.f0), lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "plugin": (   # smoothed_h's h, through the array transform, at any phi
         lambda phi, lo, hi: _kernels._bisect(_kernels.smoothed_fn(
             lambda r: float(_TRIANGLE.laplace(np.array([r]))[0].real),
-            0, 2.0, 4.0 * phi, 0.01, _TRIANGLE.f0), lo, hi),
+            "sz", 2.0, 4.0 * phi, 0.01, _TRIANGLE.f0), lo, hi),
         dh.smoothed_h("sz-lp-quadratic", _TRIANGLE, 0.01)),
     "poly_root": (
         lambda phi, lo, hi: _kernels.poly_root(
@@ -912,8 +912,8 @@ def test_root_helper_is_the_solvers_root(smoothed_runs):
             assert math.isnan(root), (case, i, b)
             failed += 1
             continue
-        h = _kernels.smoothed_fn(F, 0 if case_.form == "sz" else 1, float(case_.c1),
-                                 case_.psi_over_phi * dh.PHI, b, f.f0)
+        h = _kernels.smoothed_fn(F, case_.form, float(case_.c1), case_.psi_over_phi * dh.PHI,
+                                 b, f.f0)
         assert _kernels.smoothed_root(h, 0.0, dh.HI)[0] == want, (case, i, b)
         tol = 1e-13 + (4e-15 / b if b > 0.0 else 0.0)
         assert abs(root - want) <= tol * max(1.0, want), (case, i, b)
@@ -921,31 +921,28 @@ def test_root_helper_is_the_solvers_root(smoothed_runs):
 
 
 def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
-    # the derivative kernel declines at the first Newton step or after k,
-    # from guesses below and above the root, so ITP takes over with both, one
-    # or no end of [0, hi] seen.  The root is NaN exactly where ITP on [0, hi]
+    # h's derivative mode declines at the first Newton step or after k, from
+    # guesses below and above the root, so ITP takes over with both, one or
+    # no end of [0, hi] seen.  The root is NaN exactly where ITP on [0, hi]
     # fails (a snapped h that is 0 at hi bounds nothing), otherwise within
     # the snap band of ITP's root or Newton's relative stop step of it, and
-    # no point costs transforms twice: a point x is -x for 'sz', whose F/F'
-    # passes come in pairs at -x and b - x, and x - b for 'cc' (its h(0)
-    # reads F(-b) of its constant)
+    # no point is evaluated twice, in either of h's modes (the 'cc' h(0)
+    # reads F(-b) of its constant, so it costs no transform)
     handed = set()
-    bisect, build = _kernels._bisect, _kernels.snapped_fn
-    FD = _kernels._f_real_scalar_d
+    bisect = _kernels._bisect
     monkeypatch.setattr(_kernels, "_bisect", lambda h, lo, hi, ylo=None, yhi=None: (
         handed.add((ylo is None, yhi is None)) or bisect(h, lo, hi, ylo, yhi)))
     for name in dh.SMOOTHED_CASES:
         case = dh.CASES[name]
-        form = 0 if case.form == "sz" else 1
-        per_point = 2 - form
         for f in SMOOTHED_WEIGHTS:
             code = f.kernel_code()
             hi = dh.HI
             assert math.isfinite(_kernels._f_real_scalar(code, -hi))   # never halved
             for b in (0.0, 1e-6, 1e-3, 0.05, 0.4):
-                args = (form, float(case.c1), case.psi_over_phi * dh.PHI, b, f.f0,
-                        _kernels._f_real_scalar(code, 0.0))
-                want, _, yhi = bisect(build(code, *args), 0.0, hi)
+                h = _kernels.snapped_fn(code, case.form, float(case.c1),
+                                        case.psi_over_phi * dh.PHI, b, f.f0,
+                                        _kernels._f_real_scalar(code, 0.0))
+                want, _, yhi = bisect(h, 0.0, hi)
                 if yhi == 0.0:
                     want = math.nan
                 centre = want if math.isfinite(want) else 1.0
@@ -953,29 +950,18 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
                     if not 0.0 < guess < hi:
                         continue
                     for k in (0, 1, 2, 4):
-                        points, passes = [], []
+                        points, steps = [], []
 
-                        def declining(code, r):
-                            if len(passes) >= k * per_point:
-                                return None
-                            if len(passes) % per_point == 0:
-                                points.append(r)
-                            passes.append(r)
-                            return FD(code, r)
+                        def declining(x, slope=False):
+                            if slope:
+                                if len(steps) >= k:
+                                    return None
+                                steps.append(x)
+                            if case.form == "sz" or x != 0.0:
+                                points.append(x)
+                            return h(x, slope)
 
-                        def counted_build(*a):
-                            h = build(*a)
-
-                            def counted(x):
-                                if form == 0 or x != 0.0:
-                                    points.append(-x if form == 0 else x - b)
-                                return h(x)
-                            return counted
-
-                        with pytest.MonkeyPatch.context() as mp:
-                            mp.setattr(_kernels, "_f_real_scalar_d", declining)
-                            mp.setattr(_kernels, "snapped_fn", counted_build)
-                            root = _kernels.search_root(code, *args, hi, guess)
+                        root = _kernels.search_root(declining, hi, guess)
                         key = (name, f, b, guess, k)
                         assert len(set(points)) == len(points), key
                         if math.isnan(want):
@@ -1012,29 +998,23 @@ def test_derivative_kernel_declines_where_exp_overflows():
                                         (1, (0.0, 3.0, None, 2.0)),
                                         (2, (0.0, 2.0, None, 1.0))])
 def test_newton_hands_a_non_finite_value_to_itp(monkeypatch, bad, k, bracket):
-    # a 'cc' h(x) = F(-b) - F(0) - F(x - b) + psi f(0) = x - 1 on [0, 4], from
-    # F(r) = 1 - r, b = 0 and psi f(0) = 0, by half Newton steps from x = 3
-    # (F' = -2: 3, 2, 1.5, ...) until the F/F' pass turns F non-finite at its
-    # (k+1)-th call: ITP takes over on the bracket the steps have seen, with
-    # the end values they read
+    # h(x) = x - 1 on [0, 4], whose derivative mode steps by (x - 1)/2, half
+    # a Newton step, from x = 3 (3, 2, 1.5, ...) until its value turns
+    # non-finite at its (k+1)-th call: ITP takes over on the bracket the
+    # steps have seen, with the end values they read
     handed, seen = [], []
     bisect = _kernels._bisect
     monkeypatch.setattr(_kernels, "_bisect", lambda h, lo, hi, ylo=None, yhi=None: (
         handed.append((lo, hi, ylo, yhi)) or bisect(h, lo, hi, ylo, yhi)))
 
-    def F(code, r):
-        return 1.0 - r
+    def h(x, slope=False):
+        if not slope:
+            return x - 1.0
+        seen.append(x)
+        return (bad if len(seen) > k else x - 1.0), 0.5 * (x - 1.0)
 
-    def FD(code, r):
-        seen.append(r)
-        return (bad, -2.0) if len(seen) > k else (F(code, r), -2.0)
-
-    monkeypatch.setattr(_kernels, "_f_real_scalar", F)
-    monkeypatch.setattr(_kernels, "_f_real_scalar_d", FD)
-    args = (None, 1, 1.0, 1.0, 0.0, 0.0, 1.0)   # code, form, c1, psi, b, f0, F0
-    h = _kernels.snapped_fn(*args)
     assert [h(x) for x in (0.0, 2.0, 3.0)] == [-1.0, 1.0, 2.0]
-    root = _kernels.search_root(*args, 4.0, 3.0)
+    root = _kernels.search_root(h, 4.0, 3.0)
     assert handed == [bracket]
     assert root == bisect(h, *bracket)[0]
     assert abs(root - 1.0) <= 1e-13

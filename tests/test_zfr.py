@@ -112,6 +112,23 @@ class TestSolve:
         case = zfr.ZfrCase("x", (3, 1, 0, 0, 0), 1, (2, 1), "")
         assert zfr.side_condition_limit(case, 0.5) == -math.inf
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    def test_side_limit_checks_lambda(self, lam):
+        # lambda = -1 gave a negative width -0.19593, NaN gave NaN, inf gave
+        # inf and 0 gave 0.0
+        with pytest.raises(InvalidParameterError, match="lam"):
+            zfr.side_condition_limit("order234", lam)
+
+    def test_scan_reads_the_unchecked_side_limit(self, monkeypatch):
+        # zfr_optimize scores 241 lambda, each already checked: its side limits
+        # take no check
+        want = zfr.zfr_optimize("principal")
+
+        def refused(*args):
+            raise AssertionError("checked side limit read")
+        monkeypatch.setattr(zfr, "side_condition_limit", refused)
+        assert zfr.zfr_optimize("principal") == want
+
     @pytest.mark.parametrize("arg", ["lam", "phi"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, arg, bad):
