@@ -390,7 +390,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     precision = getattr(args, "precision", None)   # verify offers no --precision
     if (precision or 0) < 0:
-        ap.error(f"argument --precision: must be >= 0, got {precision}")
+        ap.error(f"argument --precision: must be an integer >= 0, got {precision}")
     path, read, runner = _path(args)
     unread = [flag for flag in _given_options(args) if flag not in read]
     if unread:   # one line: no usage, as the command parsed

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoBoundError,
-                     SideConditionError)
+                     SideConditionError, nonnegative, positive)
 
 #: Critical-strip growth constant; the convexity bound fixes it at 1/4.
 PHI = 0.25
@@ -160,24 +160,6 @@ def get_case(case):
             f"unknown solver case {case!r}; available: {sorted(CASES)}") from None
 
 
-def require_finite(**values):
-    """Raise InvalidParameterError naming the first NaN or infinite value."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value}")
-
-
-def check_phi(phi):
-    """Raise InvalidParameterError unless phi is finite and >= 0.
-
-    A negative phi would flip the sign of the phi term of every inequality,
-    and with it the bound; phi = 0 drops the term.
-    """
-    require_finite(phi=phi)
-    if phi < 0:
-        raise InvalidParameterError(f"phi must be >= 0, got {phi}")
-
-
 def check_quartic(lam, b, J=0.0, x=0.0):
     """Raise InvalidParameterError, naming the arguments, where a power of the
     quartic method leaves the float range: Python's float ** raises where *
@@ -199,10 +181,10 @@ def check_width(b, phi):
 
     The solvers and the searches over them check these before any work.
     """
-    require_finite(b=b, phi=phi)
-    if b < 0:
-        raise InvalidParameterError(f"width hypothesis b must be >= 0, got {b}")
-    check_phi(phi)
+    nonnegative("b", b)
+    # a negative phi would flip the sign of the phi term of every inequality,
+    # and with it the bound; phi = 0 drops the term
+    nonnegative("phi", phi)
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +321,18 @@ def _poly_case(case):
     return case
 
 
-def _check_positive(name, value):
-    """Raise InvalidParameterError naming the value unless it is finite and > 0."""
-    if not 0 < value < math.inf:   # NaN too
-        raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
-
-
 def j0_value(case, J):
     """Side-condition coefficient on the 2J-slot term, for a poly case and a
     finite J > 0."""
     case = _poly_case(case)
-    _check_positive("J", J)
+    positive("J", J)
     return _j0(*_J0_FORMS[case.j0], J)
 
 
 def j1_value(J):
     """Coefficient of the second side condition in the fully principal case,
     for a finite J > 0."""
-    _check_positive("J", J)
+    positive("J", J)
     return _j1(J)
 
 
@@ -367,10 +343,9 @@ def _check_poly(case, b, lam, J, phi=PHI, x=0.0):
     with the width x) stay in the float range."""
     case = _poly_case(case)
     check_width(b, phi)
-    _check_positive("lambda", lam)
-    _check_positive("J", J)
-    if not 0 <= x < math.inf:
-        raise InvalidParameterError(f"width x must be finite and >= 0, got {x}")
+    positive("lambda", lam)
+    positive("J", J)
+    nonnegative("width x", x)
     if J < case.j_min:
         raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
     check_quartic(lam, b, J, x)
@@ -554,13 +529,6 @@ def solve_poly(case, b, lam, J, phi=PHI):
 # closed-form small-width bounds
 # ---------------------------------------------------------------------------
 
-def _check_psi(psi):
-    """Raise InvalidParameterError unless psi is finite and positive."""
-    require_finite(psi=psi)
-    if psi <= 0:
-        raise InvalidParameterError(f"psi must be positive, got {psi}")
-
-
 def very_small_dh(psi, lambda_prime, c1=2):
     """Width threshold (lambda'/(2 c1 e)) exp(-2 psi lambda').
 
@@ -568,13 +536,11 @@ def very_small_dh(psi, lambda_prime, c1=2):
     below this threshold.  c1 matches the F-difference multiplier of the
     driving inequality (2 for the same-character shapes, 1 for the
     second-character ones); the bound is non-trivial for lambda' >= 2 c1 e.
-    The epsilon slack of the asymptotic regime is omitted.  psi must be
-    finite and positive, lambda' finite.
+    The epsilon slack of the asymptotic regime is omitted.  psi and lambda'
+    must be finite and > 0.
     """
-    _check_psi(psi)
-    require_finite(lambda_prime=lambda_prime)
-    if lambda_prime <= 0:
-        raise InvalidParameterError(f"lambda' must be positive, got {lambda_prime}")
+    positive("psi", psi)
+    positive("lambda'", lambda_prime)
     if c1 not in (1, 2):
         raise InvalidParameterError(f"c1 must be 1 or 2, got {c1}")
     return lambda_prime / (2.0 * c1 * E) * math.exp(-2.0 * psi * lambda_prime)
@@ -588,7 +554,7 @@ def very_small_threshold(c1=2):
 def very_small_inverse(psi, lambda1):
     """Inverse form: repulsion distance (1/(2 psi)) log(1/lambda1), for a
     finite psi > 0."""
-    _check_psi(psi)
+    positive("psi", psi)
     if not (0 < lambda1 < 1):
         raise InvalidParameterError(f"lambda1 must be in (0, 1), got {lambda1}")
     return math.log(1.0 / lambda1) / (2.0 * psi)
@@ -598,11 +564,11 @@ def cos_bound(theta, psi):
     """Repulsion bound 2 cos^2(theta) / psi from a cosine-type weight pair.
 
     theta is the angle data of the weight (see K_FAMILY_PAIRS); psi is the
-    case's multiple of phi, finite and positive.
+    case's multiple of phi, finite and > 0.
     """
     if not (0 < theta < math.pi / 2):
         raise InvalidParameterError(f"theta must be in (0, pi/2), got {theta}")
-    _check_psi(psi)
+    positive("psi", psi)
     return 2.0 * math.cos(theta) ** 2 / psi
 
 
@@ -619,8 +585,7 @@ def piecewise_log_constant(rows, b_min):
     if not rows:
         raise InvalidParameterError("empty bound chain")
     for _, ls in rows:
-        if not (math.isfinite(ls) and ls > 0):
-            raise InvalidParameterError(f"chain bounds lambda* must be finite and > 0, got {ls}")
+        positive("chain bounds lambda*", ls)
     bs = [b_min] + [b for b, _ in rows]
     for b in bs:
         if not (0.0 < b < 1.0):

@@ -2,8 +2,12 @@
 
 Computation failures (no provable bound, violated side condition, failed
 precondition) are distinct from usage errors (bad parameters) so that the CLI
-can map them to exit codes.
+can map them to exit codes.  ``positive`` and ``nonnegative`` write the two
+input rules most parameters follow, and the one message that refuses them.
 """
+
+import math
+import numbers
 
 
 class HeckeZerosError(Exception):
@@ -53,3 +57,15 @@ class OracleFailureError(HeckeZerosError):
 
 class InfeasibleSearchError(HeckeZerosError):
     """A parameter search found no point satisfying the hard constraints."""
+
+
+def positive(name, value):
+    """Raise InvalidParameterError naming ``value`` unless it is a finite real > 0."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):   # NaN too
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def nonnegative(name, value):
+    """Raise InvalidParameterError naming ``value`` unless it is a finite real >= 0."""
+    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):   # NaN too
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NoRootError, OracleFailureError
+from .errors import DomainError, InvalidParameterError, NoRootError, OracleFailureError, positive
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,12 @@ def scan_root(h, lo, hi, step):
     of 1e-2.  For continuous h this matches a flat scan at ``step`` followed
     by bisection whenever h does not change sign twice inside one coarse
     cell (true for the monotone solver functions this oracle checks).
-    Non-finite bounds or a ``step`` that is not a positive finite number
-    raise ``InvalidParameterError``.
+    Non-finite bounds or a ``step`` that is not finite and > 0 raise
+    ``InvalidParameterError``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidParameterError(f"scan bounds must be finite, got [{lo}, {hi}]")
-    if not (math.isfinite(step) and step > 0):
-        raise InvalidParameterError(f"scan step must be positive and finite, got {step}")
+    positive("scan step", step)
     if hi <= lo:
         raise NoRootError(f"empty bracket [{lo}, {hi}]")
     coarse = max(step, min(1e-2, (hi - lo) / 100.0))

@@ -10,12 +10,13 @@ identity and the two positivity lemmas below are what lets a solver discard
 unknown zero terms while keeping an inequality valid.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, nonnegative, positive
 
 #: Coefficients of degrees 1..4.
 P4_COEFFS = (1.0, 1.0, 0.8, 0.4)
@@ -26,14 +27,14 @@ p4_eval = _kernels._p4
 
 
 def re_p4_identity(a, b, t):
-    """Re P(a/(b+it)) in closed form, valid for 0 < a <= b.
+    """Re P(a/(b+it)) in closed form, valid for finite 0 < a <= b.
 
     Splits into a strictly positive leading term (16/5)(ab)^4/(b^2+t^2)^4 plus
     a non-negative remainder proportional to (b - a), which is the source of
     the lower bound used by the positivity lemma.  ``t`` may be an array.
     """
-    if not (0 < a <= b):
-        raise DomainError(f"require 0 < a <= b, got a={a}, b={b}")
+    if not (0 < a <= b < math.inf):
+        raise DomainError(f"require finite 0 < a <= b, got a={a}, b={b}")
     t = np.asarray(t, dtype=float)
     r2 = b * b + t * t
     q = (5.0 * t ** 4
@@ -52,10 +53,10 @@ def gm_check(V, W, m, x, y, z):
     """G_m(x,y,z) = V x^m/(x^2+z^2)^m + W y^m/(y^2+z^2)^m - 1/(1+z^2)^m.
 
     Non-negative for all real z whenever x, y >= 1 and V/x^m + W/y^m >= 1.
-    ``z`` may be an array.
+    x and y must be finite; ``z`` may be an array.
     """
-    if x < 1.0 or y < 1.0:
-        raise DomainError(f"require x, y >= 1, got x={x}, y={y}")
+    if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):   # NaN too
+        raise DomainError(f"require finite x, y >= 1, got x={x}, y={y}")
     z = np.asarray(z, dtype=float)
     z2 = z * z
     out = (V * x ** m / (x * x + z2) ** m
@@ -76,12 +77,12 @@ class PositivityQuery:
     c: float
 
     def __post_init__(self):
-        if self.A <= 0 or self.B < 0 or self.C < 0:
-            raise InvalidParameterError(
-                f"require A > 0 and B, C >= 0, got A={self.A}, B={self.B}, C={self.C}")
-        if not (0 < self.a <= self.b <= self.c):
+        positive("A", self.A)
+        nonnegative("B", self.B)
+        nonnegative("C", self.C)
+        if not (0 < self.a <= self.b <= self.c < math.inf):   # NaN too
             raise DomainError(
-                f"require 0 < a <= b <= c, got a={self.a}, b={self.b}, c={self.c}")
+                f"require finite 0 < a <= b <= c, got a={self.a}, b={self.b}, c={self.c}")
 
 
 @dataclass(frozen=True)

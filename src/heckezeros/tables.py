@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 from importlib import resources
 
 from . import dh, optimizer
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, nonnegative
 
 _ENV_DATA_DIR = "HECKEZEROS_DATA_DIR"
 
@@ -262,8 +262,7 @@ def regress(table, tolerance=2e-4, budget=REGRESS_BUDGET):
     the 0.80..1.05 ratio band; out-of-band rows are flagged.  Density tables
     take the same per-cell budget.  The tolerance must be finite and >= 0.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
+    nonnegative("tolerance", tolerance)
     if isinstance(table, str):
         table = load_table(table)
     if isinstance(table, ZdTable):

@@ -54,7 +54,8 @@ import struct
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, InvalidGeneratorError, InvalidParameterError
+from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, nonnegative,
+                     positive)
 
 _SMALL_W = _kernels.SMALL_W
 
@@ -83,10 +84,8 @@ class TrialFunction:
     __slots__ = ("family", "params", "x0", "f0", "_eval", "_laplace", "_code")
 
     def __init__(self, family, params, x0, f0, eval_fn, laplace_fn, code=None):
-        if not (isinstance(x0, (int, float)) and math.isfinite(x0) and x0 > 0):
-            raise InvalidParameterError(f"support end x0 must be a finite number > 0, got {x0!r}")
-        if not (isinstance(f0, (int, float)) and math.isfinite(f0) and f0 >= 0):
-            raise InvalidParameterError(f"f(0) must be a finite number >= 0, got {f0!r}")
+        positive("support end x0", x0)
+        nonnegative("f(0)", f0)
         self.family = family
         self.params = dict(params)
         self.x0 = x0
@@ -134,8 +133,7 @@ class TrialFunction:
 
 def triangle(x0):
     """The triangle weight f(t) = max(x0 - t, 0), the autocorrelation of the box 1_[0, x0]."""
-    if not (isinstance(x0, (int, float)) and math.isfinite(x0) and x0 > 0):
-        raise InvalidParameterError(f"triangle support endpoint must be positive, got {x0!r}")
+    positive("support end x0", x0)
     x0 = float(x0)
     box = autocorrelation(s=x0)
     return TrialFunction("triangle", {"x0": x0}, box.x0, box.f0, box._eval, box._laplace,
@@ -207,11 +205,13 @@ def autocorrelation_code(alpha, c0, c1, beta, s):
     immutable tuple of plain numbers.  ``_cached_build`` is the cache and
     ``_build`` the uncached build.
     """
-    for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta), ("s", s)):
+    # checked inline, with errors.positive's message for s: the family
+    # searches call this for every weight they score
+    for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise InvalidParameterError(f"autocorrelation parameter {name} must be finite, got {v!r}")
-    if s <= 0:
-        raise InvalidParameterError(f"generator support s must be positive, got {s}")
+    if not (isinstance(s, (int, float)) and 0 < s < math.inf):
+        raise InvalidParameterError(f"generator support s must be finite and > 0, got {s!r}")
     return _cached_build(_KEY.pack(*map(float, (alpha, c0, c1, beta, s))))
 
 
@@ -328,8 +328,8 @@ def repel_reduce(f, a, b):
     Equals F(-a) - F(0) when b >= a, else F(-a) - F(b-a); both follow from
     the non-negativity of f and of Re F on the imaginary axis.
     """
-    if not (a >= 0 and b >= 0):   # NaN too
-        raise DomainError(f"repel_reduce requires a, b >= 0, got a={a}, b={b}")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):   # NaN too
+        raise DomainError(f"repel_reduce requires finite a, b >= 0, got a={a}, b={b}")
     return f.laplace_real(-a) - f.laplace_real(0.0 if b >= a else b - a)
 
 

@@ -16,8 +16,8 @@ and 1/12.
 import math
 from dataclasses import dataclass
 
-from .errors import BoundUnavailableError, InvalidParameterError
-from .dh import PHI, check_width, require_finite
+from .errors import BoundUnavailableError, InvalidParameterError, nonnegative, positive
+from .dh import PHI
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,20 @@ class ZdQuery:
         check_inputs(self.lam, self.b, self.vartheta, self.phi)
 
 
+def check_vartheta(vartheta):
+    """Raise InvalidParameterError unless vartheta lies in [3/4, 1]."""
+    if not (0.75 <= vartheta <= 1.0):   # NaN too
+        raise InvalidParameterError(f"vartheta must lie in [3/4, 1], got {vartheta}")
+
+
 def check_inputs(lam, b, vartheta, phi):
     """Raise InvalidParameterError unless (lam, b, vartheta, phi) is admissible."""
-    if not (0.75 <= vartheta <= 1.0):
-        raise InvalidParameterError(f"vartheta must lie in [3/4, 1], got {vartheta}")
-    require_finite(lam=lam)
-    check_width(b, phi)
-    if lam < 0:
-        raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
-    if phi <= 0:
-        raise InvalidParameterError(f"phi must be positive, got {phi}")
+    check_vartheta(vartheta)
+    # a rectangle of height 0 is allowed: the preconditions decide whether
+    # the bound applies there
+    nonnegative("lambda", lam)
+    nonnegative("b", b)
+    positive("phi", phi)
 
 
 def _values(q):

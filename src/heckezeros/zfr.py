@@ -25,13 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, optimizer
-from .dh import PHI, check_phi, cos_bound, require_finite
-from .errors import InvalidParameterError, NoBoundError
+from .dh import PHI, cos_bound
+from .errors import InvalidParameterError, NoBoundError, nonnegative, positive
 from .trial_functions import K_FAMILY_PAIRS
+from .zero_density import check_vartheta
 
 #: combined normalization coefficient B of the smoothed inequality of the
 #: order-5 and order>=6 cases, whose c0, c1 are those of 'order234'
 SMOOTHED_B = 62174.0
+
+#: right end of the polynomial cases' bracket [0, HI] for lambda_1
+HI = 10.0
 
 #: lambda* floor for the order>=6 case, from the complex-case repulsion tables
 #: at width 0.180 (min over the second-zero and second-character bounds).
@@ -87,13 +91,13 @@ def get_case(case):
 
 
 def _check(case, lam, phi=PHI):
-    """(ZfrCase, lam, phi) as floats; raises InvalidParameterError unless lam
-    is finite and positive and phi finite and >= 0."""
+    """(ZfrCase, lam, phi) as floats; raises InvalidParameterError unless
+    lambda is finite and > 0 and phi finite and >= 0."""
     case = get_case(case)
-    require_finite(lam=lam)
-    check_phi(phi)
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
+    positive("lambda", lam)
+    # a negative phi would flip the sign of the width term and inflate the
+    # bound; phi = 0 drops the term
+    nonnegative("phi", phi)
     return case, float(lam), float(phi)
 
 
@@ -120,12 +124,12 @@ def combine_L_coefficients(a, b, vartheta=0.75):
     L_0 <= L always and L_chi <= L / vartheta, so the combination is a + b
     when b <= 3a and 4a + (b - 3a)/vartheta otherwise (the 3a split uses
     vartheta >= 3/4).  Integer inputs are rounded up to the next integer,
-    matching the ceiling convention of the bundled constants.
+    matching the ceiling convention of the bundled constants.  a must be
+    finite and > 0, b finite and >= 0.
     """
-    if a <= 0 or b < 0:
-        raise InvalidParameterError(f"need a > 0 and b >= 0, got a={a}, b={b}")
-    if not (0.75 <= vartheta <= 1.0):
-        raise InvalidParameterError(f"vartheta must lie in [3/4, 1], got {vartheta}")
+    positive("a", a)
+    nonnegative("b", b)
+    check_vartheta(vartheta)
     if b <= 3 * a:
         out = a + b
     else:
@@ -148,7 +152,7 @@ def zfr_h(case, lam, phi=PHI):
 
 def side_condition_limit(case, lam):
     """Largest x >= 0 with p/lam^4 <= q/(lam+x)^4, or -inf if none, inf if
-    all; lambda must be finite and positive, as in ``zfr_solve``."""
+    all; lambda must be finite and > 0, as in ``zfr_solve``."""
     case, lam, _ = _check(case, lam)
     return _side_limit(case, lam)
 
@@ -163,16 +167,16 @@ def _side_limit(case, lam):
 
 
 def _zfr_bound(case, lam, phi):
-    """(value, root, h(0), h(10), side limit) of a case at lambda.
+    """(value, root, h(0), h(HI), side limit) of a case at lambda.
 
     ``case`` is a ZfrCase and lam > 0, phi >= 0 are checked floats.  value is
     the width ``zfr_solve`` returns, NaN wherever it raises NoBoundError (h
-    has no sign change on [0, 10]).  The scan of ``zfr_optimize`` scores each
+    has no sign change on [0, HI]).  The scan of ``zfr_optimize`` scores each
     lambda by this value alone; ``zfr_solve`` adds the checks, the residual
     and the result.
     """
     root, hlo, hhi = _kernels.zfr_root(float(case.coeffs[0]), float(case.coeffs[1]),
-                                       float(case.B), lam, phi, 0.0, 10.0)
+                                       float(case.B), lam, phi, 0.0, HI)
     limit = _side_limit(case, lam)
     if root != root:
         value = math.nan
@@ -184,7 +188,7 @@ def _zfr_bound(case, lam, phi):
 def zfr_solve(case, lam, phi=PHI):
     """Zero-free-region width for a chosen lambda.
 
-    Returns the smaller of the inequality root, bracketed on [0, 10], and the
+    Returns the smaller of the inequality root, bracketed on [0, HI], and the
     side-condition limit:
     the argument proves the region only while the side condition holds, and
     for the principal case the published width is exactly the (near-tight)
@@ -200,7 +204,7 @@ def zfr_solve(case, lam, phi=PHI):
                 f"zfr {case.name}: inequality already positive at width 0 "
                 f"(lambda={lam}); no region provable", sign="positive")
         raise NoBoundError(
-            f"zfr {case.name}: no root below 10.0 at lambda={lam}", sign="negative")
+            f"zfr {case.name}: no root below {HI} at lambda={lam}", sign="negative")
     # relative to the ~1e5-sized terms of the inequality
     c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
     scale = 1.0 + c0 * _kernels.P1 + B * phi * lam
@@ -216,11 +220,9 @@ def zfr_order5(phi=PHI):
     F(-lambda_1) - (c1/c0) F(0) + (B/c0) phi f(0) >= 0 with c0, c1 of
     'order234' (c1/c0 = 24480/14379) and B = ``SMOOTHED_B``; the matching
     cosine-type weight has the bundled angle theta = 1.1580, giving
-    lambda_1 >= cos^2(theta) c0 / (B phi).  phi must be finite and positive.
+    lambda_1 >= cos^2(theta) c0 / (B phi).  phi must be finite and > 0.
     """
-    require_finite(phi=phi)
-    if phi <= 0:
-        raise InvalidParameterError(f"phi must be positive, got {phi}")
+    positive("phi", phi)
     theta = K_FAMILY_PAIRS[2][1]
     B_over_c0 = SMOOTHED_B / CASES["order234"].coeffs[0]
     return cos_bound(theta, 2.0 * B_over_c0 * phi)
@@ -232,13 +234,11 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
     Solves c0 F(-lam_star) - c1 F(x - lam_star) + B phi f(0) = 0 for x in
     [0, lam_star], with c0 = 14379 and c1 = 24480 of 'order234' and
     B = ``SMOOTHED_B`` = 62174.  The published constant uses an externally
-    defined weight, so results here are flagged approximate.  lam_star must
-    be positive; a negative phi is rejected.
+    defined weight, so results here are flagged approximate.  lam_star
+    (lambda*) must be finite and > 0, phi finite and >= 0.
     """
-    require_finite(lam_star=lam_star)
-    check_phi(phi)
-    if lam_star <= 0:
-        raise InvalidParameterError(f"lam_star must be positive, got {lam_star}")
+    positive("lambda*", lam_star)
+    nonnegative("phi", phi)
     c0, c1 = CASES["order234"].coeffs[:2]
     const = c0 * f.laplace_real(-lam_star) + SMOOTHED_B * phi * f.f0
 
@@ -276,7 +276,7 @@ def zfr_optimize(case, phi=PHI):
     width ``zfr_solve`` would return (``_zfr_bound``) without calling it.
     """
     case = get_case(case)
-    check_phi(phi)
+    nonnegative("phi", phi)
     phi = float(phi)
 
     def value(lam):

@@ -361,7 +361,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("psi,match", [
         (math.nan, "psi must be finite"), (math.inf, "psi must be finite"),
-        (0.0, "psi must be positive"), (-1.0, "psi must be positive")])
+        (0.0, "psi must be finite and > 0"), (-1.0, "psi must be finite and > 0")])
     def test_closed_forms_need_a_finite_positive_psi(self, psi, match):
         # psi = 0 divided by zero, psi < 0 gave a negative distance, NaN gave NaN
         for call in (lambda: dh.very_small_dh(psi, 20.0), lambda: dh.very_small_inverse(psi, 0.5),
@@ -371,7 +371,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("lambda_prime", [math.nan, math.inf])
     def test_very_small_dh_needs_a_finite_distance(self, lambda_prime):
-        with pytest.raises(InvalidParameterError, match="lambda_prime must be finite"):
+        with pytest.raises(InvalidParameterError, match="lambda' must be finite"):
             dh.very_small_dh(1.0, lambda_prime)
 
 

@@ -1,5 +1,7 @@
 """The fixed quartic: evaluation, real-part identity, positivity lemmas."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,13 @@ class TestRealPartIdentity:
         with pytest.raises(DomainError):
             p4.re_p4_identity(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0),
+                                      (1.0, math.nan)])
+    def test_non_finite_rejected(self, a, b):
+        # b = inf returned nan with a RuntimeWarning (inf / inf)
+        with pytest.raises(DomainError, match="require finite"):
+            p4.re_p4_identity(a, b, 0.0)
+
 
 class TestGm:
     def test_equality_case(self):
@@ -83,6 +92,13 @@ class TestGm:
     def test_domain(self):
         with pytest.raises(DomainError):
             p4.gm_check(1.0, 1.0, 4, 0.9, 1.0, 0.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.2), (1.2, math.nan), (math.inf, 1.2),
+                                      (1.2, math.inf)])
+    def test_non_finite_rejected(self, x, y):
+        # x = nan returned [nan]
+        with pytest.raises(DomainError, match="require finite"):
+            p4.gm_check(1, 1, 1, x, y, [0.0])
 
 
 class TestPmPositivity:
@@ -116,6 +132,12 @@ class TestPmPositivity:
             p4.PositivityQuery(1, 1, 1, 2.0, 1.0, 3.0)
         with pytest.raises(InvalidParameterError):
             p4.PositivityQuery(0.0, 1, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("abscissae", [(1, 1, math.inf), (math.inf,) * 3, (math.nan, 1, 1),
+                                           (1, math.nan, 1), (1, 1, math.nan)])
+    def test_non_finite_abscissa_rejected(self, abscissae):
+        with pytest.raises(DomainError, match="require finite"):
+            p4.PositivityQuery(1, 1, 1, *abscissae)
 
     def test_guaranteed_random_queries(self):
         rng = np.random.default_rng(13)

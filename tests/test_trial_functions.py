@@ -531,9 +531,10 @@ class TestRepelReduce:
         expect = (f.laplace(-1.0) - f.laplace(-0.5)).real
         assert tf.repel_reduce(f, 1.0, 0.5) == pytest.approx(expect, abs=1e-13)
 
-    @pytest.mark.parametrize("a, b", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1)])
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1),
+                                      (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
     def test_bad_shift_rejected(self, a, b):
-        # a NaN shift returned NaN
+        # a NaN shift and a = inf returned NaN
         with pytest.raises(DomainError):
             tf.repel_reduce(tf.triangle(2.0), a, b)
 
