@@ -43,8 +43,8 @@ The named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
 build those functions (``smoothed_root`` and ``poly_root`` take them built,
 so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
 root when ``h`` has no sign change, so callers can tell which way the
-inequality failed.  The vectorized ``h`` of the solver modules and the
-solvers' residuals come from the same builders.
+inequality failed (``errors.no_bound`` words it).  The vectorized ``h`` of
+the solver modules and the solvers' residuals come from the same builders.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
 Trial functions reach this module as a "family code" (see
@@ -633,7 +633,9 @@ def search_root(h, hi, guess):
 
 
 def smoothed_root(h, lo, hi):
-    """Root of an h built by ``smoothed_fn`` from a scalar F, as ``_bisect``.
+    """Root of an increasing scalar h on [lo, hi], as ``_bisect``: one built
+    by ``smoothed_fn`` from a scalar F, or the order >= 6 zero-free-region
+    function, which has the same terms.
 
     The caller builds h, so it can reuse it (for the residual at the root)
     without evaluating F(0) again.

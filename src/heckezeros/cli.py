@@ -345,13 +345,13 @@ def build_parser():
     y = sp.add_parser("zd", help="zero-density bound N(lambda)")
     y.add_argument("--lambda", dest="lam", type=float, required=True)
     y.add_argument("--b", type=float, default=0.0)
-    y.add_argument("--vartheta", type=float, default=0.75)
+    y.add_argument("--vartheta", type=float, default=zero_density.VARTHETA)
     y.add_argument("--optimize", action="store_true", default=None,
                    help="optimize the substitute weight family")
     y.add_argument("--budget", type=int, default=None,
                    help="read with --optimize: weights the search scores (default "
-                        "300), split over the two profiles with at least 40 each "
-                        "(so about 80 at any budget below 80)")
+                        f"{optimizer.ZD_BUDGET}), split over the two profiles with at least "
+                        "40 each (so about 80 at any budget below 80)")
     _add_family(y)
     _add_common(y)
 
@@ -361,7 +361,8 @@ def build_parser():
                    help="recompute a table and report deviations")
     t.add_argument("--tolerance", type=float, default=None,
                    help="read with --regress of a polynomial table: the deviation "
-                        "a row may show (default 2e-4)")
+                        f"a row may show (default {tables.REGRESS_TOLERANCE:.0e})"
+                        .replace("e-0", "e-"))   # 2e-4, not 2e-04
     t.add_argument("--budget", type=int, default=None,
                    help="read with --regress of a smoothed table or T1: weights a "
                         "search scores per row (T1: per cell; default "

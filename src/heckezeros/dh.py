@@ -46,7 +46,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoBoundError,
-                     SideConditionError, nonnegative, positive)
+                     SideConditionError, checked_power, no_bound, nonnegative,
+                     positive)
 
 #: Critical-strip growth constant; the convexity bound fixes it at 1/4.
 PHI = 0.25
@@ -167,11 +168,7 @@ def check_quartic(lam, b, J=0.0, x=0.0):
     for (J + 1)^2, and 1/lam^4 divides by zero where lam^4 underflows to 0."""
     for name, base, power in (("lambda + b", lam + b, 4), ("lambda + x", lam + x, 4),
                               ("J + 1", J + 1.0, 2)):
-        try:
-            float(base) ** power
-        except OverflowError:
-            raise InvalidParameterError(
-                f"{name} = {base} is too large: its power {power} overflows") from None
+        checked_power(name, float(base), power)
     if float(lam) ** 4 == 0.0:
         raise InvalidParameterError(f"lambda = {lam} is too small: lambda^4 underflows to 0")
 
@@ -257,8 +254,9 @@ def solve_smoothed(case, f, b, phi=PHI):
     the 'cc' shape when F(-b) - F(0) + psi f(0) <= 0, a regime the source
     lemmas do not address); both raise NoBoundError with the sign recorded.
     An h that is 0 at both ends (the 'sz' shape at b = 0 when
-    F(0) = psi f(0)) bounds nothing either and raises NoBoundError with sign
-    None.  The family search scores its weights by ``_search_root`` instead.
+    F(0) = psi f(0)) or NaN at an end bounds nothing either and raises
+    NoBoundError with sign None.  ``errors.no_bound`` words each report.
+    The family search scores its weights by ``_search_root`` instead.
     """
     case = _check_smoothed(case, b, phi)
     F = f.laplace_real
@@ -269,20 +267,8 @@ def solve_smoothed(case, f, b, phi=PHI):
             hi = 0.5 * hi
     h = _kernels.smoothed_fn(F, case.form, float(case.c1), case.psi_over_phi * phi, b, f.f0)
     root, hlo, hhi = _kernels.smoothed_root(h, 0.0, hi)
-    if math.isnan(hlo) or math.isnan(hhi):
-        raise NoBoundError(
-            f"{case.name}: h is NaN at an end of [0, {hi}] for {f!r}")
-    if hlo == 0.0 and hhi == 0.0:
-        raise NoBoundError(
-            f"{case.name}: h is 0 at both ends of [0, {hi}] for {f!r}"
-            " (degenerate / unbounded, flagged for review)")
-    if math.isnan(root):
-        sign = "positive" if hlo > 0 else "negative"
-        raise NoBoundError(
-            f"{case.name}: h stays {sign} on [0, {hi}] for {f!r}"
-            + (" (no repulsion provable)" if sign == "positive"
-               else " (degenerate / unbounded, flagged for review)"),
-            sign=sign)
+    if math.isnan(root) or hlo == 0.0 and hhi == 0.0:
+        raise no_bound(case.name, hi, repr(f), hlo, hhi)
     # residual is measured relative to the transform terms h evaluates at the
     # root: at tiny widths they reach e^{x0 x} ~ 1e10 and an absolute figure
     # would only report float cancellation noise, not root quality
@@ -499,7 +485,9 @@ def solve_poly(case, b, lam, J, phi=PHI):
     min(equation root, side-condition limit), which is always a valid bound;
     ``side_limited`` marks capped results and ``root`` keeps the uncapped
     value.  SideConditionError is raised only when the condition fails even
-    at width 0, so no valid point exists.  The bound is ``_poly_bound``'s,
+    at width 0, so no valid point exists; NoBoundError where h has no sign
+    change on the bracket, worded and signed by ``errors.no_bound`` as in
+    ``solve_smoothed``.  The bound is ``_poly_bound``'s,
     which the search calls for each candidate it scores.  The inputs are
     checked first (``_check_poly``).
     """
@@ -509,10 +497,7 @@ def solve_poly(case, b, lam, J, phi=PHI):
     at = _poly_at(case, b, lam, phi)
     value, root, hlo, hhi, x_side = _poly_bound(at, lam, J)
     if math.isnan(root):
-        sign = "positive" if hlo > 0 else "negative"
-        raise NoBoundError(
-            f"{case.name}: no root in [0, {POLY_HI}] at (b={b}, lambda={lam}, J={J});"
-            f" h stays {sign}", sign=sign)
+        raise no_bound(case.name, POLY_HI, f"b={b}, lambda={lam}, J={J}", hlo, hhi)
     if x_side < 0.0:
         raise SideConditionError(
             f"{case.name}: side condition fails for every width at "

@@ -3,7 +3,9 @@
 Computation failures (no provable bound, violated side condition, failed
 precondition) are distinct from usage errors (bad parameters) so that the CLI
 can map them to exit codes.  ``positive`` and ``nonnegative`` write the two
-input rules most parameters follow, and the one message that refuses them.
+input rules most parameters follow, and the one message that refuses them;
+``checked_power`` the refusal of a power past the float range, and
+``no_bound`` the one report of a root-solved bound that has no root.
 """
 
 import math
@@ -39,6 +41,31 @@ class NoBoundError(HeckeZerosError):
         self.sign = sign
 
 
+#: the verdict on an h that stays negative or vanishes at both ends
+_FLAGGED = " (degenerate / unbounded, flagged for review)"
+
+
+def no_bound(subject, hi, inputs, hlo, hhi, proves="repulsion"):
+    """The NoBoundError of a root solve of an increasing h on [0, hi] that
+    gives no bound, from h(0) = hlo and h(hi) = hhi.
+
+    ``subject`` opens the message and ``inputs`` (a string) names what h was
+    built from.  A NaN end, or 0 at both ends, gives sign None; otherwise the
+    sign is the one h keeps: 'positive' (no bound of the kind ``proves``
+    names is provable) or 'negative' (degenerate, or the root lies past hi).
+    The caller raises it.
+    """
+    where = f"[0, {hi}] for {inputs}"
+    if hlo != hlo or hhi != hhi:
+        return NoBoundError(f"{subject}: h is NaN at an end of {where}")
+    if hlo == 0.0 and hhi == 0.0:
+        return NoBoundError(f"{subject}: h is 0 at both ends of {where}{_FLAGGED}")
+    if hlo > 0.0:
+        return NoBoundError(f"{subject}: h stays positive on {where} (no {proves} provable)",
+                            sign="positive")
+    return NoBoundError(f"{subject}: h stays negative on {where}{_FLAGGED}", sign="negative")
+
+
 class SideConditionError(HeckeZerosError):
     """The side condition fails at every width, so no valid bound exists."""
 
@@ -62,10 +89,27 @@ class InfeasibleSearchError(HeckeZerosError):
 def positive(name, value):
     """Raise InvalidParameterError naming ``value`` unless it is a finite real > 0."""
     if not (isinstance(value, numbers.Real) and 0 < value < math.inf):   # NaN too
-        raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {_shown(value)}")
 
 
 def nonnegative(name, value):
     """Raise InvalidParameterError naming ``value`` unless it is a finite real >= 0."""
     if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):   # NaN too
-        raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {_shown(value)}")
+
+
+def checked_power(name, base, exponent, error=InvalidParameterError):
+    """base ** exponent, or ``error`` naming ``name`` where Python's float **
+    raises OverflowError: past the float range, where * would give inf."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise error(f"{name} = {base} is too large: its power {exponent} overflows") from None
+
+
+def _shown(value):
+    """repr of ``value``, a NumPy real scalar's as its Python value's (NumPy 2
+    writes np.float64(-1.0) for -1.0)."""
+    if isinstance(value, numbers.Real) and hasattr(value, "item"):
+        value = value.item()
+    return repr(value)

@@ -494,7 +494,11 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     return res
 
 
-def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
+#: weights the density search scores, the default of ``optimize_zd``
+ZD_BUDGET = 300
+
+
+def optimize_zd(lam, b=0.0, vartheta=zero_density.VARTHETA, phi=dh.PHI, budget=ZD_BUDGET):
     """Smallest density bound over the substitute family at (lambda, b).
 
     Returns (integer bound or inf, params).  The support seed follows the
@@ -516,8 +520,8 @@ def optimize_zd(lam, b=0.0, vartheta=0.75, phi=dh.PHI, budget=300):
     seeds = [{"alpha": 0.0, "s": seed_s}]
     seeds += [{"alpha": a, "s": s_} for a in (-0.5, 0.0)
               for s_ in (3.0, 6.0, 10.0, 18.0, 30.0)]
-    # the points F(-b) and F(lambda - b) as ``TrialFunction.laplace`` passes
-    # them to the kernel
+    # the points F(-b) and F(lambda - b) as ``TrialFunction.laplace_real``
+    # passes them to the kernel
     r_minus_b, r_gap = float(-b), float(lam - b)
 
     def score(code, f0, F0):

@@ -10,13 +10,14 @@ identity and the two positivity lemmas below are what lets a solver discard
 unknown zero terms while keeping an inequality valid.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, nonnegative, positive
+from .errors import DomainError, checked_power, nonnegative, positive
 
 #: Coefficients of degrees 1..4.
 P4_COEFFS = (1.0, 1.0, 0.8, 0.4)
@@ -24,6 +25,9 @@ P4_COEFFS = (1.0, 1.0, 0.8, 0.4)
 
 #: The quartic at a real or complex point (or array), shared with the kernels.
 p4_eval = _kernels._p4
+
+#: an argument's power, or DomainError naming the argument past the float range
+_power = functools.partial(checked_power, error=DomainError)
 
 
 def re_p4_identity(a, b, t):
@@ -40,13 +44,13 @@ def re_p4_identity(a, b, t):
     q = (5.0 * t ** 4
          + 2.0 * (5.0 * b * b + 5.0 * a * b - a * a) * t * t
          + b * b * (5.0 * b * b + 10.0 * a * b + 14.0 * a * a))
-    out = (16.0 / 5.0) * (a * b) ** 4 / r2 ** 4 + a * (b - a) / (5.0 * r2 ** 3) * q
+    out = (16.0 / 5.0) * _power("a*b", a * b, 4) / r2 ** 4 + a * (b - a) / (5.0 * r2 ** 3) * q
     return out if out.ndim else float(out)
 
 
 def gm_guaranteed(V, W, m, x, y):
     """Sufficient condition V/x^m + W/y^m >= 1 for grid positivity."""
-    return V / x ** m + W / y ** m >= 1.0
+    return V / _power("x", x, m) + W / _power("y", y, m) >= 1.0
 
 
 def gm_check(V, W, m, x, y, z):
@@ -59,8 +63,8 @@ def gm_check(V, W, m, x, y, z):
         raise DomainError(f"require finite x, y >= 1, got x={x}, y={y}")
     z = np.asarray(z, dtype=float)
     z2 = z * z
-    out = (V * x ** m / (x * x + z2) ** m
-           + W * y ** m / (y * y + z2) ** m
+    out = (V * _power("x", x, m) / (x * x + z2) ** m
+           + W * _power("y", y, m) / (y * y + z2) ** m
            - 1.0 / (1.0 + z2) ** m)
     return out if out.ndim else float(out)
 
@@ -103,5 +107,6 @@ def pm_positivity(q):
     """
     ts = np.linspace(-50.0 * q.a, 50.0 * q.a, 4001)
     mn, arg = _kernels.p4_combo_min(q.A, q.B, q.C, q.a, q.b, q.c, ts)
-    guaranteed = bool(q.C / q.c ** 4 + q.B / q.b ** 4 >= q.A / q.a ** 4)
+    guaranteed = bool(q.C / _power("c", q.c, 4) + q.B / _power("b", q.b, 4)
+                      >= q.A / _power("a", q.a, 4))
     return PositivityResult(guaranteed, float(mn), float(arg))

@@ -245,13 +245,17 @@ class RegressionReport:
 #: the default of ``regress`` and ``regress_zero_density``
 REGRESS_BUDGET = 120
 
+#: the deviation from a polynomial table a recomputed row may show, the
+#: default of ``regress``
+REGRESS_TOLERANCE = 2e-4
+
 #: soft acceptance band for substitute-family reproduction of smoothed rows
 SMOOTHED_BAND = (0.80, 1.05)
 #: required in-band fraction for a smoothed regression to pass
 SMOOTHED_FRACTION = 0.90
 
 
-def regress(table, tolerance=2e-4, budget=REGRESS_BUDGET):
+def regress(table, tolerance=REGRESS_TOLERANCE, budget=REGRESS_BUDGET):
     """Recompute every row of a bound table.
 
     Polynomial tables rerun the exact solver with the row's (lambda, J); every

@@ -65,11 +65,12 @@ def _f2_bound(f):
 
 
 def _remainder_split(f, z, B):
-    """(F_0(z), ok) for F(z) = f(0)/z + F_0(z) on Re z > 0: ok tells whether
-    |F_0(z)| <= (3 B x0 + 2 f(0)/x0)/|z|^2 + 1e-12, for B >= sup |f''|."""
+    """(F_0(z), ok) for F(z) = f(0)/z + F_0(z) at a finite z with Re z > 0:
+    ok tells whether |F_0(z)| <= (3 B x0 + 2 f(0)/x0)/|z|^2 + 1e-12, for
+    B >= sup |f''|."""
     z = complex(z)
-    if z.real <= 0:
-        raise DomainError(f"remainder split requires Re z > 0, got {z}")
+    if not (z.real > 0 and abs(z) < math.inf):   # NaN too
+        raise DomainError(f"remainder split requires a finite z with Re z > 0, got {z}")
     F0 = f.laplace(z) - f.f0 / z
     return F0, bool(abs(F0) <= (3.0 * B * f.x0 + 2.0 * f.f0 / f.x0) / abs(z) ** 2 + 1e-12)
 
@@ -247,7 +248,7 @@ def suite_roots():
     f = trial_functions.triangle(2.5)
     res = dh.solve_smoothed("sz-lp-quadratic", f, 0.01)
     h = dh.smoothed_h("sz-lp-quadratic", f, 0.01)
-    scanned = oracles.scan_root(h, 0.01, 60.0, 1e-6)
+    scanned = oracles.scan_root(h, 0.01, dh.HI, 1e-6)
     reports.append(equality_report("smoothed ITP root vs scan oracle",
                                    [abs(scanned - res.lambda_star)], None, 2e-6))
     # residuals across every bundled polynomial row

@@ -10,14 +10,20 @@ lowest width, a trial weight f yields
 (up to epsilon), valid when both preconditions hold: the bracketed transform
 value exceeds phi f0 / vt, and the denominator is positive.  At vt = 3/4,
 b = 0, phi = 1/4 this collapses to the familiar form with constants 1/3, 1/4
-and 1/12.
+and 1/12.  One private evaluation (``_evaluate``) forms the bound's terms and
+both preconditions, and every entry point reads it; ``mt_bound_from_values``
+writes the collapsed form apart, as an independent reference.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import BoundUnavailableError, InvalidParameterError, nonnegative, positive
+from .errors import (BoundUnavailableError, InvalidParameterError, checked_power,
+                     nonnegative, positive)
 from .dh import PHI
+
+#: default vartheta, the least the lemmas allow
+VARTHETA = 0.75
 
 
 @dataclass(frozen=True)
@@ -27,7 +33,7 @@ class ZdQuery:
     f: object
     lam: float
     b: float = 0.0
-    vartheta: float = 0.75
+    vartheta: float = VARTHETA
     phi: float = PHI
 
     def __post_init__(self):
@@ -54,18 +60,28 @@ def _values(q):
     return q.f.f0, q.f.laplace_real(-q.b), q.f.laplace_real(q.lam - q.b)
 
 
-def preconditions_from_values(f0, F_minus_b, F_gap, vartheta, phi):
+def _evaluate(f0, F_minus_b, F_gap, vartheta, phi):
+    """(cond1, cond2, num, den) of the bound from raw values (f(0), F(-b),
+    F(lambda-b)): the two preconditions and the numerator and denominator.
+
+    t = phi f0 / vt, phi f0 + F(-b) and the denominator are formed once.
+    Precondition 2, (F(lambda-b) - t)^2 > t (phi f0 + F(-b)), is read as
+    den > 0: in IEEE arithmetic a - b > 0 holds exactly where a > b.
+    Raises InvalidParameterError where the square leaves the float range
+    (``errors.checked_power``); ``**`` stays, as * would round some squares
+    differently.
+    """
     t = phi * f0 / vartheta
-    cond1 = F_gap > t
-    cond2 = (F_gap - t) ** 2 > t * (phi * f0 + F_minus_b)
-    return bool(cond1), bool(cond2)
+    s = phi * f0 + F_minus_b
+    den = checked_power("F(lambda - b) - phi f0/vartheta", F_gap - t, 2) - t * s
+    num = s * (F_minus_b - (1.0 / vartheta - 1.0) * phi * f0)
+    return bool(F_gap > t), bool(den > 0.0), num, den
 
 
 def bound_from_values(f0, F_minus_b, F_gap, vartheta, phi):
-    """The general bound from raw values (f(0), F(-b), F(lambda-b))."""
-    t = phi * f0 / vartheta
-    num = (phi * f0 + F_minus_b) * (F_minus_b - (1.0 / vartheta - 1.0) * phi * f0)
-    den = (F_gap - t) ** 2 - t * (phi * f0 + F_minus_b)
+    """The general bound from raw values (f(0), F(-b), F(lambda-b)), whether
+    or not the preconditions hold."""
+    _, _, num, den = _evaluate(f0, F_minus_b, F_gap, vartheta, phi)
     return num / den
 
 
@@ -80,28 +96,27 @@ def bound_if_admissible(f0, F_minus_b, F_gap, vartheta, phi):
     """The bound from raw values, or None where a precondition fails.
 
     The density search scores each weight by it, from f(0) and the scalar
-    kernel's F(-b) and F(lambda-b); ``n_lambda_bound`` wraps it.
+    kernel's F(-b) and F(lambda-b).
     """
-    if not all(preconditions_from_values(f0, F_minus_b, F_gap, vartheta, phi)):
-        return None
-    return bound_from_values(f0, F_minus_b, F_gap, vartheta, phi)
+    cond1, cond2, num, den = _evaluate(f0, F_minus_b, F_gap, vartheta, phi)
+    return num / den if cond1 and cond2 else None
 
 
 def zd_preconditions(q):
-    """(cond1, cond2): transform-size and denominator-positivity conditions."""
-    return preconditions_from_values(*_values(q), q.vartheta, q.phi)
+    """(cond1, cond2): transform-size and denominator-positivity conditions,
+    as ``_evaluate`` reads them."""
+    return _evaluate(*_values(q), q.vartheta, q.phi)[:2]
 
 
 def n_lambda_bound(q):
-    """The real-valued density bound; requires both preconditions."""
-    values = _values(q)
-    bound = bound_if_admissible(*values, q.vartheta, q.phi)
-    if bound is None:
-        c1, c2 = preconditions_from_values(*values, q.vartheta, q.phi)
+    """The real-valued density bound; where a precondition fails, raises
+    BoundUnavailableError naming both, from the same one evaluation."""
+    c1, c2, num, den = _evaluate(*_values(q), q.vartheta, q.phi)
+    if not (c1 and c2):
         raise BoundUnavailableError(
             f"density preconditions fail at lambda={q.lam}, b={q.b} "
             f"(cond1={c1}, cond2={c2}) for {q.f!r}")
-    return bound
+    return num / den
 
 
 def int_bound(bound):

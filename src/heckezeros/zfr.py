@@ -26,9 +26,9 @@ import numpy as np
 
 from . import _kernels, optimizer
 from .dh import PHI, cos_bound
-from .errors import InvalidParameterError, NoBoundError, nonnegative, positive
+from .errors import InvalidParameterError, NoBoundError, no_bound, nonnegative, positive
 from .trial_functions import K_FAMILY_PAIRS
-from .zero_density import check_vartheta
+from .zero_density import VARTHETA, check_vartheta
 
 #: combined normalization coefficient B of the smoothed inequality of the
 #: order-5 and order>=6 cases, whose c0, c1 are those of 'order234'
@@ -118,7 +118,7 @@ def expand_trig_square_product(a1, b1, a2, b2):
     return (c0, c1, c2, c3, c4)
 
 
-def combine_L_coefficients(a, b, vartheta=0.75):
+def combine_L_coefficients(a, b, vartheta=VARTHETA):
     """Combine a . L_0 + b . L_chi into a single multiple of L.
 
     L_0 <= L always and L_chi <= L / vartheta, so the combination is a + b
@@ -194,17 +194,14 @@ def zfr_solve(case, lam, phi=PHI):
     for the principal case the published width is exactly the (near-tight)
     side limit.  ``side_ok`` refers to the returned width; ``side_limited``
     records when the cap was the binding constraint.  A negative phi is
-    rejected; phi = 0 drops the width term.
+    rejected; phi = 0 drops the width term.  Where the inequality has no
+    sign change on the bracket, NoBoundError is raised, worded and signed by
+    ``errors.no_bound`` as for the repulsion solvers.
     """
     case, lam, phi = _check(case, lam, phi)
     value, root, hlo, hhi, limit = _zfr_bound(case, lam, phi)
     if math.isnan(root):
-        if hlo > 0:
-            raise NoBoundError(
-                f"zfr {case.name}: inequality already positive at width 0 "
-                f"(lambda={lam}); no region provable", sign="positive")
-        raise NoBoundError(
-            f"zfr {case.name}: no root below {HI} at lambda={lam}", sign="negative")
+        raise no_bound(f"zfr {case.name}", HI, f"lambda={lam}", hlo, hhi, proves="region")
     # relative to the ~1e5-sized terms of the inequality
     c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
     scale = 1.0 + c0 * _kernels.P1 + B * phi * lam
@@ -233,9 +230,13 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
 
     Solves c0 F(-lam_star) - c1 F(x - lam_star) + B phi f(0) = 0 for x in
     [0, lam_star], with c0 = 14379 and c1 = 24480 of 'order234' and
-    B = ``SMOOTHED_B`` = 62174.  The published constant uses an externally
-    defined weight, so results here are flagged approximate.  lam_star
-    (lambda*) must be finite and > 0, phi finite and >= 0.
+    B = ``SMOOTHED_B`` = 62174.  The root is ``_kernels.smoothed_root``'s.
+    Where the function is still negative at lam_star (and not positive at
+    0) the full floor lam_star is the width; any other failure to change
+    sign raises NoBoundError (``errors.no_bound``).  The published constant
+    uses an externally defined weight, so results here are flagged
+    approximate.  lam_star (lambda*) must be finite and > 0, phi finite and
+    >= 0.
     """
     positive("lambda*", lam_star)
     nonnegative("phi", phi)
@@ -245,17 +246,14 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
     def h(x):
         return const - c1 * f.laplace_real(x - lam_star)
 
-    root, hlo, hhi = _kernels._bisect(h, 0.0, lam_star)
-    if hlo > 0:
-        raise NoBoundError(
-            f"order>=6 inequality already positive at width 0 for {f!r}", sign="positive")
-    if hhi < 0:
-        # inequality still negative at lam_star: the full floor is provable
+    root, hlo, hhi = _kernels.smoothed_root(h, 0.0, lam_star)
+    if hhi < 0 and not hlo > 0:
+        # inequality still negative at lam_star, and h(0) > 0 would refuse
+        # first: the full floor is provable
         return ZfrResult("order-ge6", float(lam_star), float(lam_star), True,
                          False, float(lam_star), 0.0, approximate=True)
     if math.isnan(root):
-        raise NoBoundError(
-            f"order>=6 inequality is NaN at an end of [0, {lam_star}] for {f!r}")
+        raise no_bound("order>=6", lam_star, repr(f), hlo, hhi, proves="region")
     return ZfrResult("order-ge6", float(lam_star), float(root), True, False,
                      float(root), abs(h(root)), approximate=True)
 

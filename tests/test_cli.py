@@ -327,6 +327,8 @@ class TestInvalidInput:
         "zd --lambda 0.2 --vartheta 0.5 --optimize",
         "zd --lambda -0.1 --optimize",
         "zd --lambda nan --family triangle --params x0=8",
+        # f(0) = 5.2e172: the density denominator's square leaves the float range
+        "zd --lambda 0.2 --family autocorrelation --params alpha=5,s=40",
         "optimize --case sz-lp-principal --b nan",
         "optimize --case sz-lp-principal --b -1",
         "optimize --case cc-lp-nonprincipal --b nan",

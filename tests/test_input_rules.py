@@ -9,6 +9,7 @@ and one name for the argument, whichever of those values it is given.
 
 import math
 
+import numpy as np
 import pytest
 
 from heckezeros import dh, optimizer, oracles, p4, tables, zero_density as zd, zfr
@@ -87,6 +88,15 @@ def test_every_bounded_input_is_refused_alike(name, rule, call, kind):
     with pytest.raises(InvalidParameterError) as err:
         call(value)
     assert str(err.value) == f"{name} must be finite and {rule} 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value, shown", [(np.float64(-1), "-1.0"), (np.float32(-0.5), "-0.5"),
+                                          (np.int64(-3), "-3"), (np.float64(math.nan), "nan")])
+def test_numpy_scalar_is_shown_as_its_python_value(value, shown):
+    # NumPy 2 wrote "got np.float64(-1.0)"
+    with pytest.raises(InvalidParameterError) as err:
+        zfr.zfr_solve("order234", value)
+    assert str(err.value) == f"lambda must be finite and > 0, got {shown}"
 
 
 @pytest.mark.parametrize("check, rule, least", [(positive, ">", 5e-324),

@@ -101,6 +101,18 @@ class TestGm:
             p4.gm_check(1, 1, 1, x, y, [0.0])
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: p4.re_p4_identity(1e100, 1e100, 0.0), "a\\*b"),
+    (lambda: p4.gm_check(1, 1, 4, 1e100, 1.5, [0.0]), "x"),
+    (lambda: p4.gm_guaranteed(1, 1, 4, 1e100, 1.5), "x"),
+    (lambda: p4.pm_positivity(p4.PositivityQuery(1, 1, 1, 1, 1, 1e100)), "c"),
+], ids=["re_p4_identity", "gm_check", "gm_guaranteed", "pm_positivity"])
+def test_power_past_the_float_range_is_a_domain_error(call, named):
+    # each raised a bare OverflowError from Python's float **
+    with pytest.raises(DomainError, match=f"^{named} = .* is too large: its power 4 overflows"):
+        call()
+
+
 class TestPmPositivity:
     def test_trivial_query(self):
         res = p4.pm_positivity(p4.PositivityQuery(1, 1, 1, 1, 1, 1))

@@ -521,6 +521,13 @@ class TestRemainderBound:
         with pytest.raises(DomainError):
             self.split(tf.triangle(1.0), 1j)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(1.0, math.inf),
+                                   complex(math.inf, 0.0), complex(1.0, math.nan)])
+    def test_non_finite_z_rejected(self, z):
+        # nan and 1 + inf j returned ((nan+nanj), False), inf returned (0j, True)
+        with pytest.raises(DomainError, match="requires a finite z with Re z > 0"):
+            self.split(tf.triangle(1.0), z)
+
 
 class TestRepelReduce:
     def test_zero_shift(self):

@@ -87,6 +87,87 @@ class TestBound:
         assert zd.n_lambda_int(q) == math.floor(v + 1e-6)
 
 
+def _parent_preconditions(f0, F_minus_b, F_gap, vartheta, phi):
+    """The two preconditions as separate comparisons: the reference for
+    reading precondition 2 as the denominator's sign."""
+    t = phi * f0 / vartheta
+    return bool(F_gap > t), bool((F_gap - t) ** 2 > t * (phi * f0 + F_minus_b))
+
+
+def _parent_bound(f0, F_minus_b, F_gap, vartheta, phi):
+    t = phi * f0 / vartheta
+    num = (phi * f0 + F_minus_b) * (F_minus_b - (1.0 / vartheta - 1.0) * phi * f0)
+    den = (F_gap - t) ** 2 - t * (phi * f0 + F_minus_b)
+    return num / den
+
+
+def _outcome(fn, *args):
+    """repr of fn's value (NaN and -0.0 to the bit), or the exception it raises."""
+    try:
+        return repr(fn(*args))
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+def _density_inputs(rng, n):
+    """Seeded raw values (f0, F(-b), F(lambda-b), vartheta, phi): random
+    magnitudes, infinities, NaN, F(lambda-b) at and next to t, and exact
+    zero denominators."""
+    special = (0.0, 5e-324, math.inf, -math.inf, math.nan)
+    for i in range(n):
+        kind = i % 4
+        if kind == 3:
+            # f0 = 2, phi = 1/2, vt = 1: t = 1 and (F_gap - 1)^2 = d^2 = t (1 + F(-b))
+            d = float(rng.integers(1, 1000))
+            yield 2.0, d * d - 1.0, 1.0 + d * float(rng.choice([-1.0, 1.0])), 1.0, 0.5
+            continue
+        f0 = 10.0 ** rng.uniform(-6.0, 6.0)
+        vartheta = float(rng.choice([0.75, 1.0, rng.uniform(0.75, 1.0)]))
+        phi = float(rng.choice([0.25, rng.uniform(1e-3, 1.0)]))
+        t = phi * f0 / vartheta
+        F_minus_b = f0 * 10.0 ** rng.uniform(-3.0, 3.0) * float(rng.choice([-1.0, 1.0]))
+        if rng.random() < 0.1:
+            F_minus_b = float(rng.choice(special))
+        if kind == 0:
+            F_gap = t
+        elif kind == 1:
+            F_gap = t * (1.0 + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-17.0, 0.0))
+        else:
+            F_gap = f0 * 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.05:
+            F_gap = float(rng.choice(special))
+        yield f0, F_minus_b, F_gap, vartheta, phi
+
+
+def test_one_evaluation_matches_the_two_formulas_to_the_bit():
+    """The bound and both preconditions are the two separate formulas', to
+    the bit, on every input: precondition 2 read as the denominator's sign."""
+    rng = np.random.default_rng(20261019)
+    zero_dens = equal_gaps = 0
+    for args in _density_inputs(rng, 8000):
+        want = _parent_preconditions(*args)
+        assert zd._evaluate(*args)[:2] == want, args
+        bound = _outcome(_parent_bound, *args)
+        assert _outcome(zd.bound_from_values, *args) == bound, args
+        admissible = bound if all(want) else repr(None)
+        assert _outcome(zd.bound_if_admissible, *args) == admissible, args
+        zero_dens += bound == "ZeroDivisionError"
+        equal_gaps += args[2] == args[4] * args[0] / args[3]
+    assert zero_dens > 1000 and equal_gaps > 1000
+
+
+def test_density_square_overflow_is_refused():
+    # (F(lambda - b) - t) ** 2 raised a bare OverflowError; the weight is valid
+    f = tf.autocorrelation(alpha=5.0, s=40.0)
+    assert 5e172 < f.f0 < 6e172
+    for call in (lambda: zd.n_lambda_bound(zd.ZdQuery(f, 0.2)),
+                 lambda: zd.zd_preconditions(zd.ZdQuery(f, 0.2)),
+                 lambda: zd.bound_if_admissible(1.0, 1.0, 1e200, 0.75, 0.25)):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^F\(lambda - b\) - phi f0/vartheta = .* its power 2 overflows"):
+            call()
+
+
 def test_recipe_theta():
     assert zd.recipe_theta(0.2, 0.0) == pytest.approx(1.63 - 4.35 * 0.2)
     assert zd.recipe_theta(0.1, 0.0875) == pytest.approx(1.63 + 1.28 * 0.0875 - 0.435)

@@ -89,7 +89,7 @@ class TestSolve:
 
     def test_no_root_below_the_bracket_top(self):
         # phi = 0 drops the width term; at lambda = 50 the root lies past 10
-        with pytest.raises(NoBoundError, match="no root below 10.0") as err:
+        with pytest.raises(NoBoundError, match=r"h stays negative on \[0, 10\.0\]") as err:
             zfr.zfr_solve("order234", 50.0, phi=0.0)
         assert err.value.sign == "negative"
 
