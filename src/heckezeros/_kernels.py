@@ -3,7 +3,7 @@
 The scalar transform, the pair constants and the root solver are plain
 Python floats; NumPy serves the array transform ``f_array``, ``E`` and the
 grid minimum ``p4_combo_min``.  The family codes they read are built in
-Python too (``trial_functions.autocorrelation_code``).
+Python too (``trial_functions._build``).
 
 Every bound ends in a monotone root solve.  The smoothed roots, and the
 crossings in J of the quartic search, go through one bracketed ITP solver
@@ -55,8 +55,10 @@ doubled when the two differ: a cosine-modulated generator has 5 folded
 pairs of 9, one with ``c0 = 0`` 2 of 4, and a plain one its 1.  All are
 plain Python numbers and bools, and a code never changes.  Besides the
 transforms here, only f(t) (``trial_functions._weight``, through
-``_t_terms``), f(0) (``trial_functions._build``) and sup |f''|
-(``verify._f2_bound``, through ``_t_terms``) read a code.  ``K`` is
+``_t_terms``), f(0) (``trial_functions._build``, as it folds the pairs) and
+sup |f''| (``verify._f2_bound``, through ``_t_terms``) read a code; F(0)
+(``trial_functions._search_f0``) is ``_f_real_scalar`` at 0.0, formed on
+first read.  ``K`` is
 E(x0; g_j + g_k) (``exp_quotient``), and ``far`` says both |Im g_j| x0 and
 |Im g_k| x0 are at least ``SMALL_W``.  Every built-in weight, the triangle
 included, is an autocorrelation, so neither evaluator branches on the
@@ -493,7 +495,7 @@ def smoothed_fn(F, form, c1, psi, b, f0):
 
 def snapped_fn(code, form, c1, psi, b, f0, F0):
     """The family search's snapped h of ``smoothed_fn``'s h, for a family
-    code and the case's shape ``form``; F0 = F(0), from the build.
+    code and the case's shape ``form``; F0 = F(0), from the search's memo.
 
     h(x), float x, is exactly 0.0 wherever |h(x)| is below its rounding
     floor, ``SNAP_EPS`` times the magnitudes of the terms it adds ('sz':

@@ -23,9 +23,10 @@ so its roots resolve to adjacent floats, and adds the failure reports, the
 residual and the ``BoundResult``.  ``_search_root``, which the family search
 calls for every weight it scores, builds a snapped h
 (``_kernels.snapped_fn``), whose root stops at h's rounding floor and which
-gives its Newton step too, with F(0) from the weight's build and no
-overflow probe.  ``_kernels.search_root`` solves it by Newton steps from the
-last root, handed to ITP where they fail, and returns the root alone.
+gives its Newton step too, with the weight's F(0) from the search's memo
+(``trial_functions._search_f0``) and no overflow probe.
+``_kernels.search_root`` solves it by Newton steps from the last root,
+handed to ITP where they fail, and returns the root alone.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
 lambda built once (``_poly_at``).
@@ -46,8 +47,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoBoundError,
-                     SideConditionError, checked_power, no_bound, nonnegative,
-                     positive)
+                     SideConditionError, checked_divisor, checked_power, no_bound,
+                     nonnegative, positive)
 
 #: Critical-strip growth constant; the convexity bound fixes it at 1/4.
 PHI = 0.25
@@ -169,8 +170,7 @@ def check_quartic(lam, b, J=0.0, x=0.0):
     for name, base, power in (("lambda + b", lam + b, 4), ("lambda + x", lam + x, 4),
                               ("J + 1", J + 1.0, 2)):
         checked_power(name, float(base), power)
-    if float(lam) ** 4 == 0.0:
-        raise InvalidParameterError(f"lambda = {lam} is too small: lambda^4 underflows to 0")
+    checked_divisor("lambda", float(lam), 4)
 
 
 def check_width(b, phi):
@@ -219,10 +219,10 @@ def _search_root(case, code, f0, F0, b, phi, guess):
     NaN where the weight bounds nothing: ``_kernels.search_root``'s on
     [0, HI].
 
-    ``code`` is the weight's family code, f0 = f(0) and F0 = F(0) the ones
-    its build stored; ``case`` is a smoothed SolverCase, and b, phi are
-    checked.  h is ``_kernels.snapped_fn``'s, 0.0 below its rounding floor,
-    so the root stops where the sign of h turns to rounding noise instead of
+    ``code`` is the weight's family code, f0 = f(0) its build's and F0 = F(0)
+    the search's memo's (``trial_functions._search_f0``); ``case`` is a
+    smoothed SolverCase, and b, phi are checked.  h is
+    ``_kernels.snapped_fn``'s, 0.0 below its rounding floor, so the root stops where the sign of h turns to rounding noise instead of
     at adjacent floats: it only ranks weights.  From a guess (the search's
     last root) the solve takes Newton steps on h's derivative mode, and ITP
     on the bracket they have seen where that declines; with no guess it is

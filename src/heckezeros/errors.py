@@ -4,8 +4,10 @@ Computation failures (no provable bound, violated side condition, failed
 precondition) are distinct from usage errors (bad parameters) so that the CLI
 can map them to exit codes.  ``positive`` and ``nonnegative`` write the two
 input rules most parameters follow, and the one message that refuses them;
-``checked_power`` the refusal of a power past the float range, and
-``no_bound`` the one report of a root-solved bound that has no root.
+``checked_power`` the refusal of a power past the float range,
+``checked_divisor`` that of a power a caller divides by, which must not
+underflow to 0 either, and ``no_bound`` the one report of a root-solved
+bound that has no root.
 """
 
 import math
@@ -105,6 +107,16 @@ def checked_power(name, base, exponent, error=InvalidParameterError):
         return base ** exponent
     except OverflowError:
         raise error(f"{name} = {base} is too large: its power {exponent} overflows") from None
+
+
+def checked_divisor(name, base, exponent, error=InvalidParameterError):
+    """``checked_power`` of a base > 0 that the caller divides by, or
+    ``error`` naming ``name`` also where the power underflows to 0, where
+    Python's float / would raise ZeroDivisionError (and NumPy's give NaN)."""
+    power = checked_power(name, base, exponent, error)
+    if power == 0.0:
+        raise error(f"{name} = {base} is too small: its power {exponent} underflows to 0")
+    return power
 
 
 def _shown(value):

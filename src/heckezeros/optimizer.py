@@ -15,8 +15,9 @@ beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
 golden-section line search per coordinate, restarted from a fixed grid; the
 three best starts are each re-descended from their incumbent while that
 gains and budget is left.  A family search scores each weight from its
-family code, f(0) and F(0) alone (``_search_profiles``): by its root
-(``dh._search_root``) or its density bound from three transform values
+family code, f(0) and, where it reads it, F(0) alone
+(``_search_profiles``): by its root (``dh._search_root``) or its density
+bound from three transform values
 (``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
 or error message; only the winner is built as a weight and handed to the
 public solver or bound.  A search root stops at h's rounding floor (a
@@ -27,8 +28,9 @@ which solves any such h); the returned bound, the winner's cold
 ``dh.solve_smoothed``, does neither.  Every search starts from the
 same seeds and scans the same first lines, so most weights it asks for were
 built before, by an earlier row or cell: the codes come from the
-process-wide build cache of
-``trial_functions.autocorrelation_code``.  No randomness, fixed iteration
+process-wide build cache, through ``trial_functions._search_code``, which
+skips the input checks, as the searches' parameters are finite numbers in
+their boxes.  No randomness, fixed iteration
 counts, lexicographic tie-breaks, so identical specs give identical results.  Side
 conditions and solver failures are hard constraints handled by rejection
 (score -inf); the optimum may sit on the feasible boundary, which the
@@ -389,20 +391,25 @@ def _generator(alpha, s, mult):
 
 
 def _search_profiles(score, boxes, seeds, budget):
-    """Maximize ``score(code, f0, F0)`` over (alpha, s) for each profile.
+    """Maximize ``score(code, f0, params)`` over (alpha, s) for each profile,
+    where ``params`` are the weight's five generator parameters.
 
     Each profile gets ``budget // len(PROFILES)`` evaluations, at least 40,
     so any budget below 80 runs about 80.  The floor stays: without it a T1
     cell's budget of 60 would give each profile 30 evaluations and worse
     bounds.  The earlier profile wins a tie.  A weight is scored from its
-    family code, f(0) and F(0) (``trial_functions.autocorrelation_code``); one
-    that cannot be built counts as -inf, and the score returns -inf for one
-    that bounds nothing.  Returns (weight, mult) of the best profile, the
-    winner built as a ``TrialFunction``, or None when no weight in the box
-    scores finite.  Each profile keeps the score of every (alpha, s) it saw
-    (``seen``), so a point the search visits again costs nothing; a point
+    family code and f(0) (``trial_functions._search_code``, the cached build
+    without input checks: the generator's parameters are finite numbers in
+    the box), and a score that reads F(0) reads it from the memo,
+    ``trial_functions._search_f0(*params)``: one that never does forms no
+    F(0).  A weight that cannot be built counts as -inf, and the score
+    returns -inf for one that bounds nothing.  Returns (weight, mult) of the
+    best profile, the winner built as a ``TrialFunction``, or None when no
+    weight in the box scores finite.  Each profile keeps the score of every
+    (alpha, s) it saw (``seen``), so a point the search visits again costs
+    nothing; a point
     new to this search but built before in the process costs a score and no
-    build, as ``autocorrelation_code`` memoizes builds process-wide.
+    build, as ``_search_code`` memoizes builds process-wide.
     """
     per_profile = max(budget // len(PROFILES), 40)
     best = None
@@ -411,12 +418,13 @@ def _search_profiles(score, boxes, seeds, budget):
 
         def objective(alpha, s, _mult=mult, _seen=seen):
             if (alpha, s) not in _seen:
+                params = _generator(alpha, s, _mult)
                 try:
-                    built = trial_functions.autocorrelation_code(*_generator(alpha, s, _mult))
+                    code, f0 = trial_functions._search_code(*params)
                 except HeckeZerosError:
                     _seen[alpha, s] = -math.inf
                 else:
-                    _seen[alpha, s] = score(*built)
+                    _seen[alpha, s] = score(code, f0, params)
             return _seen[alpha, s]
 
         point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
@@ -443,8 +451,8 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     makes about 80 root solves.  A weight scores its root (``dh._search_root``,
     ``_kernels.search_root``) on the snapped h, which stops at h's rounding
     floor instead of adjacent floats, by Newton steps from the last root,
-    which h gives from the derivative kernel, with the F(0) its build
-    stored; a 'cc' weight whose h is positive at 0 scores
+    which h gives from the derivative kernel, with the weight's F(0) from
+    the memo; a 'cc' weight whose h is positive at 0 scores
     -inf from the two transform values of h's constant, and an 'sz' one
     typically from h and h' at the guess and h(0), which takes F(b) alone.
     Only the winner is solved by ``dh.solve_smoothed``, on the exact h, for
@@ -476,9 +484,10 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     last = None
     b = float(b)   # as solve_smoothed reads it
 
-    def score(code, f0, F0):
+    def score(code, f0, params):
         nonlocal last
-        root = dh._search_root(case, code, f0, F0, b, phi, last)
+        root = dh._search_root(case, code, f0, trial_functions._search_f0(*params), b, phi,
+                               last)
         if math.isnan(root):
             return -math.inf
         last = root
@@ -505,9 +514,9 @@ def optimize_zd(lam, b=0.0, vartheta=zero_density.VARTHETA, phi=dh.PHI, budget=Z
     tuning recipe (scale 2 theta-hat / lambda) before the descent refines it.
     Each profile scores at least 40 weights (``_search_profiles``), so a
     budget below 80 makes about 80 evaluations.  A weight scores minus its
-    bound from f(0), F(-b) and F(lambda - b) by the scalar kernel, F(-b)
-    at b = 0 being the build's F(0) (``zero_density.bound_if_admissible``);
-    only the winner's bound comes
+    bound from f(0), F(-b) and F(lambda - b) by the scalar kernel
+    (``zero_density.bound_if_admissible``); F(-b) at b = 0 is F(0) from the
+    memo, and at b > 0 no F(0) is formed.  Only the winner's bound comes
     from ``zero_density.n_lambda_bound``.  Inadmissible inputs and a budget
     that is not a finite number >= 1 raise InvalidParameterError before any
     evaluation.
@@ -524,9 +533,12 @@ def optimize_zd(lam, b=0.0, vartheta=zero_density.VARTHETA, phi=dh.PHI, budget=Z
     # passes them to the kernel
     r_minus_b, r_gap = float(-b), float(lam - b)
 
-    def score(code, f0, F0):
-        # at b = 0, F(-b) is F(-0.0), which has the bits of the stored F(0)
-        Fmb = F0 if r_minus_b == 0.0 else _kernels.f_real_scalar(code, r_minus_b)
+    def score(code, f0, params):
+        # at b = 0, F(-b) is F(-0.0), which has the bits of F(0)
+        if r_minus_b == 0.0:
+            Fmb = trial_functions._search_f0(*params)
+        else:
+            Fmb = _kernels.f_real_scalar(code, r_minus_b)
         bound = zero_density.bound_if_admissible(
             f0, Fmb, _kernels.f_real_scalar(code, r_gap), vartheta, phi)
         return -math.inf if bound is None else -bound

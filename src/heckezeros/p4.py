@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, checked_power, nonnegative, positive
+from .errors import DomainError, checked_divisor, checked_power, nonnegative, positive
 
 #: Coefficients of degrees 1..4.
 P4_COEFFS = (1.0, 1.0, 0.8, 0.4)
@@ -28,6 +28,8 @@ p4_eval = _kernels._p4
 
 #: an argument's power, or DomainError naming the argument past the float range
 _power = functools.partial(checked_power, error=DomainError)
+#: the same of a power divided by, or DomainError where it underflows to 0
+_divisor = functools.partial(checked_divisor, error=DomainError)
 
 
 def re_p4_identity(a, b, t):
@@ -36,20 +38,36 @@ def re_p4_identity(a, b, t):
     Splits into a strictly positive leading term (16/5)(ab)^4/(b^2+t^2)^4 plus
     a non-negative remainder proportional to (b - a), which is the source of
     the lower bound used by the positivity lemma.  ``t`` may be an array.
+    Raises DomainError where (ab)^4 overflows, or where (b^2 + t^2)^4, which
+    it divides by, underflows to 0 (b below about 1e-81 at t near 0).
     """
     if not (0 < a <= b < math.inf):
         raise DomainError(f"require finite 0 < a <= b, got a={a}, b={b}")
+    lead = (16.0 / 5.0) * _power("a*b", a * b, 4)
     t = np.asarray(t, dtype=float)
     r2 = b * b + t * t
+    # the least r2 has the least power, which is 0 where any of them is;
+    # none below 1 overflows
+    r2_min = float(r2.min(initial=1.0))
+    if r2_min < 1.0:
+        _divisor("b*b + t*t", r2_min, 4)
     q = (5.0 * t ** 4
          + 2.0 * (5.0 * b * b + 5.0 * a * b - a * a) * t * t
          + b * b * (5.0 * b * b + 10.0 * a * b + 14.0 * a * a))
-    out = (16.0 / 5.0) * _power("a*b", a * b, 4) / r2 ** 4 + a * (b - a) / (5.0 * r2 ** 3) * q
+    out = lead / r2 ** 4 + a * (b - a) / (5.0 * r2 ** 3) * q
     return out if out.ndim else float(out)
 
 
+def _check_gm(x, y):
+    """Raise DomainError unless x, y are finite and >= 1, the lemma's domain."""
+    if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):   # NaN too
+        raise DomainError(f"require finite x, y >= 1, got x={x}, y={y}")
+
+
 def gm_guaranteed(V, W, m, x, y):
-    """Sufficient condition V/x^m + W/y^m >= 1 for grid positivity."""
+    """Sufficient condition V/x^m + W/y^m >= 1 for grid positivity, for
+    finite x, y >= 1 (else DomainError), where ``gm_check``'s lemma holds."""
+    _check_gm(x, y)
     return V / _power("x", x, m) + W / _power("y", y, m) >= 1.0
 
 
@@ -59,8 +77,7 @@ def gm_check(V, W, m, x, y, z):
     Non-negative for all real z whenever x, y >= 1 and V/x^m + W/y^m >= 1.
     x and y must be finite; ``z`` may be an array.
     """
-    if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):   # NaN too
-        raise DomainError(f"require finite x, y >= 1, got x={x}, y={y}")
+    _check_gm(x, y)
     z = np.asarray(z, dtype=float)
     z2 = z * z
     out = (V * _power("x", x, m) / (x * x + z2) ** m
@@ -103,10 +120,12 @@ def pm_positivity(q):
     empirical grid minimum is reported either way so callers can distinguish
     "guaranteed by the lemma" from "numerically positive but unproven".  The
     grid has 4001 points on [-50 a, 50 a]; outside it every term is O(1/t)
-    with the same sign structure, so the minimum is interior.
+    with the same sign structure, so the minimum is interior.  Raises
+    DomainError, before the grid, where a^4, b^4 or c^4 overflows or
+    underflows to 0.
     """
+    guaranteed = bool(q.C / _divisor("c", q.c, 4) + q.B / _divisor("b", q.b, 4)
+                      >= q.A / _divisor("a", q.a, 4))
     ts = np.linspace(-50.0 * q.a, 50.0 * q.a, 4001)
     mn, arg = _kernels.p4_combo_min(q.A, q.B, q.C, q.a, q.b, q.c, ts)
-    guaranteed = bool(q.C / _power("c", q.c, 4) + q.B / _power("b", q.b, 4)
-                      >= q.A / _power("a", q.a, 4))
     return PositivityResult(guaranteed, float(mn), float(arg))

@@ -29,14 +29,19 @@ The two agree to 2e-13 relative, not to the bit: Python and NumPy complex
 arithmetic differ in the last bits.  The weight f(t) and f(0) read the
 same folded pairs, and ``_kernels.E`` serves f(t) here.
 
-A build is plain Python, ``autocorrelation_code``, which gives the family
-code, f(0) and F(0); ``autocorrelation`` wraps the first two in a
-``TrialFunction``, and the family searches score the three alone.  Builds
-are memoized process-wide in one bounded LRU cache (``BUILD_CACHE_SIZE``
-entries), so each distinct
-weight is built once per process, not once per table row or cell.  Per
-distinct exponent a = g_j + g_k (three for a cosine weight's five folded
-pairs) a build forms K = E(s; a) = int_0^s e^{au} du
+A build is plain Python and gives the family code and f(0).
+``autocorrelation_code`` checks the parameters and ``autocorrelation`` wraps
+its build in a ``TrialFunction``; the family searches ask for their in-box
+weights through ``_search_code``, the same build without the checks, and
+score the code and f(0) alone.  Builds are memoized process-wide in one
+bounded LRU cache (``BUILD_CACHE_SIZE`` entries) that both entries share,
+so each distinct weight is built once per process, not once per table row
+or cell.  F(0) is not part of a build: the smoothed search and the density
+search at b = 0 read it from ``_search_f0``, which forms it on first read
+and memoizes it per build key.  A build's pair layout comes from a table by
+the generator's term count (``_FOLDS``).  Per distinct exponent
+a = g_j + g_k (three for a cosine weight's five folded pairs) a build
+forms K = E(s; a) = int_0^s e^{au} du
 (``_kernels.exp_quotient``) and the pair term at its coincidence point
 z = -g_j, int_0^s u e^{au} du (``_kernels.pair_near``; for real a at most
 s K).  A build is refused exactly where K, f(0) or one of those pair terms
@@ -175,9 +180,10 @@ def _weight(code, t):
     return float(out[0]) if scalar else out
 
 
-#: entries of the process-wide cache of family builds (``autocorrelation_code``):
-#: on the benchmark's smoothed-table rows and T1 cells, 1024 serves about as
-#: many repeated builds as an unbounded cache (82.5% against 82.9%, 84.8% both)
+#: entries of the process-wide cache of family builds (``_search_code``), and
+#: of F(0) (``_search_f0``): on the benchmark's smoothed-table rows and T1
+#: cells, 1024 serves about as many repeated builds as an unbounded cache
+#: (82.5% against 82.9%, 84.8% both)
 BUILD_CACHE_SIZE = 1024
 
 #: the cache key: the exact bits of the five float parameters, so alpha = -0.0
@@ -186,33 +192,44 @@ _KEY = struct.Struct("<5d")
 
 
 def autocorrelation_code(alpha, c0, c1, beta, s):
-    """(family code, f(0), F(0)) of ``autocorrelation(alpha, c0, c1, beta, s)``.
+    """(family code, f(0)) of ``autocorrelation(alpha, c0, c1, beta, s)``.
 
-    The build the family search scores, and the one ``autocorrelation``
-    wraps: it checks the parameters and the generator's sign, folds the
-    conjugate pairs and forms K per distinct exponent.  F(0) is
-    ``_kernels.f_real_scalar(code, 0.0)``, to the bit, which every smoothed
-    solve of the weight reads, so a cached build serves it to every row.
-    Raises what ``autocorrelation`` raises.
-
-    Builds are memoized process-wide in one LRU cache of
-    ``BUILD_CACHE_SIZE`` entries, keyed by the bits of the checked float
-    parameters, so every search and caller shares one code per distinct
-    weight: the family searches of a table regression ask for the same
-    weights row after row (80-88% of their builds repeat one).  The
-    parameters are checked on every call, before the lookup, and a build
-    that raises is not cached.  Sharing is sound because a code is an
-    immutable tuple of plain numbers.  ``_cached_build`` is the cache and
-    ``_build`` the uncached build.
+    The build ``autocorrelation`` wraps: it checks the parameters (finite int
+    or float, s > 0) on every call and hands their floats to
+    ``_search_code``, the one cached build.  Raises what ``autocorrelation``
+    raises.
     """
-    # checked inline, with errors.positive's message for s: the family
-    # searches call this for every weight they score
+    # checked inline, with errors.positive's message for s
     for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise InvalidParameterError(f"autocorrelation parameter {name} must be finite, got {v!r}")
     if not (isinstance(s, (int, float)) and 0 < s < math.inf):
         raise InvalidParameterError(f"generator support s must be finite and > 0, got {s!r}")
-    return _cached_build(_KEY.pack(*map(float, (alpha, c0, c1, beta, s))))
+    return _search_code(*map(float, (alpha, c0, c1, beta, s)))
+
+
+def _search_code(alpha, c0, c1, beta, s):
+    """(family code, f(0)) of five finite numbers with s > 0, unchecked.
+
+    The family searches ask for their in-box weights here, and
+    ``autocorrelation_code`` after its checks.  Builds are memoized
+    process-wide in one LRU cache of ``BUILD_CACHE_SIZE`` entries, keyed by
+    the bits of the five floats, so every search and caller shares one code
+    per distinct weight: the family searches of a table regression ask for
+    the same weights row after row (80-88% of their builds repeat one).  A
+    build that raises is not cached.  Sharing is sound because a code is an
+    immutable tuple of plain numbers.  ``_cached_build`` is the cache and
+    ``_build`` the uncached build.
+    """
+    return _cached_build(_KEY.pack(alpha, c0, c1, beta, s))
+
+
+def _search_f0(alpha, c0, c1, beta, s):
+    """F(0) of ``_search_code``'s build, ``_kernels.f_real_scalar(code,
+    0.0)`` to the bit: formed on first read and memoized per build key, in
+    an LRU cache of ``BUILD_CACHE_SIZE`` floats (``_cached_f0``).  Only the
+    smoothed search and the density search at b = 0 read it."""
+    return _cached_f0(_KEY.pack(alpha, c0, c1, beta, s))
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
@@ -220,8 +237,26 @@ def _cached_build(key):
     return _build(*_KEY.unpack(key))
 
 
+@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _cached_f0(key):
+    return _kernels._f_real_scalar(_cached_build(key)[0], 0.0)
+
+
+#: the folded pairs of a generator of 1, 2 or 3 terms (alpha; g, conj g;
+#: alpha, g, conj g, with g = alpha + i beta).  At real r (or t) the terms of
+#: the pairs (j, k) and (conj j, conj k) are conjugates, so one of the two is
+#: kept, as (j, k, the factor of c_j c_k: 2 where the two pairs differ, the
+#: earlier pair whose exponent g_j + g_k it shares or -1).
+#: _kernels._search_pass reads the three-term layout: (a, a), (a, g), (g, a),
+#: (g, g), (g, conj g)
+_FOLDS = (None,
+          ((0, 0, 1.0, -1),),
+          ((0, 0, 2.0, -1), (0, 1, 2.0, -1)),
+          ((0, 0, 1.0, -1), (0, 1, 2.0, -1), (1, 0, 2.0, 1), (1, 1, 2.0, -1), (1, 2, 2.0, 0)))
+
+
 def _build(alpha, c0, c1, beta, s):
-    """``autocorrelation_code`` of checked float parameters, uncached."""
+    """``_search_code`` of five floats, uncached."""
     # the pair (g, g) of g = alpha + i beta has the phase 2 beta s, where
     # cmath.exp raises ValueError once it is not finite
     if c1 != 0.0 and not math.isfinite(2.0 * beta * s):
@@ -235,48 +270,44 @@ def _build(alpha, c0, c1, beta, s):
             raise InvalidGeneratorError(
                 f"generator takes negative values on [0, {s}] (min {g.min():.3e})")
 
+    # the generator's terms c e^{g u} with c != 0: alpha alone, or alpha, g
+    # and conj g, whose coefficient c1/2 leaves both or neither
     if c1 == 0.0 or beta == 0.0:
-        terms = [(c0 + (c1 if beta == 0.0 else 0.0), complex(alpha))]
+        cs, gs = [c0 + (c1 if beta == 0.0 else 0.0)], [complex(alpha)]
     else:
-        terms = [(c0, complex(alpha)),
-                 (c1 / 2.0, complex(alpha, beta)),
-                 (c1 / 2.0, complex(alpha, -beta))]
-    terms = [(c, g_) for c, g_ in terms if c != 0.0]
-    if not terms:
+        half = c1 / 2.0
+        cs, gs = [c0, half, half], [complex(alpha), complex(alpha, beta), complex(alpha, -beta)]
+        if half == 0.0:
+            del cs[1:], gs[1:]
+    if cs[0] == 0.0:
+        del cs[0], gs[0]
+    if not cs:
         raise InvalidGeneratorError("generator is identically zero")
-
-    # at real r (or t) the terms of pair (j, k) and of its conjugate pair are
-    # conjugates: keep the first, c_j c_k doubled when they differ, with its
-    # g_j, g_k and K_{jk} = E(s; g_j + g_k).  A pair of exponents
-    # with |Im g| s >= SMALL_W never takes ``pair_near`` at real r: ``far``
-    gs = [g_ for _, g_ in terms]
-    conj = [gs.index(g_.conjugate()) for g_ in gs]
+    # a pair of exponents with |Im g| s >= SMALL_W never takes ``pair_near``
+    # at real r: ``far``
     far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
-    # _kernels._f_real_scalar_d reads the kept pairs in this order: (a, a),
-    # (a, g), (g, a), (g, g), (g, conj g) for terms a, g, conj g
-    keep = [(j, k) for j in range(len(gs)) for k in range(len(gs))
-            if (conj[j], conj[k]) >= (j, k)]
     # a build fails where K, f(0) or a pair term at its coincidence point
     # z = -g_j (for real a at most s K) is not a finite float
+    folded, cK = [], []
     try:
-        K0 = {}
-        for j, k in keep:
-            a = gs[j] + gs[k]
-            if a not in K0:
-                K0[a] = _kernels.exp_quotient(a, s)
-                if not cmath.isfinite(_kernels.pair_near(K0[a], gs[j], gs[k], -gs[j], s)):
+        for j, k, factor, same in _FOLDS[len(gs)]:
+            g_j, g_k = gs[j], gs[k]
+            if same < 0:
+                K = _kernels.exp_quotient(g_j + g_k, s)
+                if not cmath.isfinite(_kernels.pair_near(K, g_j, g_k, -g_j, s)):
                     raise OverflowError
-        folded = tuple(
-            (terms[j][0] * terms[k][0] * (1.0 if (conj[j], conj[k]) == (j, k) else 2.0),
-             gs[j], gs[k], K0[gs[j] + gs[k]], far[j] and far[k]) for j, k in keep)
-        f0 = sum(c * K for c, _, _, K, _ in folded).real
+            else:
+                K = folded[same][3]
+            c = cs[j] * cs[k] * factor
+            folded.append((c, g_j, g_k, K, far[j] and far[k]))
+            cK.append(c * K)
+        f0 = sum(cK).real
         if not math.isfinite(f0):
             raise OverflowError
     except OverflowError:
         raise InvalidParameterError(
             f"the transform of the generator overflows for alpha={alpha}, s={s}") from None
-    code = (s, folded)
-    return code, f0, _kernels._f_real_scalar(code, 0.0)
+    return (s, tuple(folded)), f0
 
 
 def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
@@ -293,9 +324,10 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     z; ``_kernels.pair_near`` covers the removable singularities.  The
     quadrature oracle cross-checks all of it.  Raises InvalidParameterError
     naming alpha and s when f(0), a K_{jk} or a pair term at its coincidence
-    point z = -g_j overflows.  The code comes from ``autocorrelation_code``.
+    point z = -g_j overflows.  The code and f(0) come from
+    ``autocorrelation_code``; no F(0) is formed.
     """
-    code, f0, _ = autocorrelation_code(alpha, c0, c1, beta, s)
+    code, f0 = autocorrelation_code(alpha, c0, c1, beta, s)
     params = dict(zip(("alpha", "c0", "c1", "beta", "s"), map(float, (alpha, c0, c1, beta, s))))
     return TrialFunction("autocorrelation", params, code[0], f0, functools.partial(_weight, code),
                          functools.partial(_kernels.f_array, code), code=code)

@@ -9,6 +9,8 @@ def pytest_configure(config):
 
 @pytest.fixture(autouse=True)
 def _fresh_build_cache():
-    """Each test starts from an empty family-build cache, so no test sees
-    codes an earlier test built, and cache counts start from zero."""
+    """Each test starts from an empty family-build cache and F(0) memo, so
+    no test sees codes or F(0) an earlier test formed, and cache counts start
+    from zero."""
     trial_functions._cached_build.cache_clear()
+    trial_functions._cached_f0.cache_clear()

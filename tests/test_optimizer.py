@@ -513,8 +513,8 @@ class TestBudget:
         # the searches revisit points (a seed the coarse scan also hits, a
         # re-descent's start); only the winner is built a second time, after
         # the search, as a TrialFunction for the result
-        builds, build = [], trial_functions.autocorrelation_code
-        monkeypatch.setattr(trial_functions, "autocorrelation_code",
+        builds, build = [], trial_functions._search_code
+        monkeypatch.setattr(trial_functions, "_search_code",
                             lambda *args: builds.append(args) or build(*args))
         search()
         assert len(builds) > 60
@@ -562,7 +562,7 @@ class TestInvalidInput:
         {"vartheta": 0.5}, {"lam": -0.1}, {"lam": math.nan}, {"b": math.nan},
         {"b": -1.0}, {"phi": math.inf}, {"phi": 0.0}])
     def test_density_search(self, monkeypatch, kwargs):
-        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
+        builds = self.counted(monkeypatch, trial_functions, "_search_code")
         with pytest.raises(InvalidParameterError):
             optimizer.optimize_zd(**{"lam": 0.2, "b": 0.0, **kwargs})
         assert builds == []
@@ -570,7 +570,7 @@ class TestInvalidInput:
     @pytest.mark.parametrize("b, phi", [(math.nan, dh.PHI), (-1.0, dh.PHI),
                                         (0.05, math.nan)])
     def test_smoothed_search(self, monkeypatch, b, phi):
-        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
+        builds = self.counted(monkeypatch, trial_functions, "_search_code")
         with pytest.raises(InvalidParameterError):
             optimizer.optimize_family_smoothed("sz-lp-principal", b, phi=phi)
         with pytest.raises(InvalidParameterError):
@@ -578,7 +578,7 @@ class TestInvalidInput:
         assert builds == []
 
     def test_smoothed_search_needs_a_smoothed_case(self, monkeypatch):
-        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
+        builds = self.counted(monkeypatch, trial_functions, "_search_code")
         with pytest.raises(InvalidParameterError, match="not a smoothed case"):
             optimizer.optimize_family_smoothed("cc-lp-nonprincipal", 0.1)
         assert builds == []
@@ -593,15 +593,15 @@ class TestInvalidInput:
         if seed["s"] == 12.0:
             code = trial_functions.autocorrelation_code(*optimizer._generator(0.0, 12.0, 1.0))[0]
             assert _kernels._f_real_scalar(code, -dh.HI) == math.inf
-        builds = self.counted(monkeypatch, trial_functions, "autocorrelation_code")
+        builds = self.counted(monkeypatch, trial_functions, "_search_code")
         roots = self.counted(monkeypatch, dh, "_search_root")
         with pytest.raises(InvalidParameterError, match="seed"):
             optimizer.optimize_family_smoothed("sz-lp-principal", 0.05, seed_params=seed)
         assert builds == roots == []
 
     def test_smoothed_seed_on_the_box_corner_is_scored_first(self, monkeypatch):
-        builds, build = [], trial_functions.autocorrelation_code
-        monkeypatch.setattr(trial_functions, "autocorrelation_code",
+        builds, build = [], trial_functions._search_code
+        monkeypatch.setattr(trial_functions, "_search_code",
                             lambda *args: builds.append(args) or build(*args))
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.05, budget=1,
                                            seed_params={"alpha": 4.0, "s": 10.0})
@@ -662,8 +662,8 @@ def test_density_score_is_minus_the_bound(monkeypatch, lam):
     t1 = tables.load_table("T1")
     row = t1.cells[t1.lambdas.index(lam)]
     builds, scores = set(), []
-    build, search = trial_functions.autocorrelation_code, optimizer._search_profiles
-    monkeypatch.setattr(trial_functions, "autocorrelation_code",
+    build, search = trial_functions._search_code, optimizer._search_profiles
+    monkeypatch.setattr(trial_functions, "_search_code",
                         lambda *args: builds.add(args) or build(*args))
     monkeypatch.setattr(optimizer, "_search_profiles",
                         lambda score, *rest: scores.append(score) or search(score, *rest))
@@ -674,7 +674,7 @@ def test_density_score_is_minus_the_bound(monkeypatch, lam):
         optimizer.optimize_zd(lam, b, budget=60)
         failed = 0
         for args in sorted(builds):
-            got = scores[-1](*build(*args))
+            got = scores[-1](*build(*args), args)
             q = zero_density.ZdQuery(trial_functions.autocorrelation(*args), lam, b)
             try:
                 want = -zero_density.n_lambda_bound(q)
@@ -690,7 +690,7 @@ def test_density_search_uses_only_the_scalar_kernel(monkeypatch):
     """The density objective needs F at two real points and f(0): no array
     transform may run, not even for the final weight."""
     counts = {"builds": 0, "array": 0}
-    build, array = trial_functions.autocorrelation_code, _kernels.f_array
+    build, array = trial_functions._search_code, _kernels.f_array
 
     def counted(key, fn):
         def wrapper(*args):
@@ -698,7 +698,7 @@ def test_density_search_uses_only_the_scalar_kernel(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(trial_functions, "autocorrelation_code", counted("builds", build))
+    monkeypatch.setattr(trial_functions, "_search_code", counted("builds", build))
     monkeypatch.setattr(_kernels, "f_array", counted("array", array))
     n, params = optimizer.optimize_zd(0.2, 0.0, budget=60)
     assert n == 4 and params["bound"] == pytest.approx(4.6257, abs=1e-4)

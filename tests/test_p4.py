@@ -1,6 +1,7 @@
 """The fixed quartic: evaluation, real-part identity, positivity lemmas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ class TestGm:
         with pytest.raises(DomainError, match="require finite"):
             p4.gm_check(1, 1, 1, x, y, [0.0])
 
+    @pytest.mark.parametrize("x, y", [(0.5, 1.5), (1.5, 0.999), (math.nan, 1.2),
+                                      (1.2, math.nan), (math.inf, 1.2)])
+    def test_guaranteed_has_the_lemmas_domain(self, x, y):
+        # x = 0.5 returned True, outside the lemma's x, y >= 1, and x = nan
+        # returned False
+        with pytest.raises(DomainError, match="require finite x, y >= 1"):
+            p4.gm_guaranteed(1, 1, 4, x, y)
+
 
 @pytest.mark.parametrize("call, named", [
     (lambda: p4.re_p4_identity(1e100, 1e100, 0.0), "a\\*b"),
@@ -111,6 +120,28 @@ def test_power_past_the_float_range_is_a_domain_error(call, named):
     # each raised a bare OverflowError from Python's float **
     with pytest.raises(DomainError, match=f"^{named} = .* is too large: its power 4 overflows"):
         call()
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: p4.re_p4_identity(1e-100, 1e-100, 0.0), "b\\*b \\+ t\\*t"),
+    (lambda: p4.re_p4_identity(1e-60, 1e-60, [1.0, 0.0]), "b\\*b \\+ t\\*t"),
+    (lambda: p4.pm_positivity(p4.PositivityQuery(1, 1, 1, 1e-100, 1, 1)), "a"),
+], ids=["re_p4_identity", "re_p4_identity-array", "pm_positivity"])
+def test_divisor_underflowing_to_zero_is_a_domain_error(call, named):
+    # re_p4_identity returned NaN with a RuntimeWarning ((ab)^4 / r2^4 was
+    # 0/0), and pm_positivity raised a bare ZeroDivisionError (a^4 == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError,
+                           match=f"^{named} = .* is too small: its power 4 underflows to 0$"):
+            call()
+
+
+def test_numerator_underflowing_to_zero_still_evaluates():
+    # (ab)^4 = 0 in floats where b^2 + t^2 is 1: the leading term is below
+    # the float range, and the remainder a (b - a) (5 + 10 a + 14 a^2)/5 is
+    # the value
+    assert p4.re_p4_identity(1e-100, 1.0, 0.0) == pytest.approx(1e-100, rel=1e-12)
 
 
 class TestPmPositivity:

@@ -147,7 +147,7 @@ def test_cc_weight_positive_at_zero_costs_two_transforms(monkeypatch):
                         lambda code, r: calls.append(r) or F(code, r))
     for guess in (None, 1.0):
         calls.clear()
-        F0 = _kernels._f_real_scalar(code, 0.0)   # the build's
+        F0 = _kernels._f_real_scalar(code, 0.0)   # the search's F(0)
         assert math.isnan(dh._search_root(case, code, f.f0, F0, b, dh.PHI, guess))
         assert calls == [0.0, -b]
 
@@ -185,7 +185,7 @@ def test_newton_roots_fail_where_the_solver_fails(name):
 def test_sz_weight_positive_at_zero_costs_three_passes(monkeypatch):
     # an 'sz' h positive at 0 bounds nothing.  Scored from a guess, the Newton
     # path evaluates h at the guess (two F/F' passes) and heads past 0, where
-    # h(0) = c1 (F(0) - F(b)) - F(0) + psi f(0) takes F(b) alone, the stored
+    # h(0) = c1 (F(0) - F(b)) - F(0) + psi f(0) takes F(b) alone, the given
     # F(0) standing in for F(-0); the search's bracket takes no overflow
     # probe F(-hi).  The weight is a seed of the search, whose code layout
     # the derivative kernel serves

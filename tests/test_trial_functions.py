@@ -273,14 +273,14 @@ def test_codes_are_immutable():
     params += [(alpha, 1.0, 0.0, 0.0, 2.0) for alpha in (0.5, -1.3, 0.0)]
     series = 0
     for p in params:
-        code, f0, F0 = tf.autocorrelation_code(*p)
-        h = hash((code, f0, F0))
+        code, f0 = tf.autocorrelation_code(*p)
+        h = hash((code, f0))
         for r in _series_points(code):
             series += 1
             _kernels.f_real_scalar(code, r)
             _kernels.f_array(code, np.array([r, r + 0.5j]))
-        assert hash((code, f0, F0)) == h
-        assert (code, f0, F0) == tf._build(*map(float, p)), p
+        assert hash((code, f0)) == h
+        assert (code, f0) == tf._build(*map(float, p)), p
     assert series >= len(params)
 
 
@@ -297,7 +297,7 @@ class TestLazyMoments:
             monkeypatch.setattr(_kernels, name,
                                 lambda *args, _fn=fn, _name=name: asked.append(_name) or _fn(*args))
         params = optimizer._generator(0.7, 3.2, 1.0)
-        code, f0, _ = tf._build(*map(float, params))
+        code, f0 = tf._build(*map(float, params))
         assert asked == ["exp_quotient", "pair_near"] * 3
         assert all(len(pair) == 5 for pair in code[1])
         assert f0 == tf.autocorrelation(*params).f0
