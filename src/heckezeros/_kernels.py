@@ -68,9 +68,13 @@ five-pair codes ``f_real_scalar`` takes one exp per generator exponent
 (``_search_pass``, 0.67 of the time of its pass over the pairs, on the F
 calls of seed-1 smoothed-regress, with the same bits), and F' comes from
 ``_f_real_scalar_d`` for those codes alone; it declines (None) for every
-other code.  At a real point the terms of two
-conjugate pairs are conjugates, and off the real axis ``f_array``
-evaluates the dropped one as ``conj T(conj z)``.  Each pair term
+other code.  ``f_array`` forms each distinct exponent's array terms once
+per call for every pair that shares them (``each_once``, keyed by type and
+bits, ``exact_key``): 3 array exps for a cosine weight's five pairs at
+real points, where a pass over the pairs took 5, with the same bits; f(t)
+(``trial_functions._weight``) shares its exps the same way.  At a real
+point the terms of two conjugate pairs are conjugates, and off the real
+axis ``f_array`` evaluates the dropped one as ``conj T(conj z)``.  Each pair term
 T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
 |g_j + z| x0 or |g_k - z| x0 is below ``SMALL_W`` = 1e-2, near coincident
 nodes of the divided difference it is, where the direct form would lose
@@ -90,6 +94,7 @@ real axis).
 
 import cmath
 import math
+import struct
 
 import numpy as np
 
@@ -312,6 +317,29 @@ def E(x, a):
     return out
 
 
+def exact_key(x):
+    """A dict key for the number ``x`` by its type and exact bits: ``==``
+    would make one key of 0.9 and 0.9+0j, and of 0.0 and -0.0, whose
+    arrays differ in dtype or in bits."""
+    return type(x), struct.pack("<2d", x.real, x.imag)
+
+
+def each_once(keys, make):
+    """``make(i)`` at each position i of ``keys``, in order, formed once per
+    distinct key (at its first position) and released after its last: the
+    array terms an exponent's pairs share.  A None key gives None."""
+    last = {k: i for i, k in enumerate(keys)}
+    held = {}
+    for i, k in enumerate(keys):
+        if k is None:
+            yield None
+            continue
+        v = held.pop(k) if k in held else make(i)
+        if last[k] > i:
+            held[k] = v
+        yield v
+
+
 def f_array(code, z):
     """F(z) of a family code at real or complex z, scalar or array.
 
@@ -319,28 +347,46 @@ def f_array(code, z):
     a pair with a complex exponent adds c/2 (T(z) + conj T(conj z)), both in
     one stacked evaluation, and a pair of real exponents, its own conjugate,
     adds c T(z).  A scalar z gives a complex, an array a complex array of its
-    shape.  Each term is the direct form (K - (e^w - 1)/A)/b, w = A x0, and
-    ``pair_near`` overwrites the few elements near coincident nodes, where
-    |b| x0 or |w| is below SMALL_W.  A value past the float range is inf,
-    with no warning, as in ``f_real_scalar``.
+    shape.  Each term is the direct form (K - E)/b, E = (e^w - 1)/A, A = g_k
+    - z, w = A x0 and b = g_j + z, and ``pair_near`` overwrites the few
+    elements near coincident nodes, where |b| x0 or |w| is below SMALL_W.
+    E with the mask |w| < SMALL_W, and b with |b| x0 < SMALL_W, depend on one
+    exponent and the points it takes, so each is formed once per call for
+    every pair that shares it (``each_once``; at real points one array exp
+    per distinct g_k: 3 for the five pairs of a cosine weight) and released
+    after its last pair.  At real z a pair flagged ``far`` skips both tests,
+    as in ``_f_real_scalar``, where they would fail anyway.  A value past the
+    float range is inf, with no warning, as in ``f_real_scalar``.
     """
     x0, folded = code
     z = np.asarray(z)
     scalar = z.ndim == 0
     real = not np.iscomplexobj(z) or not z.imag.any()
     z = np.atleast_1d(z.astype(complex))
+    zz = z if real else np.stack([z, z.conj()])
     out = np.zeros(z.shape, dtype=complex)
+    own = [real or (gj.imag == 0.0 and gk.imag == 0.0) for _, gj, gk, _, _ in folded]
+
+    def k_terms(i):
+        A = folded[i][2] - (z if own[i] else zz)
+        w = A * x0
+        return (np.exp(w) - 1.0) / A, np.abs(w) < SMALL_W
+
+    def j_terms(i):
+        b = folded[i][1] + (z if own[i] else zz)
+        return b, np.abs(b) * x0 < SMALL_W
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for c, gj, gk, K, _ in folded:
-            own = real or (gj.imag == 0.0 and gk.imag == 0.0)
-            zs = z if own else np.stack([z, z.conj()])
-            b = gj + zs
-            A = gk - zs
-            w = A * x0
-            phi = (K - (np.exp(w) - 1.0) / A) / b
-            for i in np.flatnonzero((np.abs(b) * x0 < SMALL_W) | (np.abs(w) < SMALL_W)):
-                phi.flat[i] = pair_near(K, gj, gk, complex(zs.flat[i]), x0)
-            if not own:
+        for (c, gj, gk, K, far), o, (E, near_k), (b, near_j) in zip(
+                folded, own,
+                each_once([(exact_key(p[2]), o) for p, o in zip(folded, own)], k_terms),
+                each_once([(exact_key(p[1]), o) for p, o in zip(folded, own)], j_terms)):
+            phi = (K - E) / b
+            if not (real and far):
+                zs = z if o else zz
+                for i in np.flatnonzero(near_j | near_k):
+                    phi.flat[i] = pair_near(K, gj, gk, complex(zs.flat[i]), x0)
+            if not o:
                 phi = 0.5 * (phi[0] + phi[1].conj())
             out += c * (phi.real if real else phi)
     return complex(out[0]) if scalar else out

@@ -10,11 +10,16 @@ step, evaluates the integrand only at the new midpoints, and adds one
 Richardson row.  A level is accepted only once the step resolves the
 oscillation of ``e^{-zt}`` (four nodes per period), so coarse rules whose
 nodes all alias to one phase cannot "agree" on a wrong value.  The nodes do
-not depend on ``z``, so the samples of ``f`` are memoized per (weight,
-level) for the last ``_MAX_LEVEL + 1`` pairs (``_samples``): checking one
-weight at many points evaluates it once per node.  The memo holds at most 16
-pairs of read-only arrays of at most 2**14 floats each (4 MiB), and keeps
-those weights alive until they are evicted.
+not depend on ``z``, so the samples of ``f`` are memoized per weight for the
+last ``_MEMO_WEIGHTS`` = 2 weights (``_samples``): checking one weight at
+many points evaluates it once per node.  Levels 0.._COARSE (0..8) come from
+one sampling of a coarse grid of 257 nodes, placed there from ``_nodes``;
+each point forms its integrand on that grid with one exp and reads those
+levels as strided views, which sum in the order of the level's own array,
+so every value has the bits of the rule sampled level by level.  Each finer
+level is sampled on its first read.  A weight's times and values are at
+most 2**15 + 1 floats each (512 KiB together), so the memo holds at most
+1 MiB, and keeps those weights alive until they are evicted.
 
 The root oracle scans at a coarse step for the leftmost sign change, then
 narrows that cell by 64-way subdivisions to 1e-12.
@@ -73,6 +78,21 @@ def equality_report(check, deviations, locations, tolerance):
 #: 2**_MAX_LEVEL trapezoid panels is the finest rule the quadrature tries
 _MAX_LEVEL = 15
 
+#: the Richardson denominators 4**j - 1, j = 1.._MAX_LEVEL
+_RICHARDSON = tuple(4.0 ** j - 1.0 for j in range(1, _MAX_LEVEL + 1))
+
+#: levels 0.._COARSE are read from one grid of 2**_COARSE + 1 nodes
+_COARSE = 8
+
+#: where each level 0.._COARSE lies in the coarse grid: both ends, then the
+#: odd multiples of 2**(_COARSE - level)
+_COARSE_AT = (slice(None, None, 2 ** _COARSE),) + tuple(
+    slice(2 ** (_COARSE - level), None, 2 ** (_COARSE - level + 1))
+    for level in range(1, _COARSE + 1))
+
+#: the weights whose samples ``_samples`` keeps
+_MEMO_WEIGHTS = 2
+
 
 def _nodes(x0, level):
     """The nodes level ``level`` of the nested trapezoid rule on [0, x0] adds:
@@ -102,21 +122,40 @@ def _romberg(g, x0, abs_tol, h_max=math.inf):
         trap = 0.5 * trap + h * g(level).sum()
         new = [trap]
         for j in range(1, level + 1):
-            new.append(new[-1] + (new[-1] - row[j - 1]) / (4.0 ** j - 1.0))
+            new.append(new[-1] + (new[-1] - row[j - 1]) / _RICHARDSON[j - 1])
         if h <= h_max and abs(new[-1] - row[-1]) <= abs_tol + 1e-12 * abs(new[-1]):
             return new[-1]
         row = new
     return None
 
 
-@functools.lru_cache(maxsize=_MAX_LEVEL + 1)
-def _samples(f, level):
-    """Read-only ``(t, f(t))`` at ``_nodes(f.x0, level)``, memoized
-    for the last ``_MAX_LEVEL + 1`` (weight, level) pairs."""
-    ts = _nodes(f.x0, level)
-    fs = np.array(f(ts))        # a copy: freezing it leaves f's own arrays writable
+def _frozen(f, ts):
+    """Read-only ``(ts, f(ts))``; ``f``'s values are copied, so its own
+    arrays stay writable."""
+    fs = np.array(f(ts))
     ts.flags.writeable = fs.flags.writeable = False
     return ts, fs
+
+
+@functools.lru_cache(maxsize=_MEMO_WEIGHTS)
+def _samples(f):
+    """The samples of weight ``f``, memoized for the last ``_MEMO_WEIGHTS``
+    weights: read-only ``(t, f(t))`` on the coarse grid, the nodes of levels
+    0.._COARSE in order (each level's from ``_nodes``), and a dict that
+    ``_fine`` fills with the finer levels' as they are first read."""
+    ts = np.empty(2 ** _COARSE + 1)
+    for level, at in enumerate(_COARSE_AT):
+        ts[at] = _nodes(f.x0, level)
+    return _frozen(f, ts) + ({},)
+
+
+def _fine(f, level):
+    """Read-only ``(t, f(t))`` at ``_nodes(f.x0, level)`` for a level past
+    _COARSE, sampled on first read into ``_samples(f)``'s dict."""
+    fine = _samples(f)[2]
+    if level not in fine:
+        fine.setdefault(level, _frozen(f, _nodes(f.x0, level)))
+    return fine[level]
 
 
 def quadrature_laplace(f, z, abs_tol=1e-13):
@@ -133,18 +172,23 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
     target.  Past the cap it raises ``OracleFailureError``; a non-finite
     ``z`` raises ``DomainError`` before any sampling.
 
-    The samples of ``f`` come from ``_samples``, so calls at many ``z`` for
-    one weight evaluate ``f`` once per node.  ``f`` is hashed by identity
-    (``TrialFunction`` defines no ``__eq__``) and must not change its values
-    after construction.
+    The samples of ``f`` come from ``_samples`` and ``_fine``, so calls at
+    many ``z`` for one weight evaluate ``f`` once per node.  The integrand
+    is formed once on the coarse grid, and levels 0.._COARSE read it as
+    strided views.  ``f`` is hashed by identity (``TrialFunction`` defines
+    no ``__eq__``) and must not change its values after construction.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"quadrature needs a finite z, got z={z}")
     h_max = math.pi / (2.0 * abs(z.imag)) if z.imag else math.inf
+    ts, fs, _ = _samples(f)
+    coarse = fs * np.exp(-z * ts)
 
     def g(level):
-        ts, fs = _samples(f, level)
+        if level <= _COARSE:
+            return coarse[_COARSE_AT[level]]
+        ts, fs = _fine(f, level)
         return fs * np.exp(-z * ts)
 
     val = _romberg(g, f.x0, abs_tol, h_max)

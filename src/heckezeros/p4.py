@@ -35,26 +35,31 @@ _divisor = functools.partial(checked_divisor, error=DomainError)
 def re_p4_identity(a, b, t):
     """Re P(a/(b+it)) in closed form, valid for finite 0 < a <= b.
 
-    Splits into a strictly positive leading term (16/5)(ab)^4/(b^2+t^2)^4 plus
-    a non-negative remainder proportional to (b - a), which is the source of
-    the lower bound used by the positivity lemma.  ``t`` may be an array.
-    Raises DomainError where (ab)^4 overflows, or where (b^2 + t^2)^4, which
-    it divides by, underflows to 0 (b below about 1e-81 at t near 0).
+    With alpha = a/b <= 1, s = 1/(1 + (t/b)^2) in (0, 1] and u = 1 - s, it
+    splits into a strictly positive leading term (16/5) alpha^4 s^4, which is
+    (16/5)(ab)^4/(b^2+t^2)^4, plus a non-negative remainder proportional to
+    1 - alpha,
+
+        alpha (1 - alpha) s (5 u^2 + 2 (5 + 5 alpha - alpha^2) u s
+                             + (5 + 10 alpha + 14 alpha^2) s^2) / 5,
+
+    which is the source of the lower bound used by the positivity lemma.
+    ``t`` may be an array.  Written in alpha and s, no power leaves the
+    float range where the value is in it, as (ab)^4 and (b^2 + t^2)^4 did
+    for a, b or t beyond about 1e77 or below about 1e-77.  Where (t/b)^2
+    overflows, s and the value are below the smallest normal float, and the
+    value is 0.
     """
     if not (0 < a <= b < math.inf):
         raise DomainError(f"require finite 0 < a <= b, got a={a}, b={b}")
-    lead = (16.0 / 5.0) * _power("a*b", a * b, 4)
-    t = np.asarray(t, dtype=float)
-    r2 = b * b + t * t
-    # the least r2 has the least power, which is 0 where any of them is;
-    # none below 1 overflows
-    r2_min = float(r2.min(initial=1.0))
-    if r2_min < 1.0:
-        _divisor("b*b + t*t", r2_min, 4)
-    q = (5.0 * t ** 4
-         + 2.0 * (5.0 * b * b + 5.0 * a * b - a * a) * t * t
-         + b * b * (5.0 * b * b + 10.0 * a * b + 14.0 * a * a))
-    out = lead / r2 ** 4 + a * (b - a) / (5.0 * r2 ** 3) * q
+    alpha = a / b
+    with np.errstate(over="ignore"):
+        tau2 = (np.asarray(t, dtype=float) / b) ** 2
+    s = 1.0 / (1.0 + tau2)
+    u = 1.0 - s
+    q = 5.0 * u * u + 2.0 * (5.0 + 5.0 * alpha - alpha * alpha) * u * s \
+        + (5.0 + 10.0 * alpha + 14.0 * alpha * alpha) * s * s
+    out = (16.0 / 5.0) * alpha ** 4 * s ** 4 + alpha * (1.0 - alpha) * s * q / 5.0
     return out if out.ndim else float(out)
 
 

@@ -162,20 +162,33 @@ def _t_terms(folded):
 
 def _weight(code, t):
     """f(t) = sum Re c e^{g_k t} E(s - t; g_j + g_k) over the folded pairs of
-    the code (s, folded); zero outside [0, s)."""
+    the code (s, folded); zero outside [0, s).  Pairs that share g_k share
+    its exp, and pairs that share g_j + g_k its E, told apart by type and
+    bits (``_kernels.exact_key``): a cosine weight's five pairs take 4 exps
+    of g_k t and 4 E's, not 5 and 5, as ``_t_terms`` makes alpha a float in
+    one pair and a complex in another."""
     s, folded = code
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     inside = (t >= 0) & (t < s)
     tc = np.where(inside, t, 0.0)
+    x = s - tc
+    terms = _t_terms(folded)
+    # e^0 = 1 and E(x, 0) = x exactly: a pair with g_k = a = 0 takes no exps
+    zero = [g_k == 0 and a == 0 for _, g_k, a in terms]
+    exps = _kernels.each_once([None if nil else _kernels.exact_key(g_k)
+                               for nil, (_, g_k, _) in zip(zero, terms)],
+                              lambda i: np.exp(terms[i][1] * tc))
+    Es = _kernels.each_once([None if nil else _kernels.exact_key(a)
+                             for nil, (_, _, a) in zip(zero, terms)],
+                            lambda i: _kernels.E(x, terms[i][2]))
     acc = np.zeros(t.shape)
-    for c, g_k, a in _t_terms(folded):
-        if g_k == 0 and a == 0:
-            # e^0 = 1 and E(x, 0) = x exactly: no exps
-            acc += c * (s - tc)
+    for (c, _, _), e, E in zip(terms, exps, Es):
+        if e is None:
+            acc += c * x
         else:
-            acc += (c * np.exp(g_k * tc) * _kernels.E(s - tc, a)).real
+            acc += (c * e * E).real
     out = np.where(inside, acc, 0.0)
     return float(out[0]) if scalar else out
 
@@ -365,13 +378,18 @@ def repel_reduce(f, a, b):
     return f.laplace_real(-a) - f.laplace_real(0.0 if b >= a else b - a)
 
 
-def condition2_min(f):
-    """Minimum of Re F(iy) over 2001 points y in [-100, 100].
+def half_plane_values(f):
+    """(ys, Re F(iy)) on the 2001 points y of [-100, 100] where the
+    half-plane condition is checked.
 
     The grid spacing resolves the transform's oscillation (period bounded
     below by 2 pi / x0) for x0 <= 30; the half-plane condition reduces to the
     boundary by the minimum principle since F decays at infinity.
     """
     ys = np.linspace(-100.0, 100.0, 2001)
-    vals = f.laplace(1j * ys).real
-    return float(vals.min())
+    return ys, f.laplace(1j * ys).real
+
+
+def condition2_min(f):
+    """Minimum of Re F(iy) over ``half_plane_values``' grid."""
+    return float(half_plane_values(f)[1].min())

@@ -92,18 +92,25 @@ class _CountedExp:
         return np.exp(x)
 
 
-@pytest.mark.parametrize("params, off_axis, folded", [
-    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 9, 5),   # cosine
-    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 4, 2),   # c0 = 0
-    ({"alpha": 0.5, "s": 1.0}, 1, 1),                                       # plain
+@pytest.mark.parametrize("params, folded, real_exps, off_axis_shapes", [
+    # cosine: alpha's exp at the points alone and stacked, g's and conj g's stacked
+    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 5, 3,
+     [(3,), (2, 3), (2, 3), (2, 3)]),
+    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 2, 2,   # c0 = 0
+     [(2, 3), (2, 3)]),
+    ({"alpha": 0.5, "s": 1.0}, 1, 1, [(3,)]),                              # plain
 ])
-def test_conjugate_pairs_fold_to_one_exp_each(params, off_axis, folded, monkeypatch):
+def test_conjugate_pairs_fold_to_one_exp_each(params, folded, real_exps, off_axis_shapes,
+                                             monkeypatch):
     """The code keeps one pair of each conjugate pair.  At a real point F
     takes one exp per folded pair, except on the search's five-pair layout
     (the cosine weight), where it takes one per generator exponent, alpha's
-    and g's; f_array takes one array exp per folded pair, and off the real
-    axis also evaluates each dropped pair's term, stacked with the kept
-    one's, so it evaluates off_axis pair terms in all."""
+    and g's.  f_array takes one array exp per distinct g_k and the points it
+    takes: at real points 3 for the cosine weight's five pairs, whose g_k
+    are alpha, g, alpha, g and conj g; off the real axis each pair with a
+    complex exponent also evaluates its dropped pair's term, stacked with
+    the kept one's, so alpha's pair with itself and its pair with g take
+    two exps."""
     f = tf.autocorrelation(**params)
     x0, fold = f.kernel_code()
     assert len(fold) == folded
@@ -119,17 +126,15 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, off_axis, folded, monkeypa
                for _, g, h, *_ in fold)
     _kernels.f_real_scalar(f.kernel_code(), 0.37)
     assert len(calls) == (2 if folded == 5 else folded)
-    # the shape of each w = (g_k - z) x0 that f_array exponentiates, one per
-    # pair term
+    # the shape of each w = (g_k - z) x0 that f_array exponentiates
     shapes = []
     monkeypatch.setattr(_kernels, "np", _CountedExp(shapes))
     f.laplace(np.linspace(-2.0, 2.0, 7))
     f.laplace(0.37 + 0j)       # a complex scalar on the real axis
-    assert shapes == [(7,)] * folded + [(1,)] * folded
+    assert shapes == [(7,)] * real_exps + [(1,)] * real_exps
     shapes.clear()
     f.laplace(np.array([0.37 + 1j, -0.5 - 2j, 3j]))
-    assert len(shapes) == folded
-    assert shapes.count((3,)) + 2 * shapes.count((2, 3)) == off_axis
+    assert shapes == off_axis_shapes
 
 
 @pytest.mark.parametrize("params, n_far", [

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from heckezeros import oracles, trial_functions as tf
+from heckezeros import _kernels, oracles, trial_functions as tf
 from heckezeros.errors import (DomainError, InvalidParameterError, NoRootError,
                                OracleFailureError)
 
@@ -46,6 +46,121 @@ def _uncached_quadrature(f, z):
         return f(ts) * np.exp(-z * ts)
 
     return oracles._romberg(g, x0, 1e-13, h_max)
+
+
+def _per_pair_f_array(code, z):
+    """F(z) of a family code by the pass over the folded pairs, each pair's
+    exponent terms formed afresh: ``_kernels.f_array``'s rule before it
+    shared them."""
+    x0, folded = code
+    z = np.asarray(z)
+    scalar = z.ndim == 0
+    real = not np.iscomplexobj(z) or not z.imag.any()
+    z = np.atleast_1d(z.astype(complex))
+    out = np.zeros(z.shape, dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for c, gj, gk, K, _ in folded:
+            own = real or (gj.imag == 0.0 and gk.imag == 0.0)
+            zs = z if own else np.stack([z, z.conj()])
+            b = gj + zs
+            A = gk - zs
+            w = A * x0
+            phi = (K - (np.exp(w) - 1.0) / A) / b
+            for i in np.flatnonzero((np.abs(b) * x0 < _kernels.SMALL_W)
+                                    | (np.abs(w) < _kernels.SMALL_W)):
+                phi.flat[i] = _kernels.pair_near(K, gj, gk, complex(zs.flat[i]), x0)
+            if not own:
+                phi = 0.5 * (phi[0] + phi[1].conj())
+            out += c * (phi.real if real else phi)
+    return complex(out[0]) if scalar else out
+
+
+def _per_pair_weight(code, t):
+    """f(t) of a family code with each pair's exp and E formed afresh:
+    ``trial_functions._weight``'s rule before it shared them."""
+    s, folded = code
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    inside = (t >= 0) & (t < s)
+    tc = np.where(inside, t, 0.0)
+    acc = np.zeros(t.shape)
+    for c, g_k, a in tf._t_terms(folded):
+        if g_k == 0 and a == 0:
+            acc += c * (s - tc)
+        else:
+            acc += (c * np.exp(g_k * tc) * _kernels.E(s - tc, a)).real
+    out = np.where(inside, acc, 0.0)
+    return float(out[0]) if scalar else out
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+#: the four code layouts: the triangle (a box), a plain weight, a cosine
+#: weight and one with c0 = 0, alpha = -0.0 among the draws
+_LAYOUT = st.sampled_from(["triangle", "plain", "cosine", "c0 = 0"])
+_ALPHA = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1.0, 1.0))
+
+
+def _drawn_weight(layout, alpha, s, frac):
+    if layout == "triangle":
+        return tf.triangle(s)
+    if layout == "plain":
+        return tf.autocorrelation(alpha=alpha, s=s)
+    if layout == "cosine":
+        return tf.autocorrelation(alpha=alpha, c0=1.0, c1=frac, beta=3.0 * frac + 0.1, s=s)
+    # c0 = 0: beta s <= pi/2 keeps the generator's cosine >= 0
+    return tf.autocorrelation(alpha=alpha, c0=0.0, c1=1.0, beta=frac * math.pi / (2.0 * s), s=s)
+
+
+def _series_points(f):
+    """Points at and near -g_j and g_k of each folded pair, where the pair
+    terms switch to ``pair_near``: on, inside and just past the switch."""
+    x0, folded = f.kernel_code()
+    edge = _kernels.SMALL_W / x0
+    pts = []
+    for _, gj, gk, *_ in folded:
+        for centre in (-gj, gk):
+            for d in (0.0, 1e-9, 0.3 * edge, 0.999 * edge, 1.001 * edge):
+                pts += [centre + d, centre - d, centre + 1j * d]
+    return np.array(pts)
+
+
+@given(layout=_LAYOUT, alpha=_ALPHA, s=st.floats(0.5, 4.5), frac=st.floats(0.01, 1.0),
+       zr=st.floats(-5.0, 5.0), zi=st.floats(-20.0, 20.0))
+# near t = s, E of the float 2 alpha and of the complex 2 alpha + 0j differ
+@example(layout="cosine", alpha=1.0, s=1.0, frac=1.0, zr=0.5, zi=2.0)
+@example(layout="c0 = 0", alpha=-0.0, s=2.0, frac=0.5, zr=-0.0, zi=0.0)
+@settings(max_examples=60, deadline=None)
+def test_shared_exponent_terms_keep_the_per_pair_bits(layout, alpha, s, frac, zr, zi):
+    """f_array and f(t), which share each exponent's terms among its pairs,
+    equal the pass over the pairs bit for bit at real points, at stacked
+    off-axis points, on the half-plane grid and near coincident nodes."""
+    f = _drawn_weight(layout, alpha, s, frac)
+    code = f.kernel_code()
+    near = _series_points(f)
+    for z in (np.linspace(-5.0, 5.0, 41), np.array([zr + 1j * zi, zr - 1j * zi, 1j * zi, zr]),
+              1j * np.linspace(-100.0, 100.0, 2001), near, near.real.copy(), complex(zr, 0.0),
+              complex(zr, zi)):
+        assert _same_bits(_kernels.f_array(code, z), _per_pair_f_array(code, z))
+    ts = np.concatenate([np.linspace(-0.5, 1.2 * s, 121), [0.0, s, np.nextafter(s, 0.0)]])
+    assert _same_bits(f(ts), _per_pair_weight(code, ts))
+    assert _same_bits(f(0.37 * s), _per_pair_weight(code, 0.37 * s))
+
+
+@given(layout=_LAYOUT, alpha=_ALPHA, s=st.floats(0.5, 4.5), frac=st.floats(0.01, 1.0),
+       zr=st.floats(-3.0, 3.0), zi=st.floats(-10.0, 10.0))
+@settings(max_examples=30, deadline=None)
+def test_coarse_grid_keeps_the_per_level_bits(layout, alpha, s, frac, zr, zi):
+    """The quadrature, which samples each weight once on the coarse grid and
+    reads its levels as strided views, equals the rule sampled afresh at
+    every level bit for bit."""
+    f = _drawn_weight(layout, alpha, s, frac)
+    for z in (complex(zr, zi), complex(zr, 0.0), complex(0.0, zi), 2j * math.pi / s):
+        assert _same_bits(oracles.quadrature_laplace(f, z), _uncached_quadrature(f, z))
 
 
 def test_romberg_exact_on_septic():
@@ -101,14 +216,15 @@ def test_shared_samples_match_uncached_rule_bitwise(f):
 
 def test_shared_samples_evaluate_each_node_once():
     # the nodes do not depend on z, so the 8 points of one weight read f
-    # once per level reached (about 11 calls) instead of once per level per
-    # point (about 83)
+    # once on the coarse grid (levels 0..8) and once per finer level reached
+    # (levels 9..11): 4 calls, where one call per level per point took
+    # about 83
     oracles._samples.cache_clear()
     f = _CountingWeight(_cosine_weight())
     for z in _ZS:
         oracles.quadrature_laplace(f, z)
     nodes = np.concatenate(f.seen)
-    assert len(f.seen) <= 12
+    assert len(f.seen) <= 4
     assert np.unique(nodes).size == nodes.size == f.nodes
 
 
@@ -125,10 +241,15 @@ def test_failure_at_cap_leaves_later_calls_correct():
 
 
 def test_shared_samples_are_read_only():
-    ts, fs = oracles._samples(tf.triangle(2.0), 3)
-    assert not ts.flags.writeable and not fs.flags.writeable
-    with pytest.raises(ValueError):
-        fs[0] = 1.0
+    oracles._samples.cache_clear()
+    f = tf.triangle(2.0)
+    ts, fs, _ = oracles._samples(f)
+    fine = oracles._fine(f, 9)
+    for a in (ts, fs) + fine:
+        assert not a.flags.writeable
+    for a in (fs, fine[1]):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.0, math.inf),
