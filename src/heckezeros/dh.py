@@ -9,13 +9,16 @@ character) reduces to one of two one-dimensional root problems:
       h(x) = F(-b) - F(0) - F(x-b) + psi f(0)               ("cc")
 * quartic-polynomial form in tuning parameters (lambda, J), where the known
   width bound b sits either on the (J^2 + 1/2) term or on the 2J term and the
-  unknown on the other, plus a quartic side condition that certifies the
+  unknown on the other, plus quartic side conditions that certify the
   discarded complex-zero terms were non-negative.
 
 Each case record below wires one lemma variant: its psi multiple of the
 critical-strip constant phi, the multiplier c1, which slot carries the
 unknown, and which side-condition coefficient formula applies.  The case
-table is data so the wiring can be audited line by line.
+table is data so the wiring can be audited line by line.  A poly case's
+side conditions are stated once, from its record (``_SideConditions``): the
+margin at a width, the limit in x, its turns in J and the coefficients
+j0_value, j1_value all read that statement.
 
 A smoothed root has two callers, each with its own path.
 ``solve_smoothed``, behind every returned bound, solves the exact h by ITP,
@@ -29,7 +32,7 @@ gives its Newton step too, with the weight's F(0) from the search's memo
 handed to ITP where they fail, and returns the root alone.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
-lambda built once (``_poly_at``).
+lambda built once (``_poly_at``, which reads the side-condition statement).
 
 Statements whose raw form carries oscillatory terms Re F(. + i mu) are used
 here only through their reduced real forms (``trial_functions.repel_reduce``);
@@ -40,6 +43,7 @@ regime (conductor-discriminant quantity sufficiently large); the solvers
 report the exact root, and the asserted bound is root - epsilon.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +80,9 @@ class SolverCase:
     j0: str = ""                # poly side-condition coefficient: 'sz' | 'cc'
     extra_j1: bool = False      # poly: second side condition with J1 = 4J/(J^2+1)
     j_min: float = 0.0
+
+    # a poly case's side conditions, built on first read
+    _sides = functools.cached_property(lambda self: _SideConditions(self))
 
 
 CASES = {c.name: c for c in (
@@ -133,10 +140,11 @@ POLY_CASES = tuple(n for n, c in CASES.items() if c.method == "poly")
 class BoundResult:
     """A solved repulsion bound lambda* for the hypothesis 'width >= b'.
 
-    ``lambda_star`` is always a valid bound: when the quartic side condition
-    fails at the equation root, the result is capped at the largest point
-    where it still holds (the corollaries only require some point satisfying
-    both), ``side_limited`` is set, and ``root`` keeps the uncapped value.
+    ``lambda_star`` is a valid bound up to float rounding: when the quartic
+    side condition fails at the equation root, the result is capped at the
+    largest point where it still holds (the corollaries only require some
+    point satisfying both), ``side_limited`` is set (an ulp comparison of
+    root and limit), and ``root`` keeps the uncapped value.
     ``residual`` is |h| at the root relative to the evaluated terms' size.
     """
 
@@ -286,18 +294,6 @@ def solve_smoothed(case, f, b, phi=PHI):
 # polynomial solver
 # ---------------------------------------------------------------------------
 
-#: the side-condition coefficient j0 = min(c J + d/J, 4 J) as (c, d) per form
-_J0_FORMS = {"sz": (0.5, 0.5), "cc": (1.0, 0.75)}
-
-
-def _j0(c, d, J):
-    return min(c * J + d / J, 4.0 * J)
-
-
-def _j1(J):
-    return 4.0 * J / (J * J + 1.0)
-
-
 def _poly_case(case):
     """The poly SolverCase of ``case``, a name or a record; raises
     InvalidParameterError for any other case."""
@@ -312,14 +308,14 @@ def j0_value(case, J):
     finite J > 0."""
     case = _poly_case(case)
     positive("J", J)
-    return _j0(*_J0_FORMS[case.j0], J)
+    return case._sides.j0(J)
 
 
 def j1_value(J):
     """Coefficient of the second side condition in the fully principal case,
     for a finite J > 0."""
     positive("J", J)
-    return _j1(J)
+    return _SideConditions.j1(J)
 
 
 def _check_poly(case, b, lam, J, phi=PHI, x=0.0):
@@ -349,115 +345,148 @@ def poly_h(case, b, lam, J, phi=PHI):
     return h
 
 
+class _SideConditions:
+    """The quartic side conditions of a poly case, stated once from its
+    ``SolverCase`` record (``SolverCase._sides``).
+
+    The unknown complex-zero terms may be dropped at the unknown width x
+    where every condition
+        j(J)/(lam + v_2J)^4 + k/(lam + v_sq)^4 > 1/lam^4
+    holds: (j, k) = (j0, 1), and for extra_j1 also (j1, 2), with
+    j0 = min(c J + d/J, 4 J), (c, d) by the case's j0 form, and
+    j1 = 4J/(J^2 + 1).  ``slot`` 0 (``_kernels.poly_fn``'s) puts the known
+    width b on the square slot and x on the 2J slot, so a condition's
+    coefficient of the unknown width's term is j(J) and of the known's k;
+    slot 1 puts them the other way round.  ``margin`` is the conditions'
+    smallest slack at x, ``at`` their limit in x and ``turns`` its turns in J;
+    ``side_condition``, ``side_limit``, ``_poly_at``, ``solve_poly``,
+    ``j0_value`` and ``j1_value`` read the conditions from here alone.
+    """
+
+    def __init__(self, case):
+        self.slot = 0 if case.unknown_slot == "known-on-square" else 1
+        self.c, self.d = {"sz": (0.5, 0.5), "cc": (1.0, 0.75)}[case.j0]
+        self.conditions = ((self.j0, 1.0), (self.j1, 2.0))[:1 + case.extra_j1]
+
+    def j0(self, J):
+        return min(self.c * J + self.d / J, 4.0 * J)
+
+    @staticmethod
+    def j1(J):
+        return 4.0 * J / (J * J + 1.0)
+
+    def margin(self, b, lam, J, x):
+        """The smallest slack across the conditions at width x."""
+        v_2J, v_sq = (x, b) if self.slot == 0 else (b, x)
+        return min(j(J) / (lam + v_2J) ** 4 + k / (lam + v_sq) ** 4 - 1.0 / lam ** 4
+                   for j, k in self.conditions)
+
+    # 1/lam^4 less a known term coef/(lam + b)^4, and the x where an x term
+    # coef_x/(lam + x)^4 falls to such a rest r
+    _rest = staticmethod(lambda coef, inv4, lb4: inv4 - coef / lb4)
+    _limit = staticmethod(lambda coef_x, r, lam: (coef_x / r) ** 0.25 - lam if r > 0 else math.inf)
+
+    def at(self, b, lam):
+        """(side_x, rests) at fixed b and lam, from 1/lam^4 and (lam + b)^4
+        formed once.
+
+        side_x(J) is the x where the first condition fails (inf if none
+        does): ``side_limit`` without its cap, continuous in J, and negative
+        where even x = 0 fails.  A condition's rest, 1/lam^4 less its known
+        term, is what its x term must exceed; rests is (the first
+        condition's, the last's) where they are the same for every J (x on
+        the 2J slot), else empty, for ``turns``.  side_x closes over few
+        objects: the search keeps the build of every lambda it reads, and a
+        few more objects per build take a search past the garbage
+        collector's first threshold, which costs it 5-15%.
+        """
+        inv4, lb4 = 1.0 / lam ** 4, (lam + b) ** 4
+        (j0, k0), (j1, k1) = self.conditions[0], self.conditions[-1]
+        extra, rest, limit = len(self.conditions) > 1, self._rest, self._limit
+        if self.slot == 0:
+            rests = r0, r1 = rest(k0, inv4, lb4), rest(k1, inv4, lb4)
+
+            def side_x(J):
+                x = limit(j0(J), r0, lam)
+                return min(x, limit(j1(J), r1, lam)) if extra else x
+        else:
+            rests = ()
+
+            def side_x(J):
+                x = limit(k0, rest(j0(J), inv4, lb4), lam)
+                return min(x, limit(k1, rest(j1(J), inv4, lb4), lam)) if extra else x
+        return side_x, rests
+
+    def turns(self, rests):
+        """(peaks, troughs): the J where the side limit may turn, at the b and
+        lam of ``rests`` (``at``'s).
+
+        Each condition's limit increases with its coefficient.  j0 = min(c J
+        + d/J, 4 J) peaks at its kink J^2 = d/(4 - c) (1/7 for 'sz', 1/4 for
+        'cc') and has its one trough at J^2 = d/c.  With the known value on
+        the square slot (the one extra_j1 case; elsewhere rests is empty and
+        no crossing is sought) the two limits cross where
+        j0/j1 = rest_0/rest_1 =: rho: on the 4J branch at J^2 = rho - 1, on
+        the other at the roots y = J^2 of c y^2 + (c + d - 4 rho) y + d = 0;
+        their minimum peaks there or goes on monotone.  j1 = 4J/(J^2+1) peaks
+        at J = 1, but the minimum never turns there: at J = 1 ('cc': c = 1,
+        d = 3/4) j1 = 2 > j0 = 7/4, and rest_1 < rest_0 (the j1 condition
+        carries 2, not 1, on the known value), so the j1 limit
+        (j1/rest_1)^(1/4) - lam lies strictly above the j0 limit and the
+        minimum follows j0 near J = 1.  Between these points the limit is
+        monotone in J.
+        """
+        c, d = self.c, self.d
+        kink = math.sqrt(d / (4.0 - c))
+        turns = [kink]
+        if len(self.conditions) > 1 and rests:
+            rest0, rest1 = rests
+            if rest1 > 0.0:
+                rho = rest0 / rest1
+                if rho - 1.0 <= kink * kink:
+                    turns.append(math.sqrt(rho - 1.0))
+                B = c + d - 4.0 * rho   # < 0, as rho > 1 > (c + d)/4
+                disc = B * B - 4.0 * c * d
+                if disc >= 0.0:
+                    q = 0.5 * (math.sqrt(disc) - B)
+                    turns += [math.sqrt(y) for y in (q / c, d / q) if y >= kink * kink]
+        return turns, [math.sqrt(d / c)]
+
+
 def side_condition(case, b, lam, J, x):
     """Evaluate the case's quartic side condition(s) at the candidate root x.
 
-    The J0 coefficient always multiplies the value sitting on the 2J slot.
-    Returns (ok, margin) with margin the smallest slack across conditions.
-    Inputs are checked as in ``solve_poly``, and x's power with them.
+    Returns (ok, margin) with margin the smallest slack across conditions
+    (``_SideConditions.margin``).  Inputs are checked as in ``solve_poly``,
+    and x's power with them.
     """
-    case = _check_poly(case, b, lam, J, x=x)
-    sq = b if case.unknown_slot == "known-on-square" else x
-    ln = x if case.unknown_slot == "known-on-square" else b
-    margin = (_j0(*_J0_FORMS[case.j0], J) / (lam + ln) ** 4
-              + 1.0 / (lam + sq) ** 4 - 1.0 / lam ** 4)
-    if case.extra_j1:
-        margin2 = (2.0 / (lam + sq) ** 4
-                   + _j1(J) / (lam + ln) ** 4 - 1.0 / lam ** 4)
-        margin = min(margin, margin2)
+    margin = _check_poly(case, b, lam, J, x=x)._sides.margin(b, lam, J, x)
     return margin > 0.0, margin
 
 
 def side_limit(case, b, lam, J):
     """Largest x >= 0 where the side condition(s) hold (margin decreasing in x).
 
-    Closed form: each condition J0/(lam+ln)^4 + 1/(lam+sq)^4 > 1/lam^4 pins
-    whichever of ln, sq equals x.  The limit is capped at 1e6.  Returns -inf
+    Closed form: each condition pins the x on its unknown slot
+    (``_SideConditions.at``).  The limit is capped at 1e6.  Returns -inf
     when even x = 0 fails.  Inputs are checked as in ``solve_poly``.
     """
-    case = _check_poly(case, b, lam, J)
-    x = _side_fn(case, b, lam)(J)
+    x = _check_poly(case, b, lam, J)._sides.at(b, lam)[0](J)
     return -math.inf if x < 0.0 else min(x, 1e6)
 
 
-def _side_rest(b, lam):
-    """coef -> 1/lam^4 - coef/(lam+b)^4: what a condition with coef on the
-    known value leaves for its x term, at fixed b and lam."""
-    inv4, lb4 = 1.0 / lam ** 4, (lam + b) ** 4
-    return lambda coef: inv4 - coef / lb4
-
-
-def _side_fn(case, b, lam):
-    """J -> the x where the first of the side conditions fails (inf if none does).
-
-    ``side_limit`` without its cap, at fixed b and lam: continuous in J, and
-    negative where even x = 0 fails.  What does not depend on J is formed
-    once, here.
-    """
-    c, d = _J0_FORMS[case.j0]
-    rest, extra = _side_rest(b, lam), case.extra_j1
-
-    def limit(coef_x, r):   # the x where coef_x/(lam+x)^4 falls to r
-        return (coef_x / r) ** 0.25 - lam if r > 0 else math.inf
-
-    # x sits on the linear slot when the known value is on the square one, and
-    # then each condition's rest is the same for every J
-    if case.unknown_slot == "known-on-square":
-        rest0, rest1 = rest(1.0), rest(2.0)
-
-        def side_x(J):
-            x = limit(_j0(c, d, J), rest0)
-            return min(x, limit(_j1(J), rest1)) if extra else x
-    else:
-        def side_x(J):
-            x = limit(1.0, rest(_j0(c, d, J)))
-            return min(x, limit(2.0, rest(_j1(J)))) if extra else x
-    return side_x
-
-
-def _side_turns(case, b, lam):
-    """(peaks, troughs): the J where the side limit may turn, at fixed b, lam.
-
-    Each condition's limit increases with its coefficient.  j0 = min(c J + d/J,
-    4 J) peaks at its kink J^2 = d/(4 - c) (1/7 for 'sz', 1/4 for 'cc') and
-    has its one trough at J^2 = d/c.  With the known value on the square slot
-    (the one extra_j1 case) the two limits cross where j0/j1 = rest_0/rest_1
-    =: rho: on the 4J branch at J^2 = rho - 1, on the other at the roots
-    y = J^2 of c y^2 + (c + d - 4 rho) y + d = 0; their minimum peaks there
-    or goes on monotone.  j1 = 4J/(J^2+1) peaks at J = 1, but the minimum
-    never turns there: at J = 1 ('cc': c = 1, d = 3/4) j1 = 2 > j0 = 7/4,
-    and rest_1 < rest_0 (the j1 condition carries 2, not 1, on the known
-    value), so the j1 limit (j1/rest_1)^(1/4) - lam lies strictly above the
-    j0 limit and the minimum follows j0 near J = 1.  Between these points the
-    limit is monotone in J.
-    """
-    c, d = _J0_FORMS[case.j0]
-    kink = math.sqrt(d / (4.0 - c))
-    turns = [kink]
-    if case.extra_j1:
-        rest = _side_rest(b, lam)
-        rest0, rest1 = rest(1.0), rest(2.0)
-        if rest1 > 0.0:
-            rho = rest0 / rest1
-            if rho - 1.0 <= kink * kink:
-                turns.append(math.sqrt(rho - 1.0))
-            B = c + d - 4.0 * rho   # < 0, as rho > 1 > (c + d)/4
-            disc = B * B - 4.0 * c * d
-            if disc >= 0.0:
-                q = 0.5 * (math.sqrt(disc) - B)
-                turns += [math.sqrt(y) for y in (q / c, d / q) if y >= kink * kink]
-    return turns, [math.sqrt(d / c)]
-
-
 def _poly_at(case, b, lam, phi):
-    """(g, target, stationary, side_x) of a poly case at fixed b, lambda, phi.
+    """(g, target, stationary, side_x, rests) of a poly case at fixed b,
+    lambda, phi.
 
-    The first three are ``_kernels.poly_fn``'s, side_x is ``_side_fn``'s: the
-    search reads a lambda's ceiling and scores many J at it from one build.
+    The first three are ``_kernels.poly_fn``'s, the last two those of the
+    case's one side-condition statement (``_SideConditions.at``), which forms
+    1/lam^4 and (lam + b)^4 once for the limit and its turns
+    (``_SideConditions.turns`` of rests): the search reads a lambda's ceiling
+    and scores many J at it from one build.
     """
-    slot = 0 if case.unknown_slot == "known-on-square" else 1
-    return (*_kernels.poly_fn(slot, lam, b, case.psi_over_phi * phi),
-            _side_fn(case, b, lam))
+    sides = case._sides
+    return (*_kernels.poly_fn(sides.slot, lam, b, case.psi_over_phi * phi), *sides.at(b, lam))
 
 
 def _poly_bound(at, lam, J):
@@ -471,7 +500,7 @@ def _poly_bound(at, lam, J):
     each candidate J by this value alone; ``solve_poly`` adds the checks,
     the residual and the result.
     """
-    g, target, _, side_x = at
+    g, target, _, side_x, _ = at
     root, hlo, hhi = _kernels.poly_root(g, target, J, lam, 0.0, POLY_HI)
     x_side = side_x(J)
     value = math.nan if root != root or x_side < 0.0 else min(root, x_side)
@@ -482,14 +511,15 @@ def solve_poly(case, b, lam, J, phi=PHI):
     """Quartic-method repulsion bound with side-condition enforcement.
 
     The equation root is bracketed on [0, POLY_HI].  The returned lambda* is
-    min(equation root, side-condition limit), which is always a valid bound;
-    ``side_limited`` marks capped results and ``root`` keeps the uncapped
-    value.  SideConditionError is raised only when the condition fails even
-    at width 0, so no valid point exists; NoBoundError where h has no sign
-    change on the bracket, worded and signed by ``errors.no_bound`` as in
-    ``solve_smoothed``.  The bound is ``_poly_bound``'s,
-    which the search calls for each candidate it scores.  The inputs are
-    checked first (``_check_poly``).
+    min(equation root, side-condition limit), a valid bound up to float
+    rounding; ``side_limited`` marks capped results and ``root`` keeps the
+    uncapped value.  SideConditionError is raised only when the condition
+    fails even at width 0, so no valid point exists; NoBoundError where h
+    has no sign change on the bracket, worded and signed by
+    ``errors.no_bound`` as in ``solve_smoothed``.  The bound is
+    ``_poly_bound``'s, which the search calls for each candidate it scores.
+    The inputs are checked first, once (``_check_poly``): ``side_margin`` is
+    the side-condition statement's margin at the root, in [0, POLY_HI].
     """
     case = _check_poly(case, b, lam, J, phi)
     psi = case.psi_over_phi * phi
@@ -505,7 +535,7 @@ def solve_poly(case, b, lam, J, phi=PHI):
     scale = (1.0 + (J * J + 0.5) * _kernels.P1 + 2.0 * J * _kernels.P1
              + psi * (J + 1.0) ** 2 * lam)
     residual = abs(at[0](J, lam / (lam + root))) / scale
-    _, margin = side_condition(case, b, lam, J, root)
+    margin = case._sides.margin(b, lam, J, root)
     return BoundResult(case.name, b, value, {"lambda": lam, "J": J}, True, residual,
                        side_limited=value != root, root=root, side_margin=margin)
 

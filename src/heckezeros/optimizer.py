@@ -236,12 +236,13 @@ def _j_box(case):
     return max(POLY_BOXES["J"][0], case.j_min), POLY_BOXES["J"][1]
 
 
-def _j_candidates(case, b, lam, at):
+def _j_candidates(case, lam, at):
     """The J where min(root, side limit) can peak at fixed lambda, with limits.
 
     ``at`` is the lambda's one build, ``dh._poly_at``'s.  Between the box
     ends and the J inside the box where the root is stationary (from ``at``)
-    or the side limit peaks or troughs (``dh._side_turns``), both the root
+    or the side limit peaks or troughs (the case's side-condition statement's
+    ``turns`` of ``at``'s rests), both the root
     and the limit are monotone in J, so their minimum peaks at a box end,
     where the two cross, at a stationary point of the root where the side
     condition is slack, or at a peak of the limit where it binds.  A trough
@@ -250,7 +251,7 @@ def _j_candidates(case, b, lam, at):
     its piece without a root solve, from the values at the piece's ends that
     it already has.  Returns (uncapped side limit, J) pairs, highest first.
     """
-    g, _, stationary, side_x = at
+    g, _, stationary, side_x, rests = at
     j_lo, j_hi = _j_box(case)
 
     def gap(J):   # h at the side limit: > 0 where the root lies below it
@@ -258,7 +259,7 @@ def _j_candidates(case, b, lam, at):
 
     ends = [j_lo, j_hi]
     stationary, peaks, troughs = ([J for J in Js if j_lo < J < j_hi]
-                                  for Js in (stationary, *dh._side_turns(case, b, lam)))
+                                  for Js in (stationary, *case._sides.turns(rests)))
     turns = sorted({*ends, *stationary, *peaks, *troughs})
     gaps = [gap(J) for J in turns]
     candidates = [J for J, g in zip(turns, gaps)
@@ -288,7 +289,7 @@ def _j_ceiling(case, lam, at):
     by a few ulps of lam + x, so no candidate J, however its value rounds,
     scores above the ceiling.  It is +inf where a target is NaN.
     """
-    _, target, stationary, _ = at
+    _, target, stationary, _, _ = at
     j_lo, j_hi = _j_box(case)
     targets = [target(J) for J in (j_lo, j_hi, *stationary) if j_lo <= J <= j_hi]
     if any(map(math.isnan, targets)):
@@ -352,7 +353,7 @@ def maximize_bound(spec):
             if budget.left <= 0:
                 return v_lam
             at = build(lam)
-            for limit, J in _j_candidates(case, b, lam, at):
+            for limit, J in _j_candidates(case, lam, at):
                 # v <= limit: no later candidate can beat v_lam
                 if limit <= v_lam or not budget.spend():
                     break
@@ -459,14 +460,18 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     its residual and result, so the returned bound resolves to adjacent
     floats.
     Inputs are checked as in ``maximize_bound``, and a case that is not
-    smoothed, or a seed whose alpha or s is not finite or lies outside
-    ``FAMILY_BOXES``, raises InvalidParameterError before any evaluation.
+    smoothed, or a seed that lacks alpha or s or whose alpha or s is not
+    finite or lies outside ``FAMILY_BOXES``, raises InvalidParameterError
+    before any evaluation.
     """
     case = dh._check_smoothed(case, b, phi)
     _check_budget(budget)
     seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
              for s_ in FAMILY_GRID["s"]]
     if seed_params is not None:
+        missing = [n for n in ("alpha", "s") if n not in seed_params]
+        if missing:
+            raise InvalidParameterError(f"seed_params must give alpha and s; missing {missing}")
         seed = {n: seed_params[n] for n in ("alpha", "s")}
         for n, v in seed.items():
             lo, hi = FAMILY_BOXES[n]

@@ -144,7 +144,7 @@ def load_table(key):
     variant = variant or None
     for entry in manifest():
         if entry["id"] == tid and (variant is None or entry["variant"] == variant):
-            if variant is None and entry["variant"] is not None and tid != "T1":
+            if variant is None and entry["variant"] is not None:
                 raise InvalidParameterError(
                     f"table {tid} has variants; use one of "
                     f"{[e['id'] + ':' + e['variant'] for e in manifest() if e['id'] == tid]}")

@@ -2,9 +2,9 @@
 
 Each suite returns a list of OracleReport; the CLI prints them and the test
 suite asserts they all pass.  The oracles deliberately use different
-algorithms from the primary paths (Romberg quadrature vs closed forms,
-scan-plus-bisection vs the ITP solver and the quartic roots' Newton
-inverse) so agreement is evidence.
+algorithms from the primary paths (Romberg quadrature vs closed forms, a
+grid scan narrowed by 64-way subdivisions (``oracles.scan_root``) vs the
+ITP solver and the quartic roots' Newton inverse) so agreement is evidence.
 """
 
 import math

@@ -1,6 +1,6 @@
 import pytest
 
-from heckezeros import trial_functions
+from heckezeros import oracles, trial_functions
 
 
 def pytest_configure(config):
@@ -9,8 +9,9 @@ def pytest_configure(config):
 
 @pytest.fixture(autouse=True)
 def _fresh_build_cache():
-    """Each test starts from an empty family-build cache and F(0) memo, so
-    no test sees codes or F(0) an earlier test formed, and cache counts start
-    from zero."""
+    """Each test starts from an empty family-build cache, F(0) memo and
+    oracle sample memo, so no test sees codes, F(0) or samples an earlier
+    test formed, and cache counts start from zero."""
     trial_functions._cached_build.cache_clear()
     trial_functions._cached_f0.cache_clear()
+    oracles._samples.cache_clear()

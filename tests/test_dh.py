@@ -2,6 +2,7 @@
 
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ class TestCaseTable:
     def test_unknown_case(self):
         with pytest.raises(InvalidParameterError):
             dh.get_case("nope")
+
+    @pytest.mark.parametrize("name", dh.POLY_CASES)
+    def test_a_used_case_record_pickles(self, name):
+        # a poly case keeps its side-condition statement once read; the
+        # record still pickles, and the copy states the same conditions
+        case = dh.get_case(name)
+        dh.solve_poly(case, 0.1227, 1.1, 0.8)
+        copy = pickle.loads(pickle.dumps(case))
+        assert copy == case
+        assert (dh.side_condition(copy, 0.1227, 1.1, 0.8, 0.3)
+                == dh.side_condition(case, 0.1227, 1.1, 0.8, 0.3))
 
     def test_case_by_name_or_record(self):
         # every entry point takes either; the searches took names only

@@ -1,5 +1,6 @@
 """Parameter search: determinism, feasibility handling, table-row floors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -90,21 +91,77 @@ def _dense_inner(case, b, lam, phi, n=20001):
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     root = np.where((p4.p4_eval(u_min) <= target) & (target <= 3.2),
                     lam / (0.5 * (lo + hi)) - lam, -np.inf)
+    return float(np.minimum(root, _reference_limit(case, b, lam, J)).max())
+
+
+def _reference_conditions(case, J):
+    """Each side condition at J as (coefficient of the 2J slot's term, of the
+    square slot's), written from the paper: (j0, 1) and, for extra_j1,
+    (j1, 2), with j0 = min(J/2 + 1/(2J), 4J) ('sz') or min(J + 3/(4J), 4J)
+    ('cc') and j1 = 4J/(J^2 + 1)."""
     j0 = (np.minimum(J / 2 + 1 / (2 * J), 4 * J) if case.j0 == "sz"
           else np.minimum(J + 3 / (4 * J), 4 * J))
     conditions = [(j0, 1.0)]
     if case.extra_j1:
         conditions.append((4 * J / (J * J + 1), 2.0))
-    limit = np.full(n, np.inf)
+    return conditions
+
+
+def _reference_limit(case, b, lam, J):
+    """Each condition's largest x, their minimum capped at 1e6, -inf where
+    even x = 0 fails, vectorized over J: side_limit written independently."""
+    on_square = case.unknown_slot == "known-on-square"
+    limit = np.full(np.shape(J), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for coef_ln, coef_sq in conditions:
+        for coef_ln, coef_sq in _reference_conditions(case, J):
             # x sits on the linear slot when the known value is on the square one
-            rest = lam ** -4.0 - (coef_sq if on_square else coef_ln) / (lam + b) ** 4
+            rest = 1.0 / lam ** 4 - (coef_sq if on_square else coef_ln) / (lam + b) ** 4
             coef_x = coef_ln if on_square else coef_sq
             limit = np.minimum(limit, np.where(rest > 0, (coef_x / rest) ** 0.25 - lam,
                                                np.inf))
-    limit = np.where(limit >= 0, np.minimum(limit, 1e6), -np.inf)
-    return float(np.minimum(root, limit).max())
+    return np.where(limit >= 0, np.minimum(limit, 1e6), -np.inf)
+
+
+class TestSideConditionReference:
+    """side_condition's margin and side_limit against the conditions written
+    out here, over a (b, lambda, J, x) grid of every poly case."""
+
+    @pytest.mark.parametrize("name", dh.POLY_CASES)
+    def test_margin_and_limit_match_the_reference(self, name):
+        case = dh.get_case(name)
+        on_square = case.unknown_slot == "known-on-square"
+        seen = set()
+        for b, lam, J in itertools.product((0.0, 0.012, 0.1227, 0.5, 2.0),
+                                           (0.05, 0.3, 1.0, 1.155, 3.0),
+                                           (0.05, 0.25, 0.5, 0.8815, 1.0, 2.0, 4.0)):
+            if J < case.j_min:
+                continue
+            conditions = [(float(c_ln), c_sq) for c_ln, c_sq in
+                          _reference_conditions(case, np.array(J))]
+            for c_ln, c_sq in conditions:   # the rest the x term must exceed
+                if 1.0 / lam ** 4 - (c_sq if on_square else c_ln) / (lam + b) ** 4 <= 0.0:
+                    seen.add("a rest <= 0")
+            for x in (0.0, 0.01, 0.3, 1.0, 5.0):
+                sq, ln = (b, x) if on_square else (x, b)
+                terms = [(c_ln / (lam + ln) ** 4, c_sq / (lam + sq) ** 4)
+                         for c_ln, c_sq in conditions]
+                margins = [t_ln + t_sq - 1.0 / lam ** 4 for t_ln, t_sq in terms]
+                ok, margin = dh.side_condition(case, b, lam, J, x)
+                tol = 1e-14 * (1.0 / lam ** 4 + max(map(sum, terms)))
+                assert margin == pytest.approx(min(margins), abs=tol), (b, lam, J, x)
+                if abs(min(margins)) > tol:
+                    assert ok == (min(margins) > 0.0), (b, lam, J, x)
+                if x == 0.0 and min(margins) < -tol:
+                    seen.add("fails at 0")
+                if len(margins) == 2 and margins[1] < margins[0] - tol:
+                    seen.add("second binds")
+            want = float(_reference_limit(case, b, lam, np.array(J)))
+            got = dh.side_limit(case, b, lam, J)
+            assert got == want or got == pytest.approx(want, rel=1e-12), (b, lam, J)
+        # with x on the square slot its term is 1/lam^4 at x = 0, so the
+        # condition holds there
+        assert "a rest <= 0" in seen and ("fails at 0" in seen) == on_square
+        assert ("second binds" in seen) == case.extra_j1
 
 
 class TestInnerJ:
@@ -119,7 +176,7 @@ class TestInnerJ:
         for lam in (0.3, 0.7, 1.0, 1.5, 2.0):
             got = -math.inf
             at = dh._poly_at(case, b, lam, phi)
-            for _, J in optimizer._j_candidates(case, b, lam, at):
+            for _, J in optimizer._j_candidates(case, lam, at):
                 try:
                     got = max(got, dh.solve_poly(case, b, lam, J, phi=phi).lambda_star)
                 except HeckeZerosError:
@@ -189,9 +246,9 @@ class TestInnerJ:
     def test_root_and_side_limit_are_monotone_between_turns(self, key, phi):
         # _j_candidates takes the root and the side limit as monotone in J
         # between the box ends, the root's stationary points and the side
-        # limit's turns (dh._side_turns); a missing turn would show as a
-        # change of direction inside a piece.  The side limit does not read
-        # phi, the root's stationary points do
+        # limit's turns (dh._SideConditions.turns); a missing turn would show
+        # as a change of direction inside a piece.  The side limit does not
+        # read phi, the root's stationary points do
         t = tables.load_table(key)
         case = dh.get_case(t.case_name)
         j_lo, j_hi = optimizer._j_box(case)
@@ -204,7 +261,7 @@ class TestInnerJ:
         for b in (t.rows[0].b, t.rows[len(t.rows) // 2].b, t.rows[-1].b):
             for lam in (0.3, 1.0, 2.0, 3.5):
                 at = dh._poly_at(case, b, lam, phi)
-                peaks, troughs = dh._side_turns(case, b, lam)
+                peaks, troughs = case._sides.turns(at[4])
                 turns = [*at[2], *peaks, *troughs]
                 edges = sorted({j_lo, j_hi} | {J for J in turns if j_lo < J < j_hi})
                 for lo, hi in zip(edges, edges[1:]):
@@ -222,7 +279,7 @@ def _full_inner(case, b, lam, phi):
     budget: what the lambda section's ceiling must not fall below."""
     at = dh._poly_at(case, b, lam, phi)
     values = [dh._poly_bound(at, lam, J)[0]
-              for _, J in optimizer._j_candidates(case, b, lam, at)]
+              for _, J in optimizer._j_candidates(case, lam, at)]
     return max((v for v in values if not math.isnan(v)), default=-math.inf)
 
 
@@ -230,7 +287,7 @@ def _regimes(case, b, lam, phi):
     """(some J has h(0) > 0, some J has its root past 1000) over the turns."""
     at = dh._poly_at(case, b, lam, phi)
     j_lo, j_hi = optimizer._j_box(case)
-    turns = [at[2], dh._side_turns(case, b, lam)[0]]   # stationary J, peaks
+    turns = [at[2], case._sides.turns(at[4])[0]]   # stationary J, peaks
     Js = [j_lo, j_hi, *(J for group in turns for J in group if j_lo < J < j_hi)]
     h = [dh._poly_bound(at, lam, J)[2:4] for J in Js]
     return any(h0 > 0.0 for h0, _ in h), any(h1000 < 0.0 for _, h1000 in h)
@@ -597,6 +654,16 @@ class TestInvalidInput:
         roots = self.counted(monkeypatch, dh, "_search_root")
         with pytest.raises(InvalidParameterError, match="seed"):
             optimizer.optimize_family_smoothed("sz-lp-principal", 0.05, seed_params=seed)
+        assert builds == roots == []
+
+    @pytest.mark.parametrize("seed, missing", [({"alpha": 0.0}, "['s']"),
+                                               ({"s": 1.0}, "['alpha']"), ({}, "['alpha', 's']")])
+    def test_smoothed_seed_missing_a_parameter(self, monkeypatch, seed, missing):
+        builds = self.counted(monkeypatch, trial_functions, "_search_code")
+        roots = self.counted(monkeypatch, dh, "_search_root")
+        with pytest.raises(InvalidParameterError) as info:
+            optimizer.optimize_family_smoothed("sz-lp-principal", 0.01, seed_params=seed)
+        assert str(info.value) == f"seed_params must give alpha and s; missing {missing}"
         assert builds == roots == []
 
     def test_smoothed_seed_on_the_box_corner_is_scored_first(self, monkeypatch):

@@ -209,7 +209,6 @@ def test_quadrature_node_count(z):
 
 @pytest.mark.parametrize("f", _WEIGHTS, ids=repr)
 def test_shared_samples_match_uncached_rule_bitwise(f):
-    oracles._samples.cache_clear()
     for z in _ZS + [complex(0.5, 1.0), 4j * math.pi]:
         assert oracles.quadrature_laplace(f, z) == _uncached_quadrature(f, z)
 
@@ -219,7 +218,6 @@ def test_shared_samples_evaluate_each_node_once():
     # once on the coarse grid (levels 0..8) and once per finer level reached
     # (levels 9..11): 4 calls, where one call per level per point took
     # about 83
-    oracles._samples.cache_clear()
     f = _CountingWeight(_cosine_weight())
     for z in _ZS:
         oracles.quadrature_laplace(f, z)
@@ -241,7 +239,6 @@ def test_failure_at_cap_leaves_later_calls_correct():
 
 
 def test_shared_samples_are_read_only():
-    oracles._samples.cache_clear()
     f = tf.triangle(2.0)
     ts, fs, _ = oracles._samples(f)
     fine = oracles._fine(f, 9)

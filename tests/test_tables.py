@@ -19,6 +19,19 @@ def test_manifest_complete():
     assert set(keys) == set(ALL_BOUND_TABLES) | {"T1"}
 
 
+@pytest.mark.parametrize("key", ["T2", "T2:"])
+def test_a_table_with_variants_needs_one(key):
+    with pytest.raises(InvalidParameterError) as info:
+        tables.load_table(key)
+    assert str(info.value) == ("table T2 has variants; use one of "
+                               "['T2:quadratic', 'T2:principal']")
+
+
+def test_a_table_without_variants_loads_by_its_id():
+    assert isinstance(tables.load_table("T1"), tables.ZdTable)
+    assert tables.load_table("T4").key == "T4"
+
+
 @pytest.mark.parametrize("key", ALL_BOUND_TABLES)
 def test_monotonicity_as_transcribed(key):
     assert tables.monotonicity_check(tables.load_table(key))
