@@ -479,11 +479,14 @@ def _p4_root(hlo, hhi, target, lam, lo, hi):
 
     The root is NaN when h has no sign change on [lo, hi] or an end value is
     NaN, as in ``_bisect``.  Otherwise it inverts P by ``_p4_newton`` from
-    u = lam/(lam+lo), above the root.
+    u = lam/(lam+lo), above the root.  The root is NaN too where that u is 0:
+    an end value that underflowed to -0.0 passes the sign test, and no x
+    has u = 0.
     """
     if hlo > 0.0 or hhi < 0.0 or hlo != hlo or hhi != hhi:
         return math.nan, hlo, hhi
-    return lam / _p4_newton(target, lam / (lam + lo)) - lam, hlo, hhi
+    u = _p4_newton(target, lam / (lam + lo))
+    return (lam / u - lam if u != 0.0 else math.nan), hlo, hhi
 
 
 def _p4_newton(target, u):

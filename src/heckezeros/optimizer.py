@@ -87,12 +87,12 @@ class _Budget:
         return self.left >= 0
 
 
-def _golden_max(fn, lo, hi, budget, coarse=13, xtol_frac=1e-4, bound=None):
+def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
     """Deterministic 1-d maximization on [lo, hi] with rejection plateaus.
 
     A coarse scan of ``coarse`` evenly spaced points, the earlier point
     winning a tie, then a golden section between the best one's neighbours
-    until the bracket is below ``xtol_frac`` of [lo, hi].  Returns (x, fn(x))
+    until the bracket is below 1e-4 of [lo, hi].  Returns (x, fn(x))
     of the best point evaluated, or (nan, -inf) where no coarse value is
     finite.  ``budget`` counts the evaluations of fn.
 
@@ -133,7 +133,7 @@ def _golden_max(fn, lo, hi, budget, coarse=13, xtol_frac=1e-4, bound=None):
 
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, coarse - 1)]
-    xtol = (hi - lo) * xtol_frac
+    xtol = (hi - lo) * 1e-4
     x1 = b - _INV_GOLD * (b - a)
     x2 = a + _INV_GOLD * (b - a)
     f1 = fn(x1) if budget.spend() else -math.inf

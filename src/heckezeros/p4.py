@@ -80,9 +80,11 @@ def gm_check(V, W, m, x, y, z):
     """G_m(x,y,z) = V x^m/(x^2+z^2)^m + W y^m/(y^2+z^2)^m - 1/(1+z^2)^m.
 
     Non-negative for all real z whenever x, y >= 1 and V/x^m + W/y^m >= 1.
-    x and y must be finite; ``z`` may be an array.
+    x, y and m must be finite (else DomainError); ``z`` may be an array.
     """
     _check_gm(x, y)
+    if not math.isfinite(m):   # x^m / (x^2 + z^2)^m would be inf / inf
+        raise DomainError(f"require finite m, got m={m}")
     z = np.asarray(z, dtype=float)
     z2 = z * z
     out = (V * _power("x", x, m) / (x * x + z2) ** m

@@ -277,6 +277,11 @@ def _build(alpha, c0, c1, beta, s):
             f"the generator's phase 2 beta s overflows for beta={beta}, s={s}")
     # c0 >= |c1| forces g >= 0 outright; otherwise check on a grid
     if c0 < abs(c1):
+        # past alpha s = 709.78 the grid's e^{alpha s} leaves the float range,
+        # and K = (e^{2 alpha s} - 1)/(2 alpha) below already does there
+        if alpha * s > 709.78:
+            raise InvalidParameterError(
+                f"the transform of the generator overflows for alpha={alpha}, s={s}")
         us = np.linspace(0.0, s, 2001)
         g = np.exp(alpha * us) * (c0 + c1 * np.cos(beta * us))
         if g.min() < -1e-12 * max(1.0, float(np.abs(g).max())):
@@ -371,11 +376,15 @@ def repel_reduce(f, a, b):
     """Upper bound for Re{F(-a+iy) - F(iy) - F(b-a+iy)} uniform in y.
 
     Equals F(-a) - F(0) when b >= a, else F(-a) - F(b-a); both follow from
-    the non-negativity of f and of Re F on the imaginary axis.
+    the non-negativity of f and of Re F on the imaginary axis.  inf where
+    F(-a) overflows, which still bounds the expression.
     """
     if not (0 <= a < math.inf and 0 <= b < math.inf):   # NaN too
         raise DomainError(f"repel_reduce requires finite a, b >= 0, got a={a}, b={b}")
-    return f.laplace_real(-a) - f.laplace_real(0.0 if b >= a else b - a)
+    F_a = f.laplace_real(-a)
+    if F_a == math.inf:   # F decreases, so the other term may be inf too: no inf - inf
+        return F_a
+    return F_a - f.laplace_real(0.0 if b >= a else b - a)
 
 
 def half_plane_values(f):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, optimizer
+from . import _kernels
 from .dh import PHI, cos_bound
 from .errors import InvalidParameterError, NoBoundError, no_bound, nonnegative, positive
 from .trial_functions import K_FAMILY_PAIRS
@@ -154,11 +154,6 @@ def side_condition_limit(case, lam):
     """Largest x >= 0 with p/lam^4 <= q/(lam+x)^4, or -inf if none, inf if
     all; lambda must be finite and > 0, as in ``zfr_solve``."""
     case, lam, _ = _check(case, lam)
-    return _side_limit(case, lam)
-
-
-def _side_limit(case, lam):
-    """``side_condition_limit`` of a ZfrCase at a checked lambda."""
     p, q = case.side
     ratio = q / p
     if ratio < 1.0:
@@ -171,13 +166,12 @@ def _zfr_bound(case, lam, phi):
 
     ``case`` is a ZfrCase and lam > 0, phi >= 0 are checked floats.  value is
     the width ``zfr_solve`` returns, NaN wherever it raises NoBoundError (h
-    has no sign change on [0, HI]).  The scan of ``zfr_optimize`` scores each
-    lambda by this value alone; ``zfr_solve`` adds the checks, the residual
-    and the result.
+    has no sign change on [0, HI]).  ``zfr_optimize`` returns this value at
+    its lambda; ``zfr_solve`` adds the checks, the residual and the result.
     """
     root, hlo, hhi = _kernels.zfr_root(float(case.coeffs[0]), float(case.coeffs[1]),
                                        float(case.B), lam, phi, 0.0, HI)
-    limit = _side_limit(case, lam)
+    limit = side_condition_limit(case, lam)
     if root != root:
         value = math.nan
     else:
@@ -259,31 +253,46 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
 
 
 def zfr_optimize(case, phi=PHI):
-    """Best lambda for a polynomial case: maximize the returned width.
+    """Best lambda for a polynomial case and its width, as (lambda, width).
 
-    A 241-point scan of lambda in [0.05, 3] then golden-section refinement to
-    1e-6; infeasible lambdas (no root) score -inf.  Deterministic.  The width
-    profile is continuous and unimodal on the feasible region, so this finds
-    the global optimum.  Along P(u) = (P(1) c0 + B phi lambda)/c1, where
-    u = lambda/(lambda + x) grows with lambda for phi > 0, the root x rises
-    while c1 (0.4 u^3 + 1.2 u^4 + 1.6 u^5) < P(1) c0 and falls after, so it
-    peaks once (order234: u = 0.8847 at lambda = 0.94214); the side limit
-    lambda ((q/p)^(1/4) - 1) rises; and the smaller of the two rises, then
-    falls.
-    phi is checked once, before the scan, which scores each lambda by the
-    width ``zfr_solve`` would return (``_zfr_bound``) without calling it.
+    Along the root, P(u) = (c0 P(1) + B phi lambda)/c1 with u = lambda/(lambda
+    + x), so lambda(u) = (c1 P(u) - c0 P(1))/(B phi) grows with u for phi > 0.
+    The root x(u) = lambda(u) (1/u - 1) rises while c1 u^3 (0.4 + 1.2 u +
+    1.6 u^2) < c0 P(1) and falls after, so it peaks once, at u_peak (order234:
+    0.8847), found by ``_kernels._bisect`` on [0, 1].  The side condition
+    holds for u >= u_s = (p/q)^(1/4), so the width, the smaller of the root
+    and the side limit, peaks at lambda(max(u_peak, u_s)), clamped to [0.05,
+    3].  At phi = 0, u stays where P(u) = c0 P(1)/c1 and both the root and the
+    side limit grow linearly in lambda: lambda = 3.  The width is
+    ``_zfr_bound``'s at that lambda, so ``zfr_solve`` returns it too.
+
+    Where the side limit binds (u_s > u_peak, as for 'principal'), the root
+    meets it at lambda(u_s), and the rounded lambda(u_s) may land where the
+    root is the smaller; lambda steps down by 1, 2, 4, ... ulps until the
+    limit is, so ``zfr_solve`` reports the result as side-limited.  The gap
+    grows as lambda falls below the kink, so the steps end, at the latest at
+    lambda = 0.05: 2 for 'principal' at phi = 1/4.  NoBoundError where no
+    positive width is provable (c1 <= c0 or q <= p) or no lambda in [0.05, 3]
+    has a root.  phi is checked first.
     """
     case = get_case(case)
     nonnegative("phi", phi)
     phi = float(phi)
-
-    def value(lam):
-        v = _zfr_bound(case, lam, phi)[0]
-        return -math.inf if math.isnan(v) else v
-
-    lam_opt, width = optimizer._golden_max(value, 0.05, 3.0,
-                                           optimizer._Budget(math.inf), coarse=241,
-                                           xtol_frac=1e-6 / (3.0 - 0.05))
-    if not math.isfinite(width):
+    c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
+    p, q = case.side
+    u_peak = _kernels._bisect(lambda u: c1 * u ** 3 * (0.4 + u * (1.2 + 1.6 * u))
+                              - c0 * _kernels.P1, 0.0, 1.0)[0]
+    u_side = (p / q) ** 0.25
+    # u_peak is NaN where c1 < c0, and no lambda has a root: u_side comes
+    # first, so lambda stays a number and the width is NaN
+    u = max(u_side, u_peak)
+    lam = 3.0 if phi == 0.0 else min(max(
+        (c1 * _kernels._p4(u) - c0 * _kernels.P1) / (B * phi), 0.05), 3.0)
+    width, root, _, _, limit = _zfr_bound(case, lam, phi)
+    step = math.ulp(lam)
+    while phi > 0.0 and u_side > u_peak and lam > 0.05 and root <= limit:
+        lam, step = max(lam - step, 0.05), 2.0 * step
+        width, root, _, _, limit = _zfr_bound(case, lam, phi)
+    if not u < 1.0 or math.isnan(width):
         raise NoBoundError(f"zfr {case.name}: no feasible lambda in [0.05, 3.0]")
-    return lam_opt, width
+    return lam, width

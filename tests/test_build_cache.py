@@ -154,8 +154,11 @@ def test_minus_zero_alpha_gets_its_own_code():
     (0.0, 1.0, 0.0, 0.0, 1e200),
     (1e-203, 1.0, 0.0, 0.0, 1e200),
     (3.545, 1.0, 0.0, 0.0, 100.0),
+    # c0 < |c1| takes the grid check, whose e^{alpha s} overflowed with a
+    # RuntimeWarning before the refusal
+    (800.0, 0.5, 1.0, 1.0, 1.0),
 ], ids=["nan", "inf", "s-zero", "s-negative", "list", "ndarray", "0d-ndarray",
-        "exp-20", "exp-9", "box-1e200", "series-1e200", "higher-moments"])
+        "exp-20", "exp-9", "box-1e200", "series-1e200", "higher-moments", "grid-exp-800"])
 def test_bad_inputs_raise_on_every_call(params):
     for _ in range(3):
         with pytest.raises(InvalidParameterError):

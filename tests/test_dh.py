@@ -259,6 +259,13 @@ class TestSolvePoly:
         with pytest.raises(NoBoundError):
             dh.solve_poly("sz-lp-quadratic-medium", 0.0, 4.0, 4.9)
 
+    def test_end_value_underflowing_to_minus_zero(self):
+        # h(POLY_HI) underflows to -0.0, which passes the sign test; Newton
+        # then inverted P(u) = 0 to u = 0 and lam / u raised ZeroDivisionError
+        with pytest.raises(NoBoundError, match="stays negative") as err:
+            dh.solve_poly("sz-lp-quadratic-medium", 5e-324, 1e-20, 1e-310, -0.0)
+        assert err.value.sign == "negative"
+
     @pytest.mark.parametrize("bad, arg", [
         *((bad, arg) for bad in (math.nan, math.inf) for arg in ("b", "lam", "J", "phi")),
         (0.0, "J"), (-1.0, "lam"), (-1.0, "b"), ("sz-lp-principal", "case"),

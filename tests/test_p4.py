@@ -101,6 +101,12 @@ class TestGm:
         with pytest.raises(DomainError, match="require finite"):
             p4.gm_check(1, 1, 1, x, y, [0.0])
 
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_non_finite_m_rejected(self, m):
+        # m = inf gave NaN with a RuntimeWarning (inf / inf), m = NaN gave NaN
+        with pytest.raises(DomainError, match="require finite m"):
+            p4.gm_check(1, 1, m, 1.5, 1.5, np.linspace(-2.0, 2.0, 5))
+
     @pytest.mark.parametrize("x, y", [(0.5, 1.5), (1.5, 0.999), (math.nan, 1.2),
                                       (1.2, math.nan), (math.inf, 1.2)])
     def test_guaranteed_has_the_lemmas_domain(self, x, y):

@@ -545,6 +545,10 @@ class TestRepelReduce:
         with pytest.raises(DomainError):
             tf.repel_reduce(tf.triangle(2.0), a, b)
 
+    def test_overflowing_transform_gives_inf(self):
+        # F(-1000) and F(-990) are both inf: inf - inf gave NaN
+        assert tf.repel_reduce(tf.triangle(1.0), 1000.0, 10.0) == math.inf
+
     def test_boundary_case_agrees(self):
         f = tf.triangle(1.0)
         v1 = tf.repel_reduce(f, 1.0, 1.0)

@@ -119,16 +119,6 @@ class TestSolve:
         with pytest.raises(InvalidParameterError, match="lam"):
             zfr.side_condition_limit("order234", lam)
 
-    def test_scan_reads_the_unchecked_side_limit(self, monkeypatch):
-        # zfr_optimize scores 241 lambda, each already checked: its side limits
-        # take no check
-        want = zfr.zfr_optimize("principal")
-
-        def refused(*args):
-            raise AssertionError("checked side limit read")
-        monkeypatch.setattr(zfr, "side_condition_limit", refused)
-        assert zfr.zfr_optimize("principal") == want
-
     @pytest.mark.parametrize("arg", ["lam", "phi"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, arg, bad):
@@ -168,9 +158,9 @@ class TestNegativePhi:
 
 @pytest.mark.parametrize("case", ["order234", "principal"])
 def test_scan_score_is_the_solvers_width(case):
-    # zfr_optimize scores each lambda by zfr._zfr_bound alone: over its scan
-    # range its value is zfr_solve's width to the bit, and NaN exactly where
-    # zfr_solve raises NoBoundError
+    # zfr_optimize returns zfr._zfr_bound's width at its lambda: over the
+    # lambda box [0.05, 3] that value is zfr_solve's width to the bit, and NaN
+    # exactly where zfr_solve raises NoBoundError
     kinds = {"root": 0, "side": 0, "fails": 0}
     for phi in (0.0, 0.25, 0.3):
         for lam in np.linspace(0.05, 3.0, 119):
@@ -291,13 +281,73 @@ class TestOptimize:
         assert abs(lams[int(np.argmax(roots))] - peak) <= lams[1] - lams[0]
         if case == "order234":   # the root binds: the optimum is its peak
             assert u == pytest.approx(0.8847, abs=1e-4)
-            assert zfr.zfr_optimize(case)[0] == pytest.approx(peak, abs=1e-5)
+            assert zfr.zfr_optimize(case)[0] == pytest.approx(peak, abs=1e-12)
 
     def test_no_feasible_lambda(self):
         # c0 = 3 c1 keeps c0 P(1) - c1 P(u) + B phi lambda > 0 at every u <= 1
         case = zfr.ZfrCase("x", (3, 1, 0, 0, 0), 1, (1, 2), "")
         with pytest.raises(NoBoundError, match="no feasible lambda"):
             zfr.zfr_optimize(case)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.25])
+    def test_no_width_where_q_is_below_p(self, phi):
+        # p/lam^4 <= q/(lam + x)^4 holds for no x >= 0: the search returned
+        # (0.05, 0.0) at both phi, a width the side condition does not allow
+        case = zfr.ZfrCase("x", (14379, 24480, 0, 0, 0), 61009, (30480, 14900), "")
+        with pytest.raises(NoBoundError, match="no feasible lambda"):
+            zfr.zfr_optimize(case, phi)
+
+
+def _random_cases(n, seed):
+    """n (ZfrCase, phi) with c1/c0 and q/p in [1.05, 2.5], phi in [0.05, 2]."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        c0 = rng.uniform(100.0, 20000.0)
+        B = rng.uniform(1000.0, 80000.0)
+        p = rng.uniform(100.0, 20000.0)
+        c1, q = c0 * rng.uniform(1.05, 2.5), p * rng.uniform(1.05, 2.5)
+        yield (zfr.ZfrCase(f"random-{i}", (c0, c1, 0, 0, 0), B, (p, q), ""),
+               float(rng.uniform(0.05, 2.0)))
+
+
+#: the known-optimum cases: both bundled cases at five phi, and seeded random
+#: records, one of which has no root anywhere in the lambda box
+KNOWN_OPTIMUM = ([(zfr.CASES[name], phi) for name in ("order234", "principal")
+                  for phi in (0.0, 0.1, 0.25, 0.3, 1.0)] + list(_random_cases(50, 41)))
+
+
+@pytest.mark.parametrize("case, phi", KNOWN_OPTIMUM,
+                         ids=[f"{c.name}-{phi:.4g}" for c, phi in KNOWN_OPTIMUM])
+def test_closed_form_is_the_optimum(monkeypatch, case, phi):
+    """No lambda of a 2001-point grid of the box beats the closed form, whose
+    width ``zfr_solve`` returns; it takes one bisection and at most 8 steps
+    down from the kink."""
+    bound = zfr._zfr_bound
+    grid = [bound(case, float(lam), phi)[0] for lam in np.linspace(0.05, 3.0, 2001)]
+    calls = {"bisect": 0, "bound": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(_kernels, "_bisect", counted("bisect", _kernels._bisect))
+    monkeypatch.setattr(zfr, "_zfr_bound", counted("bound", bound))
+    try:
+        lam, width = zfr.zfr_optimize(case, phi)
+    except NoBoundError:
+        lam = width = None
+    assert calls["bisect"] == 1 and 1 <= calls["bound"] <= 9, calls
+    if width is None:
+        assert np.isnan(grid).all()
+        return
+    monkeypatch.undo()
+    assert 0.05 <= lam <= 3.0 and width > 0.0
+    assert np.nanmax(grid) <= width * (1.0 + 1e-13)
+    res = zfr.zfr_solve(case, lam, phi)
+    assert res.lambda1 == width
+    if case.name == "principal" and phi > 0.1:   # the side limit binds below lambda = 3
+        assert res.side_limited
 
 
 def test_root_at_phi_03_matches_mpmath():
