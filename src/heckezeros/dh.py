@@ -247,6 +247,24 @@ def _search_root(case, code, f0, F0, b, phi, guess):
     return _kernels.search_root(h, HI, guess)
 
 
+def _search_below(case, code, f0, F0, b, phi, rival):
+    """True where ``_search_root``'s score of the weight (its root, or -inf
+    where it bounds nothing) is below rival, decided with no solve; False
+    where this cannot tell.
+
+    The arguments are ``_search_root``'s, with the rival root in [0, HI] in
+    place of the guess.  h is the same snapped h, which increases in x: a
+    value h(rival) > 0 puts any root below rival, and a 'cc' h(0) > 0, read
+    from its constant F(-b), leaves none.  That takes one or two transform
+    passes ('cc': F(-b), then F(rival - b); 'sz': F(-rival) and
+    F(b - rival)) and no slope.  A snapped zero or a negative or NaN value
+    decides nothing.
+    """
+    h = _kernels.snapped_fn(code, case.form, float(case.c1), case.psi_over_phi * phi,
+                            b, f0, F0)
+    return case.form == "cc" and h(0.0) > 0.0 or h(rival) > 0.0
+
+
 def solve_smoothed(case, f, b, phi=PHI):
     """Root of the smoothed repulsion function; the bound is root - epsilon.
 

@@ -25,7 +25,17 @@ snapped h, ``_kernels.snapped_fn``, which also gives the Newton step at a
 point), as it only ranks weights, and is found by Newton steps from the
 last root, which hand over to ITP where they fail (``_kernels.search_root``,
 which solves any such h); the returned bound, the winner's cold
-``dh.solve_smoothed``, does neither.  Every search starts from the
+``dh.solve_smoothed``, does neither.  Most points of a search only have to
+lose one comparison: a seed against the third best seed so far, a coarse
+point against the best before it, a golden point against the point it is
+compared with.  As h increases in x, the sign of h at the rival's root tells
+whether such a weight loses, in one or two transform passes and no solve
+(``dh._search_below``), so the smoothed search settles a strict loser that
+way and solves only the weights it cannot settle, about 52 of every 120
+evaluations on the benchmark's rows.  A settled point spends its evaluation
+as a scored one does and is never read again, so the search takes the same
+path as when it solves every weight, but where a root depends on the
+Newton guess within the snap band.  Every search starts from the
 same seeds and scans the same first lines, so most weights it asks for were
 built before, by an earlier row or cell: the codes come from the
 process-wide build cache, through ``trial_functions._search_code``, which
@@ -92,9 +102,18 @@ def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
 
     A coarse scan of ``coarse`` evenly spaced points, the earlier point
     winning a tie, then a golden section between the best one's neighbours
-    until the bracket is below 1e-4 of [lo, hi].  Returns (x, fn(x))
-    of the best point evaluated, or (nan, -inf) where no coarse value is
-    finite.  ``budget`` counts the evaluations of fn.
+    until the bracket is below 1e-4 of [lo, hi].  Returns (x, v) of the best
+    point evaluated, or (nan, -inf) where no coarse value is finite.
+    ``budget`` counts the evaluations of fn.
+
+    fn(x, rival) is the objective at x, where rival is the value x has to
+    beat: the best value found before it in the coarse scan, the value it is
+    compared with in the section, -inf for the section's first point.  Where
+    fn can tell that its value is below rival without forming it, it may
+    return -inf in its place: the point loses its comparison as its value
+    would, and that value is never read again, so (x, v) and the budget spent
+    are those of an fn that always forms its value, whether or not the budget
+    runs out.
 
     ``bound`` is an optional ceiling, bound(x) >= fn(x), that spares the
     evaluations that cannot change the result; a spared point spends no
@@ -116,7 +135,7 @@ def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
     for i in sorted(range(coarse), key=ceil.__getitem__, reverse=True):
         if ceil[i] < top or not budget.spend():
             break
-        vals[i] = v = fn(xs[i])
+        vals[i] = v = fn(xs[i], top)
         if v > top:
             top = v
     k = max(range(coarse), key=vals.__getitem__)
@@ -124,19 +143,19 @@ def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
     if not math.isfinite(best_v):
         return math.nan, -math.inf
 
-    def value(x, rival):   # fn(x), or a ceiling below rival
+    def value(x, rival):   # fn(x, rival), or a ceiling below rival
         if bound is not None:
             u = bound(x)
             if u < rival:
                 return u
-        return fn(x) if budget.spend() else -math.inf
+        return fn(x, rival) if budget.spend() else -math.inf
 
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, coarse - 1)]
     xtol = (hi - lo) * 1e-4
     x1 = b - _INV_GOLD * (b - a)
     x2 = a + _INV_GOLD * (b - a)
-    f1 = fn(x1) if budget.spend() else -math.inf
+    f1 = fn(x1, -math.inf) if budget.spend() else -math.inf
     f2 = value(x2, f1)
     while b - a > xtol and budget.left > 0:
         if f1 < f2:
@@ -156,13 +175,16 @@ def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
 def _coordinate_descent(objective, names, boxes, start, budget, max_sweeps=10):
     """Maximize over the box from one start; returns (params dict, value).
 
+    ``objective(rival, **point)`` is the objective at point, or -inf where
+    it can tell that value is below rival (``_golden_max``'s fn).  The rival
+    comes first: a keyword beside ``**point`` would copy the dict once more.
     After the first sweep each line search shrinks to a window around the
     incumbent, a quarter of the previous one (at least 1e-4 of the box).
     Stops after a sweep that gains less than ``SWEEP_TOL``, after
     ``max_sweeps`` sweeps, or where the budget runs out.
     """
     point = dict(start)
-    best = objective(**point)
+    best = objective(-math.inf, **point)
     budget.spend()
     window = {n: (boxes[n][1] - boxes[n][0]) for n in names}
     for sweep in range(max_sweeps):
@@ -176,10 +198,10 @@ def _coordinate_descent(objective, names, boxes, start, budget, max_sweeps=10):
                 lo = max(lo_box, point[name] - half)
                 hi = min(hi_box, point[name] + half)
 
-            def line(x, _name=name):
+            def line(x, rival, _name=name):
                 trial = dict(point)
                 trial[_name] = x
-                return objective(**trial)
+                return objective(rival, **trial)
 
             x, v = _golden_max(line, lo, hi, budget)
             if math.isfinite(v) and v > best:
@@ -195,12 +217,23 @@ def _coordinate_descent(objective, names, boxes, start, budget, max_sweeps=10):
 
 
 def _run_restarts(objective, names, boxes, seeds, budget_n):
+    """Score the seeds, descend from the best three and re-descend each from
+    its incumbent; returns (point, value) of the best, or (None, -inf).
+
+    ``objective`` is ``_coordinate_descent``'s.  Only the three best seeds
+    are descended, so a seed's rival is the third best seed value so far:
+    one that loses to it is never descended, whatever it scores.
+    """
     budget = _Budget(budget_n)
     scored = []
+    top3 = [-math.inf] * 3   # the three best seed values so far, increasing
     for seed in seeds:
         if not budget.spend():
             break
-        scored.append((objective(**seed), tuple(seed[n] for n in names), seed))
+        v = objective(top3[0], **seed)
+        if v > top3[0]:
+            top3 = sorted((v, top3[1], top3[2]))
+        scored.append((v, tuple(seed[n] for n in names), seed))
     scored.sort(key=lambda t: (-(t[0] if math.isfinite(t[0]) else -math.inf), t[1]))
     results = []
     for rank, (v0, _, seed) in enumerate(scored):
@@ -348,7 +381,7 @@ def maximize_bound(spec):
         def build(lam):
             return dh._poly_at(case, b, lam, spec.phi)
 
-        def inner(lam):
+        def inner(lam, rival):   # rival unused: the ceiling spares the losers
             v_lam = -math.inf
             if budget.left <= 0:
                 return v_lam
@@ -391,7 +424,7 @@ def _generator(alpha, s, mult):
     return alpha, 1.0, 1.0, mult * math.pi / s, s
 
 
-def _search_profiles(score, boxes, seeds, budget):
+def _search_profiles(score, boxes, seeds, budget, below=None):
     """Maximize ``score(code, f0, params)`` over (alpha, s) for each profile,
     where ``params`` are the weight's five generator parameters.
 
@@ -404,20 +437,32 @@ def _search_profiles(score, boxes, seeds, budget):
     the box), and a score that reads F(0) reads it from the memo,
     ``trial_functions._search_f0(*params)``: one that never does forms no
     F(0).  A weight that cannot be built counts as -inf, and the score
-    returns -inf for one that bounds nothing.  Returns (weight, mult) of the
-    best profile, the winner built as a ``TrialFunction``, or None when no
-    weight in the box scores finite.  Each profile keeps the score of every
-    (alpha, s) it saw (``seen``), so a point the search visits again costs
-    nothing; a point
-    new to this search but built before in the process costs a score and no
-    build, as ``_search_code`` memoizes builds process-wide.
+    returns -inf for one that bounds nothing.
+
+    ``below(code, f0, params, rival)``, optional, is True only where the
+    weight's score is below rival.  Where a point has to beat a rival (a
+    seed the third best seed so far, a line search's point the value it is
+    compared with, ``_golden_max``), the search asks it first, and a point it
+    settles counts as -inf with no score, spending its evaluation all the
+    same; where it cannot tell, the point is scored.  So the search visits
+    the same points, spends the same evaluations and returns the same weight
+    as without it, up to how the scores depend on the order they are taken
+    in.
+
+    Returns (weight, mult) of the best profile, the winner built as a
+    ``TrialFunction``, or None when no weight in the box scores finite.
+    Each profile keeps the score of every (alpha, s) it scored (``seen``),
+    so a point the search visits again costs nothing, and a settled point
+    costs its sign check again, or its score where it must be ranked; a
+    point new to this search but built before in the process costs a score
+    and no build, as ``_search_code`` memoizes builds process-wide.
     """
     per_profile = max(budget // len(PROFILES), 40)
     best = None
     for mult in PROFILES:
         seen = {}
 
-        def objective(alpha, s, _mult=mult, _seen=seen):
+        def objective(rival, alpha, s, _mult=mult, _seen=seen):
             if (alpha, s) not in _seen:
                 params = _generator(alpha, s, _mult)
                 try:
@@ -425,6 +470,9 @@ def _search_profiles(score, boxes, seeds, budget):
                 except HeckeZerosError:
                     _seen[alpha, s] = -math.inf
                 else:
+                    if (below is not None and rival > -math.inf
+                            and below(code, f0, params, rival)):
+                        return -math.inf
                     _seen[alpha, s] = score(code, f0, params)
             return _seen[alpha, s]
 
@@ -448,11 +496,19 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     along a table, where optima drift slowly; it must lie in
     ``FAMILY_BOXES``, where every weight has a finite F(-``dh.HI``) on its
     bracket [0, ``dh.HI``].  Each profile
-    scores at least 40 weights (``_search_profiles``), so a budget below 80
-    makes about 80 root solves.  A weight scores its root (``dh._search_root``,
+    spends at least 40 evaluations (``_search_profiles``), so a budget below
+    80 makes about 80.  A weight that only has to lose one comparison is
+    settled, where it loses, by the sign of the snapped h at its rival's root
+    (``dh._search_below``): h increases in x, so h(rival) > 0 puts its root
+    below the rival, in one or two transform passes, and a 'cc' weight with
+    h(0) > 0 bounds nothing.  At the benchmark's rows that leaves about 52
+    root solves for 120 evaluations, against 116 where each weight is solved.
+    Where the sign check cannot tell, or the weight must be ranked, it scores
+    its root (``dh._search_root``,
     ``_kernels.search_root``) on the snapped h, which stops at h's rounding
-    floor instead of adjacent floats, by Newton steps from the last root,
-    which h gives from the derivative kernel, with the weight's F(0) from
+    floor instead of adjacent floats, by Newton steps from the last root
+    solved (a settled weight has none), which h gives from the derivative
+    kernel, with the weight's F(0) from
     the memo; a 'cc' weight whose h is positive at 0 scores
     -inf from the two transform values of h's constant, and an 'sz' one
     typically from h and h' at the guess and h(0), which takes F(b) alone.
@@ -479,7 +535,7 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
                 raise InvalidParameterError(
                     f"seed {n} must be a number in [{lo}, {hi}], got {v!r}")
         seeds = [seed] + seeds
-    # each solve takes Newton steps from the latest root, as the search
+    # each solve takes Newton steps from the latest root solved, as the search
     # scores nearby weights one after another.  A root then depends on that
     # guess, and on the snap, within float noise, so a weight is solved once
     # per search (each profile's objective keeps its scores) and scores the
@@ -498,7 +554,11 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
         last = root
         return root
 
-    found = _search_profiles(score, FAMILY_BOXES, seeds, budget)
+    def below(code, f0, params, rival):
+        return dh._search_below(case, code, f0, trial_functions._search_f0(*params), b, phi,
+                                rival)
+
+    found = _search_profiles(score, FAMILY_BOXES, seeds, budget, below)
     if found is None:
         return None
     f, mult = found

@@ -81,15 +81,19 @@ def gm_check(V, W, m, x, y, z):
 
     Non-negative for all real z whenever x, y >= 1 and V/x^m + W/y^m >= 1.
     x, y and m must be finite (else DomainError); ``z`` may be an array.
+    Where z^2 or a denominator's power leaves the float range, it is inf and
+    its term the limit 0, with no warning: gm_check(1, 1, 1000, 1.5, 1.5, 0)
+    is -1.0, and gm_check(1, 1, 4, 1.5, 1.5, 1e200), 9e-1600, is 0.0.
     """
     _check_gm(x, y)
     if not math.isfinite(m):   # x^m / (x^2 + z^2)^m would be inf / inf
         raise DomainError(f"require finite m, got m={m}")
     z = np.asarray(z, dtype=float)
-    z2 = z * z
-    out = (V * _power("x", x, m) / (x * x + z2) ** m
-           + W * _power("y", y, m) / (y * y + z2) ** m
-           - 1.0 / (1.0 + z2) ** m)
+    with np.errstate(over="ignore"):   # inf, and a term of 0, past the float range
+        z2 = z * z
+        out = (V * _power("x", x, m) / (x * x + z2) ** m
+               + W * _power("y", y, m) / (y * y + z2) ** m
+               - 1.0 / (1.0 + z2) ** m)
     return out if out.ndim else float(out)
 
 

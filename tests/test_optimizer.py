@@ -367,20 +367,24 @@ class TestCeiling:
         assert "cc-lp-nonprincipal" in no_root
 
 
-def _cliff(x):   # -inf left of 0.4, one peak at 0.7
+def _cliff(x, rival=None):   # -inf left of 0.4, one peak at 0.7
     return -math.inf if x < 0.4 else 1.0 - (x - 0.7) ** 2
 
 
-def _shelf(x):   # exact ties on [0.5, 1]
+def _shelf(x, rival=None):   # exact ties on [0.5, 1]
     return min(x, 0.5)
 
 
-def _stairs(x):   # plateaus with exact ties, two of them at the top, and -inf
+def _stairs(x, rival=None):   # plateaus with exact ties, two of them at the top, and -inf
     return -math.inf if x > 0.95 else math.floor(4.0 * math.sin(9.0 * x)) / 4.0
 
 
-def _void(x):
+def _void(x, rival=None):
     return -math.inf
+
+
+def _piece(values, x):   # a step function on [0, 1] with these values
+    return values[min(int(x * len(values)), len(values) - 1)]
 
 
 class TestGoldenMax:
@@ -398,7 +402,7 @@ class TestGoldenMax:
         calls = {"plain": 0, "bound": 0}
 
         def counted(key):
-            def f(x):
+            def f(x, rival):
                 calls[key] += 1
                 return fn(x)
             return f
@@ -421,7 +425,7 @@ class TestGoldenMax:
         def piece(values, x):
             return values[min(int(x * len(values)), len(values) - 1)]
 
-        def fn(x):
+        def fn(x, rival=None):
             return piece(levels, x)
 
         got = optimizer._golden_max(fn, 0.0, 1.0, optimizer._Budget(math.inf), coarse=25,
@@ -434,7 +438,7 @@ class TestGoldenMax:
         # 0.4780, has value 0.5 but ceiling 1, equal to the value it is
         # compared with.  Its value, not its ceiling, sends the section to
         # the step of 2 at x = 0.4977
-        def fn(x):
+        def fn(x, rival=None):
             if 0.495 < x < 0.4995:
                 return 2.0
             if 0.48 <= x < 0.515:
@@ -448,9 +452,75 @@ class TestGoldenMax:
 
     def test_exact_ceiling_spares_most_evaluations(self):
         calls = []
-        optimizer._golden_max(lambda x: calls.append(x) or _cliff(x), 0.0, 1.0,
+        optimizer._golden_max(lambda x, rival: calls.append(x) or _cliff(x), 0.0, 1.0,
                               optimizer._Budget(math.inf), coarse=25, bound=_cliff)
         assert 0 < len(calls) < 25
+
+
+def _decided(fn, settles, budget, coarse=13):
+    """``_golden_max``'s (x, v), the budget left and the values of fn formed,
+    where the objective returns -inf in place of fn(x) wherever
+    settles(x, rival), or forms every value where settles is None."""
+    calls = []
+
+    def objective(x, rival):
+        if settles is not None and settles(x, rival):
+            return -math.inf
+        calls.append(x)
+        return fn(x)
+
+    left = optimizer._Budget(budget)
+    got = optimizer._golden_max(objective, 0.0, 1.0, left, coarse=coarse)
+    return got, left.left, len(calls)
+
+
+class TestGoldenMaxDecider:
+    """``_golden_max`` with an objective that returns -inf in place of its
+    value wherever it can tell that value is below the rival returns what it
+    returns with one that forms every value, and spends the same budget,
+    wherever the budget runs out, with fewer values formed."""
+
+    @pytest.mark.parametrize("fn", [_cliff, _shelf, _stairs, _void])
+    @pytest.mark.parametrize("settles", [
+        lambda v, rival: v < rival,          # every loser
+        lambda v, rival: v < rival - 0.25,   # clear losers only
+        lambda v, rival: v == -math.inf,     # rejected points only, never an equal one
+    ], ids=["every", "clear", "rejected"])
+    # the budget runs out in the coarse scan, in the golden section, or never
+    @pytest.mark.parametrize("budget", [5, 20, math.inf])
+    @pytest.mark.parametrize("coarse", [13, 25])
+    def test_decider_changes_no_result(self, fn, settles, budget, coarse):
+        got, left, calls = _decided(fn, lambda x, rival: settles(fn(x), rival) and
+                                    fn(x) < rival, budget, coarse)
+        want, want_left, want_calls = _decided(fn, None, budget, coarse)
+        assert (repr(got), left) == (repr(want), want_left)
+        assert calls <= want_calls
+
+    @pytest.mark.parametrize("fn", [_cliff, _shelf, _stairs])
+    def test_decider_spares_evaluations(self, fn):
+        got, left, calls = _decided(fn, lambda x, rival: fn(x) < rival, math.inf)
+        want, want_left, want_calls = _decided(fn, None, math.inf)
+        assert repr(got) == repr(want) and left == want_left
+        assert calls < want_calls
+
+    @settings(max_examples=400, deadline=None)
+    @given(levels=st.lists(st.sampled_from([-math.inf, 0.0, 0.25, 0.5]),
+                           min_size=1, max_size=40),
+           settle=st.lists(st.booleans(), min_size=1, max_size=40),
+           budget=st.sampled_from([1, 3, 9, 14, 17, math.inf]))
+    def test_decider_changes_no_result_on_steps(self, levels, settle, budget):
+        # step functions tie at many points, and -inf plateaus leave no
+        # rival to lose to; the objective settles some losers and not others
+        def fn(x):
+            return _piece(levels, x)
+
+        def settles(x, rival):
+            return _piece(settle, x) and fn(x) < rival
+
+        got, left, calls = _decided(fn, settles, budget, coarse=25)
+        want, want_left, want_calls = _decided(fn, None, budget, coarse=25)
+        assert (repr(got), left) == (repr(want), want_left)
+        assert calls <= want_calls
 
 
 class TestSmoothedSearch:
@@ -509,7 +579,7 @@ class TestRedescent:
     START = {"x": 0.5, "y": 0.1}
 
     @staticmethod
-    def two_peaks(x, y):
+    def two_peaks(rival, x, y):
         low = math.exp(-((x - 0.25) ** 2 / 0.02 + (y - 0.5) ** 2 / 0.5))
         high = 2.0 * math.exp(-((x - 0.75) ** 2 / 0.02 + (y - 0.5) ** 2 / 8e-4))
         return low + high
@@ -534,7 +604,10 @@ class TestBudget:
     budget below 80 runs about 80.  A family search scores a weight through
     its per-weight entry point (``dh._search_root``,
     ``zero_density.bound_if_admissible``); the public solver or bound runs
-    once, for the winner."""
+    once, for the winner.  The smoothed search settles a weight that only has
+    to lose one comparison by a sign check (``dh._search_below``) in place of
+    its root: each evaluation makes one root solve or one decision, or reads
+    the memo."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -548,11 +621,32 @@ class TestBudget:
         monkeypatch.setattr(module, name, wrapper)
         return calls
 
+    @staticmethod
+    def evaluations(monkeypatch):
+        """The budget units the searches spend, as a list that fills up."""
+        units, spend = [], optimizer._Budget.spend
+        monkeypatch.setattr(optimizer._Budget, "spend",
+                            lambda self: spend(self) and not units.append(None))
+        return units
+
+    @staticmethod
+    def decided(monkeypatch):
+        """The weights ``dh._search_below`` settles, as a list that fills up."""
+        settled, below = [], dh._search_below
+        monkeypatch.setattr(dh, "_search_below",
+                            lambda *args: below(*args) and not settled.append(args))
+        return settled
+
     def test_smoothed_search(self, monkeypatch):
+        units = self.evaluations(monkeypatch)
+        settled = self.decided(monkeypatch)
         roots = self.counted(monkeypatch, dh, "_search_root")
         solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=120)
-        assert 80 <= len(roots) <= 121
+        assert len(units) == 120
+        assert len(roots) + len(settled) <= len(units)
+        # 50 root solves for 120 evaluations, 116 without the sign checks
+        assert len(roots) <= 0.45 * len(units)
         assert len(solves) == 1
 
     def test_density_search(self, monkeypatch):
@@ -578,11 +672,15 @@ class TestBudget:
         assert len(builds) - len(set(builds)) == 1 and builds[-1] in builds[:-1]
 
     def test_family_floor(self, monkeypatch):
-        # budget 1 still runs 40 evaluations per profile
+        # budget 1 still runs 40 evaluations per profile: 40 root solves, 76
+        # without the sign checks
+        units = self.evaluations(monkeypatch)
+        settled = self.decided(monkeypatch)
         roots = self.counted(monkeypatch, dh, "_search_root")
         solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.1, budget=1)
-        assert 60 <= len(roots) <= 81 and len(solves) == 1
+        assert len(units) == 80 and len(solves) == 1
+        assert len(roots) + len(settled) <= len(units) and len(roots) <= 0.55 * len(units)
         scores = self.counted(monkeypatch, zero_density, "bound_if_admissible")
         bounds = self.counted(monkeypatch, zero_density, "n_lambda_bound")
         optimizer.optimize_zd(0.2, budget=1)
@@ -593,7 +691,8 @@ class TestBudget:
         # latter's own default was 400)
         budgets = []
         monkeypatch.setattr(optimizer, "_search_profiles",
-                            lambda score, boxes, seeds, budget: budgets.append(budget))
+                            lambda score, boxes, seeds, budget, below=None:
+                            budgets.append(budget))
         assert optimizer.optimize_family_smoothed("sz-lp-principal", 0.1) is None
         with pytest.raises(InfeasibleSearchError):
             maximize_bound(SearchSpec("sz-lp-principal", 0.1))

@@ -107,6 +107,19 @@ class TestGm:
         with pytest.raises(DomainError, match="require finite m"):
             p4.gm_check(1, 1, m, 1.5, 1.5, np.linspace(-2.0, 2.0, 5))
 
+    @pytest.mark.parametrize("m, z, want", [
+        (1000, 0.0, -1.0),   # (x^2 + z^2)^m overflowed with a RuntimeWarning: 2.25^1000
+        (4, 1e200, 0.0),     # z * z overflowed with a RuntimeWarning; the value is 9e-1600
+    ], ids=["power", "square"])
+    @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+    def test_limits_past_the_float_range(self, m, z, want, array):
+        # tier-1 raises every RuntimeWarning as an error
+        if array:
+            assert p4.gm_check(1, 1, m, 1.5, 1.5, [z, z]).tolist() == [want, want]
+        else:
+            got = p4.gm_check(1, 1, m, 1.5, 1.5, z)
+            assert type(got) is float and got == want
+
     @pytest.mark.parametrize("x, y", [(0.5, 1.5), (1.5, 0.999), (math.nan, 1.2),
                                       (1.2, math.nan), (math.inf, 1.2)])
     def test_guaranteed_has_the_lemmas_domain(self, x, y):
