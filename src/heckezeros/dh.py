@@ -23,13 +23,14 @@ j0_value, j1_value all read that statement.
 A smoothed root has two callers, each with its own path.
 ``solve_smoothed``, behind every returned bound, solves the exact h by ITP,
 so its roots resolve to adjacent floats, and adds the failure reports, the
-residual and the ``BoundResult``.  ``_search_root``, which the family search
-calls for every weight it scores, builds a snapped h
-(``_kernels.snapped_fn``), whose root stops at h's rounding floor and which
-gives its Newton step too, with the weight's F(0) from the search's memo
-(``trial_functions._search_f0``) and no overflow probe.
-``_kernels.search_root`` solves it by Newton steps from the last root,
-handed to ITP where they fail, and returns the root alone.
+residual and the ``BoundResult``.  ``_search_root``, the family search's
+one scorer of a weight, builds a snapped h (``_kernels.snapped_fn``),
+whose root stops at h's rounding floor and which gives its Newton step
+too, with the weight's F(0) from the search's memo
+(``trial_functions._search_f0``) and no overflow probe.  Where h is
+positive at the root of the weight's rival, the weight loses with no solve
+(None); otherwise ``_kernels.search_root`` solves h by Newton steps from
+the last root, handed to ITP where they fail, and returns the root alone.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
 lambda built once (``_poly_at``, which reads the side-condition statement).
@@ -222,47 +223,36 @@ def smoothed_h(case, f, b, phi=PHI):
     return _kernels.smoothed_fn(F, case.form, case.c1, case.psi_over_phi * phi, b, f.f0)
 
 
-def _search_root(case, code, f0, F0, b, phi, guess):
-    """The family search's root of a smoothed case's h for a coded weight, or
-    NaN where the weight bounds nothing: ``_kernels.search_root``'s on
-    [0, HI].
+def _search_root(case, code, f0, F0, b, phi, guess, rival):
+    """The family search's score of a coded weight for a smoothed case: the
+    root of its h on [0, HI] (``_kernels.search_root``'s), NaN where the
+    weight bounds nothing, or None where the root is settled below rival.
 
     ``code`` is the weight's family code, f0 = f(0) its build's and F0 = F(0)
     the search's memo's (``trial_functions._search_f0``); ``case`` is a
     smoothed SolverCase, and b, phi are checked.  h is
-    ``_kernels.snapped_fn``'s, 0.0 below its rounding floor, so the root stops where the sign of h turns to rounding noise instead of
-    at adjacent floats: it only ranks weights.  From a guess (the search's
-    last root) the solve takes Newton steps on h's derivative mode, and ITP
-    on the bracket they have seen where that declines; with no guess it is
-    ITP on [0, HI].  The bracket is never shrunk: every weight of the
-    search's box has a finite F(-HI).  A 'cc' h that is positive at 0, read
-    from its constant F(-b), bounds nothing, as h increases: the root is NaN
-    with no solve.  The 'sz' h(0) costs a transform, F(b), so the solve
-    finds out there only if its steps head past 0.
+    ``_kernels.snapped_fn``'s, built once, 0.0 below its rounding floor, so
+    the root stops where the sign of h turns to rounding noise instead of at
+    adjacent floats: it only ranks weights.  h increases in x.  A 'cc' h
+    that is positive at 0, read from its constant F(-b), bounds nothing: NaN
+    with no solve.  Where rival, the root the weight has to beat, is finite,
+    a value h(rival) > 0 puts the root below it: None, in one transform
+    pass ('cc': F(rival - b)) or two ('sz': F(-rival) and F(b - rival)) and
+    no slope; a snapped zero or a negative or NaN value settles nothing.
+    Otherwise the root is solved: from a guess (the search's last root) by
+    Newton steps on h's derivative mode, and ITP on the bracket they have
+    seen where that declines; with no guess by ITP on [0, HI].  The bracket
+    is never shrunk: every weight of the search's box has a finite F(-HI).
+    The 'sz' h(0) costs a transform, F(b), so the solve finds out there only
+    if its steps head past 0.
     """
     h = _kernels.snapped_fn(code, case.form, float(case.c1), case.psi_over_phi * phi,
                             b, f0, F0)
     if case.form == "cc" and h(0.0) > 0.0:
         return math.nan
+    if rival > -math.inf and h(rival) > 0.0:
+        return None
     return _kernels.search_root(h, HI, guess)
-
-
-def _search_below(case, code, f0, F0, b, phi, rival):
-    """True where ``_search_root``'s score of the weight (its root, or -inf
-    where it bounds nothing) is below rival, decided with no solve; False
-    where this cannot tell.
-
-    The arguments are ``_search_root``'s, with the rival root in [0, HI] in
-    place of the guess.  h is the same snapped h, which increases in x: a
-    value h(rival) > 0 puts any root below rival, and a 'cc' h(0) > 0, read
-    from its constant F(-b), leaves none.  That takes one or two transform
-    passes ('cc': F(-b), then F(rival - b); 'sz': F(-rival) and
-    F(b - rival)) and no slope.  A snapped zero or a negative or NaN value
-    decides nothing.
-    """
-    h = _kernels.snapped_fn(code, case.form, float(case.c1), case.psi_over_phi * phi,
-                            b, f0, F0)
-    return case.form == "cc" and h(0.0) > 0.0 or h(rival) > 0.0
 
 
 def solve_smoothed(case, f, b, phi=PHI):

@@ -15,44 +15,46 @@ beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
 golden-section line search per coordinate, restarted from a fixed grid; the
 three best starts are each re-descended from their incumbent while that
 gains and budget is left.  A family search scores each weight from its
-family code, f(0) and, where it reads it, F(0) alone
-(``_search_profiles``): by its root (``dh._search_root``) or its density
-bound from three transform values
+family code, f(0) and, where it reads it, F(0) alone, by one scorer per
+weight (``_search_profiles``): its root (``dh._search_root``) or its
+density bound from three transform values
 (``zero_density.bound_if_admissible``), with no ``TrialFunction``, residual
 or error message; only the winner is built as a weight and handed to the
-public solver or bound.  A search root stops at h's rounding floor (a
-snapped h, ``_kernels.snapped_fn``, which also gives the Newton step at a
-point), as it only ranks weights, and is found by Newton steps from the
-last root, which hand over to ITP where they fail (``_kernels.search_root``,
-which solves any such h); the returned bound, the winner's cold
-``dh.solve_smoothed``, does neither.  Most points of a search only have to
-lose one comparison: a seed against the third best seed so far, a coarse
-point against the best before it, a golden point against the point it is
-compared with.  As h increases in x, the sign of h at the rival's root tells
-whether such a weight loses, in one or two transform passes and no solve
-(``dh._search_below``), so the smoothed search settles a strict loser that
-way and solves only the weights it cannot settle, about 52 of every 120
-evaluations on the benchmark's rows.  A settled point spends its evaluation
-as a scored one does and is never read again, so the search takes the same
-path as when it solves every weight, but where a root depends on the
-Newton guess within the snap band.  Every search starts from the
-same seeds and scans the same first lines, so most weights it asks for were
-built before, by an earlier row or cell: the codes come from the
-process-wide build cache, through ``trial_functions._search_code``, which
-skips the input checks, as the searches' parameters are finite numbers in
-their boxes.  No randomness, fixed iteration
-counts, lexicographic tie-breaks, so identical specs give identical results.  Side
-conditions and solver failures are hard constraints handled by rejection
-(score -inf); the optimum may sit on the feasible boundary, which the
-in-bracket golden section finds.
+public solver or bound.  A search point is an (alpha, s) tuple, and the
+objective takes it with its rival.  A search root stops at h's rounding
+floor (a snapped h, ``_kernels.snapped_fn``, which also gives the Newton
+step at a point), as it only ranks weights, and is found by Newton steps
+from the last root, which hand over to ITP where they fail
+(``_kernels.search_root``, which solves any such h); the returned bound,
+the winner's cold ``dh.solve_smoothed``, does neither.  Most points of a
+search only have to lose one comparison: a seed against the third best seed
+so far, a coarse point against the best before it, a golden point against
+the point it is compared with.  As h increases in x, the sign of h at the
+rival's root tells whether such a weight loses, in one or two transform
+passes and no solve, so the smoothed scorer, handed the rival, settles a
+strict loser that way (None) and solves only the weights it cannot settle:
+about 44 roots for every 120 evaluations on the benchmark's rows.  A
+settled point spends its evaluation as a scored one does and is never read
+again, so the search takes the same path as when it solves every weight,
+but where a root depends on the Newton guess within the snap band.  Every
+search starts from the same seeds and scans the same first lines, so most
+weights it asks for were built before, by an earlier row or cell: the codes
+come from the process-wide build cache, through
+``trial_functions._search_code``, which skips the input checks, as the
+searches' parameters are finite numbers in their boxes.  No randomness,
+fixed iteration counts, lexicographic tie-breaks, so identical specs give
+identical results.  Side conditions and solver failures are hard
+constraints handled by rejection (score -inf); the optimum may sit on the
+feasible boundary, which the in-bracket golden section finds.
 """
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import _kernels, dh, trial_functions, zero_density
-from .errors import HeckeZerosError, InfeasibleSearchError, InvalidParameterError
+from .errors import HeckeZerosError, InfeasibleSearchError, InvalidParameterError, _shown
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -172,43 +174,40 @@ def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
     return best_x, best_v
 
 
-def _coordinate_descent(objective, names, boxes, start, budget, max_sweeps=10):
-    """Maximize over the box from one start; returns (params dict, value).
+def _coordinate_descent(objective, boxes, start, budget, max_sweeps=10):
+    """Maximize over the box from one start; returns (point, value).
 
-    ``objective(rival, **point)`` is the objective at point, or -inf where
-    it can tell that value is below rival (``_golden_max``'s fn).  The rival
-    comes first: a keyword beside ``**point`` would copy the dict once more.
-    After the first sweep each line search shrinks to a window around the
-    incumbent, a quarter of the previous one (at least 1e-4 of the box).
-    Stops after a sweep that gains less than ``SWEEP_TOL``, after
-    ``max_sweeps`` sweeps, or where the budget runs out.
+    Points are tuples of coordinates, one per (lo, hi) of ``boxes``.
+    ``objective(point, rival)`` is the objective at point, or -inf where it
+    can tell that value is below rival (``_golden_max``'s fn).  After the
+    first sweep each line search shrinks to a window around the incumbent,
+    a quarter of the previous one (at least 1e-4 of the box).  Stops after a
+    sweep that gains less than ``SWEEP_TOL``, after ``max_sweeps`` sweeps,
+    or where the budget runs out.
     """
-    point = dict(start)
-    best = objective(-math.inf, **point)
+    point = start
+    best = objective(point, -math.inf)
     budget.spend()
-    window = {n: (boxes[n][1] - boxes[n][0]) for n in names}
+    window = [hi - lo for lo, hi in boxes]
     for sweep in range(max_sweeps):
         improved = 0.0
-        for name in names:
-            lo_box, hi_box = boxes[name]
+        for i, (lo_box, hi_box) in enumerate(boxes):
             if sweep == 0:
                 lo, hi = lo_box, hi_box
             else:
-                half = 0.5 * window[name]
-                lo = max(lo_box, point[name] - half)
-                hi = min(hi_box, point[name] + half)
+                half = 0.5 * window[i]
+                lo = max(lo_box, point[i] - half)
+                hi = min(hi_box, point[i] + half)
 
-            def line(x, rival, _name=name):
-                trial = dict(point)
-                trial[_name] = x
-                return objective(rival, **trial)
+            def line(x, rival, _i=i):
+                return objective(point[:_i] + (x,) + point[_i + 1:], rival)
 
             x, v = _golden_max(line, lo, hi, budget)
             if math.isfinite(v) and v > best:
                 improved = max(improved, v - best)
                 best = v
-                point[name] = x
-            window[name] = max((hi - lo) * 0.25, 1e-4 * (hi_box - lo_box))
+                point = point[:i] + (x,) + point[i + 1:]
+            window[i] = max((hi - lo) * 0.25, 1e-4 * (hi_box - lo_box))
             if budget.left <= 0:
                 return point, best
         if improved < SWEEP_TOL:
@@ -216,13 +215,15 @@ def _coordinate_descent(objective, names, boxes, start, budget, max_sweeps=10):
     return point, best
 
 
-def _run_restarts(objective, names, boxes, seeds, budget_n):
+def _run_restarts(objective, boxes, seeds, budget_n):
     """Score the seeds, descend from the best three and re-descend each from
     its incumbent; returns (point, value) of the best, or (None, -inf).
 
-    ``objective`` is ``_coordinate_descent``'s.  Only the three best seeds
-    are descended, so a seed's rival is the third best seed value so far:
-    one that loses to it is never descended, whatever it scores.
+    ``objective``, ``boxes`` and the seed points are ``_coordinate_descent``'s.
+    Only the three best seeds are descended, so a seed's rival is the third
+    best seed value so far: one that loses to it is never descended,
+    whatever it scores.  A tie goes to the lower point, coordinate by
+    coordinate.
     """
     budget = _Budget(budget_n)
     scored = []
@@ -230,18 +231,18 @@ def _run_restarts(objective, names, boxes, seeds, budget_n):
     for seed in seeds:
         if not budget.spend():
             break
-        v = objective(top3[0], **seed)
+        v = objective(seed, top3[0])
         if v > top3[0]:
             top3 = sorted((v, top3[1], top3[2]))
-        scored.append((v, tuple(seed[n] for n in names), seed))
+        scored.append((v, seed))
     scored.sort(key=lambda t: (-(t[0] if math.isfinite(t[0]) else -math.inf), t[1]))
     results = []
-    for rank, (v0, _, seed) in enumerate(scored):
+    for rank, (v0, seed) in enumerate(scored):
         if rank >= 3 or budget.left <= 0:
             break
         if not math.isfinite(v0) and rank > 0:
             continue
-        point, value = _coordinate_descent(objective, names, boxes, seed, budget)
+        point, value = _coordinate_descent(objective, boxes, seed, budget)
         # re-descend from the incumbent while it gains: the first sweep scans
         # the whole box again, along lines through a point the first descent
         # never started from, so it can reach a peak that descent missed.  At
@@ -250,8 +251,7 @@ def _run_restarts(objective, names, boxes, seeds, budget_n):
         for _ in range(3):
             if not math.isfinite(value) or budget.left <= 0:
                 break
-            point, v = _coordinate_descent(objective, names, boxes, point,
-                                           budget, max_sweeps=3)
+            point, v = _coordinate_descent(objective, boxes, point, budget, max_sweeps=3)
             if v <= value + SWEEP_TOL:
                 value = max(value, v)
                 break
@@ -260,7 +260,7 @@ def _run_restarts(objective, names, boxes, seeds, budget_n):
     results = [(p, v) for p, v in results if math.isfinite(v)]
     if not results:
         return None, -math.inf
-    results.sort(key=lambda pv: (-pv[1], tuple(pv[0][n] for n in names)))
+    results.sort(key=lambda pv: (-pv[1], pv[0]))
     return results[0]
 
 
@@ -424,66 +424,67 @@ def _generator(alpha, s, mult):
     return alpha, 1.0, 1.0, mult * math.pi / s, s
 
 
-def _search_profiles(score, boxes, seeds, budget, below=None):
-    """Maximize ``score(code, f0, params)`` over (alpha, s) for each profile,
-    where ``params`` are the weight's five generator parameters.
+def _search_profiles(score, boxes, seeds, budget):
+    """Maximize ``score(code, f0, params, rival)`` over (alpha, s) for each
+    profile, where ``params`` are the weight's five generator parameters.
 
-    Each profile gets ``budget // len(PROFILES)`` evaluations, at least 40,
-    so any budget below 80 runs about 80.  The floor stays: without it a T1
-    cell's budget of 60 would give each profile 30 evaluations and worse
-    bounds.  The earlier profile wins a tie.  A weight is scored from its
-    family code and f(0) (``trial_functions._search_code``, the cached build
-    without input checks: the generator's parameters are finite numbers in
-    the box), and a score that reads F(0) reads it from the memo,
+    ``boxes`` are the (lo, hi) of alpha and s, and the seeds (alpha, s)
+    tuples (``_coordinate_descent``'s points).  Each profile gets
+    ``budget // len(PROFILES)`` evaluations, at least 40, so any budget
+    below 80 runs about 80.  The floor stays: without it a T1 cell's budget
+    of 60 would give each profile 30 evaluations and worse bounds.  The
+    earlier profile wins a tie.  A weight is scored from its family code and
+    f(0) (``trial_functions._search_code``, the cached build without input
+    checks: the generator's parameters are finite numbers in the box), and
+    a score that reads F(0) reads it from the memo,
     ``trial_functions._search_f0(*params)``: one that never does forms no
     F(0).  A weight that cannot be built counts as -inf, and the score
     returns -inf for one that bounds nothing.
 
-    ``below(code, f0, params, rival)``, optional, is True only where the
-    weight's score is below rival.  Where a point has to beat a rival (a
-    seed the third best seed so far, a line search's point the value it is
-    compared with, ``_golden_max``), the search asks it first, and a point it
-    settles counts as -inf with no score, spending its evaluation all the
-    same; where it cannot tell, the point is scored.  So the search visits
-    the same points, spends the same evaluations and returns the same weight
-    as without it, up to how the scores depend on the order they are taken
-    in.
+    ``rival`` is the value the point has to beat (a seed the third best seed
+    so far, a line search's point the value it is compared with,
+    ``_golden_max``), or -inf.  The score may return None where it has
+    settled that its value lies below rival without forming it: the point
+    counts as -inf, spending its evaluation all the same, and loses its
+    comparison as its value would.  So the search visits the same points,
+    spends the same evaluations and returns the same weight as with a score
+    that forms every value, up to how the scores depend on the order they
+    are taken in.
 
     Returns (weight, mult) of the best profile, the winner built as a
     ``TrialFunction``, or None when no weight in the box scores finite.
-    Each profile keeps the score of every (alpha, s) it scored (``seen``),
-    so a point the search visits again costs nothing, and a settled point
-    costs its sign check again, or its score where it must be ranked; a
-    point new to this search but built before in the process costs a score
-    and no build, as ``_search_code`` memoizes builds process-wide.
+    Each profile keeps every score it formed (``seen``), so a point the
+    search visits again costs nothing, and a settled point, which is not
+    kept, costs its score again; a point new to this search but built
+    before in the process costs a score and no build, as ``_search_code``
+    memoizes builds process-wide.
     """
     per_profile = max(budget // len(PROFILES), 40)
     best = None
     for mult in PROFILES:
         seen = {}
 
-        def objective(rival, alpha, s, _mult=mult, _seen=seen):
-            if (alpha, s) not in _seen:
-                params = _generator(alpha, s, _mult)
+        def objective(point, rival, _mult=mult, _seen=seen):
+            if point not in _seen:
+                params = _generator(*point, _mult)
                 try:
                     code, f0 = trial_functions._search_code(*params)
                 except HeckeZerosError:
-                    _seen[alpha, s] = -math.inf
+                    _seen[point] = -math.inf
                 else:
-                    if (below is not None and rival > -math.inf
-                            and below(code, f0, params, rival)):
+                    v = score(code, f0, params, rival)
+                    if v is None:
                         return -math.inf
-                    _seen[alpha, s] = score(code, f0, params)
-            return _seen[alpha, s]
+                    _seen[point] = v
+            return _seen[point]
 
-        point, value = _run_restarts(objective, ("alpha", "s"), boxes, seeds,
-                                     per_profile)
+        point, value = _run_restarts(objective, boxes, seeds, per_profile)
         if point is not None and (best is None or value > best[0]):
             best = (value, point, mult)
     if best is None:
         return None
     _, point, mult = best
-    return trial_functions.autocorrelation(*_generator(point["alpha"], point["s"], mult)), mult
+    return trial_functions.autocorrelation(*_generator(*point, mult)), mult
 
 
 def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=None,
@@ -497,44 +498,44 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     ``FAMILY_BOXES``, where every weight has a finite F(-``dh.HI``) on its
     bracket [0, ``dh.HI``].  Each profile
     spends at least 40 evaluations (``_search_profiles``), so a budget below
-    80 makes about 80.  A weight that only has to lose one comparison is
-    settled, where it loses, by the sign of the snapped h at its rival's root
-    (``dh._search_below``): h increases in x, so h(rival) > 0 puts its root
-    below the rival, in one or two transform passes, and a 'cc' weight with
-    h(0) > 0 bounds nothing.  At the benchmark's rows that leaves about 52
-    root solves for 120 evaluations, against 116 where each weight is solved.
-    Where the sign check cannot tell, or the weight must be ranked, it scores
-    its root (``dh._search_root``,
-    ``_kernels.search_root``) on the snapped h, which stops at h's rounding
-    floor instead of adjacent floats, by Newton steps from the last root
-    solved (a settled weight has none), which h gives from the derivative
-    kernel, with the weight's F(0) from
-    the memo; a 'cc' weight whose h is positive at 0 scores
-    -inf from the two transform values of h's constant, and an 'sz' one
-    typically from h and h' at the guess and h(0), which takes F(b) alone.
+    80 makes about 80.  Each weight is scored by one call,
+    ``dh._search_root``, on the snapped h (``_kernels.snapped_fn``), built
+    once.  A weight that only has to lose one comparison is settled, where
+    it loses, by the sign of h at its rival's root: h increases in x, so
+    h(rival) > 0 puts its root below the rival, in one or two transform
+    passes, and a 'cc' weight with h(0) > 0 bounds nothing, from the two
+    transform values of h's constant.  At the benchmark's rows that leaves
+    about 44 root solves for 120 evaluations, against 116 where each weight
+    is solved.  Where the sign cannot tell, or the weight must be ranked,
+    the call solves its root (``_kernels.search_root``), which stops at h's
+    rounding floor instead of adjacent floats, by Newton steps from the
+    last root solved (a settled weight has none), which h gives from the
+    derivative kernel, with the weight's F(0) from the memo; an 'sz' weight
+    that bounds nothing typically scores -inf from h and h' at the guess
+    and h(0), which takes F(b) alone.
     Only the winner is solved by ``dh.solve_smoothed``, on the exact h, for
     its residual and result, so the returned bound resolves to adjacent
     floats.
     Inputs are checked as in ``maximize_bound``, and a case that is not
-    smoothed, or a seed that lacks alpha or s or whose alpha or s is not
-    finite or lies outside ``FAMILY_BOXES``, raises InvalidParameterError
-    before any evaluation.
+    smoothed, or a seed that lacks alpha or s or whose alpha or s is not a
+    real number (``numbers.Real``, not a bool) in ``FAMILY_BOXES``, raises
+    InvalidParameterError before any evaluation; the seed enters the search
+    as floats.
     """
     case = dh._check_smoothed(case, b, phi)
     _check_budget(budget)
-    seeds = [{"alpha": a, "s": s_} for a in FAMILY_GRID["alpha"]
-             for s_ in FAMILY_GRID["s"]]
+    seeds = [(a, s_) for a in FAMILY_GRID["alpha"] for s_ in FAMILY_GRID["s"]]
     if seed_params is not None:
         missing = [n for n in ("alpha", "s") if n not in seed_params]
         if missing:
             raise InvalidParameterError(f"seed_params must give alpha and s; missing {missing}")
-        seed = {n: seed_params[n] for n in ("alpha", "s")}
-        for n, v in seed.items():
-            lo, hi = FAMILY_BOXES[n]
-            if not (isinstance(v, (int, float)) and lo <= v <= hi):
+        for n in ("alpha", "s"):
+            v, (lo, hi) = seed_params[n], FAMILY_BOXES[n]
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and lo <= v <= hi):
                 raise InvalidParameterError(
-                    f"seed {n} must be a number in [{lo}, {hi}], got {v!r}")
-        seeds = [seed] + seeds
+                    f"seed {n} must be a number in [{lo}, {hi}], got {_shown(v)}")
+        seeds = [(float(seed_params["alpha"]), float(seed_params["s"]))] + seeds
     # each solve takes Newton steps from the latest root solved, as the search
     # scores nearby weights one after another.  A root then depends on that
     # guess, and on the snap, within float noise, so a weight is solved once
@@ -545,20 +546,19 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     last = None
     b = float(b)   # as solve_smoothed reads it
 
-    def score(code, f0, params):
+    def score(code, f0, params, rival):
         nonlocal last
         root = dh._search_root(case, code, f0, trial_functions._search_f0(*params), b, phi,
-                               last)
+                               last, rival)
+        if root is None:
+            return None
         if math.isnan(root):
             return -math.inf
         last = root
         return root
 
-    def below(code, f0, params, rival):
-        return dh._search_below(case, code, f0, trial_functions._search_f0(*params), b, phi,
-                                rival)
-
-    found = _search_profiles(score, FAMILY_BOXES, seeds, budget, below)
+    found = _search_profiles(score, (FAMILY_BOXES["alpha"], FAMILY_BOXES["s"]), seeds,
+                             budget)
     if found is None:
         return None
     f, mult = found
@@ -588,17 +588,16 @@ def optimize_zd(lam, b=0.0, vartheta=zero_density.VARTHETA, phi=dh.PHI, budget=Z
     """
     zero_density.check_inputs(lam, b, vartheta, phi)
     _check_budget(budget)
-    boxes = {**FAMILY_BOXES, "s": (0.2, 40.0)}
+    boxes = (FAMILY_BOXES["alpha"], (0.2, 40.0))
     theta = zero_density.recipe_theta(lam, b)
-    seed_s = min(max(2.0 * theta / lam, 1.0), boxes["s"][1]) if lam > 0 else 5.0
-    seeds = [{"alpha": 0.0, "s": seed_s}]
-    seeds += [{"alpha": a, "s": s_} for a in (-0.5, 0.0)
-              for s_ in (3.0, 6.0, 10.0, 18.0, 30.0)]
+    seed_s = min(max(2.0 * theta / lam, 1.0), boxes[1][1]) if lam > 0 else 5.0
+    seeds = [(0.0, seed_s)] + [(a, s_) for a in (-0.5, 0.0)
+                               for s_ in (3.0, 6.0, 10.0, 18.0, 30.0)]
     # the points F(-b) and F(lambda - b) as ``TrialFunction.laplace_real``
     # passes them to the kernel
     r_minus_b, r_gap = float(-b), float(lam - b)
 
-    def score(code, f0, params):
+    def score(code, f0, params, rival):   # rival unused: every weight is scored
         # at b = 0, F(-b) is F(-0.0), which has the bits of F(0)
         if r_minus_b == 0.0:
             Fmb = trial_functions._search_f0(*params)

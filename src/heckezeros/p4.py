@@ -63,31 +63,36 @@ def re_p4_identity(a, b, t):
     return out if out.ndim else float(out)
 
 
-def _check_gm(x, y):
-    """Raise DomainError unless x, y are finite and >= 1, the lemma's domain."""
+def _check_gm(x, y, m):
+    """Raise DomainError unless x, y are finite and >= 1 and m is finite and
+    > 0, the lemma's domain."""
     if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):   # NaN too
         raise DomainError(f"require finite x, y >= 1, got x={x}, y={y}")
+    # an infinite m makes x^m / (x^2 + z^2)^m inf / inf; at m <= 0 the
+    # sufficient condition no longer implies G_m >= 0
+    if not 0.0 < m < math.inf:   # NaN too
+        raise DomainError(f"require finite m > 0, got m={m}")
 
 
 def gm_guaranteed(V, W, m, x, y):
     """Sufficient condition V/x^m + W/y^m >= 1 for grid positivity, for
-    finite x, y >= 1 (else DomainError), where ``gm_check``'s lemma holds."""
-    _check_gm(x, y)
+    finite x, y >= 1 and finite m > 0 (else DomainError), where
+    ``gm_check``'s lemma holds."""
+    _check_gm(x, y, m)
     return V / _power("x", x, m) + W / _power("y", y, m) >= 1.0
 
 
 def gm_check(V, W, m, x, y, z):
     """G_m(x,y,z) = V x^m/(x^2+z^2)^m + W y^m/(y^2+z^2)^m - 1/(1+z^2)^m.
 
-    Non-negative for all real z whenever x, y >= 1 and V/x^m + W/y^m >= 1.
-    x, y and m must be finite (else DomainError); ``z`` may be an array.
+    Non-negative for all real z whenever x, y >= 1, m > 0 and
+    V/x^m + W/y^m >= 1.  x, y >= 1 and m > 0 must be finite (else
+    DomainError); ``z`` may be an array.
     Where z^2 or a denominator's power leaves the float range, it is inf and
     its term the limit 0, with no warning: gm_check(1, 1, 1000, 1.5, 1.5, 0)
     is -1.0, and gm_check(1, 1, 4, 1.5, 1.5, 1e200), 9e-1600, is 0.0.
     """
-    _check_gm(x, y)
-    if not math.isfinite(m):   # x^m / (x^2 + z^2)^m would be inf / inf
-        raise DomainError(f"require finite m, got m={m}")
+    _check_gm(x, y, m)
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore"):   # inf, and a term of 0, past the float range
         z2 = z * z

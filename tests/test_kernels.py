@@ -912,7 +912,7 @@ def test_root_helper_is_the_solvers_root(smoothed_runs):
         code = f.kernel_code()
         F = functools.partial(_kernels._f_real_scalar, code)
         assert math.isfinite(F(-dh.HI))   # no bracket halving
-        root = dh._search_root(case_, code, f.f0, F(0.0), b, dh.PHI, None)
+        root = dh._search_root(case_, code, f.f0, F(0.0), b, dh.PHI, None, -math.inf)
         if not isinstance(want, float):   # NoBoundError's sign
             assert math.isnan(root), (case, i, b)
             failed += 1

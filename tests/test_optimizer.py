@@ -575,26 +575,26 @@ class TestRedescent:
     low peak's y, which is also the high peak's.
     """
 
-    BOXES = {"x": (0.0, 1.0), "y": (0.0, 1.0)}
-    START = {"x": 0.5, "y": 0.1}
+    BOXES = ((0.0, 1.0), (0.0, 1.0))
+    START = (0.5, 0.1)
 
     @staticmethod
-    def two_peaks(rival, x, y):
+    def two_peaks(point, rival):
+        x, y = point
         low = math.exp(-((x - 0.25) ** 2 / 0.02 + (y - 0.5) ** 2 / 0.5))
         high = 2.0 * math.exp(-((x - 0.75) ** 2 / 0.02 + (y - 0.5) ** 2 / 8e-4))
         return low + high
 
     def test_restarts_reach_the_higher_peak(self):
-        names = ("x", "y")
-        point, descent = optimizer._coordinate_descent(
-            self.two_peaks, names, self.BOXES, self.START, optimizer._Budget(2000))
-        assert point["x"] == pytest.approx(0.25, abs=1e-3)
+        (x, _), descent = optimizer._coordinate_descent(
+            self.two_peaks, self.BOXES, self.START, optimizer._Budget(2000))
+        assert x == pytest.approx(0.25, abs=1e-3)
         assert descent < 1.01
-        point, refined = optimizer._run_restarts(
-            self.two_peaks, names, self.BOXES, [self.START], 2000)
+        (x, y), refined = optimizer._run_restarts(
+            self.two_peaks, self.BOXES, [self.START], 2000)
         assert refined > 1.99
-        assert point["x"] == pytest.approx(0.75, abs=1e-3)
-        assert point["y"] == pytest.approx(0.5, abs=1e-3)
+        assert x == pytest.approx(0.75, abs=1e-3)
+        assert y == pytest.approx(0.5, abs=1e-3)
 
 
 class TestBudget:
@@ -604,10 +604,10 @@ class TestBudget:
     budget below 80 runs about 80.  A family search scores a weight through
     its per-weight entry point (``dh._search_root``,
     ``zero_density.bound_if_admissible``); the public solver or bound runs
-    once, for the winner.  The smoothed search settles a weight that only has
-    to lose one comparison by a sign check (``dh._search_below``) in place of
-    its root: each evaluation makes one root solve or one decision, or reads
-    the memo."""
+    once, for the winner.  The smoothed search's one scorer settles a weight
+    that only has to lose one comparison by a sign check in place of its root
+    (``dh._search_root`` returns None): each evaluation makes one root solve
+    (any other return) or one decision, or reads the memo."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -630,17 +630,22 @@ class TestBudget:
         return units
 
     @staticmethod
-    def decided(monkeypatch):
-        """The weights ``dh._search_below`` settles, as a list that fills up."""
-        settled, below = [], dh._search_below
-        monkeypatch.setattr(dh, "_search_below",
-                            lambda *args: below(*args) and not settled.append(args))
-        return settled
+    def scored(monkeypatch):
+        """(root solves, settled weights) of ``dh._search_root``'s calls, by
+        whether it returns None, as lists that fill up."""
+        roots, settled, search_root = [], [], dh._search_root
+
+        def recording(*args):
+            root = search_root(*args)
+            (settled if root is None else roots).append(args)
+            return root
+
+        monkeypatch.setattr(dh, "_search_root", recording)
+        return roots, settled
 
     def test_smoothed_search(self, monkeypatch):
         units = self.evaluations(monkeypatch)
-        settled = self.decided(monkeypatch)
-        roots = self.counted(monkeypatch, dh, "_search_root")
+        roots, settled = self.scored(monkeypatch)
         solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.0875, budget=120)
         assert len(units) == 120
@@ -675,8 +680,7 @@ class TestBudget:
         # budget 1 still runs 40 evaluations per profile: 40 root solves, 76
         # without the sign checks
         units = self.evaluations(monkeypatch)
-        settled = self.decided(monkeypatch)
-        roots = self.counted(monkeypatch, dh, "_search_root")
+        roots, settled = self.scored(monkeypatch)
         solves = self.counted(monkeypatch, dh, "solve_smoothed")
         optimizer.optimize_family_smoothed("sz-lp-principal", 0.1, budget=1)
         assert len(units) == 80 and len(solves) == 1
@@ -691,8 +695,7 @@ class TestBudget:
         # latter's own default was 400)
         budgets = []
         monkeypatch.setattr(optimizer, "_search_profiles",
-                            lambda score, boxes, seeds, budget, below=None:
-                            budgets.append(budget))
+                            lambda score, boxes, seeds, budget: budgets.append(budget))
         assert optimizer.optimize_family_smoothed("sz-lp-principal", 0.1) is None
         with pytest.raises(InfeasibleSearchError):
             maximize_bound(SearchSpec("sz-lp-principal", 0.1))
@@ -742,7 +745,9 @@ class TestInvalidInput:
     @pytest.mark.parametrize("seed", [
         {"alpha": 0.0, "s": 12.0}, {"alpha": 0.0, "s": 0.1}, {"alpha": 4.5, "s": 1.0},
         {"alpha": -4.5, "s": 1.0}, {"alpha": math.nan, "s": 1.0},
-        {"alpha": 0.0, "s": math.inf}, {"alpha": "0", "s": 1.0}])
+        {"alpha": 0.0, "s": math.inf}, {"alpha": "0", "s": 1.0},
+        # True was searched as alpha = 1
+        {"alpha": True, "s": 1.0}, {"alpha": 0.0, "s": np.bool_(True)}])
     def test_smoothed_seed_outside_the_box(self, monkeypatch, seed):
         # (alpha, s) = (0, 12) has F(-60) = inf: scored on [0, 60] it would
         # give no root and silently score -inf
@@ -754,6 +759,22 @@ class TestInvalidInput:
         with pytest.raises(InvalidParameterError, match="seed"):
             optimizer.optimize_family_smoothed("sz-lp-principal", 0.05, seed_params=seed)
         assert builds == roots == []
+
+    def test_smoothed_seed_takes_any_real_number(self):
+        # NumPy reals were refused as "must be a number"; a seed enters the
+        # search as floats, so it searches as the same seed in floats does
+        want = optimizer.optimize_family_smoothed("sz-lp-principal", 0.05, budget=1,
+                                                  seed_params={"alpha": 0.5, "s": 1.0})
+        got = optimizer.optimize_family_smoothed(
+            "sz-lp-principal", 0.05, budget=1,
+            seed_params={"alpha": np.float32(0.5), "s": np.int64(1)})
+        assert repr(got) == repr(want)
+
+    def test_smoothed_seed_message_shows_the_value(self):
+        with pytest.raises(InvalidParameterError) as info:
+            optimizer.optimize_family_smoothed("sz-lp-principal", 0.05,
+                                               seed_params={"alpha": np.float64(5.0), "s": 1.0})
+        assert str(info.value) == "seed alpha must be a number in [-4.0, 4.0], got 5.0"
 
     @pytest.mark.parametrize("seed, missing", [({"alpha": 0.0}, "['s']"),
                                                ({"s": 1.0}, "['alpha']"), ({}, "['alpha', 's']")])
@@ -840,7 +861,7 @@ def test_density_score_is_minus_the_bound(monkeypatch, lam):
         optimizer.optimize_zd(lam, b, budget=60)
         failed = 0
         for args in sorted(builds):
-            got = scores[-1](*build(*args), args)
+            got = scores[-1](*build(*args), args, -math.inf)   # it ignores the rival
             q = zero_density.ZdQuery(trial_functions.autocorrelation(*args), lam, b)
             try:
                 want = -zero_density.n_lambda_bound(q)

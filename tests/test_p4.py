@@ -107,6 +107,27 @@ class TestGm:
         with pytest.raises(DomainError, match="require finite m"):
             p4.gm_check(1, 1, m, 1.5, 1.5, np.linspace(-2.0, 2.0, 5))
 
+    @pytest.mark.parametrize("call", [
+        # was -32.83, below 0 where the lemma's condition held: at m = -1 it
+        # no longer implies G_m >= 0
+        lambda: p4.gm_check(1, 0, -1, 1.5, 1.5, 10.0),
+        # returned True
+        lambda: p4.gm_guaranteed(1, 0, -1, 1.5, 1.5),
+        # (x^2 + z^2)^m = 2.25^-1000 underflowed to 0: a divide-by-zero
+        # RuntimeWarning and inf, where the value is about 2.4e176
+        lambda: p4.gm_check(1, 1, -1000, 1.5, 1.5, 0.0),
+        lambda: p4.gm_check(1, 1, 0, 1.5, 1.5, 0.0),
+        lambda: p4.gm_guaranteed(1, 1, 0.0, 1.5, 1.5),
+    ], ids=["check", "guaranteed", "underflow", "check-zero", "guaranteed-zero"])
+    def test_non_positive_m_rejected(self, call):
+        with pytest.raises(DomainError, match=r"require finite m > 0, got m="):
+            call()
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_guaranteed_rejects_non_finite_m(self, m):
+        with pytest.raises(DomainError, match="require finite m"):
+            p4.gm_guaranteed(1, 1, m, 1.5, 1.5)
+
     @pytest.mark.parametrize("m, z, want", [
         (1000, 0.0, -1.0),   # (x^2 + z^2)^m overflowed with a RuntimeWarning: 2.25^1000
         (4, 1e200, 0.0),     # z * z overflowed with a RuntimeWarning; the value is 9e-1600
