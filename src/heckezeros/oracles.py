@@ -1,25 +1,27 @@
 """Independent brute-force verification backends.
 
 These deliberately use different algorithms from the primary code paths
-(Romberg quadrature vs closed forms, scan-and-subdivide vs the ITP root
-solver) so that agreement between the two is evidence rather than tautology.
+(Clenshaw-Curtis quadrature vs closed forms, scan-and-subdivide vs the ITP
+root solver) so that agreement between the two is evidence rather than
+tautology.
 
 The quadrature oracle integrates ``f(t) e^{-zt}`` over the weight's support
-by Romberg extrapolation of the nested trapezoid rule: each level halves the
-step, evaluates the integrand only at the new midpoints, and adds one
-Richardson row.  A level is accepted only once the step resolves the
-oscillation of ``e^{-zt}`` (four nodes per period), so coarse rules whose
-nodes all alias to one phase cannot "agree" on a wrong value.  The nodes do
-not depend on ``z``, so the samples of ``f`` are memoized per weight for the
+by the nested Clenshaw-Curtis rule: level ``n`` (16, 32, ..., 4096) has the
+``n + 1`` nodes ``t_k = x0 (1 - cos(pi k / n))/2`` and the weights of the
+classical cosine sum, cached per level by ``_rule``.  The integrand is
+entire on [0, x0], where the rule converges geometrically (Trefethen, SIAM
+Review 50, 2008).  Level ``2n`` holds level ``n``'s nodes at even ``k``;
+kept in nested order (level 16's nodes, then those each finer level adds)
+every level is a prefix of the next.  A level is accepted only once it
+resolves the oscillation of ``e^{-zt}`` (``n >= |Im z| x0``), so coarse
+rules whose nodes alias cannot "agree" on a wrong value.  The nodes do not
+depend on ``z``, so the samples of ``f`` are memoized per weight for the
 last ``_MEMO_WEIGHTS`` = 2 weights (``_samples``): checking one weight at
-many points evaluates it once per node.  Levels 0.._COARSE (0..8) come from
-one sampling of a coarse grid of 257 nodes, placed there from ``_nodes``;
-each point forms its integrand on that grid with one exp and reads those
-levels as strided views, which sum in the order of the level's own array,
-so every value has the bits of the rule sampled level by level.  Each finer
-level is sampled on its first read.  A weight's times and values are at
-most 2**15 + 1 floats each (512 KiB together), so the memo holds at most
-1 MiB, and keeps those weights alive until they are evicted.
+many points evaluates it once per node, each level sampling only the nodes
+it adds on its first read, and each point forms its integrand with one exp
+per node of the levels it reads.  A weight's times and values are at most
+4,097 floats each (64 KiB together), and the memo keeps those weights alive
+until they are evicted.
 
 The root oracle scans at a coarse step for the leftmost sign change, then
 narrows that cell by 64-way subdivisions to 1e-12.
@@ -27,7 +29,7 @@ narrows that cell by 64-way subdivisions to 1e-12.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,150 +60,135 @@ class OracleReport:
 
 
 def positivity_report(check, values, locations, tolerance=1e-12):
+    """The report of ``values >= -tolerance``, located by plain Python
+    numbers: ``locations[i]``, or ``(i,)`` for None."""
     values = np.asarray(values, dtype=float)
     i = int(np.argmin(values))
     loc = locations[i] if locations is not None else (i,)
     return OracleReport(check, "positivity", values.size, float(values[i]),
-                        tuple(np.atleast_1d(loc)), tolerance,
+                        tuple(np.atleast_1d(loc).tolist()), tolerance,
                         bool(values[i] >= -tolerance))
 
 
 def equality_report(check, deviations, locations, tolerance):
-    deviations = np.asarray(deviations, dtype=float)
-    i = int(np.argmax(deviations))
-    loc = locations[i] if locations is not None else (i,)
-    return OracleReport(check, "equality", deviations.size, float(deviations[i]),
-                        tuple(np.atleast_1d(loc)), tolerance,
-                        bool(deviations[i] <= tolerance))
+    """The report of ``deviations <= tolerance``: the positivity report of
+    the negated deviations, with its worst value negated back."""
+    report = positivity_report(check, -np.asarray(deviations, dtype=float), locations,
+                               tolerance)
+    return replace(report, kind="equality", worst_violation=-report.worst_violation)
 
 
-#: 2**_MAX_LEVEL trapezoid panels is the finest rule the quadrature tries
-_MAX_LEVEL = 15
+#: the coarsest and the finest level of the nested rule
+_FIRST, _TOP = 16, 4096
 
-#: the Richardson denominators 4**j - 1, j = 1.._MAX_LEVEL
-_RICHARDSON = tuple(4.0 ** j - 1.0 for j in range(1, _MAX_LEVEL + 1))
-
-#: levels 0.._COARSE are read from one grid of 2**_COARSE + 1 nodes
-_COARSE = 8
-
-#: where each level 0.._COARSE lies in the coarse grid: both ends, then the
-#: odd multiples of 2**(_COARSE - level)
-_COARSE_AT = (slice(None, None, 2 ** _COARSE),) + tuple(
-    slice(2 ** (_COARSE - level), None, 2 ** (_COARSE - level + 1))
-    for level in range(1, _COARSE + 1))
+#: the -Re(z) x0 past which e^{-zt} leaves the float range on [0, x0]
+#: (the log of the largest float is 709.7827)
+_EXP_MAX = 709.78
 
 #: the weights whose samples ``_samples`` keeps
 _MEMO_WEIGHTS = 2
 
 
-def _nodes(x0, level):
-    """The nodes level ``level`` of the nested trapezoid rule on [0, x0] adds:
-    both ends at level 0, the ``2**(level-1)`` new midpoints after that."""
-    if level == 0:
-        return np.array([0.0, x0])
-    return (x0 * 0.5 ** level) * np.arange(1.0, 2.0 ** level, 2.0)
+@functools.cache
+def _rule(n):
+    """Level ``n`` of the nested Clenshaw-Curtis rule on [0, 1], read-only:
+    the indices ``k`` of its nodes in nested order, the nodes
+    ``(1 - cos(pi k / n))/2`` and their weights.
 
-
-def _romberg(g, x0, abs_tol, h_max=math.inf):
-    """Romberg integral over [0, x0] of the integrand ``g`` samples, or None
-    past 2**15 panels.
-
-    ``g(level)`` gives the integrand at ``_nodes(x0, level)``.  Level k halves
-    the step to ``h = x0 / 2**k``, refines the trapezoid sum with the new
-    midpoints only (``T_k = T_{k-1} / 2 + h * sum(new)``) and extends the
-    Richardson row ``R[j] = R[j-1] + (R[j-1] - prev[j-1]) / (4**j - 1)``.
-    It returns the diagonal ``R_k`` once ``|R_k - R_{k-1}| <= abs_tol +
-    1e-12 |R_k|`` at a step ``h <= h_max``.  ``R_k`` is exact for
-    polynomials of degree up to ``2k + 1``.
+    The nested order is level ``n/2``'s ``k`` doubled, then the odd ``k``
+    level ``n`` adds, so each level's nodes are a prefix of the next
+    level's, bit for bit (``pi (2k) / (2n)`` is ``pi k / n``).  The weights
+    are the classical cosine sums at ``theta = pi k / n``,
+    ``(1 - sum_{j=1}^{n/2-1} 2 cos(2 j theta)/(4 j^2 - 1)
+    - cos(n theta)/(n^2 - 1)) / n``, and ``1/(2 (n^2 - 1))`` at both ends
+    (Waldvogel, BIT 46, 2006); the rule is exact for degree ``n``.
     """
-    h = x0
-    trap = 0.5 * h * g(0).sum()
-    row = [trap]
-    for level in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        trap = 0.5 * trap + h * g(level).sum()
-        new = [trap]
-        for j in range(1, level + 1):
-            new.append(new[-1] + (new[-1] - row[j - 1]) / _RICHARDSON[j - 1])
-        if h <= h_max and abs(new[-1] - row[-1]) <= abs_tol + 1e-12 * abs(new[-1]):
-            return new[-1]
-        row = new
-    return None
+    k = (np.arange(n + 1.0) if n == _FIRST
+         else np.concatenate((2.0 * _rule(n // 2)[0], np.arange(1.0, n, 2.0))))
+    theta = np.pi * k / n
+    w = (1.0 - np.cos(n * theta) / (n * n - 1.0)) / n
+    for j in range(1, n // 2):
+        w -= 2.0 / ((4.0 * j * j - 1.0) * n) * np.cos(2.0 * j * theta)
+    w[[0, _FIRST]] = 0.5 / (n * n - 1.0)
+    return _frozen(k, 0.5 * (1.0 - np.cos(theta)), w)
 
 
-def _frozen(f, ts):
-    """Read-only ``(ts, f(ts))``; ``f``'s values are copied, so its own
-    arrays stay writable."""
-    fs = np.array(f(ts))
-    ts.flags.writeable = fs.flags.writeable = False
-    return ts, fs
+def _frozen(*arrays):
+    """``arrays``, made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @functools.lru_cache(maxsize=_MEMO_WEIGHTS)
 def _samples(f):
     """The samples of weight ``f``, memoized for the last ``_MEMO_WEIGHTS``
-    weights: read-only ``(t, f(t))`` on the coarse grid, the nodes of levels
-    0.._COARSE in order (each level's from ``_nodes``), and a dict that
-    ``_fine`` fills with the finer levels' as they are first read."""
-    ts = np.empty(2 ** _COARSE + 1)
-    for level, at in enumerate(_COARSE_AT):
-        ts[at] = _nodes(f.x0, level)
-    return _frozen(f, ts) + ({},)
-
-
-def _fine(f, level):
-    """Read-only ``(t, f(t))`` at ``_nodes(f.x0, level)`` for a level past
-    _COARSE, sampled on first read into ``_samples(f)``'s dict."""
-    fine = _samples(f)[2]
-    if level not in fine:
-        fine.setdefault(level, _frozen(f, _nodes(f.x0, level)))
-    return fine[level]
+    weights: a dict from each level read so far to read-only ``(t, f(t))``
+    at the nodes it adds, which ``quadrature_laplace`` fills."""
+    return {}
 
 
 def quadrature_laplace(f, z, abs_tol=1e-13):
-    """F(z) by Romberg quadrature of ``f(t) e^{-zt}`` on [0, x0].
+    """F(z) by nested Clenshaw-Curtis quadrature of ``f(t) e^{-zt}`` on
+    [0, x0].
 
-    The step halves, reusing every node already evaluated, until two
-    successive diagonal entries agree to ``abs_tol`` (relative 1e-12 for
-    large values) or the 2**15 panel cap is hit.  The integrand is analytic
-    on the compact support, so the extrapolated rules converge fast.  No
-    level is accepted before ``h |Im z| <= pi/2`` (four nodes per period of
-    ``e^{-zt}``): coarser nodes can all sit at one phase, where two
-    under-resolved rules agree on a wrong value.  The default 1e-13 target
-    is attainable for |z| x0 up to a few hundred; beyond that pass a looser
-    target.  Past the cap it raises ``OracleFailureError``; a non-finite
-    ``z`` raises ``DomainError`` before any sampling.
+    The level doubles from 16 panels, reusing every node already evaluated,
+    until two successive levels agree to ``abs_tol`` (relative 1e-12 for
+    large values); the finer one is returned.  No level ``n`` is accepted
+    before ``n >= |Im z| x0``: coarser nodes can sit at a few phases of
+    ``e^{-zt}``, where two under-resolved rules agree on a wrong value.
+    The range is ``|Im z| x0 <= 4096``, which the finest level resolves,
+    and ``-Re z x0 <= 709.78``, past which ``e^{-zt}`` overflows.  Outside
+    it ``OracleFailureError`` is raised before any sampling; inside it, it
+    is raised where levels 2048 and 4096 still disagree.  The default 1e-13
+    target is met over all of ``|Im z| x0 <= 4000`` on the triangle and on
+    autocorrelation weights; the tests, ``verify`` and the benchmark ask
+    for at most 2,000.  A non-finite ``z`` raises ``DomainError`` before
+    any sampling.
 
-    The samples of ``f`` come from ``_samples`` and ``_fine``, so calls at
-    many ``z`` for one weight evaluate ``f`` once per node.  The integrand
-    is formed once on the coarse grid, and levels 0.._COARSE read it as
-    strided views.  ``f`` is hashed by identity (``TrialFunction`` defines
+    Level ``n`` gives ``x0 sum_k w_k f(t_k) e^{-z t_k}`` over its nodes in
+    nested order, the integrand formed with one exp per node a call reads.
+    Each level samples the nodes it adds on its first read for ``f`` into
+    ``_samples(f)``, so calls at many ``z`` for one weight evaluate ``f``
+    once per node.  ``f`` is hashed by identity (``TrialFunction`` defines
     no ``__eq__``) and must not change its values after construction.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"quadrature needs a finite z, got z={z}")
-    h_max = math.pi / (2.0 * abs(z.imag)) if z.imag else math.inf
-    ts, fs, _ = _samples(f)
-    coarse = fs * np.exp(-z * ts)
-
-    def g(level):
-        if level <= _COARSE:
-            return coarse[_COARSE_AT[level]]
-        ts, fs = _fine(f, level)
-        return fs * np.exp(-z * ts)
-
-    val = _romberg(g, f.x0, abs_tol, h_max)
-    if val is None:
+    x0 = f.x0
+    n_min = abs(z.imag) * x0
+    if n_min > _TOP or -z.real * x0 > _EXP_MAX:
         raise OracleFailureError(
-            f"Romberg quadrature did not converge for z={z} within 2^{_MAX_LEVEL} panels")
-    return val
+            f"quadrature on [0, {x0}] needs |Im z| x0 <= {_TOP} and -Re z x0 <= "
+            f"{_EXP_MAX}, got z={z}")
+    added, g = _samples(f), np.empty(_TOP + 1, dtype=complex)
+    prev, n = None, _FIRST
+    while n <= _TOP:
+        done = 0 if n == _FIRST else n // 2 + 1
+        if n not in added:
+            ts = x0 * _rule(n)[1][done:]
+            added[n] = _frozen(ts, np.array(f(ts)))
+        ts, fs = added[n]
+        np.multiply(fs, np.exp(-z * ts), out=g[done:n + 1])
+        # a pairwise sum: np.dot would page in BLAS code, 128 KB of resident memory
+        q = x0 * (_rule(n)[2] * g[:n + 1]).sum()
+        if prev is not None and n >= n_min and abs(q - prev) <= abs_tol + 1e-12 * abs(q):
+            return q
+        prev, n = q, 2 * n
+    raise OracleFailureError(
+        f"Clenshaw-Curtis quadrature did not converge for z={z} within {_TOP + 1} nodes")
 
 
-def romberg_selftest():
-    """The diagonal entry ``R_3`` is exact for degree 7, so the rule
-    returns int_0^1 t^7 dt = 1/8 at level 4; give its error."""
-    return abs(_romberg(lambda level: _nodes(1.0, level) ** 7, 1.0, 1e-13) - 0.125)
+def quadrature_selftest():
+    """Level 16 is exact for degree 16, so the quadrature of the weight
+    ``t^7`` on [0, 1] at z = 0 returns int_0^1 t^7 dt = 1/8 at level 32;
+    give its error.  The weight takes one slot of the sample memo."""
+    def septic(t):
+        return t ** 7
+
+    septic.x0 = 1.0
+    return abs(quadrature_laplace(septic, 0.0) - 0.125)
 
 
 def scan_root(h, lo, hi, step):
@@ -220,8 +207,12 @@ def scan_root(h, lo, hi, step):
     of 1e-2.  For continuous h this matches a flat scan at ``step`` followed
     by bisection whenever h does not change sign twice inside one coarse
     cell (true for the monotone solver functions this oracle checks).
-    Non-finite bounds or a ``step`` that is not finite and > 0 raise
-    ``InvalidParameterError``.
+    Each chunk's points are formed from their indices, with the bits
+    ``np.arange(lo, hi + coarse, coarse)`` gives them and the last point
+    clamped to hi, so no more of the grid exists than the chunk.
+    Non-finite bounds, a ``step`` that is not finite and > 0, or a bracket
+    of more than 2**24 coarse cells raise ``InvalidParameterError`` before
+    any ``h`` call.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidParameterError(f"scan bounds must be finite, got [{lo}, {hi}]")
@@ -229,6 +220,19 @@ def scan_root(h, lo, hi, step):
     if hi <= lo:
         raise NoRootError(f"empty bracket [{lo}, {hi}]")
     coarse = max(step, min(1e-2, (hi - lo) / 100.0))
+    if (hi - lo) / coarse > 2 ** 24:
+        raise InvalidParameterError(
+            f"scan bracket [{lo}, {hi}] spans more than 2**24 cells of {coarse}")
+    size = math.ceil(((hi + coarse) - lo) / coarse)
+    delta = (lo + coarse) - lo
+
+    def grid(start, stop):
+        xs = lo + np.arange(start, stop) * delta
+        if start == 0:
+            xs[0] = lo      # keeps a -0.0
+        if stop == size:
+            xs[-1] = min(xs[-1], hi)
+        return xs
 
     def first_change(xs):
         sign = np.sign(np.asarray(h(xs), dtype=float))
@@ -238,11 +242,9 @@ def scan_root(h, lo, hi, step):
         i = int(idx[0])
         return float(xs[i]), float(xs[i + 1])
 
-    xs = np.arange(lo, hi + coarse, coarse)
-    xs[-1] = min(xs[-1], hi)
     start, n = 0, 64
-    while (cell := first_change(xs[start:start + n])) is None:
-        if start + n >= xs.size:
+    while (cell := first_change(grid(start, min(start + n, size)))) is None:
+        if start + n >= size:
             raise NoRootError(f"no sign change of oracle target on [{lo}, {hi}]")
         start, n = start + n - 1, 2 * n
     while cell[1] - cell[0] > 1e-12:

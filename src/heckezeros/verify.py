@@ -2,9 +2,11 @@
 
 Each suite returns a list of OracleReport; the CLI prints them and the test
 suite asserts they all pass.  The oracles deliberately use different
-algorithms from the primary paths (Romberg quadrature vs closed forms, a
-grid scan narrowed by 64-way subdivisions (``oracles.scan_root``) vs the
-ITP solver and the quartic roots' Newton inverse) so agreement is evidence.
+algorithms from the primary paths (nested Clenshaw-Curtis quadrature vs
+closed forms, a grid scan narrowed by 64-way subdivisions
+(``oracles.scan_root``) vs the ITP solver and the quartic roots' Newton
+inverse) so agreement is evidence.  A report locates its worst point by
+plain Python numbers, so its line reads the same under any NumPy.
 """
 
 import math
@@ -76,8 +78,8 @@ def _remainder_split(f, z, B):
 
 
 def suite_laplace():
-    reports = [equality_report("romberg self-test on int t^7",
-                               [oracles.romberg_selftest()], [(0.125,)], 1e-15)]
+    reports = [equality_report("quadrature self-test on int t^7",
+                               [oracles.quadrature_selftest()], [(0.125,)], 1e-15)]
     zs = _z_grid()
     for f in _sample_families():
         tag = repr(f)

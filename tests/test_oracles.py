@@ -1,14 +1,16 @@
 """The brute-force verification backends themselves."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from heckezeros import _kernels, oracles, trial_functions as tf
-from heckezeros.errors import (DomainError, InvalidParameterError, NoRootError,
-                               OracleFailureError)
+from heckezeros.errors import (DomainError, HeckeZerosError, InvalidParameterError,
+                               NoRootError, OracleFailureError)
 
 #: transform points like those the oracle benchmark checks (|z| x0 <= ~50)
 _ZS = [complex(a, b) for a in (-2.0, 0.5, 2.5) for b in (-7.0, 1.0, 9.0)
@@ -37,15 +39,17 @@ _WEIGHTS = [tf.triangle(2.0),
 
 
 def _uncached_quadrature(f, z):
-    """The quadrature oracle's rule with ``f`` sampled afresh at every call."""
-    x0 = f.x0
-    h_max = math.pi / (2.0 * abs(z.imag)) if z.imag else math.inf
-
-    def g(level):
-        ts = oracles._nodes(x0, level)
-        return f(ts) * np.exp(-z * ts)
-
-    return oracles._romberg(g, x0, 1e-13, h_max)
+    """The quadrature oracle's rule with ``f`` sampled afresh at every level:
+    levels 16, 32, ... of ``oracles._rule`` until two agree to 1e-13
+    (relative 1e-12) at a level ``n >= |Im z| x0``."""
+    prev, n, n_min = None, 16, abs(z.imag) * f.x0
+    while n <= 4096:
+        ts = f.x0 * oracles._rule(n)[1]
+        q = f.x0 * (oracles._rule(n)[2] * (f(ts) * np.exp(-z * ts))).sum()
+        if prev is not None and n >= n_min and abs(q - prev) <= 1e-13 + 1e-12 * abs(q):
+            return q
+        prev, n = q, 2 * n
+    return None
 
 
 def _per_pair_f_array(code, z):
@@ -154,17 +158,17 @@ def test_shared_exponent_terms_keep_the_per_pair_bits(layout, alpha, s, frac, zr
 @given(layout=_LAYOUT, alpha=_ALPHA, s=st.floats(0.5, 4.5), frac=st.floats(0.01, 1.0),
        zr=st.floats(-3.0, 3.0), zi=st.floats(-10.0, 10.0))
 @settings(max_examples=30, deadline=None)
-def test_coarse_grid_keeps_the_per_level_bits(layout, alpha, s, frac, zr, zi):
-    """The quadrature, which samples each weight once on the coarse grid and
-    reads its levels as strided views, equals the rule sampled afresh at
-    every level bit for bit."""
+def test_nested_samples_keep_the_per_level_bits(layout, alpha, s, frac, zr, zi):
+    """The quadrature, which samples only the nodes each level adds, keeps
+    them for later points and forms each point's integrand level by level,
+    equals the rule sampled afresh at every level bit for bit."""
     f = _drawn_weight(layout, alpha, s, frac)
     for z in (complex(zr, zi), complex(zr, 0.0), complex(0.0, zi), 2j * math.pi / s):
         assert _same_bits(oracles.quadrature_laplace(f, z), _uncached_quadrature(f, z))
 
 
-def test_romberg_exact_on_septic():
-    assert oracles.romberg_selftest() <= 1e-15
+def test_quadrature_exact_on_septic():
+    assert oracles.quadrature_selftest() <= 1e-15
 
 
 def test_quadrature_triangle_reference_points():
@@ -174,9 +178,9 @@ def test_quadrature_triangle_reference_points():
 
 
 def test_quadrature_highly_oscillatory():
-    # ~300 oscillation periods across the support; the rule subdivides until
-    # it resolves them (the default 1e-13 target needs |z| x0 below a few
-    # hundred, so a looser explicit target is passed here)
+    # ~300 oscillation periods across the support; the rule doubles its
+    # level until it resolves them (n >= |Im z| x0 = 2000), with a looser
+    # explicit target
     f = tf.triangle(2.0)
     z = 1j * 1e3
     val = oracles.quadrature_laplace(f, z, abs_tol=1e-9)
@@ -200,10 +204,10 @@ def test_quadrature_triangle_at_aliased_point_matches_closed_form():
 @pytest.mark.parametrize("z", _ZS, ids=str)
 def test_quadrature_node_count(z):
     # machine-independent cost: nested levels reuse every node, and the
-    # extrapolation converges by level 11 at these points
+    # rule converges by level 128 at these points
     f = _CountingWeight(_cosine_weight())
     val = oracles.quadrature_laplace(f, z)
-    assert f.nodes <= 2 ** 11 + 1
+    assert f.nodes <= 129
     assert abs(val - f.f.laplace(z)) < 1e-10 * (1.0 + abs(val))
 
 
@@ -215,22 +219,25 @@ def test_shared_samples_match_uncached_rule_bitwise(f):
 
 def test_shared_samples_evaluate_each_node_once():
     # the nodes do not depend on z, so the 8 points of one weight read f
-    # once on the coarse grid (levels 0..8) and once per finer level reached
-    # (levels 9..11): 4 calls, where one call per level per point took
-    # about 83
+    # once per level reached, at the nodes it adds (levels 16..128): at most
+    # 4 calls and 129 nodes
     f = _CountingWeight(_cosine_weight())
     for z in _ZS:
         oracles.quadrature_laplace(f, z)
     nodes = np.concatenate(f.seen)
     assert len(f.seen) <= 4
-    assert np.unique(nodes).size == nodes.size == f.nodes
+    assert np.unique(nodes).size == nodes.size == f.nodes <= 129
 
 
 def test_failure_at_cap_leaves_later_calls_correct():
+    # 1e5j is refused before sampling; at 1e7 the rule samples all 4,097
+    # nodes of the top level without converging
     f, g = tf.triangle(2.0), _cosine_weight()
     oracles.quadrature_laplace(g, 0.5 + 2.0j)
-    with pytest.raises(OracleFailureError):
-        oracles.quadrature_laplace(f, 1e5j)
+    for z in (1e5j, 1e7):
+        with pytest.raises(OracleFailureError):
+            oracles.quadrature_laplace(f, z)
+    assert sum(ts.size for ts, _ in oracles._samples(f).values()) == 4097
     for w in (f, g):
         for z in (0.5 + 2.0j, -2.0 + 9.0j, 4j * math.pi):
             val = oracles.quadrature_laplace(w, z)
@@ -240,11 +247,12 @@ def test_failure_at_cap_leaves_later_calls_correct():
 
 def test_shared_samples_are_read_only():
     f = tf.triangle(2.0)
-    ts, fs, _ = oracles._samples(f)
-    fine = oracles._fine(f, 9)
-    for a in (ts, fs) + fine:
+    oracles.quadrature_laplace(f, 0.5 + 9.0j)
+    added = oracles._samples(f)
+    assert {16, 32} <= set(added)
+    for a in sum(added.values(), ()) + oracles._rule(32):
         assert not a.flags.writeable
-    for a in (fs, fine[1]):
+    for a in (added[16][1], added[32][1], oracles._rule(32)[2]):
         with pytest.raises(ValueError):
             a[0] = 1.0
 
@@ -259,9 +267,19 @@ def test_quadrature_rejects_non_finite_z(z):
 
 
 def test_quadrature_cap_raises():
-    # h |Im z| <= pi/2 needs 2**17 panels on [0, 2] here, past the 2**15 cap
+    # n >= |Im z| x0 = 2e5 on [0, 2] here, past the top level 4096
     with pytest.raises(OracleFailureError):
         oracles.quadrature_laplace(tf.triangle(2.0), 1e5j)
+
+
+@pytest.mark.parametrize("z", [-400.0, -1000.0 + 3.0j], ids=str)
+def test_quadrature_refuses_overflowing_exponentials(z):
+    # -Re z x0 > 709.78: e^{-zt} leaves the float range on [0, 2], where the
+    # closed form gives inf; refused by name before any sampling
+    f = _CountingWeight(tf.triangle(2.0))
+    with pytest.raises(OracleFailureError, match=re.escape(f"z={complex(z)}")):
+        oracles.quadrature_laplace(f, z)
+    assert f.nodes == 0
 
 
 def test_scan_root_linear():
@@ -329,6 +347,48 @@ def test_scan_root_stops_at_adjacent_floats():
 
     root = oracles.scan_root(h, 1e5 - 1.0, 1e5 + 1.0, 1e-6)
     assert abs(root - r) <= 2.0 * math.ulp(r)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e12), (-1e300, 1e300)], ids=str)
+def test_scan_root_refuses_brackets_past_its_cell_cap(lo, hi):
+    # 1e14 and 2e302 coarse cells, more than 2**24: refused before any h
+    # call, where the whole grid was asked for up front (728 TiB on
+    # [0, 1e12]; a bare ValueError on [-1e300, 1e300])
+    calls = []
+    with pytest.raises(InvalidParameterError, match=re.escape("2**24 cells")):
+        oracles.scan_root(lambda x: calls.append(x) or x - 1.0, lo, hi, 1e-6)
+    assert not calls
+
+
+def test_scan_root_forms_only_the_chunks_it_scans():
+    # 1.6e7 cells of 1e-2, under the cap: a root at 0.5 reads the first 64
+    # grid points, not the 128 MB of the whole grid
+    calls = []
+    root = oracles.scan_root(lambda x: calls.append(len(x)) or x - 0.5, 0.0, 1.6e5, 1e-6)
+    assert abs(root - 0.5) <= 1e-12
+    assert calls[0] == 64 and set(calls[1:]) == {65}
+
+
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3), step=st.floats(1e-8, 1.0))
+@example(lo=-0.005, width=0.02, step=1e-3)
+@example(lo=1e3, width=1e-9, step=1e-8)
+@example(lo=-0.0, width=1.0, step=1.0)
+@settings(max_examples=100, deadline=None)
+def test_scan_root_grid_has_the_bits_of_arange(lo, width, step):
+    # with no sign change the scan reads every point of its coarse grid, in
+    # chunks that share their end points: the points of np.arange, the last
+    # clamped to hi
+    hi = lo + width
+    if hi <= lo:
+        return
+    chunks = []
+    with pytest.raises(NoRootError):
+        oracles.scan_root(lambda x: chunks.append(x.copy()) or x + np.inf, lo, hi, step)
+    coarse = max(step, min(1e-2, (hi - lo) / 100.0))
+    xs = np.arange(lo, hi + coarse, coarse)
+    xs[-1] = min(xs[-1], hi)
+    scanned = np.concatenate([chunks[0]] + [c[1:] for c in chunks[1:]])
+    assert _same_bits(scanned, xs)
 
 
 def _flat_scan_root(h, lo, hi, step):
@@ -421,6 +481,44 @@ def _flat_scan_then_bisect(h, lo, hi, step):
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
+
+
+#: parts of z, and scan bounds and steps: ordinary values, the signed
+#: zeros, subnormals, values near the float range's end and non-finite ones
+_EDGY = st.one_of(st.floats(-60.0, 60.0),
+                  st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300,
+                                   math.inf, -math.inf, math.nan]))
+
+
+def _finite_or_refused(call):
+    """The value of ``call()``, asserted finite, or None where it raised a
+    HeckeZerosError; a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            val = call()
+        except HeckeZerosError:
+            return None
+    assert np.isfinite(val)
+    return val
+
+
+@given(layout=st.sampled_from(["triangle", "plain", "cosine"]), alpha=_ALPHA,
+       s=st.floats(0.5, 4.5), zr=_EDGY, zi=_EDGY, lo=_EDGY, hi=_EDGY, step=_EDGY,
+       r=st.floats(-60.0, 60.0))
+# e^{-zt} past the float range on [0, 2]; brackets of 1e14 and 2e302 cells
+@example(layout="triangle", alpha=0.0, s=2.0, zr=-400.0, zi=0.0,
+         lo=0.0, hi=1e12, step=1e-6, r=0.5)
+@example(layout="triangle", alpha=0.0, s=2.0, zr=-1000.0, zi=3.0,
+         lo=-1e300, hi=1e300, step=1e-6, r=0.5)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr, zi,
+                                                            lo, hi, step, r):
+    """The quadrature and the scan give a finite value or raise a
+    HeckeZerosError, and warn of nothing, at any z, bracket and step."""
+    f = _drawn_weight(layout, alpha, s, 1.0)
+    _finite_or_refused(lambda: oracles.quadrature_laplace(f, complex(zr, zi)))
+    _finite_or_refused(lambda: oracles.scan_root(lambda x: x - r, lo, hi, step))
 
 
 @given(r=st.floats(0.01, 1.99), k=st.floats(1e-3, 1e3),
