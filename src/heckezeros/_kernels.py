@@ -98,6 +98,8 @@ import struct
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def backend():
     """Name of the kernel backend; there is one, plain NumPy/Python."""
@@ -355,8 +357,11 @@ def f_array(code, z):
     every pair that shares it (``each_once``; at real points one array exp
     per distinct g_k: 3 for the five pairs of a cosine weight) and released
     after its last pair.  At real z a pair flagged ``far`` skips both tests,
-    as in ``_f_real_scalar``, where they would fail anyway.  A value past the
-    float range is inf, with no warning, as in ``f_real_scalar``.
+    as in ``_f_real_scalar``, where they would fail anyway.  At real z no
+    value is refused and none warns (``f_real_scalar`` gives inf past the
+    float range, which the solvers read); off the real axis, where the
+    terms' inf parts form NaN, a value that is not finite raises DomainError
+    naming the first such z.
     """
     x0, folded = code
     z = np.asarray(z)
@@ -389,6 +394,9 @@ def f_array(code, z):
             if not o:
                 phi = 0.5 * (phi[0] + phi[1].conj())
             out += c * (phi.real if real else phi)
+    if not (real or np.isfinite(out).all()):
+        at = complex(z[~np.isfinite(out)][0])
+        raise DomainError(f"F(z) is not a finite number at z={at!r}")
     return complex(out[0]) if scalar else out
 
 

@@ -60,14 +60,17 @@ class OracleReport:
 
 
 def positivity_report(check, values, locations, tolerance=1e-12):
-    """The report of ``values >= -tolerance``, located by plain Python
-    numbers: ``locations[i]``, or ``(i,)`` for None."""
+    """The report of ``values >= -tolerance``, located by ``locations[i]``
+    (a tuple, or one value), or ``(i,)`` for None.  Its NumPy scalars become
+    plain Python numbers and nothing else is converted, so a location that
+    mixes a name with numbers keeps both."""
     values = np.asarray(values, dtype=float)
     i = int(np.argmin(values))
     loc = locations[i] if locations is not None else (i,)
+    loc = loc if isinstance(loc, tuple) else (loc,)
     return OracleReport(check, "positivity", values.size, float(values[i]),
-                        tuple(np.atleast_1d(loc).tolist()), tolerance,
-                        bool(values[i] >= -tolerance))
+                        tuple(v.item() if isinstance(v, np.generic) else v for v in loc),
+                        tolerance, bool(values[i] >= -tolerance))
 
 
 def equality_report(check, deviations, locations, tolerance):

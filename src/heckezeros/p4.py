@@ -90,16 +90,26 @@ def gm_check(V, W, m, x, y, z):
     DomainError); ``z`` may be an array.
     Where z^2 or a denominator's power leaves the float range, it is inf and
     its term the limit 0, with no warning: gm_check(1, 1, 1000, 1.5, 1.5, 0)
-    is -1.0, and gm_check(1, 1, 4, 1.5, 1.5, 1e200), 9e-1600, is 0.0.
+    is -1.0, and gm_check(1, 1, 4, 1.5, 1.5, 1e200), 9e-1600, is 0.0.  Where
+    x^2 or V x^m leaves it, the term is V / (x + z^2/x)^m, the same value
+    formed without that intermediate (likewise for y and W).
     """
     _check_gm(x, y, m)
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore"):   # inf, and a term of 0, past the float range
         z2 = z * z
-        out = (V * _power("x", x, m) / (x * x + z2) ** m
-               + W * _power("y", y, m) / (y * y + z2) ** m
+        out = (_gm_term(V, "x", x, m, z2) + _gm_term(W, "y", y, m, z2)
                - 1.0 / (1.0 + z2) ** m)
     return out if out.ndim else float(out)
+
+
+def _gm_term(V, name, x, m, z2):
+    """V x^m / (x^2 + z^2)^m, or V / (x + z^2/x)^m where V x^m or x^2 is
+    past the float range and the first form would be inf / inf."""
+    top = V * _power(name, x, m)
+    if math.isinf(top) or math.isinf(x * x):
+        return V / (x + z2 / x) ** m
+    return top / (x * x + z2) ** m
 
 
 @dataclass(frozen=True)

@@ -277,11 +277,14 @@ def _build(alpha, c0, c1, beta, s):
             f"the generator's phase 2 beta s overflows for beta={beta}, s={s}")
     # c0 >= |c1| forces g >= 0 outright; otherwise check on a grid
     if c0 < abs(c1):
-        # past alpha s = 709.78 the grid's e^{alpha s} leaves the float range,
-        # and K = (e^{2 alpha s} - 1)/(2 alpha) below already does there
-        if alpha * s > 709.78:
+        # the grid's alpha u, beta u and e^{alpha u} (c0 + c1 cos(beta u)) stay
+        # in the float range where the log of the last one's bound,
+        # max(alpha s, 0) + log(|c0| + |c1|), is at most 709.78
+        top = max(alpha * s, 0.0) + math.log(abs(c0) + abs(c1))
+        if not (top <= 709.78 and math.isfinite(alpha * s) and math.isfinite(beta * s)):
             raise InvalidParameterError(
-                f"the transform of the generator overflows for alpha={alpha}, s={s}")
+                f"the generator leaves the float range on [0, s] for alpha={alpha}, "
+                f"c0={c0}, c1={c1}, beta={beta}, s={s}")
         us = np.linspace(0.0, s, 2001)
         g = np.exp(alpha * us) * (c0 + c1 * np.cos(beta * us))
         if g.min() < -1e-12 * max(1.0, float(np.abs(g).max())):

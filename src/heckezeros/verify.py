@@ -238,8 +238,9 @@ def suite_roots():
             continue
         h = dh.poly_h(name, b, lam, J)
         scanned = oracles.scan_root(h, 0.0, res.root + 1.0, 1e-6)
-        worst = max(worst, abs(scanned - res.root))
-        arg = arg or (name, b, lam, J)
+        dev = abs(scanned - res.root)
+        if arg is None or dev > worst:
+            worst, arg = dev, (name, b, lam, J)
         reports.append(equality_report(
             f"poly root bracketing h(x -+ 1e-6) at {name} b={b:.3f}",
             [max(float(h(res.root - 1e-6)), 0.0),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heckezeros import _kernels, oracles, trial_functions as tf
+from heckezeros import _kernels, oracles, p4, trial_functions as tf
 from heckezeros.errors import (DomainError, HeckeZerosError, InvalidParameterError,
                                NoRootError, OracleFailureError)
 
@@ -519,6 +519,40 @@ def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr
     f = _drawn_weight(layout, alpha, s, 1.0)
     _finite_or_refused(lambda: oracles.quadrature_laplace(f, complex(zr, zi)))
     _finite_or_refused(lambda: oracles.scan_root(lambda x: x - r, lo, hi, step))
+
+
+#: the same parts drawn finite, for the lemma's V, W and z, which gm_check
+#: does not check: a NaN among them gives NaN
+_FINITE_EDGY = _EDGY.filter(math.isfinite)
+
+
+@given(entry=st.sampled_from(["triangle laplace", "laplace", "autocorrelation", "gm_check"]),
+       p=st.tuples(*[_EDGY] * 5), zr=_EDGY, zi=_EDGY.filter(bool),
+       v=st.tuples(*[_FINITE_EDGY] * 3))
+# e^{-zt} past the float range off the real axis, once nan+nanj
+@example(entry="triangle laplace", p=(0.0, 0.0, 0.0, 0.0, 2.0), zr=-400.0, zi=1.0,
+         v=(0.0, 0.0, 0.0))
+@example(entry="laplace", p=(-0.8, 1.0, 0.9, 2.0, 2.5), zr=-354.0, zi=0.78, v=(0.0, 0.0, 0.0))
+# x^2 and V x^m past the float range, once inf / inf and a warning
+@example(entry="gm_check", p=(0.7677, 1e300, 4.82, 0.0, 0.0), zr=0.0, zi=1.0,
+         v=(1e300, 1e-300, -400.0))
+# alpha u past the float range in the generator's grid, once a NumPy
+# overflow warning
+@example(entry="autocorrelation", p=(-1e300, 0.0, -400.0, 710.0, 1e300), zr=0.0, zi=1.0,
+         v=(0.0, 0.0, 0.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_transform_and_lemma_entry_points_return_finite_values_or_refuse(entry, p, zr, zi, v):
+    """A weight's build (``p`` its alpha, c0, c1, beta and s), its transform
+    off the real axis, where a value past the float range is refused (on
+    the axis it is inf by contract), and the three-term lemma (``v`` its V,
+    W and z, ``p`` its m, x and y) give a finite value or raise a
+    HeckeZerosError, and warn of nothing."""
+    z = complex(zr, zi)
+    call = {"triangle laplace": lambda: tf.triangle(p[4]).laplace(z),
+            "laplace": lambda: tf.autocorrelation(*p).laplace(z),
+            "autocorrelation": lambda: tf.autocorrelation(*p).f0,
+            "gm_check": lambda: p4.gm_check(v[0], v[1], *p[:3], v[2])}[entry]
+    _finite_or_refused(call)
 
 
 @given(r=st.floats(0.01, 1.99), k=st.floats(1e-3, 1e3),

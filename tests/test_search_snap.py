@@ -4,8 +4,8 @@ bound (the winner's cold ``solve_smoothed``, never snapped) does not, so the
 search returns what it returns without the snap, with fewer transforms.  Its
 warm solves take Newton steps on the derivative kernel, with fewer transforms
 still; a weight that only has to lose one comparison is settled by the sign
-of h at its rival's root, with no solve, and soundly; and the results of a
-few searches are pinned."""
+of h at its rival's root, with no solve, and soundly.  The searches'
+results are in the ledger (``tests/test_ledger.py``)."""
 
 import functools
 import math
@@ -238,7 +238,8 @@ def test_search_result_does_not_depend_on_the_snap(monkeypatch, name, b):
     # near-tied weights by the 'sz' cancellation noise (ROADMAP item 8), so
     # its weight depends on the Newton guesses within the snap band: there
     # the search ends one ulp of alpha lower than the exact one, with the
-    # same lambda_star bits (SEARCH_REPRS), and only lambda_star is compared
+    # same lambda_star bits (tests/ledger.json), and only lambda_star is
+    # compared
     snapped = optimizer.optimize_family_smoothed(name, b, budget=120)
     monkeypatch.setattr(dh, "_search_root", _exact_search_root)
     exact = optimizer.optimize_family_smoothed(name, b, budget=120)
@@ -310,69 +311,6 @@ def test_sign_checks_are_sound(monkeypatch, name, b):
     if b > 0.0:
         assert len(settled) + len(void) >= 40
     assert above <= 1
-
-
-#: the searches' results at budget 120, repr by repr.  With the derivative
-#: kernel declining everywhere, every warm solve is ITP on the snapped h on
-#: [0, hi], and the sz-lp-quadratic row at b = 1e-7 then ranks near-tied
-#: weights by the 'sz' cancellation noise (ROADMAP item 8) to 7.513928 in
-#: place of 7.514193, so the Newton path's results are pinned instead
-SEARCH_REPRS = {
-    ('sz-lp-quadratic', 0.0): 'None',
-    ('sz-lp-quadratic', 1e-07): (
-        "BoundResult(case='sz-lp-quadratic', b=1e-07, lambda_star=7.514192546816714, "
-        "params={'family': 'autocorrelation', 'alpha': 0.7485329213886451, 'c0': 1.0,"
-        " 'c1': 1.0, 'beta': 1.1855066617319971, 's': 2.6500000000000004, "
-        "'profile_c1': 1.0, 'profile_mult': 1.0}, side_ok=True, "
-        'residual=2.885159981041176e-15, side_limited=False, root=7.514192546816714, '
-        'side_margin=nan)'
-    ),
-    ('sz-lp-principal', 0.05): (
-        "BoundResult(case='sz-lp-principal', b=0.05, lambda_star=2.336562392940614, "
-        "params={'family': 'autocorrelation', 'alpha': 1.5512427302498408, 'c0': 1.0,"
-        " 'c1': 1.0, 'beta': 1.7135959928671598, 's': 1.8333333333333335, "
-        "'profile_c1': 1.0, 'profile_mult': 1.0}, side_ok=True, "
-        'residual=4.745738003493722e-16, side_limited=False, root=2.336562392940614, '
-        'side_margin=nan)'
-    ),
-    ('sz-lp-principal', 0.17): (
-        "BoundResult(case='sz-lp-principal', b=0.17, lambda_star=1.0644212284838113, "
-        "params={'family': 'autocorrelation', 'alpha': 1.5873018934881171, 'c0': 1.0,"
-        " 'c1': 1.0, 'beta': 1.7135959928671598, 's': 1.8333333333333335, "
-        "'profile_c1': 1.0, 'profile_mult': 1.0}, side_ok=True, "
-        'residual=5.460384258157706e-16, side_limited=False, root=1.0644212284838113,'
-        ' side_margin=nan)'
-    ),
-    ('cc-l2-chi2-principal-real', 0.1227): (
-        "BoundResult(case='cc-l2-chi2-principal-real', b=0.1227, "
-        "lambda_star=1.2086299561712779, params={'family': 'autocorrelation', "
-        "'alpha': 1.0559588503631243, 'c0': 1.0, 'c1': 1.0, 'beta': "
-        "0.9817477042468103, 's': 3.2, 'profile_c1': 1.0, 'profile_mult': 1.0}, "
-        'side_ok=True, residual=8.338141211211739e-17, side_limited=False, '
-        'root=1.2086299561712779, side_margin=nan)'
-    ),
-    ('cc-l2-chi2-principal-real', 0.35): (
-        "BoundResult(case='cc-l2-chi2-principal-real', b=0.35, "
-        "lambda_star=0.8113631434042679, params={'family': 'autocorrelation', "
-        "'alpha': 1.5745060353181195, 'c0': 1.0, 'c1': 1.0, 'beta': "
-        "1.1855066617319971, 's': 2.6500000000000004, 'profile_c1': 1.0, "
-        "'profile_mult': 1.0}, side_ok=True, residual=9.701728443811588e-17, "
-        'side_limited=False, root=0.8113631434042679, side_margin=nan)'
-    ),
-    ('cc-l2-nonprincipal', 0.6): (
-        "BoundResult(case='cc-l2-nonprincipal', b=0.6, "
-        "lambda_star=0.15949179514111061, params={'family': 'autocorrelation', "
-        "'alpha': 0.9709292855354328, 'c0': 1.0, 'c1': 1.0, 'beta': "
-        "0.9062286500739787, 's': 3.4666666666666672, 'profile_c1': 1.0, "
-        "'profile_mult': 1.0}, side_ok=True, residual=4.236004944731884e-17, "
-        'side_limited=False, root=0.15949179514111061, side_margin=nan)'
-    ),
-}
-
-
-@pytest.mark.parametrize("name, b", SEARCH_ROWS)
-def test_search_results_are_pinned(name, b):
-    assert repr(optimizer.optimize_family_smoothed(name, b, budget=120)) == SEARCH_REPRS[name, b]
 
 
 def _search_counts(monkeypatch, name, b, budget=120):
@@ -486,33 +424,3 @@ def test_newton_values_are_the_snapped_values(monkeypatch, name, b):
             assert got[0].hex() == h(x).hex(), (x, got[0], h(x))
             checked += 1
     assert checked >= 300
-
-
-#: the searches at the default budget, ``SearchSpec.max_evals`` = 6000, where
-#: ranks 2-3 and the re-descent run; sz-lp-principal at b = 1e-3 is the row
-#: the re-descent lifts from 6.864062
-DEFAULT_BUDGET_REPRS = {
-    ('sz-lp-principal', 1e-3): (
-        "BoundResult(case='sz-lp-principal', b=0.001, lambda_star=6.873874644911858, "
-        "params={'family': 'autocorrelation', 'alpha': 2.2422928363130765, 'c0': 1.0, "
-        "'c1': 1.0, 'beta': 2.32059128240329, 's': 1.3537897334235625, "
-        "'profile_c1': 1.0, 'profile_mult': 1.0}, side_ok=True, "
-        "residual=2.476074408679216e-16, side_limited=False, root=6.873874644911858, "
-        "side_margin=nan)"
-    ),
-    ('cc-l2-chi2-principal-real', 0.35): (
-        "BoundResult(case='cc-l2-chi2-principal-real', b=0.35, "
-        "lambda_star=0.8293570902856162, params={'family': 'autocorrelation', "
-        "'alpha': 1.3525560186667724, 'c0': 1.0, 'c1': 1.0, 'beta': 1.31682206715373, "
-        "'s': 2.3857381585199646, 'profile_c1': 1.0, 'profile_mult': 1.0}, "
-        "side_ok=True, residual=7.379436250981029e-17, side_limited=False, "
-        "root=0.8293570902856162, side_margin=nan)"
-    ),
-}
-
-
-@pytest.mark.parametrize("name, b", DEFAULT_BUDGET_REPRS)
-def test_default_budget_searches_are_pinned(name, b):
-    assert optimizer.SearchSpec.max_evals == 6000
-    got = optimizer.optimize_family_smoothed(name, b)
-    assert repr(got) == DEFAULT_BUDGET_REPRS[name, b]

@@ -1,8 +1,9 @@
 """Every oracle-backed property suite must be clean."""
 
+import numpy as np
 import pytest
 
-from heckezeros import verify
+from heckezeros import dh, oracles, verify
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
@@ -24,3 +25,27 @@ def test_reports_locate_by_plain_numbers():
     closed = reports["closed form vs quadrature: TrialFunction(triangle, x0=2)"]
     assert type(closed.location[0]) is complex
     assert not any("np." in str(r) for r in reports.values())
+
+
+def test_quartic_report_locates_its_worst_instance():
+    """The quartic root check names the instance of its worst deviation as
+    (case, b, lambda, J) in plain Python values, not the first instance, and
+    not the quoted strings of a NumPy string array."""
+    reports = {r.check: r for r in verify.suite_roots()}
+    report = reports["quartic Newton root vs 1e-6 scan oracle on random polynomial instances"]
+    name, b, lam, J = report.location
+    assert name in dh.POLY_CASES and all(type(v) is float for v in (b, lam, J))
+    assert f" at ({name!r}, {b!r}, {lam!r}, {J!r}) " in str(report)
+    root = dh.solve_poly(name, b, lam, J).root
+    scanned = oracles.scan_root(dh.poly_h(name, b, lam, J), 0.0, root + 1.0, 1e-6)
+    assert abs(scanned - root) == report.worst_violation > 0.0
+
+
+def test_reports_keep_a_mixed_location():
+    # a location that mixes a name, an int and NumPy numbers keeps each as a
+    # plain Python value; a location that is one value becomes a 1-tuple
+    report = oracles.positivity_report("mixed", [1.0, -1.0],
+                                       [("a", 1, 0.5), ("b", 2, np.float64(0.25))])
+    assert report.location == ("b", 2, 0.25) and type(report.location[2]) is float
+    assert " at ('b', 2, 0.25) " in str(report)
+    assert oracles.equality_report("one", [0.0, 3.0], np.array([1.5, 2.5]), 1.0).location == (2.5,)
