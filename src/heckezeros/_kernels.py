@@ -68,13 +68,20 @@ five-pair codes ``f_real_scalar`` takes one exp per generator exponent
 (``_search_pass``, 0.67 of the time of its pass over the pairs, on the F
 calls of seed-1 smoothed-regress, with the same bits), and F' comes from
 ``_f_real_scalar_d`` for those codes alone; it declines (None) for every
-other code.  ``f_array`` forms each distinct exponent's array terms once
-per call for every pair that shares them (``each_once``, keyed by type and
-bits, ``exact_key``): 3 array exps for a cosine weight's five pairs at
-real points, where a pass over the pairs took 5, with the same bits; f(t)
-(``trial_functions._weight``) shares its exps the same way.  At a real
-point the terms of two conjugate pairs are conjugates, and off the real
-axis ``f_array`` evaluates the dropped one as ``conj T(conj z)``.  Each pair term
+other code.  ``f_array`` forms its bookkeeping once per code
+(``_array_plan``, cached by the code's identity): the distinct exponents,
+told apart by type and bits (``exact_key``), and the rows each pair reads.
+Per call it forms the terms of every distinct g_k in one stacked array
+operation (3 rows of exps for a cosine weight's five pairs, where a pass
+over the pairs took 5) and of every distinct g_j in another, and each run
+of pairs at the same points reads its rows in one operation more, each
+value with the bits of the pass over the pairs: at 1, 8 and 65 points of
+a cosine weight a call takes about half the time of a call per pair and
+exponent.  f(t) (``trial_functions._weight``), called once per weight
+on the oracle path, shares its exps among its pairs by the same keys
+(``each_once``).  At a real point the terms of two conjugate pairs are
+conjugates, and off the real axis ``f_array`` evaluates the dropped one as
+``conj T(conj z)``.  Each pair term
 T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
 |g_j + z| x0 or |g_k - z| x0 is below ``SMALL_W`` = 1e-2, near coincident
 nodes of the divided difference it is, where the direct form would lose
@@ -93,6 +100,7 @@ real axis).
 """
 
 import cmath
+import functools
 import math
 import struct
 
@@ -342,6 +350,63 @@ def each_once(keys, make):
         yield v
 
 
+#: the family codes whose ``f_array`` bookkeeping ``_array_plan`` keeps
+_ARRAY_PLANS = 64
+
+#: the most elements of one of ``f_array``'s 2-D arrays, 80 KiB of complex.
+#: glibc's malloc maps larger ones from the system afresh on each call: in
+#: one call over 2001 off-axis points of a cosine weight, paging them in took
+#: as long as the arithmetic (430 page faults per call, none in blocks)
+_BLOCK = 5120
+
+
+def _rows(idx):
+    """The rows ``idx`` as a slice where they are consecutive, so that
+    reading them takes no copy."""
+    if idx == list(range(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return np.array(idx, dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=_ARRAY_PLANS)
+def _array_plan(ident, code):
+    """``f_array``'s bookkeeping for the family code whose ``id`` is
+    ``ident``: its distinct g_k and g_j, told apart by ``exact_key``, as
+    complex columns; and for real points and for points off the real axis,
+    the runs of consecutive pairs evaluated at the same points, each as
+    ``(k, j, K, c, pairs, stacked)``: the rows of their g_k and g_j,
+    columns of their K and c, the pairs themselves, and whether they take z
+    and conj z stacked, with whether any run does and the points of a block.
+    Keyed by id, with the code held in the key so that no other code takes
+    its id: two codes that are == can differ in bits (0.0 and -0.0)."""
+    folded = code[1]
+
+    def distinct(values):
+        first = {}
+        rows = [first.setdefault(exact_key(v), (len(first), v))[0] for v in values]
+        return np.array([[v] for _, v in first.values()], dtype=complex), rows
+
+    Gk, kidx = distinct([p[2] for p in folded])
+    Gj, jidx = distinct([p[1] for p in folded])
+    K = np.array([[p[3]] for p in folded], dtype=complex)
+    c = np.array([[p[0]] for p in folded], dtype=float)
+    for a in (Gk, Gj, K, c):   # shared by every call
+        a.flags.writeable = False
+
+    def mode(stacks):
+        runs, start = [], 0
+        for stop in range(1, len(folded) + 1):
+            if stop == len(folded) or stacks[stop] != stacks[start]:
+                runs.append((_rows(kidx[start:stop]), _rows(jidx[start:stop]), K[start:stop],
+                             c[start:stop], folded[start:stop], stacks[start]))
+                start = stop
+        stacked = any(stacks)
+        return tuple(runs), stacked, max(1, _BLOCK // ((1 + stacked) * len(folded)))
+
+    off_axis = [not (gj.imag == 0.0 and gk.imag == 0.0) for _, gj, gk, _, _ in folded]
+    return Gk, Gj, mode([False] * len(folded)), mode(off_axis)
+
+
 def f_array(code, z):
     """F(z) of a family code at real or complex z, scalar or array.
 
@@ -352,52 +417,83 @@ def f_array(code, z):
     shape.  Each term is the direct form (K - E)/b, E = (e^w - 1)/A, A = g_k
     - z, w = A x0 and b = g_j + z, and ``pair_near`` overwrites the few
     elements near coincident nodes, where |b| x0 or |w| is below SMALL_W.
-    E with the mask |w| < SMALL_W, and b with |b| x0 < SMALL_W, depend on one
-    exponent and the points it takes, so each is formed once per call for
-    every pair that shares it (``each_once``; at real points one array exp
-    per distinct g_k: 3 for the five pairs of a cosine weight) and released
-    after its last pair.  At real z a pair flagged ``far`` skips both tests,
-    as in ``_f_real_scalar``, where they would fail anyway.  At real z no
-    value is refused and none warns (``f_real_scalar`` gives inf past the
-    float range, which the solvers read); off the real axis, where the
-    terms' inf parts form NaN, a value that is not finite raises DomainError
+    The bookkeeping is formed once per code (``_array_plan``): E with the
+    mask |w| < SMALL_W is formed for every distinct g_k in one stacked
+    operation, b with |b| x0 < SMALL_W for every distinct g_j in another
+    (at real points 3 rows of exps for the five pairs of a cosine weight;
+    off the real axis each row takes z and conj z when any pair is
+    stacked), and the pairs that take the same points read their rows in
+    one operation more.  The masks are searched once per call, and only
+    where one of them is set.  The pair terms add in the order of the code,
+    from 0, each by the operations of a pass over the pairs, so every value
+    has that pass's bits.  The points go in blocks that keep each array
+    within ``_BLOCK`` elements.  At real z a pair flagged ``far`` has no
+    element near coincident nodes, as ``_f_real_scalar`` skips its tests
+    there: |w| >= |Im g_k| x0 and |b| x0 >= |Im g_j| x0.  At real z no
+    value is refused and none warns: F is +inf exactly where
+    ``f_real_scalar`` gives inf, past -r x0 = 690 and where e^w of a pair
+    term in the direct form overflows.  Off the real axis, where the terms'
+    inf parts form NaN, a value that is not finite raises DomainError
     naming the first such z.
     """
-    x0, folded = code
+    x0 = code[0]
+    Gk, Gj, on_axis, off_axis = _array_plan(id(code), code)
     z = np.asarray(z)
-    scalar = z.ndim == 0
+    shape = z.shape
     real = not np.iscomplexobj(z) or not z.imag.any()
-    z = np.atleast_1d(z.astype(complex))
-    zz = z if real else np.stack([z, z.conj()])
-    out = np.zeros(z.shape, dtype=complex)
-    own = [real or (gj.imag == 0.0 and gk.imag == 0.0) for _, gj, gk, _, _ in folded]
-
-    def k_terms(i):
-        A = folded[i][2] - (z if own[i] else zz)
-        w = A * x0
-        return (np.exp(w) - 1.0) / A, np.abs(w) < SMALL_W
-
-    def j_terms(i):
-        b = folded[i][1] + (z if own[i] else zz)
-        return b, np.abs(b) * x0 < SMALL_W
-
+    z = z.astype(complex).reshape(-1)
+    groups, stacked, step = on_axis if real else off_axis
+    out = np.zeros(z.size, dtype=float if real else complex)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for (c, gj, gk, K, far), o, (E, near_k), (b, near_j) in zip(
-                folded, own,
-                each_once([(exact_key(p[2]), o) for p, o in zip(folded, own)], k_terms),
-                each_once([(exact_key(p[1]), o) for p, o in zip(folded, own)], j_terms)):
-            phi = (K - E) / b
-            if not (real and far):
-                zs = z if o else zz
-                for i in np.flatnonzero(near_j | near_k):
-                    phi.flat[i] = pair_near(K, gj, gk, complex(zs.flat[i]), x0)
-            if not o:
-                phi = 0.5 * (phi[0] + phi[1].conj())
-            out += c * (phi.real if real else phi)
+        for i in range(0, z.size, step):
+            _f_block(x0, Gk, Gj, groups, real, stacked, z[i:i + step], out[i:i + step])
     if not (real or np.isfinite(out).all()):
-        at = complex(z[~np.isfinite(out)][0])
-        raise DomainError(f"F(z) is not a finite number at z={at!r}")
-    return complex(out[0]) if scalar else out
+        raise DomainError(f"F(z) is not a finite number at z={complex(z[~np.isfinite(out)][0])!r}")
+    if shape == ():
+        return complex(out[0])
+    return out.reshape(shape).astype(complex, copy=False)
+
+
+def _f_block(x0, Gk, Gj, groups, real, stacked, z, out):
+    """``f_array`` at the points z of one block, added to ``out``, a float
+    array at real points."""
+    n = z.size
+    points = np.concatenate((z, z.conj())) if stacked else z
+    A = Gk - points
+    w = A * x0
+    E = np.exp(w)
+    near_k = np.abs(w) < SMALL_W
+    E -= 1.0
+    E /= A
+    b = Gj + points
+    near_j = np.abs(b) * x0 < SMALL_W
+    near = np.count_nonzero(near_k) or np.count_nonzero(near_j)
+    for k, j, K, c, pairs, stack in groups:
+        m = 2 * n if stack else n
+        phi = K - E[k, :m]
+        phi /= b[j, :m]
+        if near:
+            for i in np.flatnonzero(near_k[k, :m] | near_j[j, :m]):
+                r, col = divmod(int(i), m)
+                _, gj, gk, Kr, _ = pairs[r]
+                phi[r, col] = pair_near(Kr, gj, gk, complex(points[col]), x0)
+        if stack:
+            half = phi[:, n:].conj()
+            half += phi[:, :n]
+            half *= 0.5
+            phi = half
+        if real:
+            phi = c * phi.real
+        else:
+            phi *= c
+        for row in phi:
+            out += row
+    if real and (np.count_nonzero(z.real * x0 < -690.0)
+                 or np.count_nonzero(np.isfinite(out)) < n):
+        (k, j, *_), = groups
+        over = z.real * x0 < -690.0
+        over |= (~np.isfinite(np.exp(w[k])) & ~(near_k[k] | near_j[j])).any(axis=0)
+        out[over] = math.inf
 
 
 #: ITP constants (Oliveira & Takahashi 2021): truncation scale k1 = _ITP_K1/(hi-lo),

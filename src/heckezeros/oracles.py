@@ -17,10 +17,14 @@ resolves the oscillation of ``e^{-zt}`` (``n >= |Im z| x0``), so coarse
 rules whose nodes alias cannot "agree" on a wrong value.  The nodes do not
 depend on ``z``, so the samples of ``f`` are memoized per weight for the
 last ``_MEMO_WEIGHTS`` = 2 weights (``_samples``): checking one weight at
-many points evaluates it once per node, each level sampling only the nodes
-it adds on its first read, and each point forms its integrand with one exp
-per node of the levels it reads.  A weight's times and values are at most
-4,097 floats each (64 KiB together), and the memo keeps those weights alive
+many points evaluates it once per node, and each point forms its integrand
+with one exp per node of the levels it reads.  A weight's first read
+samples the 129 nodes of levels 16 to 128 in one call of ``f``, where the
+points the tests, ``verify`` and the benchmark check all converge; a finer
+level samples only the nodes it adds, on its first read.  One call in
+place of one per level saves the fixed cost of a call of ``f``, most of
+its cost at 65 nodes.  A weight's times and values are at most 4,097
+floats each (64 KiB together), and the memo keeps those weights alive
 until they are evicted.
 
 The root oracle scans at a coarse step for the leftmost sign change, then
@@ -91,6 +95,17 @@ _EXP_MAX = 709.78
 #: the weights whose samples ``_samples`` keeps
 _MEMO_WEIGHTS = 2
 
+#: the level whose nodes a weight's first quadrature samples in one call of
+#: f; every point the tests, ``verify`` and the benchmark check converges by
+#: it (at most 129 nodes)
+_SHARED = 128
+
+
+def _added(n):
+    """The slice of level ``n``'s nodes, in nested order, that it adds to
+    the level before: all of level 16's, then the odd k."""
+    return slice(0 if n == _FIRST else n // 2 + 1, n + 1)
+
 
 @functools.cache
 def _rule(n):
@@ -151,10 +166,15 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
 
     Level ``n`` gives ``x0 sum_k w_k f(t_k) e^{-z t_k}`` over its nodes in
     nested order, the integrand formed with one exp per node a call reads.
-    Each level samples the nodes it adds on its first read for ``f`` into
-    ``_samples(f)``, so calls at many ``z`` for one weight evaluate ``f``
-    once per node.  ``f`` is hashed by identity (``TrialFunction`` defines
-    no ``__eq__``) and must not change its values after construction.
+    The first read of ``f`` samples the 129 nodes of levels 16 to 128 in
+    one call, as one read-only array whose slices, each level's added
+    nodes, go into ``_samples(f)``; a finer level samples the nodes it adds
+    on its first read.  So calls at many ``z`` for one weight evaluate
+    ``f`` once per node, in one call where every point converges by level
+    128, as the points of the tests, ``verify`` and the benchmark do.  ``f``
+    is evaluated elementwise, so each sample has the bits a call per level
+    gave it.  ``f`` is hashed by identity (``TrialFunction`` defines no
+    ``__eq__``) and must not change its values after construction.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -166,14 +186,20 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
             f"quadrature on [0, {x0}] needs |Im z| x0 <= {_TOP} and -Re z x0 <= "
             f"{_EXP_MAX}, got z={z}")
     added, g = _samples(f), np.empty(_TOP + 1, dtype=complex)
+    if not added:
+        ts = x0 * _rule(_SHARED)[1]
+        ts, fs = _frozen(ts, np.array(f(ts)))
+        n = _FIRST
+        while n <= _SHARED:
+            added[n] = ts[_added(n)], fs[_added(n)]
+            n *= 2
     prev, n = None, _FIRST
     while n <= _TOP:
-        done = 0 if n == _FIRST else n // 2 + 1
         if n not in added:
-            ts = x0 * _rule(n)[1][done:]
+            ts = x0 * _rule(n)[1][_added(n)]
             added[n] = _frozen(ts, np.array(f(ts)))
         ts, fs = added[n]
-        np.multiply(fs, np.exp(-z * ts), out=g[done:n + 1])
+        np.multiply(fs, np.exp(-z * ts), out=g[_added(n)])
         # a pairwise sum: np.dot would page in BLAS code, 128 KB of resident memory
         q = x0 * (_rule(n)[2] * g[:n + 1]).sum()
         if prev is not None and n >= n_min and abs(q - prev) <= abs_tol + 1e-12 * abs(q):

@@ -63,22 +63,27 @@ def re_p4_identity(a, b, t):
     return out if out.ndim else float(out)
 
 
-def _check_gm(x, y, m):
-    """Raise DomainError unless x, y are finite and >= 1 and m is finite and
-    > 0, the lemma's domain."""
+def _check_gm(V, W, m, x, y, z=0.0):
+    """Raise DomainError unless x, y are finite and >= 1, m is finite and
+    > 0, V and W are finite, the lemma's domain, and z (a float or a float
+    array) holds no NaN; an infinite z is the limit 0 of each term."""
     if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):   # NaN too
         raise DomainError(f"require finite x, y >= 1, got x={x}, y={y}")
     # an infinite m makes x^m / (x^2 + z^2)^m inf / inf; at m <= 0 the
     # sufficient condition no longer implies G_m >= 0
     if not 0.0 < m < math.inf:   # NaN too
         raise DomainError(f"require finite m > 0, got m={m}")
+    if not (math.isfinite(V) and math.isfinite(W)):
+        raise DomainError(f"require finite V, W, got V={V}, W={W}")
+    if np.isnan(z).any():
+        raise DomainError(f"require z that is not NaN, got z={z}")
 
 
 def gm_guaranteed(V, W, m, x, y):
     """Sufficient condition V/x^m + W/y^m >= 1 for grid positivity, for
-    finite x, y >= 1 and finite m > 0 (else DomainError), where
-    ``gm_check``'s lemma holds."""
-    _check_gm(x, y, m)
+    finite V, W, finite x, y >= 1 and finite m > 0 (else DomainError),
+    where ``gm_check``'s lemma holds."""
+    _check_gm(V, W, m, x, y)
     return V / _power("x", x, m) + W / _power("y", y, m) >= 1.0
 
 
@@ -86,16 +91,16 @@ def gm_check(V, W, m, x, y, z):
     """G_m(x,y,z) = V x^m/(x^2+z^2)^m + W y^m/(y^2+z^2)^m - 1/(1+z^2)^m.
 
     Non-negative for all real z whenever x, y >= 1, m > 0 and
-    V/x^m + W/y^m >= 1.  x, y >= 1 and m > 0 must be finite (else
-    DomainError); ``z`` may be an array.
+    V/x^m + W/y^m >= 1.  x, y >= 1, m > 0, V and W must be finite and ``z``,
+    which may be an array, must hold no NaN (else DomainError).
     Where z^2 or a denominator's power leaves the float range, it is inf and
     its term the limit 0, with no warning: gm_check(1, 1, 1000, 1.5, 1.5, 0)
     is -1.0, and gm_check(1, 1, 4, 1.5, 1.5, 1e200), 9e-1600, is 0.0.  Where
     x^2 or V x^m leaves it, the term is V / (x + z^2/x)^m, the same value
     formed without that intermediate (likewise for y and W).
     """
-    _check_gm(x, y, m)
     z = np.asarray(z, dtype=float)
+    _check_gm(V, W, m, x, y, z)
     with np.errstate(over="ignore"):   # inf, and a term of 0, past the float range
         z2 = z * z
         out = (_gm_term(V, "x", x, m, z2) + _gm_term(W, "y", y, m, z2)

@@ -396,10 +396,18 @@ def half_plane_values(f):
 
     The grid spacing resolves the transform's oscillation (period bounded
     below by 2 pi / x0) for x0 <= 30; the half-plane condition reduces to the
-    boundary by the minimum principle since F decays at infinity.
+    boundary by the minimum principle since F decays at infinity.  The grid
+    is symmetric to the bit (``ys == -ys[::-1]``): its 1001 points y >= 0
+    are ``np.linspace(0, 100, 1001)``, and the rest their negatives.  A
+    real weight has Re F(-iy) = Re F(iy), so F is evaluated at y >= 0 alone
+    and mirrored; the built-in weights' mirrored values equal a direct
+    evaluation at -iy bit for bit, as NumPy's complex exp, subtraction and
+    division map conjugates to conjugates, and the stacked pair sum of
+    ``_kernels.f_array`` only swaps its addends there.
     """
-    ys = np.linspace(-100.0, 100.0, 2001)
-    return ys, f.laplace(1j * ys).real
+    y = np.linspace(0.0, 100.0, 1001)
+    re = f.laplace(1j * y).real
+    return np.concatenate((-y[:0:-1], y)), np.concatenate((re[:0:-1], re))
 
 
 def condition2_min(f):

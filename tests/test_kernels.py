@@ -93,24 +93,22 @@ class _CountedExp:
 
 
 @pytest.mark.parametrize("params, folded, real_exps, off_axis_shapes", [
-    # cosine: alpha's exp at the points alone and stacked, g's and conj g's stacked
-    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 5, 3,
-     [(3,), (2, 3), (2, 3), (2, 3)]),
-    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 2, 2,   # c0 = 0
-     [(2, 3), (2, 3)]),
-    ({"alpha": 0.5, "s": 1.0}, 1, 1, [(3,)]),                              # plain
+    # cosine: alpha's, g's and conj g's exps, at z and conj z stacked off the axis
+    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 5, 3, [(3, 6)]),
+    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 2, 2, [(2, 6)]),  # c0 = 0
+    ({"alpha": 0.5, "s": 1.0}, 1, 1, [(1, 3)]),                                     # plain
 ])
 def test_conjugate_pairs_fold_to_one_exp_each(params, folded, real_exps, off_axis_shapes,
                                              monkeypatch):
     """The code keeps one pair of each conjugate pair.  At a real point F
     takes one exp per folded pair, except on the search's five-pair layout
     (the cosine weight), where it takes one per generator exponent, alpha's
-    and g's.  f_array takes one array exp per distinct g_k and the points it
-    takes: at real points 3 for the cosine weight's five pairs, whose g_k
-    are alpha, g, alpha, g and conj g; off the real axis each pair with a
-    complex exponent also evaluates its dropped pair's term, stacked with
-    the kept one's, so alpha's pair with itself and its pair with g take
-    two exps."""
+    and g's.  f_array takes one stacked array exp, a row per distinct g_k:
+    at real points 3 rows for the cosine weight's five pairs, whose g_k are
+    alpha, g, alpha, g and conj g; off the real axis each pair with a
+    complex exponent also evaluates its dropped pair's term, at conj z, so
+    every row takes z and conj z stacked, and alpha's pair with itself
+    reads the first half of its row."""
     f = tf.autocorrelation(**params)
     x0, fold = f.kernel_code()
     assert len(fold) == folded
@@ -131,7 +129,7 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, folded, real_exps, off_axi
     monkeypatch.setattr(_kernels, "np", _CountedExp(shapes))
     f.laplace(np.linspace(-2.0, 2.0, 7))
     f.laplace(0.37 + 0j)       # a complex scalar on the real axis
-    assert shapes == [(7,)] * real_exps + [(1,)] * real_exps
+    assert shapes == [(real_exps, 7), (real_exps, 1)]
     shapes.clear()
     f.laplace(np.array([0.37 + 1j, -0.5 - 2j, 3j]))
     assert shapes == off_axis_shapes
@@ -687,6 +685,25 @@ def test_overflowing_pair_gives_plus_infinity():
     f = tf.autocorrelation(alpha=4.0, s=20.0)
     assert _kernels.f_real_scalar(f.kernel_code(), -34.0) == math.inf
     assert f.laplace(-34.0) == complex(math.inf, 0.0)
+
+
+def test_array_transform_is_plus_infinity_exactly_where_the_scalar_kernel_is():
+    # e^{(g_k - r) x0} = e^800 is inf+nanj in NumPy: the array path gave
+    # [nan, 1.135] here, where the scalar kernel gives inf at -400
+    got = tf.triangle(2.0).laplace(np.array([-400.0, 1.0]))
+    assert got[0] == complex(math.inf, 0.0)
+    assert got[1] == tf.triangle(2.0).laplace(np.array([1.0]))[0]
+    for f in SCALAR_WEIGHTS:
+        # across -r x0 = 690 (the scalar kernel's inf) and past each pair's
+        # exp overflow, on one grid and point by point; no RuntimeWarning
+        edge = -690.0 / f.x0
+        rs = np.concatenate([np.linspace(1.5 * edge, 0.0, 301),
+                             [edge, np.nextafter(edge, 0.0), np.nextafter(edge, -1.0), -1e300]])
+        want = np.array([_kernels.f_real_scalar(f.kernel_code(), float(r)) for r in rs])
+        for got in (f.laplace(rs).real, np.array([f.laplace(np.array([r]))[0].real for r in rs])):
+            assert not np.isnan(got).any(), f
+            assert ((got == math.inf) == (want == math.inf)).all(), f
+        assert (want == math.inf).any() and (want < math.inf).any(), f
 
 
 def test_overflowing_sum_gives_plus_infinity():

@@ -54,14 +54,17 @@ def _uncached_quadrature(f, z):
 
 def _per_pair_f_array(code, z):
     """F(z) of a family code by the pass over the folded pairs, each pair's
-    exponent terms formed afresh: ``_kernels.f_array``'s rule before it
-    shared them."""
+    exponent terms formed afresh at its own points, and +inf at real points
+    where the scalar kernel gives it (past -r x0 = 690, or where a pair term
+    in the direct form overflows its exp): ``_kernels.f_array``'s rule
+    restated without its per-code bookkeeping, stacked rows or blocks."""
     x0, folded = code
     z = np.asarray(z)
     scalar = z.ndim == 0
     real = not np.iscomplexobj(z) or not z.imag.any()
     z = np.atleast_1d(z.astype(complex))
     out = np.zeros(z.shape, dtype=complex)
+    over = real & (z.real * x0 < -690.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for c, gj, gk, K, _ in folded:
             own = real or (gj.imag == 0.0 and gk.imag == 0.0)
@@ -69,13 +72,17 @@ def _per_pair_f_array(code, z):
             b = gj + zs
             A = gk - zs
             w = A * x0
-            phi = (K - (np.exp(w) - 1.0) / A) / b
-            for i in np.flatnonzero((np.abs(b) * x0 < _kernels.SMALL_W)
-                                    | (np.abs(w) < _kernels.SMALL_W)):
+            ew = np.exp(w)
+            phi = (K - (ew - 1.0) / A) / b
+            near = (np.abs(b) * x0 < _kernels.SMALL_W) | (np.abs(w) < _kernels.SMALL_W)
+            for i in np.flatnonzero(near):
                 phi.flat[i] = _kernels.pair_near(K, gj, gk, complex(zs.flat[i]), x0)
+            if real:
+                over |= ~np.isfinite(ew) & ~near
             if not own:
                 phi = 0.5 * (phi[0] + phi[1].conj())
             out += c * (phi.real if real else phi)
+    out[over] = math.inf
     return complex(out[0]) if scalar else out
 
 
@@ -140,15 +147,20 @@ def _series_points(f):
 @example(layout="c0 = 0", alpha=-0.0, s=2.0, frac=0.5, zr=-0.0, zi=0.0)
 @settings(max_examples=60, deadline=None)
 def test_shared_exponent_terms_keep_the_per_pair_bits(layout, alpha, s, frac, zr, zi):
-    """f_array and f(t), which share each exponent's terms among its pairs,
-    equal the pass over the pairs bit for bit at real points, at stacked
-    off-axis points, on the half-plane grid and near coincident nodes."""
+    """f_array, whose bookkeeping is formed once per code and which takes
+    each distinct exponent's terms in one stacked operation, and f(t),
+    which shares them among its pairs, equal the pass over the pairs bit
+    for bit: at real points (some past the float range), at stacked
+    off-axis points, on the half-plane grid, near coincident nodes, and on
+    grids of several blocks."""
     f = _drawn_weight(layout, alpha, s, frac)
     code = f.kernel_code()
     near = _series_points(f)
+    many = np.linspace(-700.0 / s, 5.0, 2500)
     for z in (np.linspace(-5.0, 5.0, 41), np.array([zr + 1j * zi, zr - 1j * zi, 1j * zi, zr]),
               1j * np.linspace(-100.0, 100.0, 2001), near, near.real.copy(), complex(zr, 0.0),
-              complex(zr, zi)):
+              complex(zr, zi), many, many + 1j * zi, np.array([-400.0, -700.0 / s, zr, 1.0]),
+              np.array([[zr, 0.5], [-1.0, 2.0]]), -690.0 / s):
         assert _same_bits(_kernels.f_array(code, z), _per_pair_f_array(code, z))
     ts = np.concatenate([np.linspace(-0.5, 1.2 * s, 121), [0.0, s, np.nextafter(s, 0.0)]])
     assert _same_bits(f(ts), _per_pair_weight(code, ts))
@@ -218,15 +230,40 @@ def test_shared_samples_match_uncached_rule_bitwise(f):
 
 
 def test_shared_samples_evaluate_each_node_once():
-    # the nodes do not depend on z, so the 8 points of one weight read f
-    # once per level reached, at the nodes it adds (levels 16..128): at most
-    # 4 calls and 129 nodes
+    # the nodes do not depend on z, so the 8 points of one weight read f in
+    # one call, at the 129 distinct nodes of levels 16..128, where all
+    # of them converge
     f = _CountingWeight(_cosine_weight())
     for z in _ZS:
         oracles.quadrature_laplace(f, z)
     nodes = np.concatenate(f.seen)
-    assert len(f.seen) <= 4
+    assert len(f.seen) == 1
     assert np.unique(nodes).size == nodes.size == f.nodes <= 129
+
+
+def test_finer_levels_sample_only_the_nodes_they_add():
+    # at z = 80 pi i on [0, 2], |Im z| x0 = 502.7 admits level 512, which
+    # agrees with level 1024: after the first call's 129 nodes, levels 256,
+    # 512 and 1024 each sample the odd k they add, in one call each
+    f = _CountingWeight(tf.triangle(2.0))
+    oracles.quadrature_laplace(f, 0.5 + 1.0j)
+    oracles.quadrature_laplace(f, 80j * math.pi)
+    assert [len(ts) for ts in f.seen] == [129, 128, 256, 512]
+    nodes = np.concatenate(f.seen)
+    assert np.unique(nodes).size == nodes.size
+
+
+@pytest.mark.parametrize("f", _WEIGHTS + [_drawn_weight("c0 = 0", -0.0, 2.0, 0.5)], ids=repr)
+def test_half_plane_grid_is_mirrored_bitwise(f):
+    """The half-plane check's grid is symmetric to the bit, and the values
+    it mirrors to y < 0 from y > 0 are those of a direct evaluation at
+    -iy."""
+    ys, vals = tf.half_plane_values(f)
+    assert ys.size == vals.size == 2001
+    assert (ys == -ys[::-1]).all()
+    assert ys[1000] == 0.0 and ys[-1] == 100.0
+    assert _same_bits(vals[:1000], f.laplace(1j * ys[:1000]).real)
+    assert tf.condition2_min(f) == vals.min()
 
 
 def test_failure_at_cap_leaves_later_calls_correct():
@@ -521,14 +558,9 @@ def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr
     _finite_or_refused(lambda: oracles.scan_root(lambda x: x - r, lo, hi, step))
 
 
-#: the same parts drawn finite, for the lemma's V, W and z, which gm_check
-#: does not check: a NaN among them gives NaN
-_FINITE_EDGY = _EDGY.filter(math.isfinite)
-
-
 @given(entry=st.sampled_from(["triangle laplace", "laplace", "autocorrelation", "gm_check"]),
        p=st.tuples(*[_EDGY] * 5), zr=_EDGY, zi=_EDGY.filter(bool),
-       v=st.tuples(*[_FINITE_EDGY] * 3))
+       v=st.tuples(*[_EDGY] * 3))
 # e^{-zt} past the float range off the real axis, once nan+nanj
 @example(entry="triangle laplace", p=(0.0, 0.0, 0.0, 0.0, 2.0), zr=-400.0, zi=1.0,
          v=(0.0, 0.0, 0.0))
@@ -540,6 +572,13 @@ _FINITE_EDGY = _EDGY.filter(math.isfinite)
 # overflow warning
 @example(entry="autocorrelation", p=(-1e300, 0.0, -400.0, 710.0, 1e300), zr=0.0, zi=1.0,
          v=(0.0, 0.0, 0.0))
+# a NaN V or z, once NaN with no error; an infinite z is the limit 0
+@example(entry="gm_check", p=(1.0, 1.5, 1.5, 0.0, 0.0), zr=0.0, zi=1.0,
+         v=(math.nan, 1.0, 0.0))
+@example(entry="gm_check", p=(1.0, 1.5, 1.5, 0.0, 0.0), zr=0.0, zi=1.0,
+         v=(1.0, 1.0, math.nan))
+@example(entry="gm_check", p=(1.0, 1.5, 1.5, 0.0, 0.0), zr=0.0, zi=1.0,
+         v=(1.0, 1.0, -math.inf))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_transform_and_lemma_entry_points_return_finite_values_or_refuse(entry, p, zr, zi, v):
     """A weight's build (``p`` its alpha, c0, c1, beta and s), its transform

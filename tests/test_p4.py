@@ -123,6 +123,26 @@ class TestGm:
         with pytest.raises(DomainError, match=r"require finite m > 0, got m="):
             call()
 
+    @pytest.mark.parametrize("V, W", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, -math.inf)])
+    def test_non_finite_coefficients_rejected(self, V, W):
+        # V = nan and W = nan returned nan; V = inf returned inf
+        with pytest.raises(DomainError, match=r"^require finite V, W, got V="):
+            p4.gm_check(V, W, 1, 1.5, 1.5, 0.0)
+        with pytest.raises(DomainError, match=r"^require finite V, W, got V="):
+            p4.gm_guaranteed(V, W, 1, 1.5, 1.5)
+
+    @pytest.mark.parametrize("z", [math.nan, [0.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_z_rejected(self, z):
+        # returned nan, and [-0.11, nan]
+        with pytest.raises(DomainError, match=r"^require z that is not NaN, got z="):
+            p4.gm_check(1, 1, 1, 1.5, 1.5, z)
+
+    def test_infinite_z_is_the_limit(self):
+        assert p4.gm_check(1, 1, 1, 1.5, 1.5, math.inf) == 0.0
+        assert p4.gm_check(1, 1, 1, 1.5, 1.5, [-math.inf, 0.0]).tolist() == [
+            0.0, p4.gm_check(1, 1, 1, 1.5, 1.5, 0.0)]
+
     @pytest.mark.parametrize("m", [math.inf, math.nan])
     def test_guaranteed_rejects_non_finite_m(self, m):
         with pytest.raises(DomainError, match="require finite m"):
