@@ -37,8 +37,11 @@ on arrays: ``smoothed_fn`` returns the smoothed ``h(x)``, and ``poly_fn`` and
 ``zfr_fn`` return the quartic ones as functions of u, with the value t of
 P at their root; ``poly_fn`` builds at fixed lam and b, for every J, and
 returns the J where the root is stationary too, all from one
-P(lam/(lam+b)).  The search's snapped h, on floats, is ``snapped_fn``'s;
-the smoothed builders take the case's shape, 'sz' or 'cc', by its name.
+P(lam/(lam+b)).  That t and the stationary J are written once, as
+functions of plain numbers (``poly_target``, ``poly_consts``), which
+``poly_fn`` and the search's closure-free ceiling both read.  The search's
+snapped h, on floats, is ``snapped_fn``'s; the smoothed builders take the
+case's shape, 'sz' or 'cc', by its name.
 The named root kernels (``smoothed_root``, ``poly_root``, ``zfr_root``) take or
 build those functions (``smoothed_root`` and ``poly_root`` take them built,
 so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
@@ -807,15 +810,11 @@ def _p4(u):
     return u * (1.0 + u * (1.0 + u * (0.8 + 0.4 * u)))
 
 
-def poly_fn(slot, lam, b, psi):
-    """The quartic-method repulsion function at fixed lam, b, for every J.
-
-    Returns (g, target, stationary): g(J, u) is the function of
-    u = lam/(lam+x), target(J) the value of P where g(J, .) vanishes, and
-    stationary the J > 0 where that root is stationary in J.  slot 0: known
-    value on the (J^2 + 1/2) term, unknown on the 2J term; slot 1: the
-    reverse.  g decreases in u, so g(J, lam/(lam+x)) increases in x.
-    P_b = P(lam/(lam+b)) is formed once here, for all three.
+def poly_consts(slot, lam, b, psi):
+    """(P_b, stationary) of the quartic-method repulsion function at fixed
+    lam, b: P_b = P(lam/(lam+b)), and the J > 0 where the root of
+    g(J, .) (``poly_fn``) is stationary in J.  slot 0: known value on the
+    (J^2 + 1/2) term, unknown on the 2J term; slot 1: the reverse.
 
     With A = P(1) - P_b, slot 0 puts the root at
     P(u) = [(J^2 + 1/2) A + psi lam (J+1)^2]/(2J), convex in J with its
@@ -830,25 +829,41 @@ def poly_fn(slot, lam, b, psi):
     if slot == 0:
         A = P1 - known
         den = A + psi * lam
-        stationary = (math.sqrt((0.5 * A + psi * lam) / den),) if den > 0.0 else ()
+        return known, (math.sqrt((0.5 * A + psi * lam) / den),) if den > 0.0 else ()
+    c2, c1 = psi * lam - known, 0.5 * psi * lam
+    q = c1 + math.sqrt(c1 * c1 + 2.0 * c2 * c2)
+    return known, () if c2 == 0.0 else (c2 / q if c2 > 0.0 else -q / (2.0 * c2),)
+
+
+def poly_target(slot, lam, known, psi, J):
+    """The value of P where ``poly_fn``'s g(J, .) vanishes, from P_b = known
+    (``poly_consts``): the root's P(u) of ``poly_consts``' docstring."""
+    if slot == 0:
+        return ((J * J + 0.5) * (P1 - known) + psi * (J + 1.0) ** 2 * lam) / (2.0 * J)
+    return P1 - (2.0 * J * known - psi * (J + 1.0) ** 2 * lam) / (J * J + 0.5)
+
+
+def poly_fn(slot, lam, b, psi):
+    """The quartic-method repulsion function at fixed lam, b, for every J.
+
+    Returns (g, target, stationary): g(J, u) is the function of
+    u = lam/(lam+x), target(J) the value of P where g(J, .) vanishes
+    (``poly_target``), and stationary the J > 0 where that root is
+    stationary in J (``poly_consts``, slot as there).  g decreases in u, so
+    g(J, lam/(lam+x)) increases in x.  P_b = P(lam/(lam+b)) is formed once
+    here, for all three.
+    """
+    known, stationary = poly_consts(slot, lam, b, psi)
+    if slot == 0:
+        A = P1 - known
 
         def g(J, u):
             return (J * J + 0.5) * A - 2.0 * J * _p4(u) + psi * (J + 1.0) ** 2 * lam
-
-        def target(J):
-            return ((J * J + 0.5) * A + psi * (J + 1.0) ** 2 * lam) / (2.0 * J)
     else:
-        c2, c1 = psi * lam - known, 0.5 * psi * lam
-        q = c1 + math.sqrt(c1 * c1 + 2.0 * c2 * c2)
-        stationary = () if c2 == 0.0 else (c2 / q if c2 > 0.0 else -q / (2.0 * c2),)
-
         def g(J, u):
             return ((J * J + 0.5) * (P1 - _p4(u)) - 2.0 * J * known
                     + psi * (J + 1.0) ** 2 * lam)
-
-        def target(J):
-            return P1 - (2.0 * J * known - psi * (J + 1.0) ** 2 * lam) / (J * J + 0.5)
-    return g, target, stationary
+    return g, functools.partial(poly_target, slot, lam, known, psi), stationary
 
 
 def poly_root(g, target, J, lam, lo, hi):

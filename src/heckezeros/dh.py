@@ -403,10 +403,9 @@ class _SideConditions:
         where even x = 0 fails.  A condition's rest, 1/lam^4 less its known
         term, is what its x term must exceed; rests is (the first
         condition's, the last's) where they are the same for every J (x on
-        the 2J slot), else empty, for ``turns``.  side_x closes over few
-        objects: the search keeps the build of every lambda it reads, and a
-        few more objects per build take a search past the garbage
-        collector's first threshold, which costs it 5-15%.
+        the 2J slot), else empty, for ``turns``.  The search builds only
+        the lambda whose J-maximum it scores, about 9 per table row, and
+        keeps none of them.
         """
         inv4, lb4 = 1.0 / lam ** 4, (lam + b) ** 4
         (j0, k0), (j1, k1) = self.conditions[0], self.conditions[-1]
@@ -490,8 +489,8 @@ def _poly_at(case, b, lam, phi):
     The first three are ``_kernels.poly_fn``'s, the last two those of the
     case's one side-condition statement (``_SideConditions.at``), which forms
     1/lam^4 and (lam + b)^4 once for the limit and its turns
-    (``_SideConditions.turns`` of rests): the search reads a lambda's ceiling
-    and scores many J at it from one build.
+    (``_SideConditions.turns`` of rests): the search scores many J at a
+    lambda from one build, and reads a lambda's ceiling with none.
     """
     sides = case._sides
     return (*_kernels.poly_fn(sides.slot, lam, b, case.psi_over_phi * phi), *sides.at(b, lam))

@@ -7,11 +7,12 @@ each scored by one solve.  A closed-form ceiling on that maximum
 (``_j_ceiling``: the largest equation root over the J box, with the side
 condition ignored) lets the section skip every lambda that cannot change
 its outcome, so most lambda it visits cost no candidate score and the
-result is the same to the bit.  Each lambda is built once
-(``dh._poly_at``), for its ceiling and its J-maximum alike.  Smoothed cases and the density bound search the
-substitute weight family (the autocorrelation of the generator
-e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each fixed
-beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
+result is the same to the bit.  The ceiling is read from the case's slot,
+lambda, b and psi alone, with no build; only a lambda whose J-maximum is
+scored is built (``dh._poly_at``), once.  Smoothed cases and the density
+bound search the substitute weight family (the autocorrelation of the
+generator e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each
+fixed beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
 golden-section line search per coordinate, restarted from a fixed grid; the
 three best starts are each re-descended from their incumbent while that
 gains and budget is left.  A family search scores each weight from its
@@ -48,7 +49,6 @@ constraints handled by rejection (score -inf); the optimum may sit on the
 feasible boundary, which the in-bracket golden section finds.
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -85,9 +85,11 @@ class SearchSpec:
 
 
 def _check_budget(budget):
-    """Raise InvalidParameterError unless the budget is a finite number >= 1."""
-    if not 1 <= budget < math.inf:   # NaN too, which an infinite budget // 2 is
-        raise InvalidParameterError(f"search budget must be a finite number >= 1, got {budget}")
+    """Raise InvalidParameterError unless the budget is a finite real >= 1."""
+    # NaN too, which an infinite budget // 2 is
+    if not (isinstance(budget, numbers.Real) and 1 <= budget < math.inf):
+        raise InvalidParameterError(
+            f"search budget must be a finite number >= 1, got {_shown(budget)}")
 
 
 class _Budget:
@@ -306,28 +308,35 @@ def _j_candidates(case, lam, at):
     return sorted(((side_x(J), J) for J in candidates), key=lambda t: -t[0])
 
 
-def _j_ceiling(case, lam, at):
+def _j_ceiling(case, b, lam, phi):
     """A ceiling on the J-maximum at fixed lambda, in closed form: the largest
     equation root over the J box, with the side condition ignored.
 
-    ``at`` is ``dh._poly_at``'s build of the lambda.  Each candidate's value
-    min(root, side limit) is at most its root.  The root solves
-    P(lam/(lam+x)) = target(J) (``_kernels.poly_fn``, whose g is a positive
-    multiple of target - P(u)), so it falls as the target rises: the largest
-    is x at the smallest target, at a box end or a stationary J inside the
-    box, between which the root is monotone.  It is 0 where that target is
-    at least P(1) (``_kernels.P1``; no J has a root above 0), and the
-    bracket top ``dh.POLY_HI`` of every root where it lies below P there.
-    The ceiling is raised by 1e-12 of lam + x: the root lam/u - lam rounds
-    by a few ulps of lam + x, so no candidate J, however its value rounds,
-    scores above the ceiling.  It is +inf where a target is NaN.
+    It reads the case's slot and psi, and the target and stationary J of
+    ``_kernels.poly_consts`` and ``poly_target`` at (slot, lam, b, psi), the
+    ones ``dh._poly_at``'s build reads, so it forms no closure and no side
+    condition.  Each candidate's value min(root, side limit) is at most its
+    root.  The root solves P(lam/(lam+x)) = target(J) (``_kernels.poly_fn``,
+    whose g is a positive multiple of target - P(u)), so it falls as the
+    target rises: the largest is x at the smallest target, at a box end or a
+    stationary J inside the box, between which the root is monotone.  It is
+    0 where that target is at least P(1) (``_kernels.P1``; no J has a root
+    above 0), and the bracket top ``dh.POLY_HI`` of every root where it lies
+    below P there.  The ceiling is raised by 1e-12 of lam + x: the root
+    lam/u - lam rounds by a few ulps of lam + x, so no candidate J, however
+    its value rounds, scores above the ceiling.  It is +inf where a target is
+    NaN.
     """
-    _, target, stationary, _, _ = at
+    slot, psi = case._sides.slot, case.psi_over_phi * phi
+    known, stationary = _kernels.poly_consts(slot, lam, b, psi)
     j_lo, j_hi = _j_box(case)
-    targets = [target(J) for J in (j_lo, j_hi, *stationary) if j_lo <= J <= j_hi]
-    if any(map(math.isnan, targets)):
-        return math.inf
-    t = min(targets)
+    t = math.inf
+    for J in (j_lo, j_hi, *stationary):
+        if j_lo <= J <= j_hi:
+            target = _kernels.poly_target(slot, lam, known, psi, J)
+            if target != target:
+                return math.inf
+            t = min(t, target)
     if t >= _kernels.P1:
         x = 0.0
     elif t <= _kernels._p4(lam / (lam + dh.POLY_HI)):
@@ -346,18 +355,20 @@ def maximize_bound(spec):
 
     Polynomial cases tune (lambda, J) by a golden section over lambda of the
     J-maximum at each lambda, which the finite candidate set of
-    ``_j_candidates`` gives exactly.  Each lambda the section reads is built
-    once (``dh._poly_at``, kept for the call), and its ceiling and its
-    J-maximum both read that build.  The section reads the ceiling
-    ``_j_ceiling`` first (``_golden_max``'s ``bound``): a coarse point whose
-    ceiling is below the best value found, and a golden point whose ceiling
-    is below the value it is compared with, is not scored at all.  Such a
-    lambda cannot win, so where the budget does not run out the result is
-    that of the search without the ceiling, to the bit; the earlier lambda
-    of the coarse scan still wins a tie.  The budget counts the candidates
-    scored, and a pruned lambda spends none of it.  A candidate scores its bound (``dh._poly_bound``),
-    with no checks, residual or error message; only the winner is solved by
-    ``dh.solve_poly``, for its result.  Plain coordinate descent stalls on
+    ``_j_candidates`` gives exactly.  The section reads the ceiling
+    ``_j_ceiling``, which builds nothing, first (``_golden_max``'s
+    ``bound``): a coarse point whose ceiling is below the best value found,
+    and a golden point whose ceiling is below the value it is compared
+    with, is not scored at all.  Such a lambda cannot win, so where the
+    budget does not run out the result is that of the search without the
+    ceiling, to the bit; the earlier lambda of the coarse scan still wins a
+    tie.  The budget counts the candidates scored, and a pruned lambda
+    spends none of it.  Only a lambda the section scores is built
+    (``dh._poly_at``), once, as the section never visits a lambda twice,
+    and nothing of it is kept but its best J.  A candidate scores its bound
+    (``dh._poly_bound``), with no checks, residual or error message; only
+    the winner is solved by ``dh.solve_poly``, for its result, which builds
+    its lambda once more.  Plain coordinate descent stalls on
     these landscapes: at the constrained optima the equation root meets the
     side-condition limit along a curve in (lambda, J), and every point of
     that curve is a coordinatewise local maximum.  Smoothed cases tune the
@@ -377,15 +388,11 @@ def maximize_bound(spec):
         b = float(spec.b)   # as solve_poly reads it
         best_j = {}   # lambda -> the first candidate J that scores its maximum
 
-        @functools.cache
-        def build(lam):
-            return dh._poly_at(case, b, lam, spec.phi)
-
         def inner(lam, rival):   # rival unused: the ceiling spares the losers
             v_lam = -math.inf
             if budget.left <= 0:
                 return v_lam
-            at = build(lam)
+            at = dh._poly_at(case, b, lam, spec.phi)
             for limit, J in _j_candidates(case, lam, at):
                 # v <= limit: no later candidate can beat v_lam
                 if limit <= v_lam or not budget.spend():
@@ -399,7 +406,7 @@ def maximize_bound(spec):
         # bounded by its tolerance alone
         lam_opt, v = _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf),
                                  coarse=25,
-                                 bound=lambda lam: _j_ceiling(case, lam, build(lam)))
+                                 bound=lambda lam: _j_ceiling(case, b, lam, spec.phi))
         if not math.isfinite(v):
             raise InfeasibleSearchError(
                 f"no feasible (lambda, J) for {case.name} at b={spec.b}")

@@ -33,11 +33,13 @@ narrows that cell by 64-way subdivisions to 1e-12.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NoRootError, OracleFailureError, positive
+from .errors import (DomainError, InvalidParameterError, NoRootError, OracleFailureError,
+                     nonnegative, positive)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,9 @@ def positivity_report(check, values, locations, tolerance=1e-12):
     """The report of ``values >= -tolerance``, located by ``locations[i]``
     (a tuple, or one value), or ``(i,)`` for None.  Its NumPy scalars become
     plain Python numbers and nothing else is converted, so a location that
-    mixes a name with numbers keeps both."""
+    mixes a name with numbers keeps both.  The tolerance must be finite and
+    >= 0."""
+    nonnegative("tolerance", tolerance)
     values = np.asarray(values, dtype=float)
     i = int(np.argmin(values))
     loc = locations[i] if locations is not None else (i,)
@@ -161,8 +165,9 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
     is raised where levels 2048 and 4096 still disagree.  The default 1e-13
     target is met over all of ``|Im z| x0 <= 4000`` on the triangle and on
     autocorrelation weights; the tests, ``verify`` and the benchmark ask
-    for at most 2,000.  A non-finite ``z`` raises ``DomainError`` before
-    any sampling.
+    for at most 2,000.  A non-finite ``z`` raises ``DomainError``, and an
+    ``abs_tol`` that is not finite and >= 0 ``InvalidParameterError``,
+    before any sampling.
 
     Level ``n`` gives ``x0 sum_k w_k f(t_k) e^{-z t_k}`` over its nodes in
     nested order, the integrand formed with one exp per node a call reads.
@@ -176,6 +181,7 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
     gave it.  ``f`` is hashed by identity (``TrialFunction`` defines no
     ``__eq__``) and must not change its values after construction.
     """
+    nonnegative("abs_tol", abs_tol)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"quadrature needs a finite z, got z={z}")
@@ -239,11 +245,11 @@ def scan_root(h, lo, hi, step):
     Each chunk's points are formed from their indices, with the bits
     ``np.arange(lo, hi + coarse, coarse)`` gives them and the last point
     clamped to hi, so no more of the grid exists than the chunk.
-    Non-finite bounds, a ``step`` that is not finite and > 0, or a bracket
-    of more than 2**24 coarse cells raise ``InvalidParameterError`` before
-    any ``h`` call.
+    Bounds that are not finite reals, a ``step`` that is not finite and
+    > 0, or a bracket of more than 2**24 coarse cells raise
+    ``InvalidParameterError`` before any ``h`` call.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)):
         raise InvalidParameterError(f"scan bounds must be finite, got [{lo}, {hi}]")
     positive("scan step", step)
     if hi <= lo:

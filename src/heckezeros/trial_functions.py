@@ -54,6 +54,7 @@ import cmath
 import functools
 import inspect
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -380,9 +381,10 @@ def repel_reduce(f, a, b):
 
     Equals F(-a) - F(0) when b >= a, else F(-a) - F(b-a); both follow from
     the non-negativity of f and of Re F on the imaginary axis.  inf where
-    F(-a) overflows, which still bounds the expression.
+    F(-a) overflows, which still bounds the expression.  a and b must be
+    finite reals >= 0 (``DomainError``).
     """
-    if not (0 <= a < math.inf and 0 <= b < math.inf):   # NaN too
+    if not all(isinstance(v, numbers.Real) and 0 <= v < math.inf for v in (a, b)):   # NaN too
         raise DomainError(f"repel_reduce requires finite a, b >= 0, got a={a}, b={b}")
     F_a = f.laplace_real(-a)
     if F_a == math.inf:   # F decreases, so the other term may be inf too: no inf - inf

@@ -14,7 +14,7 @@ import pytest
 
 from heckezeros import dh, optimizer, oracles, p4, tables, zero_density as zd, zfr
 from heckezeros import trial_functions as tf
-from heckezeros.errors import InvalidParameterError, nonnegative, positive
+from heckezeros.errors import DomainError, InvalidParameterError, nonnegative, positive
 
 TRI = tf.triangle(2.0)
 POLY = ("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788)   # (case, b, lambda, J) of T4
@@ -71,6 +71,12 @@ ENTRIES = [
     ("autocorrelation", "generator support s", ">", lambda v: tf.autocorrelation(s=v)),
     ("regress", "tolerance", ">=", lambda v: tables.regress("T4", tolerance=v)),
     ("scan_root", "scan step", ">", lambda v: oracles.scan_root(lambda x: x - 1.0, 0.0, 2.0, v)),
+    ("quadrature_laplace", "abs_tol", ">=",
+     lambda v: oracles.quadrature_laplace(TRI, 0.5, abs_tol=v)),
+    ("positivity_report", "tolerance", ">=",
+     lambda v: oracles.positivity_report("c", [1.0], None, v)),
+    ("equality_report", "tolerance", ">=",
+     lambda v: oracles.equality_report("c", [0.0], None, v)),
 ]
 
 
@@ -108,3 +114,76 @@ def test_rules_accept_every_finite_real_inside(check, rule, least):
         with pytest.raises(InvalidParameterError) as err:
             check("v", value)
         assert str(err.value) == f"v must be finite and {rule} 0, got {value!r}"
+
+
+#: what an entry point that takes a number must refuse with its own error
+NOT_NUMBERS = ("1e-9", None, 1j)
+
+
+#: the oracles' tolerances, which a str once reached as a TypeError
+ORACLE_TOLERANCES = [e for e in ENTRIES
+                     if e[0] in ("quadrature_laplace", "positivity_report", "equality_report")]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+@pytest.mark.parametrize("name, rule, call", [e[1:] for e in ORACLE_TOLERANCES],
+                         ids=[e[0] for e in ORACLE_TOLERANCES])
+def test_an_oracle_tolerance_that_is_not_a_number_is_refused(name, rule, call, value):
+    # abs_tol="1e-9" raised TypeError, after the first sampling
+    with pytest.raises(InvalidParameterError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be finite and {rule} 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1e-9"])
+def test_quadrature_refuses_its_tolerance_before_any_sampling(value):
+    # a NaN abs_tol sampled all 4,097 nodes and then reported no
+    # convergence; an infinite one accepted the first level it could
+    def f(t):
+        raise AssertionError("sampled")
+
+    f.x0 = 2.0
+    with pytest.raises(InvalidParameterError):
+        oracles.quadrature_laplace(f, 0.5, abs_tol=value)
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, math.nan, -math.inf])
+def test_scan_bounds_that_are_not_finite_reals_are_refused(end, value):
+    # a str or None raised TypeError from math.isfinite
+    lo, hi = (value, 2.0) if end == "lo" else (0.0, value)
+    with pytest.raises(InvalidParameterError) as err:
+        oracles.scan_root(lambda x: x - 1.0, lo, hi, 1e-3)
+    assert str(err.value) == f"scan bounds must be finite, got [{lo}, {hi}]"
+
+
+@pytest.mark.parametrize("arg", ["a", "b"])
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, math.nan, math.inf, -1.0])
+def test_repel_reduce_refuses_what_is_not_a_finite_real_at_least_0(arg, value):
+    # a str raised TypeError
+    a, b = (value, 0.1) if arg == "a" else (0.1, value)
+    with pytest.raises(DomainError) as err:
+        tf.repel_reduce(TRI, a, b)
+    assert str(err.value) == f"repel_reduce requires finite a, b >= 0, got a={a}, b={b}"
+
+
+#: (search, call with the budget); the non-numbers raised TypeError from a
+#: comparison
+BUDGETS = [
+    ("maximize_bound", lambda v: optimizer.maximize_bound(
+        optimizer.SearchSpec("cc-lp-nonprincipal", 0.1, max_evals=v))),
+    ("optimize_family_smoothed",
+     lambda v: optimizer.optimize_family_smoothed("sz-lp-principal", 0.1, budget=v)),
+    ("optimize_zd", lambda v: optimizer.optimize_zd(0.2, budget=v)),
+    ("regress", lambda v: tables.regress("T2:principal", budget=v)),
+]
+
+
+@pytest.mark.parametrize("value, shown", [("5", "'5'"), (None, "None"), (1j, "1j"), ("3", "'3'"),
+                                          (math.nan, "nan"), (math.inf, "inf"), (0.5, "0.5"),
+                                          (np.float64(0.0), "0.0")])
+@pytest.mark.parametrize("call", [c for _, c in BUDGETS], ids=[n for n, _ in BUDGETS])
+def test_a_budget_that_is_not_a_finite_number_at_least_1_is_refused(call, value, shown):
+    with pytest.raises(InvalidParameterError) as err:
+        call(value)
+    assert str(err.value) == f"search budget must be a finite number >= 1, got {shown}"

@@ -203,19 +203,22 @@ class TestInnerJ:
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_each_lambda_is_built_once(self, monkeypatch, key):
-        # the ceiling and the J-maximum of a lambda read one dh._poly_at
-        # build, and the winner's solve_poly makes one more
+        # the section reads a lambda's ceiling without building it; only the
+        # lambda that _j_candidates scores are built (dh._poly_at), each once,
+        # and the winner's solve_poly makes one build more
         t = tables.load_table(key)
         builds = TestBudget.counted(monkeypatch, dh, "_poly_at")
-        read = []
-        for name in ("_j_ceiling", "_j_candidates"):
-            def spy(*args, _fn=getattr(optimizer, name)):   # lambda is args[-2]
-                read.append(args[-2])
+        read = {"_j_ceiling": [], "_j_candidates": []}
+        for name, at in (("_j_ceiling", 2), ("_j_candidates", 1)):   # where lambda is
+            def spy(*args, _fn=getattr(optimizer, name), _read=read[name], _at=at):
+                _read.append(args[_at])
                 return _fn(*args)
             monkeypatch.setattr(optimizer, name, spy)
         maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
-        assert len(set(read)) >= 25   # the coarse scan's ceilings
-        assert len(builds) == len(set(read)) + 1
+        assert len(set(read["_j_ceiling"])) >= 25   # the coarse scan's ceilings
+        scored = read["_j_candidates"]
+        assert len(scored) == len(set(scored)) < len(set(read["_j_ceiling"]))
+        assert len(builds) == len(set(scored)) + 1
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_crossings_take_the_gaps_at_their_ends(self, monkeypatch, key):
@@ -225,7 +228,7 @@ class TestInnerJ:
         # ceiling of +inf, which prunes no lambda: with the ceiling, T4's
         # middle row scores no lambda that has a crossing
         t = tables.load_table(key)
-        monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: math.inf)
+        ceilings = _no_ceiling(monkeypatch)
         crossings, bisect = [], _kernels._bisect
 
         def counted(h, lo, hi, *ends):
@@ -236,7 +239,7 @@ class TestInnerJ:
 
         monkeypatch.setattr(_kernels, "_bisect", counted)
         maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
-        assert crossings
+        assert ceilings and crossings
         for lo, hi, ends, at_ends, xs in crossings:
             assert ends == at_ends and ends[0] < 0.0 < ends[1]
             assert xs and all(lo < x < hi for x in xs), (key, lo, hi)
@@ -272,6 +275,14 @@ class TestInnerJ:
                     assert monotone(root), (b, lam, lo, hi)
                     pieces += 1
         assert pieces >= 3 * 12
+
+
+def _no_ceiling(monkeypatch):
+    """Make the lambda section's ceiling +inf, which prunes nothing; returns
+    the list of its calls, so a test can tell that the section read it."""
+    calls = []
+    monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: calls.append(args) or math.inf)
+    return calls
 
 
 def _full_inner(case, b, lam, phi):
@@ -318,8 +329,9 @@ class TestCeiling:
         n = len(t.rows)
         specs = [(t.case_name, t.rows[(2 * k + 1) * n // 6].b, dh.PHI) for k in range(3)]
         pruned = [self.outcome(*spec) for spec in specs]
-        monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: math.inf)
+        ceilings = _no_ceiling(monkeypatch)
         assert [self.outcome(*spec) for spec in specs] == pruned
+        assert ceilings
 
     @pytest.mark.parametrize("case", dh.POLY_CASES)
     def test_pruning_changes_no_grid_result(self, monkeypatch, case):
@@ -329,8 +341,9 @@ class TestCeiling:
         # every case has specs that bound and specs that are infeasible
         assert InfeasibleSearchError in pruned
         assert any(isinstance(r, str) for r in pruned)
-        monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: math.inf)
+        ceilings = _no_ceiling(monkeypatch)
         assert [self.outcome(*spec) for spec in specs] == pruned
+        assert ceilings
 
     @pytest.mark.parametrize("case", dh.POLY_CASES)
     @settings(max_examples=150, deadline=None)
@@ -344,9 +357,38 @@ class TestCeiling:
     @example(**CEILING_EXAMPLES[4])
     def test_ceiling_is_at_least_the_j_maximum(self, case, lam, b, phi):
         case = dh.get_case(case)
-        ceiling = optimizer._j_ceiling(case, lam, dh._poly_at(case, b, lam, phi))
+        ceiling = optimizer._j_ceiling(case, b, lam, phi)
         assert math.isfinite(ceiling)
         assert ceiling >= _full_inner(case, b, lam, phi)
+
+    @pytest.mark.parametrize("case", dh.POLY_CASES)
+    def test_ceiling_is_the_built_rule_to_the_bit(self, case):
+        # the section reads the ceiling without building the lambda; it is
+        # the rule applied to the full build, the target and stationary J of
+        # dh._poly_at, at every coarse lambda and more
+        case = dh.get_case(case)
+        j_lo, j_hi = optimizer._j_box(case)
+        lams = [*np.linspace(*optimizer.POLY_BOXES["lambda"], 25), 0.05, 0.1227, 1.155, 3.7]
+        regimes = set()
+        for b, phi, lam in itertools.product((0.0, 1e-4, 0.05, 0.3, 1.0, 3.0),
+                                             (0.0, 0.25, 0.6), map(float, lams)):
+            _, target, stationary, _, _ = dh._poly_at(case, b, lam, phi)
+            targets = [target(J) for J in (j_lo, j_hi, *stationary) if j_lo <= J <= j_hi]
+            if any(map(math.isnan, targets)):
+                want = math.inf
+            else:
+                t = min(targets)
+                if t >= _kernels.P1:
+                    x = 0.0
+                elif t <= _kernels._p4(lam / (lam + dh.POLY_HI)):
+                    x = dh.POLY_HI
+                else:
+                    x = lam / _kernels._p4_newton(t, 1.0) - lam
+                want = x + 1e-12 * (lam + x)
+                regimes.add("0" if x == 0.0 else "top" if x == dh.POLY_HI else "root")
+            got = optimizer._j_ceiling(case, b, lam, phi)
+            assert got.hex() == want.hex(), (b, phi, lam)
+        assert regimes == {"0", "top", "root"}
 
     def test_examples_reach_each_regime(self):
         finite = {"h(0) > 0": set(), "past 1000": set()}

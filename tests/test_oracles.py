@@ -540,21 +540,33 @@ def _finite_or_refused(call):
     return val
 
 
+#: arguments that are not numbers at all
+_NOT_NUMBERS = st.sampled_from(["1e-9", None, 1j])
+
+
 @given(layout=st.sampled_from(["triangle", "plain", "cosine"]), alpha=_ALPHA,
-       s=st.floats(0.5, 4.5), zr=_EDGY, zi=_EDGY, lo=_EDGY, hi=_EDGY, step=_EDGY,
+       s=st.floats(0.5, 4.5), zr=_EDGY, zi=_EDGY, tol=st.one_of(_EDGY, _NOT_NUMBERS),
+       lo=st.one_of(_EDGY, _NOT_NUMBERS), hi=st.one_of(_EDGY, _NOT_NUMBERS), step=_EDGY,
        r=st.floats(-60.0, 60.0))
 # e^{-zt} past the float range on [0, 2]; brackets of 1e14 and 2e302 cells
-@example(layout="triangle", alpha=0.0, s=2.0, zr=-400.0, zi=0.0,
+@example(layout="triangle", alpha=0.0, s=2.0, zr=-400.0, zi=0.0, tol=1e-13,
          lo=0.0, hi=1e12, step=1e-6, r=0.5)
-@example(layout="triangle", alpha=0.0, s=2.0, zr=-1000.0, zi=3.0,
+@example(layout="triangle", alpha=0.0, s=2.0, zr=-1000.0, zi=3.0, tol=1e-13,
          lo=-1e300, hi=1e300, step=1e-6, r=0.5)
+# a tolerance and bounds that are not finite reals, once a report of no
+# convergence after 4,097 nodes, or a TypeError
+@example(layout="cosine", alpha=0.0, s=2.0, zr=0.5, zi=0.0, tol=math.nan,
+         lo="0", hi=None, step=1e-3, r=0.5)
+@example(layout="cosine", alpha=0.0, s=2.0, zr=0.5, zi=0.0, tol="1e-9",
+         lo=0.0, hi=1j, step=1e-3, r=0.5)
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr, zi,
+def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr, zi, tol,
                                                             lo, hi, step, r):
     """The quadrature and the scan give a finite value or raise a
-    HeckeZerosError, and warn of nothing, at any z, bracket and step."""
+    HeckeZerosError, and warn of nothing, at any z, tolerance, bracket and
+    step, numbers or not."""
     f = _drawn_weight(layout, alpha, s, 1.0)
-    _finite_or_refused(lambda: oracles.quadrature_laplace(f, complex(zr, zi)))
+    _finite_or_refused(lambda: oracles.quadrature_laplace(f, complex(zr, zi), tol))
     _finite_or_refused(lambda: oracles.scan_root(lambda x: x - r, lo, hi, step))
 
 
