@@ -52,8 +52,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoBoundError,
-                     SideConditionError, checked_divisor, checked_power, no_bound,
-                     nonnegative, positive)
+                     SideConditionError, _shown, checked_divisor, checked_power, no_bound,
+                     nonnegative, positive, real)
 
 #: Critical-strip growth constant; the convexity bound fixes it at 1/4.
 PHI = 0.25
@@ -403,9 +403,10 @@ class _SideConditions:
         where even x = 0 fails.  A condition's rest, 1/lam^4 less its known
         term, is what its x term must exceed; rests is (the first
         condition's, the last's) where they are the same for every J (x on
-        the 2J slot), else empty, for ``turns``.  The search builds only
-        the lambda whose J-maximum it scores, about 9 per table row, and
-        keeps none of them.
+        the 2J slot), else empty, for ``turns``.  The search reads side_x
+        alone at a scored lambda whose root peaks where the condition is
+        slack, and builds only the lambda it scores where the condition
+        binds, about 4 per table row, keeping none of them.
         """
         inv4, lb4 = 1.0 / lam ** 4, (lam + b) ** 4
         (j0, k0), (j1, k1) = self.conditions[0], self.conditions[-1]
@@ -490,7 +491,8 @@ def _poly_at(case, b, lam, phi):
     case's one side-condition statement (``_SideConditions.at``), which forms
     1/lam^4 and (lam + b)^4 once for the limit and its turns
     (``_SideConditions.turns`` of rests): the search scores many J at a
-    lambda from one build, and reads a lambda's ceiling with none.
+    lambda from one build, and reads a lambda's ceiling, and values a lambda
+    whose side condition is slack at the ceiling's peak, with none.
     """
     sides = case._sides
     return (*_kernels.poly_fn(sides.slot, lam, b, case.psi_over_phi * phi), *sides.at(b, lam))
@@ -601,17 +603,18 @@ def piecewise_log_constant(rows, b_min):
     below the first b.  On each subinterval [b_{i-1}, b_i] the chain gives
     lambda* >= lambda*_i while log(1/width) <= log(1/b_{i-1}), so the uniform
     constant is the minimum of lambda*_i / log(1/b_{i-1}).  Each lambda*_i
-    must be finite and > 0.
+    must be finite and > 0, and each width a real number in (0, 1)
+    (``errors.real``), both checked before they are read as floats.
     """
-    rows = [(float(b), float(ls)) for b, ls in rows]
+    rows = [(b, ls) for b, ls in rows]   # pairs, unconverted until checked
     if not rows:
         raise InvalidParameterError("empty bound chain")
     for _, ls in rows:
         positive("chain bounds lambda*", ls)
     bs = [b_min] + [b for b, _ in rows]
     for b in bs:
-        if not (0.0 < b < 1.0):
-            raise DomainError(f"chain widths must lie in (0, 1), got {b}")
+        if not (real(b) and 0.0 < b < 1.0):
+            raise DomainError(f"chain widths must lie in (0, 1), got {_shown(b)}")
     if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
         raise InvalidParameterError("chain widths must be strictly increasing")
-    return min(ls / math.log(1.0 / bp) for bp, (_, ls) in zip(bs[:-1], rows))
+    return min(float(ls) / math.log(1.0 / float(bp)) for bp, (_, ls) in zip(bs[:-1], rows))

@@ -88,15 +88,21 @@ class InfeasibleSearchError(HeckeZerosError):
     """A parameter search found no point satisfying the hard constraints."""
 
 
+def real(value):
+    """Whether ``value`` is a real number: a ``numbers.Real`` that is not a
+    bool, so a str, None, a complex or True is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def positive(name, value):
     """Raise InvalidParameterError naming ``value`` unless it is a finite real > 0."""
-    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):   # NaN too
+    if not (real(value) and 0 < value < math.inf):   # NaN too
         raise InvalidParameterError(f"{name} must be finite and > 0, got {_shown(value)}")
 
 
 def nonnegative(name, value):
     """Raise InvalidParameterError naming ``value`` unless it is a finite real >= 0."""
-    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):   # NaN too
+    if not (real(value) and 0 <= value < math.inf):   # NaN too
         raise InvalidParameterError(f"{name} must be finite and >= 0, got {_shown(value)}")
 
 

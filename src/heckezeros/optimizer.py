@@ -7,9 +7,12 @@ each scored by one solve.  A closed-form ceiling on that maximum
 (``_j_ceiling``: the largest equation root over the J box, with the side
 condition ignored) lets the section skip every lambda that cannot change
 its outcome, so most lambda it visits cost no candidate score and the
-result is the same to the bit.  The ceiling is read from the case's slot,
-lambda, b and psi alone, with no build; only a lambda whose J-maximum is
-scored is built (``dh._poly_at``), once.  Smoothed cases and the density
+result is the same to the bit.  Where the side condition is slack at the
+one J that reaches that root, it is an inactive constraint and the root is
+the J-maximum itself (``_slack_peak``), so such a lambda is valued with no
+candidate set.  The ceiling is read from the case's slot, lambda, b and psi
+alone, with no build; only a lambda scored where the side condition binds
+is built (``dh._poly_at``), once.  Smoothed cases and the density
 bound search the substitute weight family (the autocorrelation of the
 generator e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each
 fixed beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
@@ -54,7 +57,8 @@ import numbers
 from dataclasses import dataclass
 
 from . import _kernels, dh, trial_functions, zero_density
-from .errors import HeckeZerosError, InfeasibleSearchError, InvalidParameterError, _shown
+from .errors import (HeckeZerosError, InfeasibleSearchError, InvalidParameterError, _shown,
+                     real)
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -127,7 +131,8 @@ def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
     count as -inf.  A golden step evaluates its new point only where the
     ceiling is not below the value it is compared with; where it is, the
     point loses that comparison, and the ceiling stands in for its value,
-    which is never read again.  So where the budget does not run out,
+    which is never read again.  The section's first point reads its ceiling
+    too, which no value is below.  So where the budget does not run out,
     (x, v) are those of the same search without a bound.
     """
     xs = [lo + (hi - lo) * i / (coarse - 1) for i in range(coarse)]
@@ -159,7 +164,7 @@ def _golden_max(fn, lo, hi, budget, coarse=13, bound=None):
     xtol = (hi - lo) * 1e-4
     x1 = b - _INV_GOLD * (b - a)
     x2 = a + _INV_GOLD * (b - a)
-    f1 = fn(x1, -math.inf) if budget.spend() else -math.inf
+    f1 = value(x1, -math.inf)
     f2 = value(x2, f1)
     while b - a > xtol and budget.left > 0:
         if f1 < f2:
@@ -308,9 +313,11 @@ def _j_candidates(case, lam, at):
     return sorted(((side_x(J), J) for J in candidates), key=lambda t: -t[0])
 
 
-def _j_ceiling(case, b, lam, phi):
-    """A ceiling on the J-maximum at fixed lambda, in closed form: the largest
-    equation root over the J box, with the side condition ignored.
+def _j_ceiling(case, b, lam, phi, j_box):
+    """(ceiling, x, J_c): a ceiling on the J-maximum at fixed lambda, in
+    closed form, and the peak it comes from: x the largest equation root over
+    the J box ``j_box`` (``_j_box``'s), with the side condition ignored, and
+    J_c the one J that reaches it, or None.
 
     It reads the case's slot and psi, and the target and stationary J of
     ``_kernels.poly_consts`` and ``poly_target`` at (slot, lam, b, psi), the
@@ -322,28 +329,53 @@ def _j_ceiling(case, b, lam, phi):
     stationary J inside the box, between which the root is monotone.  It is
     0 where that target is at least P(1) (``_kernels.P1``; no J has a root
     above 0), and the bracket top ``dh.POLY_HI`` of every root where it lies
-    below P there.  The ceiling is raised by 1e-12 of lam + x: the root
-    lam/u - lam rounds by a few ulps of lam + x, so no candidate J, however
-    its value rounds, scores above the ceiling.  It is +inf where a target is
-    NaN.
+    below P there.  Between the two, x is ``_kernels.poly_root``'s root at
+    J_c to the bit (the same ``_p4_newton`` from u = lam/(lam + 0.0) = 1),
+    and J_c is the box end or stationary J of the smallest target where no
+    other J ties it; elsewhere J_c is None.  The ceiling is x raised by
+    1e-12 of lam + x: the root lam/u - lam rounds by a few ulps of lam + x,
+    so no candidate J, however its value rounds, scores above the ceiling.
+    It is +inf, and x NaN, where a target is NaN.
     """
     slot, psi = case._sides.slot, case.psi_over_phi * phi
     known, stationary = _kernels.poly_consts(slot, lam, b, psi)
-    j_lo, j_hi = _j_box(case)
-    t = math.inf
+    j_lo, j_hi = j_box
+    t, J_c = math.inf, None
     for J in (j_lo, j_hi, *stationary):
         if j_lo <= J <= j_hi:
             target = _kernels.poly_target(slot, lam, known, psi, J)
-            if target != target:
-                return math.inf
-            t = min(t, target)
+            if target < t:
+                t, J_c = target, J
+            elif target == t and J != J_c:
+                J_c = None   # two J reach the peak
+            elif target != target:
+                return math.inf, math.nan, None
     if t >= _kernels.P1:
-        x = 0.0
+        x, J_c = 0.0, None
     elif t <= _kernels._p4(lam / (lam + dh.POLY_HI)):
-        x = dh.POLY_HI
+        x, J_c = dh.POLY_HI, None
     else:
         x = lam / _kernels._p4_newton(t, 1.0) - lam
-    return x + 1e-12 * (lam + x)
+    return x + 1e-12 * (lam + x), x, J_c
+
+
+def _slack_peak(case, b, lam, peak):
+    """(x, J_c) of ``_j_ceiling``'s peak (ceiling, x, J_c) at lambda where it
+    is the J-maximum there, else None.
+
+    It is where J_c is not None and the side condition is slack at J_c with
+    room: the ceiling lies below the side limit there (``_SideConditions.at``).
+    Then J_c's value min(root, side limit) is its root x, to the bit, and
+    every other candidate's value is at most its own root, which is at most
+    x: the side condition is an inactive constraint of the max-min.  The
+    ceiling's margin over x keeps the limit clear of the root's rounding, so
+    that h at the limit is positive at J_c, which makes it one of
+    ``_j_candidates``.
+    """
+    ceiling, x, J = peak
+    if J is not None and ceiling < case._sides.at(b, lam)[0](J):
+        return x, J
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +394,13 @@ def maximize_bound(spec):
     with, is not scored at all.  Such a lambda cannot win, so where the
     budget does not run out the result is that of the search without the
     ceiling, to the bit; the earlier lambda of the coarse scan still wins a
-    tie.  The budget counts the candidates scored, and a pruned lambda
-    spends none of it.  Only a lambda the section scores is built
+    tie.  The ceiling's peak, its root x and the one J that reaches it, is
+    formed once per lambda and kept for the call.  A scored lambda where the
+    side condition is slack at that J is valued by x, with that J
+    (``_slack_peak``), to the bit of the candidate maximum, for one
+    candidate score and no build.  The budget counts the candidates scored,
+    and a pruned lambda spends none of it.  Only a lambda scored where the
+    side condition binds, or that has no such peak, is built
     (``dh._poly_at``), once, as the section never visits a lambda twice,
     and nothing of it is kept but its best J.  A candidate scores its bound
     (``dh._poly_bound``), with no checks, residual or error message; only
@@ -386,11 +423,23 @@ def maximize_bound(spec):
         dh.check_quartic(POLY_BOXES["lambda"][1], spec.b)
         budget = _Budget(spec.max_evals)
         b = float(spec.b)   # as solve_poly reads it
+        j_box = _j_box(case)
         best_j = {}   # lambda -> the first candidate J that scores its maximum
+        peaks = {}   # lambda -> _j_ceiling's (ceiling, x, J_c), formed once
+
+        def peak(lam):
+            if lam not in peaks:
+                peaks[lam] = _j_ceiling(case, b, lam, spec.phi, j_box)
+            return peaks[lam]
 
         def inner(lam, rival):   # rival unused: the ceiling spares the losers
             v_lam = -math.inf
             if budget.left <= 0:
+                return v_lam
+            slack = _slack_peak(case, b, lam, peak(lam))
+            if slack is not None:   # one candidate score, and no build
+                budget.spend()
+                v_lam, best_j[lam] = slack
                 return v_lam
             at = dh._poly_at(case, b, lam, spec.phi)
             for limit, J in _j_candidates(case, lam, at):
@@ -406,7 +455,7 @@ def maximize_bound(spec):
         # bounded by its tolerance alone
         lam_opt, v = _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf),
                                  coarse=25,
-                                 bound=lambda lam: _j_ceiling(case, b, lam, spec.phi))
+                                 bound=lambda lam: peak(lam)[0])
         if not math.isfinite(v):
             raise InfeasibleSearchError(
                 f"no feasible (lambda, J) for {case.name} at b={spec.b}")
@@ -525,9 +574,9 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
     floats.
     Inputs are checked as in ``maximize_bound``, and a case that is not
     smoothed, or a seed that lacks alpha or s or whose alpha or s is not a
-    real number (``numbers.Real``, not a bool) in ``FAMILY_BOXES``, raises
-    InvalidParameterError before any evaluation; the seed enters the search
-    as floats.
+    real number (``errors.real``: a ``numbers.Real``, not a bool) in
+    ``FAMILY_BOXES``, raises InvalidParameterError before any evaluation;
+    the seed enters the search as floats.
     """
     case = dh._check_smoothed(case, b, phi)
     _check_budget(budget)
@@ -538,8 +587,7 @@ def optimize_family_smoothed(case, b, budget=SearchSpec.max_evals, seed_params=N
             raise InvalidParameterError(f"seed_params must give alpha and s; missing {missing}")
         for n in ("alpha", "s"):
             v, (lo, hi) = seed_params[n], FAMILY_BOXES[n]
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and lo <= v <= hi):
+            if not (real(v) and lo <= v <= hi):
                 raise InvalidParameterError(
                     f"seed {n} must be a number in [{lo}, {hi}], got {_shown(v)}")
         seeds = [(float(seed_params["alpha"]), float(seed_params["s"]))] + seeds

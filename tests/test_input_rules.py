@@ -110,7 +110,7 @@ def test_numpy_scalar_is_shown_as_its_python_value(value, shown):
 def test_rules_accept_every_finite_real_inside(check, rule, least):
     for value in (least, 1, 2.5, 1.7976931348623157e308):
         check("v", value)
-    for value in ("1.5", None, 1j, [1.0]):
+    for value in ("1.5", None, 1j, [1.0], True):   # True passed as 1
         with pytest.raises(InvalidParameterError) as err:
             check("v", value)
         assert str(err.value) == f"v must be finite and {rule} 0, got {value!r}"
@@ -118,6 +118,30 @@ def test_rules_accept_every_finite_real_inside(check, rule, least):
 
 #: what an entry point that takes a number must refuse with its own error
 NOT_NUMBERS = ("1e-9", None, 1j)
+
+
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, True])
+def test_a_chain_bound_that_is_not_a_number_is_refused(value):
+    # the chain was read by float() first: "1e-9" and True gave a constant,
+    # None and 1j a TypeError
+    with pytest.raises(InvalidParameterError) as err:
+        dh.piecewise_log_constant([(0.01, 3.0), (0.05, value)], 0.005)
+    assert str(err.value) == f"chain bounds lambda* must be finite and > 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["0.005", None])
+@pytest.mark.parametrize("where", ["b_min", "row"])
+def test_a_chain_width_that_is_not_a_number_is_refused(where, value):
+    # b_min gave a TypeError from 0.0 < b < 1.0, a row's width "0.005" a
+    # constant and None a TypeError
+    rows = [(0.01, 3.0), (0.05, 2.0)]
+    if where == "row":
+        rows, b_min = [(value, 3.0), (0.05, 2.0)], 0.001
+    else:
+        b_min = value
+    with pytest.raises(DomainError) as err:
+        dh.piecewise_log_constant(rows, b_min)
+    assert str(err.value) == f"chain widths must lie in (0, 1), got {value!r}"
 
 
 #: the oracles' tolerances, which a str once reached as a TypeError

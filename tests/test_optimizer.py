@@ -191,42 +191,54 @@ class TestInnerJ:
         # of the winner also calls.  Scoring the exact J-maximum at every
         # lambda the section visits took 83-99 calls on these rows; the
         # section's ceiling (_j_ceiling) spares the lambda that cannot win,
-        # which leaves 9-35
+        # which left 9-35, and a lambda whose peak is slack
+        # (_slack_peak) is valued with no score, which leaves the winner's
+        # solve alone on the T4, T5, T9 and T10 rows
         t = tables.load_table(key)
         scores = TestBudget.counted(monkeypatch, dh, "_poly_bound")
         solves = TestBudget.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
         assert len(scores) <= 300
-        assert len(scores) <= {"T3:quadratic": 29, "T3:principal": 35, "T4": 13,
-                               "T5": 15, "T9": 9, "T10": 13}[key]
+        assert len(scores) <= {"T3:quadratic": 27, "T3:principal": 31, "T4": 1,
+                               "T5": 1, "T9": 1, "T10": 1}[key]
         assert len(solves) == 1
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_each_lambda_is_built_once(self, monkeypatch, key):
-        # the section reads a lambda's ceiling without building it; only the
-        # lambda that _j_candidates scores are built (dh._poly_at), each once,
-        # and the winner's solve_poly makes one build more
+        # the section reads a lambda's ceiling and peak without building it,
+        # once per lambda; a scored lambda whose peak is slack
+        # (optimizer._slack_peak) is valued by it, with no build, and only
+        # the side-limited lambda scored are built (dh._poly_at), each once,
+        # for _j_candidates.  The winner's solve_poly makes one build more
         t = tables.load_table(key)
         builds = TestBudget.counted(monkeypatch, dh, "_poly_at")
-        read = {"_j_ceiling": [], "_j_candidates": []}
-        for name, at in (("_j_ceiling", 2), ("_j_candidates", 1)):   # where lambda is
-            def spy(*args, _fn=getattr(optimizer, name), _read=read[name], _at=at):
-                _read.append(args[_at])
-                return _fn(*args)
+        read = {"_j_ceiling": [], "_slack_peak": [], "_j_candidates": []}
+        for name in read:   # where lambda is
+            def spy(*args, _fn=getattr(optimizer, name), _read=read[name],
+                    _at=1 if name == "_j_candidates" else 2):
+                got = _fn(*args)
+                _read.append((args[_at], got))
+                return got
             monkeypatch.setattr(optimizer, name, spy)
         maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
-        assert len(set(read["_j_ceiling"])) >= 25   # the coarse scan's ceilings
-        scored = read["_j_candidates"]
-        assert len(scored) == len(set(scored)) < len(set(read["_j_ceiling"]))
-        assert len(builds) == len(set(scored)) + 1
+        ceilings = [lam for lam, _ in read["_j_ceiling"]]
+        assert len(ceilings) == len(set(ceilings)) >= 25   # the coarse scan's
+        scored = [lam for lam, _ in read["_slack_peak"]]
+        limited = [lam for lam, slack in read["_slack_peak"] if slack is None]
+        assert len(scored) == len(set(scored)) < len(ceilings)
+        assert [lam for lam, _ in read["_j_candidates"]] == limited
+        assert len(builds) == len(limited) + 1
+        # the T4, T5, T9 and T10 rows are never side-limited, the T3 rows are
+        assert (len(builds) == 1) == (key not in ("T3:quadratic", "T3:principal"))
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_crossings_take_the_gaps_at_their_ends(self, monkeypatch, key):
         # a crossing is bisected from the gap values _j_candidates has at
         # its piece's ends: each evaluation of gap per crossing is an ITP
         # step inside the piece, none is at an end.  The search runs with a
-        # ceiling of +inf, which prunes no lambda: with the ceiling, T4's
-        # middle row scores no lambda that has a crossing
+        # ceiling of +inf and no peak, which prunes no lambda and scores each
+        # over its candidates: with the ceiling, T4's middle row scores no
+        # lambda over its candidates
         t = tables.load_table(key)
         ceilings = _no_ceiling(monkeypatch)
         crossings, bisect = [], _kernels._bisect
@@ -278,20 +290,27 @@ class TestInnerJ:
 
 
 def _no_ceiling(monkeypatch):
-    """Make the lambda section's ceiling +inf, which prunes nothing; returns
-    the list of its calls, so a test can tell that the section read it."""
+    """Make the lambda section's ceiling +inf, with no peak J, which prunes
+    nothing and scores every lambda over its candidates; returns the list of
+    its calls, so a test can tell that the section read it."""
     calls = []
-    monkeypatch.setattr(optimizer, "_j_ceiling", lambda *args: calls.append(args) or math.inf)
+    monkeypatch.setattr(optimizer, "_j_ceiling",
+                        lambda *args: calls.append(args) or (math.inf, math.nan, None))
     return calls
 
 
 def _full_inner(case, b, lam, phi):
-    """The J-maximum at lambda over every candidate, with no early stop or
-    budget: what the lambda section's ceiling must not fall below."""
+    """(value, J): the J-maximum at lambda over every candidate, with no early
+    stop or budget, and the first candidate J that reaches it (None if none
+    does): what the lambda section's ceiling must not fall below, and what a
+    slack peak must equal."""
     at = dh._poly_at(case, b, lam, phi)
-    values = [dh._poly_bound(at, lam, J)[0]
-              for _, J in optimizer._j_candidates(case, lam, at)]
-    return max((v for v in values if not math.isnan(v)), default=-math.inf)
+    best = -math.inf, None
+    for _, J in optimizer._j_candidates(case, lam, at):
+        v = dh._poly_bound(at, lam, J)[0]
+        if v > best[0]:   # False for NaN
+            best = v, J
+    return best
 
 
 def _regimes(case, b, lam, phi):
@@ -309,6 +328,14 @@ def _regimes(case, b, lam, phi):
 CEILING_EXAMPLES = tuple({"lam": lam, "b": b, "phi": phi} for lam, b, phi in (
     (0.1, 0.0, 0.25), (0.1, 0.3, 0.8), (0.1, 0.0, 0.0), (1.0, 1e-4, 0.0),
     (5.0, 0.1227, 1.0)))
+
+
+#: the widths, phi and lambda of TestCeiling's grid: every coarse lambda of
+#: the section and more
+GRID_B = (0.0, 1e-4, 0.05, 0.3, 1.0, 3.0)
+GRID_PHI = (0.0, 0.25, 0.6)
+GRID_LAMS = (*map(float, np.linspace(*optimizer.POLY_BOXES["lambda"], 25)),
+             0.05, 0.1227, 1.155, 3.7)
 
 
 class TestCeiling:
@@ -335,8 +362,7 @@ class TestCeiling:
 
     @pytest.mark.parametrize("case", dh.POLY_CASES)
     def test_pruning_changes_no_grid_result(self, monkeypatch, case):
-        specs = [(case, b, phi) for b in (0.0, 1e-4, 0.05, 0.3, 1.0, 3.0)
-                 for phi in (0.0, 0.25, 0.6)]
+        specs = [(case, b, phi) for b in GRID_B for phi in GRID_PHI]
         pruned = [self.outcome(*spec) for spec in specs]
         # every case has specs that bound and specs that are infeasible
         assert InfeasibleSearchError in pruned
@@ -357,25 +383,27 @@ class TestCeiling:
     @example(**CEILING_EXAMPLES[4])
     def test_ceiling_is_at_least_the_j_maximum(self, case, lam, b, phi):
         case = dh.get_case(case)
-        ceiling = optimizer._j_ceiling(case, b, lam, phi)
+        ceiling = optimizer._j_ceiling(case, b, lam, phi, optimizer._j_box(case))[0]
         assert math.isfinite(ceiling)
-        assert ceiling >= _full_inner(case, b, lam, phi)
+        assert ceiling >= _full_inner(case, b, lam, phi)[0]
 
     @pytest.mark.parametrize("case", dh.POLY_CASES)
     def test_ceiling_is_the_built_rule_to_the_bit(self, case):
-        # the section reads the ceiling without building the lambda; it is
-        # the rule applied to the full build, the target and stationary J of
-        # dh._poly_at, at every coarse lambda and more
+        # the section reads the ceiling and its peak without building the
+        # lambda; they are the rule applied to the full build, the target and
+        # stationary J of dh._poly_at, at every coarse lambda and more, and
+        # the peak's root is the one dh._poly_bound solves at its J
         case = dh.get_case(case)
         j_lo, j_hi = optimizer._j_box(case)
-        lams = [*np.linspace(*optimizer.POLY_BOXES["lambda"], 25), 0.05, 0.1227, 1.155, 3.7]
         regimes = set()
-        for b, phi, lam in itertools.product((0.0, 1e-4, 0.05, 0.3, 1.0, 3.0),
-                                             (0.0, 0.25, 0.6), map(float, lams)):
-            _, target, stationary, _, _ = dh._poly_at(case, b, lam, phi)
-            targets = [target(J) for J in (j_lo, j_hi, *stationary) if j_lo <= J <= j_hi]
+        for b, phi, lam in itertools.product(GRID_B, GRID_PHI, GRID_LAMS):
+            at = dh._poly_at(case, b, lam, phi)
+            _, target, stationary, _, _ = at
+            Js = [J for J in (j_lo, j_hi, *stationary) if j_lo <= J <= j_hi]
+            targets = [target(J) for J in Js]
+            want_J = None
             if any(map(math.isnan, targets)):
-                want = math.inf
+                want, x = math.inf, math.nan
             else:
                 t = min(targets)
                 if t >= _kernels.P1:
@@ -384,10 +412,15 @@ class TestCeiling:
                     x = dh.POLY_HI
                 else:
                     x = lam / _kernels._p4_newton(t, 1.0) - lam
+                    peak = {J for J, target_J in zip(Js, targets) if target_J == t}
+                    if len(peak) == 1:
+                        want_J = peak.pop()
+                        assert dh._poly_bound(at, lam, want_J)[1].hex() == x.hex()
                 want = x + 1e-12 * (lam + x)
                 regimes.add("0" if x == 0.0 else "top" if x == dh.POLY_HI else "root")
-            got = optimizer._j_ceiling(case, b, lam, phi)
-            assert got.hex() == want.hex(), (b, phi, lam)
+            got = optimizer._j_ceiling(case, b, lam, phi, (j_lo, j_hi))
+            assert (got[0].hex(), got[1].hex(), got[2]) == (want.hex(), x.hex(), want_J), \
+                (b, phi, lam)
         assert regimes == {"0", "top", "root"}
 
     def test_examples_reach_each_regime(self):
@@ -398,7 +431,7 @@ class TestCeiling:
             for ex in CEILING_EXAMPLES:
                 lam, b, phi = ex["lam"], ex["b"], ex["phi"]
                 positive, past = _regimes(case, b, lam, phi)
-                v = _full_inner(case, b, lam, phi)
+                v = _full_inner(case, b, lam, phi)[0]
                 if math.isfinite(v):
                     finite["h(0) > 0"].update([name] if positive else [])
                     finite["past 1000"].update([name] if past else [])
@@ -407,6 +440,58 @@ class TestCeiling:
         # cc-lp-nonprincipal is the case whose J box starts at j_min = 0.25
         assert all("cc-lp-nonprincipal" in names for names in finite.values())
         assert "cc-lp-nonprincipal" in no_root
+
+
+class TestSlackPeak:
+    """Where the side condition is slack at the ceiling's peak, the section
+    values a lambda by the peak's root with no build
+    (``optimizer._slack_peak``): that root is the full candidate maximum to
+    the bit, and the peak's J the first candidate that reaches it.  These
+    compare float bits, so they rest on CPython's float arithmetic."""
+
+    @staticmethod
+    def path(case, b, lam, phi):
+        """'slack' where the slack path applies at (b, lam, phi), 'binds'
+        where the side limit binds at the peak's J, else 'other'; a slack
+        value and J must be those of ``_full_inner``."""
+        peak = optimizer._j_ceiling(case, b, lam, phi, optimizer._j_box(case))
+        slack = optimizer._slack_peak(case, b, lam, peak)
+        _, x, J = peak
+        if J is not None and x >= case._sides.at(b, lam)[0](J):
+            assert slack is None, (case.name, b, lam, phi)
+            return "binds"
+        if slack is None:
+            return "other"
+        v, J_first = _full_inner(case, b, lam, phi)
+        assert (slack[0].hex(), slack[1]) == (v.hex(), J_first), (case.name, b, lam, phi)
+        return "slack"
+
+    @pytest.mark.parametrize("case", dh.POLY_CASES)
+    def test_slack_peak_is_the_full_maximum_on_the_grid(self, case):
+        case = dh.get_case(case)
+        paths = [self.path(case, b, lam, phi)
+                 for b, phi, lam in itertools.product(GRID_B, GRID_PHI, GRID_LAMS)]
+        assert "slack" in paths and "other" in paths
+
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_slack_peak_is_the_full_maximum_on_the_middle_row(self, monkeypatch, key):
+        # at the grid's lambda and at every lambda the search scores; the T4,
+        # T5, T9 and T10 rows score each by the slack path, the T3 rows,
+        # where the side limit binds, do not
+        t = tables.load_table(key)
+        case, b = dh.get_case(t.case_name), t.rows[len(t.rows) // 2].b
+        paths = {self.path(case, b, lam, dh.PHI) for lam in GRID_LAMS}
+        scored, slack_peak = [], optimizer._slack_peak
+        monkeypatch.setattr(optimizer, "_slack_peak",
+                            lambda *args: scored.append(args[2]) or slack_peak(*args))
+        maximize_bound(SearchSpec(t.case_name, b))
+        monkeypatch.undo()
+        assert scored
+        on_path = {self.path(case, b, lam, dh.PHI) for lam in scored}
+        if key in ("T3:quadratic", "T3:principal"):
+            assert "binds" in on_path | paths
+        else:
+            assert on_path == {"slack"} and "slack" in paths
 
 
 def _cliff(x, rival=None):   # -inf left of 0.4, one peak at 0.7
@@ -744,14 +829,17 @@ class TestBudget:
         assert budgets == [SearchSpec.max_evals] * 2 == [6000] * 2
 
     def test_poly_search(self, monkeypatch):
+        units = self.evaluations(monkeypatch)
         scores = self.counted(monkeypatch, dh, "_poly_bound")
         solves = self.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec("cc-lp-nonprincipal", 0.1227, max_evals=300))
-        assert len(scores) <= 301
-        # the lambda section's ceiling spares most lambda their candidates:
-        # 99 scores without it
-        assert len(scores) <= 13
-        assert len(solves) == 1
+        assert len(units) <= 300 and len(scores) <= 301
+        # the lambda section's ceiling spares most lambda their candidates
+        # (99 scores without it, 13 with it), and a lambda whose peak is slack
+        # spends one unit and calls no dh._poly_bound: only the winner's
+        # solve_poly does
+        assert 0 < len(units) <= 13
+        assert len(scores) == len(solves) == 1
 
 
 class TestInvalidInput:
