@@ -120,6 +120,14 @@ def backend():
 #: series-switch threshold for the removable singularities of the closed forms
 SMALL_W = 1e-2
 
+#: the largest w whose e^w the package forms as a float, just below the log
+#: of the largest float, log(sys.float_info.max)
+EXP_MAX = 709.78
+
+#: the -r x0 past which the transforms give F(r) = +inf at a real r, as f >= 0,
+#: rather than form exps near the float range's edge, EXP_MAX
+_INF_EDGE = 690.0
+
 #: radius in u and v inside which ``pair_near`` sums its three-node series
 RHO = 1.0
 
@@ -207,7 +215,7 @@ def _f_real_scalar(code, r):
     conjugates, so each folded pair stands for both with a doubled
     coefficient and only its real part is summed.  The constants are plain
     Python numbers, so the loop never creates a NumPy scalar.  Arguments past
-    the exp overflow range (-r x0 > 690, or a pair's e^{(g_k - r) x0}
+    the exp overflow range (-r x0 > ``_INF_EDGE``, or a pair's e^{(g_k - r) x0}
     overflowing) return +inf, as f >= 0, instead of letting exp raise: the
     solvers' bracket-shrinking relies on a value coming back.  The value is a
     Python float, so the root solver's arithmetic stays on Python floats.
@@ -224,7 +232,7 @@ def _f_real_scalar(code, r):
     if acc is not None:
         return acc
     x0, folded = code
-    if r < 0.0 and -r * x0 > 690.0:
+    if r < 0.0 and -r * x0 > _INF_EDGE:
         return math.inf
     acc = 0.0
     for c, gj, gk, K, far in folded:
@@ -271,7 +279,7 @@ def _search_pass(code, r, slope=True):
     which a Newton step tolerates.
     """
     x0, folded = code
-    if len(folded) != 5 or not folded[3][4] or (r < 0.0 and -r * x0 > 690.0):
+    if len(folded) != 5 or not folded[3][4] or (r < 0.0 and -r * x0 > _INF_EDGE):
         return None
     ((c0, a, _, K0, _), (c1, _, _, K1, _), (c2, _, _, K2, _),
      (c3, g, _, K3, _), (c4, _, _, K4, _)) = folded
@@ -434,8 +442,8 @@ def f_array(code, z):
     element near coincident nodes, as ``_f_real_scalar`` skips its tests
     there: |w| >= |Im g_k| x0 and |b| x0 >= |Im g_j| x0.  At real z no
     value is refused and none warns: F is +inf exactly where
-    ``f_real_scalar`` gives inf, past -r x0 = 690 and where e^w of a pair
-    term in the direct form overflows.  Off the real axis, where the terms'
+    ``f_real_scalar`` gives inf, past -r x0 = ``_INF_EDGE`` and where e^w of
+    a pair term in the direct form overflows.  Off the real axis, where the terms'
     inf parts form NaN, a value that is not finite raises DomainError
     naming the first such z.
     """
@@ -491,10 +499,10 @@ def _f_block(x0, Gk, Gj, groups, real, stacked, z, out):
             phi *= c
         for row in phi:
             out += row
-    if real and (np.count_nonzero(z.real * x0 < -690.0)
+    if real and (np.count_nonzero(z.real * x0 < -_INF_EDGE)
                  or np.count_nonzero(np.isfinite(out)) < n):
         (k, j, *_), = groups
-        over = z.real * x0 < -690.0
+        over = z.real * x0 < -_INF_EDGE
         over |= (~np.isfinite(np.exp(w[k])) & ~(near_k[k] | near_j[j])).any(axis=0)
         out[over] = math.inf
 

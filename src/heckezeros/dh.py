@@ -33,7 +33,8 @@ positive at the root of the weight's rival, the weight loses with no solve
 the last root, handed to ITP where they fail, and returns the root alone.
 ``solve_poly`` is one over ``_poly_bound``, the bound alone, which the
 quartic search calls for every candidate J with the constants of its
-lambda built once (``_poly_at``, which reads the side-condition statement).
+lambda built once (``_poly_at``, handed the side-condition statement's
+limit at that lambda).
 
 Statements whose raw form carries oscillatory terms Re F(. + i mu) are used
 here only through their reduced real forms (``trial_functions.repel_reduce``);
@@ -346,7 +347,7 @@ def poly_h(case, b, lam, J, phi=PHI):
     """The case's monotone bracketing function, vectorized over x; inputs
     are checked as in ``solve_poly``."""
     case = _check_poly(case, b, lam, J, phi)
-    g = _poly_at(case, b, lam, phi)[0]
+    g = _poly_at(case, b, lam, phi, case._sides.at(b, lam))[0]
 
     def h(x):
         return g(J, lam / (lam + np.asarray(x, dtype=float)))
@@ -483,19 +484,20 @@ def side_limit(case, b, lam, J):
     return -math.inf if x < 0.0 else min(x, 1e6)
 
 
-def _poly_at(case, b, lam, phi):
+def _poly_at(case, b, lam, phi, sides):
     """(g, target, stationary, side_x, rests) of a poly case at fixed b,
     lambda, phi.
 
-    The first three are ``_kernels.poly_fn``'s, the last two those of the
-    case's one side-condition statement (``_SideConditions.at``), which forms
-    1/lam^4 and (lam + b)^4 once for the limit and its turns
-    (``_SideConditions.turns`` of rests): the search scores many J at a
-    lambda from one build, and reads a lambda's ceiling, and values a lambda
-    whose side condition is slack at the ceiling's peak, with none.
+    The first three are ``_kernels.poly_fn``'s, the last two ``sides``,
+    ``case._sides.at(b, lam)``: the case's one side-condition statement at b
+    and lambda, which forms 1/lam^4 and (lam + b)^4 once for the limit and
+    its turns (``_SideConditions.turns`` of rests).  The search forms
+    ``sides`` once per lambda it scores, for its slack test and this build;
+    it scores many J at a lambda from one build, and reads a lambda's
+    ceiling, and values a lambda whose side condition is slack at the
+    ceiling's peak, with none.
     """
-    sides = case._sides
-    return (*_kernels.poly_fn(sides.slot, lam, b, case.psi_over_phi * phi), *sides.at(b, lam))
+    return (*_kernels.poly_fn(case._sides.slot, lam, b, case.psi_over_phi * phi), *sides)
 
 
 def _poly_bound(at, lam, J):
@@ -533,7 +535,7 @@ def solve_poly(case, b, lam, J, phi=PHI):
     case = _check_poly(case, b, lam, J, phi)
     psi = case.psi_over_phi * phi
     lam, J, b = float(lam), float(J), float(b)
-    at = _poly_at(case, b, lam, phi)
+    at = _poly_at(case, b, lam, phi, case._sides.at(b, lam))
     value, root, hlo, hhi, x_side = _poly_bound(at, lam, J)
     if math.isnan(root):
         raise no_bound(case.name, POLY_HI, f"b={b}, lambda={lam}, J={J}", hlo, hhi)

@@ -90,8 +90,10 @@ class InfeasibleSearchError(HeckeZerosError):
 
 def real(value):
     """Whether ``value`` is a real number: a ``numbers.Real`` that is not a
-    bool, so a str, None, a complex or True is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    bool, so a str, None, a complex or True is not.  A float is told at once,
+    without the abstract class's check (about 0.5 us)."""
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
 
 
 def positive(name, value):

@@ -53,7 +53,6 @@ feasible boundary, which the in-bracket golden section finds.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import _kernels, dh, trial_functions, zero_density
@@ -91,7 +90,7 @@ class SearchSpec:
 def _check_budget(budget):
     """Raise InvalidParameterError unless the budget is a finite real >= 1."""
     # NaN too, which an infinite budget // 2 is
-    if not (isinstance(budget, numbers.Real) and 1 <= budget < math.inf):
+    if not (real(budget) and 1 <= budget < math.inf):
         raise InvalidParameterError(
             f"search budget must be a finite number >= 1, got {_shown(budget)}")
 
@@ -359,12 +358,14 @@ def _j_ceiling(case, b, lam, phi, j_box):
     return x + 1e-12 * (lam + x), x, J_c
 
 
-def _slack_peak(case, b, lam, peak):
-    """(x, J_c) of ``_j_ceiling``'s peak (ceiling, x, J_c) at lambda where it
-    is the J-maximum there, else None.
+def _slack_peak(peak, side_x):
+    """(x, J_c) of ``_j_ceiling``'s peak (ceiling, x, J_c) at a lambda where
+    it is the J-maximum there, else None.
 
-    It is where J_c is not None and the side condition is slack at J_c with
-    room: the ceiling lies below the side limit there (``_SideConditions.at``).
+    ``side_x`` is the side limit in J at that lambda
+    (``_SideConditions.at``'s).  The peak is the J-maximum where J_c is not
+    None and the side condition is slack at J_c with room: the ceiling lies
+    below the side limit there.
     Then J_c's value min(root, side limit) is its root x, to the bit, and
     every other candidate's value is at most its own root, which is at most
     x: the side condition is an inactive constraint of the max-min.  The
@@ -373,7 +374,7 @@ def _slack_peak(case, b, lam, peak):
     ``_j_candidates``.
     """
     ceiling, x, J = peak
-    if J is not None and ceiling < case._sides.at(b, lam)[0](J):
+    if J is not None and ceiling < side_x(J):
         return x, J
     return None
 
@@ -401,7 +402,8 @@ def maximize_bound(spec):
     candidate score and no build.  The budget counts the candidates scored,
     and a pruned lambda spends none of it.  Only a lambda scored where the
     side condition binds, or that has no such peak, is built
-    (``dh._poly_at``), once, as the section never visits a lambda twice,
+    (``dh._poly_at``, from the side limit its slack test formed,
+    ``_SideConditions.at``), once, as the section never visits a lambda twice,
     and nothing of it is kept but its best J.  A candidate scores its bound
     (``dh._poly_bound``), with no checks, residual or error message; only
     the winner is solved by ``dh.solve_poly``, for its result, which builds
@@ -436,12 +438,13 @@ def maximize_bound(spec):
             v_lam = -math.inf
             if budget.left <= 0:
                 return v_lam
-            slack = _slack_peak(case, b, lam, peak(lam))
+            sides = case._sides.at(b, lam)   # for the slack test and the build
+            slack = _slack_peak(peak(lam), sides[0])
             if slack is not None:   # one candidate score, and no build
                 budget.spend()
                 v_lam, best_j[lam] = slack
                 return v_lam
-            at = dh._poly_at(case, b, lam, spec.phi)
+            at = dh._poly_at(case, b, lam, spec.phi, sides)
             for limit, J in _j_candidates(case, lam, at):
                 # v <= limit: no later candidate can beat v_lam
                 if limit <= v_lam or not budget.spend():

@@ -33,13 +33,13 @@ narrows that cell by 64-way subdivisions to 1e-12.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoRootError, OracleFailureError,
-                     nonnegative, positive)
+                     nonnegative, positive, real)
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ def equality_report(check, deviations, locations, tolerance):
 
 #: the coarsest and the finest level of the nested rule
 _FIRST, _TOP = 16, 4096
-
-#: the -Re(z) x0 past which e^{-zt} leaves the float range on [0, x0]
-#: (the log of the largest float is 709.7827)
-_EXP_MAX = 709.78
 
 #: the weights whose samples ``_samples`` keeps
 _MEMO_WEIGHTS = 2
@@ -160,9 +156,10 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
     before ``n >= |Im z| x0``: coarser nodes can sit at a few phases of
     ``e^{-zt}``, where two under-resolved rules agree on a wrong value.
     The range is ``|Im z| x0 <= 4096``, which the finest level resolves,
-    and ``-Re z x0 <= 709.78``, past which ``e^{-zt}`` overflows.  Outside
-    it ``OracleFailureError`` is raised before any sampling; inside it, it
-    is raised where levels 2048 and 4096 still disagree.  The default 1e-13
+    and ``-Re z x0 <= _kernels.EXP_MAX``, past which ``e^{-zt}``
+    overflows.  Outside it ``OracleFailureError`` is raised before any
+    sampling; inside it, it is raised where levels 2048 and 4096 still
+    disagree.  The default 1e-13
     target is met over all of ``|Im z| x0 <= 4000`` on the triangle and on
     autocorrelation weights; the tests, ``verify`` and the benchmark ask
     for at most 2,000.  A non-finite ``z`` raises ``DomainError``, and an
@@ -187,10 +184,10 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
         raise DomainError(f"quadrature needs a finite z, got z={z}")
     x0 = f.x0
     n_min = abs(z.imag) * x0
-    if n_min > _TOP or -z.real * x0 > _EXP_MAX:
+    if n_min > _TOP or -z.real * x0 > _kernels.EXP_MAX:
         raise OracleFailureError(
             f"quadrature on [0, {x0}] needs |Im z| x0 <= {_TOP} and -Re z x0 <= "
-            f"{_EXP_MAX}, got z={z}")
+            f"{_kernels.EXP_MAX}, got z={z}")
     added, g = _samples(f), np.empty(_TOP + 1, dtype=complex)
     if not added:
         ts = x0 * _rule(_SHARED)[1]
@@ -249,7 +246,7 @@ def scan_root(h, lo, hi, step):
     > 0, or a bracket of more than 2**24 coarse cells raise
     ``InvalidParameterError`` before any ``h`` call.
     """
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)):
+    if not all(real(v) and math.isfinite(v) for v in (lo, hi)):
         raise InvalidParameterError(f"scan bounds must be finite, got [{lo}, {hi}]")
     positive("scan step", step)
     if hi <= lo:

@@ -19,10 +19,6 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, checked_divisor, checked_power, nonnegative, positive
 
-#: Coefficients of degrees 1..4.
-P4_COEFFS = (1.0, 1.0, 0.8, 0.4)
-
-
 #: The quartic at a real or complex point (or array), shared with the kernels.
 p4_eval = _kernels._p4
 

@@ -54,20 +54,20 @@ import cmath
 import functools
 import inspect
 import math
-import numbers
 import struct
 
 import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, nonnegative,
-                     positive)
+                     positive, real)
 
 _SMALL_W = _kernels.SMALL_W
 
 #: (k, theta) data pairs of the externally defined cosine-type weights used by
 #: the fixed-ratio bounds.  The defining relation theta(k) is not derivable
-#: here; the pairs are shipped as data.
+#: here; the pairs are shipped as data.  The third k is c1/c0 of the zero-free
+#: region case 'order234' (``zfr``, which imports this module).
 K_FAMILY_PAIRS = (
     (2.0, 0.9873),
     (1.5, 1.2729),
@@ -208,16 +208,17 @@ _KEY = struct.Struct("<5d")
 def autocorrelation_code(alpha, c0, c1, beta, s):
     """(family code, f(0)) of ``autocorrelation(alpha, c0, c1, beta, s)``.
 
-    The build ``autocorrelation`` wraps: it checks the parameters (finite int
-    or float, s > 0) on every call and hands their floats to
-    ``_search_code``, the one cached build.  Raises what ``autocorrelation``
-    raises.
+    The build ``autocorrelation`` wraps: it checks the parameters (finite
+    real numbers, ``errors.real``, so not bools; s > 0) on every call and
+    hands their floats to ``_search_code``, the one cached build.  Raises
+    what ``autocorrelation`` raises.
     """
     # checked inline, with errors.positive's message for s
     for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise InvalidParameterError(f"autocorrelation parameter {name} must be finite, got {v!r}")
-    if not (isinstance(s, (int, float)) and 0 < s < math.inf):
+        if not (real(v) and math.isfinite(v)):
+            raise InvalidParameterError(
+                f"autocorrelation parameter {name} must be finite, got {v!r}")
+    if not (real(s) and 0 < s < math.inf):
         raise InvalidParameterError(f"generator support s must be finite and > 0, got {s!r}")
     return _search_code(*map(float, (alpha, c0, c1, beta, s)))
 
@@ -280,9 +281,9 @@ def _build(alpha, c0, c1, beta, s):
     if c0 < abs(c1):
         # the grid's alpha u, beta u and e^{alpha u} (c0 + c1 cos(beta u)) stay
         # in the float range where the log of the last one's bound,
-        # max(alpha s, 0) + log(|c0| + |c1|), is at most 709.78
+        # max(alpha s, 0) + log(|c0| + |c1|), is at most EXP_MAX
         top = max(alpha * s, 0.0) + math.log(abs(c0) + abs(c1))
-        if not (top <= 709.78 and math.isfinite(alpha * s) and math.isfinite(beta * s)):
+        if not (top <= _kernels.EXP_MAX and math.isfinite(alpha * s) and math.isfinite(beta * s)):
             raise InvalidParameterError(
                 f"the generator leaves the float range on [0, s] for alpha={alpha}, "
                 f"c0={c0}, c1={c1}, beta={beta}, s={s}")
@@ -384,7 +385,7 @@ def repel_reduce(f, a, b):
     F(-a) overflows, which still bounds the expression.  a and b must be
     finite reals >= 0 (``DomainError``).
     """
-    if not all(isinstance(v, numbers.Real) and 0 <= v < math.inf for v in (a, b)):   # NaN too
+    if not all(real(v) and 0 <= v < math.inf for v in (a, b)):   # NaN too
         raise DomainError(f"repel_reduce requires finite a, b >= 0, got a={a}, b={b}")
     F_a = f.laplace_real(-a)
     if F_a == math.inf:   # F decreases, so the other term may be inf too: no inf - inf

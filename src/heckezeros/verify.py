@@ -207,7 +207,7 @@ def suite_positivity():
                                      [1.0 if (ok_a and ra.guaranteed and rb.guaranteed)
                                       else -1.0], None, 0.0))
     # cosine expansion coefficients of both bundled quadruples are non-negative
-    for quad in ((3, 10, 9, 10), (0, 10, 7, 10)):
+    for quad, *_ in zfr.POLYNOMIALS.values():
         cs = zfr.expand_trig_square_product(*quad)
         reports.append(positivity_report(f"expansion coefficients non-negative "
                                          f"{quad}", cs, None, 0.0))

@@ -2,8 +2,8 @@
 
 Each character-order case combines a squared cosine-polynomial identity with
 the explicit inequalities.  Expanding (a1 + b1 cos)^2 (a2 + b2 cos)^2 in
-multiples of the angle gives the weights attached to the powers of the
-character; the first two coefficients c0, c1 drive the main inequality
+multiples of the angle gives the weights c_j attached to the powers chi^j of
+the character; the first two coefficients c0, c1 drive the main inequality
 
     c0 P(1) - c1 P(lambda/(lambda + lambda_1)) + B phi lambda <= 0,
 
@@ -13,10 +13,24 @@ side condition p/lambda^4 <= q/(lambda + lambda_1)^4.  When that condition is
 the binding constraint, the valid bound is the largest width where it still
 holds rather than the root itself; the solver reports both.
 
-The order-5 and order>=6 cases instead use the smoothed inequality: order 5
-reduces to a fixed-ratio cosine bound with the bundled (k, theta) data pair,
-and order>=6 needs an externally defined weight, so it is computed with the
-substitute family and flagged approximate.
+Every constant of a case is derived from its one statement in
+``POLYNOMIALS``: the polynomial's quadruple (a1, b1, a2, b2), a scale, the
+character orders k it covers and the indices of its side condition.  The
+coefficients are ``expand_trig_square_product``'s over the scale.  For a
+character of order k, chi^j is principal where j = 0 mod k, so
+``combine_L_coefficients`` takes the sum a_k of those c_j and the sum b_k of
+the others, and B is the largest combination over the case's orders.  p and
+q sum the c_j at the side condition's indices.  This rule is the code's
+reading of the paper, inferred from its numbers: it reproduces every
+published constant exactly (ROADMAP item 24 asks for the paper's lemma
+behind it).
+
+The order-5 and order>=6 cases instead use the smoothed inequality with
+c0, c1 of 'order234' and B by the same rule at k = 5 (``SMOOTHED_B``, where
+only c0's power is principal): order 5 reduces to a fixed-ratio cosine
+bound with the bundled (k, theta) data pair, and order>=6 needs an
+externally defined weight, so it is computed with the substitute family and
+flagged approximate.
 """
 
 import math
@@ -29,10 +43,6 @@ from .dh import PHI, cos_bound
 from .errors import InvalidParameterError, NoBoundError, no_bound, nonnegative, positive
 from .trial_functions import K_FAMILY_PAIRS
 from .zero_density import VARTHETA, check_vartheta
-
-#: combined normalization coefficient B of the smoothed inequality of the
-#: order-5 and order>=6 cases, whose c0, c1 are those of 'order234'
-SMOOTHED_B = 62174.0
 
 #: right end of the polynomial cases' bracket [0, HI] for lambda_1
 HI = 10.0
@@ -53,18 +63,16 @@ class ZfrCase:
     description: str
 
 
-CASES = {
-    "order234": ZfrCase(
-        "order234", (14379, 24480, 14900, 6000, 1250), 61009, (14900, 30480),
-        "worst character of order 2, 3 or 4"),
-    "principal": ZfrCase(
-        "principal", (620, 1050, 745, 350, 125), 2890, (1050, 1365),
-        "principal worst character (necessarily complex worst zero)"),
+#: each polynomial case stated once: the quadruple (a1, b1, a2, b2) of
+#: (a1 + b1 cos)^2 (a2 + b2 cos)^2, the scale its coefficients are divided by,
+#: the character orders k it covers, the indices j of the c_j summed into p
+#: and into q of its side condition, and its description
+POLYNOMIALS = {
+    "order234": ((3, 10, 9, 10), 1, (2, 3, 4), ((2,), (1, 3)),
+                 "worst character of order 2, 3 or 4"),
+    "principal": ((0, 10, 7, 10), 10, (1,), ((1,), (0, 2)),
+                  "principal worst character (necessarily complex worst zero)"),
 }
-
-#: normalization coefficient pairs of the three order-2/3/4 sub-cases, each of
-#: which must combine to at most the bundled B of 'order234'
-ORDER234_B_PAIRS = {4: (15629, 45380), 3: (20379, 40630), 2: (30529, 30480)}
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,30 @@ def combine_L_coefficients(a, b, vartheta=VARTHETA):
     return float(out)
 
 
+def _combined_B(coeffs, orders):
+    """B of cosine coefficients c_j over the character orders k: the largest
+    ``combine_L_coefficients(a_k, b_k)``, a_k the sum of the c_j whose power
+    chi^j is principal (j = 0 mod k) and b_k the sum of the others."""
+    return max(combine_L_coefficients(sum(c for j, c in enumerate(coeffs) if j % k == 0),
+                                      sum(c for j, c in enumerate(coeffs) if j % k))
+               for k in orders)
+
+
+def _derived_case(name, quad, scale, orders, side, description):
+    """The ZfrCase of a ``POLYNOMIALS`` statement."""
+    coeffs = tuple(c / scale for c in expand_trig_square_product(*quad))
+    p, q = (sum(coeffs[j] for j in js) for js in side)
+    return ZfrCase(name, coeffs, _combined_B(coeffs, orders), (p, q), description)
+
+
+CASES = {name: _derived_case(name, *statement) for name, statement in POLYNOMIALS.items()}
+
+#: combined normalization coefficient B of the smoothed inequality of the
+#: order-5 and order>=6 cases, whose c0, c1 are those of 'order234': the same
+#: rule at k = 5, where only c0's power is principal
+SMOOTHED_B = _combined_B(CASES["order234"].coeffs, (5,))
+
+
 def zfr_h(case, lam, phi=PHI):
     """The increasing function of lambda_1 whose root gives the region width;
     inputs are checked as in ``zfr_solve``."""
@@ -209,8 +241,8 @@ def zfr_order5(phi=PHI):
 
     The driving inequality, normalized by its leading coefficient, reads
     F(-lambda_1) - (c1/c0) F(0) + (B/c0) phi f(0) >= 0 with c0, c1 of
-    'order234' (c1/c0 = 24480/14379) and B = ``SMOOTHED_B``; the matching
-    cosine-type weight has the bundled angle theta = 1.1580, giving
+    'order234' and B = ``SMOOTHED_B``; the matching cosine-type weight has
+    the bundled angle theta of k = c1/c0 (``K_FAMILY_PAIRS``), giving
     lambda_1 >= cos^2(theta) c0 / (B phi).  phi must be finite and > 0.
     """
     positive("phi", phi)
@@ -223,8 +255,8 @@ def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):
     """Width for order >= 6 via the smoothed inequality, substitute weight.
 
     Solves c0 F(-lam_star) - c1 F(x - lam_star) + B phi f(0) = 0 for x in
-    [0, lam_star], with c0 = 14379 and c1 = 24480 of 'order234' and
-    B = ``SMOOTHED_B`` = 62174.  The root is ``_kernels.smoothed_root``'s.
+    [0, lam_star], with c0, c1 of 'order234' and B = ``SMOOTHED_B``.  The
+    root is ``_kernels.smoothed_root``'s.
     Where the function is still negative at lam_star (and not positive at
     0) the full floor lam_star is the width; any other failure to change
     sign raises NoBoundError (``errors.no_bound``).  The published constant

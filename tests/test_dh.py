@@ -308,7 +308,7 @@ class TestSolvePoly:
         for b in (0.012, 0.2):
             for phi in (dh.PHI, 0.3):
                 for lam in map(float, np.geomspace(0.05, 4.0, 15)):
-                    at = dh._poly_at(case, b, lam, phi)
+                    at = dh._poly_at(case, b, lam, phi, case._sides.at(b, lam))
                     for J in map(float, np.geomspace(max(0.01, case.j_min), 4.0, 15)):
                         value = dh._poly_bound(at, lam, J)[0]
                         try:

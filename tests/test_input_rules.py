@@ -172,9 +172,10 @@ def test_quadrature_refuses_its_tolerance_before_any_sampling(value):
 
 
 @pytest.mark.parametrize("end", ["lo", "hi"])
-@pytest.mark.parametrize("value", [*NOT_NUMBERS, math.nan, -math.inf])
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, math.nan, -math.inf, True])
 def test_scan_bounds_that_are_not_finite_reals_are_refused(end, value):
-    # a str or None raised TypeError from math.isfinite
+    # a str or None raised TypeError from math.isfinite; True scanned from
+    # or to 1
     lo, hi = (value, 2.0) if end == "lo" else (0.0, value)
     with pytest.raises(InvalidParameterError) as err:
         oracles.scan_root(lambda x: x - 1.0, lo, hi, 1e-3)
@@ -182,9 +183,10 @@ def test_scan_bounds_that_are_not_finite_reals_are_refused(end, value):
 
 
 @pytest.mark.parametrize("arg", ["a", "b"])
-@pytest.mark.parametrize("value", [*NOT_NUMBERS, math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, math.nan, math.inf, -1.0, True])
 def test_repel_reduce_refuses_what_is_not_a_finite_real_at_least_0(arg, value):
-    # a str raised TypeError
+    # a str raised TypeError; True reduced as 1 (repel_reduce(TRI, True, 0.1)
+    # was 0.3771)
     a, b = (value, 0.1) if arg == "a" else (0.1, value)
     with pytest.raises(DomainError) as err:
         tf.repel_reduce(TRI, a, b)
@@ -205,9 +207,21 @@ BUDGETS = [
 
 @pytest.mark.parametrize("value, shown", [("5", "'5'"), (None, "None"), (1j, "1j"), ("3", "'3'"),
                                           (math.nan, "nan"), (math.inf, "inf"), (0.5, "0.5"),
-                                          (np.float64(0.0), "0.0")])
+                                          (np.float64(0.0), "0.0"), (True, "True")])
 @pytest.mark.parametrize("call", [c for _, c in BUDGETS], ids=[n for n, _ in BUDGETS])
 def test_a_budget_that_is_not_a_finite_number_at_least_1_is_refused(call, value, shown):
+    # True ran a search of one unit: maximize_bound(SearchSpec(
+    # "cc-lp-nonprincipal", 0.1227, max_evals=True)) returned 0.73703
     with pytest.raises(InvalidParameterError) as err:
         call(value)
     assert str(err.value) == f"search budget must be a finite number >= 1, got {shown}"
+
+
+@pytest.mark.parametrize("name", ["alpha", "c0", "c1", "beta", "s"])
+def test_an_autocorrelation_parameter_that_is_a_bool_is_refused(name):
+    # True was built as 1.0: autocorrelation(alpha=True) had alpha = 1.0
+    want = ("generator support s must be finite and > 0" if name == "s"
+            else f"autocorrelation parameter {name} must be finite")
+    with pytest.raises(InvalidParameterError) as err:
+        tf.autocorrelation(**{name: True})
+    assert str(err.value) == f"{want}, got True"

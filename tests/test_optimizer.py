@@ -175,7 +175,7 @@ class TestInnerJ:
         b = t.rows[len(t.rows) // 2].b
         for lam in (0.3, 0.7, 1.0, 1.5, 2.0):
             got = -math.inf
-            at = dh._poly_at(case, b, lam, phi)
+            at = dh._poly_at(case, b, lam, phi, case._sides.at(b, lam))
             for _, J in optimizer._j_candidates(case, lam, at):
                 try:
                     got = max(got, dh.solve_poly(case, b, lam, J, phi=phi).lambda_star)
@@ -209,13 +209,17 @@ class TestInnerJ:
         # once per lambda; a scored lambda whose peak is slack
         # (optimizer._slack_peak) is valued by it, with no build, and only
         # the side-limited lambda scored are built (dh._poly_at), each once,
-        # for _j_candidates.  The winner's solve_poly makes one build more
+        # for _j_candidates.  Each scored lambda forms its side limit
+        # (_SideConditions.at) once, for the slack test and the build (it was
+        # formed twice at each side-limited lambda).  The winner's solve_poly
+        # makes one build more, and forms its side limit once more
         t = tables.load_table(key)
         builds = TestBudget.counted(monkeypatch, dh, "_poly_at")
+        sides = TestBudget.counted(monkeypatch, dh._SideConditions, "at")
         read = {"_j_ceiling": [], "_slack_peak": [], "_j_candidates": []}
-        for name in read:   # where lambda is
+        for name in read:   # where lambda is, or the peak of _j_ceiling's
             def spy(*args, _fn=getattr(optimizer, name), _read=read[name],
-                    _at=1 if name == "_j_candidates" else 2):
+                    _at={"_j_ceiling": 2, "_slack_peak": 0, "_j_candidates": 1}[name]):
                 got = _fn(*args)
                 _read.append((args[_at], got))
                 return got
@@ -223,11 +227,13 @@ class TestInnerJ:
         maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
         ceilings = [lam for lam, _ in read["_j_ceiling"]]
         assert len(ceilings) == len(set(ceilings)) >= 25   # the coarse scan's
-        scored = [lam for lam, _ in read["_slack_peak"]]
-        limited = [lam for lam, slack in read["_slack_peak"] if slack is None]
+        lam_of = {id(peak): lam for lam, peak in read["_j_ceiling"]}
+        scored = [lam_of[id(peak)] for peak, _ in read["_slack_peak"]]
+        limited = [lam_of[id(peak)] for peak, slack in read["_slack_peak"] if slack is None]
         assert len(scored) == len(set(scored)) < len(ceilings)
         assert [lam for lam, _ in read["_j_candidates"]] == limited
         assert len(builds) == len(limited) + 1
+        assert len(sides) == len(scored) + 1
         # the T4, T5, T9 and T10 rows are never side-limited, the T3 rows are
         assert (len(builds) == 1) == (key not in ("T3:quadratic", "T3:principal"))
 
@@ -275,7 +281,7 @@ class TestInnerJ:
         pieces = 0
         for b in (t.rows[0].b, t.rows[len(t.rows) // 2].b, t.rows[-1].b):
             for lam in (0.3, 1.0, 2.0, 3.5):
-                at = dh._poly_at(case, b, lam, phi)
+                at = dh._poly_at(case, b, lam, phi, case._sides.at(b, lam))
                 peaks, troughs = case._sides.turns(at[4])
                 turns = [*at[2], *peaks, *troughs]
                 edges = sorted({j_lo, j_hi} | {J for J in turns if j_lo < J < j_hi})
@@ -304,7 +310,7 @@ def _full_inner(case, b, lam, phi):
     stop or budget, and the first candidate J that reaches it (None if none
     does): what the lambda section's ceiling must not fall below, and what a
     slack peak must equal."""
-    at = dh._poly_at(case, b, lam, phi)
+    at = dh._poly_at(case, b, lam, phi, case._sides.at(b, lam))
     best = -math.inf, None
     for _, J in optimizer._j_candidates(case, lam, at):
         v = dh._poly_bound(at, lam, J)[0]
@@ -315,7 +321,7 @@ def _full_inner(case, b, lam, phi):
 
 def _regimes(case, b, lam, phi):
     """(some J has h(0) > 0, some J has its root past 1000) over the turns."""
-    at = dh._poly_at(case, b, lam, phi)
+    at = dh._poly_at(case, b, lam, phi, case._sides.at(b, lam))
     j_lo, j_hi = optimizer._j_box(case)
     turns = [at[2], case._sides.turns(at[4])[0]]   # stationary J, peaks
     Js = [j_lo, j_hi, *(J for group in turns for J in group if j_lo < J < j_hi)]
@@ -397,7 +403,7 @@ class TestCeiling:
         j_lo, j_hi = optimizer._j_box(case)
         regimes = set()
         for b, phi, lam in itertools.product(GRID_B, GRID_PHI, GRID_LAMS):
-            at = dh._poly_at(case, b, lam, phi)
+            at = dh._poly_at(case, b, lam, phi, case._sides.at(b, lam))
             _, target, stationary, _, _ = at
             Js = [J for J in (j_lo, j_hi, *stationary) if j_lo <= J <= j_hi]
             targets = [target(J) for J in Js]
@@ -455,9 +461,10 @@ class TestSlackPeak:
         where the side limit binds at the peak's J, else 'other'; a slack
         value and J must be those of ``_full_inner``."""
         peak = optimizer._j_ceiling(case, b, lam, phi, optimizer._j_box(case))
-        slack = optimizer._slack_peak(case, b, lam, peak)
+        side_x = case._sides.at(b, lam)[0]
+        slack = optimizer._slack_peak(peak, side_x)
         _, x, J = peak
-        if J is not None and x >= case._sides.at(b, lam)[0](J):
+        if J is not None and x >= side_x(J):
             assert slack is None, (case.name, b, lam, phi)
             return "binds"
         if slack is None:
@@ -481,9 +488,19 @@ class TestSlackPeak:
         t = tables.load_table(key)
         case, b = dh.get_case(t.case_name), t.rows[len(t.rows) // 2].b
         paths = {self.path(case, b, lam, dh.PHI) for lam in GRID_LAMS}
-        scored, slack_peak = [], optimizer._slack_peak
+        # the peak's lambda, from the ceiling that formed it
+        scored, lam_of = [], {}
+        ceiling, slack_peak = optimizer._j_ceiling, optimizer._slack_peak
+
+        def ceiling_spy(*args):
+            peak = ceiling(*args)
+            lam_of[id(peak)] = args[2]
+            return peak
+
+        monkeypatch.setattr(optimizer, "_j_ceiling", ceiling_spy)
         monkeypatch.setattr(optimizer, "_slack_peak",
-                            lambda *args: scored.append(args[2]) or slack_peak(*args))
+                            lambda peak, side_x: scored.append(lam_of[id(peak)])
+                            or slack_peak(peak, side_x))
         maximize_bound(SearchSpec(t.case_name, b))
         monkeypatch.undo()
         assert scored

@@ -12,7 +12,12 @@ from heckezeros.errors import DomainError, InvalidParameterError
 
 
 def test_coefficients():
-    assert p4.P4_COEFFS == (1.0, 1.0, 0.8, 0.4)
+    # P(X) = X + X^2 + (4/5) X^3 + (2/5) X^4: P(0) = 0, and the values at 1,
+    # 2, 3 and 4 fix the four coefficients of degrees 1..4
+    coeffs = (1.0, 1.0, 0.8, 0.4)
+    for x in (0.0, 1.0, 2.0, 3.0, 4.0):
+        want = sum(c * x ** k for k, c in enumerate(coeffs, 1))
+        assert p4.p4_eval(x) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("x,expected", [(0.0, 0.0), (1.0, 3.2), (0.5, 0.875)])

@@ -41,13 +41,49 @@ class TestCombine:
         assert zfr.combine_L_coefficients(1, 1, 0.75) == 2
 
     def test_all_order_sub_cases_bounded_by_bundled_B(self):
-        combos = [zfr.combine_L_coefficients(a, b, 0.75)
-                  for a, b in zfr.ORDER234_B_PAIRS.values()]
-        assert max(combos) == zfr.CASES["order234"].B == 61009
+        # a character of order k is principal at the powers j = 0 mod k: each
+        # sub-case's pair (a_k, b_k) combines to at most B, and the largest
+        # combination is B
+        c, B = zfr.CASES["order234"].coeffs, zfr.CASES["order234"].B
+        pairs = {k: (sum(c[j] for j in range(5) if j % k == 0),
+                     sum(c[j] for j in range(5) if j % k)) for k in (2, 3, 4)}
+        assert pairs == {4: (15629, 45380), 3: (20379, 40630), 2: (30529, 30480)}
+        combos = [zfr.combine_L_coefficients(a, b, 0.75) for a, b in pairs.values()]
+        assert all(v <= B for v in combos)
+        assert max(combos) == B == 61009
+
+    def test_smoothed_B_is_the_order_5_rule(self):
+        # at k = 5 only c0's power is principal
+        c = zfr.CASES["order234"].coeffs
+        assert zfr.SMOOTHED_B == zfr.combine_L_coefficients(c[0], sum(c[1:]), 0.75) == 62174
 
     def test_non_integer_inputs_not_ceiled(self):
         v = zfr.combine_L_coefficients(1.0, 3.5, 0.75)
         assert v == pytest.approx(4.0 + 0.5 / 0.75, abs=1e-14)
+
+
+class TestDerivedCases:
+    """Every constant of a case comes from its polynomial (``zfr.POLYNOMIALS``)
+    and is the bundled one, to the bit."""
+
+    #: the bundled constants the derivation reproduces: coefficients, B and
+    #: side (p, q)
+    BUNDLED = {
+        "order234": ((14379, 24480, 14900, 6000, 1250), 61009, (14900, 30480)),
+        "principal": ((620, 1050, 745, 350, 125), 2890, (1050, 1365)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_derived_record_is_the_bundled_one(self, name):
+        case = zfr.CASES[name]
+        coeffs, B, side = self.BUNDLED[name]
+        assert [v.hex() for v in (*case.coeffs, case.B, *case.side)] == [
+            float(v).hex() for v in (*coeffs, B, *side)]
+
+    def test_order5_ratio_is_order234s(self):
+        # trial_functions cannot read zfr, so its k = c1/c0 is a literal
+        c = zfr.CASES["order234"].coeffs
+        assert tf.K_FAMILY_PAIRS[2][0].hex() == (c[1] / c[0]).hex()
 
 
 class TestSolve:
