@@ -19,8 +19,19 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, checked_divisor, checked_power, nonnegative, positive
 
-#: The quartic at a real or complex point (or array), shared with the kernels.
-p4_eval = _kernels._p4
+
+def p4_eval(z):
+    """The quartic P(z) at a real or complex z or array, ``_kernels._p4``'s
+    value; DomainError where z or P(z) is not finite (at any element).  The
+    kernels call ``_kernels._p4`` itself, unchecked."""
+    if not np.isfinite(z).all():
+        raise DomainError(f"require a finite z, got z={z}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _kernels._p4(z)
+    if not np.isfinite(out).all():
+        raise DomainError(f"require z whose P(z) is finite, got z={z}")
+    return out
+
 
 #: an argument's power, or DomainError naming the argument past the float range
 _power = functools.partial(checked_power, error=DomainError)
@@ -40,14 +51,16 @@ def re_p4_identity(a, b, t):
                              + (5 + 10 alpha + 14 alpha^2) s^2) / 5,
 
     which is the source of the lower bound used by the positivity lemma.
-    ``t`` may be an array.  Written in alpha and s, no power leaves the
-    float range where the value is in it, as (ab)^4 and (b^2 + t^2)^4 did
-    for a, b or t beyond about 1e77 or below about 1e-77.  Where (t/b)^2
-    overflows, s and the value are below the smallest normal float, and the
-    value is 0.
+    ``t`` may be an array, and must hold no NaN (else DomainError).  Written
+    in alpha and s, no power leaves the float range where the value is in
+    it, as (ab)^4 and (b^2 + t^2)^4 did for a, b or t beyond about 1e77 or
+    below about 1e-77.  Where (t/b)^2 overflows (t = +-inf included), s and
+    the value are below the smallest normal float, and the value is 0.
     """
     if not (0 < a <= b < math.inf):
         raise DomainError(f"require finite 0 < a <= b, got a={a}, b={b}")
+    if np.isnan(t).any():
+        raise DomainError(f"require t that is not NaN, got t={t}")
     alpha = a / b
     with np.errstate(over="ignore"):
         tau2 = (np.asarray(t, dtype=float) / b) ** 2

@@ -41,13 +41,18 @@ search at b = 0 read it from ``_search_f0``, which forms it on first read
 and memoizes it per build key.  A build's pair layout comes from a table by
 the generator's term count (``_FOLDS``).  Per distinct exponent
 a = g_j + g_k (three for a cosine weight's five folded pairs) a build
-forms K = E(s; a) = int_0^s e^{au} du
-(``_kernels.exp_quotient``) and the pair term at its coincidence point
-z = -g_j, int_0^s u e^{au} du (``_kernels.pair_near``; for real a at most
-s K).  A build is refused exactly where K, f(0) or one of those pair terms
-is not a finite float, and a code is a tuple of plain Python numbers and
-bools that never changes after its build.  NumPy evaluates f(t) on grids,
-and the generator's sign when c0 < |c1|.
+forms K = E(s; a) = int_0^s e^{au} du (``_kernels.exp_quotient``).  A
+build is refused exactly where K, f(0) or a pair term at its coincidence
+point z = -g_j, M1 = int_0^s u e^{au} du, is not a finite float.  Each a
+has real part 2 alpha, so |M1| <= s E(s; 2 alpha), a K the build
+holds; where that bound lies far inside the float range
+(``_pair_terms_finite``, true of every weight in the search boxes) no pair
+term is formed, and elsewhere each is formed by ``_kernels.pair_near`` and
+checked.  So a search weight's build takes three ``exp_quotient`` calls
+and no ``pair_near``, about half the time of forming the pair terms too.
+A code is a tuple of plain Python numbers and bools that never changes
+after its build.  NumPy evaluates f(t) on grids, and the generator's sign
+when c0 < |c1|.
 """
 
 import cmath
@@ -59,8 +64,8 @@ import struct
 import numpy as np
 
 from . import _kernels
-from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, nonnegative,
-                     positive, real)
+from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, _shown,
+                     nonnegative, positive, real)
 
 _SMALL_W = _kernels.SMALL_W
 
@@ -108,7 +113,7 @@ class TrialFunction:
         """F(z); accepts real/complex scalars or arrays, entire in z.
 
         Real scalars (int, float, NumPy floating) of a weight with a code go
-        through ``laplace_real``, as a complex.
+        through ``laplace_real``, as a complex, which refuses a NaN.
         """
         if self._code is not None and isinstance(z, (int, float, np.floating)):
             return complex(self.laplace_real(z))
@@ -118,9 +123,12 @@ class TrialFunction:
         """F(r) at one real r, as a float.
 
         A weight with a code takes the scalar kernel ``_kernels.f_real_scalar``,
-        which gives +inf past the exp overflow range; a plug-in weight the real
-        part of its transform.
+        which gives +inf past the exp overflow range (at r = -inf too, and 0.0
+        at r = +inf); a plug-in weight the real part of its transform.  A NaN
+        r raises DomainError.
         """
+        if r != r:
+            raise DomainError(f"laplace_real requires r that is not NaN, got r={_shown(r)}")
         if self._code is None:
             return float(self._laplace(r).real)
         return _kernels.f_real_scalar(self._code, float(r))
@@ -217,9 +225,9 @@ def autocorrelation_code(alpha, c0, c1, beta, s):
     for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta)):
         if not (real(v) and math.isfinite(v)):
             raise InvalidParameterError(
-                f"autocorrelation parameter {name} must be finite, got {v!r}")
+                f"autocorrelation parameter {name} must be finite, got {_shown(v)}")
     if not (real(s) and 0 < s < math.inf):
-        raise InvalidParameterError(f"generator support s must be finite and > 0, got {s!r}")
+        raise InvalidParameterError(f"generator support s must be finite and > 0, got {_shown(s)}")
     return _search_code(*map(float, (alpha, c0, c1, beta, s)))
 
 
@@ -270,6 +278,36 @@ _FOLDS = (None,
           ((0, 0, 1.0, -1), (0, 1, 2.0, -1), (1, 0, 2.0, 1), (1, 1, 2.0, -1), (1, 2, 2.0, 0)))
 
 
+#: the largest s E(s; 2 alpha) at which ``_pair_terms_finite`` holds,
+#: e^``_kernels._INF_EDGE``
+_M1_MAX = math.exp(_kernels._INF_EDGE)
+
+
+def _pair_terms_finite(alpha, s, K2):
+    """Whether every pair term at its coincidence point, as
+    ``_kernels.pair_near`` forms it, is proved a finite float without
+    forming it, from alpha, s and K2 = E(s; 2 alpha) of a generator whose
+    exponents all have real part alpha.
+
+    The term of a pair (g_j, g_k) at z = -g_j is
+    M1 = int_0^s t e^{(g_j + g_k) t} dt, so |M1| <= s K2, as |K| <= K2 for
+    the pair's K = E(s; g_j + g_k).  The test: 2 alpha s is finite and at
+    most ``_INF_EDGE``, so every e^u, u = (g_j + g_k) s, is at most
+    e^690, and s K2 is at most ``_M1_MAX`` = e^690.  There ``pair_near``
+    takes its series where |u| < 1, at most s^2 <= e s K2 (K2 >= s/e),
+    and otherwise e^u s/A - K/A with A = g_j + g_k and |A| s = |u| >= 1,
+    whose two terms are at most e s K2 and s K2 (the first splits at
+    2 alpha s = -1, 0 and 1).  So every factor, product, quotient and part
+    of one is within about 4 e of s K2 (complex operations on parts add a
+    factor of 2 at most).  The largest float, e^``EXP_MAX``, is e^19.78 =
+    3.9e8 times ``_M1_MAX``, far more than that factor and the few ulps by
+    which the rounding of K2, K and each operation moves a value.  Where the
+    test fails, which no weight in the search boxes does (there
+    |2 alpha s| <= 320), ``_build`` forms every pair term and checks it.
+    """
+    return -math.inf < 2.0 * alpha * s <= _kernels._INF_EDGE and s * abs(K2) <= _M1_MAX
+
+
 def _build(alpha, c0, c1, beta, s):
     """``_search_code`` of five floats, uncached."""
     # the pair (g, g) of g = alpha + i beta has the phase 2 beta s, where
@@ -310,20 +348,24 @@ def _build(alpha, c0, c1, beta, s):
     # at real r: ``far``
     far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
     # a build fails where K, f(0) or a pair term at its coincidence point
-    # z = -g_j (for real a at most s K) is not a finite float
+    # z = -g_j is not a finite float.  The pair terms are formed only where
+    # ``_pair_terms_finite`` cannot prove them finite, after every K: given a
+    # finite K, ``pair_near`` raises nothing, and a pair that shares its
+    # exponent has the same term, so the same weights are refused
     folded, cK = [], []
     try:
         for j, k, factor, same in _FOLDS[len(gs)]:
             g_j, g_k = gs[j], gs[k]
-            if same < 0:
-                K = _kernels.exp_quotient(g_j + g_k, s)
-                if not cmath.isfinite(_kernels.pair_near(K, g_j, g_k, -g_j, s)):
-                    raise OverflowError
-            else:
-                K = folded[same][3]
+            K = _kernels.exp_quotient(g_j + g_k, s) if same < 0 else folded[same][3]
             c = cs[j] * cs[k] * factor
             folded.append((c, g_j, g_k, K, far[j] and far[k]))
             cK.append(c * K)
+        # K of the real exponent 2 alpha: the first pair's, or (g, conj g)'s,
+        # the second, when c0 = 0 leaves g and conj g alone
+        if not _pair_terms_finite(alpha, s, folded[len(gs) == 2][3]):
+            for _, g_j, g_k, K, _ in folded:
+                if not cmath.isfinite(_kernels.pair_near(K, g_j, g_k, -g_j, s)):
+                    raise OverflowError
         f0 = sum(cK).real
         if not math.isfinite(f0):
             raise OverflowError

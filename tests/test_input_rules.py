@@ -97,12 +97,23 @@ def test_every_bounded_input_is_refused_alike(name, rule, call, kind):
 
 
 @pytest.mark.parametrize("value, shown", [(np.float64(-1), "-1.0"), (np.float32(-0.5), "-0.5"),
-                                          (np.int64(-3), "-3"), (np.float64(math.nan), "nan")])
+                                          (np.int64(-3), "-3"), (np.float64(math.nan), "nan"),
+                                          (np.float32(math.inf), "inf"),
+                                          (np.float64(-math.inf), "-inf")])
 def test_numpy_scalar_is_shown_as_its_python_value(value, shown):
-    # NumPy 2 wrote "got np.float64(-1.0)"
-    with pytest.raises(InvalidParameterError) as err:
-        zfr.zfr_solve("order234", value)
-    assert str(err.value) == f"lambda must be finite and > 0, got {shown}"
+    # NumPy 2 wrote "got np.float64(-1.0)", for the generator's parameters
+    # too, which refuse only a value that is not finite, and s
+    refusals = [(lambda: zfr.zfr_solve("order234", value), "lambda must be finite and > 0"),
+                (lambda: tf.autocorrelation(s=value),
+                 "generator support s must be finite and > 0")]
+    if not math.isfinite(value):
+        refusals += [(lambda n=n: tf.autocorrelation(**{n: value}),
+                      f"autocorrelation parameter {n} must be finite")
+                     for n in ("alpha", "c0", "c1", "beta")]
+    for call, rule in refusals:
+        with pytest.raises(InvalidParameterError) as err:
+            call()
+        assert str(err.value) == f"{rule}, got {shown}"
 
 
 @pytest.mark.parametrize("check, rule, least", [(positive, ">", 5e-324),

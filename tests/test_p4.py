@@ -77,6 +77,35 @@ class TestRealPartIdentity:
         with pytest.raises(DomainError, match="require finite"):
             p4.re_p4_identity(a, b, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_t_rejected(self, t):
+        # t = nan returned nan; an infinite t is the limit 0
+        with pytest.raises(DomainError, match="require t that is not NaN"):
+            p4.re_p4_identity(1.0, 2.0, t)
+        assert p4.re_p4_identity(1.0, 2.0, [math.inf, -math.inf]).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("z, rule", [
+    (math.nan, "a finite z"), (complex(math.nan, 1.0), "a finite z"), (math.inf, "a finite z"),
+    ([0.5, math.nan], "a finite z"),
+    (1e78 + 1e78j, "z whose P"), (1e100, "z whose P"), ([0.5, -1e100], "z whose P")])
+def test_p4_eval_refuses_what_is_not_finite(z, rule):
+    # p4_eval(1e78+1e78j) returned (-inf+nanj) and p4_eval(nan) nan; the
+    # kernels' own _p4 stays unchecked
+    z = np.asarray(z) if isinstance(z, list) else z
+    with pytest.raises(DomainError, match=f"require {rule}"):
+        p4.p4_eval(z)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(_kernels._p4(z)).all()
+
+
+def test_p4_eval_is_the_kernels_quartic():
+    for z in (0.0, 0.3, -2.5, 0.7 - 0.2j, 1e77):
+        got = p4.p4_eval(z)
+        assert type(got) is type(_kernels._p4(z)) and got == _kernels._p4(z)
+    zs = np.array([0.1, 0.2 + 1j, -3.0])
+    assert np.array_equal(p4.p4_eval(zs), _kernels._p4(zs))
+
 
 class TestGm:
     def test_equality_case(self):

@@ -285,12 +285,14 @@ def test_codes_are_immutable():
 
 
 class TestLazyMoments:
-    """A build forms K = M_0 and checks M_1, the pair term at its coincidence
-    point; no code holds a higher moment, and the kernels form none."""
+    """A build forms K = M_0 and proves M_1, the pair term at its coincidence
+    point, finite from the bound s E(s; 2 alpha) (``tf._pair_terms_finite``),
+    forming it only where that bound does not serve; no code holds a higher
+    moment, and the kernels form none."""
 
     def test_search_builds_leave_them_unread(self, monkeypatch):
-        # a search weight's build forms K of its three exponents and checks
-        # their pair terms at coincidence, no more
+        # a search weight's build forms K of its three exponents, no more:
+        # the bound proves their pair terms at coincidence finite
         asked = []
         for name in ("exp_quotient", "pair_near"):
             fn = getattr(_kernels, name)
@@ -298,9 +300,51 @@ class TestLazyMoments:
                                 lambda *args, _fn=fn, _name=name: asked.append(_name) or _fn(*args))
         params = optimizer._generator(0.7, 3.2, 1.0)
         code, f0 = tf._build(*map(float, params))
-        assert asked == ["exp_quotient", "pair_near"] * 3
+        assert asked == ["exp_quotient"] * 3
         assert all(len(pair) == 5 for pair in code[1])
         assert f0 == tf.autocorrelation(*params).f0
+
+    #: generator layouts of 1, 2 and 3 terms: (c0, c1, beta) at s = 1, beta
+    #: scaled by 1/s; the 3-term ones are the search's two profiles
+    LAYOUTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.8), (1.0, 1.0, math.pi), (1.0, 1.0, math.pi / 2))
+
+    def test_builds_keep_the_per_pair_bits(self, monkeypatch):
+        # over both search boxes, and across the overflow edge of e^{2 alpha s}
+        # past them, a build refuses where one that forms every pair term
+        # refuses, and otherwise gives its code and f(0) bit for bit; every
+        # pair term the bound skips is finite
+        alphas = np.linspace(-4.0, 4.0, 17).tolist() + [-0.37, 0.05, 2.6]
+        supports = (0.2, 0.6, 1.2, 3.2, 10.0, 23.7, 40.0)
+        points = [(a, s) for a in alphas for s in supports]
+        points += [(float(x / (2.0 * s)), s) for s in (0.2, 3.0, 40.0, 100.0, 1e6, 1e150)
+                   for x in np.linspace(-1400.0, 709.9, 61)]
+        builds = []
+        for alpha, s in points:
+            for c0, c1, beta in self.LAYOUTS:
+                params = (alpha, c0, c1, beta / s, s)
+                try:
+                    builds.append((params, tf._build(*params)))
+                except InvalidParameterError as exc:
+                    builds.append((params, str(exc)))
+        skipped = refused = 0
+        for params, got in builds:
+            if isinstance(got, str):
+                refused += 1
+                continue
+            (s, folded), _ = got
+            K2 = folded[len(folded) == 2][3]
+            if tf._pair_terms_finite(params[0], s, K2):
+                skipped += 1
+                for _, g_j, g_k, K, _ in folded:
+                    assert cmath.isfinite(_kernels.pair_near(K, g_j, g_k, -g_j, s)), params
+        monkeypatch.setattr(tf, "_pair_terms_finite", lambda *args: False)
+        for params, got in builds:
+            try:
+                want = tf._build(*params)
+            except InvalidParameterError as exc:
+                want = str(exc)
+            assert repr(got) == repr(want), params
+        assert skipped > 1000 and refused > 0, (skipped, refused)
 
     @pytest.mark.parametrize("alpha", [0.5, -1.3, 0.0])
     def test_plain_weight_at_minus_alpha(self, alpha):
@@ -401,6 +445,17 @@ class TestScalarRoute:
         assert clone.laplace(0.5) == complex(42.0, 1.0)
         assert clone.laplace(np.float64(-1.0)) == complex(42.0, 1.0)
         assert clone.laplace_real(0.5) == 42.0 and type(clone.laplace_real(0.5)) is float
+
+    def test_laplace_real_refuses_nan_and_keeps_the_infinities(self):
+        # triangle(2.0).laplace_real(nan) returned nan, as did the cosine weight
+        clone = tf.TrialFunction("custom", {}, self.F.x0, self.F.f0, self.F, self.F._laplace)
+        for f in (tf.triangle(2.0), self.F, clone):
+            for r in (math.nan, np.float64(math.nan)):
+                with pytest.raises(DomainError) as err:
+                    f.laplace_real(r)
+                assert str(err.value) == "laplace_real requires r that is not NaN, got r=nan"
+        for f in (tf.triangle(2.0), self.F):
+            assert (f.laplace_real(math.inf), f.laplace_real(-math.inf)) == (0.0, math.inf)
 
     def test_laplace_real_is_the_kernels_float(self):
         for z in (0, -1, 0.5, np.float64(-0.25), -100.0):
