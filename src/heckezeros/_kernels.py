@@ -329,9 +329,9 @@ def E(x, a):
     Where |a x| < SMALL_W it is x times ``_e1`` of w = a x, summed only on
     those elements; where w = 0 that is x exactly.
     """
-    w = np.asarray(a * x)
-    small = np.abs(w) < SMALL_W
     with np.errstate(over="ignore", invalid="ignore"):
+        w = np.asarray(a * x)
+        small = np.abs(w) < SMALL_W
         out = (np.exp(w) - 1.0) / np.where(small, 1.0, a)
     if small.any():
         out[small] = np.broadcast_to(x, w.shape)[small] * _e1(w[small])

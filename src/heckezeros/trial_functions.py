@@ -42,8 +42,9 @@ and memoizes it per build key.  A build's pair layout comes from a table by
 the generator's term count (``_FOLDS``).  Per distinct exponent
 a = g_j + g_k (three for a cosine weight's five folded pairs) a build
 forms K = E(s; a) = int_0^s e^{au} du (``_kernels.exp_quotient``).  A
-build is refused exactly where K, f(0) or a pair term at its coincidence
-point z = -g_j, M1 = int_0^s u e^{au} du, is not a finite float.  Each a
+build is refused exactly where K, f(0), a pair term at its coincidence
+point z = -g_j, M1 = int_0^s u e^{au} du, or 2 alpha is not a finite
+float (a 2 alpha of -inf would round K to 0 and f(0) with it).  Each a
 has real part 2 alpha, so |M1| <= s E(s; 2 alpha), a K the build
 holds; where that bound lies far inside the float range
 (``_pair_terms_finite``, true of every weight in the search boxes) no pair
@@ -347,11 +348,12 @@ def _build(alpha, c0, c1, beta, s):
     # a pair of exponents with |Im g| s >= SMALL_W never takes ``pair_near``
     # at real r: ``far``
     far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
-    # a build fails where K, f(0) or a pair term at its coincidence point
-    # z = -g_j is not a finite float.  The pair terms are formed only where
-    # ``_pair_terms_finite`` cannot prove them finite, after every K: given a
-    # finite K, ``pair_near`` raises nothing, and a pair that shares its
-    # exponent has the same term, so the same weights are refused
+    # a build fails where 2 alpha, K, f(0) or a pair term at its coincidence
+    # point z = -g_j is not a finite float.  2 alpha and the pair terms are
+    # tested only where ``_pair_terms_finite`` cannot prove the terms finite
+    # (a 2 alpha that is not finite fails it), after every K: given a finite
+    # K, ``pair_near`` raises nothing, and a pair that shares its exponent
+    # has the same term, so the same weights are refused
     folded, cK = [], []
     try:
         for j, k, factor, same in _FOLDS[len(gs)]:
@@ -363,6 +365,10 @@ def _build(alpha, c0, c1, beta, s):
         # K of the real exponent 2 alpha: the first pair's, or (g, conj g)'s,
         # the second, when c0 = 0 leaves g and conj g alone
         if not _pair_terms_finite(alpha, s, folded[len(gs) == 2][3]):
+            # a 2 alpha of -inf rounds the K of 2 alpha to 0, and f(0) with
+            # it, where both are tiny but not 0
+            if not math.isfinite(2.0 * alpha):
+                raise OverflowError
             for _, g_j, g_k, K, _ in folded:
                 if not cmath.isfinite(_kernels.pair_near(K, g_j, g_k, -g_j, s)):
                     raise OverflowError

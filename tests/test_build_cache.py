@@ -193,16 +193,14 @@ def test_racing_threads_get_identical_codes():
     assert tf._cached_build.cache_info().currsize == tf._cached_f0.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("run,most", [
-    (lambda: tables.regress_zero_density("T1", budget=60), 0.15),
-    (lambda: tables.regress("T2:principal", budget=120), 0.25),
-], ids=["T1", "T2:principal"])
-def test_table_regressions_build_few_weights(run, most):
+def test_t1_regression_builds_few_weights():
     # machine-independent: builds made (misses) against builds asked for,
-    # from an empty cache; 12.5% and 20.2% when this test was written
-    run()
+    # from an empty cache, at budget 60 (12.5% when this test was written).
+    # The budget-120 regressions' builds are exact entries of
+    # tests/counts.json
+    tables.regress_zero_density("T1", budget=60)
     info = tf._cached_build.cache_info()
-    assert info.misses <= most * (info.hits + info.misses)
+    assert info.misses <= 0.15 * (info.hits + info.misses)
 
 
 def test_stored_f0_is_the_kernels_f_at_zero():

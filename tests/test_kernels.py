@@ -2,7 +2,6 @@
 contract and agreement with plain bisection."""
 
 import cmath
-import dataclasses
 import functools
 import math
 import types
@@ -1127,27 +1126,3 @@ def test_newton_inverts_p_in_few_steps(monkeypatch):
     assert len(evals) == 221 + 60 and len(solved) >= 221 + 30
     assert max(solved) <= 10
     assert sum(solved) / len(solved) <= 7.0
-
-
-#: the count below when every root solve started cold on [0, 60] with ITP
-#: slack n0 = 1 (T2:principal 50,095, T8:chi2-principal-real 22,327)
-COLD_F_CALLS = 72_422
-
-
-def test_warm_chained_regress_makes_fewer_f_calls(monkeypatch):
-    # machine-independent: the scalar F calls of the root solves in two
-    # warm-chained five-row regressions at the benchmark's budget
-    calls = 0
-    f_real = _kernels._f_real_scalar
-
-    def counted(code, r):
-        nonlocal calls
-        calls += 1
-        return f_real(code, r)
-
-    monkeypatch.setattr(_kernels, "_f_real_scalar", counted)
-    for key in ("T2:principal", "T8:chi2-principal-real"):
-        t = tables.load_table(key)
-        rep = tables.regress(dataclasses.replace(t, rows=t.rows[:5]), budget=120)
-        assert rep.n_pass == 5
-    assert calls <= 0.70 * COLD_F_CALLS

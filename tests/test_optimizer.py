@@ -186,24 +186,6 @@ class TestInnerJ:
             assert got >= want - 1e-12 * abs(want), (key, lam)
 
     @pytest.mark.parametrize("key", POLY_TABLES)
-    def test_middle_row_solves_at_most_300(self, monkeypatch, key):
-        # a candidate is scored by dh._poly_bound, which the one solve_poly
-        # of the winner also calls.  Scoring the exact J-maximum at every
-        # lambda the section visits took 83-99 calls on these rows; the
-        # section's ceiling (_j_ceiling) spares the lambda that cannot win,
-        # which left 9-35, and a lambda whose peak is slack
-        # (_slack_peak) is valued with no score, which leaves the winner's
-        # solve alone on the T4, T5, T9 and T10 rows
-        t = tables.load_table(key)
-        scores = TestBudget.counted(monkeypatch, dh, "_poly_bound")
-        solves = TestBudget.counted(monkeypatch, dh, "solve_poly")
-        maximize_bound(SearchSpec(t.case_name, t.rows[len(t.rows) // 2].b))
-        assert len(scores) <= 300
-        assert len(scores) <= {"T3:quadratic": 27, "T3:principal": 31, "T4": 1,
-                               "T5": 1, "T9": 1, "T10": 1}[key]
-        assert len(solves) == 1
-
-    @pytest.mark.parametrize("key", POLY_TABLES)
     def test_each_lambda_is_built_once(self, monkeypatch, key):
         # the section reads a lambda's ceiling and peak without building it,
         # once per lambda; a scored lambda whose peak is slack

@@ -536,7 +536,7 @@ def _finite_or_refused(call):
             val = call()
         except HeckeZerosError:
             return None
-    assert np.isfinite(val)
+    assert np.all(np.isfinite(val))
     return val
 
 
@@ -584,6 +584,10 @@ def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr
 # overflow warning
 @example(entry="autocorrelation", p=(-1e300, 0.0, -400.0, 710.0, 1e300), zr=0.0, zi=1.0,
          v=(0.0, 0.0, 0.0))
+# a x past the float range in the E of f(t) at t = 0, where f(0) = 5e-301,
+# once a NumPy overflow warning
+@example(entry="autocorrelation", p=(-1e300, 1.0, 0.0, 0.0, 1e10), zr=0.0, zi=1.0,
+         v=(0.0, 0.0, 0.0))
 # a NaN V or z, once NaN with no error; an infinite z is the limit 0
 @example(entry="gm_check", p=(1.0, 1.5, 1.5, 0.0, 0.0), zr=0.0, zi=1.0,
          v=(math.nan, 1.0, 0.0))
@@ -593,15 +597,20 @@ def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr
          v=(1.0, 1.0, -math.inf))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_transform_and_lemma_entry_points_return_finite_values_or_refuse(entry, p, zr, zi, v):
-    """A weight's build (``p`` its alpha, c0, c1, beta and s), its transform
-    off the real axis, where a value past the float range is refused (on
-    the axis it is inf by contract), and the three-term lemma (``v`` its V,
-    W and z, ``p`` its m, x and y) give a finite value or raise a
-    HeckeZerosError, and warn of nothing."""
+    """A weight's build (``p`` its alpha, c0, c1, beta and s) with its f(0)
+    and its f(t) at t = 0, its transform off the real axis, where a value
+    past the float range is refused (on the axis it is inf by contract), and
+    the three-term lemma (``v`` its V, W and z, ``p`` its m, x and y) give
+    finite values or raise a HeckeZerosError, and warn of nothing."""
     z = complex(zr, zi)
+
+    def built():
+        f = tf.autocorrelation(*p)
+        return f.f0, f(0.0)
+
     call = {"triangle laplace": lambda: tf.triangle(p[4]).laplace(z),
             "laplace": lambda: tf.autocorrelation(*p).laplace(z),
-            "autocorrelation": lambda: tf.autocorrelation(*p).f0,
+            "autocorrelation": built,
             "gm_check": lambda: p4.gm_check(v[0], v[1], *p[:3], v[2])}[entry]
     _finite_or_refused(call)
 

@@ -122,7 +122,9 @@ class TestAutocorrelation:
         # e^{2 alpha s} overflows (cmath.exp raises), so f(0) = int g^2 is not finite
         ({"alpha": 20.0}, "alpha=20.0, s=40.0"), ({"alpha": 9.0}, "alpha=9.0, s=40.0"),
         # the phase 2 beta s of the pair (g, g) overflows (cmath.exp: ValueError)
-        ({"c1": 1.0, "beta": 1e307}, r"beta=1e\+307, s=40.0")], ids=["20.0", "9.0", "beta"])
+        ({"c1": 1.0, "beta": 1e307}, r"beta=1e\+307, s=40.0"),
+        # 2 alpha = -inf rounds K to -0j and f(0) to 0.0, where f(0) is tiny
+        ({"alpha": -1e308}, r"alpha=-1e\+308, s=40.0")], ids=["20.0", "9.0", "beta", "-1e308"])
     def test_overflowing_generator_is_named(self, params, named):
         with pytest.raises(InvalidParameterError, match=named):
             tf.autocorrelation(s=40.0, **params)
