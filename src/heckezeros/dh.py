@@ -17,8 +17,8 @@ critical-strip constant phi, the multiplier c1, which slot carries the
 unknown, and which side-condition coefficient formula applies.  The case
 table is data so the wiring can be audited line by line.  A poly case's
 side conditions are stated once, from its record (``_SideConditions``): the
-margin at a width, the limit in x, its turns in J and the coefficients
-j0_value, j1_value all read that statement.
+margin at a width, the limit in x, its turns in J, the J where it can reach a
+width and the coefficients j0_value, j1_value all read that statement.
 
 A smoothed root has two callers, each with its own path.
 ``solve_smoothed``, behind every returned bound, solves the exact h by ITP,
@@ -367,9 +367,10 @@ class _SideConditions:
     width b on the square slot and x on the 2J slot, so a condition's
     coefficient of the unknown width's term is j(J) and of the known's k;
     slot 1 puts them the other way round.  ``margin`` is the conditions'
-    smallest slack at x, ``at`` their limit in x and ``turns`` its turns in J;
-    ``side_condition``, ``side_limit``, ``_poly_at``, ``solve_poly``,
-    ``j0_value`` and ``j1_value`` read the conditions from here alone.
+    smallest slack at x, ``at`` their limit in x, ``turns`` its turns in J
+    and ``reach`` the J where it can reach a width; ``side_condition``,
+    ``side_limit``, ``_poly_at``, ``solve_poly``, ``j0_value``, ``j1_value``
+    and the quartic search read the conditions from here alone.
     """
 
     def __init__(self, case):
@@ -461,6 +462,61 @@ class _SideConditions:
                     turns += [math.sqrt(y) for y in (q / c, d / q) if y >= kink * kink]
         return turns, [math.sqrt(d / c)]
 
+    def reach(self, b, lam, rho):
+        """The J where the side limit can reach the width rho, at b and lam:
+        at most two (lo, hi) intervals (hi may be inf), outside which ``at``'s
+        side_x(J) is below rho.
+
+        side_x(J) >= rho where every condition's coefficient of J reaches a
+        level: j0(J) >= kappa, and for extra_j1 also j1(J) >= kappa1.  With
+        the unknown width on the 2J slot (slot 0) a level is the condition's
+        rest (1/lam^4 less its known term, as ``at`` forms it) times
+        (lam + rho)^4; on the square slot it is (lam + b)^4 (1/lam^4 -
+        k/(lam + rho)^4).  A level <= 0 admits every J (its rest is <= 0, its
+        limit infinite).  j0 = min(c J + d/J, 4 J) >= kappa is J >= kappa/4
+        outside the gap between the roots of c J^2 - kappa J + d; j1 =
+        4J/(J^2 + 1) >= kappa1 is J between the roots of kappa1 J^2 - 4J +
+        kappa1, none past kappa1 = 2.
+
+        Against rounding every level is lowered by 2^-46 of its size, which
+        on the square slot is that of (lam + b)^4/lam^4: side_x forms its
+        rest there as a difference of terms of that size, each good to an
+        ulp, and the coefficients to 2 ulps.  The gap is narrowed and the j1
+        interval widened: the discriminants are moved by 2^-46 of kappa^2
+        before their root, and each end by 2^-46 after it, far past the few
+        ulps of the quotients and the square root.  So for rho > -lam/4 no J
+        outside the intervals has a computed side_x(J) >= rho: 2^-46 is past
+        the 14 ulps or so by which side_x and a level round.
+        """
+        tol = 2.0 ** -46
+        inv4, lb4, w4 = 1.0 / lam ** 4, (lam + b) ** 4, (lam + rho) ** 4
+        if self.slot == 0:
+            levels = [self._rest(k, inv4, lb4) * w4 * (1.0 - tol) for _, k in self.conditions]
+        else:
+            levels = [lb4 * (inv4 * (1.0 - tol) - k / w4) for _, k in self.conditions]
+        kappa = levels[0]
+        if kappa <= 0.0:
+            out = [(0.0, math.inf)]
+        else:
+            c, d = self.c, self.d
+            out = [(0.25 * kappa, math.inf)]
+            disc = kappa * kappa * (1.0 - tol) - 4.0 * c * d
+            if disc > 0.0:   # cut the gap (lo_gap, hi_gap) out of the J >= kappa/4
+                s = math.sqrt(disc)
+                lo_gap = 2.0 * d / (kappa + s) * (1.0 + tol)
+                hi_gap = (kappa + s) / (2.0 * c) * (1.0 - tol)
+                out = [(lo, hi) for lo, hi in ((0.25 * kappa, lo_gap), (hi_gap, math.inf))
+                       if lo <= hi]
+        if len(levels) > 1 and levels[1] > 0.0:
+            kappa1 = levels[1]
+            disc = 4.0 - kappa1 * kappa1 * (1.0 - tol)
+            if disc < 0.0:
+                return []
+            s = math.sqrt(disc)
+            lo1, hi1 = kappa1 / (2.0 + s) * (1.0 - tol), (2.0 + s) / kappa1 * (1.0 + tol)
+            out = [(max(lo, lo1), min(hi, hi1)) for lo, hi in out if max(lo, lo1) <= min(hi, hi1)]
+        return out
+
 
 def side_condition(case, b, lam, J, x):
     """Evaluate the case's quartic side condition(s) at the candidate root x.
@@ -494,8 +550,8 @@ def _poly_at(case, b, lam, phi, sides):
     its turns (``_SideConditions.turns`` of rests).  The search forms
     ``sides`` once per lambda it scores, for its slack test and this build;
     it scores many J at a lambda from one build, and reads a lambda's
-    ceiling, and values a lambda whose side condition is slack at the
-    ceiling's peak, with none.
+    ceiling, values a lambda whose side condition is slack at the ceiling's
+    peak and settles one that no J can score its rival with, with none.
     """
     return (*_kernels.poly_fn(case._sides.slot, lam, b, case.psi_over_phi * phi), *sides)
 

@@ -10,9 +10,14 @@ its outcome, so most lambda it visits cost no candidate score and the
 result is the same to the bit.  Where the side condition is slack at the
 one J that reaches that root, it is an inactive constraint and the root is
 the J-maximum itself (``_slack_peak``), so such a lambda is valued with no
-candidate set.  The ceiling is read from the case's slot, lambda, b and psi
-alone, with no build; only a lambda scored where the side condition binds
-is built (``dh._poly_at``), once.  Smoothed cases and the density
+candidate set.  Where it binds, a lambda that only has to lose one
+comparison is settled against its rival in closed form where no J can
+reach the rival (``_j_settles``: the side limit reaches it only on the
+intervals of ``dh._SideConditions.reach``, and the root's largest value on
+each lies below it), and loses as its value would.  The ceiling and the
+settle are read from the case's slot, lambda, b and psi alone, with no
+build; only a lambda scored over its candidates is built
+(``dh._poly_at``), once.  Smoothed cases and the density
 bound search the substitute weight family (the autocorrelation of the
 generator e^{alpha u} (1 + cos(beta u)) on [0, s], over alpha and s at each
 fixed beta s / pi in ``PROFILES``) by coordinate descent, a coarse scan plus
@@ -379,6 +384,40 @@ def _slack_peak(peak, side_x):
     return None
 
 
+def _j_settles(case, b, lam, phi, j_box, rival):
+    """Whether no J of the box ``j_box`` can score the finite rival >= 0 at
+    lambda, in closed form: a lambda it settles loses its comparison.
+
+    A J's value min(root, side limit) reaches a level rho only where both
+    do.  The side limit does only on the case's side-condition statement's
+    ``reach`` intervals; on each of them, clipped to the box, the root's
+    largest value is at the least target, at an end or a stationary J
+    inside, as for ``_j_ceiling``, whose target and stationary J it reads.
+    It settles where every such target lies above P(lam/(lam + rho)): every
+    J's root is below rho, and every other J's side limit is.  rho is the
+    rival lowered by 1e-12 of lam + rival, the ceiling's margin: the root
+    lam/u - lam rounds by a few ulps of lam + rho, far less.  A target is
+    compared with room 2^-44 of P(1) + target, past its own rounding (a few
+    ulps of its terms, each at most about 3 P(1) + target) and that of P at
+    the level; so no J, however its value rounds, scores rival.  NaN
+    settles nothing.
+    """
+    rho = rival - 1e-12 * (lam + rival)
+    slot, psi = case._sides.slot, case.psi_over_phi * phi
+    known, stationary = _kernels.poly_consts(slot, lam, b, psi)
+    level = _kernels._p4(lam / (lam + rho))
+    j_lo, j_hi = j_box
+    for lo, hi in case._sides.reach(b, lam, rho):
+        lo, hi = max(lo, j_lo), min(hi, j_hi)
+        if lo > hi:
+            continue
+        for J in (lo, hi, *(J for J in stationary if lo < J < hi)):
+            target = _kernels.poly_target(slot, lam, known, psi, J)
+            if not target > level + 2.0 ** -44 * (_kernels.P1 + target):
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # public searches
 # ---------------------------------------------------------------------------
@@ -394,14 +433,18 @@ def maximize_bound(spec):
     and a golden point whose ceiling is below the value it is compared
     with, is not scored at all.  Such a lambda cannot win, so where the
     budget does not run out the result is that of the search without the
-    ceiling, to the bit; the earlier lambda of the coarse scan still wins a
-    tie.  The ceiling's peak, its root x and the one J that reaches it, is
-    formed once per lambda and kept for the call.  A scored lambda where the
-    side condition is slack at that J is valued by x, with that J
-    (``_slack_peak``), to the bit of the candidate maximum, for one
-    candidate score and no build.  The budget counts the candidates scored,
-    and a pruned lambda spends none of it.  Only a lambda scored where the
-    side condition binds, or that has no such peak, is built
+    ceiling and the settle, to the bit; the earlier lambda of the coarse
+    scan still wins a tie.  The ceiling's peak, its root x and the one J
+    that reaches it, is formed once per lambda and kept for the call.  A
+    scored lambda where the side condition is slack at that J is valued by
+    x, with that J (``_slack_peak``), to the bit of the candidate maximum,
+    for one candidate score and no build.  Any other lambda with a rival, the value
+    it is compared with (``_golden_max``'s fn), is settled where no J of the
+    box can reach that rival (``_j_settles``, in closed form): it returns
+    -inf, loses its comparison as its value would, and that value is never
+    read again.  The budget counts the candidates scored, and a pruned or
+    settled lambda spends none of it.  Only the remaining lambda, where the
+    side condition binds or that have no such peak, are built
     (``dh._poly_at``, from the side limit its slack test formed,
     ``_SideConditions.at``), once, as the section never visits a lambda twice,
     and nothing of it is kept but its best J.  A candidate scores its bound
@@ -434,7 +477,7 @@ def maximize_bound(spec):
                 peaks[lam] = _j_ceiling(case, b, lam, spec.phi, j_box)
             return peaks[lam]
 
-        def inner(lam, rival):   # rival unused: the ceiling spares the losers
+        def inner(lam, rival):
             v_lam = -math.inf
             if budget.left <= 0:
                 return v_lam
@@ -444,6 +487,8 @@ def maximize_bound(spec):
                 budget.spend()
                 v_lam, best_j[lam] = slack
                 return v_lam
+            if rival > -math.inf and _j_settles(case, b, lam, spec.phi, j_box, rival):
+                return v_lam   # no J reaches rival: no build, no score, no budget
             at = dh._poly_at(case, b, lam, spec.phi, sides)
             for limit, J in _j_candidates(case, lam, at):
                 # v <= limit: no later candidate can beat v_lam

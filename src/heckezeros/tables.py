@@ -264,9 +264,12 @@ def regress(table, tolerance=REGRESS_TOLERANCE, budget=REGRESS_BUDGET):
     (``budget`` objective evaluations per row, split evenly over the generator
     profiles with at least 40 each) and pass when at least 90% of rows land in
     the 0.80..1.05 ratio band; out-of-band rows are flagged.  Density tables
-    take the same per-cell budget.  The tolerance must be finite and >= 0.
+    take the same per-cell budget.  The tolerance must be finite and >= 0,
+    and the budget a finite number >= 1 for every kind of table, whether or
+    not its regression reads it (``optimizer._check_budget``).
     """
     nonnegative("tolerance", tolerance)
+    optimizer._check_budget(budget)
     if isinstance(table, str):
         table = load_table(table)
     if isinstance(table, ZdTable):

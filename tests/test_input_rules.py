@@ -213,6 +213,9 @@ BUDGETS = [
      lambda v: optimizer.optimize_family_smoothed("sz-lp-principal", 0.1, budget=v)),
     ("optimize_zd", lambda v: optimizer.optimize_zd(0.2, budget=v)),
     ("regress", lambda v: tables.regress("T2:principal", budget=v)),
+    # a quartic table's regression reads no budget, and checks it all the same
+    ("regress T4", lambda v: tables.regress("T4", budget=v)),
+    ("regress T3:principal", lambda v: tables.regress("T3:principal", budget=v)),
 ]
 
 

@@ -10,10 +10,10 @@ them).
 
 ``tests/counts.json`` holds, as exact integers, the calls the same pass makes
 to the functions of ``COUNTERS``: one entry per quartic table, per table
-regression (T1's included), for the T1 cells, and per family, density and
-zero-free-region search.  Each entry starts from empty caches (build, F(0),
-oracle samples and array plans, ``conftest.clear_caches``), so its counts
-are cold and do not depend on what ran before it; they rely on nothing else
+regression (T1's, whose pass also gives the T1 cells, included), and per
+family, density and zero-free-region search.  Each entry starts from empty
+caches (build, F(0), oracle samples and array plans,
+``conftest.clear_caches``), so its counts are cold and do not depend on what ran before it; they rely on nothing else
 keeping state between calls.  The counters replace module attributes while
 a section runs, so the library's hot loops hold no counting code.
 
@@ -77,12 +77,10 @@ def _quartic_rows(count):
 
 def _regressed_tables(count):
     out = {}
-    for key in SMOOTHED_TABLES + ("T1",):
+    for key in SMOOTHED_TABLES:
         with count(f"regress {key}"):
             report = tables.regress(key)
         out[f"regress {key} summary"] = {"summary": report.summary()}
-        if key == "T1":
-            continue
         for i, row in enumerate(report.rows):
             out[f"regress {key} row {i:03d} b={row.b!r}"] = {
                 "computed": repr(row.computed), "in_band": repr(row.in_band)}
@@ -90,16 +88,21 @@ def _regressed_tables(count):
 
 
 def _density_cells(count):
-    out = {}
+    """T1's regression and each of its cells' density search, in one pass:
+    the cells are ``optimizer.optimize_zd``'s returns during
+    ``tables.regress("T1")``, recorded in the order it takes them."""
     t1 = tables.load_table("T1")
-    with count("optimize_zd T1 cell *"):   # every cell, as ``regress T1`` takes them
-        for i, lam in enumerate(t1.lambdas):
-            for j, b in enumerate(t1.b_values):
-                if t1.cells[i][j] is None:
-                    continue
-                n, params = optimizer.optimize_zd(lam, b, budget=tables.REGRESS_BUDGET)
-                out[f"optimize_zd T1 cell {i:02d},{j:02d} lambda={lam!r} b={b!r}"] = {
-                    "N": repr(n), "bound": repr(params.get("bound"))}
+    cells, search = [], optimizer.optimize_zd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "optimize_zd", lambda lam, b, **kw:
+                   cells.append((lam, b, search(lam, b, **kw))) or cells[-1][2])
+        with count("regress T1"):
+            report = tables.regress("T1")
+    out = {"regress T1 summary": {"summary": report.summary()}}
+    for lam, b, (n, params) in cells:
+        i, j = t1.lambdas.index(lam), t1.b_values.index(b)
+        out[f"optimize_zd T1 cell {i:02d},{j:02d} lambda={lam!r} b={b!r}"] = {
+            "N": repr(n), "bound": repr(params.get("bound"))}
     return out
 
 
@@ -132,11 +135,14 @@ def _density_searches(count):
             functools.partial(optimizer.optimize_zd, lam, b) for lam, b in DENSITY_DEFAULT})
 
 
-#: the ledger's sections: each key prefix, and what computes the entries whose
-#: keys begin with it (no key begins with two of the prefixes), given the
-#: ``_Tally.entry`` that counts each table or search under its key
-SECTIONS = {"maximize_bound ": _quartic_rows, "regress ": _regressed_tables,
-            "optimize_zd T1 cell ": _density_cells, "zfr_": _zero_free_regions,
+#: the ledger's sections: each key prefix (or tuple of them), and what
+#: computes the entries whose keys begin with it (no key begins with two
+#: sections' prefixes), given the ``_Tally.entry`` that counts each table or
+#: search under its key.  T1's regression is the density cells' section, which
+#: records the cells while it runs
+SECTIONS = {"maximize_bound ": _quartic_rows,
+            tuple(f"regress {key}" for key in SMOOTHED_TABLES): _regressed_tables,
+            ("regress T1", "optimize_zd T1 cell "): _density_cells, "zfr_": _zero_free_regions,
             "optimize_family_smoothed ": _family_searches,
             "optimize_zd lambda=": _density_searches}
 

@@ -189,19 +189,22 @@ class TestInnerJ:
     def test_each_lambda_is_built_once(self, monkeypatch, key):
         # the section reads a lambda's ceiling and peak without building it,
         # once per lambda; a scored lambda whose peak is slack
-        # (optimizer._slack_peak) is valued by it, with no build, and only
-        # the side-limited lambda scored are built (dh._poly_at), each once,
-        # for _j_candidates.  Each scored lambda forms its side limit
+        # (optimizer._slack_peak) is valued by it, with no build, a
+        # side-limited one that no J can score its rival with is settled
+        # (optimizer._j_settles), with no build, and only the other
+        # side-limited lambda scored are built (dh._poly_at), each once, for
+        # _j_candidates.  Each scored lambda forms its side limit
         # (_SideConditions.at) once, for the slack test and the build (it was
         # formed twice at each side-limited lambda).  The winner's solve_poly
         # makes one build more, and forms its side limit once more
         t = tables.load_table(key)
         builds = TestBudget.counted(monkeypatch, dh, "_poly_at")
         sides = TestBudget.counted(monkeypatch, dh._SideConditions, "at")
-        read = {"_j_ceiling": [], "_slack_peak": [], "_j_candidates": []}
+        read = {"_j_ceiling": [], "_slack_peak": [], "_j_settles": [], "_j_candidates": []}
         for name in read:   # where lambda is, or the peak of _j_ceiling's
             def spy(*args, _fn=getattr(optimizer, name), _read=read[name],
-                    _at={"_j_ceiling": 2, "_slack_peak": 0, "_j_candidates": 1}[name]):
+                    _at={"_j_ceiling": 2, "_slack_peak": 0, "_j_settles": 2,
+                         "_j_candidates": 1}[name]):
                 got = _fn(*args)
                 _read.append((args[_at], got))
                 return got
@@ -212,12 +215,17 @@ class TestInnerJ:
         lam_of = {id(peak): lam for lam, peak in read["_j_ceiling"]}
         scored = [lam_of[id(peak)] for peak, _ in read["_slack_peak"]]
         limited = [lam_of[id(peak)] for peak, slack in read["_slack_peak"] if slack is None]
+        settled = {lam for lam, settles in read["_j_settles"] if settles}
+        assert {lam for lam, _ in read["_j_settles"]} <= set(limited)
+        built = [lam for lam in limited if lam not in settled]
         assert len(scored) == len(set(scored)) < len(ceilings)
-        assert [lam for lam, _ in read["_j_candidates"]] == limited
-        assert len(builds) == len(limited) + 1
+        assert [lam for lam, _ in read["_j_candidates"]] == built
+        assert len(builds) == len(built) + 1
         assert len(sides) == len(scored) + 1
-        # the T4, T5, T9 and T10 rows are never side-limited, the T3 rows are
-        assert (len(builds) == 1) == (key not in ("T3:quadratic", "T3:principal"))
+        # the T4, T5, T9 and T10 rows are never side-limited, the T3 rows are,
+        # and settle some of their side-limited lambda
+        t3 = key in ("T3:quadratic", "T3:principal")
+        assert (len(builds) == 1) == (not t3) == (not settled)
 
     @pytest.mark.parametrize("key", POLY_TABLES)
     def test_crossings_take_the_gaps_at_their_ends(self, monkeypatch, key):
@@ -285,6 +293,24 @@ def _no_ceiling(monkeypatch):
     monkeypatch.setattr(optimizer, "_j_ceiling",
                         lambda *args: calls.append(args) or (math.inf, math.nan, None))
     return calls
+
+
+def _no_settle(monkeypatch):
+    """Make the lambda section settle no lambda against its rival, which
+    builds and scores every side-limited lambda it reaches; returns the list
+    of its calls, so a test can tell that the section read it."""
+    calls = []
+    monkeypatch.setattr(optimizer, "_j_settles", lambda *args: calls.append(args) or False)
+    return calls
+
+
+def _settled(monkeypatch):
+    """The lambda the section settles against their rivals, as a list that
+    fills up."""
+    out, settles = [], optimizer._j_settles
+    monkeypatch.setattr(optimizer, "_j_settles",
+                        lambda *args: settles(*args) and not out.append(args[2]))
+    return out
 
 
 def _full_inner(case, b, lam, phi):
@@ -491,6 +517,78 @@ class TestSlackPeak:
             assert "binds" in on_path | paths
         else:
             assert on_path == {"slack"} and "slack" in paths
+
+
+#: (lambda, b, phi) where every case has a finite J-maximum v and settles
+#: against v (1 + 1e-9)
+SETTLE_POINT = {"lam": 1.0, "b": 0.1227, "phi": 0.25}
+
+
+class TestSettle:
+    """A side-limited lambda where no J can score its rival is settled in
+    closed form (``optimizer._j_settles``), with no build: it loses its
+    comparison as its value would, so no result moves by a bit.  These
+    compare float bits, so they rest on CPython's float arithmetic."""
+
+    @pytest.mark.parametrize("key", POLY_TABLES)
+    def test_settling_changes_no_table_result(self, monkeypatch, key):
+        # one row per width band; only the side-limited T3 rows reach the
+        # settle, the others value every lambda they score by its slack peak
+        t = tables.load_table(key)
+        n = len(t.rows)
+        specs = [(t.case_name, t.rows[(2 * k + 1) * n // 6].b, dh.PHI) for k in range(3)]
+        settled = _settled(monkeypatch)
+        want = [TestCeiling.outcome(*spec) for spec in specs]
+        monkeypatch.undo()
+        calls = _no_settle(monkeypatch)
+        assert [TestCeiling.outcome(*spec) for spec in specs] == want
+        assert bool(settled) == bool(calls) == (key in ("T3:quadratic", "T3:principal"))
+
+    @pytest.mark.parametrize("case", dh.POLY_CASES)
+    def test_settling_changes_no_grid_result(self, monkeypatch, case):
+        specs = [(case, b, phi) for b in GRID_B for phi in GRID_PHI]
+        settled = _settled(monkeypatch)
+        want = [TestCeiling.outcome(*spec) for spec in specs]
+        assert settled
+        monkeypatch.undo()
+        calls = _no_settle(monkeypatch)
+        assert [TestCeiling.outcome(*spec) for spec in specs] == want
+        assert len(calls) > len(settled)
+
+    @pytest.mark.parametrize("case", dh.POLY_CASES)
+    @settings(max_examples=150, deadline=None)
+    @given(lam=st.floats(*optimizer.POLY_BOXES["lambda"]),
+           b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           phi=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           scale=st.one_of(st.sampled_from((1.0 - 1e-9, 1.0, 1.0 + 1e-13, 1.0 + 1e-9)),
+                           st.floats(0.5, 2.0)))
+    @example(**SETTLE_POINT, scale=1.0 - 1e-9)
+    @example(**SETTLE_POINT, scale=1.0 - 1e-13)
+    @example(**SETTLE_POINT, scale=1.0)
+    @example(**SETTLE_POINT, scale=1.0 + 1e-13)
+    @example(**SETTLE_POINT, scale=1.0 + 1e-9)
+    @example(**CEILING_EXAMPLES[0], scale=1.0 + 1e-13)
+    @example(**CEILING_EXAMPLES[3], scale=1.0)
+    def test_a_settled_lambda_has_no_j_that_scores_its_rival(self, case, lam, b, phi, scale):
+        # the rival is v scale for the full candidate maximum v, or scale
+        # where v is -inf; a settle at or below v would lose a lambda that
+        # wins its comparison
+        case = dh.get_case(case)
+        v = _full_inner(case, b, lam, phi)[0]
+        rival = v * scale if math.isfinite(v) else scale
+        if optimizer._j_settles(case, b, lam, phi, optimizer._j_box(case), rival):
+            assert v < rival
+
+    @pytest.mark.parametrize("case", dh.POLY_CASES)
+    def test_the_settle_is_within_1e_9_of_the_maximum(self, case):
+        # the margin is the ceiling's, 1e-12 of lambda + rival: the settle
+        # holds against v (1 + 1e-9), never at or below v (1 + 1e-13)
+        case = dh.get_case(case)
+        v = _full_inner(case, SETTLE_POINT["b"], SETTLE_POINT["lam"], SETTLE_POINT["phi"])[0]
+        settles = [optimizer._j_settles(case, SETTLE_POINT["b"], SETTLE_POINT["lam"],
+                                        SETTLE_POINT["phi"], optimizer._j_box(case), v * scale)
+                   for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-13, 1.0 + 1e-9)]
+        assert settles == [False, False, False, True]
 
 
 def _cliff(x, rival=None):   # -inf left of 0.4, one peak at 0.7
