@@ -72,19 +72,23 @@ five-pair codes ``f_real_scalar`` takes one exp per generator exponent
 calls of seed-1 smoothed-regress, with the same bits), and F' comes from
 ``_f_real_scalar_d`` for those codes alone; it declines (None) for every
 other code.  ``f_array`` forms its bookkeeping once per code
-(``_array_plan``, cached by the code's identity): the distinct exponents,
-told apart by type and bits (``exact_key``), and the rows each pair reads.
+(``_array_plan``, cached by the code's identity): two pair lists, the
+folded pairs for real points and the unfolded ones for points off the
+real axis, where each folded pair with a complex exponent is its two
+conjugate pairs again, and for each list its distinct exponents, told
+apart by type and bits (``exact_key``), and the rows each pair reads.
 Per call it forms the terms of every distinct g_k in one stacked array
-operation (3 rows of exps for a cosine weight's five pairs, where a pass
-over the pairs took 5) and of every distinct g_j in another, and each run
-of pairs at the same points reads its rows in one operation more, each
-value with the bits of the pass over the pairs: at 1, 8 and 65 points of
-a cosine weight a call takes about half the time of a call per pair and
-exponent.  f(t) (``trial_functions._weight``), called once per weight
-on the oracle path, shares its exps among its pairs by the same keys
-(``each_once``).  At a real point the terms of two conjugate pairs are
-conjugates, and off the real axis ``f_array`` evaluates the dropped one as
-``conj T(conj z)``.  Each pair term
+operation (3 rows of exps for a cosine weight's five folded pairs, where a
+pass over the pairs took 5, and for its nine unfolded ones too) and of
+every distinct g_j in another, and the pairs read their rows in one
+operation more, each value with the bits of the pass over the pairs: at
+1, 8 and 65 points of a cosine weight a call takes about half the time of
+a call per pair and exponent.  f(t) (``trial_functions._weight``), called
+once per weight on the oracle path, shares its exps among its pairs by the
+same keys (``each_once``).  At a real point the terms of two conjugate
+pairs are conjugates, so a folded pair adds twice the real part of one;
+off the real axis the two terms of each conjugate pair are summed before
+they join the rest, so F(conj z) = conj F(z) to the bit.  Each pair term
 T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
 |g_j + z| x0 or |g_k - z| x0 is below ``SMALL_W`` = 1e-2, near coincident
 nodes of the divided difference it is, where the direct form would lose
@@ -365,9 +369,10 @@ def each_once(keys, make):
 _ARRAY_PLANS = 64
 
 #: the most elements of one of ``f_array``'s 2-D arrays, 80 KiB of complex.
-#: glibc's malloc maps larger ones from the system afresh on each call: in
-#: one call over 2001 off-axis points of a cosine weight, paging them in took
-#: as long as the arithmetic (430 page faults per call, none in blocks)
+#: glibc's malloc maps larger ones from the system afresh on each call: one
+#: call over 2001 off-axis points of a cosine weight, whose nine unfolded
+#: pairs each take a row, took 1.6 times as long in one block as in blocks
+#: (233 page faults per call, none in blocks; NumPy 2.4, one Xeon core)
 _BLOCK = 5120
 
 
@@ -382,82 +387,83 @@ def _rows(idx):
 @functools.lru_cache(maxsize=_ARRAY_PLANS)
 def _array_plan(ident, code):
     """``f_array``'s bookkeeping for the family code whose ``id`` is
-    ``ident``: its distinct g_k and g_j, told apart by ``exact_key``, as
-    complex columns; and for real points and for points off the real axis,
-    the runs of consecutive pairs evaluated at the same points, each as
-    ``(k, j, K, c, pairs, stacked)``: the rows of their g_k and g_j,
-    columns of their K and c, the pairs themselves, and whether they take z
-    and conj z stacked, with whether any run does and the points of a block.
-    Keyed by id, with the code held in the key so that no other code takes
-    its id: two codes that are == can differ in bits (0.0 and -0.0)."""
+    ``ident``: a plan for real points, over the folded pairs, and one for
+    points off the real axis, over the unfolded pairs: the pairs of real
+    exponents, then each other folded pair with c/2, then their conjugate
+    pairs (conj g_j, conj g_k, conj K), in the same order and with c/2 too.
+    Each plan is ``(Gk, Gj, k, j, K, c, pairs, own, step)``: the distinct
+    g_k and g_j, told apart by ``exact_key``, as complex columns, the rows
+    of each pair's g_k and g_j, columns of the pairs' K and of the c of the
+    leading pairs (all of them at real points), the pairs themselves, the
+    count ``own`` of pairs that add on their own, and the points of a
+    block.  Keyed by id, with the code held in the key so that no other
+    code takes its id: two codes that are == can differ in bits (0.0 and
+    -0.0)."""
     folded = code[1]
+    alone = [p for p in folded if not (p[1].imag or p[2].imag)]
+    halves = [(c / 2, gj, gk, K, far) for c, gj, gk, K, far in folded if gj.imag or gk.imag]
+    # a real number among g_j, g_k and K is its own conjugate, bits and all,
+    # so conj alpha reads alpha's row
+    unfolded = alone + halves + [(c, *(x.conjugate() if x.imag else x for x in p), far)
+                                 for c, *p, far in halves]
 
     def distinct(values):
         first = {}
         rows = [first.setdefault(exact_key(v), (len(first), v))[0] for v in values]
-        return np.array([[v] for _, v in first.values()], dtype=complex), rows
+        return np.array([[v] for _, v in first.values()], dtype=complex), _rows(rows)
 
-    Gk, kidx = distinct([p[2] for p in folded])
-    Gj, jidx = distinct([p[1] for p in folded])
-    K = np.array([[p[3]] for p in folded], dtype=complex)
-    c = np.array([[p[0]] for p in folded], dtype=float)
-    for a in (Gk, Gj, K, c):   # shared by every call
-        a.flags.writeable = False
+    def plan(pairs, own):
+        Gk, k = distinct([p[2] for p in pairs])
+        Gj, j = distinct([p[1] for p in pairs])
+        K = np.array([[p[3]] for p in pairs], dtype=complex)
+        c = np.array([[p[0]] for p in pairs[:len(folded)]], dtype=float)
+        for a in (Gk, Gj, K, c):   # shared by every call
+            a.flags.writeable = False
+        return Gk, Gj, k, j, K, c, tuple(pairs), own, max(1, _BLOCK // len(pairs))
 
-    def mode(stacks):
-        runs, start = [], 0
-        for stop in range(1, len(folded) + 1):
-            if stop == len(folded) or stacks[stop] != stacks[start]:
-                runs.append((_rows(kidx[start:stop]), _rows(jidx[start:stop]), K[start:stop],
-                             c[start:stop], folded[start:stop], stacks[start]))
-                start = stop
-        stacked = any(stacks)
-        return tuple(runs), stacked, max(1, _BLOCK // ((1 + stacked) * len(folded)))
-
-    off_axis = [not (gj.imag == 0.0 and gk.imag == 0.0) for _, gj, gk, _, _ in folded]
-    return Gk, Gj, mode([False] * len(folded)), mode(off_axis)
+    return plan(folded, len(folded)), plan(unfolded, len(alone))
 
 
 def f_array(code, z):
     """F(z) of a family code at real or complex z, scalar or array.
 
     At real z each folded pair adds c Re T(z), T its term.  Off the real axis
-    a pair with a complex exponent adds c/2 (T(z) + conj T(conj z)), both in
-    one stacked evaluation, and a pair of real exponents, its own conjugate,
-    adds c T(z).  A scalar z gives a complex, an array a complex array of its
-    shape.  Each term is the direct form (K - E)/b, E = (e^w - 1)/A, A = g_k
-    - z, w = A x0 and b = g_j + z, and ``pair_near`` overwrites the few
-    elements near coincident nodes, where |b| x0 or |w| is below SMALL_W.
-    The bookkeeping is formed once per code (``_array_plan``): E with the
-    mask |w| < SMALL_W is formed for every distinct g_k in one stacked
-    operation, b with |b| x0 < SMALL_W for every distinct g_j in another
-    (at real points 3 rows of exps for the five pairs of a cosine weight;
-    off the real axis each row takes z and conj z when any pair is
-    stacked), and the pairs that take the same points read their rows in
-    one operation more.  The masks are searched once per call, and only
-    where one of them is set.  The pair terms add in the order of the code,
-    from 0, each by the operations of a pass over the pairs, so every value
-    has that pass's bits.  The points go in blocks that keep each array
-    within ``_BLOCK`` elements.  At real z a pair flagged ``far`` has no
-    element near coincident nodes, as ``_f_real_scalar`` skips its tests
-    there: |w| >= |Im g_k| x0 and |b| x0 >= |Im g_j| x0.  At real z no
+    a pair of real exponents, its own conjugate, adds c T(z), and a pair with
+    a complex exponent adds the terms of its two conjugate pairs at z, each
+    with c/2, summed before they join the rest, so F(conj z) = conj F(z) to
+    the bit off the axis.  A scalar z gives a complex, an array a complex
+    array of its shape.  Each term is the direct form (K - E)/b, E = (e^w -
+    1)/A, A = g_k - z, w = A x0 and b = g_j + z, and ``pair_near`` overwrites
+    the few elements near coincident nodes, where |b| x0 or |w| is below
+    SMALL_W.  The bookkeeping is formed once per code (``_array_plan``): E
+    with the mask |w| < SMALL_W is formed for every distinct g_k in one
+    stacked operation, b with |b| x0 < SMALL_W for every distinct g_j in
+    another (3 rows of exps for a cosine weight, at real points for its five
+    folded pairs and off the axis for its nine unfolded ones), and all pairs
+    read their rows in one operation more.  The masks are searched once per
+    call, and only where one of them is set.  The rows add in the order of
+    the plan, from 0, each by the operations of a pass over the pairs, so
+    every value has that pass's bits.  The points go in blocks that keep
+    each array within ``_BLOCK`` elements.  At real z a pair flagged ``far``
+    has no element near coincident nodes, as ``_f_real_scalar`` skips its
+    tests there: |w| >= |Im g_k| x0 and |b| x0 >= |Im g_j| x0.  At real z no
     value is refused and none warns: F is +inf exactly where
     ``f_real_scalar`` gives inf, past -r x0 = ``_INF_EDGE`` and where e^w of
-    a pair term in the direct form overflows.  Off the real axis, where the terms'
-    inf parts form NaN, a value that is not finite raises DomainError
+    a pair term in the direct form overflows.  Off the real axis, where the
+    terms' inf parts form NaN, a value that is not finite raises DomainError
     naming the first such z.
     """
     x0 = code[0]
-    Gk, Gj, on_axis, off_axis = _array_plan(id(code), code)
     z = np.asarray(z)
     shape = z.shape
     real = not np.iscomplexobj(z) or not z.imag.any()
     z = z.astype(complex).reshape(-1)
-    groups, stacked, step = on_axis if real else off_axis
+    plan = _array_plan(id(code), code)[0 if real else 1]
+    step = plan[-1]
     out = np.zeros(z.size, dtype=float if real else complex)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(0, z.size, step):
-            _f_block(x0, Gk, Gj, groups, real, stacked, z[i:i + step], out[i:i + step])
+            _f_block(x0, plan, real, z[i:i + step], out[i:i + step])
     if not (real or np.isfinite(out).all()):
         raise DomainError(f"F(z) is not a finite number at z={complex(z[~np.isfinite(out)][0])!r}")
     if shape == ():
@@ -465,43 +471,35 @@ def f_array(code, z):
     return out.reshape(shape).astype(complex, copy=False)
 
 
-def _f_block(x0, Gk, Gj, groups, real, stacked, z, out):
+def _f_block(x0, plan, real, z, out):
     """``f_array`` at the points z of one block, added to ``out``, a float
     array at real points."""
-    n = z.size
-    points = np.concatenate((z, z.conj())) if stacked else z
-    A = Gk - points
+    Gk, Gj, k, j, K, c, pairs, own, _ = plan
+    A = Gk - z
     w = A * x0
     E = np.exp(w)
     near_k = np.abs(w) < SMALL_W
     E -= 1.0
     E /= A
-    b = Gj + points
+    b = Gj + z
     near_j = np.abs(b) * x0 < SMALL_W
-    near = np.count_nonzero(near_k) or np.count_nonzero(near_j)
-    for k, j, K, c, pairs, stack in groups:
-        m = 2 * n if stack else n
-        phi = K - E[k, :m]
-        phi /= b[j, :m]
-        if near:
-            for i in np.flatnonzero(near_k[k, :m] | near_j[j, :m]):
-                r, col = divmod(int(i), m)
-                _, gj, gk, Kr, _ = pairs[r]
-                phi[r, col] = pair_near(Kr, gj, gk, complex(points[col]), x0)
-        if stack:
-            half = phi[:, n:].conj()
-            half += phi[:, :n]
-            half *= 0.5
-            phi = half
-        if real:
-            phi = c * phi.real
-        else:
-            phi *= c
-        for row in phi:
-            out += row
+    phi = K - E[k]
+    phi /= b[j]
+    if np.count_nonzero(near_k) or np.count_nonzero(near_j):
+        for r, col in zip(*np.nonzero(near_k[k] | near_j[j])):
+            _, gj, gk, Kr, _ = pairs[r]
+            phi[r, col] = pair_near(Kr, gj, gk, complex(z[col]), x0)
+    if own < len(pairs):   # off the real axis: each conjugate pair's sum
+        phi[own:len(c)] += phi[len(c):]
+        phi = phi[:len(c)]
+    if real:
+        phi = c * phi.real
+    else:
+        phi *= c
+    for row in phi:
+        out += row
     if real and (np.count_nonzero(z.real * x0 < -_INF_EDGE)
-                 or np.count_nonzero(np.isfinite(out)) < n):
-        (k, j, *_), = groups
+                 or np.count_nonzero(np.isfinite(out)) < z.size):
         over = z.real * x0 < -_INF_EDGE
         over |= (~np.isfinite(np.exp(w[k])) & ~(near_k[k] | near_j[j])).any(axis=0)
         out[over] = math.inf

@@ -143,8 +143,9 @@ def _dh_smoothed(args, p):
 
 
 def _optimize(args, p):
+    budget = optimizer.SearchSpec.max_evals if args.budget is None else args.budget
     return _bound(optimizer.maximize_bound(optimizer.SearchSpec(
-        args.case, args.b, max_evals=args.budget, phi=args.phi)), p)
+        args.case, args.b, max_evals=budget, phi=args.phi)), p)
 
 
 def _zd_optimize(args, p):
@@ -230,7 +231,8 @@ def _path(args):
     - table: --regress with --tolerance for a polynomial table and --budget
       for a smoothed table or T1 (both for a name the manifest does not
       know), --name with --format md|csv, or else nothing (the listing);
-    - optimize: --budget; verify: --verbose.
+    - optimize: --budget for a smoothed case, nothing for a poly case;
+      verify: --verbose.
     """
     verb, json_out = args.verb, args.format == "json"
     prec = () if json_out else ("--precision",)
@@ -271,7 +273,8 @@ def _path(args):
     elif verb == "table":
         name, read, runner = "table", (), _table_list
     elif verb == "optimize":
-        name, read, runner = "optimize", prec + ("--budget",), _optimize
+        name, runner = f"optimize --case {args.case}", _optimize
+        read = prec + (("--budget",) if dh.get_case(args.case).method == "smoothed" else ())
     else:
         name, read, runner = "verify", () if json_out else ("--verbose",), _verify
     return name + (" --json" if json_out else ""), read, runner
@@ -372,9 +375,10 @@ def build_parser():
     o = sp.add_parser("optimize", help="parameter search for a repulsion case")
     o.add_argument("--case", required=True, choices=sorted(dh.CASES))
     o.add_argument("--b", type=float, required=True)
-    o.add_argument("--budget", type=int, default=optimizer.SearchSpec.max_evals,
-                   help="evaluations of the search: (lambda, J) solves, or weights "
-                        "(at least 40 per profile, so about 80 at any budget below 80)")
+    o.add_argument("--budget", type=int, default=None,
+                   help="read with --case of a smoothed case: weights the search "
+                        f"scores (default {optimizer.SearchSpec.max_evals}), at least "
+                        "40 per profile, so about 80 at any budget below 80")
     _add_common(o)
 
     v = sp.add_parser("verify", help="run oracle-backed property suites")

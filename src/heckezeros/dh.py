@@ -165,11 +165,9 @@ def get_case(case):
     """The SolverCase of ``case``, a name or a record."""
     if isinstance(case, SolverCase):
         return case
-    try:
+    if isinstance(case, str) and case in CASES:   # a list would raise TypeError here
         return CASES[case]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown solver case {case!r}; available: {sorted(CASES)}") from None
+    raise InvalidParameterError(f"unknown solver case {case!r}; available: {sorted(CASES)}")
 
 
 def check_quartic(lam, b, J=0.0, x=0.0):
@@ -623,8 +621,8 @@ def very_small_dh(psi, lambda_prime, c1=2):
     """
     positive("psi", psi)
     positive("lambda'", lambda_prime)
-    if c1 not in (1, 2):
-        raise InvalidParameterError(f"c1 must be 1 or 2, got {c1}")
+    if not (real(c1) and c1 in (1, 2)):   # True == 1
+        raise InvalidParameterError(f"c1 must be 1 or 2, got {_shown(c1)}")
     return lambda_prime / (2.0 * c1 * E) * math.exp(-2.0 * psi * lambda_prime)
 
 
@@ -637,8 +635,8 @@ def very_small_inverse(psi, lambda1):
     """Inverse form: repulsion distance (1/(2 psi)) log(1/lambda1), for a
     finite psi > 0."""
     positive("psi", psi)
-    if not (0 < lambda1 < 1):
-        raise InvalidParameterError(f"lambda1 must be in (0, 1), got {lambda1}")
+    if not (real(lambda1) and 0 < lambda1 < 1):
+        raise InvalidParameterError(f"lambda1 must be in (0, 1), got {_shown(lambda1)}")
     return math.log(1.0 / lambda1) / (2.0 * psi)
 
 
@@ -648,8 +646,8 @@ def cos_bound(theta, psi):
     theta is the angle data of the weight (see K_FAMILY_PAIRS); psi is the
     case's multiple of phi, finite and > 0.
     """
-    if not (0 < theta < math.pi / 2):
-        raise InvalidParameterError(f"theta must be in (0, pi/2), got {theta}")
+    if not (real(theta) and 0 < theta < math.pi / 2):
+        raise InvalidParameterError(f"theta must be in (0, pi/2), got {_shown(theta)}")
     positive("psi", psi)
     return 2.0 * math.cos(theta) ** 2 / psi
 

@@ -82,8 +82,11 @@ SWEEP_TOL = 1e-6
 class SearchSpec:
     """Target case plus budget for maximize_bound.
 
-    The default budget is also ``optimize_family_smoothed``'s and that of
-    ``heckezeros optimize``.
+    The budget, ``max_evals``, is checked for every case and read by the
+    family search of a smoothed case alone; the quartic search of a
+    polynomial case is bounded by its lambda tolerance instead.  The default
+    is also ``optimize_family_smoothed``'s and that of ``heckezeros
+    optimize``.
     """
 
     case: str
@@ -431,20 +434,21 @@ def maximize_bound(spec):
     ``_j_ceiling``, which builds nothing, first (``_golden_max``'s
     ``bound``): a coarse point whose ceiling is below the best value found,
     and a golden point whose ceiling is below the value it is compared
-    with, is not scored at all.  Such a lambda cannot win, so where the
-    budget does not run out the result is that of the search without the
-    ceiling and the settle, to the bit; the earlier lambda of the coarse
-    scan still wins a tie.  The ceiling's peak, its root x and the one J
-    that reaches it, is formed once per lambda and kept for the call.  A
-    scored lambda where the side condition is slack at that J is valued by
-    x, with that J (``_slack_peak``), to the bit of the candidate maximum,
-    for one candidate score and no build.  Any other lambda with a rival, the value
-    it is compared with (``_golden_max``'s fn), is settled where no J of the
-    box can reach that rival (``_j_settles``, in closed form): it returns
-    -inf, loses its comparison as its value would, and that value is never
-    read again.  The budget counts the candidates scored, and a pruned or
-    settled lambda spends none of it.  Only the remaining lambda, where the
-    side condition binds or that have no such peak, are built
+    with, is not scored at all.  Such a lambda cannot win, so the result is
+    that of the search without the ceiling and the settle, to the bit; the
+    earlier lambda of the coarse scan still wins a tie.  The ceiling's peak,
+    its root x and the one J that reaches it, is formed once per lambda and
+    kept for the call.  A scored lambda where the side condition is slack at
+    that J is valued by x, with that J (``_slack_peak``), to the bit of the
+    candidate maximum, for one candidate score and no build.  Any other
+    lambda with a rival, the value it is compared with (``_golden_max``'s
+    fn), is settled where no J of the box can reach that rival
+    (``_j_settles``, in closed form): it returns -inf, loses its comparison
+    as its value would, and that value is never read again.  The search
+    spends no budget: the section's tolerance bounds it to 41 lambda, each
+    with a finite candidate set, and a budget that cut it short would report
+    a truncated search as its optimum, or as infeasible.  Only the remaining
+    lambda, where the side condition binds or that have no such peak, are built
     (``dh._poly_at``, from the side limit its slack test formed,
     ``_SideConditions.at``), once, as the section never visits a lambda twice,
     and nothing of it is kept but its best J.  A candidate scores its bound
@@ -454,19 +458,19 @@ def maximize_bound(spec):
     these landscapes: at the constrained optima the equation root meets the
     side-condition limit along a curve in (lambda, J), and every point of
     that curve is a coordinatewise local maximum.  Smoothed cases tune the
-    substitute weight family by coordinate descent and re-descent.  Raises
-    InvalidParameterError for a negative or non-finite width or phi, a
-    budget that is not a finite number >= 1, or (polynomial cases) a width
+    substitute weight family by coordinate descent and re-descent, within
+    ``spec.max_evals`` evaluations.  Raises InvalidParameterError for a
+    negative or non-finite width or phi, a budget that is not a finite
+    number >= 1 (checked for every case), or (polynomial cases) a width
     whose (lambda + b)^4 overflows at the top of the lambda box, before any
-    evaluation, and InfeasibleSearchError when nothing admissible was found
-    within budget.
+    evaluation, and InfeasibleSearchError when nothing admissible was
+    found.
     """
     case = dh.get_case(spec.case)
     dh.check_width(spec.b, spec.phi)
     _check_budget(spec.max_evals)
     if case.method == "poly":
         dh.check_quartic(POLY_BOXES["lambda"][1], spec.b)
-        budget = _Budget(spec.max_evals)
         b = float(spec.b)   # as solve_poly reads it
         j_box = _j_box(case)
         best_j = {}   # lambda -> the first candidate J that scores its maximum
@@ -479,28 +483,25 @@ def maximize_bound(spec):
 
         def inner(lam, rival):
             v_lam = -math.inf
-            if budget.left <= 0:
-                return v_lam
             sides = case._sides.at(b, lam)   # for the slack test and the build
             slack = _slack_peak(peak(lam), sides[0])
             if slack is not None:   # one candidate score, and no build
-                budget.spend()
                 v_lam, best_j[lam] = slack
                 return v_lam
             if rival > -math.inf and _j_settles(case, b, lam, spec.phi, j_box, rival):
-                return v_lam   # no J reaches rival: no build, no score, no budget
+                return v_lam   # no J reaches rival: no build, no score
             at = dh._poly_at(case, b, lam, spec.phi, sides)
             for limit, J in _j_candidates(case, lam, at):
                 # v <= limit: no later candidate can beat v_lam
-                if limit <= v_lam or not budget.spend():
+                if limit <= v_lam:
                     break
                 v = dh._poly_bound(at, lam, J)[0]
                 if v > v_lam:   # False for NaN
                     v_lam, best_j[lam] = v, J
             return v_lam
 
-        # the budget counts candidate scores only, so the lambda section is
-        # bounded by its tolerance alone
+        # no budget: the section's tolerance bounds it to 41 lambda, and each
+        # lambda's candidate set is finite
         lam_opt, v = _golden_max(inner, *POLY_BOXES["lambda"], _Budget(math.inf),
                                  coarse=25,
                                  bound=lambda lam: peak(lam)[0])

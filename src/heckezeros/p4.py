@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, checked_divisor, checked_power, nonnegative, positive
+from .errors import (DomainError, _shown, checked_divisor, checked_power, nonnegative, positive,
+                     real)
 
 
 def p4_eval(z):
@@ -76,14 +77,14 @@ def _check_gm(V, W, m, x, y, z=0.0):
     """Raise DomainError unless x, y are finite and >= 1, m is finite and
     > 0, V and W are finite, the lemma's domain, and z (a float or a float
     array) holds no NaN; an infinite z is the limit 0 of each term."""
-    if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):   # NaN too
-        raise DomainError(f"require finite x, y >= 1, got x={x}, y={y}")
+    if not (real(x) and real(y) and 1.0 <= x < math.inf and 1.0 <= y < math.inf):   # NaN too
+        raise DomainError(f"require finite x, y >= 1, got x={_shown(x)}, y={_shown(y)}")
     # an infinite m makes x^m / (x^2 + z^2)^m inf / inf; at m <= 0 the
     # sufficient condition no longer implies G_m >= 0
-    if not 0.0 < m < math.inf:   # NaN too
-        raise DomainError(f"require finite m > 0, got m={m}")
-    if not (math.isfinite(V) and math.isfinite(W)):
-        raise DomainError(f"require finite V, W, got V={V}, W={W}")
+    if not (real(m) and 0.0 < m < math.inf):   # NaN too
+        raise DomainError(f"require finite m > 0, got m={_shown(m)}")
+    if not (real(V) and real(W) and math.isfinite(V) and math.isfinite(W)):
+        raise DomainError(f"require finite V, W, got V={_shown(V)}, W={_shown(W)}")
     if np.isnan(z).any():
         raise DomainError(f"require z that is not NaN, got z={z}")
 
@@ -141,9 +142,10 @@ class PositivityQuery:
         positive("A", self.A)
         nonnegative("B", self.B)
         nonnegative("C", self.C)
-        if not (0 < self.a <= self.b <= self.c < math.inf):   # NaN too
-            raise DomainError(
-                f"require finite 0 < a <= b <= c, got a={self.a}, b={self.b}, c={self.c}")
+        a, b, c = self.a, self.b, self.c
+        if not (real(a) and real(b) and real(c) and 0 < a <= b <= c < math.inf):   # NaN too
+            raise DomainError(f"require finite 0 < a <= b <= c, got a={_shown(a)}, "
+                              f"b={_shown(b)}, c={_shown(c)}")
 
 
 @dataclass(frozen=True)

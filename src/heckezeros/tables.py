@@ -140,6 +140,8 @@ def _parse_zd(text, caption):
 
 def load_table(key):
     """Load a bundled table by key ('T4', 'T2:quadratic', ...)."""
+    if not isinstance(key, str):   # None has no .partition
+        raise InvalidParameterError(f"no bundled table {key!r}; available: {available_tables()}")
     tid, _, variant = key.partition(":")
     variant = variant or None
     for entry in manifest():

@@ -453,8 +453,8 @@ def half_plane_values(f):
     real weight has Re F(-iy) = Re F(iy), so F is evaluated at y >= 0 alone
     and mirrored; the built-in weights' mirrored values equal a direct
     evaluation at -iy bit for bit, as NumPy's complex exp, subtraction and
-    division map conjugates to conjugates, and the stacked pair sum of
-    ``_kernels.f_array`` only swaps its addends there.
+    division map conjugates to conjugates, and ``_kernels.f_array`` sums
+    the two terms of each conjugate pair, whose addends only swap there.
     """
     y = np.linspace(0.0, 100.0, 1001)
     re = f.laplace(1j * y).real

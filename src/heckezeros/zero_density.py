@@ -18,8 +18,8 @@ writes the collapsed form apart, as an independent reference.
 import math
 from dataclasses import dataclass
 
-from .errors import (BoundUnavailableError, InvalidParameterError, checked_power,
-                     nonnegative, positive)
+from .errors import (BoundUnavailableError, InvalidParameterError, _shown, checked_power,
+                     nonnegative, positive, real)
 from .dh import PHI
 
 #: default vartheta, the least the lemmas allow
@@ -41,9 +41,9 @@ class ZdQuery:
 
 
 def check_vartheta(vartheta):
-    """Raise InvalidParameterError unless vartheta lies in [3/4, 1]."""
-    if not (0.75 <= vartheta <= 1.0):   # NaN too
-        raise InvalidParameterError(f"vartheta must lie in [3/4, 1], got {vartheta}")
+    """Raise InvalidParameterError unless vartheta is a real number in [3/4, 1]."""
+    if not (real(vartheta) and 0.75 <= vartheta <= 1.0):   # NaN too
+        raise InvalidParameterError(f"vartheta must lie in [3/4, 1], got {_shown(vartheta)}")
 
 
 def check_inputs(lam, b, vartheta, phi):

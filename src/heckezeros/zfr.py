@@ -91,11 +91,10 @@ def get_case(case):
     """The ZfrCase of ``case``, a name or a record."""
     if isinstance(case, ZfrCase):
         return case
-    try:
+    if isinstance(case, str) and case in CASES:   # a list would raise TypeError here
         return CASES[case]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown zero-free-region case {case!r}; available: {sorted(CASES)}") from None
+    raise InvalidParameterError(
+        f"unknown zero-free-region case {case!r}; available: {sorted(CASES)}")
 
 
 def _check(case, lam, phi=PHI):

@@ -141,6 +141,9 @@ class TestPathOptions:
         ("table --regress T2:principal --tolerance 0.5", "table --regress T2:principal",
          "--tolerance"),
         ("table --regress T1 --tolerance 0.5", "table --regress T1", "--tolerance"),
+        # the quartic search of a polynomial case reads no budget
+        ("optimize --case cc-lp-nonprincipal --b 0.1227 --budget 0",
+         "optimize --case cc-lp-nonprincipal", "--budget"),
         # text output alone reads --precision and --verbose; table --name
         # alone reads --format md|csv, and prints no computed numbers
         ("zfr --case order5 --json --precision 3", "zfr --case order5 --json", "--precision"),
@@ -224,6 +227,7 @@ class TestPathOptions:
         ("zd", "--budget", optimizer.optimize_zd, "budget"),
         ("table", "--budget", tables.regress, "budget"),
         ("table", "--tolerance", tables.regress, "tolerance"),
+        ("optimize", "--budget", SearchSpec, "max_evals"),
     ])
     def test_help_gives_the_readers_default(self, verb, option, fn, name):
         # the function that reads the option keeps its default, which the
@@ -341,7 +345,6 @@ class TestInvalidInput:
         "zfr --case order5 --phi nan",
         "zfr --case order5 --phi inf",
         "optimize --case sz-lp-principal --b 0.1 --budget 0",
-        "optimize --case cc-lp-nonprincipal --b 0.1227 --budget 0",
         "zd --lambda 0.2 --optimize --budget -1",
         "table --regress T4 --tolerance inf",
         "table --regress T4 --tolerance nan",

@@ -239,3 +239,52 @@ def test_an_autocorrelation_parameter_that_is_a_bool_is_refused(name):
     with pytest.raises(InvalidParameterError) as err:
         tf.autocorrelation(**{name: True})
     assert str(err.value) == f"{want}, got True"
+
+
+#: the hand-written range and lookup checks, each with its own message:
+#: (site, error, call with the value)
+OWN_CHECKS = [
+    ("check_vartheta", InvalidParameterError, lambda v: zd.check_vartheta(v)),
+    ("ZdQuery-vartheta", InvalidParameterError, lambda v: zd.ZdQuery(TRI, lam=0.2, vartheta=v)),
+    ("optimize_zd-vartheta", InvalidParameterError,
+     lambda v: optimizer.optimize_zd(0.2, vartheta=v)),
+    ("combine_L_coefficients-vartheta", InvalidParameterError,
+     lambda v: zfr.combine_L_coefficients(1, 1, vartheta=v)),
+    ("cos_bound-theta", InvalidParameterError, lambda v: dh.cos_bound(v, 1.0)),
+    ("very_small_inverse-lambda1", InvalidParameterError,
+     lambda v: dh.very_small_inverse(1.0, v)),
+    ("very_small_dh-c1", InvalidParameterError, lambda v: dh.very_small_dh(1.0, 20.0, c1=v)),
+    ("PositivityQuery-a", DomainError, lambda v: p4.PositivityQuery(1, 1, 1, v, 1, 1)),
+    ("PositivityQuery-b", DomainError, lambda v: p4.PositivityQuery(1, 1, 1, 1, v, 1)),
+    ("PositivityQuery-c", DomainError, lambda v: p4.PositivityQuery(1, 1, 1, 1, 1, v)),
+    ("gm_check-m", DomainError, lambda v: p4.gm_check(1, 1, v, 1.5, 1.5, 0.0)),
+    ("gm_check-x", DomainError, lambda v: p4.gm_check(1, 1, 1, v, 1.5, 0.0)),
+    ("gm_check-y", DomainError, lambda v: p4.gm_check(1, 1, 1, 1.5, v, 0.0)),
+    ("gm_check-V", DomainError, lambda v: p4.gm_check(v, 1, 1, 1.5, 1.5, 0.0)),
+    ("gm_check-W", DomainError, lambda v: p4.gm_check(1, v, 1, 1.5, 1.5, 0.0)),
+    ("gm_guaranteed-m", DomainError, lambda v: p4.gm_guaranteed(1, 1, v, 1.5, 1.5)),
+    ("gm_guaranteed-x", DomainError, lambda v: p4.gm_guaranteed(1, 1, 1, v, 1.5)),
+    ("load_table", InvalidParameterError, lambda v: tables.load_table(v)),
+    ("dh.get_case", InvalidParameterError, lambda v: dh.get_case(v)),
+    ("zfr.get_case", InvalidParameterError, lambda v: zfr.get_case(v)),
+]
+
+
+@pytest.mark.parametrize("value", ["0.8", None, 1j, True])
+@pytest.mark.parametrize("error, call", [c[1:] for c in OWN_CHECKS],
+                         ids=[c[0] for c in OWN_CHECKS])
+def test_a_hand_written_check_refuses_what_is_not_a_number(error, call, value):
+    # check_vartheta took True as 1.0 and raised TypeError on "0.8" or None;
+    # cos_bound took theta=True, very_small_dh c1=True, PositivityQuery
+    # a=True and gm_check m=True, and a str theta, lambda1, a, b, c, x, y,
+    # V or W raised TypeError, as did load_table(None) (AttributeError)
+    with pytest.raises(error) as err:
+        call(value)
+    assert repr(value) in str(err.value)
+
+
+@pytest.mark.parametrize("get_case", [dh.get_case, zfr.get_case], ids=["dh", "zfr"])
+def test_a_case_that_is_no_key_is_refused(get_case):
+    # a list raised TypeError: unhashable
+    with pytest.raises(InvalidParameterError, match=r"^unknown .*case \['x'\]; available: "):
+        get_case(["x"])

@@ -92,9 +92,9 @@ class _CountedExp:
 
 
 @pytest.mark.parametrize("params, folded, real_exps, off_axis_shapes", [
-    # cosine: alpha's, g's and conj g's exps, at z and conj z stacked off the axis
-    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 5, 3, [(3, 6)]),
-    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 2, 2, [(2, 6)]),  # c0 = 0
+    # cosine: alpha's, g's and conj g's exps, at z alone off the axis too
+    ({"alpha": -0.8, "c0": 1.0, "c1": 0.9, "beta": 2.0, "s": 2.5}, 5, 3, [(3, 3)]),
+    ({"alpha": -0.3, "c0": 0.0, "c1": 1.0, "beta": 0.5, "s": 3.0}, 2, 2, [(2, 3)]),  # c0 = 0
     ({"alpha": 0.5, "s": 1.0}, 1, 1, [(1, 3)]),                                     # plain
 ])
 def test_conjugate_pairs_fold_to_one_exp_each(params, folded, real_exps, off_axis_shapes,
@@ -105,9 +105,8 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, folded, real_exps, off_axi
     and g's.  f_array takes one stacked array exp, a row per distinct g_k:
     at real points 3 rows for the cosine weight's five pairs, whose g_k are
     alpha, g, alpha, g and conj g; off the real axis each pair with a
-    complex exponent also evaluates its dropped pair's term, at conj z, so
-    every row takes z and conj z stacked, and alpha's pair with itself
-    reads the first half of its row."""
+    complex exponent unfolds to its two conjugate pairs, whose g_k are among
+    the same three, so the rows stay 3, each at the points z alone."""
     f = tf.autocorrelation(**params)
     x0, fold = f.kernel_code()
     assert len(fold) == folded
@@ -504,7 +503,8 @@ def test_pair_terms_near_coincident_nodes_match_mpmath(seed):
     (1e-12, 0.99) SMALL_W, pair_near's reach, against 50 digits, with
     u = (g_j + g_k) x0: at real points through the scalar kernel within
     4 eps (1 + |u|) |T|, at complex ones through f_array, which adds
-    (T(z) + conj T(conj z))/2 for a complex exponent, within
+    (T(z) + T'(z))/2 for a complex exponent, T'(z) = conj T(conj z) the
+    term of the conjugate pair, within
     32 eps (1 + |u|) max(|T(z)|, |T(conj z)|)."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(100 + seed)

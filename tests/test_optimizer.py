@@ -930,13 +930,21 @@ class TestBudget:
         scores = self.counted(monkeypatch, dh, "_poly_bound")
         solves = self.counted(monkeypatch, dh, "solve_poly")
         maximize_bound(SearchSpec("cc-lp-nonprincipal", 0.1227, max_evals=300))
-        assert len(units) <= 300 and len(scores) <= 301
-        # the lambda section's ceiling spares most lambda their candidates
-        # (99 scores without it, 13 with it), and a lambda whose peak is slack
-        # spends one unit and calls no dh._poly_bound: only the winner's
-        # solve_poly does
-        assert 0 < len(units) <= 13
+        # the units are the lambda section's own, which its tolerance bounds
+        # to 41 lambda: its ceiling spares most of them (6 scored), and a
+        # lambda whose peak is slack calls no dh._poly_bound: only the
+        # winner's solve_poly does
+        assert 0 < len(units) <= 6
         assert len(scores) == len(solves) == 1
+
+    @pytest.mark.parametrize("case", ["sz-lp-quadratic-medium", "cc-lp-nonprincipal"])
+    def test_poly_search_reads_no_budget(self, case):
+        # a budget of candidate scores truncated the search silently: at 1,
+        # sz-lp-quadratic-medium raised InfeasibleSearchError for a row whose
+        # bound is 0.466463, and at 2 it returned 0.452175
+        want = maximize_bound(SearchSpec(case, 0.1227))
+        for budget in (1, 2, 5):
+            assert maximize_bound(SearchSpec(case, 0.1227, max_evals=budget)) == want
 
 
 class TestInvalidInput:

@@ -53,11 +53,15 @@ def _uncached_quadrature(f, z):
 
 
 def _per_pair_f_array(code, z):
-    """F(z) of a family code by the pass over the folded pairs, each pair's
-    exponent terms formed afresh at its own points, and +inf at real points
-    where the scalar kernel gives it (past -r x0 = 690, or where a pair term
-    in the direct form overflows its exp): ``_kernels.f_array``'s rule
-    restated without its per-code bookkeeping, stacked rows or blocks."""
+    """F(z) of a family code by the pass over its pairs, each pair's exponent
+    terms formed afresh at its own points, and +inf at real points where the
+    scalar kernel gives it (past -r x0 = 690, or where a pair term in the
+    direct form overflows its exp): ``_kernels.f_array``'s rule restated
+    without its per-code bookkeeping or blocks.  At real points each folded
+    pair adds c Re T.  Off the real axis the pairs of real exponents add c T
+    first, and then each other folded pair adds c/2 (T + T'), T' the term of
+    its conjugate pair (conj g_j, conj g_k, conj K), in which a real number
+    is its own conjugate."""
     x0, folded = code
     z = np.asarray(z)
     scalar = z.ndim == 0
@@ -65,23 +69,31 @@ def _per_pair_f_array(code, z):
     z = np.atleast_1d(z.astype(complex))
     out = np.zeros(z.shape, dtype=complex)
     over = real & (z.real * x0 < -690.0)
+
+    def term(gj, gk, K):
+        b = gj + z
+        A = gk - z
+        w = A * x0
+        ew = np.exp(w)
+        phi = (K - (ew - 1.0) / A) / b
+        near = (np.abs(b) * x0 < _kernels.SMALL_W) | (np.abs(w) < _kernels.SMALL_W)
+        for i in np.flatnonzero(near):
+            phi.flat[i] = _kernels.pair_near(K, gj, gk, complex(z.flat[i]), x0)
+        return phi, ~np.isfinite(ew) & ~near
+
+    def conj(x):
+        return x.conjugate() if x.imag else x
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for c, gj, gk, K, _ in folded:
-            own = real or (gj.imag == 0.0 and gk.imag == 0.0)
-            zs = z if own else np.stack([z, z.conj()])
-            b = gj + zs
-            A = gk - zs
-            w = A * x0
-            ew = np.exp(w)
-            phi = (K - (ew - 1.0) / A) / b
-            near = (np.abs(b) * x0 < _kernels.SMALL_W) | (np.abs(w) < _kernels.SMALL_W)
-            for i in np.flatnonzero(near):
-                phi.flat[i] = _kernels.pair_near(K, gj, gk, complex(zs.flat[i]), x0)
+        for c, gj, gk, K, _ in sorted(folded, key=lambda p: not real and bool(p[1].imag or p[2].imag)):
+            phi, inf = term(gj, gk, K)
             if real:
-                over |= ~np.isfinite(ew) & ~near
-            if not own:
-                phi = 0.5 * (phi[0] + phi[1].conj())
-            out += c * (phi.real if real else phi)
+                over |= inf
+                out += c * phi.real
+            elif gj.imag or gk.imag:
+                out += c / 2 * (phi + term(conj(gj), conj(gk), conj(K))[0])
+            else:
+                out += c * phi
     out[over] = math.inf
     return complex(out[0]) if scalar else out
 
@@ -150,8 +162,8 @@ def test_shared_exponent_terms_keep_the_per_pair_bits(layout, alpha, s, frac, zr
     """f_array, whose bookkeeping is formed once per code and which takes
     each distinct exponent's terms in one stacked operation, and f(t),
     which shares them among its pairs, equal the pass over the pairs bit
-    for bit: at real points (some past the float range), at stacked
-    off-axis points, on the half-plane grid, near coincident nodes, and on
+    for bit: at real points (some past the float range), at off-axis
+    points, on the half-plane grid, near coincident nodes, and on
     grids of several blocks."""
     f = _drawn_weight(layout, alpha, s, frac)
     code = f.kernel_code()
@@ -165,6 +177,29 @@ def test_shared_exponent_terms_keep_the_per_pair_bits(layout, alpha, s, frac, zr
     ts = np.concatenate([np.linspace(-0.5, 1.2 * s, 121), [0.0, s, np.nextafter(s, 0.0)]])
     assert _same_bits(f(ts), _per_pair_weight(code, ts))
     assert _same_bits(f(0.37 * s), _per_pair_weight(code, 0.37 * s))
+
+
+@given(layout=_LAYOUT, alpha=_ALPHA, s=st.floats(0.5, 4.5), frac=st.floats(0.01, 1.0),
+       zr=st.floats(-5.0, 5.0), zi=st.floats(-20.0, 20.0).filter(bool))
+@example(layout="c0 = 0", alpha=-0.0, s=2.0, frac=0.5, zr=-0.0, zi=5e-324)
+@settings(max_examples=60, deadline=None)
+def test_array_transform_is_conjugate_symmetric_off_the_axis(layout, alpha, s, frac, zr, zi):
+    """F(conj z) equals conj F(z) bit for bit at points off the real axis,
+    as the half-plane check's mirroring needs: at a drawn point, on grids
+    through it, and at the off-axis points near coincident nodes, where
+    pair_near forms the terms.  NumPy's complex exp, subtraction and
+    division map conjugates to conjugates, and each conjugate pair's two
+    terms are summed before they join the rest, so only their addends swap.
+    A zero's sign is not compared (adding 0.0 makes it +0.0): an imaginary
+    part that cancels exactly, as at Im z = 5e-324, is x + (-x) = +0.0 at
+    both points."""
+    f = _drawn_weight(layout, alpha, s, frac)
+    code, near = f.kernel_code(), _series_points(f)
+    xs = np.linspace(-5.0, 5.0, 41)
+    for z in (complex(zr, zi), xs + 1j * zi, zr + 1j * np.linspace(-20.0, 20.0, 40),
+              np.add.outer(xs, [-3j, 0.1j, 7j]), near[near.imag != 0.0]):
+        mirrored = np.asarray(_kernels.f_array(code, np.conj(z))) + 0.0
+        assert _same_bits(mirrored, np.conj(_kernels.f_array(code, z)) + 0.0)
 
 
 @given(layout=_LAYOUT, alpha=_ALPHA, s=st.floats(0.5, 4.5), frac=st.floats(0.01, 1.0),
