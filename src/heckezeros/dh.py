@@ -16,9 +16,9 @@ Each case record below wires one lemma variant: its psi multiple of the
 critical-strip constant phi, the multiplier c1, which slot carries the
 unknown, and which side-condition coefficient formula applies.  The case
 table is data so the wiring can be audited line by line.  A poly case's
-side conditions are stated once, from its record (``_SideConditions``): the
-margin at a width, the limit in x, its turns in J, the J where it can reach a
-width and the coefficients j0_value, j1_value all read that statement.
+side conditions are stated once, from its record (``_SideConditions``): their
+coefficients j0 and j1, the margin at a width, the limit in x, its turns in J
+and the J where it can reach a width all read that statement.
 
 A smoothed root has two callers, each with its own path.
 ``solve_smoothed``, behind every returned bound, solves the exact h by ITP,
@@ -64,8 +64,6 @@ HI = 60.0
 
 #: right end of the quartic solves' bracket [0, POLY_HI]
 POLY_HI = 1e3
-
-E = math.e
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,6 @@ CASES = {c.name: c for c in (
                unknown_slot="known-on-square", j0="cc"),
 )}
 
-SMOOTHED_CASES = tuple(n for n, c in CASES.items() if c.method == "smoothed")
 POLY_CASES = tuple(n for n, c in CASES.items() if c.method == "poly")
 
 
@@ -170,13 +167,12 @@ def get_case(case):
     raise InvalidParameterError(f"unknown solver case {case!r}; available: {sorted(CASES)}")
 
 
-def check_quartic(lam, b, J=0.0, x=0.0):
+def check_quartic(lam, b, J=0.0):
     """Raise InvalidParameterError, naming the arguments, where a power of the
     quartic method leaves the float range: Python's float ** raises where *
-    gives inf, past about 1.2e77 for (lam + b)^4 and (lam + x)^4 and 1.3e154
-    for (J + 1)^2, and 1/lam^4 divides by zero where lam^4 underflows to 0."""
-    for name, base, power in (("lambda + b", lam + b, 4), ("lambda + x", lam + x, 4),
-                              ("J + 1", J + 1.0, 2)):
+    gives inf, past about 1.2e77 for (lam + b)^4 and 1.3e154 for (J + 1)^2,
+    and 1/lam^4 divides by zero where lam^4 underflows to 0."""
+    for name, base, power in (("lambda + b", lam + b, 4), ("J + 1", J + 1.0, 2)):
         checked_power(name, float(base), power)
     checked_divisor("lambda", float(lam), 4)
 
@@ -301,43 +297,20 @@ def solve_smoothed(case, f, b, phi=PHI):
 # polynomial solver
 # ---------------------------------------------------------------------------
 
-def _poly_case(case):
+def _check_poly(case, b, lam, J, phi=PHI):
     """The poly SolverCase of ``case``, a name or a record; raises
-    InvalidParameterError for any other case."""
+    InvalidParameterError for any other case, and naming the argument unless
+    b, phi >= 0, lambda, J > 0 and J >= j_min are finite and the quartic
+    powers (``check_quartic``) stay in the float range."""
     case = get_case(case)
     if case.method != "poly":
         raise InvalidParameterError(f"case {case.name} is not a polynomial case")
-    return case
-
-
-def j0_value(case, J):
-    """Side-condition coefficient on the 2J-slot term, for a poly case and a
-    finite J > 0."""
-    case = _poly_case(case)
-    positive("J", J)
-    return case._sides.j0(J)
-
-
-def j1_value(J):
-    """Coefficient of the second side condition in the fully principal case,
-    for a finite J > 0."""
-    positive("J", J)
-    return _SideConditions.j1(J)
-
-
-def _check_poly(case, b, lam, J, phi=PHI, x=0.0):
-    """The poly SolverCase of ``case``, a name or a record; raises
-    InvalidParameterError naming the argument unless b, phi, x >= 0, lambda,
-    J > 0 and J >= j_min are finite and the quartic powers (``check_quartic``,
-    with the width x) stay in the float range."""
-    case = _poly_case(case)
     check_width(b, phi)
     positive("lambda", lam)
     positive("J", J)
-    nonnegative("width x", x)
     if J < case.j_min:
         raise InvalidParameterError(f"case {case.name} requires J >= {case.j_min}, got {J}")
-    check_quartic(lam, b, J, x)
+    check_quartic(lam, b, J)
     return case
 
 
@@ -366,9 +339,9 @@ class _SideConditions:
     coefficient of the unknown width's term is j(J) and of the known's k;
     slot 1 puts them the other way round.  ``margin`` is the conditions'
     smallest slack at x, ``at`` their limit in x, ``turns`` its turns in J
-    and ``reach`` the J where it can reach a width; ``side_condition``,
-    ``side_limit``, ``_poly_at``, ``solve_poly``, ``j0_value``, ``j1_value``
-    and the quartic search read the conditions from here alone.
+    and ``reach`` the J where it can reach a width; ``_poly_at``,
+    ``solve_poly`` and the quartic search read the conditions from here
+    alone.
     """
 
     def __init__(self, case):
@@ -399,14 +372,14 @@ class _SideConditions:
         formed once.
 
         side_x(J) is the x where the first condition fails (inf if none
-        does): ``side_limit`` without its cap, continuous in J, and negative
-        where even x = 0 fails.  A condition's rest, 1/lam^4 less its known
-        term, is what its x term must exceed; rests is (the first
-        condition's, the last's) where they are the same for every J (x on
-        the 2J slot), else empty, for ``turns``.  The search reads side_x
-        alone at a scored lambda whose root peaks where the condition is
-        slack, and builds only the lambda it scores where the condition
-        binds, about 4 per table row, keeping none of them.
+        does): the largest width where every condition holds, continuous in
+        J, and negative where even x = 0 fails.  A condition's rest,
+        1/lam^4 less its known term, is what its x term must exceed; rests
+        is (the first condition's, the last's) where they are the same for
+        every J (x on the 2J slot), else empty, for ``turns``.  The search
+        reads side_x alone at a scored lambda whose root peaks where the
+        condition is slack, and builds only the lambda it scores where the
+        condition binds, about 4 per table row, keeping none of them.
         """
         inv4, lb4 = 1.0 / lam ** 4, (lam + b) ** 4
         (j0, k0), (j1, k1) = self.conditions[0], self.conditions[-1]
@@ -516,28 +489,6 @@ class _SideConditions:
         return out
 
 
-def side_condition(case, b, lam, J, x):
-    """Evaluate the case's quartic side condition(s) at the candidate root x.
-
-    Returns (ok, margin) with margin the smallest slack across conditions
-    (``_SideConditions.margin``).  Inputs are checked as in ``solve_poly``,
-    and x's power with them.
-    """
-    margin = _check_poly(case, b, lam, J, x=x)._sides.margin(b, lam, J, x)
-    return margin > 0.0, margin
-
-
-def side_limit(case, b, lam, J):
-    """Largest x >= 0 where the side condition(s) hold (margin decreasing in x).
-
-    Closed form: each condition pins the x on its unknown slot
-    (``_SideConditions.at``).  The limit is capped at 1e6.  Returns -inf
-    when even x = 0 fails.  Inputs are checked as in ``solve_poly``.
-    """
-    x = _check_poly(case, b, lam, J)._sides.at(b, lam)[0](J)
-    return -math.inf if x < 0.0 else min(x, 1e6)
-
-
 def _poly_at(case, b, lam, phi, sides):
     """(g, target, stationary, side_x, rests) of a poly case at fixed b,
     lambda, phi.
@@ -623,12 +574,7 @@ def very_small_dh(psi, lambda_prime, c1=2):
     positive("lambda'", lambda_prime)
     if not (real(c1) and c1 in (1, 2)):   # True == 1
         raise InvalidParameterError(f"c1 must be 1 or 2, got {_shown(c1)}")
-    return lambda_prime / (2.0 * c1 * E) * math.exp(-2.0 * psi * lambda_prime)
-
-
-def very_small_threshold(c1=2):
-    """The lambda' value 2 c1 e past which the inverse log form applies."""
-    return 2.0 * c1 * E
+    return lambda_prime / (2.0 * c1 * math.e) * math.exp(-2.0 * psi * lambda_prime)
 
 
 def very_small_inverse(psi, lambda1):

@@ -2,8 +2,9 @@
 
 Computation failures (no provable bound, violated side condition, failed
 precondition) are distinct from usage errors (bad parameters) so that the CLI
-can map them to exit codes.  ``positive`` and ``nonnegative`` write the two
-input rules most parameters follow, and the one message that refuses them;
+can map them to exit codes.  ``finite``, ``positive`` and ``nonnegative``
+write the three input rules most parameters follow, each with the one
+message that refuses it;
 ``checked_power`` the refusal of a power past the float range,
 ``checked_divisor`` that of a power a caller divides by, which must not
 underflow to 0 either, and ``no_bound`` the one report of a root-solved
@@ -89,11 +90,27 @@ class InfeasibleSearchError(HeckeZerosError):
 
 
 def real(value):
-    """Whether ``value`` is a real number: a ``numbers.Real`` that is not a
-    bool, so a str, None, a complex or True is not.  A float is told at once,
-    without the abstract class's check (about 0.5 us)."""
-    return type(value) is float or (isinstance(value, numbers.Real)
-                                    and not isinstance(value, bool))
+    """Whether ``value`` is a real number that a float can hold: a
+    ``numbers.Real`` that is not a bool and whose ``float()`` does not
+    overflow, so a str, None, a complex, True or the int 10**400 is not.  A
+    float is told at once, without the abstract class's check (about 0.5 us)."""
+    if type(value) is float:
+        return True
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def finite(name, value):
+    """float(value); raises InvalidParameterError naming ``value`` unless it
+    is a finite real."""
+    if not (real(value) and -math.inf < value < math.inf):   # NaN too
+        raise InvalidParameterError(f"{name} must be finite, got {_shown(value)}")
+    return float(value)
 
 
 def positive(name, value):

@@ -58,7 +58,7 @@ def re_p4_identity(a, b, t):
     below about 1e-77.  Where (t/b)^2 overflows (t = +-inf included), s and
     the value are below the smallest normal float, and the value is 0.
     """
-    if not (0 < a <= b < math.inf):
+    if not (real(a) and real(b) and 0 < a <= b < math.inf):   # NaN too
         raise DomainError(f"require finite 0 < a <= b, got a={a}, b={b}")
     if np.isnan(t).any():
         raise DomainError(f"require t that is not NaN, got t={t}")

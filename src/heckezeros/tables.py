@@ -97,7 +97,7 @@ def available_tables():
 
 
 def _row_from_record(rec):
-    """A TableRow from one record (a CSV or JSON row); ``raw`` keeps it as text."""
+    """A TableRow from one record (a CSV row); ``raw`` keeps it as text."""
     raw = {k: "" if v is None else str(v) for k, v in rec.items()}
     return TableRow(
         b=float(raw["b"]),
@@ -181,34 +181,6 @@ def _printed_decimals(s):
     if "e" in s or "." not in s:
         return 0
     return len(s.split(".")[1])
-
-
-@dataclass(frozen=True)
-class RefCheckRow:
-    b: float
-    listed: float
-    computed: float
-    deviation: float
-    tolerance: float
-    passed: bool
-
-
-def reference_column_check(table):
-    """Check the reference column equals factor * log(1/b) per row.
-
-    The stored values keep the printed precision, so the per-row tolerance is
-    the half-ulp of the printed form plus a uniform slack of 5e-4.
-    """
-    if table.reference_factor is None:
-        raise InvalidParameterError(f"table {table.key} has no reference column")
-    out = []
-    for r in table.rows:
-        computed = table.reference_factor * math.log(1.0 / r.b)
-        dec = _printed_decimals(r.raw.get("ref", ""))
-        tol = 0.51 * 10.0 ** (-dec) + 5e-4 if dec else 5e-4
-        dev = abs(computed - r.reference_col)
-        out.append(RefCheckRow(r.b, r.reference_col, computed, dev, tol, dev <= tol))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +382,8 @@ def principal_chain():
 # ---------------------------------------------------------------------------
 
 def to_json(table):
-    """Schema-stable JSON text for a bound table (round-trips via from_json)."""
+    """Schema-stable JSON text for a bound table: its fields, and each row's
+    printed strings as the CSV holds them."""
     if isinstance(table, ZdTable):
         payload = {"id": table.id, "method": "zero-density", "caption": table.caption,
                    "lambdas": list(table.lambdas), "b_values": list(table.b_values),
@@ -422,18 +395,6 @@ def to_json(table):
                    "reference_factor": table.reference_factor,
                    "rows": [r.raw for r in table.rows]}
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def from_json(text):
-    payload = json.loads(text)
-    if payload["method"] == "zero-density":
-        cells = tuple(tuple(math.inf if v == "inf" else v for v in row)
-                      for row in payload["cells"])
-        return ZdTable(payload["id"], payload["caption"],
-                       tuple(payload["lambdas"]), tuple(payload["b_values"]), cells)
-    return BoundTable(payload["id"], payload["variant"], payload["caption"],
-                      payload["method"], payload["case"], payload["reference_factor"],
-                      tuple(_row_from_record(rec) for rec in payload["rows"]))
 
 
 def to_markdown(table):

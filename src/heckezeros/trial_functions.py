@@ -66,7 +66,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, _shown,
-                     nonnegative, positive, real)
+                     finite, nonnegative, positive, real)
 
 _SMALL_W = _kernels.SMALL_W
 
@@ -126,13 +126,18 @@ class TrialFunction:
         A weight with a code takes the scalar kernel ``_kernels.f_real_scalar``,
         which gives +inf past the exp overflow range (at r = -inf too, and 0.0
         at r = +inf); a plug-in weight the real part of its transform.  A NaN
-        r raises DomainError.
+        r raises DomainError, and so does, for a weight with a code, an r
+        that no float holds (the int 10**400).
         """
         if r != r:
             raise DomainError(f"laplace_real requires r that is not NaN, got r={_shown(r)}")
         if self._code is None:
             return float(self._laplace(r).real)
-        return _kernels.f_real_scalar(self._code, float(r))
+        try:
+            r = float(r)
+        except OverflowError:
+            raise DomainError(f"laplace_real requires r in the float range, got r={r}") from None
+        return _kernels.f_real_scalar(self._code, r)
 
     def kernel_code(self):
         return self._code
@@ -218,17 +223,13 @@ def autocorrelation_code(alpha, c0, c1, beta, s):
     """(family code, f(0)) of ``autocorrelation(alpha, c0, c1, beta, s)``.
 
     The build ``autocorrelation`` wraps: it checks the parameters (finite
-    real numbers, ``errors.real``, so not bools; s > 0) on every call and
-    hands their floats to ``_search_code``, the one cached build.  Raises
-    what ``autocorrelation`` raises.
+    reals, ``errors.finite``, so not bools; s > 0, ``errors.positive``) on
+    every call and hands their floats to ``_search_code``, the one cached
+    build.  Raises what ``autocorrelation`` raises.
     """
-    # checked inline, with errors.positive's message for s
     for name, v in (("alpha", alpha), ("c0", c0), ("c1", c1), ("beta", beta)):
-        if not (real(v) and math.isfinite(v)):
-            raise InvalidParameterError(
-                f"autocorrelation parameter {name} must be finite, got {_shown(v)}")
-    if not (real(s) and 0 < s < math.inf):
-        raise InvalidParameterError(f"generator support s must be finite and > 0, got {_shown(s)}")
+        finite(f"autocorrelation parameter {name}", v)
+    positive("generator support s", s)
     return _search_code(*map(float, (alpha, c0, c1, beta, s)))
 
 

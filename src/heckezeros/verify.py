@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import _kernels, dh, oracles, p4, tables, trial_functions, zero_density, zfr
-from .errors import DomainError
+from .errors import DomainError, InvalidParameterError
 from .oracles import equality_report, positivity_report
 
 _SEED = 20260808
@@ -339,12 +339,10 @@ SUITES = {
 
 
 def run_suite(name):
-    """Run one suite ('all' chains every suite); returns the report list."""
+    """Run one suite ('all' chains every suite); returns the report list.
+    An unknown suite raises InvalidParameterError."""
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key]())
-        return out
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)} + ['all']")
-    return SUITES[name]()
+        return [report for suite in SUITES.values() for report in suite()]
+    if isinstance(name, str) and name in SUITES:   # a list would raise TypeError here
+        return SUITES[name]()
+    raise InvalidParameterError(f"unknown suite {name!r}; available: {sorted(SUITES)} + ['all']")

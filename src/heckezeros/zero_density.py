@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (BoundUnavailableError, InvalidParameterError, _shown, checked_power,
-                     nonnegative, positive, real)
+                     finite, nonnegative, positive, real)
 from .dh import PHI
 
 #: default vartheta, the least the lemmas allow
@@ -80,13 +80,22 @@ def _evaluate(f0, F_minus_b, F_gap, vartheta, phi):
 
 def bound_from_values(f0, F_minus_b, F_gap, vartheta, phi):
     """The general bound from raw values (f(0), F(-b), F(lambda-b)), whether
-    or not the preconditions hold."""
+    or not the preconditions hold.  Raises InvalidParameterError unless the
+    values are finite reals (``errors.finite``), and vartheta and phi are
+    checked as in ``check_inputs``."""
+    for name, v in (("f(0)", f0), ("F(-b)", F_minus_b), ("F(lambda-b)", F_gap)):
+        finite(name, v)
+    check_vartheta(vartheta)
+    positive("phi", phi)
     _, _, num, den = _evaluate(f0, F_minus_b, F_gap, vartheta, phi)
     return num / den
 
 
 def mt_bound_from_values(f0, F0, F_lam):
-    """The specialized vt=3/4, b=0, phi=1/4 form, written with its own constants."""
+    """The specialized vt=3/4, b=0, phi=1/4 form, written with its own
+    constants; InvalidParameterError unless the values are finite reals."""
+    for name, v in (("f(0)", f0), ("F(0)", F0), ("F(lambda)", F_lam)):
+        finite(name, v)
     num = (f0 / 4.0 + F0) * (F0 - f0 / 12.0)
     den = (F_lam - f0 / 3.0) ** 2 - f0 / 3.0 * (f0 / 4.0 + F0)
     return num / den

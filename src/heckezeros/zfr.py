@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .dh import PHI, cos_bound
-from .errors import InvalidParameterError, NoBoundError, no_bound, nonnegative, positive
+from .errors import InvalidParameterError, NoBoundError, finite, no_bound, nonnegative, positive
 from .trial_functions import K_FAMILY_PAIRS
 from .zero_density import VARTHETA, check_vartheta
 
@@ -111,9 +111,13 @@ def _check(case, lam, phi=PHI):
 def expand_trig_square_product(a1, b1, a2, b2):
     """Coefficients of 1, cos, cos 2., cos 3., cos 4. in (a1+b1 cos)^2 (a2+b2 cos)^2.
 
-    Exact product-to-sum reduction; with integer inputs every output is exact
-    (the reductions only divide by 2, 4 and 8).
+    Exact product-to-sum reduction, in floats; with integer inputs every
+    output is exact while the products stay below 2^53 (the reductions only
+    divide by 2, 4 and 8).  Raises InvalidParameterError unless the four
+    inputs are finite reals (``errors.finite``) and every coefficient is
+    finite.
     """
+    a1, b1, a2, b2 = (finite(n, v) for n, v in (("a1", a1), ("b1", b1), ("a2", a2), ("b2", b2)))
     p0 = a1 * a2
     p1 = a1 * b2 + a2 * b1
     p2 = b1 * b2
@@ -122,7 +126,10 @@ def expand_trig_square_product(a1, b1, a2, b2):
     c2 = (p1 * p1 + 2.0 * p0 * p2) / 2.0 + p2 * p2 / 2.0
     c3 = p1 * p2 / 2.0
     c4 = p2 * p2 / 8.0
-    return (c0, c1, c2, c3, c4)
+    coeffs = (c0, c1, c2, c3, c4)
+    if not all(map(math.isfinite, coeffs)):
+        raise InvalidParameterError(f"cosine coefficients past the float range: {coeffs}")
+    return coeffs
 
 
 def combine_L_coefficients(a, b, vartheta=VARTHETA):

@@ -32,39 +32,11 @@ class TestCaseTable:
 
     def test_j0_formulas(self):
         J = 0.8704
-        assert dh.j0_value("sz-lp-quadratic-medium", J) == pytest.approx(
+        assert dh.get_case("sz-lp-quadratic-medium")._sides.j0(J) == pytest.approx(
             min(J / 2 + 1 / (2 * J), 4 * J))
-        assert dh.j0_value("cc-lp-nonprincipal", J) == pytest.approx(
+        assert dh.get_case("cc-lp-nonprincipal")._sides.j0(J) == pytest.approx(
             min(J + 3 / (4 * J), 4 * J))
-        assert dh.j1_value(J) == pytest.approx(4 * J / (J * J + 1))
-
-    @pytest.mark.parametrize("J", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_j_coefficients_check_j(self, J):
-        # j0_value("cc-lp-nonprincipal", 0.0) raised ZeroDivisionError, J = -1
-        # gave -4.0, NaN gave NaN, j1_value(-1.0) -2.0 and j1_value(inf) NaN
-        with pytest.raises(InvalidParameterError, match="J must be finite and > 0"):
-            dh.j0_value("cc-lp-nonprincipal", J)
-        with pytest.raises(InvalidParameterError, match="J must be finite and > 0"):
-            dh.j1_value(J)
-
-    def test_j0_needs_a_poly_case(self):
-        # a smoothed case has no side condition: this raised KeyError: ''
-        with pytest.raises(InvalidParameterError,
-                           match="case sz-lp-quadratic is not a polynomial case"):
-            dh.j0_value("sz-lp-quadratic", 0.5)
-
-    def test_poly_search_reads_the_unchecked_coefficients(self, monkeypatch):
-        # the quartic search's side limits and side_condition, whose inputs are
-        # already checked, read the coefficients without the public checks
-        want = (maximize_bound(SearchSpec("cc-lp-principal", 0.1227, 300)),
-                dh.side_condition("cc-lp-principal", 0.1227, 1.1, 0.8, 0.5))
-
-        def refused(*args):
-            raise AssertionError("checked coefficient read")
-        monkeypatch.setattr(dh, "j0_value", refused)
-        monkeypatch.setattr(dh, "j1_value", refused)
-        assert (maximize_bound(SearchSpec("cc-lp-principal", 0.1227, 300)),
-                dh.side_condition("cc-lp-principal", 0.1227, 1.1, 0.8, 0.5)) == want
+        assert dh._SideConditions.j1(J) == pytest.approx(4 * J / (J * J + 1))
 
     def test_unknown_case(self):
         with pytest.raises(InvalidParameterError):
@@ -78,8 +50,8 @@ class TestCaseTable:
         dh.solve_poly(case, 0.1227, 1.1, 0.8)
         copy = pickle.loads(pickle.dumps(case))
         assert copy == case
-        assert (dh.side_condition(copy, 0.1227, 1.1, 0.8, 0.3)
-                == dh.side_condition(case, 0.1227, 1.1, 0.8, 0.3))
+        assert (copy._sides.margin(0.1227, 1.1, 0.8, 0.3)
+                == case._sides.margin(0.1227, 1.1, 0.8, 0.3))
 
     def test_case_by_name_or_record(self):
         # every entry point takes either; the searches took names only
@@ -232,9 +204,9 @@ class TestSolvePoly:
 
     def test_principal_extra_condition_evaluated(self):
         res = dh.solve_poly("cc-lp-principal", 0.0875, 1.155, 0.8815)
-        ok, margin = dh.side_condition("cc-lp-principal", 0.0875, 1.155, 0.8815,
-                                       res.lambda_star)
-        assert ok and margin > 0
+        margin = dh.get_case("cc-lp-principal")._sides.margin(0.0875, 1.155, 0.8815,
+                                                              res.lambda_star)
+        assert margin > 0
 
     def test_side_cap_is_valid_and_marked(self):
         # a bundled row whose printed parameters land the root a hair past the
@@ -242,16 +214,16 @@ class TestSolvePoly:
         res = dh.solve_poly("sz-lp-quadratic-medium", 0.10, 1.265, 0.8793)
         assert res.side_limited
         assert res.lambda_star < res.root
-        ok, margin = dh.side_condition("sz-lp-quadratic-medium", 0.10, 1.265,
-                                       0.8793, res.lambda_star * (1 - 1e-9))
-        assert ok
-        lim = dh.side_limit("sz-lp-quadratic-medium", 0.10, 1.265, 0.8793)
+        sides = dh.get_case("sz-lp-quadratic-medium")._sides
+        assert sides.margin(0.10, 1.265, 0.8793, res.lambda_star * (1 - 1e-9)) > 0
+        lim = sides.at(0.10, 1.265)[0](0.8793)
         assert res.lambda_star == pytest.approx(lim, abs=1e-12)
 
     def test_side_condition_hopeless_raises(self):
         # tiny J makes the condition fail already at width zero while the
         # equation still has a root
-        assert not dh.side_condition("sz-lp-quadratic-medium", 0.012, 0.2, 0.05, 0.0)[0]
+        sides = dh.get_case("sz-lp-quadratic-medium")._sides
+        assert not sides.margin(0.012, 0.2, 0.05, 0.0) > 0
         with pytest.raises(SideConditionError):
             dh.solve_poly("sz-lp-quadratic-medium", 0.012, 0.2, 0.05)
 
@@ -280,19 +252,9 @@ class TestSolvePoly:
         case, b, lam, J, phi = kwargs.values()
         calls = [lambda: dh.solve_poly(case, b, lam, J, phi=phi),
                  lambda: dh.poly_h(case, b, lam, J, phi=phi)]
-        if arg != "phi":   # the side condition does not read phi
-            calls += [lambda: dh.side_limit(case, b, lam, J),
-                      lambda: dh.side_condition(case, b, lam, J, 0.5)]
         for call in calls:
             with pytest.raises(InvalidParameterError, match=arg):
                 call()
-
-    @pytest.mark.parametrize("x", [-1.097, -5.0, math.nan, math.inf])
-    def test_side_condition_needs_a_finite_width(self, x):
-        # -1.097 divided by lambda + x = 0, -5 held with margin 0.1008, NaN
-        # failed and inf held with margin 0.0965
-        with pytest.raises(InvalidParameterError, match="width x"):
-            dh.side_condition("cc-lp-nonprincipal", 0.1227, 1.097, 0.7788, x)
 
     def test_j_minimum_for_cc_nonprincipal(self):
         with pytest.raises(InvalidParameterError):
@@ -351,10 +313,6 @@ class TestClosedForms:
         assert dh.very_small_dh(1.0, 4 * E) == pytest.approx(math.exp(-8 * E), rel=1e-12)
         assert dh.very_small_dh(0.5, 4 * E) == pytest.approx(math.exp(-4 * E), rel=1e-12)
         assert dh.very_small_dh(0.5, 2 * E, c1=1) == pytest.approx(math.exp(-2 * E), rel=1e-12)
-
-    def test_very_small_threshold(self):
-        assert dh.very_small_threshold(2) == pytest.approx(4 * E)
-        assert dh.very_small_threshold(1) == pytest.approx(2 * E)
 
     @given(lam1=st.floats(1e-12, 1e-2), psi=st.sampled_from([0.5, 1.0]),
            c1=st.sampled_from([1, 2]))

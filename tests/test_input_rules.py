@@ -3,8 +3,9 @@
 ``errors.positive`` ("a finite real > 0") and ``errors.nonnegative`` ("a
 finite real >= 0") are the only writers of these rules.  Each entry point
 that takes such a number refuses NaN, +inf, -inf, the first value outside
-the rule and a negative value with InvalidParameterError, one message form
-and one name for the argument, whichever of those values it is given.
+the rule, a negative value and an int past the float range with
+InvalidParameterError, one message form and one name for the argument,
+whichever of those values it is given.
 """
 
 import math
@@ -38,6 +39,7 @@ ENTRIES = [
     ("ZdQuery", "b", ">=", lambda v: zd.ZdQuery(TRI, lam=0.2, b=v)),
     ("ZdQuery", "phi", ">", lambda v: zd.ZdQuery(TRI, lam=0.2, phi=v)),
     ("optimize_zd", "lambda", ">=", lambda v: optimizer.optimize_zd(v)),
+    ("bound_from_values", "phi", ">", lambda v: zd.bound_from_values(1.0, 2.0, 0.5, 0.75, v)),
     ("solve_smoothed", "b", ">=", lambda v: dh.solve_smoothed("sz-lp-principal", TRI, v)),
     ("solve_smoothed", "phi", ">=", lambda v: dh.solve_smoothed("sz-lp-principal", TRI, 0.05, v)),
     ("smoothed_h", "b", ">=", lambda v: dh.smoothed_h("sz-lp-principal", TRI, v)),
@@ -46,10 +48,6 @@ ENTRIES = [
     ("solve_poly", "J", ">", lambda v: dh.solve_poly(*POLY[:3], v)),
     ("solve_poly", "phi", ">=", lambda v: dh.solve_poly(*POLY, phi=v)),
     ("poly_h", "lambda", ">", lambda v: dh.poly_h(*POLY[:2], v, POLY[3])),
-    ("side_condition", "width x", ">=", lambda v: dh.side_condition(*POLY, v)),
-    ("side_limit", "J", ">", lambda v: dh.side_limit(*POLY[:3], v)),
-    ("j0_value", "J", ">", lambda v: dh.j0_value(POLY[0], v)),
-    ("j1_value", "J", ">", lambda v: dh.j1_value(v)),
     ("very_small_dh", "psi", ">", lambda v: dh.very_small_dh(v, 20.0)),
     ("very_small_dh", "lambda'", ">", lambda v: dh.very_small_dh(1.0, v)),
     ("very_small_inverse", "psi", ">", lambda v: dh.very_small_inverse(v, 0.5)),
@@ -80,7 +78,8 @@ ENTRIES = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "first outside", "negative"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "first outside", "negative",
+                                  "past the float range"])
 @pytest.mark.parametrize("name, rule, call", [e[1:] for e in ENTRIES],
                          ids=[f"{e[0]}-{e[1]}" for e in ENTRIES])
 def test_every_bounded_input_is_refused_alike(name, rule, call, kind):
@@ -88,9 +87,11 @@ def test_every_bounded_input_is_refused_alike(name, rule, call, kind):
     # 'lambda' for -1, ZdQuery's likewise, very_small_dh's 'lambda_prime' and
     # "lambda'", and solve_smoothed's 'b' and 'width hypothesis b';
     # combine_L_coefficients(nan, 1) gave nan, (1, inf) inf, and
-    # PositivityQuery(nan, 1, 1, 1, 1, 1) passed
+    # PositivityQuery(nan, 1, 1, 1, 1, 1) passed; the int 10**400 passed
+    # every rule, and then raised OverflowError from float() or passed
     value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-             "first outside": FIRST_OUTSIDE[rule], "negative": -1.0}[kind]
+             "first outside": FIRST_OUTSIDE[rule], "negative": -1.0,
+             "past the float range": 10 ** 400}[kind]
     with pytest.raises(InvalidParameterError) as err:
         call(value)
     assert str(err.value) == f"{name} must be finite and {rule} 0, got {value!r}"
@@ -221,7 +222,8 @@ BUDGETS = [
 
 @pytest.mark.parametrize("value, shown", [("5", "'5'"), (None, "None"), (1j, "1j"), ("3", "'3'"),
                                           (math.nan, "nan"), (math.inf, "inf"), (0.5, "0.5"),
-                                          (np.float64(0.0), "0.0"), (True, "True")])
+                                          (np.float64(0.0), "0.0"), (True, "True"),
+                                          (10 ** 400, repr(10 ** 400))])
 @pytest.mark.parametrize("call", [c for _, c in BUDGETS], ids=[n for n, _ in BUDGETS])
 def test_a_budget_that_is_not_a_finite_number_at_least_1_is_refused(call, value, shown):
     # True ran a search of one unit: maximize_bound(SearchSpec(
@@ -248,6 +250,8 @@ OWN_CHECKS = [
     ("ZdQuery-vartheta", InvalidParameterError, lambda v: zd.ZdQuery(TRI, lam=0.2, vartheta=v)),
     ("optimize_zd-vartheta", InvalidParameterError,
      lambda v: optimizer.optimize_zd(0.2, vartheta=v)),
+    ("bound_from_values-vartheta", InvalidParameterError,
+     lambda v: zd.bound_from_values(1.0, 2.0, 0.5, v, 0.25)),
     ("combine_L_coefficients-vartheta", InvalidParameterError,
      lambda v: zfr.combine_L_coefficients(1, 1, vartheta=v)),
     ("cos_bound-theta", InvalidParameterError, lambda v: dh.cos_bound(v, 1.0)),
@@ -281,6 +285,41 @@ def test_a_hand_written_check_refuses_what_is_not_a_number(error, call, value):
     with pytest.raises(error) as err:
         call(value)
     assert repr(value) in str(err.value)
+
+
+#: the checks outside ENTRIES that the int 10**400 passed, before an
+#: OverflowError from float() or silently: (site, error, call with it)
+PAST_THE_FLOAT_RANGE = [
+    *((f"autocorrelation-{n}", InvalidParameterError,
+       lambda v, n=n: tf.autocorrelation(**{n: v})) for n in ("alpha", "c0", "c1", "beta")),
+    ("laplace_real", DomainError, lambda v: TRI.laplace_real(v)),
+    ("laplace_real-negative", DomainError, lambda v: TRI.laplace_real(-v)),
+    ("repel_reduce-a", DomainError, lambda v: tf.repel_reduce(TRI, v, 0.1)),
+    ("repel_reduce-b", DomainError, lambda v: tf.repel_reduce(TRI, 0.1, v)),
+    ("re_p4_identity-b", DomainError, lambda v: p4.re_p4_identity(1.0, v, 0.5)),
+    ("re_p4_identity-a-b", DomainError, lambda v: p4.re_p4_identity(v, v, 0.5)),
+    ("gm_check-x", DomainError, lambda v: p4.gm_check(1, 1, 1, v, 1.5, 0.0)),
+    ("gm_check-V", DomainError, lambda v: p4.gm_check(v, 1, 1, 1.5, 1.5, 0.0)),
+    ("gm_guaranteed-y", DomainError, lambda v: p4.gm_guaranteed(1, 1, 1, 1.5, v)),
+    ("PositivityQuery-c", DomainError, lambda v: p4.PositivityQuery(1, 1, 1, 1, 1, v)),
+    ("scan_root-hi", InvalidParameterError,
+     lambda v: oracles.scan_root(lambda x: x - 1.0, 0.0, v, 1e-3)),
+    ("bound_from_values", InvalidParameterError,
+     lambda v: zd.bound_from_values(1.0, v, 0.5, 0.75, 0.25)),
+    ("expand_trig_square_product", InvalidParameterError,
+     lambda v: zfr.expand_trig_square_product(v, 10, 9, 10)),
+]
+
+
+@pytest.mark.parametrize("error, call", [c[1:] for c in PAST_THE_FLOAT_RANGE],
+                         ids=[c[0] for c in PAST_THE_FLOAT_RANGE])
+def test_an_int_past_the_float_range_is_refused(error, call):
+    # PositivityQuery took it, repel_reduce(TRI, 0.1, 10**400) gave 0.1403
+    # (b >= a reads no b) and gm_guaranteed(1, 1, 1, 1.5, 10**400) False;
+    # the rest raised OverflowError: int too large to convert to float
+    with pytest.raises(error) as err:
+        call(10 ** 400)
+    assert repr(10 ** 400) in str(err.value)
 
 
 @pytest.mark.parametrize("get_case", [dh.get_case, zfr.get_case], ids=["dh", "zfr"])

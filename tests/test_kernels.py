@@ -12,6 +12,8 @@ import pytest
 from heckezeros import _kernels, dh, optimizer, p4, tables, trial_functions as tf, zfr
 from heckezeros.errors import NoBoundError
 
+SMOOTHED_CASES = tuple(n for n, c in dh.CASES.items() if c.method == "smoothed")
+
 
 def test_backend_reports():
     assert _kernels.backend() == "numpy"
@@ -599,7 +601,7 @@ def test_triangle_smoothed_roots_match_mpmath(x0):
         def F(r):
             return _mp_triangle(X0, mp.mpf(r), mp)
 
-        for name in dh.SMOOTHED_CASES:
+        for name in SMOOTHED_CASES:
             case = dh.CASES[name]
             for phi in (0.125, 0.25):
                 psi = case.psi_over_phi * mp.mpf(phi)
@@ -883,7 +885,7 @@ def _solve_smoothed_set(solver):
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_bisect", counted)
-        for case in dh.SMOOTHED_CASES:
+        for case in SMOOTHED_CASES:
             for i, f in enumerate(SMOOTHED_WEIGHTS):
                 for b in SMOOTHED_WIDTHS:
                     try:
@@ -953,7 +955,7 @@ def test_newton_hands_over_to_itp_on_what_it_has_seen(monkeypatch):
     bisect = _kernels._bisect
     monkeypatch.setattr(_kernels, "_bisect", lambda h, lo, hi, ylo=None, yhi=None: (
         handed.add((ylo is None, yhi is None)) or bisect(h, lo, hi, ylo, yhi)))
-    for name in dh.SMOOTHED_CASES:
+    for name in SMOOTHED_CASES:
         case = dh.CASES[name]
         for f in SMOOTHED_WEIGHTS:
             code = f.kernel_code()

@@ -39,10 +39,9 @@ class TestPolySearch:
     def test_side_condition_respected(self):
         res = maximize_bound(SearchSpec("cc-lp-principal", 0.0875))
         assert res.side_ok
-        ok, _ = dh.side_condition("cc-lp-principal", 0.0875,
-                                  res.params["lambda"], res.params["J"],
-                                  res.lambda_star * (1 - 1e-12))
-        assert ok
+        margin = dh.get_case("cc-lp-principal")._sides.margin(
+            0.0875, res.params["lambda"], res.params["J"], res.lambda_star * (1 - 1e-12))
+        assert margin > 0
 
     def test_degenerate_width_terminates(self):
         # bounds collapse toward zero near width 0.9; either a tiny bound or a
@@ -91,7 +90,8 @@ def _dense_inner(case, b, lam, phi, n=20001):
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     root = np.where((p4.p4_eval(u_min) <= target) & (target <= 3.2),
                     lam / (0.5 * (lo + hi)) - lam, -np.inf)
-    return float(np.minimum(root, _reference_limit(case, b, lam, J)).max())
+    limit = _reference_limit(case, b, lam, J)
+    return float(np.minimum(root, np.where(limit >= 0, limit, -np.inf)).max())
 
 
 def _reference_conditions(case, J):
@@ -108,8 +108,9 @@ def _reference_conditions(case, J):
 
 
 def _reference_limit(case, b, lam, J):
-    """Each condition's largest x, their minimum capped at 1e6, -inf where
-    even x = 0 fails, vectorized over J: side_limit written independently."""
+    """Each condition's largest x and their minimum, inf where no condition
+    binds and negative where even x = 0 fails, vectorized over J: the side
+    limit (``case._sides.at``) written independently."""
     on_square = case.unknown_slot == "known-on-square"
     limit = np.full(np.shape(J), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,12 +120,13 @@ def _reference_limit(case, b, lam, J):
             coef_x = coef_ln if on_square else coef_sq
             limit = np.minimum(limit, np.where(rest > 0, (coef_x / rest) ** 0.25 - lam,
                                                np.inf))
-    return np.where(limit >= 0, np.minimum(limit, 1e6), -np.inf)
+    return limit
 
 
 class TestSideConditionReference:
-    """side_condition's margin and side_limit against the conditions written
-    out here, over a (b, lambda, J, x) grid of every poly case."""
+    """The side conditions' margin and limit (``case._sides``) against the
+    conditions written out here, over a (b, lambda, J, x) grid of every poly
+    case."""
 
     @pytest.mark.parametrize("name", dh.POLY_CASES)
     def test_margin_and_limit_match_the_reference(self, name):
@@ -146,17 +148,17 @@ class TestSideConditionReference:
                 terms = [(c_ln / (lam + ln) ** 4, c_sq / (lam + sq) ** 4)
                          for c_ln, c_sq in conditions]
                 margins = [t_ln + t_sq - 1.0 / lam ** 4 for t_ln, t_sq in terms]
-                ok, margin = dh.side_condition(case, b, lam, J, x)
+                margin = case._sides.margin(b, lam, J, x)
                 tol = 1e-14 * (1.0 / lam ** 4 + max(map(sum, terms)))
                 assert margin == pytest.approx(min(margins), abs=tol), (b, lam, J, x)
                 if abs(min(margins)) > tol:
-                    assert ok == (min(margins) > 0.0), (b, lam, J, x)
+                    assert (margin > 0.0) == (min(margins) > 0.0), (b, lam, J, x)
                 if x == 0.0 and min(margins) < -tol:
                     seen.add("fails at 0")
                 if len(margins) == 2 and margins[1] < margins[0] - tol:
                     seen.add("second binds")
             want = float(_reference_limit(case, b, lam, np.array(J)))
-            got = dh.side_limit(case, b, lam, J)
+            got = case._sides.at(b, lam)[0](J)
             assert got == want or got == pytest.approx(want, rel=1e-12), (b, lam, J)
         # with x on the square slot its term is 1/lam^4 at x = 0, so the
         # condition holds there

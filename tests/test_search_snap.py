@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from heckezeros import _kernels, dh, optimizer, trial_functions as tf
 from heckezeros.errors import NoBoundError
 
+SMOOTHED_CASES = tuple(n for n, c in dh.CASES.items() if c.method == "smoothed")
+
 WEIGHTS = (
     tf.triangle(2.5),
     tf.triangle(14.0),
@@ -74,7 +76,7 @@ def _floor(F, form, c1, psi, b, f0, x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(dh.SMOOTHED_CASES), i=st.integers(0, len(WEIGHTS) - 1),
+@given(name=st.sampled_from(SMOOTHED_CASES), i=st.integers(0, len(WEIGHTS) - 1),
        log_b=st.floats(-10.0, -0.3), t=st.floats(-1.0, 1.0), near=st.integers(-16, 0))
 def test_snapped_h_is_zero_or_exact(name, i, log_b, t, near):
     # both shapes, widths 1e-10 .. 0.5; x near the exact root (relative offsets
@@ -106,7 +108,7 @@ def test_snap_fires_near_the_root_and_nowhere_else():
     assert all(snapped(x) == exact(x) != 0.0 for x in far)
 
 
-@pytest.mark.parametrize("name", dh.SMOOTHED_CASES)
+@pytest.mark.parametrize("name", SMOOTHED_CASES)
 def test_snapped_roots_fail_where_the_solver_fails(name):
     # over both shapes and widths 0 .. 0.4, a snapped search root is NaN
     # exactly where solve_smoothed raises NoBoundError, and otherwise within
@@ -155,7 +157,7 @@ def test_cc_weight_positive_at_zero_costs_two_transforms(monkeypatch):
         assert calls == [0.0, -b]
 
 
-@pytest.mark.parametrize("name", dh.SMOOTHED_CASES)
+@pytest.mark.parametrize("name", SMOOTHED_CASES)
 def test_newton_roots_fail_where_the_solver_fails(name):
     # the search's warm solve of a coded weight takes the Newton path on the
     # derivative kernel: NaN exactly where solve_smoothed raises NoBoundError,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heckezeros import dh, oracles, verify
+from heckezeros.errors import InvalidParameterError
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
@@ -11,6 +12,15 @@ def test_suite_clean(name):
     reports = verify.run_suite(name)
     failures = [str(r) for r in reports if not r.passed]
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", ["nope", ["all"], None])
+def test_an_unknown_suite_is_a_library_error(name):
+    # this raised KeyError, and a list TypeError: unhashable
+    with pytest.raises(InvalidParameterError) as err:
+        verify.run_suite(name)
+    assert str(err.value) == (f"unknown suite {name!r}; available: {sorted(verify.SUITES)}"
+                              " + ['all']")
 
 
 def test_reports_locate_by_plain_numbers():

@@ -105,8 +105,8 @@ def _outcome(fn, *args):
     """repr of fn's value (NaN and -0.0 to the bit), or the exception it raises."""
     try:
         return repr(fn(*args))
-    except ZeroDivisionError:
-        return "ZeroDivisionError"
+    except (ZeroDivisionError, InvalidParameterError) as exc:
+        return type(exc).__name__
 
 
 def _density_inputs(rng, n):
@@ -141,19 +141,34 @@ def _density_inputs(rng, n):
 
 def test_one_evaluation_matches_the_two_formulas_to_the_bit():
     """The bound and both preconditions are the two separate formulas', to
-    the bit, on every input: precondition 2 read as the denominator's sign."""
+    the bit, on every input: precondition 2 read as the denominator's sign.
+    ``bound_from_values`` refuses a value that is not finite, where the
+    formula gives NaN or inf."""
     rng = np.random.default_rng(20261019)
     zero_dens = equal_gaps = 0
     for args in _density_inputs(rng, 8000):
         want = _parent_preconditions(*args)
         assert zd._evaluate(*args)[:2] == want, args
         bound = _outcome(_parent_bound, *args)
-        assert _outcome(zd.bound_from_values, *args) == bound, args
+        finite = all(map(math.isfinite, args[:3]))
+        assert _outcome(zd.bound_from_values, *args) == (
+            bound if finite else "InvalidParameterError"), args
         admissible = bound if all(want) else repr(None)
         assert _outcome(zd.bound_if_admissible, *args) == admissible, args
         zero_dens += bound == "ZeroDivisionError"
         equal_gaps += args[2] == args[4] * args[0] / args[3]
     assert zero_dens > 1000 and equal_gaps > 1000
+
+
+@pytest.mark.parametrize("values", [(1.0, math.nan, 0.5), (1.0, math.inf, 0.5),
+                                    (1.0, 2.0, -math.inf), (math.nan, 2.0, 0.5)])
+def test_a_value_that_is_not_finite_is_refused(values):
+    # bound_from_values(1.0, nan, 0.5, 0.75, 0.25) gave nan, as did
+    # mt_bound_from_values(1.0, nan, 0.5); (1.0, inf, 0.5) gave nan too
+    for call in (lambda: zd.bound_from_values(*values, 0.75, 0.25),
+                 lambda: zd.mt_bound_from_values(*values)):
+        with pytest.raises(InvalidParameterError, match="must be finite, got "):
+            call()
 
 
 def test_density_square_overflow_is_refused():

@@ -21,6 +21,18 @@ class TestTrigExpansion:
     def test_constant_product(self):
         assert zfr.expand_trig_square_product(1, 0, 1, 0) == (1, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("quad, message", [
+        ((math.nan, 10, 9, 10), "a1 must be finite, got nan"),
+        ((3, 10, math.inf, 10), "a2 must be finite, got inf"),
+        ((3, 10, 9, True), "b2 must be finite, got True"),
+        ((1e300, 1e300, 1, 1), "cosine coefficients past the float range: (inf, ")])
+    def test_a_quadruple_that_is_not_finite_is_refused(self, quad, message):
+        # (nan, 10, 9, 10) gave (nan, nan, nan, nan, 0.125 b2^2) and
+        # (1e300, 1e300, 1, 1) all inf
+        with pytest.raises(InvalidParameterError) as err:
+            zfr.expand_trig_square_product(*quad)
+        assert str(err.value).startswith(message)
+
     def test_pointwise_identity(self):
         rng = np.random.default_rng(2)
         th = np.linspace(0, 2 * math.pi, 1000)
