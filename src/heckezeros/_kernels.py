@@ -84,11 +84,12 @@ every distinct g_j in another, and the pairs read their rows in one
 operation more, each value with the bits of the pass over the pairs: at
 1, 8 and 65 points of a cosine weight a call takes about half the time of
 a call per pair and exponent.  f(t) (``trial_functions._weight``), called
-once per weight on the oracle path, shares its exps among its pairs by the
-same keys (``each_once``).  At a real point the terms of two conjugate
-pairs are conjugates, so a folded pair adds twice the real part of one;
-off the real axis the two terms of each conjugate pair are summed before
-they join the rest, so F(conj z) = conj F(z) to the bit.  Each pair term
+once per weight on the oracle path, forms its exps and its ``E`` rows once
+per distinct exponent by the same keys, in one stacked call per dtype.  At
+a real point the terms of two conjugate pairs are conjugates, so a folded
+pair adds twice the real part of one; off the real axis the two terms of
+each conjugate pair are summed before they join the rest, so
+F(conj z) = conj F(z) to the bit.  Each pair term
 T = (K - E(x0; g_k - z))/(g_j + z) is the direct form except where
 |g_j + z| x0 or |g_k - z| x0 is below ``SMALL_W`` = 1e-2, near coincident
 nodes of the divided difference it is, where the direct form would lose
@@ -349,22 +350,6 @@ def exact_key(x):
     return type(x), struct.pack("<2d", x.real, x.imag)
 
 
-def each_once(keys, make):
-    """``make(i)`` at each position i of ``keys``, in order, formed once per
-    distinct key (at its first position) and released after its last: the
-    array terms an exponent's pairs share.  A None key gives None."""
-    last = {k: i for i, k in enumerate(keys)}
-    held = {}
-    for i, k in enumerate(keys):
-        if k is None:
-            yield None
-            continue
-        v = held.pop(k) if k in held else make(i)
-        if last[k] > i:
-            held[k] = v
-        yield v
-
-
 #: the family codes whose ``f_array`` bookkeeping ``_array_plan`` keeps
 _ARRAY_PLANS = 64
 
@@ -382,6 +367,12 @@ def _rows(idx):
     if idx == list(range(idx[0], idx[0] + len(idx))):
         return slice(idx[0], idx[0] + len(idx))
     return np.array(idx, dtype=np.intp)
+
+
+def _read(a, rows):
+    """The rows ``rows`` (``_rows``) of ``a``: a view for a slice, else a
+    copy by ``take``, in half the time of an index array."""
+    return a[rows] if type(rows) is slice else a.take(rows, axis=0)
 
 
 @functools.lru_cache(maxsize=_ARRAY_PLANS)
@@ -456,8 +447,10 @@ def f_array(code, z):
     x0 = code[0]
     z = np.asarray(z)
     shape = z.shape
-    real = not np.iscomplexobj(z) or not z.imag.any()
-    z = z.astype(complex).reshape(-1)
+    real = z.dtype.kind != "c" or not z.imag.any()
+    # real points stay float: the operations with the complex plan cast them
+    # to complex as astype does, imaginary part +0.0
+    z = z.astype(complex if z.dtype.kind == "c" else float, copy=False).reshape(-1)
     plan = _array_plan(id(code), code)[0 if real else 1]
     step = plan[-1]
     out = np.zeros(z.size, dtype=float if real else complex)
@@ -483,8 +476,8 @@ def _f_block(x0, plan, real, z, out):
     E /= A
     b = Gj + z
     near_j = np.abs(b) * x0 < SMALL_W
-    phi = K - E[k]
-    phi /= b[j]
+    phi = K - _read(E, k)
+    phi /= _read(b, j)
     if np.count_nonzero(near_k) or np.count_nonzero(near_j):
         for r, col in zip(*np.nonzero(near_k[k] | near_j[j])):
             _, gj, gk, Kr, _ = pairs[r]
@@ -498,8 +491,11 @@ def _f_block(x0, plan, real, z, out):
         phi *= c
     for row in phi:
         out += row
-    if real and (np.count_nonzero(z.real * x0 < -_INF_EDGE)
-                 or np.count_nonzero(np.isfinite(out)) < z.size):
+    # the least real part times x0 is the least of the products, and a sum
+    # that is not finite holds a value that is not, or overflows: a test of
+    # the rare branch in two operations, which then tests each point alone
+    if real and (np.minimum.reduce(z.real) * x0 < -_INF_EDGE
+                 or not math.isfinite(np.add.reduce(out))):
         over = z.real * x0 < -_INF_EDGE
         over |= (~np.isfinite(np.exp(w[k])) & ~(near_k[k] | near_j[j])).any(axis=0)
         out[over] = math.inf
@@ -632,23 +628,26 @@ def _p4_newton(target, u):
 SNAP_EPS = 16.0 * 2.0 ** -52
 
 
-def smoothed_fn(F, form, c1, psi, b, f0):
+def smoothed_fn(F, form, c1, psi, b, f0, array=False):
     """The smoothed repulsion function h of a weight with transform F.
 
     F maps real r to F(r); h works on floats or arrays as F does, and
     f0 = f(0).  ``form`` is the case's shape:
     'sz': h(x) = c1 (F(-x) - F(b-x)) - F(0) + psi f(0)
     'cc': h(x) = F(-b) - F(0) - F(x-b) + psi f(0)
-    Both increase in x.  The family search scores weights on
-    ``snapped_fn``'s h instead.
+    Both increase in x.  h's transform constants, F(0) and for 'cc' F(-b),
+    come from one call of F at both points when F takes arrays (``array``,
+    as ``dh.smoothed_h``'s does), else from a call at each.  The family
+    search scores weights on ``snapped_fn``'s h instead.
     """
-    F0 = F(0.0)
+    points = (0.0, -b) if form == "cc" else (0.0,)
+    F0, *Fmb = F(np.array(points)) if array else map(F, points)
     pf0 = psi * f0
     if form == "sz":
         def h(x):
             return c1 * (F(-x) - F(b - x)) - F0 + pf0
         return h
-    base = F(-b) - F0 + pf0
+    base = Fmb[0] - F0 + pf0
 
     def h(x):
         return base - F(x - b)

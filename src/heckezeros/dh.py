@@ -209,13 +209,18 @@ def smoothed_h(case, f, b, phi=PHI):
 
     It uses only the array path of ``f.laplace``, never the solver's scalar
     kernel, so the scan oracle that checks the solver stays independent.
+    h's transform constants, F(0) and for 'cc' F(-b), come from one call of
+    the array path, each with the bits of a call at its point alone (the
+    array transform is elementwise); each h(x) then takes one call ('cc'
+    reads F(x - b)) or two ('sz': F(-x) and F(b - x)).
     """
     case = _check_smoothed(case, b, phi)
 
     def F(r):   # through a 1-d array even for a scalar r
         r = np.asarray(r, dtype=float)
         return f.laplace(r.reshape(-1)).real.reshape(r.shape)
-    return _kernels.smoothed_fn(F, case.form, case.c1, case.psi_over_phi * phi, b, f.f0)
+    return _kernels.smoothed_fn(F, case.form, case.c1, case.psi_over_phi * phi, b, f.f0,
+                                array=True)
 
 
 def _search_root(case, code, f0, F0, b, phi, guess, rival):

@@ -4,7 +4,8 @@ Computation failures (no provable bound, violated side condition, failed
 precondition) are distinct from usage errors (bad parameters) so that the CLI
 can map them to exit codes.  ``finite``, ``positive`` and ``nonnegative``
 write the three input rules most parameters follow, each with the one
-message that refuses it;
+message that refuses it; ``real`` and ``number`` tell a real number that a
+float holds and a number that a complex holds from anything else;
 ``checked_power`` the refusal of a power past the float range,
 ``checked_divisor`` that of a power a caller divides by, which must not
 underflow to 0 either, and ``no_bound`` the one report of a root-solved
@@ -94,12 +95,23 @@ def real(value):
     ``numbers.Real`` that is not a bool and whose ``float()`` does not
     overflow, so a str, None, a complex, True or the int 10**400 is not.  A
     float is told at once, without the abstract class's check (about 0.5 us)."""
-    if type(value) is float:
-        return True
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    return type(value) is float or _holds(value, numbers.Real, float)
+
+
+def number(value):
+    """Whether ``value`` is a number that a complex can hold: ``real``'s
+    rule with ``numbers.Number`` and ``complex()``, so a str, bytes, None,
+    True or the int 10**400 is not.  A float or a complex is told at once."""
+    return type(value) in (float, complex) or _holds(value, numbers.Number, complex)
+
+
+def _holds(value, kind, convert):
+    """Whether ``value`` is a ``kind`` that is not a bool and whose
+    ``convert()`` does not overflow."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         return False
     try:
-        float(value)
+        convert(value)
     except OverflowError:
         return False
     return True

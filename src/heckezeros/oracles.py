@@ -17,18 +17,25 @@ resolves the oscillation of ``e^{-zt}`` (``n >= |Im z| x0``), so coarse
 rules whose nodes alias cannot "agree" on a wrong value.  The nodes do not
 depend on ``z``, so the samples of ``f`` are memoized per weight for the
 last ``_MEMO_WEIGHTS`` = 2 weights (``_samples``): checking one weight at
-many points evaluates it once per node, and each point forms its integrand
-with one exp per node of the levels it reads.  A weight's first read
-samples the 129 nodes of levels 16 to 128 in one call of ``f``, where the
-points the tests, ``verify`` and the benchmark check all converge; a finer
-level samples only the nodes it adds, on its first read.  One call in
-place of one per level saves the fixed cost of a call of ``f``, most of
-its cost at 65 nodes.  A weight's times and values are at most 4,097
-floats each (64 KiB together), and the memo keeps those weights alive
-until they are evicted.
+many points evaluates it once per node.  The nodes come in blocks: the
+shared block of the 129 nodes of levels 16 to 128, where the points the
+tests, ``verify`` and the benchmark check all converge, then the nodes each
+finer level adds.  A weight's first read samples the shared block in one
+call of ``f``, and a finer level its added nodes on its first read: one
+call in place of one per level saves the fixed cost of a call of ``f``,
+most of its cost at 65 nodes.  A point forms its integrand over a block
+with one exp and one multiply, and the weighted terms of the levels the
+block completes with one multiply by their stacked weights (``_stacked``);
+each level sums its own row.  So a point that converges by level 128
+takes three array operations and one sum per level it reads, where a pass
+per level took an exp, two multiplies and a sum at each.  A weight's times
+and values are at most 4,097 floats each (64 KiB together), and the memo
+keeps those weights alive until they are evicted.
 
 The root oracle scans at a coarse step for the leftmost sign change, then
-narrows that cell by 64-way subdivisions to 1e-12.
+narrows that cell by 64-way subdivisions to 1e-12, each pass's 65 points
+formed from a fixed index row with ``np.linspace``'s bits
+(``_subdivision``).
 """
 
 import functools
@@ -39,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoRootError, OracleFailureError,
-                     nonnegative, positive, real)
+                     _shown, nonnegative, number, positive, real)
 
 
 @dataclass(frozen=True)
@@ -70,9 +77,12 @@ def positivity_report(check, values, locations, tolerance=1e-12):
     (a tuple, or one value), or ``(i,)`` for None.  Its NumPy scalars become
     plain Python numbers and nothing else is converted, so a location that
     mixes a name with numbers keeps both.  The tolerance must be finite and
-    >= 0."""
+    >= 0, and the values not empty (``InvalidParameterError`` naming the
+    check)."""
     nonnegative("tolerance", tolerance)
     values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise InvalidParameterError(f"check {check!r} has no values to report on")
     i = int(np.argmin(values))
     loc = locations[i] if locations is not None else (i,)
     loc = loc if isinstance(loc, tuple) else (loc,)
@@ -96,15 +106,16 @@ _FIRST, _TOP = 16, 4096
 _MEMO_WEIGHTS = 2
 
 #: the level whose nodes a weight's first quadrature samples in one call of
-#: f; every point the tests, ``verify`` and the benchmark check converges by
-#: it (at most 129 nodes)
+#: f, the shared block of levels 16 to 128; every point the tests, ``verify``
+#: and the benchmark check converges by it (at most 129 nodes)
 _SHARED = 128
 
 
-def _added(n):
-    """The slice of level ``n``'s nodes, in nested order, that it adds to
-    the level before: all of level 16's, then the odd k."""
-    return slice(0 if n == _FIRST else n // 2 + 1, n + 1)
+def _block(n):
+    """The slice of the nodes, in nested order, that block ``n`` holds: the
+    shared block's 129 nodes of levels 16 to 128, or the odd k a finer level
+    adds."""
+    return slice(0 if n == _SHARED else n // 2 + 1, n + 1)
 
 
 @functools.cache
@@ -131,6 +142,22 @@ def _rule(n):
     return _frozen(k, 0.5 * (1.0 - np.cos(theta)), w)
 
 
+@functools.cache
+def _stacked(n):
+    """The levels whose sums block ``n`` completes (16, 32, 64 and 128 for
+    the shared block, ``n`` alone past it) and their weights as the rows of
+    one read-only array over the nodes up to block ``n``'s, each row zero
+    past its level's nodes."""
+    if n > _SHARED:
+        return (n,), _rule(n)[2][None]
+    # 16, 32, 64, 128: (128 // 16).bit_length() = 4 levels
+    levels = tuple(_FIRST << i for i in range((_SHARED // _FIRST).bit_length()))
+    w = np.zeros((len(levels), n + 1))
+    for row, m in zip(w, levels):
+        row[:m + 1] = _rule(m)[2]
+    return levels, _frozen(w)[0]
+
+
 def _frozen(*arrays):
     """``arrays``, made read-only."""
     for a in arrays:
@@ -141,8 +168,9 @@ def _frozen(*arrays):
 @functools.lru_cache(maxsize=_MEMO_WEIGHTS)
 def _samples(f):
     """The samples of weight ``f``, memoized for the last ``_MEMO_WEIGHTS``
-    weights: a dict from each level read so far to read-only ``(t, f(t))``
-    at the nodes it adds, which ``quadrature_laplace`` fills."""
+    weights: a dict from each block read so far (128 for the shared block,
+    then each finer level) to read-only ``(t, f(t))`` at the nodes it holds
+    (``_block``), which ``quadrature_laplace`` fills."""
     return {}
 
 
@@ -162,23 +190,32 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
     disagree.  The default 1e-13
     target is met over all of ``|Im z| x0 <= 4000`` on the triangle and on
     autocorrelation weights; the tests, ``verify`` and the benchmark ask
-    for at most 2,000.  A non-finite ``z`` raises ``DomainError``, and an
-    ``abs_tol`` that is not finite and >= 0 ``InvalidParameterError``,
-    before any sampling.
+    for at most 2,000.  A ``z`` that is not a finite number (a str, None, a
+    bool, NaN or inf, or an int past the float range) raises
+    ``DomainError``, and an ``abs_tol`` that is not finite and >= 0
+    ``InvalidParameterError``, before any sampling.
 
     Level ``n`` gives ``x0 sum_k w_k f(t_k) e^{-z t_k}`` over its nodes in
-    nested order, the integrand formed with one exp per node a call reads.
-    The first read of ``f`` samples the 129 nodes of levels 16 to 128 in
-    one call, as one read-only array whose slices, each level's added
-    nodes, go into ``_samples(f)``; a finer level samples the nodes it adds
-    on its first read.  So calls at many ``z`` for one weight evaluate
-    ``f`` once per node, in one call where every point converges by level
-    128, as the points of the tests, ``verify`` and the benchmark do.  ``f``
-    is evaluated elementwise, so each sample has the bits a call per level
-    gave it.  ``f`` is hashed by identity (``TrialFunction`` defines no
+    nested order.  The nodes come in blocks: the shared block of the 129
+    nodes of levels 16 to 128, then the nodes each finer level adds.  A
+    point forms its integrand over a block with one exp and one multiply,
+    and the weighted terms of the levels the block completes with one
+    multiply by their stacked weights (``_stacked``); each level then sums
+    its own row.  A finer level's integrand at the nodes it adds joins the
+    integrand formed so far.  So a point that converges by level 128, as
+    every point of the tests, ``verify`` and the benchmark does, takes one
+    exp and two multiplies, then a sum per level it reads.  The first read
+    of ``f`` samples the shared block in one call, and a finer level
+    samples the nodes it adds on its first read, into ``_samples(f)``; so
+    calls at many ``z`` for one weight evaluate ``f`` once per node.  ``f``
+    and the products are evaluated elementwise and each level's row is
+    summed alone, so every value has the bits of the rule sampled afresh at
+    every level.  ``f`` is hashed by identity (``TrialFunction`` defines no
     ``__eq__``) and must not change its values after construction.
     """
     nonnegative("abs_tol", abs_tol)
+    if not number(z):
+        raise DomainError(f"quadrature needs a number z, got z={_shown(z)}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"quadrature needs a finite z, got z={z}")
@@ -188,26 +225,23 @@ def quadrature_laplace(f, z, abs_tol=1e-13):
         raise OracleFailureError(
             f"quadrature on [0, {x0}] needs |Im z| x0 <= {_TOP} and -Re z x0 <= "
             f"{_kernels.EXP_MAX}, got z={z}")
-    added, g = _samples(f), np.empty(_TOP + 1, dtype=complex)
-    if not added:
-        ts = x0 * _rule(_SHARED)[1]
-        ts, fs = _frozen(ts, np.array(f(ts)))
-        n = _FIRST
-        while n <= _SHARED:
-            added[n] = ts[_added(n)], fs[_added(n)]
-            n *= 2
-    prev, n = None, _FIRST
+    blocks, g, prev, n = _samples(f), None, None, _SHARED
     while n <= _TOP:
-        if n not in added:
-            ts = x0 * _rule(n)[1][_added(n)]
-            added[n] = _frozen(ts, np.array(f(ts)))
-        ts, fs = added[n]
-        np.multiply(fs, np.exp(-z * ts), out=g[_added(n)])
-        # a pairwise sum: np.dot would page in BLAS code, 128 KB of resident memory
-        q = x0 * (_rule(n)[2] * g[:n + 1]).sum()
-        if prev is not None and n >= n_min and abs(q - prev) <= abs_tol + 1e-12 * abs(q):
-            return q
-        prev, n = q, 2 * n
+        if n not in blocks:
+            ts = x0 * _rule(n)[1][_block(n)]
+            blocks[n] = _frozen(ts, np.array(f(ts)))
+        ts, fs = blocks[n]
+        added = fs * np.exp(-z * ts)
+        g = added if g is None else np.concatenate((g, added))
+        levels, w = _stacked(n)
+        # a pairwise sum per row: np.dot would page in BLAS code, 128 KB of
+        # resident memory
+        for m, terms in zip(levels, w * g):
+            q = x0 * terms[:m + 1].sum()
+            if prev is not None and m >= n_min and abs(q - prev) <= abs_tol + 1e-12 * abs(q):
+                return q
+            prev = q
+        n *= 2
     raise OracleFailureError(
         f"Clenshaw-Curtis quadrature did not converge for z={z} within {_TOP + 1} nodes")
 
@@ -223,6 +257,22 @@ def quadrature_selftest():
     return abs(quadrature_laplace(septic, 0.0) - 0.125)
 
 
+#: the indices 0..64 of a subdivision's points
+_SUBCELLS = _frozen(np.arange(65.0))[0]
+
+
+def _subdivision(a, b):
+    """The 65 points of [a, b]'s subdivision into 64 equal subcells, with
+    the bits of ``np.linspace(a, b, 65)``: ``k ((b - a)/64) + a`` at the
+    indices k, then b at the end, in two NumPy operations where linspace
+    takes about fifteen.  linspace takes another route only where
+    ``(b - a)/64`` is 0, which no cell ``scan_root`` subdivides is (each is
+    wider than 1e-12)."""
+    xs = _SUBCELLS * ((b - a) / 64.0) + a
+    xs[-1] = b
+    return xs
+
+
 def scan_root(h, lo, hi, step):
     """Leftmost sign change of ``h`` on [lo, hi], located by linear scan.
 
@@ -236,9 +286,11 @@ def scan_root(h, lo, hi, step):
     keep the leftmost subcell with a change, until the cell is at most 1e-12
     wide or stops shrinking (its ends are adjacent floats), and the cell
     midpoint is returned: one ``h`` call per pass, six after a coarse cell
-    of 1e-2.  For continuous h this matches a flat scan at ``step`` followed
-    by bisection whenever h does not change sign twice inside one coarse
-    cell (true for the monotone solver functions this oracle checks).
+    of 1e-2.  A pass's 65 points are ``np.linspace``'s, formed by
+    ``_subdivision`` from a fixed index row in two NumPy operations.  For
+    continuous h this matches a flat scan at ``step`` followed by bisection
+    whenever h does not change sign twice inside one coarse cell (true for
+    the monotone solver functions this oracle checks).
     Each chunk's points are formed from their indices, with the bits
     ``np.arange(lo, hi + coarse, coarse)`` gives them and the last point
     clamped to hi, so no more of the grid exists than the chunk.
@@ -280,7 +332,7 @@ def scan_root(h, lo, hi, step):
             raise NoRootError(f"no sign change of oracle target on [{lo}, {hi}]")
         start, n = start + n - 1, 2 * n
     while cell[1] - cell[0] > 1e-12:
-        sub = first_change(np.linspace(cell[0], cell[1], 65))
+        sub = first_change(_subdivision(*cell))
         if sub is None or sub == cell:
             break
         cell = sub

@@ -60,13 +60,14 @@ import cmath
 import functools
 import inspect
 import math
+import numbers
 import struct
 
 import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, _shown,
-                     finite, nonnegative, positive, real)
+                     finite, nonnegative, number, positive, real)
 
 _SMALL_W = _kernels.SMALL_W
 
@@ -107,36 +108,41 @@ class TrialFunction:
         self._code = code
 
     def __call__(self, t):
-        """f(t); accepts scalars or arrays, zero for t >= x0 or t < 0."""
-        return self._eval(np.asarray(t, dtype=float))
+        """f(t); accepts real scalars or arrays, zero for t >= x0 or t < 0.
+        Anything else (a str, bytes, None, a bool or a complex) raises
+        DomainError."""
+        return self._eval(np.asarray(_numbers("f(t)", t, real), dtype=float))
 
     def laplace(self, z):
         """F(z); accepts real/complex scalars or arrays, entire in z.
 
         Real scalars (int, float, NumPy floating) of a weight with a code go
-        through ``laplace_real``, as a complex, which refuses a NaN.
+        through ``laplace_real``, as a complex, which refuses a NaN.  Anything
+        but numbers (a str, bytes, None or a bool) raises DomainError.
         """
         if self._code is not None and isinstance(z, (int, float, np.floating)):
             return complex(self.laplace_real(z))
-        return self._laplace(z)
+        return self._laplace(_numbers("laplace", z, number))
 
     def laplace_real(self, r):
         """F(r) at one real r, as a float.
 
         A weight with a code takes the scalar kernel ``_kernels.f_real_scalar``,
         which gives +inf past the exp overflow range (at r = -inf too, and 0.0
-        at r = +inf); a plug-in weight the real part of its transform.  A NaN
-        r raises DomainError, and so does, for a weight with a code, an r
-        that no float holds (the int 10**400).
+        at r = +inf); a plug-in weight the real part of its transform.  An r
+        that is not a real number a float holds (a str, bytes, None, a bool,
+        a complex or the int 10**400) or is NaN raises DomainError; a float
+        is told at once.
         """
+        if type(r) is not float:
+            # a float subclass (np.float64) is told at once too
+            if not (isinstance(r, float) or real(r)):
+                raise DomainError(f"laplace_real requires a real number r, got r={_shown(r)}")
+            r = float(r)
         if r != r:
-            raise DomainError(f"laplace_real requires r that is not NaN, got r={_shown(r)}")
+            raise DomainError(f"laplace_real requires r that is not NaN, got r={r}")
         if self._code is None:
             return float(self._laplace(r).real)
-        try:
-            r = float(r)
-        except OverflowError:
-            raise DomainError(f"laplace_real requires r in the float range, got r={r}") from None
         return _kernels.f_real_scalar(self._code, r)
 
     def kernel_code(self):
@@ -145,6 +151,26 @@ class TrialFunction:
     def __repr__(self):
         ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"TrialFunction({self.family}, {ps})"
+
+
+def _numbers(what, x, test):
+    """``x``, or DomainError naming ``what`` unless ``x`` is numbers alone:
+    a real (``test`` = ``errors.real``) or a complex (``errors.number``)
+    scalar, or an array of them, whose dtype is NumPy's integer, float or
+    (for ``number``) complex, or is object with every element passing
+    ``test`` (an int past int64 that a float holds, a Fraction).  Such an
+    object array comes back as floats, or as complexes if one is complex."""
+    a = np.asarray(x)
+    if a.dtype.kind in _KINDS[test]:
+        return x
+    if a.dtype.kind == "O" and all(map(test, a.flat)):
+        return a.astype(float if all(isinstance(v, numbers.Real) for v in a.flat) else complex)
+    shown = _shown(x) if a.ndim == 0 else f"an array of {a.dtype}"
+    raise DomainError(f"{what} requires numbers, got {shown}")
+
+
+#: the NumPy dtype kinds each test of a number takes
+_KINDS = {real: "iuf", number: "iufc"}
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +203,29 @@ def _t_terms(folded):
 
 def _weight(code, t):
     """f(t) = sum Re c e^{g_k t} E(s - t; g_j + g_k) over the folded pairs of
-    the code (s, folded); zero outside [0, s).  Pairs that share g_k share
-    its exp, and pairs that share g_j + g_k its E, told apart by type and
-    bits (``_kernels.exact_key``): a cosine weight's five pairs take 4 exps
-    of g_k t and 4 E's, not 5 and 5, as ``_t_terms`` makes alpha a float in
-    one pair and a complex in another."""
+    the code (s, folded); zero outside [0, s).  The exps of g_k t are formed
+    once per distinct g_k and the E's once per distinct g_j + g_k, told
+    apart by type and bits (``_kernels.exact_key``), each kind in one
+    stacked call per dtype (``_stacked_rows``): a cosine weight's five
+    pairs take one real and one complex exp call (rows alpha; g, alpha + 0j
+    and conj g, as ``_t_terms`` makes alpha a float in one pair and a
+    complex in another) and one real and one complex E call, where a call
+    per exponent took 4 and 4.  A real exponent stays real, and each row has
+    the bits of a call at its exponent alone."""
     s, folded = code
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
+    shape = t.shape
+    t = t.reshape(-1)   # flat, so that each stacked row spans every t
     inside = (t >= 0) & (t < s)
     tc = np.where(inside, t, 0.0)
     x = s - tc
     terms = _t_terms(folded)
     # e^0 = 1 and E(x, 0) = x exactly: a pair with g_k = a = 0 takes no exps
     zero = [g_k == 0 and a == 0 for _, g_k, a in terms]
-    exps = _kernels.each_once([None if nil else _kernels.exact_key(g_k)
-                               for nil, (_, g_k, _) in zip(zero, terms)],
-                              lambda i: np.exp(terms[i][1] * tc))
-    Es = _kernels.each_once([None if nil else _kernels.exact_key(a)
-                             for nil, (_, _, a) in zip(zero, terms)],
-                            lambda i: _kernels.E(x, terms[i][2]))
+    exps = _stacked_rows([None if nil else g_k for nil, (_, g_k, _) in zip(zero, terms)],
+                         lambda G: np.exp(G * tc))
+    Es = _stacked_rows([None if nil else a for nil, (_, _, a) in zip(zero, terms)],
+                       lambda A: _kernels.E(x, A))
     acc = np.zeros(t.shape)
     for (c, _, _), e, E in zip(terms, exps, Es):
         if e is None:
@@ -205,7 +233,25 @@ def _weight(code, t):
         else:
             acc += (c * e * E).real
     out = np.where(inside, acc, 0.0)
-    return float(out[0]) if scalar else out
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _stacked_rows(values, make):
+    """The row of ``make(G)`` that each of ``values`` reads (None for a None
+    value), where G is the column of the distinct float values, or of the
+    distinct complex ones, told apart by ``_kernels.exact_key``: one call
+    of ``make`` per dtype present, so that no float becomes a complex."""
+    distinct = {}
+    for v in values:
+        if v is not None:
+            distinct.setdefault(_kernels.exact_key(v), v)
+    rows = {}
+    for kind in (float, complex):
+        keys = [k for k in distinct if k[0] is kind]
+        if keys:
+            column = np.array([distinct[k] for k in keys], dtype=kind)[:, None]
+            rows.update(zip(keys, make(column)))
+    return [None if v is None else rows[_kernels.exact_key(v)] for v in values]
 
 
 #: entries of the process-wide cache of family builds (``_search_code``), and
@@ -442,6 +488,15 @@ def repel_reduce(f, a, b):
     return F_a - f.laplace_real(0.0 if b >= a else b - a)
 
 
+@functools.cache
+def _half_plane_iy():
+    """The half-plane grid's points iy, y >= 0 (``np.linspace(0, 100,
+    1001)``), read-only, formed on first use."""
+    iy = 1j * np.linspace(0.0, 100.0, 1001)
+    iy.flags.writeable = False
+    return iy
+
+
 def half_plane_values(f):
     """(ys, Re F(iy)) on the 2001 points y of [-100, 100] where the
     half-plane condition is checked.
@@ -457,11 +512,12 @@ def half_plane_values(f):
     division map conjugates to conjugates, and ``_kernels.f_array`` sums
     the two terms of each conjugate pair, whose addends only swap there.
     """
-    y = np.linspace(0.0, 100.0, 1001)
-    re = f.laplace(1j * y).real
+    iy = _half_plane_iy()
+    y, re = iy.imag, f.laplace(iy).real
     return np.concatenate((-y[:0:-1], y)), np.concatenate((re[:0:-1], re))
 
 
 def condition2_min(f):
-    """Minimum of Re F(iy) over ``half_plane_values``' grid."""
-    return float(half_plane_values(f)[1].min())
+    """Minimum of Re F(iy) over ``half_plane_values``' grid, taken over its
+    points y >= 0, whose values the mirrored half repeats."""
+    return float(f.laplace(_half_plane_iy()).real.min())

@@ -71,6 +71,26 @@ class TestSolveSmoothed:
         scanned = oracles.scan_root(h, 0.01, 60.0, 1e-6)
         assert abs(scanned - res.lambda_star) <= 2e-6
 
+    @pytest.mark.parametrize("name", ["cc-l2-chi2-principal-real", "sz-lp-quadratic"])
+    @pytest.mark.parametrize("b", [0.0, 1e-5, 0.3])
+    @pytest.mark.parametrize("f", [tf.triangle(2.5), tf.autocorrelation(alpha=0.3, s=2.5),
+                                   tf.autocorrelation(alpha=-0.4, c0=1.0, c1=0.8, beta=1.1,
+                                                      s=3.5)], ids=["triangle", "plain", "cosine"])
+    def test_smoothed_h_constants_are_the_one_point_calls(self, name, b, f):
+        # h's constants F(0) and, for 'cc', F(-b) come from one array call;
+        # each has the bits of an array call at its point alone, F(-0.0) at
+        # b = 0, and so does h on a grid
+        case = dh.get_case(name)
+
+        def F(r):   # one array call per point
+            r = np.asarray(r, dtype=float)
+            return f.laplace(r.reshape(-1)).real.reshape(r.shape)
+
+        want = _kernels.smoothed_fn(F, case.form, case.c1, case.psi_over_phi * dh.PHI, b, f.f0)
+        xs = np.linspace(0.0, 3.0, 61)
+        got, ref = dh.smoothed_h(case, f, b)(xs), want(xs)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
     def test_degenerate_weight_reports_no_bound(self):
         # psi f(0) = F(0) exactly for the width-2 triangle in the quadratic case
         with pytest.raises(NoBoundError) as err:

@@ -327,3 +327,95 @@ def test_a_case_that_is_no_key_is_refused(get_case):
     # a list raised TypeError: unhashable
     with pytest.raises(InvalidParameterError, match=r"^unknown .*case \['x'\]; available: "):
         get_case(["x"])
+
+
+class _Probe:
+    """A plug-in weight's evaluators that record every call they get."""
+
+    def __init__(self):
+        self.calls = []
+
+    def eval(self, t):
+        self.calls.append(("f", t))
+        return np.zeros(np.shape(t))
+
+    def laplace(self, z):
+        self.calls.append(("F", z))
+        return np.ones(np.shape(z), dtype=complex)
+
+
+#: the transform and oracle points that are not numbers: (entry point, call
+#: with a weight, the point).  At the parent laplace_real took "1.5" as F(1.5)
+#: and True and b"1" as F(1), laplace and f(t) parsed a str, the quadrature
+#: integrated at "0.5" and "1+2j", and None raised TypeError there and in
+#: laplace_real, as 10**400 raised OverflowError in the quadrature
+NOT_A_POINT = [
+    ("laplace_real", lambda f, v: f.laplace_real(v), "1.5"),
+    ("laplace_real", lambda f, v: f.laplace_real(v), True),
+    ("laplace_real", lambda f, v: f.laplace_real(v), b"1"),
+    ("laplace_real", lambda f, v: f.laplace_real(v), None),
+    ("laplace", lambda f, v: f.laplace(v), "1.5"),
+    ("f(t)", lambda f, v: f(v), "1.0"),
+    ("quadrature_laplace", lambda f, v: oracles.quadrature_laplace(f, v), "0.5"),
+    ("quadrature_laplace", lambda f, v: oracles.quadrature_laplace(f, v), "1+2j"),
+    ("quadrature_laplace", lambda f, v: oracles.quadrature_laplace(f, v), None),
+    ("quadrature_laplace", lambda f, v: oracles.quadrature_laplace(f, v), 10 ** 400),
+]
+
+
+@pytest.mark.parametrize("call, value", [c[1:] for c in NOT_A_POINT],
+                         ids=[f"{c[0]}-{c[2]!r:.12}" for c in NOT_A_POINT])
+def test_a_point_that_is_not_a_number_is_refused_before_any_work(call, value):
+    with pytest.raises(DomainError) as err:
+        call(TRI, value)
+    assert repr(value) in str(err.value)
+    probe = _Probe()
+    plug_in = tf.TrialFunction("probe", {}, 2.0, 2.0, probe.eval, probe.laplace)
+    with pytest.raises(DomainError):
+        call(plug_in, value)
+    assert probe.calls == []
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None, b"1"])
+@pytest.mark.parametrize("call", [TRI.laplace, TRI], ids=["laplace", "f(t)"])
+def test_an_array_that_holds_what_is_not_a_number_is_refused(call, value):
+    with pytest.raises(DomainError, match="requires numbers, got an array of object"):
+        call(np.array([0.5, value], dtype=object))
+
+
+def test_an_object_array_of_numbers_is_read_as_their_values():
+    # an int past int64, a Fraction and a complex: laplace reads the array
+    # as complexes, f(t) as floats
+    from fractions import Fraction
+    z = np.array([0.5, 1j, Fraction(1, 4), 2 ** 70], dtype=object)
+    assert TRI.laplace(z).tolist() == TRI.laplace(np.array([0.5, 1j, 0.25, 2.0 ** 70])).tolist()
+    t = np.array([Fraction(1, 2), 2 ** 70], dtype=object)
+    assert TRI(t).tolist() == TRI(np.array([0.5, 2.0 ** 70])).tolist()
+
+
+def test_f_refuses_a_complex_t():
+    for t in (1j, np.array([0.5, 1j])):
+        with pytest.raises(DomainError, match="^f\\(t\\) requires numbers"):
+            TRI(t)
+
+
+def test_numbers_of_every_kind_stay_points():
+    # ints, NumPy scalars, an int past int64 that a float holds and a
+    # Fraction keep their values
+    from fractions import Fraction
+    assert TRI.laplace_real(np.float64(0.5)) == TRI.laplace_real(0.5) == TRI.laplace_real(
+        Fraction(1, 2))
+    assert TRI.laplace(np.int64(1)) == TRI.laplace(1) == complex(TRI.laplace_real(1.0))
+    assert TRI(2 ** 70) == 0.0 and TRI(np.array([0, 1])).tolist() == [2.0, 1.0]
+    assert (oracles.quadrature_laplace(TRI, np.complex128(0.5 + 1j))
+            == oracles.quadrature_laplace(TRI, 0.5 + 1j))
+
+
+@pytest.mark.parametrize("report", [lambda v: oracles.positivity_report("probe check", v, None),
+                                    lambda v: oracles.equality_report("probe check", v, None,
+                                                                      1e-9)],
+                         ids=["positivity", "equality"])
+def test_a_report_on_no_values_names_its_check(report):
+    # at the parent: ValueError: attempt to get argmin of an empty sequence
+    with pytest.raises(InvalidParameterError, match="^check 'probe check' has no values"):
+        report([])

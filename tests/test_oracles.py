@@ -214,6 +214,55 @@ def test_nested_samples_keep_the_per_level_bits(layout, alpha, s, frac, zr, zi):
         assert _same_bits(oracles.quadrature_laplace(f, z), _uncached_quadrature(f, z))
 
 
+def _accepted_level(f, z):
+    """The level at which ``_uncached_quadrature`` accepts its value."""
+    prev, n, n_min = None, 16, abs(z.imag) * f.x0
+    while n <= 4096:
+        ts = f.x0 * oracles._rule(n)[1]
+        q = f.x0 * (oracles._rule(n)[2] * (f(ts) * np.exp(-z * ts))).sum()
+        if prev is not None and n >= n_min and abs(q - prev) <= 1e-13 + 1e-12 * abs(q):
+            return n
+        prev, n = q, 2 * n
+    return None
+
+
+#: points of each weight, as multiples of 1/x0, accepted at levels 32 to 128
+#: (the shared block's stacked sums) and at 256 to 1024 (finer levels, each
+#: appended to the shared block's integrand)
+_LEVEL_POINTS = [0.5, 0.5 + 2j, -2.0 + 9j, 2.5 - 40j, 1.0 + 100j, 3j, -1.0 + 200j, 350j, 700j]
+
+
+@pytest.mark.parametrize("layout", ["triangle", "plain", "cosine", "c0 = 0"])
+def test_stacked_level_sums_keep_the_per_level_bits(layout):
+    """The quadrature, which forms the shared block's integrand with one exp
+    and sums each of levels 16 to 128 from one stacked product, and forms a
+    finer level's added nodes alone, equals the rule sampled afresh at every
+    level bit for bit, at points accepted at every level from 32 to 1024."""
+    f = _drawn_weight(layout, 0.3, 3.0, 0.7)
+    levels = set()
+    for k in _LEVEL_POINTS:
+        z = complex(k) / f.x0
+        levels.add(_accepted_level(f, z))
+        assert _same_bits(oracles.quadrature_laplace(f, z), _uncached_quadrature(f, z)), z
+    assert {32, 64, 128, 256, 512, 1024} <= levels
+
+
+@pytest.mark.parametrize("layout", ["triangle", "plain", "cosine", "c0 = 0"])
+@pytest.mark.parametrize("alpha", [-0.0, 0.0, 0.45, -0.9])
+def test_stacked_weight_rows_keep_the_per_exponent_bits(layout, alpha):
+    """f(t), which forms its exps and its E rows once per distinct exponent
+    in one stacked call per dtype, equals the pass that forms them afresh
+    for each pair bit for bit: at the 129 nodes of the quadrature's shared
+    block and at t near s, where E takes its series (|a (s - t)| < 1e-2);
+    and on those nodes as a 2-d array and as a column, in their shape."""
+    f = _drawn_weight(layout, alpha, 2.7, 0.6)
+    s = f.x0
+    nodes = s * oracles._rule(128)[1]
+    for ts in (nodes, s - np.logspace(-18.0, 0.0, 60), np.array([np.nextafter(s, 0.0)]),
+               np.array(0.5 * s), nodes.reshape(3, 43), nodes.reshape(-1, 1)):
+        assert _same_bits(f(ts), _per_pair_weight(f.kernel_code(), ts))
+
+
 def test_quadrature_exact_on_septic():
     assert oracles.quadrature_selftest() <= 1e-15
 
@@ -318,13 +367,15 @@ def test_failure_at_cap_leaves_later_calls_correct():
 
 
 def test_shared_samples_are_read_only():
+    # 0.5 + 9i reads the shared block alone, 80 pi i levels 256 to 1024 too
     f = tf.triangle(2.0)
     oracles.quadrature_laplace(f, 0.5 + 9.0j)
-    added = oracles._samples(f)
-    assert {16, 32} <= set(added)
-    for a in sum(added.values(), ()) + oracles._rule(32):
+    oracles.quadrature_laplace(f, 80j * math.pi)
+    blocks = oracles._samples(f)
+    assert set(blocks) == {128, 256, 512, 1024}
+    for a in sum(blocks.values(), ()) + oracles._rule(32) + oracles._stacked(128)[1:]:
         assert not a.flags.writeable
-    for a in (added[16][1], added[32][1], oracles._rule(32)[2]):
+    for a in (blocks[128][1], blocks[256][1], oracles._rule(32)[2], oracles._stacked(128)[1]):
         with pytest.raises(ValueError):
             a[0] = 1.0
 
@@ -461,6 +512,30 @@ def test_scan_root_grid_has_the_bits_of_arange(lo, width, step):
     xs[-1] = min(xs[-1], hi)
     scanned = np.concatenate([chunks[0]] + [c[1:] for c in chunks[1:]])
     assert _same_bits(scanned, xs)
+
+
+@given(a=st.floats(-1e3, 1e3), width=st.floats(1e-12, 1e-2),
+       ulps=st.integers(1, 200), few=st.booleans())
+@example(a=-0.0, width=1e-2, ulps=1, few=False)
+@example(a=0.0, width=1e-2, ulps=1, few=False)
+@settings(max_examples=200, deadline=None)
+def test_subdivision_grid_has_the_bits_of_linspace(a, width, ulps, few):
+    """A scan's 65-point subdivision of [a, b], k ((b - a)/64) + a with b at
+    the end, equals np.linspace(a, b, 65) bit for bit: on cells a few ulps
+    wide (of a float past 1e4, where the scan subdivides cells that narrow),
+    and on cells with a -0.0 end."""
+    if few:
+        a = a + 2.0e4
+        b = a
+        for _ in range(ulps):
+            b = np.nextafter(b, math.inf)
+        b = float(b)
+    else:
+        b = a + width
+    for lo, hi in ((a, b), (-b, -a)):
+        assert _same_bits(oracles._subdivision(lo, hi), np.linspace(lo, hi, 65))
+    for lo, hi in ((-0.0, width), (-width, -0.0)):
+        assert _same_bits(oracles._subdivision(lo, hi), np.linspace(lo, hi, 65))
 
 
 def _flat_scan_root(h, lo, hi, step):
