@@ -440,9 +440,9 @@ def f_array(code, z):
     tests there: |w| >= |Im g_k| x0 and |b| x0 >= |Im g_j| x0.  At real z no
     value is refused and none warns: F is +inf exactly where
     ``f_real_scalar`` gives inf, past -r x0 = ``_INF_EDGE`` and where e^w of
-    a pair term in the direct form overflows.  Off the real axis, where the
-    terms' inf parts form NaN, a value that is not finite raises DomainError
-    naming the first such z.
+    a pair term in the direct form overflows; a NaN z raises DomainError.
+    Off the real axis, where the terms' inf parts form NaN, a value that is
+    not finite raises DomainError naming the first such z.
     """
     x0 = code[0]
     z = np.asarray(z)
@@ -492,10 +492,14 @@ def _f_block(x0, plan, real, z, out):
     for row in phi:
         out += row
     # the least real part times x0 is the least of the products, and a sum
-    # that is not finite holds a value that is not, or overflows: a test of
-    # the rare branch in two operations, which then tests each point alone
+    # that is not finite holds a value that is not, or overflows (a NaN z
+    # makes it NaN): a test of the rare branch in two operations, which then
+    # tests each point alone
     if real and (np.minimum.reduce(z.real) * x0 < -_INF_EDGE
                  or not math.isfinite(np.add.reduce(out))):
+        nan = np.isnan(z.real)
+        if nan.any():
+            raise DomainError(f"F(z) requires z that is not NaN, got z={complex(z[nan][0])!r}")
         over = z.real * x0 < -_INF_EDGE
         over |= (~np.isfinite(np.exp(w[k])) & ~(near_k[k] | near_j[j])).any(axis=0)
         out[over] = math.inf

@@ -182,10 +182,11 @@ def _table_regress(args, p):
 
 
 def _table_list(args, p):
+    catalogue = tables.manifest()
     lines = ["bundled tables:"]
     lines += [f"  {key:26s} [{entry['method']}] {entry['caption']}"
-              for key, entry in zip(tables.available_tables(), tables.manifest())]
-    return {"tables": tables.available_tables()}, lines, 0
+              for key, entry in catalogue.items()]
+    return {"tables": list(catalogue)}, lines, 0
 
 
 def _table_name(args, p, text):
@@ -262,10 +263,9 @@ def _path(args):
         else:
             name, read, runner = "zd" + wname, prec + ("--lambda",) + weight, _zd
     elif verb == "table" and args.regress is not None:
-        methods = dict(zip(tables.available_tables(),
-                           (entry["method"] for entry in tables.manifest())))
+        method = tables.manifest().get(args.regress, {}).get("method")
         name, runner = f"table --regress {args.regress}", _table_regress
-        read = prec + _REGRESS_READS.get(methods.get(args.regress), ("--tolerance", "--budget"))
+        read = prec + _REGRESS_READS.get(method, ("--tolerance", "--budget"))
     elif verb == "table" and args.name is not None:
         text = tables.to_csv if args.format == "csv" else tables.to_markdown
         name, read = "table --name", ("--name", "--format md", "--format csv")

@@ -53,8 +53,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoBoundError,
-                     SideConditionError, _shown, checked_divisor, checked_power, no_bound,
-                     nonnegative, positive, real)
+                     SideConditionError, _shown, checked_divisor, checked_power, lookup,
+                     no_bound, nonnegative, positive, real)
 
 #: Critical-strip growth constant; the convexity bound fixes it at 1/4.
 PHI = 0.25
@@ -162,9 +162,7 @@ def get_case(case):
     """The SolverCase of ``case``, a name or a record."""
     if isinstance(case, SolverCase):
         return case
-    if isinstance(case, str) and case in CASES:   # a list would raise TypeError here
-        return CASES[case]
-    raise InvalidParameterError(f"unknown solver case {case!r}; available: {sorted(CASES)}")
+    return lookup("solver case", case, CASES)
 
 
 def check_quartic(lam, b, J=0.0):

@@ -6,10 +6,11 @@ can map them to exit codes.  ``finite``, ``positive`` and ``nonnegative``
 write the three input rules most parameters follow, each with the one
 message that refuses it; ``real`` and ``number`` tell a real number that a
 float holds and a number that a complex holds from anything else;
-``checked_power`` the refusal of a power past the float range,
-``checked_divisor`` that of a power a caller divides by, which must not
-underflow to 0 either, and ``no_bound`` the one report of a root-solved
-bound that has no root.
+``lookup`` the one reading of a name a user gives (a case, a family, a
+suite, a table) in its table; ``checked_power`` the refusal of a power past
+the float range, ``checked_divisor`` that of a power a caller divides by,
+which must not underflow to 0 either, and ``no_bound`` the one report of a
+root-solved bound that has no root.
 """
 
 import math
@@ -135,6 +136,15 @@ def nonnegative(name, value):
     """Raise InvalidParameterError naming ``value`` unless it is a finite real >= 0."""
     if not (real(value) and 0 <= value < math.inf):   # NaN too
         raise InvalidParameterError(f"{name} must be finite and >= 0, got {_shown(value)}")
+
+
+def lookup(what, name, table):
+    """``table[name]`` for a str ``name`` that ``table`` holds; otherwise
+    InvalidParameterError "unknown {what} {name!r}; available: {sorted
+    names}", so a name that is no key (a list, None) is refused alike."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise InvalidParameterError(f"unknown {what} {name!r}; available: {sorted(table)}")
 
 
 def checked_power(name, base, exponent, error=InvalidParameterError):

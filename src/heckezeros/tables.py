@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 from importlib import resources
 
 from . import dh, optimizer
-from .errors import InvalidParameterError, nonnegative
+from .errors import InvalidParameterError, lookup, nonnegative
 
 _ENV_DATA_DIR = "HECKEZEROS_DATA_DIR"
 
@@ -84,16 +84,16 @@ def _read_text(name):
 
 
 def manifest():
-    return json.loads(_read_text("manifest.json"))["tables"]
+    """The table catalogue: each bundled dataset's manifest entry by its key
+    ('T4', or 'T2:quadratic' for a variant), in manifest order.  Parsed on
+    every call, as ``HECKEZEROS_DATA_DIR`` may change between calls."""
+    entries = json.loads(_read_text("manifest.json"))["tables"]
+    return {e["id"] if e["variant"] is None else f"{e['id']}:{e['variant']}": e for e in entries}
 
 
 def available_tables():
     """Keys of every bundled dataset, e.g. 'T4' or 'T2:quadratic'."""
-    out = []
-    for entry in manifest():
-        out.append(entry["id"] if entry["variant"] is None
-                   else f"{entry['id']}:{entry['variant']}")
-    return out
+    return list(manifest())
 
 
 def _row_from_record(rec):
@@ -139,24 +139,21 @@ def _parse_zd(text, caption):
 
 
 def load_table(key):
-    """Load a bundled table by key ('T4', 'T2:quadratic', ...)."""
-    if not isinstance(key, str):   # None has no .partition
-        raise InvalidParameterError(f"no bundled table {key!r}; available: {available_tables()}")
-    tid, _, variant = key.partition(":")
-    variant = variant or None
-    for entry in manifest():
-        if entry["id"] == tid and (variant is None or entry["variant"] == variant):
-            if variant is None and entry["variant"] is not None:
-                raise InvalidParameterError(
-                    f"table {tid} has variants; use one of "
-                    f"{[e['id'] + ':' + e['variant'] for e in manifest() if e['id'] == tid]}")
-            text = _read_text(entry["file"])
-            if entry["method"] == "zero-density":
-                return _parse_zd(text, entry["caption"])
-            return BoundTable(entry["id"], entry["variant"], entry["caption"],
-                              entry["method"], entry["case"],
-                              entry["reference_factor"], _parse_bound_rows(text))
-    raise InvalidParameterError(f"no bundled table {key!r}; available: {available_tables()}")
+    """Load a bundled table by key ('T4', 'T2:quadratic', ...).  An id with
+    variants ('T2' or 'T2:') is refused with its keys, any other unknown key
+    by ``errors.lookup``."""
+    entries = manifest()
+    if isinstance(key, str):
+        key = key.removesuffix(":")   # 'T4:' is T4
+        variants = [k for k in entries if k.startswith(f"{key}:")]
+        if variants:
+            raise InvalidParameterError(f"table {key} has variants; use one of {variants}")
+    entry = lookup("table", key, entries)
+    text = _read_text(entry["file"])
+    if entry["method"] == "zero-density":
+        return _parse_zd(text, entry["caption"])
+    return BoundTable(entry["id"], entry["variant"], entry["caption"], entry["method"],
+                      entry["case"], entry["reference_factor"], _parse_bound_rows(text))
 
 
 def load_all():
@@ -244,7 +241,7 @@ def regress(table, tolerance=REGRESS_TOLERANCE, budget=REGRESS_BUDGET):
     """
     nonnegative("tolerance", tolerance)
     optimizer._check_budget(budget)
-    if isinstance(table, str):
+    if not isinstance(table, (BoundTable, ZdTable)):   # a key, or refused as one
         table = load_table(table)
     if isinstance(table, ZdTable):
         return regress_zero_density(table, budget=budget)
@@ -324,7 +321,7 @@ def regress_zero_density(table, budget=REGRESS_BUDGET):
     flagged (not failed) otherwise.  A table that is not a density table
     raises InvalidParameterError naming it.
     """
-    if isinstance(table, str):
+    if not isinstance(table, (BoundTable, ZdTable)):   # a key, or refused as one
         table = load_table(table)
     if not isinstance(table, ZdTable):
         raise InvalidParameterError(f"table {table.key} is not a zero-density table")

@@ -52,8 +52,8 @@ term is formed, and elsewhere each is formed by ``_kernels.pair_near`` and
 checked.  So a search weight's build takes three ``exp_quotient`` calls
 and no ``pair_near``, about half the time of forming the pair terms too.
 A code is a tuple of plain Python numbers and bools that never changes
-after its build.  NumPy evaluates f(t) on grids, and the generator's sign
-when c0 < |c1|.
+after its build.  A build reads no NumPy: the generator's sign is decided in
+closed form.  NumPy evaluates f(t) on grids.
 """
 
 import cmath
@@ -67,7 +67,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, _shown,
-                     finite, nonnegative, number, positive, real)
+                     finite, lookup, nonnegative, number, positive, real)
 
 _SMALL_W = _kernels.SMALL_W
 
@@ -109,9 +109,12 @@ class TrialFunction:
 
     def __call__(self, t):
         """f(t); accepts real scalars or arrays, zero for t >= x0 or t < 0.
-        Anything else (a str, bytes, None, a bool or a complex) raises
-        DomainError."""
-        return self._eval(np.asarray(_numbers("f(t)", t, real), dtype=float))
+        Anything else (a str, bytes, None, a bool or a complex) or a NaN
+        raises DomainError."""
+        t = np.asarray(_numbers("f(t)", t, real), dtype=float)
+        if np.isnan(t).any():
+            raise DomainError("f(t) requires t that is not NaN")
+        return self._eval(t)
 
     def laplace(self, z):
         """F(z); accepts real/complex scalars or arrays, entire in z.
@@ -363,21 +366,14 @@ def _build(alpha, c0, c1, beta, s):
     if c1 != 0.0 and not math.isfinite(2.0 * beta * s):
         raise InvalidParameterError(
             f"the generator's phase 2 beta s overflows for beta={beta}, s={s}")
-    # c0 >= |c1| forces g >= 0 outright; otherwise check on a grid
+    # g has the sign of c0 + c1 cos(beta u), as e^{alpha u} > 0: c0 >= |c1|
+    # forces g >= 0 outright; otherwise the least value on [0, s] is c0 + c1
+    # at u = 0 where c1 < 0, else at beta u = min(|beta| s, pi)
     if c0 < abs(c1):
-        # the grid's alpha u, beta u and e^{alpha u} (c0 + c1 cos(beta u)) stay
-        # in the float range where the log of the last one's bound,
-        # max(alpha s, 0) + log(|c0| + |c1|), is at most EXP_MAX
-        top = max(alpha * s, 0.0) + math.log(abs(c0) + abs(c1))
-        if not (top <= _kernels.EXP_MAX and math.isfinite(alpha * s) and math.isfinite(beta * s)):
-            raise InvalidParameterError(
-                f"the generator leaves the float range on [0, s] for alpha={alpha}, "
-                f"c0={c0}, c1={c1}, beta={beta}, s={s}")
-        us = np.linspace(0.0, s, 2001)
-        g = np.exp(alpha * us) * (c0 + c1 * np.cos(beta * us))
-        if g.min() < -1e-12 * max(1.0, float(np.abs(g).max())):
-            raise InvalidGeneratorError(
-                f"generator takes negative values on [0, {s}] (min {g.min():.3e})")
+        least = c0 + c1 * (math.cos(min(abs(beta) * s, math.pi)) if c1 > 0.0 else 1.0)
+        if least < -1e-12 * (abs(c0) + abs(c1)):
+            raise InvalidGeneratorError(f"generator takes negative values on [0, {s}]: "
+                                        f"c0 + c1 cos(beta u) reaches {least:.3e}")
 
     # the generator's terms c e^{g u} with c != 0: alpha alone, or alpha, g
     # and conj g, whose coefficient c1/2 leaves both or neither
@@ -432,7 +428,9 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     """Autocorrelation weight f(t) = int g(u) g(u+t) du of a truncated generator.
 
     g(u) = e^{alpha u} (c0 + c1 cos(beta u)) on [0, s].  The generator must be
-    non-negative there (checked on a grid); f is then supported in [0, s) with
+    non-negative there: InvalidGeneratorError where the least value of
+    c0 + c1 cos(beta u) on [0, s], in closed form, lies below
+    -1e-12 (|c0| + |c1|).  f is then supported in [0, s) with
     f(0) = int g^2 and sup f = f(0) by Cauchy-Schwarz.  The transform is a sum
     over exponential components of g,
 
@@ -456,11 +454,7 @@ FAMILY_BUILDERS = {"triangle": triangle, "autocorrelation": autocorrelation}
 
 def build_family(name, **params):
     """Construct a built-in family from CLI-style key-value parameters."""
-    try:
-        builder = FAMILY_BUILDERS[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown family {name!r}; available: {sorted(FAMILY_BUILDERS)}") from None
+    builder = lookup("family", name, FAMILY_BUILDERS)
     try:
         inspect.signature(builder).bind(**params)
     except TypeError as exc:

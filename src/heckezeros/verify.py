@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import _kernels, dh, oracles, p4, tables, trial_functions, zero_density, zfr
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, lookup
 from .oracles import equality_report, positivity_report
 
 _SEED = 20260808
@@ -221,6 +221,11 @@ def suite_positivity():
     return reports
 
 
+def _table_keys(*methods):
+    """The keys of the bundled tables of the given methods, in manifest order."""
+    return [key for key, entry in tables.manifest().items() if entry["method"] in methods]
+
+
 def suite_roots():
     rng = np.random.default_rng(_SEED + 2)
     reports = []
@@ -256,7 +261,7 @@ def suite_roots():
                                    [abs(scanned - res.lambda_star)], None, 2e-6))
     # residuals across every bundled polynomial row
     worst_res = 0.0
-    for key in ("T3:quadratic", "T3:principal", "T4", "T5", "T9", "T10"):
+    for key in _table_keys("poly"):
         t = tables.load_table(key)
         for r in t.rows:
             res = dh.solve_poly(t.case_name, r.b, r.lam, r.J)
@@ -273,9 +278,7 @@ def suite_roots():
         reports.append(equality_report(f"zero-free-region residual ({case})",
                                        [res.residual], None, 1e-10))
     # monotonicity of the bound in the width hypothesis, data and solver
-    for key in ("T2:quadratic", "T2:principal", "T3:quadratic", "T3:principal",
-                "T4", "T5", "T6", "T7:nonprincipal", "T7:principal",
-                "T8:nonprincipal", "T8:chi2-principal-real", "T9", "T10"):
+    for key in _table_keys("smoothed", "poly"):
         t = tables.load_table(key)
         reports.append(positivity_report(
             f"bundled bound column strictly decreasing in width: {key}",
@@ -340,9 +343,7 @@ SUITES = {
 
 def run_suite(name):
     """Run one suite ('all' chains every suite); returns the report list.
-    An unknown suite raises InvalidParameterError."""
+    An unknown suite raises InvalidParameterError (``errors.lookup``)."""
     if name == "all":
         return [report for suite in SUITES.values() for report in suite()]
-    if isinstance(name, str) and name in SUITES:   # a list would raise TypeError here
-        return SUITES[name]()
-    raise InvalidParameterError(f"unknown suite {name!r}; available: {sorted(SUITES)} + ['all']")
+    return lookup("suite", name, SUITES)()

@@ -93,11 +93,12 @@ def bound_from_values(f0, F_minus_b, F_gap, vartheta, phi):
 
 def mt_bound_from_values(f0, F0, F_lam):
     """The specialized vt=3/4, b=0, phi=1/4 form, written with its own
-    constants; InvalidParameterError unless the values are finite reals."""
+    constants; InvalidParameterError unless the values are finite reals, and
+    where the square leaves the float range (``errors.checked_power``)."""
     for name, v in (("f(0)", f0), ("F(0)", F0), ("F(lambda)", F_lam)):
         finite(name, v)
     num = (f0 / 4.0 + F0) * (F0 - f0 / 12.0)
-    den = (F_lam - f0 / 3.0) ** 2 - f0 / 3.0 * (f0 / 4.0 + F0)
+    den = checked_power("F(lambda) - f0/3", F_lam - f0 / 3.0, 2) - f0 / 3.0 * (f0 / 4.0 + F0)
     return num / den
 
 
@@ -133,9 +134,13 @@ def int_bound(bound):
 
     The epsilon in the statement is arbitrary, so the integer claim is the
     floor of the value plus a 1e-6 guard against spurious increments from
-    rounding right below an integer.
+    rounding right below an integer.  +inf, the "no bound" value of
+    ``optimizer.optimize_zd`` and T1's cells, stays inf; NaN, -inf or
+    anything but a real number raises InvalidParameterError.
     """
-    return int(math.floor(bound + 1e-6))
+    if not (real(bound) and -math.inf < bound):   # NaN too
+        raise InvalidParameterError(f"bound must be finite or +inf, got {_shown(bound)}")
+    return math.inf if bound == math.inf else int(math.floor(bound + 1e-6))
 
 
 def n_lambda_int(q):

@@ -40,7 +40,8 @@ import numpy as np
 
 from . import _kernels
 from .dh import PHI, cos_bound
-from .errors import InvalidParameterError, NoBoundError, finite, no_bound, nonnegative, positive
+from .errors import (InvalidParameterError, NoBoundError, finite, lookup, no_bound, nonnegative,
+                     positive)
 from .trial_functions import K_FAMILY_PAIRS
 from .zero_density import VARTHETA, check_vartheta
 
@@ -91,10 +92,7 @@ def get_case(case):
     """The ZfrCase of ``case``, a name or a record."""
     if isinstance(case, ZfrCase):
         return case
-    if isinstance(case, str) and case in CASES:   # a list would raise TypeError here
-        return CASES[case]
-    raise InvalidParameterError(
-        f"unknown zero-free-region case {case!r}; available: {sorted(CASES)}")
+    return lookup("zero-free-region case", case, CASES)
 
 
 def _check(case, lam, phi=PHI):
@@ -207,8 +205,7 @@ def _zfr_bound(case, lam, phi):
     has no sign change on [0, HI]).  ``zfr_optimize`` returns this value at
     its lambda; ``zfr_solve`` adds the checks, the residual and the result.
     """
-    root, hlo, hhi = _kernels.zfr_root(float(case.coeffs[0]), float(case.coeffs[1]),
-                                       float(case.B), lam, phi, 0.0, HI)
+    root, hlo, hhi = _kernels.zfr_root(case.coeffs[0], case.coeffs[1], case.B, lam, phi, 0.0, HI)
     limit = side_condition_limit(case, lam)
     if root != root:
         value = math.nan
@@ -235,7 +232,7 @@ def zfr_solve(case, lam, phi=PHI):
     if math.isnan(root):
         raise no_bound(f"zfr {case.name}", HI, f"lambda={lam}", hlo, hhi, proves="region")
     # relative to the ~1e5-sized terms of the inequality
-    c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
+    c0, c1, B = case.coeffs[0], case.coeffs[1], case.B
     scale = 1.0 + c0 * _kernels.P1 + B * phi * lam
     residual = abs(_kernels.zfr_fn(c0, c1, B, lam, phi)[0](lam / (lam + root))) / scale
     return ZfrResult(case.name, lam, value, limit >= 0, value != root or limit < 0,
@@ -316,7 +313,7 @@ def zfr_optimize(case, phi=PHI):
     case = get_case(case)
     nonnegative("phi", phi)
     phi = float(phi)
-    c0, c1, B = float(case.coeffs[0]), float(case.coeffs[1]), float(case.B)
+    c0, c1, B = case.coeffs[0], case.coeffs[1], case.B
     p, q = case.side
     u_peak = _kernels._bisect(lambda u: c1 * u ** 3 * (0.4 + u * (1.2 + 1.6 * u))
                               - c0 * _kernels.P1, 0.0, 1.0)[0]

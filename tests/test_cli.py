@@ -372,6 +372,25 @@ class TestTable:
         assert code == 0
         assert "T2:quadratic" in out
 
+    def test_listing_reads_the_manifest_in_file_order(self, capsys):
+        entries = json.loads(tables._read_text("manifest.json"))["tables"]
+        keys = ["T1", "T2:quadratic", "T2:principal", "T3:quadratic", "T3:principal", "T4",
+                "T5", "T6", "T7:nonprincipal", "T7:principal", "T8:nonprincipal",
+                "T8:chi2-principal-real", "T9", "T10"]
+        code, out, _ = run(["table"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["bundled tables:"] + [
+            f"  {key:26s} [{e['method']}] {e['caption']}" for key, e in zip(keys, entries)]
+        code, out, _ = run(["table", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"tables": keys}
+
+    def test_an_unknown_table_is_one_error_line(self, capsys):
+        code, out, err = run(["table", "--name", "T11"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"InvalidParameterError: unknown table 'T11'; available: "
+                                    f"{sorted(tables.available_tables())}"]
+
     def test_markdown(self, capsys):
         code, out, _ = run(["table", "--name", "T4"], capsys)
         assert code == 0

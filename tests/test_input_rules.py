@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from heckezeros import dh, optimizer, oracles, p4, tables, zero_density as zd, zfr
+from heckezeros import dh, optimizer, oracles, p4, tables, verify, zero_density as zd, zfr
 from heckezeros import trial_functions as tf
 from heckezeros.errors import DomainError, InvalidParameterError, nonnegative, positive
 
@@ -322,11 +322,58 @@ def test_an_int_past_the_float_range_is_refused(error, call):
     assert repr(10 ** 400) in str(err.value)
 
 
-@pytest.mark.parametrize("get_case", [dh.get_case, zfr.get_case], ids=["dh", "zfr"])
-def test_a_case_that_is_no_key_is_refused(get_case):
-    # a list raised TypeError: unhashable
-    with pytest.raises(InvalidParameterError, match=r"^unknown .*case \['x'\]; available: "):
-        get_case(["x"])
+#: every site that reads a name a user gives: (site, call, what its message
+#: names, the names it knows, a known name, what that name gives (a test),
+#: a record the site passes through or None)
+LOOKUPS = [
+    ("dh.get_case", dh.get_case, "solver case", dh.CASES, "sz-lp-principal",
+     lambda got: got is dh.CASES["sz-lp-principal"], dh.CASES["cc-lp-nonprincipal"]),
+    ("zfr.get_case", zfr.get_case, "zero-free-region case", zfr.CASES, "order234",
+     lambda got: got is zfr.CASES["order234"], zfr.CASES["principal"]),
+    ("build_family", lambda v: tf.build_family(v, x0=2.0), "family", tf.FAMILY_BUILDERS,
+     "triangle", lambda got: got.family == "triangle" and got.x0 == 2.0, None),
+    ("run_suite", verify.run_suite, "suite", verify.SUITES, "zero-density",
+     lambda got: [str(r) for r in got] == [str(r) for r in verify.SUITES["zero-density"]()],
+     None),
+    ("load_table", tables.load_table, "table", tables.manifest(), "T4",
+     lambda got: got.key == "T4", None),
+]
+
+
+@pytest.mark.parametrize("call, what, names, known, gives, record", [c[1:] for c in LOOKUPS],
+                         ids=[c[0] for c in LOOKUPS])
+def test_every_name_a_user_gives_is_read_by_one_rule(call, what, names, known, gives, record):
+    # build_family(["x"]) and a case or suite given as a list raised
+    # TypeError: unhashable; load_table and run_suite worded their own refusal
+    assert gives(call(known))
+    if record is not None:
+        assert call(record) is record
+    for name in ("x", ["x"], None):
+        with pytest.raises(InvalidParameterError) as err:
+            call(name)
+        assert str(err.value) == f"unknown {what} {name!r}; available: {sorted(names)}"
+
+
+#: the calls of a weight at a NaN point, on the real axis: each gave a value
+#: (F = inf, f = 0, a NaN h with a RuntimeWarning)
+NAN_POINTS = [
+    ("laplace-array", lambda f: f.laplace(np.array([math.nan, 1.0]))),
+    ("laplace-complex", lambda f: f.laplace(complex(math.nan, 0.0))),
+    ("laplace-complex-array", lambda f: f.laplace(np.array([1.0 + 0j, complex(math.nan, 0.0)]))),
+    ("f(t)", lambda f: f(math.nan)),
+    ("f(t)-array", lambda f: f(np.array([math.nan]))),
+    ("smoothed_h-sz",
+     lambda f: dh.smoothed_h("sz-lp-quadratic", f, 0.1)(np.array([math.nan, 1.0]))),
+    ("smoothed_h-cc", lambda f: dh.smoothed_h("cc-l2-nonprincipal", f, 0.1)(math.nan)),
+]
+
+
+@pytest.mark.parametrize("weight", [TRI, tf.autocorrelation(-0.5, 1.0, 1.0, 2.0, 3.0)],
+                         ids=["triangle", "cosine"])
+@pytest.mark.parametrize("call", [c[1] for c in NAN_POINTS], ids=[c[0] for c in NAN_POINTS])
+def test_a_nan_point_is_refused(call, weight):
+    with pytest.raises(DomainError, match="not NaN"):
+        call(weight)
 
 
 class _Probe:

@@ -690,8 +690,8 @@ def test_oracle_entry_points_return_finite_values_or_refuse(layout, alpha, s, zr
 # x^2 and V x^m past the float range, once inf / inf and a warning
 @example(entry="gm_check", p=(0.7677, 1e300, 4.82, 0.0, 0.0), zr=0.0, zi=1.0,
          v=(1e300, 1e-300, -400.0))
-# alpha u past the float range in the generator's grid, once a NumPy
-# overflow warning
+# alpha u past the float range in the grid that checked the generator's
+# sign, once a NumPy overflow warning
 @example(entry="autocorrelation", p=(-1e300, 0.0, -400.0, 710.0, 1e300), zr=0.0, zi=1.0,
          v=(0.0, 0.0, 0.0))
 # a x past the float range in the E of f(t) at t = 0, where f(0) = 5e-301,

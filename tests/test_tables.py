@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -18,6 +19,38 @@ POLY_TABLES = ["T3:quadratic", "T3:principal", "T4", "T5", "T9", "T10"]
 def test_manifest_complete():
     keys = tables.available_tables()
     assert set(keys) == set(ALL_BOUND_TABLES) | {"T1"}
+
+
+def test_the_catalogue_is_the_manifest_by_key_in_file_order():
+    entries = json.loads(tables._read_text("manifest.json"))["tables"]
+    keys = [e["id"] if e["variant"] is None else f"{e['id']}:{e['variant']}" for e in entries]
+    assert keys == ["T1"] + ALL_BOUND_TABLES
+    catalogue = tables.manifest()
+    assert list(catalogue) == tables.available_tables() == keys
+    assert list(catalogue.values()) == entries
+
+
+def test_a_load_parses_the_manifest_once(monkeypatch):
+    reads = []
+    read = tables._read_text
+    monkeypatch.setattr(tables, "_read_text", lambda name: reads.append(name) or read(name))
+    tables.load_table("T2:quadratic")
+    for key in ("T2", "T11"):
+        with pytest.raises(InvalidParameterError):
+            tables.load_table(key)
+    assert reads == ["manifest.json", "t2_quadratic.csv", "manifest.json", "manifest.json"]
+
+
+@pytest.mark.parametrize("regress", [tables.regress, tables.regress_zero_density])
+@pytest.mark.parametrize("table", [None, ["T4"], 3])
+def test_a_regression_of_what_is_no_table_is_refused_as_a_key(regress, table):
+    # AttributeError: no attribute 'method' (or 'key')
+    with pytest.raises(InvalidParameterError, match=rf"^unknown table {re.escape(repr(table))};"):
+        regress(table)
+
+
+def test_an_id_with_a_trailing_colon_is_the_id():
+    assert tables.load_table("T4:") == tables.load_table("T4")
 
 
 @pytest.mark.parametrize("key", ["T2", "T2:"])

@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckezeros import (_kernels, dh, optimizer, oracles, trial_functions as tf, verify,
                         zero_density, zfr)
@@ -171,6 +171,71 @@ class TestAutocorrelation:
         # is not
         with pytest.raises(InvalidParameterError, match=r"alpha=3\.545, s=100\.0"):
             tf.autocorrelation(alpha=3.545, s=100.0)
+
+
+#: |beta| s where 0.5 + cos(beta u) first vanishes
+_ZERO = 2.0 * math.pi / 3.0
+
+#: generators (alpha, c0, c1, beta, s) on either side of the sign rule, and
+#: whether they build: c1 > 0 with |beta| s just below and just above the
+#: zero of c0 + c1 cos (either sign of beta), c1 < 0, where the least value
+#: is c0 + c1 at u = 0, and beta = 0
+_SIGNS = [
+    ((0.3, 0.5, 1.0, _ZERO * (1.0 - 1e-9), 1.0), True),
+    ((0.3, 0.5, 1.0, _ZERO * (1.0 + 1e-9), 1.0), False),
+    ((-1.0, 0.5, 1.0, -_ZERO * (1.0 - 1e-9) / 3.0, 3.0), True),
+    ((-1.0, 0.5, 1.0, -_ZERO * (1.0 + 1e-9) / 3.0, 3.0), False),
+    ((0.0, 1.0, -1.0, 7.0, 2.0), True),
+    ((0.0, 1.0 - 1e-9, -1.0, 7.0, 2.0), False),
+    ((0.0, 0.5, -1.0, 1e-3, 1.0), False),
+    ((0.0, -0.5, 1.0, 0.0, 2.0), True),
+    ((0.0, 0.5, -1.0, 0.0, 2.0), False),
+]
+
+
+class TestGeneratorSign:
+    """The generator's sign in closed form: the least value of
+    c0 + c1 cos(beta u) on [0, s], refused below -1e-12 (|c0| + |c1|)."""
+
+    @pytest.mark.parametrize("params, builds", _SIGNS)
+    def test_either_side_of_the_rule(self, params, builds, monkeypatch):
+        monkeypatch.setattr(tf, "np", None)     # a build makes no NumPy call
+        if builds:
+            assert tf._build(*params)[1] > 0.0
+        else:
+            with pytest.raises(InvalidGeneratorError,
+                               match=r"c0 \+ c1 cos\(beta u\) reaches -"):
+                tf._build(*params)
+
+    def test_an_aliased_generator_is_refused(self):
+        # np.linspace(0, 1, 2001) put every point of the grid check at a
+        # multiple of 2 pi, where cos = 1, so this weight built and its f(t)
+        # reached -0.25
+        with pytest.raises(InvalidGeneratorError) as err:
+            tf.autocorrelation(alpha=0.0, c0=0.5, c1=1.0, beta=4000.0 * math.pi, s=1.0)
+        assert str(err.value) == ("generator takes negative values on [0, 1.0]: "
+                                  "c0 + c1 cos(beta u) reaches -5.000e-01")
+
+
+@given(alpha=st.floats(-2.0, 2.0), c0=st.floats(-2.0, 2.0), c1=st.floats(-2.0, 2.0),
+       beta_s=st.floats(0.0, 200.0), sign=st.sampled_from([-1.0, 1.0]), s=st.floats(0.01, 20.0))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sign_rule_agrees_with_a_fine_grid(alpha, c0, c1, beta_s, sign, s):
+    """Outside the band where a grid of 200,001 points cannot tell the sign
+    (it misses the least value of c0 + c1 cos(beta u) by at most
+    |c1| (beta h)^2 / 8, h its spacing, and has both ends), a generator
+    builds exactly where the grid finds no negative value."""
+    beta = sign * beta_s / s
+    us = np.linspace(0.0, s, 200_001)
+    least = float((c0 + c1 * np.cos(beta * us)).min())
+    assume(abs(least) > 1e-12 * (abs(c0) + abs(c1)) + abs(c1) * (beta * us[1]) ** 2)
+    try:
+        tf._build(alpha, c0, c1, beta, s)
+        refused = False
+    except InvalidGeneratorError as exc:
+        assume("identically zero" not in str(exc))
+        refused = True
+    assert refused == (float((np.exp(alpha * us) * (c0 + c1 * np.cos(beta * us))).min()) < 0.0)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -16,11 +16,21 @@ def test_suite_clean(name):
 
 @pytest.mark.parametrize("name", ["nope", ["all"], None])
 def test_an_unknown_suite_is_a_library_error(name):
-    # this raised KeyError, and a list TypeError: unhashable
+    # this raised KeyError, and a list TypeError: unhashable; the wording is
+    # errors.lookup's, which lists the suites but not 'all'
     with pytest.raises(InvalidParameterError) as err:
         verify.run_suite(name)
-    assert str(err.value) == (f"unknown suite {name!r}; available: {sorted(verify.SUITES)}"
-                              " + ['all']")
+    assert str(err.value) == f"unknown suite {name!r}; available: {sorted(verify.SUITES)}"
+
+
+def test_table_lists_are_the_catalogue_by_method():
+    # the lists that suite_roots wrote by hand, in their order
+    assert verify._table_keys("poly") == ["T3:quadratic", "T3:principal", "T4", "T5", "T9",
+                                          "T10"]
+    assert verify._table_keys("smoothed", "poly") == [
+        "T2:quadratic", "T2:principal", "T3:quadratic", "T3:principal", "T4", "T5", "T6",
+        "T7:nonprincipal", "T7:principal", "T8:nonprincipal", "T8:chi2-principal-real", "T9",
+        "T10"]
 
 
 def test_reports_locate_by_plain_numbers():

@@ -181,6 +181,21 @@ def test_density_square_overflow_is_refused():
         with pytest.raises(InvalidParameterError,
                            match=r"^F\(lambda - b\) - phi f0/vartheta = .* its power 2 overflows"):
             call()
+    # the collapsed form squares the same way: a bare OverflowError, once
+    with pytest.raises(InvalidParameterError,
+                       match=r"^F\(lambda\) - f0/3 = 1e\+200 is too large: its power 2 overflows"):
+        zd.mt_bound_from_values(1.0, 1e200, 1e200)
+
+
+def test_integer_form_keeps_inf_and_refuses_nan():
+    # +inf is the "no bound" value of optimize_zd and T1's cells; it raised
+    # OverflowError, and NaN ValueError
+    assert zd.int_bound(math.inf) == math.inf
+    assert zd.int_bound(3.9999995) == 4 and zd.int_bound(-0.5) == -1
+    for bad, shown in ((math.nan, "nan"), (-math.inf, "-inf"), ("4", "'4'"), (True, "True")):
+        with pytest.raises(InvalidParameterError) as err:
+            zd.int_bound(bad)
+        assert str(err.value) == f"bound must be finite or +inf, got {shown}"
 
 
 def test_recipe_theta():
