@@ -1,9 +1,10 @@
 """Numeric kernels in plain Python and NumPy.
 
 The scalar transform, the pair constants and the root solver are plain
-Python floats; NumPy serves the array transform ``f_array``, ``E`` and the
-grid minimum ``p4_combo_min``.  The family codes they read are built in
-Python too (``trial_functions._build``).
+Python floats; NumPy serves the array transform ``f_array``, the weight
+f(t) (``weight``), ``E`` and the grid minimum ``p4_combo_min``.  The family
+codes they read are folded here too, in plain Python (``fold``), from the
+generator terms ``trial_functions._build`` gives.
 
 Every bound ends in a monotone root solve.  The smoothed roots, and the
 crossings in J of the quartic search, go through one bracketed ITP solver
@@ -47,23 +48,28 @@ build those functions (``smoothed_root`` and ``poly_root`` take them built,
 so a caller reuses them); they return ``(root, h(lo), h(hi))`` with a NaN
 root when ``h`` has no sign change, so callers can tell which way the
 inequality failed (``errors.no_bound`` words it).  The vectorized ``h`` of
-the solver modules and the solvers' residuals come from the same builders.
+the solver modules and the solvers' residuals come from the same builders,
+the vectorized ``h`` through ``vectorized``, which refuses a point where h
+is NaN.
 ``p4_combo_min`` is the grid minimum of the quartic positivity combination.
 
 Trial functions reach this module as a "family code" (see
 ``trial_functions``) ``(x0, folded)``: the support endpoint and one tuple
-``(c, g_j, g_k, K, far)`` per pair of generator exponents, kept once
+``(c, g_j, g_k, K)`` per pair of generator exponents, kept once
 per conjugate pair ``(g_j, g_k)``, ``(conj g_j, conj g_k)`` with ``c``
 doubled when the two differ: a cosine-modulated generator has 5 folded
 pairs of 9, one with ``c0 = 0`` 2 of 4, and a plain one its 1.  All are
-plain Python numbers and bools, and a code never changes.  Besides the
-transforms here, only f(t) (``trial_functions._weight``, through
-``_t_terms``), f(0) (``trial_functions._build``, as it folds the pairs) and
-sup |f''| (``verify._f2_bound``, through ``_t_terms``) read a code; F(0)
+plain Python numbers, and a code never changes.  ``K`` is
+E(x0; g_j + g_k) (``exp_quotient``).  This module alone knows the
+format: ``fold`` makes a code and f(0) from a generator's terms (the pair
+layout by term count, ``_FOLDS``, which ``_search_pass`` reads by
+position), the transforms and ``weight`` (f(t)) read it, and
+``verify._f2_bound`` reads sup |f''| from the terms ``t_terms`` gives;
+``trial_functions`` holds a code only to hand it back.  F(0)
 (``trial_functions._search_f0``) is ``_f_real_scalar`` at 0.0, formed on
-first read.  ``K`` is
-E(x0; g_j + g_k) (``exp_quotient``), and ``far`` says both |Im g_j| x0 and
-|Im g_k| x0 are at least ``SMALL_W``.  Every built-in weight, the triangle
+first read.  Where both exponents of a pair lie SMALL_W / x0 or more off
+the real axis, the pair fails the series tests below at every real point,
+so the kernels need no flag for it.  Every built-in weight, the triangle
 included, is an autocorrelation, so neither evaluator branches on the
 family.  The transform ``F`` is ``f_real_scalar`` at one real point and
 ``f_array`` at real or complex points, scalar or array.  On the search's
@@ -83,9 +89,10 @@ pass over the pairs took 5, and for its nine unfolded ones too) and of
 every distinct g_j in another, and the pairs read their rows in one
 operation more, each value with the bits of the pass over the pairs: at
 1, 8 and 65 points of a cosine weight a call takes about half the time of
-a call per pair and exponent.  f(t) (``trial_functions._weight``), called
-once per weight on the oracle path, forms its exps and its ``E`` rows once
-per distinct exponent by the same keys, in one stacked call per dtype.  At
+a call per pair and exponent.  f(t) (``weight``), called once per weight
+on the oracle path, forms its exps and its ``E`` rows once per distinct
+exponent by the same keys (``_distinct``, which ``_array_plan`` shares), in
+one stacked call per dtype.  At
 a real point the terms of two conjugate pairs are conjugates, so a folded
 pair adds twice the real part of one; off the real axis the two terms of
 each conjugate pair are summed before they join the rest, so
@@ -213,6 +220,85 @@ def pair_near(K, g_j, g_k, z, x0):
     return (K - x0 * _e1(v)) / b
 
 
+#: the folded pairs of a generator of 1, 2 or 3 terms (alpha; g, conj g;
+#: alpha, g, conj g, with g = alpha + i beta).  At real r (or t) the terms of
+#: the pairs (j, k) and (conj j, conj k) are conjugates, so one of the two is
+#: kept, as (j, k, the factor of c_j c_k: 2 where the two pairs differ, the
+#: earlier pair whose exponent g_j + g_k it shares or -1).
+#: ``_search_pass`` reads the three-term layout: (a, a), (a, g), (g, a),
+#: (g, g), (g, conj g)
+_FOLDS = (None,
+          ((0, 0, 1.0, -1),),
+          ((0, 0, 2.0, -1), (0, 1, 2.0, -1)),
+          ((0, 0, 1.0, -1), (0, 1, 2.0, -1), (1, 0, 2.0, 1), (1, 1, 2.0, -1), (1, 2, 2.0, 0)))
+
+
+#: the largest s E(s; 2 alpha) at which ``_pair_terms_finite`` holds,
+#: e^``_INF_EDGE``
+_M1_MAX = math.exp(_INF_EDGE)
+
+
+def _pair_terms_finite(alpha, s, K2):
+    """Whether every pair term at its coincidence point, as ``pair_near``
+    forms it, is proved a finite float without forming it, from alpha, s and
+    K2 = E(s; 2 alpha) of a generator whose exponents all have real part
+    alpha.
+
+    The term of a pair (g_j, g_k) at z = -g_j is
+    M1 = int_0^s t e^{(g_j + g_k) t} dt, so |M1| <= s K2, as |K| <= K2 for
+    the pair's K = E(s; g_j + g_k).  The test: 2 alpha s is finite and at
+    most ``_INF_EDGE``, so every e^u, u = (g_j + g_k) s, is at most
+    e^690, and s K2 is at most ``_M1_MAX`` = e^690.  There ``pair_near``
+    takes its series where |u| < 1, at most s^2 <= e s K2 (K2 >= s/e),
+    and otherwise e^u s/A - K/A with A = g_j + g_k and |A| s = |u| >= 1,
+    whose two terms are at most e s K2 and s K2 (the first splits at
+    2 alpha s = -1, 0 and 1).  So every factor, product, quotient and part
+    of one is within about 4 e of s K2 (complex operations on parts add a
+    factor of 2 at most).  The largest float, e^``EXP_MAX``, is e^19.78 =
+    3.9e8 times ``_M1_MAX``, far more than that factor and the few ulps by
+    which the rounding of K2, K and each operation moves a value.  Where the
+    test fails, which no weight in the search boxes does (there
+    |2 alpha s| <= 320), ``fold`` forms every pair term and checks it.
+    """
+    return -math.inf < 2.0 * alpha * s <= _INF_EDGE and s * abs(K2) <= _M1_MAX
+
+
+def fold(cs, gs, s):
+    """(family code, f(0)) of the generator sum c e^{g u} on [0, s] of the
+    terms ``cs``, ``gs`` (1, 2 or 3 of them, every g with one real part
+    alpha), in the layout ``_FOLDS`` gives their count.
+
+    Each pair is (c, g_j, g_k, K), c the doubled or plain c_j c_k and
+    K = E(s; g_j + g_k) (``exp_quotient``), formed once per distinct
+    exponent.  Raises OverflowError where 2 alpha, K, f(0) or a pair term at
+    its coincidence point z = -g_j is not a finite float.  2 alpha and the
+    pair terms are tested only where ``_pair_terms_finite`` cannot prove the
+    terms finite (a 2 alpha that is not finite fails it), after every K:
+    given a finite K, ``pair_near`` raises nothing, and a pair that shares
+    its exponent has the same term, so the same weights are refused.
+    """
+    folded = []
+    for j, k, factor, same in _FOLDS[len(gs)]:
+        g_j, g_k = gs[j], gs[k]
+        K = exp_quotient(g_j + g_k, s) if same < 0 else folded[same][3]
+        folded.append((cs[j] * cs[k] * factor, g_j, g_k, K))
+    # K of the real exponent 2 alpha: the first pair's, or (g, conj g)'s,
+    # the second, when c0 = 0 leaves g and conj g alone
+    alpha = gs[0].real
+    if not _pair_terms_finite(alpha, s, folded[len(gs) == 2][3]):
+        # a 2 alpha of -inf rounds the K of 2 alpha to 0, and f(0) with it,
+        # where both are tiny but not 0
+        if not math.isfinite(2.0 * alpha):
+            raise OverflowError
+        for _, g_j, g_k, K in folded:
+            if not cmath.isfinite(pair_near(K, g_j, g_k, -g_j, s)):
+                raise OverflowError
+    f0 = sum(c * K for c, _, _, K in folded).real
+    if not math.isfinite(f0):
+        raise OverflowError
+    return (s, tuple(folded)), f0
+
+
 def _f_real_scalar(code, r):
     """F(r) at one real r, from the folded conjugate pairs of the family code.
 
@@ -229,9 +315,9 @@ def _f_real_scalar(code, r):
     over the pairs below, whose bits ``_search_pass`` keeps.
     A pair term near coincident nodes, |g_j + r| x0 or |g_k - r| x0 below
     SMALL_W, comes from ``pair_near``, and every other one from the direct
-    form (K - (e^w - 1)/A)/b.  A pair flagged ``far`` skips both tests: at
-    real r, |g_j + r| and |g_k - r| are at least the imaginary parts that the
-    flag bounds, so the tests would fail there anyway.
+    form (K - (e^w - 1)/A)/b.  A pair whose exponents both lie SMALL_W / x0
+    or more off the real axis fails both tests at every real r, as |g_j + r|
+    and |g_k - r| are at least their imaginary parts.
     """
     acc = _search_pass(code, r, False)
     if acc is not None:
@@ -240,11 +326,11 @@ def _f_real_scalar(code, r):
     if r < 0.0 and -r * x0 > _INF_EDGE:
         return math.inf
     acc = 0.0
-    for c, gj, gk, K, far in folded:
+    for c, gj, gk, K in folded:
         b = gj + r
         a = gk - r
         w = a * x0
-        if not far and (abs(b) * x0 < SMALL_W or abs(w) < SMALL_W):
+        if abs(b) * x0 < SMALL_W or abs(w) < SMALL_W:
             phi = pair_near(K, gj, gk, r, x0)
         else:
             try:
@@ -262,7 +348,7 @@ def _search_pass(code, r, slope=True):
 
     The code has the layout the family search builds: the five folded pairs
     (alpha, alpha), (alpha, g), (g, alpha), (g, g), (g, conj g) of a
-    three-term generator, g = alpha + i beta, with g's pairs ``far``.  A pair
+    three-term generator, g = alpha + i beta, with |beta| x0 >= SMALL_W.  A pair
     term T = (K - E_k)/b_j has r-derivative T' = (D_k - T)/b_j, where b = g +
     r, A = g - r, E = (e^{A x0} - 1)/A and D = (x0 e^{A x0} - E)/A depend on
     one exponent: each is formed once per exponent (conj g's as the
@@ -274,9 +360,10 @@ def _search_pass(code, r, slope=True):
     part.  F takes 2 exps and 7 quotients where the pass over the pairs
     takes 5 and 10; F' adds 7 quotients more.
 
-    None for any other layout, and where the pass over the pairs would take
-    ``pair_near`` or return +inf: |alpha + r| x0 or |alpha - r| x0 below
-    SMALL_W (g's ``far`` pairs fail both tests) or an exp overflowing.  With
+    None for any other layout (|beta| x0 below SMALL_W included), and where
+    the pass over the pairs would take ``pair_near`` or return +inf:
+    |alpha + r| x0 or |alpha - r| x0 below SMALL_W (g's pairs fail both
+    tests, as |Im(g + r)| = |Im(g - r)| = |beta|) or an exp overflowing.  With
     ``slope``, None too where x0 e^{(alpha - r) x0} - E of alpha is not
     finite, which the search's box, with (alpha - r) x0 <= 640, never
     reaches.  Just past a series switch T' loses digits to its divisions by
@@ -284,14 +371,13 @@ def _search_pass(code, r, slope=True):
     which a Newton step tolerates.
     """
     x0, folded = code
-    if len(folded) != 5 or not folded[3][4] or (r < 0.0 and -r * x0 > _INF_EDGE):
+    if len(folded) != 5 or (r < 0.0 and -r * x0 > _INF_EDGE):
         return None
-    ((c0, a, _, K0, _), (c1, _, _, K1, _), (c2, _, _, K2, _),
-     (c3, g, _, K3, _), (c4, _, _, K4, _)) = folded
+    (c0, a, _, K0), (c1, _, _, K1), (c2, _, _, K2), (c3, g, _, K3), (c4, _, _, K4) = folded
     a = a.real
     ba, Aa = a + r, a - r
     wa = Aa * x0
-    if abs(ba) * x0 < SMALL_W or abs(wa) < SMALL_W:
+    if abs(ba) * x0 < SMALL_W or abs(wa) < SMALL_W or abs(g.imag) * x0 < SMALL_W:
         return None
     b, A = g + r, g - r
     try:
@@ -350,6 +436,75 @@ def exact_key(x):
     return type(x), struct.pack("<2d", x.real, x.imag)
 
 
+def _distinct(values):
+    """The distinct ``values``, told apart by ``exact_key``, in the order
+    they first come, and the index of each value's among them."""
+    first = {}
+    idx = [first.setdefault(exact_key(v), (len(first), v))[0] for v in values]
+    return [v for _, v in first.values()], idx
+
+
+def t_terms(code):
+    """(c, g_k, g_j + g_k) of each folded pair of a family code, the terms
+    of f(t) = sum Re c e^{g_k t} E(x0 - t; g_j + g_k); real where g_k and
+    g_j + g_k are."""
+    out = []
+    for c, g_j, g_k, _ in code[1]:
+        a = g_j + g_k
+        if g_k.imag == 0.0 and a.imag == 0.0:
+            g_k, a = g_k.real, a.real
+        out.append((c, g_k, a))
+    return out
+
+
+def weight(code, t):
+    """f(t) of a family code (x0, folded), ``t_terms`` summed; zero outside
+    [0, x0).  The exps of g_k t are formed once per distinct g_k and the E's
+    once per distinct g_j + g_k (``_distinct``), each kind in one stacked
+    call per dtype (``_stacked_rows``): a cosine weight's five pairs take one
+    real and one complex exp call (rows alpha; g, alpha + 0j and conj g, as
+    ``t_terms`` makes alpha a float in one pair and a complex in another) and
+    one real and one complex E call, where a call per exponent took 4 and 4.
+    A real exponent stays real, and each row has the bits of a call at its
+    exponent alone."""
+    s = code[0]
+    t = np.asarray(t, dtype=float)
+    shape = t.shape
+    t = t.reshape(-1)   # flat, so that each stacked row spans every t
+    inside = (t >= 0) & (t < s)
+    tc = np.where(inside, t, 0.0)
+    x = s - tc
+    terms = t_terms(code)
+    # e^0 = 1 and E(x, 0) = x exactly: a pair with g_k = a = 0 (a box's)
+    # takes no exps, a third of the time of a box's f(t)
+    zero = [g_k == 0 and a == 0 for _, g_k, a in terms]
+    exps = _stacked_rows([None if nil else g_k for nil, (_, g_k, _) in zip(zero, terms)],
+                         lambda G: np.exp(G * tc))
+    Es = _stacked_rows([None if nil else a for nil, (_, _, a) in zip(zero, terms)],
+                       lambda A: E(x, A))
+    acc = np.zeros(t.shape)
+    for (c, _, _), e, Er in zip(terms, exps, Es):
+        acc += c * x if e is None else (c * e * Er).real
+    out = np.where(inside, acc, 0.0)
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _stacked_rows(values, make):
+    """The row of ``make(G)`` that each of ``values`` reads (None for a None
+    value), where G is the column of the ``_distinct`` float values, or of
+    the complex ones: one call of ``make`` per dtype present, so that no
+    float becomes a complex."""
+    rows = [None] * len(values)
+    for kind in (float, complex):
+        at = [i for i, v in enumerate(values) if type(v) is kind]
+        if at:
+            distinct, idx = _distinct([values[i] for i in at])
+            made = make(np.array(distinct, dtype=kind)[:, None])
+            for i, r in zip(at, idx):
+                rows[i] = made[r]
+    return rows
+
+
 #: the family codes whose ``f_array`` bookkeeping ``_array_plan`` keeps
 _ARRAY_PLANS = 64
 
@@ -392,16 +547,15 @@ def _array_plan(ident, code):
     -0.0)."""
     folded = code[1]
     alone = [p for p in folded if not (p[1].imag or p[2].imag)]
-    halves = [(c / 2, gj, gk, K, far) for c, gj, gk, K, far in folded if gj.imag or gk.imag]
+    halves = [(c / 2, gj, gk, K) for c, gj, gk, K in folded if gj.imag or gk.imag]
     # a real number among g_j, g_k and K is its own conjugate, bits and all,
     # so conj alpha reads alpha's row
-    unfolded = alone + halves + [(c, *(x.conjugate() if x.imag else x for x in p), far)
-                                 for c, *p, far in halves]
+    unfolded = alone + halves + [(c, *(x.conjugate() if x.imag else x for x in p))
+                                 for c, *p in halves]
 
     def distinct(values):
-        first = {}
-        rows = [first.setdefault(exact_key(v), (len(first), v))[0] for v in values]
-        return np.array([[v] for _, v in first.values()], dtype=complex), _rows(rows)
+        values, rows = _distinct(values)
+        return np.array([[v] for v in values], dtype=complex), _rows(rows)
 
     def plan(pairs, own):
         Gk, k = distinct([p[2] for p in pairs])
@@ -435,9 +589,7 @@ def f_array(code, z):
     call, and only where one of them is set.  The rows add in the order of
     the plan, from 0, each by the operations of a pass over the pairs, so
     every value has that pass's bits.  The points go in blocks that keep
-    each array within ``_BLOCK`` elements.  At real z a pair flagged ``far``
-    has no element near coincident nodes, as ``_f_real_scalar`` skips its
-    tests there: |w| >= |Im g_k| x0 and |b| x0 >= |Im g_j| x0.  At real z no
+    each array within ``_BLOCK`` elements.  At real z no
     value is refused and none warns: F is +inf exactly where
     ``f_real_scalar`` gives inf, past -r x0 = ``_INF_EDGE`` and where e^w of
     a pair term in the direct form overflows; a NaN z raises DomainError.
@@ -480,7 +632,7 @@ def _f_block(x0, plan, real, z, out):
     phi /= _read(b, j)
     if np.count_nonzero(near_k) or np.count_nonzero(near_j):
         for r, col in zip(*np.nonzero(near_k[k] | near_j[j])):
-            _, gj, gk, Kr, _ = pairs[r]
+            _, gj, gk, Kr = pairs[r]
             phi[r, col] = pair_near(Kr, gj, gk, complex(z[col]), x0)
     if own < len(pairs):   # off the real axis: each conjugate pair's sum
         phi[own:len(c)] += phi[len(c):]
@@ -656,6 +808,28 @@ def smoothed_fn(F, form, c1, psi, b, f0, array=False):
     def h(x):
         return base - F(x - b)
     return h
+
+
+def vectorized(h):
+    """A builder's h at real x, a scalar or an array of floats, refusing a
+    point where h is NaN with DomainError "h(x) requires x where h is not
+    NaN": a NaN x, or an inf - inf of two terms past the exp range (the 'sz'
+    F(-x) - F(b-x) at large x, the 'cc' F(-b) - F(x-b) at large b).  The
+    vectorized h of ``dh.smoothed_h``, ``dh.poly_h`` and ``zfr.zfr_h``.  A
+    sum that is not NaN holds no NaN, so the rule costs one reduction and
+    the errstate that keeps inf - inf from warning: about 2.6 us of a 56 us
+    smoothed h at 65 points (one Xeon core, NumPy 2.4)."""
+    def checked(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):
+            y = h(x)
+        if math.isnan(np.add.reduce(y, axis=None)):
+            nan = np.isnan(y)
+            if nan.any():
+                raise DomainError("h(x) requires x where h is not NaN, got "
+                                  f"x={float(np.broadcast_to(x, nan.shape)[nan][0])!r}")
+        return y
+    return checked
 
 
 def snapped_fn(code, form, c1, psi, b, f0, F0):

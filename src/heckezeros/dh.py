@@ -53,8 +53,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import (DomainError, InvalidParameterError, NoBoundError,
-                     SideConditionError, _shown, checked_divisor, checked_power, lookup,
-                     no_bound, nonnegative, positive, real)
+                     SideConditionError, _shown, checked_divisor, checked_power, checked_quotient,
+                     lookup, no_bound, nonnegative, positive, real)
 
 #: Critical-strip growth constant; the convexity bound fixes it at 1/4.
 PHI = 0.25
@@ -217,8 +217,8 @@ def smoothed_h(case, f, b, phi=PHI):
     def F(r):   # through a 1-d array even for a scalar r
         r = np.asarray(r, dtype=float)
         return f.laplace(r.reshape(-1)).real.reshape(r.shape)
-    return _kernels.smoothed_fn(F, case.form, case.c1, case.psi_over_phi * phi, b, f.f0,
-                                array=True)
+    return _kernels.vectorized(_kernels.smoothed_fn(F, case.form, case.c1,
+                                                     case.psi_over_phi * phi, b, f.f0, array=True))
 
 
 def _search_root(case, code, f0, F0, b, phi, guess, rival):
@@ -322,10 +322,7 @@ def poly_h(case, b, lam, J, phi=PHI):
     are checked as in ``solve_poly``."""
     case = _check_poly(case, b, lam, J, phi)
     g = _poly_at(case, b, lam, phi, case._sides.at(b, lam))[0]
-
-    def h(x):
-        return g(J, lam / (lam + np.asarray(x, dtype=float)))
-    return h
+    return _kernels.vectorized(lambda x: g(J, lam / (lam + x)))
 
 
 class _SideConditions:
@@ -582,23 +579,28 @@ def very_small_dh(psi, lambda_prime, c1=2):
 
 def very_small_inverse(psi, lambda1):
     """Inverse form: repulsion distance (1/(2 psi)) log(1/lambda1), for a
-    finite psi > 0."""
+    finite psi > 0; InvalidParameterError where a tiny psi takes it past the
+    float range (``errors.checked_quotient``).  log(1/lambda1) is read as
+    -log(lambda1), finite where 1/lambda1 overflows."""
     positive("psi", psi)
     if not (real(lambda1) and 0 < lambda1 < 1):
         raise InvalidParameterError(f"lambda1 must be in (0, 1), got {_shown(lambda1)}")
-    return math.log(1.0 / lambda1) / (2.0 * psi)
+    return checked_quotient("psi", psi, -math.log(lambda1), 2.0 * psi)
 
 
-def cos_bound(theta, psi):
+def cos_bound(theta, psi, *, named=None):
     """Repulsion bound 2 cos^2(theta) / psi from a cosine-type weight pair.
 
     theta is the angle data of the weight (see K_FAMILY_PAIRS); psi is the
-    case's multiple of phi, finite and > 0.
+    case's multiple of phi, finite and > 0.  InvalidParameterError where a
+    tiny psi takes the bound past the float range (``errors.checked_quotient``),
+    naming ``named`` = (name, value), the caller's own argument (``zfr_order5``
+    names its phi), or else psi.
     """
     if not (real(theta) and 0 < theta < math.pi / 2):
         raise InvalidParameterError(f"theta must be in (0, pi/2), got {_shown(theta)}")
     positive("psi", psi)
-    return 2.0 * math.cos(theta) ** 2 / psi
+    return checked_quotient(*(named or ("psi", psi)), 2.0 * math.cos(theta) ** 2, psi)
 
 
 def piecewise_log_constant(rows, b_min):
@@ -610,6 +612,7 @@ def piecewise_log_constant(rows, b_min):
     constant is the minimum of lambda*_i / log(1/b_{i-1}).  Each lambda*_i
     must be finite and > 0, and each width a real number in (0, 1)
     (``errors.real``), both checked before they are read as floats.
+    log(1/b) is read as -log(b), finite where 1/b overflows.
     """
     rows = [(b, ls) for b, ls in rows]   # pairs, unconverted until checked
     if not rows:
@@ -622,4 +625,4 @@ def piecewise_log_constant(rows, b_min):
             raise DomainError(f"chain widths must lie in (0, 1), got {_shown(b)}")
     if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
         raise InvalidParameterError("chain widths must be strictly increasing")
-    return min(float(ls) / math.log(1.0 / float(bp)) for bp, (_, ls) in zip(bs[:-1], rows))
+    return min(float(ls) / -math.log(float(bp)) for bp, (_, ls) in zip(bs[:-1], rows))

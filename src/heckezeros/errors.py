@@ -9,8 +9,9 @@ float holds and a number that a complex holds from anything else;
 ``lookup`` the one reading of a name a user gives (a case, a family, a
 suite, a table) in its table; ``checked_power`` the refusal of a power past
 the float range, ``checked_divisor`` that of a power a caller divides by,
-which must not underflow to 0 either, and ``no_bound`` the one report of a
-root-solved bound that has no root.
+which must not underflow to 0 either, ``checked_quotient`` that of a quotient
+by a tiny argument, and ``no_bound`` the one report of a root-solved bound
+that has no root.
 """
 
 import math
@@ -164,6 +165,17 @@ def checked_divisor(name, base, exponent, error=InvalidParameterError):
     if power == 0.0:
         raise error(f"{name} = {base} is too small: its power {exponent} underflows to 0")
     return power
+
+
+def checked_quotient(name, value, numerator, divisor):
+    """numerator / divisor, a quotient of finite floats by a multiple
+    ``divisor`` of the argument ``name`` = ``value`` > 0, or
+    InvalidParameterError naming it where the quotient overflows: Python's
+    float / gives inf there, where ``checked_power``'s ** raises."""
+    quotient = numerator / divisor
+    if quotient == math.inf:
+        raise InvalidParameterError(f"{name} = {value} is too small: a quotient by it overflows")
+    return quotient
 
 
 def _shown(value):

@@ -20,14 +20,16 @@ families satisfy this:
   families later without touching the solvers.
 
 Each built-in weight carries a family code ``(x0, folded)``, one of each
-conjugate pair of generator-exponent pairs with its coefficient doubled, and
-its transform is evaluated by ``_kernels`` from that code alone: real
-scalars by ``f_real_scalar`` (through ``TrialFunction.laplace_real``, the
-one route of every solver to F at a real point), complex or array arguments
-by ``f_array``.
-The two agree to 2e-13 relative, not to the bit: Python and NumPy complex
-arithmetic differ in the last bits.  The weight f(t) and f(0) read the
-same folded pairs, and ``_kernels.E`` serves f(t) here.
+conjugate pair of generator-exponent pairs with its coefficient doubled.
+Its format is ``_kernels``' alone, which folds it (``_kernels.fold``) and
+reads it: real scalars by ``f_real_scalar`` (through
+``TrialFunction.laplace_real``, the one route of every solver to F at a real
+point), complex or array arguments by ``f_array``, and f(t) by
+``_kernels.weight``.  The two transforms agree to 2e-13 relative, not to the
+bit: Python and NumPy complex arithmetic differ in the last bits.  This
+module writes the generator's own rules (its phase, its sign in closed form
+and its terms c e^{g u}), the parameter checks, the build memo and
+``TrialFunction``, and holds a code only to hand it on.
 
 A build is plain Python and gives the family code and f(0).
 ``autocorrelation_code`` checks the parameters and ``autocorrelation`` wraps
@@ -38,25 +40,23 @@ bounded LRU cache (``BUILD_CACHE_SIZE`` entries) that both entries share,
 so each distinct weight is built once per process, not once per table row
 or cell.  F(0) is not part of a build: the smoothed search and the density
 search at b = 0 read it from ``_search_f0``, which forms it on first read
-and memoizes it per build key.  A build's pair layout comes from a table by
-the generator's term count (``_FOLDS``).  Per distinct exponent
-a = g_j + g_k (three for a cosine weight's five folded pairs) a build
-forms K = E(s; a) = int_0^s e^{au} du (``_kernels.exp_quotient``).  A
-build is refused exactly where K, f(0), a pair term at its coincidence
-point z = -g_j, M1 = int_0^s u e^{au} du, or 2 alpha is not a finite
-float (a 2 alpha of -inf would round K to 0 and f(0) with it).  Each a
-has real part 2 alpha, so |M1| <= s E(s; 2 alpha), a K the build
-holds; where that bound lies far inside the float range
-(``_pair_terms_finite``, true of every weight in the search boxes) no pair
-term is formed, and elsewhere each is formed by ``_kernels.pair_near`` and
-checked.  So a search weight's build takes three ``exp_quotient`` calls
-and no ``pair_near``, about half the time of forming the pair terms too.
-A code is a tuple of plain Python numbers and bools that never changes
-after its build.  A build reads no NumPy: the generator's sign is decided in
-closed form.  NumPy evaluates f(t) on grids.
+and memoizes it per build key.  ``_kernels.fold`` takes the pair layout
+from a table by the generator's term count (``_kernels._FOLDS``) and forms
+K = E(s; a) = int_0^s e^{au} du per distinct exponent a = g_j + g_k
+(three for a cosine weight's five folded pairs).  A build is refused
+exactly where K, f(0), a pair term at its coincidence point z = -g_j,
+M1 = int_0^s u e^{au} du, or 2 alpha is not a finite float (a 2 alpha of
+-inf would round K to 0 and f(0) with it).  Each a has real part 2 alpha,
+so |M1| <= s E(s; 2 alpha), a K the build holds; where that bound lies far
+inside the float range (``_kernels._pair_terms_finite``, true of every
+weight in the search boxes) no pair term is formed, and elsewhere each is
+formed by ``_kernels.pair_near`` and checked.  So a search weight's build
+takes three ``exp_quotient`` calls and no ``pair_near``, about half the
+time of forming the pair terms too.  A code is a tuple of plain Python
+numbers that never changes after its build.  A build reads no NumPy: the
+generator's sign is decided in closed form.  NumPy evaluates f(t) on grids.
 """
 
-import cmath
 import functools
 import inspect
 import math
@@ -68,8 +68,6 @@ import numpy as np
 from . import _kernels
 from .errors import (DomainError, InvalidGeneratorError, InvalidParameterError, _shown,
                      finite, lookup, nonnegative, number, positive, real)
-
-_SMALL_W = _kernels.SMALL_W
 
 #: (k, theta) data pairs of the externally defined cosine-type weights used by
 #: the fixed-ratio bounds.  The defining relation theta(k) is not derivable
@@ -193,70 +191,6 @@ def triangle(x0):
 # autocorrelation family
 # ---------------------------------------------------------------------------
 
-def _t_terms(folded):
-    """(c, g_k, g_j + g_k) of each folded pair, real where g_k and g_j + g_k are."""
-    out = []
-    for c, g_j, g_k, *_ in folded:
-        a = g_j + g_k
-        if g_k.imag == 0.0 and a.imag == 0.0:
-            g_k, a = g_k.real, a.real
-        out.append((c, g_k, a))
-    return out
-
-
-def _weight(code, t):
-    """f(t) = sum Re c e^{g_k t} E(s - t; g_j + g_k) over the folded pairs of
-    the code (s, folded); zero outside [0, s).  The exps of g_k t are formed
-    once per distinct g_k and the E's once per distinct g_j + g_k, told
-    apart by type and bits (``_kernels.exact_key``), each kind in one
-    stacked call per dtype (``_stacked_rows``): a cosine weight's five
-    pairs take one real and one complex exp call (rows alpha; g, alpha + 0j
-    and conj g, as ``_t_terms`` makes alpha a float in one pair and a
-    complex in another) and one real and one complex E call, where a call
-    per exponent took 4 and 4.  A real exponent stays real, and each row has
-    the bits of a call at its exponent alone."""
-    s, folded = code
-    t = np.asarray(t, dtype=float)
-    shape = t.shape
-    t = t.reshape(-1)   # flat, so that each stacked row spans every t
-    inside = (t >= 0) & (t < s)
-    tc = np.where(inside, t, 0.0)
-    x = s - tc
-    terms = _t_terms(folded)
-    # e^0 = 1 and E(x, 0) = x exactly: a pair with g_k = a = 0 takes no exps
-    zero = [g_k == 0 and a == 0 for _, g_k, a in terms]
-    exps = _stacked_rows([None if nil else g_k for nil, (_, g_k, _) in zip(zero, terms)],
-                         lambda G: np.exp(G * tc))
-    Es = _stacked_rows([None if nil else a for nil, (_, _, a) in zip(zero, terms)],
-                       lambda A: _kernels.E(x, A))
-    acc = np.zeros(t.shape)
-    for (c, _, _), e, E in zip(terms, exps, Es):
-        if e is None:
-            acc += c * x
-        else:
-            acc += (c * e * E).real
-    out = np.where(inside, acc, 0.0)
-    return out.reshape(shape) if shape else float(out[0])
-
-
-def _stacked_rows(values, make):
-    """The row of ``make(G)`` that each of ``values`` reads (None for a None
-    value), where G is the column of the distinct float values, or of the
-    distinct complex ones, told apart by ``_kernels.exact_key``: one call
-    of ``make`` per dtype present, so that no float becomes a complex."""
-    distinct = {}
-    for v in values:
-        if v is not None:
-            distinct.setdefault(_kernels.exact_key(v), v)
-    rows = {}
-    for kind in (float, complex):
-        keys = [k for k in distinct if k[0] is kind]
-        if keys:
-            column = np.array([distinct[k] for k in keys], dtype=kind)[:, None]
-            rows.update(zip(keys, make(column)))
-    return [None if v is None else rows[_kernels.exact_key(v)] for v in values]
-
-
 #: entries of the process-wide cache of family builds (``_search_code``), and
 #: of F(0) (``_search_f0``): on the benchmark's smoothed-table rows and T1
 #: cells, 1024 serves about as many repeated builds as an unbounded cache
@@ -316,51 +250,9 @@ def _cached_f0(key):
     return _kernels._f_real_scalar(_cached_build(key)[0], 0.0)
 
 
-#: the folded pairs of a generator of 1, 2 or 3 terms (alpha; g, conj g;
-#: alpha, g, conj g, with g = alpha + i beta).  At real r (or t) the terms of
-#: the pairs (j, k) and (conj j, conj k) are conjugates, so one of the two is
-#: kept, as (j, k, the factor of c_j c_k: 2 where the two pairs differ, the
-#: earlier pair whose exponent g_j + g_k it shares or -1).
-#: _kernels._search_pass reads the three-term layout: (a, a), (a, g), (g, a),
-#: (g, g), (g, conj g)
-_FOLDS = (None,
-          ((0, 0, 1.0, -1),),
-          ((0, 0, 2.0, -1), (0, 1, 2.0, -1)),
-          ((0, 0, 1.0, -1), (0, 1, 2.0, -1), (1, 0, 2.0, 1), (1, 1, 2.0, -1), (1, 2, 2.0, 0)))
-
-
-#: the largest s E(s; 2 alpha) at which ``_pair_terms_finite`` holds,
-#: e^``_kernels._INF_EDGE``
-_M1_MAX = math.exp(_kernels._INF_EDGE)
-
-
-def _pair_terms_finite(alpha, s, K2):
-    """Whether every pair term at its coincidence point, as
-    ``_kernels.pair_near`` forms it, is proved a finite float without
-    forming it, from alpha, s and K2 = E(s; 2 alpha) of a generator whose
-    exponents all have real part alpha.
-
-    The term of a pair (g_j, g_k) at z = -g_j is
-    M1 = int_0^s t e^{(g_j + g_k) t} dt, so |M1| <= s K2, as |K| <= K2 for
-    the pair's K = E(s; g_j + g_k).  The test: 2 alpha s is finite and at
-    most ``_INF_EDGE``, so every e^u, u = (g_j + g_k) s, is at most
-    e^690, and s K2 is at most ``_M1_MAX`` = e^690.  There ``pair_near``
-    takes its series where |u| < 1, at most s^2 <= e s K2 (K2 >= s/e),
-    and otherwise e^u s/A - K/A with A = g_j + g_k and |A| s = |u| >= 1,
-    whose two terms are at most e s K2 and s K2 (the first splits at
-    2 alpha s = -1, 0 and 1).  So every factor, product, quotient and part
-    of one is within about 4 e of s K2 (complex operations on parts add a
-    factor of 2 at most).  The largest float, e^``EXP_MAX``, is e^19.78 =
-    3.9e8 times ``_M1_MAX``, far more than that factor and the few ulps by
-    which the rounding of K2, K and each operation moves a value.  Where the
-    test fails, which no weight in the search boxes does (there
-    |2 alpha s| <= 320), ``_build`` forms every pair term and checks it.
-    """
-    return -math.inf < 2.0 * alpha * s <= _kernels._INF_EDGE and s * abs(K2) <= _M1_MAX
-
-
 def _build(alpha, c0, c1, beta, s):
-    """``_search_code`` of five floats, uncached."""
+    """``_search_code`` of five floats, uncached: the generator's rules and
+    terms here, their fold by ``_kernels.fold``."""
     # the pair (g, g) of g = alpha + i beta has the phase 2 beta s, where
     # cmath.exp raises ValueError once it is not finite
     if c1 != 0.0 and not math.isfinite(2.0 * beta * s):
@@ -388,40 +280,11 @@ def _build(alpha, c0, c1, beta, s):
         del cs[0], gs[0]
     if not cs:
         raise InvalidGeneratorError("generator is identically zero")
-    # a pair of exponents with |Im g| s >= SMALL_W never takes ``pair_near``
-    # at real r: ``far``
-    far = [abs(g_.imag) * s >= _SMALL_W for g_ in gs]
-    # a build fails where 2 alpha, K, f(0) or a pair term at its coincidence
-    # point z = -g_j is not a finite float.  2 alpha and the pair terms are
-    # tested only where ``_pair_terms_finite`` cannot prove the terms finite
-    # (a 2 alpha that is not finite fails it), after every K: given a finite
-    # K, ``pair_near`` raises nothing, and a pair that shares its exponent
-    # has the same term, so the same weights are refused
-    folded, cK = [], []
     try:
-        for j, k, factor, same in _FOLDS[len(gs)]:
-            g_j, g_k = gs[j], gs[k]
-            K = _kernels.exp_quotient(g_j + g_k, s) if same < 0 else folded[same][3]
-            c = cs[j] * cs[k] * factor
-            folded.append((c, g_j, g_k, K, far[j] and far[k]))
-            cK.append(c * K)
-        # K of the real exponent 2 alpha: the first pair's, or (g, conj g)'s,
-        # the second, when c0 = 0 leaves g and conj g alone
-        if not _pair_terms_finite(alpha, s, folded[len(gs) == 2][3]):
-            # a 2 alpha of -inf rounds the K of 2 alpha to 0, and f(0) with
-            # it, where both are tiny but not 0
-            if not math.isfinite(2.0 * alpha):
-                raise OverflowError
-            for _, g_j, g_k, K, _ in folded:
-                if not cmath.isfinite(_kernels.pair_near(K, g_j, g_k, -g_j, s)):
-                    raise OverflowError
-        f0 = sum(cK).real
-        if not math.isfinite(f0):
-            raise OverflowError
+        return _kernels.fold(cs, gs, s)
     except OverflowError:
         raise InvalidParameterError(
             f"the transform of the generator overflows for alpha={alpha}, s={s}") from None
-    return (s, tuple(folded)), f0
 
 
 def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
@@ -445,7 +308,7 @@ def autocorrelation(alpha=0.0, c0=1.0, c1=0.0, beta=0.0, s=1.0):
     """
     code, f0 = autocorrelation_code(alpha, c0, c1, beta, s)
     params = dict(zip(("alpha", "c0", "c1", "beta", "s"), map(float, (alpha, c0, c1, beta, s))))
-    return TrialFunction("autocorrelation", params, code[0], f0, functools.partial(_weight, code),
+    return TrialFunction("autocorrelation", params, code[0], f0, functools.partial(_kernels.weight, code),
                          functools.partial(_kernels.f_array, code), code=code)
 
 

@@ -41,7 +41,7 @@ def _z_grid():
 def _f2_bound(f):
     """A proved upper bound on sup |f''| over [0, s] for a coded weight.
 
-    Over the folded pairs (c, g, a) of ``trial_functions._t_terms``, with
+    Over the terms (c, g, a) of the family code (``_kernels.t_terms``), with
     x = s - t and E(x; a) = (e^{ax} - 1)/a,
 
         f''(t)  = sum Re c e^{gt} [g^2 E(x; a) + (a - 2g) e^{ax}],
@@ -54,11 +54,11 @@ def _f2_bound(f):
     |e^{gt}| <= e^{s max(0, Re g)}, |E(x; a)| <= x e^{x max(0, Re a)} and
     |e^{gt + ax}| <= e^{s max(Re g, Re a)} on [0, s].
     """
-    s, folded = f.kernel_code()
+    s = f.x0
     n = 2001
     ts = np.linspace(0.0, s, n)
     f2, f3 = 0.0, 0.0
-    for c, g, a in trial_functions._t_terms(folded):
+    for c, g, a in _kernels.t_terms(f.kernel_code()):
         f2 += (c * np.exp(g * ts) * (g ** 2 * _kernels.E(s - ts, a)
                                      + (a - 2.0 * g) * np.exp(a * (s - ts)))).real
         f3 += abs(c) * (abs(g) ** 3 * s * math.exp(s * (max(0.0, g.real) + max(0.0, a.real)))

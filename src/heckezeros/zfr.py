@@ -36,8 +36,6 @@ flagged approximate.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .dh import PHI, cos_bound
 from .errors import (InvalidParameterError, NoBoundError, finite, lookup, no_bound, nonnegative,
@@ -180,10 +178,7 @@ def zfr_h(case, lam, phi=PHI):
     inputs are checked as in ``zfr_solve``."""
     case, lam, phi = _check(case, lam, phi)
     g = _kernels.zfr_fn(case.coeffs[0], case.coeffs[1], case.B, lam, phi)[0]
-
-    def h(x):
-        return g(lam / (lam + np.asarray(x, dtype=float)))
-    return h
+    return _kernels.vectorized(lambda x: g(lam / (lam + x)))
 
 
 def side_condition_limit(case, lam):
@@ -246,12 +241,13 @@ def zfr_order5(phi=PHI):
     F(-lambda_1) - (c1/c0) F(0) + (B/c0) phi f(0) >= 0 with c0, c1 of
     'order234' and B = ``SMOOTHED_B``; the matching cosine-type weight has
     the bundled angle theta of k = c1/c0 (``K_FAMILY_PAIRS``), giving
-    lambda_1 >= cos^2(theta) c0 / (B phi).  phi must be finite and > 0.
+    lambda_1 >= cos^2(theta) c0 / (B phi).  phi must be finite and > 0, and
+    not so small that the bound leaves the float range.
     """
     positive("phi", phi)
     theta = K_FAMILY_PAIRS[2][1]
     B_over_c0 = SMOOTHED_B / CASES["order234"].coeffs[0]
-    return cos_bound(theta, 2.0 * B_over_c0 * phi)
+    return cos_bound(theta, 2.0 * B_over_c0 * phi, named=("phi", phi))
 
 
 def zfr_order_ge6(f, lam_star=ORDER_GE6_LAMBDA_STAR, phi=PHI):

@@ -387,6 +387,14 @@ class TestPiecewiseLogConstant:
         c = dh.piecewise_log_constant(rows, 0.05)
         assert c == pytest.approx(min(2.0 / math.log(20), 1.0 / math.log(10)), abs=1e-14)
 
+    def test_width_below_one_over_dbl_max(self):
+        # 1/b overflows for b below 1/DBL_MAX (about 5.6e-309): log(1/b)
+        # was inf and the constant 0.0; -log(b) is finite there
+        assert dh.piecewise_log_constant([(0.5, 1.0)], 1e-310) == 1.0 / -math.log(1e-310)
+        assert dh.piecewise_log_constant([(0.5, 1.0)], 1e-310) == pytest.approx(1.40095e-3,
+                                                                                rel=1e-5)
+        assert dh.piecewise_log_constant([(0.5, 1.0)], 5e-324) == 1.0 / -math.log(5e-324)
+
     def test_domain_checks(self):
         from heckezeros.errors import DomainError
         with pytest.raises(DomainError):

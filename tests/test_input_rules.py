@@ -311,6 +311,31 @@ PAST_THE_FLOAT_RANGE = [
 ]
 
 
+@pytest.mark.parametrize("call", [lambda psi: dh.cos_bound(0.5, psi),
+                                  lambda psi: dh.very_small_inverse(psi, 0.5)],
+                         ids=["cos_bound", "very_small_inverse"])
+def test_a_closed_form_past_the_float_range_is_refused(call):
+    # each returned inf (heckezeros zfr --case order5 --phi 1e-320 printed
+    # "lambda_1 >= inf" and exited 0)
+    with pytest.raises(InvalidParameterError) as err:
+        call(1e-320)
+    assert str(err.value) == "psi = 1e-320 is too small: a quotient by it overflows"
+    assert math.isfinite(call(1e-300))
+
+
+def test_a_closed_form_names_the_argument_its_caller_gave():
+    # zfr_order5 passes cos_bound its psi = 2 (B/c0) phi, which the refusal
+    # named (psi = 8.6476e-320) where the caller gave phi
+    with pytest.raises(InvalidParameterError) as err:
+        zfr.zfr_order5(1e-320)
+    assert str(err.value) == "phi = 1e-320 is too small: a quotient by it overflows"
+
+
+def test_a_tiny_lambda1_is_no_overflow():
+    # 1/lambda1 overflows below about 5.6e-309; log(1/lambda1) is -log(lambda1)
+    assert dh.very_small_inverse(0.25, 1e-320) == -math.log(1e-320) / 0.5
+
+
 @pytest.mark.parametrize("error, call", [c[1:] for c in PAST_THE_FLOAT_RANGE],
                          ids=[c[0] for c in PAST_THE_FLOAT_RANGE])
 def test_an_int_past_the_float_range_is_refused(error, call):
@@ -374,6 +399,38 @@ NAN_POINTS = [
 def test_a_nan_point_is_refused(call, weight):
     with pytest.raises(DomainError, match="not NaN"):
         call(weight)
+
+
+#: the scan oracle's vectorized h at a point where it is NaN: (site, call,
+#: the point).  The quartic and zero-free-region h gave NaN beside their
+#: other values, silently; the smoothed h an inf - inf with a RuntimeWarning,
+#: of the 'sz' shape's F(-x) - F(b-x) at x = inf and of the 'cc' shape's
+#: F(-b) - F(x-b) at b x0 = 800
+UNEVALUABLE_H = [
+    ("poly_h-nan", lambda: dh.poly_h(*POLY)(np.array([math.nan, 1.0])), math.nan),
+    ("zfr_h-nan", lambda: zfr.zfr_h("order234", 0.9421)(np.array([math.nan, 1.0])), math.nan),
+    ("zfr_h-nan-scalar", lambda: zfr.zfr_h("order234", 0.9421)(math.nan), math.nan),
+    ("smoothed_h-sz-inf",
+     lambda: dh.smoothed_h("cc-lp-principal-real", TRI, 0.1)(np.array([math.inf, 1.0])), math.inf),
+    ("smoothed_h-cc-large-b", lambda: dh.smoothed_h("cc-l2-nonprincipal", TRI, 400.0)(0.0), 0.0),
+]
+
+
+@pytest.mark.parametrize("call, x", [c[1:] for c in UNEVALUABLE_H], ids=[c[0] for c in UNEVALUABLE_H])
+def test_a_vectorized_h_refuses_a_point_where_it_is_nan(call, x):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == f"h(x) requires x where h is not NaN, got x={x!r}"
+
+
+def test_a_vectorized_h_keeps_its_values_elsewhere():
+    # the refusal reads the values and changes none: +inf and -inf pass
+    assert dh.poly_h(*POLY)(np.array([1.0]))[0] == pytest.approx(0.2597, abs=1e-4)
+    assert zfr.zfr_h("order234", 0.9421)(np.array([1.0]))[0] == pytest.approx(39968.6, abs=0.1)
+    # F(-x) = inf past -r x0 = 690 while F(b-x) is finite: h = +inf
+    sz = dh.smoothed_h("cc-lp-principal-real", TRI, 0.1)(np.array([345.05, 1.0]))
+    assert sz[0] == math.inf and sz[1] == pytest.approx(-0.2457, abs=1e-4)
+    assert dh.smoothed_h("cc-l2-nonprincipal", TRI, 0.1)(np.array([-math.inf]))[0] == -math.inf
 
 
 class _Probe:

@@ -142,18 +142,29 @@ def test_conjugate_pairs_fold_to_one_exp_each(params, folded, real_exps, off_axi
     ({"alpha": 0.5, "s": 1.0}, 0),                                       # plain
 ])
 def test_far_pairs_skip_the_series_tests(params, n_far):
-    """A pair whose exponents both sit SMALL_W / x0 off the real axis skips the
-    series tests, and F keeps the branches of the array path there: at the
-    centres where an unflagged pair would switch, the two still agree."""
+    """A pair (c, g_j, g_k, K) carries no flag: one whose exponents both sit
+    SMALL_W / x0 off the real axis (``_far``) fails the series tests at every
+    real point, and F keeps the branches of the array path there: at the
+    centres where a pair nearer the axis would switch, and at the real parts
+    of the far pairs' own exponents, the two still agree."""
     f = tf.autocorrelation(**params)
     x0, fold = f.kernel_code()
-    assert sum(p[-1] for p in fold) == n_far
-    for _, g_j, g_k, *_, far in fold:
-        if far:
-            assert min(abs(g_j.imag), abs(g_k.imag)) * x0 >= _kernels.SMALL_W
-    for r in [-g.real for _, g, *_ in fold] + [g.real for _, _, g, *_ in fold]:
-        v = f.laplace(np.array([r])).real[0]
-        assert abs(_kernels.f_real_scalar(f.kernel_code(), r) - v) <= SCALAR_REL * abs(v)
+    assert all(len(p) == 4 for p in fold)
+    assert sum(_far(p, x0) for p in fold) == n_far
+    for pair in fold:
+        _, g_j, g_k, _ = pair
+        for r in (-g_j.real, g_k.real):
+            if _far(pair, x0):
+                assert abs(g_j + r) * x0 >= _kernels.SMALL_W
+                assert abs((g_k - r) * x0) >= _kernels.SMALL_W
+            v = f.laplace(np.array([r])).real[0]
+            assert abs(_kernels.f_real_scalar(f.kernel_code(), r) - v) <= SCALAR_REL * abs(v)
+
+
+def _far(pair, x0):
+    """Whether both exponents of a folded pair lie SMALL_W / x0 or more off
+    the real axis, where the kernels' series tests fail at every real point."""
+    return min(abs(pair[1].imag), abs(pair[2].imag)) * x0 >= _kernels.SMALL_W
 
 
 def _mp_triangle(x0, z, mp):
@@ -228,9 +239,10 @@ def test_array_transform_matches_mpmath():
 def _search_layout(code):
     """Whether a code has the layout of the search's weights, the one the
     derivative kernel serves: the five folded pairs of a three-term
-    generator, its complex exponent's pairs ``far``."""
-    folded = code[1]
-    return len(folded) == 5 and folded[3][4]
+    generator, its complex exponent's pairs far from the real axis
+    (``_far``)."""
+    x0, folded = code
+    return len(folded) == 5 and _far(folded[3], x0)
 
 
 #: weights of the search's code layout: its seed grid over both profiles, and
@@ -327,11 +339,11 @@ def _pair_loop_d(code, r):
     if r < 0.0 and -r * x0 > 690.0:
         return None
     acc = dacc = 0.0
-    for c, gj, gk, K, far in folded:
+    for c, gj, gk, K in folded:
         b = gj + r
         a = gk - r
         w = a * x0
-        if not far and (abs(b) * x0 < _kernels.SMALL_W or abs(w) < _kernels.SMALL_W):
+        if abs(b) * x0 < _kernels.SMALL_W or abs(w) < _kernels.SMALL_W:
             return None
         try:
             ew = cmath.exp(w)
@@ -405,7 +417,7 @@ def test_derivative_kernel_keeps_the_pair_loops_bits():
     seen = {"layouts": set(), "declined": 0, "scaled": 0, "values": 0, "non_finite": 0}
     for code in codes:
         x0, folded = code
-        seen["layouts"].add((len(folded), folded[-1][-1]))
+        seen["layouts"].add((len(folded), _far(folded[-1], x0)))
         for r in _layout_points(code):
             want, got = _pair_loop_d(code, r), _kernels._f_real_scalar_d(code, r)
             if not _search_layout(code):
@@ -438,11 +450,11 @@ def _pair_loop_f(code, r):
     if r < 0.0 and -r * x0 > 690.0:
         return math.inf
     acc = 0.0
-    for c, gj, gk, K, far in folded:
+    for c, gj, gk, K in folded:
         b = gj + r
         a = gk - r
         w = a * x0
-        if not far and (abs(b) * x0 < _kernels.SMALL_W or abs(w) < _kernels.SMALL_W):
+        if abs(b) * x0 < _kernels.SMALL_W or abs(w) < _kernels.SMALL_W:
             phi = _kernels.pair_near(K, gj, gk, r, x0)
         else:
             try:
@@ -464,7 +476,7 @@ def test_per_exponent_f_keeps_the_pair_loops_bits():
     seen = {"layouts": set(), "served": 0, "loop": 0, "scaled": 0, "non_finite": 0, "inf": 0}
     for code in codes:
         x0, folded = code
-        seen["layouts"].add((len(folded), folded[-1][-1]))
+        seen["layouts"].add((len(folded), _far(folded[-1], x0)))
         for r in _layout_points(code):
             want, got = _pair_loop_f(code, r), _kernels._f_real_scalar(code, r)
             assert got.hex() == want.hex(), (code, r)
@@ -495,8 +507,8 @@ def _single_pair_codes(seed, n=40):
         alpha = float(rng.uniform(-4.0, 4.0)) / (1.0, s, 100.0 * s)[i % 3]
         params = optimizer._generator(alpha, s, optimizer.PROFILES[i % 2])
         x0, folded = tf.autocorrelation_code(*params)[0]
-        for _, g_j, g_k, K, far in folded:
-            yield x0, ((1.0, g_j, g_k, K, far),)
+        for _, g_j, g_k, K in folded:
+            yield x0, ((1.0, g_j, g_k, K),)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -518,7 +530,7 @@ def test_pair_terms_near_coincident_nodes_match_mpmath(seed):
 
     with mpmath.workdps(50):
         for code in _single_pair_codes(seed):
-            x0, ((_, g_j, g_k, _, _),) = code
+            x0, ((_, g_j, g_k, _),) = code
             scale = eps * (1.0 + abs((g_j + g_k) * x0))
             own = g_j.imag == 0.0 and g_k.imag == 0.0
             for centre in (-g_j, g_k):
@@ -737,7 +749,7 @@ def test_overflow_verdict_never_skips_an_infinite_probe():
             code = tf.autocorrelation_code(*optimizer._generator(alpha, s, mult))[0]
             x0, folded = code
             assert x0 == s and x0 * dh.HI <= 600.0, key
-            for c, _, gk, _, _ in folded:
+            for c, _, gk, _ in folded:
                 assert (gk.real + dh.HI) * x0 <= 640.0 and abs(c) <= 1.0, key
             assert math.isfinite(_kernels._f_real_scalar(code, -dh.HI)), key
             assert _search_layout(code), key
@@ -1009,7 +1021,7 @@ def test_derivative_kernel_declines_where_exp_overflows():
     for r in (-45.0, -40.85):
         assert -r * x0 <= 690.0
         assert all(abs(gj + r) * x0 >= _kernels.SMALL_W and abs(gk - r) * x0 >= _kernels.SMALL_W
-                   for _, gj, gk, _, _ in folded)
+                   for _, gj, gk, _ in folded)
         assert _kernels._f_real_scalar_d(code, r) is None
     assert (30.0 + 45.0) * x0 > 710.0 and _kernels._f_real_scalar(code, -45.0) == math.inf
     assert math.isfinite(_kernels._f_real_scalar(code, -40.85))

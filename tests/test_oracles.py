@@ -85,7 +85,7 @@ def _per_pair_f_array(code, z):
         return x.conjugate() if x.imag else x
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for c, gj, gk, K, _ in sorted(folded, key=lambda p: not real and bool(p[1].imag or p[2].imag)):
+        for c, gj, gk, K in sorted(folded, key=lambda p: not real and bool(p[1].imag or p[2].imag)):
             phi, inf = term(gj, gk, K)
             if real:
                 over |= inf
@@ -100,7 +100,7 @@ def _per_pair_f_array(code, z):
 
 def _per_pair_weight(code, t):
     """f(t) of a family code with each pair's exp and E formed afresh:
-    ``trial_functions._weight``'s rule before it shared them."""
+    ``_kernels.weight``'s rule before it shared them."""
     s, folded = code
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
@@ -108,7 +108,7 @@ def _per_pair_weight(code, t):
     inside = (t >= 0) & (t < s)
     tc = np.where(inside, t, 0.0)
     acc = np.zeros(t.shape)
-    for c, g_k, a in tf._t_terms(folded):
+    for c, g_k, a in _kernels.t_terms(code):
         if g_k == 0 and a == 0:
             acc += c * (s - tc)
         else:

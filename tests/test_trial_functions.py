@@ -313,7 +313,7 @@ def test_python_moments_equal_numpy_arrays(seed):
     taken = {"zero": 0, "series": 0, "re": 0, "im": 0}
     for params in _seeded_weights(seed):
         s, folded = tf.autocorrelation(**params).kernel_code()
-        for _, g_j, g_k, K, _ in folded:
+        for _, g_j, g_k, K in folded:
             a = g_j + g_k
             assert repr(K) == repr(_kernels.exp_quotient(a, s)), (params, a)
             if _in_series_disc(a, s):
@@ -325,10 +325,10 @@ def test_python_moments_equal_numpy_arrays(seed):
 
 
 def _series_points(code):
-    """The real r = -Re g_j of every folded pair whose pair series runs there."""
+    """The real r = -Re g_j of every folded pair (c, g_j, g_k, K) whose pair
+    series runs there: |g_j + r| x0 = |Im g_j| x0 below SMALL_W."""
     x0, folded = code
-    return [-g_j.real for _, g_j, *_, far in folded
-            if not far and abs(g_j.imag) * x0 < _kernels.SMALL_W]
+    return [-g_j.real for _, g_j, _, _ in folded if abs(g_j.imag) * x0 < _kernels.SMALL_W]
 
 
 def test_codes_are_immutable():
@@ -353,7 +353,7 @@ def test_codes_are_immutable():
 
 class TestLazyMoments:
     """A build forms K = M_0 and proves M_1, the pair term at its coincidence
-    point, finite from the bound s E(s; 2 alpha) (``tf._pair_terms_finite``),
+    point, finite from the bound s E(s; 2 alpha) (``_kernels._pair_terms_finite``),
     forming it only where that bound does not serve; no code holds a higher
     moment, and the kernels form none."""
 
@@ -368,7 +368,7 @@ class TestLazyMoments:
         params = optimizer._generator(0.7, 3.2, 1.0)
         code, f0 = tf._build(*map(float, params))
         assert asked == ["exp_quotient"] * 3
-        assert all(len(pair) == 5 for pair in code[1])
+        assert all(len(pair) == 4 for pair in code[1])
         assert f0 == tf.autocorrelation(*params).f0
 
     #: generator layouts of 1, 2 and 3 terms: (c0, c1, beta) at s = 1, beta
@@ -400,11 +400,11 @@ class TestLazyMoments:
                 continue
             (s, folded), _ = got
             K2 = folded[len(folded) == 2][3]
-            if tf._pair_terms_finite(params[0], s, K2):
+            if _kernels._pair_terms_finite(params[0], s, K2):
                 skipped += 1
-                for _, g_j, g_k, K, _ in folded:
+                for _, g_j, g_k, K in folded:
                     assert cmath.isfinite(_kernels.pair_near(K, g_j, g_k, -g_j, s)), params
-        monkeypatch.setattr(tf, "_pair_terms_finite", lambda *args: False)
+        monkeypatch.setattr(_kernels, "_pair_terms_finite", lambda *args: False)
         for params, got in builds:
             try:
                 want = tf._build(*params)
@@ -590,10 +590,11 @@ class TestConditionTwo:
 def _f2_on_grid(f, n):
     """f'' at n points of [0, s], both ends included, summed over the folded
     pairs (c, g, a): Re c e^{gt} [g^2 E(s - t; a) + (a - 2g) e^{a(s - t)}]."""
-    s, folded = f.kernel_code()
+    code = f.kernel_code()
+    s = code[0]
     ts = np.linspace(0.0, s, n)
     out = np.zeros(n)
-    for c, g, a in tf._t_terms(folded):
+    for c, g, a in _kernels.t_terms(code):
         x = s - ts
         out += (c * np.exp(g * ts) * (g * g * _kernels.E(x, a) + (a - 2.0 * g) * np.exp(a * x))).real
     return ts, out
